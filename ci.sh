@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint, build, unit/integration tests, a quick-scale smoke
-# run of the full experiment sweep on 2 workers (exercises the
-# work-stealing pool, the memo cache, and the bench-report writer), a
-# traced experiment run with JSONL timeline validation, the chaos
-# fault-injection matrix with the invariant checker armed, a fleet-engine
-# smoke cell with invariants armed on every member, and the two perf
-# ratchets (fig11 event loop, 1000-session fleet cell).
+# Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
+# tests, a quick-scale smoke run of the full experiment sweep on 2 workers
+# (exercises the work-stealing pool, the memo cache, and the bench-report
+# writer), a traced experiment run with JSONL timeline validation, the
+# chaos fault-injection matrix with the invariant checker armed, a
+# fleet-engine smoke cell with invariants armed on every member, and the
+# two perf ratchets (fig11 event loop, 1000-session fleet cell).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo clippy -q --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+# The repo benchmark, every workload once: both of its packages must still
+# build against this tree (bench-layers pins sim/net internals), and its
+# mirror of the call loop must stay Debug-identical to Session::run.
+bash benchmark/run.sh --smoke
+# --no-fail-fast: one red binary must not hide the ones sorted after it.
+cargo test -q --no-fail-fast
 
 mkdir -p results
 cargo run --release -p converge-bench --bin experiments -- \

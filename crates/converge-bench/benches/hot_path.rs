@@ -1,6 +1,6 @@
 //! Criterion micro-benches for the event-loop hot path introduced by the
 //! perf work: slab-backed event-queue push/pop-batch, arena alloc/free,
-//! and the XOR FEC group encode in both scalar and chunked form.
+//! and the XOR FEC group encode.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -101,15 +101,11 @@ fn bench_fec_kernels(c: &mut Criterion) {
         b.iter(|| fec::encode_one(std::hint::black_box(&pkts)));
     });
 
-    // The two XOR kernels head to head on one payload.
+    // The XOR kernel alone on one payload.
     let src: Vec<u8> = (0..1200).map(|i| i as u8).collect();
-    group.bench_function("xor_chunked", |b| {
+    group.bench_function("xor", |b| {
         let mut acc = vec![0u8; 1200];
         b.iter(|| fec::xor_into(std::hint::black_box(&mut acc), std::hint::black_box(&src)));
-    });
-    group.bench_function("xor_scalar", |b| {
-        let mut acc = vec![0u8; 1200];
-        b.iter(|| fec::xor_into_scalar(std::hint::black_box(&mut acc), std::hint::black_box(&src)));
     });
     group.finish();
 }

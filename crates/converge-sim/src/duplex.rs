@@ -7,46 +7,13 @@
 //! session runs a full sender+receiver at each endpoint over the same
 //! emulated paths and reports one [`CallReport`] per direction.
 
-use std::collections::BTreeMap;
+use converge_net::{LinkConfig, Path, PathId};
+use converge_trace::TraceHandle;
 
-use converge_core::PacketClass;
-use converge_net::{
-    event::EventQueue, Direction, LinkConfig, NetworkEmulator, Path, PathId, SimDuration, SimTime,
-};
-use converge_rtp::RtcpPacket;
-
-use crate::metrics::{CallReport, MetricsCollector};
-use crate::pacer::{Pacer, PacerConfig};
-use crate::payload::{NetPayload, RtpKind};
-use crate::receiver::{ConferenceReceiver, ReceiverEvent};
+use crate::flow::run_call;
+use crate::metrics::CallReport;
 use crate::scenarios::ScenarioConfig;
-use crate::sender::ConferenceSender;
 use crate::session::SessionConfig;
-
-/// One endpoint's machinery.
-struct Endpoint {
-    sender: ConferenceSender,
-    receiver: ConferenceReceiver,
-    pacer: Pacer,
-    metrics: MetricsCollector,
-    /// SRs seen from the far end: path → (send ms, arrival).
-    sr_seen: BTreeMap<PathId, (u64, SimTime)>,
-    /// Direction this endpoint's media travels.
-    tx_dir: Direction,
-}
-
-/// Timer events of the duplex loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tick {
-    /// (endpoint index, stream index) frame capture.
-    Frame(usize, usize),
-    /// Endpoint's receiver fast-RTCP round.
-    FastRtcp(usize),
-    /// Endpoint's receiver transport-RTCP round.
-    TransportRtcp(usize),
-    /// Endpoint's sender SR/SDES round.
-    SenderRtcp(usize),
-}
 
 /// A bidirectional session between two Converge endpoints.
 pub struct DuplexSession {
@@ -86,273 +53,20 @@ impl DuplexSession {
             .collect()
     }
 
-    /// Runs the call; returns `(a_to_b, b_to_a)` reports.
+    /// Runs the call; returns `(a_to_b, b_to_a)` reports. Two flows on one
+    /// emulator: A's media travels `Forward` and its feedback `Reverse`,
+    /// B's the other way round, so each direction's media contends with
+    /// the other's feedback. Untraced: both flows would emit on the same
+    /// `PathId`s, which `converge-trace/v1` cannot tell apart.
     pub fn run(self) -> (CallReport, CallReport) {
         let cfg = self.config;
         let paths = Self::build_symmetric_paths(&cfg.scenario, cfg.seed);
-        let path_ids: Vec<PathId> = paths.iter().map(|p| p.id()).collect();
-        let mut emu: NetworkEmulator<NetPayload> = NetworkEmulator::new(paths);
-
-        let format = converge_video::VideoFormat::HD720;
-        let frame_interval = SimDuration::from_micros(1_000_000 / format.fps as u64);
-        let mut endpoints: Vec<Endpoint> = [Direction::Forward, Direction::Reverse]
-            .into_iter()
-            .map(|tx_dir| Endpoint {
-                sender: ConferenceSender::new(
-                    cfg.streams,
-                    &path_ids,
-                    cfg.scheduler.build(frame_interval),
-                    cfg.fec.build(),
-                    cfg.controller,
-                    cfg.max_encoding_rate_bps,
-                ),
-                receiver: ConferenceReceiver::new(cfg.streams, &path_ids, format.fps, path_ids[0]),
-                pacer: Pacer::new(PacerConfig::default()),
-                metrics: MetricsCollector::new(
-                    cfg.duration,
-                    format,
-                    cfg.max_encoding_rate_bps,
-                    cfg.streams,
-                ),
-                sr_seen: BTreeMap::new(),
-                tx_dir,
-            })
-            .collect();
-
-        let mut timers: EventQueue<Tick> = EventQueue::new();
-        for (ep, offset) in [(0usize, 0u64), (1, 16_000)] {
-            for s in 0..cfg.streams as usize {
-                timers.schedule(
-                    SimTime::from_micros(offset + s as u64 * 3_000),
-                    Tick::Frame(ep, s),
-                );
-            }
-            timers.schedule(SimTime::from_micros(50_000 + offset), Tick::FastRtcp(ep));
-            timers.schedule(
-                SimTime::from_micros(60_000 + offset),
-                Tick::TransportRtcp(ep),
-            );
-            timers.schedule(SimTime::from_micros(40_000 + offset), Tick::SenderRtcp(ep));
-        }
-
-        let end = SimTime::ZERO + cfg.duration;
-        let mut clock = SimTime::ZERO;
-
-        // Reused across iterations so the steady-state loop allocates
-        // nothing for polling.
-        let mut paced: Vec<crate::sender::OutboundPacket> = Vec::new();
-        let mut deliveries: Vec<converge_net::Delivery<NetPayload>> = Vec::new();
-
-        loop {
-            // When neither pacer holds a packet and nothing is in flight,
-            // the only possible event source is a timer: jump straight
-            // there (same fast path as the one-way session).
-            let idle = cfg.idle_skip
-                && emu.idle()
-                && endpoints.iter().all(|e| e.pacer.is_empty());
-            let now = if idle {
-                match timers.peek_time() {
-                    Some(t) => t,
-                    None => break,
-                }
-            } else {
-                let pacer_next = endpoints
-                    .iter()
-                    .filter_map(|e| e.pacer.next_release())
-                    .min();
-                match [timers.peek_time(), emu.next_arrival(), pacer_next]
-                    .into_iter()
-                    .flatten()
-                    .min()
-                {
-                    Some(t) => t,
-                    None => break,
-                }
-            };
-            // The pacer reports a stale (past) `busy_until` for a path that
-            // went idle and was re-filled; clamp so simulated time never
-            // runs backwards.
-            let now = now.max(clock);
-            clock = now;
-            if now >= end {
-                break;
-            }
-
-            // Paced transmissions (idle pacers release nothing).
-            if !idle {
-                for ep in endpoints.iter_mut() {
-                    let tx_dir = ep.tx_dir;
-                    ep.pacer.poll_into(now, &mut paced);
-                    for out in paced.drain(..) {
-                        let size = out.payload.wire_size();
-                        let is_fec = out.class == PacketClass::Fec;
-                        let is_media = matches!(
-                            &out.payload,
-                            NetPayload::Rtp(r) if r.kind.video_packet().is_some()
-                        );
-                        ep.metrics.on_packet_sent(now, out.path, size, is_fec, is_media);
-                        if out.class == PacketClass::Retransmission {
-                            ep.metrics.on_retransmission();
-                        }
-                        let (outcome, _) = emu.send(out.path, tx_dir, now, size, out.payload);
-                        if outcome.is_lost() {
-                            ep.metrics.on_packet_lost(out.path);
-                        }
-                    }
-                }
-            }
-
-            // Deliveries: direction determines the receiving endpoint's
-            // role. Endpoint 0 transmits Forward, so Forward deliveries are
-            // handled by endpoint 1 (as receiver) — except feedback-class
-            // RTCP, which endpoint 1 emitted toward endpoint 0's sender? No:
-            // every payload an endpoint emits (media, SR, feedback) travels
-            // its OWN tx direction; the far endpoint dispatches by type.
-            if !idle {
-                emu.poll_into(now, &mut deliveries);
-            }
-            for delivery in deliveries.drain(..) {
-                let to_ep = match delivery.direction {
-                    Direction::Forward => 1,
-                    Direction::Reverse => 0,
-                };
-                Self::dispatch(
-                    &mut endpoints[to_ep],
-                    now,
-                    delivery.path,
-                    delivery.payload,
-                    &mut emu,
-                );
-            }
-
-            while let Some((_, tick)) = timers.pop_due(now) {
-                match tick {
-                    Tick::Frame(ep_idx, stream_idx) => {
-                        let result = endpoints[ep_idx].sender.on_frame_tick(now, stream_idx);
-                        endpoints[ep_idx]
-                            .metrics
-                            .on_frame_encoded(now, result.qp, result.height);
-                        let rates = endpoints[ep_idx].sender.path_metrics();
-                        for m in rates {
-                            endpoints[ep_idx].pacer.set_rate(m.id, m.rate_bps as f64);
-                        }
-                        endpoints[ep_idx].pacer.enqueue(now, result.packets);
-                        timers.schedule(now + frame_interval, Tick::Frame(ep_idx, stream_idx));
-                    }
-                    Tick::FastRtcp(ep_idx) => {
-                        Self::emit_rtcp(&mut endpoints[ep_idx], now, false, &mut emu);
-                        timers.schedule(now + cfg.rtcp_interval, Tick::FastRtcp(ep_idx));
-                    }
-                    Tick::TransportRtcp(ep_idx) => {
-                        Self::emit_rtcp(&mut endpoints[ep_idx], now, true, &mut emu);
-                        timers.schedule(
-                            now + cfg.transport_rtcp_interval,
-                            Tick::TransportRtcp(ep_idx),
-                        );
-                    }
-                    Tick::SenderRtcp(ep_idx) => {
-                        let tx_dir = endpoints[ep_idx].tx_dir;
-                        for (path, rtcp) in endpoints[ep_idx].sender.periodic_rtcp(now) {
-                            let payload = NetPayload::Rtcp(rtcp);
-                            let size = payload.wire_size();
-                            emu.send(path, tx_dir, now, size, payload);
-                        }
-                        timers.schedule(
-                            now + SimDuration::from_millis(500),
-                            Tick::SenderRtcp(ep_idx),
-                        );
-                    }
-                }
-            }
-        }
-
-        let mut reports = endpoints.into_iter().map(|e| e.metrics.finish());
-        let a = reports.next().expect("endpoint A");
-        let b = reports.next().expect("endpoint B");
-        (a, b)
-    }
-
-    /// Handles one arriving payload at `ep` (media for its receiver,
-    /// SR/SDES for its receiver's clock, feedback for its sender).
-    fn dispatch(
-        ep: &mut Endpoint,
-        now: SimTime,
-        path: PathId,
-        payload: NetPayload,
-        emu: &mut NetworkEmulator<NetPayload>,
-    ) {
-        match payload {
-            NetPayload::Rtp(rtp) => {
-                if let RtpKind::Probe { probe_seq } = rtp.kind {
-                    // Echo back toward the prober (the opposite of our tx
-                    // direction is where it came from; reply on our own tx).
-                    let echo = NetPayload::ProbeEcho {
-                        probe_seq,
-                        probe_sent_at: rtp.sent_at,
-                    };
-                    let size = echo.wire_size();
-                    emu.send(path, ep.tx_dir, now, size, echo);
-                }
-                let media_payload = match &rtp.kind {
-                    RtpKind::Media(p) if p.kind.is_media() => p.size,
-                    RtpKind::Retransmission(p) if p.kind.is_media() => p.size,
-                    _ => 0,
-                };
-                ep.metrics.on_packet_received(now, path, media_payload);
-                let events = ep.receiver.on_rtp(now, &rtp);
-                for ev in events {
-                    match ev {
-                        ReceiverEvent::FrameDecoded { stream, at, e2e } => {
-                            ep.metrics.on_frame_decoded(stream, at, e2e);
-                        }
-                        ReceiverEvent::FrameDropped { .. } => ep.metrics.on_frame_dropped(now),
-                        ReceiverEvent::Ifd { at, ifd } => ep.metrics.on_ifd(at, ifd),
-                        ReceiverEvent::Fcd { at, fcd } => ep.metrics.on_fcd(at, fcd),
-                        ReceiverEvent::FecRecovered => ep.metrics.on_fec_used(),
-                        ReceiverEvent::FecReceived => ep.metrics.on_fec_received(),
-                    }
-                }
-            }
-            NetPayload::Rtcp(rtcp) => match &rtcp {
-                RtcpPacket::SenderReport(sr) => {
-                    ep.sr_seen
-                        .insert(PathId(sr.path_id), (sr.ntp_micros / 1_000, now));
-                }
-                RtcpPacket::Sdes(sdes) => {
-                    if let Some(fr) = sdes.frame_rate {
-                        ep.receiver.on_sdes_frame_rate(fr as u32);
-                    }
-                }
-                _ => {
-                    if let RtcpPacket::Nack(n) = &rtcp {
-                        ep.metrics.on_nack_sent(n.lost.len());
-                    }
-                    if matches!(rtcp, RtcpPacket::Pli(_)) {
-                        ep.metrics.on_keyframe_request();
-                    }
-                    ep.sender.on_rtcp(now, &rtcp);
-                }
-            },
-            NetPayload::ProbeEcho { probe_seq, .. } => {
-                ep.sender.on_probe_echo(now, probe_seq);
-            }
-        }
-    }
-
-    fn emit_rtcp(
-        ep: &mut Endpoint,
-        now: SimTime,
-        include_transport: bool,
-        emu: &mut NetworkEmulator<NetPayload>,
-    ) {
-        let batch = ep
-            .receiver
-            .poll_rtcp_with(now, &ep.sr_seen, include_transport);
-        for (path, rtcp) in batch {
-            let payload = NetPayload::Rtcp(rtcp);
-            let size = payload.wire_size();
-            emu.send(path, ep.tx_dir, now, size, payload);
-        }
+        let [a_to_b, b_to_a] = run_call(
+            &cfg,
+            paths,
+            [TraceHandle::disabled(), TraceHandle::disabled()],
+        );
+        (a_to_b, b_to_a)
     }
 }
 
@@ -410,6 +124,34 @@ mod tests {
             a.throughput_bps / 1e6,
             one_way.throughput_bps / 1e6
         );
+    }
+
+    #[test]
+    fn reports_are_per_direction() {
+        // 8 % extra loss on the forward links only: A→B repairs, B→A is
+        // clean, and each report must hold one direction's counters.
+        let mut cfg = duplex_config(15_000_000, 20);
+        let lossy = converge_net::ImpairmentConfig::degraded(0.08, converge_net::SimDuration::ZERO);
+        for p in &mut cfg.scenario.paths {
+            p.forward_impairment = lossy;
+        }
+        let (a, b) = DuplexSession::new(cfg).run();
+        for (name, r) in [("A→B", &a), ("B→A", &b)] {
+            assert!(
+                r.fec_packets_used <= r.fec_packets_received
+                    && r.fec_packets_received <= r.fec_packets_sent,
+                "{name}: FEC used {} / received {} / sent {}",
+                r.fec_packets_used,
+                r.fec_packets_received,
+                r.fec_packets_sent
+            );
+        }
+        assert!(
+            a.nacks_sent > 0 && a.fec_packets_used > 0,
+            "A→B is the lossy direction"
+        );
+        assert_eq!(b.nacks_sent, 0, "B→A is clean");
+        assert!(a.fps < b.fps, "A→B fps {} vs B→A fps {}", a.fps, b.fps);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 pub mod drives;
 pub mod duplex;
 pub mod fleet;
+mod flow;
 pub mod metrics;
 pub mod pacer;
 pub mod payload;

@@ -1,23 +1,13 @@
-//! The conference session: wires a [`ConferenceSender`] and a
-//! [`ConferenceReceiver`] over the deterministic multipath emulator and
-//! runs the whole call as a discrete-event loop.
-
-use std::collections::BTreeMap;
+//! The conference session: one media flow (sender → receiver) over the
+//! deterministic multipath emulator, run as a discrete-event loop.
 
 use converge_cc::{ControllerConfig, ControllerKind};
-use converge_core::PacketClass;
-use converge_net::{
-    event::EventQueue, Direction, ImpairmentConfig, NetworkEmulator, PathId, SimDuration, SimTime,
-};
-use converge_rtp::RtcpPacket;
-use converge_trace::{InvariantSink, TraceEvent, TraceHandle, Violation};
+use converge_net::{Direction, ImpairmentConfig, SimDuration};
+use converge_trace::{InvariantSink, TraceHandle, Violation};
 
-use crate::metrics::{CallReport, MetricsCollector};
-use crate::pacer::{Pacer, PacerConfig};
-use crate::payload::{NetPayload, RtpKind};
-use crate::receiver::{ConferenceReceiver, ReceiverEvent};
+use crate::flow::run_call;
+use crate::metrics::CallReport;
 use crate::scenarios::{FecKind, ScenarioConfig, SchedulerKind};
-use crate::sender::ConferenceSender;
 
 /// Configuration of one simulated call.
 #[derive(Debug, Clone)]
@@ -318,19 +308,6 @@ impl SessionConfig {
     }
 }
 
-/// Internal timer events of the session loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tick {
-    /// Capture+send a frame for one stream.
-    Frame(usize),
-    /// Receiver fast feedback round (QoE, NACK, PLI).
-    ReceiverRtcp,
-    /// Receiver transport feedback / RR round (drives GCC).
-    TransportRtcp,
-    /// Sender SR/SDES round.
-    SenderRtcp,
-}
-
 /// A runnable conference session.
 pub struct Session {
     config: SessionConfig,
@@ -355,264 +332,20 @@ impl Session {
         (report, violations)
     }
 
-    /// Runs the call to completion and returns the report.
+    /// Runs the call to completion and returns the report: one flow
+    /// sending `Forward`, with the reverse links carrying only feedback.
     pub fn run(self) -> CallReport {
         let cfg = self.config;
         let paths = cfg.scenario.build_paths(cfg.seed);
-        let path_ids: Vec<PathId> = paths.iter().map(|p| p.id()).collect();
-        let mut emu: NetworkEmulator<NetPayload> = NetworkEmulator::new(paths);
-
-        let format = converge_video::VideoFormat::HD720;
-        let mut metrics =
-            MetricsCollector::new(cfg.duration, format, cfg.max_encoding_rate_bps, cfg.streams);
-
-        let frame_interval = SimDuration::from_micros(1_000_000 / format.fps as u64);
-        let mut sender = ConferenceSender::new(
-            cfg.streams,
-            &path_ids,
-            cfg.scheduler.build(frame_interval),
-            cfg.fec.build(),
-            cfg.controller,
-            cfg.max_encoding_rate_bps,
-        );
-        if cfg.coupled_cc {
-            sender.set_coupling(crate::sender::RateCoupling::Lia);
-        }
-        let mut receiver = ConferenceReceiver::new(cfg.streams, &path_ids, format.fps, path_ids[0]);
-        let mut pacer = Pacer::new(PacerConfig::default());
-
-        let trace = cfg.trace.clone();
-        sender.set_trace(trace.clone());
-        receiver.set_trace(trace.clone());
-
-        // SR bookkeeping at the receiver for RTT echo: path → (SR send ms,
-        // SR arrival).
-        let mut sr_seen: BTreeMap<PathId, (u64, SimTime)> = BTreeMap::new();
-
-        let mut timers: EventQueue<Tick> = EventQueue::new();
-        for s in 0..cfg.streams as usize {
-            // Stagger streams slightly so their frames don't collide.
-            timers.schedule(SimTime::from_micros(s as u64 * 3_000), Tick::Frame(s));
-        }
-        timers.schedule(SimTime::from_millis(50), Tick::ReceiverRtcp);
-        timers.schedule(SimTime::from_millis(60), Tick::TransportRtcp);
-        timers.schedule(SimTime::from_millis(40), Tick::SenderRtcp);
-
-        let end = SimTime::ZERO + cfg.duration;
-        let mut clock = SimTime::ZERO;
-
-        // Reused across iterations so the steady-state loop allocates
-        // nothing for polling.
-        let mut paced: Vec<crate::sender::OutboundPacket> = Vec::new();
-        let mut deliveries: Vec<converge_net::Delivery<NetPayload>> = Vec::new();
-
-        loop {
-            // When nothing is queued and nothing is in flight, the only
-            // possible event source is a timer: jump straight there.
-            let idle = cfg.idle_skip && pacer.is_empty() && emu.idle();
-            let now = if idle {
-                match timers.peek_time() {
-                    Some(t) => t,
-                    None => break,
-                }
-            } else {
-                // Next event: earliest of timers, network deliveries, and
-                // the pacer's next release.
-                let candidates = [timers.peek_time(), emu.next_arrival(), pacer.next_release()];
-                match candidates.into_iter().flatten().min() {
-                    Some(t) => t,
-                    None => break,
-                }
-            };
-            // The pacer reports a stale (past) `busy_until` for a path that
-            // went idle and was re-filled; clamp so simulated time never
-            // runs backwards.
-            let now = now.max(clock);
-            clock = now;
-            if now >= end {
-                break;
-            }
-
-            // Paced transmissions due now (an idle pacer releases nothing).
-            if !idle {
-                pacer.poll_into(now, &mut paced);
-            }
-            for out in paced.drain(..) {
-                let size = out.payload.wire_size();
-                let is_fec = out.class == PacketClass::Fec;
-                let is_media = matches!(
-                    &out.payload,
-                    NetPayload::Rtp(r) if r.kind.video_packet().is_some()
-                );
-                metrics.on_packet_sent(now, out.path, size, is_fec, is_media);
-                if out.class == PacketClass::Retransmission {
-                    metrics.on_retransmission();
-                    trace.emit(now, TraceEvent::Retransmitted { path: out.path });
-                }
-                let (outcome, _) = emu.send(out.path, Direction::Forward, now, size, out.payload);
-                if outcome.is_lost() {
-                    metrics.on_packet_lost(out.path);
-                }
-            }
-
-
-            // Network deliveries due now (an idle emulator delivers none).
-            if !idle {
-                emu.poll_into(now, &mut deliveries);
-            }
-            for delivery in deliveries.drain(..) {
-                match (delivery.direction, delivery.payload) {
-                    (Direction::Forward, NetPayload::Rtp(rtp)) => {
-                        // Probe packets are echoed straight back.
-                        if let RtpKind::Probe { probe_seq } = rtp.kind {
-                            let echo = NetPayload::ProbeEcho {
-                                probe_seq,
-                                probe_sent_at: rtp.sent_at,
-                            };
-                            let size = echo.wire_size();
-                            emu.send(delivery.path, Direction::Reverse, now, size, echo);
-                        }
-                        let media_payload = match &rtp.kind {
-                            RtpKind::Media(p) if p.kind.is_media() => p.size,
-                            RtpKind::Retransmission(p) if p.kind.is_media() => p.size,
-                            _ => 0,
-                        };
-                        metrics.on_packet_received(now, delivery.path, media_payload);
-                        for ev in receiver.on_rtp(now, &rtp) {
-                            Self::record_receiver_event(&mut metrics, &trace, now, ev);
-                        }
-                    }
-                    (Direction::Forward, NetPayload::Rtcp(rtcp)) => {
-                        // Sender → receiver control.
-                        match &rtcp {
-                            RtcpPacket::SenderReport(sr) => {
-                                sr_seen.insert(PathId(sr.path_id), (sr.ntp_micros / 1_000, now));
-                            }
-                            RtcpPacket::Sdes(sdes) => {
-                                if let Some(fr) = sdes.frame_rate {
-                                    receiver.on_sdes_frame_rate(fr as u32);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    (Direction::Reverse, NetPayload::Rtcp(rtcp)) => {
-                        // Receiver → sender feedback.
-                        if let RtcpPacket::Nack(ref n) = rtcp {
-                            metrics.on_nack_sent(n.lost.len());
-                            trace.emit(
-                                now,
-                                TraceEvent::NackSent {
-                                    path: delivery.path,
-                                    packets: n.lost.len() as u32,
-                                },
-                            );
-                        }
-                        if matches!(rtcp, RtcpPacket::Pli(_)) {
-                            metrics.on_keyframe_request();
-                        }
-                        sender.on_rtcp(now, &rtcp);
-                    }
-                    (Direction::Reverse, NetPayload::ProbeEcho { probe_seq, .. }) => {
-                        sender.on_probe_echo(now, probe_seq);
-                    }
-                    // Unused combinations.
-                    (Direction::Forward, NetPayload::ProbeEcho { .. })
-                    | (Direction::Reverse, NetPayload::Rtp(_)) => {}
-                }
-            }
-
-
-            // Timer events due now.
-            while let Some((_, tick)) = timers.pop_due(now) {
-                match tick {
-                    Tick::Frame(stream_idx) => {
-                        let result = sender.on_frame_tick(now, stream_idx);
-                        metrics.on_frame_encoded(now, result.qp, result.height);
-                        // Keep the pacer's budgets in sync with GCC.
-                        for m in sender.path_metrics() {
-                            pacer.set_rate(m.id, m.rate_bps as f64);
-                        }
-                        pacer.enqueue(now, result.packets);
-                        timers.schedule(now + frame_interval, Tick::Frame(stream_idx));
-                    }
-                    Tick::ReceiverRtcp => {
-                        for (path, rtcp) in receiver.poll_rtcp_with(now, &sr_seen, false) {
-                            let payload = NetPayload::Rtcp(rtcp);
-                            let size = payload.wire_size();
-                            emu.send(path, Direction::Reverse, now, size, payload);
-                        }
-                        timers.schedule(now + cfg.rtcp_interval, Tick::ReceiverRtcp);
-                    }
-                    Tick::TransportRtcp => {
-                        for (path, rtcp) in receiver.poll_rtcp_with(now, &sr_seen, true) {
-                            let payload = NetPayload::Rtcp(rtcp);
-                            let size = payload.wire_size();
-                            emu.send(path, Direction::Reverse, now, size, payload);
-                        }
-                        timers.schedule(now + cfg.transport_rtcp_interval, Tick::TransportRtcp);
-                    }
-                    Tick::SenderRtcp => {
-                        for (path, rtcp) in sender.periodic_rtcp(now) {
-                            let payload = NetPayload::Rtcp(rtcp);
-                            let size = payload.wire_size();
-                            emu.send(path, Direction::Forward, now, size, payload);
-                        }
-                        timers.schedule(now + SimDuration::from_millis(500), Tick::SenderRtcp);
-                    }
-                }
-            }
-
-
-            // Fold the tick's packet counters into the aggregates in one go.
-            metrics.flush_tick();
-
-        }
-
-
-        // Frames the encoder produced but the receiver never displayed are
-        // drops too; fold the difference in (avoids double counting the
-        // explicit drop events, which we track separately as buffer drops).
-        metrics.finish()
-    }
-
-    fn record_receiver_event(
-        metrics: &mut MetricsCollector,
-        trace: &TraceHandle,
-        now: SimTime,
-        ev: ReceiverEvent,
-    ) {
-        match ev {
-            ReceiverEvent::FrameDecoded { stream, at, e2e } => {
-                // Stamp with `now`, not the decode instant: the frame
-                // buffer may date decodes to a future playout deadline,
-                // and the trace timeline must stay monotone.
-                trace.emit(
-                    now,
-                    TraceEvent::FrameDecoded {
-                        stream: stream.0,
-                        e2e_us: e2e.as_micros(),
-                    },
-                );
-                if let Some(gap) = metrics.on_frame_decoded(stream, at, e2e) {
-                    trace.emit(now, TraceEvent::FrameFrozen { gap_us: gap.as_micros() });
-                }
-            }
-            ReceiverEvent::FrameDropped { stream, .. } => {
-                trace.emit(now, TraceEvent::FrameDropped { stream: stream.0 });
-                metrics.on_frame_dropped(now);
-            }
-            ReceiverEvent::Ifd { at, ifd } => metrics.on_ifd(at, ifd),
-            ReceiverEvent::Fcd { at, fcd } => metrics.on_fcd(at, fcd),
-            ReceiverEvent::FecRecovered => metrics.on_fec_used(),
-            ReceiverEvent::FecReceived => metrics.on_fec_received(),
-        }
+        let [report] = run_call(&cfg, paths, [cfg.trace.clone()]);
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use converge_net::{PathId, SimTime};
 
     fn quick_config(scheduler: SchedulerKind, fec: FecKind) -> SessionConfig {
         SessionConfig::paper_default(

@@ -20,7 +20,8 @@ use proptest::prelude::*;
 
 use converge_net::SimDuration;
 use converge_sim::{
-    DriveFixture, FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
+    DriveFixture, DuplexSession, FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session,
+    SessionConfig,
 };
 use converge_trace::{jsonl, RingSink, TraceHandle};
 
@@ -117,6 +118,34 @@ fn seeded_scenarios_are_idle_skip_equivalent() {
             ScenarioConfig::multi_carrier(n_paths, d, 23),
             3,
             23,
+        );
+    }
+}
+
+/// The duplex call shares the loop: with two flows the fast path must
+/// wait for both pacers, and both directions' reports must not notice it.
+/// (Duplex calls are untraced, so the QoE folds are the whole contract.)
+#[test]
+fn duplex_call_is_idle_skip_equivalent() {
+    for (scenario, seed) in [
+        (ScenarioConfig::fec_tradeoff(2.0), 17),
+        (ScenarioConfig::chaos(ImpairmentKind::Reorder), 3),
+    ] {
+        let run = |idle_skip| {
+            let cfg = SessionConfig::builder()
+                .scenario(scenario.clone())
+                .duration(SimDuration::from_secs(3))
+                .seed(seed)
+                .idle_skip(idle_skip)
+                .build()
+                .expect("equivalence config is valid");
+            format!("{:?}", DuplexSession::new(cfg).run())
+        };
+        assert_eq!(
+            run(false),
+            run(true),
+            "idle-skip changed a duplex QoE fold ({}, seed {seed})",
+            scenario.name
         );
     }
 }
