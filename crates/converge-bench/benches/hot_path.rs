@@ -1,13 +1,16 @@
 //! Criterion micro-benches for the event-loop hot path introduced by the
 //! perf work: slab-backed event-queue push/pop-batch, arena alloc/free,
-//! and the XOR FEC group encode.
+//! the XOR FEC group encode, the per-packet metrics accounting and the
+//! constant-rate link offer.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use converge_net::event::EventQueue;
-use converge_net::{Arena, SimTime};
+use converge_net::{Arena, Link, LinkConfig, PathId, SimDuration, SimTime};
 use converge_rtp::fec;
+use converge_sim::MetricsCollector;
+use converge_video::VideoFormat;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
@@ -110,5 +113,50 @@ fn bench_fec_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_arena, bench_fec_kernels);
+/// The two per-packet kernels of the call loop that are pure bookkeeping:
+/// one send + one receive accounted by the metrics collector, and one
+/// packet offered to a constant-rate link (queue check + serialization).
+fn bench_packet_bookkeeping(c: &mut Criterion) {
+    c.bench_function("metrics_on_packet", |b| {
+        let mut metrics = MetricsCollector::new(
+            SimDuration::from_secs(180),
+            VideoFormat::HD720,
+            10_000_000,
+            1,
+        );
+        let mut t = 0u64;
+        b.iter(|| {
+            // ~1600 packets per simulated second over two paths, wrapping
+            // so the timestamps stay inside the call.
+            t = (t + 625) % 180_000_000;
+            let (at, path) = (SimTime::from_micros(t), PathId((t / 625 % 2) as u8));
+            metrics.on_packet_sent(at, path, 1_224, false, true);
+            metrics.on_packet_received(at, path, 1_200);
+        });
+        std::hint::black_box(metrics.finish());
+    });
+
+    c.bench_function("link_offer_const", |b| {
+        // 15 Mbps, offered a 1200 B packet every 800 us (~12 Mbps): the
+        // queue stays shallow and every offer walks the serializer.
+        let mut link = Link::new(LinkConfig {
+            rate: converge_net::RateTrace::constant(15_000_000),
+            queue_capacity_bytes: 300_000,
+            ..LinkConfig::default()
+        });
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 800;
+            std::hint::black_box(link.offer(SimTime::from_micros(t), 1_200));
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_arena,
+    bench_fec_kernels,
+    bench_packet_bookkeeping
+);
 criterion_main!(benches);

@@ -93,8 +93,13 @@ pub(crate) struct Flow {
     frame_interval: SimDuration,
     rtcp_interval: SimDuration,
     transport_rtcp_interval: SimDuration,
-    /// Pacer drain buffer, reused so the steady state allocates nothing.
+    /// Pacer drain buffer, reused so polling allocates nothing.
     paced: Vec<OutboundPacket>,
+    /// One frame's outbound packets, one packet's receiver events and one
+    /// round's receiver RTCP: likewise reused.
+    frame_out: Vec<OutboundPacket>,
+    rx_events: Vec<ReceiverEvent>,
+    rtcp_out: Vec<(PathId, RtcpPacket)>,
 }
 
 impl Flow {
@@ -123,6 +128,9 @@ impl Flow {
             rtcp_interval,
             transport_rtcp_interval,
             paced: Vec::new(),
+            frame_out: Vec::new(),
+            rx_events: Vec::new(),
+            rtcp_out: Vec::new(),
         }
     }
 
@@ -257,9 +265,12 @@ impl Flow {
             _ => 0,
         };
         self.metrics.on_packet_received(now, path, media_payload);
-        for ev in self.receiver.on_rtp(now, rtp) {
+        let mut events = std::mem::take(&mut self.rx_events);
+        self.receiver.on_rtp_into(now, rtp, &mut events);
+        for ev in events.drain(..) {
             self.record_receiver_event(now, ev);
         }
+        self.rx_events = events;
     }
 
     fn record_receiver_event(&mut self, now: SimTime, ev: ReceiverEvent) {
@@ -300,18 +311,22 @@ impl Flow {
     pub(crate) fn on_tick(&mut self, now: SimTime, tick: Tick, net: &mut impl Net) -> SimTime {
         match tick {
             Tick::Frame(stream) => {
-                let result = self.sender.on_frame_tick(now, stream as usize);
-                self.metrics.on_frame_encoded(now, result.qp, result.height);
+                let frame =
+                    self.sender
+                        .on_frame_tick_into(now, stream as usize, &mut self.frame_out);
+                self.metrics.on_frame_encoded(now, frame.qp, frame.height);
                 // Keep the pacer's budgets in sync with congestion control.
-                for m in self.sender.path_metrics() {
+                for m in self.sender.frame_path_metrics() {
                     self.pacer.set_rate(m.id, m.rate_bps as f64);
                 }
-                self.pacer.enqueue(now, result.packets);
+                self.pacer.enqueue_drain(now, &mut self.frame_out);
                 now + self.frame_interval
             }
             Tick::ReceiverRtcp | Tick::TransportRtcp => {
                 let transport = tick == Tick::TransportRtcp;
-                for (path, rtcp) in self.receiver.poll_rtcp_with(now, &self.sr_seen, transport) {
+                self.receiver
+                    .poll_rtcp_into(now, &self.sr_seen, transport, &mut self.rtcp_out);
+                for (path, rtcp) in self.rtcp_out.drain(..) {
                     net.send(path, opposite(self.direction), now, NetPayload::Rtcp(rtcp));
                 }
                 now + if transport {
@@ -428,11 +443,6 @@ pub(crate) fn run_call<const N: usize>(
         while let Some((_, (i, tick))) = timers.pop_due(now) {
             let next = flows[i].on_tick(now, tick, &mut emu);
             timers.schedule(next, (i, tick));
-        }
-
-        // Fold the tick's packet counters into the aggregates in one go.
-        for flow in flows.iter_mut() {
-            flow.metrics.flush_tick();
         }
     }
 

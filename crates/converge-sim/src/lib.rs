@@ -39,5 +39,5 @@ pub use receiver::ConferenceReceiver;
 pub use scenarios::{
     DriveLoadError, FecKind, ImpairmentKind, PathSpec, ScenarioConfig, SchedulerKind,
 };
-pub use sender::{ConferenceSender, FrameTickResult, OutboundPacket, RateCoupling};
+pub use sender::{ConferenceSender, EncodedFrame, FrameTickResult, OutboundPacket, RateCoupling};
 pub use session::{ConfigError, Session, SessionConfig, SessionConfigBuilder};

@@ -72,39 +72,13 @@ pub struct PathCounters {
     pub packets_lost: u64,
 }
 
-/// Per-path deltas accumulated during one event-loop iteration. Packet
-/// events land here as plain integer adds; the maps and time-series bins
-/// are only touched when the batch is folded in (once per iteration).
-#[derive(Debug, Default, Clone, Copy)]
-struct PendingPath {
-    packets_sent: u64,
-    bytes_sent: u64,
-    fec_sent: u64,
-    media_sent: u64,
-    packets_received: u64,
-    packets_lost: u64,
-    media_bits: u64,
-}
-
-/// The per-tick batch. All packet events of one event-loop iteration
-/// share a timestamp, so one bin index covers the whole batch; an event
-/// with a new timestamp forces a flush first, which keeps the collector
-/// correct even if [`MetricsCollector::flush_tick`] is never called.
+/// One path's running account: its counters plus its bytes-sent-per-second
+/// series. The series stays empty (and out of the report) until the path
+/// first sends a non-empty packet.
 #[derive(Debug, Default)]
-struct TickBatch {
-    at: Option<SimTime>,
-    /// Linear map: a tick touches at most a handful of paths.
-    paths: Vec<(PathId, PendingPath)>,
-}
-
-impl TickBatch {
-    fn path_mut(&mut self, path: PathId) -> &mut PendingPath {
-        if let Some(i) = self.paths.iter().position(|(p, _)| *p == path) {
-            return &mut self.paths[i].1;
-        }
-        self.paths.push((path, PendingPath::default()));
-        &mut self.paths.last_mut().expect("just pushed").1
-    }
+struct PathAccount {
+    counters: PathCounters,
+    series: Vec<u64>,
 }
 
 /// The collector the simulation feeds while running.
@@ -117,11 +91,10 @@ pub struct MetricsCollector {
     streams: u8,
 
     bins: Vec<SecondBin>,
-    paths: BTreeMap<PathId, PathCounters>,
-    /// Bytes sent per second per path (for per-path rate plots).
-    path_bins: BTreeMap<PathId, Vec<u64>>,
-    /// Packet counters staged for the current event-loop iteration.
-    pending: TickBatch,
+    /// Per-path accounts, sorted by `PathId`. Every packet event lands
+    /// here as a linear probe over a handful of paths plus integer adds;
+    /// the report's maps are built once, in [`MetricsCollector::finish`].
+    paths: Vec<(PathId, PathAccount)>,
 
     frames_encoded: u64,
     height_sum: u64,
@@ -166,9 +139,7 @@ impl MetricsCollector {
             max_encoding_rate_bps,
             streams,
             bins: vec![SecondBin::default(); secs],
-            paths: BTreeMap::new(),
-            path_bins: BTreeMap::new(),
-            pending: TickBatch::default(),
+            paths: Vec::new(),
             frames_encoded: 0,
             height_sum: 0,
             frames_decoded: 0,
@@ -191,10 +162,34 @@ impl MetricsCollector {
         }
     }
 
+    /// Index of the per-second bin `at` falls in; instants past the end of
+    /// the call land in the last bin. Whole-second integer division, exact
+    /// at second boundaries by construction; it equals truncating
+    /// `as_secs_f64()` wherever the float is exact (below 2^53 µs), and
+    /// beyond that both clamp to the last bin.
+    fn second(&self, at: SimTime) -> usize {
+        let sec = at.saturating_since(self.start).as_micros() / 1_000_000;
+        usize::try_from(sec)
+            .unwrap_or(usize::MAX)
+            .min(self.bins.len().saturating_sub(1))
+    }
+
     fn bin_mut(&mut self, at: SimTime) -> &mut SecondBin {
-        let idx = (at.saturating_since(self.start).as_secs_f64() as usize)
-            .min(self.bins.len().saturating_sub(1));
+        let idx = self.second(at);
         &mut self.bins[idx]
+    }
+
+    /// The account for `path`, inserted (sorted) on first use.
+    fn path_mut(&mut self, path: PathId) -> &mut PathAccount {
+        let idx = match self.paths.iter().position(|(p, _)| *p == path) {
+            Some(idx) => idx,
+            None => {
+                let at = self.paths.partition_point(|(p, _)| *p < path);
+                self.paths.insert(at, (path, PathAccount::default()));
+                at
+            }
+        };
+        &mut self.paths[idx].1
     }
 
     /// Records an encoded frame at `at`.
@@ -208,15 +203,6 @@ impl MetricsCollector {
         bin.encoded_count += 1;
     }
 
-    /// Stages `at` as the pending batch's timestamp, flushing first if a
-    /// previous iteration's events are still staged.
-    fn stage(&mut self, at: SimTime) {
-        if self.pending.at != Some(at) {
-            self.flush_tick();
-            self.pending.at = Some(at);
-        }
-    }
-
     /// Records a packet sent on a path at `at`.
     pub fn on_packet_sent(
         &mut self,
@@ -226,75 +212,36 @@ impl MetricsCollector {
         is_fec: bool,
         is_media: bool,
     ) {
-        self.stage(at);
-        let p = self.pending.path_mut(path);
-        p.packets_sent += 1;
-        p.bytes_sent += bytes as u64;
-        if is_fec {
-            p.fec_sent += 1;
-        }
-        if is_media {
-            p.media_sent += 1;
+        self.fec_packets_sent += u64::from(is_fec);
+        self.media_packets_sent += u64::from(is_media);
+        let (sec, n_bins) = (self.second(at), self.bins.len());
+        let account = self.path_mut(path);
+        account.counters.packets_sent += 1;
+        account.counters.bytes_sent += bytes as u64;
+        if bytes > 0 {
+            if account.series.is_empty() {
+                account.series = vec![0; n_bins];
+            }
+            account.series[sec] += bytes as u64;
         }
     }
 
     /// Records a packet lost in the network.
     pub fn on_packet_lost(&mut self, path: PathId) {
-        self.pending.path_mut(path).packets_lost += 1;
+        self.path_mut(path).counters.packets_lost += 1;
     }
 
     /// Records a packet arrival; `media_payload` is the media bytes counted
     /// toward delivered throughput (0 for FEC/probe/control).
     pub fn on_packet_received(&mut self, at: SimTime, path: PathId, media_payload: usize) {
-        self.stage(at);
-        let p = self.pending.path_mut(path);
-        p.packets_received += 1;
-        p.media_bits += media_payload as u64 * 8;
+        self.path_mut(path).counters.packets_received += 1;
+        self.bin_mut(at).media_bits += media_payload as u64 * 8;
     }
 
-    /// Folds the staged per-tick packet counters into the aggregate maps
-    /// and time-series bins. The session calls this once per event-loop
-    /// iteration; it also runs automatically when an event arrives with a
-    /// new timestamp and at the start of [`MetricsCollector::finish`].
-    pub fn flush_tick(&mut self) {
-        if self.pending.paths.is_empty() {
-            self.pending.at = None;
-            return;
-        }
-        // Move the staged entries out so the batch Vec (and its capacity)
-        // can be handed back after the fold — steady state allocates
-        // nothing.
-        let mut staged = std::mem::take(&mut self.pending.paths);
-        let at = self.pending.at.take();
-        let n_bins = self.bins.len();
-        let idx = at.map(|t| {
-            (t.saturating_since(self.start).as_secs_f64() as usize).min(n_bins.saturating_sub(1))
-        });
-        let mut media_bits = 0u64;
-        for &(path, p) in &staged {
-            let c = self.paths.entry(path).or_default();
-            c.packets_sent += p.packets_sent;
-            c.bytes_sent += p.bytes_sent;
-            c.packets_received += p.packets_received;
-            c.packets_lost += p.packets_lost;
-            self.fec_packets_sent += p.fec_sent;
-            self.media_packets_sent += p.media_sent;
-            media_bits += p.media_bits;
-            if p.bytes_sent > 0 {
-                if let Some(idx) = idx {
-                    let series = self.path_bins.entry(path).or_insert_with(|| vec![0; n_bins]);
-                    series[idx] += p.bytes_sent;
-                }
-            }
-        }
-        if media_bits > 0 {
-            if let Some(idx) = idx {
-                self.bins[idx].media_bits += media_bits;
-            }
-        }
-        staged.clear();
-        self.pending.paths = staged;
-    }
+    // Empty shim (nothing is staged): `benchmark/layers/src/mirror.rs` is its only caller.
+    #[doc(hidden)]
+    #[inline]
+    pub fn flush_tick(&mut self) {}
 
     /// Records a received FEC packet.
     pub fn on_fec_received(&mut self) {
@@ -371,13 +318,12 @@ impl MetricsCollector {
     }
 
     /// Produces the final report.
-    pub fn finish(mut self) -> CallReport {
-        self.flush_tick();
+    pub fn finish(self) -> CallReport {
         let secs = self.duration.as_secs_f64();
         let media_bits: u64 = self.bins.iter().map(|b| b.media_bits).sum();
         let throughput_bps = media_bits as f64 / secs;
         let fps = self.frames_decoded as f64 / secs;
-        let mut e2e = self.e2e_us.clone();
+        let mut e2e = self.e2e_us;
         e2e.sort_unstable();
         let pct = |p: f64| -> f64 {
             if e2e.is_empty() {
@@ -400,6 +346,14 @@ impl MetricsCollector {
         // PSNR from delivered per-stream rate and freeze fraction.
         let per_stream_rate = throughput_bps / self.streams.max(1) as f64;
         let psnr_db = effective_psnr(self.format, per_stream_rate, freeze_fraction);
+        let mut paths = BTreeMap::new();
+        let mut path_series = BTreeMap::new();
+        for (path, account) in self.paths {
+            paths.insert(path, account.counters);
+            if !account.series.is_empty() {
+                path_series.insert(path, account.series);
+            }
+        }
 
         CallReport {
             duration_s: secs,
@@ -430,8 +384,8 @@ impl MetricsCollector {
             fec_packets_used: self.fec_packets_used,
             avg_qp,
             psnr_db,
-            paths: self.paths,
-            path_series: self.path_bins,
+            paths,
+            path_series,
             bins: self.bins,
         }
     }
@@ -703,6 +657,164 @@ mod tests {
         assert_eq!(r.paths[&PathId(0)].packets_sent, 1);
         assert_eq!(r.paths[&PathId(1)].packets_lost, 1);
         assert_eq!(r.paths[&PathId(0)].packets_received, 1);
+    }
+
+    /// The per-iteration staging fold the collector used before it
+    /// accounted packets directly, kept as the reference arithmetic: packet
+    /// events accumulate per path under one timestamp and are folded into
+    /// maps and `f64`-indexed bins when the timestamp changes.
+    #[derive(Default)]
+    struct StagedFold {
+        n_bins: usize,
+        at: Option<SimTime>,
+        /// (path, packets_sent, bytes_sent, fec_sent, media_sent,
+        /// packets_received, packets_lost, media_bits)
+        staged: Vec<(PathId, [u64; 7])>,
+        paths: BTreeMap<PathId, PathCounters>,
+        path_series: BTreeMap<PathId, Vec<u64>>,
+        media_bits: Vec<u64>,
+        fec_sent: u64,
+        media_sent: u64,
+    }
+
+    impl StagedFold {
+        fn new(n_bins: usize) -> Self {
+            StagedFold {
+                n_bins,
+                media_bits: vec![0; n_bins],
+                ..Default::default()
+            }
+        }
+
+        fn slot(&mut self, path: PathId) -> &mut [u64; 7] {
+            if let Some(i) = self.staged.iter().position(|(p, _)| *p == path) {
+                return &mut self.staged[i].1;
+            }
+            self.staged.push((path, [0; 7]));
+            &mut self.staged.last_mut().unwrap().1
+        }
+
+        fn stage(&mut self, at: SimTime) {
+            if self.at != Some(at) {
+                self.flush();
+                self.at = Some(at);
+            }
+        }
+
+        fn sent(&mut self, at: SimTime, path: PathId, bytes: usize, fec: bool, media: bool) {
+            self.stage(at);
+            let p = self.slot(path);
+            p[0] += 1;
+            p[1] += bytes as u64;
+            p[2] += u64::from(fec);
+            p[3] += u64::from(media);
+        }
+
+        fn lost(&mut self, path: PathId) {
+            self.slot(path)[5] += 1;
+        }
+
+        fn received(&mut self, at: SimTime, path: PathId, media_payload: usize) {
+            self.stage(at);
+            let p = self.slot(path);
+            p[4] += 1;
+            p[6] += media_payload as u64 * 8;
+        }
+
+        fn flush(&mut self) {
+            let idx = self
+                .at
+                .take()
+                .map(|t| (t.as_secs_f64() as usize).min(self.n_bins - 1));
+            for (path, p) in std::mem::take(&mut self.staged) {
+                let c = self.paths.entry(path).or_default();
+                c.packets_sent += p[0];
+                c.bytes_sent += p[1];
+                c.packets_received += p[4];
+                c.packets_lost += p[5];
+                self.fec_sent += p[2];
+                self.media_sent += p[3];
+                if let Some(idx) = idx {
+                    self.media_bits[idx] += p[6];
+                    if p[1] > 0 {
+                        let n = self.n_bins;
+                        self.path_series.entry(path).or_insert_with(|| vec![0; n])[idx] += p[1];
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_accounting_matches_the_staged_fold() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut m = collector();
+            let mut reference = StagedFold::new(10);
+            // A path that is only ever lost on: it must still get counters.
+            m.on_packet_lost(PathId(7));
+            reference.lost(PathId(7));
+            let mut now = 0u64;
+            for _ in 0..4_000 {
+                // Mostly small steps (several events share an instant), with
+                // jumps onto second boundaries and one past the last bin.
+                now = match rng.gen_range(0..24u32) {
+                    0 => (now / 1_000_000 + 1) * 1_000_000 - 1,
+                    1 => (now / 1_000_000 + 1) * 1_000_000,
+                    2 if now > 9_000_000 => 25_000_000 + rng.gen_range(0..3u64),
+                    3..=12 => now,
+                    _ => now + rng.gen_range(1..900u64),
+                };
+                let at = SimTime::from_micros(now);
+                let path = PathId(rng.gen_range(0..4u8));
+                match rng.gen_range(0..8u32) {
+                    0..=3 => {
+                        let bytes = if rng.gen_bool(0.1) {
+                            0
+                        } else {
+                            rng.gen_range(1..1_500usize)
+                        };
+                        let (fec, media) = (rng.gen_bool(0.2), rng.gen_bool(0.7));
+                        m.on_packet_sent(at, path, bytes, fec, media);
+                        reference.sent(at, path, bytes, fec, media);
+                    }
+                    4 => {
+                        m.on_packet_lost(path);
+                        reference.lost(path);
+                    }
+                    _ => {
+                        let payload = rng.gen_range(0..1_400usize);
+                        m.on_packet_received(at, path, payload);
+                        reference.received(at, path, payload);
+                    }
+                }
+            }
+            reference.flush();
+            let r = m.finish();
+            assert_eq!(
+                format!("{:?}", r.paths),
+                format!("{:?}", reference.paths),
+                "seed {seed}"
+            );
+            assert_eq!(r.path_series, reference.path_series, "seed {seed}");
+            let media_bits: Vec<u64> = r.bins.iter().map(|b| b.media_bits).collect();
+            assert_eq!(media_bits, reference.media_bits, "seed {seed}");
+            assert_eq!(r.fec_packets_sent, reference.fec_sent, "seed {seed}");
+            assert_eq!(r.media_packets_sent, reference.media_sent, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn zero_byte_sends_count_but_open_no_series() {
+        let mut m = collector();
+        m.on_packet_sent(t(0), PathId(0), 0, false, false);
+        m.on_packet_sent(t(0), PathId(1), 0, false, false);
+        m.on_packet_sent(t(1_000), PathId(1), 10, false, false);
+        let r = m.finish();
+        assert_eq!(r.paths[&PathId(0)].packets_sent, 1);
+        assert!(!r.path_series.contains_key(&PathId(0)));
+        assert_eq!(r.path_series[&PathId(1)][1], 10);
     }
 
     #[test]

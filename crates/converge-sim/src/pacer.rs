@@ -93,8 +93,14 @@ impl Pacer {
     }
 
     /// Queues packets for paced transmission.
-    pub fn enqueue(&mut self, now: SimTime, packets: Vec<OutboundPacket>) {
-        for packet in packets {
+    pub fn enqueue(&mut self, now: SimTime, mut packets: Vec<OutboundPacket>) {
+        self.enqueue_drain(now, &mut packets);
+    }
+
+    /// [`Pacer::enqueue`], emptying `packets` but leaving its capacity to
+    /// the caller for the next frame.
+    pub fn enqueue_drain(&mut self, now: SimTime, packets: &mut Vec<OutboundPacket>) {
+        for packet in packets.drain(..) {
             self.queued += 1;
             let path = packet.path;
             self.path_queue(path).queue.push_back(Queued {

@@ -114,10 +114,16 @@ struct StreamRx {
     recent: Box<[Option<VideoPacket>]>,
     /// FCD of the last completed frame (paired with the frame-buffer IFD).
     last_fcd: SimDuration,
-    /// Frames completed thanks to FEC recovery (latency penalty applies).
+    /// Frames a FEC-recovered packet went into and that may still decode
+    /// (latency penalty applies when they do). Ids the frame buffer has
+    /// decoded or given up on are pruned, so the set stays a few frames
+    /// deep however long and lossy the call.
     fec_assisted: BTreeSet<u64>,
     /// Whether the decode chain broke and a keyframe is needed.
     keyframe_needed: bool,
+    /// Packet- and frame-buffer event scratch, reused across packets.
+    pb_events: Vec<PacketBufferEvent>,
+    fb_events: Vec<FrameBufferEvent>,
 }
 
 /// An FEC group waiting for a recovery opportunity.
@@ -193,6 +199,8 @@ impl ConferenceReceiver {
                         last_fcd: SimDuration::ZERO,
                         fec_assisted: BTreeSet::new(),
                         keyframe_needed: false,
+                        pb_events: Vec::new(),
+                        fb_events: Vec::new(),
                     },
                 )
             })
@@ -244,6 +252,14 @@ impl ConferenceReceiver {
 
     /// Processes one arriving RTP packet; returns receiver events.
     pub fn on_rtp(&mut self, now: SimTime, rtp: &SimRtp) -> Vec<ReceiverEvent> {
+        let mut events = Vec::new();
+        self.on_rtp_into(now, rtp, &mut events);
+        events
+    }
+
+    /// [`ConferenceReceiver::on_rtp`], appending the events to `events` so
+    /// the call loop can reuse one buffer across packets.
+    pub fn on_rtp_into(&mut self, now: SimTime, rtp: &SimRtp, events: &mut Vec<ReceiverEvent>) {
         // Per-path transport accounting (all RTP kinds count).
         let idx = match self.paths.iter().position(|(p, _)| *p == rtp.path) {
             Some(i) => i,
@@ -265,10 +281,9 @@ impl ConferenceReceiver {
                 .map_or(rtp.transport_seq, |m| m.max(rtp.transport_seq)),
         );
 
-        let mut events = Vec::new();
         match &rtp.kind {
             RtpKind::Media(p) | RtpKind::Retransmission(p) => {
-                self.on_video_packet(now, rtp.path, *p, &mut events);
+                self.on_video_packet(now, rtp.path, *p, events);
             }
             RtpKind::Fec {
                 stream, protected, ..
@@ -283,14 +298,13 @@ impl ConferenceReceiver {
                     min_seq,
                     max_seq,
                 });
-                self.try_fec_recovery(now, None, &mut events);
+                self.try_fec_recovery(now, None, events);
                 // Bound memory: drop stale groups.
                 self.pending_fec
                     .retain(|g| now.saturating_since(g.arrived_at) < SimDuration::from_secs(2));
             }
             RtpKind::Probe { .. } => {}
         }
-        events
     }
 
     fn on_video_packet(
@@ -331,16 +345,9 @@ impl ConferenceReceiver {
             // SPS feeds the GOP ledger, not the packet buffer.
             rx.frame_buffer.sps_received(packet.gop_id);
         } else {
-            let pb_events = rx.packet_buffer.insert(now, &packet);
-            Self::process_pb_events(
-                rx,
-                packet.stream,
-                now,
-                pb_events,
-                events,
-                decode_latency,
-                fec_penalty,
-            );
+            rx.packet_buffer
+                .insert_into(now, &packet, &mut rx.pb_events);
+            Self::process_pb_events(rx, packet.stream, now, events, decode_latency, fec_penalty);
         }
 
         // A late media packet may make a pending FEC group recoverable —
@@ -349,16 +356,21 @@ impl ConferenceReceiver {
         self.try_fec_recovery(now, Some((packet.stream, packet.sequence)), events);
     }
 
+    /// Handles the packet-buffer events staged in `rx.pb_events`.
     fn process_pb_events(
         rx: &mut StreamRx,
         stream: StreamId,
         now: SimTime,
-        pb_events: Vec<PacketBufferEvent>,
         events: &mut Vec<ReceiverEvent>,
         decode_latency: SimDuration,
         fec_penalty: SimDuration,
     ) {
-        for ev in pb_events {
+        if rx.pb_events.is_empty() {
+            return;
+        }
+        let mut pb_events = std::mem::take(&mut rx.pb_events);
+        let mut fb_events = std::mem::take(&mut rx.fb_events);
+        for ev in pb_events.drain(..) {
             match ev {
                 PacketBufferEvent::FrameComplete(frame) => {
                     rx.last_fcd = frame.fcd();
@@ -366,8 +378,8 @@ impl ConferenceReceiver {
                         at: now,
                         fcd: frame.fcd(),
                     });
-                    let fb_events = rx.frame_buffer.insert(now, frame);
-                    for fe in fb_events {
+                    rx.frame_buffer.insert_into(now, frame, &mut fb_events);
+                    for fe in fb_events.drain(..) {
                         match fe {
                             FrameBufferEvent::FrameEntered { frame_id, ifd } => {
                                 if let Some(ifd) = ifd {
@@ -396,6 +408,12 @@ impl ConferenceReceiver {
                             }
                         }
                     }
+                    // The insert may have moved the decode/abandon position;
+                    // a recovered-into frame now below it can never decode.
+                    let position = rx.frame_buffer.abandoned_before();
+                    while rx.fec_assisted.first().is_some_and(|&id| id < position) {
+                        rx.fec_assisted.pop_first();
+                    }
                 }
                 PacketBufferEvent::FrameEvicted { .. } => {
                     events.push(ReceiverEvent::FrameDropped {
@@ -406,6 +424,8 @@ impl ConferenceReceiver {
                 PacketBufferEvent::StalePacket { .. } | PacketBufferEvent::Duplicate { .. } => {}
             }
         }
+        rx.pb_events = pb_events;
+        rx.fb_events = fb_events;
     }
 
     /// Attempts FEC recovery across pending groups.
@@ -485,16 +505,9 @@ impl ConferenceReceiver {
                 if packet.kind == PacketKind::Sps {
                     rx.frame_buffer.sps_received(packet.gop_id);
                 } else {
-                    let pb_events = rx.packet_buffer.insert(now, &packet);
-                    Self::process_pb_events(
-                        rx,
-                        stream,
-                        now,
-                        pb_events,
-                        events,
-                        decode_latency,
-                        fec_penalty,
-                    );
+                    rx.packet_buffer
+                        .insert_into(now, &packet, &mut rx.pb_events);
+                    Self::process_pb_events(rx, stream, now, events, decode_latency, fec_penalty);
                 }
             }
         }
@@ -524,7 +537,19 @@ impl ConferenceReceiver {
         include_transport: bool,
     ) -> Vec<(PathId, RtcpPacket)> {
         let mut out = Vec::new();
+        self.poll_rtcp_into(now, sr_info, include_transport, &mut out);
+        out
+    }
 
+    /// [`ConferenceReceiver::poll_rtcp_with`], appending the batch to `out`
+    /// so the call loop can reuse one buffer across rounds.
+    pub fn poll_rtcp_into(
+        &mut self,
+        now: SimTime,
+        sr_info: &BTreeMap<PathId, (u64, SimTime)>,
+        include_transport: bool,
+        out: &mut Vec<(PathId, RtcpPacket)>,
+    ) {
         for (path, st) in self.paths.iter_mut() {
             let path = *path;
             if !include_transport {
@@ -661,7 +686,6 @@ impl ConferenceReceiver {
                 ));
             }
         }
-        out
     }
 }
 
@@ -911,6 +935,70 @@ mod tests {
             .expect("decoded");
         // 50 ms transit + 20 ms decode + 10 ms FEC penalty.
         assert_eq!(e2e.as_millis(), 80);
+    }
+
+    #[test]
+    fn fec_assisted_forgets_frames_that_were_decoded_or_abandoned() {
+        let mut r = receiver();
+        let mut tseq = 0u64;
+        let mut deliver = |r: &mut ConferenceReceiver, at_ms: u64, kind: RtpKind| {
+            tseq += 1;
+            r.on_rtp(SimTime::from_millis(at_ms), &rtp(tseq, kind))
+        };
+        // Frame 0 decodes normally.
+        for p in frame0_packets() {
+            deliver(&mut r, 1, RtpKind::Media(p));
+        }
+        // A lossy stretch: every delta frame 1..=8 has three media packets,
+        // loses two, gets one back through FEC and so never completes.
+        let mut seq = 4;
+        for frame_id in 1..=8u64 {
+            let pps = vp(seq, frame_id, PacketKind::Pps);
+            let media: Vec<VideoPacket> = (0..3u16)
+                .map(|i| {
+                    let kind = PacketKind::Media { index: i, count: 3 };
+                    vp(seq + 1 + i as u64, frame_id, kind)
+                })
+                .collect();
+            seq += 4;
+            let at = 33 * frame_id;
+            deliver(&mut r, at, RtpKind::Media(pps));
+            deliver(&mut r, at, RtpKind::Media(media[0]));
+            let evs = deliver(
+                &mut r,
+                at + 1,
+                RtpKind::Fec {
+                    stream: StreamId(0),
+                    protected: vec![media[0], media[1]],
+                    origin_path: P0,
+                },
+            );
+            assert!(evs.contains(&ReceiverEvent::FecRecovered));
+        }
+        let assisted = |r: &ConferenceReceiver| r.streams[&StreamId(0)].fec_assisted.len();
+        assert_eq!(
+            assisted(&r),
+            8,
+            "undecoded recovered-into frames are remembered"
+        );
+        // The sender's refresh: a complete keyframe of a new GOP restarts
+        // decode past the whole stretch.
+        let mut key = [
+            vp(seq, 9, PacketKind::Sps),
+            vp(seq + 1, 9, PacketKind::Pps),
+            vp(seq + 2, 9, PacketKind::Media { index: 0, count: 1 }),
+        ];
+        let mut decoded = false;
+        for p in key.iter_mut() {
+            p.gop_id = 1;
+            p.frame_type = FrameType::Key;
+            let evs = deliver(&mut r, 400, RtpKind::Media(*p));
+            decoded |= evs
+                .iter()
+                .any(|e| matches!(e, ReceiverEvent::FrameDecoded { .. }));
+        }
+        assert!(decoded, "the keyframe restarts decode");
+        assert_eq!(assisted(&r), 0, "abandoned frames must not stay in the set");
     }
 
     #[test]

@@ -34,6 +34,15 @@ pub struct FrameTickResult {
     pub height: u32,
 }
 
+/// What the encoder produced on one frame tick, for metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncodedFrame {
+    /// QP the encoder used for this frame.
+    pub qp: u8,
+    /// Encoded frame height (resolution-adaptation telemetry).
+    pub height: u32,
+}
+
 /// A packet ready to leave the sender, tagged with class for metrics.
 pub struct OutboundPacket {
     /// The payload.
@@ -139,6 +148,23 @@ fn unwrap_seq16(seq16: u16, reference: u64) -> u64 {
         .expect("non-empty")
 }
 
+/// One frame tick's working buffers, kept across ticks so the steady
+/// state reuses their capacity instead of allocating per frame.
+#[derive(Default)]
+struct FrameScratch {
+    /// The path snapshot the tick schedules against.
+    metrics: Vec<PathMetrics>,
+    /// Retransmissions + the frame's packets, in scheduling order.
+    batch: Vec<Schedulable>,
+    /// This frame's media per destination path and whether any of it is
+    /// keyframe data, sorted by `PathId` (FEC is generated in path order).
+    /// Entries persist across ticks; a path the frame did not use is empty.
+    media_by_path: Vec<(PathId, Vec<VideoPacket>, bool)>,
+    /// FEC packets awaiting scheduling: (meta, protected group, origin).
+    fec_batch: Vec<(Schedulable, Vec<VideoPacket>, PathId)>,
+    fec_sched: Vec<Schedulable>,
+}
+
 /// How per-path congestion controllers interact (paper section 4.1: "We
 /// use the uncoupled congestion control approach").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +219,7 @@ pub struct ConferenceSender {
     coupling: RateCoupling,
     /// Ring capacities used for any lazily created path/stream state.
     sizing: SenderSizing,
+    scratch: FrameScratch,
 }
 
 impl ConferenceSender {
@@ -261,6 +288,7 @@ impl ConferenceSender {
             monitor: ConnectionMonitor::new(MonitorConfig::default(), paths),
             coupling: RateCoupling::Uncoupled,
             sizing,
+            scratch: FrameScratch::default(),
         }
     }
 
@@ -312,16 +340,29 @@ impl ConferenceSender {
     /// paths the connection monitor has declared down are disabled at the
     /// transport level.
     pub fn path_metrics(&self) -> Vec<PathMetrics> {
-        self.cc
-            .iter()
-            .map(|(&id, ctl)| PathMetrics {
-                id,
-                rate_bps: ctl.target_rate_bps(),
-                srtt: ctl.srtt().unwrap_or(SimDuration::from_millis(100)),
-                loss: ctl.fraction_lost(),
-                enabled: self.monitor.state(id) != Some(PathState::Down),
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.path_metrics_into(&mut out);
+        out
+    }
+
+    /// [`ConferenceSender::path_metrics`], replacing the contents of `out`.
+    pub fn path_metrics_into(&self, out: &mut Vec<PathMetrics>) {
+        out.clear();
+        out.extend(self.cc.iter().map(|(&id, ctl)| PathMetrics {
+            id,
+            rate_bps: ctl.target_rate_bps(),
+            srtt: ctl.srtt().unwrap_or(SimDuration::from_millis(100)),
+            loss: ctl.fraction_lost(),
+            enabled: self.monitor.state(id) != Some(PathState::Down),
+        }));
+    }
+
+    /// The path snapshot the latest frame tick scheduled against. Nothing
+    /// between that snapshot and the end of the tick feeds the controllers
+    /// or the monitor, so right after a tick it equals
+    /// [`ConferenceSender::path_metrics`] — without recomputing it.
+    pub fn frame_path_metrics(&self) -> &[PathMetrics] {
+        &self.scratch.metrics
     }
 
     /// Connection-monitor state for a path (tests/telemetry).
@@ -336,6 +377,39 @@ impl ConferenceSender {
 
     /// Captures and sends one frame on stream `stream_idx` at `now`.
     pub fn on_frame_tick(&mut self, now: SimTime, stream_idx: usize) -> FrameTickResult {
+        let mut packets = Vec::new();
+        let EncodedFrame { qp, height } = self.on_frame_tick_into(now, stream_idx, &mut packets);
+        FrameTickResult {
+            packets,
+            qp,
+            height,
+        }
+    }
+
+    /// [`ConferenceSender::on_frame_tick`], appending the packets to
+    /// transmit to `out` so the call loop can reuse one buffer across
+    /// frames.
+    pub fn on_frame_tick_into(
+        &mut self,
+        now: SimTime,
+        stream_idx: usize,
+        out: &mut Vec<OutboundPacket>,
+    ) -> EncodedFrame {
+        // The scratch moves out for the tick so its buffers can be walked
+        // while `self` hands out sequence numbers.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let encoded = self.frame_tick(now, stream_idx, &mut scratch, out);
+        self.scratch = scratch;
+        encoded
+    }
+
+    fn frame_tick(
+        &mut self,
+        now: SimTime,
+        stream_idx: usize,
+        scratch: &mut FrameScratch,
+        out: &mut Vec<OutboundPacket>,
+    ) -> EncodedFrame {
         // Disabled paths carry no media, so their rate estimates decay: a
         // re-enabled path then re-enters with a conservative share and
         // ramps with real feedback instead of bursting at a stale rate.
@@ -364,10 +438,11 @@ impl ConferenceSender {
                 }
             }
         }
-        let metrics = self.path_metrics();
+        self.path_metrics_into(&mut scratch.metrics);
+        let metrics = &scratch.metrics;
         // Encoder rate: min(aggregate over used paths, app cap), divided
         // across streams.
-        let used = self.scheduler.used_paths(&metrics);
+        let used = self.scheduler.used_paths(metrics);
         let aggregate: u64 = metrics
             .iter()
             .filter(|m| used.contains(&m.id))
@@ -383,12 +458,15 @@ impl ConferenceSender {
         let pipeline = &mut self.streams[stream_idx];
         pipeline.encoder.set_target_bitrate(per_stream);
         let frame = pipeline.encoder.encode(now);
-        let qp = frame.qp;
-        let height = frame.height;
-        let mut packets = pipeline.packetizer.packetize(&frame);
+        let encoded = EncodedFrame {
+            qp: frame.qp,
+            height: frame.height,
+        };
+        let packets = pipeline.packetizer.packetize(&frame);
 
         // Prepend pending retransmissions (highest priority, Table 2).
-        let mut batch: Vec<Schedulable> = Vec::with_capacity(packets.len() + 4);
+        let batch = &mut scratch.batch;
+        batch.clear();
         while let Some(rtx) = self.rtx_queue.pop_front() {
             batch.push(Schedulable {
                 packet: rtx,
@@ -398,30 +476,27 @@ impl ConferenceSender {
                 break; // bound rtx burst per frame
             }
         }
-        for p in packets.drain(..) {
-            batch.push(Schedulable {
-                packet: p,
-                class: classify(&p),
-            });
-        }
+        batch.extend(packets.iter().map(|p| Schedulable {
+            packet: *p,
+            class: classify(p),
+        }));
 
         // CM blackout: the connection is re-establishing; everything in
         // this batch is lost at the application layer.
         if self.scheduler.drop_batch(now) {
-            return FrameTickResult {
-                packets: Vec::new(),
-                qp,
-                height,
-            };
+            return encoded;
         }
 
-        let assignments = self.scheduler.assign_batch(now, &batch, &metrics);
+        let assignments = self.scheduler.assign_batch(now, batch, metrics);
         debug_assert_eq!(assignments.len(), batch.len());
 
-        let mut out: Vec<OutboundPacket> = Vec::with_capacity(batch.len() + 8);
+        out.reserve(batch.len() + 8);
         // Per-path media groups for FEC generation.
-        let mut media_by_path: BTreeMap<PathId, Vec<VideoPacket>> = BTreeMap::new();
-        let mut keyframe_by_path: BTreeMap<PathId, bool> = BTreeMap::new();
+        let media_by_path = &mut scratch.media_by_path;
+        for (_, media, is_key) in media_by_path.iter_mut() {
+            media.clear();
+            *is_key = false;
+        }
 
         for (sched, assign) in batch.iter().zip(&assignments) {
             let path = assign.path;
@@ -433,24 +508,35 @@ impl ConferenceSender {
                 self.remember_media(&sched.packet, path);
             }
             if sched.packet.kind.is_media() {
-                media_by_path.entry(path).or_default().push(sched.packet);
-                if sched.packet.frame_type == FrameType::Key {
-                    keyframe_by_path.insert(path, true);
-                }
+                let idx = match media_by_path.iter().position(|(p, ..)| *p == path) {
+                    Some(idx) => idx,
+                    None => {
+                        let at = media_by_path.partition_point(|(p, ..)| *p < path);
+                        media_by_path.insert(at, (path, Vec::new(), false));
+                        at
+                    }
+                };
+                let (_, media, is_key) = &mut media_by_path[idx];
+                media.push(sched.packet);
+                *is_key |= sched.packet.frame_type == FrameType::Key;
             }
             out.push(self.make_rtp(now, path, kind, sched.class));
         }
 
         // FEC per destination path (path-specific protection, §4.3).
-        let mut fec_batch: Vec<(Schedulable, Vec<VideoPacket>, PathId)> = Vec::new();
-        for (&path, media) in &media_by_path {
+        let fec_batch = &mut scratch.fec_batch;
+        fec_batch.clear();
+        for (path, media, is_key) in media_by_path.iter() {
+            if media.is_empty() {
+                continue;
+            }
+            let path = *path;
             let loss = metrics
                 .iter()
                 .find(|m| m.id == path)
                 .map(|m| m.loss)
                 .unwrap_or(0.0);
-            let is_key = keyframe_by_path.get(&path).copied().unwrap_or(false);
-            let n_fec = self.fec.repair_count(now, path, media.len(), loss, is_key);
+            let n_fec = self.fec.repair_count(now, path, media.len(), loss, *is_key);
             self.fec.on_batch_sent(path, media.len(), n_fec);
             if n_fec == 0 {
                 continue;
@@ -500,9 +586,11 @@ impl ConferenceSender {
             }
         }
         if !fec_batch.is_empty() {
-            let fec_sched: Vec<Schedulable> = fec_batch.iter().map(|(s, _, _)| *s).collect();
-            let fec_assign = self.scheduler.assign_batch(now, &fec_sched, &metrics);
-            for ((sched, protected, origin), assign) in fec_batch.into_iter().zip(fec_assign) {
+            let fec_sched = &mut scratch.fec_sched;
+            fec_sched.clear();
+            fec_sched.extend(fec_batch.iter().map(|(s, _, _)| *s));
+            let fec_assign = self.scheduler.assign_batch(now, fec_sched, metrics);
+            for ((sched, protected, origin), assign) in fec_batch.drain(..).zip(fec_assign) {
                 let stream = sched.packet.stream;
                 out.push(self.make_rtp(
                     now,
@@ -518,18 +606,14 @@ impl ConferenceSender {
         }
 
         // Probes for disabled paths.
-        for path in self.scheduler.probe_paths(now, &metrics) {
+        for path in self.scheduler.probe_paths(now, metrics) {
             let probe_seq = self.next_probe_seq;
             self.next_probe_seq += 1;
             self.outstanding_probes.insert(probe_seq, (path, now));
             out.push(self.make_rtp(now, path, RtpKind::Probe { probe_seq }, PacketClass::Probe));
         }
 
-        FrameTickResult {
-            packets: out,
-            qp,
-            height,
-        }
+        encoded
     }
 
     fn make_rtp(
@@ -740,5 +824,55 @@ impl ConferenceSender {
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenarios::{FecKind, SchedulerKind};
+    use converge_rtp::{ReceiverReport, ReportBlock};
+
+    /// `Flow::on_tick` paces from the snapshot the tick scheduled against
+    /// instead of recomputing `path_metrics()`; that holds only while
+    /// nothing after the snapshot feeds the controllers or the monitor.
+    #[test]
+    fn frame_snapshot_equals_fresh_path_metrics_after_every_tick() {
+        let paths = [PathId(0), PathId(1)];
+        let frame_interval = SimDuration::from_micros(33_333);
+        for coupling in [RateCoupling::Uncoupled, RateCoupling::Lia] {
+            let mut sender = ConferenceSender::new(
+                1,
+                &paths,
+                SchedulerKind::Converge.build(frame_interval),
+                FecKind::Converge.build(),
+                ControllerConfig::default(),
+                10_000_000,
+            );
+            sender.set_coupling(coupling);
+            let mut out = Vec::new();
+            for i in 0..60u64 {
+                let now = SimTime::from_millis(33 * i);
+                // Loss and RTT reports between ticks move the controllers.
+                let report = RtcpPacket::ReceiverReport(ReceiverReport {
+                    path_id: (i % 2) as u8,
+                    ssrc: 0,
+                    blocks: vec![ReportBlock {
+                        ssrc: 0,
+                        fraction_lost: (i * 7 % 64) as u8,
+                        cumulative_lost: 0,
+                        ext_highest_seq: 0,
+                        ext_highest_mp_seq: 0,
+                        jitter: 0,
+                        last_sr: now.as_millis().max(1) as u32,
+                        delay_since_last_sr: 0,
+                    }],
+                });
+                sender.on_rtcp(now + SimDuration::from_millis(40 + i % 5), &report);
+                out.clear();
+                sender.on_frame_tick_into(now + SimDuration::from_millis(50), 0, &mut out);
+                assert_eq!(sender.frame_path_metrics(), &sender.path_metrics()[..]);
+            }
+        }
     }
 }

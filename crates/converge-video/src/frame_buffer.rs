@@ -112,16 +112,33 @@ impl FrameBuffer {
         frame_id < self.abandoned_before
     }
 
+    /// The decode/abandon position: every frame id below it has been
+    /// decoded or given up on, and can never decode (again).
+    pub fn abandoned_before(&self) -> u64 {
+        self.abandoned_before
+    }
+
     /// Inserts a complete frame and drains everything now decodable.
     pub fn insert(&mut self, now: SimTime, frame: CompleteFrame) -> Vec<FrameBufferEvent> {
         let mut events = Vec::new();
+        self.insert_into(now, frame, &mut events);
+        events
+    }
 
+    /// [`FrameBuffer::insert`], appending the events to `events` so a
+    /// per-frame caller can reuse one buffer.
+    pub fn insert_into(
+        &mut self,
+        now: SimTime,
+        frame: CompleteFrame,
+        events: &mut Vec<FrameBufferEvent>,
+    ) {
         if self.is_abandoned(frame.frame_id) {
             events.push(FrameBufferEvent::Dropped {
                 frame_id: frame.frame_id,
                 reason: DropReason::TooOld,
             });
-            return events;
+            return;
         }
 
         let ifd = self.last_entry.map(|prev| now.saturating_since(prev));
@@ -132,16 +149,15 @@ impl FrameBuffer {
         });
 
         self.pending.insert(frame.frame_id, frame);
-        self.drain(now, &mut events);
+        self.drain(now, events);
 
         // Enforce capacity: if the buffer is still over-full, the decoder is
         // stuck waiting on a missing frame. Purge the blocked chain up to
         // the next keyframe and request a refresh.
         while self.pending.len() > self.capacity_frames {
-            self.abandon_blocked_chain(&mut events);
-            self.drain(now, &mut events);
+            self.abandon_blocked_chain(events);
+            self.drain(now, events);
         }
-        events
     }
 
     /// Releases every frame that is decodable in order.

@@ -81,6 +81,9 @@ impl Assembly {
     }
 }
 
+/// The emptied `(media, sequences)` vectors of a finished [`Assembly`].
+type SpareVecs = (Vec<(u16, usize)>, Vec<u64>);
+
 /// Bounded per-frame packet reassembly buffer for one stream.
 #[derive(Debug)]
 pub struct PacketBuffer {
@@ -99,6 +102,10 @@ pub struct PacketBuffer {
     /// the set, which lets the common case (a packet of a brand-new frame)
     /// skip the set probe entirely.
     max_finished: Option<u64>,
+    /// Vectors of finished assemblies, handed to the next new frame so
+    /// steady-state assembly reuses their capacity instead of growing two
+    /// fresh vectors per frame.
+    spare: Vec<SpareVecs>,
 }
 
 impl PacketBuffer {
@@ -111,6 +118,7 @@ impl PacketBuffer {
             finished: std::collections::BTreeSet::new(),
             finished_cap: 1024,
             max_finished: None,
+            spare: Vec::new(),
         }
     }
 
@@ -142,12 +150,21 @@ impl PacketBuffer {
     /// in the packet buffer if they belong to missing and purged frames").
     pub fn purge_frame(&mut self, frame_id: u64) -> Option<PacketBufferEvent> {
         let assembly = self.frames.remove(&frame_id)?;
-        self.total_packets -= assembly.packet_count();
+        let packets_dropped = assembly.packet_count();
+        self.total_packets -= packets_dropped;
         self.remember_finished(frame_id);
+        self.recycle(assembly);
         Some(PacketBufferEvent::FrameEvicted {
             frame_id,
-            packets_dropped: assembly.packet_count(),
+            packets_dropped,
         })
+    }
+
+    /// Returns a finished assembly's vectors to the pool.
+    fn recycle(&mut self, mut assembly: Assembly) {
+        assembly.media.clear();
+        assembly.sequences.clear();
+        self.spare.push((assembly.media, assembly.sequences));
     }
 
     /// Inserts one arriving packet; returns the events it produced.
@@ -156,35 +173,50 @@ impl PacketBuffer {
     /// them to its GOP ledger instead — passing one here is ignored with no
     /// event.
     pub fn insert(&mut self, now: SimTime, packet: &VideoPacket) -> Vec<PacketBufferEvent> {
-        if packet.kind == PacketKind::Sps {
-            return Vec::new();
-        }
         let mut events = Vec::new();
+        self.insert_into(now, packet, &mut events);
+        events
+    }
+
+    /// [`PacketBuffer::insert`], appending the events to `events` so a
+    /// per-packet caller can reuse one buffer.
+    pub fn insert_into(
+        &mut self,
+        now: SimTime,
+        packet: &VideoPacket,
+        events: &mut Vec<PacketBufferEvent>,
+    ) {
+        if packet.kind == PacketKind::Sps {
+            return;
+        }
         if self.is_finished(packet.frame_id) {
-            return vec![PacketBufferEvent::StalePacket {
+            events.push(PacketBufferEvent::StalePacket {
                 frame_id: packet.frame_id,
-            }];
+            });
+            return;
         }
 
-        let assembly = self
-            .frames
-            .entry(packet.frame_id)
-            .or_insert_with(|| Assembly {
+        let spare = &mut self.spare;
+        let assembly = self.frames.entry(packet.frame_id).or_insert_with(|| {
+            let (media, sequences) = spare.pop().unwrap_or_default();
+            Assembly {
                 stream: packet.stream,
                 gop_id: packet.gop_id,
                 frame_type: packet.frame_type,
                 capture_time: packet.capture_time,
                 first_arrival: now,
-                media: Vec::new(),
+                media,
                 expected_media: None,
                 has_pps: false,
-                sequences: Vec::new(),
-            });
+                sequences,
+            }
+        });
 
         if assembly.sequences.contains(&packet.sequence) {
-            return vec![PacketBufferEvent::Duplicate {
+            events.push(PacketBufferEvent::Duplicate {
                 sequence: packet.sequence,
-            }];
+            });
+            return;
         }
 
         match packet.kind {
@@ -217,6 +249,7 @@ impl PacketBuffer {
                 first_arrival: a.first_arrival,
                 completed_at: now,
             }));
+            self.recycle(a);
         }
 
         // Evict oldest incomplete frames while over capacity, never the
@@ -238,8 +271,6 @@ impl PacketBuffer {
                 break;
             }
         }
-
-        events
     }
 
     fn remember_finished(&mut self, frame_id: u64) {
