@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
-# tests, a quick-scale smoke run of the full experiment sweep on 2 workers
-# (exercises the work-stealing pool, the memo cache, and the bench-report
-# writer), a traced experiment run with JSONL timeline validation, the
-# chaos fault-injection matrix with the invariant checker armed, a
-# fleet-engine smoke cell with invariants armed on every member, and the
-# two perf ratchets (fig11 event loop, 1000-session fleet cell).
+# tests, the allocation budget by name, a quick-scale smoke run of the full
+# experiment sweep on 2 workers (exercises the work-stealing pool and the
+# memo cache), a traced experiment run with JSONL timeline validation, the
+# chaos, controller-shootout and drive-replay matrices with the invariant
+# checker armed, a fleet-engine smoke cell with invariants armed on every
+# member, and the perf gate: the repo benchmark compared with its
+# committed baseline.
+#
+# Gates, in order: benchmark-smoke, tests, alloc-budget, sweep-smoke,
+# traced-fig11, chaos, shootout, drive, fleet, bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -54,9 +58,8 @@ gate alloc-budget cargo test -q -p converge-sim --test alloc_budget \
     steady_state_allocation_count_stays_within_budget -- --exact
 
 sweep_smoke() {
-    experiments all --quick --jobs 2 --bench-json results/BENCH_sweep.json > results/smoke_all.txt
+    experiments all --quick --jobs 2 > results/smoke_all.txt
     test -s results/smoke_all.txt
-    grep -q '"schema": "converge-bench/sweep/v1"' results/BENCH_sweep.json
 }
 gate sweep-smoke sweep_smoke
 
@@ -127,33 +130,14 @@ fleet() {
 }
 gate fleet fleet
 
-# Idle-skip equivalence gate: chaos + drive scenario generators, idle-skip
-# off vs on must produce byte-identical trace streams and QoE folds. The
-# pinned seed grid already ran under `cargo test` above; this re-runs the
-# suite with a fixed proptest case budget so a real (non-stub) proptest
-# explores the same bounded space deterministically on every CI run.
-gate idle-skip-equivalence env PROPTEST_CASES=32 \
-    cargo test -q -p converge-integration --test idle_skip_equivalence
-
-# Perf ratchets: re-run each committed cell single-worker with bench
-# accounting and gate against its trajectory (results/BENCH_fig11.json
-# for the single-session event loop, results/BENCH_fleet.json for the
-# 1000-session fleet engine). A fresh run must stay within the noise
-# margin of the BEST committed run — appending a higher run to a
-# trajectory is the only way a floor moves, and it only moves up. The
-# gate itself is unit-tested against fixture JSON pairs first.
-gate ratchet-selftest bash scripts/perf_ratchet_test.sh
-ratchet_fig11() {
-    experiments fig11 --quick --jobs 1 --bench-json results/BENCH_fig11.current.json > /dev/null
-    bash scripts/perf_ratchet.sh results/BENCH_fig11.json results/BENCH_fig11.current.json
+# Perf gate: all five benchmark workloads (reference-normalised, median of
+# the timed passes), then the benchmark's own comparison against its
+# committed baseline — its bounds and normalisation, no absolute floor.
+bench_compare() {
+    bash benchmark/run.sh
+    bash benchmark/run.sh --compare benchmark/results/baseline.json benchmark/results/all.json
 }
-gate ratchet-fig11 ratchet_fig11
-ratchet_fleet() {
-    experiments fleet --sessions 1000 --conference-size 4 --duration-s 20 --shards 1 \
-        --bench-json results/BENCH_fleet.current.json > /dev/null
-    bash scripts/perf_ratchet.sh results/BENCH_fleet.json results/BENCH_fleet.current.json
-}
-gate ratchet-fleet ratchet_fleet
+gate bench-compare bench_compare
 
 if [ ${#failed[@]} -gt 0 ]; then
     echo "ci: FAILED: ${failed[*]}" >&2

@@ -49,13 +49,6 @@ pub fn spec_priority(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Ablation A: video-awareness. The full scheduler vs the same scheduler
-/// with Table-2 priorities disabled, on lossy driving paths where keyframe
-/// and control packets landing on a bad path break decode chains.
-pub fn run_priority_ablation(scale: Scale) -> String {
-    crate::sweep::render(spec_priority(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares ablation B: completion-time vs minRTT fast path, every seed.
 pub fn spec_fastpath(scale: Scale) -> ExperimentSpec {
     let variants = [
@@ -94,12 +87,6 @@ pub fn spec_fastpath(scale: Scale) -> ExperimentSpec {
             out
         }),
     }
-}
-
-/// Ablation B: the fast-path metric of Algorithm 1 (completion time) vs
-/// minRTT, on asymmetric paths.
-pub fn run_fastpath_ablation(scale: Scale) -> String {
-    crate::sweep::render(spec_fastpath(scale), crate::sweep::CellCache::global())
 }
 
 /// Declares ablation C: three FEC policies at 3 % loss, every seed.
@@ -150,12 +137,6 @@ pub fn spec_fec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Ablation C: FEC policy — Converge's path-specific controller vs the
-/// WebRTC table vs no FEC, at a fixed moderate loss.
-pub fn run_fec_ablation(scale: Scale) -> String {
-    crate::sweep::render(spec_fec(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares ablation D: drop-tail vs CoDel at the bottleneck, seed 42.
 /// `ScenarioSpec::AqmTuned` carries the modified scenario declaratively,
 /// so these cells memoize like any other.
@@ -200,12 +181,6 @@ pub fn spec_aqm(scale: Scale) -> ExperimentSpec {
             out
         }),
     }
-}
-
-/// Ablation D: queue discipline at the bottleneck — GCC (and everything
-/// above it) under drop-tail vs CoDel on the same constant-rate paths.
-pub fn run_aqm_ablation(scale: Scale) -> String {
-    crate::sweep::render(spec_aqm(scale), crate::sweep::CellCache::global())
 }
 
 /// Declares ablation E: uncoupled vs LIA-coupled CC, seed 42. The
@@ -261,17 +236,12 @@ pub fn spec_coupling(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Ablation E: congestion-controller coupling — the paper's uncoupled
-/// per-path GCC vs LIA-style coupled growth, on two independent paths
-/// where coupling has nothing to be fair to and only costs throughput.
-pub fn run_coupling_ablation(scale: Scale) -> String {
-    crate::sweep::render(spec_coupling(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{mean_std, run_once, run_seeds};
+    use crate::experiments::quick_reports;
+    use crate::runner::mean_std;
+    use crate::sweep::CellCache;
 
     #[test]
     fn no_fec_needs_more_retransmissions() {
@@ -282,7 +252,7 @@ mod tests {
                 fec,
                 1,
             );
-            run_seeds(crate::sweep::CellCache::global(), &cell, Scale::Quick)
+            quick_reports(cell)
         };
         let none = run(FecKind::None);
         let conv = run(FecKind::Converge);
@@ -304,7 +274,8 @@ mod tests {
                 1,
             );
             cell.coupled_cc = coupled;
-            run_once(crate::sweep::CellCache::global(), &cell, converge_net::SimDuration::from_secs(15), 4)
+            let job = Job::new(cell, converge_net::SimDuration::from_secs(15), 4);
+            CellCache::global().get_or_run(&job).report.clone()
         };
         let uncoupled = run(false);
         let coupled = run(true);
@@ -332,7 +303,8 @@ mod tests {
                 FecKind::Converge,
                 1,
             );
-            let r = run_once(crate::sweep::CellCache::global(), &cell, converge_net::SimDuration::from_secs(10), 3);
+            let job = Job::new(cell, converge_net::SimDuration::from_secs(10), 3);
+            let r = &CellCache::global().get_or_run(&job).report;
             assert!(
                 r.frames_decoded > 100,
                 "{}: {} frames",

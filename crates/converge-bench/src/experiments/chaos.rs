@@ -91,11 +91,6 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// The chaos matrix report.
-pub fn run(scale: Scale) -> String {
-    crate::sweep::render(spec(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

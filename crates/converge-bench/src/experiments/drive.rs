@@ -125,11 +125,6 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Runs the drive replay through the process-wide cache.
-pub fn run(scale: Scale) -> String {
-    crate::sweep::render(spec(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,11 +60,6 @@ pub fn spec_fig12(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Fig. 12: FEC overhead and utilization vs loss rate for both policies.
-pub fn run_fig12(scale: Scale) -> String {
-    crate::sweep::render(spec_fig12(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares Fig. 13: both policies at four loss rates, seed 13.
 pub fn spec_fig13(scale: Scale) -> ExperimentSpec {
     let mut jobs = Vec::new();
@@ -95,11 +90,6 @@ pub fn spec_fig13(scale: Scale) -> ExperimentSpec {
             out
         }),
     }
-}
-
-/// Fig. 13: the throughput vs E2E-delay trade-off scatter.
-pub fn run_fig13(scale: Scale) -> String {
-    crate::sweep::render(spec_fig13(scale), crate::sweep::CellCache::global())
 }
 
 /// Declares Table 5: both policies at 1–10 % integer loss rates, seed 21.
@@ -155,24 +145,16 @@ pub fn spec_table5(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Table 5: percentage QoE improvement (frame drops, freeze duration,
-/// keyframe requests) of Converge's FEC vs the table at 1–10 % loss.
-pub fn run_table5(scale: Scale) -> String {
-    crate::sweep::render(spec_table5(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use converge_sim::CallReport;
 
     fn run_pair(loss_pct: f64, fec: FecKind, scale: Scale, seed: u64) -> CallReport {
-        crate::runner::run_once(
-            crate::sweep::CellCache::global(),
-            &pair_cell(loss_pct, fec),
-            scale.duration(),
-            seed,
-        )
+        crate::sweep::CellCache::global()
+            .get_or_run(&Job::new(pair_cell(loss_pct, fec), scale.duration(), seed))
+            .report
+            .clone()
     }
 
     #[test]

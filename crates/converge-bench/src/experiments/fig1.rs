@@ -63,12 +63,6 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Regenerates Fig. 1: per-second FPS and E2E for two single-path WebRTC
-/// calls (one per carrier), plus the carriers' bandwidth traces.
-pub fn run(scale: Scale) -> String {
-    crate::sweep::render(spec(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +70,7 @@ mod tests {
     #[test]
     fn fig1_shows_fps_variation() {
         // Full scale: the 30 s quick window may fall between coverage gaps.
-        let out = run(Scale::Full);
+        let out = crate::sweep::render(spec(Scale::Full), crate::sweep::CellCache::global());
         assert!(out.contains("summary"));
         // At least one second of degraded FPS must appear in driving, on
         // at least one of the two carriers.

@@ -83,12 +83,6 @@ pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Fig. 11: path dynamics, video throughput, IFD, and FCD time series for
-/// the two variants.
-pub fn run_fig11(scale: Scale) -> String {
-    crate::sweep::render(spec_fig11(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares Table 4: the same two variants, same seed — the sweep engine's
 /// cell cache means these jobs are free when Fig. 11 already ran.
 pub fn spec_table4(scale: Scale) -> ExperimentSpec {
@@ -124,16 +118,9 @@ pub fn spec_table4(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Table 4: frame drops, freeze duration, keyframe requests with vs
-/// without feedback.
-pub fn run_table4(scale: Scale) -> String {
-    crate::sweep::render(spec_table4(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_once;
 
     /// Seconds inside the dip (35–90 s, past the unavoidable onset
     /// transient) in which the frame rate degraded below 25 fps.
@@ -152,7 +139,11 @@ mod tests {
         // is chaotic run-to-run, so the assertion averages seeds and looks
         // at the steady mid-dip window where the mechanism matters.
         let duration = converge_net::SimDuration::from_secs(120);
-        let run = |scheduler, seed| run_once(crate::sweep::CellCache::global(), &variant_cell(scheduler), duration, seed);
+        let cache = crate::sweep::CellCache::global();
+        let run = |scheduler, seed| {
+            let job = Job::new(variant_cell(scheduler), duration, seed);
+            cache.get_or_run(&job).report.clone()
+        };
         let mut fb_bad = 0usize;
         let mut nofb_bad = 0usize;
         let mut fb_fps = 0.0f64;

@@ -87,11 +87,6 @@ pub fn spec_fig14(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Fig. 14a–b: QoE metrics and FEC behaviour per system.
-pub fn run_fig14(scale: Scale) -> String {
-    crate::sweep::render(spec_fig14(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares Fig. 14c: one seed-42 call per system.
 pub fn spec_fig14c(scale: Scale) -> ExperimentSpec {
     let jobs = systems()
@@ -119,11 +114,6 @@ pub fn spec_fig14c(scale: Scale) -> ExperimentSpec {
             out
         }),
     }
-}
-
-/// Fig. 14c: the E2E latency CDF per system.
-pub fn run_fig14c(scale: Scale) -> String {
-    crate::sweep::render(spec_fig14c(scale), crate::sweep::CellCache::global())
 }
 
 /// Declares Fig. 15: every system over every seed (same cells as Fig. 14,
@@ -161,20 +151,16 @@ pub fn spec_fig15(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Fig. 15: the PSNR comparison per system (single camera stream).
-pub fn run_fig15(scale: Scale) -> String {
-    crate::sweep::render(spec_fig15(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{mean_std, run_seeds};
+    use crate::experiments::quick_reports;
+    use crate::runner::mean_std;
 
     #[test]
     fn converge_has_best_psnr_of_multipath_systems() {
         let run = |scheduler, fec| {
-            let rs = run_seeds(crate::sweep::CellCache::global(), &roster_cell(scheduler, fec), Scale::Quick);
+            let rs = quick_reports(roster_cell(scheduler, fec));
             mean_std(&metric(&rs, |r| r.psnr_db)).0
         };
         let conv = run(SchedulerKind::Converge, FecKind::Converge);

@@ -72,26 +72,17 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Regenerates Fig. 3 (a: normalized FPS, b: freeze duration, c: FEC
-/// overhead) and Table 1 (frame drops, keyframe requests) in one pass.
-pub fn run(scale: Scale) -> String {
-    crate::sweep::render(spec(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{mean_std, run_seeds};
+    use crate::experiments::quick_reports;
+    use crate::runner::mean_std;
 
     #[test]
     fn converge_beats_naive_multipath_on_fps() {
         let mk = |scheduler, fec| Cell::new(ScenarioSpec::Driving, scheduler, fec, 1);
-        let conv = run_seeds(
-            crate::sweep::CellCache::global(),
-            &mk(SchedulerKind::Converge, FecKind::Converge),
-            Scale::Quick,
-        );
-        let mrtp = run_seeds(crate::sweep::CellCache::global(), &mk(SchedulerKind::MRtp, FecKind::WebRtcTable), Scale::Quick);
+        let conv = quick_reports(mk(SchedulerKind::Converge, FecKind::Converge));
+        let mrtp = quick_reports(mk(SchedulerKind::MRtp, FecKind::WebRtcTable));
         let (conv_fps, _) = mean_std(&metric(&conv, |r| r.fps));
         let (mrtp_fps, _) = mean_std(&metric(&mrtp, |r| r.fps));
         assert!(

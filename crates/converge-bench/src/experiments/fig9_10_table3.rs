@@ -72,11 +72,6 @@ pub fn spec_fig9(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Fig. 9: per-second throughput / FPS / E2E time series.
-pub fn run_fig9(scale: Scale) -> String {
-    crate::sweep::render(spec_fig9(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares Fig. 10: every system × scenario at 3 streams, all seeds.
 pub fn spec_fig10(scale: Scale) -> ExperimentSpec {
     let mut jobs = Vec::new();
@@ -118,11 +113,6 @@ pub fn spec_fig10(scale: Scale) -> ExperimentSpec {
             out
         }),
     }
-}
-
-/// Fig. 10: normalized QoE bars (throughput, FPS, stall, QP) per scenario.
-pub fn run_fig10(scale: Scale) -> String {
-    crate::sweep::render(spec_fig10(scale), crate::sweep::CellCache::global())
 }
 
 /// Declares Table 3: every system × scenario × 1–3 streams, all seeds.
@@ -174,38 +164,26 @@ pub fn spec_table3(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Table 3: E2E latency / FEC overhead / FEC utilization for 1–3 cameras.
-pub fn run_table3(scale: Scale) -> String {
-    crate::sweep::render(spec_table3(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{mean_std, run_seeds};
+    use crate::experiments::quick_reports;
+    use crate::runner::mean_std;
 
     #[test]
     fn converge_outperforms_single_path_in_walking_throughput() {
-        let conv = run_seeds(
-            crate::sweep::CellCache::global(),
-            &Cell::new(
-                ScenarioSpec::Walking,
-                SchedulerKind::Converge,
-                FecKind::Converge,
-                3,
-            ),
-            Scale::Quick,
-        );
-        let single = run_seeds(
-            crate::sweep::CellCache::global(),
-            &Cell::new(
-                ScenarioSpec::Walking,
-                SchedulerKind::SinglePath(1),
-                FecKind::WebRtcTable,
-                3,
-            ),
-            Scale::Quick,
-        );
+        let conv = quick_reports(Cell::new(
+            ScenarioSpec::Walking,
+            SchedulerKind::Converge,
+            FecKind::Converge,
+            3,
+        ));
+        let single = quick_reports(Cell::new(
+            ScenarioSpec::Walking,
+            SchedulerKind::SinglePath(1),
+            FecKind::WebRtcTable,
+            3,
+        ));
         let (c, _) = mean_std(&metric(&conv, |r| r.throughput_bps));
         let (s, _) = mean_std(&metric(&single, |r| r.throughput_bps));
         assert!(
@@ -216,26 +194,18 @@ mod tests {
 
     #[test]
     fn converge_fec_utilization_beats_table() {
-        let conv = run_seeds(
-            crate::sweep::CellCache::global(),
-            &Cell::new(
-                ScenarioSpec::Driving,
-                SchedulerKind::Converge,
-                FecKind::Converge,
-                1,
-            ),
-            Scale::Quick,
-        );
-        let single = run_seeds(
-            crate::sweep::CellCache::global(),
-            &Cell::new(
-                ScenarioSpec::Driving,
-                SchedulerKind::SinglePath(0),
-                FecKind::WebRtcTable,
-                1,
-            ),
-            Scale::Quick,
-        );
+        let conv = quick_reports(Cell::new(
+            ScenarioSpec::Driving,
+            SchedulerKind::Converge,
+            FecKind::Converge,
+            1,
+        ));
+        let single = quick_reports(Cell::new(
+            ScenarioSpec::Driving,
+            SchedulerKind::SinglePath(0),
+            FecKind::WebRtcTable,
+            1,
+        ));
         let (c_ovh, _) = mean_std(&metric(&conv, |r| r.fec_overhead_pct()));
         let (s_ovh, _) = mean_std(&metric(&single, |r| r.fec_overhead_pct()));
         assert!(

@@ -1,4 +1,4 @@
-//! The `fleet` experiment: fleet-scale engine throughput and QoE fairness.
+//! The `fleet` experiment: QoE fairness at fleet scale.
 //!
 //! Unlike the figure regenerators, the fleet experiment does not decompose
 //! into `Cell × seed` sweep jobs: one invocation *is* one run of the
@@ -7,17 +7,15 @@
 //! `fleet` target onto [`run_fleet`].
 //!
 //! The report's fold section comes verbatim from
-//! [`FleetReport::fold_text`], so stdout is byte-identical for any
-//! `--shards` value; wall-clock throughput goes to the JSON report only
-//! (`results/BENCH_fleet.current.json` in CI), where the perf ratchet
-//! compares it against the committed `results/BENCH_fleet.json`
-//! trajectory.
+//! [`converge_sim::FleetReport::fold_text`] and nothing in it reads a
+//! clock, so stdout is byte-identical for any `--shards` value and from
+//! run to run. The engine's speed is the repo benchmark's `fleet-sfu`
+//! workload (`benchmark/`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use converge_net::SimDuration;
-use converge_sim::{FleetConfig, FleetEngine, FleetReport};
+use converge_sim::{FleetConfig, FleetEngine};
 
 /// CLI-level options of one fleet invocation.
 #[derive(Debug, Clone)]
@@ -58,14 +56,12 @@ impl Default for FleetOpts {
     }
 }
 
-/// The outcome of one fleet invocation: the deterministic stdout report,
-/// the JSON performance document, and the invariant violation count.
+/// The outcome of one fleet invocation: the deterministic stdout report
+/// and the invariant violation count.
 #[derive(Debug)]
 pub struct FleetRunOutput {
     /// Printable report (fold + fairness summary); shard-count invariant.
     pub report: String,
-    /// `converge-bench/fleet/v1` JSON with top-level `sim_s_per_wall_s`.
-    pub json: String,
     /// Invariant violations (0 unless `--check-invariants` found some).
     pub violations: usize,
 }
@@ -88,31 +84,16 @@ fn build_config(opts: &FleetOpts) -> FleetConfig {
     cfg
 }
 
-fn run_cell(cfg: FleetConfig) -> (FleetReport, f64) {
-    let started = Instant::now();
-    let report = FleetEngine::new(cfg).run();
-    (report, started.elapsed().as_secs_f64())
-}
-
-/// Runs the fleet experiment and renders its report + JSON.
+/// Runs the fleet experiment and renders its report.
 pub fn run_fleet(opts: &FleetOpts) -> FleetRunOutput {
-    let cfg = build_config(opts);
-    let shards = cfg.shards;
-    let duration_s = cfg.duration.as_secs_f64();
-    let bottleneck_mbps = cfg.bottleneck_ingress_bps as f64 / 1e6;
-    let (fleet, wall_s) = run_cell(cfg);
-
-    let sim_s = fleet.sessions as f64 * duration_s;
-    let sim_rate = if wall_s > 0.0 { sim_s / wall_s } else { 0.0 };
-    let sessions_per_core = fleet.sessions as f64 / shards.max(1) as f64;
-    let q = fleet.qoe_quantiles();
+    let fleet = FleetEngine::new(build_config(opts)).run();
 
     let mut report = String::new();
     let _ = writeln!(
         report,
         "# fleet: {} sessions x {}s through {} SFU conference(s)",
         fleet.sessions,
-        duration_s,
+        fleet.duration.as_secs_f64(),
         fleet.conferences.len()
     );
     report.push_str(&fleet.fold_text());
@@ -120,42 +101,18 @@ pub fn run_fleet(opts: &FleetOpts) -> FleetRunOutput {
         report.push_str(&run_grid(opts));
     }
 
-    let queue_hw = fleet.shard_stats.iter().map(|s| s.queue_high_water).max().unwrap_or(0);
-    let wheel_hw = fleet.shard_stats.iter().map(|s| s.wheel.high_water).max().unwrap_or(0);
-    let cascades: u64 = fleet.shard_stats.iter().map(|s| s.wheel.cascades).sum();
-    let json = format!(
-        "{{\n  \"schema\": \"converge-bench/fleet/v1\",\n  \"sessions\": {},\n  \"conference_size\": {},\n  \"conferences\": {},\n  \"shards\": {},\n  \"duration_s\": {:.1},\n  \"seed\": {},\n  \"bottleneck_mbps\": {:.1},\n  \"wall_s\": {:.3},\n  \"sim_s\": {:.1},\n  \"sim_s_per_wall_s\": {:.2},\n  \"sessions_per_core\": {:.1},\n  \"qoe_p5\": {:.6},\n  \"qoe_p25\": {:.6},\n  \"qoe_p50\": {:.6},\n  \"qoe_p75\": {:.6},\n  \"qoe_p95\": {:.6},\n  \"queue_high_water\": {},\n  \"wheel_high_water\": {},\n  \"wheel_cascades\": {},\n  \"violations\": {}\n}}\n",
-        fleet.sessions,
-        fleet.conference_size,
-        fleet.conferences.len(),
-        shards,
-        duration_s,
-        fleet.seed,
-        bottleneck_mbps,
-        wall_s,
-        sim_s,
-        sim_rate,
-        sessions_per_core,
-        q[0],
-        q[1],
-        q[2],
-        q[3],
-        q[4],
-        queue_hw,
-        wheel_hw,
-        cascades,
-        fleet.violations,
-    );
-
-    FleetRunOutput { report, json, violations: fleet.violations }
+    FleetRunOutput {
+        report,
+        violations: fleet.violations,
+    }
 }
 
 /// A small sessions × conference-size × bottleneck grid at reduced scale:
-/// each cell reports throughput and median QoE, showing how fairness and
-/// engine speed move with conference shape and bottleneck pressure.
+/// each cell reports median QoE, showing how fairness moves with
+/// conference shape and bottleneck pressure.
 fn run_grid(opts: &FleetOpts) -> String {
     let base_sessions = (opts.sessions / 4).max(8);
-    let mut out = String::from("grid|sessions|size|bottleneck_mbps|sim_s_per_wall_s|qoe_p50\n");
+    let mut out = String::from("grid|sessions|size|bottleneck_mbps|qoe_p50\n");
     for &sessions in &[base_sessions / 2, base_sessions] {
         for &size in &[2usize, opts.conference_size.max(3)] {
             for &mbps in &[opts.bottleneck_mbps / 2.0, opts.bottleneck_mbps] {
@@ -163,20 +120,14 @@ fn run_grid(opts: &FleetOpts) -> String {
                 cell.sessions = sessions;
                 cell.conference_size = size;
                 cell.bottleneck_mbps = mbps;
-                cell.grid = false;
-                let cfg = build_config(&cell);
-                let duration_s = cfg.duration.as_secs_f64();
-                let (fleet, wall_s) = run_cell(cfg);
-                let rate = if wall_s > 0.0 {
-                    fleet.sessions as f64 * duration_s / wall_s
-                } else {
-                    0.0
-                };
-                let q = fleet.qoe_quantiles();
+                let fleet = FleetEngine::new(build_config(&cell)).run();
                 let _ = writeln!(
                     out,
-                    "cell|{}|{}|{:.1}|{:.0}|{:.6}",
-                    fleet.sessions, fleet.conference_size, mbps, rate, q[2]
+                    "cell|{}|{}|{:.1}|{:.6}",
+                    fleet.sessions,
+                    fleet.conference_size,
+                    mbps,
+                    fleet.qoe_quantiles()[2]
                 );
             }
         }
@@ -202,9 +153,11 @@ mod tests {
     #[test]
     fn fleet_json_carries_the_ratchet_metric() {
         let out = run_fleet(&tiny());
-        assert!(out.json.contains("\"schema\": \"converge-bench/fleet/v1\""));
-        assert!(out.json.contains("\"sim_s_per_wall_s\": "));
-        assert!(out.json.contains("\"qoe_p50\": "));
+        assert!(out
+            .report
+            .starts_with("# fleet: 8 sessions x 3s through 2 SFU conference(s)\n"));
+        assert!(out.report.contains("\ntotal|decoded="), "{}", out.report);
+        assert!(out.report.contains("\nqoe|p5="), "{}", out.report);
         assert_eq!(out.violations, 0);
     }
 
@@ -215,6 +168,27 @@ mod tests {
         let a = run_fleet(&one);
         let b = run_fleet(&tiny());
         assert_eq!(a.report, b.report);
+    }
+
+    #[test]
+    fn grid_report_is_shard_and_run_invariant() {
+        let grid = |shards| {
+            let opts = FleetOpts {
+                shards,
+                grid: true,
+                ..tiny()
+            };
+            run_fleet(&opts).report
+        };
+        let one = grid(1);
+        assert!(
+            one.contains("\ngrid|sessions|size|bottleneck_mbps|qoe_p50\n"),
+            "{one}"
+        );
+        assert_eq!(one.matches("\ncell|").count(), 8);
+        let two = grid(2);
+        assert_eq!(one, two, "1 shard vs 2");
+        assert_eq!(two, grid(2), "two consecutive runs");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! One regenerator per table/figure of the paper's evaluation. Each module
 //! exposes a `spec*` function declaring its jobs plus a fold that renders
-//! the printable report, and a `run*` wrapper for direct use. The
-//! `experiments` binary hands the specs to the sweep engine
-//! ([`crate::sweep`]), which executes the union of all jobs on a
-//! work-stealing pool with cross-experiment memoization.
+//! the printable report. The `experiments` binary hands the specs to the
+//! sweep engine ([`crate::sweep`]), which executes the union of all jobs
+//! on a work-stealing pool with cross-experiment memoization;
+//! [`crate::sweep::render`] runs one spec on the calling thread.
 
 pub mod ablations;
 pub mod chaos;
@@ -198,6 +198,22 @@ pub fn registry() -> Vec<ExperimentDef> {
             spec: drive::spec,
         },
     ]
+}
+
+/// A cell's reports over every seed of [`Scale::Quick`], through the
+/// process-wide cache: what the paper-shape tests average over.
+#[cfg(test)]
+fn quick_reports(cell: crate::runner::Cell) -> Vec<converge_sim::CallReport> {
+    let cache = crate::sweep::CellCache::global();
+    let scale = Scale::Quick;
+    scale
+        .seeds()
+        .iter()
+        .map(|&seed| {
+            let job = crate::runner::Job::new(cell, scale.duration(), seed);
+            cache.get_or_run(&job).report.clone()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -76,11 +76,6 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Runs the shootout through the process-wide cache.
-pub fn run(scale: Scale) -> String {
-    crate::sweep::render(spec(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -59,11 +59,6 @@ pub fn spec_fig16(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Fig. 16: stationary time series (throughput, FPS, E2E).
-pub fn run_fig16(scale: Scale) -> String {
-    crate::sweep::render(spec_fig16(scale), crate::sweep::CellCache::global())
-}
-
 /// Declares Fig. 17: every system × 1–3 streams × every seed.
 pub fn spec_fig17(scale: Scale) -> ExperimentSpec {
     let mut jobs = Vec::new();
@@ -109,11 +104,6 @@ pub fn spec_fig17(scale: Scale) -> ExperimentSpec {
             out
         }),
     }
-}
-
-/// Fig. 17: normalized QoE bars for 1–3 camera streams.
-pub fn run_fig17(scale: Scale) -> String {
-    crate::sweep::render(spec_fig17(scale), crate::sweep::CellCache::global())
 }
 
 /// Declares Table 6: the same cells as Fig. 17 — free under a shared
@@ -164,11 +154,6 @@ pub fn spec_table6(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Table 6: stationary E2E latency, FEC overhead, FEC utilization.
-pub fn run_table6(scale: Scale) -> String {
-    crate::sweep::render(spec_table6(scale), crate::sweep::CellCache::global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,18 +163,13 @@ mod tests {
         // 60 s runs: GCC needs ~15 s to converge, which dominates shorter
         // quick-scale runs.
         let duration = converge_net::SimDuration::from_secs(60);
-        let conv = crate::runner::run_once(
-            crate::sweep::CellCache::global(),
-            &stationary_cell(SchedulerKind::Converge, FecKind::Converge, 3),
-            duration,
-            42,
-        );
-        let cellular = crate::runner::run_once(
-            crate::sweep::CellCache::global(),
-            &stationary_cell(SchedulerKind::SinglePath(1), FecKind::WebRtcTable, 3),
-            duration,
-            42,
-        );
+        let cache = crate::sweep::CellCache::global();
+        let run = |scheduler, fec| {
+            let job = Job::new(stationary_cell(scheduler, fec, 3), duration, 42);
+            cache.get_or_run(&job).report.clone()
+        };
+        let conv = run(SchedulerKind::Converge, FecKind::Converge);
+        let cellular = run(SchedulerKind::SinglePath(1), FecKind::WebRtcTable);
         assert!(
             conv.throughput_bps > cellular.throughput_bps * 1.3,
             "Converge {:.1} Mbps should clearly beat cellular-only {:.1} Mbps",

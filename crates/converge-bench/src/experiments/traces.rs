@@ -16,12 +16,6 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Regenerates the bandwidth-dynamics plots: one series per carrier per
-/// scenario, sampled at 1 Hz, with summary statistics.
-pub fn run(scale: Scale) -> String {
-    crate::sweep::render(spec(scale), crate::sweep::CellCache::global())
-}
-
 fn render_traces(scale: Scale) -> String {
     let duration = scale.duration();
     let mut out = String::new();
@@ -67,7 +61,7 @@ mod tests {
 
     #[test]
     fn driving_combined_sometimes_insufficient() {
-        let out = run(Scale::Quick);
+        let out = crate::sweep::render(spec(Scale::Quick), crate::sweep::CellCache::global());
         assert!(out.contains("fig22-driving"));
         // The driving summary line reports the insufficient seconds; at
         // minimum the stationary trace must have fewer such seconds than

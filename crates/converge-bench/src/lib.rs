@@ -10,12 +10,12 @@
 //! ```
 //!
 //! or a single experiment (`fig3`, `table5`, ...); add `--quick` for short
-//! smoke runs, `--jobs N` to size the work-stealing pool, and
-//! `--bench-json PATH` for a machine-readable sweep report. Experiments
+//! smoke runs and `--jobs N` to size the work-stealing pool. Experiments
 //! declare `Cell × seed` jobs; the sweep engine ([`sweep`]) dedups them by
 //! canonical fingerprint, executes each unique job once on the pool, and
-//! memoizes reports in a process-wide cache. Criterion micro-benches for
-//! the hot paths live in `benches/`.
+//! memoizes reports in a process-wide cache. Performance is measured by
+//! the repo benchmark in `benchmark/`, which drives this crate from
+//! outside.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +25,6 @@ pub mod runner;
 pub mod stats;
 pub mod sweep;
 
-pub use runner::{mean_std, metric, pm, run_once, run_seeds, Cell, Job, Scale, ScenarioSpec};
+pub use runner::{mean_std, metric, pm, Cell, Job, Scale, ScenarioSpec};
 pub use stats::{cdf, quantile, quantiles};
 pub use sweep::{render, run_sweep, CellCache, ExperimentSpec, Reports, SweepStats};

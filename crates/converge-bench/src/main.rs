@@ -1,8 +1,8 @@
 //! The `experiments` binary: regenerates the paper's tables and figures by
 //! handing every selected experiment to the work-stealing sweep engine.
 //!
-//! Usage: `experiments <id>|all [--quick] [--jobs N] [--bench-json PATH]
-//! [--trace DIR] [--check-invariants]`
+//! Usage: `experiments <id>|all [--quick] [--jobs N] [--trace DIR]
+//! [--check-invariants]`
 //!
 //! The `fleet` target is special: it is not a figure regenerator and runs
 //! the sharded fleet engine directly (see [`experiments::fleet`]) with its
@@ -28,7 +28,6 @@ use converge_bench::{run_sweep, CellCache, Job, Scale};
 struct Cli {
     scale: Scale,
     jobs: usize,
-    bench_json: Option<String>,
     trace: Option<String>,
     check_invariants: bool,
     fleet: FleetOpts,
@@ -63,7 +62,6 @@ fn parse_cli() -> Result<Cli, String> {
         jobs: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        bench_json: None,
         trace: None,
         check_invariants: false,
         fleet: FleetOpts::default(),
@@ -79,10 +77,6 @@ fn parse_cli() -> Result<Cli, String> {
         } else if arg == "--jobs" {
             let v = it.next().ok_or("--jobs needs a value")?;
             cli.jobs = v.parse().map_err(|_| format!("bad --jobs value {v:?}"))?;
-        } else if let Some(v) = arg.strip_prefix("--bench-json=") {
-            cli.bench_json = Some(v.to_string());
-        } else if arg == "--bench-json" {
-            cli.bench_json = Some(it.next().ok_or("--bench-json needs a path")?);
         } else if let Some(v) = arg.strip_prefix("--trace=") {
             cli.trace = Some(v.to_string());
         } else if arg == "--trace" {
@@ -145,7 +139,7 @@ fn main() {
     let registry = registry();
     if cli.targets.is_empty() || cli.targets.iter().any(|t| t == "list") {
         eprintln!(
-            "usage: experiments <id>|all [--quick] [--jobs N] [--bench-json PATH] [--trace DIR] [--check-invariants]\n\navailable experiments:"
+            "usage: experiments <id>|all [--quick] [--jobs N] [--trace DIR] [--check-invariants]\n\navailable experiments:"
         );
         for def in &registry {
             let alias = if def.aliases.is_empty() {
@@ -211,22 +205,6 @@ fn main() {
     }
     eprintln!("   {}", stats.summary());
 
-    if let Some(path) = &cli.bench_json {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("error: creating {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, stats.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("   bench report written to {path}");
-    }
-
     if let Some(dir) = &cli.trace {
         if let Err(e) = write_traces(dir, &trace_jobs) {
             eprintln!("error: {e}");
@@ -244,9 +222,8 @@ fn main() {
 }
 
 /// Runs the `fleet` target: one sharded fleet-engine run (plus an optional
-/// reduced-scale grid), deterministic report on stdout, performance JSON
-/// via `--bench-json`, non-zero exit on invariant violations when
-/// `--check-invariants` is armed.
+/// reduced-scale grid), deterministic report on stdout, non-zero exit on
+/// invariant violations when `--check-invariants` is armed.
 fn run_fleet_target(cli: &Cli) {
     let mut opts = cli.fleet.clone();
     opts.quick = matches!(cli.scale, Scale::Quick);
@@ -262,21 +239,6 @@ fn run_fleet_target(cli: &Cli) {
     );
     let out = run_fleet(&opts);
     println!("{}", out.report);
-    if let Some(path) = &cli.bench_json {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("error: creating {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, &out.json) {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("   fleet report written to {path}");
-    }
     if cli.check_invariants {
         eprintln!("   invariants checked on every member: {} violation(s)", out.violations);
         if out.violations > 0 {

@@ -1,5 +1,5 @@
-//! Shared experiment machinery: declarative experiment cells, the jobs the
-//! sweep engine executes, and the seeded-run helpers used by tests.
+//! Shared experiment machinery: declarative experiment cells and the jobs
+//! the sweep engine executes.
 //!
 //! A [`Cell`] is a fully declarative description of one experiment point
 //! (scenario × scheduler × FEC × streams × CC coupling); a [`Job`] pins it
@@ -18,7 +18,6 @@ use converge_sim::{
 use converge_trace::{InvariantSink, RingSink, TraceHandle, TraceRecord, Violation};
 
 pub use crate::stats::{mean_std, metric, pm};
-use crate::sweep::CellCache;
 
 /// Declarative scenario selector: a canonical, hashable description of the
 /// network setup. Replaces the old `fn(SimDuration, u64) -> ScenarioConfig`
@@ -291,72 +290,40 @@ impl Scale {
     }
 }
 
-/// Runs one cell once through `cache`: repeated runs of the same
-/// fingerprint are simulated only once per cache. Pass
-/// [`CellCache::global`] for the process-wide cache.
-pub fn run_once(cache: &CellCache, cell: &Cell, duration: SimDuration, seed: u64) -> CallReport {
-    cache
-        .get_or_run(&Job::new(*cell, duration, seed))
-        .report
-        .clone()
-}
-
-/// Runs one cell over every seed of the scale, in parallel, returning the
-/// reports in seed order. Results are memoized in `cache`; pass
-/// [`CellCache::global`] for the process-wide cache.
-pub fn run_seeds(cache: &CellCache, cell: &Cell, scale: Scale) -> Vec<CallReport> {
-    let duration = scale.duration();
-    let seeds = scale.seeds();
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let job = Job::new(*cell, duration, seed);
-                s.spawn(move |_| cache.get_or_run(&job).report.clone())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
-    })
-    .expect("scope")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::CellCache;
 
-    #[test]
-    fn quick_scale_runs() {
+    fn clean_job(seed: u64) -> Job {
         let cell = Cell::new(
             ScenarioSpec::fec_tradeoff_pct(0.0),
             SchedulerKind::Converge,
             FecKind::Converge,
             1,
         );
-        let report = run_once(&CellCache::new(), &cell, SimDuration::from_secs(5), 1);
-        assert!(report.frames_decoded > 0);
+        Job::new(cell, SimDuration::from_secs(5), seed)
+    }
+
+    #[test]
+    fn quick_scale_runs() {
+        let run = CellCache::new().get_or_run(&clean_job(1));
+        assert!(run.report.frames_decoded > 0);
     }
 
     #[test]
     fn run_seeds_parallel() {
-        let cell = Cell::new(
-            ScenarioSpec::fec_tradeoff_pct(0.0),
-            SchedulerKind::Converge,
-            FecKind::Converge,
-            1,
-        );
-        // Abbreviated: 2 seeds at quick scale.
+        // Two seeds on two threads sharing one cache.
         let cache = CellCache::new();
-        let reports = crossbeam::thread::scope(|s| {
-            let h1 = s.spawn(|_| run_once(&cache, &cell, SimDuration::from_secs(5), 1));
-            let h2 = s.spawn(|_| run_once(&cache, &cell, SimDuration::from_secs(5), 2));
-            (h1.join().unwrap(), h2.join().unwrap())
-        })
-        .unwrap();
-        assert!(reports.0.frames_decoded > 0);
-        assert!(reports.1.frames_decoded > 0);
+        let decoded = std::thread::scope(|s| {
+            let seeds = [1, 2].map(|seed| {
+                let cache = &cache;
+                s.spawn(move || cache.get_or_run(&clean_job(seed)).report.frames_decoded)
+            });
+            seeds.map(|h| h.join().expect("seed run"))
+        });
+        assert!(decoded.iter().all(|&frames| frames > 0), "{decoded:?}");
+        assert_eq!(cache.executed(), 2);
     }
 
     #[test]

@@ -56,8 +56,7 @@ impl CellCache {
         CellCache::default()
     }
 
-    /// The process-wide cache shared by [`crate::runner::run_once`],
-    /// [`crate::runner::run_seeds`], and the `experiments` binary.
+    /// The process-wide cache the `experiments` binary sweeps through.
     pub fn global() -> &'static CellCache {
         static GLOBAL: OnceLock<CellCache> = OnceLock::new();
         GLOBAL.get_or_init(CellCache::new)
@@ -169,8 +168,7 @@ impl<'a> Reports<'a> {
 }
 
 /// Executes a spec's jobs serially through `cache` and folds the report —
-/// the one-shot path used by tests and the legacy per-experiment `run`
-/// functions (which pass [`CellCache::global`]).
+/// [`run_sweep`] for one experiment on the calling thread.
 pub fn render(spec: ExperimentSpec, cache: &CellCache) -> String {
     let reports: Vec<CallReport> = spec
         .jobs
@@ -180,27 +178,7 @@ pub fn render(spec: ExperimentSpec, cache: &CellCache) -> String {
     (spec.fold)(&reports)
 }
 
-/// Per-experiment sweep accounting.
-#[derive(Debug, Clone)]
-pub struct ExpStats {
-    /// Experiment ID.
-    pub id: String,
-    /// Jobs the experiment declared.
-    pub jobs: usize,
-    /// Jobs this experiment was first to claim and therefore paid to
-    /// simulate.
-    pub executed: usize,
-    /// Jobs served from the memo cache (shared with another experiment in
-    /// this sweep, or already warm in the process cache).
-    pub cache_hits: usize,
-    /// Summed execution seconds of the jobs it paid for.
-    pub job_time_s: f64,
-    /// Simulated call seconds across all its jobs.
-    pub sim_s: f64,
-}
-
-/// Whole-sweep accounting, rendered to `BENCH_sweep.json` by
-/// [`SweepStats::to_json`].
+/// Whole-sweep accounting; [`SweepStats::summary`] is its stderr line.
 #[derive(Debug, Clone)]
 pub struct SweepStats {
     /// Scale the sweep ran at.
@@ -219,8 +197,6 @@ pub struct SweepStats {
     pub sim_s: f64,
     /// Per-job execution wall times (one entry per executed job).
     pub job_times_s: Vec<f64>,
-    /// Per-experiment breakdown.
-    pub experiments: Vec<ExpStats>,
 }
 
 impl SweepStats {
@@ -231,38 +207,6 @@ impl SweepStats {
         } else {
             0.0
         }
-    }
-
-    /// Renders the machine-readable bench report (`BENCH_sweep.json`).
-    pub fn to_json(&self) -> String {
-        let (p50, p95) = {
-            let qs = crate::stats::quantiles(&self.job_times_s, &[0.50, 0.95]);
-            (qs[0], qs[1])
-        };
-        let mut exps = String::new();
-        for (i, e) in self.experiments.iter().enumerate() {
-            if i > 0 {
-                exps.push(',');
-            }
-            exps.push_str(&format!(
-                "\n    {{\"id\": {:?}, \"jobs\": {}, \"executed\": {}, \"cache_hits\": {}, \"job_time_s\": {:.3}, \"sim_s\": {:.1}}}",
-                e.id, e.jobs, e.executed, e.cache_hits, e.job_time_s, e.sim_s
-            ));
-        }
-        format!(
-            "{{\n  \"schema\": \"converge-bench/sweep/v1\",\n  \"scale\": \"{:?}\",\n  \"workers\": {},\n  \"wall_s\": {:.3},\n  \"jobs\": {},\n  \"executed\": {},\n  \"cache_hits\": {},\n  \"sim_s\": {:.1},\n  \"sim_s_per_wall_s\": {:.2},\n  \"job_time_p50_s\": {:.3},\n  \"job_time_p95_s\": {:.3},\n  \"experiments\": [{}\n  ]\n}}\n",
-            self.scale,
-            self.workers,
-            self.wall_s,
-            self.jobs,
-            self.executed,
-            self.cache_hits,
-            self.sim_s,
-            self.sim_s_per_wall_s(),
-            p50,
-            p95,
-            exps
-        )
     }
 
     /// One-line human summary for stderr.
@@ -290,68 +234,38 @@ pub fn run_sweep(
 ) -> (Vec<(String, String)>, SweepStats) {
     let started = Instant::now();
 
-    // Flatten every experiment into the global pool, dedup by fingerprint,
-    // and record which experiment first claimed each unique job (that
-    // experiment pays for its execution in the accounting).
-    let mut unique: Vec<Job> = Vec::new();
-    let mut owner: Vec<usize> = Vec::new();
-    let mut slot_of: HashMap<Job, usize> = HashMap::new();
-    for (exp_idx, (_, spec)) in experiments.iter().enumerate() {
-        for job in &spec.jobs {
-            slot_of.entry(*job).or_insert_with(|| {
-                unique.push(*job);
-                owner.push(exp_idx);
-                unique.len() - 1
-            });
-        }
-    }
-
-    // Jobs already warm in the cache cost nothing; only the rest enter the
-    // work-stealing pool.
-    let cold: HashSet<usize> = (0..unique.len())
-        .filter(|&slot| !cache.contains(&unique[slot]))
+    // Flatten every experiment into the global pool and dedup by
+    // fingerprint. Jobs already warm in the cache cost nothing; only the
+    // rest enter the work-stealing pool.
+    let mut unpaid: HashSet<Job> = HashSet::new();
+    let pending: Vec<Job> = experiments
+        .iter()
+        .flat_map(|(_, spec)| spec.jobs.iter().copied())
+        .filter(|job| !cache.contains(job) && unpaid.insert(*job))
         .collect();
-    let pending: Vec<Job> = cold.iter().map(|&slot| unique[slot]).collect();
     execute_pool(&pending, workers, cache);
 
-    // Fold each experiment from reports fetched in declaration order.
+    // Fold each experiment from reports fetched in declaration order; the
+    // first fold to reach a job this sweep executed accounts for it.
     let mut outputs = Vec::with_capacity(experiments.len());
-    let mut exp_stats = Vec::with_capacity(experiments.len());
-    let mut job_times_s = Vec::new();
+    let mut job_times_s = Vec::with_capacity(pending.len());
     let mut total_jobs = 0usize;
-    let mut total_executed = 0usize;
     let mut executed_sim_s = 0.0f64;
-    for (exp_idx, (id, spec)) in experiments.into_iter().enumerate() {
-        let mut stats = ExpStats {
-            id: id.clone(),
-            jobs: spec.jobs.len(),
-            executed: 0,
-            cache_hits: 0,
-            job_time_s: 0.0,
-            sim_s: 0.0,
-        };
+    for (id, spec) in experiments {
+        total_jobs += spec.jobs.len();
         let reports: Vec<CallReport> = spec
             .jobs
             .iter()
             .map(|job| {
-                let slot = slot_of[job];
                 let run = cache.get_or_run(job);
-                stats.sim_s += job.sim_seconds();
-                if owner[slot] == exp_idx && cold.contains(&slot) {
-                    stats.executed += 1;
-                    stats.job_time_s += run.exec_s;
+                if unpaid.remove(job) {
                     job_times_s.push(run.exec_s);
                     executed_sim_s += job.sim_seconds();
-                } else {
-                    stats.cache_hits += 1;
                 }
                 run.report.clone()
             })
             .collect();
         outputs.push((id, (spec.fold)(&reports)));
-        total_jobs += stats.jobs;
-        total_executed += stats.executed;
-        exp_stats.push(stats);
     }
 
     let stats = SweepStats {
@@ -359,11 +273,10 @@ pub fn run_sweep(
         workers,
         wall_s: started.elapsed().as_secs_f64(),
         jobs: total_jobs,
-        executed: total_executed,
-        cache_hits: total_jobs - total_executed,
+        executed: job_times_s.len(),
+        cache_hits: total_jobs - job_times_s.len(),
         sim_s: executed_sim_s,
         job_times_s,
-        experiments: exp_stats,
     };
     (outputs, stats)
 }
@@ -510,9 +423,6 @@ mod tests {
         assert_eq!(stats.jobs, 8);
         assert_eq!(stats.executed, 4, "the duplicate experiment costs nothing");
         assert_eq!(stats.cache_hits, 4);
-        assert_eq!(stats.experiments[0].executed, 4);
-        assert_eq!(stats.experiments[1].executed, 0);
-        assert_eq!(stats.experiments[1].cache_hits, 4);
         assert_eq!(cache.executed(), 4);
     }
 
@@ -524,8 +434,10 @@ mod tests {
             cache.get_or_run(job);
         }
         let (_, stats) = run_sweep(vec![("warm".into(), spec)], Scale::Quick, 2, &cache);
+        assert_eq!(stats.jobs, 4);
         assert_eq!(stats.executed, 0);
         assert_eq!(stats.cache_hits, 4);
+        assert_eq!(cache.executed(), 4, "the sweep simulated nothing new");
     }
 
     /// The tentpole determinism guarantee: the JSONL timeline of every
@@ -569,15 +481,9 @@ mod tests {
     fn bench_json_is_well_formed() {
         let cache = CellCache::new();
         let (_, stats) = run_sweep(vec![("tiny".into(), tiny_spec())], Scale::Quick, 2, &cache);
-        let json = stats.to_json();
-        assert!(json.contains("\"schema\": \"converge-bench/sweep/v1\""));
-        assert!(json.contains("\"experiments\": ["));
-        assert!(json.contains("\"id\": \"tiny\""));
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
+            stats.summary().split(" in ").next(),
+            Some("4 jobs (4 executed, 0 cache hits) on 2 worker(s)")
         );
-        assert!(!stats.summary().is_empty());
     }
 }

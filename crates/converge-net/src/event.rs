@@ -115,28 +115,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Appends every event due at or before `now` to `out`, in pop order.
-    ///
-    /// Equivalent to calling [`pop_due`] in a loop, but the whole batch is
-    /// drained in one pass: only the small `Copy` heap keys take part in
-    /// the heap rebalances and each payload is moved out of the arena once.
-    ///
-    /// [`pop_due`]: EventQueue::pop_due
-    pub fn drain_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, E)>) {
-        while let Some(key) = self.heap.peek() {
-            if key.at > now {
-                break;
-            }
-            let key = *key;
-            self.heap.pop();
-            let event = self
-                .events
-                .remove(key.slot)
-                .expect("heap key must resolve to a live arena slot");
-            out.push((key.at, event));
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -222,41 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_due_matches_pop_due_loop() {
-        let mut batch = EventQueue::new();
-        let mut single = EventQueue::new();
-        // Interleave times, including heavy same-timestamp batches.
-        for i in 0..200u32 {
-            let at = t(u64::from(i % 7) * 10);
-            batch.schedule(at, i);
-            single.schedule(at, i);
-        }
-        let now = t(30);
-        let mut drained = Vec::new();
-        batch.drain_due_into(now, &mut drained);
-        let mut popped = Vec::new();
-        while let Some(item) = single.pop_due(now) {
-            popped.push(item);
-        }
-        assert_eq!(drained, popped);
-        assert!(!drained.is_empty());
-        assert_eq!(batch.len(), single.len());
-    }
-
-    #[test]
-    fn drain_due_appends_without_clearing() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        let mut out = vec![(t(0), "pre")];
-        q.drain_due_into(t(5), &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].1, "pre");
-        assert_eq!(out[1].1, "a");
-        assert_eq!(out[2].1, "b");
-    }
-
-    #[test]
     fn slot_reuse_keeps_fifo_order() {
         let mut q = EventQueue::new();
         // Churn slots so the arena free list is exercised, then check
@@ -266,8 +209,7 @@ mod tests {
                 q.schedule(t(100 - round * 10), round * 10 + i);
             }
             if round % 2 == 0 {
-                let mut sink = Vec::new();
-                q.drain_due_into(t(100 - round * 10), &mut sink);
+                while q.pop_due(t(100 - round * 10)).is_some() {}
             }
         }
         let mut last = None;

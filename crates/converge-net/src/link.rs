@@ -163,12 +163,6 @@ impl Link {
         self.config.rate = rate;
     }
 
-    /// Replaces the loss model.
-    pub fn set_loss(&mut self, loss: LossModel) {
-        self.loss.set_model(loss.clone());
-        self.config.loss = loss;
-    }
-
     /// The instantaneous bottleneck rate at `now`, bits per second.
     pub fn rate_at(&self, now: SimTime) -> u64 {
         match &self.config.drive {

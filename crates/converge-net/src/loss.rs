@@ -108,14 +108,6 @@ impl LossProcess {
         &self.model
     }
 
-    /// Replaces the model, keeping burst state where meaningful.
-    pub fn set_model(&mut self, model: LossModel) {
-        if !matches!(model, LossModel::GilbertElliott { .. }) {
-            self.in_bad_state = false;
-        }
-        self.model = model;
-    }
-
     /// Draws the fate of one packet: `true` means the packet is lost.
     pub fn should_drop(&mut self, rng: &mut SmallRng) -> bool {
         match self.model {
@@ -207,21 +199,6 @@ mod tests {
         assert!((LossModel::bernoulli_percent(7.0).mean_loss() - 0.07).abs() < 1e-12);
         let m = LossModel::bursty_percent(4.0);
         assert!((m.mean_loss() - 0.04).abs() < 1e-9, "{}", m.mean_loss());
-    }
-
-    #[test]
-    fn set_model_resets_burst_state() {
-        let mut p = LossProcess::new(LossModel::GilbertElliott {
-            p_gb: 1.0,
-            p_bg: 0.0,
-            loss_good: 0.0,
-            loss_bad: 1.0,
-        });
-        let mut r = rng();
-        assert!(p.should_drop(&mut r)); // forced into bad state, always drops
-        p.set_model(LossModel::None);
-        assert!(!p.should_drop(&mut r));
-        assert!(!p.in_bad_state);
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl SfuNode {
         id
     }
 
-    /// Number of registered members.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// The downlink path selected for `member` at registration.
     pub fn downlink_of(&self, member: MemberId) -> PathId {
         self.members[member as usize].downlink
@@ -200,16 +195,6 @@ impl SfuNode {
         let fate = self.egress.offer(now, bytes).fate;
         self.stats.egress = self.egress.stats();
         fate
-    }
-
-    /// Queuing delay a packet would currently see at the ingress.
-    pub fn ingress_queue_delay(&self, now: SimTime) -> SimDuration {
-        self.ingress.queue_delay(now)
-    }
-
-    /// Queuing delay a packet would currently see at the egress.
-    pub fn egress_queue_delay(&self, now: SimTime) -> SimDuration {
-        self.egress.queue_delay(now)
     }
 
     /// Uplink packets/bytes the node has accepted from `member`.

@@ -174,9 +174,24 @@ impl RtcpPacket {
         }
     }
 
-    /// Serialized size in bytes.
+    /// Serialized size in bytes: the length [`RtcpPacket::serialize`]
+    /// writes, computed from the same layout without building the packet.
     pub fn wire_len(&self) -> usize {
-        self.serialize().len()
+        // Every packet starts with the 4-byte RTCP header.
+        4 + match self {
+            RtcpPacket::SenderReport(_) => 28,
+            RtcpPacket::ReceiverReport(rr) => 8 + 28 * rr.blocks.len(),
+            RtcpPacket::Sdes(s) => {
+                // ssrc, CNAME item, optional 3-byte frame-rate item, end
+                // marker; padded to 32 bits.
+                let items = 2 + s.cname.len() + if s.frame_rate.is_some() { 3 } else { 0 };
+                (4 + items + 1).next_multiple_of(4)
+            }
+            RtcpPacket::Nack(n) => 12 + 4 * encode_nack_pairs(&n.lost).len(),
+            RtcpPacket::Pli(_) => 12,
+            RtcpPacket::TransportFeedback(tf) => 12 + 12 * tf.arrivals.len(),
+            RtcpPacket::QoeFeedback(_) => 24,
+        }
     }
 
     /// Serializes one RTCP packet (header + path word + body).
@@ -608,6 +623,84 @@ mod tests {
             alpha: 12,
             fcd_micros: 0,
         }));
+    }
+
+    #[test]
+    fn wire_len_matches_serialized_length() {
+        let block = ReportBlock {
+            ssrc: 0xAAAA,
+            fraction_lost: 25,
+            cumulative_lost: 1000,
+            ext_highest_seq: 70_000,
+            ext_highest_mp_seq: 35_000,
+            jitter: 99,
+            last_sr: 7,
+            delay_since_last_sr: 11,
+        };
+        let mut packets = vec![
+            RtcpPacket::SenderReport(SenderReport {
+                path_id: 1,
+                ssrc: 0x1111,
+                ntp_micros: 123_456_789,
+                rtp_timestamp: 90_000,
+                packet_count: 42,
+                octet_count: 61_234,
+            }),
+            RtcpPacket::Pli(Pli {
+                path_id: 3,
+                ssrc: 0x5555,
+            }),
+            RtcpPacket::QoeFeedback(QoeFeedback {
+                path_id: 2,
+                ssrc: 0x7777,
+                alpha: -5,
+                fcd_micros: 45_000,
+            }),
+            // Unsorted with a duplicate: pairs are counted after sort + dedup.
+            RtcpPacket::Nack(Nack {
+                path_id: 0,
+                ssrc: 1,
+                lost: vec![40, 3, 5, 3, 4, 65_535],
+            }),
+        ];
+        for n in [0usize, 1, 30, 255] {
+            packets.push(RtcpPacket::ReceiverReport(ReceiverReport {
+                path_id: 2,
+                ssrc: 0x2222,
+                blocks: vec![block; n],
+            }));
+            // Contiguous (packs 17 to a pair) and sparse (one pair each).
+            for stride in [1u16, 40] {
+                packets.push(RtcpPacket::Nack(Nack {
+                    path_id: 1,
+                    ssrc: 0x4444,
+                    lost: (0..n as u16).map(|i| 100 + i * stride).collect(),
+                }));
+            }
+            packets.push(RtcpPacket::TransportFeedback(TransportFeedback {
+                path_id: 1,
+                ssrc: 0x6666,
+                arrivals: (0..n as u16).map(|i| (i, 1_000 * u64::from(i))).collect(),
+            }));
+            for frame_rate in [None, Some(30)] {
+                packets.push(RtcpPacket::Sdes(Sdes {
+                    ssrc: 0x3333,
+                    cname: "c".repeat(n),
+                    frame_rate,
+                }));
+            }
+        }
+        // Every padding phase of the SDES chunk.
+        for len in 0..8 {
+            packets.push(RtcpPacket::Sdes(Sdes {
+                ssrc: 1,
+                cname: "x".repeat(len),
+                frame_rate: Some(15),
+            }));
+        }
+        for p in &packets {
+            assert_eq!(p.wire_len(), p.serialize().len(), "{p:?}");
+        }
     }
 
     #[test]

@@ -198,13 +198,6 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Supplies a fully tuned controller selection (kind + per-algorithm
-    /// config), for callers that need non-default knobs.
-    pub fn controller_config(mut self, controller: ControllerConfig) -> Self {
-        self.controller = controller;
-        self
-    }
-
     /// Installs a structured-event trace sink.
     pub fn trace(mut self, trace: TraceHandle) -> Self {
         self.trace = trace;

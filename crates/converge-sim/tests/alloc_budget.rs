@@ -56,8 +56,9 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// count of the commit that last lowered it. Ratchet it down whenever a
 /// change lowers the count; never raise it without saying why in
 /// CHANGES.md. At `bdc7642`, before the per-frame buffers were pooled, the
-/// same window made 16 509 calls.
-const BUDGET: u64 = 9_071;
+/// same window made 16 509 calls; at `18016e0`, while `RtcpPacket::wire_len`
+/// still serialised every RTCP packet to measure it, 9 071.
+const BUDGET: u64 = 8_166;
 
 /// Allocator calls one clean two-path one-stream call of `secs` makes.
 fn allocations(secs: u64) -> u64 {
