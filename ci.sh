@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
-# tests, the allocation budget by name, a quick-scale smoke run of the full
+# tests, the allocation budgets by name, a quick-scale smoke run of the full
 # experiment sweep on 2 workers (exercises the work-stealing pool and the
 # memo cache), a traced experiment run with JSONL timeline validation, the
 # chaos, controller-shootout and drive-replay matrices with the invariant
@@ -52,10 +52,18 @@ gate benchmark-smoke bash benchmark/run.sh --smoke
 # --no-fail-fast: one red binary must not hide the ones sorted after it.
 gate tests cargo test -q --no-fail-fast
 
-# The deterministic allocation budget, by name: a rename or a deleted
-# test target fails here instead of silently dropping out of `cargo test`.
-gate alloc-budget cargo test -q -p converge-sim --test alloc_budget \
-    steady_state_allocation_count_stays_within_budget -- --exact
+# The two deterministic allocation budgets, by exact name: a rename or a
+# deleted test makes libtest run fewer than two, which fails here instead
+# of silently dropping out of `cargo test`.
+alloc_budget() {
+    local out
+    out=$(cargo test -q -p converge-sim --test alloc_budget -- --exact \
+        steady_state_allocation_count_stays_within_budget \
+        lossy_steady_state_allocation_count_stays_within_budget) || { echo "$out"; return 1; }
+    echo "$out"
+    grep -q '^test result: ok. 2 passed' <<<"$out"
+}
+gate alloc-budget alloc_budget
 
 sweep_smoke() {
     experiments all --quick --jobs 2 > results/smoke_all.txt

@@ -17,12 +17,8 @@ use converge_net::{PathId, SimDuration, SimTime};
 use converge_rtp::QoeFeedback;
 use converge_trace::{TraceEvent, TraceHandle};
 
-/// Per-frame, per-path arrival bookkeeping.
-#[derive(Debug, Default)]
-struct FrameArrivals {
-    /// (path, arrival time) of every packet of the frame.
-    packets: Vec<(PathId, SimTime)>,
-}
+/// One frame's arrivals: (path, arrival time) of every packet.
+type FrameArrivals = Vec<(PathId, SimTime)>;
 
 /// Receiver-side QoE monitor for one stream.
 #[derive(Debug)]
@@ -35,6 +31,15 @@ pub struct QoeMonitor {
     /// "append packet to the newest frame", which is a back() check, and
     /// the set never exceeds 64 entries.
     gathering: VecDeque<(u64, FrameArrivals)>,
+    /// Emptied records of frames that entered the buffer or aged out,
+    /// reused by the next frames: never more than were gathering at once.
+    spare: Vec<FrameArrivals>,
+    /// The longest record seen; a record made when `spare` is empty starts
+    /// at this capacity instead of doubling its way up.
+    frame_capacity: usize,
+    /// Late and early packets per non-fast path of the frame being judged,
+    /// sorted by path.
+    tally: Vec<(PathId, i32, i32)>,
     /// The path currently considered fast (reference for lateness).
     fast_path: PathId,
     /// Most recent FCD observed.
@@ -54,6 +59,9 @@ impl QoeMonitor {
             ssrc,
             expected_ifd: SimDuration::from_micros(1_000_000 / fps.max(1) as u64),
             gathering: VecDeque::new(),
+            spare: Vec::new(),
+            frame_capacity: 0,
+            tally: Vec::new(),
             fast_path,
             last_fcd: SimDuration::ZERO,
             pending: Vec::new(),
@@ -84,37 +92,51 @@ impl QoeMonitor {
         self.expected_ifd
     }
 
+    /// An empty arrival record for a frame first seen now.
+    fn fresh_record(&mut self) -> FrameArrivals {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.frame_capacity))
+    }
+
+    /// Takes back the record of a frame that is no longer gathering.
+    fn recycle(&mut self, mut arrivals: FrameArrivals) {
+        self.frame_capacity = self.frame_capacity.max(arrivals.len());
+        arrivals.clear();
+        self.spare.push(arrivals);
+    }
+
     /// Records a media/control packet arrival for `frame_id` via `path`.
     pub fn on_packet(&mut self, now: SimTime, path: PathId, frame_id: u64) {
         // Fast path: the packet belongs to the newest frame in flight.
-        let slot = match self.gathering.back_mut() {
-            Some((id, arrivals)) if *id == frame_id => Some(arrivals),
-            Some((id, _)) if *id < frame_id => {
-                self.gathering.push_back((frame_id, FrameArrivals::default()));
-                self.gathering.back_mut().map(|(_, a)| a)
-            }
-            None => {
-                self.gathering.push_back((frame_id, FrameArrivals::default()));
-                self.gathering.back_mut().map(|(_, a)| a)
-            }
-            // Out-of-order arrival for an older frame: insert sorted.
-            Some(_) => {
-                let idx = match self.gathering.binary_search_by_key(&frame_id, |(id, _)| *id) {
+        let idx = match self.gathering.back() {
+            Some((id, _)) if *id == frame_id => self.gathering.len() - 1,
+            Some((id, _)) if *id > frame_id => {
+                // Out-of-order arrival for an older frame: insert sorted.
+                match self
+                    .gathering
+                    .binary_search_by_key(&frame_id, |(id, _)| *id)
+                {
                     Ok(idx) => idx,
                     Err(idx) => {
-                        self.gathering.insert(idx, (frame_id, FrameArrivals::default()));
+                        let record = self.fresh_record();
+                        self.gathering.insert(idx, (frame_id, record));
                         idx
                     }
-                };
-                self.gathering.get_mut(idx).map(|(_, a)| a)
+                }
+            }
+            _ => {
+                let record = self.fresh_record();
+                self.gathering.push_back((frame_id, record));
+                self.gathering.len() - 1
             }
         };
-        slot.expect("slot was just found or inserted")
-            .packets
-            .push((path, now));
+        self.gathering[idx].1.push((path, now));
         // Bound memory: forget very old frames.
         while self.gathering.len() > 64 {
-            self.gathering.pop_front();
+            if let Some((_, arrivals)) = self.gathering.pop_front() {
+                self.recycle(arrivals);
+            }
         }
     }
 
@@ -128,18 +150,29 @@ impl QoeMonitor {
         fcd: SimDuration,
     ) {
         self.last_fcd = fcd;
-        let Some(arrivals) = self
+        let Some((_, arrivals)) = self
             .gathering
             .binary_search_by_key(&frame_id, |(id, _)| *id)
             .ok()
             .and_then(|idx| self.gathering.remove(idx))
-            .map(|(_, a)| a)
         else {
             return;
         };
-        let Some(ifd) = ifd else {
-            return;
-        };
+        if let Some(ifd) = ifd {
+            self.judge(now, &arrivals, ifd, fcd);
+        }
+        self.recycle(arrivals);
+    }
+
+    /// Emits feedback for a frame that entered with interframe delay `ifd`,
+    /// if that delay shows QoE deteriorating.
+    fn judge(
+        &mut self,
+        now: SimTime,
+        arrivals: &[(PathId, SimTime)],
+        ifd: SimDuration,
+        fcd: SimDuration,
+    ) {
         // Fire only on a clear violation: scheduling jitter makes IFD
         // fluctuate a few percent around the expectation every frame, and
         // reacting to that noise oscillates the sender's shares.
@@ -155,7 +188,6 @@ impl QoeMonitor {
 
         // Reference: last arrival on the fast path for this frame.
         let reference = arrivals
-            .packets
             .iter()
             .filter(|(p, _)| *p == self.fast_path)
             .map(|(_, t)| *t)
@@ -165,46 +197,48 @@ impl QoeMonitor {
         };
 
         // Count late/early packets per non-fast path.
-        let mut late: BTreeMap<PathId, i32> = BTreeMap::new();
-        let mut early: BTreeMap<PathId, i32> = BTreeMap::new();
-        for (path, at) in &arrivals.packets {
-            if *path == self.fast_path {
+        self.tally.clear();
+        for &(path, at) in arrivals {
+            if path == self.fast_path {
                 continue;
             }
-            if *at > reference {
-                *late.entry(*path).or_insert(0) += 1;
+            let idx = match self.tally.binary_search_by_key(&path, |&(p, ..)| p) {
+                Ok(idx) => idx,
+                Err(idx) => {
+                    self.tally.insert(idx, (path, 0, 0));
+                    idx
+                }
+            };
+            if at > reference {
+                self.tally[idx].1 += 1;
             } else {
-                *early.entry(*path).or_insert(0) += 1;
+                self.tally[idx].2 += 1;
             }
         }
 
         // Worst offender: the path with the most late packets → negative α.
-        if let Some((&path, &count)) = late.iter().max_by_key(|(_, &c)| c) {
-            self.pending.push(QoeFeedback {
-                path_id: path.0,
-                ssrc: self.ssrc,
-                alpha: -count,
-                fcd_micros: fcd.as_micros(),
-            });
-            self.last_feedback_at = Some(now);
-            self.trace.emit(
-                now,
-                TraceEvent::FeedbackEmitted {
-                    path,
-                    alpha: i64::from(-count),
-                    fcd_us: fcd.as_micros(),
-                },
-            );
-            return;
-        }
         // No late packets anywhere, yet IFD is high: some slow path
         // finished entirely before the fast path, so it has headroom —
-        // positive α for the earliest-finishing one.
-        if let Some((&path, &count)) = early.iter().max_by_key(|(_, &c)| c) {
+        // positive α for the earliest-finishing one. (Ties go to the
+        // highest path id, as `max_by_key` over the sorted tally does.)
+        let tally = &self.tally;
+        let worst_late = tally
+            .iter()
+            .filter(|&&(_, late, _)| late > 0)
+            .max_by_key(|&&(_, late, _)| late)
+            .map(|&(path, late, _)| (path, -late));
+        let most_early = || {
+            tally
+                .iter()
+                .filter(|&&(.., early)| early > 0)
+                .max_by_key(|&&(.., early)| early)
+                .map(|&(path, _, early)| (path, early))
+        };
+        if let Some((path, alpha)) = worst_late.or_else(most_early) {
             self.pending.push(QoeFeedback {
                 path_id: path.0,
                 ssrc: self.ssrc,
-                alpha: count,
+                alpha,
                 fcd_micros: fcd.as_micros(),
             });
             self.last_feedback_at = Some(now);
@@ -212,7 +246,7 @@ impl QoeMonitor {
                 now,
                 TraceEvent::FeedbackEmitted {
                     path,
-                    alpha: i64::from(count),
+                    alpha: i64::from(alpha),
                     fcd_us: fcd.as_micros(),
                 },
             );
@@ -238,12 +272,22 @@ pub struct PathShare {
     offsets: BTreeMap<PathId, i64>,
     /// Paths currently disabled by feedback.
     disabled: BTreeMap<PathId, DisabledState>,
+    /// `split_into`'s re-balancing order, `(rate, index into the split)`;
+    /// kept so a split allocates nothing.
+    order: Vec<(u64, usize)>,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct DisabledState {
     /// FCD from the feedback that disabled the path, for Eq. 3.
     fcd: SimDuration,
+}
+
+/// The cap `caps` (sorted by `PathId`) holds for `path`, if any.
+fn cap_of(caps: &[(PathId, usize)], path: PathId) -> Option<usize> {
+    caps.binary_search_by_key(&path, |&(p, _)| p)
+        .ok()
+        .map(|i| caps[i].1)
 }
 
 impl PathShare {
@@ -326,32 +370,44 @@ impl PathShare {
         paths: &[crate::metrics::PathMetrics],
         p_max: &BTreeMap<PathId, usize>,
     ) -> Vec<(PathId, usize)> {
-        let enabled: Vec<_> = paths
+        let caps: Vec<(PathId, usize)> = p_max.iter().map(|(&p, &cap)| (p, cap)).collect();
+        let mut counts = Vec::new();
+        self.split_into(n, paths, &caps, &mut counts);
+        counts
+    }
+
+    /// [`PathShare::split`] with the caps as a `PathId`-sorted slice,
+    /// replacing the contents of `counts`.
+    pub fn split_into(
+        &mut self,
+        n: usize,
+        paths: &[crate::metrics::PathMetrics],
+        caps: &[(PathId, usize)],
+        counts: &mut Vec<(PathId, usize)>,
+    ) {
+        let (offsets, disabled, order) = (&self.offsets, &self.disabled, &mut self.order);
+        counts.clear();
+        // The enabled paths, or every path when none is.
+        let any_enabled = paths
             .iter()
-            .filter(|p| p.enabled && !self.is_disabled(p.id))
-            .collect();
-        let use_paths: Vec<_> = if enabled.is_empty() {
-            paths.iter().collect()
-        } else {
-            enabled
+            .any(|p| p.enabled && !disabled.contains_key(&p.id));
+        let use_paths = || {
+            paths
+                .iter()
+                .filter(move |p| !any_enabled || (p.enabled && !disabled.contains_key(&p.id)))
         };
-        let total_rate: u64 = use_paths.iter().map(|p| p.rate_bps).sum();
+        let total_rate: u64 = use_paths().map(|p| p.rate_bps).sum();
         if total_rate == 0 || n == 0 {
             // Degenerate: dump everything on the first path.
-            return use_paths
-                .first()
-                .map(|p| vec![(p.id, n)])
-                .unwrap_or_default();
+            counts.extend(use_paths().next().map(|p| (p.id, n)));
+            return;
         }
 
         // Eq. 1: proportional share, then Eq. 2 offset, then cap.
-        let mut counts: Vec<(PathId, usize)> = Vec::with_capacity(use_paths.len());
-        for p in &use_paths {
+        for p in use_paths() {
             let base = (p.rate_bps as f64 / total_rate as f64 * n as f64).round() as i64;
-            let adjusted = base + self.offset(p.id);
-            let cap = p_max
-                .get(&p.id)
-                .copied()
+            let adjusted = base + offsets.get(&p.id).copied().unwrap_or(0);
+            let cap = cap_of(caps, p.id)
                 .unwrap_or(usize::MAX)
                 .min(i64::MAX as usize) as i64;
             counts.push((p.id, adjusted.clamp(0, cap) as usize));
@@ -360,17 +416,18 @@ impl PathShare {
         // Re-balance so the counts sum to exactly n, preferring paths with
         // spare cap, highest rate first.
         let mut assigned: usize = counts.iter().map(|(_, c)| c).sum();
-        let mut order: Vec<usize> = (0..counts.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(use_paths[i].rate_bps));
+        order.clear();
+        order.extend(use_paths().enumerate().map(|(i, p)| (p.rate_bps, i)));
+        order.sort_by_key(|&(rate, _)| std::cmp::Reverse(rate));
         // Add missing packets: fill the fastest path up to its cap before
         // touching slower ones, so a feedback-penalized path keeps its
         // reduced share (the paper's 4:2 → 5:1 example).
         if assigned < n {
-            for &i in &order {
+            for &(_, i) in order.iter() {
                 if assigned >= n {
                     break;
                 }
-                let cap = p_max.get(&counts[i].0).copied().unwrap_or(usize::MAX);
+                let cap = cap_of(caps, counts[i].0).unwrap_or(usize::MAX);
                 let room = cap.saturating_sub(counts[i].1);
                 let add = room.min(n - assigned);
                 counts[i].1 += add;
@@ -378,7 +435,7 @@ impl PathShare {
             }
             if assigned < n {
                 // All caps hit: overflow onto the fastest path regardless.
-                if let Some(&i) = order.first() {
+                if let Some(&(_, i)) = order.first() {
                     counts[i].1 += n - assigned;
                 }
                 assigned = n;
@@ -387,7 +444,7 @@ impl PathShare {
         // Remove excess packets (from slowest paths first).
         while assigned > n {
             let mut progressed = false;
-            for &i in order.iter().rev() {
+            for &(_, i) in order.iter().rev() {
                 if assigned <= n {
                     break;
                 }
@@ -401,8 +458,6 @@ impl PathShare {
                 break;
             }
         }
-
-        counts
     }
 }
 
@@ -495,6 +550,149 @@ mod tests {
         let mut m = m;
         m.set_frame_rate(24);
         assert_eq!(m.expected_ifd().as_micros(), 41_666);
+    }
+
+    /// The monitor as it stood before records were recycled: a fresh
+    /// vector per frame, tree maps for the late/early tally.
+    #[derive(Default)]
+    struct RefMonitor {
+        gathering: BTreeMap<u64, Vec<(PathId, SimTime)>>,
+        last_feedback_at: Option<SimTime>,
+        pending: Vec<QoeFeedback>,
+    }
+
+    impl RefMonitor {
+        fn on_packet(&mut self, now: SimTime, path: PathId, frame_id: u64) {
+            self.gathering
+                .entry(frame_id)
+                .or_default()
+                .push((path, now));
+            while self.gathering.len() > 64 {
+                self.gathering.pop_first();
+            }
+        }
+
+        fn on_frame_entered(
+            &mut self,
+            now: SimTime,
+            frame_id: u64,
+            ifd: Option<SimDuration>,
+            fcd: SimDuration,
+        ) {
+            let Some(arrivals) = self.gathering.remove(&frame_id) else {
+                return;
+            };
+            let Some(ifd) = ifd else {
+                return;
+            };
+            if ifd.as_micros() * 2 <= 33_333 * 3 {
+                return;
+            }
+            if self
+                .last_feedback_at
+                .is_some_and(|last| now.saturating_since(last) < d(50))
+            {
+                return;
+            }
+            let Some(reference) = arrivals
+                .iter()
+                .filter(|(p, _)| *p == P1)
+                .map(|(_, t)| *t)
+                .max()
+            else {
+                return;
+            };
+            let mut late: BTreeMap<PathId, i32> = BTreeMap::new();
+            let mut early: BTreeMap<PathId, i32> = BTreeMap::new();
+            for (path, at) in &arrivals {
+                if *path == P1 {
+                    continue;
+                }
+                if *at > reference {
+                    *late.entry(*path).or_insert(0) += 1;
+                } else {
+                    *early.entry(*path).or_insert(0) += 1;
+                }
+            }
+            let alpha = match late.iter().max_by_key(|(_, &c)| c) {
+                Some((&path, &count)) => Some((path, -count)),
+                None => early
+                    .iter()
+                    .max_by_key(|(_, &c)| c)
+                    .map(|(&path, &count)| (path, count)),
+            };
+            if let Some((path, alpha)) = alpha {
+                self.pending.push(QoeFeedback {
+                    path_id: path.0,
+                    ssrc: 7,
+                    alpha,
+                    fcd_micros: fcd.as_micros(),
+                });
+                self.last_feedback_at = Some(now);
+            }
+        }
+    }
+
+    /// Frames that arrive out of order, frames that never complete (so the
+    /// 64-frame bound evicts them) and ties between paths: the recycled
+    /// records must emit exactly the feedback fresh ones did, and must
+    /// actually be recycled.
+    #[test]
+    fn recycled_records_emit_the_same_feedback() {
+        for seed in 0..8u64 {
+            let mut rng = crate::test_rng::Rng(seed);
+            let mut below = move |n: u64| rng.below(n);
+            let mut new = monitor();
+            let mut old = RefMonitor::default();
+            let (mut emitted, mut most_held) = (0, 0);
+            for step in 0..4_000u64 {
+                let now = SimTime::from_micros(step * 7_000 + below(5_000));
+                // Mostly the newest frames, sometimes one far behind.
+                let newest = step / 6;
+                let frame = match below(10) {
+                    0 => newest.saturating_sub(below(80)),
+                    _ => newest.saturating_sub(below(3)),
+                };
+                let path = PathId(1 + below(4) as u8);
+                new.on_packet(now, path, frame);
+                old.on_packet(now, path, frame);
+                // Three frames in four enter the buffer; the rest linger
+                // until the bound forgets them.
+                if below(3) == 0 && frame % 4 != 3 {
+                    let ifd = [None, Some(d(30)), Some(d(60)), Some(d(90))][below(4) as usize];
+                    let fcd = SimDuration::from_micros(below(40_000));
+                    new.on_frame_entered(now, frame, ifd, fcd);
+                    old.on_frame_entered(now, frame, ifd, fcd);
+                }
+                let feedback = new.take_feedback();
+                emitted += feedback.len();
+                assert_eq!(
+                    feedback,
+                    std::mem::take(&mut old.pending),
+                    "seed {seed} step {step}"
+                );
+                let held: Vec<u64> = new.gathering.iter().map(|(id, _)| *id).collect();
+                assert!(
+                    held.iter().eq(old.gathering.keys()),
+                    "seed {seed} step {step}"
+                );
+                most_held = most_held.max(held.len());
+                assert!(new.spare.iter().all(Vec::is_empty));
+                assert!(
+                    new.spare.len() + held.len() <= 65,
+                    "the pool is bounded by what gathered"
+                );
+            }
+            assert!(
+                emitted > 20,
+                "seed {seed}: only {emitted} feedback messages"
+            );
+            assert_eq!(most_held, 64, "the bound must have been reached");
+            assert!(
+                !new.spare.is_empty(),
+                "entered frames must have been recycled"
+            );
+        }
     }
 
     // ---- PathShare ----

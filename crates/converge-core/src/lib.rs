@@ -25,6 +25,8 @@ pub mod feedback;
 pub mod metrics;
 pub mod priority;
 pub mod scheduler;
+#[cfg(test)]
+mod test_rng;
 
 pub use fastpath::{completion_time, select_fast_path, select_fast_path_by, FastPathMetric};
 pub use fec_controller::{ConvergeFec, FecPolicy, WebRtcTableFec};

@@ -12,7 +12,7 @@
 use converge_net::{PathId, SimDuration, SimTime};
 
 use crate::metrics::PathMetrics;
-use crate::scheduler::{interleave, Assignment, Schedulable, Scheduler};
+use crate::scheduler::{interleave_into, Assignment, Schedulable, Scheduler};
 
 /// Standard single-path WebRTC: everything on one configured path.
 #[derive(Debug)]
@@ -32,20 +32,19 @@ impl Scheduler for SinglePathScheduler {
         "webrtc-singlepath"
     }
 
-    fn assign_batch(
+    fn assign_batch_into(
         &mut self,
         _now: SimTime,
         packets: &[Schedulable],
         _paths: &[PathMetrics],
-    ) -> Vec<Assignment> {
-        packets
-            .iter()
-            .map(|_| Assignment { path: self.path })
-            .collect()
+        out: &mut Vec<Assignment>,
+    ) {
+        out.clear();
+        out.resize(packets.len(), Assignment { path: self.path });
     }
 
-    fn used_paths(&self, _paths: &[PathMetrics]) -> Vec<PathId> {
-        vec![self.path]
+    fn uses_path(&self, path: &PathMetrics) -> bool {
+        path.id == self.path
     }
 }
 
@@ -97,12 +96,13 @@ impl Scheduler for ConnectionMigration {
         "webrtc-cm"
     }
 
-    fn assign_batch(
+    fn assign_batch_into(
         &mut self,
         now: SimTime,
         packets: &[Schedulable],
         paths: &[PathMetrics],
-    ) -> Vec<Assignment> {
+        out: &mut Vec<Assignment>,
+    ) {
         let current = paths.iter().find(|p| p.id == self.active);
         let failing = current
             .map(|p| !p.enabled || p.rate_bps < self.failover_rate_bps || p.loss > 0.15)
@@ -132,14 +132,12 @@ impl Scheduler for ConnectionMigration {
         // sees assignments to the new path, but a real CM would drop them;
         // we model the cost by assigning to the (not yet connected) path —
         // the sim drops packets assigned during blackout via `in_blackout`.
-        packets
-            .iter()
-            .map(|_| Assignment { path: self.active })
-            .collect()
+        out.clear();
+        out.resize(packets.len(), Assignment { path: self.active });
     }
 
-    fn used_paths(&self, _paths: &[PathMetrics]) -> Vec<PathId> {
-        vec![self.active]
+    fn uses_path(&self, path: &PathMetrics) -> bool {
+        path.id == self.active
     }
 
     fn drop_batch(&self, now: SimTime) -> bool {
@@ -155,6 +153,9 @@ pub struct SrttScheduler {
     max_packet_bytes: usize,
     /// Batch interval for budget computation.
     batch_interval: SimDuration,
+    /// The batch's paths in RTT order with what is left of their budgets;
+    /// kept between batches so scheduling allocates nothing.
+    budgets: Vec<(SimDuration, PathId, usize)>,
 }
 
 impl SrttScheduler {
@@ -163,6 +164,7 @@ impl SrttScheduler {
         SrttScheduler {
             max_packet_bytes,
             batch_interval,
+            budgets: Vec::new(),
         }
     }
 }
@@ -172,60 +174,50 @@ impl Scheduler for SrttScheduler {
         "srtt"
     }
 
-    fn assign_batch(
+    fn assign_batch_into(
         &mut self,
         _now: SimTime,
         packets: &[Schedulable],
         paths: &[PathMetrics],
-    ) -> Vec<Assignment> {
-        let mut order: Vec<&PathMetrics> = paths.iter().filter(|p| p.enabled).collect();
-        if order.is_empty() {
-            order = paths.iter().collect();
-        }
-        order.sort_by_key(|p| p.srtt);
-        let mut budgets: Vec<(PathId, usize)> = order
-            .iter()
-            .map(|p| {
-                (
-                    p.id,
-                    crate::scheduler::p_max(p.rate_bps, self.batch_interval, self.max_packet_bytes),
-                )
-            })
-            .collect();
-        let mut out = Vec::with_capacity(packets.len());
+        out: &mut Vec<Assignment>,
+    ) {
+        let any_enabled = paths.iter().any(|p| p.enabled);
+        let (interval, k) = (self.batch_interval, self.max_packet_bytes);
+        let budgets = &mut self.budgets;
+        budgets.clear();
+        budgets.extend(paths.iter().filter(|p| p.enabled || !any_enabled).map(|p| {
+            let budget = crate::scheduler::p_max(p.rate_bps, interval, k);
+            (p.srtt, p.id, budget)
+        }));
+        budgets.sort_by_key(|&(srtt, ..)| srtt);
+        out.clear();
         for _ in packets {
             // First path in RTT order with budget left; if all exhausted,
             // keep stuffing the lowest-RTT path (HoL behaviour of minRTT
             // under bursts).
-            let slot = budgets
-                .iter_mut()
-                .find(|(_, b)| *b > 0)
-                .map(|(id, b)| {
+            let path = match budgets.iter_mut().find(|(_, _, b)| *b > 0) {
+                Some((_, id, b)) => {
                     *b -= 1;
                     *id
-                })
-                .unwrap_or(order[0].id);
-            out.push(Assignment { path: slot });
+                }
+                None => budgets[0].1,
+            };
+            out.push(Assignment { path });
         }
-        out
     }
 }
 
 /// Musher-style throughput-proportional splitting: packets distributed in
 /// proportion to each path's current rate, no video awareness.
-#[derive(Debug)]
-pub struct MTputScheduler;
+#[derive(Debug, Default)]
+pub struct MTputScheduler {
+    scratch: SplitScratch,
+}
 
 impl MTputScheduler {
     /// Creates the scheduler.
     pub fn new() -> Self {
-        MTputScheduler
-    }
-}
-
-impl Default for MTputScheduler {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -234,32 +226,30 @@ impl Scheduler for MTputScheduler {
         "m-tput"
     }
 
-    fn assign_batch(
+    fn assign_batch_into(
         &mut self,
         _now: SimTime,
         packets: &[Schedulable],
         paths: &[PathMetrics],
-    ) -> Vec<Assignment> {
-        split_by_weight(packets.len(), paths, |p| p.rate_bps as f64)
+        out: &mut Vec<Assignment>,
+    ) {
+        let weight = |p: &PathMetrics| p.rate_bps as f64;
+        split_by_weight(packets.len(), paths, weight, &mut self.scratch, out);
     }
 }
 
 /// MPRTP-style splitting: rate discounted by observed loss ("a scheduler
 /// that sends packets using a loss-based estimated sending rate"), always
 /// using all available paths.
-#[derive(Debug)]
-pub struct MRtpScheduler;
+#[derive(Debug, Default)]
+pub struct MRtpScheduler {
+    scratch: SplitScratch,
+}
 
 impl MRtpScheduler {
     /// Creates the scheduler.
     pub fn new() -> Self {
-        MRtpScheduler
-    }
-}
-
-impl Default for MRtpScheduler {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -268,61 +258,74 @@ impl Scheduler for MRtpScheduler {
         "m-rtp"
     }
 
-    fn assign_batch(
+    fn assign_batch_into(
         &mut self,
         _now: SimTime,
         packets: &[Schedulable],
         paths: &[PathMetrics],
-    ) -> Vec<Assignment> {
-        split_by_weight(packets.len(), paths, |p| p.goodput_bps().max(1.0))
+        out: &mut Vec<Assignment>,
+    ) {
+        let weight = |p: &PathMetrics| p.goodput_bps().max(1.0);
+        split_by_weight(packets.len(), paths, weight, &mut self.scratch, out);
     }
 }
 
-/// Shared weighted splitter for the multipath baselines.
+/// [`split_by_weight`]'s working buffers, kept between batches so the
+/// multipath baselines schedule without allocating.
+#[derive(Debug, Default)]
+struct SplitScratch {
+    counts: Vec<(PathId, usize)>,
+    /// `(weight, index into counts)`, heaviest first.
+    order: Vec<(f64, usize)>,
+    remaining: Vec<usize>,
+    seq: Vec<PathId>,
+}
+
+/// Shared weighted splitter for the multipath baselines; replaces the
+/// contents of `out`.
 fn split_by_weight(
     n: usize,
     paths: &[PathMetrics],
     weight: impl Fn(&PathMetrics) -> f64,
-) -> Vec<Assignment> {
-    let enabled: Vec<&PathMetrics> = paths.iter().filter(|p| p.enabled).collect();
-    let use_paths: Vec<&PathMetrics> = if enabled.is_empty() {
-        paths.iter().collect()
-    } else {
-        enabled
-    };
-    if use_paths.is_empty() || n == 0 {
-        return Vec::new();
+    scratch: &mut SplitScratch,
+    out: &mut Vec<Assignment>,
+) {
+    let SplitScratch {
+        counts,
+        order,
+        remaining,
+        seq,
+    } = scratch;
+    out.clear();
+    // The enabled paths, or every path when none is.
+    let any_enabled = paths.iter().any(|p| p.enabled);
+    let use_paths = || paths.iter().filter(move |p| p.enabled || !any_enabled);
+    if paths.is_empty() || n == 0 {
+        return;
     }
-    let total: f64 = use_paths.iter().map(|p| weight(p)).sum();
-    let mut counts: Vec<(PathId, usize)> = use_paths
-        .iter()
-        .map(|p| {
-            let share = if total > 0.0 {
-                (weight(p) / total * n as f64).floor() as usize
-            } else {
-                0
-            };
-            (p.id, share)
-        })
-        .collect();
+    let total: f64 = use_paths().map(&weight).sum();
+    counts.clear();
+    counts.extend(use_paths().map(|p| {
+        let share = if total > 0.0 {
+            (weight(p) / total * n as f64).floor() as usize
+        } else {
+            0
+        };
+        (p.id, share)
+    }));
     // Distribute the remainder round-robin by weight order.
     let mut assigned: usize = counts.iter().map(|(_, c)| c).sum();
-    let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by(|&a, &b| {
-        weight(use_paths[b])
-            .partial_cmp(&weight(use_paths[a]))
-            .expect("finite")
-    });
+    order.clear();
+    order.extend(use_paths().enumerate().map(|(i, p)| (weight(p), i)));
+    order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
     let mut i = 0;
     while assigned < n {
-        counts[order[i % order.len()]].1 += 1;
+        counts[order[i % order.len()].1].1 += 1;
         assigned += 1;
         i += 1;
     }
-    interleave(&counts)
-        .into_iter()
-        .map(|path| Assignment { path })
-        .collect()
+    interleave_into(counts, remaining, seq);
+    out.extend(seq.iter().map(|&path| Assignment { path }));
 }
 
 #[cfg(test)]
@@ -467,9 +470,9 @@ mod tests {
 
     #[test]
     fn weighted_split_handles_zero_total() {
-        let out = split_by_weight(10, &[pm(P1, 0, 50, 0.0), pm(P2, 0, 50, 0.0)], |p| {
-            p.rate_bps as f64
-        });
+        let mut s = MTputScheduler::new();
+        let paths = [pm(P1, 0, 50, 0.0), pm(P2, 0, 50, 0.0)];
+        let out = s.assign_batch(SimTime::ZERO, &pkts(10), &paths);
         assert_eq!(out.len(), 10);
     }
 
@@ -477,7 +480,8 @@ mod tests {
     fn disabled_paths_excluded() {
         let mut a = pm(P1, 10, 50, 0.0);
         a.enabled = false;
-        let out = split_by_weight(10, &[a, pm(P2, 10, 50, 0.0)], |p| p.rate_bps as f64);
+        let mut s = MTputScheduler::new();
+        let out = s.assign_batch(SimTime::ZERO, &pkts(10), &[a, pm(P2, 10, 50, 0.0)]);
         assert!(out.iter().all(|x| x.path == P2));
     }
 }

@@ -20,7 +20,7 @@ use converge_trace::{TraceEvent, TraceHandle};
 
 use crate::feedback::PathShare;
 use crate::metrics::PathMetrics;
-use crate::scheduler::{interleave, p_max, Assignment, Schedulable, Scheduler};
+use crate::scheduler::{interleave_into, p_max, Assignment, Schedulable, Scheduler};
 
 /// Configuration of the Converge scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -74,6 +74,25 @@ pub struct ConvergeScheduler {
     /// Last traced per-path split counts, so the timeline records changes
     /// rather than one event per batch per path.
     last_split: BTreeMap<PathId, u32>,
+    scratch: BatchScratch,
+}
+
+/// One batch's working buffers, kept across batches so the steady state
+/// reuses their capacity instead of allocating per frame.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    /// Paths usable this batch.
+    usable: Vec<PathMetrics>,
+    /// What is left of each usable path's `P_max`, sorted by path.
+    budget: Vec<(PathId, usize)>,
+    /// Indices of the batch's priority packets, in Table 2 order.
+    priority_idx: Vec<usize>,
+    /// Spill order for priority packets, with each path's completion time.
+    path_order: Vec<(f64, PathId)>,
+    /// The Eq. 1/2 split of the media packets and its interleaving.
+    counts: Vec<(PathId, usize)>,
+    remaining: Vec<usize>,
+    seq: Vec<PathId>,
 }
 
 impl ConvergeScheduler {
@@ -88,6 +107,7 @@ impl ConvergeScheduler {
             trace: TraceHandle::disabled(),
             last_fast: None,
             last_split: BTreeMap::new(),
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -112,68 +132,68 @@ impl Scheduler for ConvergeScheduler {
         self.trace = trace;
     }
 
-    fn assign_batch(
+    fn assign_batch_into(
         &mut self,
         now: SimTime,
         packets: &[Schedulable],
         paths: &[PathMetrics],
-    ) -> Vec<Assignment> {
+        out: &mut Vec<Assignment>,
+    ) {
+        out.clear();
         if packets.is_empty() || paths.is_empty() {
-            return Vec::new();
+            return;
         }
+        let BatchScratch {
+            usable,
+            budget,
+            priority_idx,
+            path_order,
+            counts,
+            remaining,
+            seq,
+        } = &mut self.scratch;
+        let (n, k) = (packets.len(), self.config.max_packet_bytes);
         // Paths usable this batch: enabled at the transport level and not
         // disabled by feedback.
-        let usable: Vec<PathMetrics> = paths
-            .iter()
-            .filter(|p| p.enabled && !self.share.is_disabled(p.id))
-            .copied()
-            .collect();
-        let usable = if usable.is_empty() {
-            paths.to_vec() // last resort: use everything rather than stall
-        } else {
-            usable
-        };
+        usable.clear();
+        usable.extend(
+            paths
+                .iter()
+                .filter(|p| p.enabled && !self.share.is_disabled(p.id)),
+        );
+        if usable.is_empty() {
+            // Last resort: use everything rather than stall.
+            usable.extend_from_slice(paths);
+        }
 
-        let fast = crate::fastpath::select_fast_path_by(
-            self.config.fast_path_metric,
-            &usable,
-            packets.len(),
-            self.config.max_packet_bytes,
-        )
-        .unwrap_or(usable[0].id);
+        let fast = crate::fastpath::select_fast_path_by(self.config.fast_path_metric, usable, n, k)
+            .unwrap_or(usable[0].id);
         if self.trace.is_enabled() && self.last_fast != Some(fast) {
             self.last_fast = Some(fast);
             self.trace
                 .emit(now, TraceEvent::FastPathSwitched { path: fast });
         }
 
-        // Per-path budget for the batch.
-        let mut budget: BTreeMap<PathId, usize> = usable
-            .iter()
-            .map(|p| {
-                (
-                    p.id,
-                    p_max(
-                        p.rate_bps,
-                        self.config.batch_interval,
-                        self.config.max_packet_bytes,
-                    )
-                    .max(1),
-                )
-            })
-            .collect();
+        // Per-path budget for the batch, sorted by path.
+        budget.clear();
+        for p in usable.iter() {
+            let cap = p_max(p.rate_bps, self.config.batch_interval, k).max(1);
+            match budget.binary_search_by_key(&p.id, |&(id, _)| id) {
+                Ok(at) => budget[at].1 = cap,
+                Err(at) => budget.insert(at, (p.id, cap)),
+            }
+        }
 
-        let mut assignment: Vec<Option<PathId>> = vec![None; packets.len()];
+        // Everything not placed below rides the fast path.
+        out.resize(n, Assignment { path: fast });
 
         // --- Priority packets: fast path first, spill in priority order.
         // With the video-awareness ablation the priority set is empty and
         // everything falls through to the Eq. 1 split.
-        let mut priority_idx: Vec<usize> = packets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| self.config.use_priority && s.class.is_priority())
-            .map(|(i, _)| i)
-            .collect();
+        let use_priority = self.config.use_priority;
+        let is_priority = move |s: &Schedulable| use_priority && s.class.is_priority();
+        priority_idx.clear();
+        priority_idx.extend((0..n).filter(|&i| is_priority(&packets[i])));
         priority_idx.sort_by_key(|&i| packets[i].class.priority().expect("priority"));
 
         // Spill order: paths by completion time (fast first). A path an
@@ -183,68 +203,41 @@ impl Scheduler for ConvergeScheduler {
         let fast_cpt = usable
             .iter()
             .find(|p| p.id == fast)
-            .map(|p| {
-                crate::fastpath::completion_time(p, packets.len(), self.config.max_packet_bytes)
-            })
+            .map(|p| crate::fastpath::completion_time(p, n, k))
             .unwrap_or(f64::INFINITY);
-        let mut path_order: Vec<PathId> = {
-            let mut v: Vec<&PathMetrics> = usable
+        path_order.clear();
+        path_order.extend(
+            usable
                 .iter()
-                .filter(|p| {
-                    p.id == fast
-                        || crate::fastpath::completion_time(
-                            p,
-                            packets.len(),
-                            self.config.max_packet_bytes,
-                        ) <= fast_cpt * 3.0
-                })
-                .collect();
-            v.sort_by(|a, b| {
-                crate::fastpath::completion_time(a, packets.len(), self.config.max_packet_bytes)
-                    .partial_cmp(&crate::fastpath::completion_time(
-                        b,
-                        packets.len(),
-                        self.config.max_packet_bytes,
-                    ))
-                    .expect("finite or inf comparable")
-            });
-            v.into_iter().map(|p| p.id).collect()
-        };
-        if let Some(pos) = path_order.iter().position(|&p| p == fast) {
-            path_order.remove(pos);
-        }
-        path_order.insert(0, fast);
+                .map(|p| (crate::fastpath::completion_time(p, n, k), p.id))
+                .filter(|&(cpt, id)| id == fast || cpt <= fast_cpt * 3.0),
+        );
+        path_order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite or inf comparable"));
+        let pos = path_order
+            .iter()
+            .position(|&(_, p)| p == fast)
+            .expect("the fast path is usable");
+        path_order[..=pos].rotate_right(1);
 
-        for &i in &priority_idx {
-            let class = packets[i].class;
-            let placed = path_order
-                .iter()
-                .copied()
-                .find(|p| budget.get(p).copied().unwrap_or(0) > 0);
-            let path = match (placed, class) {
-                (Some(p), _) => p,
-                // FEC that fits nowhere stays on the path it was generated
-                // for — the sender encodes that as the packet's origin path
-                // via round-robin below; here we fall back to fast.
-                (None, _) => fast,
-            };
-            if let Some(b) = budget.get_mut(&path) {
-                *b = b.saturating_sub(1);
+        for &i in priority_idx.iter() {
+            // The first path in spill order with budget left; a packet that
+            // fits nowhere bursts past the fast path's budget.
+            let slot = path_order.iter().find_map(|&(_, p)| {
+                let at = budget.binary_search_by_key(&p, |&(id, _)| id).ok()?;
+                (budget[at].1 > 0).then_some(at)
+            });
+            if let Some(at) = slot {
+                budget[at].1 -= 1;
+                out[i].path = budget[at].0;
             }
-            assignment[i] = Some(path);
         }
 
         // --- Non-priority media: Eq. 1 + Eq. 2 split, interleaved.
-        let media_idx: Vec<usize> = packets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !self.config.use_priority || !s.class.is_priority())
-            .map(|(i, _)| i)
-            .collect();
-        if !media_idx.is_empty() {
-            let counts = self.share.split(media_idx.len(), &usable, &budget);
+        let n_media = n - priority_idx.len();
+        if n_media > 0 {
+            self.share.split_into(n_media, usable, budget, counts);
             if self.trace.is_enabled() {
-                for &(path, count) in &counts {
+                for &(path, count) in counts.iter() {
                     let count = count as u32;
                     if self.last_split.insert(path, count) != Some(count) {
                         self.trace.emit(
@@ -258,21 +251,18 @@ impl Scheduler for ConvergeScheduler {
                     }
                 }
             }
-            // Stale feedback fades after it has influenced this batch.
             if self.config.use_feedback {
+                // Stale feedback fades after it has influenced this batch.
                 self.share.decay_offsets();
-            }
-            // A path whose computed share is zero while its offset is
-            // negative has been squeezed out: disable it (paper: "If the
-            // number of packets becomes zero, the sender disables the
-            // path").
-            if self.config.use_feedback {
-                for p in &usable {
+                // A path whose computed share is zero while its offset is
+                // negative has been squeezed out: disable it (paper: "If the
+                // number of packets becomes zero, the sender disables the
+                // path").
+                for p in usable.iter() {
                     let share_zero = counts
                         .iter()
-                        .find(|(id, _)| *id == p.id)
-                        .map(|(_, c)| *c == 0)
-                        .unwrap_or(false);
+                        .find(|&&(id, _)| id == p.id)
+                        .is_some_and(|&(_, c)| c == 0);
                     if share_zero && self.share.offset(p.id) < 0 && usable.len() > 1 {
                         let newly = !self.share.is_disabled(p.id);
                         self.share.mark_disabled(p.id, self.last_feedback_fcd);
@@ -288,18 +278,12 @@ impl Scheduler for ConvergeScheduler {
                     }
                 }
             }
-            let seq = interleave(&counts);
-            for (slot, &i) in media_idx.iter().enumerate() {
-                assignment[i] = Some(seq.get(slot).copied().unwrap_or(fast));
+            interleave_into(counts, remaining, seq);
+            let media = (0..n).filter(|&i| !is_priority(&packets[i]));
+            for (i, &path) in media.zip(seq.iter()) {
+                out[i].path = path;
             }
         }
-
-        assignment
-            .into_iter()
-            .map(|p| Assignment {
-                path: p.unwrap_or(fast),
-            })
-            .collect()
     }
 
     fn on_qoe_feedback(&mut self, now: SimTime, fb: &QoeFeedback) {
@@ -329,29 +313,24 @@ impl Scheduler for ConvergeScheduler {
         );
     }
 
-    fn probe_paths(&mut self, now: SimTime, paths: &[PathMetrics]) -> Vec<PathId> {
-        let mut out = Vec::new();
-        for p in paths {
-            if self.share.is_disabled(p.id) {
-                let due = match self.last_probe.get(&p.id) {
-                    Some(&last) => now.saturating_since(last) >= self.config.probe_interval,
-                    None => true,
-                };
-                if due {
-                    self.last_probe.insert(p.id, now);
-                    out.push(p.id);
-                }
-            }
+    fn probe_due(&mut self, now: SimTime, path: PathId) -> bool {
+        if !self.share.is_disabled(path) {
+            return false;
         }
-        out
+        let due = match self.last_probe.get(&path) {
+            Some(&last) => now.saturating_since(last) >= self.config.probe_interval,
+            None => true,
+        };
+        if due {
+            self.last_probe.insert(path, now);
+        }
+        due
     }
 
-    fn disabled_paths(&self) -> Vec<PathId> {
-        self.last_probe
-            .keys()
-            .copied()
-            .filter(|p| self.share.is_disabled(*p))
-            .collect()
+    /// A disabled path counts once it has been probed: until then its rate
+    /// still feeds the encoder.
+    fn is_disabled(&self, path: PathId) -> bool {
+        self.last_probe.contains_key(&path) && self.share.is_disabled(path)
     }
 
     fn on_probe_rtt(
@@ -514,12 +493,13 @@ mod tests {
         let pkts = batch(0, 40);
         let _ = s.assign_batch(SimTime::ZERO, &pkts, &[pm(P1, 15, 50), pm(P2, 5, 50)]);
         assert!(s.share().is_disabled(P2));
-        // Disabled path must be probed.
-        let probes = s.probe_paths(SimTime::from_millis(500), &[pm(P1, 15, 50), pm(P2, 5, 50)]);
-        assert_eq!(probes, vec![P2]);
+        // Disabled path must be probed; until then it still counts as used.
+        assert!(!s.is_disabled(P2));
+        assert!(!s.probe_due(SimTime::from_millis(500), P1));
+        assert!(s.probe_due(SimTime::from_millis(500), P2));
+        assert!(s.is_disabled(P2) && !s.uses_path(&pm(P2, 5, 50)));
         // Probe rate-limited.
-        let probes = s.probe_paths(SimTime::from_millis(510), &[pm(P1, 15, 50), pm(P2, 5, 50)]);
-        assert!(probes.is_empty());
+        assert!(!s.probe_due(SimTime::from_millis(510), P2));
     }
 
     #[test]

@@ -4,6 +4,8 @@
 
 mod baselines;
 mod converge;
+#[cfg(test)]
+mod differential;
 
 pub use baselines::{
     ConnectionMigration, MRtpScheduler, MTputScheduler, SinglePathScheduler, SrttScheduler,
@@ -35,10 +37,10 @@ pub struct Assignment {
 
 /// A multipath packet scheduler.
 ///
-/// The sender calls [`Scheduler::assign_batch`] once per encoded frame with
-/// every packet of that frame (media + control + FEC + pending
-/// retransmissions), plus the current per-path metrics. The returned vector
-/// is index-aligned with the input.
+/// The sender calls [`Scheduler::assign_batch_into`] once per encoded frame
+/// with every packet of that frame (media + control + pending
+/// retransmissions) and once more with its FEC packets, plus the current
+/// per-path metrics. The assignments are index-aligned with the input.
 pub trait Scheduler: std::fmt::Debug + Send {
     /// Short name for reporting.
     fn name(&self) -> &'static str;
@@ -53,33 +55,44 @@ pub trait Scheduler: std::fmt::Debug + Send {
         now: SimTime,
         packets: &[Schedulable],
         paths: &[PathMetrics],
-    ) -> Vec<Assignment>;
+    ) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        self.assign_batch_into(now, packets, paths, &mut out);
+        out
+    }
+
+    /// [`Scheduler::assign_batch`], replacing the contents of `out`. The
+    /// scheduler keeps its working buffers between batches, so a caller
+    /// that reuses `out` schedules a frame without touching the allocator.
+    fn assign_batch_into(
+        &mut self,
+        now: SimTime,
+        packets: &[Schedulable],
+        paths: &[PathMetrics],
+        out: &mut Vec<Assignment>,
+    );
 
     /// Feeds a QoE feedback message (Converge only; others ignore it).
     fn on_qoe_feedback(&mut self, _now: SimTime, _fb: &QoeFeedback) {}
 
-    /// Paths the sender should duplicate a probe packet onto this batch
-    /// (disabled paths being measured for Eq. 3 re-enablement).
-    fn probe_paths(&mut self, _now: SimTime, _paths: &[PathMetrics]) -> Vec<PathId> {
-        Vec::new()
+    /// Whether the sender should duplicate a probe packet onto `path` this
+    /// batch (a disabled path being measured for Eq. 3 re-enablement). A
+    /// `true` answer starts the path's probe interval.
+    fn probe_due(&mut self, _now: SimTime, _path: PathId) -> bool {
+        false
     }
 
-    /// Paths the scheduler has administratively disabled; the sim reports
-    /// these and GCC stops being fed by them.
-    fn disabled_paths(&self) -> Vec<PathId> {
-        Vec::new()
+    /// Whether the scheduler has administratively disabled `path`; the sim
+    /// reports these and GCC stops being fed by them.
+    fn is_disabled(&self, _path: PathId) -> bool {
+        false
     }
 
-    /// Paths whose GCC rates feed the encoder's aggregate rate (`Σ S_i`
+    /// Whether `path`'s GCC rate feeds the encoder's aggregate rate (`Σ S_i`
     /// over *active* paths, §4.1). Default: every enabled path not
     /// administratively disabled.
-    fn used_paths(&self, paths: &[PathMetrics]) -> Vec<PathId> {
-        let disabled = self.disabled_paths();
-        paths
-            .iter()
-            .filter(|p| p.enabled && !disabled.contains(&p.id))
-            .map(|p| p.id)
-            .collect()
+    fn uses_path(&self, path: &PathMetrics) -> bool {
+        path.enabled && !self.is_disabled(path.id)
     }
 
     /// Whether the sender must drop this batch entirely (WebRTC-CM's
@@ -113,29 +126,40 @@ pub fn p_max(rate_bps: u64, batch_interval: SimDuration, max_packet_bytes: usize
 /// assignment) matches how byte schedulers drain queues in practice and
 /// exercises reordering at the receiver.
 pub fn interleave(counts: &[(PathId, usize)]) -> Vec<PathId> {
+    let mut out = Vec::new();
+    interleave_into(counts, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`interleave`], replacing the contents of `out`; `remaining` is working
+/// space the caller keeps between calls.
+pub fn interleave_into(
+    counts: &[(PathId, usize)],
+    remaining: &mut Vec<usize>,
+    out: &mut Vec<PathId>,
+) {
     let total: usize = counts.iter().map(|(_, c)| c).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut remaining: Vec<(PathId, usize)> = counts.to_vec();
+    out.clear();
+    out.reserve(total);
+    remaining.clear();
+    remaining.extend(counts.iter().map(|&(_, quota)| quota));
     // Largest-remainder style: at each step pick the path with the highest
     // remaining fraction of its quota.
-    let quotas: Vec<usize> = remaining.iter().map(|(_, c)| *c).collect();
     for _ in 0..total {
         let (idx, _) = remaining
             .iter()
             .enumerate()
-            .filter(|(_, (_, left))| *left > 0)
-            .max_by(|(i, (_, a)), (j, (_, b))| {
-                let fa = *a as f64 / quotas[*i].max(1) as f64;
-                let fb = *b as f64 / quotas[*j].max(1) as f64;
-                fa.partial_cmp(&fb)
-                    .expect("finite")
-                    .then(quotas[*i].cmp(&quotas[*j]))
+            .filter(|(_, left)| **left > 0)
+            .max_by(|(i, a), (j, b)| {
+                let (qa, qb) = (counts[*i].1, counts[*j].1);
+                let fa = **a as f64 / qa.max(1) as f64;
+                let fb = **b as f64 / qb.max(1) as f64;
+                fa.partial_cmp(&fb).expect("finite").then(qa.cmp(&qb))
             })
             .expect("total > 0 implies a path with remaining quota");
-        out.push(remaining[idx].0);
-        remaining[idx].1 -= 1;
+        out.push(counts[idx].0);
+        remaining[idx] -= 1;
     }
-    out
 }
 
 #[cfg(test)]

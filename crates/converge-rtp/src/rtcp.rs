@@ -187,7 +187,7 @@ impl RtcpPacket {
                 let items = 2 + s.cname.len() + if s.frame_rate.is_some() { 3 } else { 0 };
                 (4 + items + 1).next_multiple_of(4)
             }
-            RtcpPacket::Nack(n) => 12 + 4 * encode_nack_pairs(&n.lost).len(),
+            RtcpPacket::Nack(n) => 12 + 4 * count_nack_pairs(&n.lost),
             RtcpPacket::Pli(_) => 12,
             RtcpPacket::TransportFeedback(tf) => 12 + 12 * tf.arrivals.len(),
             RtcpPacket::QoeFeedback(_) => 24,
@@ -475,6 +475,24 @@ fn encode_nack_pairs(lost: &[u16]) -> Vec<(u16, u16)> {
     pairs
 }
 
+/// How many pairs [`encode_nack_pairs`] packs `lost` into, without building
+/// them: a pair opens at the smallest sequence no earlier pair covers and
+/// covers the sixteen after it.
+fn count_nack_pairs(lost: &[u16]) -> usize {
+    let mut pairs = 0;
+    let mut uncovered_from = 0u32;
+    while let Some(pid) = lost
+        .iter()
+        .map(|&seq| u32::from(seq))
+        .filter(|&seq| seq >= uncovered_from)
+        .min()
+    {
+        pairs += 1;
+        uncovered_from = pid + 17;
+    }
+    pairs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,6 +718,45 @@ mod tests {
         }
         for p in &packets {
             assert_eq!(p.wire_len(), p.serialize().len(), "{p:?}");
+        }
+    }
+
+    /// The property over generated lists rather than hand-picked ones:
+    /// contiguous runs, sparse strides, shuffles, duplicates and lists that
+    /// straddle the 16-bit wrap.
+    #[test]
+    fn nack_wire_len_matches_serialized_length_over_generated_lists() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(16);
+        for case in 0..2_000u32 {
+            let len = rng.gen_range(0..64u16);
+            // Bases near 0 and near 65 535 make the wrap common.
+            let base = match rng.gen_range(0..3u32) {
+                0 => rng.gen_range(0..40u16),
+                1 => 65_500u16.wrapping_add(rng.gen_range(0..40u16)),
+                _ => rng.gen(),
+            };
+            let stride = [1u16, 1, 2, 16, 17, 18, 40, 1_000][rng.gen_range(0..8usize)];
+            let mut lost: Vec<u16> = (0..len)
+                .map(|i| base.wrapping_add(i.wrapping_mul(stride)))
+                .collect();
+            if case % 2 == 1 {
+                for i in (1..lost.len()).rev() {
+                    lost.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            if case % 3 == 0 {
+                for _ in 0..len / 4 {
+                    let dup = lost[rng.gen_range(0..lost.len())];
+                    lost.push(dup);
+                }
+            }
+            let p = RtcpPacket::Nack(Nack {
+                path_id: (case % 4) as u8,
+                ssrc: case,
+                lost,
+            });
+            assert_eq!(p.wire_len(), p.serialize().len(), "case {case}: {p:?}");
         }
     }
 

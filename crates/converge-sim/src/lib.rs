@@ -14,6 +14,7 @@ pub mod drives;
 pub mod duplex;
 pub mod fleet;
 mod flow;
+mod gaps;
 pub mod metrics;
 pub mod pacer;
 pub mod payload;

@@ -14,6 +14,7 @@ use converge_video::{
     VideoPacket,
 };
 
+use crate::gaps::GapTracker;
 use crate::payload::{RtpKind, SimRtp};
 
 /// Events the receiver surfaces to the session for metrics.
@@ -98,12 +99,8 @@ struct StreamRx {
     packet_buffer: PacketBuffer,
     frame_buffer: FrameBuffer,
     monitor: QoeMonitor,
-    /// Highest media sequence seen (for NACK gap detection).
-    max_media_seq: Option<u64>,
-    /// Missing media seqs → when first noticed.
-    missing: BTreeMap<u64, SimTime>,
-    /// NACK attempts per missing seq.
-    nacked: BTreeMap<u64, u8>,
+    /// Media sequences missing and still worth a NACK.
+    gaps: GapTracker,
     /// Recently received media packets for FEC recovery: a ring indexed
     /// by `sequence % RECENT_SLOTS`, each slot holding the newest packet
     /// in its residue class (the stored packet's own sequence confirms a
@@ -163,6 +160,10 @@ pub struct ConferenceReceiver {
     fec_penalty: SimDuration,
     /// PLIs issued.
     pli_count: u64,
+    /// One recovery pass's rebuilt packets and one round's NACK list:
+    /// working buffers, kept so neither allocates per packet or per round.
+    fec_recovered: Vec<(StreamId, VideoPacket)>,
+    nack_list: Vec<u16>,
 }
 
 impl ConferenceReceiver {
@@ -192,9 +193,7 @@ impl ConferenceReceiver {
                         packet_buffer: PacketBuffer::new(768),
                         frame_buffer: FrameBuffer::new(12),
                         monitor: QoeMonitor::new(i as u32, fps, fast_path),
-                        max_media_seq: None,
-                        missing: BTreeMap::new(),
-                        nacked: BTreeMap::new(),
+                        gaps: GapTracker::default(),
                         recent: vec![None; recent_slots].into_boxed_slice(),
                         last_fcd: SimDuration::ZERO,
                         fec_assisted: BTreeSet::new(),
@@ -221,6 +220,8 @@ impl ConferenceReceiver {
             decode_latency: SimDuration::from_millis(20),
             fec_penalty: SimDuration::from_millis(10),
             pli_count: 0,
+            fec_recovered: Vec::new(),
+            nack_list: Vec::new(),
         }
     }
 
@@ -321,20 +322,7 @@ impl ConferenceReceiver {
         };
 
         // NACK gap tracking on media sequences.
-        match rx.max_media_seq {
-            None => rx.max_media_seq = Some(packet.sequence),
-            Some(max) if packet.sequence > max => {
-                for missing in (max + 1)..packet.sequence {
-                    rx.missing.entry(missing).or_insert(now);
-                }
-                rx.max_media_seq = Some(packet.sequence);
-            }
-            Some(_) => {
-                // Filling a gap (reordered or retransmitted).
-                rx.missing.remove(&packet.sequence);
-                rx.nacked.remove(&packet.sequence);
-            }
-        }
+        rx.gaps.on_arrival(now, packet.sequence);
 
         // Remember for FEC recovery.
         let mask = rx.recent.len() - 1;
@@ -449,7 +437,7 @@ impl ConferenceReceiver {
             return;
         }
         let trigger = if self.fec_full_sweep { None } else { trigger };
-        let mut recovered: Vec<(StreamId, VideoPacket)> = Vec::new();
+        let mut recovered = std::mem::take(&mut self.fec_recovered);
         let streams = &self.streams;
         self.pending_fec.retain(|group| {
             if let Some((stream, seq)) = trigger {
@@ -493,13 +481,12 @@ impl ConferenceReceiver {
         let decode_latency = self.decode_latency;
         let fec_penalty = self.fec_penalty;
         self.fec_full_sweep = !recovered.is_empty();
-        for (stream, packet) in recovered {
+        for (stream, packet) in recovered.drain(..) {
             events.push(ReceiverEvent::FecRecovered);
             if let Some(rx) = self.streams.get_mut(&stream) {
                 rx.fec_assisted.insert(packet.frame_id);
                 // A recovered packet no longer needs NACKing.
-                rx.missing.remove(&packet.sequence);
-                rx.nacked.remove(&packet.sequence);
+                rx.gaps.fill(packet.sequence);
                 let mask = rx.recent.len() - 1;
                 rx.recent[packet.sequence as usize & mask] = Some(packet);
                 if packet.kind == PacketKind::Sps {
@@ -511,6 +498,7 @@ impl ConferenceReceiver {
                 }
             }
         }
+        self.fec_recovered = recovered;
     }
 
     /// Builds the periodic RTCP batch: per-path RR + transport feedback,
@@ -623,34 +611,16 @@ impl ConferenceReceiver {
 
         for (&stream, rx) in self.streams.iter_mut() {
             // NACKs: gaps older than the reordering delay, max 2 attempts.
-            let mut to_nack: Vec<u16> = Vec::new();
-            let mut give_up: Vec<u64> = Vec::new();
-            for (&seq, &first_seen) in &rx.missing {
-                if now.saturating_since(first_seen) < self.nack_delay {
-                    continue;
-                }
-                let attempts = rx.nacked.get(&seq).copied().unwrap_or(0);
-                if attempts >= 2 {
-                    give_up.push(seq);
-                    continue;
-                }
-                rx.nacked.insert(seq, attempts + 1);
-                to_nack.push((seq & 0xFFFF) as u16);
-                if to_nack.len() >= 30 {
-                    break;
-                }
-            }
-            for seq in give_up {
-                rx.missing.remove(&seq);
-                rx.nacked.remove(&seq);
-            }
+            let to_nack = &mut self.nack_list;
+            to_nack.clear();
+            rx.gaps.nack_round(now, self.nack_delay, to_nack);
             if !to_nack.is_empty() {
                 out.push((
                     control_path,
                     RtcpPacket::Nack(Nack {
                         path_id: control_path.0,
                         ssrc: stream.0 as u32,
-                        lost: to_nack,
+                        lost: to_nack.clone(),
                     }),
                 ));
             }

@@ -4,7 +4,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use converge_cc::{CongestionController, ControllerConfig};
-use converge_core::{classify, FecPolicy, PacketClass, PathMetrics, Schedulable, Scheduler};
+use converge_core::{
+    classify, Assignment, FecPolicy, PacketClass, PathMetrics, Schedulable, Scheduler,
+};
 use converge_gcc::PacketTiming;
 use converge_net::{PathId, SimDuration, SimTime};
 use converge_rtp::RtcpPacket;
@@ -154,6 +156,8 @@ fn unwrap_seq16(seq16: u16, reference: u64) -> u64 {
 struct FrameScratch {
     /// The path snapshot the tick schedules against.
     metrics: Vec<PathMetrics>,
+    /// The frame's packets as the packetizer made them.
+    packets: Vec<VideoPacket>,
     /// Retransmissions + the frame's packets, in scheduling order.
     batch: Vec<Schedulable>,
     /// This frame's media per destination path and whether any of it is
@@ -163,6 +167,8 @@ struct FrameScratch {
     /// FEC packets awaiting scheduling: (meta, protected group, origin).
     fec_batch: Vec<(Schedulable, Vec<VideoPacket>, PathId)>,
     fec_sched: Vec<Schedulable>,
+    /// The scheduler's answer for the media batch, then for the FEC batch.
+    assignments: Vec<Assignment>,
 }
 
 /// How per-path congestion controllers interact (paper section 4.1: "We
@@ -220,6 +226,11 @@ pub struct ConferenceSender {
     /// Ring capacities used for any lazily created path/stream state.
     sizing: SenderSizing,
     scratch: FrameScratch,
+    /// One transport-feedback report's matched timings and one NACK's
+    /// losses per path (sorted by path): working buffers of `on_rtcp`,
+    /// kept so handling feedback allocates nothing.
+    timings: Vec<PacketTiming>,
+    nacked_per_path: Vec<(PathId, usize)>,
 }
 
 impl ConferenceSender {
@@ -255,6 +266,22 @@ impl ConferenceSender {
         max_encoding_rate_bps: u64,
         sizing: SenderSizing,
     ) -> Self {
+        // The rings first, before any of the session's small long-lived
+        // state and not on the first packet: glibc serves them from the brk
+        // heap once an earlier session has freed its own, and a small
+        // buffer allocated ahead of them splits the hole they would have
+        // reused (`peak_rss_mb` moves by megabytes with it).
+        let tx = {
+            let mut v: Vec<(PathId, PathTxState)> = paths
+                .iter()
+                .map(|&p| (p, PathTxState::with_slots(sizing.tx_slots)))
+                .collect();
+            v.sort_by_key(|(p, _)| *p);
+            v
+        };
+        let sent_media = (0..n_streams)
+            .map(|_| vec![None; sizing.media_slots].into_boxed_slice())
+            .collect();
         let streams = (0..n_streams)
             .map(|i| {
                 let mut cfg = EncoderConfig::paper_default(StreamId(i));
@@ -266,21 +293,13 @@ impl ConferenceSender {
             })
             .collect();
         let cc = paths.iter().map(|&p| (p, controller.build(p))).collect();
-        let tx = {
-            let mut v: Vec<(PathId, PathTxState)> = paths
-                .iter()
-                .map(|&p| (p, PathTxState::with_slots(sizing.tx_slots)))
-                .collect();
-            v.sort_by_key(|(p, _)| *p);
-            v
-        };
         ConferenceSender {
             streams,
             cc,
             scheduler,
             fec,
             tx,
-            sent_media: Vec::new(),
+            sent_media,
             rtx_queue: VecDeque::new(),
             next_probe_seq: 0,
             outstanding_probes: BTreeMap::new(),
@@ -289,6 +308,8 @@ impl ConferenceSender {
             coupling: RateCoupling::Uncoupled,
             sizing,
             scratch: FrameScratch::default(),
+            timings: Vec::new(),
+            nacked_per_path: Vec::new(),
         }
     }
 
@@ -413,8 +434,8 @@ impl ConferenceSender {
         // Disabled paths carry no media, so their rate estimates decay: a
         // re-enabled path then re-enters with a conservative share and
         // ramps with real feedback instead of bursting at a stale rate.
-        for path in self.scheduler.disabled_paths() {
-            if let Some(ctl) = self.cc.get_mut(&path) {
+        for (&path, ctl) in self.cc.iter_mut() {
+            if self.scheduler.is_disabled(path) {
                 ctl.cap_estimate(500_000.0);
             }
         }
@@ -442,10 +463,9 @@ impl ConferenceSender {
         let metrics = &scratch.metrics;
         // Encoder rate: min(aggregate over used paths, app cap), divided
         // across streams.
-        let used = self.scheduler.used_paths(metrics);
         let aggregate: u64 = metrics
             .iter()
-            .filter(|m| used.contains(&m.id))
+            .filter(|m| self.scheduler.uses_path(m))
             .map(|m| m.rate_bps)
             .sum();
         let n_streams = self.streams.len().max(1) as u64;
@@ -462,8 +482,6 @@ impl ConferenceSender {
             qp: frame.qp,
             height: frame.height,
         };
-        let packets = pipeline.packetizer.packetize(&frame);
-
         // Prepend pending retransmissions (highest priority, Table 2).
         let batch = &mut scratch.batch;
         batch.clear();
@@ -476,6 +494,9 @@ impl ConferenceSender {
                 break; // bound rtx burst per frame
             }
         }
+        let packets = &mut scratch.packets;
+        packets.clear();
+        pipeline.packetizer.packetize_into(&frame, packets);
         batch.extend(packets.iter().map(|p| Schedulable {
             packet: *p,
             class: classify(p),
@@ -487,7 +508,9 @@ impl ConferenceSender {
             return encoded;
         }
 
-        let assignments = self.scheduler.assign_batch(now, batch, metrics);
+        let assignments = &mut scratch.assignments;
+        self.scheduler
+            .assign_batch_into(now, batch, metrics, assignments);
         debug_assert_eq!(assignments.len(), batch.len());
 
         out.reserve(batch.len() + 8);
@@ -498,7 +521,7 @@ impl ConferenceSender {
             *is_key = false;
         }
 
-        for (sched, assign) in batch.iter().zip(&assignments) {
+        for (sched, assign) in batch.iter().zip(assignments.iter()) {
             let path = assign.path;
             let kind = match sched.class {
                 PacketClass::Retransmission => RtpKind::Retransmission(sched.packet),
@@ -589,8 +612,10 @@ impl ConferenceSender {
             let fec_sched = &mut scratch.fec_sched;
             fec_sched.clear();
             fec_sched.extend(fec_batch.iter().map(|(s, _, _)| *s));
-            let fec_assign = self.scheduler.assign_batch(now, fec_sched, metrics);
-            for ((sched, protected, origin), assign) in fec_batch.drain(..).zip(fec_assign) {
+            self.scheduler
+                .assign_batch_into(now, fec_sched, metrics, assignments);
+            for ((sched, protected, origin), assign) in fec_batch.drain(..).zip(assignments.iter())
+            {
                 let stream = sched.packet.stream;
                 out.push(self.make_rtp(
                     now,
@@ -606,7 +631,10 @@ impl ConferenceSender {
         }
 
         // Probes for disabled paths.
-        for path in self.scheduler.probe_paths(now, metrics) {
+        for path in metrics.iter().map(|m| m.id) {
+            if !self.scheduler.probe_due(now, path) {
+                continue;
+            }
             let probe_seq = self.next_probe_seq;
             self.next_probe_seq += 1;
             self.outstanding_probes.insert(probe_seq, (path, now));
@@ -691,39 +719,31 @@ impl ConferenceSender {
             }
             RtcpPacket::TransportFeedback(tf) => {
                 let path = PathId(tf.path_id);
-                let timings: Vec<PacketTiming> = {
-                    let Some(tx) = self
-                        .tx
-                        .iter_mut()
-                        .find(|(p, _)| *p == path)
-                        .map(|(_, t)| t)
-                    else {
-                        return 0;
-                    };
-                    tf.arrivals
-                        .iter()
-                        .filter_map(|&(seq, arrival_us)| {
-                            let full = unwrap_seq16(seq, tx.highest_acked);
-                            tx.highest_acked = tx.highest_acked.max(full);
-                            let mask = tx.sent.len() - 1;
-                            let slot = &mut tx.sent[full as usize & mask];
-                            match *slot {
-                                Some((s, send_time, size)) if s == full => {
-                                    *slot = None;
-                                    Some(PacketTiming {
-                                        send_time,
-                                        arrival_time: SimTime::from_micros(arrival_us),
-                                        size,
-                                    })
-                                }
-                                _ => None,
-                            }
-                        })
-                        .collect()
+                let Some((_, tx)) = self.tx.iter_mut().find(|(p, _)| *p == path) else {
+                    return 0;
                 };
+                let timings = &mut self.timings;
+                timings.clear();
+                timings.extend(tf.arrivals.iter().filter_map(|&(seq, arrival_us)| {
+                    let full = unwrap_seq16(seq, tx.highest_acked);
+                    tx.highest_acked = tx.highest_acked.max(full);
+                    let mask = tx.sent.len() - 1;
+                    let slot = &mut tx.sent[full as usize & mask];
+                    match *slot {
+                        Some((s, send_time, size)) if s == full => {
+                            *slot = None;
+                            Some(PacketTiming {
+                                send_time,
+                                arrival_time: SimTime::from_micros(arrival_us),
+                                size,
+                            })
+                        }
+                        _ => None,
+                    }
+                }));
                 if let Some(ctl) = self.cc.get_mut(&path) {
                     if !timings.is_empty() {
-                        ctl.on_transport_feedback(now, &timings);
+                        ctl.on_transport_feedback(now, timings);
                     }
                 }
                 0
@@ -731,7 +751,7 @@ impl ConferenceSender {
             RtcpPacket::Nack(nack) => {
                 let stream = StreamId((nack.ssrc & 0xFF) as u8);
                 let mut queued = 0;
-                let mut per_path: BTreeMap<PathId, usize> = BTreeMap::new();
+                self.nacked_per_path.clear();
                 for &seq in &nack.lost {
                     // NACK wire carries u16; our media sequences are u64 —
                     // the session uses low 16 bits of the true sequence, so
@@ -741,10 +761,14 @@ impl ConferenceSender {
                         queued += 1;
                         // Attribute the loss to the path the packet was
                         // actually sent on (drives β of the FEC policy).
-                        *per_path.entry(sent_path).or_insert(0) += 1;
+                        let per_path = &mut self.nacked_per_path;
+                        match per_path.binary_search_by_key(&sent_path, |&(p, _)| p) {
+                            Ok(at) => per_path[at].1 += 1,
+                            Err(at) => per_path.insert(at, (sent_path, 1)),
+                        }
                     }
                 }
-                for (path, n) in per_path {
+                for &(path, n) in &self.nacked_per_path {
                     self.fec.on_nack(path, n);
                 }
                 queued

@@ -3,27 +3,44 @@
 //! payload is a few `Copy` integers and the handle is an `Option<Arc<..>>`
 //! that is `None` when disabled, so the whole emit path is a branch.
 //!
-//! This file holds exactly one test so no concurrent test case can
-//! allocate while the counter window is open.
+//! The counter is per thread: the emit loop runs on the test's own thread,
+//! and libtest's main thread allocates whenever it likes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use converge_net::{PathId, SimTime};
 use converge_trace::{GccUsage, LinkState, TraceEvent, TraceHandle};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can
+    // touch it at any point of a thread's life without allocating.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations_so_far() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
     }
 }
 
@@ -97,14 +114,14 @@ fn disabled_handle_emits_without_allocating() {
         trace.emit(SimTime::ZERO, event);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations_so_far();
     for i in 0..10_000u64 {
         let cloned = trace.clone();
         for event in every_event(i) {
             cloned.emit(SimTime::from_micros(i), event);
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations_so_far();
     assert_eq!(
         after - before,
         0,

@@ -60,8 +60,16 @@ impl Packetizer {
     /// Packetizes one encoded frame. Order: [SPS (new GOP only)], PPS,
     /// media 0..count. All packets share the frame's capture time.
     pub fn packetize(&mut self, frame: &EncodedFrame) -> Vec<VideoPacket> {
+        let mut out = Vec::new();
+        self.packetize_into(frame, &mut out);
+        out
+    }
+
+    /// [`Packetizer::packetize`], appending the packets to `out` so the
+    /// caller can reuse one buffer across frames.
+    pub fn packetize_into(&mut self, frame: &EncodedFrame, out: &mut Vec<VideoPacket>) {
         let count = frame.size.div_ceil(self.config.mtu).max(1) as u16;
-        let mut out = Vec::with_capacity(count as usize + 2);
+        out.reserve(count as usize + 2);
 
         let mut push = |kind: PacketKind, size: usize, seq: &mut u64| {
             out.push(VideoPacket {
@@ -91,7 +99,6 @@ impl Packetizer {
             push(PacketKind::Media { index, count }, size, &mut seq);
         }
         self.next_sequence = seq;
-        out
     }
 }
 
