@@ -104,12 +104,25 @@ gate chaos chaos
 
 # Controller-shootout gate: 1 seed x 3 controllers (GCC, NADA, mp-BBR)
 # through the full scheduler/FEC loop with the invariant checker armed —
-# proves the non-default controllers hold the control-loop invariants.
+# proves the non-default controllers hold the control-loop invariants,
+# and that all three trace through the one cc_* event family.
 shootout() {
-    experiments shootout --quick --jobs 2 --check-invariants > results/smoke_shootout.txt
+    local algorithm
+    rm -rf results/traces_shootout
+    experiments shootout --quick --jobs 2 --check-invariants \
+        --trace results/traces_shootout > results/smoke_shootout.txt
     test -s results/smoke_shootout.txt
     grep -q 'mp-BBR' results/smoke_shootout.txt
     grep -q 'NADA' results/smoke_shootout.txt
+    for algorithm in gcc nada mp-bbr; do
+        grep -qh "\"event\":\"cc_rate_changed\".*\"algorithm\":\"$algorithm\"" \
+            results/traces_shootout/*.jsonl
+    done
+    # Not `! grep`: `set -e` ignores a negated command's status.
+    if grep -qh '"event":"gcc_' results/traces_shootout/*.jsonl; then
+        echo "shootout: a gcc_* event outside the cc_* family" >&2
+        return 1
+    fi
 }
 gate shootout shootout
 

@@ -82,8 +82,8 @@ mod tests {
     use converge_net::SimDuration;
 
     /// Acceptance gate: every controller drives the full scheduler/FEC
-    /// loop with a clean invariant checker, and the non-GCC controllers
-    /// leave their own trace events in the timeline.
+    /// loop with a clean invariant checker and leaves its rate events in
+    /// the timeline.
     #[test]
     fn every_controller_runs_clean_through_the_full_loop() {
         for controller in ControllerKind::ALL {
@@ -100,12 +100,10 @@ mod tests {
                 controller.id(),
                 report.frames_decoded
             );
-            if controller != ControllerKind::Gcc {
-                let has_cc_rate = records
-                    .iter()
-                    .any(|rec| rec.event.name() == "cc_rate_changed");
-                assert!(has_cc_rate, "{} must emit cc_rate_changed", controller.id());
-            }
+            let has_cc_rate = records
+                .iter()
+                .any(|rec| rec.event.name() == "cc_rate_changed");
+            assert!(has_cc_rate, "{} must emit cc_rate_changed", controller.id());
         }
     }
 

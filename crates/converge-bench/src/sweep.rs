@@ -478,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_well_formed() {
+    fn summary_line_counts_jobs_hits_and_workers() {
         let cache = CellCache::new();
         let (_, stats) = run_sweep(vec![("tiny".into(), tiny_spec())], Scale::Quick, 2, &cache);
         assert_eq!(

@@ -4,148 +4,44 @@
 //!
 //! The paper takes its per-path rate signal from GCC, but nothing in the
 //! scheduler/FEC loop depends on *how* that signal is produced — only on
-//! the surface the sender drives: packet-timing ingestion from transport
-//! feedback, RTT and loss-report ingestion, a target rate to read back,
-//! and structured trace emission. [`CongestionController`] captures
-//! exactly that surface; the sender holds one boxed controller per path
-//! and stays agnostic to the algorithm behind it.
+//! a target rate, a smoothed RTT and a loss fraction per path. The sender
+//! holds one [`PathController`] per path: a concrete shell that owns what
+//! every controller needs (RTT smoothing, loss bookkeeping and its FEC
+//! discount, the coupled-growth scale, trace emission) and drives a boxed
+//! [`CongestionController`] — the algorithm, and nothing but the
+//! algorithm.
 //!
-//! Three implementations ship here:
+//! Three algorithms ship here:
 //!
-//! - [`converge_gcc::GccController`] — the paper's controller (delay
-//!   trendline + loss, AIMD), adapted onto the trait below. Its trace
-//!   output is unchanged (`gcc_state_changed`/`gcc_rate_changed`), so
-//!   existing GCC timelines stay byte-identical.
+//! - [`GccController`] — the paper's controller: delay trendline + loss,
+//!   AIMD, composed from the estimator parts in `converge-gcc`.
 //! - [`NadaController`] — NADA per RFC 8698: a unified congestion signal
 //!   `x_curr = d_queue + DLOSS_REF · (p_loss/PLR_REF)²`, accelerated
 //!   ramp-up bounded by γ, and a PI gradual-update mode.
 //! - [`MpBbrController`] — a multipath-tuned BBR: windowed-max bandwidth
 //!   and min-RTT probing with per-path staggered pacing-gain cycling.
 //!
-//! Callers select a controller with [`ControllerKind`] and tune it via
-//! [`ControllerConfig`]; [`ControllerConfig::build`] produces the boxed
-//! per-path instance.
+//! Callers select one with [`ControllerKind`] and tune it via
+//! [`ControllerConfig`]; [`ControllerConfig::build`] produces the per-path
+//! instance.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod controller;
+pub mod gcc;
 pub mod mpbbr;
 pub mod nada;
 pub mod sbd;
 
-use converge_gcc::{GccConfig, GccController, PacketTiming};
-use converge_net::{PathId, SimDuration, SimTime};
-use converge_trace::TraceHandle;
+use converge_net::PathId;
 
+pub use controller::{CongestionController, PathController, PathObservations};
 pub use converge_trace::{CcAlgorithm, CcPhase};
+pub use gcc::{GccConfig, GccController};
 pub use mpbbr::{MpBbrConfig, MpBbrController};
 pub use nada::{NadaConfig, NadaController};
 pub use sbd::{FlowSignature, SbdConfig, SbdDetector};
-
-/// The rate-control surface the conference sender drives, one instance
-/// per path (uncoupled congestion control, paper §4.1).
-///
-/// The trait is the exact set of calls the sender makes today: feedback
-/// ingestion (`on_transport_feedback`, `on_rtt_sample`,
-/// `on_loss_report_protected`), the target-rate/statistics read-back the
-/// scheduler consumes, and the estimate-shaping hooks the session uses
-/// for disabled paths (`cap_estimate`) and LIA-style coupling
-/// (`set_increase_scale`, `delay_estimate_bps`).
-pub trait CongestionController: Send + std::fmt::Debug {
-    /// Which algorithm this controller implements (trace tagging).
-    fn algorithm(&self) -> CcAlgorithm;
-
-    /// Installs a trace handle and the path this controller governs; the
-    /// controller then emits state- and rate-change events.
-    fn set_trace(&mut self, trace: TraceHandle, path: PathId);
-
-    /// Feeds transport feedback: the send/arrival timing of packets that
-    /// reached the receiver on this path. `now` is the feedback
-    /// processing time at the sender.
-    fn on_transport_feedback(&mut self, now: SimTime, packets: &[PacketTiming]);
-
-    /// Feeds an RTT sample (from SR/RR echo or probe timing).
-    fn on_rtt_sample(&mut self, rtt: SimDuration);
-
-    /// Feeds a receiver-report loss fraction together with the sender's
-    /// current FEC protection ratio (repair/media); the controller keeps
-    /// the raw loss for path statistics but reacts only to the loss that
-    /// protection cannot absorb.
-    fn on_loss_report_protected(&mut self, fraction_lost: f64, protection_ratio: f64);
-
-    /// The controller's current target sending rate for the path.
-    fn target_rate_bps(&self) -> u64;
-
-    /// Smoothed RTT of the path, if measured.
-    fn srtt(&self) -> Option<SimDuration>;
-
-    /// Most recent loss fraction reported for the path.
-    fn fraction_lost(&self) -> f64;
-
-    /// Pulls the estimate down to at most `bps`. Called while a path is
-    /// administratively disabled: no media flows, so the congestion
-    /// signals go silent and the estimate would otherwise stay
-    /// stale-high, bursting when the path is re-enabled.
-    fn cap_estimate(&mut self, bps: f64);
-
-    /// Sets the growth-step scale in (0, 1] (coupled congestion control:
-    /// each subflow grows by its share of the aggregate).
-    fn set_increase_scale(&mut self, scale: f64);
-
-    /// The raw bandwidth estimate used for coupling computations (for
-    /// GCC, the delay-based estimate; for NADA/BBR, the rate/bandwidth
-    /// state itself).
-    fn delay_estimate_bps(&self) -> f64;
-}
-
-/// GCC is the first implementor: the trait methods map one-to-one onto
-/// the inherent `GccController` surface, so a GCC-driven session behaves
-/// — and traces — exactly as it did before the trait existed.
-impl CongestionController for GccController {
-    fn algorithm(&self) -> CcAlgorithm {
-        CcAlgorithm::Gcc
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle, path: PathId) {
-        GccController::set_trace(self, trace, path);
-    }
-
-    fn on_transport_feedback(&mut self, now: SimTime, packets: &[PacketTiming]) {
-        GccController::on_transport_feedback(self, now, packets);
-    }
-
-    fn on_rtt_sample(&mut self, rtt: SimDuration) {
-        GccController::on_rtt_sample(self, rtt);
-    }
-
-    fn on_loss_report_protected(&mut self, fraction_lost: f64, protection_ratio: f64) {
-        GccController::on_loss_report_protected(self, fraction_lost, protection_ratio);
-    }
-
-    fn target_rate_bps(&self) -> u64 {
-        GccController::target_rate_bps(self)
-    }
-
-    fn srtt(&self) -> Option<SimDuration> {
-        GccController::srtt(self)
-    }
-
-    fn fraction_lost(&self) -> f64 {
-        GccController::fraction_lost(self)
-    }
-
-    fn cap_estimate(&mut self, bps: f64) {
-        GccController::cap_estimate(self, bps);
-    }
-
-    fn set_increase_scale(&mut self, scale: f64) {
-        GccController::set_increase_scale(self, scale);
-    }
-
-    fn delay_estimate_bps(&self) -> f64 {
-        GccController::delay_estimate_bps(self)
-    }
-}
 
 /// Which congestion-control algorithm drives each path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,48 +121,33 @@ impl ControllerConfig {
         }
     }
 
-    /// Builds the boxed per-path controller instance. `path` lets
-    /// path-aware controllers (mp-BBR's staggered gain cycling)
-    /// desynchronize across the multipath set.
-    pub fn build(&self, path: PathId) -> Box<dyn CongestionController> {
-        match self.kind {
-            ControllerKind::Gcc => Box::new(GccController::new(self.gcc)),
-            ControllerKind::Nada => Box::new(NadaController::new(self.nada)),
-            ControllerKind::MpBbr => Box::new(MpBbrController::new(self.mpbbr, path)),
-        }
+    /// Builds the controller of `path`. The path id also lets path-aware
+    /// algorithms (mp-BBR's staggered gain cycling) desynchronize across
+    /// the multipath set.
+    pub fn build(&self, path: PathId) -> PathController {
+        let (algorithm, inner, traced_phase): (_, Box<dyn CongestionController>, _) =
+            match self.kind {
+                ControllerKind::Gcc => {
+                    (CcAlgorithm::Gcc, Box::new(GccController::new(self.gcc)), None)
+                }
+                ControllerKind::Nada => {
+                    (CcAlgorithm::Nada, Box::new(NadaController::new(self.nada)), None)
+                }
+                // Startup is implicit in an mp-BBR timeline: only the phases
+                // it moves on to are traced.
+                ControllerKind::MpBbr => (
+                    CcAlgorithm::MpBbr,
+                    Box::new(MpBbrController::new(self.mpbbr, path)),
+                    Some(CcPhase::Startup),
+                ),
+            };
+        PathController::new(algorithm, inner, path, traced_phase)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gcc_adapter_preserves_inherent_behavior() {
-        let mut boxed: Box<dyn CongestionController> =
-            ControllerConfig::default().build(PathId(0));
-        let mut inherent = GccController::new(GccConfig::default());
-        assert_eq!(boxed.algorithm(), CcAlgorithm::Gcc);
-        assert_eq!(boxed.target_rate_bps(), inherent.target_rate_bps());
-        // The same input sequence drives both to the same state.
-        let timings: Vec<PacketTiming> = (0..50)
-            .map(|i| PacketTiming {
-                send_time: SimTime::from_millis(i * 10),
-                arrival_time: SimTime::from_millis(i * 10 + 30),
-                size: 1200,
-            })
-            .collect();
-        boxed.on_rtt_sample(SimDuration::from_millis(60));
-        inherent.on_rtt_sample(SimDuration::from_millis(60));
-        boxed.on_transport_feedback(SimTime::from_millis(530), &timings);
-        inherent.on_transport_feedback(SimTime::from_millis(530), &timings);
-        boxed.on_loss_report_protected(0.02, 0.01);
-        inherent.on_loss_report_protected(0.02, 0.01);
-        assert_eq!(boxed.target_rate_bps(), inherent.target_rate_bps());
-        assert_eq!(boxed.srtt(), inherent.srtt());
-        assert_eq!(boxed.fraction_lost(), inherent.fraction_lost());
-        assert_eq!(boxed.delay_estimate_bps(), inherent.delay_estimate_bps());
-    }
 
     #[test]
     fn kinds_build_matching_algorithms() {

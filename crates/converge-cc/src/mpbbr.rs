@@ -23,7 +23,9 @@ use std::collections::VecDeque;
 
 use converge_gcc::PacketTiming;
 use converge_net::{PathId, SimDuration, SimTime};
-use converge_trace::{CcAlgorithm, CcPhase, TraceEvent, TraceHandle};
+use converge_trace::CcPhase;
+
+use crate::controller::{CongestionController, PathObservations};
 
 /// mp-BBR tuning. Gains and thresholds follow the BBR v1 draft; the
 /// cycle offset is the multipath addition.
@@ -86,12 +88,9 @@ pub struct MpBbrController {
     min_rtt: Option<SimDuration>,
     /// When the current min-RTT was last validated.
     min_rtt_at: SimTime,
-    /// Latest feedback time; timestamps RTT samples, which arrive without
-    /// a clock.
+    /// Latest feedback time.
     last_now: SimTime,
-    srtt: Option<SimDuration>,
-    last_fraction_lost: f64,
-    phase: CcPhase,
+    phase: Phase,
     /// Best bandwidth seen while checking for the startup plateau.
     full_bw: f64,
     full_bw_count: u32,
@@ -99,12 +98,16 @@ pub struct MpBbrController {
     cycle_advanced_at: SimTime,
     drain_until: SimTime,
     probe_rtt_until: SimTime,
-    increase_scale: f64,
     target_bps: f64,
-    trace: TraceHandle,
-    trace_path: PathId,
-    last_traced_phase: Option<CcPhase>,
-    last_traced_rate: Option<u64>,
+}
+
+/// The BBR state machine's states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Startup,
+    Drain,
+    ProbeBw,
+    ProbeRtt,
 }
 
 impl MpBbrController {
@@ -120,29 +123,17 @@ impl MpBbrController {
             min_rtt: None,
             min_rtt_at: SimTime::ZERO,
             last_now: SimTime::ZERO,
-            srtt: None,
-            last_fraction_lost: 0.0,
-            phase: CcPhase::Startup,
+            phase: Phase::Startup,
             full_bw: 0.0,
             full_bw_count: 0,
             cycle_index: cycle_offset,
             cycle_advanced_at: SimTime::ZERO,
             drain_until: SimTime::ZERO,
             probe_rtt_until: SimTime::ZERO,
-            increase_scale: 1.0,
             target_bps: config
                 .initial_rate_bps
                 .clamp(config.min_rate_bps, config.max_rate_bps),
-            trace: TraceHandle::disabled(),
-            trace_path: path,
-            last_traced_phase: None,
-            last_traced_rate: None,
         }
-    }
-
-    /// Current phase of the BBR state machine.
-    pub fn phase(&self) -> CcPhase {
-        self.phase
     }
 
     /// Current windowed-max bottleneck-bandwidth estimate, bps (0 before
@@ -160,16 +151,21 @@ impl MpBbrController {
         self.min_rtt.unwrap_or(SimDuration::from_millis(100))
     }
 
+    /// Folds an RTT observation into the min filter, stamped with the
+    /// latest feedback time (RTT samples arrive without a clock).
+    fn observe_rtt(&mut self, rtt: SimDuration) {
+        if self.min_rtt.is_none_or(|floor| rtt <= floor) {
+            self.min_rtt = Some(rtt);
+            self.min_rtt_at = self.last_now;
+        }
+    }
+
     fn refresh_bw(&mut self, now: SimTime) {
         let horizon = SimTime::from_micros(
             now.as_micros().saturating_sub(self.config.bw_window.as_micros()),
         );
-        while let Some(&(at, _)) = self.bw_samples.front() {
-            if at < horizon {
-                self.bw_samples.pop_front();
-            } else {
-                break;
-            }
+        while self.bw_samples.front().is_some_and(|&(at, _)| at < horizon) {
+            self.bw_samples.pop_front();
         }
         self.bw_bps = self
             .bw_samples
@@ -178,48 +174,9 @@ impl MpBbrController {
             .fold(0.0, f64::max);
     }
 
-    fn set_phase(&mut self, now: SimTime, phase: CcPhase) {
-        self.phase = phase;
-        if self.trace.is_enabled() && self.last_traced_phase != Some(phase) {
-            self.last_traced_phase = Some(phase);
-            self.trace.emit(
-                now,
-                TraceEvent::CcStateChanged {
-                    path: self.trace_path,
-                    algorithm: CcAlgorithm::MpBbr,
-                    phase,
-                },
-            );
-        }
-    }
-
-    fn trace_rate(&mut self, now: SimTime) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let rate = self.target_bps as u64;
-        // Only moves of ≥5 % land in the trace (same hysteresis as GCC),
-        // so gain-cycling shows as a rate envelope, not a sawtooth spam.
-        let moved = match self.last_traced_rate {
-            Some(prev) => rate.abs_diff(prev) * 20 >= prev.max(1),
-            None => true,
-        };
-        if moved {
-            self.last_traced_rate = Some(rate);
-            self.trace.emit(
-                now,
-                TraceEvent::CcRateChanged {
-                    path: self.trace_path,
-                    algorithm: CcAlgorithm::MpBbr,
-                    rate_bps: rate,
-                },
-            );
-        }
-    }
-
     fn step_phase_machine(&mut self, now: SimTime) {
         match self.phase {
-            CcPhase::Startup => {
+            Phase::Startup => {
                 // Exit on a bandwidth plateau: growth under
                 // full_bw_thresh for full_bw_rounds consecutive rounds.
                 if self.bw_bps >= self.full_bw * self.config.full_bw_thresh {
@@ -229,23 +186,23 @@ impl MpBbrController {
                     self.full_bw_count += 1;
                     if self.full_bw_count >= self.config.full_bw_rounds {
                         self.drain_until = now + self.min_rtt_or_default();
-                        self.set_phase(now, CcPhase::Drain);
+                        self.phase = Phase::Drain;
                     }
                 }
             }
-            CcPhase::Drain => {
+            Phase::Drain => {
                 if now >= self.drain_until {
                     self.cycle_index = self.cycle_offset;
                     self.cycle_advanced_at = now;
-                    self.set_phase(now, CcPhase::ProbeBw);
+                    self.phase = Phase::ProbeBw;
                 }
             }
-            CcPhase::ProbeBw => {
+            Phase::ProbeBw => {
                 let min_rtt_stale = now.saturating_since(self.min_rtt_at)
                     >= self.config.probe_rtt_interval;
                 if self.min_rtt.is_some() && min_rtt_stale {
                     self.probe_rtt_until = now + self.config.probe_rtt_duration;
-                    self.set_phase(now, CcPhase::ProbeRtt);
+                    self.phase = Phase::ProbeRtt;
                 } else {
                     let cycle_len = self.min_rtt_or_default().max(SimDuration::from_millis(50));
                     if now.saturating_since(self.cycle_advanced_at) >= cycle_len {
@@ -254,36 +211,29 @@ impl MpBbrController {
                     }
                 }
             }
-            CcPhase::ProbeRtt => {
+            Phase::ProbeRtt => {
                 if now >= self.probe_rtt_until {
                     // Whatever RTT floor we saw while the queue was held
                     // down is the fresh propagation estimate.
                     self.min_rtt_at = now;
                     self.cycle_advanced_at = now;
-                    self.set_phase(now, CcPhase::ProbeBw);
+                    self.phase = Phase::ProbeBw;
                 }
             }
-            // Not part of the BBR machine; unreachable for this
-            // controller.
-            CcPhase::RampUp | CcPhase::Gradual => {}
         }
     }
 
-    fn update_target(&mut self) {
-        if self.bw_samples.is_empty() {
-            return;
-        }
+    fn update_target(&mut self, increase_scale: f64) {
         let gain = match self.phase {
-            CcPhase::Startup => self.config.startup_gain,
-            CcPhase::Drain => self.config.drain_gain,
-            CcPhase::ProbeBw => self.config.probe_gains[self.cycle_index],
-            CcPhase::ProbeRtt => 0.5,
-            CcPhase::RampUp | CcPhase::Gradual => 1.0,
+            Phase::Startup => self.config.startup_gain,
+            Phase::Drain => self.config.drain_gain,
+            Phase::ProbeBw => self.config.probe_gains[self.cycle_index],
+            Phase::ProbeRtt => 0.5,
         };
         // Coupled mode damps only the growth side (gains above 1), the
         // same asymmetry LIA applies to GCC's increase step.
         let gain = if gain > 1.0 {
-            1.0 + (gain - 1.0) * self.increase_scale
+            1.0 + (gain - 1.0) * increase_scale
         } else {
             gain
         };
@@ -292,17 +242,13 @@ impl MpBbrController {
     }
 }
 
-impl crate::CongestionController for MpBbrController {
-    fn algorithm(&self) -> CcAlgorithm {
-        CcAlgorithm::MpBbr
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle, path: PathId) {
-        self.trace = trace;
-        self.trace_path = path;
-    }
-
-    fn on_transport_feedback(&mut self, now: SimTime, packets: &[PacketTiming]) {
+impl CongestionController for MpBbrController {
+    fn on_transport_feedback(
+        &mut self,
+        now: SimTime,
+        packets: &[PacketTiming],
+        path: &PathObservations,
+    ) -> bool {
         self.last_now = now;
         // Delivery-rate sample: bytes delivered over the batch's arrival
         // span. One packet spans no time, so it cannot form a sample.
@@ -329,52 +275,28 @@ impl crate::CongestionController for MpBbrController {
         // estimate.
         for p in packets {
             let owd = p.arrival_time.saturating_since(p.send_time);
-            let rtt_proxy = owd + owd;
-            match self.min_rtt {
-                Some(cur) if rtt_proxy > cur => {}
-                _ => {
-                    self.min_rtt = Some(rtt_proxy);
-                    self.min_rtt_at = now;
-                }
-            }
+            self.observe_rtt(owd + owd);
         }
         self.refresh_bw(now);
+        // No bandwidth sample yet: nothing to model, the initial target
+        // stands.
         if self.bw_samples.is_empty() {
-            return;
+            return false;
         }
         self.step_phase_machine(now);
-        self.update_target();
-        self.trace_rate(now);
+        self.update_target(path.increase_scale);
+        true
     }
+
+    /// Loss-blind, as BBR v1: only delivery rate and RTT move the model.
+    fn on_loss(&mut self, _effective_loss: f64) {}
 
     fn on_rtt_sample(&mut self, rtt: SimDuration) {
-        self.srtt = Some(match self.srtt {
-            None => rtt,
-            Some(prev) => SimDuration::from_micros((prev.as_micros() * 7 + rtt.as_micros()) / 8),
-        });
-        match self.min_rtt {
-            Some(cur) if rtt > cur => {}
-            _ => {
-                self.min_rtt = Some(rtt);
-                self.min_rtt_at = self.last_now;
-            }
-        }
-    }
-
-    fn on_loss_report_protected(&mut self, fraction_lost: f64, _protection_ratio: f64) {
-        self.last_fraction_lost = fraction_lost.clamp(0.0, 1.0);
+        self.observe_rtt(rtt);
     }
 
     fn target_rate_bps(&self) -> u64 {
         self.target_bps as u64
-    }
-
-    fn srtt(&self) -> Option<SimDuration> {
-        self.srtt
-    }
-
-    fn fraction_lost(&self) -> f64 {
-        self.last_fraction_lost
     }
 
     fn cap_estimate(&mut self, bps: f64) {
@@ -388,15 +310,20 @@ impl crate::CongestionController for MpBbrController {
         self.target_bps = self.target_bps.min(bps).max(self.config.min_rate_bps);
     }
 
-    fn set_increase_scale(&mut self, scale: f64) {
-        self.increase_scale = scale.clamp(0.01, 1.0);
-    }
-
-    fn delay_estimate_bps(&self) -> f64 {
+    fn estimate_bps(&self) -> f64 {
         if self.bw_bps > 0.0 {
             self.bw_bps
         } else {
             self.target_bps
+        }
+    }
+
+    fn phase(&self) -> CcPhase {
+        match self.phase {
+            Phase::Startup => CcPhase::Startup,
+            Phase::Drain => CcPhase::Drain,
+            Phase::ProbeBw => CcPhase::ProbeBw,
+            Phase::ProbeRtt => CcPhase::ProbeRtt,
         }
     }
 }
@@ -404,7 +331,12 @@ impl crate::CongestionController for MpBbrController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CongestionController;
+
+    /// An uncoupled path (mp-BBR takes RTT from its own min filter).
+    const PATH: PathObservations = PathObservations {
+        rtt_ms: 100.0,
+        increase_scale: 1.0,
+    };
 
     /// Drives `duration_ms` of feedback at a steady delivery rate with a
     /// fixed 30 ms one-way delay, batched every 50 ms, and records each
@@ -433,7 +365,7 @@ mod tests {
                 })
                 .collect();
             let now = batch.last().unwrap().arrival_time;
-            ctl.on_transport_feedback(now, &batch);
+            ctl.on_transport_feedback(now, &batch, &PATH);
             out.push((ctl.phase(), ctl.target_rate_bps()));
         }
         out
@@ -504,7 +436,7 @@ mod tests {
                 })
                 .collect();
             let now = batch.last().unwrap().arrival_time;
-            ctl.on_transport_feedback(now, &batch);
+            ctl.on_transport_feedback(now, &batch, &PATH);
             if ctl.phase() == CcPhase::ProbeRtt {
                 saw_probe_rtt = true;
             }

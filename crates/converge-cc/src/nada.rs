@@ -23,11 +23,11 @@
 //!   (`x_offset`) and against the signal's slope (`x_diff`), giving
 //!   proportional fairness between NADA flows.
 
-use std::collections::VecDeque;
-
 use converge_gcc::PacketTiming;
-use converge_net::{PathId, SimDuration, SimTime};
-use converge_trace::{CcAlgorithm, CcPhase, TraceEvent, TraceHandle};
+use converge_net::{SimDuration, SimTime};
+use converge_trace::CcPhase;
+
+use crate::controller::{CongestionController, PathObservations, RateWindow};
 
 /// NADA tuning; defaults follow RFC 8698 §6.2 where the simulator has an
 /// equivalent knob.
@@ -107,17 +107,8 @@ pub struct NadaController {
     /// Smoothed loss ratio the controller reacts to (protection-adjusted).
     p_loss: f64,
     last_update: Option<SimTime>,
-    srtt: Option<SimDuration>,
-    last_fraction_lost: f64,
-    increase_scale: f64,
-    /// (arrival time, bytes) of recent packets for receive-rate
-    /// measurement.
-    recent: VecDeque<(SimTime, usize)>,
+    received: RateWindow,
     phase: CcPhase,
-    trace: TraceHandle,
-    trace_path: PathId,
-    last_traced_phase: Option<CcPhase>,
-    last_traced_rate: Option<u64>,
 }
 
 impl NadaController {
@@ -134,21 +125,9 @@ impl NadaController {
             x_prev_ms: 0.0,
             p_loss: 0.0,
             last_update: None,
-            srtt: None,
-            last_fraction_lost: 0.0,
-            increase_scale: 1.0,
-            recent: VecDeque::new(),
+            received: RateWindow::new(config.rate_window),
             phase: CcPhase::RampUp,
-            trace: TraceHandle::disabled(),
-            trace_path: PathId(0),
-            last_traced_phase: None,
-            last_traced_rate: None,
         }
-    }
-
-    /// Current operating mode (ramp-up vs gradual).
-    pub fn phase(&self) -> CcPhase {
-        self.phase
     }
 
     /// Current aggregate congestion signal `x_curr`, ms.
@@ -157,91 +136,23 @@ impl NadaController {
             self.config.dloss_ref_ms * (self.p_loss / self.config.plr_ref).powi(2);
         (self.d_queue_ms + loss_term).min(10_000.0)
     }
-
-    /// Measured receive rate over the rate window ending at `now`. Early
-    /// in a path's life the window shrinks to the observed span (floored
-    /// at 100 ms) so start-up is not under-measured.
-    pub fn receive_rate_bps(&self, now: SimTime) -> f64 {
-        let window_start = SimTime::from_micros(
-            now.as_micros()
-                .saturating_sub(self.config.rate_window.as_micros()),
-        );
-        let Some(&(first_at, _)) = self.recent.front() else {
-            return 0.0;
-        };
-        let effective_start = window_start.max(first_at);
-        let span = now
-            .saturating_since(effective_start)
-            .max(SimDuration::from_millis(100));
-        let bytes: usize = self
-            .recent
-            .iter()
-            .filter(|(at, _)| *at >= effective_start)
-            .map(|(_, b)| *b)
-            .sum();
-        bytes as f64 * 8.0 / span.as_secs_f64()
-    }
-
-    fn set_phase(&mut self, now: SimTime, phase: CcPhase) {
-        self.phase = phase;
-        if self.trace.is_enabled() && self.last_traced_phase != Some(phase) {
-            self.last_traced_phase = Some(phase);
-            self.trace.emit(
-                now,
-                TraceEvent::CcStateChanged {
-                    path: self.trace_path,
-                    algorithm: CcAlgorithm::Nada,
-                    phase,
-                },
-            );
-        }
-    }
-
-    fn trace_rate(&mut self, now: SimTime) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let rate = self.rate_bps as u64;
-        // Record only moves of ≥5 % so the timeline captures the
-        // envelope, not every PI step.
-        let moved = match self.last_traced_rate {
-            Some(prev) => rate.abs_diff(prev) * 20 >= prev.max(1),
-            None => true,
-        };
-        if moved {
-            self.last_traced_rate = Some(rate);
-            self.trace.emit(
-                now,
-                TraceEvent::CcRateChanged {
-                    path: self.trace_path,
-                    algorithm: CcAlgorithm::Nada,
-                    rate_bps: rate,
-                },
-            );
-        }
-    }
 }
 
-impl crate::CongestionController for NadaController {
-    fn algorithm(&self) -> CcAlgorithm {
-        CcAlgorithm::Nada
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle, path: PathId) {
-        self.trace = trace;
-        self.trace_path = path;
-    }
-
-    fn on_transport_feedback(&mut self, now: SimTime, packets: &[PacketTiming]) {
+impl CongestionController for NadaController {
+    fn on_transport_feedback(
+        &mut self,
+        now: SimTime,
+        packets: &[PacketTiming],
+        path: &PathObservations,
+    ) -> bool {
         if packets.is_empty() {
-            return;
+            return false;
         }
         // Delay baseline + per-batch minimum queuing delay (the batch
         // minimum approximates RFC 8698's min-filter over the feedback
         // interval and is robust to intra-batch jitter).
         let mut batch_queue_us: Option<u64> = None;
         for p in packets {
-            self.recent.push_back((p.arrival_time, p.size));
             let owd_us = p.arrival_time.saturating_since(p.send_time).as_micros();
             let base = match self.d_base_us {
                 Some(b) => b.min(owd_us),
@@ -251,18 +162,7 @@ impl crate::CongestionController for NadaController {
             let queued = owd_us - base.min(owd_us);
             batch_queue_us = Some(batch_queue_us.map_or(queued, |q| q.min(queued)));
         }
-        // Trim the receive-rate window.
-        let keep_from = SimTime::from_micros(
-            now.as_micros()
-                .saturating_sub(self.config.rate_window.as_micros() * 2),
-        );
-        while let Some(&(at, _)) = self.recent.front() {
-            if at < keep_from {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
-        }
+        let recv = self.received.measure(now, packets);
         if let Some(q_us) = batch_queue_us {
             let q_ms = q_us as f64 / 1_000.0;
             self.d_queue_ms = if self.seen_delay {
@@ -280,27 +180,23 @@ impl crate::CongestionController for NadaController {
             None => 100.0,
         };
         self.last_update = Some(now);
-        let rtt_ms = self
-            .srtt
-            .map(|d| d.as_micros() as f64 / 1_000.0)
-            .unwrap_or(100.0);
 
         if self.p_loss <= 1e-9 && self.d_queue_ms < self.config.qeps_ms {
             // Accelerated ramp-up: jump toward (1+γ)·r_recv, where γ
             // shrinks with the feedback-loop delay so the transient queue
             // the jump builds stays under qbound.
-            self.set_phase(now, CcPhase::RampUp);
-            let gamma = (self.config.qbound_ms / (rtt_ms + delta_ms + self.config.dfilt_ms))
+            self.phase = CcPhase::RampUp;
+            let gamma = (self.config.qbound_ms
+                / (path.rtt_ms + delta_ms + self.config.dfilt_ms))
                 .min(self.config.gamma_max)
-                * self.increase_scale;
-            let recv = self.receive_rate_bps(now);
+                * path.increase_scale;
             if recv > 0.0 {
                 self.rate_bps = self.rate_bps.max((1.0 + gamma) * recv);
             }
         } else {
             // Gradual update: PI step against the reference offset and
             // the signal slope.
-            self.set_phase(now, CcPhase::Gradual);
+            self.phase = CcPhase::Gradual;
             let x_offset = x_curr
                 - self.config.priority * self.config.xref_ms * self.config.max_rate_bps
                     / self.rate_bps.max(self.config.min_rate_bps);
@@ -314,23 +210,14 @@ impl crate::CongestionController for NadaController {
             .rate_bps
             .clamp(self.config.min_rate_bps, self.config.max_rate_bps);
         self.x_prev_ms = x_curr;
-        self.trace_rate(now);
+        true
     }
 
-    fn on_rtt_sample(&mut self, rtt: SimDuration) {
-        self.srtt = Some(match self.srtt {
-            None => rtt,
-            Some(prev) => SimDuration::from_micros((prev.as_micros() * 7 + rtt.as_micros()) / 8),
-        });
-    }
-
-    fn on_loss_report_protected(&mut self, fraction_lost: f64, protection_ratio: f64) {
-        self.last_fraction_lost = fraction_lost.clamp(0.0, 1.0);
-        let effective = (self.last_fraction_lost - protection_ratio.max(0.0)).max(0.0);
-        self.p_loss = 0.875 * self.p_loss + 0.125 * effective;
+    fn on_loss(&mut self, effective_loss: f64) {
+        self.p_loss = 0.875 * self.p_loss + 0.125 * effective_loss;
         // Snap the EWMA tail to zero so loss-free paths re-enter the
         // accelerated ramp-up instead of creeping asymptotically.
-        if effective <= 0.0 && self.p_loss < 1e-4 {
+        if effective_loss <= 0.0 && self.p_loss < 1e-4 {
             self.p_loss = 0.0;
         }
     }
@@ -339,31 +226,28 @@ impl crate::CongestionController for NadaController {
         self.rate_bps as u64
     }
 
-    fn srtt(&self) -> Option<SimDuration> {
-        self.srtt
-    }
-
-    fn fraction_lost(&self) -> f64 {
-        self.last_fraction_lost
-    }
-
     fn cap_estimate(&mut self, bps: f64) {
         self.rate_bps = self.rate_bps.min(bps).max(self.config.min_rate_bps);
     }
 
-    fn set_increase_scale(&mut self, scale: f64) {
-        self.increase_scale = scale.clamp(0.01, 1.0);
+    fn estimate_bps(&self) -> f64 {
+        self.rate_bps
     }
 
-    fn delay_estimate_bps(&self) -> f64 {
-        self.rate_bps
+    fn phase(&self) -> CcPhase {
+        self.phase
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CongestionController;
+
+    /// An uncoupled path with a 60 ms smoothed RTT.
+    const PATH: PathObservations = PathObservations {
+        rtt_ms: 60.0,
+        increase_scale: 1.0,
+    };
 
     /// Feeds `duration_ms` of packets arriving at `rate_bps` with a fixed
     /// base delay plus `queue_ms` of standing queue, in 10-packet batches.
@@ -386,7 +270,7 @@ mod tests {
             });
             if batch.len() == 10 {
                 let now = batch.last().unwrap().arrival_time;
-                ctl.on_transport_feedback(now, &batch);
+                ctl.on_transport_feedback(now, &batch, &PATH);
                 batch.clear();
             }
         }
@@ -396,12 +280,11 @@ mod tests {
     fn ramp_up_is_bounded_by_gamma() {
         let cfg = NadaConfig::default();
         let mut ctl = NadaController::new(cfg);
-        ctl.on_rtt_sample(SimDuration::from_millis(60));
         let mut prev = ctl.target_rate_bps() as f64;
         for sec in 0..5 {
             feedback_at_rate(&mut ctl, sec * 1_000, 1_000, 8_000_000.0, 0);
             for _ in 0..10 {
-                ctl.on_loss_report_protected(0.0, 0.0);
+                ctl.on_loss(0.0);
             }
             let rate = ctl.target_rate_bps() as f64;
             assert!(rate >= prev, "ramp-up never decreases: {prev} -> {rate}");
@@ -421,7 +304,6 @@ mod tests {
     #[test]
     fn pi_decreases_rate_under_queuing_delay() {
         let mut ctl = NadaController::new(NadaConfig::default());
-        ctl.on_rtt_sample(SimDuration::from_millis(60));
         // Establish the delay baseline and a working rate.
         feedback_at_rate(&mut ctl, 0, 3_000, 8_000_000.0, 0);
         let before = ctl.target_rate_bps();
@@ -436,12 +318,11 @@ mod tests {
     #[test]
     fn pi_increases_rate_when_signal_is_below_reference() {
         let mut ctl = NadaController::new(NadaConfig::default());
-        ctl.on_rtt_sample(SimDuration::from_millis(60));
         feedback_at_rate(&mut ctl, 0, 1_000, 2_000_000.0, 0);
         // A trickle of loss keeps the controller in gradual mode, but at
         // a low rate the reference term dominates (x_offset < 0): the PI
         // sign pushes the rate up, not down.
-        ctl.on_loss_report_protected(0.02, 0.0);
+        ctl.on_loss(0.02);
         let before = ctl.target_rate_bps();
         feedback_at_rate(&mut ctl, 1_000, 2_000, 2_000_000.0, 0);
         assert_eq!(ctl.phase(), CcPhase::Gradual);
@@ -452,16 +333,14 @@ mod tests {
     #[test]
     fn heavy_loss_shows_in_signal_and_rate() {
         let mut ctl = NadaController::new(NadaConfig::default());
-        ctl.on_rtt_sample(SimDuration::from_millis(60));
         feedback_at_rate(&mut ctl, 0, 3_000, 6_000_000.0, 0);
         let before = ctl.target_rate_bps();
         for _ in 0..10 {
-            ctl.on_loss_report_protected(0.3, 0.0);
+            ctl.on_loss(0.3);
         }
         assert!(ctl.congestion_signal_ms() > 100.0);
         feedback_at_rate(&mut ctl, 3_000, 1_000, 6_000_000.0, 0);
         assert!(ctl.target_rate_bps() < before);
-        assert!((ctl.fraction_lost() - 0.3).abs() < 1e-9);
     }
 
     #[test]
@@ -471,7 +350,6 @@ mod tests {
         ctl.cap_estimate(10_000.0);
         assert_eq!(ctl.target_rate_bps() as f64, cfg.min_rate_bps);
         // Sustained clean traffic cannot push past the ceiling.
-        ctl.on_rtt_sample(SimDuration::from_millis(20));
         for sec in 0..20 {
             feedback_at_rate(&mut ctl, sec * 1_000, 1_000, 60_000_000.0, 0);
         }

@@ -86,9 +86,10 @@ impl AimdController {
     }
 
     /// Sets the growth-step scale in (0, 1]; used by coupled congestion
-    /// control to dampen per-subflow increases.
+    /// control to dampen per-subflow increases. The caller keeps it in
+    /// range (the path controller clamps to `[0.01, 1]`).
     pub fn set_increase_scale(&mut self, scale: f64) {
-        self.increase_scale = scale.clamp(0.01, 1.0);
+        self.increase_scale = scale;
     }
 
     /// Pulls the estimate down to at most `bps` (never below the configured

@@ -11,24 +11,21 @@
 //!   detector (underuse / normal / overuse).
 //! - [`aimd`]: the Hold/Increase/Decrease remote-rate AIMD controller.
 //! - [`loss_based`]: the loss-report-driven sender-side controller.
-//! - [`controller`]: the per-path combination (target = min of the two),
-//!   plus RTT and goodput tracking.
 //!
-//! Converge extends GCC "for every available path" (paper section 4.1);
-//! the scheduler in `converge-core` instantiates one [`GccController`]
-//! per path — uncoupled congestion control.
+//! These are the estimator parts. Converge extends GCC "for every
+//! available path" (paper section 4.1): `converge-cc` composes one set of
+//! them per path (target = min of the delay- and loss-based estimates)
+//! behind the same controller shell that drives NADA and mp-BBR.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod aimd;
 pub mod arrival;
-pub mod controller;
 pub mod loss_based;
 pub mod trendline;
 
 pub use aimd::{AimdConfig, AimdController, RateState};
 pub use arrival::{DelaySample, InterArrival, PacketTiming};
-pub use controller::{GccConfig, GccController};
 pub use loss_based::{LossBasedConfig, LossBasedController};
 pub use trendline::{BandwidthUsage, TrendlineConfig, TrendlineEstimator};

@@ -195,10 +195,6 @@ impl Link {
     /// Offers one packet of `bytes` to the link at time `now`, returning
     /// just the primary fate. Equivalent to [`Link::offer`] with any
     /// injected duplicate discarded.
-    ///
-    /// # Panics
-    /// Panics if called with a `now` earlier than a previous call — the link
-    /// requires monotonically non-decreasing send times.
     pub fn transmit(&mut self, now: SimTime, bytes: usize) -> Transmit {
         self.offer(now, bytes).fate
     }
@@ -211,9 +207,10 @@ impl Link {
     /// bottleneck rate, propagation delay, and the impairment stage
     /// (reorder hold-back and fixed extra delay).
     ///
-    /// # Panics
-    /// Panics if called with a `now` earlier than a previous call — the link
-    /// requires monotonically non-decreasing send times.
+    /// Offers in non-decreasing `now` order are the caller's precondition;
+    /// nothing here checks it. Serialization starts at
+    /// `busy_until.max(now)`, so a packet offered with an earlier `now`
+    /// queues behind everything already accepted.
     pub fn offer(&mut self, now: SimTime, bytes: usize) -> Offer {
         use rand::Rng;
         self.prune(now);

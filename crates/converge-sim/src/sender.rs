@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use converge_cc::{CongestionController, ControllerConfig};
+use converge_cc::{ControllerConfig, PathController};
 use converge_core::{
     classify, Assignment, FecPolicy, PacketClass, PathMetrics, Schedulable, Scheduler,
 };
@@ -187,10 +187,10 @@ pub enum RateCoupling {
 /// The conference sender.
 pub struct ConferenceSender {
     streams: Vec<StreamPipeline>,
-    /// One congestion controller per path (uncoupled by default), behind
-    /// the `CongestionController` trait so the sender is agnostic to the
-    /// algorithm (GCC / NADA / mp-BBR).
-    cc: BTreeMap<PathId, Box<dyn CongestionController>>,
+    /// One congestion controller per path (uncoupled by default); the
+    /// algorithm behind each (GCC / NADA / mp-BBR) is the controller's
+    /// business, not the sender's.
+    cc: BTreeMap<PathId, PathController>,
     scheduler: Box<dyn Scheduler>,
     fec: Box<dyn FecPolicy>,
     /// Per-path transport send state, sorted by `PathId`; only ever
@@ -336,8 +336,8 @@ impl ConferenceSender {
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.scheduler.set_trace(trace.clone());
         self.fec.set_trace(trace.clone());
-        for (&path, ctl) in self.cc.iter_mut() {
-            ctl.set_trace(trace.clone(), path);
+        for ctl in self.cc.values_mut() {
+            ctl.set_trace(trace.clone());
         }
         self.monitor.set_trace(trace);
     }
@@ -442,10 +442,10 @@ impl ConferenceSender {
         // Coupled mode: dampen each controller's growth by its share of
         // the aggregate estimate, so the sum increases like a single flow.
         if self.coupling == RateCoupling::Lia {
-            let total: f64 = self.cc.values().map(|c| c.delay_estimate_bps()).sum();
+            let total: f64 = self.cc.values().map(|c| c.estimate_bps()).sum();
             if total > 0.0 {
                 for ctl in self.cc.values_mut() {
-                    let share = ctl.delay_estimate_bps() / total;
+                    let share = ctl.estimate_bps() / total;
                     ctl.set_increase_scale(share);
                 }
             }

@@ -71,12 +71,6 @@ pub fn record_line(record: &TraceRecord) -> String {
             "\"path\":{},\"beta_milli\":{},\"media\":{},\"repair\":{}",
             path.0, beta_milli, media, repair
         ),
-        TraceEvent::GccStateChanged { path, usage } => {
-            format!("\"path\":{},\"usage\":\"{}\"", path.0, usage.label())
-        }
-        TraceEvent::GccRateChanged { path, rate_bps } => {
-            format!("\"path\":{},\"rate_bps\":{}", path.0, rate_bps)
-        }
         TraceEvent::CcStateChanged {
             path,
             algorithm,
@@ -220,13 +214,10 @@ mod tests {
                 media: 20,
                 repair: 3,
             },
-            TraceEvent::GccStateChanged {
+            TraceEvent::CcStateChanged {
                 path: PathId(0),
-                usage: crate::GccUsage::Overuse,
-            },
-            TraceEvent::GccRateChanged {
-                path: PathId(0),
-                rate_bps: 2_000_000,
+                algorithm: crate::CcAlgorithm::Gcc,
+                phase: crate::CcPhase::Overuse,
             },
             TraceEvent::CcStateChanged {
                 path: PathId(0),

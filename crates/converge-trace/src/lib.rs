@@ -1,9 +1,10 @@
 //! Deterministic structured tracing for the Converge stack.
 //!
 //! Every control decision the paper plots over time — scheduler splits,
-//! Eq. 2 α adjustments, Eq. 3 path disable/re-enable, FEC β updates, GCC
-//! state and rate changes, connection-monitor edges, QoE feedback
-//! emission, NACK/retransmit, and frame decode/drop/freeze — is a typed
+//! Eq. 2 α adjustments, Eq. 3 path disable/re-enable, FEC β updates,
+//! congestion-controller state and rate changes, connection-monitor
+//! edges, QoE feedback emission, NACK/retransmit, and frame
+//! decode/drop/freeze — is a typed
 //! [`TraceEvent`] stamped with the [`SimTime`] it happened at. Components
 //! emit through a [`TraceHandle`], a cheaply cloneable reference to a
 //! [`TraceSink`]; the default handle is disabled and emitting through it
@@ -29,31 +30,7 @@ pub mod timeline;
 
 pub use invariant::{InvariantConfig, InvariantSink, Violation};
 
-/// Congestion-controller usage signal, mirroring GCC's overuse detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GccUsage {
-    /// Queues draining: the path can take more.
-    Underuse,
-    /// Stable delay.
-    Normal,
-    /// Queues building: back off.
-    Overuse,
-}
-
-impl GccUsage {
-    /// Canonical lowercase label used in the JSONL encoding.
-    pub fn label(self) -> &'static str {
-        match self {
-            GccUsage::Underuse => "underuse",
-            GccUsage::Normal => "normal",
-            GccUsage::Overuse => "overuse",
-        }
-    }
-}
-
-/// Which congestion-control algorithm a controller-agnostic event came
-/// from. GCC keeps its legacy `Gcc*` events for byte-stable timelines;
-/// the pluggable controllers emit `Cc*` events tagged with this.
+/// Which congestion-control algorithm a `Cc*` event came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcAlgorithm {
     /// Google Congestion Control (delay trendline + loss, AIMD).
@@ -75,11 +52,18 @@ impl CcAlgorithm {
     }
 }
 
-/// Operating phase of a pluggable congestion controller. NADA alternates
+/// Operating phase of a congestion controller. GCC reports its overuse
+/// detector's signal (`Underuse` / `Normal` / `Overuse`); NADA alternates
 /// between `RampUp` and `Gradual` (RFC 8698 §4.2); BBR walks
 /// `Startup → Drain → ProbeBw` with periodic `ProbeRtt` dips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcPhase {
+    /// GCC: queues draining, the path can take more.
+    Underuse,
+    /// GCC: stable delay.
+    Normal,
+    /// GCC: queues building, back off.
+    Overuse,
     /// NADA accelerated ramp-up (loss-free, empty queue).
     RampUp,
     /// NADA gradual PI update.
@@ -98,6 +82,9 @@ impl CcPhase {
     /// Canonical lowercase label used in the JSONL encoding.
     pub fn label(self) -> &'static str {
         match self {
+            CcPhase::Underuse => "underuse",
+            CcPhase::Normal => "normal",
+            CcPhase::Overuse => "overuse",
             CcPhase::RampUp => "ramp_up",
             CcPhase::Gradual => "gradual",
             CcPhase::Startup => "startup",
@@ -189,22 +176,7 @@ pub enum TraceEvent {
         /// Repair packets generated for the batch.
         repair: u32,
     },
-    /// GCC's overuse detector changed state on a path.
-    GccStateChanged {
-        /// Path whose controller changed state.
-        path: PathId,
-        /// New detector state.
-        usage: GccUsage,
-    },
-    /// GCC's target rate for a path changed.
-    GccRateChanged {
-        /// Path whose target moved.
-        path: PathId,
-        /// New target rate, bits per second.
-        rate_bps: u64,
-    },
-    /// A pluggable congestion controller changed phase on a path
-    /// (controller-agnostic counterpart of [`TraceEvent::GccStateChanged`]).
+    /// A path's congestion controller changed phase.
     CcStateChanged {
         /// Path whose controller changed phase.
         path: PathId,
@@ -213,9 +185,8 @@ pub enum TraceEvent {
         /// The phase it entered.
         phase: CcPhase,
     },
-    /// A pluggable congestion controller's target rate for a path changed
-    /// (controller-agnostic counterpart of [`TraceEvent::GccRateChanged`];
-    /// subject to the same rate-clamp invariant).
+    /// A path's congestion-controller target rate moved by at least 5 %
+    /// (subject to the rate-clamp invariant).
     CcRateChanged {
         /// Path whose target moved.
         path: PathId,
@@ -291,8 +262,6 @@ impl TraceEvent {
             TraceEvent::PathDisabled { .. } => "path_disabled",
             TraceEvent::PathReenabled { .. } => "path_reenabled",
             TraceEvent::FecUpdated { .. } => "fec_updated",
-            TraceEvent::GccStateChanged { .. } => "gcc_state_changed",
-            TraceEvent::GccRateChanged { .. } => "gcc_rate_changed",
             TraceEvent::CcStateChanged { .. } => "cc_state_changed",
             TraceEvent::CcRateChanged { .. } => "cc_rate_changed",
             TraceEvent::MonitorEdge { .. } => "monitor_edge",

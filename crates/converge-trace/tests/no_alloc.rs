@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use converge_net::{PathId, SimTime};
-use converge_trace::{GccUsage, LinkState, TraceEvent, TraceHandle};
+use converge_trace::{CcAlgorithm, CcPhase, LinkState, TraceEvent, TraceHandle};
 
 struct CountingAlloc;
 
@@ -73,12 +73,14 @@ fn every_event(i: u64) -> [TraceEvent; 15] {
             media: 20,
             repair: 2,
         },
-        TraceEvent::GccStateChanged {
+        TraceEvent::CcStateChanged {
             path,
-            usage: GccUsage::Overuse,
+            algorithm: CcAlgorithm::Gcc,
+            phase: CcPhase::Overuse,
         },
-        TraceEvent::GccRateChanged {
+        TraceEvent::CcRateChanged {
             path,
+            algorithm: CcAlgorithm::Gcc,
             rate_bps: i * 1_000,
         },
         TraceEvent::MonitorEdge {

@@ -16,20 +16,23 @@
 use std::sync::Arc;
 
 use converge_net::SimDuration;
-use converge_sim::{FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig};
+use converge_sim::{
+    ControllerKind, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
+};
 use converge_trace::{jsonl, RingSink, TraceHandle};
 
-/// Renders the pinned golden session: 3 s of the FEC trade-off scenario
-/// (2% bursty loss, so the FEC controller, NACKs, and the loss process
-/// all contribute events) under Converge scheduling, seed 7.
-fn render_golden() -> String {
+/// Renders a pinned session: `secs` of the FEC trade-off scenario (2%
+/// bursty loss, so the FEC controller, NACKs, and the loss process all
+/// contribute events) under Converge scheduling, seed 7.
+fn render(controller: ControllerKind, secs: u64) -> String {
     let ring = Arc::new(RingSink::new(1 << 20));
     let cfg = SessionConfig::builder()
         .scenario(ScenarioConfig::fec_tradeoff(2.0))
         .scheduler(SchedulerKind::Converge)
         .fec(FecKind::Converge)
+        .controller(controller)
         .streams(1)
-        .duration(SimDuration::from_secs(3))
+        .duration(SimDuration::from_secs(secs))
         .seed(7)
         .trace(TraceHandle::new(ring.clone()))
         .build()
@@ -38,6 +41,18 @@ fn render_golden() -> String {
     assert!(report.frames_decoded > 0, "golden run must decode frames");
     assert_eq!(ring.dropped(), 0, "ring must hold the whole timeline");
     jsonl::render("golden", &ring.drain())
+}
+
+/// The golden session: 3 s under the default controller (GCC).
+fn render_golden() -> String {
+    render(ControllerKind::Gcc, 3)
+}
+
+/// 64-bit FNV-1a of a rendered timeline.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn fixture_path() -> std::path::PathBuf {
@@ -87,6 +102,29 @@ fn golden_trace_matches_checked_in_fixture() {
              If the change is intentional, regenerate with UPDATE_GOLDEN=1 \
              and review the fixture diff.",
             path.display()
+        );
+    }
+}
+
+/// The non-default controllers have no fixture; a digest of 5 s of the
+/// same session pins their whole timeline — in particular mp-BBR tracing
+/// no rate before its first bandwidth sample, and NADA's state event
+/// preceding the rate event of the same feedback round.
+#[test]
+fn nada_and_mpbbr_timelines_match_pinned_digests() {
+    for (kind, digest) in [
+        (ControllerKind::Nada, 0xa2fe_11b4_3e55_69f5_u64),
+        (ControllerKind::MpBbr, 0xe52a_e367_d255_6cd2_u64),
+    ] {
+        let rendered = render(kind, 5);
+        assert!(rendered.contains("\"event\":\"cc_state_changed\""), "{}", kind.id());
+        assert!(rendered.contains("\"event\":\"cc_rate_changed\""), "{}", kind.id());
+        let got = fnv1a(&rendered);
+        assert!(
+            got == digest,
+            "{} timeline drifted: digest {got:#018x}, pinned {digest:#018x} ({} lines)",
+            kind.id(),
+            rendered.lines().count()
         );
     }
 }
