@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
-# tests, the allocation budgets by name, a quick-scale smoke run of the full
+# tests, the allocation budgets by name, one short run of the sampling
+# profiler (so it cannot rot), a quick-scale smoke run of the full
 # experiment sweep on 2 workers (exercises the work-stealing pool and the
 # memo cache), a traced experiment run with JSONL timeline validation, the
 # chaos, controller-shootout and drive-replay matrices with the invariant
@@ -8,8 +9,8 @@
 # member, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
-# Gates, in order: benchmark-smoke, tests, alloc-budget, sweep-smoke,
-# traced-fig11, chaos, shootout, drive, fleet, bench-compare.
+# Gates, in order: benchmark-smoke, tests, alloc-budget, hot-lines,
+# sweep-smoke, traced-fig11, chaos, shootout, drive, fleet, bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -64,6 +65,17 @@ alloc_budget() {
     grep -q '^test result: ok. 2 passed' <<<"$out"
 }
 gate alloc-budget alloc_budget
+
+# The sampling profiler (DESIGN §6c's tables come from it): one short cell
+# must exit 0 and print either a table row ("  8.7%      112  file:line")
+# or, off Linux x86_64, its "unsupported" line.
+hot_lines() {
+    local out
+    out=$(cargo run --release -p converge-sim --example hot_lines -- clean1 1)
+    echo "$out"
+    grep -Eq '^unsupported|^ *[0-9.]+% +[0-9]+  ' <<<"$out"
+}
+gate hot-lines hot_lines
 
 sweep_smoke() {
     experiments all --quick --jobs 2 > results/smoke_all.txt

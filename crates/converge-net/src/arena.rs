@@ -15,6 +15,15 @@ pub struct SlotKey {
     generation: u32,
 }
 
+impl SlotKey {
+    /// The slot this key names, without its generation: what a holder that
+    /// keeps exactly one key per live value (and so cannot hold a stale
+    /// one) needs for [`Arena::remove_at`].
+    pub fn index(self) -> u32 {
+        self.slot
+    }
+}
+
 #[derive(Debug)]
 struct Entry<T> {
     generation: u32,
@@ -110,13 +119,22 @@ impl<T> Arena<T> {
     ///
     /// Returns `None` for a stale key (slot already freed or reused).
     pub fn remove(&mut self, key: SlotKey) -> Option<T> {
-        let entry = self.entries.get_mut(key.slot as usize)?;
+        let entry = self.entries.get(key.slot as usize)?;
         if entry.generation != key.generation {
             return None;
         }
+        self.remove_at(key.slot)
+    }
+
+    /// Removes and returns whatever value occupies slot `index`, freeing
+    /// the slot; `None` if it is empty or was never allocated. The
+    /// generation still advances, so generational keys to the removed
+    /// value go stale as after [`remove`](Arena::remove).
+    pub fn remove_at(&mut self, index: u32) -> Option<T> {
+        let entry = self.entries.get_mut(index as usize)?;
         let value = entry.value.take()?;
         entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(key.slot);
+        self.free.push(index);
         self.len -= 1;
         Some(value)
     }
@@ -184,6 +202,22 @@ mod tests {
         assert_eq!(arena.get(a), None);
         assert_eq!(arena.remove(a), None);
         assert_eq!(arena.get(b), Some(&"second"));
+    }
+
+    #[test]
+    fn remove_at_ignores_generation_but_advances_it() {
+        let mut arena = Arena::new();
+        let a = arena.insert("first");
+        assert_eq!(arena.remove_at(a.index()), Some("first"));
+        assert_eq!(arena.remove_at(a.index()), None, "slot is empty now");
+        assert_eq!(arena.remove_at(99), None, "slot was never allocated");
+        let b = arena.insert("second");
+        assert_eq!(b.index(), a.index());
+        // The generational API still sees the first occupant as gone.
+        assert_eq!(arena.get(a), None);
+        assert_eq!(arena.remove_at(b.index()), Some("second"));
+        assert_eq!(arena.get(b), None);
+        assert!(arena.is_empty());
     }
 
     #[test]

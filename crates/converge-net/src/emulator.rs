@@ -28,7 +28,7 @@ pub struct Delivery<P> {
 /// Fate of a send as reported to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
-    /// Accepted; it will appear in a later [`NetworkEmulator::poll`].
+    /// Accepted; a later [`NetworkEmulator::pop_due`] will deliver it.
     Enqueued,
     /// Dropped by the drop-tail queue.
     QueueDrop,
@@ -156,7 +156,21 @@ impl<P> NetworkEmulator<P> {
         self.queue.peek_time()
     }
 
-    /// Pops every delivery due at or before `now`, in arrival order.
+    /// Removes and returns the earliest pending delivery if it is due at or
+    /// before `now`: the one delivery primitive. Arrival order, original
+    /// before its duplicate on equal times.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<Delivery<P>> {
+        let (at, f) = self.queue.pop_due(now)?;
+        Some(Delivery {
+            path: f.path,
+            direction: f.direction,
+            at,
+            sent_at: f.sent_at,
+            payload: f.payload,
+        })
+    }
+
+    /// Every delivery due at or before `now`, in arrival order.
     pub fn poll(&mut self, now: SimTime) -> Vec<Delivery<P>> {
         let mut out = Vec::new();
         self.poll_into(now, &mut out);
@@ -164,17 +178,10 @@ impl<P> NetworkEmulator<P> {
     }
 
     /// Appends every delivery due at or before `now` to `out`, in arrival
-    /// order. Allocation-free once `out` has warmed up; the event loop
-    /// clears and reuses one buffer across iterations.
+    /// order.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) {
-        while let Some((at, f)) = self.queue.pop_due(now) {
-            out.push(Delivery {
-                path: f.path,
-                direction: f.direction,
-                at,
-                sent_at: f.sent_at,
-                payload: f.payload,
-            });
+        while let Some(delivery) = self.pop_due(now) {
+            out.push(delivery);
         }
     }
 
@@ -344,5 +351,87 @@ mod tests {
         assert_eq!(all[0].payload, 7);
         assert_eq!(all[1].payload, 7);
         assert!(all[0].at <= all[1].at, "original first");
+    }
+
+    /// `pop_due` in a loop and `poll_into` are the same primitive: twin
+    /// emulators fed one seeded send sequence deliver the same payloads at
+    /// the same instants in the same order, duplicates and equal-instant
+    /// ties included.
+    #[test]
+    fn pop_due_loop_matches_poll_into_on_seeded_traffic() {
+        use crate::impairment::ImpairmentConfig;
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let build = || {
+            let link = |seed, impairment| LinkConfig {
+                seed,
+                impairment,
+                ..LinkConfig::default()
+            };
+            NetworkEmulator::<u32>::new(vec![
+                // Half the packets twice, the copy up to 2 ms behind.
+                Path::symmetric(
+                    PathId(0),
+                    link(
+                        1,
+                        ImpairmentConfig::duplication(0.5, SimDuration::from_millis(2)),
+                    ),
+                ),
+                // Every packet twice at the same instant: a FIFO tie
+                // between the original and its copy.
+                Path::symmetric(
+                    PathId(1),
+                    link(2, ImpairmentConfig::duplication(1.0, SimDuration::ZERO)),
+                ),
+                // Two identical clean paths: same-size packets sent at one
+                // instant tie across paths.
+                Path::symmetric(PathId(2), link(3, ImpairmentConfig::default())),
+                Path::symmetric(PathId(3), link(3, ImpairmentConfig::default())),
+            ])
+        };
+        let (mut batched, mut single) = (build(), build());
+        let mut rng = SmallRng::seed_from_u64(0xD1CE);
+        let mut now = SimTime::ZERO;
+        let (mut delivered, mut ties) = (0usize, 0usize);
+        let mut out_batched = Vec::new();
+        for n in 0..20_000u32 {
+            let roll: u64 = rng.gen();
+            now += SimDuration::from_micros(roll % 400);
+            let direction = if roll & 1 == 0 {
+                Direction::Forward
+            } else {
+                Direction::Reverse
+            };
+            let bytes = 100 + (roll >> 8) as usize % 1_200;
+            // The clean pair always sends together.
+            let paths: &[u8] = match (roll >> 4) % 3 {
+                0 => &[0],
+                1 => &[1],
+                _ => &[2, 3],
+            };
+            for &p in paths {
+                let a = batched.send(PathId(p), direction, now, bytes, n).0;
+                let b = single.send(PathId(p), direction, now, bytes, n).0;
+                assert_eq!(a, b);
+            }
+            if (roll >> 32).is_multiple_of(4) {
+                out_batched.clear();
+                batched.poll_into(now, &mut out_batched);
+                let mut out_single = Vec::new();
+                while let Some(d) = single.pop_due(now) {
+                    out_single.push(d);
+                }
+                assert_eq!(out_batched, out_single);
+                assert_eq!(batched.next_arrival(), single.next_arrival());
+                assert_eq!(batched.idle(), single.idle());
+                assert!(out_single.windows(2).all(|w| w[0].at <= w[1].at));
+                ties += out_single.windows(2).filter(|w| w[0].at == w[1].at).count();
+                delivered += out_single.len();
+            }
+        }
+        assert!(
+            delivered > 20_000,
+            "duplicates must add deliveries: {delivered}"
+        );
+        assert!(ties > 1_000, "equal-instant deliveries must occur: {ties}");
     }
 }

@@ -2,46 +2,54 @@
 //!
 //! Events are ordered by firing time with insertion-order tie-breaks, so two
 //! runs with the same inputs pop events in exactly the same sequence. The
-//! heap itself only holds small `Copy` keys; event payloads sit in a
-//! generational [`Arena`], so heap sifts never move payload bytes and a
-//! batch drain touches each payload exactly once.
+//! heap itself only holds 16-byte integer keys; event payloads sit in an
+//! [`Arena`], so heap sifts never move payload bytes and a pop touches its
+//! payload exactly once.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::arena::{Arena, SlotKey};
+use crate::arena::Arena;
 use crate::time::SimTime;
 
-/// The heap-resident key for one scheduled event: firing time, FIFO
-/// tie-break sequence, and the arena slot holding the payload.
-#[derive(Debug, Clone, Copy)]
-struct HeapKey {
-    at: SimTime,
-    seq: u64,
-    slot: SlotKey,
-}
+/// Low bits of a key that name the arena slot: at most 2^24 events pending
+/// at once.
+const SLOT_BITS: u32 = 24;
+/// The bits above them that hold the FIFO sequence: at most 2^40 events
+/// scheduled between two [`EventQueue::clear`]s.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
 
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// The heap-resident key for one scheduled event, one integer: firing time
+/// in the high 64 bits, then the FIFO tie-break sequence, then the arena
+/// slot holding the payload. One compare orders by (time, sequence) — the
+/// sequence is unique, so the slot bits never decide — and every sift step
+/// moves one aligned 16-byte value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapKey(u128);
+
+impl HeapKey {
+    /// # Panics
+    /// Panics if `seq` or `slot` exceeds its bit budget: a truncated field
+    /// would misorder events silently.
+    fn new(at: SimTime, seq: u64, slot: u32) -> Self {
+        assert!(
+            seq >> SEQ_BITS == 0,
+            "event queue sequence budget exhausted: 2^{SEQ_BITS} events scheduled without a clear()"
+        );
+        assert!(
+            slot >> SLOT_BITS == 0,
+            "event queue slot budget exhausted: 2^{SLOT_BITS} events pending at once"
+        );
+        let low = seq << SLOT_BITS | slot as u64;
+        HeapKey((at.as_micros() as u128) << 64 | low as u128)
     }
-}
-impl Eq for HeapKey {}
 
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn at(self) -> SimTime {
+        SimTime::from_micros((self.0 >> 64) as u64)
     }
-}
 
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then the first
-        // inserted) event is popped first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+    fn slot(self) -> u32 {
+        self.0 as u32 & ((1 << SLOT_BITS) - 1)
     }
 }
 
@@ -61,7 +69,9 @@ impl Ord for HeapKey {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapKey>,
+    /// A max-heap of reversed keys: the smallest (earliest, then first
+    /// scheduled) key is on top.
+    heap: BinaryHeap<Reverse<HeapKey>>,
     events: Arena<E>,
     next_seq: u64,
 }
@@ -86,23 +96,23 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.events.insert(event);
-        self.heap.push(HeapKey { at, seq, slot });
+        let slot = self.events.insert(event).index();
+        self.heap.push(Reverse(HeapKey::new(at, seq, slot)));
     }
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.heap.peek().map(|key| key.0.at())
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let key = self.heap.pop()?;
+        let Reverse(key) = self.heap.pop()?;
         let event = self
             .events
-            .remove(key.slot)
+            .remove_at(key.slot())
             .expect("heap key must resolve to a live arena slot");
-        Some((key.at, event))
+        Some((key.at(), event))
     }
 
     /// Removes and returns the earliest event only if it fires at or before
@@ -134,10 +144,12 @@ impl<E> EventQueue<E> {
         self.events.high_water()
     }
 
-    /// Drops all pending events.
+    /// Drops all pending events. With nothing left to tie-break against,
+    /// the FIFO sequence starts over.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.events.clear();
+        self.next_seq = 0;
     }
 }
 
@@ -145,9 +157,138 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// The queue against the obvious model, a map ordered by (time,
+    /// insertion number), step by step.
+    #[test]
+    fn matches_reference_model_over_seeded_operations() {
+        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        // The model's own insertion number never starts over, the queue's
+        // does at every clear(): the two must still agree.
+        let mut inserted = 0u64;
+        let mut peak = 0usize;
+        let mut now = 0u64;
+        let mut ops = 0u64;
+        let mut schedule =
+            |q: &mut EventQueue<u64>, model: &mut BTreeMap<_, _>, peak: &mut usize, at: SimTime| {
+                q.schedule(at, inserted);
+                model.insert((at, inserted), inserted);
+                inserted += 1;
+                *peak = (*peak).max(model.len());
+            };
+        for step in 0..100_000u64 {
+            let roll: u64 = rng.gen();
+            match roll % 100 {
+                0..=47 => {
+                    let at = match (roll >> 8) % 64 {
+                        // A stalled link's arrival.
+                        0 => SimTime::MAX,
+                        // Ties with whatever else fires "now".
+                        1..=8 => SimTime::from_micros(now),
+                        _ => SimTime::from_micros(now + (roll >> 16) % 50_000),
+                    };
+                    schedule(&mut q, &mut model, &mut peak, at);
+                }
+                48..=67 => {
+                    let expected = model.pop_first().map(|((at, _), e)| (at, e));
+                    assert_eq!(q.pop(), expected, "pop at step {step}");
+                }
+                68..=98 => {
+                    now += (roll >> 8) % 2_000;
+                    let due = SimTime::from_micros(now);
+                    let expected = match model.first_key_value() {
+                        Some((&(at, _), _)) if at <= due => {
+                            model.pop_first().map(|((at, _), e)| (at, e))
+                        }
+                        _ => None,
+                    };
+                    assert_eq!(q.pop_due(due), expected, "pop_due at step {step}");
+                }
+                _ => match (roll >> 8) % 8 {
+                    // Slots and sequence numbers are reused from here.
+                    0 => {
+                        q.clear();
+                        model.clear();
+                    }
+                    // Thousands of events at one instant.
+                    1 => {
+                        let at = SimTime::from_micros(now + (roll >> 16) % 10_000);
+                        for _ in 0..2_500 {
+                            schedule(&mut q, &mut model, &mut peak, at);
+                            ops += 1;
+                        }
+                    }
+                    _ => {}
+                },
+            }
+            ops += 1;
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
+            assert_eq!(q.peek_time(), model.keys().next().map(|&(at, _)| at));
+            assert_eq!(q.high_water(), peak, "high_water is the deepest ever");
+        }
+        // Whatever is left comes out in model order too.
+        while let Some(((at, _), e)) = model.pop_first() {
+            assert_eq!(q.pop(), Some((at, e)));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(ops >= 100_000 && peak >= 2_500, "{ops} ops, peak {peak}");
+    }
+
+    #[test]
+    fn heap_key_is_sixteen_bytes_and_orders_by_time_then_sequence() {
+        assert_eq!(std::mem::size_of::<HeapKey>(), 16);
+        assert_eq!(std::mem::size_of::<Reverse<HeapKey>>(), 16);
+        let max_seq = (1u64 << SEQ_BITS) - 1;
+        let max_slot = (1u32 << SLOT_BITS) - 1;
+        // Ascending (time, seq); the slot is chosen to pull the other way.
+        let keys = [
+            HeapKey::new(SimTime::ZERO, 0, max_slot),
+            HeapKey::new(SimTime::ZERO, 1, 0),
+            HeapKey::new(SimTime::ZERO, max_seq, 0),
+            HeapKey::new(SimTime::from_micros(1), 0, max_slot),
+            HeapKey::new(SimTime::MAX, 5, max_slot),
+            HeapKey::new(SimTime::MAX, max_seq, 0),
+        ];
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        let last = keys[5];
+        assert_eq!((last.at(), last.slot()), (SimTime::MAX, 0));
+        assert_eq!(keys[4].slot(), max_slot);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence budget exhausted")]
+    fn sequence_past_its_bit_budget_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = (1 << SEQ_BITS) - 1;
+        q.schedule(t(1), "last that fits");
+        q.schedule(t(1), "one too many");
+    }
+
+    #[test]
+    fn clear_restarts_the_sequence_budget() {
+        let mut q = EventQueue::new();
+        q.next_seq = (1 << SEQ_BITS) - 1;
+        q.schedule(t(1), 1);
+        q.clear();
+        q.schedule(t(1), 2);
+        q.schedule(t(1), 3);
+        assert_eq!(q.pop(), Some((t(1), 2)));
+        assert_eq!(q.pop(), Some((t(1), 3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot budget exhausted")]
+    fn slot_past_its_bit_budget_panics() {
+        let _ = HeapKey::new(SimTime::ZERO, 0, 1 << SLOT_BITS);
     }
 
     #[test]

@@ -358,10 +358,10 @@ impl Net for MemberNet<'_> {
         path: PathId,
         direction: Direction,
         now: SimTime,
+        size: usize,
         payload: NetPayload,
     ) -> bool {
         let MemberNet { conf, member, .. } = *self;
-        let size = payload.wire_size();
         let p = self
             .paths
             .iter_mut()

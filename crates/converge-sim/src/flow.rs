@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use converge_core::PacketClass;
 use converge_net::{
-    event::EventQueue, Delivery, Direction, NetworkEmulator, Path, PathId, SimDuration, SimTime,
+    event::EventQueue, Direction, NetworkEmulator, Path, PathId, SimDuration, SimTime,
 };
 use converge_rtp::RtcpPacket;
 use converge_trace::{TraceEvent, TraceHandle};
@@ -31,13 +31,14 @@ const SENDER_RTCP_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
 /// The send seam: where a flow's packets enter the network.
 pub(crate) trait Net {
-    /// Offers `payload` to `path` in `direction` at `now`; returns whether
-    /// the network lost it.
+    /// Offers `payload`, `size` bytes on the wire, to `path` in `direction`
+    /// at `now`; returns whether the network lost it.
     fn send(
         &mut self,
         path: PathId,
         direction: Direction,
         now: SimTime,
+        size: usize,
         payload: NetPayload,
     ) -> bool;
 }
@@ -49,9 +50,9 @@ impl Net for NetworkEmulator<NetPayload> {
         path: PathId,
         direction: Direction,
         now: SimTime,
+        size: usize,
         payload: NetPayload,
     ) -> bool {
-        let size = payload.wire_size();
         NetworkEmulator::send(self, path, direction, now, size, payload)
             .0
             .is_lost()
@@ -93,10 +94,8 @@ pub(crate) struct Flow {
     frame_interval: SimDuration,
     rtcp_interval: SimDuration,
     transport_rtcp_interval: SimDuration,
-    /// Pacer drain buffer, reused so polling allocates nothing.
-    paced: Vec<OutboundPacket>,
     /// One frame's outbound packets, one packet's receiver events and one
-    /// round's receiver RTCP: likewise reused.
+    /// round's receiver RTCP: reused, so none allocates in the steady state.
     frame_out: Vec<OutboundPacket>,
     rx_events: Vec<ReceiverEvent>,
     rtcp_out: Vec<(PathId, RtcpPacket)>,
@@ -127,7 +126,6 @@ impl Flow {
             direction,
             rtcp_interval,
             transport_rtcp_interval,
-            paced: Vec::new(),
             frame_out: Vec::new(),
             rx_events: Vec::new(),
             rtcp_out: Vec::new(),
@@ -181,25 +179,28 @@ impl Flow {
 
     /// Sends every packet the pacer releases at `now`.
     pub(crate) fn drain_pacer(&mut self, now: SimTime, net: &mut impl Net) {
-        self.pacer.poll_into(now, &mut self.paced);
-        for out in self.paced.drain(..) {
-            let size = out.payload.wire_size();
+        let Flow {
+            pacer,
+            metrics,
+            trace,
+            direction,
+            ..
+        } = self;
+        pacer.release(now, |out, size| {
             let is_fec = out.class == PacketClass::Fec;
             let is_media = matches!(
                 &out.payload,
                 NetPayload::Rtp(r) if r.kind.video_packet().is_some()
             );
-            self.metrics
-                .on_packet_sent(now, out.path, size, is_fec, is_media);
+            metrics.on_packet_sent(now, out.path, size, is_fec, is_media);
             if out.class == PacketClass::Retransmission {
-                self.metrics.on_retransmission();
-                self.trace
-                    .emit(now, TraceEvent::Retransmitted { path: out.path });
+                metrics.on_retransmission();
+                trace.emit(now, TraceEvent::Retransmitted { path: out.path });
             }
-            if net.send(out.path, self.direction, now, out.payload) {
-                self.metrics.on_packet_lost(out.path);
+            if net.send(out.path, *direction, now, size, out.payload) {
+                metrics.on_packet_lost(out.path);
             }
-        }
+        });
     }
 
     /// Handles one payload arriving at whichever end of the flow it was
@@ -257,7 +258,7 @@ impl Flow {
                 probe_seq,
                 probe_sent_at: rtp.sent_at,
             };
-            net.send(path, opposite(self.direction), now, echo);
+            net.send(path, opposite(self.direction), now, echo.wire_size(), echo);
         }
         let media_payload = match &rtp.kind {
             RtpKind::Media(p) if p.kind.is_media() => p.size,
@@ -327,7 +328,9 @@ impl Flow {
                 self.receiver
                     .poll_rtcp_into(now, &self.sr_seen, transport, &mut self.rtcp_out);
                 for (path, rtcp) in self.rtcp_out.drain(..) {
-                    net.send(path, opposite(self.direction), now, NetPayload::Rtcp(rtcp));
+                    let payload = NetPayload::Rtcp(rtcp);
+                    let size = payload.wire_size();
+                    net.send(path, opposite(self.direction), now, size, payload);
                 }
                 now + if transport {
                     self.transport_rtcp_interval
@@ -337,7 +340,8 @@ impl Flow {
             }
             Tick::SenderRtcp => {
                 for (path, rtcp) in self.sender.periodic_rtcp(now) {
-                    net.send(path, self.direction, now, NetPayload::Rtcp(rtcp));
+                    let payload = NetPayload::Rtcp(rtcp);
+                    net.send(path, self.direction, now, payload.wire_size(), payload);
                 }
                 now + SENDER_RTCP_INTERVAL
             }
@@ -384,58 +388,59 @@ pub(crate) fn run_call<const N: usize>(
 
     let end = SimTime::ZERO + cfg.duration;
     let mut clock = SimTime::ZERO;
-    // Reused across iterations so the steady-state loop allocates nothing
-    // for polling.
-    let mut deliveries: Vec<Delivery<NetPayload>> = Vec::new();
+    // "Never" as a scalar, so the earliest source is a plain integer min.
+    // `SimTime::MAX` itself (a stalled link's arrival) ends the call just
+    // as no source at all does: both are at or past `end`.
+    let micros = |t: Option<SimTime>| t.map_or(u64::MAX, SimTime::as_micros);
 
     loop {
         // When no pacer holds a packet and nothing is in flight, the only
         // possible event source is a timer: jump straight there.
         let idle = cfg.idle_skip && emu.idle() && flows.iter().all(|f| f.pacer.is_empty());
-        let next = if idle {
-            timers.peek_time()
-        } else {
-            // Next event: earliest of timers, network deliveries, and the
-            // pacers' next release.
-            let pacer_next = flows.iter().filter_map(|f| f.pacer.next_release()).min();
-            [timers.peek_time(), emu.next_arrival(), pacer_next]
-                .into_iter()
-                .flatten()
-                .min()
-        };
-        let Some(now) = next else { break };
+        // Next event: earliest of timers, network deliveries, and the
+        // pacers' next release.
+        let mut next = micros(timers.peek_time());
+        if !idle {
+            next = next.min(micros(emu.next_arrival()));
+            for flow in flows.iter() {
+                next = next.min(micros(flow.pacer.next_release()));
+            }
+        }
         // The pacer reports a stale (past) `busy_until` for a path that
         // went idle and was re-filled; clamp so simulated time never runs
         // backwards.
-        let now = now.max(clock);
+        let now = SimTime::from_micros(next).max(clock);
         clock = now;
         if now >= end {
             break;
         }
 
         // Paced transmissions and network deliveries due now (idle pacers
-        // release nothing, an idle emulator delivers nothing).
+        // release nothing, an idle emulator delivers nothing). One at a
+        // time: handling a delivery can only put arrivals strictly after
+        // `now` into the emulator, so this visits what a drained batch
+        // would.
         if !idle {
             for flow in flows.iter_mut() {
                 flow.drain_pacer(now, &mut emu);
             }
-            emu.poll_into(now, &mut deliveries);
-        }
-        for delivery in deliveries.drain(..) {
-            // Media and SR/SDES travel with their flow, to its receiver;
-            // feedback and probe echoes travel against it, to its sender.
-            let with_flow = matches!(
-                &delivery.payload,
-                NetPayload::Rtp(_)
-                    | NetPayload::Rtcp(RtcpPacket::SenderReport(_) | RtcpPacket::Sdes(_))
-            );
-            let flow_direction = if with_flow {
-                delivery.direction
-            } else {
-                opposite(delivery.direction)
-            };
-            if let Some(flow) = flows.get_mut(slot(flow_direction)) {
-                flow.on_delivery(now, delivery.path, delivery.payload, &mut emu);
+            while let Some(delivery) = emu.pop_due(now) {
+                // Media and SR/SDES travel with their flow, to its
+                // receiver; feedback and probe echoes travel against it,
+                // to its sender.
+                let with_flow = matches!(
+                    &delivery.payload,
+                    NetPayload::Rtp(_)
+                        | NetPayload::Rtcp(RtcpPacket::SenderReport(_) | RtcpPacket::Sdes(_))
+                );
+                let flow_direction = if with_flow {
+                    delivery.direction
+                } else {
+                    opposite(delivery.direction)
+                };
+                if let Some(flow) = flows.get_mut(slot(flow_direction)) {
+                    flow.on_delivery(now, delivery.path, delivery.payload, &mut emu);
+                }
             }
         }
 

@@ -132,18 +132,10 @@ impl Pacer {
             .min()
     }
 
-    /// Releases every packet whose pacing budget allows transmission at
-    /// `now`, in per-path FIFO order.
-    pub fn poll(&mut self, now: SimTime) -> Vec<OutboundPacket> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Appends every releasable packet to `out`, in per-path FIFO order.
-    /// Allocation-free once `out` has warmed up; the event loop clears and
-    /// reuses one buffer across iterations.
-    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<OutboundPacket>) {
+    /// Hands `send` every packet whose pacing budget allows transmission
+    /// at `now`, with its wire size: paths in `PathId` order, FIFO within a
+    /// path.
+    pub fn release(&mut self, now: SimTime, mut send: impl FnMut(OutboundPacket, usize)) {
         if self.queued == 0 {
             return;
         }
@@ -164,9 +156,21 @@ impl Pacer {
                 // from `now`: a late poll must release every packet whose
                 // slot already passed.
                 q.busy_until = q.busy_until.max(item.enqueued_at) + serialize;
-                out.push(item.packet);
+                send(item.packet, bytes);
             }
         }
+    }
+
+    /// Every packet [`Pacer::release`] hands over at `now`.
+    pub fn poll(&mut self, now: SimTime) -> Vec<OutboundPacket> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    /// Appends every packet [`Pacer::release`] hands over at `now` to `out`.
+    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<OutboundPacket>) {
+        self.release(now, |packet, _| out.push(packet));
     }
 }
 
@@ -183,6 +187,10 @@ mod tests {
         use converge_video::{FrameType, PacketKind, StreamId, VideoPacket};
 
         pub fn pkt(path: PathId, size: usize) -> OutboundPacket {
+            pkt_numbered(path, size, 0)
+        }
+
+        pub fn pkt_numbered(path: PathId, size: usize, transport_seq: u64) -> OutboundPacket {
             OutboundPacket {
                 payload: NetPayload::Rtp(crate::payload::SimRtp {
                     kind: RtpKind::Media(VideoPacket {
@@ -196,7 +204,7 @@ mod tests {
                         capture_time: SimTime::ZERO,
                     }),
                     path,
-                    transport_seq: 0,
+                    transport_seq,
                     sent_at: SimTime::ZERO,
                 }),
                 path,
@@ -270,5 +278,96 @@ mod tests {
         p.enqueue(SimTime::ZERO, vec![pkt(P0, 1250), pkt(P0, 1250)]);
         assert_eq!(p.poll(SimTime::ZERO).len(), 1);
         assert!(p.next_release().is_some());
+    }
+
+    /// The closure release and the `Vec`-taking wrappers are one body: twin
+    /// pacers driven by one seeded script release the same packets in the
+    /// same order, and the closure is told each packet's wire size.
+    #[test]
+    fn release_matches_poll_into_on_seeded_scripts() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let id = |p: &OutboundPacket| (p.path, p.class, p.payload.clone());
+        let (mut several_at_once, mut force_flushed) = (0usize, 0usize);
+        for n_paths in 1..=8u8 {
+            let mut rng = SmallRng::seed_from_u64(0xFACE + n_paths as u64);
+            let mut polled = Pacer::new(PacerConfig::default());
+            let mut released = Pacer::new(PacerConfig::default());
+            let mut now = SimTime::ZERO;
+            let mut numbered = 0u64;
+            let mut out = Vec::new();
+            for _ in 0..4_000 {
+                let roll: u64 = rng.gen();
+                let path = PathId((roll >> 8) as u8 % n_paths);
+                match roll % 10 {
+                    // A frame's worth of packets.
+                    0..=2 => {
+                        let burst: Vec<(PathId, usize, u64)> = (0..1 + (roll >> 16) % 12)
+                            .map(|i| {
+                                numbered += 1;
+                                let path = PathId(((roll >> 24) + i) as u8 % n_paths);
+                                (
+                                    path,
+                                    200 + ((roll >> 32) + 97 * i) as usize % 1_100,
+                                    numbered,
+                                )
+                            })
+                            .collect();
+                        let make = || burst.iter().map(|&(p, size, n)| pkt_numbered(p, size, n));
+                        polled.enqueue(now, make().collect());
+                        released.enqueue(now, make().collect());
+                    }
+                    // A rate change with packets already queued; now and
+                    // then a crawl, so the queue-time limit is what frees
+                    // them.
+                    3 => {
+                        let bps = if (roll >> 16).is_multiple_of(4) {
+                            50_000.0
+                        } else {
+                            (300_000 + (roll >> 20) % 8_000_000) as f64
+                        };
+                        polled.set_rate(path, bps);
+                        released.set_rate(path, bps);
+                    }
+                    // A poll: usually on time, sometimes tens of ms late.
+                    _ => {
+                        now = match roll % 10 {
+                            4 => now + SimDuration::from_millis(20 + (roll >> 16) % 60),
+                            5 => polled.next_release().unwrap_or(now).max(now),
+                            _ => now + SimDuration::from_micros((roll >> 16) % 3_000),
+                        };
+                        let before = polled.next_release();
+                        out.clear();
+                        polled.poll_into(now, &mut out);
+                        let mut via_closure = Vec::new();
+                        released.release(now, |packet, size| {
+                            assert_eq!(size, packet.payload.wire_size());
+                            via_closure.push(packet);
+                        });
+                        assert_eq!(
+                            out.iter().map(id).collect::<Vec<_>>(),
+                            via_closure.iter().map(id).collect::<Vec<_>>()
+                        );
+                        several_at_once += usize::from(out.len() > 1);
+                        // Released although its path's budget was spent.
+                        force_flushed +=
+                            usize::from(!out.is_empty() && before.is_some_and(|t| t > now));
+                    }
+                }
+                assert_eq!(polled.len(), released.len());
+                assert_eq!(polled.next_release(), released.next_release());
+            }
+            // Everything left is flushed by the queue-time limit.
+            let end = now + SimDuration::from_secs(1);
+            let rest = polled.poll(end);
+            let mut via_closure = Vec::new();
+            released.release(end, |packet, _| via_closure.push(packet));
+            assert_eq!(
+                rest.iter().map(id).collect::<Vec<_>>(),
+                via_closure.iter().map(id).collect::<Vec<_>>()
+            );
+            assert!(polled.is_empty() && released.is_empty());
+        }
+        assert!(several_at_once > 100, "late polls: {several_at_once}");
+        assert!(force_flushed > 0, "overdue flushes: {force_flushed}");
     }
 }

@@ -90,11 +90,11 @@ impl PathRxState {
     }
 }
 
-/// Per-stream receive pipeline.
 /// Slots in the per-stream `recent` ring (a power of two so the index is
 /// a mask).
 const RECENT_SLOTS: usize = 1 << 12;
 
+/// Per-stream receive pipeline.
 struct StreamRx {
     packet_buffer: PacketBuffer,
     frame_buffer: FrameBuffer,
