@@ -53,16 +53,18 @@ gate benchmark-smoke bash benchmark/run.sh --smoke
 # --no-fail-fast: one red binary must not hide the ones sorted after it.
 gate tests cargo test -q --no-fail-fast
 
-# The two deterministic allocation budgets, by exact name: a rename or a
-# deleted test makes libtest run fewer than two, which fails here instead
-# of silently dropping out of `cargo test`.
+# The three deterministic allocation budgets (two steady-state call counts,
+# one construction byte count), by exact name: a rename or a deleted test
+# makes libtest run fewer than three, which fails here instead of silently
+# dropping out of `cargo test`.
 alloc_budget() {
     local out
     out=$(cargo test -q -p converge-sim --test alloc_budget -- --exact \
         steady_state_allocation_count_stays_within_budget \
-        lossy_steady_state_allocation_count_stays_within_budget) || { echo "$out"; return 1; }
+        lossy_steady_state_allocation_count_stays_within_budget \
+        construction_bytes_stay_within_budget) || { echo "$out"; return 1; }
     echo "$out"
-    grep -q '^test result: ok. 2 passed' <<<"$out"
+    grep -q '^test result: ok. 3 passed' <<<"$out"
 }
 gate alloc-budget alloc_budget
 

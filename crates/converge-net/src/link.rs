@@ -110,6 +110,75 @@ pub struct LinkStats {
     pub reordered_pkts: u64,
 }
 
+/// One stretch of time over which the link's trace holds still: every
+/// instant in `[start, end)` sees this rate and, under drive replay, this
+/// one-way delay and loss.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    start: SimTime,
+    /// [`SimTime::MAX`] in a drive trace's final hold: it never ends.
+    end: SimTime,
+    rate_bps: u64,
+    /// The drive sample's delay and loss in percent. A rate trace has
+    /// neither (the link's are static configuration) and leaves them zero.
+    owd: SimDuration,
+    loss_pct: f64,
+}
+
+impl Segment {
+    /// A segment no instant falls in.
+    const NONE: Segment = Segment {
+        start: SimTime::MAX,
+        end: SimTime::ZERO,
+        rate_bps: 0,
+        owd: SimDuration::ZERO,
+        loss_pct: 0.0,
+    };
+
+    /// The segment `at` falls in: `self` if it does, else looked up in
+    /// `config`'s trace and remembered in `self`.
+    fn at(&mut self, config: &LinkConfig, at: SimTime) -> Segment {
+        if !(self.start <= at && at < self.end) {
+            *self = Segment::lookup(config, at);
+        }
+        *self
+    }
+
+    /// The segment of `config`'s trace that `at` falls in.
+    fn lookup(config: &LinkConfig, at: SimTime) -> Segment {
+        match &config.drive {
+            // Hold semantics: the first sample also covers everything
+            // before it, the last one everything after.
+            Some(drive) => {
+                let samples = drive.samples();
+                let after = samples.partition_point(|s| s.at <= at);
+                let sample = &samples[after.saturating_sub(1)];
+                Segment {
+                    start: if after == 0 { SimTime::ZERO } else { sample.at },
+                    end: samples.get(after).map_or(SimTime::MAX, |next| next.at),
+                    rate_bps: sample.rate_bps,
+                    owd: sample.owd,
+                    loss_pct: sample.loss_pct,
+                }
+            }
+            // Uniform steps, wrapping past the last.
+            None => {
+                let step = config.rate.step().as_micros();
+                let index = at.as_micros() / step;
+                let start = index * step;
+                let rates = config.rate.rates();
+                Segment {
+                    start: SimTime::from_micros(start),
+                    end: SimTime::from_micros(start.saturating_add(step)),
+                    rate_bps: rates[index as usize % rates.len()],
+                    owd: SimDuration::ZERO,
+                    loss_pct: 0.0,
+                }
+            }
+        }
+    }
+}
+
 /// One unidirectional emulated link.
 ///
 /// Packets are offered with [`Link::transmit`], which immediately returns the
@@ -130,6 +199,16 @@ pub struct Link {
     in_flight: std::collections::VecDeque<(SimTime, usize)>,
     queued_bytes: usize,
     stats: LinkStats,
+    /// The trace segments the last packet was sent in (drive replay reads
+    /// its loss and delay there) and finished serializing in. Packets
+    /// arrive far more often than the trace changes and both instants only
+    /// move forward, so nearly every lookup is a range check against
+    /// these and a segment is searched for once; a queue's worth apart,
+    /// the two would evict each other from a single slot. A trace is a
+    /// pure function of time, so which lookups were answered from here
+    /// never shows in a result.
+    sending: Segment,
+    serializing: Segment,
 }
 
 impl Link {
@@ -150,6 +229,8 @@ impl Link {
             in_flight: std::collections::VecDeque::new(),
             queued_bytes: 0,
             stats: LinkStats::default(),
+            sending: Segment::NONE,
+            serializing: Segment::NONE,
         }
     }
 
@@ -161,6 +242,8 @@ impl Link {
     /// Replaces the bandwidth trace (e.g. to switch scenarios mid-run).
     pub fn set_rate(&mut self, rate: RateTrace) {
         self.config.rate = rate;
+        self.sending = Segment::NONE;
+        self.serializing = Segment::NONE;
     }
 
     /// The instantaneous bottleneck rate at `now`, bits per second.
@@ -215,6 +298,16 @@ impl Link {
         use rand::Rng;
         self.prune(now);
         let imp = self.config.impairment;
+        // Under drive replay the one-way delay tracks the sample in effect
+        // at send time (handover OWD spikes) and so does a loss stage;
+        // otherwise the delay is static and the stage absent.
+        let (drive_loss_pct, propagation) = match self.config.drive {
+            Some(_) => {
+                let sample = self.sending.at(&self.config, now);
+                (sample.loss_pct, sample.owd)
+            }
+            None => (0.0, self.config.propagation),
+        };
 
         // Blackout/flap windows: the radio is simply off. Checked before
         // the queue — a dark link accepts nothing.
@@ -274,15 +367,13 @@ impl Link {
         // Drive-replay loss: a time-varying Bernoulli stage from the
         // capture's loss column. Guarded so loss-free segments make zero
         // RNG draws and leave the jitter/reorder streams untouched.
-        if let Some(drive) = &self.config.drive {
-            let p = (drive.loss_at(now) / 100.0).clamp(0.0, 1.0);
-            if p > 0.0 && self.rng.gen_bool(p) {
-                self.stats.random_losses += 1;
-                return Offer {
-                    fate: Transmit::RandomLoss,
-                    duplicate: None,
-                };
-            }
+        let p = (drive_loss_pct / 100.0).clamp(0.0, 1.0);
+        if p > 0.0 && self.rng.gen_bool(p) {
+            self.stats.random_losses += 1;
+            return Offer {
+                fate: Transmit::RandomLoss,
+                duplicate: None,
+            };
         }
 
         // Serialize through the bottleneck, honouring rate changes at trace
@@ -313,12 +404,6 @@ impl Link {
             SimDuration::ZERO
         };
 
-        // Under drive replay the one-way delay tracks the sample in effect
-        // at send time (handover OWD spikes); otherwise it is static.
-        let propagation = match &self.config.drive {
-            Some(drive) => drive.owd_at(now),
-            None => self.config.propagation,
-        };
         let deliver = finish + propagation + jitter + holdback + imp.delay;
 
         // Impairment duplication stage: the copy trails the original.
@@ -343,74 +428,49 @@ impl Link {
     }
 
     /// Computes when `bytes` finish serializing if started at `start`,
-    /// walking trace segments as the rate changes.
-    fn serialize_from(&self, start: SimTime, bytes: usize) -> SimTime {
-        if let Some(drive) = &self.config.drive {
-            return Self::serialize_over_drive(drive, start, bytes);
-        }
+    /// walking trace segments as the rate changes. A rate trace wraps, so
+    /// a stalled link may recover and the walk gives up
+    /// ([`SimTime::MAX`]) only after a full lap of zero-rate segments; a
+    /// drive trace holds its last sample forever, so inside that hold a
+    /// zero rate is a stall for good and a positive one finishes there.
+    fn serialize_from(&mut self, start: SimTime, bytes: usize) -> SimTime {
         let mut remaining_bits = bytes as u128 * 8;
         let mut t = start;
-        // Bound the walk: if the link is stalled (rate 0) for the entire
-        // trace, bail out with a far-future finish time.
         let mut zero_segments = 0usize;
-        let max_zero = self.config.rate.rates().len() + 1;
+        let lap = match self.config.drive {
+            Some(_) => usize::MAX,
+            None => self.config.rate.rates().len() + 1,
+        };
         while remaining_bits > 0 {
-            let rate = self.config.rate.rate_at(t);
-            let window = self.config.rate.until_next_change(t);
-            if rate == 0 {
+            let segment = self.serializing.at(&self.config, t);
+            let forever = segment.end == SimTime::MAX;
+            if segment.rate_bps == 0 {
                 zero_segments += 1;
-                if zero_segments > max_zero {
+                if forever || zero_segments > lap {
                     return SimTime::MAX;
                 }
-                t += window;
+                t = segment.end;
                 continue;
             }
             zero_segments = 0;
-            // Bits we can push within this trace segment.
-            let window_bits = rate as u128 * window.as_micros() as u128 / 1_000_000;
-            if window_bits >= remaining_bits {
-                let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
-                return t + SimDuration::from_micros(us as u64);
+            // The rest fits in this segment if the bits the segment can
+            // push, `rate × µs / 10⁶` rounded down, are no fewer than the
+            // bits left: for whole numbers of bits that is this product
+            // compare, with no division.
+            let window_us = segment.end.saturating_since(t).as_micros();
+            let capacity = segment.rate_bps as u128 * window_us as u128;
+            let needed = remaining_bits * 1_000_000;
+            if forever || capacity >= needed {
+                let us = match u64::try_from(needed) {
+                    Ok(needed) => needed.div_ceil(segment.rate_bps),
+                    Err(_) => needed.div_ceil(segment.rate_bps as u128) as u64,
+                };
+                return t + SimDuration::from_micros(us);
             }
-            remaining_bits -= window_bits;
-            t += window;
+            remaining_bits -= capacity / 1_000_000;
+            t = segment.end;
         }
         t
-    }
-
-    /// The drive-replay serialization walk. Drive traces hold their last
-    /// sample forever instead of wrapping, so the walk visits finitely many
-    /// boundaries: inside the final hold segment a zero rate means the link
-    /// is stalled for good ([`SimTime::MAX`]) and a positive rate finishes
-    /// directly.
-    fn serialize_over_drive(drive: &DriveTrace, start: SimTime, bytes: usize) -> SimTime {
-        let mut remaining_bits = bytes as u128 * 8;
-        let mut t = start;
-        loop {
-            let rate = drive.rate_at(t);
-            match drive.until_next_change(t) {
-                Some(window) => {
-                    if rate == 0 {
-                        t += window;
-                        continue;
-                    }
-                    let window_bits = rate as u128 * window.as_micros() as u128 / 1_000_000;
-                    if window_bits >= remaining_bits {
-                        let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
-                        return t + SimDuration::from_micros(us as u64);
-                    }
-                    remaining_bits -= window_bits;
-                    t += window;
-                }
-                None => {
-                    if rate == 0 {
-                        return SimTime::MAX;
-                    }
-                    let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
-                    return t + SimDuration::from_micros(us as u64);
-                }
-            }
-        }
     }
 
     /// Forgets packets that have cleared the bottleneck by `now`.
@@ -879,5 +939,391 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The link as it stood: four trace lookups per packet and one
+    /// serialization walk for rate traces, another for drive traces.
+    struct RefLink {
+        config: LinkConfig,
+        loss: LossProcess,
+        codel: Option<Codel>,
+        rng: SmallRng,
+        /// Virtual time at which the bottleneck finishes the last accepted packet.
+        busy_until: SimTime,
+        /// Bytes currently queued (not yet through the bottleneck), tracked as
+        /// (finish_time, bytes) pairs pruned lazily.
+        in_flight: std::collections::VecDeque<(SimTime, usize)>,
+        queued_bytes: usize,
+        stats: LinkStats,
+    }
+
+    impl RefLink {
+        /// Creates a link from a configuration.
+        fn new(config: LinkConfig) -> Self {
+            let loss = LossProcess::new(config.loss.clone());
+            let rng = SmallRng::seed_from_u64(config.seed);
+            let codel = match config.discipline {
+                QueueDiscipline::DropTail => None,
+                QueueDiscipline::Codel { target, interval } => Some(Codel::new(target, interval)),
+            };
+            RefLink {
+                config,
+                loss,
+                codel,
+                rng,
+                busy_until: SimTime::ZERO,
+                in_flight: std::collections::VecDeque::new(),
+                queued_bytes: 0,
+                stats: LinkStats::default(),
+            }
+        }
+
+        /// Replaces the bandwidth trace (e.g. to switch scenarios mid-run).
+        fn set_rate(&mut self, rate: RateTrace) {
+            self.config.rate = rate;
+        }
+
+        /// Accumulated behaviour counters.
+        fn stats(&self) -> LinkStats {
+            self.stats
+        }
+
+        fn offer(&mut self, now: SimTime, bytes: usize) -> Offer {
+            use rand::Rng;
+            self.prune(now);
+            let imp = self.config.impairment;
+
+            // Blackout/flap windows: the radio is simply off. Checked before
+            // the queue — a dark link accepts nothing.
+            if let Some(blackout) = imp.blackout {
+                if blackout.contains(now) {
+                    self.stats.blackout_drops += 1;
+                    return Offer {
+                        fate: Transmit::Blackout,
+                        duplicate: None,
+                    };
+                }
+            }
+
+            // Impairment extra loss (e.g. a starved feedback channel),
+            // independent of the base loss model below.
+            if imp.loss > 0.0 && self.rng.gen_bool(imp.loss.clamp(0.0, 1.0)) {
+                self.stats.impairment_losses += 1;
+                return Offer {
+                    fate: Transmit::RandomLoss,
+                    duplicate: None,
+                };
+            }
+
+            // Byte-limit check (applies under every discipline).
+            if self.queued_bytes + bytes > self.config.queue_capacity_bytes {
+                self.stats.queue_drops += 1;
+                return Offer {
+                    fate: Transmit::QueueDrop,
+                    duplicate: None,
+                };
+            }
+
+            // CoDel: consult the controller with the sojourn this packet is
+            // about to experience (current backlog drain time).
+            if let Some(codel) = &mut self.codel {
+                let sojourn = self.busy_until.saturating_since(now);
+                if codel.should_drop(now, sojourn) {
+                    self.stats.queue_drops += 1;
+                    return Offer {
+                        fate: Transmit::QueueDrop,
+                        duplicate: None,
+                    };
+                }
+            }
+
+            // Stochastic loss stage. Applied on entry for simplicity; the
+            // bandwidth it would have consumed is not charged, approximating
+            // loss on the air interface after the bottleneck.
+            if self.loss.should_drop(&mut self.rng) {
+                self.stats.random_losses += 1;
+                return Offer {
+                    fate: Transmit::RandomLoss,
+                    duplicate: None,
+                };
+            }
+
+            // Drive-replay loss: a time-varying Bernoulli stage from the
+            // capture's loss column. Guarded so loss-free segments make zero
+            // RNG draws and leave the jitter/reorder streams untouched.
+            if let Some(drive) = &self.config.drive {
+                let p = (drive.loss_at(now) / 100.0).clamp(0.0, 1.0);
+                if p > 0.0 && self.rng.gen_bool(p) {
+                    self.stats.random_losses += 1;
+                    return Offer {
+                        fate: Transmit::RandomLoss,
+                        duplicate: None,
+                    };
+                }
+            }
+
+            // Serialize through the bottleneck, honouring rate changes at trace
+            // segment boundaries.
+            let start = self.busy_until.max(now);
+            let finish = self.serialize_from(start, bytes);
+            self.busy_until = finish;
+            self.in_flight.push_back((finish, bytes));
+            self.queued_bytes += bytes;
+
+            self.stats.delivered_pkts += 1;
+            self.stats.delivered_bytes += bytes as u64;
+            let jitter = if self.config.jitter > SimDuration::ZERO {
+                SimDuration::from_micros(self.rng.gen_range(0..=self.config.jitter.as_micros()))
+            } else {
+                SimDuration::ZERO
+            };
+
+            // Impairment reorder stage: hold selected packets back well past
+            // the jitter bound so they land behind later packets.
+            let holdback = if imp.reorder_prob > 0.0
+                && imp.reorder_horizon > SimDuration::ZERO
+                && self.rng.gen_bool(imp.reorder_prob.clamp(0.0, 1.0))
+            {
+                self.stats.reordered_pkts += 1;
+                SimDuration::from_micros(self.rng.gen_range(1..=imp.reorder_horizon.as_micros()))
+            } else {
+                SimDuration::ZERO
+            };
+
+            // Under drive replay the one-way delay tracks the sample in effect
+            // at send time (handover OWD spikes); otherwise it is static.
+            let propagation = match &self.config.drive {
+                Some(drive) => drive.owd_at(now),
+                None => self.config.propagation,
+            };
+            let deliver = finish + propagation + jitter + holdback + imp.delay;
+
+            // Impairment duplication stage: the copy trails the original.
+            let duplicate = if imp.duplicate_prob > 0.0
+                && self.rng.gen_bool(imp.duplicate_prob.clamp(0.0, 1.0))
+            {
+                self.stats.duplicated_pkts += 1;
+                let lag = if imp.duplicate_spread > SimDuration::ZERO {
+                    SimDuration::from_micros(
+                        self.rng.gen_range(0..=imp.duplicate_spread.as_micros()),
+                    )
+                } else {
+                    SimDuration::ZERO
+                };
+                Some(deliver + lag)
+            } else {
+                None
+            };
+
+            Offer {
+                fate: Transmit::Delivered(deliver),
+                duplicate,
+            }
+        }
+
+        /// Computes when `bytes` finish serializing if started at `start`,
+        /// walking trace segments as the rate changes.
+        fn serialize_from(&self, start: SimTime, bytes: usize) -> SimTime {
+            if let Some(drive) = &self.config.drive {
+                return Self::serialize_over_drive(drive, start, bytes);
+            }
+            let mut remaining_bits = bytes as u128 * 8;
+            let mut t = start;
+            // Bound the walk: if the link is stalled (rate 0) for the entire
+            // trace, bail out with a far-future finish time.
+            let mut zero_segments = 0usize;
+            let max_zero = self.config.rate.rates().len() + 1;
+            while remaining_bits > 0 {
+                let rate = self.config.rate.rate_at(t);
+                let window = self.config.rate.until_next_change(t);
+                if rate == 0 {
+                    zero_segments += 1;
+                    if zero_segments > max_zero {
+                        return SimTime::MAX;
+                    }
+                    t += window;
+                    continue;
+                }
+                zero_segments = 0;
+                // Bits we can push within this trace segment.
+                let window_bits = rate as u128 * window.as_micros() as u128 / 1_000_000;
+                if window_bits >= remaining_bits {
+                    let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
+                    return t + SimDuration::from_micros(us as u64);
+                }
+                remaining_bits -= window_bits;
+                t += window;
+            }
+            t
+        }
+
+        /// The drive-replay serialization walk. Drive traces hold their last
+        /// sample forever instead of wrapping, so the walk visits finitely many
+        /// boundaries: inside the final hold segment a zero rate means the link
+        /// is stalled for good ([`SimTime::MAX`]) and a positive rate finishes
+        /// directly.
+        fn serialize_over_drive(drive: &DriveTrace, start: SimTime, bytes: usize) -> SimTime {
+            let mut remaining_bits = bytes as u128 * 8;
+            let mut t = start;
+            loop {
+                let rate = drive.rate_at(t);
+                match drive.until_next_change(t) {
+                    Some(window) => {
+                        if rate == 0 {
+                            t += window;
+                            continue;
+                        }
+                        let window_bits = rate as u128 * window.as_micros() as u128 / 1_000_000;
+                        if window_bits >= remaining_bits {
+                            let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
+                            return t + SimDuration::from_micros(us as u64);
+                        }
+                        remaining_bits -= window_bits;
+                        t += window;
+                    }
+                    None => {
+                        if rate == 0 {
+                            return SimTime::MAX;
+                        }
+                        let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
+                        return t + SimDuration::from_micros(us as u64);
+                    }
+                }
+            }
+        }
+
+        /// Forgets packets that have cleared the bottleneck by `now`.
+        fn prune(&mut self, now: SimTime) {
+            while let Some(&(finish, bytes)) = self.in_flight.front() {
+                if finish <= now {
+                    self.in_flight.pop_front();
+                    self.queued_bytes -= bytes;
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+
+    fn stepped_trace(rng: &mut SmallRng, zero_share: f64) -> RateTrace {
+        use rand::Rng;
+        let step = SimDuration::from_micros(rng.gen_range(2_000..400_000));
+        let rates = (0..rng.gen_range(1..12))
+            .map(|_| {
+                if rng.gen_bool(zero_share) {
+                    0
+                } else {
+                    rng.gen_range(50_000..40_000_000)
+                }
+            })
+            .collect();
+        RateTrace::new(step, rates)
+    }
+
+    /// A drive with runs of zero-rate samples, a lossy stretch and a first
+    /// sample after t = 0; `dead_end` makes the final hold a stall.
+    fn seeded_drive(rng: &mut SmallRng, dead_end: bool) -> DriveTrace {
+        use rand::Rng;
+        let mut at = rng.gen_range(0..300u64);
+        let n = rng.gen_range(1..40);
+        let samples = (0..n)
+            .map(|i| {
+                let sample = (
+                    at,
+                    match rng.gen_range(0..4) {
+                        0 => 0,
+                        _ if dead_end && i + 1 == n => 0,
+                        _ => rng.gen_range(100_000..30_000_000),
+                    },
+                    rng.gen_range(5..150),
+                    if rng.gen_bool(0.3) {
+                        rng.gen_range(0.0..20.0)
+                    } else {
+                        0.0
+                    },
+                );
+                at += rng.gen_range(1..400);
+                sample
+            })
+            .collect();
+        drive(samples)
+    }
+
+    /// The same seeded packets into the link and into the link as it
+    /// stood: constant, stepped, partly-zero and all-zero rate traces
+    /// (wrapping many times), `set_rate` mid-run, and drive traces from
+    /// before their first sample to deep inside their final hold, at
+    /// loads from idle to a standing queue (so serialization starts
+    /// segments after `now`) and packet sizes that straddle several
+    /// short segments. Equal offers, stats and RNG draws, packet for
+    /// packet.
+    #[test]
+    fn link_matches_the_per_packet_lookups_and_the_two_walks() {
+        use rand::Rng;
+        let mut crossings = 0u64;
+        let mut stalls = 0u64;
+        for seed in 0..48u64 {
+            let mut rng = SmallRng::seed_from_u64(0x11f_c0de + seed);
+            let mut cfg = link_cfg(0, rng.gen_range(0..80), rng.gen_range(20_000..400_000));
+            cfg.seed = seed;
+            cfg.rate = match seed % 6 {
+                0 => RateTrace::constant(rng.gen_range(1_000_000..20_000_000)),
+                1 => RateTrace::new(SimDuration::from_millis(50), vec![0, 0, 0]),
+                2 => stepped_trace(&mut rng, 0.4),
+                _ => stepped_trace(&mut rng, 0.0),
+            };
+            if seed % 6 >= 4 {
+                cfg.drive = Some(seeded_drive(&mut rng, seed % 12 == 5));
+            }
+            if seed % 3 == 0 {
+                cfg.loss = LossModel::bernoulli_percent(3.0);
+                cfg.jitter = SimDuration::from_millis(4);
+            }
+            if seed % 8 == 7 {
+                cfg.impairment = ImpairmentConfig::duplication(0.1, SimDuration::from_millis(3));
+            }
+            let mut link = Link::new(cfg.clone());
+            let mut reference = RefLink::new(cfg);
+            let mut now = SimTime::ZERO;
+            // Mean gap between offers: from a saturated queue to idle.
+            let gap_us = [40u64, 400, 4_000, 40_000][(seed / 6 % 4) as usize];
+            for i in 0..4_000u32 {
+                now += SimDuration::from_micros(rng.gen_range(0..2 * gap_us));
+                if seed % 6 == 3 && i % 1_000 == 999 {
+                    let rate = stepped_trace(&mut rng, 0.2);
+                    link.set_rate(rate.clone());
+                    reference.set_rate(rate);
+                }
+                let bytes = if rng.gen_bool(0.05) {
+                    rng.gen_range(1..60_000)
+                } else {
+                    rng.gen_range(1..1_500)
+                };
+                let start = reference.busy_until.max(now);
+                let (got, want) = (link.offer(now, bytes), reference.offer(now, bytes));
+                assert_eq!(got, want, "seed {seed} packet {i} at {now}");
+                assert_eq!(link.stats(), reference.stats(), "seed {seed} packet {i}");
+                assert_eq!(link.busy_until, reference.busy_until);
+                if let Transmit::Delivered(_) = want.fate {
+                    if reference.busy_until == SimTime::MAX {
+                        stalls += 1;
+                        break; // nothing can follow a stall for good
+                    }
+                    let segments = |t: SimTime| Segment::lookup(&link.config, t).start;
+                    crossings += u64::from(segments(start) != segments(reference.busy_until));
+                }
+            }
+            // The next draw of either RNG is the same number.
+            assert_eq!(
+                link.rng.gen::<u64>(),
+                reference.rng.gen::<u64>(),
+                "seed {seed}"
+            );
+        }
+        assert!(
+            crossings > 1_000,
+            "{crossings} packets straddled a boundary"
+        );
+        assert!(stalls >= 8, "{stalls} links stalled for good");
     }
 }

@@ -13,8 +13,11 @@
 //! cargo run --release -p converge-sim --example hot_lines -- carrier8 60
 //! ```
 //!
-//! `hot_lines <cell> <reps>` runs one named cell `reps` times. The cells are
-//! the benchmark's shapes: `clean1` (clean, one stream, SinglePath +
+//! `hot_lines <cell> <reps> [rows]` runs one named cell `reps` times and
+//! prints the top `rows` (default 20) source lines, functions and source
+//! files by share of samples — the per-file table is the one to read when
+//! a layer's cost is spread over many lines and none stands out. The
+//! cells are the benchmark's shapes: `clean1` (clean, one stream, SinglePath +
 //! WebRtcTable), `clean3` (clean, three streams, Converge), `loss5`
 //! (`fec_tradeoff(5.0)`, three streams), `constant8` (`constant-8`),
 //! `carrier8` (`multi-carrier-8/gcc`) and `fleet` (128 sessions in
@@ -287,16 +290,26 @@ mod sampler {
         Some(rest.split_once(' ').map_or(rest, |(head, _)| head))
     }
 
-    fn print_top(title: &str, total: usize, rows: BTreeMap<String, usize>) {
+    fn print_top(title: &str, total: usize, top: usize, rows: BTreeMap<String, usize>) {
         let mut rows: Vec<(String, usize)> = rows.into_iter().collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         println!("\n{:>7} {:>8}  {title}", "share", "samples");
-        for (key, n) in rows.into_iter().take(20) {
+        for (key, n) in rows.into_iter().take(top) {
             println!("{:>6.1}% {n:>8}  {key}", n as f64 * 100.0 / total as f64);
         }
     }
 
-    pub fn report(cell: &str, reps: u32, rips: Vec<u64>, dropped: usize) {
+    /// `crates/converge-net/src/link.rs:404` → `crates/converge-net/src/link.rs`;
+    /// a key without a line number (a function outside `crates/`) is its
+    /// own file.
+    fn file_of(line: &str) -> &str {
+        match line.rsplit_once(':') {
+            Some((file, number)) if number.parse::<u32>().is_ok() => file,
+            _ => line,
+        }
+    }
+
+    pub fn report(cell: &str, reps: u32, top: usize, rips: Vec<u64>, dropped: usize) {
         let total = rips.len();
         println!(
             "cell {cell} x {reps}: {total} samples ({dropped} dropped), one per tick of CPU time"
@@ -325,11 +338,13 @@ mod sampler {
                 .into_iter()
                 .map(|(a, n)| (format!("{a:#x}"), n))
                 .collect();
-            print_top("module-relative address (addr2line not found)", total, rows);
+            let title = "module-relative address (addr2line not found)";
+            print_top(title, total, top, rows);
             return;
         };
         let mut lines: BTreeMap<String, usize> = BTreeMap::new();
         let mut functions: BTreeMap<String, usize> = BTreeMap::new();
+        let mut files: BTreeMap<String, usize> = BTreeMap::new();
         for (frames, n) in resolved.iter().zip(by_address.values()) {
             // The innermost frame whose source is under crates/; a sample
             // in std or libc keeps its own innermost function.
@@ -341,27 +356,34 @@ mod sampler {
                     let outside = format!("(outside crates/) {f}");
                     (outside.clone(), outside)
                 });
+            *files.entry(file_of(&line).to_owned()).or_default() += n;
             *lines.entry(line).or_default() += n;
             *functions.entry(function).or_default() += n;
         }
         if outside > 0 {
             let key = "(outside the executable: libc, vdso)".to_owned();
             lines.insert(key.clone(), outside);
-            functions.insert(key, outside);
+            functions.insert(key.clone(), outside);
+            files.insert(key, outside);
         }
-        print_top("file:line", total, lines);
-        print_top("function", total, functions);
+        print_top("file:line", total, top, lines);
+        print_top("function", total, top, functions);
+        print_top("file", total, top, files);
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cell, reps) = match args.as_slice() {
-        [cell, reps] => (cell.as_str(), reps.parse::<u32>().ok().filter(|r| *r > 0)),
-        _ => ("", None),
+    let positive = |text: &String| text.parse::<u32>().ok().filter(|n| *n > 0);
+    let parsed = match args.as_slice() {
+        [cell, reps] => positive(reps).map(|reps| (cell.as_str(), reps, 20)),
+        [cell, reps, rows] => positive(reps)
+            .zip(positive(rows))
+            .map(|(reps, rows)| (cell.as_str(), reps, rows as usize)),
+        _ => None,
     };
-    let Some(reps) = reps else {
-        eprintln!("usage: hot_lines <cell> <reps>\ncells: {CELLS}");
+    let Some((cell, reps, rows)) = parsed else {
+        eprintln!("usage: hot_lines <cell> <reps> [rows]\ncells: {CELLS}");
         std::process::exit(2);
     };
     if !CELLS.split(' ').any(|c| c == cell) {
@@ -376,11 +398,11 @@ fn main() {
                 assert!(run_cell(cell), "cell name was checked");
             }
         });
-        sampler::report(cell, reps, rips, dropped);
+        sampler::report(cell, reps, rows, rips, dropped);
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
     {
-        let _ = (reps, run_cell);
+        let _ = (reps, rows, run_cell);
         println!("unsupported: hot_lines samples with SIGPROF on Linux x86_64 only");
     }
 }

@@ -15,6 +15,7 @@ pub mod duplex;
 pub mod fleet;
 mod flow;
 mod gaps;
+mod history;
 pub mod metrics;
 pub mod pacer;
 pub mod payload;

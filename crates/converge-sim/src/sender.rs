@@ -16,13 +16,18 @@ use converge_video::{
     EncoderConfig, FrameType, Packetizer, PacketizerConfig, StreamId, VideoEncoder, VideoPacket,
 };
 
+use crate::history::{FeedbackRing, MediaHistory};
 use crate::payload::{NetPayload, RtpKind, SimRtp};
-
 
 /// One camera stream's sending pipeline.
 struct StreamPipeline {
     encoder: VideoEncoder,
     packetizer: Packetizer,
+    /// The stream's sent media, for retransmission and NACK loss
+    /// attribution: the newest [`SenderSizing::media_slots`] sequences,
+    /// each with the path it travelled. Only first transmissions are
+    /// remembered; a retransmission keeps its original's entry.
+    history: MediaHistory,
 }
 
 /// Result of one frame tick: the packets to transmit and the encoded
@@ -55,24 +60,40 @@ pub struct OutboundPacket {
     pub class: PacketClass,
 }
 
-/// Slots in the per-path `sent` ring (a power of two so the index is a
-/// mask). Feedback matches within an RTT — a few hundred sequences — so
-/// 16 384 newest-per-residue retention is far beyond what it ever probes.
+/// Default slots in a path's transport-feedback ring (a power of two so
+/// the index is a mask): 16 bytes each — send time, size and the sequence
+/// bits above the index — so 256 KiB per path. A slot is probed when the
+/// feedback report naming it arrives: one feedback interval plus a round
+/// trip after the packet left, which at a path's packet rate is hundreds
+/// of sequences, not thousands. A probe beyond the ring misses (the stored
+/// bits no longer match) and the controller goes without that timing.
 const SENT_SLOTS: usize = 1 << 14;
 
-/// Ring-buffer capacities for one sender's packet histories.
+/// Ring capacities for one sender's packet histories.
 ///
-/// The defaults are deliberately oversized for a single session (a few MB
-/// per sender is irrelevant when one process runs one call). A fleet of
-/// thousands of sessions cannot afford that: [`SenderSizing::fleet`] keeps
-/// the same power-of-two ring structure at a fraction of the footprint,
-/// trading retention horizon (still many RTTs deep) for memory that stays
-/// O(active packets), not O(sessions × default rings).
+/// `media_slots` is a retention horizon in sequences, and what sets the
+/// horizon a call needs is not the round-trip time: the receiver asks for
+/// at most 30 gaps per NACK round, oldest first, out of a backlog without
+/// a bound, so after a burst of reordering or loss the sequences it names
+/// trail the newest by however far the backlog has fallen behind. DESIGN
+/// §6c tabulates the farthest hit per benchmark cell: 300 on the mildest
+/// drive replay, 3 567 on eight constant paths, 8 373 on eight
+/// carrier traces. A NACK beyond the horizon is not answered, and the
+/// frame waits for its keyframe instead.
+///
+/// The default keeps all a 16-bit NACK can name: 65 536 sequences per
+/// stream at 4 bytes each (256 KiB), plus a 56-byte record for every
+/// frame among them, added as frames are sent (a packet is rebuilt from
+/// its frame's record, not stored) — where a ring of whole packets took
+/// 3.5 MiB per stream, written at construction. The feedback rings add
+/// 256 KiB per path. [`SenderSizing::fleet`] is what thousands of
+/// sessions in one process can afford instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SenderSizing {
     /// Per-path transport-feedback ring slots (power of two).
     pub tx_slots: usize,
-    /// Per-stream retransmission-history ring slots (power of two).
+    /// Per-stream retransmission-history slots (power of two, at most
+    /// 65 536).
     pub media_slots: usize,
 }
 
@@ -86,68 +107,17 @@ impl Default for SenderSizing {
 }
 
 impl SenderSizing {
-    /// Compact rings for fleet-scale runs: ~512 in-flight transport
-    /// sequences per path and ~2048 media packets (~2 s of 30 fps video)
-    /// per stream — both several round-trips deeper than feedback or
-    /// NACKs ever reach back.
+    /// Compact rings for fleet-scale runs: 512 transport sequences per
+    /// path (8 KiB) and 2 048 media sequences per stream (8 KiB plus the
+    /// frame records, about 2 s of 30 fps video). Short of the farthest
+    /// look-back a single call shows on eight paths, so a fleet member
+    /// that falls that far behind loses the retransmission.
     pub fn fleet() -> Self {
         SenderSizing {
             tx_slots: 1 << 9,
             media_slots: 1 << 11,
         }
     }
-}
-
-/// Sender-side per-path transport bookkeeping.
-#[derive(Debug)]
-struct PathTxState {
-    next_transport_seq: u64,
-    /// In-flight (transport_seq, send time, size) for congestion-controller
-    /// feedback matching, a ring indexed by `transport_seq % SENT_SLOTS`;
-    /// the stored sequence confirms a hit, and a match is taken out of the
-    /// slot so duplicated feedback cannot yield a timing twice. One
-    /// indexed store per packet replaces a hash insert plus FIFO eviction.
-    sent: Box<[Option<(u64, SimTime, usize)>]>,
-    /// Highest transport sequence acknowledged so far, for unwrapping the
-    /// 16-bit sequence numbers feedback carries on the wire.
-    highest_acked: u64,
-}
-
-impl Default for PathTxState {
-    fn default() -> Self {
-        PathTxState::with_slots(SENT_SLOTS)
-    }
-}
-
-impl PathTxState {
-    fn with_slots(slots: usize) -> Self {
-        debug_assert!(slots.is_power_of_two());
-        PathTxState {
-            next_transport_seq: 0,
-            sent: vec![None; slots].into_boxed_slice(),
-            highest_acked: 0,
-        }
-    }
-}
-
-/// One stream's retransmission history ring: slot `i` holds the newest
-/// sent media packet (and the path it took) whose sequence ends in `i`.
-type MediaRing = Box<[Option<(VideoPacket, PathId)>]>;
-
-/// Reconstructs a full 64-bit sequence from its low 16 bits, choosing the
-/// candidate nearest to `reference` (handles the wrap at 65 536 packets,
-/// which a 9 Mbps path crosses after ~2 minutes).
-fn unwrap_seq16(seq16: u16, reference: u64) -> u64 {
-    let base = reference & !0xFFFF;
-    let candidates = [
-        base.wrapping_sub(0x1_0000) | seq16 as u64,
-        base | seq16 as u64,
-        base.wrapping_add(0x1_0000) | seq16 as u64,
-    ];
-    candidates
-        .into_iter()
-        .min_by_key(|c| c.abs_diff(reference))
-        .expect("non-empty")
 }
 
 /// One frame tick's working buffers, kept across ticks so the steady
@@ -193,19 +163,11 @@ pub struct ConferenceSender {
     cc: BTreeMap<PathId, PathController>,
     scheduler: Box<dyn Scheduler>,
     fec: Box<dyn FecPolicy>,
-    /// Per-path transport send state, sorted by `PathId`; only ever
-    /// point-looked-up, and a linear scan over a handful of paths is
-    /// cheaper than a tree walk on the per-packet path.
-    tx: Vec<(PathId, PathTxState)>,
-    /// Recently sent media packets with the path they travelled, for
-    /// retransmission and NACK loss attribution. One ring per stream,
-    /// indexed by the low 16 bits of the sequence: slot `i` always holds
-    /// the newest packet whose sequence ends in `i`, which is exactly the
-    /// candidate a 16-bit NACK can name. One indexed store per packet
-    /// replaces a hash insert plus FIFO eviction, and retention (the
-    /// newest 65 536 per stream, ≈60 s of video) comfortably covers the
-    /// few-RTT horizon NACKs actually reference.
-    sent_media: Vec<MediaRing>,
+    /// Per-path transport sequence counter and sent-packet log for
+    /// feedback matching, sorted by `PathId`; only ever point-looked-up,
+    /// and a linear scan over a handful of paths is cheaper than a tree
+    /// walk on the per-packet path.
+    tx: Vec<(PathId, FeedbackRing)>,
     /// Retransmissions waiting for the next batch.
     rtx_queue: VecDeque<VideoPacket>,
     /// Next probe sequence.
@@ -223,7 +185,7 @@ pub struct ConferenceSender {
     monitor: ConnectionMonitor,
     /// Congestion-controller coupling mode.
     coupling: RateCoupling,
-    /// Ring capacities used for any lazily created path/stream state.
+    /// Ring capacity for a path first seen on a packet, not at construction.
     sizing: SenderSizing,
     scratch: FrameScratch,
     /// One transport-feedback report's matched timings and one NACK's
@@ -266,29 +228,31 @@ impl ConferenceSender {
         max_encoding_rate_bps: u64,
         sizing: SenderSizing,
     ) -> Self {
-        // The rings first, before any of the session's small long-lived
-        // state and not on the first packet: glibc serves them from the brk
-        // heap once an earlier session has freed its own, and a small
-        // buffer allocated ahead of them splits the hole they would have
-        // reused (`peak_rss_mb` moves by megabytes with it).
+        // The rings first — per path, then per stream — before any of the
+        // session's small long-lived state and not on the first packet:
+        // glibc serves them from the brk heap once an earlier session has
+        // freed its own, and a small buffer allocated ahead of them splits
+        // the hole they would have reused (`peak_rss_mb` moves with it).
         let tx = {
-            let mut v: Vec<(PathId, PathTxState)> = paths
+            let mut v: Vec<(PathId, FeedbackRing)> = paths
                 .iter()
-                .map(|&p| (p, PathTxState::with_slots(sizing.tx_slots)))
+                .map(|&p| (p, FeedbackRing::new(sizing.tx_slots)))
                 .collect();
             v.sort_by_key(|(p, _)| *p);
             v
         };
-        let sent_media = (0..n_streams)
-            .map(|_| vec![None; sizing.media_slots].into_boxed_slice())
+        let histories: Vec<MediaHistory> = (0..n_streams)
+            .map(|_| MediaHistory::new(sizing.media_slots))
             .collect();
         let streams = (0..n_streams)
-            .map(|i| {
+            .zip(histories)
+            .map(|(i, history)| {
                 let mut cfg = EncoderConfig::paper_default(StreamId(i));
                 cfg.max_bitrate_bps = max_encoding_rate_bps;
                 StreamPipeline {
                     encoder: VideoEncoder::new(cfg),
                     packetizer: Packetizer::new(PacketizerConfig::default()),
+                    history,
                 }
             })
             .collect();
@@ -299,7 +263,6 @@ impl ConferenceSender {
             scheduler,
             fec,
             tx,
-            sent_media,
             rtx_queue: VecDeque::new(),
             next_probe_seq: 0,
             outstanding_probes: BTreeMap::new(),
@@ -496,7 +459,7 @@ impl ConferenceSender {
         }
         let packets = &mut scratch.packets;
         packets.clear();
-        pipeline.packetizer.packetize_into(&frame, packets);
+        let packetized = pipeline.packetizer.packetize_into(&frame, packets);
         batch.extend(packets.iter().map(|p| Schedulable {
             packet: *p,
             class: classify(p),
@@ -507,6 +470,7 @@ impl ConferenceSender {
         if self.scheduler.drop_batch(now) {
             return encoded;
         }
+        pipeline.history.begin_frame(packetized);
 
         let assignments = &mut scratch.assignments;
         self.scheduler
@@ -528,7 +492,11 @@ impl ConferenceSender {
                 _ => RtpKind::Media(sched.packet),
             };
             if sched.class != PacketClass::Retransmission {
-                self.remember_media(&sched.packet, path);
+                // Everything in the batch that is not a retransmission is
+                // a packet of this tick's frame.
+                self.streams[stream_idx]
+                    .history
+                    .remember(sched.packet.sequence, path);
             }
             if sched.packet.kind.is_media() {
                 let idx = match media_by_path.iter().position(|(p, ..)| *p == path) {
@@ -656,16 +624,11 @@ impl ConferenceSender {
             None => {
                 let at = self.tx.partition_point(|(p, _)| *p < path);
                 self.tx
-                    .insert(at, (path, PathTxState::with_slots(self.sizing.tx_slots)));
+                    .insert(at, (path, FeedbackRing::new(self.sizing.tx_slots)));
                 at
             }
         };
-        let tx = &mut self.tx[idx].1;
-        let transport_seq = tx.next_transport_seq;
-        tx.next_transport_seq += 1;
-        let size = kind.wire_size();
-        let mask = tx.sent.len() - 1;
-        tx.sent[transport_seq as usize & mask] = Some((transport_seq, now, size));
+        let transport_seq = self.tx[idx].1.send(now, kind.wire_size());
         OutboundPacket {
             payload: NetPayload::Rtp(SimRtp {
                 kind,
@@ -676,17 +639,6 @@ impl ConferenceSender {
             path,
             class,
         }
-    }
-
-    fn remember_media(&mut self, p: &VideoPacket, path: PathId) {
-        let stream = p.stream.0 as usize;
-        while self.sent_media.len() <= stream {
-            self.sent_media
-                .push(vec![None; self.sizing.media_slots].into_boxed_slice());
-        }
-        let ring = &mut self.sent_media[stream];
-        let mask = ring.len() - 1;
-        ring[p.sequence as usize & mask] = Some((*p, path));
     }
 
     /// Handles an incoming RTCP packet at `now`; may queue retransmissions
@@ -725,21 +677,12 @@ impl ConferenceSender {
                 let timings = &mut self.timings;
                 timings.clear();
                 timings.extend(tf.arrivals.iter().filter_map(|&(seq, arrival_us)| {
-                    let full = unwrap_seq16(seq, tx.highest_acked);
-                    tx.highest_acked = tx.highest_acked.max(full);
-                    let mask = tx.sent.len() - 1;
-                    let slot = &mut tx.sent[full as usize & mask];
-                    match *slot {
-                        Some((s, send_time, size)) if s == full => {
-                            *slot = None;
-                            Some(PacketTiming {
-                                send_time,
-                                arrival_time: SimTime::from_micros(arrival_us),
-                                size,
-                            })
-                        }
-                        _ => None,
-                    }
+                    let (send_time, size) = tx.take(seq)?;
+                    Some(PacketTiming {
+                        send_time,
+                        arrival_time: SimTime::from_micros(arrival_us),
+                        size,
+                    })
                 }));
                 if let Some(ctl) = self.cc.get_mut(&path) {
                     if !timings.is_empty() {
@@ -755,7 +698,7 @@ impl ConferenceSender {
                 for &seq in &nack.lost {
                     // NACK wire carries u16; our media sequences are u64 —
                     // the session uses low 16 bits of the true sequence, so
-                    // search recent media for a matching suffix.
+                    // the history is asked for a matching suffix.
                     if let Some((p, sent_path)) = self.lookup_media(stream, seq) {
                         self.rtx_queue.push_back(p);
                         queued += 1;
@@ -811,13 +754,8 @@ impl ConferenceSender {
     }
 
     fn lookup_media(&self, stream: StreamId, seq16: u16) -> Option<(VideoPacket, PathId)> {
-        // The ring slot holds the newest sequence with these low index
-        // bits; the stored packet's own sequence confirms the 16-bit NACK
-        // reference actually names it (rings smaller than 2^16 slots alias
-        // more than one 16-bit suffix per slot).
-        let ring = self.sent_media.get(stream.0 as usize)?;
-        let (p, path) = ring[seq16 as usize & (ring.len() - 1)]?;
-        ((p.sequence & 0xFFFF) as u16 == seq16).then_some((p, path))
+        let pipeline = self.streams.get(stream.0 as usize)?;
+        pipeline.history.lookup(&pipeline.packetizer, seq16)
     }
 
     /// Builds the sender's periodic RTCP (SR per path + SDES with frame
@@ -853,9 +791,114 @@ impl ConferenceSender {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     use super::*;
     use crate::scenarios::{FecKind, SchedulerKind};
-    use converge_rtp::{ReceiverReport, ReportBlock};
+    use converge_rtp::{Nack, ReceiverReport, ReportBlock};
+
+    /// Everything on path 0; drops whole batches while the test says so
+    /// (WebRTC-CM's re-connection blackout, scripted).
+    #[derive(Debug)]
+    struct ScriptedBlackout(Arc<AtomicBool>);
+
+    impl Scheduler for ScriptedBlackout {
+        fn name(&self) -> &'static str {
+            "scripted-blackout"
+        }
+
+        fn assign_batch_into(
+            &mut self,
+            _now: SimTime,
+            packets: &[Schedulable],
+            _paths: &[PathMetrics],
+            out: &mut Vec<Assignment>,
+        ) {
+            out.clear();
+            out.extend(packets.iter().map(|_| Assignment { path: PathId(0) }));
+        }
+
+        fn drop_batch(&self, _now: SimTime) -> bool {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    /// A blackout-dropped batch takes sequences that are never remembered.
+    /// A NACK for one of them, on a call past 65 536 packets, used to be
+    /// answered with the packet 65 536 sequences older that still sat in
+    /// the slot; it must not be answered at all.
+    #[test]
+    fn nack_for_a_dropped_sequence_is_not_answered_with_its_older_alias() {
+        let blackout = Arc::new(AtomicBool::new(false));
+        let mut sender = ConferenceSender::new(
+            1,
+            &[PathId(0)],
+            Box::new(ScriptedBlackout(blackout.clone())),
+            FecKind::None.build(),
+            ControllerConfig::default(),
+            2_000_000,
+        );
+        let mut out = Vec::new();
+        let mut now = SimTime::ZERO;
+        // Ticks once; the media sequences the tick sent.
+        let mut tick = |sender: &mut ConferenceSender, now: &mut SimTime| -> Vec<u64> {
+            *now += SimDuration::from_micros(33_333);
+            out.clear();
+            sender.on_frame_tick_into(*now, 0, &mut out);
+            out.iter()
+                .filter_map(|p| match &p.payload {
+                    NetPayload::Rtp(SimRtp {
+                        kind: RtpKind::Media(m),
+                        ..
+                    }) => Some(m.sequence),
+                    _ => None,
+                })
+                .collect()
+        };
+        let nack = |seq: u64| {
+            RtcpPacket::Nack(Nack {
+                path_id: 0,
+                ssrc: 0,
+                lost: vec![(seq & 0xFFFF) as u16],
+            })
+        };
+
+        let old = *tick(&mut sender, &mut now)
+            .last()
+            .expect("a frame has packets");
+        assert_eq!(
+            sender.on_rtcp(now, &nack(old)),
+            1,
+            "a fresh packet is retransmitted"
+        );
+        // One generation on, the sequence with the same low 16 bits goes
+        // out inside a blackout.
+        let alias = old + 0x1_0000;
+        let mut newest = old;
+        while newest + 64 < alias {
+            let sent = tick(&mut sender, &mut now);
+            assert!(sent.len() < 64, "frames stay small at 2 Mbps");
+            newest = *sent.last().expect("a frame has packets");
+        }
+        blackout.store(true, Ordering::Relaxed);
+        for _ in 0..64 {
+            assert!(tick(&mut sender, &mut now).is_empty());
+        }
+        blackout.store(false, Ordering::Relaxed);
+        let resumed = tick(&mut sender, &mut now);
+        assert!(
+            newest < alias && alias < resumed[0],
+            "the alias was dropped"
+        );
+
+        assert_eq!(
+            sender.on_rtcp(now, &nack(alias)),
+            0,
+            "sequence {alias} was never sent; {old} must not go out in its place"
+        );
+        assert_eq!(sender.on_rtcp(now, &nack(resumed[0])), 1);
+    }
 
     /// `Flow::on_tick` paces from the snapshot the tick scheduled against
     /// instead of recomputing `path_metrics()`; that holds only while

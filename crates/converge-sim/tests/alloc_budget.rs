@@ -12,6 +12,11 @@
 //! `cargo run --release -p converge-sim --example alloc_sites -- clean`
 //! (or `loss5`) names the call sites behind either count.
 //!
+//! A third budget covers what a session costs to build: the bytes the
+//! first simulated second of either cell asks the allocator for, which is
+//! dominated by the sender's and the receiver's history rings (a sweep of
+//! a few hundred short calls pays it per cell).
+//!
 //! The counter is per thread: the call loop is single-threaded, and the
 //! test harness's own threads allocate whenever they like.
 
@@ -27,19 +32,23 @@ thread_local! {
     // Const-initialised and without a destructor, so the allocator can
     // touch it at any point of a thread's life without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// One allocator call asking for `bytes`.
+fn count_one(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-fn allocations_so_far() -> u64 {
-    ALLOCATIONS.with(Cell::get)
+/// Allocator calls and bytes asked for on this thread so far.
+fn allocations_so_far() -> (u64, u64) {
+    (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
@@ -48,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,17 +73,22 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// `RtcpPacket::wire_len` still serialised every RTCP packet to measure it,
 /// 9 071; at `7c5ef18`, before the schedulers and the QoE monitor kept
 /// their working buffers, 8 166. What is left is one `Vec` per RTCP packet
-/// that owns a list.
-const CLEAN_BUDGET: u64 = 262;
+/// that owns a list (262), and one growth step of the sender's frame log:
+/// its `VecDeque` of per-frame records doubles from 512 to 1 024 entries at
+/// the stream's 513th frame, 17.1 s into the call. (The log is not
+/// reserved up front: it holds the frames of the newest 65 536 sequences,
+/// thousands on a long call and a few dozen on a short one.)
+const CLEAN_BUDGET: u64 = 263;
 
 /// The same for the lossy cell. At `7c5ef18` the window made 29 432 calls;
 /// what is left is mostly the two `protected` lists of each FEC packet,
-/// the sender's and the receiver's pending copy.
-const LOSSY_BUDGET: u64 = 4_258;
+/// the sender's and the receiver's pending copy (4 258), and the same
+/// growth step of the frame log once per stream (3).
+const LOSSY_BUDGET: u64 = 4_261;
 
 /// Allocator calls one two-path Converge call of `secs` makes at `loss_pct`
-/// loss on both paths.
-fn allocations(loss_pct: f64, streams: u8, secs: u64) -> u64 {
+/// loss on both paths, and the bytes they ask for.
+fn allocations(loss_pct: f64, streams: u8, secs: u64) -> (u64, u64) {
     let cfg = SessionConfig::paper_default(
         ScenarioConfig::fec_tradeoff(loss_pct),
         SchedulerKind::Converge,
@@ -88,13 +102,13 @@ fn allocations(loss_pct: f64, streams: u8, secs: u64) -> u64 {
     let report = session.run();
     let after = allocations_so_far();
     assert!(report.frames_decoded > 0, "the call must carry video");
-    after - before
+    (after.0 - before.0, after.1 - before.1)
 }
 
 /// Asserts that seconds [10, 20) of the cell repeat exactly and stay within
 /// `budget`.
 fn assert_window_within(budget: u64, loss_pct: f64, streams: u8) {
-    let run = |secs| allocations(loss_pct, streams, secs);
+    let run = |secs| allocations(loss_pct, streams, secs).0;
     let (ten, twenty) = (run(10), run(20));
     assert_eq!(
         (ten, twenty),
@@ -117,4 +131,39 @@ fn steady_state_allocation_count_stays_within_budget() {
 #[test]
 fn lossy_steady_state_allocation_count_stays_within_budget() {
     assert_window_within(LOSSY_BUDGET, 5.0, 3);
+}
+
+/// Bytes the first simulated second of the clean one-stream call may ask
+/// the allocator for (the flows and their rings are built inside `run`):
+/// the exact count of the commit that last lowered it, to be ratcheted
+/// like the call counts above. At `64417ed` it asked for 4 988 774: the
+/// sender's ring of whole packets per stream (65 536 × 56 B) and a 32-byte
+/// feedback slot per transport sequence per path (2 × 16 384 × 32 B) made
+/// up 4.7 MB of it. The stream ring is now four bytes a sequence plus a
+/// 56-byte record per frame sent, the feedback slot 16 bytes; the largest
+/// single buffer left is the receiver's `recent` ring (4 096 × 48 B per
+/// stream).
+const CLEAN_CONSTRUCTION_BYTES: u64 = 1_060_510;
+
+/// The same for the lossy three-stream call; 12 775 968 at `64417ed`.
+const LOSSY_CONSTRUCTION_BYTES: u64 = 2_039_080;
+
+#[test]
+fn construction_bytes_stay_within_budget() {
+    for (budget, loss_pct, streams) in [
+        (CLEAN_CONSTRUCTION_BYTES, 0.0, 1),
+        (LOSSY_CONSTRUCTION_BYTES, 5.0, 3),
+    ] {
+        let (_, bytes) = allocations(loss_pct, streams, 1);
+        assert_eq!(
+            bytes,
+            allocations(loss_pct, streams, 1).1,
+            "the byte count must repeat exactly"
+        );
+        println!("{streams}-stream call at {loss_pct} % loss: second [0, 1) asked for {bytes} bytes, budget {budget}");
+        assert!(
+            bytes <= budget,
+            "{streams}-stream call at {loss_pct} % loss: second [0, 1) asked for {bytes} bytes, budget {budget}"
+        );
+    }
 }

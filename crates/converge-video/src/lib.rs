@@ -28,6 +28,6 @@ pub mod types;
 pub use codec::{EncoderConfig, VideoEncoder};
 pub use frame_buffer::{DropReason, FrameBuffer, FrameBufferEvent};
 pub use packet_buffer::{PacketBuffer, PacketBufferEvent};
-pub use packetize::{Packetizer, PacketizerConfig};
+pub use packetize::{PacketizedFrame, Packetizer, PacketizerConfig};
 pub use quality::{effective_psnr, psnr_for_bitrate, qp_for_bitrate, VideoFormat};
 pub use types::{CompleteFrame, EncodedFrame, FrameType, PacketKind, StreamId, VideoPacket};

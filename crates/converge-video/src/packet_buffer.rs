@@ -47,16 +47,17 @@ struct Assembly {
     frame_type: FrameType,
     capture_time: SimTime,
     first_arrival: SimTime,
-    /// Media packet indices received, with sizes. A frame splits into a few
-    /// dozen packets at most and this is touched on every arrival, so a
-    /// flat vec (linear probe, insertion order) beats a tree map; only the
-    /// distinct-index count and the size sum are ever read, neither of
-    /// which depends on order.
+    /// Media packet indices received, with sizes, ascending by index: one
+    /// entry per distinct index, so its length is the count completion
+    /// compares. Packets mostly arrive in order, which is an append after
+    /// one compare; a reordered one is a binary search.
     media: Vec<(u16, usize)>,
+    /// Sum of the sizes in `media`.
+    media_bytes: usize,
     /// Total media packets expected, learnt from any media packet.
     expected_media: Option<u16>,
     has_pps: bool,
-    /// Sequence numbers held (for duplicate detection).
+    /// Sequence numbers held (for duplicate detection), ascending.
     sequences: Vec<u64>,
 }
 
@@ -66,18 +67,53 @@ impl Assembly {
     }
 
     fn is_complete(&self) -> bool {
-        if !self.has_pps {
-            return false;
+        self.has_pps
+            && self
+                .expected_media
+                .is_some_and(|n| self.media.len() == n as usize)
+    }
+
+    /// Holds `sequence` from now on; `false` if it was held already.
+    fn hold_sequence(&mut self, sequence: u64) -> bool {
+        if self
+            .sequences
+            .last()
+            .is_none_or(|&newest| newest < sequence)
+        {
+            self.sequences.push(sequence);
+            return true;
         }
-        match self.expected_media {
-            Some(n) => self.media.len() == n as usize,
-            // (distinct indices: inserts overwrite an existing index)
-            None => false,
+        match self.sequences.binary_search(&sequence) {
+            Ok(_) => false,
+            Err(at) => {
+                self.sequences.insert(at, sequence);
+                true
+            }
         }
     }
 
-    fn media_bytes(&self) -> usize {
-        self.media.iter().map(|(_, size)| size).sum()
+    /// Records media packet `index` of `size` bytes; a second packet
+    /// claiming an index replaces the first one's size.
+    fn hold_media(&mut self, index: u16, size: usize) {
+        if self
+            .media
+            .last()
+            .is_none_or(|&(highest, _)| highest < index)
+        {
+            self.media.push((index, size));
+            self.media_bytes += size;
+            return;
+        }
+        match self.media.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(at) => {
+                self.media_bytes = self.media_bytes - self.media[at].1 + size;
+                self.media[at].1 = size;
+            }
+            Err(at) => {
+                self.media.insert(at, (index, size));
+                self.media_bytes += size;
+            }
+        }
     }
 }
 
@@ -206,13 +242,14 @@ impl PacketBuffer {
                 capture_time: packet.capture_time,
                 first_arrival: now,
                 media,
+                media_bytes: 0,
                 expected_media: None,
                 has_pps: false,
                 sequences,
             }
         });
 
-        if assembly.sequences.contains(&packet.sequence) {
+        if !assembly.hold_sequence(packet.sequence) {
             events.push(PacketBufferEvent::Duplicate {
                 sequence: packet.sequence,
             });
@@ -222,15 +259,11 @@ impl PacketBuffer {
         match packet.kind {
             PacketKind::Media { index, count } => {
                 assembly.expected_media = Some(count);
-                match assembly.media.iter_mut().find(|(i, _)| *i == index) {
-                    Some(slot) => slot.1 = packet.size,
-                    None => assembly.media.push((index, packet.size)),
-                }
+                assembly.hold_media(index, packet.size);
             }
             PacketKind::Pps => assembly.has_pps = true,
             PacketKind::Sps => unreachable!("SPS filtered above"),
         }
-        assembly.sequences.push(packet.sequence);
         let complete = assembly.is_complete();
         self.total_packets += 1;
 
@@ -244,7 +277,7 @@ impl PacketBuffer {
                 frame_id,
                 gop_id: a.gop_id,
                 frame_type: a.frame_type,
-                size: a.media_bytes(),
+                size: a.media_bytes,
                 capture_time: a.capture_time,
                 first_arrival: a.first_arrival,
                 completed_at: now,
@@ -495,5 +528,299 @@ mod tests {
             }
         }
         assert_eq!(completions, 2);
+    }
+
+    /// The buffer as it stood: an assembly that scans its sequences for a
+    /// duplicate and its media for an index, and sums sizes on completion.
+    struct RefAssembly {
+        stream: StreamId,
+        gop_id: u64,
+        frame_type: FrameType,
+        capture_time: SimTime,
+        first_arrival: SimTime,
+        media: Vec<(u16, usize)>,
+        expected_media: Option<u16>,
+        has_pps: bool,
+        sequences: Vec<u64>,
+    }
+
+    impl RefAssembly {
+        fn packet_count(&self) -> usize {
+            self.sequences.len()
+        }
+
+        fn is_complete(&self) -> bool {
+            if !self.has_pps {
+                return false;
+            }
+            match self.expected_media {
+                Some(n) => self.media.len() == n as usize,
+                // (distinct indices: inserts overwrite an existing index)
+                None => false,
+            }
+        }
+
+        fn media_bytes(&self) -> usize {
+            self.media.iter().map(|(_, size)| size).sum()
+        }
+    }
+
+    struct RefPacketBuffer {
+        capacity_packets: usize,
+        frames: BTreeMap<u64, RefAssembly>,
+        total_packets: usize,
+        finished: std::collections::BTreeSet<u64>,
+        finished_cap: usize,
+        max_finished: Option<u64>,
+        spare: Vec<SpareVecs>,
+    }
+
+    impl RefPacketBuffer {
+        fn new(capacity_packets: usize) -> Self {
+            RefPacketBuffer {
+                capacity_packets: capacity_packets.max(1),
+                frames: BTreeMap::new(),
+                total_packets: 0,
+                finished: std::collections::BTreeSet::new(),
+                finished_cap: 1024,
+                max_finished: None,
+                spare: Vec::new(),
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.total_packets
+        }
+
+        fn frames_pending(&self) -> usize {
+            self.frames.len()
+        }
+
+        fn is_finished(&self, frame_id: u64) -> bool {
+            match self.max_finished {
+                Some(max) if frame_id <= max => self.finished.contains(&frame_id),
+                _ => false,
+            }
+        }
+
+        fn purge_frame(&mut self, frame_id: u64) -> Option<PacketBufferEvent> {
+            let assembly = self.frames.remove(&frame_id)?;
+            let packets_dropped = assembly.packet_count();
+            self.total_packets -= packets_dropped;
+            self.remember_finished(frame_id);
+            self.recycle(assembly);
+            Some(PacketBufferEvent::FrameEvicted {
+                frame_id,
+                packets_dropped,
+            })
+        }
+
+        fn recycle(&mut self, mut assembly: RefAssembly) {
+            assembly.media.clear();
+            assembly.sequences.clear();
+            self.spare.push((assembly.media, assembly.sequences));
+        }
+
+        fn insert_into(
+            &mut self,
+            now: SimTime,
+            packet: &VideoPacket,
+            events: &mut Vec<PacketBufferEvent>,
+        ) {
+            if packet.kind == PacketKind::Sps {
+                return;
+            }
+            if self.is_finished(packet.frame_id) {
+                events.push(PacketBufferEvent::StalePacket {
+                    frame_id: packet.frame_id,
+                });
+                return;
+            }
+
+            let spare = &mut self.spare;
+            let assembly = self.frames.entry(packet.frame_id).or_insert_with(|| {
+                let (media, sequences) = spare.pop().unwrap_or_default();
+                RefAssembly {
+                    stream: packet.stream,
+                    gop_id: packet.gop_id,
+                    frame_type: packet.frame_type,
+                    capture_time: packet.capture_time,
+                    first_arrival: now,
+                    media,
+                    expected_media: None,
+                    has_pps: false,
+                    sequences,
+                }
+            });
+
+            if assembly.sequences.contains(&packet.sequence) {
+                events.push(PacketBufferEvent::Duplicate {
+                    sequence: packet.sequence,
+                });
+                return;
+            }
+
+            match packet.kind {
+                PacketKind::Media { index, count } => {
+                    assembly.expected_media = Some(count);
+                    match assembly.media.iter_mut().find(|(i, _)| *i == index) {
+                        Some(slot) => slot.1 = packet.size,
+                        None => assembly.media.push((index, packet.size)),
+                    }
+                }
+                PacketKind::Pps => assembly.has_pps = true,
+                PacketKind::Sps => unreachable!("SPS filtered above"),
+            }
+            assembly.sequences.push(packet.sequence);
+            let complete = assembly.is_complete();
+            self.total_packets += 1;
+
+            let frame_id = packet.frame_id;
+            if complete {
+                let a = self.frames.remove(&frame_id).expect("assembly exists");
+                self.total_packets -= a.packet_count();
+                self.remember_finished(frame_id);
+                events.push(PacketBufferEvent::FrameComplete(CompleteFrame {
+                    stream: a.stream,
+                    frame_id,
+                    gop_id: a.gop_id,
+                    frame_type: a.frame_type,
+                    size: a.media_bytes(),
+                    capture_time: a.capture_time,
+                    first_arrival: a.first_arrival,
+                    completed_at: now,
+                }));
+                self.recycle(a);
+            }
+
+            // Evict oldest incomplete frames while over capacity, never the
+            // frame that just received a packet unless it is the only one.
+            while self.total_packets > self.capacity_packets {
+                let victim = match self.frames.keys().next().copied() {
+                    Some(oldest) if oldest != frame_id || self.frames.len() == 1 => oldest,
+                    // Oldest is the active frame but others exist: evict the
+                    // next oldest instead.
+                    Some(_) => match self.frames.keys().nth(1).copied() {
+                        Some(v) => v,
+                        None => break,
+                    },
+                    None => break,
+                };
+                if let Some(ev) = self.purge_frame(victim) {
+                    events.push(ev);
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn remember_finished(&mut self, frame_id: u64) {
+            self.max_finished = Some(self.max_finished.map_or(frame_id, |m| m.max(frame_id)));
+            self.finished.insert(frame_id);
+            while self.finished.len() > self.finished_cap {
+                let oldest = *self.finished.iter().next().expect("non-empty");
+                self.finished.remove(&oldest);
+            }
+        }
+    }
+
+    /// Seeded packet streams — in order, reordered within and across
+    /// frames, duplicated, with a second packet claiming a held index at
+    /// another size, with indices and counts no packetizer would produce,
+    /// through buffers small enough to evict and with frames purged from
+    /// outside — into the buffer and into the buffer as it stood: the same
+    /// events, `len()` and `frames_pending()` after every packet.
+    #[test]
+    fn buffer_matches_the_scanning_assembly() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let (mut completed, mut duplicates, mut evicted) = (0u64, 0u64, 0u64);
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0x9b0f + seed);
+            let capacity = [6, 24, 96, 768][(seed % 4) as usize];
+            let mut buffer = PacketBuffer::new(capacity);
+            let mut reference = RefPacketBuffer::new(capacity);
+            let mut stream: Vec<VideoPacket> = Vec::new();
+            let mut sequence = 0u64;
+            for frame_id in 0..600u64 {
+                let media = rng.gen_range(1..40u16);
+                for mut p in frame_packets(frame_id, sequence, media) {
+                    p.size = rng.gen_range(1..1_400);
+                    if rng.gen_bool(0.03) {
+                        continue; // lost
+                    }
+                    stream.push(p);
+                    if rng.gen_bool(0.04) {
+                        stream.push(p); // duplicated, maybe reordered below
+                    }
+                    if let PacketKind::Media { index, count } = p.kind {
+                        match rng.gen_range(0..60) {
+                            // The same index again under a sequence of its
+                            // own (a stray retransmission id), another size.
+                            0 => stream.push(VideoPacket {
+                                sequence: p.sequence + 1_000_000,
+                                size: p.size + 7,
+                                ..p
+                            }),
+                            // An index far beyond the frame's count.
+                            1 => stream.push(VideoPacket {
+                                sequence: p.sequence + 2_000_000,
+                                kind: PacketKind::Media {
+                                    index: u16::MAX - index,
+                                    count,
+                                },
+                                ..p
+                            }),
+                            // A count that disagrees with the frame's.
+                            2 => stream.push(VideoPacket {
+                                sequence: p.sequence + 3_000_000,
+                                kind: PacketKind::Media {
+                                    index,
+                                    count: rng.gen(),
+                                },
+                                ..p
+                            }),
+                            _ => {}
+                        }
+                    }
+                }
+                sequence += u64::from(media) + 1;
+            }
+            // Reordering: none, local, or across several frames.
+            let reach = [0usize, 4, 90][(seed / 4 % 3) as usize];
+            if reach > 0 {
+                for i in 0..stream.len() {
+                    if rng.gen_bool(0.3) {
+                        let j = (i + rng.gen_range(0..reach)).min(stream.len() - 1);
+                        stream.swap(i, j);
+                    }
+                }
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (i, p) in stream.iter().enumerate() {
+                let now = SimTime::from_micros(i as u64 * 100);
+                got.clear();
+                buffer.insert_into(now, p, &mut got);
+                want.clear();
+                reference.insert_into(now, p, &mut want);
+                assert_eq!(got, want, "seed {seed} packet {i}: {p:?}");
+                if rng.gen_bool(0.01) {
+                    let victim = p.frame_id.saturating_sub(rng.gen_range(0..3));
+                    assert_eq!(buffer.purge_frame(victim), reference.purge_frame(victim));
+                }
+                assert_eq!(buffer.len(), reference.len(), "seed {seed} packet {i}");
+                assert_eq!(buffer.frames_pending(), reference.frames_pending());
+                for e in &want {
+                    match e {
+                        PacketBufferEvent::FrameComplete(_) => completed += 1,
+                        PacketBufferEvent::Duplicate { .. } => duplicates += 1,
+                        PacketBufferEvent::FrameEvicted { .. } => evicted += 1,
+                        PacketBufferEvent::StalePacket { .. } => {}
+                    }
+                }
+            }
+        }
+        assert!(completed > 2_000, "{completed} frames completed");
+        assert!(duplicates > 500, "{duplicates} duplicates");
+        assert!(evicted > 500, "{evicted} frames evicted");
     }
 }

@@ -29,6 +29,22 @@ impl Default for PacketizerConfig {
     }
 }
 
+/// A packetized frame's place in its stream's sequence space. Together
+/// with the packetizer's configuration it determines every packet the
+/// frame was split into, so a sender that keeps one of these per frame
+/// need not keep the packets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketizedFrame {
+    /// The frame as the encoder emitted it.
+    pub frame: EncodedFrame,
+    /// Sequence number of the frame's first packet.
+    pub first_sequence: u64,
+    /// Packets the frame was split into: [SPS], PPS, media.
+    pub packet_count: u32,
+    /// Whether the frame opened a GOP and so leads with an SPS packet.
+    pub has_sps: bool,
+}
+
 /// Stateful packetizer for one stream (owns the sequence counter).
 #[derive(Debug)]
 pub struct Packetizer {
@@ -66,39 +82,62 @@ impl Packetizer {
     }
 
     /// [`Packetizer::packetize`], appending the packets to `out` so the
-    /// caller can reuse one buffer across frames.
-    pub fn packetize_into(&mut self, frame: &EncodedFrame, out: &mut Vec<VideoPacket>) {
-        let count = frame.size.div_ceil(self.config.mtu).max(1) as u16;
-        out.reserve(count as usize + 2);
-
-        let mut push = |kind: PacketKind, size: usize, seq: &mut u64| {
-            out.push(VideoPacket {
-                stream: frame.stream,
-                sequence: *seq,
-                frame_id: frame.frame_id,
-                gop_id: frame.gop_id,
-                frame_type: frame.frame_type,
-                kind,
-                size,
-                capture_time: frame.capture_time,
-            });
-            *seq += 1;
+    /// caller can reuse one buffer across frames. Returns the frame's
+    /// place in the sequence space, from which [`Packetizer::packet_at`]
+    /// rebuilds any one of the packets later.
+    pub fn packetize_into(
+        &mut self,
+        frame: &EncodedFrame,
+        out: &mut Vec<VideoPacket>,
+    ) -> PacketizedFrame {
+        let has_sps = self.last_sps_gop != Some(frame.gop_id);
+        self.last_sps_gop = Some(frame.gop_id);
+        let media = frame.size.div_ceil(self.config.mtu).max(1) as u16;
+        let packetized = PacketizedFrame {
+            frame: *frame,
+            first_sequence: self.next_sequence,
+            packet_count: u32::from(has_sps) + 1 + u32::from(media),
+            has_sps,
         };
+        out.extend((0..packetized.packet_count).map(|n| self.packet_at(&packetized, n)));
+        self.next_sequence += u64::from(packetized.packet_count);
+        packetized
+    }
 
-        let mut seq = self.next_sequence;
-        if self.last_sps_gop != Some(frame.gop_id) {
-            self.last_sps_gop = Some(frame.gop_id);
-            push(PacketKind::Sps, self.config.sps_size, &mut seq);
+    /// Packet `n` (0-based, in sending order) of a frame this packetizer
+    /// packetized: the one definition of how a frame splits, which
+    /// [`Packetizer::packetize_into`] is a loop over and a retransmission
+    /// rebuilds its packet from.
+    ///
+    /// # Panics
+    /// Panics if `n` is not below `packetized.packet_count`.
+    pub fn packet_at(&self, packetized: &PacketizedFrame, n: u32) -> VideoPacket {
+        assert!(n < packetized.packet_count, "no such packet in the frame");
+        let frame = &packetized.frame;
+        let control = u32::from(packetized.has_sps) + 1;
+        let (kind, size) = match n.checked_sub(control) {
+            Some(index) => {
+                let index = index as u16;
+                let count = (packetized.packet_count - control) as u16;
+                // Every media packet but the last is a full MTU; a frame
+                // of zero bytes still sends one byte.
+                let sent_before = index as usize * self.config.mtu;
+                let size = frame.size.saturating_sub(sent_before).min(self.config.mtu);
+                (PacketKind::Media { index, count }, size.max(1))
+            }
+            None if packetized.has_sps && n == 0 => (PacketKind::Sps, self.config.sps_size),
+            None => (PacketKind::Pps, self.config.pps_size),
+        };
+        VideoPacket {
+            stream: frame.stream,
+            sequence: packetized.first_sequence + u64::from(n),
+            frame_id: frame.frame_id,
+            gop_id: frame.gop_id,
+            frame_type: frame.frame_type,
+            kind,
+            size,
+            capture_time: frame.capture_time,
         }
-        push(PacketKind::Pps, self.config.pps_size, &mut seq);
-
-        let mut remaining = frame.size;
-        for index in 0..count {
-            let size = remaining.min(self.config.mtu).max(1);
-            remaining = remaining.saturating_sub(size);
-            push(PacketKind::Media { index, count }, size, &mut seq);
-        }
-        self.next_sequence = seq;
     }
 }
 
@@ -201,6 +240,86 @@ mod tests {
             assert_eq!(pkt.frame_type, FrameType::Key);
             assert_eq!(pkt.capture_time, f.capture_time);
             assert_eq!(pkt.stream, StreamId(0));
+        }
+    }
+
+    /// The split as it stood before `packet_at`: a running `remaining`
+    /// byte count and a pushing closure.
+    fn reference_packetize(
+        config: PacketizerConfig,
+        frame: &EncodedFrame,
+        first_sequence: u64,
+        has_sps: bool,
+    ) -> Vec<VideoPacket> {
+        let mut out = Vec::new();
+        let mut seq = first_sequence;
+        let mut push = |kind: PacketKind, size: usize| {
+            out.push(VideoPacket {
+                stream: frame.stream,
+                sequence: seq,
+                frame_id: frame.frame_id,
+                gop_id: frame.gop_id,
+                frame_type: frame.frame_type,
+                kind,
+                size,
+                capture_time: frame.capture_time,
+            });
+            seq += 1;
+        };
+        if has_sps {
+            push(PacketKind::Sps, config.sps_size);
+        }
+        push(PacketKind::Pps, config.pps_size);
+        let count = frame.size.div_ceil(config.mtu).max(1) as u16;
+        let mut remaining = frame.size;
+        for index in 0..count {
+            let size = remaining.min(config.mtu).max(1);
+            remaining = remaining.saturating_sub(size);
+            push(PacketKind::Media { index, count }, size);
+        }
+        out
+    }
+
+    #[test]
+    fn every_packet_rebuilds_from_its_frame_record() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x9ac4e7);
+        let config = PacketizerConfig::default();
+        let mut p = Packetizer::new(config);
+        let mut out = Vec::new();
+        let mut gop_id = 0;
+        for frame_id in 0..10_000u64 {
+            let new_gop = frame_id > 0 && rng.gen_bool(0.05);
+            gop_id += u64::from(new_gop);
+            // Empty, one-byte, exact-multiple, one-over and ordinary sizes.
+            let size = match rng.gen_range(0..8) {
+                0 => 0,
+                1 => 1,
+                2 => config.mtu * rng.gen_range(1..6usize),
+                3 => config.mtu * rng.gen_range(1..6usize) + 1,
+                _ => rng.gen_range(2..40_000),
+            };
+            let ft = if new_gop || frame_id == 0 {
+                FrameType::Key
+            } else {
+                FrameType::Delta
+            };
+            let f = frame(frame_id, gop_id, ft, size);
+            let first_sequence = p.next_sequence();
+            out.clear();
+            let packetized = p.packetize_into(&f, &mut out);
+            assert_eq!(packetized.frame, f);
+            assert_eq!(packetized.first_sequence, first_sequence);
+            assert_eq!(packetized.has_sps, new_gop || frame_id == 0);
+            assert_eq!(packetized.packet_count as usize, out.len());
+            assert_eq!(p.next_sequence(), first_sequence + out.len() as u64);
+            assert_eq!(
+                out,
+                reference_packetize(config, &f, first_sequence, packetized.has_sps)
+            );
+            for (n, sent) in out.iter().enumerate() {
+                assert_eq!(p.packet_at(&packetized, n as u32), *sent);
+            }
         }
     }
 }
