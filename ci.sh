@@ -155,13 +155,17 @@ gate drive drive
 
 # Fleet smoke gate: ~200 concurrent sessions through SFU bottlenecks in
 # the sharded fleet engine with the control-loop invariant checker armed
-# on every member; the stdout fold must carry the QoE-fairness quantiles.
+# on every member; the stdout fold must carry the QoE-fairness quantiles,
+# and the same cell on one shard must print the same bytes.
 fleet() {
     experiments fleet --quick --sessions 200 --conference-size 4 --shards 2 \
         --check-invariants > results/smoke_fleet.txt
     test -s results/smoke_fleet.txt
     grep -q '^qoe|p5=' results/smoke_fleet.txt
     grep -q '^total|decoded=' results/smoke_fleet.txt
+    experiments fleet --quick --sessions 200 --conference-size 4 --shards 1 \
+        --check-invariants > results/smoke_fleet_1shard.txt
+    cmp results/smoke_fleet.txt results/smoke_fleet_1shard.txt
 }
 gate fleet fleet
 

@@ -190,7 +190,7 @@ impl Segment {
 pub struct Link {
     config: LinkConfig,
     loss: LossProcess,
-    codel: Option<Codel>,
+    stages: Stages,
     rng: SmallRng,
     /// Virtual time at which the bottleneck finishes the last accepted packet.
     busy_until: SimTime,
@@ -211,19 +211,41 @@ pub struct Link {
     serializing: Segment,
 }
 
+/// Which of [`Link::offer`]'s stages a link consults, fixed by its
+/// configuration (and kept in one field: a link is built per path and
+/// direction, and its size is a gated construction cost).
+#[derive(Debug, Clone)]
+enum Stages {
+    /// Drop-tail with no loss, jitter, impairment or drive trace: the byte
+    /// limit is the only stage that can refuse a packet and none draws
+    /// from the RNG.
+    Quiet,
+    /// Every stage, behind a drop-tail queue.
+    DropTail,
+    /// Every stage, with CoDel deciding on top of the byte limit.
+    Codel(Codel),
+}
+
 impl Link {
     /// Creates a link from a configuration.
     pub fn new(config: LinkConfig) -> Self {
         let loss = LossProcess::new(config.loss.clone());
         let rng = SmallRng::seed_from_u64(config.seed);
-        let codel = match config.discipline {
-            QueueDiscipline::DropTail => None,
-            QueueDiscipline::Codel { target, interval } => Some(Codel::new(target, interval)),
+        let quiet = config.drive.is_none()
+            && config.impairment.is_noop()
+            && config.jitter == SimDuration::ZERO
+            && matches!(config.loss, LossModel::None);
+        let stages = match config.discipline {
+            QueueDiscipline::DropTail if quiet => Stages::Quiet,
+            QueueDiscipline::DropTail => Stages::DropTail,
+            QueueDiscipline::Codel { target, interval } => {
+                Stages::Codel(Codel::new(target, interval))
+            }
         };
         Link {
             config,
             loss,
-            codel,
+            stages,
             rng,
             busy_until: SimTime::ZERO,
             in_flight: std::collections::VecDeque::new(),
@@ -297,6 +319,17 @@ impl Link {
     pub fn offer(&mut self, now: SimTime, bytes: usize) -> Offer {
         use rand::Rng;
         self.prune(now);
+        // A quiet link (an SFU's two, offered every fan-out copy) has one
+        // stage that can act, the byte limit; the others are not consulted.
+        if matches!(self.stages, Stages::Quiet) {
+            let fate = if self.queued_bytes + bytes > self.config.queue_capacity_bytes {
+                self.stats.queue_drops += 1;
+                Transmit::QueueDrop
+            } else {
+                Transmit::Delivered(self.accept(now, bytes) + self.config.propagation)
+            };
+            return Offer { fate, duplicate: None };
+        }
         let imp = self.config.impairment;
         // Under drive replay the one-way delay tracks the sample in effect
         // at send time (handover OWD spikes) and so does a loss stage;
@@ -342,7 +375,7 @@ impl Link {
 
         // CoDel: consult the controller with the sojourn this packet is
         // about to experience (current backlog drain time).
-        if let Some(codel) = &mut self.codel {
+        if let Stages::Codel(codel) = &mut self.stages {
             let sojourn = self.busy_until.saturating_since(now);
             if codel.should_drop(now, sojourn) {
                 self.stats.queue_drops += 1;
@@ -376,16 +409,7 @@ impl Link {
             };
         }
 
-        // Serialize through the bottleneck, honouring rate changes at trace
-        // segment boundaries.
-        let start = self.busy_until.max(now);
-        let finish = self.serialize_from(start, bytes);
-        self.busy_until = finish;
-        self.in_flight.push_back((finish, bytes));
-        self.queued_bytes += bytes;
-
-        self.stats.delivered_pkts += 1;
-        self.stats.delivered_bytes += bytes as u64;
+        let finish = self.accept(now, bytes);
         let jitter = if self.config.jitter > SimDuration::ZERO {
             SimDuration::from_micros(self.rng.gen_range(0..=self.config.jitter.as_micros()))
         } else {
@@ -425,6 +449,19 @@ impl Link {
             fate: Transmit::Delivered(deliver),
             duplicate,
         }
+    }
+
+    /// Queues an accepted packet behind the bottleneck and returns when it
+    /// clears it: serialized from `busy_until.max(now)`, honouring rate
+    /// changes at trace segment boundaries.
+    fn accept(&mut self, now: SimTime, bytes: usize) -> SimTime {
+        let finish = self.serialize_from(self.busy_until.max(now), bytes);
+        self.busy_until = finish;
+        self.in_flight.push_back((finish, bytes));
+        self.queued_bytes += bytes;
+        self.stats.delivered_pkts += 1;
+        self.stats.delivered_bytes += bytes as u64;
+        finish
     }
 
     /// Computes when `bytes` finish serializing if started at `start`,
@@ -1262,6 +1299,7 @@ mod tests {
         use rand::Rng;
         let mut crossings = 0u64;
         let mut stalls = 0u64;
+        let mut quiet = 0u64;
         for seed in 0..48u64 {
             let mut rng = SmallRng::seed_from_u64(0x11f_c0de + seed);
             let mut cfg = link_cfg(0, rng.gen_range(0..80), rng.gen_range(20_000..400_000));
@@ -1284,6 +1322,7 @@ mod tests {
             }
             let mut link = Link::new(cfg.clone());
             let mut reference = RefLink::new(cfg);
+            quiet += u64::from(matches!(link.stages, Stages::Quiet));
             let mut now = SimTime::ZERO;
             // Mean gap between offers: from a saturated queue to idle.
             let gap_us = [40u64, 400, 4_000, 40_000][(seed / 6 % 4) as usize];
@@ -1325,5 +1364,6 @@ mod tests {
             "{crossings} packets straddled a boundary"
         );
         assert!(stalls >= 8, "{stalls} links stalled for good");
+        assert!(quiet >= 8, "{quiet} links took the quiet path");
     }
 }

@@ -124,7 +124,8 @@ pub struct SfuNode {
     ingress: Link,
     egress: Link,
     members: Vec<Member>,
-    stats: SfuStats,
+    fanout_pkts: u64,
+    fanout_bytes: u64,
 }
 
 impl SfuNode {
@@ -148,7 +149,8 @@ impl SfuNode {
             ingress: quiet_link(config.ingress_rate_bps, config.ingress_queue_bytes),
             egress: quiet_link(config.egress_rate_bps, config.egress_queue_bytes),
             members: Vec::new(),
-            stats: SfuStats::default(),
+            fanout_pkts: 0,
+            fanout_bytes: 0,
         }
     }
 
@@ -184,17 +186,14 @@ impl SfuNode {
             m.uplink_pkts += 1;
             m.uplink_bytes += bytes as u64;
         }
-        self.stats.ingress = self.ingress.stats();
         fate
     }
 
     /// Offers one fan-out copy to the shared egress bottleneck.
     pub fn offer_egress(&mut self, now: SimTime, bytes: usize) -> Transmit {
-        self.stats.fanout_pkts += 1;
-        self.stats.fanout_bytes += bytes as u64;
-        let fate = self.egress.offer(now, bytes).fate;
-        self.stats.egress = self.egress.stats();
-        fate
+        self.fanout_pkts += 1;
+        self.fanout_bytes += bytes as u64;
+        self.egress.offer(now, bytes).fate
     }
 
     /// Uplink packets/bytes the node has accepted from `member`.
@@ -203,9 +202,15 @@ impl SfuNode {
         (m.uplink_pkts, m.uplink_bytes)
     }
 
-    /// Accumulated node counters.
+    /// Accumulated node counters, read off the two links when asked: the
+    /// offer path keeps no copy of them.
     pub fn stats(&self) -> SfuStats {
-        self.stats
+        SfuStats {
+            ingress: self.ingress.stats(),
+            egress: self.egress.stats(),
+            fanout_pkts: self.fanout_pkts,
+            fanout_bytes: self.fanout_bytes,
+        }
     }
 }
 

@@ -20,8 +20,9 @@
 //! cells are the benchmark's shapes: `clean1` (clean, one stream, SinglePath +
 //! WebRtcTable), `clean3` (clean, three streams, Converge), `loss5`
 //! (`fec_tradeoff(5.0)`, three streams), `constant8` (`constant-8`),
-//! `carrier8` (`multi-carrier-8/gcc`) and `fleet` (128 sessions in
-//! conferences of 4).
+//! `carrier8` (`multi-carrier-8/gcc`), `fleet` (128 sessions in
+//! conferences of 4) and `fleet8` (the same 128 in conferences of 8, seven
+//! fan-out copies per packet).
 //!
 //! The timer ticks at the kernel's HZ — 4 ms on the box this was written
 //! on, whatever interval is asked for — so 1 000 samples need at least
@@ -38,7 +39,7 @@ use converge_sim::{
     Session, SessionConfig,
 };
 
-const CELLS: &str = "clean1 clean3 loss5 constant8 carrier8 fleet";
+const CELLS: &str = "clean1 clean3 loss5 constant8 carrier8 fleet fleet8";
 
 /// Runs the named cell once; `false` for an unknown name.
 fn run_cell(name: &str) -> bool {
@@ -109,8 +110,8 @@ fn run_cell(name: &str) -> bool {
             let report = Session::new(cfg).run();
             assert!(report.frames_decoded > 0, "the call must carry video");
         }
-        "fleet" => {
-            let mut config = FleetConfig::new(128, 4);
+        "fleet" | "fleet8" => {
+            let mut config = FleetConfig::new(128, if name == "fleet" { 4 } else { 8 });
             config.duration = SimDuration::from_secs(10);
             config.seed = 11;
             let report = FleetEngine::new(config).run();

@@ -3,9 +3,10 @@
 //!
 //! [`Session`](crate::Session) runs one call on its own emulator. A fleet
 //! member is the same `Flow` — sender, receiver, pacer, metrics — but its
-//! events travel a shard's [`EventQueue`] (in-flight packets, arena-backed
-//! so memory follows packets in flight) and [`TimerWheel`] (pacer, frame,
-//! and RTCP ticks), which a shard reuses across the conferences it runs.
+//! events travel a shard's [`EventQueue`] (uplink and feedback packets in
+//! flight, arena-backed so memory follows them) and [`TimerWheel`] (pacer,
+//! frame, and RTCP ticks), which a shard reuses across the conferences it
+//! runs.
 //! Conferences share no state, so [`FleetConfig::batch_conferences`]
 //! defaults to one conference per pass: multiplexing more into the same
 //! queue measured slower and larger, never different.
@@ -17,9 +18,32 @@
 //! into the conference's shared ingress bottleneck; accepted media is
 //! observed by an SFU-side receiver (uplink QoE) and fanned out to the
 //! other members over the shared egress link as payload-free
-//! [`ForwardPacket`] descriptors. RTCP feedback travels back over the
+//! [`ForwardPacket`] descriptors, which are counted at their viewers and
+//! never queued (next section). RTCP feedback travels back over the
 //! member's private reverse paths, so every member runs the full
 //! sender/receiver/congestion-control pipeline of a normal session.
+//!
+//! ## A viewer is a sink
+//!
+//! A fan-out copy is the most numerous thing a conference produces —
+//! `N − 1` per accepted uplink packet — and the one thing in it that
+//! nothing waits for. A viewer reads no clock, sends nothing back and is
+//! looked at once, when the conference is folded into its report; all it
+//! keeps is what it was handed and in which order. So a copy is not an
+//! event: where the egress link answers `Delivered(at)`, the viewer takes
+//! the descriptor at once, provided `at` is before the end of the call.
+//! That is the state a queued arrival would have left, for three reasons.
+//! *Order*: the egress link is one loss-free, jitter-free FIFO, so arrival
+//! times never decrease from one offer to the next and equal ones pop in
+//! offer order — each viewer saw its copies in offer order, which is the
+//! order it is handed them now. *Cut-off*: the loop runs an event iff its
+//! time is before `end`, and `at < end` is that test; since `at` never
+//! decreases, what a viewer misses is a suffix of its copies either way.
+//! *Isolation*: no other handler reads viewer state, so when within the
+//! call a viewer is updated cannot show. The arrival instant is still in
+//! hand at that point for any viewer-side latency metric; copies cut off
+//! by the end of the call are counted
+//! ([`FleetConferenceReport::fanout_in_flight`]).
 //!
 //! ## Determinism across shard counts
 //!
@@ -39,7 +63,8 @@
 //! increase step scaled by `1/group_size` (coupled growth), emitting
 //! [`TraceEvent::SbdGroupsChanged`] when the grouping flips.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -193,13 +218,6 @@ enum FleetEvent {
         path: PathId,
         rtp: SimRtp,
     },
-    /// A fan-out copy cleared the shared egress bottleneck and reached a
-    /// viewer.
-    SfuEgress {
-        conf: u32,
-        dest: MemberId,
-        fwd: ForwardPacket,
-    },
 }
 
 /// Ticks in the shared timer wheel. `Copy` and 8 bytes: idle sessions
@@ -223,7 +241,9 @@ struct TimerEvent {
 /// telemetry: cheap reads of the high-water accessors, LinkStats-style).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
-    /// High-water mark of the shared event queue's payload arena.
+    /// High-water mark of the shared event queue's payload arena: uplink
+    /// and feedback packets in flight. Fan-out copies are never queued
+    /// (see the module doc), so they no longer count here.
     pub queue_high_water: usize,
     /// Timer-wheel load counters (pending high-water, cascades, overflow).
     pub wheel: TimerWheelStats,
@@ -273,6 +293,85 @@ impl ShardCore {
 /// inside one RTT (~3 frames).
 const VIEWER_PRUNE_FRAMES: u64 = 30;
 
+/// Hasher for the assembly map's `(origin, stream, frame)` keys: one
+/// rotate-xor-multiply per field. The keys are the simulation's own
+/// counters, never outside input, so there is nothing for the default
+/// SipHash to defend against; it measured 2.6 % slower on `fleet-sfu`
+/// (DESIGN §6d).
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One frame in assembly at a viewer: which of its packets have arrived.
+#[derive(Debug)]
+struct Assembly {
+    /// Received-index bits for indices below 128.
+    head: [u64; 2],
+    /// The same from index 128 up. Empty, and so unallocated, unless the
+    /// frame has more than 128 packets (a keyframe at about four times
+    /// the default encoder cap).
+    tail: Box<[u64]>,
+    /// Packets in the frame, as announced by the first one seen (never 0:
+    /// a descriptor with `index >= count` opens no assembly).
+    count: u16,
+    /// Distinct indices received, counted up to `count`: the frame is
+    /// complete, and has been counted, once the two are equal.
+    received: u16,
+}
+
+impl Assembly {
+    fn new(count: u16) -> Self {
+        let tail_words = (count as usize).saturating_sub(128).div_ceil(64);
+        Assembly {
+            head: [0; 2],
+            tail: vec![0; tail_words].into(),
+            count,
+            received: 0,
+        }
+    }
+
+    /// Records `index`; `true` if that completed the frame. A duplicate,
+    /// a packet of a finished frame and an index the bitmap has no bit for
+    /// (a later packet announcing a larger `count` than the first) change
+    /// nothing.
+    fn mark(&mut self, index: u16) -> bool {
+        let word = index as usize / 64;
+        let slot = match word {
+            0 | 1 => &mut self.head[word],
+            _ => match self.tail.get_mut(word - 2) {
+                Some(slot) => slot,
+                None => return false,
+            },
+        };
+        let bit = 1u64 << (index % 64);
+        if self.received >= self.count || *slot & bit != 0 {
+            return false;
+        }
+        *slot |= bit;
+        self.received += 1;
+        self.received >= self.count
+    }
+}
+
 /// Viewer-side frame reassembly from fan-out descriptors. Each media
 /// packet names its `index` of `count` within the frame, so completion is
 /// exact: a dup-suppressing bitmap per in-flight frame, pruned behind a
@@ -282,9 +381,9 @@ struct ViewerState {
     pkts: u64,
     bytes: u64,
     frames_complete: u64,
-    /// (origin, stream, frame) → (received bitmap, packets in frame).
-    /// `count == u16::MAX` marks an already-counted frame.
-    asm: BTreeMap<(MemberId, u8, u64), (u128, u16)>,
+    /// (origin, stream, frame) → the frame's assembly. Only `entry`,
+    /// `len` and `retain` are used, none of which shows the map's order.
+    asm: HashMap<(MemberId, u8, u64), Assembly, BuildHasherDefault<KeyHasher>>,
     newest_frame: u64,
 }
 
@@ -292,21 +391,17 @@ impl ViewerState {
     fn on_forward(&mut self, fwd: &ForwardPacket) {
         self.pkts += 1;
         self.bytes += fwd.size as u64;
-        // Parameter-set packets (count == 0) carry no frame slice.
-        if fwd.count == 0 || fwd.index as u32 >= 128 {
+        // No frame slice: parameter sets (count == 0) and malformed
+        // descriptors.
+        if fwd.index >= fwd.count {
             return;
         }
         let entry = self
             .asm
             .entry((fwd.origin, fwd.stream, fwd.frame_id))
-            .or_insert((0, fwd.count));
-        let bit = 1u128 << fwd.index;
-        if entry.1 != u16::MAX && entry.0 & bit == 0 {
-            entry.0 |= bit;
-            if entry.0.count_ones() as u16 >= entry.1 {
-                self.frames_complete += 1;
-                entry.1 = u16::MAX;
-            }
+            .or_insert_with(|| Assembly::new(fwd.count));
+        if entry.mark(fwd.index) {
+            self.frames_complete += 1;
         }
         if fwd.frame_id > self.newest_frame {
             self.newest_frame = fwd.frame_id;
@@ -394,6 +489,9 @@ struct ConferenceState {
     sbd: Option<SbdDetector>,
     sbd_groups: Vec<Vec<usize>>,
     sbd_changes: u64,
+    /// Fan-out copies accepted by the egress link whose arrival fell at or
+    /// after the end of the call: delivered by the link, seen by no viewer.
+    fanout_in_flight: u64,
     /// Conference-level trace (member 0's handle) for SBD group events.
     trace: TraceHandle,
 }
@@ -419,6 +517,8 @@ pub struct FleetSessionReport {
     pub fec_packets_used: u64,
     /// Percent of the call the uplink was frozen.
     pub freeze_ratio_pct: f64,
+    /// Uplink packets of this member the SFU's ingress link accepted.
+    pub uplink_pkts: u64,
     /// Fan-out packets this member received as a viewer.
     pub viewer_pkts: u64,
     /// Fan-out bytes this member received as a viewer.
@@ -440,6 +540,9 @@ pub struct FleetConferenceReport {
     pub sbd_coupled: u32,
     /// Times the applied grouping changed during the call.
     pub sbd_changes: u64,
+    /// Fan-out copies still crossing the egress link when the call ended:
+    /// `sfu.egress.delivered_pkts` less the sessions' `viewer_pkts`.
+    pub fanout_in_flight: u64,
     /// Per-member session reports.
     pub sessions: Vec<FleetSessionReport>,
 }
@@ -764,6 +867,7 @@ fn build_conference(
         sbd,
         sbd_groups: Vec::new(),
         sbd_changes: 0,
+        fanout_in_flight: 0,
         trace,
     }
 }
@@ -804,7 +908,7 @@ fn run_batch(
             let mut progressed = false;
             while let Some((at, ev)) = queue.pop_due(now) {
                 progressed = true;
-                process_event(queue, &mut confs, first as u32, at, ev);
+                process_event(queue, &mut confs, first as u32, end, at, ev);
             }
             wheel.pop_due_into(now, due);
             for (at, te) in due.drain(..) {
@@ -841,6 +945,7 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
             nacks_sent: report.nacks_sent,
             fec_packets_used: report.fec_packets_used,
             freeze_ratio_pct: report.freeze_ratio_pct(),
+            uplink_pkts: c.sfu.member_uplink(m as MemberId).0,
             viewer_pkts: member.viewer.pkts,
             viewer_bytes: member.viewer.bytes,
             viewer_frames: member.viewer.frames_complete,
@@ -866,6 +971,7 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
                 .map(|g| g.len())
                 .sum::<usize>() as u32,
             sbd_changes: c.sbd_changes,
+            fanout_in_flight: c.fanout_in_flight,
             sessions,
         },
         traces,
@@ -895,6 +1001,7 @@ fn process_event(
     queue: &mut EventQueue<FleetEvent>,
     confs: &mut [ConferenceState],
     base: u32,
+    end: SimTime,
     now: SimTime,
     ev: FleetEvent,
 ) {
@@ -929,15 +1036,17 @@ fn process_event(
             }
         }
         FleetEvent::SfuIngress { conf, member, path, rtp } => {
-            let ConferenceState { members, sfu, sbd, .. } = &mut confs[(conf - base) as usize];
-            let n_members = members.len();
+            let ConferenceState { members, sfu, sbd, fanout_in_flight, .. } =
+                &mut confs[(conf - base) as usize];
             if let Some(d) = sbd {
                 d.on_owd_sample(member as usize, rtp.sent_at, now);
             }
             let (flow, mut net) = members[member as usize].wire(queue, conf, member);
             flow.on_media(now, path, &rtp, &mut net);
             // Fan the media out to every other member over the shared
-            // egress bottleneck: descriptors only, never payload bytes.
+            // egress bottleneck: descriptors only, never payload bytes. A
+            // copy that will arrive before the call ends is applied to its
+            // viewer here (module doc, "A viewer is a sink").
             if let Some(vp) = rtp.kind.video_packet() {
                 let (index, count) = match vp.kind {
                     PacketKind::Media { index, count } => (index, count),
@@ -955,18 +1064,19 @@ fn process_event(
                     sent_at: rtp.sent_at,
                     keyframe: matches!(vp.frame_type, FrameType::Key),
                 };
-                for dest in 0..n_members as MemberId {
-                    if dest == member {
+                for (dest, m) in members.iter_mut().enumerate() {
+                    if dest == member as usize {
                         continue;
                     }
                     if let Transmit::Delivered(at) = sfu.offer_egress(now, fwd.size as usize) {
-                        queue.schedule(at, FleetEvent::SfuEgress { conf, dest, fwd });
+                        if at < end {
+                            m.viewer.on_forward(&fwd);
+                        } else {
+                            *fanout_in_flight += 1;
+                        }
                     }
                 }
             }
-        }
-        FleetEvent::SfuEgress { conf, dest, fwd } => {
-            confs[(conf - base) as usize].members[dest as usize].viewer.on_forward(&fwd);
         }
     }
 }
@@ -1037,6 +1147,208 @@ fn process_timer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// The assembly as it was before the hash map: the same per-packet
+    /// steps over a `BTreeMap`, kept as the reference the map's `entry`,
+    /// `len` and `retain` are compared with.
+    #[derive(Default)]
+    struct TreeViewerState {
+        pkts: u64,
+        bytes: u64,
+        frames_complete: u64,
+        asm: BTreeMap<(MemberId, u8, u64), Assembly>,
+        newest_frame: u64,
+    }
+
+    impl TreeViewerState {
+        fn on_forward(&mut self, fwd: &ForwardPacket) {
+            self.pkts += 1;
+            self.bytes += fwd.size as u64;
+            if fwd.index >= fwd.count {
+                return;
+            }
+            let entry = self
+                .asm
+                .entry((fwd.origin, fwd.stream, fwd.frame_id))
+                .or_insert_with(|| Assembly::new(fwd.count));
+            if entry.mark(fwd.index) {
+                self.frames_complete += 1;
+            }
+            if fwd.frame_id > self.newest_frame {
+                self.newest_frame = fwd.frame_id;
+                if self.asm.len() > 256 {
+                    let horizon = self.newest_frame.saturating_sub(VIEWER_PRUNE_FRAMES);
+                    self.asm.retain(|&(_, _, frame), _| frame >= horizon);
+                }
+            }
+        }
+    }
+
+    fn fwd(origin: MemberId, frame_id: u64, index: u16, count: u16) -> ForwardPacket {
+        ForwardPacket {
+            origin,
+            stream: 0,
+            frame_id,
+            index,
+            count,
+            size: 1_200,
+            sent_at: SimTime::ZERO,
+            keyframe: false,
+        }
+    }
+
+    #[test]
+    fn viewer_completes_a_200_packet_keyframe() {
+        let mut v = ViewerState::default();
+        // Everything but packet 150, packet 199 twice.
+        for index in (0..200).filter(|&i| i != 150).chain([199]) {
+            v.on_forward(&fwd(1, 7, index, 200));
+        }
+        assert_eq!((v.pkts, v.frames_complete), (200, 0), "199 distinct of 200");
+        // Later frames pass by before the missing packet is repaired.
+        for frame_id in 8..12 {
+            v.on_forward(&fwd(1, frame_id, 0, 1));
+        }
+        assert_eq!(v.frames_complete, 4);
+        v.on_forward(&fwd(1, 7, 150, 200));
+        assert_eq!(v.frames_complete, 5, "the late packet completes the keyframe");
+        v.on_forward(&fwd(1, 7, 150, 200));
+        v.on_forward(&fwd(1, 7, 3, 200));
+        assert_eq!((v.pkts, v.frames_complete), (207, 5), "a finished frame counts once");
+    }
+
+    #[test]
+    fn malformed_descriptors_count_as_packets_only() {
+        let mut v = ViewerState::default();
+        v.on_forward(&fwd(0, 1, 0, 0));
+        v.on_forward(&fwd(0, 1, 5, 5));
+        v.on_forward(&fwd(0, 1, 300, 2));
+        assert_eq!((v.pkts, v.bytes, v.frames_complete), (3, 3_600, 0));
+        assert!(v.asm.is_empty(), "no frame slice, no assembly entry");
+        // A later packet announcing a longer frame than the first did has
+        // no bit to set and cannot complete it.
+        v.on_forward(&fwd(0, 2, 0, 2));
+        v.on_forward(&fwd(0, 2, 190, 200));
+        assert_eq!(v.frames_complete, 0);
+        v.on_forward(&fwd(0, 2, 1, 2));
+        assert_eq!(v.frames_complete, 1);
+    }
+
+    /// The hash-map assembly against the tree it replaced, packet by
+    /// packet, over scripts made of what a viewer can be sent: interleaved
+    /// origins and frames, duplicates, packets far behind the newest frame
+    /// (behind the prune horizon, so their entry is re-created), whole
+    /// frames sent again after being pruned, parameter sets, indices past
+    /// `count` and past 128, long keyframes, and jumps of the frame counter
+    /// (each of which makes hundreds of entries stale at once).
+    #[test]
+    fn viewer_assembly_matches_the_btreemap_reference() {
+        let (mut pruned, mut completed, mut long_completed) = (0u64, 0u64, 0u64);
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(0xf1ee7 + seed);
+            let origins = 2 + (seed % 7) as MemberId;
+            let mut head = vec![400u64; origins as usize];
+            let (mut new, mut tree) = (ViewerState::default(), TreeViewerState::default());
+            for step in 0..20_000u32 {
+                let origin = rng.gen_range(0..origins);
+                let newest = &mut head[origin as usize];
+                let roll = rng.gen_range(0..1000u32);
+                let frame_id = match roll {
+                    0..=1 => {
+                        *newest += rng.gen_range(300..5_000);
+                        *newest
+                    }
+                    2..=149 => {
+                        *newest += 1;
+                        *newest
+                    }
+                    150..=249 => *newest - rng.gen_range(31..=400),
+                    _ => *newest - rng.gen_range(0..12),
+                };
+                // A frame's length is a function of its id, as on the wire.
+                let count = match frame_id % 37 {
+                    0 => 129 + (frame_id % 131) as u16,
+                    1..=3 => 1,
+                    n => 2 + n as u16,
+                };
+                let whole = roll % 16 == 0 || (count > 128 && roll % 2 == 0);
+                let burst = if whole { count } else { 1 };
+                for i in 0..burst {
+                    let mut p = fwd(origin, frame_id, rng.gen_range(0..count), count);
+                    p.stream = (frame_id % 2) as u8;
+                    p.size = rng.gen_range(40..1_500);
+                    match rng.gen_range(0..if burst > 1 { 2_048u32 } else { 64 }) {
+                        0 => p.count = 0,
+                        1 => p.index = count + rng.gen_range(0..4),
+                        2 => p.index = 128 + rng.gen_range(0..300),
+                        3 => p.count = count + 70,
+                        _ if burst > 1 => p.index = i,
+                        _ => {}
+                    }
+                    let before = (new.asm.len(), new.frames_complete);
+                    new.on_forward(&p);
+                    tree.on_forward(&p);
+                    assert_eq!(
+                        (new.pkts, new.bytes, new.frames_complete, new.newest_frame),
+                        (tree.pkts, tree.bytes, tree.frames_complete, tree.newest_frame),
+                        "seed {seed} step {step}: {p:?}"
+                    );
+                    assert_eq!(new.asm.len(), tree.asm.len(), "seed {seed} step {step}");
+                    pruned += (new.asm.len() < before.0) as u64;
+                    completed += new.frames_complete - before.1;
+                    long_completed += (new.frames_complete > before.1 && count > 128) as u64;
+                }
+            }
+            assert!(tree.asm.keys().all(|k| new.asm.contains_key(k)), "seed {seed}");
+        }
+        assert!(
+            pruned > 100 && completed > 5_000 && long_completed > 100,
+            "{pruned} prunes, {completed} frames completed, {long_completed} of them long"
+        );
+    }
+
+    /// Nothing vanishes at the SFU: every copy offered to the egress link
+    /// was delivered or dropped by it, every delivered copy reached a
+    /// viewer or was still in flight at the end, and every packet the
+    /// ingress link delivered is on some member's uplink count.
+    fn assert_sfu_conservation(report: &FleetReport) {
+        for c in &report.conferences {
+            let sfu = &c.sfu;
+            let sum = |f: fn(&FleetSessionReport) -> u64| c.sessions.iter().map(f).sum::<u64>();
+            assert_eq!(
+                sfu.fanout_pkts,
+                sfu.egress.delivered_pkts + sfu.egress.queue_drops,
+                "c{}: fan-out copies",
+                c.conf
+            );
+            assert_eq!(sfu.ingress.delivered_pkts, sum(|s| s.uplink_pkts), "c{}: uplink", c.conf);
+            assert_eq!(
+                sum(|s| s.viewer_pkts),
+                sfu.egress.delivered_pkts - c.fanout_in_flight,
+                "c{}: viewers",
+                c.conf
+            );
+        }
+    }
+
+    #[test]
+    fn sfu_conserves_packets_up_to_the_end_of_the_call() {
+        let whole = FleetEngine::new(small_cfg()).run();
+        assert_sfu_conservation(&whole);
+        // A call that ends between two frame ticks, at conferences of 8
+        // and in one multi-conference batch: copies are in flight at the
+        // cut and must be counted as such, not as seen.
+        let mut cfg = FleetConfig::new(20, 8);
+        cfg.duration = SimDuration::from_micros(2_512_345);
+        cfg.batch_conferences = 3;
+        cfg.seed = 29;
+        let cut = FleetEngine::new(cfg).run();
+        assert_sfu_conservation(&cut);
+        let in_flight: u64 = cut.conferences.iter().map(|c| c.fanout_in_flight).sum();
+        assert!(in_flight > 0, "the cut must land mid-fan-out");
+    }
 
     fn small_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::new(9, 3);

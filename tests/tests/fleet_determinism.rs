@@ -4,6 +4,16 @@
 //! These are the cross-crate versions of the unit gates inside
 //! `converge-sim::fleet` — run at a slightly larger scale and through
 //! the public API only.
+//!
+//! The fold itself is pinned too: `fixtures/fleet_fold_golden.txt` holds
+//! `fold_text()` of three small fleets, byte for byte. To regenerate after
+//! an *intentional* change of fleet behaviour:
+//!
+//! ```sh
+//! UPDATE_GOLDEN=1 cargo test -p converge-integration --test fleet_determinism
+//! ```
+//!
+//! then review the fixture diff like any other code change.
 
 use converge_net::SimDuration;
 use converge_sim::FleetConfig;
@@ -71,4 +81,81 @@ fn invariant_checker_stays_clean_at_integration_scale() {
         .map(|s| s.frames_decoded)
         .sum();
     assert!(decoded > 0, "no frames decoded at integration scale");
+    // Conservation at the SFU: a fan-out copy is delivered or dropped by
+    // the egress link, a delivered one reaches its viewer or is still in
+    // flight when the call ends, and what the ingress link delivered is
+    // what the members' uplinks were credited with.
+    for c in &report.conferences {
+        let sum = |f: fn(&converge_sim::FleetSessionReport) -> u64| {
+            c.sessions.iter().map(f).sum::<u64>()
+        };
+        let sfu = &c.sfu;
+        assert_eq!(sfu.fanout_pkts, sfu.egress.delivered_pkts + sfu.egress.queue_drops);
+        assert_eq!(sfu.ingress.delivered_pkts, sum(|s| s.uplink_pkts), "c{}", c.conf);
+        assert_eq!(
+            sum(|s| s.viewer_pkts),
+            sfu.egress.delivered_pkts - c.fanout_in_flight,
+            "c{}",
+            c.conf
+        );
+    }
+}
+
+/// The three pinned fleets: conferences of 3 with a 1-member tail (the
+/// cell above), conferences of 8 (seven copies per packet), and a call
+/// whose length is no multiple of the 33 333 µs frame interval, so the run
+/// ends with fan-out copies still crossing the egress link.
+fn golden_fleets() -> Vec<(&'static str, FleetConfig)> {
+    let mut of_eight = FleetConfig::new(16, 8);
+    of_eight.duration = SimDuration::from_secs(3);
+    of_eight.seed = 11;
+    let mut cut_short = FleetConfig::new(8, 4);
+    cut_short.duration = SimDuration::from_micros(2_512_345);
+    cut_short.seed = 29;
+    vec![
+        ("13x3 tail", fleet_cfg(1, 1)),
+        ("16x8", of_eight),
+        ("8x4 cut mid-fan-out", cut_short),
+    ]
+}
+
+#[test]
+fn fold_matches_checked_in_golden() {
+    let mut rendered = String::new();
+    for (name, mut cfg) in golden_fleets() {
+        cfg.check_invariants = true;
+        cfg.trace_conferences = 0;
+        let report = FleetEngine::new(cfg).run();
+        assert_eq!(report.violations, 0, "{name}: control-loop invariants violated");
+        rendered.push_str(&format!("# {name}\n{}", report.fold_text()));
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("fleet_fold_golden.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &rendered).expect("write fixture");
+        eprintln!("golden fixture regenerated at {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    if let Some((i, (got, want))) = rendered
+        .lines()
+        .zip(expected.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+    {
+        panic!(
+            "fleet fold drifted from {} at line {}:\n  got:  {got}\n  want: {want}\n\
+             If the change is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff.",
+            path.display(),
+            i + 1
+        );
+    }
+    assert_eq!(rendered.lines().count(), expected.lines().count(), "line counts differ");
 }
