@@ -2,11 +2,12 @@
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
 # tests, the allocation budgets by name, one short run of the sampling
 # profiler (so it cannot rot), a quick-scale smoke run of the full
-# experiment sweep on 2 workers (exercises the work-stealing pool and the
-# memo cache), a traced experiment run with JSONL timeline validation, the
-# chaos, controller-shootout and drive-replay matrices with the invariant
-# checker armed, a fleet-engine smoke cell with invariants armed on every
-# member, and the perf gate: the repo benchmark compared with its
+# experiment sweep on 2 workers and on 1 with the outputs compared
+# (exercises the worker pool and the memo cache), a traced experiment run
+# with JSONL timeline validation, the chaos, controller-shootout and
+# drive-replay matrices with the invariant checker armed, a fleet-engine
+# smoke cell with invariants armed on every member and 1, 2 and 3 shards
+# compared, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
 # Gates, in order: benchmark-smoke, tests, alloc-budget, hot-lines,
@@ -79,9 +80,13 @@ hot_lines() {
 }
 gate hot-lines hot_lines
 
+# The whole registry on 2 pool workers and on 1 (the caller's thread, no
+# spawn): stdout must not depend on the pool size.
 sweep_smoke() {
     experiments all --quick --jobs 2 > results/smoke_all.txt
     test -s results/smoke_all.txt
+    experiments all --quick --jobs 1 > results/smoke_all_1job.txt
+    cmp results/smoke_all.txt results/smoke_all_1job.txt
 }
 gate sweep-smoke sweep_smoke
 
@@ -156,7 +161,8 @@ gate drive drive
 # Fleet smoke gate: ~200 concurrent sessions through SFU bottlenecks in
 # the sharded fleet engine with the control-loop invariant checker armed
 # on every member; the stdout fold must carry the QoE-fairness quantiles,
-# and the same cell on one shard must print the same bytes.
+# and the same cell on one shard and on three (50 conferences, so the
+# shards' shares are uneven) must print the same bytes.
 fleet() {
     experiments fleet --quick --sessions 200 --conference-size 4 --shards 2 \
         --check-invariants > results/smoke_fleet.txt
@@ -166,6 +172,9 @@ fleet() {
     experiments fleet --quick --sessions 200 --conference-size 4 --shards 1 \
         --check-invariants > results/smoke_fleet_1shard.txt
     cmp results/smoke_fleet.txt results/smoke_fleet_1shard.txt
+    experiments fleet --quick --sessions 200 --conference-size 4 --shards 3 \
+        --check-invariants > results/smoke_fleet_3shards.txt
+    cmp results/smoke_fleet.txt results/smoke_fleet_3shards.txt
 }
 gate fleet fleet
 

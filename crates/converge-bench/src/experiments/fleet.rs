@@ -2,9 +2,9 @@
 //!
 //! Unlike the figure regenerators, the fleet experiment does not decompose
 //! into `Cell × seed` sweep jobs: one invocation *is* one run of the
-//! sharded [`FleetEngine`], which already multiplexes every session into
-//! shared event machinery. The `experiments` binary special-cases the
-//! `fleet` target onto [`run_fleet`].
+//! sharded [`FleetEngine`], which puts its conferences on the worker pool
+//! itself. The `experiments` binary special-cases the `fleet` target onto
+//! [`run_fleet`].
 //!
 //! The report's fold section comes verbatim from
 //! [`converge_sim::FleetReport::fold_text`] and nothing in it reads a

@@ -2,7 +2,7 @@
 //! exposes a `spec*` function declaring its jobs plus a fold that renders
 //! the printable report. The `experiments` binary hands the specs to the
 //! sweep engine ([`crate::sweep`]), which executes the union of all jobs
-//! on a work-stealing pool with cross-experiment memoization;
+//! on the worker pool with cross-experiment memoization;
 //! [`crate::sweep::render`] runs one spec on the calling thread.
 
 pub mod ablations;

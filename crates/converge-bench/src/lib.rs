@@ -10,7 +10,7 @@
 //! ```
 //!
 //! or a single experiment (`fig3`, `table5`, ...); add `--quick` for short
-//! smoke runs and `--jobs N` to size the work-stealing pool. Experiments
+//! smoke runs and `--jobs N` to size the worker pool. Experiments
 //! declare `Cell × seed` jobs; the sweep engine ([`sweep`]) dedups them by
 //! canonical fingerprint, executes each unique job once on the pool, and
 //! memoizes reports in a process-wide cache. Performance is measured by

@@ -1,5 +1,5 @@
 //! The `experiments` binary: regenerates the paper's tables and figures by
-//! handing every selected experiment to the work-stealing sweep engine.
+//! handing every selected experiment to the sweep engine.
 //!
 //! Usage: `experiments <id>|all [--quick] [--jobs N] [--trace DIR]
 //! [--check-invariants]`
@@ -108,8 +108,8 @@ fn parse_cli() -> Result<Cli, String> {
     if cli.fleet.sessions == 0 {
         return Err("--sessions must be at least 1".into());
     }
-    if cli.fleet.conference_size == 0 {
-        return Err("--conference-size must be at least 1".into());
+    if cli.fleet.conference_size < 2 {
+        return Err("--conference-size must be at least 2".into());
     }
     Ok(cli)
 }

@@ -313,15 +313,19 @@ mod tests {
 
     #[test]
     fn run_seeds_parallel() {
-        // Two seeds on two threads sharing one cache.
+        // Two seeds on two pool workers sharing one cache.
         let cache = CellCache::new();
-        let decoded = std::thread::scope(|s| {
-            let seeds = [1, 2].map(|seed| {
-                let cache = &cache;
-                s.spawn(move || cache.get_or_run(&clean_job(seed)).report.frames_decoded)
-            });
-            seeds.map(|h| h.join().expect("seed run"))
-        });
+        let (decoded, _) = converge_sim::pool::run(
+            2,
+            2,
+            || (),
+            |_, i| {
+                cache
+                    .get_or_run(&clean_job(i as u64 + 1))
+                    .report
+                    .frames_decoded
+            },
+        );
         assert!(decoded.iter().all(|&frames| frames > 0), "{decoded:?}");
         assert_eq!(cache.executed(), 2);
     }

@@ -1,14 +1,13 @@
-//! The work-stealing sweep engine and memoized cell cache.
+//! The sweep engine and memoized cell cache.
 //!
 //! Experiments declare their work as a flat, ordered list of [`Job`]s plus
 //! a fold that renders the jobs' reports into the printable table
 //! ([`ExperimentSpec`]); the engine owns execution. [`run_sweep`] flattens
 //! every selected experiment into one global job pool, dedups jobs by
-//! their canonical fingerprint, executes the unique ones on a fixed-size
-//! work-stealing thread pool (crossbeam deques fed from a shared
-//! injector), and folds each experiment from reports fetched in
-//! declaration order — so the report text is byte-identical no matter how
-//! many workers run or in which order jobs finish.
+//! their canonical fingerprint, executes the unique ones on the worker
+//! pool ([`converge_sim::pool`]), and folds each experiment from reports
+//! fetched in declaration order — so the report text is byte-identical no
+//! matter how many workers run or in which order jobs finish.
 //!
 //! The [`CellCache`] memoizes `Job → CallReport` for the whole process:
 //! any cell shared between experiments (fig3/table1, the ablations, the
@@ -19,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use converge_sim::CallReport;
+use converge_sim::{pool, CallReport};
 use converge_trace::TraceRecord;
 
 use crate::runner::{Job, Scale};
@@ -236,14 +235,21 @@ pub fn run_sweep(
 
     // Flatten every experiment into the global pool and dedup by
     // fingerprint. Jobs already warm in the cache cost nothing; only the
-    // rest enter the work-stealing pool.
+    // rest enter the pool.
     let mut unpaid: HashSet<Job> = HashSet::new();
     let pending: Vec<Job> = experiments
         .iter()
         .flat_map(|(_, spec)| spec.jobs.iter().copied())
         .filter(|job| !cache.contains(job) && unpaid.insert(*job))
         .collect();
-    execute_pool(&pending, workers, cache);
+    pool::run(
+        pending.len(),
+        workers,
+        || (),
+        |_, i| {
+            cache.get_or_run(&pending[i]);
+        },
+    );
 
     // Fold each experiment from reports fetched in declaration order; the
     // first fold to reach a job this sweep executed accounts for it.
@@ -279,59 +285,6 @@ pub fn run_sweep(
         job_times_s,
     };
     (outputs, stats)
-}
-
-/// Runs the unique pending jobs to completion on a work-stealing pool:
-/// every worker owns a local deque, takes batches from the shared
-/// injector, and steals from siblings when both run dry.
-fn execute_pool(jobs: &[Job], workers: usize, cache: &CellCache) {
-    if jobs.is_empty() {
-        return;
-    }
-    let n = workers.max(1).min(jobs.len());
-    if n == 1 {
-        for job in jobs {
-            cache.get_or_run(job);
-        }
-        return;
-    }
-    use crossbeam::deque::{Injector, Stealer, Worker};
-    let injector = Injector::new();
-    for &job in jobs {
-        injector.push(job);
-    }
-    let locals: Vec<Worker<Job>> = (0..n).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<Job>> = locals.iter().map(|w| w.stealer()).collect();
-    crossbeam::thread::scope(|s| {
-        for local in locals {
-            let injector = &injector;
-            let stealers = &stealers;
-            s.spawn(move |_| {
-                while let Some(job) = find_task(&local, injector, stealers) {
-                    cache.get_or_run(&job);
-                }
-            });
-        }
-    })
-    .expect("sweep scope");
-}
-
-/// The classic crossbeam-deque scheduling loop: pop locally, then take a
-/// batch from the injector, then steal from a sibling.
-fn find_task(
-    local: &crossbeam::deque::Worker<Job>,
-    global: &crossbeam::deque::Injector<Job>,
-    stealers: &[crossbeam::deque::Stealer<Job>],
-) -> Option<Job> {
-    local.pop().or_else(|| {
-        std::iter::repeat_with(|| {
-            global
-                .steal_batch_and_pop(local)
-                .or_else(|| stealers.iter().map(|s| s.steal()).collect())
-        })
-        .find(|s| !s.is_retry())
-        .and_then(|s| s.success())
-    })
 }
 
 #[cfg(test)]

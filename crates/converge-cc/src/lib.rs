@@ -21,9 +21,9 @@
 //! - [`MpBbrController`] — a multipath-tuned BBR: windowed-max bandwidth
 //!   and min-RTT probing with per-path staggered pacing-gain cycling.
 //!
-//! Callers select one with [`ControllerKind`] and tune it via
-//! [`ControllerConfig`]; [`ControllerConfig::build`] produces the per-path
-//! instance.
+//! Callers select one with [`ControllerKind`] in a [`ControllerConfig`];
+//! [`ControllerConfig::build`] produces the per-path instance at the
+//! algorithm's default tuning.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,65 +43,16 @@ pub use mpbbr::{MpBbrConfig, MpBbrController};
 pub use nada::{NadaConfig, NadaController};
 pub use sbd::{FlowSignature, SbdConfig, SbdDetector};
 
-/// Which congestion-control algorithm drives each path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ControllerKind {
-    /// Google Congestion Control — the paper's controller and the
-    /// default.
-    Gcc,
-    /// NADA (RFC 8698).
-    Nada,
-    /// Multipath-tuned BBR.
-    MpBbr,
-}
+/// Which congestion-control algorithm drives each path: the enum the
+/// trace tags `Cc*` events with, under the name callers select it by.
+pub use converge_trace::CcAlgorithm as ControllerKind;
 
-impl ControllerKind {
-    /// Every selectable controller, in shootout order.
-    pub const ALL: [ControllerKind; 3] =
-        [ControllerKind::Gcc, ControllerKind::Nada, ControllerKind::MpBbr];
-
-    /// Canonical lowercase identifier (fingerprints, CLI arguments).
-    pub fn id(self) -> &'static str {
-        match self {
-            ControllerKind::Gcc => "gcc",
-            ControllerKind::Nada => "nada",
-            ControllerKind::MpBbr => "mp-bbr",
-        }
-    }
-
-    /// Human-readable label for report tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ControllerKind::Gcc => "GCC",
-            ControllerKind::Nada => "NADA",
-            ControllerKind::MpBbr => "mp-BBR",
-        }
-    }
-
-    /// Parses a CLI identifier (`gcc`, `nada`, `mp-bbr`/`mpbbr`/`bbr`).
-    pub fn parse(s: &str) -> Option<ControllerKind> {
-        match s {
-            "gcc" => Some(ControllerKind::Gcc),
-            "nada" => Some(ControllerKind::Nada),
-            "mp-bbr" | "mpbbr" | "bbr" => Some(ControllerKind::MpBbr),
-            _ => None,
-        }
-    }
-}
-
-/// Full controller selection: the kind plus per-algorithm tuning. The
-/// session builder carries one of these; only the selected kind's config
-/// is consulted at build time.
+/// Controller selection. Every algorithm is built with its `Default`
+/// tuning; the session builder carries one of these.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Which algorithm to instantiate per path.
     pub kind: ControllerKind,
-    /// GCC tuning (used when `kind == Gcc`).
-    pub gcc: GccConfig,
-    /// NADA tuning (used when `kind == Nada`).
-    pub nada: NadaConfig,
-    /// mp-BBR tuning (used when `kind == MpBbr`).
-    pub mpbbr: MpBbrConfig,
 }
 
 impl Default for ControllerConfig {
@@ -111,37 +62,26 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Default tuning for the given kind.
+    /// The given kind at its default tuning.
     pub fn for_kind(kind: ControllerKind) -> Self {
-        ControllerConfig {
-            kind,
-            gcc: GccConfig::default(),
-            nada: NadaConfig::default(),
-            mpbbr: MpBbrConfig::default(),
-        }
+        ControllerConfig { kind }
     }
 
     /// Builds the controller of `path`. The path id also lets path-aware
     /// algorithms (mp-BBR's staggered gain cycling) desynchronize across
     /// the multipath set.
     pub fn build(&self, path: PathId) -> PathController {
-        let (algorithm, inner, traced_phase): (_, Box<dyn CongestionController>, _) =
-            match self.kind {
-                ControllerKind::Gcc => {
-                    (CcAlgorithm::Gcc, Box::new(GccController::new(self.gcc)), None)
-                }
-                ControllerKind::Nada => {
-                    (CcAlgorithm::Nada, Box::new(NadaController::new(self.nada)), None)
-                }
-                // Startup is implicit in an mp-BBR timeline: only the phases
-                // it moves on to are traced.
-                ControllerKind::MpBbr => (
-                    CcAlgorithm::MpBbr,
-                    Box::new(MpBbrController::new(self.mpbbr, path)),
-                    Some(CcPhase::Startup),
-                ),
-            };
-        PathController::new(algorithm, inner, path, traced_phase)
+        let (inner, traced_phase): (Box<dyn CongestionController>, _) = match self.kind {
+            ControllerKind::Gcc => (Box::new(GccController::new(GccConfig::default())), None),
+            ControllerKind::Nada => (Box::new(NadaController::new(NadaConfig::default())), None),
+            // Startup is implicit in an mp-BBR timeline: only the phases
+            // it moves on to are traced.
+            ControllerKind::MpBbr => (
+                Box::new(MpBbrController::new(MpBbrConfig::default(), path)),
+                Some(CcPhase::Startup),
+            ),
+        };
+        PathController::new(self.kind, inner, path, traced_phase)
     }
 }
 
@@ -153,12 +93,7 @@ mod tests {
     fn kinds_build_matching_algorithms() {
         for kind in ControllerKind::ALL {
             let ctl = ControllerConfig::for_kind(kind).build(PathId(1));
-            let expected = match kind {
-                ControllerKind::Gcc => CcAlgorithm::Gcc,
-                ControllerKind::Nada => CcAlgorithm::Nada,
-                ControllerKind::MpBbr => CcAlgorithm::MpBbr,
-            };
-            assert_eq!(ctl.algorithm(), expected);
+            assert_eq!(ctl.algorithm(), kind);
             assert!(ctl.target_rate_bps() > 0, "{}", kind.id());
         }
     }

@@ -5,11 +5,10 @@
 //! member is the same `Flow` — sender, receiver, pacer, metrics — but its
 //! events travel a shard's [`EventQueue`] (uplink and feedback packets in
 //! flight, arena-backed so memory follows them) and [`TimerWheel`] (pacer,
-//! frame, and RTCP ticks), which a shard reuses across the conferences it
-//! runs.
-//! Conferences share no state, so [`FleetConfig::batch_conferences`]
-//! defaults to one conference per pass: multiplexing more into the same
-//! queue measured slower and larger, never different.
+//! frame, and RTCP ticks). Conferences share no state, so a shard runs them
+//! one at a time through that queue and wheel, cleared in between and
+//! reused (multiplexing several into one queue measured slower and larger,
+//! never different); shards are the workers of the one [`pool`](crate::pool).
 //!
 //! ## Topology
 //!
@@ -47,13 +46,11 @@
 //!
 //! ## Determinism across shard counts
 //!
-//! Conferences never share mutable state — the SFU, SBD detector, and all
-//! member state are per-conference — so a conference's event subsequence
-//! is invariant to how conferences are interleaved in a shard's queue.
-//! Batches are distributed over worker shards by work-stealing and the
-//! results merged back in conference-index order, which makes the
-//! aggregate fold byte-identical for any shard count. Wall-clock numbers
-//! never enter [`FleetReport::fold_text`].
+//! Conferences never share a queue, a wheel or any other state, every seed
+//! derives from the global conference and member index, and the pool
+//! returns outcomes in conference-index order: the fold is byte-identical
+//! for any shard count. Wall-clock numbers never enter
+//! [`FleetReport::fold_text`].
 //!
 //! ## Shared-bottleneck coupling
 //!
@@ -65,7 +62,6 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use converge_cc::{ControllerConfig, SbdDetector};
@@ -79,6 +75,7 @@ use converge_video::{FrameType, PacketKind};
 use crate::flow::{Flow, Net, Tick};
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::payload::{NetPayload, SimRtp};
+use crate::pool;
 use crate::receiver::ConferenceReceiver;
 use crate::scenarios::{FecKind, PathSpec, SchedulerKind};
 use crate::sender::{ConferenceSender, SenderSizing};
@@ -100,13 +97,12 @@ pub struct FleetConfig {
     /// Members per conference (≥ 2; the last conference may be smaller).
     pub conference_size: usize,
     /// Worker shards. Each shard owns one reusable event queue + timer
-    /// wheel and steals conference batches until none remain.
+    /// wheel and claims conference batches until none remain.
     pub shards: usize,
-    /// Conferences multiplexed into one pass over a shard's queue and
-    /// wheel (the work-stealing granule). Conferences share no state, so
-    /// a bigger batch only buys a bigger heap and worse locality: 1 (the
-    /// default) measured 1.8× faster than 32 at a seventh of the peak RSS.
-    /// The fold is identical for any value.
+    /// Conferences a shard claims from the pool at a time, and nothing
+    /// else: each still runs alone. Kept only because
+    /// `benchmark/layers/src/sections.rs` assigns it; it goes with the
+    /// `[benchmark]` issue (ROADMAP item 5).
     pub batch_conferences: usize,
     /// Call duration.
     pub duration: SimDuration,
@@ -197,14 +193,13 @@ fn member_paths(seed: u64) -> Vec<Path> {
     ]
 }
 
-/// Events in the shared per-shard queue. Keyed by `(time, seq)` in the
-/// queue itself; the payload names the conference/member so processing
-/// can route straight to the owning state.
+/// Events in a shard's queue, all of the one conference it is running.
+/// Keyed by `(time, seq)` in the queue itself; the payload names the member
+/// so processing can route straight to the owning state.
 #[derive(Debug)]
 enum FleetEvent {
     /// A packet finished crossing one of a member's private paths.
     Deliver {
-        conf: u32,
         member: MemberId,
         path: PathId,
         direction: Direction,
@@ -213,14 +208,13 @@ enum FleetEvent {
     /// An uplink packet cleared the conference's shared ingress
     /// bottleneck and reached the SFU.
     SfuIngress {
-        conf: u32,
         member: MemberId,
         path: PathId,
         rtp: SimRtp,
     },
 }
 
-/// Ticks in the shared timer wheel. `Copy` and 8 bytes: idle sessions
+/// Ticks in the shard's timer wheel. `Copy` and 8 bytes: idle sessions
 /// cost exactly their wheel slots, nothing else.
 #[derive(Debug, Clone, Copy)]
 enum TickKind {
@@ -232,29 +226,30 @@ enum TickKind {
 
 #[derive(Debug, Clone, Copy)]
 struct TimerEvent {
-    conf: u32,
     member: MemberId,
     kind: TickKind,
 }
 
-/// Occupancy counters of one shard's shared machinery (satellite
+/// Occupancy counters of one shard's event machinery (satellite
 /// telemetry: cheap reads of the high-water accessors, LinkStats-style).
+/// The high-water marks are of the largest single conference the shard
+/// ran.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
-    /// High-water mark of the shared event queue's payload arena: uplink
+    /// High-water mark of the event queue's payload arena: uplink
     /// and feedback packets in flight. Fan-out copies are never queued
     /// (see the module doc), so they no longer count here.
     pub queue_high_water: usize,
     /// Timer-wheel load counters (pending high-water, cascades, overflow).
     pub wheel: TimerWheelStats,
-    /// Conference batches this shard ran (work-stealing share).
+    /// Conference batches this shard claimed from the pool.
     pub batches: u64,
 }
 
-/// One shard's reusable event machinery. A shard runs many conference
-/// batches back to back; `reset` clears the queue and wheel but keeps
-/// their allocations and high-water stats, so arenas are paid for once
-/// per shard, not once per conference.
+/// One shard's reusable event machinery: the pool's per-worker state. A
+/// shard runs many conferences back to back; `reset` clears the queue and
+/// wheel but keeps their allocations and high-water stats, so arenas are
+/// paid for once per shard, not once per conference.
 struct ShardCore {
     queue: EventQueue<FleetEvent>,
     wheel: TimerWheel<TimerEvent>,
@@ -276,7 +271,6 @@ impl ShardCore {
         self.queue.clear();
         self.wheel.clear();
         self.due.clear();
-        self.batches += 1;
     }
 
     fn stats(&self) -> ShardStats {
@@ -427,11 +421,10 @@ struct Member {
 }
 
 /// The fleet's send seam: a member's private paths, delivering into the
-/// shard's shared event queue.
+/// shard's event queue.
 struct MemberNet<'a> {
     queue: &'a mut EventQueue<FleetEvent>,
     paths: &'a mut [Path],
-    conf: u32,
     member: MemberId,
 }
 
@@ -440,10 +433,9 @@ impl Member {
     fn wire<'a>(
         &'a mut self,
         queue: &'a mut EventQueue<FleetEvent>,
-        conf: u32,
         member: MemberId,
     ) -> (&'a mut Flow, MemberNet<'a>) {
-        (&mut self.flow, MemberNet { queue, paths: &mut self.paths, conf, member })
+        (&mut self.flow, MemberNet { queue, paths: &mut self.paths, member })
     }
 }
 
@@ -456,7 +448,7 @@ impl Net for MemberNet<'_> {
         size: usize,
         payload: NetPayload,
     ) -> bool {
-        let MemberNet { conf, member, .. } = *self;
+        let member = self.member;
         let p = self
             .paths
             .iter_mut()
@@ -469,11 +461,11 @@ impl Net for MemberNet<'_> {
                 // tie-break.
                 let dup = offer.duplicate.map(|copy_at| (copy_at, payload.clone()));
                 self.queue
-                    .schedule(at, FleetEvent::Deliver { conf, member, path, direction, payload });
+                    .schedule(at, FleetEvent::Deliver { member, path, direction, payload });
                 if let Some((copy_at, copy)) = dup {
                     self.queue.schedule(
                         copy_at,
-                        FleetEvent::Deliver { conf, member, path, direction, payload: copy },
+                        FleetEvent::Deliver { member, path, direction, payload: copy },
                     );
                 }
                 false
@@ -693,81 +685,32 @@ impl FleetEngine {
         assert!(cfg.sessions > 0, "a fleet needs at least one session");
         let n_conf = cfg.conference_count();
         let batch = cfg.batch_conferences.max(1);
-        let n_batches = n_conf.div_ceil(batch);
-        let shards = cfg.shards.max(1).min(n_batches);
 
-        let mut outcomes: Vec<Option<Vec<ConferenceOutcome>>> = Vec::new();
-        outcomes.resize_with(n_batches, || None);
-        let mut shard_stats = Vec::new();
-
-        if shards == 1 {
-            let mut core = ShardCore::new();
-            for (b, slot) in outcomes.iter_mut().enumerate() {
+        // Outcomes come back in batch order, so in conference-index order,
+        // whichever shard ran which batch.
+        let (batches, cores) =
+            pool::run(n_conf.div_ceil(batch), cfg.shards, ShardCore::new, |core, b| {
                 let first = b * batch;
-                let count = batch.min(n_conf - first);
-                core.reset();
-                *slot = Some(run_batch(&mut core, &cfg, first, count));
-            }
-            shard_stats.push(core.stats());
-        } else {
-            // One shard's claimed batches (tagged with their batch index
-            // for the deterministic merge) plus its occupancy stats.
-            type ShardYield = (Vec<(usize, Vec<ConferenceOutcome>)>, ShardStats);
-            let next = AtomicUsize::new(0);
-            let collected: Vec<ShardYield> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut core = ShardCore::new();
-                            let mut mine = Vec::new();
-                            loop {
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= n_batches {
-                                    break;
-                                }
-                                let first = b * batch;
-                                let count = batch.min(n_conf - first);
-                                core.reset();
-                                mine.push((b, run_batch(&mut core, &cfg, first, count)));
-                            }
-                            (mine, core.stats())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet shard panicked"))
-                    .collect()
+                run_batch(core, &cfg, first, batch.min(n_conf - first))
             });
-            for (mine, stats) in collected {
-                for (b, o) in mine {
-                    outcomes[b] = Some(o);
-                }
-                shard_stats.push(stats);
-            }
-        }
 
-        // Deterministic merge: conference-index order, regardless of
-        // which shard ran which batch.
         let mut conferences = Vec::with_capacity(n_conf);
         let mut sampled_traces = Vec::new();
         let mut violations = 0;
-        for slot in outcomes {
-            for o in slot.expect("batch never ran") {
-                conferences.push(o.report);
-                sampled_traces.extend(o.traces);
-                violations += o.violations;
-            }
+        for o in batches.into_iter().flatten() {
+            conferences.push(o.report);
+            sampled_traces.extend(o.traces);
+            violations += o.violations;
         }
 
         FleetReport {
             sessions: cfg.sessions,
             conference_size: cfg.conference_size,
-            shards,
+            shards: cores.len(),
             duration: cfg.duration,
             seed: cfg.seed,
             conferences,
-            shard_stats,
+            shard_stats: cores.iter().map(ShardCore::stats).collect(),
             violations,
             sampled_traces,
         }
@@ -840,7 +783,7 @@ fn build_conference(
         let global = conf as u64 * cfg.conference_size as u64 + m as u64;
         let stagger = SimDuration::from_micros((global % 33) * 1_009);
         for (at, tick) in flow.first_ticks(stagger) {
-            wheel.schedule(at, TimerEvent { conf, member: m, kind: TickKind::Flow(tick) });
+            wheel.schedule(at, TimerEvent { member: m, kind: TickKind::Flow(tick) });
         }
 
         members.push(Member {
@@ -857,7 +800,7 @@ fn build_conference(
     if let Some(d) = &sbd {
         wheel.schedule(
             SimTime::ZERO + d.interval() + SimDuration::from_micros((conf as u64 % 97) * 211),
-            TimerEvent { conf, member: 0, kind: TickKind::Sbd },
+            TimerEvent { member: 0, kind: TickKind::Sbd },
         );
     }
     let trace = members[0].flow.trace.clone();
@@ -872,18 +815,23 @@ fn build_conference(
     }
 }
 
-/// Runs conferences `[first, first + count)` through the shard's shared
-/// queue and wheel, and finalizes their reports.
+/// Runs conferences `[first, first + count)`, one claimed batch, each alone
+/// through the shard's queue and wheel.
 fn run_batch(
     core: &mut ShardCore,
     cfg: &FleetConfig,
     first: usize,
     count: usize,
 ) -> Vec<ConferenceOutcome> {
+    core.batches += 1;
+    (first..first + count).map(|conf| run_conference(core, cfg, conf as u32)).collect()
+}
+
+/// Runs one conference to the end of the call and finalizes its report.
+fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
+    core.reset();
     let ShardCore { queue, wheel, due, .. } = core;
-    let mut confs: Vec<ConferenceState> = (0..count)
-        .map(|i| build_conference(cfg, (first + i) as u32, wheel))
-        .collect();
+    let mut cs = build_conference(cfg, conf, wheel);
 
     let end = SimTime::ZERO + cfg.duration;
     let mut clock = SimTime::ZERO;
@@ -900,32 +848,24 @@ fn run_batch(
             break;
         }
         // Phase-structured processing at `now`: drain queue events, then
-        // due wheel ticks, and repeat until neither has work. Every
-        // conference's own subsequence runs in (time, seq) order, so the
-        // interleaving with *other* conferences — the only thing that
-        // changes with shard count — cannot alter its state.
+        // due wheel ticks, and repeat until neither has work.
         loop {
             let mut progressed = false;
             while let Some((at, ev)) = queue.pop_due(now) {
                 progressed = true;
-                process_event(queue, &mut confs, first as u32, end, at, ev);
+                process_event(queue, &mut cs, end, at, ev);
             }
             wheel.pop_due_into(now, due);
             for (at, te) in due.drain(..) {
                 progressed = true;
-                process_timer(queue, wheel, &mut confs, first as u32, at, te);
+                process_timer(queue, wheel, &mut cs, at, te);
             }
             if !progressed {
                 break;
             }
         }
     }
-
-    confs
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| finalize_conference((first + i) as u32, c))
-        .collect()
+    finalize_conference(conf, cs)
 }
 
 fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
@@ -981,17 +921,11 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
 
 /// Re-arms the member's pacer wake-up if its next release is earlier than
 /// anything already armed.
-fn arm_pacer(
-    wheel: &mut TimerWheel<TimerEvent>,
-    m: &mut Member,
-    conf: u32,
-    member: MemberId,
-    now: SimTime,
-) {
+fn arm_pacer(wheel: &mut TimerWheel<TimerEvent>, m: &mut Member, member: MemberId, now: SimTime) {
     if let Some(r) = m.flow.pacer.next_release() {
         let r = r.max(now);
         if m.pacer_wakeup.is_none_or(|w| r < w) {
-            wheel.schedule(r, TimerEvent { conf, member, kind: TickKind::PacerPoll });
+            wheel.schedule(r, TimerEvent { member, kind: TickKind::PacerPoll });
             m.pacer_wakeup = Some(r);
         }
     }
@@ -999,15 +933,14 @@ fn arm_pacer(
 
 fn process_event(
     queue: &mut EventQueue<FleetEvent>,
-    confs: &mut [ConferenceState],
-    base: u32,
+    cs: &mut ConferenceState,
     end: SimTime,
     now: SimTime,
     ev: FleetEvent,
 ) {
+    let ConferenceState { members, sfu, sbd, fanout_in_flight, .. } = cs;
     match ev {
-        FleetEvent::Deliver { conf, member, path, direction, payload } => {
-            let ConferenceState { members, sfu, sbd, .. } = &mut confs[(conf - base) as usize];
+        FleetEvent::Deliver { member, path, direction, payload } => {
             let m = &mut members[member as usize];
             match (direction, payload) {
                 (Direction::Forward, NetPayload::Rtp(rtp)) => {
@@ -1016,7 +949,7 @@ fn process_event(
                     let size = rtp.kind.wire_size();
                     match sfu.offer_ingress(member, now, size) {
                         Transmit::Delivered(at) => {
-                            queue.schedule(at, FleetEvent::SfuIngress { conf, member, path, rtp });
+                            queue.schedule(at, FleetEvent::SfuIngress { member, path, rtp });
                         }
                         _ => {
                             m.flow.metrics.on_packet_lost(path);
@@ -1030,18 +963,16 @@ fn process_event(
                 // prioritizes its control queue); feedback and probe
                 // echoes come back over the member's private reverse paths.
                 (_, payload) => {
-                    let (flow, mut net) = m.wire(queue, conf, member);
+                    let (flow, mut net) = m.wire(queue, member);
                     flow.on_delivery(now, path, payload, &mut net);
                 }
             }
         }
-        FleetEvent::SfuIngress { conf, member, path, rtp } => {
-            let ConferenceState { members, sfu, sbd, fanout_in_flight, .. } =
-                &mut confs[(conf - base) as usize];
+        FleetEvent::SfuIngress { member, path, rtp } => {
             if let Some(d) = sbd {
                 d.on_owd_sample(member as usize, rtp.sent_at, now);
             }
-            let (flow, mut net) = members[member as usize].wire(queue, conf, member);
+            let (flow, mut net) = members[member as usize].wire(queue, member);
             flow.on_media(now, path, &rtp, &mut net);
             // Fan the media out to every other member over the shared
             // egress bottleneck: descriptors only, never payload bytes. A
@@ -1084,21 +1015,19 @@ fn process_event(
 fn process_timer(
     queue: &mut EventQueue<FleetEvent>,
     wheel: &mut TimerWheel<TimerEvent>,
-    confs: &mut [ConferenceState],
-    base: u32,
+    cs: &mut ConferenceState,
     now: SimTime,
     te: TimerEvent,
 ) {
-    let TimerEvent { conf, member, kind } = te;
-    let cs = &mut confs[(conf - base) as usize];
+    let TimerEvent { member, kind } = te;
     match kind {
         TickKind::Flow(tick) => {
             let m = &mut cs.members[member as usize];
-            let (flow, mut net) = m.wire(queue, conf, member);
+            let (flow, mut net) = m.wire(queue, member);
             let next = flow.on_tick(now, tick, &mut net);
             wheel.schedule(next, te);
             if matches!(tick, Tick::Frame(_)) {
-                arm_pacer(wheel, m, conf, member, now);
+                arm_pacer(wheel, m, member, now);
             }
         }
         TickKind::PacerPoll => {
@@ -1106,9 +1035,9 @@ fn process_timer(
             if m.pacer_wakeup == Some(now) {
                 m.pacer_wakeup = None;
             }
-            let (flow, mut net) = m.wire(queue, conf, member);
+            let (flow, mut net) = m.wire(queue, member);
             flow.drain_pacer(now, &mut net);
-            arm_pacer(wheel, m, conf, member, now);
+            arm_pacer(wheel, m, member, now);
         }
         TickKind::Sbd => {
             let ConferenceState { members, sbd, sbd_groups, sbd_changes, trace, .. } = cs;
@@ -1135,10 +1064,7 @@ fn process_timer(
                         *sbd_changes += 1;
                     }
                 }
-                wheel.schedule(
-                    now + d.interval(),
-                    TimerEvent { conf, member: 0, kind: TickKind::Sbd },
-                );
+                wheel.schedule(now + d.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
             }
         }
     }
@@ -1442,6 +1368,24 @@ mod tests {
         assert!(st.queue_high_water > 0);
         assert!(st.wheel.high_water > 0);
         assert_eq!(st.batches, 3);
+    }
+
+    /// Conferences never share a queue or a wheel, so a shard's high-water
+    /// marks are those of its largest single conference, however many it
+    /// claims at a time.
+    #[test]
+    fn occupancy_does_not_depend_on_the_claim_granule() {
+        let marks = |batch: usize| {
+            let mut cfg = FleetConfig::new(15, 3);
+            cfg.duration = SimDuration::from_secs(3);
+            cfg.batch_conferences = batch;
+            let st = FleetEngine::new(cfg).run().shard_stats[0];
+            ((st.queue_high_water, st.wheel.high_water), st.batches)
+        };
+        let (alone, batches) = marks(1);
+        assert_eq!(batches, 5);
+        assert_eq!((alone, 2), marks(3));
+        assert_eq!((alone, 1), marks(5), "all five conferences in one claim");
     }
 
     #[test]

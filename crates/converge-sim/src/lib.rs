@@ -19,6 +19,7 @@ mod history;
 pub mod metrics;
 pub mod pacer;
 pub mod payload;
+pub mod pool;
 pub mod receiver;
 pub mod scenarios;
 pub mod sender;

@@ -769,7 +769,7 @@ impl ConferenceSender {
                     path_id: path.0,
                     ssrc: 0,
                     ntp_micros: now.as_micros(),
-                    rtp_timestamp: (now.as_micros() / 11) as u32, // 90 kHz
+                    rtp_timestamp: crate::wire::rtp_timestamp(now),
                     packet_count: 0,
                     octet_count: 0,
                 }),
@@ -939,6 +939,50 @@ mod tests {
                 out.clear();
                 sender.on_frame_tick_into(now + SimDuration::from_millis(50), 0, &mut out);
                 assert_eq!(sender.frame_path_metrics(), &sender.path_metrics()[..]);
+            }
+        }
+    }
+
+    /// A Sender Report maps NTP time to RTP time, so it must read the clock
+    /// the RTP packets are stamped with: an SR sent at `t` carries the
+    /// timestamp `encode_rtp` writes for a packet captured at `t`.
+    #[test]
+    fn sender_report_and_rtp_packets_share_one_clock() {
+        let mut sender = ConferenceSender::new(
+            1,
+            &[PathId(0), PathId(1)],
+            SchedulerKind::Converge.build(SimDuration::from_micros(33_333)),
+            FecKind::None.build(),
+            ControllerConfig::default(),
+            2_000_000,
+        );
+        let mut out = Vec::new();
+        for now in [33_333, 7_000_000, 3_600_000_123].map(SimTime::from_micros) {
+            out.clear();
+            sender.on_frame_tick_into(now, 0, &mut out);
+            let on_wire: Vec<u32> = out
+                .iter()
+                .filter_map(|p| match &p.payload {
+                    NetPayload::Rtp(rtp @ SimRtp { kind: RtpKind::Media(m), .. }) => {
+                        assert_eq!(m.capture_time, now);
+                        let wire = crate::wire::encode_rtp(rtp);
+                        Some(converge_rtp::RtpPacket::parse(wire).expect("parse").timestamp)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert!(!on_wire.is_empty(), "the tick sent media");
+            let reports = sender.periodic_rtcp(now);
+            let stamped: Vec<u32> = reports
+                .iter()
+                .filter_map(|(_, rtcp)| match rtcp {
+                    RtcpPacket::SenderReport(sr) => Some(sr.rtp_timestamp),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(stamped.len(), 2, "one SR per path");
+            for ts in on_wire.iter().chain(&stamped) {
+                assert_eq!(*ts, on_wire[0], "at {now:?}");
             }
         }
     }

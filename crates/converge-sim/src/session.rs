@@ -33,8 +33,8 @@ pub struct SessionConfig {
     pub seed: u64,
     /// Congestion-controller coupling (uncoupled = the paper's choice).
     pub coupled_cc: bool,
-    /// Per-path congestion-controller selection and tuning (GCC = the
-    /// paper's controller and the default).
+    /// Per-path congestion-controller selection (GCC = the paper's
+    /// controller and the default).
     pub controller: ControllerConfig,
     /// Structured-event sink; disabled by default (zero overhead).
     pub trace: TraceHandle,

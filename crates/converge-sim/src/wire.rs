@@ -116,9 +116,10 @@ fn stream_for(ssrc: u32) -> StreamId {
     StreamId((ssrc & 0xFF) as u8)
 }
 
-fn rtp_timestamp(capture: SimTime) -> u32 {
-    // 90 kHz video clock.
-    ((capture.as_micros() as u128 * 9 / 100) & 0xFFFF_FFFF) as u32
+/// `at` on the 90 kHz video clock: the timestamp of an RTP packet captured
+/// then, and of a Sender Report sent then.
+pub(crate) fn rtp_timestamp(at: SimTime) -> u32 {
+    ((at.as_micros() as u128 * 9 / 100) & 0xFFFF_FFFF) as u32
 }
 
 fn is_frame_end(p: &VideoPacket) -> bool {

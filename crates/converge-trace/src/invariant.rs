@@ -242,7 +242,7 @@ fn check_record(record: &TraceRecord, config: &InvariantConfig, state: &mut Stat
                 rule: "cc-rate-clamp",
                 detail: format!(
                     "{path} ({}): rate {rate_bps} bps outside [{}, {}]",
-                    algorithm.label(),
+                    algorithm.id(),
                     config.rate_floor_bps,
                     config.rate_ceiling_bps
                 ),

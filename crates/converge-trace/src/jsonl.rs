@@ -78,7 +78,7 @@ pub fn record_line(record: &TraceRecord) -> String {
         } => format!(
             "\"path\":{},\"algorithm\":\"{}\",\"phase\":\"{}\"",
             path.0,
-            algorithm.label(),
+            algorithm.id(),
             phase.label()
         ),
         TraceEvent::CcRateChanged {
@@ -88,7 +88,7 @@ pub fn record_line(record: &TraceRecord) -> String {
         } => format!(
             "\"path\":{},\"algorithm\":\"{}\",\"rate_bps\":{}",
             path.0,
-            algorithm.label(),
+            algorithm.id(),
             rate_bps
         ),
         TraceEvent::MonitorEdge { path, state } => {

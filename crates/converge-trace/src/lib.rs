@@ -30,10 +30,13 @@ pub mod timeline;
 
 pub use invariant::{InvariantConfig, InvariantSink, Violation};
 
-/// Which congestion-control algorithm a `Cc*` event came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A congestion-control algorithm: which one drives each path
+/// (`converge_cc::ControllerKind` is this enum) and which one a `Cc*`
+/// event came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcAlgorithm {
-    /// Google Congestion Control (delay trendline + loss, AIMD).
+    /// Google Congestion Control (delay trendline + loss, AIMD) — the
+    /// paper's controller and the default.
     Gcc,
     /// NADA (RFC 8698): unified congestion signal + PI controller.
     Nada,
@@ -42,12 +45,35 @@ pub enum CcAlgorithm {
 }
 
 impl CcAlgorithm {
-    /// Canonical lowercase label used in the JSONL encoding.
-    pub fn label(self) -> &'static str {
+    /// Every algorithm, in shootout order.
+    pub const ALL: [CcAlgorithm; 3] = [CcAlgorithm::Gcc, CcAlgorithm::Nada, CcAlgorithm::MpBbr];
+
+    /// Canonical lowercase identifier (JSONL encoding, fingerprints, CLI
+    /// arguments).
+    pub fn id(self) -> &'static str {
         match self {
             CcAlgorithm::Gcc => "gcc",
             CcAlgorithm::Nada => "nada",
             CcAlgorithm::MpBbr => "mp-bbr",
+        }
+    }
+
+    /// Human-readable label for report tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            CcAlgorithm::Gcc => "GCC",
+            CcAlgorithm::Nada => "NADA",
+            CcAlgorithm::MpBbr => "mp-BBR",
+        }
+    }
+
+    /// Parses a CLI identifier (`gcc`, `nada`, `mp-bbr`/`mpbbr`/`bbr`).
+    pub fn parse(s: &str) -> Option<CcAlgorithm> {
+        match s {
+            "gcc" => Some(CcAlgorithm::Gcc),
+            "nada" => Some(CcAlgorithm::Nada),
+            "mp-bbr" | "mpbbr" | "bbr" => Some(CcAlgorithm::MpBbr),
+            _ => None,
         }
     }
 }
