@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
-# tests, the allocation budgets by name, one short run of the sampling
-# profiler (so it cannot rot), a quick-scale smoke run of the full
+# tests, the allocation budgets and the fleet's exact work counts by name,
+# one short run of the sampling profiler (so it cannot rot), a quick-scale
+# smoke run of the full
 # experiment sweep on 2 workers and on 1 with the outputs compared
 # (exercises the worker pool and the memo cache), a traced experiment run
 # with JSONL timeline validation, the chaos, controller-shootout and
@@ -10,8 +11,9 @@
 # compared, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
-# Gates, in order: benchmark-smoke, tests, alloc-budget, hot-lines,
-# sweep-smoke, traced-fig11, chaos, shootout, drive, fleet, bench-compare.
+# Gates, in order: benchmark-smoke, tests, alloc-budget, work-counts,
+# hot-lines, sweep-smoke, traced-fig11, chaos, shootout, drive, fleet,
+# bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -54,20 +56,31 @@ gate benchmark-smoke bash benchmark/run.sh --smoke
 # --no-fail-fast: one red binary must not hide the ones sorted after it.
 gate tests cargo test -q --no-fail-fast
 
-# The three deterministic allocation budgets (two steady-state call counts,
-# one construction byte count), by exact name: a rename or a deleted test
-# makes libtest run fewer than three, which fails here instead of silently
-# dropping out of `cargo test`.
-alloc_budget() {
-    local out
-    out=$(cargo test -q -p converge-sim --test alloc_budget -- --exact \
-        steady_state_allocation_count_stays_within_budget \
-        lossy_steady_state_allocation_count_stays_within_budget \
-        construction_bytes_stay_within_budget) || { echo "$out"; return 1; }
+# tests_by_name COUNT CARGO-TEST-ARGS... -- NAME...: runs the named tests
+# and wants exactly COUNT passed. A rename or a deleted test makes libtest
+# run fewer, which fails here instead of silently dropping out of
+# `cargo test`.
+tests_by_name() {
+    local want="$1" out
+    shift
+    out=$(cargo test -q "$@") || { echo "$out"; return 1; }
     echo "$out"
-    grep -q '^test result: ok. 3 passed' <<<"$out"
+    grep -q "^test result: ok. $want passed" <<<"$out"
 }
-gate alloc-budget alloc_budget
+
+# The three deterministic allocation budgets (two steady-state call counts,
+# one construction byte count).
+gate alloc-budget tests_by_name 3 -p converge-sim --test alloc_budget -- --exact \
+    steady_state_allocation_count_stays_within_budget \
+    lossy_steady_state_allocation_count_stays_within_budget \
+    construction_bytes_stay_within_budget
+
+# The fleet's exact work counts (ticks and packets scheduled and popped,
+# pacer polls fired and idle) against tests/tests/fixtures/
+# fleet_work_counts.txt, on 1, 2 and 3 shards: "did this change remove
+# work" without a stopwatch.
+gate work-counts tests_by_name 1 -p converge-integration --test fleet_determinism -- --exact \
+    work_counts_match_checked_in_golden
 
 # The sampling profiler (DESIGN §6c's tables come from it): one short cell
 # must exit 0 and print either a table row ("  8.7%      112  file:line")
@@ -160,10 +173,21 @@ gate drive drive
 
 # Fleet smoke gate: ~200 concurrent sessions through SFU bottlenecks in
 # the sharded fleet engine with the control-loop invariant checker armed
-# on every member; the stdout fold must carry the QoE-fairness quantiles,
-# and the same cell on one shard and on three (50 conferences, so the
-# shards' shares are uneven) must print the same bytes.
+# on every member (and timer conservation checked per conference); the
+# stdout fold must carry the QoE-fairness quantiles, and the same cell on
+# one shard and on three (50 conferences, so the shards' shares are
+# uneven) must print the same bytes. The simulator keeps one timer
+# structure: the timer wheel may be named only where it is defined,
+# re-exported and used as the contract test's reference.
 fleet() {
+    local wheel
+    wheel=$(grep -rlw TimerWheel crates tests --include='*.rs' \
+        | grep -vx -e crates/converge-net/src/timer.rs -e crates/converge-net/src/lib.rs \
+            -e crates/converge-net/tests/timer_queue_contract.rs || true)
+    if [ -n "$wheel" ]; then
+        echo "fleet: TimerWheel named outside converge-net's timer.rs, lib.rs and contract test:" $wheel >&2
+        return 1
+    fi
     experiments fleet --quick --sessions 200 --conference-size 4 --shards 2 \
         --check-invariants > results/smoke_fleet.txt
     test -s results/smoke_fleet.txt

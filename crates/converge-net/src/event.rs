@@ -125,6 +125,12 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Events scheduled since the queue was created or last
+    /// [`clear`](EventQueue::clear)ed: popped or still pending, every one.
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -20,7 +20,10 @@
 //!   flap schedules, reordering, duplication, feedback loss and delay.
 //! - [`path`]: bidirectional path with a stable [`path::PathId`].
 //! - [`emulator`]: multipath emulator holding payloads in flight.
-//! - [`timer`]: hierarchical timer wheel for fleet-scale periodic ticks.
+//! - [`timer`]: hierarchical timer wheel. Unused by the simulator since the
+//!   fleet's ticks moved to an [`event::EventQueue`] (PR 22); kept as the
+//!   reference of `tests/timer_queue_contract.rs` and for the benchmark's
+//!   `timer.insert_pop_ns.*` kernels until those go (ROADMAP item 5).
 //! - [`sfu`]: selective-forwarding-unit bottleneck node (fan-in/fan-out
 //!   over a shared link pair, per-member downlink selection).
 //!

@@ -6,7 +6,12 @@
 //! `file:line` and function with `addr2line -i` (the release profile keeps
 //! line tables, so inlined frames resolve). Only the instruction pointer is
 //! taken, no stack: a sample inside `memcpy` or the allocator is listed
-//! under that function, not under its caller.
+//! under that function, not under its caller. A sample outside the
+//! executable (libc, the vdso) is listed under its mapped library and the
+//! nearest exported symbol at or below it (`/proc/self/maps` + `nm -D`):
+//! "near", because libc's internal functions (`_int_malloc`, the
+//! `memmove` variants an IFUNC picks) are not exported and take the name of
+//! whichever exported neighbour precedes them.
 //!
 //! ```text
 //! cargo run --release -p converge-sim --example hot_lines -- clean1 40
@@ -31,7 +36,8 @@
 //!
 //! Linux x86_64 only (the signal frame's layout is read directly); any
 //! other target prints "unsupported" and exits 0. Without `addr2line` on
-//! `PATH` the raw module-relative addresses are printed instead.
+//! `PATH` the raw module-relative addresses are printed instead; without
+//! `nm`, samples outside the executable stay one row.
 
 use converge_net::SimDuration;
 use converge_sim::{
@@ -233,22 +239,93 @@ mod sampler {
         (rips, taken - kept)
     }
 
-    /// Start and end of the executable's own mappings (its load bias is
-    /// the start: a PIE's first segment maps file offset 0).
-    fn own_module() -> Option<(String, u64, u64)> {
-        let exe = std::fs::read_link("/proc/self/exe").ok()?;
-        let exe = exe.to_str()?.to_owned();
+    /// The process's named mappings, `(start, end, name)`: a file's path,
+    /// or `[vdso]` and the like.
+    fn mappings() -> Option<Vec<(u64, u64, String)>> {
         let maps = std::fs::read_to_string("/proc/self/maps").ok()?;
-        let mut span: Option<(u64, u64)> = None;
-        for line in maps.lines().filter(|l| l.ends_with(&exe)) {
-            let (range, _) = line.split_once(' ')?;
-            let (lo, hi) = range.split_once('-')?;
+        let mut named = Vec::new();
+        for line in maps.lines() {
+            // range perms offset dev inode name
+            let mut fields = line.split_ascii_whitespace();
+            let (lo, hi) = fields.next()?.split_once('-')?;
+            let Some(name) = fields.nth(4) else { continue };
             let lo = u64::from_str_radix(lo, 16).ok()?;
             let hi = u64::from_str_radix(hi, 16).ok()?;
-            span = Some(span.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            named.push((lo, hi, name.to_owned()));
         }
-        span.map(|(lo, hi)| (exe, lo, hi))
+        Some(named)
     }
+
+    /// Start and end of everything mapped from `name` (a module's load
+    /// bias is the start: its first segment maps file offset 0).
+    fn span_of(maps: &[(u64, u64, String)], name: &str) -> Option<(u64, u64)> {
+        let mut of_name = maps.iter().filter(|m| m.2 == name);
+        let first = of_name.next()?;
+        Some(of_name.fold((first.0, first.1), |(lo, hi), m| (lo.min(m.0), hi.max(m.1))))
+    }
+
+    /// The exported functions of the shared object at `path`, ascending by
+    /// address (`nm -D --defined-only`; `i` is an IFUNC such as `memcpy`).
+    fn exported_symbols(path: &str) -> Option<Vec<(u64, String)>> {
+        let output = Command::new("nm")
+            .args(["-D", "--defined-only", path])
+            .stderr(Stdio::null())
+            .output()
+            .ok()?;
+        if !output.status.success() {
+            return None;
+        }
+        let mut symbols = Vec::new();
+        for line in String::from_utf8_lossy(&output.stdout).lines() {
+            let mut fields = line.split_ascii_whitespace();
+            if let (Some(address), Some("T" | "t" | "W" | "w" | "i"), Some(name)) =
+                (fields.next(), fields.next(), fields.next())
+            {
+                let name = name.split('@').next().unwrap_or(name);
+                symbols.push((u64::from_str_radix(address, 16).ok()?, name.to_owned()));
+            }
+        }
+        symbols.sort();
+        (!symbols.is_empty()).then_some(symbols)
+    }
+
+    /// Names the samples taken outside the executable: `(library, row)` →
+    /// count, the row being `library` plus the nearest exported symbol at
+    /// or below the address. A sample in no named mapping, or in a library
+    /// `nm` cannot read, goes under `UNNAMED`.
+    fn name_outside(
+        maps: &[(u64, u64, String)],
+        outside: &BTreeMap<u64, usize>,
+    ) -> BTreeMap<(String, String), usize> {
+        let mut tables: BTreeMap<&str, Option<Vec<(u64, String)>>> = BTreeMap::new();
+        let mut named: BTreeMap<(String, String), usize> = BTreeMap::new();
+        for (&rip, &n) in outside {
+            let row = maps
+                .iter()
+                .find(|m| (m.0..m.1).contains(&rip))
+                .and_then(|(.., path)| {
+                    let library = format!("(outside: {})", path.rsplit('/').next().unwrap_or(path));
+                    // `[vdso]` is no file; its few functions all read a clock.
+                    if path.starts_with('[') {
+                        return Some((library.clone(), library));
+                    }
+                    let symbols = tables
+                        .entry(path.as_str())
+                        .or_insert_with(|| exported_symbols(path))
+                        .as_ref()?;
+                    let relative = rip - span_of(maps, path)?.0;
+                    let below = symbols.partition_point(|(address, _)| *address <= relative);
+                    let (_, symbol) = symbols.get(below.checked_sub(1)?)?;
+                    Some((library.clone(), format!("{library} near {symbol}")))
+                });
+            let unnamed = || (UNNAMED.to_owned(), UNNAMED.to_owned());
+            *named.entry(row.unwrap_or_else(unnamed)).or_default() += n;
+        }
+        named
+    }
+
+    /// The row of samples outside the executable that could not be named.
+    const UNNAMED: &str = "(outside the executable: libc, vdso)";
 
     /// `addr2line -a -i -f -C` over `addresses`: for each, the inlined
     /// frames innermost first as `(function, file:line)`.
@@ -319,15 +396,19 @@ mod sampler {
             println!("no samples: the run was shorter than one timer tick, raise <reps>");
             return;
         }
-        let module = own_module();
+        let maps = mappings().unwrap_or_default();
+        let module = std::fs::read_link("/proc/self/exe")
+            .ok()
+            .and_then(|exe| exe.to_str().map(str::to_owned))
+            .and_then(|exe| span_of(&maps, &exe).map(|(lo, hi)| (exe, lo, hi)));
         let mut by_address: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut outside = 0usize;
+        let mut outside: BTreeMap<u64, usize> = BTreeMap::new();
         for rip in rips {
             match &module {
                 Some((_, lo, hi)) if (*lo..*hi).contains(&rip) => {
                     *by_address.entry(rip - lo).or_default() += 1;
                 }
-                _ => outside += 1,
+                _ => *outside.entry(rip).or_default() += 1,
             }
         }
         let addresses: Vec<u64> = by_address.keys().copied().collect();
@@ -361,11 +442,10 @@ mod sampler {
             *lines.entry(line).or_default() += n;
             *functions.entry(function).or_default() += n;
         }
-        if outside > 0 {
-            let key = "(outside the executable: libc, vdso)".to_owned();
-            lines.insert(key.clone(), outside);
-            functions.insert(key.clone(), outside);
-            files.insert(key, outside);
+        for ((library, row), n) in name_outside(&maps, &outside) {
+            *files.entry(library).or_default() += n;
+            *lines.entry(row.clone()).or_default() += n;
+            *functions.entry(row).or_default() += n;
         }
         print_top("file:line", total, top, lines);
         print_top("function", total, top, functions);

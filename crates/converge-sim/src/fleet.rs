@@ -3,12 +3,18 @@
 //!
 //! [`Session`](crate::Session) runs one call on its own emulator. A fleet
 //! member is the same `Flow` — sender, receiver, pacer, metrics — but its
-//! events travel a shard's [`EventQueue`] (uplink and feedback packets in
-//! flight, arena-backed so memory follows them) and [`TimerWheel`] (pacer,
-//! frame, and RTCP ticks). Conferences share no state, so a shard runs them
-//! one at a time through that queue and wheel, cleared in between and
-//! reused (multiplexing several into one queue measured slower and larger,
-//! never different); shards are the workers of the one [`pool`](crate::pool).
+//! events travel two of a shard's [`EventQueue`]s: uplink and feedback
+//! packets in flight in one (arena-backed so memory follows them); pacer,
+//! frame, RTCP and SBD ticks in the other, the structure `flow::run_call`
+//! keeps its own ticks in, so both loops keep time the same way. A
+//! conference has a few hundred ticks pending at most (some 40 live ones
+//! and the stale `PacerPoll`s `arm_pacer` leaves behind); the hierarchical
+//! wheel that stood here was built for thousands of sessions sharing it
+//! and measured slower (DESIGN §6d). Conferences share no
+//! state, so a shard runs them one at a time through those two queues,
+//! cleared in between and reused (multiplexing several into one queue
+//! measured slower and larger, never different); shards are the workers of
+//! the one [`pool`](crate::pool).
 //!
 //! ## Topology
 //!
@@ -46,7 +52,7 @@
 //!
 //! ## Determinism across shard counts
 //!
-//! Conferences never share a queue, a wheel or any other state, every seed
+//! Conferences never share a queue or any other state, every seed
 //! derives from the global conference and member index, and the pool
 //! returns outcomes in conference-index order: the fold is byte-identical
 //! for any shard count. Wall-clock numbers never enter
@@ -67,7 +73,7 @@ use std::sync::Arc;
 use converge_cc::{ControllerConfig, SbdDetector};
 use converge_net::{
     event::EventQueue, Direction, ForwardPacket, MemberId, Path, PathId, SfuConfig, SfuNode,
-    SfuStats, SimDuration, SimTime, TimerWheel, TimerWheelStats, Transmit,
+    SfuStats, SimDuration, SimTime, TimerWheelStats, Transmit,
 };
 use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
 use converge_video::{FrameType, PacketKind};
@@ -96,8 +102,8 @@ pub struct FleetConfig {
     pub sessions: usize,
     /// Members per conference (≥ 2; the last conference may be smaller).
     pub conference_size: usize,
-    /// Worker shards. Each shard owns one reusable event queue + timer
-    /// wheel and claims conference batches until none remain.
+    /// Worker shards. Each shard owns one reusable packet queue + timer
+    /// queue and claims conference batches until none remain.
     pub shards: usize,
     /// Conferences a shard claims from the pool at a time, and nothing
     /// else: each still runs alone. Kept only because
@@ -214,8 +220,9 @@ enum FleetEvent {
     },
 }
 
-/// Ticks in the shard's timer wheel. `Copy` and 8 bytes: idle sessions
-/// cost exactly their wheel slots, nothing else.
+/// Ticks in the shard's timer queue. `Copy` and 8 bytes: an idle member
+/// costs its pending ticks (one per stream and three RTCP rounds) and
+/// nothing else.
 #[derive(Debug, Clone, Copy)]
 enum TickKind {
     /// One of the member flow's own ticks.
@@ -240,19 +247,75 @@ pub struct ShardStats {
     /// and feedback packets in flight. Fan-out copies are never queued
     /// (see the module doc), so they no longer count here.
     pub queue_high_water: usize,
-    /// Timer-wheel load counters (pending high-water, cascades, overflow).
+    /// Load of the timer queue, under the name and type the timer wheel's
+    /// counters had (`benchmark/layers` reads `high_water` and `cascades`):
+    /// `high_water` is the most ticks ever pending at once; a binary heap
+    /// has no cascades and no overflow list, so those two read 0.
     pub wheel: TimerWheelStats,
     /// Conference batches this shard claimed from the pool.
     pub batches: u64,
 }
 
+/// Exact work counts of one conference: what its pass put through the
+/// shard's two queues and how often a pacer wake-up found nothing to send.
+/// Plain integers off the loop itself, so they repeat exactly from run to
+/// run and sum in conference order to the same totals on any shard count
+/// ([`FleetReport::work_counts_text`]); never part of the fold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetWorkCounts {
+    /// Ticks scheduled (the timer queue's own count).
+    pub timer_scheduled: u64,
+    /// Ticks the loop popped and handled.
+    pub timer_popped: u64,
+    /// Ticks still pending when the call ended.
+    pub timer_pending: u64,
+    /// Packets scheduled into the packet queue.
+    pub queue_scheduled: u64,
+    /// Packets popped and handled (scheduled less still queued): the rest
+    /// were in flight at the end of the call.
+    pub queue_popped: u64,
+    /// `PacerPoll` ticks fired.
+    pub pacer_polls: u64,
+    /// `PacerPoll`s after which the pacer held as many packets as before:
+    /// attempted less useful.
+    pub pacer_polls_idle: u64,
+}
+
+impl FleetWorkCounts {
+    fn add(&mut self, other: &FleetWorkCounts) {
+        self.timer_scheduled += other.timer_scheduled;
+        self.timer_popped += other.timer_popped;
+        self.timer_pending += other.timer_pending;
+        self.queue_scheduled += other.queue_scheduled;
+        self.queue_popped += other.queue_popped;
+        self.pacer_polls += other.pacer_polls;
+        self.pacer_polls_idle += other.pacer_polls_idle;
+    }
+
+    fn line(&self, label: &str) -> String {
+        format!(
+            "{label}|timer_scheduled={}|timer_popped={}|timer_pending={}|queue_scheduled={}|queue_popped={}|pacer_polls={}|pacer_polls_idle={}\n",
+            self.timer_scheduled,
+            self.timer_popped,
+            self.timer_pending,
+            self.queue_scheduled,
+            self.queue_popped,
+            self.pacer_polls,
+            self.pacer_polls_idle,
+        )
+    }
+}
+
 /// One shard's reusable event machinery: the pool's per-worker state. A
-/// shard runs many conferences back to back; `reset` clears the queue and
-/// wheel but keeps their allocations and high-water stats, so arenas are
-/// paid for once per shard, not once per conference.
+/// shard runs many conferences back to back; `reset` clears both queues
+/// but keeps their allocations and high-water marks, so arenas are paid
+/// for once per shard, not once per conference.
 struct ShardCore {
+    /// Packets in flight.
     queue: EventQueue<FleetEvent>,
-    wheel: TimerWheel<TimerEvent>,
+    /// Pending ticks, in the structure `flow::run_call` keeps its own in.
+    timers: EventQueue<TimerEvent>,
+    /// The ticks due at the instant being processed (see `run_conference`).
     due: Vec<(SimTime, TimerEvent)>,
     batches: u64,
 }
@@ -261,7 +324,7 @@ impl ShardCore {
     fn new() -> Self {
         ShardCore {
             queue: EventQueue::new(),
-            wheel: TimerWheel::new(),
+            timers: EventQueue::new(),
             due: Vec::new(),
             batches: 0,
         }
@@ -269,14 +332,19 @@ impl ShardCore {
 
     fn reset(&mut self) {
         self.queue.clear();
-        self.wheel.clear();
+        self.timers.clear();
         self.due.clear();
     }
 
     fn stats(&self) -> ShardStats {
         ShardStats {
             queue_high_water: self.queue.high_water(),
-            wheel: self.wheel.stats(),
+            wheel: TimerWheelStats {
+                pending: self.timers.len() as u64,
+                high_water: self.timers.high_water() as u64,
+                cascades: 0,
+                overflowed: 0,
+            },
             batches: self.batches,
         }
     }
@@ -415,7 +483,7 @@ struct Member {
     paths: Vec<Path>,
     ring: Option<Arc<RingSink>>,
     checker: Option<Arc<InvariantSink>>,
-    /// Earliest armed pacer wake-up, to keep wheel entries deduplicated.
+    /// Earliest armed pacer wake-up, to keep `PacerPoll`s deduplicated.
     pacer_wakeup: Option<SimTime>,
     viewer: ViewerState,
 }
@@ -484,6 +552,7 @@ struct ConferenceState {
     /// Fan-out copies accepted by the egress link whose arrival fell at or
     /// after the end of the call: delivered by the link, seen by no viewer.
     fanout_in_flight: u64,
+    work: FleetWorkCounts,
     /// Conference-level trace (member 0's handle) for SBD group events.
     trace: TraceHandle,
 }
@@ -535,6 +604,8 @@ pub struct FleetConferenceReport {
     /// Fan-out copies still crossing the egress link when the call ended:
     /// `sfu.egress.delivered_pkts` less the sessions' `viewer_pkts`.
     pub fanout_in_flight: u64,
+    /// Exact event, tick and pacer-poll counts of the conference's pass.
+    pub work: FleetWorkCounts,
     /// Per-member session reports.
     pub sessions: Vec<FleetSessionReport>,
 }
@@ -656,6 +727,19 @@ impl FleetReport {
         ));
         out
     }
+
+    /// The work counts of every conference, in conference-index order, and
+    /// their sum: like the fold, byte-identical for any shard count.
+    pub fn work_counts_text(&self) -> String {
+        let mut out = String::new();
+        let mut total = FleetWorkCounts::default();
+        for c in &self.conferences {
+            out.push_str(&c.work.line(&format!("c{}", c.conf)));
+            total.add(&c.work);
+        }
+        out.push_str(&total.line("total"));
+        out
+    }
 }
 
 /// One conference's finished outcome as produced by a shard.
@@ -721,7 +805,7 @@ impl FleetEngine {
 fn build_conference(
     cfg: &FleetConfig,
     conf: u32,
-    wheel: &mut TimerWheel<TimerEvent>,
+    timers: &mut EventQueue<TimerEvent>,
 ) -> ConferenceState {
     let n_members = cfg.members_of(conf as usize);
     let format = converge_video::VideoFormat::HD720;
@@ -778,12 +862,12 @@ fn build_conference(
         );
 
         // Stagger every member's timers so frames across the fleet do not
-        // land on the same wheel tick. Derived from the *global* member
+        // land on the same instant. Derived from the *global* member
         // index: identical for any shard count.
         let global = conf as u64 * cfg.conference_size as u64 + m as u64;
         let stagger = SimDuration::from_micros((global % 33) * 1_009);
         for (at, tick) in flow.first_ticks(stagger) {
-            wheel.schedule(at, TimerEvent { member: m, kind: TickKind::Flow(tick) });
+            timers.schedule(at, TimerEvent { member: m, kind: TickKind::Flow(tick) });
         }
 
         members.push(Member {
@@ -798,7 +882,7 @@ fn build_conference(
 
     let sbd = cfg.sbd.then(|| SbdDetector::new(n_members, Default::default()));
     if let Some(d) = &sbd {
-        wheel.schedule(
+        timers.schedule(
             SimTime::ZERO + d.interval() + SimDuration::from_micros((conf as u64 % 97) * 211),
             TimerEvent { member: 0, kind: TickKind::Sbd },
         );
@@ -811,12 +895,13 @@ fn build_conference(
         sbd_groups: Vec::new(),
         sbd_changes: 0,
         fanout_in_flight: 0,
+        work: FleetWorkCounts::default(),
         trace,
     }
 }
 
 /// Runs conferences `[first, first + count)`, one claimed batch, each alone
-/// through the shard's queue and wheel.
+/// through the shard's two queues.
 fn run_batch(
     core: &mut ShardCore,
     cfg: &FleetConfig,
@@ -830,13 +915,16 @@ fn run_batch(
 /// Runs one conference to the end of the call and finalizes its report.
 fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
     core.reset();
-    let ShardCore { queue, wheel, due, .. } = core;
-    let mut cs = build_conference(cfg, conf, wheel);
+    let ShardCore { queue, timers, due, .. } = core;
+    let mut cs = build_conference(cfg, conf, timers);
 
     let end = SimTime::ZERO + cfg.duration;
     let mut clock = SimTime::ZERO;
+    // Counted where a tick is handled, so that the timer ledger below
+    // compares three independent numbers.
+    let mut timer_popped = 0u64;
     loop {
-        let now = match (queue.peek_time(), wheel.next_deadline()) {
+        let now = match (queue.peek_time(), timers.peek_time()) {
             (Some(q), Some(w)) => q.min(w),
             (Some(q), None) => q,
             (None, Some(w)) => w,
@@ -848,30 +936,102 @@ fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> Confere
             break;
         }
         // Phase-structured processing at `now`: drain queue events, then
-        // due wheel ticks, and repeat until neither has work.
+        // due ticks, and repeat until neither has work. The whole due
+        // batch is taken before any of it is handled: a tick handled at
+        // `now` may arm another at `now`, and that one belongs to the next
+        // round, after the packets this round sent.
         loop {
             let mut progressed = false;
             while let Some((at, ev)) = queue.pop_due(now) {
                 progressed = true;
                 process_event(queue, &mut cs, end, at, ev);
             }
-            wheel.pop_due_into(now, due);
+            while let Some(tick) = timers.pop_due(now) {
+                due.push(tick);
+            }
             for (at, te) in due.drain(..) {
                 progressed = true;
-                process_timer(queue, wheel, &mut cs, at, te);
+                timer_popped += 1;
+                process_timer(queue, timers, &mut cs, at, te);
             }
             if !progressed {
                 break;
             }
         }
     }
-    finalize_conference(conf, cs)
+    cs.work.queue_scheduled = queue.scheduled();
+    cs.work.queue_popped = queue.scheduled() - queue.len() as u64;
+    cs.work.timer_scheduled = timers.scheduled();
+    cs.work.timer_popped = timer_popped;
+    cs.work.timer_pending = timers.len() as u64;
+    let breaches = if cfg.check_invariants {
+        let owed: Vec<TimersOwed> = cs
+            .members
+            .iter()
+            .map(|m| TimersOwed {
+                periodic: m.flow.first_ticks(SimDuration::ZERO).count(),
+                armed: m.pacer_wakeup,
+                pacer_waiting: !m.flow.pacer.is_empty(),
+            })
+            .collect();
+        let pending = std::iter::from_fn(|| timers.pop());
+        timer_conservation_breaches(&cs.work, &owed, cs.sbd.is_some(), pending)
+    } else {
+        0
+    };
+    finalize_conference(conf, cs, breaches)
 }
 
-fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
+/// What one member must still hold in the timer queue when its call ends.
+struct TimersOwed {
+    /// Its periodic ticks: each re-arms itself once per firing, so as many
+    /// as `Flow::first_ticks` started.
+    periodic: usize,
+    /// `Member::pacer_wakeup`.
+    armed: Option<SimTime>,
+    /// Whether its pacer still holds packets.
+    pacer_waiting: bool,
+}
+
+/// Timer conservation at the end of a conference, as a count of identities
+/// broken: every tick scheduled was popped or is still pending; each member
+/// holds exactly its periodic ticks; a pacer that holds packets has a
+/// wake-up armed, and the armed wake-up's `PacerPoll` is pending (a lost
+/// one would stall the member for good); the conference holds its one SBD
+/// tick iff it runs a detector. `PacerPoll`s other than the armed one are
+/// legal: `arm_pacer` arming an earlier wake-up leaves the later one to
+/// fire on an idle pacer (`FleetWorkCounts::pacer_polls_idle`).
+fn timer_conservation_breaches(
+    work: &FleetWorkCounts,
+    owed: &[TimersOwed],
+    sbd: bool,
+    pending: impl Iterator<Item = (SimTime, TimerEvent)>,
+) -> usize {
+    // Per member: periodic ticks pending, whether the armed poll is.
+    let mut held = vec![(0usize, false); owed.len()];
+    let mut sbd_ticks = 0;
+    for (at, TimerEvent { member, kind }) in pending {
+        let m = member as usize;
+        match kind {
+            TickKind::Flow(_) => held[m].0 += 1,
+            TickKind::PacerPoll => held[m].1 |= owed[m].armed == Some(at),
+            TickKind::Sbd => sbd_ticks += 1,
+        }
+    }
+    let member_breaches = owed.iter().zip(&held).filter(|(o, &(periodic, armed_pending))| {
+        periodic != o.periodic
+            || (o.armed.is_some() && !armed_pending)
+            || (o.pacer_waiting && o.armed.is_none())
+    });
+    (work.timer_scheduled != work.timer_popped + work.timer_pending) as usize
+        + (sbd_ticks != sbd as usize) as usize
+        + member_breaches.count()
+}
+
+fn finalize_conference(conf: u32, c: ConferenceState, breaches: usize) -> ConferenceOutcome {
     let mut sessions = Vec::with_capacity(c.members.len());
     let mut traces = Vec::new();
-    let mut violations = 0;
+    let mut violations = breaches;
     let sfu = c.sfu.stats();
     for (m, member) in c.members.into_iter().enumerate() {
         let report = member.flow.finish();
@@ -912,6 +1072,7 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
                 .sum::<usize>() as u32,
             sbd_changes: c.sbd_changes,
             fanout_in_flight: c.fanout_in_flight,
+            work: c.work,
             sessions,
         },
         traces,
@@ -921,11 +1082,16 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
 
 /// Re-arms the member's pacer wake-up if its next release is earlier than
 /// anything already armed.
-fn arm_pacer(wheel: &mut TimerWheel<TimerEvent>, m: &mut Member, member: MemberId, now: SimTime) {
+fn arm_pacer(
+    timers: &mut EventQueue<TimerEvent>,
+    m: &mut Member,
+    member: MemberId,
+    now: SimTime,
+) {
     if let Some(r) = m.flow.pacer.next_release() {
         let r = r.max(now);
         if m.pacer_wakeup.is_none_or(|w| r < w) {
-            wheel.schedule(r, TimerEvent { member, kind: TickKind::PacerPoll });
+            timers.schedule(r, TimerEvent { member, kind: TickKind::PacerPoll });
             m.pacer_wakeup = Some(r);
         }
     }
@@ -1014,7 +1180,7 @@ fn process_event(
 
 fn process_timer(
     queue: &mut EventQueue<FleetEvent>,
-    wheel: &mut TimerWheel<TimerEvent>,
+    timers: &mut EventQueue<TimerEvent>,
     cs: &mut ConferenceState,
     now: SimTime,
     te: TimerEvent,
@@ -1025,9 +1191,9 @@ fn process_timer(
             let m = &mut cs.members[member as usize];
             let (flow, mut net) = m.wire(queue, member);
             let next = flow.on_tick(now, tick, &mut net);
-            wheel.schedule(next, te);
+            timers.schedule(next, te);
             if matches!(tick, Tick::Frame(_)) {
-                arm_pacer(wheel, m, member, now);
+                arm_pacer(timers, m, member, now);
             }
         }
         TickKind::PacerPoll => {
@@ -1035,9 +1201,12 @@ fn process_timer(
             if m.pacer_wakeup == Some(now) {
                 m.pacer_wakeup = None;
             }
+            let held = m.flow.pacer.len();
             let (flow, mut net) = m.wire(queue, member);
             flow.drain_pacer(now, &mut net);
-            arm_pacer(wheel, m, member, now);
+            cs.work.pacer_polls += 1;
+            cs.work.pacer_polls_idle += (m.flow.pacer.len() == held) as u64;
+            arm_pacer(timers, m, member, now);
         }
         TickKind::Sbd => {
             let ConferenceState { members, sbd, sbd_groups, sbd_changes, trace, .. } = cs;
@@ -1064,7 +1233,7 @@ fn process_timer(
                         *sbd_changes += 1;
                     }
                 }
-                wheel.schedule(now + d.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
+                timers.schedule(now + d.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
             }
         }
     }
@@ -1341,6 +1510,57 @@ mod tests {
         assert_eq!(report.violations, 0);
     }
 
+    /// Each identity of the timer-conservation check, broken alone, is one
+    /// breach; a `PacerPoll` left behind by an earlier re-arm is none.
+    #[test]
+    fn timer_conservation_counts_each_broken_identity() {
+        let at = SimTime::from_millis;
+        let tick = |member, kind| TimerEvent { member, kind };
+        let frame = TickKind::Flow(Tick::Frame(0));
+        let owed = || {
+            vec![
+                TimersOwed { periodic: 2, armed: Some(at(7)), pacer_waiting: true },
+                TimersOwed { periodic: 1, armed: None, pacer_waiting: false },
+            ]
+        };
+        let pending = || {
+            vec![
+                (at(5), tick(0, frame)),
+                (at(6), tick(0, TickKind::Flow(Tick::SenderRtcp))),
+                (at(7), tick(0, TickKind::PacerPoll)),
+                (at(9), tick(0, TickKind::PacerPoll)),
+                (at(5), tick(1, frame)),
+                (at(8), tick(0, TickKind::Sbd)),
+            ]
+        };
+        let work = FleetWorkCounts {
+            timer_scheduled: 100,
+            timer_popped: 94,
+            timer_pending: 6,
+            ..Default::default()
+        };
+        let check = |work: &FleetWorkCounts, owed: &[TimersOwed], sbd, pending: Vec<_>| {
+            timer_conservation_breaches(work, owed, sbd, pending.into_iter())
+        };
+        assert_eq!(check(&work, &owed(), true, pending()), 0, "a stale poll at 9 ms is legal");
+
+        let miscounted = FleetWorkCounts { timer_popped: 93, ..work };
+        assert_eq!(check(&miscounted, &owed(), true, pending()), 1, "a tick vanished");
+        assert_eq!(check(&work, &owed(), false, pending()), 1, "an SBD tick without a detector");
+        let mut lost = pending();
+        lost.remove(4);
+        assert_eq!(check(&work, &owed(), true, lost), 1, "member 1 lost its frame tick");
+        let mut doubled = pending();
+        doubled.push((at(6), tick(1, frame)));
+        assert_eq!(check(&work, &owed(), true, doubled), 1, "member 1 holds one too many");
+        let mut unwoken = pending();
+        unwoken.remove(2);
+        assert_eq!(check(&work, &owed(), true, unwoken), 1, "the armed poll is not pending");
+        let mut unarmed = owed();
+        unarmed[1].pacer_waiting = true;
+        assert_eq!(check(&work, &unarmed, true, pending()), 1, "packets wait, nothing armed");
+    }
+
     #[test]
     fn tight_bottleneck_couples_members() {
         // Three 2 Mbps members into a 3 Mbps ingress: a standing queue all
@@ -1370,9 +1590,9 @@ mod tests {
         assert_eq!(st.batches, 3);
     }
 
-    /// Conferences never share a queue or a wheel, so a shard's high-water
-    /// marks are those of its largest single conference, however many it
-    /// claims at a time.
+    /// Conferences never share a queue, so a shard's high-water marks are
+    /// those of its largest single conference, however many it claims at a
+    /// time.
     #[test]
     fn occupancy_does_not_depend_on_the_claim_granule() {
         let marks = |batch: usize| {

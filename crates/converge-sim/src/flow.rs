@@ -6,7 +6,7 @@
 //! that direction. [`Session`](crate::Session) is one flow,
 //! [`DuplexSession`](crate::DuplexSession) is two flows on one emulator
 //! (both through [`run_call`]), and every fleet member is a flow whose
-//! events the shard's shared queue and timer wheel deliver. The handlers
+//! events the shard's packet queue and timer queue deliver. The handlers
 //! here are the only implementation of the pipeline; the three engines
 //! differ only in what sits behind the [`Net`] seam and in who keeps time.
 

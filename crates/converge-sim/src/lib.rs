@@ -33,7 +33,8 @@ pub use converge_cc::{
 pub use drives::DriveFixture;
 pub use duplex::DuplexSession;
 pub use fleet::{
-    FleetConferenceReport, FleetConfig, FleetEngine, FleetReport, FleetSessionReport, ShardStats,
+    FleetConferenceReport, FleetConfig, FleetEngine, FleetReport, FleetSessionReport,
+    FleetWorkCounts, ShardStats,
 };
 pub use metrics::{CallReport, MetricsCollector, PathCounters, SecondBin};
 pub use pacer::{Pacer, PacerConfig};

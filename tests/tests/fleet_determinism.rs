@@ -6,8 +6,11 @@
 //! the public API only.
 //!
 //! The fold itself is pinned too: `fixtures/fleet_fold_golden.txt` holds
-//! `fold_text()` of three small fleets, byte for byte. To regenerate after
-//! an *intentional* change of fleet behaviour:
+//! `fold_text()` of three small fleets, byte for byte, and
+//! `fixtures/fleet_work_counts.txt` the exact work counts of two of them
+//! (`ci.sh`'s `work-counts` gate names that test). To regenerate after an
+//! *intentional* change of fleet behaviour, or of the work the engine does
+//! for the same behaviour:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p converge-integration --test fleet_determinism
@@ -129,12 +132,50 @@ fn fold_matches_checked_in_golden() {
         assert_eq!(report.violations, 0, "{name}: control-loop invariants violated");
         rendered.push_str(&format!("# {name}\n{}", report.fold_text()));
     }
+    assert_matches_golden("fleet_fold_golden.txt", &rendered);
+}
+
+/// Exact work counts of the 8- and the 4-member pinned fleets (ticks and
+/// packets scheduled and popped, pacer polls fired and idle): the fence
+/// that says whether a change removed work, in seconds and without noise.
+/// The same bytes on 1, 2 and 3 shards; never part of the fold.
+#[test]
+fn work_counts_match_checked_in_golden() {
+    let mut rendered = String::new();
+    for (name, cfg) in golden_fleets().into_iter().skip(1) {
+        let run = |shards: usize| {
+            let mut cfg = cfg.clone();
+            cfg.shards = shards;
+            FleetEngine::new(cfg).run()
+        };
+        let report = run(1);
+        for c in &report.conferences {
+            let w = &c.work;
+            assert_eq!(
+                w.timer_scheduled,
+                w.timer_popped + w.timer_pending,
+                "{name} c{}: a tick is popped or pending",
+                c.conf
+            );
+        }
+        let text = report.work_counts_text();
+        for shards in [2, 3] {
+            assert_eq!(text, run(shards).work_counts_text(), "{name}: {shards} shards");
+        }
+        rendered.push_str(&format!("# {name}\n{text}"));
+    }
+    assert_matches_golden("fleet_work_counts.txt", &rendered);
+}
+
+/// Compares `rendered` with `fixtures/<file>` line by line, or rewrites the
+/// fixture under `UPDATE_GOLDEN=1`.
+fn assert_matches_golden(file: &str, rendered: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("fleet_fold_golden.txt");
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rendered).expect("write fixture");
+        std::fs::write(&path, rendered).expect("write fixture");
         eprintln!("golden fixture regenerated at {}", path.display());
         return;
     }
@@ -151,7 +192,7 @@ fn fold_matches_checked_in_golden() {
         .find(|(_, (a, b))| a != b)
     {
         panic!(
-            "fleet fold drifted from {} at line {}:\n  got:  {got}\n  want: {want}\n\
+            "{file} drifted from {} at line {}:\n  got:  {got}\n  want: {want}\n\
              If the change is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff.",
             path.display(),
             i + 1
