@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use converge_net::SimDuration;
 use converge_sim::{
-    FecKind, ImpairmentKind, PathSpec, ScenarioConfig, SchedulerKind, Session, SessionConfig,
+    FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
 };
 
 struct SamplingAlloc;
@@ -120,12 +120,7 @@ fn cell(name: &str, duration: SimDuration) -> Option<SessionConfig> {
             1,
         ),
         "symmetric3" => (
-            ScenarioConfig {
-                name: "symmetric-3x6mbps".into(),
-                paths: [20, 40, 60]
-                    .map(|owd_ms| PathSpec::constant(6_000_000, owd_ms, 0.0))
-                    .to_vec(),
-            },
+            ScenarioConfig::symmetric3(),
             FecKind::Converge,
             1,
         ),

@@ -41,7 +41,7 @@
 
 use converge_net::SimDuration;
 use converge_sim::{
-    ControllerKind, FecKind, FleetConfig, FleetEngine, PathSpec, ScenarioConfig, SchedulerKind,
+    ControllerKind, FecKind, FleetConfig, FleetEngine, ScenarioConfig, SchedulerKind,
     Session, SessionConfig,
 };
 
@@ -84,21 +84,7 @@ fn run_cell(name: &str) -> bool {
             180,
         ),
         "constant8" => call(
-            ScenarioConfig {
-                name: "constant-8".into(),
-                paths: [
-                    (8, 20),
-                    (5, 35),
-                    (6, 50),
-                    (4, 30),
-                    (7, 60),
-                    (3, 45),
-                    (5, 25),
-                    (4, 70),
-                ]
-                .map(|(mbps, owd_ms)| PathSpec::constant(mbps * 1_000_000, owd_ms, 0.0))
-                .to_vec(),
-            },
+            ScenarioConfig::constant8(),
             SchedulerKind::Converge,
             FecKind::Converge,
             3,

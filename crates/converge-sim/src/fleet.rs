@@ -1563,17 +1563,27 @@ mod tests {
 
     #[test]
     fn tight_bottleneck_couples_members() {
-        // Three 2 Mbps members into a 3 Mbps ingress: a standing queue all
-        // members share, which SBD should group.
+        // Three 2 Mbps members into a 3 Mbps ingress: while their rates
+        // ramp past it they share a standing queue, which SBD should
+        // group. Once the controllers have backed off the queue drains and
+        // the group dissolves again, so the end-of-call grouping says
+        // nothing: look for the group in the conference's timeline.
         let mut cfg = FleetConfig::new(3, 3);
         cfg.duration = SimDuration::from_secs(12);
         cfg.bottleneck_ingress_bps = 3_000_000;
         cfg.seed = 7;
+        cfg.trace_conferences = 1;
         let report = FleetEngine::new(cfg).run();
+        let (_, timeline) = &report.sampled_traces[0];
+        let most_coupled = timeline
+            .lines()
+            .filter(|l| l.contains("\"event\":\"sbd_groups_changed\""))
+            .filter_map(|l| l.rsplit_once("\"coupled\":")?.1.trim_end_matches('}').parse::<u32>().ok())
+            .max();
         let c = &report.conferences[0];
         assert!(
-            c.sbd_coupled >= 2,
-            "expected a coupled group, got groups={} coupled={} changes={}",
+            most_coupled >= Some(2),
+            "expected a coupled group during the call, got {most_coupled:?}; at the end groups={} coupled={} changes={}",
             c.sbd_groups,
             c.sbd_coupled,
             c.sbd_changes

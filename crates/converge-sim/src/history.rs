@@ -500,7 +500,7 @@ mod tests {
     #[ignore = "prints a table; run it in a release build when the table is wanted"]
     fn nack_lookback_per_npath_cell() {
         use crate::{
-            ControllerKind, DriveFixture, FecKind, PathSpec, ScenarioConfig, SchedulerKind,
+            ControllerKind, DriveFixture, FecKind, ScenarioConfig, SchedulerKind,
             Session, SessionConfig,
         };
         use converge_net::SimDuration;
@@ -517,35 +517,16 @@ mod tests {
             );
             cells.push((label, cfg));
         };
-        let constant = |name: &str, paths: &[(u64, u64)]| ScenarioConfig {
-            name: name.into(),
-            paths: paths
-                .iter()
-                .map(|&(mbps, owd_ms)| PathSpec::constant(mbps * 1_000_000, owd_ms, 0.0))
-                .collect(),
-        };
         call(
             "symmetric3".into(),
-            constant("symmetric-3x6mbps", &[(6, 20), (6, 40), (6, 60)]),
+            ScenarioConfig::symmetric3(),
             1,
             180,
             11,
         );
         call(
             "constant8".into(),
-            constant(
-                "constant-8",
-                &[
-                    (8, 20),
-                    (5, 35),
-                    (6, 50),
-                    (4, 30),
-                    (7, 60),
-                    (3, 45),
-                    (5, 25),
-                    (4, 70),
-                ],
-            ),
+            ScenarioConfig::constant8(),
             3,
             90,
             11,

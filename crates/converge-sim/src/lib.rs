@@ -24,6 +24,7 @@ pub mod receiver;
 pub mod scenarios;
 pub mod sender;
 pub mod session;
+pub mod stability;
 pub mod wire;
 
 pub use converge_cc::{

@@ -438,6 +438,31 @@ impl ScenarioConfig {
         }
     }
 
+    /// Lossless constant-rate paths, one per `(Mbit/s, one-way ms)` pair:
+    /// no random draws, so one seed is every seed.
+    fn lossless(name: &str, paths: &[(u64, u64)]) -> Self {
+        ScenarioConfig {
+            name: name.into(),
+            paths: paths
+                .iter()
+                .map(|&(mbps, owd_ms)| PathSpec::constant(mbps * 1_000_000, owd_ms, 0.0))
+                .collect(),
+        }
+    }
+
+    /// Three lossless 6 Mbit/s paths 20, 40 and 60 ms away: the topology
+    /// of `three_paths_all_carry_load` and the benchmark's `symmetric3`.
+    pub fn symmetric3() -> Self {
+        Self::lossless("symmetric-3x6mbps", &[(6, 20), (6, 40), (6, 60)])
+    }
+
+    /// Eight lossless paths of 3–8 Mbit/s, 20–70 ms away (the benchmark's
+    /// `constant8`): the heaviest per-path load when run under three streams.
+    pub fn constant8() -> Self {
+        let paths = [(8, 20), (5, 35), (6, 50), (4, 30), (7, 60), (3, 45), (5, 25), (4, 70)];
+        Self::lossless("constant-8", &paths)
+    }
+
     /// Builds a scenario replaying externally collected bandwidth traces
     /// (CSV `seconds,bits_per_sec`, as produced by `trace-tool gen` or any
     /// capture pipeline). One path per trace, with the given one-way

@@ -174,10 +174,17 @@ pub struct ConferenceSender {
     next_probe_seq: u64,
     /// Outstanding probes: seq → (path, sent time).
     outstanding_probes: BTreeMap<u64, (PathId, SimTime)>,
-    /// EWMA of FEC bytes / media bytes: protection packets share the
-    /// congestion-controlled budget with media ("protected packets deprive
-    /// the bandwidth of video frames", paper section 3.3), so the encoder
-    /// target is discounted by the running protection overhead.
+    /// EWMA of (FEC + retransmitted) bytes / first-transmission media
+    /// bytes: repair packets share the congestion-controlled budget with
+    /// media ("protected packets deprive the bandwidth of video frames",
+    /// paper section 3.3), so the encoder target is discounted by the
+    /// running repair overhead — every byte a tick hands the pacer is paid
+    /// for out of the paths' rate.
+    repair_overhead_ewma: f64,
+    /// EWMA of FEC bytes alone / first-transmission media bytes: the share
+    /// of reported loss that protection absorbs, which is all the rate
+    /// controllers' loss discount may claim (a retransmission answers a
+    /// loss, it does not mask one).
     fec_overhead_ewma: f64,
     /// Transport-level liveness monitor (the paper's CM-synchronization
     /// wrapper, section 5): a path whose feedback goes silent is marked
@@ -266,6 +273,7 @@ impl ConferenceSender {
             rtx_queue: VecDeque::new(),
             next_probe_seq: 0,
             outstanding_probes: BTreeMap::new(),
+            repair_overhead_ewma: 0.0,
             fec_overhead_ewma: 0.0,
             monitor: ConnectionMonitor::new(MonitorConfig::default(), paths),
             coupling: RateCoupling::Uncoupled,
@@ -432,10 +440,11 @@ impl ConferenceSender {
             .map(|m| m.rate_bps)
             .sum();
         let n_streams = self.streams.len().max(1) as u64;
-        // FEC and media share the budget: discount the encoder target by
-        // the measured protection overhead so aggressive FEC policies pay
-        // for their repair packets with media quality (paper Fig. 6/13).
-        let media_fraction = 1.0 / (1.0 + self.fec_overhead_ewma.max(0.0));
+        // Repair rides inside the rate: discount the encoder target by the
+        // measured FEC + retransmission overhead, so aggressive FEC
+        // policies and NACK storms alike pay for their packets with media
+        // quality (paper Fig. 6/13) instead of overrunning the paths.
+        let media_fraction = 1.0 / (1.0 + self.repair_overhead_ewma);
         let per_stream = (aggregate as f64 * media_fraction) as u64 / n_streams;
 
         let pipeline = &mut self.streams[stream_idx];
@@ -563,17 +572,23 @@ impl ConferenceSender {
                 ));
             }
         }
-        // Update the protection-overhead EWMA from this batch.
+        // Update the two overhead EWMAs from this batch, both over the
+        // frame's own (first-transmission) media bytes.
         {
-            let media_bytes: usize = batch
-                .iter()
-                .filter(|s| s.packet.kind.is_media())
-                .map(|s| s.packet.size)
-                .sum();
+            let (mut fresh_bytes, mut rtx_bytes) = (0usize, 0usize);
+            for s in batch.iter() {
+                if s.class == PacketClass::Retransmission {
+                    rtx_bytes += s.packet.size;
+                } else if s.packet.kind.is_media() {
+                    fresh_bytes += s.packet.size;
+                }
+            }
             let fec_bytes: usize = fec_batch.iter().map(|(s, _, _)| s.packet.size).sum();
-            if media_bytes > 0 {
-                let overhead = fec_bytes as f64 / media_bytes as f64;
-                self.fec_overhead_ewma = 0.9 * self.fec_overhead_ewma + 0.1 * overhead;
+            if fresh_bytes > 0 {
+                let ewma =
+                    |prev: f64, bytes: usize| 0.9 * prev + 0.1 * bytes as f64 / fresh_bytes as f64;
+                self.repair_overhead_ewma = ewma(self.repair_overhead_ewma, fec_bytes + rtx_bytes);
+                self.fec_overhead_ewma = ewma(self.fec_overhead_ewma, fec_bytes);
             }
         }
         if !fec_batch.is_empty() {
@@ -941,6 +956,173 @@ mod tests {
                 assert_eq!(sender.frame_path_metrics(), &sender.path_metrics()[..]);
             }
         }
+    }
+
+    const FRAME_US: u64 = 33_333;
+
+    /// A two-path sender of `streams` cameras under the loss-table FEC
+    /// (its rate follows the reported loss only, never the NACKs) that has
+    /// run 30 frames at 5 % reported loss, with the sequences of each
+    /// stream's last frame.
+    fn settled_lossy_sender(streams: u8) -> (ConferenceSender, SimTime, Vec<Vec<u64>>) {
+        let mut sender = ConferenceSender::new(
+            streams,
+            &[PathId(0), PathId(1)],
+            SchedulerKind::Converge.build(SimDuration::from_micros(FRAME_US)),
+            FecKind::WebRtcTable.build(),
+            ControllerConfig::default(),
+            10_000_000,
+        );
+        for path_id in 0..2 {
+            let report = RtcpPacket::ReceiverReport(ReceiverReport {
+                path_id,
+                ssrc: 0,
+                blocks: vec![ReportBlock {
+                    ssrc: 0,
+                    fraction_lost: 13,
+                    cumulative_lost: 0,
+                    ext_highest_seq: 0,
+                    ext_highest_mp_seq: 0,
+                    jitter: 0,
+                    last_sr: 0,
+                    delay_since_last_sr: 0,
+                }],
+            });
+            sender.on_rtcp(SimTime::ZERO, &report);
+        }
+        let (mut now, mut last) = (SimTime::ZERO, Vec::new());
+        for _ in 0..30 {
+            (now, last) = round_at(&mut sender, now).0;
+        }
+        (sender, now, last)
+    }
+
+    /// One frame tick of every stream a frame interval after `now`: the
+    /// new instant, the media sequences each stream sent, and the bytes of
+    /// fresh media, FEC and retransmissions handed to the pacer.
+    fn round_at(
+        sender: &mut ConferenceSender,
+        now: SimTime,
+    ) -> ((SimTime, Vec<Vec<u64>>), [usize; 3]) {
+        let now = now + SimDuration::from_micros(FRAME_US);
+        let (mut sent, mut bytes) = (Vec::new(), [0; 3]);
+        for stream in 0..sender.streams.len() {
+            let mut out = Vec::new();
+            sender.on_frame_tick_into(now, stream, &mut out);
+            sent.push(Vec::new());
+            for p in &out {
+                match &p.payload {
+                    NetPayload::Rtp(SimRtp { kind: RtpKind::Media(m), .. }) => {
+                        sent[stream].push(m.sequence);
+                        bytes[0] += if m.kind.is_media() { m.size } else { 0 };
+                    }
+                    NetPayload::Rtp(SimRtp { kind: RtpKind::Fec { protected, .. }, .. }) => {
+                        bytes[1] += protected.iter().map(|m| m.size).max().expect("a group") + 16;
+                    }
+                    NetPayload::Rtp(SimRtp { kind: RtpKind::Retransmission(m), .. }) => {
+                        bytes[2] += m.size;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        ((now, sent), bytes)
+    }
+
+    fn nack_all(sender: &mut ConferenceSender, now: SimTime, ssrc: u32, sent: &[u64]) -> usize {
+        let lost = sent.iter().map(|s| (s & 0xFFFF) as u16).collect();
+        sender.on_rtcp(now, &RtcpPacket::Nack(Nack { path_id: 0, ssrc, lost }))
+    }
+
+    fn encoder_targets(sender: &ConferenceSender) -> Vec<u64> {
+        let targets = sender.streams.iter().map(|s| s.encoder.target_bitrate());
+        targets.collect()
+    }
+
+    /// Repair rides inside the rate: a tick's R bytes of retransmissions
+    /// enter the repair overhead as R / its fresh media, which lowers the
+    /// encoder targets that follow, and the rate controllers' loss
+    /// discount stays where FEC alone put it.
+    #[test]
+    fn retransmissions_lower_the_next_targets_and_leave_the_loss_discount_alone() {
+        let (mut quiet, now, _) = settled_lossy_sender(1);
+        let (mut nacked, _, last) = settled_lossy_sender(1);
+        let before = nacked.repair_overhead_ewma;
+        assert!(before > 0.2, "5 % loss buys table FEC: {before}");
+        assert_eq!(before, nacked.fec_overhead_ewma, "no retransmission yet");
+        assert_eq!(nack_all(&mut nacked, now, 0, &last[0][..2]), 2);
+
+        let (_, [_, _, no_rtx]) = round_at(&mut quiet, now);
+        let ((now, _), [media, fec, rtx]) = round_at(&mut nacked, now);
+        assert_eq!(no_rtx, 0);
+        assert!(rtx > 0 && media > 0 && fec > 0, "{media} + {fec} + {rtx} bytes");
+        // The tick that carried them was encoded before they were counted.
+        assert_eq!(encoder_targets(&nacked), encoder_targets(&quiet));
+        for (ewma, bytes) in [
+            (nacked.repair_overhead_ewma, fec + rtx),
+            (nacked.fec_overhead_ewma, fec),
+        ] {
+            let expected = 0.9 * before + 0.1 * bytes as f64 / media as f64;
+            assert!(
+                (ewma - expected).abs() < 1e-12,
+                "overhead {ewma} is not {bytes} bytes / {media} of fresh media = {expected}"
+            );
+        }
+
+        round_at(&mut quiet, now);
+        round_at(&mut nacked, now);
+        assert!(
+            encoder_targets(&nacked)[0] < encoder_targets(&quiet)[0],
+            "{:?} after retransmissions, {:?} without",
+            encoder_targets(&nacked),
+            encoder_targets(&quiet)
+        );
+    }
+
+    /// Retransmissions used to sit in the overhead ratio's denominator, so
+    /// a NACK storm shrank the FEC discount and the encoder sped up into
+    /// it. Now no frame of the storm encodes above its quiet twin, and
+    /// every one after the first encodes below it.
+    #[test]
+    fn a_nack_storm_cannot_raise_the_encoder_target() {
+        let (mut quiet, mut now, _) = settled_lossy_sender(1);
+        let (mut stormed, _, mut last) = settled_lossy_sender(1);
+        for frame in 0..30 {
+            assert!(nack_all(&mut stormed, now, 0, &last[0]) > 0);
+            round_at(&mut quiet, now);
+            ((now, last), _) = round_at(&mut stormed, now);
+            let (stormed, quiet) = (encoder_targets(&stormed)[0], encoder_targets(&quiet)[0]);
+            assert!(
+                stormed < quiet || (frame == 0 && stormed == quiet),
+                "frame {frame}: {stormed} under a storm, {quiet} without"
+            );
+        }
+    }
+
+    /// The retransmission queue is shared and whichever stream ticks first
+    /// carries the burst, but the overhead it adds is the sender's: while
+    /// one camera's frames keep being NACKed every stream encodes below
+    /// its quiet twin by the same share, none pays for the others.
+    #[test]
+    fn retransmissions_are_paid_for_by_every_stream_alike() {
+        let (mut quiet, mut now, _) = settled_lossy_sender(3);
+        let (mut nacked, _, mut last) = settled_lossy_sender(3);
+        let (mut paid, mut unpaid) = ([0u64; 3], [0u64; 3]);
+        for _ in 0..30 {
+            assert!(nack_all(&mut nacked, now, 2, &last[2]) > 0);
+            round_at(&mut quiet, now);
+            ((now, last), _) = round_at(&mut nacked, now);
+            for stream in 0..3 {
+                paid[stream] += encoder_targets(&nacked)[stream];
+                unpaid[stream] += encoder_targets(&quiet)[stream];
+            }
+        }
+        let shares = [0, 1, 2].map(|s| paid[s] as f64 / unpaid[s] as f64);
+        let (lo, hi) = shares
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+        assert!(hi < 0.95, "a stream did not pay: {shares:.3?}");
+        assert!(hi - lo < 0.05, "one stream pays for the others: {shares:.3?}");
     }
 
     /// A Sender Report maps NTP time to RTP time, so it must read the clock

@@ -245,87 +245,3 @@ fn duplicate_deliveries_never_double_decode() {
     }
     assert_eq!(decodes, 1, "a duplicated frame decodes exactly once");
 }
-
-/// Reproduction of the `three_paths_all_carry_load` failure (see
-/// ROADMAP.md open items): on three equal-rate paths with *no configured
-/// loss*, the FEC/feedback coupling over-reacts — β repeatedly slams into
-/// its 3.0 cap on the fast path once congestion drops start, repair
-/// traffic balloons to a large fraction of media on a pipe that would be
-/// clean if left alone, and the scheduler starves path 1 instead of
-/// aggregating. This pins the traced diagnosis at today's numbers
-/// (~21 fps, repair ≈ 4/5 of media on path 0, ~2.6× path-1 starvation —
-/// the ROADMAP's 17 fps / 4× figures were the PR 2 seed state); the live
-/// test above keeps its original assertions untouched.
-///
-/// Ignored because it documents a known-bad state: it *passes* while the
-/// bug exists and should start failing — and then be deleted — once the
-/// QoE calibration fix lands. Run with
-/// `cargo test -p converge-integration --test edge_cases -- --ignored`.
-#[test]
-#[ignore = "documents the open three_paths_all_carry_load diagnosis"]
-fn three_paths_diagnosis_beta_pinned_and_path1_starved() {
-    use std::sync::Arc;
-
-    use converge_net::SimTime;
-    use converge_trace::{RingSink, TraceEvent, TraceHandle};
-
-    let ring = Arc::new(RingSink::new(1 << 20));
-    let cfg = SessionConfig::builder()
-        .scenario(scenario_with(vec![
-            PathSpec::constant(6_000_000, 20, 0.0),
-            PathSpec::constant(6_000_000, 40, 0.0),
-            PathSpec::constant(6_000_000, 60, 0.0),
-        ]))
-        .scheduler(SchedulerKind::Converge)
-        .fec(FecKind::Converge)
-        .streams(1)
-        .duration(SimDuration::from_secs(20))
-        .seed(6)
-        .trace(TraceHandle::new(ring.clone()))
-        .build()
-        .expect("valid session config");
-    let r = Session::new(cfg).run();
-
-    // The failure itself: the call can't hold the frame rate three clean
-    // 6 Mbps paths should trivially sustain.
-    assert!(r.fps < 24.0, "bug appears fixed ({:.2} fps) — delete this repro", r.fps);
-
-    // Diagnosis part 1: on path 0 — whose loss model is None, so every
-    // loss is a self-inflicted congestion drop — β repeatedly hits the
-    // 3.0 cap in the steady-state half of the call, and the repair
-    // budget it grants rivals the media itself.
-    let mut cap_hits = 0usize;
-    let mut media = 0u64;
-    let mut repair = 0u64;
-    for rec in ring.drain() {
-        if let TraceEvent::FecUpdated {
-            path,
-            beta_milli,
-            media: m,
-            repair: rp,
-        } = rec.event
-        {
-            if path == PathId(0) {
-                media += u64::from(m);
-                repair += u64::from(rp);
-                if rec.at > SimTime::from_secs(10) && beta_milli == 3_000 {
-                    cap_hits += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        cap_hits >= 20,
-        "β should repeatedly pin at the cap late in the call: {cap_hits} hits"
-    );
-    assert!(
-        repair * 2 > media,
-        "repair should rival media on the clean fast path: {repair} repair vs {media} media"
-    );
-
-    // Diagnosis part 2: the repair load keeps the scheduler glued to the
-    // fastest path — path 1 carries well under half of path 0's packets.
-    let p0 = r.paths[&PathId(0)].packets_sent;
-    let p1 = r.paths[&PathId(1)].packets_sent;
-    assert!(p0 > 2 * p1, "expected >2x starvation, got {p0} vs {p1}");
-}
