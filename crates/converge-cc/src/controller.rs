@@ -84,14 +84,12 @@ pub struct PathController {
 }
 
 impl PathController {
-    /// Wraps `inner` for `path`. `traced_phase` is the phase a timeline
-    /// reader assumes before any state event: `None` makes the first
-    /// update announce its phase.
+    /// Wraps `inner` for `path`. No phase is assumed traced, so every
+    /// algorithm's first update announces the phase it starts in.
     pub(crate) fn new(
         algorithm: CcAlgorithm,
         inner: Box<dyn CongestionController>,
         path: PathId,
-        traced_phase: Option<CcPhase>,
     ) -> Self {
         PathController {
             algorithm,
@@ -101,7 +99,7 @@ impl PathController {
             fraction_lost: 0.0,
             increase_scale: 1.0,
             trace: TraceHandle::disabled(),
-            traced_phase,
+            traced_phase: None,
             traced_rate: None,
         }
     }

@@ -71,17 +71,12 @@ impl ControllerConfig {
     /// algorithms (mp-BBR's staggered gain cycling) desynchronize across
     /// the multipath set.
     pub fn build(&self, path: PathId) -> PathController {
-        let (inner, traced_phase): (Box<dyn CongestionController>, _) = match self.kind {
-            ControllerKind::Gcc => (Box::new(GccController::new(GccConfig::default())), None),
-            ControllerKind::Nada => (Box::new(NadaController::new(NadaConfig::default())), None),
-            // Startup is implicit in an mp-BBR timeline: only the phases
-            // it moves on to are traced.
-            ControllerKind::MpBbr => (
-                Box::new(MpBbrController::new(MpBbrConfig::default(), path)),
-                Some(CcPhase::Startup),
-            ),
+        let inner: Box<dyn CongestionController> = match self.kind {
+            ControllerKind::Gcc => Box::new(GccController::new(GccConfig::default())),
+            ControllerKind::Nada => Box::new(NadaController::new(NadaConfig::default())),
+            ControllerKind::MpBbr => Box::new(MpBbrController::new(MpBbrConfig::default(), path)),
         };
-        PathController::new(self.kind, inner, path, traced_phase)
+        PathController::new(self.kind, inner, path)
     }
 }
 

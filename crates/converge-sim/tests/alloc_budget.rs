@@ -82,9 +82,13 @@ const CLEAN_BUDGET: u64 = 263;
 
 /// The same for the lossy cell. At `7c5ef18` the window made 29 432 calls;
 /// what is left is mostly the two `protected` lists of each FEC packet,
-/// the sender's and the receiver's pending copy (4 258), and the same
-/// growth step of the frame log once per stream (3).
-const LOSSY_BUDGET: u64 = 4_261;
+/// the sender's and the receiver's pending copy, the list each NACK
+/// packet owns, and the same growth step of the frame log once per stream
+/// (3). It was 4 261 until retransmissions were paid for out of the rate:
+/// the window now carries 11 029 media packets where its own repair
+/// traffic used to hold it to 7 689, so the same 5 % loss makes 470 NACKed
+/// sequences instead of 320 (FEC packets: 1 777 either way).
+const LOSSY_BUDGET: u64 = 4_368;
 
 /// Allocator calls one two-path Converge call of `secs` makes at `loss_pct`
 /// loss on both paths, and the bytes they ask for.
@@ -145,8 +149,10 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// stream).
 const CLEAN_CONSTRUCTION_BYTES: u64 = 1_060_510;
 
-/// The same for the lossy three-stream call; 12 775 968 at `64417ed`.
-const LOSSY_CONSTRUCTION_BYTES: u64 = 2_039_080;
+/// The same for the lossy three-stream call; 12 775 968 at `64417ed`, and
+/// 2 039 080 until the first second's retransmissions were paid for out of
+/// its frames (376 media packets against 382: no buffer changed size).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 2_038_542;
 
 #[test]
 fn construction_bytes_stay_within_budget() {

@@ -113,8 +113,8 @@ fn golden_trace_matches_checked_in_fixture() {
 #[test]
 fn nada_and_mpbbr_timelines_match_pinned_digests() {
     for (kind, digest) in [
-        (ControllerKind::Nada, 0xa2fe_11b4_3e55_69f5_u64),
-        (ControllerKind::MpBbr, 0xe52a_e367_d255_6cd2_u64),
+        (ControllerKind::Nada, 0x24e7_30b3_cd37_aba6_u64),
+        (ControllerKind::MpBbr, 0x6c5f_9e04_acac_d975_u64),
     ] {
         let rendered = render(kind, 5);
         assert!(rendered.contains("\"event\":\"cc_state_changed\""), "{}", kind.id());
