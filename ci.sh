@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
-# tests, the allocation budgets and the fleet's exact work counts by name,
-# one short run of the sampling profiler (so it cannot rot), a quick-scale
+# tests, the allocation budgets, the fleet's exact work counts and the
+# stability matrix's tier-1 slice by name, one short run of the sampling
+# profiler and one of the repair timeline (so they cannot rot), a quick-scale
 # smoke run of the full
 # experiment sweep on 2 workers and on 1 with the outputs compared
 # (exercises the worker pool and the memo cache), a traced experiment run
@@ -12,8 +13,8 @@
 # committed baseline.
 #
 # Gates, in order: benchmark-smoke, tests, alloc-budget, work-counts,
-# hot-lines, sweep-smoke, traced-fig11, chaos, shootout, drive, fleet,
-# bench-compare.
+# stability, hot-lines, repair-timeline, sweep-smoke, traced-fig11, chaos,
+# shootout, drive, fleet, bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -82,6 +83,20 @@ gate alloc-budget tests_by_name 3 -p converge-sim --test alloc_budget -- --exact
 gate work-counts tests_by_name 1 -p converge-integration --test fleet_determinism -- --exact \
     work_counts_match_checked_in_golden
 
+# The control loop reads alike on every seed (EXPERIMENTS.md, "Stability
+# matrix"): the cells that used to be bistable hold their frame rate on
+# every seed (the one-stream 10 %-loss cell, still one wide mode, is pinned
+# at its floor), lossless topologies do not congest themselves, fleet
+# members decode video. By name, so a rename cannot drop one.
+gate stability tests_by_name 7 -p converge-integration --test stability -- --exact \
+    reordering_under_three_streams_holds_the_frame_rate_on_every_seed \
+    feedback_loss_under_three_streams_holds_the_frame_rate_on_every_seed \
+    ten_percent_loss_under_three_streams_does_not_collapse_on_any_seed \
+    two_percent_loss_under_two_streams_holds_the_frame_rate_on_every_seed \
+    ten_percent_loss_under_one_stream_stays_above_its_measured_floor \
+    lossless_topologies_do_not_congest_themselves \
+    fleet_members_decode_video_at_both_conference_sizes
+
 # The sampling profiler (DESIGN §6c's tables come from it): one short cell
 # must exit 0 and print either a table row ("  8.7%      112  file:line")
 # or, off Linux x86_64, its "unsupported" line.
@@ -92,6 +107,16 @@ hot_lines() {
     grep -Eq '^unsupported|^ *[0-9.]+% +[0-9]+  ' <<<"$out"
 }
 gate hot-lines hot_lines
+
+# The per-second, per-path repair table that located the three-path
+# collapse: one short cell must exit 0 and close with its totals line.
+repair_timeline() {
+    local out
+    out=$(cargo run --release -p converge-sim --example repair_timeline -- symmetric3 20)
+    echo "$out"
+    grep -q '^totals: .* sent/received/lost p0 ' <<<"$out"
+}
+gate repair-timeline repair_timeline
 
 # The whole registry on 2 pool workers and on 1 (the caller's thread, no
 # spawn): stdout must not depend on the pool size.
