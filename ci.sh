@@ -4,8 +4,9 @@
 # stability matrix's tier-1 slice by name, one short run of the sampling
 # profiler and one of the repair timeline (so they cannot rot), a quick-scale
 # smoke run of the full
-# experiment sweep on 2 workers and on 1 with the outputs compared
-# (exercises the worker pool and the memo cache), a traced experiment run
+# experiment sweep on 2 workers and on 1 with the outputs compared and
+# their md5 checked against the committed one (exercises the worker pool
+# and the memo cache, pins every printed number), a traced experiment run
 # with JSONL timeline validation, the chaos, controller-shootout and
 # drive-replay matrices with the invariant checker armed, a fleet-engine
 # smoke cell with invariants armed on every member and 1, 2 and 3 shards
@@ -119,12 +120,23 @@ repair_timeline() {
 gate repair-timeline repair_timeline
 
 # The whole registry on 2 pool workers and on 1 (the caller's thread, no
-# spawn): stdout must not depend on the pool size.
+# spawn): stdout must not depend on the pool size, and its md5 is pinned in
+# tests/tests/fixtures/experiments_quick.md5 — a refactor of converge-bench
+# must leave it alone, a behaviour change shows as one reviewed line
+# (UPDATE_GOLDEN=1 ./ci.sh rewrites it, like the other goldens).
 sweep_smoke() {
+    local md5 pinned=tests/tests/fixtures/experiments_quick.md5
     experiments all --quick --jobs 2 > results/smoke_all.txt
     test -s results/smoke_all.txt
     experiments all --quick --jobs 1 > results/smoke_all_1job.txt
     cmp results/smoke_all.txt results/smoke_all_1job.txt
+    md5=$(md5sum < results/smoke_all.txt | cut -d' ' -f1)
+    if [ "${UPDATE_GOLDEN:-}" = 1 ]; then
+        echo "$md5" > "$pinned"
+    elif [ "$md5" != "$(cat "$pinned")" ]; then
+        echo "sweep-smoke: \`experiments all --quick\` prints md5 $md5, $pinned pins $(cat "$pinned")" >&2
+        return 1
+    fi
 }
 gate sweep-smoke sweep_smoke
 

@@ -5,259 +5,145 @@
 
 use converge_sim::{FecKind, SchedulerKind};
 
-use crate::runner::{metric, pm, Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use super::table::Table;
+use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::sweep::ExperimentSpec;
+
+/// Converge on one camera stream: the cell every ablation turns one knob of.
+fn converge_cell(scenario: ScenarioSpec) -> Cell {
+    Cell::new(scenario, SchedulerKind::Converge, FecKind::Converge, 1)
+}
 
 /// Declares ablation A: video-awareness on/off, every seed.
 pub fn spec_priority(scale: Scale) -> ExperimentSpec {
-    let variants = [
+    let mut table = Table::new("# Ablation — video-aware prioritization (driving, 1 stream)")
+        .label("variant", 26)
+        .mean("norm_fps", 10, 2, |r| r.normalized_fps())
+        .mean("kf_requests", 14, 1, |r| r.keyframe_requests as f64)
+        .mean("frame_drops", 14, 0, |r| r.frames_dropped as f64)
+        .mean("e2e_ms", 12, 0, |r| r.e2e_mean_ms)
+        .note("# expectation: without priorities, keyframe/control packets spread")
+        .note("# onto weak paths and decode chains break more often.");
+    for (label, scheduler) in [
         ("priority-on (Converge)", SchedulerKind::Converge),
         ("priority-off", SchedulerKind::ConvergeNoPriority),
-    ];
-    let mut jobs = Vec::new();
-    for (_, scheduler) in variants {
-        let cell = Cell::new(ScenarioSpec::Driving, scheduler, FecKind::Converge, 1);
-        for &seed in scale.seeds() {
-            jobs.push(Job::new(cell, scale.duration(), seed));
-        }
+    ] {
+        let mut cell = converge_cell(ScenarioSpec::Driving);
+        cell.scheduler = scheduler;
+        table.row(&[&label], cell);
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Ablation — video-aware prioritization (driving, 1 stream)\n");
-            out.push_str(&format!(
-                "{:<26} {:>10} {:>14} {:>14} {:>12}\n",
-                "variant", "norm_fps", "kf_requests", "frame_drops", "e2e_ms"
-            ));
-            for (label, _) in variants {
-                let reports = r.take(scale.seeds().len());
-                out.push_str(&format!(
-                    "{:<26} {:>10} {:>14} {:>14} {:>12}\n",
-                    label,
-                    pm(&metric(reports, |r| r.normalized_fps()), 2),
-                    pm(&metric(reports, |r| r.keyframe_requests as f64), 1),
-                    pm(&metric(reports, |r| r.frames_dropped as f64), 0),
-                    pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                ));
-            }
-            out.push_str("# expectation: without priorities, keyframe/control packets spread\n");
-            out.push_str("# onto weak paths and decode chains break more often.\n");
-            out
-        }),
-    }
+    table.spec(scale.seeds(), scale.duration())
 }
 
 /// Declares ablation B: completion-time vs minRTT fast path, every seed.
 pub fn spec_fastpath(scale: Scale) -> ExperimentSpec {
-    let variants = [
+    let mut table = Table::new("# Ablation — fast-path metric (driving, 1 stream)")
+        .label("variant", 30)
+        .mean("norm_fps", 10, 2, |r| r.normalized_fps())
+        .mean("avg_stall_ms", 14, 0, |r| r.avg_freeze_ms())
+        .mean("e2e_ms", 12, 0, |r| r.e2e_mean_ms)
+        .note("# expectation: minRTT can pick a low-latency thin path that cannot")
+        .note("# absorb a priority burst; completion time accounts for batch size.");
+    for (label, scheduler) in [
         ("completion-time (Alg. 1)", SchedulerKind::Converge),
         ("minRTT fast path", SchedulerKind::ConvergeMinRttFast),
-    ];
-    let mut jobs = Vec::new();
-    for (_, scheduler) in variants {
-        let cell = Cell::new(ScenarioSpec::Driving, scheduler, FecKind::Converge, 1);
-        for &seed in scale.seeds() {
-            jobs.push(Job::new(cell, scale.duration(), seed));
-        }
+    ] {
+        let mut cell = converge_cell(ScenarioSpec::Driving);
+        cell.scheduler = scheduler;
+        table.row(&[&label], cell);
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Ablation — fast-path metric (driving, 1 stream)\n");
-            out.push_str(&format!(
-                "{:<30} {:>10} {:>14} {:>12}\n",
-                "variant", "norm_fps", "avg_stall_ms", "e2e_ms"
-            ));
-            for (label, _) in variants {
-                let reports = r.take(scale.seeds().len());
-                out.push_str(&format!(
-                    "{:<30} {:>10} {:>14} {:>12}\n",
-                    label,
-                    pm(&metric(reports, |r| r.normalized_fps()), 2),
-                    pm(&metric(reports, |r| r.avg_freeze_ms()), 0),
-                    pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                ));
-            }
-            out.push_str("# expectation: minRTT can pick a low-latency thin path that cannot\n");
-            out.push_str("# absorb a priority burst; completion time accounts for batch size.\n");
-            out
-        }),
-    }
+    table.spec(scale.seeds(), scale.duration())
 }
 
-/// Declares ablation C: three FEC policies at 3 % loss, every seed.
-pub fn spec_fec(scale: Scale) -> ExperimentSpec {
-    let policies = [
+/// Ablation C's table: three FEC policies at 3 % loss.
+fn fec_table() -> Table {
+    let mut table = Table::new("# Ablation — FEC policy at 3% loss (two 15 Mbps paths)")
+        .label("policy", 16)
+        .mean("norm_fps", 10, 2, |r| r.normalized_fps())
+        .mean("fec_ovh_%", 12, 1, |r| r.fec_overhead_pct())
+        .mean("nacks", 12, 0, |r| r.nacks_sent as f64)
+        .mean("rtx", 12, 0, |r| r.retransmissions as f64)
+        .mean("e2e_ms", 12, 0, |r| r.e2e_mean_ms)
+        .note("# expectation: no FEC leans entirely on NACK/RTX (latency cost);")
+        .note("# the table overspends; Converge sits between.");
+    for (label, fec) in [
         ("converge", FecKind::Converge),
         ("webrtc-table", FecKind::WebRtcTable),
         ("none", FecKind::None),
-    ];
-    let mut jobs = Vec::new();
-    for (_, fec) in policies {
-        let cell = Cell::new(
-            ScenarioSpec::fec_tradeoff_pct(3.0),
-            SchedulerKind::Converge,
-            fec,
-            1,
-        );
-        for &seed in scale.seeds() {
-            jobs.push(Job::new(cell, scale.duration(), seed));
-        }
+    ] {
+        let mut cell = converge_cell(ScenarioSpec::fec_tradeoff_pct(3.0));
+        cell.fec = fec;
+        table.row(&[&label], cell);
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Ablation — FEC policy at 3% loss (two 15 Mbps paths)\n");
-            out.push_str(&format!(
-                "{:<16} {:>10} {:>12} {:>12} {:>12} {:>12}\n",
-                "policy", "norm_fps", "fec_ovh_%", "nacks", "rtx", "e2e_ms"
-            ));
-            for (label, _) in policies {
-                let reports = r.take(scale.seeds().len());
-                out.push_str(&format!(
-                    "{:<16} {:>10} {:>12} {:>12} {:>12} {:>12}\n",
-                    label,
-                    pm(&metric(reports, |r| r.normalized_fps()), 2),
-                    pm(&metric(reports, |r| r.fec_overhead_pct()), 1),
-                    pm(&metric(reports, |r| r.nacks_sent as f64), 0),
-                    pm(&metric(reports, |r| r.retransmissions as f64), 0),
-                    pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                ));
-            }
-            out.push_str("# expectation: no FEC leans entirely on NACK/RTX (latency cost);\n");
-            out.push_str("# the table overspends; Converge sits between.\n");
-            out
-        }),
-    }
+    table
+}
+
+/// Declares ablation C: [`fec_table`] over every seed.
+pub fn spec_fec(scale: Scale) -> ExperimentSpec {
+    fec_table().spec(scale.seeds(), scale.duration())
 }
 
 /// Declares ablation D: drop-tail vs CoDel at the bottleneck, seed 42.
 /// `ScenarioSpec::AqmTuned` carries the modified scenario declaratively,
 /// so these cells memoize like any other.
 pub fn spec_aqm(scale: Scale) -> ExperimentSpec {
-    let variants = [("drop-tail", false), ("codel", true)];
-    let jobs = variants
-        .iter()
-        .map(|&(_, codel)| {
-            let cell = Cell::new(
-                ScenarioSpec::AqmTuned { codel },
-                SchedulerKind::Converge,
-                FecKind::Converge,
-                1,
-            );
-            Job::new(cell, scale.duration(), 42)
-        })
-        .collect();
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Ablation - bottleneck queue discipline (two 10 Mbps / 80 ms paths)\n");
-            out.push_str(&format!(
-                "{:<12} {:>10} {:>12} {:>12} {:>12}\n",
-                "discipline", "norm_fps", "e2e_ms", "e2e_p95_ms", "tput_mbps"
-            ));
-            for (label, _) in variants {
-                let rep = r.one();
-                out.push_str(&format!(
-                    "{:<12} {:>10.2} {:>12.0} {:>12.0} {:>12.2}\n",
-                    label,
-                    rep.normalized_fps(),
-                    rep.e2e_mean_ms,
-                    rep.e2e_p95_ms,
-                    rep.throughput_bps / 1e6
-                ));
-            }
-            out.push_str("# expectation: CoDel caps the standing queue, cutting tail latency;\n");
-            out.push_str("# GCC's delay-based control keeps drop-tail queues short already, so\n");
-            out.push_str("# the gap is modest on clean paths and grows under bursts.\n");
-            out
-        }),
+    let mut table =
+        Table::new("# Ablation - bottleneck queue discipline (two 10 Mbps / 80 ms paths)")
+            .label("discipline", 12)
+            .num("norm_fps", 10, 2, |r| r.normalized_fps())
+            .num("e2e_ms", 12, 0, |r| r.e2e_mean_ms)
+            .num("e2e_p95_ms", 12, 0, |r| r.e2e_p95_ms)
+            .num("tput_mbps", 12, 2, |r| r.throughput_bps / 1e6)
+            .note("# expectation: CoDel caps the standing queue, cutting tail latency;")
+            .note("# GCC's delay-based control keeps drop-tail queues short already, so")
+            .note("# the gap is modest on clean paths and grows under bursts.");
+    for (label, codel) in [("drop-tail", false), ("codel", true)] {
+        table.row(&[&label], converge_cell(ScenarioSpec::AqmTuned { codel }));
     }
+    table.spec(&[42], scale.duration())
 }
 
 /// Declares ablation E: uncoupled vs LIA-coupled CC, seed 42. The
 /// `Cell::coupled_cc` knob keeps these cells declarative and cacheable.
 pub fn spec_coupling(scale: Scale) -> ExperimentSpec {
-    let variants = [("uncoupled", false), ("lia-coupled", true)];
-    let jobs = variants
-        .iter()
-        .map(|&(_, coupled)| {
-            let mut cell = Cell::new(
-                ScenarioSpec::fec_tradeoff_pct(0.0),
-                SchedulerKind::Converge,
-                FecKind::Converge,
-                1,
-            );
-            cell.coupled_cc = coupled;
-            Job::new(cell, scale.duration(), 42)
+    let mut table = Table::new("# Ablation - CC coupling on two independent 15 Mbps paths")
+        .label("coupling", 12)
+        // Ramp speed: delivered rate over the first 8 seconds, where the
+        // dampened growth of coupled subflows shows.
+        .num("ramp_8s_mbps", 14, 2, |r| {
+            let ramp_bits: u64 = r.bins[..8.min(r.bins.len())]
+                .iter()
+                .map(|b| b.media_bits)
+                .sum();
+            ramp_bits as f64 / 8.0 / 1e6
         })
-        .collect();
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Ablation - CC coupling on two independent 15 Mbps paths\n");
-            out.push_str(&format!(
-                "{:<12} {:>14} {:>12} {:>10} {:>12}\n",
-                "coupling", "ramp_8s_mbps", "tput_mbps", "norm_fps", "e2e_ms"
-            ));
-            for (label, _) in variants {
-                let rep = r.one();
-                // Ramp speed: delivered rate over the first 8 seconds, where
-                // the dampened growth of coupled subflows shows.
-                let ramp_bits: u64 = rep.bins[..8.min(rep.bins.len())]
-                    .iter()
-                    .map(|b| b.media_bits)
-                    .sum();
-                out.push_str(&format!(
-                    "{:<12} {:>14.2} {:>12.2} {:>10.2} {:>12.0}\n",
-                    label,
-                    ramp_bits as f64 / 8.0 / 1e6,
-                    rep.throughput_bps / 1e6,
-                    rep.normalized_fps(),
-                    rep.e2e_mean_ms
-                ));
-            }
-            out.push_str("# finding: on independent paths, coupling never helps; in this GCC\n");
-            out.push_str("# the effect is near-zero because the 1.5x-incoming growth gate (not\n");
-            out.push_str("# the growth exponent) binds the ramp. Uncoupled is strictly simpler\n");
-            out.push_str("# at no cost, supporting the paper's section 4.1 choice.\n");
-            out
-        }),
+        .num("tput_mbps", 12, 2, |r| r.throughput_bps / 1e6)
+        .num("norm_fps", 10, 2, |r| r.normalized_fps())
+        .num("e2e_ms", 12, 0, |r| r.e2e_mean_ms)
+        .note("# finding: on independent paths, coupling never helps; in this GCC")
+        .note("# the effect is near-zero because the 1.5x-incoming growth gate (not")
+        .note("# the growth exponent) binds the ramp. Uncoupled is strictly simpler")
+        .note("# at no cost, supporting the paper's section 4.1 choice.");
+    for (label, coupled_cc) in [("uncoupled", false), ("lia-coupled", true)] {
+        let mut cell = converge_cell(ScenarioSpec::fec_tradeoff_pct(0.0));
+        cell.coupled_cc = coupled_cc;
+        table.row(&[&label], cell);
     }
+    table.spec(&[42], scale.duration())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_reports;
-    use crate::runner::mean_std;
+    use crate::runner::Job;
     use crate::sweep::CellCache;
 
     #[test]
     fn no_fec_needs_more_retransmissions() {
-        let run = |fec| {
-            let cell = Cell::new(
-                ScenarioSpec::fec_tradeoff_pct(3.0),
-                SchedulerKind::Converge,
-                fec,
-                1,
-            );
-            quick_reports(cell)
-        };
-        let none = run(FecKind::None);
-        let conv = run(FecKind::Converge);
-        let (none_rtx, _) = mean_std(&metric(&none, |r| r.retransmissions as f64));
-        let (conv_rtx, _) = mean_std(&metric(&conv, |r| r.retransmissions as f64));
+        let (table, scale) = (fec_table(), Scale::Quick);
+        let reports = CellCache::global().reports(&table.jobs(scale.seeds(), scale.duration()));
+        let none_rtx = table.value(&reports, &["none"], "rtx");
+        let conv_rtx = table.value(&reports, &["converge"], "rtx");
         assert!(
             none_rtx > conv_rtx,
             "no-FEC rtx {none_rtx} should exceed Converge-FEC rtx {conv_rtx}"

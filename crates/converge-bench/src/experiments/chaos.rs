@@ -9,8 +9,9 @@
 
 use converge_sim::{FecKind, ImpairmentKind, SchedulerKind};
 
-use crate::runner::{metric, pm, Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use super::table::Table;
+use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::sweep::ExperimentSpec;
 
 /// The multipath schedulers of the matrix (single-path baselines are
 /// excluded: pinning to the impaired path measures the fault, not the
@@ -32,61 +33,38 @@ fn chaos_cell(scheduler: SchedulerKind, kind: ImpairmentKind) -> Cell {
 }
 
 /// Declares the matrix: scheduler × impairment × every seed of the scale.
+/// The fold wraps the table's: every call must clear the survival floor
+/// (something decoded, a finite freeze ratio) before a row is printed.
 pub fn spec(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
+    let mut table = Table::new("# Chaos matrix — QoE under fault injection")
+        .label("#sched", 10)
+        .label("fault", 10)
+        .mean("fps", 12, 1, |r| r.fps)
+        .mean("freeze_%", 12, 2, |r| r.freeze_ratio_pct())
+        .mean("frames", 14, 0, |r| r.frames_decoded as f64)
+        .mean("e2e_ms", 12, 0, |r| r.e2e_mean_ms)
+        .note("# expected shape: all calls survive every fault; Converge degrades")
+        .note("# most gracefully (blackout/flap cost frames, never the call).");
     for scheduler in SCHEDULERS {
         for kind in ImpairmentKind::ALL {
-            for &seed in scale.seeds() {
-                jobs.push(Job::new(
-                    chaos_cell(scheduler, kind),
-                    scale.duration(),
-                    seed,
-                ));
-            }
+            table.row(
+                &[&format_args!("{scheduler:?}"), &kind.id()],
+                chaos_cell(scheduler, kind),
+            );
         }
+        table.gap();
     }
+    let ExperimentSpec { jobs, fold } = table.spec(scale.seeds(), scale.duration());
+    let calls = jobs.clone();
     ExperimentSpec {
         jobs,
         fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Chaos matrix — QoE under fault injection\n");
-            out.push_str(&format!(
-                "{:<10} {:<10} {:>12} {:>12} {:>14} {:>12}\n",
-                "#sched", "fault", "fps", "freeze_%", "frames", "e2e_ms"
-            ));
-            for scheduler in SCHEDULERS {
-                for kind in ImpairmentKind::ALL {
-                    let reports = r.take(scale.seeds().len());
-                    // Survival floor: every call decodes something and
-                    // freeze ratios stay finite.
-                    for rep in reports {
-                        assert!(
-                            rep.frames_decoded > 0,
-                            "{scheduler:?}/{} decoded nothing",
-                            kind.id()
-                        );
-                        assert!(
-                            rep.freeze_ratio_pct().is_finite(),
-                            "{scheduler:?}/{} freeze ratio not finite",
-                            kind.id()
-                        );
-                    }
-                    out.push_str(&format!(
-                        "{:<10} {:<10} {:>12} {:>12} {:>14} {:>12}\n",
-                        format!("{scheduler:?}"),
-                        kind.id(),
-                        pm(&metric(reports, |r| r.fps), 1),
-                        pm(&metric(reports, |r| r.freeze_ratio_pct()), 2),
-                        pm(&metric(reports, |r| r.frames_decoded as f64), 0),
-                        pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                    ));
-                }
-                out.push('\n');
+            for (job, rep) in calls.iter().zip(reports) {
+                let (decoded, freeze) = (rep.frames_decoded, rep.freeze_ratio_pct());
+                assert!(decoded > 0, "{} decoded nothing", job.fingerprint());
+                assert!(freeze.is_finite(), "{} froze {freeze} %", job.fingerprint());
             }
-            out.push_str("# expected shape: all calls survive every fault; Converge degrades\n");
-            out.push_str("# most gracefully (blackout/flap cost frames, never the call).\n");
-            out
+            fold(reports)
         }),
     }
 }
@@ -94,6 +72,7 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Job;
 
     #[test]
     fn matrix_covers_all_cells() {

@@ -7,8 +7,10 @@
 
 use converge_sim::{ControllerKind, DriveFixture, FecKind, SchedulerKind};
 
-use crate::runner::{metric, pm, Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use super::gate_seeds;
+use super::table::Table;
+use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::sweep::ExperimentSpec;
 
 /// The scheduler axis: Converge vs the two strongest multipath baselines.
 const SCHEDULERS: [SchedulerKind; 3] = [
@@ -25,15 +27,6 @@ fn drive_cell(fixture: DriveFixture, scheduler: SchedulerKind, controller: Contr
         1,
     )
     .with_controller(controller)
-}
-
-/// Quick scale is the CI smoke cell: one seed keeps the 27-cell matrix
-/// cheap; full scale averages over every seed.
-fn seeds(scale: Scale) -> &'static [u64] {
-    match scale {
-        Scale::Quick => &scale.seeds()[..1],
-        Scale::Full => scale.seeds(),
-    }
 }
 
 /// The fixtures are 60 s captures: full scale replays them end to end,
@@ -71,55 +64,57 @@ fn utilization_split(reports: &[converge_sim::CallReport]) -> String {
         .join("/")
 }
 
+/// Head of the first column: how the fold below tells the header line from
+/// the `# …` comment lines around the rows.
+const FIXTURE_HEAD: &str = "#fixture";
+
 /// Declares the replay matrix: fixture × scheduler × controller × seed.
+/// The fold wraps the table's: `util_pct` is a text over a row's reports,
+/// not a mean, so it is appended to the header and to each row's line.
 pub fn spec(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
+    let mut table = Table::new(
+        "# Drive replay — committed 4-8 path drive fixtures through\n\
+         # scheduler x controller; util = per-path share of sent bytes",
+    )
+    .label(FIXTURE_HEAD, 14)
+    .label("sched", 8)
+    .label("ctrl", 6)
+    .mean("norm_tput", 10, 2, |r| r.normalized_throughput())
+    .mean("norm_fps", 9, 2, |r| r.normalized_fps())
+    .mean("stall_ms", 9, 0, |r| r.avg_freeze_ms())
+    .mean("e2e_ms", 8, 0, |r| r.e2e_mean_ms)
+    .note("# expected shape: Converge routes around the coverage gaps and")
+    .note("# the blackout (util shifts off the dark path), SRTT chases the")
+    .note("# low-OWD path, M-TPUT splits by rate and keeps satellite loaded.");
     for fixture in DriveFixture::ALL {
         for scheduler in SCHEDULERS {
             for controller in ControllerKind::ALL {
-                for &seed in seeds(scale) {
-                    jobs.push(Job::new(
-                        drive_cell(fixture, scheduler, controller),
-                        duration(scale),
-                        seed,
-                    ));
-                }
+                let cell = drive_cell(fixture, scheduler, controller);
+                table.row(
+                    &[&fixture.id(), &scheduler.label(), &controller.label()],
+                    cell,
+                );
             }
         }
+        table.gap();
     }
+    let ExperimentSpec { jobs, fold } = table.spec(gate_seeds(scale), duration(scale));
     ExperimentSpec {
         jobs,
         fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
+            let mut rows = reports.chunks(gate_seeds(scale).len());
             let mut out = String::new();
-            out.push_str("# Drive replay — committed 4-8 path drive fixtures through\n");
-            out.push_str("# scheduler x controller; util = per-path share of sent bytes\n");
-            out.push_str(&format!(
-                "{:<14} {:<8} {:<6} {:>10} {:>9} {:>9} {:>8}  {}\n",
-                "#fixture", "sched", "ctrl", "norm_tput", "norm_fps", "stall_ms", "e2e_ms", "util_pct"
-            ));
-            for fixture in DriveFixture::ALL {
-                for scheduler in SCHEDULERS {
-                    for controller in ControllerKind::ALL {
-                        let reports = r.take(seeds(scale).len());
-                        out.push_str(&format!(
-                            "{:<14} {:<8} {:<6} {:>10} {:>9} {:>9} {:>8}  {}\n",
-                            fixture.id(),
-                            scheduler.label(),
-                            controller.label(),
-                            pm(&metric(reports, |r| r.normalized_throughput()), 2),
-                            pm(&metric(reports, |r| r.normalized_fps()), 2),
-                            pm(&metric(reports, |r| r.avg_freeze_ms()), 0),
-                            pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                            utilization_split(reports),
-                        ));
-                    }
+            for line in fold(reports).lines() {
+                out.push_str(line);
+                if line.starts_with(FIXTURE_HEAD) {
+                    out.push_str("  util_pct");
+                } else if !line.is_empty() && !line.starts_with('#') {
+                    let row = rows.next().expect("one row of reports per printed row");
+                    out.push_str("  ");
+                    out.push_str(&utilization_split(row));
                 }
                 out.push('\n');
             }
-            out.push_str("# expected shape: Converge routes around the coverage gaps and\n");
-            out.push_str("# the blackout (util shifts off the dark path), SRTT chases the\n");
-            out.push_str("# low-OWD path, M-TPUT splits by rate and keeps satellite loaded.\n");
             out
         }),
     }
@@ -128,6 +123,7 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Job;
     use converge_net::SimDuration;
 
     /// The controller-shootout-over-a-drive satellite: every controller
@@ -137,7 +133,11 @@ mod tests {
     fn every_controller_replays_a_drive_clean() {
         for controller in ControllerKind::ALL {
             let job = Job::new(
-                drive_cell(DriveFixture::CoverageGaps, SchedulerKind::Converge, controller),
+                drive_cell(
+                    DriveFixture::CoverageGaps,
+                    SchedulerKind::Converge,
+                    controller,
+                ),
                 SimDuration::from_secs(12),
                 11,
             );
@@ -165,11 +165,7 @@ mod tests {
             let (report, _records, violations) = job.run_checked();
             assert!(violations.is_empty(), "{}: {violations:?}", fixture.id());
             assert_eq!(report.paths.len(), fixture.path_count(), "{}", fixture.id());
-            let active = report
-                .paths
-                .values()
-                .filter(|p| p.bytes_sent > 0)
-                .count();
+            let active = report.paths.values().filter(|p| p.bytes_sent > 0).count();
             assert!(active > 1, "{}: {active} active paths", fixture.id());
         }
     }

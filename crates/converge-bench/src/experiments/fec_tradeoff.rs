@@ -4,8 +4,9 @@
 
 use converge_sim::{FecKind, SchedulerKind};
 
+use super::table::Table;
 use crate::runner::{Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use crate::sweep::ExperimentSpec;
 
 fn pair_cell(loss_pct: f64, fec: FecKind) -> Cell {
     Cell::new(
@@ -25,94 +26,56 @@ const POLICIES: [(&str, FecKind); 2] = [
 
 /// Declares Fig. 12: both policies across the loss sweep, seed 7.
 pub fn spec_fig12(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
+    let mut table = Table::new("# Fig. 12 — FEC overhead & utilization vs loss rate")
+        .label_right("loss%", 6)
+        .label("policy", 14)
+        .num("ovh_%", 10, 1, |r| r.fec_overhead_pct())
+        .num("util_%", 10, 1, |r| r.fec_utilization_pct())
+        .note("# paper shape: the table sends ~40% overhead at 1% loss with <20%")
+        .note("# utilization; Converge sends ~5% and uses almost all of it.");
     for loss in FIG12_LOSSES {
-        for (_, fec) in POLICIES {
-            jobs.push(Job::new(pair_cell(loss, fec), scale.duration(), 7));
+        for (label, fec) in POLICIES {
+            table.row(&[&format_args!("{loss:.1}"), &label], pair_cell(loss, fec));
         }
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Fig. 12 — FEC overhead & utilization vs loss rate\n");
-            out.push_str(&format!(
-                "{:>6} {:<14} {:>10} {:>10}\n",
-                "loss%", "policy", "ovh_%", "util_%"
-            ));
-            for loss in FIG12_LOSSES {
-                for (label, _) in POLICIES {
-                    let rep = r.one();
-                    out.push_str(&format!(
-                        "{:>6.1} {:<14} {:>10.1} {:>10.1}\n",
-                        loss,
-                        label,
-                        rep.fec_overhead_pct(),
-                        rep.fec_utilization_pct()
-                    ));
-                }
-            }
-            out.push_str("# paper shape: the table sends ~40% overhead at 1% loss with <20%\n");
-            out.push_str("# utilization; Converge sends ~5% and uses almost all of it.\n");
-            out
-        }),
-    }
+    table.spec(&[7], scale.duration())
 }
 
-/// Declares Fig. 13: both policies at four loss rates, seed 13.
+/// Declares Fig. 13: both policies at four loss rates, seed 13. Scatter
+/// records for plotting: a table of width 0, so nothing is padded and the
+/// header is the `# columns:` comment.
 pub fn spec_fig13(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
+    let mut table = Table::new("# Fig. 13 — throughput vs E2E delay trade-off")
+        .label("# columns: loss%", 0)
+        .label("policy", 0)
+        .num("tput_mbps", 0, 2, |r| r.throughput_bps / 1e6)
+        .num("e2e_ms", 0, 1, |r| r.e2e_mean_ms)
+        .note("# paper shape: Converge sits in the upper-left (high throughput, low")
+        .note("# delay); the table pays both throughput and latency for its FEC.");
     for loss in FIG13_LOSSES {
-        for (_, fec) in POLICIES {
-            jobs.push(Job::new(pair_cell(loss, fec), scale.duration(), 13));
+        for (label, fec) in POLICIES {
+            table.row(&[&loss, &label], pair_cell(loss, fec));
         }
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Fig. 13 — throughput vs E2E delay trade-off\n");
-            out.push_str("# columns: loss% policy tput_mbps e2e_ms\n");
-            for loss in FIG13_LOSSES {
-                for (label, _) in POLICIES {
-                    let rep = r.one();
-                    out.push_str(&format!(
-                        "{loss:.0} {label} {:.2} {:.1}\n",
-                        rep.throughput_bps / 1e6,
-                        rep.e2e_mean_ms
-                    ));
-                }
-            }
-            out.push_str("# paper shape: Converge sits in the upper-left (high throughput, low\n");
-            out.push_str("# delay); the table pays both throughput and latency for its FEC.\n");
-            out
-        }),
-    }
+    table.spec(&[13], scale.duration())
 }
 
 /// Declares Table 5: both policies at 1–10 % integer loss rates, seed 21.
+/// Not a table of cells: each row is the improvement between two calls.
 pub fn spec_table5(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
-    for loss in 1..=10u32 {
-        jobs.push(Job::new(
-            pair_cell(loss as f64, FecKind::WebRtcTable),
-            scale.duration(),
-            21,
-        ));
-        jobs.push(Job::new(
-            pair_cell(loss as f64, FecKind::Converge),
-            scale.duration(),
-            21,
-        ));
-    }
+    let job = |loss: u32, fec| Job::new(pair_cell(loss as f64, fec), scale.duration(), 21);
     ExperimentSpec {
-        jobs,
+        jobs: (1..=10)
+            .flat_map(|loss| {
+                [
+                    job(loss, FecKind::WebRtcTable),
+                    job(loss, FecKind::Converge),
+                ]
+            })
+            .collect(),
         fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Table 5 — % improvement, Converge FEC vs WebRTC table FEC\n");
+            let mut out =
+                String::from("# Table 5 — % improvement, Converge FEC vs WebRTC table FEC\n");
             out.push_str(&format!(
                 "{:>6} {:>14} {:>14} {:>14}\n",
                 "loss%", "drops_%", "freeze_%", "kf_req_%"
@@ -124,9 +87,8 @@ pub fn spec_table5(scale: Scale) -> ExperimentSpec {
                     ((base - ours) / base * 100.0).max(0.0)
                 }
             };
-            for loss in 1..=10u32 {
-                let table = r.one();
-                let conv = r.one();
+            for (loss, pair) in (1..=10).zip(reports.chunks(2)) {
+                let (table, conv) = (&pair[0], &pair[1]);
                 out.push_str(&format!(
                     "{:>6} {:>14.0} {:>14.0} {:>14.0}\n",
                     loss,

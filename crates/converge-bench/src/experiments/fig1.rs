@@ -1,36 +1,26 @@
 //! Fig. 1 — motivation: single-path WebRTC FPS and E2E latency collapse
 //! under driving-grade cellular bandwidth variation.
 
-use converge_sim::{FecKind, ScenarioConfig, SchedulerKind};
+use converge_sim::{ScenarioConfig, SchedulerKind};
 
 use crate::runner::{Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use crate::sweep::ExperimentSpec;
 
-/// Declares the two single-path calls (one per carrier) of Fig. 1.
+/// Declares the two single-path calls (one per carrier) of Fig. 1. Not a
+/// table: each printed second zips the two calls with the carriers' rates.
 pub fn spec(scale: Scale) -> ExperimentSpec {
     let duration = scale.duration();
     let seed = 42;
-    let cell_a = Cell::new(
-        ScenarioSpec::Driving,
-        SchedulerKind::SinglePath(1), // "T-Mobile"-like path
-        FecKind::WebRtcTable,
-        1,
-    );
-    let cell_b = Cell::new(
-        ScenarioSpec::Driving,
-        SchedulerKind::SinglePath(0), // "Verizon"-like path
-        FecKind::WebRtcTable,
-        1,
-    );
+    // Carrier A is the "T-Mobile"-like path 1, carrier B the "Verizon"-like path 0.
+    let cell_a = Cell::system(ScenarioSpec::Driving, SchedulerKind::SinglePath(1), 1);
+    let cell_b = Cell::system(ScenarioSpec::Driving, SchedulerKind::SinglePath(0), 1);
     ExperimentSpec {
         jobs: vec![
             Job::new(cell_a, duration, seed),
             Job::new(cell_b, duration, seed),
         ],
         fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let ra = r.one();
-            let rb = r.one();
+            let (ra, rb) = (&reports[0], &reports[1]);
             let scenario = ScenarioConfig::driving(duration, seed);
 
             let mut out = String::new();

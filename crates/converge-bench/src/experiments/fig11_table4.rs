@@ -5,8 +5,9 @@
 
 use converge_sim::{FecKind, ScenarioConfig, SchedulerKind};
 
+use super::table::Table;
 use crate::runner::{Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use crate::sweep::ExperimentSpec;
 
 /// The ablation needs the 30–90 s dip window, so quick scale keeps a
 /// 120 s call rather than the usual 30 s.
@@ -26,7 +27,8 @@ fn variant_cell(scheduler: SchedulerKind) -> Cell {
     )
 }
 
-/// Declares Fig. 11: with- and without-feedback variants, one seed.
+/// Declares Fig. 11: with- and without-feedback variants, one seed. Not a
+/// table: each printed second zips the two calls with the scenario's rates.
 pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
     let duration = ablation_duration(scale);
     let seed = 42;
@@ -40,9 +42,7 @@ pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
             ),
         ],
         fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let with_fb = r.one();
-            let without_fb = r.one();
+            let (with_fb, without_fb) = (&reports[0], &reports[1]);
             let scenario = ScenarioConfig::feedback_benefit(duration, seed);
 
             let mut out = String::new();
@@ -86,36 +86,19 @@ pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
 /// Declares Table 4: the same two variants, same seed — the sweep engine's
 /// cell cache means these jobs are free when Fig. 11 already ran.
 pub fn spec_table4(scale: Scale) -> ExperimentSpec {
-    let duration = ablation_duration(scale);
-    let variants = [
-        ("with-feedback", SchedulerKind::Converge),
-        ("without-feedback", SchedulerKind::ConvergeNoFeedback),
-    ];
-    ExperimentSpec {
-        jobs: variants
-            .iter()
-            .map(|&(_, scheduler)| Job::new(variant_cell(scheduler), duration, 42))
-            .collect(),
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Table 4 — Converge with vs without QoE feedback\n");
-            out.push_str(&format!(
-                "{:<18} {:>12} {:>16} {:>14}\n",
-                "variant", "frame_drops", "freeze_ms", "kf_requests"
-            ));
-            for (label, _) in variants {
-                let rep = r.one();
-                out.push_str(&format!(
-                    "{:<18} {:>12} {:>16.0} {:>14}\n",
-                    label, rep.frames_dropped, rep.freeze_total_ms, rep.keyframe_requests
-                ));
-            }
-            out.push_str("# paper shape: feedback cuts frame drops ~10x, freezes ~70%, and\n");
-            out.push_str("# keyframe requests ~90%.\n");
-            out
-        }),
-    }
+    let mut table = Table::new("# Table 4 — Converge with vs without QoE feedback")
+        .label("variant", 18)
+        .num("frame_drops", 12, 0, |r| r.frames_dropped as f64)
+        .num("freeze_ms", 16, 0, |r| r.freeze_total_ms)
+        .num("kf_requests", 14, 0, |r| r.keyframe_requests as f64)
+        .note("# paper shape: feedback cuts frame drops ~10x, freezes ~70%, and")
+        .note("# keyframe requests ~90%.");
+    table.row(&[&"with-feedback"], variant_cell(SchedulerKind::Converge));
+    table.row(
+        &[&"without-feedback"],
+        variant_cell(SchedulerKind::ConvergeNoFeedback),
+    );
+    table.spec(&[42], ablation_duration(scale))
 }
 
 #[cfg(test)]

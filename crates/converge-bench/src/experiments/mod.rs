@@ -1,6 +1,9 @@
 //! One regenerator per table/figure of the paper's evaluation. Each module
-//! exposes a `spec*` function declaring its jobs plus a fold that renders
-//! the printable report. The `experiments` binary hands the specs to the
+//! exposes a `spec*` function; most declare a [`table::Table`] — rows and
+//! columns written once, from which the jobs and the fold that renders the
+//! printable report both follow — and the few that are not a table (zipped
+//! time series, improvement pairs, the job-less trace dump) write their
+//! jobs and fold by hand. The `experiments` binary hands the specs to the
 //! sweep engine ([`crate::sweep`]), which executes the union of all jobs
 //! on the worker pool with cross-experiment memoization;
 //! [`crate::sweep::render`] runs one spec on the calling thread.
@@ -17,6 +20,7 @@ pub mod fig9_10_table3;
 pub mod fleet;
 pub mod shootout;
 pub mod stationary;
+pub mod table;
 pub mod traces;
 
 use crate::runner::Scale;
@@ -42,178 +46,60 @@ impl ExperimentDef {
     }
 }
 
+/// The seeds of a CI gate matrix (shootout, drive): quick scale is the
+/// smoke cell and runs one seed per row; full scale averages over every
+/// seed.
+fn gate_seeds(scale: Scale) -> &'static [u64] {
+    match scale {
+        Scale::Quick => &scale.seeds()[..1],
+        Scale::Full => scale.seeds(),
+    }
+}
+
+/// One [`REGISTRY`] row: `(id, aliases, desc, spec)`.
+type Row = (&'static str, &'static [&'static str], &'static str, fn(Scale) -> ExperimentSpec);
+
 /// Every experiment, in report order. `fig3` carries the `table1` alias —
 /// both come from the same cells, so one spec emits the combined report
 /// and `all` schedules it exactly once.
-pub fn registry() -> Vec<ExperimentDef> {
-    vec![
-        ExperimentDef {
-            id: "fig1",
-            aliases: &[],
-            desc: "WebRTC degradation under cellular variation",
-            spec: fig1::spec,
-        },
-        ExperimentDef {
-            id: "fig3",
-            aliases: &["table1"],
-            desc: "FPS/freeze/FEC + drops/keyframes vs variants, 1-3 streams",
-            spec: fig3_table1::spec,
-        },
-        ExperimentDef {
-            id: "fig9",
-            aliases: &[],
-            desc: "walking/driving time series",
-            spec: fig9_10_table3::spec_fig9,
-        },
-        ExperimentDef {
-            id: "fig10",
-            aliases: &[],
-            desc: "normalized QoE bars",
-            spec: fig9_10_table3::spec_fig10,
-        },
-        ExperimentDef {
-            id: "table3",
-            aliases: &[],
-            desc: "E2E / FEC overhead / FEC utilization",
-            spec: fig9_10_table3::spec_table3,
-        },
-        ExperimentDef {
-            id: "fig11",
-            aliases: &[],
-            desc: "QoE feedback ablation time series",
-            spec: fig11_table4::spec_fig11,
-        },
-        ExperimentDef {
-            id: "table4",
-            aliases: &[],
-            desc: "QoE feedback ablation summary",
-            spec: fig11_table4::spec_table4,
-        },
-        ExperimentDef {
-            id: "fig12",
-            aliases: &[],
-            desc: "FEC overhead & utilization vs loss",
-            spec: fec_tradeoff::spec_fig12,
-        },
-        ExperimentDef {
-            id: "fig13",
-            aliases: &[],
-            desc: "throughput vs E2E delay trade-off",
-            spec: fec_tradeoff::spec_fig13,
-        },
-        ExperimentDef {
-            id: "table5",
-            aliases: &[],
-            desc: "% QoE improvement vs loss rate",
-            spec: fec_tradeoff::spec_table5,
-        },
-        ExperimentDef {
-            id: "fig14",
-            aliases: &[],
-            desc: "driving comparison vs all systems",
-            spec: fig14_15::spec_fig14,
-        },
-        ExperimentDef {
-            id: "fig14c",
-            aliases: &[],
-            desc: "E2E latency CDF",
-            spec: fig14_15::spec_fig14c,
-        },
-        ExperimentDef {
-            id: "fig15",
-            aliases: &[],
-            desc: "PSNR comparison",
-            spec: fig14_15::spec_fig15,
-        },
-        ExperimentDef {
-            id: "fig16",
-            aliases: &[],
-            desc: "stationary time series",
-            spec: stationary::spec_fig16,
-        },
-        ExperimentDef {
-            id: "fig17",
-            aliases: &[],
-            desc: "stationary normalized QoE",
-            spec: stationary::spec_fig17,
-        },
-        ExperimentDef {
-            id: "table6",
-            aliases: &[],
-            desc: "stationary E2E / FEC",
-            spec: stationary::spec_table6,
-        },
-        ExperimentDef {
-            id: "traces",
-            aliases: &[],
-            desc: "Figs. 20-22 bandwidth dynamics",
-            spec: traces::spec,
-        },
-        ExperimentDef {
-            id: "abl-priority",
-            aliases: &[],
-            desc: "ablation: video-aware prioritization",
-            spec: ablations::spec_priority,
-        },
-        ExperimentDef {
-            id: "abl-fastpath",
-            aliases: &[],
-            desc: "ablation: fast-path metric",
-            spec: ablations::spec_fastpath,
-        },
-        ExperimentDef {
-            id: "abl-fec",
-            aliases: &[],
-            desc: "ablation: FEC policy incl. none",
-            spec: ablations::spec_fec,
-        },
-        ExperimentDef {
-            id: "abl-aqm",
-            aliases: &[],
-            desc: "ablation: bottleneck queue discipline",
-            spec: ablations::spec_aqm,
-        },
-        ExperimentDef {
-            id: "abl-coupling",
-            aliases: &[],
-            desc: "ablation: coupled vs uncoupled per-path CC",
-            spec: ablations::spec_coupling,
-        },
-        ExperimentDef {
-            id: "chaos",
-            aliases: &[],
-            desc: "fault-injection matrix: scheduler x impairment x seed",
-            spec: chaos::spec,
-        },
-        ExperimentDef {
-            id: "shootout",
-            aliases: &[],
-            desc: "controller shootout: GCC vs NADA vs mp-BBR",
-            spec: shootout::spec,
-        },
-        ExperimentDef {
-            id: "drive",
-            aliases: &[],
-            desc: "drive replay: 4-8 path fixtures x scheduler x controller",
-            spec: drive::spec,
-        },
-    ]
-}
+#[rustfmt::skip]
+const REGISTRY: [Row; 25] = [
+    ("fig1", &[], "WebRTC degradation under cellular variation", fig1::spec),
+    ("fig3", &["table1"], "FPS/freeze/FEC + drops/keyframes vs variants, 1-3 streams", fig3_table1::spec),
+    ("fig9", &[], "walking/driving time series", fig9_10_table3::spec_fig9),
+    ("fig10", &[], "normalized QoE bars", fig9_10_table3::spec_fig10),
+    ("table3", &[], "E2E / FEC overhead / FEC utilization", fig9_10_table3::spec_table3),
+    ("fig11", &[], "QoE feedback ablation time series", fig11_table4::spec_fig11),
+    ("table4", &[], "QoE feedback ablation summary", fig11_table4::spec_table4),
+    ("fig12", &[], "FEC overhead & utilization vs loss", fec_tradeoff::spec_fig12),
+    ("fig13", &[], "throughput vs E2E delay trade-off", fec_tradeoff::spec_fig13),
+    ("table5", &[], "% QoE improvement vs loss rate", fec_tradeoff::spec_table5),
+    ("fig14", &[], "driving comparison vs all systems", fig14_15::spec_fig14),
+    ("fig14c", &[], "E2E latency CDF", fig14_15::spec_fig14c),
+    ("fig15", &[], "PSNR comparison", fig14_15::spec_fig15),
+    ("fig16", &[], "stationary time series", stationary::spec_fig16),
+    ("fig17", &[], "stationary normalized QoE", stationary::spec_fig17),
+    ("table6", &[], "stationary E2E / FEC", stationary::spec_table6),
+    ("traces", &[], "Figs. 20-22 bandwidth dynamics", traces::spec),
+    ("abl-priority", &[], "ablation: video-aware prioritization", ablations::spec_priority),
+    ("abl-fastpath", &[], "ablation: fast-path metric", ablations::spec_fastpath),
+    ("abl-fec", &[], "ablation: FEC policy incl. none", ablations::spec_fec),
+    ("abl-aqm", &[], "ablation: bottleneck queue discipline", ablations::spec_aqm),
+    ("abl-coupling", &[], "ablation: coupled vs uncoupled per-path CC", ablations::spec_coupling),
+    ("chaos", &[], "fault-injection matrix: scheduler x impairment x seed", chaos::spec),
+    ("shootout", &[], "controller shootout: GCC vs NADA vs mp-BBR", shootout::spec),
+    ("drive", &[], "drive replay: 4-8 path fixtures x scheduler x controller", drive::spec),
+];
 
-/// A cell's reports over every seed of [`Scale::Quick`], through the
-/// process-wide cache: what the paper-shape tests average over.
-#[cfg(test)]
-fn quick_reports(cell: crate::runner::Cell) -> Vec<converge_sim::CallReport> {
-    let cache = crate::sweep::CellCache::global();
-    let scale = Scale::Quick;
-    scale
-        .seeds()
-        .iter()
-        .map(|&seed| {
-            let job = crate::runner::Job::new(cell, scale.duration(), seed);
-            cache.get_or_run(&job).report.clone()
-        })
-        .collect()
+/// The [`REGISTRY`] rows as [`ExperimentDef`]s.
+pub fn registry() -> Vec<ExperimentDef> {
+    let def = |&(id, aliases, desc, spec)| ExperimentDef {
+        id,
+        aliases,
+        desc,
+        spec,
+    };
+    REGISTRY.iter().map(def).collect()
 }
 
 #[cfg(test)]
@@ -238,11 +124,14 @@ mod tests {
 
     #[test]
     fn every_spec_declares_valid_jobs() {
+        // Building a spec declares its table: a row with the wrong label
+        // count, or two rows a lookup could not tell apart, panic here.
         for def in registry() {
-            let spec = (def.spec)(Scale::Quick);
-            for job in &spec.jobs {
-                assert!(!job.fingerprint().is_empty(), "{}", def.id);
-                assert!(job.sim_seconds() > 0.0, "{}", def.id);
+            for scale in [Scale::Quick, Scale::Full] {
+                for job in (def.spec)(scale).jobs {
+                    assert!(!job.fingerprint().is_empty(), "{}", def.id);
+                    assert!(job.sim_seconds() > 0.0, "{}", def.id);
+                }
             }
         }
     }

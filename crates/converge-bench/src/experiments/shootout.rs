@@ -5,11 +5,13 @@
 
 use converge_sim::{ControllerKind, FecKind, SchedulerKind};
 
-use crate::runner::{metric, pm, Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use super::gate_seeds;
+use super::table::Table;
+use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::sweep::ExperimentSpec;
 
-fn scenarios() -> Vec<(&'static str, ScenarioSpec)> {
-    vec![
+fn scenarios() -> [(&'static str, ScenarioSpec); 2] {
+    [
         ("loss-2%", ScenarioSpec::fec_tradeoff_pct(2.0)),
         ("driving", ScenarioSpec::Driving),
     ]
@@ -19,66 +21,35 @@ fn shootout_cell(scenario: ScenarioSpec, controller: ControllerKind) -> Cell {
     Cell::new(scenario, SchedulerKind::Converge, FecKind::Converge, 1).with_controller(controller)
 }
 
-/// Quick scale is the CI smoke cell: one seed per (scenario, controller)
-/// keeps the gate cheap; full scale averages over every seed.
-fn seeds(scale: Scale) -> &'static [u64] {
-    match scale {
-        Scale::Quick => &scale.seeds()[..1],
-        Scale::Full => scale.seeds(),
-    }
-}
-
 /// Declares the shootout: scenario × controller × seed.
 pub fn spec(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
-    for (_, scenario) in scenarios() {
+    let mut table = Table::new(
+        "# Controller shootout — GCC vs NADA vs mp-BBR through the full\n\
+         # Converge scheduler/FEC loop (same calls, same seeds)",
+    )
+    .label("#scenario", 10)
+    .label("ctrl", 8)
+    .mean("norm_tput", 12, 2, |r| r.normalized_throughput())
+    .mean("norm_fps", 10, 2, |r| r.normalized_fps())
+    .mean("avg_stall_ms", 14, 0, |r| r.avg_freeze_ms())
+    .mean("e2e_ms", 10, 0, |r| r.e2e_mean_ms)
+    .note("# expected shape: GCC (the paper's controller) sets the baseline;")
+    .note("# NADA tracks it closely on steady loss, mp-BBR probes harder and")
+    .note("# trades extra queuing delay for throughput on variable paths.");
+    for (scenario_label, scenario) in scenarios() {
         for controller in ControllerKind::ALL {
-            for &seed in seeds(scale) {
-                jobs.push(Job::new(
-                    shootout_cell(scenario, controller),
-                    scale.duration(),
-                    seed,
-                ));
-            }
+            let cell = shootout_cell(scenario, controller);
+            table.row(&[&scenario_label, &controller.label()], cell);
         }
+        table.gap();
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Controller shootout — GCC vs NADA vs mp-BBR through the full\n");
-            out.push_str("# Converge scheduler/FEC loop (same calls, same seeds)\n");
-            out.push_str(&format!(
-                "{:<10} {:<8} {:>12} {:>10} {:>14} {:>10}\n",
-                "#scenario", "ctrl", "norm_tput", "norm_fps", "avg_stall_ms", "e2e_ms"
-            ));
-            for (scenario_label, _) in scenarios() {
-                for controller in ControllerKind::ALL {
-                    let reports = r.take(seeds(scale).len());
-                    out.push_str(&format!(
-                        "{:<10} {:<8} {:>12} {:>10} {:>14} {:>10}\n",
-                        scenario_label,
-                        controller.label(),
-                        pm(&metric(reports, |r| r.normalized_throughput()), 2),
-                        pm(&metric(reports, |r| r.normalized_fps()), 2),
-                        pm(&metric(reports, |r| r.avg_freeze_ms()), 0),
-                        pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                    ));
-                }
-                out.push('\n');
-            }
-            out.push_str("# expected shape: GCC (the paper's controller) sets the baseline;\n");
-            out.push_str("# NADA tracks it closely on steady loss, mp-BBR probes harder and\n");
-            out.push_str("# trades extra queuing delay for throughput on variable paths.\n");
-            out
-        }),
-    }
+    table.spec(gate_seeds(scale), scale.duration())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Job;
     use converge_net::SimDuration;
 
     /// Acceptance gate: every controller drives the full scheduler/FEC
@@ -128,7 +99,12 @@ mod tests {
                 jobs: jobs.clone(),
                 fold: Box::new(|_| String::new()),
             };
-            crate::sweep::run_sweep(vec![("shootout".into(), spec)], Scale::Quick, workers, &cache);
+            crate::sweep::run_sweep(
+                vec![("shootout".into(), spec)],
+                Scale::Quick,
+                workers,
+                &cache,
+            );
             jobs.iter()
                 .map(|job| {
                     let run = cache.get_or_run(job);

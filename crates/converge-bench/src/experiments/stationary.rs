@@ -1,48 +1,35 @@
 //! Figs. 16–17 and Table 6 — the stationary (appendix A) evaluation:
 //! Converge vs single-path WebRTC on stable WiFi + cellular.
 
-use converge_sim::{FecKind, SchedulerKind};
+use converge_sim::SchedulerKind;
 
-use crate::runner::{metric, pm, Cell, Job, Scale, ScenarioSpec};
-use crate::sweep::{ExperimentSpec, Reports};
+use super::table::Table;
+use crate::runner::{Cell, Job, Scale, ScenarioSpec};
+use crate::sweep::ExperimentSpec;
 
-fn systems() -> Vec<(&'static str, SchedulerKind, FecKind)> {
-    vec![
-        (
-            "WebRTC-W",
-            SchedulerKind::SinglePath(0),
-            FecKind::WebRtcTable,
-        ),
-        (
-            "WebRTC-T",
-            SchedulerKind::SinglePath(1),
-            FecKind::WebRtcTable,
-        ),
-        ("Converge", SchedulerKind::Converge, FecKind::Converge),
-    ]
+const SYSTEMS: [(&str, SchedulerKind); 3] = [
+    ("WebRTC-W", SchedulerKind::SinglePath(0)),
+    ("WebRTC-T", SchedulerKind::SinglePath(1)),
+    ("Converge", SchedulerKind::Converge),
+];
+
+fn stationary_cell(scheduler: SchedulerKind, streams: u8) -> Cell {
+    Cell::system(ScenarioSpec::Stationary, scheduler, streams)
 }
 
-fn stationary_cell(scheduler: SchedulerKind, fec: FecKind, streams: u8) -> Cell {
-    Cell::new(ScenarioSpec::Stationary, scheduler, fec, streams)
-}
-
-/// Declares Fig. 16: one seed-42 call per system.
+/// Declares Fig. 16: one seed-42 call per system. A per-second dump, not
+/// a table.
 pub fn spec_fig16(scale: Scale) -> ExperimentSpec {
-    let jobs = systems()
-        .into_iter()
-        .map(|(_, scheduler, fec)| {
-            Job::new(stationary_cell(scheduler, fec, 1), scale.duration(), 42)
-        })
+    let jobs = SYSTEMS
+        .iter()
+        .map(|&(_, scheduler)| Job::new(stationary_cell(scheduler, 1), scale.duration(), 42))
         .collect();
     ExperimentSpec {
         jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Fig. 16 — stationary time series\n");
+        fold: Box::new(|reports| {
+            let mut out = String::from("# Fig. 16 — stationary time series\n");
             out.push_str("# columns: t_s system tput_mbps fps e2e_ms\n");
-            for (label, _, _) in systems() {
-                let rep = r.one();
+            for ((label, _), rep) in SYSTEMS.iter().zip(reports) {
                 for (i, bin) in rep.bins.iter().enumerate() {
                     out.push_str(&format!(
                         "{i} {label} {:.2} {} {:.0}\n",
@@ -59,99 +46,51 @@ pub fn spec_fig16(scale: Scale) -> ExperimentSpec {
     }
 }
 
-/// Declares Fig. 17: every system × 1–3 streams × every seed.
-pub fn spec_fig17(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
+/// The Fig. 17 table: every system × 1–3 streams.
+fn fig17_table() -> Table {
+    let mut table = Table::new("# Fig. 17 — stationary normalized QoE, 1-3 streams")
+        .label("#", 4)
+        .label("system", 12)
+        .mean("norm_tput", 14, 2, |r| r.normalized_throughput())
+        .mean("norm_fps", 12, 2, |r| r.normalized_fps())
+        .mean("avg_stall_ms", 14, 0, |r| r.avg_freeze_ms())
+        .mean("norm_qp", 12, 2, |r| r.normalized_qp())
+        .note("# paper shape: Converge beats WebRTC-W on throughput by ~41% and")
+        .note("# WebRTC-T by ~2.7x by aggregating the two stable paths; FPS gains")
+        .note("# are small because WiFi alone already sustains 30 FPS.");
     for streams in 1..=3u8 {
-        for (_, scheduler, fec) in systems() {
-            for &seed in scale.seeds() {
-                jobs.push(Job::new(
-                    stationary_cell(scheduler, fec, streams),
-                    scale.duration(),
-                    seed,
-                ));
-            }
+        for (label, scheduler) in SYSTEMS {
+            table.row(&[&streams, &label], stationary_cell(scheduler, streams));
         }
+        table.gap();
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str("# Fig. 17 — stationary normalized QoE, 1-3 streams\n");
-            out.push_str(&format!(
-                "{:<4} {:<12} {:>14} {:>12} {:>14} {:>12}\n",
-                "#", "system", "norm_tput", "norm_fps", "avg_stall_ms", "norm_qp"
-            ));
-            for streams in 1..=3u8 {
-                for (label, _, _) in systems() {
-                    let reports = r.take(scale.seeds().len());
-                    out.push_str(&format!(
-                        "{:<4} {:<12} {:>14} {:>12} {:>14} {:>12}\n",
-                        streams,
-                        label,
-                        pm(&metric(reports, |r| r.normalized_throughput()), 2),
-                        pm(&metric(reports, |r| r.normalized_fps()), 2),
-                        pm(&metric(reports, |r| r.avg_freeze_ms()), 0),
-                        pm(&metric(reports, |r| r.normalized_qp()), 2),
-                    ));
-                }
-                out.push('\n');
-            }
-            out.push_str("# paper shape: Converge beats WebRTC-W on throughput by ~41% and\n");
-            out.push_str("# WebRTC-T by ~2.7x by aggregating the two stable paths; FPS gains\n");
-            out.push_str("# are small because WiFi alone already sustains 30 FPS.\n");
-            out
-        }),
-    }
+    table
+}
+
+/// Declares Fig. 17: [`fig17_table`] over every seed.
+pub fn spec_fig17(scale: Scale) -> ExperimentSpec {
+    fig17_table().spec(scale.seeds(), scale.duration())
 }
 
 /// Declares Table 6: the same cells as Fig. 17 — free under a shared
 /// sweep cache.
 pub fn spec_table6(scale: Scale) -> ExperimentSpec {
-    let mut jobs = Vec::new();
+    let mut table =
+        Table::new("# Table 6 — stationary E2E (ms), FEC overhead (%), FEC utilization (%)")
+            .label("#", 4)
+            .label("system", 12)
+            .mean("e2e_ms", 16, 0, |r| r.e2e_mean_ms)
+            .mean("fec_ovh_%", 16, 2, |r| r.fec_overhead_pct())
+            .mean("fec_util_%", 16, 1, |r| r.fec_utilization_pct())
+            .note("# paper shape: E2E within ~10% of WebRTC-W (Converge carries more")
+            .note("# data); FEC overhead minimal for everyone, lowest for Converge,")
+            .note("# with better utilization.");
     for streams in 1..=3u8 {
-        for (_, scheduler, fec) in systems() {
-            for &seed in scale.seeds() {
-                jobs.push(Job::new(
-                    stationary_cell(scheduler, fec, streams),
-                    scale.duration(),
-                    seed,
-                ));
-            }
+        for (label, scheduler) in SYSTEMS {
+            table.row(&[&streams, &label], stationary_cell(scheduler, streams));
         }
     }
-    ExperimentSpec {
-        jobs,
-        fold: Box::new(move |reports| {
-            let mut r = Reports::new(reports);
-            let mut out = String::new();
-            out.push_str(
-                "# Table 6 — stationary E2E (ms), FEC overhead (%), FEC utilization (%)\n",
-            );
-            out.push_str(&format!(
-                "{:<4} {:<12} {:>16} {:>16} {:>16}\n",
-                "#", "system", "e2e_ms", "fec_ovh_%", "fec_util_%"
-            ));
-            for streams in 1..=3u8 {
-                for (label, _, _) in systems() {
-                    let reports = r.take(scale.seeds().len());
-                    out.push_str(&format!(
-                        "{:<4} {:<12} {:>16} {:>16} {:>16}\n",
-                        streams,
-                        label,
-                        pm(&metric(reports, |r| r.e2e_mean_ms), 0),
-                        pm(&metric(reports, |r| r.fec_overhead_pct()), 2),
-                        pm(&metric(reports, |r| r.fec_utilization_pct()), 1),
-                    ));
-                }
-            }
-            out.push_str("# paper shape: E2E within ~10% of WebRTC-W (Converge carries more\n");
-            out.push_str("# data); FEC overhead minimal for everyone, lowest for Converge,\n");
-            out.push_str("# with better utilization.\n");
-            out
-        }),
-    }
+    table.spec(scale.seeds(), scale.duration())
 }
 
 #[cfg(test)]
@@ -163,18 +102,13 @@ mod tests {
         // 60 s runs: GCC needs ~15 s to converge, which dominates shorter
         // quick-scale runs.
         let duration = converge_net::SimDuration::from_secs(60);
-        let cache = crate::sweep::CellCache::global();
-        let run = |scheduler, fec| {
-            let job = Job::new(stationary_cell(scheduler, fec, 3), duration, 42);
-            cache.get_or_run(&job).report.clone()
-        };
-        let conv = run(SchedulerKind::Converge, FecKind::Converge);
-        let cellular = run(SchedulerKind::SinglePath(1), FecKind::WebRtcTable);
+        let table = fig17_table();
+        let reports = crate::sweep::CellCache::global().reports(&table.jobs(&[42], duration));
+        let conv = table.value(&reports, &["3", "Converge"], "norm_tput");
+        let cellular = table.value(&reports, &["3", "WebRTC-T"], "norm_tput");
         assert!(
-            conv.throughput_bps > cellular.throughput_bps * 1.3,
-            "Converge {:.1} Mbps should clearly beat cellular-only {:.1} Mbps",
-            conv.throughput_bps / 1e6,
-            cellular.throughput_bps / 1e6
+            conv > cellular * 1.3,
+            "Converge {conv:.2} should clearly beat cellular-only {cellular:.2} (normalized)"
         );
     }
 }

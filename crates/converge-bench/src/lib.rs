@@ -27,4 +27,4 @@ pub mod sweep;
 
 pub use runner::{mean_std, metric, pm, Cell, Job, Scale, ScenarioSpec};
 pub use stats::{cdf, quantile, quantiles};
-pub use sweep::{render, run_sweep, CellCache, ExperimentSpec, Reports, SweepStats};
+pub use sweep::{render, run_sweep, CellCache, ExperimentSpec, SweepStats};

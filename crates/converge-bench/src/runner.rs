@@ -164,6 +164,16 @@ impl Cell {
         }
     }
 
+    /// One of the paper's systems: Converge runs its own FEC controller,
+    /// every baseline scheduler WebRTC's static table.
+    pub fn system(scenario: ScenarioSpec, scheduler: SchedulerKind, streams: u8) -> Self {
+        let fec = match scheduler {
+            SchedulerKind::Converge => FecKind::Converge,
+            _ => FecKind::WebRtcTable,
+        };
+        Cell::new(scenario, scheduler, fec, streams)
+    }
+
     /// The same cell under a different congestion controller.
     pub fn with_controller(mut self, controller: ControllerKind) -> Self {
         self.controller = controller;

@@ -116,6 +116,14 @@ impl CellCache {
         run
     }
 
+    /// The reports of `jobs`, in order, each simulated on the calling
+    /// thread unless already memoized.
+    pub fn reports(&self, jobs: &[Job]) -> Vec<CallReport> {
+        jobs.iter()
+            .map(|job| self.get_or_run(job).report.clone())
+            .collect()
+    }
+
     /// Simulations actually executed through this cache.
     pub fn executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
@@ -140,41 +148,10 @@ pub struct ExperimentSpec {
     pub fold: FoldFn,
 }
 
-/// Sequential reader over an experiment's ordered reports, for fold
-/// implementations that mirror their job-declaration loops.
-pub struct Reports<'a> {
-    all: &'a [CallReport],
-    next: usize,
-}
-
-impl<'a> Reports<'a> {
-    /// Wraps an ordered report slice.
-    pub fn new(all: &'a [CallReport]) -> Self {
-        Reports { all, next: 0 }
-    }
-
-    /// Takes the next `n` reports.
-    pub fn take(&mut self, n: usize) -> &'a [CallReport] {
-        let slice = &self.all[self.next..self.next + n];
-        self.next += n;
-        slice
-    }
-
-    /// Takes the next single report.
-    pub fn one(&mut self) -> &'a CallReport {
-        &self.take(1)[0]
-    }
-}
-
 /// Executes a spec's jobs serially through `cache` and folds the report —
 /// [`run_sweep`] for one experiment on the calling thread.
 pub fn render(spec: ExperimentSpec, cache: &CellCache) -> String {
-    let reports: Vec<CallReport> = spec
-        .jobs
-        .iter()
-        .map(|job| cache.get_or_run(job).report.clone())
-        .collect();
-    (spec.fold)(&reports)
+    (spec.fold)(&cache.reports(&spec.jobs))
 }
 
 /// Whole-sweep accounting; [`SweepStats::summary`] is its stderr line.

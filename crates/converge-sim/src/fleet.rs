@@ -60,7 +60,7 @@
 //!
 //! ## Shared-bottleneck coupling
 //!
-//! When enabled, an RFC 8382 skewness-based [`SbdDetector`] samples
+//! An RFC 8382 skewness-based [`SbdDetector`] per conference samples
 //! one-way delay at the ingress bottleneck and groups members whose OWD
 //! signatures match; grouped members have their congestion-controller
 //! increase step scaled by `1/group_size` (coupled growth), emitting
@@ -95,6 +95,14 @@ const FLEET_RECENT_SLOTS: usize = 512;
 /// (RFC 8382 wants a populated observation window before acting).
 const SBD_WARMUP_INTERVALS: u64 = 3;
 
+// What every fleet member sends: one 2 Mbps camera stream through the
+// Converge scheduler and FEC controller, the default controller (GCC) on
+// each path. No run varies these, so they are not configuration.
+const STREAMS: u8 = 1;
+const MAX_ENCODING_RATE_BPS: u64 = 2_000_000;
+const SCHEDULER: SchedulerKind = SchedulerKind::Converge;
+const FEC: FecKind = FecKind::Converge;
+
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -116,19 +124,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Shared ingress bottleneck rate per conference, bps.
     pub bottleneck_ingress_bps: u64,
-    /// Encoder cap per stream, bps.
-    pub max_encoding_rate_bps: u64,
-    /// Camera streams per member.
-    pub streams: u8,
-    /// Scheduler under test.
-    pub scheduler: SchedulerKind,
-    /// FEC policy under test.
-    pub fec: FecKind,
-    /// Per-path congestion controller.
-    pub controller: ControllerConfig,
-    /// Run RFC 8382 shared-bottleneck detection per conference and couple
-    /// grouped members' controller growth.
-    pub sbd: bool,
     /// Capture structured traces (RingSink) for the first N conferences.
     pub trace_conferences: usize,
     /// Arm an [`InvariantSink`] on every member and count violations.
@@ -147,12 +142,6 @@ impl FleetConfig {
             duration: SimDuration::from_secs(20),
             seed: 1,
             bottleneck_ingress_bps: 8_000_000,
-            max_encoding_rate_bps: 2_000_000,
-            streams: 1,
-            scheduler: SchedulerKind::Converge,
-            fec: FecKind::Converge,
-            controller: ControllerConfig::default(),
-            sbd: true,
             trace_conferences: 0,
             check_invariants: false,
         }
@@ -546,7 +535,7 @@ impl Net for MemberNet<'_> {
 struct ConferenceState {
     members: Vec<Member>,
     sfu: SfuNode,
-    sbd: Option<SbdDetector>,
+    sbd: SbdDetector,
     sbd_groups: Vec<Vec<usize>>,
     sbd_changes: u64,
     /// Fan-out copies accepted by the egress link whose arrival fell at or
@@ -824,16 +813,16 @@ fn build_conference(
         sfu.register_member(&path_ids);
 
         let sender = ConferenceSender::new_sized(
-            cfg.streams,
+            STREAMS,
             &path_ids,
-            cfg.scheduler.build(frame_interval),
-            cfg.fec.build(),
-            cfg.controller,
-            cfg.max_encoding_rate_bps,
+            SCHEDULER.build(frame_interval),
+            FEC.build(),
+            ControllerConfig::default(),
+            MAX_ENCODING_RATE_BPS,
             SenderSizing::fleet(),
         );
         let receiver = ConferenceReceiver::new_sized(
-            cfg.streams,
+            STREAMS,
             &path_ids,
             format.fps,
             path_ids[0],
@@ -855,7 +844,7 @@ fn build_conference(
             Direction::Forward,
             sender,
             receiver,
-            MetricsCollector::new(cfg.duration, format, cfg.max_encoding_rate_bps, cfg.streams),
+            MetricsCollector::new(cfg.duration, format, MAX_ENCODING_RATE_BPS, STREAMS),
             trace,
             SimDuration::from_millis(100),
             SimDuration::from_millis(250),
@@ -880,13 +869,11 @@ fn build_conference(
         });
     }
 
-    let sbd = cfg.sbd.then(|| SbdDetector::new(n_members, Default::default()));
-    if let Some(d) = &sbd {
-        timers.schedule(
-            SimTime::ZERO + d.interval() + SimDuration::from_micros((conf as u64 % 97) * 211),
-            TimerEvent { member: 0, kind: TickKind::Sbd },
-        );
-    }
+    let sbd = SbdDetector::new(n_members, Default::default());
+    timers.schedule(
+        SimTime::ZERO + sbd.interval() + SimDuration::from_micros((conf as u64 % 97) * 211),
+        TimerEvent { member: 0, kind: TickKind::Sbd },
+    );
     let trace = members[0].flow.trace.clone();
     ConferenceState {
         members,
@@ -975,7 +962,7 @@ fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> Confere
             })
             .collect();
         let pending = std::iter::from_fn(|| timers.pop());
-        timer_conservation_breaches(&cs.work, &owed, cs.sbd.is_some(), pending)
+        timer_conservation_breaches(&cs.work, &owed, pending)
     } else {
         0
     };
@@ -998,13 +985,12 @@ struct TimersOwed {
 /// holds exactly its periodic ticks; a pacer that holds packets has a
 /// wake-up armed, and the armed wake-up's `PacerPoll` is pending (a lost
 /// one would stall the member for good); the conference holds its one SBD
-/// tick iff it runs a detector. `PacerPoll`s other than the armed one are
+/// tick. `PacerPoll`s other than the armed one are
 /// legal: `arm_pacer` arming an earlier wake-up leaves the later one to
 /// fire on an idle pacer (`FleetWorkCounts::pacer_polls_idle`).
 fn timer_conservation_breaches(
     work: &FleetWorkCounts,
     owed: &[TimersOwed],
-    sbd: bool,
     pending: impl Iterator<Item = (SimTime, TimerEvent)>,
 ) -> usize {
     // Per member: periodic ticks pending, whether the armed poll is.
@@ -1024,7 +1010,7 @@ fn timer_conservation_breaches(
             || (o.pacer_waiting && o.armed.is_none())
     });
     (work.timer_scheduled != work.timer_popped + work.timer_pending) as usize
-        + (sbd_ticks != sbd as usize) as usize
+        + (sbd_ticks != 1) as usize
         + member_breaches.count()
 }
 
@@ -1119,9 +1105,7 @@ fn process_event(
                         }
                         _ => {
                             m.flow.metrics.on_packet_lost(path);
-                            if let Some(d) = sbd {
-                                d.on_loss(member as usize);
-                            }
+                            sbd.on_loss(member as usize);
                         }
                     }
                 }
@@ -1135,9 +1119,7 @@ fn process_event(
             }
         }
         FleetEvent::SfuIngress { member, path, rtp } => {
-            if let Some(d) = sbd {
-                d.on_owd_sample(member as usize, rtp.sent_at, now);
-            }
+            sbd.on_owd_sample(member as usize, rtp.sent_at, now);
             let (flow, mut net) = members[member as usize].wire(queue, member);
             flow.on_media(now, path, &rtp, &mut net);
             // Fan the media out to every other member over the shared
@@ -1210,31 +1192,29 @@ fn process_timer(
         }
         TickKind::Sbd => {
             let ConferenceState { members, sbd, sbd_groups, sbd_changes, trace, .. } = cs;
-            if let Some(d) = sbd {
-                d.close_interval();
-                if d.intervals_closed() >= SBD_WARMUP_INTERVALS {
-                    let groups = d.groups();
-                    if groups != *sbd_groups {
-                        let scales = d.increase_scales();
-                        for (i, m) in members.iter_mut().enumerate() {
-                            m.flow.sender.set_increase_scale_all(scales[i]);
-                        }
-                        let coupled: usize =
-                            groups.iter().filter(|g| g.len() > 1).map(|g| g.len()).sum();
-                        trace.emit(
-                            now,
-                            TraceEvent::SbdGroupsChanged {
-                                flows: members.len() as u32,
-                                groups: groups.len() as u32,
-                                coupled: coupled as u32,
-                            },
-                        );
-                        *sbd_groups = groups;
-                        *sbd_changes += 1;
+            sbd.close_interval();
+            if sbd.intervals_closed() >= SBD_WARMUP_INTERVALS {
+                let groups = sbd.groups();
+                if groups != *sbd_groups {
+                    let scales = sbd.increase_scales();
+                    for (i, m) in members.iter_mut().enumerate() {
+                        m.flow.sender.set_increase_scale_all(scales[i]);
                     }
+                    let coupled: usize =
+                        groups.iter().filter(|g| g.len() > 1).map(|g| g.len()).sum();
+                    trace.emit(
+                        now,
+                        TraceEvent::SbdGroupsChanged {
+                            flows: members.len() as u32,
+                            groups: groups.len() as u32,
+                            coupled: coupled as u32,
+                        },
+                    );
+                    *sbd_groups = groups;
+                    *sbd_changes += 1;
                 }
-                timers.schedule(now + d.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
             }
+            timers.schedule(now + sbd.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
         }
     }
 }
@@ -1539,26 +1519,28 @@ mod tests {
             timer_pending: 6,
             ..Default::default()
         };
-        let check = |work: &FleetWorkCounts, owed: &[TimersOwed], sbd, pending: Vec<_>| {
-            timer_conservation_breaches(work, owed, sbd, pending.into_iter())
+        let check = |work: &FleetWorkCounts, owed: &[TimersOwed], pending: Vec<_>| {
+            timer_conservation_breaches(work, owed, pending.into_iter())
         };
-        assert_eq!(check(&work, &owed(), true, pending()), 0, "a stale poll at 9 ms is legal");
+        assert_eq!(check(&work, &owed(), pending()), 0, "a stale poll at 9 ms is legal");
 
         let miscounted = FleetWorkCounts { timer_popped: 93, ..work };
-        assert_eq!(check(&miscounted, &owed(), true, pending()), 1, "a tick vanished");
-        assert_eq!(check(&work, &owed(), false, pending()), 1, "an SBD tick without a detector");
+        assert_eq!(check(&miscounted, &owed(), pending()), 1, "a tick vanished");
+        let mut undetected = pending();
+        undetected.remove(5);
+        assert_eq!(check(&work, &owed(), undetected), 1, "the SBD tick is not pending");
         let mut lost = pending();
         lost.remove(4);
-        assert_eq!(check(&work, &owed(), true, lost), 1, "member 1 lost its frame tick");
+        assert_eq!(check(&work, &owed(), lost), 1, "member 1 lost its frame tick");
         let mut doubled = pending();
         doubled.push((at(6), tick(1, frame)));
-        assert_eq!(check(&work, &owed(), true, doubled), 1, "member 1 holds one too many");
+        assert_eq!(check(&work, &owed(), doubled), 1, "member 1 holds one too many");
         let mut unwoken = pending();
         unwoken.remove(2);
-        assert_eq!(check(&work, &owed(), true, unwoken), 1, "the armed poll is not pending");
+        assert_eq!(check(&work, &owed(), unwoken), 1, "the armed poll is not pending");
         let mut unarmed = owed();
         unarmed[1].pacer_waiting = true;
-        assert_eq!(check(&work, &unarmed, true, pending()), 1, "packets wait, nothing armed");
+        assert_eq!(check(&work, &unarmed, pending()), 1, "packets wait, nothing armed");
     }
 
     #[test]
