@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
 # tests, the allocation budgets, the fleet's exact work counts and the
-# stability matrix's tier-1 slice by name, one short run of the sampling
-# profiler and one of the repair timeline (so they cannot rot), a quick-scale
+# stability matrix's tier-1 slice by name, one short run each of the
+# peak-heap attribution, the sampling profiler and the repair timeline (so
+# they cannot rot), a quick-scale
 # smoke run of the full
 # experiment sweep on 2 workers and on 1 with the outputs compared and
 # their md5 checked against the committed one (exercises the worker pool
@@ -71,11 +72,19 @@ tests_by_name() {
 }
 
 # The three deterministic allocation budgets (two steady-state call counts,
-# one construction byte count).
-gate alloc-budget tests_by_name 3 -p converge-sim --test alloc_budget -- --exact \
-    steady_state_allocation_count_stays_within_budget \
-    lossy_steady_state_allocation_count_stays_within_budget \
-    construction_bytes_stay_within_budget
+# one construction byte count), then one short run of the peak-heap
+# attribution, which must print a row ("  256.0  2  converge_sim::...").
+alloc_budget() {
+    local out
+    tests_by_name 3 -p converge-sim --test alloc_budget -- --exact \
+        steady_state_allocation_count_stays_within_budget \
+        lossy_steady_state_allocation_count_stays_within_budget \
+        construction_bytes_stay_within_budget
+    out=$(cargo run --release -p converge-sim --example alloc_sites -- --peak --to 2 clean)
+    echo "$out"
+    grep -Eq '^ *[0-9.]+ +[0-9]+  converge_' <<<"$out"
+}
+gate alloc-budget alloc_budget
 
 # The fleet's exact work counts (ticks and packets scheduled and popped,
 # pacer polls fired and idle) against tests/tests/fixtures/

@@ -210,12 +210,44 @@ impl PathController {
     }
 }
 
+/// One acknowledged packet in one word: `arrival_us << 16 | bytes`.
+#[derive(Debug, Clone, Copy)]
+struct Acked(u64);
+
+// One word, where the `(SimTime, usize)` tuple took two.
+const _: () = assert!(std::mem::size_of::<Acked>() == 8);
+
+impl Acked {
+    /// Panics rather than store a truncated value.
+    fn new(p: &PacketTiming) -> Self {
+        let at_us = p.arrival_time.as_micros();
+        let size = p.size;
+        assert!(
+            size <= 0xFFFF,
+            "a packet of {size} bytes is past the rate window's 65 535"
+        );
+        assert!(
+            at_us < 1 << 48,
+            "arrival at {at_us} µs is past the rate window's 2^48 µs"
+        );
+        Acked(at_us << 16 | size as u64)
+    }
+
+    fn at_us(self) -> u64 {
+        self.0 >> 16
+    }
+
+    fn bytes(self) -> u64 {
+        self.0 & 0xFFFF
+    }
+}
+
 /// Receive rate over a sliding window of acknowledged packets.
 #[derive(Debug)]
 pub struct RateWindow {
     window: SimDuration,
-    /// (arrival time, bytes) of recent packets.
-    recent: VecDeque<(SimTime, usize)>,
+    /// Arrival time and size of recent packets, in arrival-report order.
+    recent: VecDeque<Acked>,
 }
 
 impl RateWindow {
@@ -233,27 +265,31 @@ impl RateWindow {
     /// Early in a path's life the window is shortened to the span
     /// actually observed (floored at 100 ms) so start-up is not
     /// under-measured.
+    ///
+    /// # Panics
+    /// Panics for a packet over 65 535 bytes or an arrival past 2^48 µs:
+    /// the window keeps each packet in one 8-byte word.
     pub fn measure(&mut self, now: SimTime, packets: &[PacketTiming]) -> f64 {
         for p in packets {
-            self.recent.push_back((p.arrival_time, p.size));
+            self.recent.push_back(Acked::new(p));
         }
-        let ago = |span: u64| SimTime::from_micros(now.as_micros().saturating_sub(span));
+        let ago = |span: u64| now.as_micros().saturating_sub(span);
         let keep_from = ago(self.window.as_micros() * 2);
-        while self.recent.front().is_some_and(|&(at, _)| at < keep_from) {
+        while self.recent.front().is_some_and(|a| a.at_us() < keep_from) {
             self.recent.pop_front();
         }
-        let Some(&(first_at, _)) = self.recent.front() else {
+        let Some(first) = self.recent.front() else {
             return 0.0;
         };
-        let start = ago(self.window.as_micros()).max(first_at);
+        let start = ago(self.window.as_micros()).max(first.at_us());
         let span = now
-            .saturating_since(start)
+            .saturating_since(SimTime::from_micros(start))
             .max(SimDuration::from_millis(100));
-        let bytes: usize = self
+        let bytes: u64 = self
             .recent
             .iter()
-            .filter(|(at, _)| *at >= start)
-            .map(|(_, b)| *b)
+            .filter(|a| a.at_us() >= start)
+            .map(|a| a.bytes())
             .sum();
         bytes as f64 * 8.0 / span.as_secs_f64()
     }
@@ -391,6 +427,98 @@ mod tests {
         // 100 pkts * 1250 B over the last second window: 1 Mbps.
         let rate = window.measure(SimTime::from_millis(1_030), &pkts);
         assert!((rate - 1_000_000.0).abs() < 30_000.0, "rate {rate}");
+    }
+
+    /// The window as a plain list of `(arrival, bytes)`: the same leading
+    /// eviction, filter and sum as [`RateWindow::measure`].
+    fn reference_rate(
+        kept: &mut Vec<(SimTime, usize)>,
+        window: SimDuration,
+        now: SimTime,
+        packets: &[PacketTiming],
+    ) -> f64 {
+        kept.extend(packets.iter().map(|p| (p.arrival_time, p.size)));
+        let ago = |span: u64| SimTime::from_micros(now.as_micros().saturating_sub(span));
+        let stale = kept
+            .iter()
+            .take_while(|(at, _)| *at < ago(window.as_micros() * 2));
+        kept.drain(..stale.count());
+        let Some(&(first_at, _)) = kept.first() else {
+            return 0.0;
+        };
+        let start = ago(window.as_micros()).max(first_at);
+        let span = now
+            .saturating_since(start)
+            .max(SimDuration::from_millis(100));
+        let bytes: usize = kept
+            .iter()
+            .filter(|(at, _)| *at >= start)
+            .map(|(_, b)| b)
+            .sum();
+        bytes as f64 * 8.0 / span.as_secs_f64()
+    }
+
+    /// Batches whose arrivals repeat an instant, run backwards (reordered
+    /// reports) and reach the size bound: the packed window answers
+    /// bit-for-bit what the list of tuples does.
+    #[test]
+    fn rate_window_matches_the_tuple_list() {
+        let mut measured = 0;
+        for seed in 0..8u64 {
+            // splitmix64: the crate has no `rand` to draw from.
+            let mut state = 0x7a7e_3a11 + seed;
+            let mut below = move |n: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) % n
+            };
+            let window = SimDuration::from_millis([250, 1_000][seed as usize % 2]);
+            let mut packed = RateWindow::new(window);
+            let mut kept = Vec::new();
+            let mut now = SimTime::ZERO;
+            let mut batch = Vec::new();
+            for _ in 0..3_000 {
+                now += SimDuration::from_micros(below(40_000));
+                batch.clear();
+                let mut at_us = now.as_micros().saturating_sub(below(300_000));
+                for _ in 0..below(12) {
+                    match below(4) {
+                        0 => {} // the same instant as the previous packet
+                        1 => at_us = at_us.saturating_sub(below(50_000)),
+                        _ => at_us = (at_us + below(20_000)).min(now.as_micros()),
+                    }
+                    let size = match below(8) {
+                        0 => 0xFFFF,
+                        1 => below(40) as usize,
+                        _ => 40 + below(1_460) as usize,
+                    };
+                    batch.push(PacketTiming {
+                        send_time: SimTime::ZERO,
+                        arrival_time: SimTime::from_micros(at_us),
+                        size,
+                    });
+                }
+                let want = reference_rate(&mut kept, window, now, &batch);
+                let got = packed.measure(now, &batch);
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} at {now:?}");
+                measured += usize::from(want > 0.0);
+            }
+        }
+        assert!(measured > 20_000, "{measured}");
+        let oversized = PacketTiming {
+            send_time: SimTime::ZERO,
+            arrival_time: SimTime::ZERO,
+            size: 0x1_0000,
+        };
+        let refused = std::panic::catch_unwind(move || {
+            RateWindow::new(SimDuration::from_secs(1)).measure(SimTime::ZERO, &[oversized])
+        });
+        assert!(
+            refused.is_err(),
+            "a packet over 65 535 bytes must not be truncated"
+        );
     }
 
     /// Stands in for an algorithm where a rule needs exact outputs: the

@@ -17,8 +17,32 @@ use converge_net::{PathId, SimDuration, SimTime};
 use converge_rtp::QoeFeedback;
 use converge_trace::{TraceEvent, TraceHandle};
 
-/// One frame's arrivals: (path, arrival time) of every packet.
-type FrameArrivals = Vec<(PathId, SimTime)>;
+/// One packet's arrival in one word: `time_us << 8 | path`. Exact, since a
+/// `PathId` is a byte and simulated times stay below 2^56 µs.
+#[derive(Debug, Clone, Copy)]
+struct Arrival(u64);
+
+// One word, where the `(PathId, SimTime)` tuple took two.
+const _: () = assert!(std::mem::size_of::<Arrival>() == 8);
+
+impl Arrival {
+    fn new(path: PathId, at: SimTime) -> Self {
+        let at_us = at.as_micros();
+        assert!(at_us < 1 << 56, "arrival at {at_us} µs is past 2^56 µs");
+        Arrival(at_us << 8 | u64::from(path.0))
+    }
+
+    fn path(self) -> PathId {
+        PathId(self.0 as u8)
+    }
+
+    fn at_us(self) -> u64 {
+        self.0 >> 8
+    }
+}
+
+/// One frame's arrivals: path and arrival time of every packet.
+type FrameArrivals = Vec<Arrival>;
 
 /// Receiver-side QoE monitor for one stream.
 #[derive(Debug)]
@@ -131,7 +155,7 @@ impl QoeMonitor {
                 self.gathering.len() - 1
             }
         };
-        self.gathering[idx].1.push((path, now));
+        self.gathering[idx].1.push(Arrival::new(path, now));
         // Bound memory: forget very old frames.
         while self.gathering.len() > 64 {
             if let Some((_, arrivals)) = self.gathering.pop_front() {
@@ -166,13 +190,7 @@ impl QoeMonitor {
 
     /// Emits feedback for a frame that entered with interframe delay `ifd`,
     /// if that delay shows QoE deteriorating.
-    fn judge(
-        &mut self,
-        now: SimTime,
-        arrivals: &[(PathId, SimTime)],
-        ifd: SimDuration,
-        fcd: SimDuration,
-    ) {
+    fn judge(&mut self, now: SimTime, arrivals: &[Arrival], ifd: SimDuration, fcd: SimDuration) {
         // Fire only on a clear violation: scheduling jitter makes IFD
         // fluctuate a few percent around the expectation every frame, and
         // reacting to that noise oscillates the sender's shares.
@@ -189,8 +207,8 @@ impl QoeMonitor {
         // Reference: last arrival on the fast path for this frame.
         let reference = arrivals
             .iter()
-            .filter(|(p, _)| *p == self.fast_path)
-            .map(|(_, t)| *t)
+            .filter(|a| a.path() == self.fast_path)
+            .map(|a| a.at_us())
             .max();
         let Some(reference) = reference else {
             return; // no fast-path packets in this frame: no baseline
@@ -198,7 +216,8 @@ impl QoeMonitor {
 
         // Count late/early packets per non-fast path.
         self.tally.clear();
-        for &(path, at) in arrivals {
+        for &arrival in arrivals {
+            let (path, at) = (arrival.path(), arrival.at_us());
             if path == self.fast_path {
                 continue;
             }
@@ -479,6 +498,23 @@ mod tests {
 
     fn d(ms: u64) -> SimDuration {
         SimDuration::from_millis(ms)
+    }
+
+    #[test]
+    fn arrival_word_round_trips_every_path_and_its_time_range() {
+        let last_us = (1u64 << 56) - 1;
+        for (path, at_us) in [
+            (0u8, 0u64),
+            (255, 0),
+            (0, last_us),
+            (255, last_us),
+            (7, 33_333),
+        ] {
+            let a = Arrival::new(PathId(path), SimTime::from_micros(at_us));
+            assert_eq!((a.path(), a.at_us()), (PathId(path), at_us));
+        }
+        let past = std::panic::catch_unwind(|| Arrival::new(P1, SimTime::from_micros(1 << 56)));
+        assert!(past.is_err(), "a time past 2^56 µs must not be truncated");
     }
 
     #[test]

@@ -86,9 +86,10 @@ use crate::receiver::ConferenceReceiver;
 use crate::scenarios::{FecKind, PathSpec, SchedulerKind};
 use crate::sender::{ConferenceSender, SenderSizing};
 
-/// Receiver `recent` ring size for fleet members: every hit is verified
-/// against the stored sequence, so the small ring only shortens the FEC
-/// horizon (see [`ConferenceReceiver::new_sized`]).
+/// Receiver `recent` ring size for fleet members (4 KiB a stream): a hit
+/// must equal the full sequence its slot was written for, so the small
+/// ring only shortens the FEC horizon (see
+/// [`ConferenceReceiver::new_sized`]).
 const FLEET_RECENT_SLOTS: usize = 512;
 
 /// Intervals an SBD detector must close before its grouping is applied
@@ -1120,20 +1121,17 @@ fn process_event(
         }
         FleetEvent::SfuIngress { member, path, rtp } => {
             sbd.on_owd_sample(member as usize, rtp.sent_at, now);
-            let (flow, mut net) = members[member as usize].wire(queue, member);
-            flow.on_media(now, path, &rtp, &mut net);
-            // Fan the media out to every other member over the shared
-            // egress bottleneck: descriptors only, never payload bytes. A
-            // copy that will arrive before the call ends is applied to its
-            // viewer here (module doc, "A viewer is a sink").
-            if let Some(vp) = rtp.kind.video_packet() {
+            // What the fan-out forwards: descriptors only, never payload
+            // bytes. Built first, since the member's receiver keeps the
+            // packet.
+            let fwd = rtp.kind.video_packet().map(|vp| {
                 let (index, count) = match vp.kind {
                     PacketKind::Media { index, count } => (index, count),
                     // Parameter sets are forwarded (they cost egress
                     // bandwidth) but carry no frame slice.
                     _ => (0, 0),
                 };
-                let fwd = ForwardPacket {
+                ForwardPacket {
                     origin: member,
                     stream: vp.stream.0,
                     frame_id: vp.frame_id,
@@ -1142,7 +1140,15 @@ fn process_event(
                     size: vp.size as u32,
                     sent_at: rtp.sent_at,
                     keyframe: matches!(vp.frame_type, FrameType::Key),
-                };
+                }
+            });
+            let (flow, mut net) = members[member as usize].wire(queue, member);
+            flow.on_media(now, path, rtp, &mut net);
+            // Fan the media out to every other member over the shared
+            // egress bottleneck. A copy that will arrive before the call
+            // ends is applied to its viewer here (module doc, "A viewer is
+            // a sink").
+            if let Some(fwd) = fwd {
                 for (dest, m) in members.iter_mut().enumerate() {
                     if dest == member as usize {
                         continue;

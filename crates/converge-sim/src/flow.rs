@@ -214,7 +214,7 @@ impl Flow {
         net: &mut impl Net,
     ) {
         match payload {
-            NetPayload::Rtp(rtp) => self.on_media(now, path, &rtp, net),
+            NetPayload::Rtp(rtp) => self.on_media(now, path, rtp, net),
             NetPayload::Rtcp(RtcpPacket::SenderReport(sr)) => {
                 self.sr_seen
                     .insert(PathId(sr.path_id), (sr.ntp_micros / 1_000, now));
@@ -244,14 +244,8 @@ impl Flow {
         }
     }
 
-    /// An RTP packet reached the receiver.
-    pub(crate) fn on_media(
-        &mut self,
-        now: SimTime,
-        path: PathId,
-        rtp: &SimRtp,
-        net: &mut impl Net,
-    ) {
+    /// An RTP packet reached the receiver, which keeps what it needs of it.
+    pub(crate) fn on_media(&mut self, now: SimTime, path: PathId, rtp: SimRtp, net: &mut impl Net) {
         // Probe packets are echoed straight back.
         if let RtpKind::Probe { probe_seq } = rtp.kind {
             let echo = NetPayload::ProbeEcho {

@@ -10,7 +10,8 @@
 //!   path it took — and the packet itself is rebuilt from a per-frame
 //!   record when a NACK asks for it.
 //! - [`FeedbackRing`], per path: send time and size of each transport
-//!   sequence, for matching transport feedback into packet timings.
+//!   sequence, for matching transport feedback into packet timings, in
+//!   eight bytes a sequence.
 //!
 //! Each slot stores the sequence bits above the ring index, so a hit is
 //! confirmed against the full sequence, never assumed from the index.
@@ -154,19 +155,22 @@ pub(crate) mod lookback {
 /// One sent transport sequence awaiting feedback.
 #[derive(Debug, Clone, Copy)]
 struct SentSlot {
-    send_time: SimTime,
-    /// `transport_seq >> log2(slots)`; [`SentSlot::EMPTY`]'s is `u32::MAX`.
-    generation: u32,
-    size: u32,
+    /// Send time in microseconds of simulated time.
+    send_us: u32,
+    /// `transport_seq >> log2(slots)`; [`SentSlot::EMPTY`]'s is `u16::MAX`.
+    generation: u16,
+    /// Wire size in bytes.
+    size: u16,
 }
 
-// The point of the slot is its size: half the tuple it replaced.
-const _: () = assert!(std::mem::size_of::<SentSlot>() == 16);
+// The point of the slot is its size: one word, a quarter of the tuple it
+// replaced.
+const _: () = assert!(std::mem::size_of::<SentSlot>() == 8);
 
 impl SentSlot {
     const EMPTY: SentSlot = SentSlot {
-        send_time: SimTime::ZERO,
-        generation: u32::MAX,
+        send_us: 0,
+        generation: u16::MAX,
         size: 0,
     };
 }
@@ -176,6 +180,13 @@ impl SentSlot {
 /// newest sequence with that residue. The stored generation confirms a
 /// hit, and a match is taken out of the slot so duplicated feedback cannot
 /// yield a timing twice.
+///
+/// A slot is one 8-byte word, which bounds what a ring can record: send
+/// times below 2^32 µs (71.6 minutes of simulated time), packets of at
+/// most 65 535 bytes, and `(2^16 − 1) × slots` transport sequences per
+/// path (the top generation marks an empty slot): 2^30 − 2^14 with the
+/// default 16 384 slots. [`FeedbackRing::send`] panics past any of them
+/// rather than record a truncated value.
 #[derive(Debug)]
 pub(crate) struct FeedbackRing {
     slots: Box<[SentSlot]>,
@@ -204,19 +215,30 @@ impl FeedbackRing {
 
     /// Records a packet of `size` bytes on the wire leaving at `send_time`
     /// and returns the transport sequence it carries.
+    ///
+    /// # Panics
+    /// Panics past any of the bounds in the type's docs.
     pub(crate) fn send(&mut self, send_time: SimTime, size: usize) -> u64 {
         let transport_seq = self.next_transport_seq;
-        self.next_transport_seq += 1;
         let generation = transport_seq >> self.shift;
         assert!(
             generation < u64::from(SentSlot::EMPTY.generation),
-            "transport sequence {transport_seq} outgrew the ring's 32-bit generation"
+            "transport sequence {transport_seq} outgrew the ring's 16-bit generation"
         );
+        let send_us = u32::try_from(send_time.as_micros()).unwrap_or_else(|_| {
+            panic!(
+                "send time {} µs is past the ring's 32-bit microsecond clock (71.6 min)",
+                send_time.as_micros()
+            )
+        });
+        let size = u16::try_from(size)
+            .unwrap_or_else(|_| panic!("a packet of {size} bytes is past the ring's 65 535"));
+        self.next_transport_seq += 1;
         let mask = self.slots.len() - 1;
         self.slots[transport_seq as usize & mask] = SentSlot {
-            send_time,
-            generation: generation as u32,
-            size: u32::try_from(size).expect("a packet's wire size fits 32 bits"),
+            send_us,
+            generation: generation as u16,
+            size,
         };
         transport_seq
     }
@@ -234,7 +256,10 @@ impl FeedbackRing {
         {
             return None;
         }
-        let hit = (slot.send_time, slot.size as usize);
+        let hit = (
+            SimTime::from_micros(u64::from(slot.send_us)),
+            usize::from(slot.size),
+        );
         *slot = SentSlot::EMPTY;
         Some(hit)
     }
@@ -489,6 +514,53 @@ mod tests {
             assert!(reference.next_transport_seq > 65_535 + slots as u64);
         }
         assert!(hits > 100_000, "{hits}");
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().map_or("", |s| s).to_owned(),
+        }
+    }
+
+    /// A slot is one word, so each field has a bound: at the bound the
+    /// ring answers exactly, past it `send` panics naming the bound and
+    /// records nothing, so nothing is ever truncated.
+    #[test]
+    fn feedback_ring_panics_past_what_a_slot_can_hold() {
+        let slots = 1 << 14;
+        let mut ring = FeedbackRing::new(slots);
+        let last_us = SimTime::from_micros(u64::from(u32::MAX));
+        assert_eq!(ring.send(last_us, 65_535), 0);
+        assert_eq!(ring.take(0), Some((last_us, 65_535)));
+
+        let past_clock = SimTime::from_micros(1 << 32);
+        let message = panic_message(|| {
+            ring.send(past_clock, 1_200);
+        });
+        assert!(message.contains("32-bit microsecond clock"), "{message}");
+        let message = panic_message(|| {
+            ring.send(last_us, 65_536);
+        });
+        assert!(message.contains("65 535"), "{message}");
+        assert_eq!(
+            ring.send(last_us, 1_200),
+            1,
+            "a refused send takes no sequence"
+        );
+
+        // The default ring's sequence bound: 2^30 less the empty generation.
+        let bound = u64::from(u16::MAX) << slots.trailing_zeros();
+        assert_eq!(bound, (1 << 30) - (1 << 14));
+        ring.next_transport_seq = bound - 1;
+        assert_eq!(ring.send(last_us, 1_200), bound - 1);
+        let message = panic_message(|| {
+            ring.send(last_us, 1_200);
+        });
+        assert!(message.contains("16-bit generation"), "{message}");
     }
 
     /// Not a check but a measurement: the farthest NACK hit, in sequences

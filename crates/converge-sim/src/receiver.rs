@@ -94,6 +94,14 @@ impl PathRxState {
 /// a mask).
 const RECENT_SLOTS: usize = 1 << 12;
 
+/// A `recent` slot no media packet has written: no sequence is `u64::MAX`,
+/// so an empty slot never matches, sequence 0 included.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+// A slot is one word: the sequence it holds, where a whole
+// `Option<VideoPacket>` took 48 bytes.
+const _: () = assert!(std::mem::size_of_val(&EMPTY_SLOT) == 8);
+
 /// Per-stream receive pipeline.
 struct StreamRx {
     packet_buffer: PacketBuffer,
@@ -101,14 +109,16 @@ struct StreamRx {
     monitor: QoeMonitor,
     /// Media sequences missing and still worth a NACK.
     gaps: GapTracker,
-    /// Recently received media packets for FEC recovery: a ring indexed
-    /// by `sequence % RECENT_SLOTS`, each slot holding the newest packet
-    /// in its residue class (the stored packet's own sequence confirms a
-    /// hit). Touched on every media arrival; one indexed store replaces a
-    /// hash insert plus FIFO eviction with the same ~4 096-sequence
-    /// retention horizon, far beyond the frame-scale window FEC groups
-    /// actually span.
-    recent: Box<[Option<VideoPacket>]>,
+    /// Recently received media sequences for FEC recovery: a ring indexed
+    /// by `sequence % RECENT_SLOTS`, each slot holding the newest sequence
+    /// received in its residue class, or [`EMPTY_SLOT`]. A hit is the
+    /// stored sequence equal to the one asked for; recovery rebuilds a
+    /// missing packet from its group's `protected` list, so the ring need
+    /// not keep packets. Touched on every media arrival; one indexed store
+    /// replaces a hash insert plus FIFO eviction with the same
+    /// ~4 096-sequence retention horizon, far beyond the frame-scale
+    /// window FEC groups actually span.
+    recent: Box<[u64]>,
     /// FCD of the last completed frame (paired with the frame-buffer IFD).
     last_fcd: SimDuration,
     /// Frames a FEC-recovered packet went into and that may still decode
@@ -174,9 +184,9 @@ impl ConferenceReceiver {
     }
 
     /// Creates a receiver with an explicit per-stream `recent` ring size
-    /// (a power of two). Fleet runs shrink the ring: every hit is verified
-    /// against the stored packet's own sequence, so a smaller ring only
-    /// shortens the FEC-recovery horizon, never corrupts it.
+    /// (a power of two). Fleet runs shrink the ring: a slot holds the full
+    /// sequence it was written for and a hit must equal it, so a smaller
+    /// ring only shortens the FEC-recovery horizon, never corrupts it.
     pub fn new_sized(
         n_streams: u8,
         paths: &[PathId],
@@ -194,7 +204,7 @@ impl ConferenceReceiver {
                         frame_buffer: FrameBuffer::new(12),
                         monitor: QoeMonitor::new(i as u32, fps, fast_path),
                         gaps: GapTracker::default(),
-                        recent: vec![None; recent_slots].into_boxed_slice(),
+                        recent: vec![EMPTY_SLOT; recent_slots].into_boxed_slice(),
                         last_fcd: SimDuration::ZERO,
                         fec_assisted: BTreeSet::new(),
                         keyframe_needed: false,
@@ -254,37 +264,43 @@ impl ConferenceReceiver {
     /// Processes one arriving RTP packet; returns receiver events.
     pub fn on_rtp(&mut self, now: SimTime, rtp: &SimRtp) -> Vec<ReceiverEvent> {
         let mut events = Vec::new();
-        self.on_rtp_into(now, rtp, &mut events);
+        self.on_rtp_into(now, rtp.clone(), &mut events);
         events
     }
 
-    /// [`ConferenceReceiver::on_rtp`], appending the events to `events` so
-    /// the call loop can reuse one buffer across packets.
-    pub fn on_rtp_into(&mut self, now: SimTime, rtp: &SimRtp, events: &mut Vec<ReceiverEvent>) {
+    /// [`ConferenceReceiver::on_rtp`], taking the packet by value (a FEC
+    /// packet's `protected` list becomes its pending group's) and
+    /// appending the events to `events` so the call loop can reuse one
+    /// buffer across packets.
+    pub fn on_rtp_into(&mut self, now: SimTime, rtp: SimRtp, events: &mut Vec<ReceiverEvent>) {
+        let SimRtp {
+            kind,
+            path,
+            transport_seq,
+            sent_at,
+        } = rtp;
         // Per-path transport accounting (all RTP kinds count).
-        let idx = match self.paths.iter().position(|(p, _)| *p == rtp.path) {
+        let idx = match self.paths.iter().position(|(p, _)| *p == path) {
             Some(i) => i,
             None => {
-                let at = self
-                    .paths
-                    .partition_point(|(p, _)| *p < rtp.path);
-                self.paths.insert(at, (rtp.path, PathRxState::default()));
+                let at = self.paths.partition_point(|(p, _)| *p < path);
+                self.paths.insert(at, (path, PathRxState::default()));
                 at
             }
         };
         let path_state = &mut self.paths[idx].1;
-        path_state.pending_feedback.push((rtp.transport_seq, now));
+        path_state.pending_feedback.push((transport_seq, now));
         path_state.received_in_interval += 1;
-        path_state.update_jitter(rtp.sent_at, now);
+        path_state.update_jitter(sent_at, now);
         path_state.max_transport_seq = Some(
             path_state
                 .max_transport_seq
-                .map_or(rtp.transport_seq, |m| m.max(rtp.transport_seq)),
+                .map_or(transport_seq, |m| m.max(transport_seq)),
         );
 
-        match &rtp.kind {
+        match kind {
             RtpKind::Media(p) | RtpKind::Retransmission(p) => {
-                self.on_video_packet(now, rtp.path, *p, events);
+                self.on_video_packet(now, path, p, events);
             }
             RtpKind::Fec {
                 stream, protected, ..
@@ -293,8 +309,8 @@ impl ConferenceReceiver {
                 let min_seq = protected.iter().map(|p| p.sequence).min().unwrap_or(0);
                 let max_seq = protected.iter().map(|p| p.sequence).max().unwrap_or(0);
                 self.pending_fec.push(PendingFec {
-                    stream: *stream,
-                    protected: protected.clone(),
+                    stream,
+                    protected,
                     arrived_at: now,
                     min_seq,
                     max_seq,
@@ -326,7 +342,7 @@ impl ConferenceReceiver {
 
         // Remember for FEC recovery.
         let mask = rx.recent.len() - 1;
-        rx.recent[packet.sequence as usize & mask] = Some(packet);
+        rx.recent[packet.sequence as usize & mask] = packet.sequence;
 
         rx.monitor.on_packet(now, path, packet.frame_id);
         if packet.kind == PacketKind::Sps {
@@ -453,8 +469,7 @@ impl ConferenceReceiver {
             let mut only_missing: Option<&VideoPacket> = None;
             let mut misses = 0usize;
             for p in &group.protected {
-                let slot = &rx.recent[p.sequence as usize & (rx.recent.len() - 1)];
-                if !matches!(slot, Some(q) if q.sequence == p.sequence) {
+                if rx.recent[p.sequence as usize & (rx.recent.len() - 1)] != p.sequence {
                     misses += 1;
                     if misses > 1 {
                         break;
@@ -488,7 +503,7 @@ impl ConferenceReceiver {
                 // A recovered packet no longer needs NACKing.
                 rx.gaps.fill(packet.sequence);
                 let mask = rx.recent.len() - 1;
-                rx.recent[packet.sequence as usize & mask] = Some(packet);
+                rx.recent[packet.sequence as usize & mask] = packet.sequence;
                 if packet.kind == PacketKind::Sps {
                     rx.frame_buffer.sps_received(packet.gop_id);
                 } else {
@@ -876,6 +891,57 @@ mod tests {
         // Group stays pending: a late media arrival triggers recovery.
         let evs = r.on_rtp(SimTime::from_millis(20), &rtp(3, RtpKind::Media(pkts[2])));
         assert!(evs.contains(&ReceiverEvent::FecRecovered));
+    }
+
+    /// Delivers `media` in order, then a FEC packet protecting `protected`;
+    /// whether the FEC packet recovered anything.
+    fn fec_recovers_after(
+        r: &mut ConferenceReceiver,
+        media: &[VideoPacket],
+        protected: &[VideoPacket],
+    ) -> bool {
+        for (i, p) in media.iter().enumerate() {
+            r.on_rtp(
+                SimTime::from_millis(i as u64),
+                &rtp(i as u64, RtpKind::Media(*p)),
+            );
+        }
+        let fec = RtpKind::Fec {
+            stream: StreamId(0),
+            protected: protected.to_vec(),
+            origin_path: P0,
+        };
+        r.on_rtp(SimTime::from_millis(10), &rtp(99, fec))
+            .contains(&ReceiverEvent::FecRecovered)
+    }
+
+    /// A `recent` slot is the bare sequence: sequence 0 of a fresh stream
+    /// is found once it arrived, an empty slot never matches (not even
+    /// sequence 0), and a slot overwritten by a newer sequence of the same
+    /// residue counts as missing in a FEC group.
+    #[test]
+    fn recent_ring_matches_only_the_sequence_it_holds() {
+        let frame0 = frame0_packets();
+        let (sps, pps, m0) = (frame0[0], frame0[1], frame0[2]);
+        // Both arrived: sequence 0 is found, the group is complete.
+        assert!(!fec_recovers_after(
+            &mut receiver(),
+            &[sps, pps],
+            &[sps, pps]
+        ));
+        // Only sequence 1 arrived: the empty slot 0 is a miss, so the one
+        // missing packet is rebuilt.
+        assert!(fec_recovers_after(&mut receiver(), &[pps], &[sps, pps]));
+
+        // A four-slot ring: sequence 5 of frame 1 lands in sequence 1's slot.
+        let small = || ConferenceReceiver::new_sized(1, &[P0, P1], 30, P0, 4);
+        let later = vp(5, 1, PacketKind::Pps);
+        assert!(!fec_recovers_after(&mut small(), &[pps, m0], &[pps, m0]));
+        assert!(fec_recovers_after(
+            &mut small(),
+            &[pps, m0, later],
+            &[pps, m0]
+        ));
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub struct OutboundPacket {
 }
 
 /// Default slots in a path's transport-feedback ring (a power of two so
-/// the index is a mask): 16 bytes each — send time, size and the sequence
-/// bits above the index — so 256 KiB per path. A slot is probed when the
+/// the index is a mask): 8 bytes each — send time, size and the sequence
+/// bits above the index — so 128 KiB per path. A slot is probed when the
 /// feedback report naming it arrives: one feedback interval plus a round
 /// trip after the packet left, which at a path's packet rate is hundreds
 /// of sequences, not thousands. A probe beyond the ring misses (the stored
@@ -86,7 +86,7 @@ const SENT_SLOTS: usize = 1 << 14;
 /// frame among them, added as frames are sent (a packet is rebuilt from
 /// its frame's record, not stored) — where a ring of whole packets took
 /// 3.5 MiB per stream, written at construction. The feedback rings add
-/// 256 KiB per path. [`SenderSizing::fleet`] is what thousands of
+/// 128 KiB per path. [`SenderSizing::fleet`] is what thousands of
 /// sessions in one process can afford instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SenderSizing {
@@ -108,7 +108,7 @@ impl Default for SenderSizing {
 
 impl SenderSizing {
     /// Compact rings for fleet-scale runs: 512 transport sequences per
-    /// path (8 KiB) and 2 048 media sequences per stream (8 KiB plus the
+    /// path (4 KiB) and 2 048 media sequences per stream (8 KiB plus the
     /// frame records, about 2 s of 30 fps video). Short of the farthest
     /// look-back a single call shows on eight paths, so a fleet member
     /// that falls that far behind loses the retransmission.

@@ -15,7 +15,8 @@
 //! A third budget covers what a session costs to build: the bytes the
 //! first simulated second of either cell asks the allocator for, which is
 //! dominated by the sender's and the receiver's history rings (a sweep of
-//! a few hundred short calls pays it per cell).
+//! a few hundred short calls pays it per cell). `alloc_sites --peak`
+//! names the sites that hold the most live bytes at a call's peak.
 //!
 //! The counter is per thread: the call loop is single-threaded, and the
 //! test harness's own threads allocate whenever they like.
@@ -81,14 +82,16 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 const CLEAN_BUDGET: u64 = 263;
 
 /// The same for the lossy cell. At `7c5ef18` the window made 29 432 calls;
-/// what is left is mostly the two `protected` lists of each FEC packet,
-/// the sender's and the receiver's pending copy, the list each NACK
-/// packet owns, and the same growth step of the frame log once per stream
-/// (3). It was 4 261 until retransmissions were paid for out of the rate:
-/// the window now carries 11 029 media packets where its own repair
-/// traffic used to hold it to 7 689, so the same 5 % loss makes 470 NACKed
-/// sequences instead of 320 (FEC packets: 1 777 either way).
-const LOSSY_BUDGET: u64 = 4_368;
+/// what is left is mostly the `protected` list each FEC packet is built
+/// with (which the receiver's pending group now takes over instead of
+/// copying), the list each NACK packet owns, and the same growth step of
+/// the frame log once per stream (3). It was 4 261 until retransmissions
+/// were paid for out of the rate: the window now carries 11 029 media
+/// packets where its own repair traffic used to hold it to 7 689, so the
+/// same 5 % loss makes 470 NACKed sequences instead of 320 (FEC packets:
+/// 1 777 either way), and 4 368 until the receiver stopped copying each
+/// arriving FEC packet's list (−1 667).
+const LOSSY_BUDGET: u64 = 2_701;
 
 /// Allocator calls one two-path Converge call of `secs` makes at `loss_pct`
 /// loss on both paths, and the bytes they ask for.
@@ -144,15 +147,26 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// sender's ring of whole packets per stream (65 536 × 56 B) and a 32-byte
 /// feedback slot per transport sequence per path (2 × 16 384 × 32 B) made
 /// up 4.7 MB of it. The stream ring is now four bytes a sequence plus a
-/// 56-byte record per frame sent, the feedback slot 16 bytes; the largest
-/// single buffer left is the receiver's `recent` ring (4 096 × 48 B per
-/// stream).
-const CLEAN_CONSTRUCTION_BYTES: u64 = 1_060_510;
+/// 56-byte record per frame sent. It was 1 060 510 until every per-packet
+/// record shrank to one 8-byte word:
+///
+/// - the receiver's `recent` ring, a sequence instead of a 48-byte
+///   `Option<VideoPacket>`: −163 840 (4 096 × 40 B, one stream);
+/// - the feedback slot, 16 → 8 bytes: −262 144 (16 384 × 8 B, two paths);
+/// - the QoE monitor's arrival records, 16 → 8 bytes an arrival: −800;
+/// - the rate windows' entries, 16 → 8 bytes a packet: −6 080.
+///
+/// The largest buffers left are the feedback rings (128 KiB a path) and
+/// the media slots (256 KiB a stream).
+const CLEAN_CONSTRUCTION_BYTES: u64 = 627_646;
 
-/// The same for the lossy three-stream call; 12 775 968 at `64417ed`, and
+/// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
-/// its frames (376 media packets against 382: no buffer changed size).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 2_038_542;
+/// its frames (376 media packets against 382: no buffer changed size), and
+/// 2 038 542 until the one-word records: `recent` −491 520 (three
+/// streams), feedback slots −262 144, arrival records −2 256, rate windows
+/// −6 080, and −5 856 for the FEC lists the receiver no longer copies.
+const LOSSY_CONSTRUCTION_BYTES: u64 = 1_270_686;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
