@@ -94,10 +94,11 @@ gate work-counts tests_by_name 1 -p converge-integration --test fleet_determinis
     work_counts_match_checked_in_golden
 
 # The control loop reads alike on every seed (EXPERIMENTS.md, "Stability
-# matrix"): the cells that used to be bistable hold their frame rate on
-# every seed (the one-stream 10 %-loss cell, still one wide mode, is pinned
-# at its floor), lossless topologies do not congest themselves, fleet
-# members decode video. By name, so a rename cannot drop one.
+# matrix"): the cells that used to be bistable, and the one-stream 10 %-loss
+# cell that used to be one wide mode, hold their frame rate on every seed;
+# lossless topologies do not congest themselves; fleet members decode
+# 24-26 fps. Every bound sits just under today's reading and fails on the
+# design before it. By name, so a rename cannot drop one.
 gate stability tests_by_name 7 -p converge-integration --test stability -- --exact \
     reordering_under_three_streams_holds_the_frame_rate_on_every_seed \
     feedback_loss_under_three_streams_holds_the_frame_rate_on_every_seed \

@@ -135,4 +135,25 @@ mod tests {
             }
         }
     }
+
+    /// Scenario builders take the call's duration, so a short one must
+    /// build too: every distinct job of the registry, cut to 100 ms, runs.
+    /// (Fig. 11's and Table 4's rate trace had no segment under 500 ms.)
+    #[test]
+    fn every_registry_job_runs_at_100_ms() {
+        use crate::runner::Job;
+        use converge_net::SimDuration;
+
+        let mut jobs = std::collections::HashSet::new();
+        for def in registry() {
+            for job in (def.spec)(Scale::Quick).jobs {
+                jobs.insert(Job::new(job.cell, SimDuration::from_millis(100), job.seed));
+            }
+        }
+        assert!(jobs.len() > 50, "{} jobs", jobs.len());
+        for job in jobs {
+            let report = job.run_uncached();
+            assert!(report.frames_encoded > 0, "{}", job.fingerprint());
+        }
+    }
 }

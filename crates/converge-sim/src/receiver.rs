@@ -625,7 +625,7 @@ impl ConferenceReceiver {
         let control_path = self.paths.first().expect("at least one path").0;
 
         for (&stream, rx) in self.streams.iter_mut() {
-            // NACKs: gaps older than the reordering delay, max 2 attempts.
+            // NACKs: gaps older than the reordering delay, max 3 attempts.
             let to_nack = &mut self.nack_list;
             to_nack.clear();
             rx.gaps.nack_round(now, self.nack_delay, to_nack);
@@ -783,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn nack_gives_up_after_two_attempts() {
+    fn nack_gives_up_after_three_attempts() {
         let mut r = receiver();
         r.on_rtp(
             SimTime::ZERO,
@@ -802,13 +802,15 @@ mod tests {
             count_nacks(&r.poll_rtcp(SimTime::from_millis(100), &BTreeMap::new())),
             1
         );
+        for ms in [200, 300] {
+            assert_eq!(
+                count_nacks(&r.poll_rtcp(SimTime::from_millis(ms), &BTreeMap::new())),
+                1
+            );
+        }
+        // Fourth attempt: given up.
         assert_eq!(
-            count_nacks(&r.poll_rtcp(SimTime::from_millis(200), &BTreeMap::new())),
-            1
-        );
-        // Third attempt: given up.
-        assert_eq!(
-            count_nacks(&r.poll_rtcp(SimTime::from_millis(300), &BTreeMap::new())),
+            count_nacks(&r.poll_rtcp(SimTime::from_millis(400), &BTreeMap::new())),
             0
         );
     }

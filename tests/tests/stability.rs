@@ -7,9 +7,12 @@
 //! bistable by seed — 30 fps, or a collapse into the call's own repair
 //! traffic at 6–16 fps — lossless topologies lost a quarter of their
 //! packets to their own queues, and fleet members decoded under 2 fps.
-//! Shorter calls and fewer seeds than the example, so the whole file stays
-//! under a minute unoptimised; every floor below but the one-stream pin
-//! failed before the fix.
+//! Since each stream pays for its own retransmissions in the tick they
+//! leave and a gap is NACKed three times (DESIGN §4.4), the one-stream
+//! 10 %-loss cell is no longer one wide mode either. Shorter calls and
+//! fewer seeds than the example, so the whole file stays under a minute
+//! unoptimised; every bound below sits just under the readings of that
+//! design and fails on the one before it.
 
 use converge_sim::stability::{call, call_cells, fleet_fps, spread};
 use converge_sim::ScenarioConfig;
@@ -57,7 +60,7 @@ fn feedback_loss_under_three_streams_holds_the_frame_rate_on_every_seed() {
 #[test]
 fn ten_percent_loss_under_three_streams_does_not_collapse_on_any_seed() {
     let cell = "fec_tradeoff(10.0) x3";
-    assert_stable(cell, &seeded_fps(cell), 24.0);
+    assert_stable(cell, &seeded_fps(cell), 27.0);
 }
 
 #[test]
@@ -66,30 +69,26 @@ fn two_percent_loss_under_two_streams_holds_the_frame_rate_on_every_seed() {
     assert_stable(cell, &seeded_fps(cell), 29.0);
 }
 
-/// The one cell the fix did not settle: a single stream at 10 % loss still
-/// spreads over 18–25 fps (one wide mode, what repair can reach of each
-/// seed's losses — not the loop; ROADMAP item 1). Pinned at its floor so it
-/// cannot get worse unseen; it is expected to trip the 5 fps rule over
-/// twelve seeds, so that rule is not asserted here.
+/// A single stream at 10 % loss spread over 18–24 fps while a gap was
+/// NACKed only twice: about a quarter of its 35-packet frames stayed a
+/// packet short for good, by seed. A third attempt reaches them; the
+/// lowest of these seeds reads 25.8.
 #[test]
 fn ten_percent_loss_under_one_stream_stays_above_its_measured_floor() {
     let cell = "fec_tradeoff(10.0) x1";
-    let fps = seeded_fps(cell);
-    let (min, ..) = spread(&fps);
-    assert!(min >= 19.0, "{cell}: a seed fell below 19 fps: {fps:.1?}");
+    assert_stable(cell, &seeded_fps(cell), 25.5);
 }
 
 /// On links configured with zero loss every lost packet is the sender's
 /// own doing, and every repair packet answers one: both stay marginal.
-/// (`constant8` under three streams misses the 10 % and 1 % the issue
-/// asked of both topologies: the running overhead pays for a burst of
-/// retransmissions a few frames after it went out, and eight thin queues
-/// overflow meanwhile. Pinned a notch above its reading, 10.2 % and 1.7 %.)
+/// (`constant8` under three streams still loses more than 1 % of its
+/// packets: retransmissions, FEC and keyframes all burst onto its fast
+/// path, ROADMAP item 1(b). Pinned a notch above its reading.)
 #[test]
 fn lossless_topologies_do_not_congest_themselves() {
     // No random draws on these links: one seed is every seed.
     for (label, rtx_ceiling, lost_ceiling) in
-        [("symmetric3 x1", 10.0, 1.0), ("constant8 x3", 11.0, 2.0)]
+        [("symmetric3 x1", 10.0, 1.0), ("constant8 x3", 10.0, 1.5)]
     {
         let (scenario, streams) = cell(label);
         let r = call(&scenario, streams, 90, 11);
@@ -122,8 +121,8 @@ fn lossless_topologies_do_not_congest_themselves() {
 
 #[test]
 fn fleet_members_decode_video_at_both_conference_sizes() {
-    for size in [4, 8] {
+    for (size, floor) in [(4, 26.0), (8, 24.0)] {
         let fps: Vec<f64> = SEEDS.map(|seed| fleet_fps(size, seed)).collect();
-        assert_stable(&format!("fleet 32 x{size}"), &fps, 15.0);
+        assert_stable(&format!("fleet 32 x{size}"), &fps, floor);
     }
 }
