@@ -89,9 +89,13 @@ const CLEAN_BUDGET: u64 = 263;
 /// were paid for out of the rate: the window now carries 11 029 media
 /// packets where its own repair traffic used to hold it to 7 689, so the
 /// same 5 % loss makes 470 NACKed sequences instead of 320 (FEC packets:
-/// 1 777 either way), and 4 368 until the receiver stopped copying each
-/// arriving FEC packet's list (−1 667).
-const LOSSY_BUDGET: u64 = 2_701;
+/// 1 777 either way), 4 368 until the receiver stopped copying each
+/// arriving FEC packet's list (−1 667), and 2 701 until each stream paid
+/// for its own retransmissions in the tick they leave and a gap was NACKed
+/// three times: the window now carries 13 176 media packets instead of
+/// 11 029 and 722 NACKed sequences instead of 470, each NACK packet owning
+/// its list, against 1 707 FEC packets instead of 1 777.
+const LOSSY_BUDGET: u64 = 2_770;
 
 /// Allocator calls one two-path Converge call of `secs` makes at `loss_pct`
 /// loss on both paths, and the bytes they ask for.
@@ -165,8 +169,11 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 627_646;
 /// its frames (376 media packets against 382: no buffer changed size), and
 /// 2 038 542 until the one-word records: `recent` −491 520 (three
 /// streams), feedback slots −262 144, arrival records −2 256, rate windows
-/// −6 080, and −5 856 for the FEC lists the receiver no longer copies.
-const LOSSY_CONSTRUCTION_BYTES: u64 = 1_270_686;
+/// −6 080, and −5 856 for the FEC lists the receiver no longer copies; and
+/// 1 270 686 until each stream paid for its own retransmissions in the tick
+/// they leave (−11 682: the first second sends 79 FEC packets, each owning
+/// its protected list, instead of 108; no buffer changed size).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 1_259_004;
 
 #[test]
 fn construction_bytes_stay_within_budget() {

@@ -113,8 +113,8 @@ fn golden_trace_matches_checked_in_fixture() {
 #[test]
 fn nada_and_mpbbr_timelines_match_pinned_digests() {
     for (kind, digest) in [
-        (ControllerKind::Nada, 0x24e7_30b3_cd37_aba6_u64),
-        (ControllerKind::MpBbr, 0x6c5f_9e04_acac_d975_u64),
+        (ControllerKind::Nada, 0xe137_76cf_af0c_3084_u64),
+        (ControllerKind::MpBbr, 0xd0d7_ea29_f748_9abf_u64),
     ] {
         let rendered = render(kind, 5);
         assert!(rendered.contains("\"event\":\"cc_state_changed\""), "{}", kind.id());
