@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint, build, the repo benchmark's smoke run, unit/integration
+# Tier-1 gate: lint, build, the commands the README and DESIGN name, the
+# repo benchmark's smoke run, unit/integration
 # tests, the allocation budgets, the fleet's exact work counts and the
 # stability matrix's tier-1 slice by name, one short run each of the
 # peak-heap attribution, the sampling profiler and the repair timeline (so
@@ -14,9 +15,9 @@
 # compared, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
-# Gates, in order: benchmark-smoke, tests, alloc-budget, work-counts,
-# stability, hot-lines, repair-timeline, sweep-smoke, traced-fig11, chaos,
-# shootout, drive, fleet, bench-compare.
+# Gates, in order (15): readme-examples, benchmark-smoke, tests,
+# alloc-budget, work-counts, stability, hot-lines, repair-timeline,
+# sweep-smoke, traced-fig11, chaos, shootout, drive, fleet, bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -50,6 +51,35 @@ experiments() {
 cargo clippy -q --all-targets -- -D warnings
 cargo build --release
 mkdir -p results
+
+# declared KIND NAME: some crate manifest declares an [[example]] or [[bin]]
+# (KIND) of that name.
+declared() {
+    awk -v section="[[$1]]" -v entry="name = \"$2\"" '
+        /^\[/ { inside = ($0 == section) }
+        inside && $0 == entry { found = 1 }
+        END { exit !found }' crates/*/Cargo.toml
+}
+
+# Every `--example NAME` and `--bin NAME` the README and DESIGN tell a
+# reader to run names a target that exists: a crates/*/examples/NAME.rs or
+# crates/*/src/bin/NAME.rs, or one a crate manifest declares.
+readme_examples() {
+    local kind name dir missing=()
+    while read -r kind name; do
+        case "$kind" in
+            --example) dir=examples ;;
+            --bin) dir=src/bin ;;
+        esac
+        compgen -G "crates/*/$dir/$name.rs" > /dev/null \
+            || declared "${kind#--}" "$name" || missing+=("$kind $name")
+    done < <(grep -ohE -- '--(example|bin) [A-Za-z0-9_-]+' README.md DESIGN.md | sort -u)
+    if [ ${#missing[@]} -gt 0 ]; then
+        echo "readme-examples: no such target: ${missing[*]}" >&2
+        return 1
+    fi
+}
+gate readme-examples readme_examples
 
 # The repo benchmark, every workload once: both of its packages must still
 # build against this tree (bench-layers pins sim/net internals), and its

@@ -55,8 +55,8 @@ fn parse_fleet_flag(cli: &mut Cli, flag: &str, value: &str) -> Result<bool, Stri
     Ok(true)
 }
 
-fn parse_cli() -> Result<Cli, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the arguments after the program name.
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         scale: Scale::Full,
         jobs: std::thread::available_parallelism()
@@ -111,11 +111,15 @@ fn parse_cli() -> Result<Cli, String> {
     if cli.fleet.conference_size < 2 {
         return Err("--conference-size must be at least 2".into());
     }
+    // Not `<= 0.0`: NaN compares false either way.
+    if !(cli.fleet.bottleneck_mbps.is_finite() && cli.fleet.bottleneck_mbps > 0.0) {
+        return Err("--bottleneck-mbps must be a positive, finite rate".into());
+    }
     Ok(cli)
 }
 
 fn main() {
-    let cli = match parse_cli() {
+    let cli = match parse_cli(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("error: {e}");
@@ -250,7 +254,7 @@ fn run_fleet_target(cli: &Cli) {
 /// Replays every unique job's captured timeline through the control-loop
 /// invariant rules; prints each violation and returns the total count.
 fn check_invariants(jobs: &[Job]) -> usize {
-    use converge_trace::invariant::{check_records, InvariantConfig};
+    use converge_trace::invariant::check_records;
     let mut total = 0usize;
     for job in jobs {
         let run = CellCache::global().get_or_run(job);
@@ -261,7 +265,7 @@ fn check_invariants(jobs: &[Job]) -> usize {
             );
             continue;
         };
-        let violations = check_records(records, InvariantConfig::default());
+        let violations = check_records(records);
         for v in &violations {
             eprintln!("   VIOLATION {}: {v}", job.fingerprint());
         }
@@ -312,4 +316,26 @@ fn write_traces(dir: &str, jobs: &[Job]) -> Result<(), String> {
     }
     eprintln!("   {written} trace timeline(s) written to {dir}/");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_cli;
+
+    fn parse(args: &[&str]) -> Result<(), String> {
+        parse_cli(args.iter().map(|a| a.to_string())).map(|_| ())
+    }
+
+    /// A bottleneck of no rate decodes nothing; the CLI refuses it as it
+    /// refuses a conference of one.
+    #[test]
+    fn bottleneck_must_be_a_positive_finite_rate() {
+        for bad in ["0", "-3", "NaN", "inf"] {
+            let err = parse(&["fleet", "--bottleneck-mbps", bad]).unwrap_err();
+            assert!(err.contains("--bottleneck-mbps"), "{bad}: {err}");
+            let joined = format!("--bottleneck-mbps={bad}");
+            assert!(parse(&["fleet", &joined]).is_err(), "{joined}");
+        }
+        assert_eq!(parse(&["fleet", "--bottleneck-mbps", "0.5"]), Ok(()));
+    }
 }

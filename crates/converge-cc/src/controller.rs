@@ -521,6 +521,59 @@ mod tests {
         );
     }
 
+    /// Whatever the algorithm, the target stays inside the bounds the
+    /// `cc-rate-clamp` invariant polices: pushed toward the ceiling by
+    /// deliveries at 100 Mbit/s, then toward the floor by total loss and a
+    /// 32 kbit/s trickle, in 50 ms feedback batches.
+    #[test]
+    fn every_kind_stays_inside_the_shared_rate_bounds() {
+        use converge_trace::{RATE_CEILING_BPS, RATE_FLOOR_BPS};
+        for kind in ControllerKind::ALL {
+            let id = kind.id();
+            let mut ctl = ControllerConfig::for_kind(kind).build(PathId(0));
+            ctl.on_rtt_sample(SimDuration::from_millis(60));
+            let (mut highest, mut lowest) = (0, u64::MAX);
+            for round in 0..400u64 {
+                let saturating = round < 200;
+                let (packets, size, loss) = if saturating {
+                    (520, 1_200, 0.0)
+                } else {
+                    (2, 100, 1.0)
+                };
+                let batch: Vec<PacketTiming> = (0..packets)
+                    .map(|i| {
+                        let send = SimTime::from_micros(round * 50_000 + i * 50_000 / packets);
+                        PacketTiming {
+                            send_time: send,
+                            arrival_time: send + SimDuration::from_millis(30),
+                            size,
+                        }
+                    })
+                    .collect();
+                ctl.on_transport_feedback(batch[batch.len() - 1].arrival_time, &batch);
+                ctl.on_loss_report_protected(loss, 0.0);
+                let target = ctl.target_rate_bps();
+                assert!(
+                    (RATE_FLOOR_BPS..=RATE_CEILING_BPS).contains(&target),
+                    "{id}: round {round} target {target}"
+                );
+                if saturating {
+                    highest = highest.max(target);
+                } else {
+                    lowest = lowest.min(target);
+                }
+            }
+            // The drive reaches both ends: the shared ceiling, and each
+            // algorithm's own floor (NADA's RMIN and mp-BBR's sit above
+            // GCC's, the shared one).
+            let floor = match kind {
+                ControllerKind::Gcc => RATE_FLOOR_BPS,
+                ControllerKind::Nada | ControllerKind::MpBbr => 150_000,
+            };
+            assert_eq!((highest, lowest), (RATE_CEILING_BPS, floor), "{id}");
+        }
+    }
+
     /// Stands in for an algorithm where a rule needs exact outputs: the
     /// test sets the target and phase the shell reads back.
     #[derive(Debug)]

@@ -4,40 +4,18 @@
 //! live in `converge-gcc`; this is the per-path composition.
 
 use converge_gcc::{
-    AimdConfig, AimdController, BandwidthUsage, InterArrival, LossBasedConfig, LossBasedController,
-    PacketTiming, TrendlineConfig, TrendlineEstimator,
+    AimdController, BandwidthUsage, InterArrival, LossBasedController, PacketTiming,
+    TrendlineEstimator,
 };
 use converge_net::{SimDuration, SimTime};
 use converge_trace::CcPhase;
 
 use crate::controller::{CongestionController, PathObservations, RateWindow};
 
-/// Configuration of one per-path GCC instance.
-#[derive(Debug, Clone, Copy)]
-pub struct GccConfig {
-    /// Starting estimate, bps.
-    pub initial_rate_bps: f64,
-    /// Trendline/overuse detector settings.
-    pub trendline: TrendlineConfig,
-    /// AIMD settings.
-    pub aimd: AimdConfig,
-    /// Loss-based settings.
-    pub loss: LossBasedConfig,
-    /// Window over which the incoming rate is measured.
-    pub rate_window: SimDuration,
-}
-
-impl Default for GccConfig {
-    fn default() -> Self {
-        GccConfig {
-            initial_rate_bps: 1_000_000.0,
-            trendline: TrendlineConfig::default(),
-            aimd: AimdConfig::default(),
-            loss: LossBasedConfig::default(),
-            rate_window: SimDuration::from_millis(1_000),
-        }
-    }
-}
+/// Starting estimate, bps.
+const INITIAL_RATE_BPS: f64 = 1_000_000.0;
+/// Window over which the incoming rate is measured.
+const RATE_WINDOW: SimDuration = SimDuration::from_millis(1_000);
 
 /// Per-path Google Congestion Control.
 #[derive(Debug)]
@@ -49,15 +27,14 @@ pub struct GccController {
     incoming: RateWindow,
 }
 
-impl GccController {
-    /// Creates a controller.
-    pub fn new(config: GccConfig) -> Self {
+impl Default for GccController {
+    fn default() -> Self {
         GccController {
             arrival: InterArrival::new(),
-            trendline: TrendlineEstimator::new(config.trendline),
-            aimd: AimdController::new(config.aimd, config.initial_rate_bps),
-            loss: LossBasedController::new(config.loss, config.initial_rate_bps),
-            incoming: RateWindow::new(config.rate_window),
+            trendline: TrendlineEstimator::default(),
+            aimd: AimdController::new(INITIAL_RATE_BPS),
+            loss: LossBasedController::new(INITIAL_RATE_BPS),
+            incoming: RateWindow::new(RATE_WINDOW),
         }
     }
 }

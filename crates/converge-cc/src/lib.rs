@@ -22,8 +22,9 @@
 //!   and min-RTT probing with per-path staggered pacing-gain cycling.
 //!
 //! Callers select one with [`ControllerKind`] in a [`ControllerConfig`];
-//! [`ControllerConfig::build`] produces the per-path instance at the
-//! algorithm's default tuning.
+//! [`ControllerConfig::build`] produces the per-path instance. Each
+//! algorithm's tuning is constants in its module; the rate bounds the
+//! invariant checker polices are defined once, in `converge-trace`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,17 +39,16 @@ use converge_net::PathId;
 
 pub use controller::{CongestionController, PathController, PathObservations};
 pub use converge_trace::{CcAlgorithm, CcPhase};
-pub use gcc::{GccConfig, GccController};
-pub use mpbbr::{MpBbrConfig, MpBbrController};
-pub use nada::{NadaConfig, NadaController};
-pub use sbd::{FlowSignature, SbdConfig, SbdDetector};
+pub use gcc::GccController;
+pub use mpbbr::MpBbrController;
+pub use nada::NadaController;
+pub use sbd::{FlowSignature, SbdDetector};
 
 /// Which congestion-control algorithm drives each path: the enum the
 /// trace tags `Cc*` events with, under the name callers select it by.
 pub use converge_trace::CcAlgorithm as ControllerKind;
 
-/// Controller selection. Every algorithm is built with its `Default`
-/// tuning; the session builder carries one of these.
+/// Controller selection; the session builder carries one of these.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Which algorithm to instantiate per path.
@@ -62,7 +62,7 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// The given kind at its default tuning.
+    /// The given kind.
     pub fn for_kind(kind: ControllerKind) -> Self {
         ControllerConfig { kind }
     }
@@ -72,9 +72,9 @@ impl ControllerConfig {
     /// the multipath set.
     pub fn build(&self, path: PathId) -> PathController {
         let inner: Box<dyn CongestionController> = match self.kind {
-            ControllerKind::Gcc => Box::new(GccController::new(GccConfig::default())),
-            ControllerKind::Nada => Box::new(NadaController::new(NadaConfig::default())),
-            ControllerKind::MpBbr => Box::new(MpBbrController::new(MpBbrConfig::default(), path)),
+            ControllerKind::Gcc => Box::<GccController>::default(),
+            ControllerKind::Nada => Box::<NadaController>::default(),
+            ControllerKind::MpBbr => Box::new(MpBbrController::new(path)),
         };
         PathController::new(self.kind, inner, path)
     }

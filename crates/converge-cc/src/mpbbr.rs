@@ -23,60 +23,39 @@ use std::collections::VecDeque;
 
 use converge_gcc::PacketTiming;
 use converge_net::{PathId, SimDuration, SimTime};
-use converge_trace::CcPhase;
+use converge_trace::{CcPhase, RATE_CEILING_BPS};
 
 use crate::controller::{CongestionController, PathObservations};
 
-/// mp-BBR tuning. Gains and thresholds follow the BBR v1 draft; the
-/// cycle offset is the multipath addition.
-#[derive(Debug, Clone, Copy)]
-pub struct MpBbrConfig {
-    /// Target rate before any delivery-rate sample exists, bps.
-    pub initial_rate_bps: f64,
-    /// Rate floor, bps.
-    pub min_rate_bps: f64,
-    /// Rate ceiling, bps.
-    pub max_rate_bps: f64,
-    /// Pacing gain while searching for the bottleneck (2/ln 2).
-    pub startup_gain: f64,
-    /// Pacing gain while draining the startup queue.
-    pub drain_gain: f64,
-    /// The ProbeBw pacing-gain cycle (probe up, drain down, then cruise).
-    pub probe_gains: [f64; 8],
-    /// Window over which the bandwidth max-filter looks back.
-    pub bw_window: SimDuration,
-    /// Startup exits when bandwidth grew by less than this factor...
-    pub full_bw_thresh: f64,
-    /// ...for this many consecutive feedback rounds.
-    pub full_bw_rounds: u32,
-    /// How long a min-RTT sample stays fresh before ProbeRtt re-probes.
-    pub probe_rtt_interval: SimDuration,
-    /// How long ProbeRtt holds the rate down.
-    pub probe_rtt_duration: SimDuration,
-}
+// mp-BBR tuning: gains and thresholds follow the BBR v1 draft; the cycle
+// offset is the multipath addition.
 
-impl Default for MpBbrConfig {
-    fn default() -> Self {
-        MpBbrConfig {
-            initial_rate_bps: 1_000_000.0,
-            min_rate_bps: 150_000.0,
-            max_rate_bps: 30_000_000.0,
-            startup_gain: 2.885,
-            drain_gain: 0.35,
-            probe_gains: [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-            bw_window: SimDuration::from_millis(2_500),
-            full_bw_thresh: 1.25,
-            full_bw_rounds: 3,
-            probe_rtt_interval: SimDuration::from_millis(10_000),
-            probe_rtt_duration: SimDuration::from_millis(200),
-        }
-    }
-}
+/// Target rate before any delivery-rate sample exists, bps.
+const INITIAL_RATE_BPS: f64 = 1_000_000.0;
+/// Rate floor, bps.
+const MIN_RATE_BPS: f64 = 150_000.0;
+/// Rate ceiling, bps.
+const MAX_RATE_BPS: f64 = RATE_CEILING_BPS as f64;
+/// Pacing gain while searching for the bottleneck (2/ln 2).
+const STARTUP_GAIN: f64 = 2.885;
+/// Pacing gain while draining the startup queue.
+const DRAIN_GAIN: f64 = 0.35;
+/// The ProbeBw pacing-gain cycle (probe up, drain down, then cruise).
+const PROBE_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+/// Window over which the bandwidth max-filter looks back.
+const BW_WINDOW: SimDuration = SimDuration::from_millis(2_500);
+/// Startup exits when bandwidth grew by less than this factor...
+const FULL_BW_THRESH: f64 = 1.25;
+/// ...for this many consecutive feedback rounds.
+const FULL_BW_ROUNDS: u32 = 3;
+/// How long a min-RTT sample stays fresh before ProbeRtt re-probes.
+const PROBE_RTT_INTERVAL: SimDuration = SimDuration::from_millis(10_000);
+/// How long ProbeRtt holds the rate down.
+const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 
 /// Per-path mp-BBR controller.
 #[derive(Debug)]
 pub struct MpBbrController {
-    config: MpBbrConfig,
     /// Where this path starts in the ProbeBw gain cycle (staggers
     /// concurrent subflows; see module docs).
     cycle_offset: usize,
@@ -113,10 +92,9 @@ enum Phase {
 impl MpBbrController {
     /// Creates a controller for `path`; the path id seeds the gain-cycle
     /// offset.
-    pub fn new(config: MpBbrConfig, path: PathId) -> Self {
-        let cycle_offset = path.0 as usize % config.probe_gains.len();
+    pub fn new(path: PathId) -> Self {
+        let cycle_offset = path.0 as usize % PROBE_GAINS.len();
         MpBbrController {
-            config,
             cycle_offset,
             bw_samples: VecDeque::new(),
             bw_bps: 0.0,
@@ -130,9 +108,7 @@ impl MpBbrController {
             cycle_advanced_at: SimTime::ZERO,
             drain_until: SimTime::ZERO,
             probe_rtt_until: SimTime::ZERO,
-            target_bps: config
-                .initial_rate_bps
-                .clamp(config.min_rate_bps, config.max_rate_bps),
+            target_bps: INITIAL_RATE_BPS,
         }
     }
 
@@ -161,9 +137,7 @@ impl MpBbrController {
     }
 
     fn refresh_bw(&mut self, now: SimTime) {
-        let horizon = SimTime::from_micros(
-            now.as_micros().saturating_sub(self.config.bw_window.as_micros()),
-        );
+        let horizon = SimTime::from_micros(now.as_micros().saturating_sub(BW_WINDOW.as_micros()));
         while self.bw_samples.front().is_some_and(|&(at, _)| at < horizon) {
             self.bw_samples.pop_front();
         }
@@ -179,12 +153,12 @@ impl MpBbrController {
             Phase::Startup => {
                 // Exit on a bandwidth plateau: growth under
                 // full_bw_thresh for full_bw_rounds consecutive rounds.
-                if self.bw_bps >= self.full_bw * self.config.full_bw_thresh {
+                if self.bw_bps >= self.full_bw * FULL_BW_THRESH {
                     self.full_bw = self.bw_bps;
                     self.full_bw_count = 0;
                 } else {
                     self.full_bw_count += 1;
-                    if self.full_bw_count >= self.config.full_bw_rounds {
+                    if self.full_bw_count >= FULL_BW_ROUNDS {
                         self.drain_until = now + self.min_rtt_or_default();
                         self.phase = Phase::Drain;
                     }
@@ -198,15 +172,14 @@ impl MpBbrController {
                 }
             }
             Phase::ProbeBw => {
-                let min_rtt_stale = now.saturating_since(self.min_rtt_at)
-                    >= self.config.probe_rtt_interval;
+                let min_rtt_stale = now.saturating_since(self.min_rtt_at) >= PROBE_RTT_INTERVAL;
                 if self.min_rtt.is_some() && min_rtt_stale {
-                    self.probe_rtt_until = now + self.config.probe_rtt_duration;
+                    self.probe_rtt_until = now + PROBE_RTT_DURATION;
                     self.phase = Phase::ProbeRtt;
                 } else {
                     let cycle_len = self.min_rtt_or_default().max(SimDuration::from_millis(50));
                     if now.saturating_since(self.cycle_advanced_at) >= cycle_len {
-                        self.cycle_index = (self.cycle_index + 1) % self.config.probe_gains.len();
+                        self.cycle_index = (self.cycle_index + 1) % PROBE_GAINS.len();
                         self.cycle_advanced_at = now;
                     }
                 }
@@ -225,9 +198,9 @@ impl MpBbrController {
 
     fn update_target(&mut self, increase_scale: f64) {
         let gain = match self.phase {
-            Phase::Startup => self.config.startup_gain,
-            Phase::Drain => self.config.drain_gain,
-            Phase::ProbeBw => self.config.probe_gains[self.cycle_index],
+            Phase::Startup => STARTUP_GAIN,
+            Phase::Drain => DRAIN_GAIN,
+            Phase::ProbeBw => PROBE_GAINS[self.cycle_index],
             Phase::ProbeRtt => 0.5,
         };
         // Coupled mode damps only the growth side (gains above 1), the
@@ -237,8 +210,7 @@ impl MpBbrController {
         } else {
             gain
         };
-        self.target_bps =
-            (gain * self.bw_bps).clamp(self.config.min_rate_bps, self.config.max_rate_bps);
+        self.target_bps = (gain * self.bw_bps).clamp(MIN_RATE_BPS, MAX_RATE_BPS);
     }
 }
 
@@ -307,7 +279,7 @@ impl CongestionController for MpBbrController {
         for (_, s) in self.bw_samples.iter_mut() {
             *s = s.min(bps);
         }
-        self.target_bps = self.target_bps.min(bps).max(self.config.min_rate_bps);
+        self.target_bps = self.target_bps.min(bps).max(MIN_RATE_BPS);
     }
 
     fn estimate_bps(&self) -> f64 {
@@ -373,7 +345,7 @@ mod tests {
 
     #[test]
     fn walks_startup_drain_probe_bw() {
-        let mut ctl = MpBbrController::new(MpBbrConfig::default(), PathId(0));
+        let mut ctl = MpBbrController::new(PathId(0));
         assert_eq!(ctl.phase(), CcPhase::Startup);
         let steps = drive(&mut ctl, 0, 5_000, 8_000_000.0);
         let phases: Vec<CcPhase> = steps.iter().map(|&(p, _)| p).collect();
@@ -390,8 +362,7 @@ mod tests {
 
     #[test]
     fn probe_bw_cycles_the_pacing_gain() {
-        let cfg = MpBbrConfig::default();
-        let mut ctl = MpBbrController::new(cfg, PathId(0));
+        let mut ctl = MpBbrController::new(PathId(0));
         let steps = drive(&mut ctl, 0, 8_000, 8_000_000.0);
         let probe_targets: Vec<u64> = steps
             .iter()
@@ -415,7 +386,7 @@ mod tests {
 
     #[test]
     fn probe_rtt_fires_when_min_rtt_goes_stale() {
-        let mut ctl = MpBbrController::new(MpBbrConfig::default(), PathId(0));
+        let mut ctl = MpBbrController::new(PathId(0));
         // 15 s of steady feed at a constant 30 ms delay floor: the floor
         // is revalidated continuously, so ProbeRtt must NOT fire.
         let steps = drive(&mut ctl, 0, 15_000, 8_000_000.0);
@@ -446,12 +417,11 @@ mod tests {
 
     #[test]
     fn paths_start_the_gain_cycle_at_different_offsets() {
-        let cfg = MpBbrConfig::default();
-        let a = MpBbrController::new(cfg, PathId(0));
-        let b = MpBbrController::new(cfg, PathId(1));
+        let a = MpBbrController::new(PathId(0));
+        let b = MpBbrController::new(PathId(1));
         assert_ne!(a.cycle_offset(), b.cycle_offset());
         assert_eq!(
-            MpBbrController::new(cfg, PathId(8)).cycle_offset(),
+            MpBbrController::new(PathId(8)).cycle_offset(),
             a.cycle_offset(),
             "offset wraps modulo the cycle length"
         );
@@ -460,7 +430,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let mut ctl = MpBbrController::new(MpBbrConfig::default(), PathId(2));
+            let mut ctl = MpBbrController::new(PathId(2));
             drive(&mut ctl, 0, 6_000, 5_000_000.0)
         };
         assert_eq!(run(), run());
@@ -468,7 +438,7 @@ mod tests {
 
     #[test]
     fn cap_estimate_suppresses_stale_bandwidth() {
-        let mut ctl = MpBbrController::new(MpBbrConfig::default(), PathId(0));
+        let mut ctl = MpBbrController::new(PathId(0));
         drive(&mut ctl, 0, 5_000, 8_000_000.0);
         assert!(ctl.target_rate_bps() > 1_000_000);
         ctl.cap_estimate(500_000.0);

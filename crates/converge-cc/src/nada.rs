@@ -25,76 +25,49 @@
 
 use converge_gcc::PacketTiming;
 use converge_net::{SimDuration, SimTime};
-use converge_trace::CcPhase;
+use converge_trace::{CcPhase, RATE_CEILING_BPS};
 
 use crate::controller::{CongestionController, PathObservations, RateWindow};
 
-/// NADA tuning; defaults follow RFC 8698 §6.2 where the simulator has an
-/// equivalent knob.
-#[derive(Debug, Clone, Copy)]
-pub struct NadaConfig {
-    /// Starting rate, bps.
-    pub initial_rate_bps: f64,
-    /// Rate floor (RMIN), bps.
-    pub min_rate_bps: f64,
-    /// Rate ceiling (RMAX), bps.
-    pub max_rate_bps: f64,
-    /// Reference congestion level XREF, ms.
-    pub xref_ms: f64,
-    /// Scaling parameter for gradual rate updates (κ).
-    pub kappa: f64,
-    /// Scaling parameter for the derivative term (η).
-    pub eta: f64,
-    /// Upper bound of the RTT in the gradual-update loop (τ), ms.
-    pub tau_ms: f64,
-    /// Queuing-delay gate for accelerated ramp-up, ms: above this the
-    /// controller drops to gradual mode.
-    pub qeps_ms: f64,
-    /// Upper bound on self-inflicted queuing delay during ramp-up
-    /// (QBOUND), ms.
-    pub qbound_ms: f64,
-    /// Maximum ramp-up step γ_max (fractional rate increase per update).
-    pub gamma_max: f64,
-    /// Delay-measurement filtering latency (DFILT), ms — part of the
-    /// ramp-up feedback-loop delay budget.
-    pub dfilt_ms: f64,
-    /// Reference delay penalty for loss at the reference rate
-    /// (DLOSS), ms.
-    pub dloss_ref_ms: f64,
-    /// Reference packet-loss ratio the quadratic penalty normalizes to.
-    pub plr_ref: f64,
-    /// Weight of the flow (priority, RFC 8698 §5.1).
-    pub priority: f64,
-    /// Window over which the receive rate is measured.
-    pub rate_window: SimDuration,
-}
+// NADA tuning: RFC 8698 §6.2's values where the simulator has an
+// equivalent knob.
 
-impl Default for NadaConfig {
-    fn default() -> Self {
-        NadaConfig {
-            initial_rate_bps: 1_000_000.0,
-            min_rate_bps: 150_000.0,
-            max_rate_bps: 30_000_000.0,
-            xref_ms: 10.0,
-            kappa: 0.5,
-            eta: 2.0,
-            tau_ms: 500.0,
-            qeps_ms: 10.0,
-            qbound_ms: 50.0,
-            gamma_max: 0.5,
-            dfilt_ms: 120.0,
-            dloss_ref_ms: 10.0,
-            plr_ref: 0.01,
-            priority: 1.0,
-            rate_window: SimDuration::from_millis(1_000),
-        }
-    }
-}
+/// Starting rate, bps.
+const INITIAL_RATE_BPS: f64 = 1_000_000.0;
+/// Rate floor (RMIN), bps.
+const MIN_RATE_BPS: f64 = 150_000.0;
+/// Rate ceiling (RMAX), bps.
+const MAX_RATE_BPS: f64 = RATE_CEILING_BPS as f64;
+/// Reference congestion level XREF, ms.
+const XREF_MS: f64 = 10.0;
+/// Scaling parameter for gradual rate updates (κ).
+const KAPPA: f64 = 0.5;
+/// Scaling parameter for the derivative term (η).
+const ETA: f64 = 2.0;
+/// Upper bound of the RTT in the gradual-update loop (τ), ms.
+const TAU_MS: f64 = 500.0;
+/// Queuing-delay gate for accelerated ramp-up, ms: above this the
+/// controller drops to gradual mode.
+const QEPS_MS: f64 = 10.0;
+/// Upper bound on self-inflicted queuing delay during ramp-up (QBOUND), ms.
+const QBOUND_MS: f64 = 50.0;
+/// Maximum ramp-up step γ_max (fractional rate increase per update).
+const GAMMA_MAX: f64 = 0.5;
+/// Delay-measurement filtering latency (DFILT), ms — part of the ramp-up
+/// feedback-loop delay budget.
+const DFILT_MS: f64 = 120.0;
+/// Reference delay penalty for loss at the reference rate (DLOSS), ms.
+const DLOSS_REF_MS: f64 = 10.0;
+/// Reference packet-loss ratio the quadratic penalty normalizes to.
+const PLR_REF: f64 = 0.01;
+/// Weight of the flow (priority, RFC 8698 §5.1).
+const PRIORITY: f64 = 1.0;
+/// Window over which the receive rate is measured.
+const RATE_WINDOW: SimDuration = SimDuration::from_millis(1_000);
 
 /// Per-path NADA controller.
 #[derive(Debug)]
 pub struct NadaController {
-    config: NadaConfig,
     rate_bps: f64,
     /// Minimum one-way delay observed on the path, µs (the delay
     /// baseline; queuing delay is measured above it).
@@ -111,29 +84,26 @@ pub struct NadaController {
     phase: CcPhase,
 }
 
-impl NadaController {
-    /// Creates a controller.
-    pub fn new(config: NadaConfig) -> Self {
+impl Default for NadaController {
+    fn default() -> Self {
         NadaController {
-            config,
-            rate_bps: config
-                .initial_rate_bps
-                .clamp(config.min_rate_bps, config.max_rate_bps),
+            rate_bps: INITIAL_RATE_BPS,
             d_base_us: None,
             d_queue_ms: 0.0,
             seen_delay: false,
             x_prev_ms: 0.0,
             p_loss: 0.0,
             last_update: None,
-            received: RateWindow::new(config.rate_window),
+            received: RateWindow::new(RATE_WINDOW),
             phase: CcPhase::RampUp,
         }
     }
+}
 
+impl NadaController {
     /// Current aggregate congestion signal `x_curr`, ms.
     pub fn congestion_signal_ms(&self) -> f64 {
-        let loss_term =
-            self.config.dloss_ref_ms * (self.p_loss / self.config.plr_ref).powi(2);
+        let loss_term = DLOSS_REF_MS * (self.p_loss / PLR_REF).powi(2);
         (self.d_queue_ms + loss_term).min(10_000.0)
     }
 }
@@ -181,14 +151,12 @@ impl CongestionController for NadaController {
         };
         self.last_update = Some(now);
 
-        if self.p_loss <= 1e-9 && self.d_queue_ms < self.config.qeps_ms {
+        if self.p_loss <= 1e-9 && self.d_queue_ms < QEPS_MS {
             // Accelerated ramp-up: jump toward (1+γ)·r_recv, where γ
             // shrinks with the feedback-loop delay so the transient queue
             // the jump builds stays under qbound.
             self.phase = CcPhase::RampUp;
-            let gamma = (self.config.qbound_ms
-                / (path.rtt_ms + delta_ms + self.config.dfilt_ms))
-                .min(self.config.gamma_max)
+            let gamma = (QBOUND_MS / (path.rtt_ms + delta_ms + DFILT_MS)).min(GAMMA_MAX)
                 * path.increase_scale;
             if recv > 0.0 {
                 self.rate_bps = self.rate_bps.max((1.0 + gamma) * recv);
@@ -197,18 +165,14 @@ impl CongestionController for NadaController {
             // Gradual update: PI step against the reference offset and
             // the signal slope.
             self.phase = CcPhase::Gradual;
-            let x_offset = x_curr
-                - self.config.priority * self.config.xref_ms * self.config.max_rate_bps
-                    / self.rate_bps.max(self.config.min_rate_bps);
+            let x_offset =
+                x_curr - PRIORITY * XREF_MS * MAX_RATE_BPS / self.rate_bps.max(MIN_RATE_BPS);
             let x_diff = x_curr - self.x_prev_ms;
-            let tau = self.config.tau_ms;
-            let step = self.config.kappa * (delta_ms / tau) * (x_offset / tau) * self.rate_bps
-                + self.config.kappa * self.config.eta * (x_diff / tau) * self.rate_bps;
+            let step = KAPPA * (delta_ms / TAU_MS) * (x_offset / TAU_MS) * self.rate_bps
+                + KAPPA * ETA * (x_diff / TAU_MS) * self.rate_bps;
             self.rate_bps -= step;
         }
-        self.rate_bps = self
-            .rate_bps
-            .clamp(self.config.min_rate_bps, self.config.max_rate_bps);
+        self.rate_bps = self.rate_bps.clamp(MIN_RATE_BPS, MAX_RATE_BPS);
         self.x_prev_ms = x_curr;
         true
     }
@@ -227,7 +191,7 @@ impl CongestionController for NadaController {
     }
 
     fn cap_estimate(&mut self, bps: f64) {
-        self.rate_bps = self.rate_bps.min(bps).max(self.config.min_rate_bps);
+        self.rate_bps = self.rate_bps.min(bps).max(MIN_RATE_BPS);
     }
 
     fn estimate_bps(&self) -> f64 {
@@ -278,8 +242,7 @@ mod tests {
 
     #[test]
     fn ramp_up_is_bounded_by_gamma() {
-        let cfg = NadaConfig::default();
-        let mut ctl = NadaController::new(cfg);
+        let mut ctl = NadaController::default();
         let mut prev = ctl.target_rate_bps() as f64;
         for sec in 0..5 {
             feedback_at_rate(&mut ctl, sec * 1_000, 1_000, 8_000_000.0, 0);
@@ -292,18 +255,18 @@ mod tests {
         }
         assert_eq!(ctl.phase(), CcPhase::RampUp);
         let rate = ctl.target_rate_bps() as f64;
-        assert!(rate > cfg.initial_rate_bps, "must ramp above start: {rate}");
+        assert!(rate > INITIAL_RATE_BPS, "must ramp above start: {rate}");
         // The jump target is (1+γ)·r_recv with γ ≤ γ_max, so the rate can
         // never exceed the delivered rate by more than the γ_max factor.
         assert!(
-            rate <= (1.0 + cfg.gamma_max) * 8_000_000.0 * 1.05,
+            rate <= (1.0 + GAMMA_MAX) * 8_000_000.0 * 1.05,
             "ramp-up overshoots the γ bound: {rate}"
         );
     }
 
     #[test]
     fn pi_decreases_rate_under_queuing_delay() {
-        let mut ctl = NadaController::new(NadaConfig::default());
+        let mut ctl = NadaController::default();
         // Establish the delay baseline and a working rate.
         feedback_at_rate(&mut ctl, 0, 3_000, 8_000_000.0, 0);
         let before = ctl.target_rate_bps();
@@ -317,7 +280,7 @@ mod tests {
 
     #[test]
     fn pi_increases_rate_when_signal_is_below_reference() {
-        let mut ctl = NadaController::new(NadaConfig::default());
+        let mut ctl = NadaController::default();
         feedback_at_rate(&mut ctl, 0, 1_000, 2_000_000.0, 0);
         // A trickle of loss keeps the controller in gradual mode, but at
         // a low rate the reference term dominates (x_offset < 0): the PI
@@ -332,7 +295,7 @@ mod tests {
 
     #[test]
     fn heavy_loss_shows_in_signal_and_rate() {
-        let mut ctl = NadaController::new(NadaConfig::default());
+        let mut ctl = NadaController::default();
         feedback_at_rate(&mut ctl, 0, 3_000, 6_000_000.0, 0);
         let before = ctl.target_rate_bps();
         for _ in 0..10 {
@@ -345,14 +308,13 @@ mod tests {
 
     #[test]
     fn respects_floor_ceiling_and_cap() {
-        let cfg = NadaConfig::default();
-        let mut ctl = NadaController::new(cfg);
+        let mut ctl = NadaController::default();
         ctl.cap_estimate(10_000.0);
-        assert_eq!(ctl.target_rate_bps() as f64, cfg.min_rate_bps);
+        assert_eq!(ctl.target_rate_bps() as f64, MIN_RATE_BPS);
         // Sustained clean traffic cannot push past the ceiling.
         for sec in 0..20 {
             feedback_at_rate(&mut ctl, sec * 1_000, 1_000, 60_000_000.0, 0);
         }
-        assert!(ctl.target_rate_bps() as f64 <= cfg.max_rate_bps);
+        assert!(ctl.target_rate_bps() <= RATE_CEILING_BPS);
     }
 }

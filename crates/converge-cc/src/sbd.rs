@@ -20,50 +20,31 @@
 
 use converge_net::{SimDuration, SimTime};
 
-/// Tuning for [`SbdDetector`]. Defaults follow RFC 8382 §2.2/§3.3
-/// recommendations (T = 350 ms, N = 50, c_s = 0.1, p_v = 0.7).
-#[derive(Debug, Clone, Copy)]
-pub struct SbdConfig {
-    /// Base interval `T` over which per-interval statistics are computed.
-    pub interval: SimDuration,
-    /// Number of base intervals `N` in the sliding summary window.
-    pub window: usize,
-    /// Skewness split threshold: flows whose `skew_est` differ by more
-    /// than this never share a group (grouping axis 1).
-    pub skew_tolerance: f64,
-    /// Proportional MAD split threshold `p_v`: within a skewness cluster,
-    /// flows whose `var_est` differ by more than this *fraction* of the
-    /// larger one are split apart (grouping axis 2).
-    pub mad_tolerance: f64,
-    /// Loss-frequency split threshold (grouping axis 3).
-    pub freq_tolerance: f64,
-    /// Congestion gate `c_s` (RFC 8382 §3.3.1): a flow only participates
-    /// in grouping while its `skew_est` is below this — a standing queue
-    /// concentrates OWD samples above their mean, pulling `skew_est`
-    /// toward −1, while an idle path shows no such left skew.
-    pub congestion_skew_gate: f64,
-    /// Minimum mean-absolute-deviation (µs) a flow needs to be grouped: a
-    /// flow with essentially flat OWD carries no queue signal to cluster
-    /// on, whatever its skewness says.
-    pub min_mad_us: f64,
-    /// Minimum OWD samples a flow needs in the window to be grouped.
-    pub min_samples: u64,
-}
+// Tuning: RFC 8382 §2.2/§3.3's recommendations (T = 350 ms, N = 50,
+// c_s = 0.1, p_v = 0.7).
 
-impl Default for SbdConfig {
-    fn default() -> Self {
-        SbdConfig {
-            interval: SimDuration::from_millis(350),
-            window: 50,
-            skew_tolerance: 0.1,
-            mad_tolerance: 0.7,
-            freq_tolerance: 0.1,
-            congestion_skew_gate: 0.1,
-            min_mad_us: 200.0,
-            min_samples: 20,
-        }
-    }
-}
+/// Number of base intervals `N` in the sliding summary window.
+const WINDOW: usize = 50;
+/// Skewness split threshold: flows whose `skew_est` differ by more than
+/// this never share a group (grouping axis 1).
+const SKEW_TOLERANCE: f64 = 0.1;
+/// Proportional MAD split threshold `p_v`: within a skewness cluster, flows
+/// whose `var_est` differ by more than this *fraction* of the larger one
+/// are split apart (grouping axis 2).
+const MAD_TOLERANCE: f64 = 0.7;
+/// Loss-frequency split threshold (grouping axis 3).
+const FREQ_TOLERANCE: f64 = 0.1;
+/// Congestion gate `c_s` (RFC 8382 §3.3.1): a flow only participates in
+/// grouping while its `skew_est` is below this — a standing queue
+/// concentrates OWD samples above their mean, pulling `skew_est` toward
+/// −1, while an idle path shows no such left skew.
+const CONGESTION_SKEW_GATE: f64 = 0.1;
+/// Minimum mean-absolute-deviation (µs) a flow needs to be grouped: a flow
+/// with essentially flat OWD carries no queue signal to cluster on,
+/// whatever its skewness says.
+const MIN_MAD_US: f64 = 200.0;
+/// Minimum OWD samples a flow needs in the window to be grouped.
+const MIN_SAMPLES: u64 = 20;
 
 /// The RFC 8382 summary statistics for one flow over the current window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,10 +95,10 @@ struct Flow {
 }
 
 impl Flow {
-    fn new(window: usize) -> Self {
+    fn new() -> Self {
         Flow {
             current: IntervalAcc::default(),
-            history: vec![IntervalStat::default(); window],
+            history: vec![IntervalStat::default(); WINDOW],
             head: 0,
             filled: 0,
             reference_mean_us: 0.0,
@@ -200,24 +181,21 @@ impl Flow {
 /// deterministic partition of the flow indices, singletons omitted.
 #[derive(Debug, Clone)]
 pub struct SbdDetector {
-    config: SbdConfig,
     flows: Vec<Flow>,
     intervals_closed: u64,
 }
 
 impl SbdDetector {
+    /// The base interval `T` over which per-interval statistics are
+    /// computed; callers drive the close cadence.
+    pub const INTERVAL: SimDuration = SimDuration::from_millis(350);
+
     /// Creates a detector tracking `n_flows` flows.
-    pub fn new(n_flows: usize, config: SbdConfig) -> Self {
+    pub fn new(n_flows: usize) -> Self {
         SbdDetector {
-            config,
-            flows: (0..n_flows).map(|_| Flow::new(config.window.max(1))).collect(),
+            flows: (0..n_flows).map(|_| Flow::new()).collect(),
             intervals_closed: 0,
         }
-    }
-
-    /// The configured base interval (callers drive the close cadence).
-    pub fn interval(&self) -> SimDuration {
-        self.config.interval
     }
 
     /// Records one one-way-delay sample for `flow`. `sent_at`/`arrived_at`
@@ -270,16 +248,16 @@ impl SbdDetector {
     /// Deterministic greedy clustering in flow-index order along the three
     /// RFC 8382 axes (skewness, proportional MAD, loss frequency), gated
     /// by the congestion test: only flows whose `skew_est` sits below
-    /// `congestion_skew_gate` with enough samples participate. Singleton
+    /// `CONGESTION_SKEW_GATE` with enough samples participate. Singleton
     /// groups are omitted; returned groups list flow indices in ascending
     /// order and groups sort by their first member.
     pub fn groups(&self) -> Vec<Vec<usize>> {
         let sigs = self.signatures();
         let candidates: Vec<usize> = (0..sigs.len())
             .filter(|&i| {
-                sigs[i].samples >= self.config.min_samples
-                    && sigs[i].skew_est < self.config.congestion_skew_gate
-                    && sigs[i].var_est >= self.config.min_mad_us
+                sigs[i].samples >= MIN_SAMPLES
+                    && sigs[i].skew_est < CONGESTION_SKEW_GATE
+                    && sigs[i].var_est >= MIN_MAD_US
             })
             .collect();
         let mut assigned = vec![false; sigs.len()];
@@ -294,7 +272,7 @@ impl SbdDetector {
                 if assigned[j] {
                     continue;
                 }
-                if self.same_bottleneck(&sigs[i], &sigs[j]) {
+                if same_bottleneck(&sigs[i], &sigs[j]) {
                     group.push(j);
                     assigned[j] = true;
                 }
@@ -304,19 +282,6 @@ impl SbdDetector {
             }
         }
         groups
-    }
-
-    fn same_bottleneck(&self, a: &FlowSignature, b: &FlowSignature) -> bool {
-        if (a.skew_est - b.skew_est).abs() > self.config.skew_tolerance {
-            return false;
-        }
-        let larger_mad = a.var_est.max(b.var_est);
-        if larger_mad > 0.0
-            && (a.var_est - b.var_est).abs() > self.config.mad_tolerance * larger_mad
-        {
-            return false;
-        }
-        (a.freq_est - b.freq_est).abs() <= self.config.freq_tolerance
     }
 
     /// The coupled additive-increase scale for each flow given the current
@@ -334,17 +299,23 @@ impl SbdDetector {
     }
 }
 
+fn same_bottleneck(a: &FlowSignature, b: &FlowSignature) -> bool {
+    if (a.skew_est - b.skew_est).abs() > SKEW_TOLERANCE {
+        return false;
+    }
+    let larger_mad = a.var_est.max(b.var_est);
+    if larger_mad > 0.0 && (a.var_est - b.var_est).abs() > MAD_TOLERANCE * larger_mad {
+        return false;
+    }
+    (a.freq_est - b.freq_est).abs() <= FREQ_TOLERANCE
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> SbdConfig {
-        SbdConfig {
-            window: 10,
-            min_samples: 10,
-            ..SbdConfig::default()
-        }
-    }
+    /// Enough base intervals to fill the window and wrap its ring.
+    const INTERVALS: usize = WINDOW + 2;
 
     /// Drives `detector` with a synthetic OWD process per flow: a shared
     /// sawtooth queue delay for flows in `shared`, flat noise for others.
@@ -358,7 +329,7 @@ mod tests {
 
     fn drive(detector: &mut SbdDetector, shared: &[usize], flat: &[usize]) {
         let mut t = SimTime::ZERO;
-        for _ in 0..12u64 {
+        for _ in 0..INTERVALS {
             for k in 0..35u64 {
                 let sent = t + SimDuration::from_millis(k * 10);
                 for &f in shared {
@@ -379,7 +350,7 @@ mod tests {
 
     #[test]
     fn shared_queue_flows_group_together() {
-        let mut d = SbdDetector::new(4, cfg());
+        let mut d = SbdDetector::new(4);
         drive(&mut d, &[0, 2], &[1, 3]);
         let groups = d.groups();
         assert_eq!(groups, vec![vec![0, 2]], "signatures: {:?}", d.signatures());
@@ -387,7 +358,7 @@ mod tests {
 
     #[test]
     fn flat_flows_stay_ungrouped() {
-        let mut d = SbdDetector::new(3, cfg());
+        let mut d = SbdDetector::new(3);
         drive(&mut d, &[], &[0, 1, 2]);
         assert!(
             d.groups().is_empty(),
@@ -398,7 +369,7 @@ mod tests {
 
     #[test]
     fn increase_scales_split_the_probe_budget() {
-        let mut d = SbdDetector::new(4, cfg());
+        let mut d = SbdDetector::new(4);
         drive(&mut d, &[0, 1, 3], &[2]);
         let scales = d.increase_scales();
         assert_eq!(scales.len(), 4);
@@ -410,9 +381,9 @@ mod tests {
 
     #[test]
     fn loss_frequency_separates_otherwise_similar_flows() {
-        let mut d = SbdDetector::new(2, cfg());
+        let mut d = SbdDetector::new(2);
         let mut t = SimTime::ZERO;
-        for _ in 0..12u64 {
+        for _ in 0..INTERVALS {
             for k in 0..35u64 {
                 let sent = t + SimDuration::from_millis(k * 10);
                 for f in 0..2 {
@@ -435,7 +406,7 @@ mod tests {
 
     #[test]
     fn too_few_samples_never_groups() {
-        let mut d = SbdDetector::new(2, cfg());
+        let mut d = SbdDetector::new(2);
         for f in 0..2 {
             d.on_owd_sample(f, SimTime::ZERO, SimTime::from_millis(50));
         }
@@ -446,7 +417,7 @@ mod tests {
     #[test]
     fn detector_is_deterministic() {
         let run = || {
-            let mut d = SbdDetector::new(6, cfg());
+            let mut d = SbdDetector::new(6);
             drive(&mut d, &[0, 1, 2], &[3, 4, 5]);
             (d.groups(), format!("{:?}", d.signatures()))
         };

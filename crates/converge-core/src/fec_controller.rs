@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use converge_net::{PathId, SimTime};
-use converge_trace::{TraceEvent, TraceHandle};
+use converge_trace::{TraceEvent, TraceHandle, FEC_BETA_CAP};
 
 /// A pluggable FEC rate policy.
 pub trait FecPolicy: std::fmt::Debug + Send {
@@ -107,9 +107,7 @@ impl FecPolicy for ConvergeFec {
         // β = 1 + NACK_i / (P_i − FEC_i).
         if s.pending_nacks > 0 {
             let denom = s.last_media.saturating_sub(s.last_fec).max(1);
-            // Cap β: a burst of NACKs must not turn the protector into a
-            // bandwidth hog worse than the table baseline.
-            s.beta = (1.0 + s.pending_nacks as f64 / denom as f64).min(3.0);
+            s.beta = (1.0 + s.pending_nacks as f64 / denom as f64).min(FEC_BETA_CAP);
             s.pending_nacks = 0;
         } else {
             // Decay β back toward 1 as the path behaves.

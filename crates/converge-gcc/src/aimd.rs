@@ -5,6 +5,7 @@
 use converge_net::SimTime;
 
 use crate::trendline::BandwidthUsage;
+use crate::{MAX_RATE_BPS, MIN_RATE_BPS};
 
 /// Rate-controller state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,37 +18,17 @@ pub enum RateState {
     Decrease,
 }
 
-/// Configuration of the AIMD controller.
-#[derive(Debug, Clone, Copy)]
-pub struct AimdConfig {
-    /// Multiplicative increase per second (1.08 = +8 %/s).
-    pub eta_per_sec: f64,
-    /// Backoff factor applied to the measured incoming rate on overuse.
-    pub beta: f64,
-    /// Additive increase: fraction of one average packet per response time.
-    pub additive_bps_min: f64,
-    /// Floor for the estimate, bps.
-    pub min_rate_bps: f64,
-    /// Ceiling for the estimate, bps.
-    pub max_rate_bps: f64,
-}
-
-impl Default for AimdConfig {
-    fn default() -> Self {
-        AimdConfig {
-            eta_per_sec: 1.08,
-            beta: 0.85,
-            additive_bps_min: 4_000.0,
-            min_rate_bps: 50_000.0,
-            max_rate_bps: 30_000_000.0,
-        }
-    }
-}
+/// Multiplicative increase per second (1.08 = +8 %/s).
+const ETA_PER_SEC: f64 = 1.08;
+/// Backoff factor applied to the measured incoming rate on overuse.
+const BETA: f64 = 0.85;
+/// Additive increase: the least growth per second of a near-convergence
+/// step, bps.
+const ADDITIVE_BPS_MIN: f64 = 4_000.0;
 
 /// The AIMD rate controller.
 #[derive(Debug)]
 pub struct AimdController {
-    config: AimdConfig,
     state: RateState,
     estimate_bps: f64,
     /// Exponential average/variance of the incoming rate at decrease time,
@@ -63,11 +44,10 @@ pub struct AimdController {
 
 impl AimdController {
     /// Creates a controller starting from `initial_bps`.
-    pub fn new(config: AimdConfig, initial_bps: f64) -> Self {
+    pub fn new(initial_bps: f64) -> Self {
         AimdController {
-            config,
             state: RateState::Increase,
-            estimate_bps: initial_bps.clamp(config.min_rate_bps, config.max_rate_bps),
+            estimate_bps: initial_bps.clamp(MIN_RATE_BPS, MAX_RATE_BPS),
             avg_max_bps: None,
             var_max: 0.4,
             last_update: None,
@@ -92,11 +72,11 @@ impl AimdController {
         self.increase_scale = scale;
     }
 
-    /// Pulls the estimate down to at most `bps` (never below the configured
-    /// floor). Used when a path stops carrying traffic and its estimate
-    /// would otherwise go stale-high.
+    /// Pulls the estimate down to at most `bps` (never below the floor).
+    /// Used when a path stops carrying traffic and its estimate would
+    /// otherwise go stale-high.
     pub fn cap_to(&mut self, bps: f64) {
-        self.estimate_bps = self.estimate_bps.min(bps).max(self.config.min_rate_bps);
+        self.estimate_bps = self.estimate_bps.min(bps).max(MIN_RATE_BPS);
     }
 
     /// Updates the estimate from the detector signal and the measured
@@ -136,19 +116,14 @@ impl AimdController {
                     // Additive: about one packet per response time.
                     let response_ms = 100.0 + rtt_ms;
                     let additive = (1000.0 / response_ms) * 1200.0 * 8.0 * dt_s * 5.0;
-                    self.estimate_bps
-                        + additive.max(self.config.additive_bps_min * dt_s) * self.increase_scale
+                    self.estimate_bps + additive.max(ADDITIVE_BPS_MIN * dt_s) * self.increase_scale
                 } else if self.avg_max_bps.is_none() {
                     // Start-up: no congestion has ever been observed, so
                     // probe aggressively (WebRTC's initial BWE probing
                     // doubles the rate until the first backoff).
                     self.estimate_bps * 2.0f64.powf(dt_s.min(1.0) * self.increase_scale)
                 } else {
-                    self.estimate_bps
-                        * self
-                            .config
-                            .eta_per_sec
-                            .powf(dt_s.min(1.0) * self.increase_scale)
+                    self.estimate_bps * ETA_PER_SEC.powf(dt_s.min(1.0) * self.increase_scale)
                 };
                 // Growth is gated at 1.5x of what actually arrives, but the
                 // cap never pulls an existing estimate down: when the sender
@@ -156,19 +131,17 @@ impl AimdController {
                 // incoming rate says nothing about the path's capacity, and
                 // pulling the estimate toward it deadlocks the rate at the
                 // floor. Decreases come only from overuse/loss signals.
-                let growth_cap = 1.5 * incoming_rate_bps.max(self.config.min_rate_bps);
+                let growth_cap = 1.5 * incoming_rate_bps.max(MIN_RATE_BPS);
                 self.estimate_bps = grown.min(growth_cap).max(self.estimate_bps);
             }
             RateState::Decrease => {
                 self.update_max_stats(incoming_rate_bps);
-                self.estimate_bps = self.config.beta * incoming_rate_bps;
+                self.estimate_bps = BETA * incoming_rate_bps;
                 // After decreasing, hold until the detector recovers.
                 self.state = RateState::Hold;
             }
         }
-        self.estimate_bps = self
-            .estimate_bps
-            .clamp(self.config.min_rate_bps, self.config.max_rate_bps);
+        self.estimate_bps = self.estimate_bps.clamp(MIN_RATE_BPS, MAX_RATE_BPS);
         self.estimate_bps
     }
 
@@ -210,7 +183,7 @@ mod tests {
 
     #[test]
     fn increases_under_normal_signal() {
-        let mut c = AimdController::new(AimdConfig::default(), 1_000_000.0);
+        let mut c = AimdController::new(1_000_000.0);
         let start = c.estimate_bps();
         for i in 0..50 {
             c.update(t(i), BandwidthUsage::Normal, 10_000_000.0, 50.0);
@@ -220,7 +193,7 @@ mod tests {
 
     #[test]
     fn decrease_backs_off_below_incoming_rate() {
-        let mut c = AimdController::new(AimdConfig::default(), 5_000_000.0);
+        let mut c = AimdController::new(5_000_000.0);
         let est = c.update(t(0), BandwidthUsage::Overusing, 4_000_000.0, 50.0);
         assert!((est - 0.85 * 4_000_000.0).abs() < 1.0);
         assert_eq!(c.state(), RateState::Hold);
@@ -228,7 +201,7 @@ mod tests {
 
     #[test]
     fn underuse_holds() {
-        let mut c = AimdController::new(AimdConfig::default(), 2_000_000.0);
+        let mut c = AimdController::new(2_000_000.0);
         let before = c.estimate_bps();
         c.update(t(0), BandwidthUsage::Underusing, 3_000_000.0, 50.0);
         assert_eq!(c.estimate_bps(), before);
@@ -239,13 +212,13 @@ mod tests {
     fn growth_gated_but_estimate_never_pulled_down() {
         // Starting above 1.5x the incoming rate: growth is blocked but the
         // existing estimate stays (app-limited senders must not deadlock).
-        let mut c = AimdController::new(AimdConfig::default(), 8_000_000.0);
+        let mut c = AimdController::new(8_000_000.0);
         for i in 0..100 {
             c.update(t(i), BandwidthUsage::Normal, 2_000_000.0, 50.0);
         }
         assert!((c.estimate_bps() - 8_000_000.0).abs() < 1.0);
         // Starting below the gate: growth proceeds up to the gate.
-        let mut c = AimdController::new(AimdConfig::default(), 1_000_000.0);
+        let mut c = AimdController::new(1_000_000.0);
         for i in 0..100 {
             c.update(t(i), BandwidthUsage::Normal, 2_000_000.0, 50.0);
         }
@@ -256,7 +229,7 @@ mod tests {
     #[test]
     fn increase_scale_dampens_growth() {
         let grow = |scale: f64| -> f64 {
-            let mut c = AimdController::new(AimdConfig::default(), 1_000_000.0);
+            let mut c = AimdController::new(1_000_000.0);
             c.set_increase_scale(scale);
             for i in 0..25 {
                 c.update(t(i), BandwidthUsage::Normal, 20_000_000.0, 50.0);
@@ -273,15 +246,14 @@ mod tests {
     fn recovers_from_app_limited_floor() {
         // The deadlock scenario: estimate at the floor, sender app-limited
         // so incoming equals the floor; the estimate must still climb.
-        let cfg = AimdConfig::default();
-        let mut c = AimdController::new(cfg, cfg.min_rate_bps);
+        let mut c = AimdController::new(MIN_RATE_BPS);
         // Incoming tracks the (tiny) estimate — the app-limited loop.
         for i in 0..200 {
             let incoming = c.estimate_bps();
             c.update(t(i), BandwidthUsage::Normal, incoming, 50.0);
         }
         assert!(
-            c.estimate_bps() > cfg.min_rate_bps * 10.0,
+            c.estimate_bps() > MIN_RATE_BPS * 10.0,
             "stuck at {}",
             c.estimate_bps()
         );
@@ -289,18 +261,17 @@ mod tests {
 
     #[test]
     fn estimate_respects_bounds() {
-        let cfg = AimdConfig::default();
-        let mut c = AimdController::new(cfg, 100.0);
-        assert!(c.estimate_bps() >= cfg.min_rate_bps);
+        let mut c = AimdController::new(100.0);
+        assert!(c.estimate_bps() >= MIN_RATE_BPS);
         for i in 0..1000 {
             c.update(t(i), BandwidthUsage::Normal, 1e12, 50.0);
         }
-        assert!(c.estimate_bps() <= cfg.max_rate_bps);
+        assert!(c.estimate_bps() <= MAX_RATE_BPS);
     }
 
     #[test]
     fn recovers_after_decrease() {
-        let mut c = AimdController::new(AimdConfig::default(), 5_000_000.0);
+        let mut c = AimdController::new(5_000_000.0);
         c.update(t(0), BandwidthUsage::Overusing, 4_000_000.0, 50.0);
         let low = c.estimate_bps();
         // Normal signals: Hold → Increase, then growth.
@@ -312,7 +283,7 @@ mod tests {
 
     #[test]
     fn near_convergence_switches_to_additive() {
-        let mut c = AimdController::new(AimdConfig::default(), 5_000_000.0);
+        let mut c = AimdController::new(5_000_000.0);
         // Two decreases at similar incoming rates establish avg_max.
         c.update(t(0), BandwidthUsage::Overusing, 5_000_000.0, 50.0);
         for i in 1..10 {

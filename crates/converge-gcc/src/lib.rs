@@ -25,7 +25,14 @@ pub mod arrival;
 pub mod loss_based;
 pub mod trendline;
 
-pub use aimd::{AimdConfig, AimdController, RateState};
+pub use aimd::{AimdController, RateState};
 pub use arrival::{DelaySample, InterArrival, PacketTiming};
-pub use loss_based::{LossBasedConfig, LossBasedController};
-pub use trendline::{BandwidthUsage, TrendlineConfig, TrendlineEstimator};
+pub use loss_based::LossBasedController;
+pub use trendline::{BandwidthUsage, TrendlineEstimator};
+
+use converge_trace::{RATE_CEILING_BPS, RATE_FLOOR_BPS};
+
+/// The floor and ceiling of both estimates: the bounds the invariant
+/// checker polices, in the unit the estimators compute in.
+const MIN_RATE_BPS: f64 = RATE_FLOOR_BPS as f64;
+const MAX_RATE_BPS: f64 = RATE_CEILING_BPS as f64;

@@ -5,46 +5,26 @@
 //! grows 5 % per update; above 10 % it backs off proportionally to the loss
 //! level; in between it holds.
 
-/// Configuration of the loss-based controller.
-#[derive(Debug, Clone, Copy)]
-pub struct LossBasedConfig {
-    /// Loss fraction below which the rate may grow.
-    pub low_loss: f64,
-    /// Loss fraction above which the rate must shrink.
-    pub high_loss: f64,
-    /// Multiplicative growth applied below `low_loss`.
-    pub growth: f64,
-    /// Floor for the estimate, bps.
-    pub min_rate_bps: f64,
-    /// Ceiling for the estimate, bps.
-    pub max_rate_bps: f64,
-}
+use crate::{MAX_RATE_BPS, MIN_RATE_BPS};
 
-impl Default for LossBasedConfig {
-    fn default() -> Self {
-        LossBasedConfig {
-            low_loss: 0.02,
-            high_loss: 0.10,
-            growth: 1.05,
-            min_rate_bps: 50_000.0,
-            max_rate_bps: 30_000_000.0,
-        }
-    }
-}
+/// Loss fraction below which the rate may grow.
+const LOW_LOSS: f64 = 0.02;
+/// Loss fraction above which the rate must shrink.
+const HIGH_LOSS: f64 = 0.10;
+/// Multiplicative growth applied below `LOW_LOSS`.
+const GROWTH: f64 = 1.05;
 
 /// The loss-based controller for one path.
 #[derive(Debug)]
 pub struct LossBasedController {
-    config: LossBasedConfig,
     estimate_bps: f64,
 }
 
 impl LossBasedController {
     /// Creates a controller starting from `initial_bps`.
-    pub fn new(config: LossBasedConfig, initial_bps: f64) -> Self {
+    pub fn new(initial_bps: f64) -> Self {
         LossBasedController {
-            config,
-            estimate_bps: initial_bps.clamp(config.min_rate_bps, config.max_rate_bps),
+            estimate_bps: initial_bps.clamp(MIN_RATE_BPS, MAX_RATE_BPS),
         }
     }
 
@@ -57,14 +37,12 @@ impl LossBasedController {
     /// estimate.
     pub fn on_loss_report(&mut self, fraction_lost: f64) -> f64 {
         let p = fraction_lost.clamp(0.0, 1.0);
-        if p < self.config.low_loss {
-            self.estimate_bps *= self.config.growth;
-        } else if p > self.config.high_loss {
+        if p < LOW_LOSS {
+            self.estimate_bps *= GROWTH;
+        } else if p > HIGH_LOSS {
             self.estimate_bps *= 1.0 - 0.5 * p;
         }
-        self.estimate_bps = self
-            .estimate_bps
-            .clamp(self.config.min_rate_bps, self.config.max_rate_bps);
+        self.estimate_bps = self.estimate_bps.clamp(MIN_RATE_BPS, MAX_RATE_BPS);
         self.estimate_bps
     }
 
@@ -73,8 +51,8 @@ impl LossBasedController {
     pub fn cap_to(&mut self, bps: f64) {
         self.estimate_bps = self
             .estimate_bps
-            .min(bps.max(self.config.min_rate_bps))
-            .max(self.config.min_rate_bps);
+            .min(bps.max(MIN_RATE_BPS))
+            .max(MIN_RATE_BPS);
     }
 }
 
@@ -84,7 +62,7 @@ mod tests {
 
     #[test]
     fn grows_under_low_loss() {
-        let mut c = LossBasedController::new(LossBasedConfig::default(), 1_000_000.0);
+        let mut c = LossBasedController::new(1_000_000.0);
         let e1 = c.on_loss_report(0.0);
         assert!((e1 - 1_050_000.0).abs() < 1.0);
         let e2 = c.on_loss_report(0.01);
@@ -93,42 +71,41 @@ mod tests {
 
     #[test]
     fn holds_in_middle_band() {
-        let mut c = LossBasedController::new(LossBasedConfig::default(), 1_000_000.0);
+        let mut c = LossBasedController::new(1_000_000.0);
         let e = c.on_loss_report(0.05);
         assert_eq!(e, 1_000_000.0);
     }
 
     #[test]
     fn shrinks_under_high_loss() {
-        let mut c = LossBasedController::new(LossBasedConfig::default(), 1_000_000.0);
+        let mut c = LossBasedController::new(1_000_000.0);
         let e = c.on_loss_report(0.20);
         assert!((e - 900_000.0).abs() < 1.0); // 1 - 0.5*0.2 = 0.9
     }
 
     #[test]
     fn extreme_loss_halves() {
-        let mut c = LossBasedController::new(LossBasedConfig::default(), 1_000_000.0);
+        let mut c = LossBasedController::new(1_000_000.0);
         let e = c.on_loss_report(1.0);
         assert!((e - 500_000.0).abs() < 1.0);
     }
 
     #[test]
     fn clamps_to_bounds() {
-        let cfg = LossBasedConfig::default();
-        let mut c = LossBasedController::new(cfg, cfg.min_rate_bps);
+        let mut c = LossBasedController::new(MIN_RATE_BPS);
         for _ in 0..100 {
             c.on_loss_report(1.0);
         }
-        assert_eq!(c.estimate_bps(), cfg.min_rate_bps);
+        assert_eq!(c.estimate_bps(), MIN_RATE_BPS);
         for _ in 0..500 {
             c.on_loss_report(0.0);
         }
-        assert_eq!(c.estimate_bps(), cfg.max_rate_bps);
+        assert_eq!(c.estimate_bps(), MAX_RATE_BPS);
     }
 
     #[test]
     fn cap_pulls_down_not_up() {
-        let mut c = LossBasedController::new(LossBasedConfig::default(), 5_000_000.0);
+        let mut c = LossBasedController::new(5_000_000.0);
         c.cap_to(2_000_000.0);
         assert_eq!(c.estimate_bps(), 2_000_000.0);
         c.cap_to(10_000_000.0);
@@ -137,7 +114,7 @@ mod tests {
 
     #[test]
     fn garbage_loss_fraction_clamped() {
-        let mut c = LossBasedController::new(LossBasedConfig::default(), 1_000_000.0);
+        let mut c = LossBasedController::new(1_000_000.0);
         let e = c.on_loss_report(5.0); // clamped to 1.0
         assert!((e - 500_000.0).abs() < 1.0);
         let before = c.estimate_bps();

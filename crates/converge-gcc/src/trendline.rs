@@ -20,43 +20,24 @@ pub enum BandwidthUsage {
     Overusing,
 }
 
-/// Configuration of the estimator/detector.
-#[derive(Debug, Clone, Copy)]
-pub struct TrendlineConfig {
-    /// Exponential smoothing factor for accumulated delay.
-    pub smoothing: f64,
-    /// Samples in the regression window.
-    pub window: usize,
-    /// Gain applied to the fitted slope before thresholding.
-    pub threshold_gain: f64,
-    /// Initial adaptive threshold, ms.
-    pub initial_threshold_ms: f64,
-    /// Threshold adaptation rate when |trend| is above it.
-    pub k_up: f64,
-    /// Threshold adaptation rate when |trend| is below it.
-    pub k_down: f64,
-    /// Time the trend must stay above threshold before declaring overuse, ms.
-    pub overuse_time_ms: f64,
-}
-
-impl Default for TrendlineConfig {
-    fn default() -> Self {
-        TrendlineConfig {
-            smoothing: 0.9,
-            window: 20,
-            threshold_gain: 4.0,
-            initial_threshold_ms: 12.5,
-            k_up: 0.0087,
-            k_down: 0.039,
-            overuse_time_ms: 10.0,
-        }
-    }
-}
+/// Exponential smoothing factor for accumulated delay.
+const SMOOTHING: f64 = 0.9;
+/// Samples in the regression window.
+const WINDOW: usize = 20;
+/// Gain applied to the fitted slope before thresholding.
+const THRESHOLD_GAIN: f64 = 4.0;
+/// Initial adaptive threshold, ms.
+const INITIAL_THRESHOLD_MS: f64 = 12.5;
+/// Threshold adaptation rate when |trend| is above it.
+const K_UP: f64 = 0.0087;
+/// Threshold adaptation rate when |trend| is below it.
+const K_DOWN: f64 = 0.039;
+/// Time the trend must stay above threshold before declaring overuse, ms.
+const OVERUSE_TIME_MS: f64 = 10.0;
 
 /// Sliding-window trendline estimator with adaptive-threshold detection.
 #[derive(Debug)]
 pub struct TrendlineEstimator {
-    config: TrendlineConfig,
     /// (arrival ms since first sample, smoothed accumulated delay ms)
     history: std::collections::VecDeque<(f64, f64)>,
     first_arrival: Option<SimTime>,
@@ -71,16 +52,14 @@ pub struct TrendlineEstimator {
     num_samples: usize,
 }
 
-impl TrendlineEstimator {
-    /// Creates an estimator with the given configuration.
-    pub fn new(config: TrendlineConfig) -> Self {
+impl Default for TrendlineEstimator {
+    fn default() -> Self {
         TrendlineEstimator {
-            config,
             history: std::collections::VecDeque::new(),
             first_arrival: None,
             accumulated_delay_ms: 0.0,
             smoothed_delay_ms: 0.0,
-            threshold_ms: config.initial_threshold_ms,
+            threshold_ms: INITIAL_THRESHOLD_MS,
             last_update: None,
             time_over_using_ms: -1.0,
             overuse_count: 0,
@@ -89,7 +68,9 @@ impl TrendlineEstimator {
             num_samples: 0,
         }
     }
+}
 
+impl TrendlineEstimator {
     /// Current detector state.
     pub fn state(&self) -> BandwidthUsage {
         self.state
@@ -107,11 +88,11 @@ impl TrendlineEstimator {
         let t_ms = sample.at.saturating_since(first).as_micros() as f64 / 1_000.0;
 
         self.accumulated_delay_ms += sample.delta_ms;
-        self.smoothed_delay_ms = self.config.smoothing * self.smoothed_delay_ms
-            + (1.0 - self.config.smoothing) * self.accumulated_delay_ms;
+        self.smoothed_delay_ms =
+            SMOOTHING * self.smoothed_delay_ms + (1.0 - SMOOTHING) * self.accumulated_delay_ms;
 
         self.history.push_back((t_ms, self.smoothed_delay_ms));
-        while self.history.len() > self.config.window {
+        while self.history.len() > WINDOW {
             self.history.pop_front();
         }
         let trend = if self.history.len() >= 2 {
@@ -125,7 +106,7 @@ impl TrendlineEstimator {
 
     /// The WebRTC-style overuse detector with adaptive threshold.
     fn detect(&mut self, trend: f64, sample: DelaySample) {
-        let modified_trend = trend * (self.num_samples.min(60) as f64) * self.config.threshold_gain;
+        let modified_trend = trend * (self.num_samples.min(60) as f64) * THRESHOLD_GAIN;
 
         if modified_trend > self.threshold_ms {
             // Require the trend to persist before declaring overuse.
@@ -135,7 +116,7 @@ impl TrendlineEstimator {
                 self.time_over_using_ms += sample.send_gap_ms;
             }
             self.overuse_count += 1;
-            if self.time_over_using_ms > self.config.overuse_time_ms
+            if self.time_over_using_ms > OVERUSE_TIME_MS
                 && self.overuse_count > 1
                 && trend >= self.prev_trend
             {
@@ -169,9 +150,9 @@ impl TrendlineEstimator {
             return;
         }
         let k = if modified_trend.abs() < self.threshold_ms {
-            self.config.k_down
+            K_DOWN
         } else {
-            self.config.k_up
+            K_UP
         };
         self.threshold_ms += k * (modified_trend.abs() - self.threshold_ms) * dt_ms;
         self.threshold_ms = self.threshold_ms.clamp(6.0, 600.0);
@@ -213,7 +194,7 @@ mod tests {
 
     #[test]
     fn stable_delay_stays_normal() {
-        let mut e = TrendlineEstimator::new(TrendlineConfig::default());
+        let mut e = TrendlineEstimator::default();
         for i in 0..100 {
             e.on_sample(sample(i * 20, 0.0));
         }
@@ -222,7 +203,7 @@ mod tests {
 
     #[test]
     fn sustained_positive_gradient_detects_overuse() {
-        let mut e = TrendlineEstimator::new(TrendlineConfig::default());
+        let mut e = TrendlineEstimator::default();
         let mut saw_overuse = false;
         for i in 0..100 {
             if e.on_sample(sample(i * 20, 2.0)) == BandwidthUsage::Overusing {
@@ -234,7 +215,7 @@ mod tests {
 
     #[test]
     fn sustained_negative_gradient_detects_underuse() {
-        let mut e = TrendlineEstimator::new(TrendlineConfig::default());
+        let mut e = TrendlineEstimator::default();
         // Build a queue first, then drain it.
         for i in 0..30 {
             e.on_sample(sample(i * 20, 2.0));
@@ -250,7 +231,7 @@ mod tests {
 
     #[test]
     fn noise_within_threshold_stays_normal() {
-        let mut e = TrendlineEstimator::new(TrendlineConfig::default());
+        let mut e = TrendlineEstimator::default();
         for i in 0..200u64 {
             let jitter = if i % 2 == 0 { 0.3 } else { -0.3 };
             e.on_sample(sample(i * 20, jitter));
@@ -260,7 +241,7 @@ mod tests {
 
     #[test]
     fn threshold_adapts_upward_under_persistent_trend() {
-        let mut e = TrendlineEstimator::new(TrendlineConfig::default());
+        let mut e = TrendlineEstimator::default();
         let initial = e.threshold_ms();
         for i in 0..60 {
             // A slope strong enough that the modified trend sits above the

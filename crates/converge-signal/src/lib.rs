@@ -23,5 +23,5 @@ pub mod monitor;
 pub mod sdp;
 
 pub use ice::{CandidatePair, CheckMessage, IceAgent, Interface, PairState};
-pub use monitor::{ConnectionMonitor, MonitorConfig, PathEvent, PathState};
+pub use monitor::{ConnectionMonitor, PathEvent, PathState};
 pub use sdp::{Candidate, MediaSection, SdpError, SessionDescription};

@@ -36,28 +36,14 @@ pub struct PathEvent {
     pub at: SimTime,
 }
 
-/// Configuration of the monitor's timers.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorConfig {
-    /// Silence after which a path becomes suspect.
-    pub suspect_after: SimDuration,
-    /// Silence after which a suspect path is declared down.
-    pub down_after: SimDuration,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            suspect_after: SimDuration::from_millis(1_500),
-            down_after: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Silence after which a path becomes suspect.
+const SUSPECT_AFTER: SimDuration = SimDuration::from_millis(1_500);
+/// Silence after which a suspect path is declared down.
+const DOWN_AFTER: SimDuration = SimDuration::from_secs(5);
 
 /// Per-path connection monitor.
 #[derive(Debug)]
 pub struct ConnectionMonitor {
-    config: MonitorConfig,
     paths: BTreeMap<PathId, PathRecord>,
     trace: TraceHandle,
 }
@@ -78,9 +64,8 @@ struct PathRecord {
 
 impl ConnectionMonitor {
     /// Creates a monitor over the given paths, all initially up at t=0.
-    pub fn new(config: MonitorConfig, paths: &[PathId]) -> Self {
+    pub fn new(paths: &[PathId]) -> Self {
         ConnectionMonitor {
-            config,
             paths: paths
                 .iter()
                 .map(|&p| {
@@ -147,9 +132,9 @@ impl ConnectionMonitor {
         let mut events = Vec::new();
         for (&path, rec) in self.paths.iter_mut() {
             let silence = now.saturating_since(rec.last_heard);
-            let next = if silence >= self.config.down_after {
+            let next = if silence >= DOWN_AFTER {
                 PathState::Down
-            } else if silence >= self.config.suspect_after {
+            } else if silence >= SUSPECT_AFTER {
                 PathState::Suspect
             } else {
                 PathState::Up
@@ -190,7 +175,7 @@ mod tests {
     const P1: PathId = PathId(1);
 
     fn monitor() -> ConnectionMonitor {
-        ConnectionMonitor::new(MonitorConfig::default(), &[P0, P1])
+        ConnectionMonitor::new(&[P0, P1])
     }
 
     fn t(ms: u64) -> SimTime {

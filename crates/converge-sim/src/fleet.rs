@@ -6,7 +6,8 @@
 //! events travel two of a shard's [`EventQueue`]s: uplink and feedback
 //! packets in flight in one (arena-backed so memory follows them); pacer,
 //! frame, RTCP and SBD ticks in the other, the structure `flow::run_call`
-//! keeps its own ticks in, so both loops keep time the same way. A
+//! keeps its own ticks in. Both loops keep time the same way: at each
+//! instant, the packets due and then the ticks due, one at a time. A
 //! conference has a few hundred ticks pending at most (some 40 live ones
 //! and the stale `PacerPoll`s `arm_pacer` leaves behind); the hierarchical
 //! wheel that stood here was built for thousands of sessions sharing it
@@ -305,8 +306,6 @@ struct ShardCore {
     queue: EventQueue<FleetEvent>,
     /// Pending ticks, in the structure `flow::run_call` keeps its own in.
     timers: EventQueue<TimerEvent>,
-    /// The ticks due at the instant being processed (see `run_conference`).
-    due: Vec<(SimTime, TimerEvent)>,
     batches: u64,
 }
 
@@ -315,7 +314,6 @@ impl ShardCore {
         ShardCore {
             queue: EventQueue::new(),
             timers: EventQueue::new(),
-            due: Vec::new(),
             batches: 0,
         }
     }
@@ -323,7 +321,6 @@ impl ShardCore {
     fn reset(&mut self) {
         self.queue.clear();
         self.timers.clear();
-        self.due.clear();
     }
 
     fn stats(&self) -> ShardStats {
@@ -870,9 +867,9 @@ fn build_conference(
         });
     }
 
-    let sbd = SbdDetector::new(n_members, Default::default());
+    let sbd = SbdDetector::new(n_members);
     timers.schedule(
-        SimTime::ZERO + sbd.interval() + SimDuration::from_micros((conf as u64 % 97) * 211),
+        SimTime::ZERO + SbdDetector::INTERVAL + SimDuration::from_micros((conf as u64 % 97) * 211),
         TimerEvent { member: 0, kind: TickKind::Sbd },
     );
     let trace = members[0].flow.trace.clone();
@@ -903,7 +900,7 @@ fn run_batch(
 /// Runs one conference to the end of the call and finalizes its report.
 fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
     core.reset();
-    let ShardCore { queue, timers, due, .. } = core;
+    let ShardCore { queue, timers, .. } = core;
     let mut cs = build_conference(cfg, conf, timers);
 
     let end = SimTime::ZERO + cfg.duration;
@@ -923,28 +920,18 @@ fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> Confere
         if now >= end {
             break;
         }
-        // Phase-structured processing at `now`: drain queue events, then
-        // due ticks, and repeat until neither has work. The whole due
-        // batch is taken before any of it is handled: a tick handled at
-        // `now` may arm another at `now`, and that one belongs to the next
-        // round, after the packets this round sent.
-        loop {
-            let mut progressed = false;
-            while let Some((at, ev)) = queue.pop_due(now) {
-                progressed = true;
-                process_event(queue, &mut cs, end, at, ev);
-            }
-            while let Some(tick) = timers.pop_due(now) {
-                due.push(tick);
-            }
-            for (at, te) in due.drain(..) {
-                progressed = true;
-                timer_popped += 1;
-                process_timer(queue, timers, &mut cs, at, te);
-            }
-            if !progressed {
-                break;
-            }
+        // Packets due now, then ticks due now, one at a time, as
+        // `flow::run_call` does. Every packet a handler sends arrives
+        // strictly after `now` (a link serializes a packet for at least
+        // 1 µs), and a tick armed at `now` sorts after every tick already
+        // due, so this visits what draining rounds of packets and due
+        // batches would.
+        while let Some((at, ev)) = queue.pop_due(now) {
+            process_event(queue, &mut cs, end, at, ev);
+        }
+        while let Some((at, te)) = timers.pop_due(now) {
+            timer_popped += 1;
+            process_timer(queue, timers, &mut cs, at, te);
         }
     }
     cs.work.queue_scheduled = queue.scheduled();
@@ -1220,7 +1207,8 @@ fn process_timer(
                     *sbd_changes += 1;
                 }
             }
-            timers.schedule(now + sbd.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
+            let next = TimerEvent { member: 0, kind: TickKind::Sbd };
+            timers.schedule(now + SbdDetector::INTERVAL, next);
         }
     }
 }

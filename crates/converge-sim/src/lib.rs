@@ -28,8 +28,7 @@ pub mod stability;
 pub mod wire;
 
 pub use converge_cc::{
-    CongestionController, ControllerConfig, ControllerKind, MpBbrConfig, MpBbrController,
-    NadaConfig, NadaController,
+    CongestionController, ControllerConfig, ControllerKind, MpBbrController, NadaController,
 };
 pub use drives::DriveFixture;
 pub use duplex::DuplexSession;

@@ -90,6 +90,16 @@ impl PathRxState {
     }
 }
 
+/// Least time between two keyframe requests for one stream.
+const PLI_COOLDOWN: SimDuration = SimDuration::from_millis(500);
+/// How long a gap must persist before NACKing (reordering tolerance).
+const NACK_DELAY: SimDuration = SimDuration::from_millis(60);
+/// Decode-pipeline latency applied to every frame.
+const DECODE_LATENCY: SimDuration = SimDuration::from_millis(20);
+/// Extra latency when a frame needed FEC recovery (paper §2.1: "FEC
+/// decoding incurs non-negligible latency").
+const FEC_PENALTY: SimDuration = SimDuration::from_millis(10);
+
 /// Slots in the per-stream `recent` ring (a power of two so the index is
 /// a mask).
 const RECENT_SLOTS: usize = 1 << 12;
@@ -158,16 +168,8 @@ pub struct ConferenceReceiver {
     /// so the next pass must evaluate every group, not just the ones the
     /// triggering packet belongs to.
     fec_full_sweep: bool,
-    /// Keyframe request cooldown per stream.
+    /// When each stream last requested a keyframe (see [`PLI_COOLDOWN`]).
     last_pli: BTreeMap<StreamId, SimTime>,
-    pli_cooldown: SimDuration,
-    /// How long a gap must persist before NACKing (reordering tolerance).
-    nack_delay: SimDuration,
-    /// Decode-pipeline latency applied to every frame.
-    decode_latency: SimDuration,
-    /// Extra latency when a frame needed FEC recovery (paper §2.1: "FEC
-    /// decoding incurs non-negligible latency").
-    fec_penalty: SimDuration,
     /// PLIs issued.
     pli_count: u64,
     /// One recovery pass's rebuilt packets and one round's NACK list:
@@ -225,10 +227,6 @@ impl ConferenceReceiver {
             pending_fec: Vec::new(),
             fec_full_sweep: false,
             last_pli: BTreeMap::new(),
-            pli_cooldown: SimDuration::from_millis(500),
-            nack_delay: SimDuration::from_millis(60),
-            decode_latency: SimDuration::from_millis(20),
-            fec_penalty: SimDuration::from_millis(10),
             pli_count: 0,
             fec_recovered: Vec::new(),
             nack_list: Vec::new(),
@@ -331,8 +329,6 @@ impl ConferenceReceiver {
         packet: VideoPacket,
         events: &mut Vec<ReceiverEvent>,
     ) {
-        let decode_latency = self.decode_latency;
-        let fec_penalty = self.fec_penalty;
         let Some(rx) = self.streams.get_mut(&packet.stream) else {
             return;
         };
@@ -351,7 +347,7 @@ impl ConferenceReceiver {
         } else {
             rx.packet_buffer
                 .insert_into(now, &packet, &mut rx.pb_events);
-            Self::process_pb_events(rx, packet.stream, now, events, decode_latency, fec_penalty);
+            Self::process_pb_events(rx, packet.stream, now, events);
         }
 
         // A late media packet may make a pending FEC group recoverable —
@@ -366,8 +362,6 @@ impl ConferenceReceiver {
         stream: StreamId,
         now: SimTime,
         events: &mut Vec<ReceiverEvent>,
-        decode_latency: SimDuration,
-        fec_penalty: SimDuration,
     ) {
         if rx.pb_events.is_empty() {
             return;
@@ -393,9 +387,9 @@ impl ConferenceReceiver {
                             }
                             FrameBufferEvent::Decoded { frame, at } => {
                                 let mut e2e =
-                                    at.saturating_since(frame.capture_time) + decode_latency;
+                                    at.saturating_since(frame.capture_time) + DECODE_LATENCY;
                                 if rx.fec_assisted.remove(&frame.frame_id) {
-                                    e2e += fec_penalty;
+                                    e2e += FEC_PENALTY;
                                 }
                                 events.push(ReceiverEvent::FrameDecoded {
                                     stream: frame.stream,
@@ -493,8 +487,6 @@ impl ConferenceReceiver {
                 _ => true, // keep waiting for more packets
             }
         });
-        let decode_latency = self.decode_latency;
-        let fec_penalty = self.fec_penalty;
         self.fec_full_sweep = !recovered.is_empty();
         for (stream, packet) in recovered.drain(..) {
             events.push(ReceiverEvent::FecRecovered);
@@ -509,7 +501,7 @@ impl ConferenceReceiver {
                 } else {
                     rx.packet_buffer
                         .insert_into(now, &packet, &mut rx.pb_events);
-                    Self::process_pb_events(rx, stream, now, events, decode_latency, fec_penalty);
+                    Self::process_pb_events(rx, stream, now, events);
                 }
             }
         }
@@ -628,7 +620,7 @@ impl ConferenceReceiver {
             // NACKs: gaps older than the reordering delay, max 3 attempts.
             let to_nack = &mut self.nack_list;
             to_nack.clear();
-            rx.gaps.nack_round(now, self.nack_delay, to_nack);
+            rx.gaps.nack_round(now, NACK_DELAY, to_nack);
             if !to_nack.is_empty() {
                 out.push((
                     control_path,
@@ -645,7 +637,7 @@ impl ConferenceReceiver {
                 let due = self
                     .last_pli
                     .get(&stream)
-                    .is_none_or(|&t| now.saturating_since(t) >= self.pli_cooldown);
+                    .is_none_or(|&t| now.saturating_since(t) >= PLI_COOLDOWN);
                 if due {
                     self.last_pli.insert(stream, now);
                     self.pli_count += 1;

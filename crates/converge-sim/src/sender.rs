@@ -10,7 +10,7 @@ use converge_core::{
 use converge_gcc::PacketTiming;
 use converge_net::{PathId, SimDuration, SimTime};
 use converge_rtp::RtcpPacket;
-use converge_signal::{ConnectionMonitor, MonitorConfig, PathState};
+use converge_signal::{ConnectionMonitor, PathState};
 use converge_trace::TraceHandle;
 use converge_video::{
     EncoderConfig, FrameType, Packetizer, PacketizerConfig, StreamId, VideoEncoder, VideoPacket,
@@ -271,7 +271,7 @@ impl ConferenceSender {
             next_probe_seq: 0,
             outstanding_probes: BTreeMap::new(),
             fec_overhead_ewma: 0.0,
-            monitor: ConnectionMonitor::new(MonitorConfig::default(), paths),
+            monitor: ConnectionMonitor::new(paths),
             coupling: RateCoupling::Uncoupled,
             sizing,
             scratch: FrameScratch::default(),

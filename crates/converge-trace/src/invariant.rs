@@ -22,10 +22,10 @@
 //!    max(FCD, 5 ms)` actually held when the scheduler re-enabled.
 //! 4. **FEC bounds** — `FecUpdated` must satisfy `repair ≤ media`
 //!    (`FEC_i ≤ P_i`) and `1 ≤ β ≤ β_max` (§4.3 caps β at 3).
-//! 5. **Rate clamp** — `CcRateChanged` stays within the configured
-//!    floor/ceiling, whichever algorithm drives the path (GCC clamps to
-//!    `[50 kbps, 30 Mbps]` by default, NADA and mp-BBR to
-//!    `[150 kbps, 30 Mbps]`).
+//! 5. **Rate clamp** — `CcRateChanged` stays within
+//!    `[RATE_FLOOR_BPS, RATE_CEILING_BPS]`, whichever algorithm drives the
+//!    path (GCC clamps to exactly that, NADA and mp-BBR to
+//!    `[150 kbps, RATE_CEILING_BPS]`).
 //!
 //! To add an invariant: extend [`State`] with whatever bookkeeping the
 //! rule needs, add the check in [`check_record`], and give the rule a
@@ -37,7 +37,13 @@ use std::sync::{Arc, Mutex};
 
 use converge_net::PathId;
 
-use crate::{SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink};
+use crate::{
+    SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink, FEC_BETA_CAP, RATE_CEILING_BPS,
+    RATE_FLOOR_BPS,
+};
+
+/// [`FEC_BETA_CAP`] in the thousandths `FecUpdated` carries β in.
+const BETA_CAP_MILLI: u32 = (FEC_BETA_CAP * 1_000.0) as u32;
 
 /// One invariant violation observed in a trace stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,28 +62,6 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Bounds the checker enforces. Defaults mirror the widest controller
-/// clamp in the stack (GCC's) and the paper's β cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvariantConfig {
-    /// Minimum legal congestion-controller target rate, bits per second.
-    pub rate_floor_bps: u64,
-    /// Maximum legal congestion-controller target rate, bits per second.
-    pub rate_ceiling_bps: u64,
-    /// Maximum legal FEC β in thousandths (3000 = the paper's cap of 3).
-    pub beta_max_milli: u32,
-}
-
-impl Default for InvariantConfig {
-    fn default() -> Self {
-        InvariantConfig {
-            rate_floor_bps: 50_000,
-            rate_ceiling_bps: 30_000_000,
-            beta_max_milli: 3_000,
-        }
-    }
-}
-
 /// Mutable bookkeeping the rules need across records.
 #[derive(Debug, Default)]
 struct State {
@@ -91,21 +75,14 @@ struct State {
 /// run.
 #[derive(Debug)]
 pub struct InvariantSink {
-    config: InvariantConfig,
     inner: Option<Arc<dyn TraceSink>>,
     state: Mutex<State>,
 }
 
 impl InvariantSink {
-    /// A standalone checker with default bounds and no inner sink.
+    /// A standalone checker with no inner sink.
     pub fn new() -> Self {
-        InvariantSink::with_config(InvariantConfig::default())
-    }
-
-    /// A standalone checker with explicit bounds.
-    pub fn with_config(config: InvariantConfig) -> Self {
         InvariantSink {
-            config,
             inner: None,
             state: Mutex::new(State::default()),
         }
@@ -116,7 +93,6 @@ impl InvariantSink {
     /// checker.
     pub fn wrapping(handle: &TraceHandle) -> Self {
         InvariantSink {
-            config: InvariantConfig::default(),
             inner: handle.sink.clone(),
             state: Mutex::new(State::default()),
         }
@@ -148,7 +124,7 @@ impl TraceSink for InvariantSink {
     fn record(&self, record: TraceRecord) {
         {
             let mut state = self.state.lock().expect("invariant lock");
-            check_record(&record, &self.config, &mut state);
+            check_record(&record, &mut state);
         }
         if let Some(inner) = &self.inner {
             if inner.enabled() {
@@ -159,7 +135,7 @@ impl TraceSink for InvariantSink {
 }
 
 /// Applies every rule to one record, mutating `state`.
-fn check_record(record: &TraceRecord, config: &InvariantConfig, state: &mut State) {
+fn check_record(record: &TraceRecord, state: &mut State) {
     let at = record.at;
     if let Some(last) = state.last_at {
         if at < last {
@@ -221,13 +197,12 @@ fn check_record(record: &TraceRecord, config: &InvariantConfig, state: &mut Stat
                     detail: format!("{path}: beta {beta_milli}/1000 below 1.0"),
                 });
             }
-            if beta_milli > config.beta_max_milli {
+            if beta_milli > BETA_CAP_MILLI {
                 state.violations.push(Violation {
                     at,
                     rule: "fec-beta-cap",
                     detail: format!(
-                        "{path}: beta {beta_milli}/1000 exceeds cap {}/1000",
-                        config.beta_max_milli
+                        "{path}: beta {beta_milli}/1000 exceeds cap {BETA_CAP_MILLI}/1000"
                     ),
                 });
             }
@@ -236,15 +211,13 @@ fn check_record(record: &TraceRecord, config: &InvariantConfig, state: &mut Stat
             path,
             algorithm,
             rate_bps,
-        } if rate_bps < config.rate_floor_bps || rate_bps > config.rate_ceiling_bps => {
+        } if !(RATE_FLOOR_BPS..=RATE_CEILING_BPS).contains(&rate_bps) => {
             state.violations.push(Violation {
                 at,
                 rule: "cc-rate-clamp",
                 detail: format!(
-                    "{path} ({}): rate {rate_bps} bps outside [{}, {}]",
+                    "{path} ({}): rate {rate_bps} bps outside [{RATE_FLOOR_BPS}, {RATE_CEILING_BPS}]",
                     algorithm.id(),
-                    config.rate_floor_bps,
-                    config.rate_ceiling_bps
                 ),
             });
         }
@@ -255,10 +228,10 @@ fn check_record(record: &TraceRecord, config: &InvariantConfig, state: &mut Stat
 /// Replays an already-captured record slice through the rules, for
 /// offline checking of stored timelines (e.g. the bench runner's traced
 /// mode or a parsed JSONL file).
-pub fn check_records(records: &[TraceRecord], config: InvariantConfig) -> Vec<Violation> {
+pub fn check_records(records: &[TraceRecord]) -> Vec<Violation> {
     let mut state = State::default();
     for record in records {
-        check_record(record, &config, &mut state);
+        check_record(record, &mut state);
     }
     state.violations
 }
@@ -394,6 +367,15 @@ mod tests {
                 repair: 4,
             },
         ));
+        sink.record(rec(
+            2,
+            TraceEvent::FecUpdated {
+                path: PathId(0),
+                beta_milli: BETA_CAP_MILLI,
+                media: 10,
+                repair: 4,
+            },
+        ));
         assert!(sink.is_clean());
         sink.record(rec(
             2,
@@ -408,7 +390,7 @@ mod tests {
             3,
             TraceEvent::FecUpdated {
                 path: PathId(0),
-                beta_milli: 3_500,
+                beta_milli: BETA_CAP_MILLI + 1,
                 media: 10,
                 repair: 0,
             },
@@ -429,7 +411,7 @@ mod tests {
             TraceEvent::CcRateChanged {
                 path: PathId(0),
                 algorithm: CcAlgorithm::Gcc,
-                rate_bps: 49_999,
+                rate_bps: RATE_FLOOR_BPS - 1,
             },
         ));
         sink.record(rec(
@@ -437,7 +419,7 @@ mod tests {
             TraceEvent::CcRateChanged {
                 path: PathId(1),
                 algorithm: CcAlgorithm::MpBbr,
-                rate_bps: 30_000_001,
+                rate_bps: RATE_CEILING_BPS + 1,
             },
         ));
         sink.record(rec(
@@ -445,7 +427,15 @@ mod tests {
             TraceEvent::CcRateChanged {
                 path: PathId(0),
                 algorithm: CcAlgorithm::Nada,
-                rate_bps: 50_000,
+                rate_bps: RATE_FLOOR_BPS,
+            },
+        ));
+        sink.record(rec(
+            4,
+            TraceEvent::CcRateChanged {
+                path: PathId(1),
+                algorithm: CcAlgorithm::Gcc,
+                rate_bps: RATE_CEILING_BPS,
             },
         ));
         let v = sink.violations();
@@ -491,7 +481,7 @@ mod tests {
                 },
             ),
         ];
-        let offline = check_records(&records, InvariantConfig::default());
+        let offline = check_records(&records);
         let sink = InvariantSink::new();
         for r in &records {
             sink.record(*r);

@@ -28,7 +28,21 @@ pub mod invariant;
 pub mod jsonl;
 pub mod timeline;
 
-pub use invariant::{InvariantConfig, InvariantSink, Violation};
+pub use invariant::{InvariantSink, Violation};
+
+/// The highest target rate any congestion controller sets, bits per
+/// second; the `cc-rate-clamp` invariant's ceiling.
+pub const RATE_CEILING_BPS: u64 = 30_000_000;
+
+/// GCC's rate floor, bits per second: the lowest floor of the three
+/// controllers (NADA and mp-BBR stop at 150 kbit/s), so the
+/// `cc-rate-clamp` invariant's floor.
+pub const RATE_FLOOR_BPS: u64 = 50_000;
+
+/// The cap on Converge's FEC β (§4.3): a burst of NACKs must not turn the
+/// protector into a bandwidth hog worse than the table baseline. The
+/// `fec-beta-cap` invariant's bound.
+pub const FEC_BETA_CAP: f64 = 3.0;
 
 /// A congestion-control algorithm: which one drives each path
 /// (`converge_cc::ControllerKind` is this enum) and which one a `Cc*`

@@ -9,7 +9,7 @@
 
 use converge_net::{PathId, SimTime};
 use converge_rtp::{SrtpContext, SrtpError};
-use converge_signal::{ConnectionMonitor, MonitorConfig, PathState};
+use converge_signal::{ConnectionMonitor, PathState};
 
 fn main() {
     println!("--- SRTP-style protection across paths ---");
@@ -42,7 +42,7 @@ fn main() {
 
     println!();
     println!("--- Connection monitor through a path outage ---");
-    let mut monitor = ConnectionMonitor::new(MonitorConfig::default(), &[PathId(0), PathId(1)]);
+    let mut monitor = ConnectionMonitor::new(&[PathId(0), PathId(1)]);
     let t = SimTime::from_millis;
     // Both paths chatty for 2 s.
     for ms in (0..2_000).step_by(100) {

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use converge_net::{PathId, SimDuration, SimTime};
 use converge_rtp::{SrtpContext, SrtpError};
-use converge_signal::{ConnectionMonitor, MonitorConfig, PathState};
+use converge_signal::{ConnectionMonitor, PathState};
 
 // ---------- SRTP ----------
 
@@ -97,7 +97,7 @@ proptest! {
     ) {
         let mut sorted = events.clone();
         sorted.sort();
-        let mut m = ConnectionMonitor::new(MonitorConfig::default(), &[PathId(0), PathId(1)]);
+        let mut m = ConnectionMonitor::new(&[PathId(0), PathId(1)]);
         let mut last_heard: std::collections::BTreeMap<u8, u64> = Default::default();
         last_heard.insert(0, 0);
         last_heard.insert(1, 0);
