@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the commands the README and DESIGN name, the
-# repo benchmark's smoke run, unit/integration
+# repo benchmark's smoke run with its five report digests pinned,
+# unit/integration
 # tests, the allocation budgets, the fleet's exact work counts and the
 # stability matrix's tier-1 slice by name, one short run each of the
 # peak-heap attribution, the sampling profiler and the repair timeline (so
@@ -82,9 +83,31 @@ readme_examples() {
 gate readme-examples readme_examples
 
 # The repo benchmark, every workload once: both of its packages must still
-# build against this tree (bench-layers pins sim/net internals), and its
-# mirror of the call loop must stay Debug-identical to Session::run.
-gate benchmark-smoke bash benchmark/run.sh --smoke
+# build against this tree (bench-layers pins sim/net internals), its
+# mirror of the call loop must stay Debug-identical to Session::run, and
+# each workload's report_digest must equal the one pinned in
+# tests/tests/fixtures/benchmark_smoke_digests.txt — "same bytes on every
+# workload" as a gate (UPDATE_GOLDEN=1 ./ci.sh rewrites it).
+benchmark_smoke() {
+    local w digest digests="" pinned=tests/tests/fixtures/benchmark_smoke_digests.txt
+    local results=benchmark/results/smoke workloads=(call-clean call-impaired call-npath fleet-sfu sweep-quick)
+    for w in "${workloads[@]}"; do
+        rm -f "$results/$w.json"
+    done
+    bash benchmark/run.sh --smoke
+    for w in "${workloads[@]}"; do
+        digest=$(grep -o '"report_digest": "[0-9a-f]*"' "$results/$w.json" | cut -d'"' -f4)
+        digests+="$w $digest"$'\n'
+    done
+    if [ "${UPDATE_GOLDEN:-}" = 1 ]; then
+        printf '%s' "$digests" > "$pinned"
+    elif ! printf '%s' "$digests" | cmp -s - "$pinned"; then
+        echo "benchmark-smoke: report digests differ from $pinned:" >&2
+        printf '%s' "$digests" | diff "$pinned" - >&2
+        return 1
+    fi
+}
+gate benchmark-smoke benchmark_smoke
 
 # --no-fail-fast: one red binary must not hide the ones sorted after it.
 gate tests cargo test -q --no-fail-fast

@@ -62,9 +62,9 @@ pub struct QoeMonitor {
     /// at this capacity instead of doubling its way up.
     frame_capacity: usize,
     /// Late and early packets per non-fast path of the frame being judged,
-    /// sorted by path.
-    tally: Vec<(PathId, i32, i32)>,
-    /// The path currently considered fast (reference for lateness).
+    /// indexed by path id.
+    tally: Vec<(i32, i32)>,
+    /// The path considered fast (reference for lateness).
     fast_path: PathId,
     /// Most recent FCD observed.
     last_fcd: SimDuration,
@@ -104,11 +104,6 @@ impl QoeMonitor {
     /// Updates the expected frame rate (from the sender's SDES message).
     pub fn set_frame_rate(&mut self, fps: u32) {
         self.expected_ifd = SimDuration::from_micros(1_000_000 / fps.max(1) as u64);
-    }
-
-    /// Updates which path the monitor treats as the fast reference.
-    pub fn set_fast_path(&mut self, path: PathId) {
-        self.fast_path = path;
     }
 
     /// Expected interframe delay.
@@ -214,24 +209,21 @@ impl QoeMonitor {
             return; // no fast-path packets in this frame: no baseline
         };
 
-        // Count late/early packets per non-fast path.
+        // Count late/early packets per non-fast path; a path with no
+        // packets in the frame keeps (0, 0) and is never picked below.
+        let len = arrivals.iter().map(|a| a.path().index() + 1).max();
         self.tally.clear();
+        self.tally.resize(len.unwrap_or(0), (0, 0));
         for &arrival in arrivals {
             let (path, at) = (arrival.path(), arrival.at_us());
             if path == self.fast_path {
                 continue;
             }
-            let idx = match self.tally.binary_search_by_key(&path, |&(p, ..)| p) {
-                Ok(idx) => idx,
-                Err(idx) => {
-                    self.tally.insert(idx, (path, 0, 0));
-                    idx
-                }
-            };
+            let (late, early) = &mut self.tally[path.index()];
             if at > reference {
-                self.tally[idx].1 += 1;
+                *late += 1;
             } else {
-                self.tally[idx].2 += 1;
+                *early += 1;
             }
         }
 
@@ -239,19 +231,20 @@ impl QoeMonitor {
         // No late packets anywhere, yet IFD is high: some slow path
         // finished entirely before the fast path, so it has headroom —
         // positive α for the earliest-finishing one. (Ties go to the
-        // highest path id, as `max_by_key` over the sorted tally does.)
-        let tally = &self.tally;
-        let worst_late = tally
-            .iter()
-            .filter(|&&(_, late, _)| late > 0)
-            .max_by_key(|&&(_, late, _)| late)
-            .map(|&(path, late, _)| (path, -late));
+        // highest path id, as `max_by_key` over the tally in id order does.)
+        let tally = || {
+            let ids = self.tally.iter().enumerate();
+            ids.map(|(i, &counts)| (PathId(i as u8), counts))
+        };
+        let worst_late = tally()
+            .filter(|&(_, (late, _))| late > 0)
+            .max_by_key(|&(_, (late, _))| late)
+            .map(|(path, (late, _))| (path, -late));
         let most_early = || {
-            tally
-                .iter()
-                .filter(|&&(.., early)| early > 0)
-                .max_by_key(|&&(.., early)| early)
-                .map(|&(path, _, early)| (path, early))
+            tally()
+                .filter(|&(_, (_, early))| early > 0)
+                .max_by_key(|&(_, (_, early))| early)
+                .map(|(path, (_, early))| (path, early))
         };
         if let Some((path, alpha)) = worst_late.or_else(most_early) {
             self.pending.push(QoeFeedback {
@@ -302,11 +295,10 @@ struct DisabledState {
     fcd: SimDuration,
 }
 
-/// The cap `caps` (sorted by `PathId`) holds for `path`, if any.
-fn cap_of(caps: &[(PathId, usize)], path: PathId) -> Option<usize> {
-    caps.binary_search_by_key(&path, |&(p, _)| p)
-        .ok()
-        .map(|i| caps[i].1)
+/// The cap `caps` (indexed by path id) holds for `path`; a path past its
+/// end is uncapped.
+fn cap_of(caps: &[usize], path: PathId) -> usize {
+    caps.get(path.index()).copied().unwrap_or(usize::MAX)
 }
 
 impl PathShare {
@@ -389,19 +381,24 @@ impl PathShare {
         paths: &[crate::metrics::PathMetrics],
         p_max: &BTreeMap<PathId, usize>,
     ) -> Vec<(PathId, usize)> {
-        let caps: Vec<(PathId, usize)> = p_max.iter().map(|(&p, &cap)| (p, cap)).collect();
+        // Keys ascend, so each one extends the table.
+        let mut caps = Vec::new();
+        for (&path, &cap) in p_max {
+            caps.resize(path.index(), usize::MAX);
+            caps.push(cap);
+        }
         let mut counts = Vec::new();
         self.split_into(n, paths, &caps, &mut counts);
         counts
     }
 
-    /// [`PathShare::split`] with the caps as a `PathId`-sorted slice,
-    /// replacing the contents of `counts`.
+    /// [`PathShare::split`] with the caps as a slice indexed by path id (a
+    /// path past its end is uncapped), replacing the contents of `counts`.
     pub fn split_into(
         &mut self,
         n: usize,
         paths: &[crate::metrics::PathMetrics],
-        caps: &[(PathId, usize)],
+        caps: &[usize],
         counts: &mut Vec<(PathId, usize)>,
     ) {
         let (offsets, disabled, order) = (&self.offsets, &self.disabled, &mut self.order);
@@ -426,9 +423,7 @@ impl PathShare {
         for p in use_paths() {
             let base = (p.rate_bps as f64 / total_rate as f64 * n as f64).round() as i64;
             let adjusted = base + offsets.get(&p.id).copied().unwrap_or(0);
-            let cap = cap_of(caps, p.id)
-                .unwrap_or(usize::MAX)
-                .min(i64::MAX as usize) as i64;
+            let cap = cap_of(caps, p.id).min(i64::MAX as usize) as i64;
             counts.push((p.id, adjusted.clamp(0, cap) as usize));
         }
 
@@ -446,7 +441,7 @@ impl PathShare {
                 if assigned >= n {
                     break;
                 }
-                let cap = cap_of(caps, counts[i].0).unwrap_or(usize::MAX);
+                let cap = cap_of(caps, counts[i].0);
                 let room = cap.saturating_sub(counts[i].1);
                 let add = room.min(n - assigned);
                 counts[i].1 += add;

@@ -83,8 +83,8 @@ pub struct ConvergeScheduler {
 struct BatchScratch {
     /// Paths usable this batch.
     usable: Vec<PathMetrics>,
-    /// What is left of each usable path's `P_max`, sorted by path.
-    budget: Vec<(PathId, usize)>,
+    /// What is left of each usable path's `P_max`, indexed by path id.
+    budget: Vec<usize>,
     /// Indices of the batch's priority packets, in Table 2 order.
     priority_idx: Vec<usize>,
     /// Spill order for priority packets, with each path's completion time.
@@ -174,14 +174,13 @@ impl Scheduler for ConvergeScheduler {
                 .emit(now, TraceEvent::FastPathSwitched { path: fast });
         }
 
-        // Per-path budget for the batch, sorted by path.
+        // Per-path budget for the batch; only usable paths' entries are
+        // ever read.
+        let len = usable.iter().map(|p| p.id.index() + 1).max();
         budget.clear();
+        budget.resize(len.unwrap_or(0), 0);
         for p in usable.iter() {
-            let cap = p_max(p.rate_bps, self.config.batch_interval, k).max(1);
-            match budget.binary_search_by_key(&p.id, |&(id, _)| id) {
-                Ok(at) => budget[at].1 = cap,
-                Err(at) => budget.insert(at, (p.id, cap)),
-            }
+            budget[p.id.index()] = p_max(p.rate_bps, self.config.batch_interval, k).max(1);
         }
 
         // Everything not placed below rides the fast path.
@@ -196,39 +195,30 @@ impl Scheduler for ConvergeScheduler {
         priority_idx.extend((0..n).filter(|&i| is_priority(&packets[i])));
         priority_idx.sort_by_key(|&i| packets[i].class.priority().expect("priority"));
 
-        // Spill order: paths by completion time (fast first). A path an
-        // order of magnitude slower than the fast path is excluded — losing
-        // or delaying a keyframe/control packet there costs far more QoE
-        // than briefly bursting past the fast path's budget.
-        let fast_cpt = usable
-            .iter()
-            .find(|p| p.id == fast)
-            .map(|p| crate::fastpath::completion_time(p, n, k))
-            .unwrap_or(f64::INFINITY);
+        // Spill order: the fast path, then the others by completion time. A
+        // path an order of magnitude slower than the fast path is excluded —
+        // losing or delaying a keyframe/control packet there costs far more
+        // QoE than briefly bursting past the fast path's budget.
         path_order.clear();
         path_order.extend(
             usable
                 .iter()
-                .map(|p| (crate::fastpath::completion_time(p, n, k), p.id))
-                .filter(|&(cpt, id)| id == fast || cpt <= fast_cpt * 3.0),
+                .map(|p| (crate::fastpath::completion_time(p, n, k), p.id)),
         );
-        path_order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite or inf comparable"));
-        let pos = path_order
-            .iter()
-            .position(|&(_, p)| p == fast)
-            .expect("the fast path is usable");
-        path_order[..=pos].rotate_right(1);
+        path_order.sort_by(|a, b| {
+            let cpt = || a.0.partial_cmp(&b.0).expect("finite or inf comparable");
+            (a.1 != fast).cmp(&(b.1 != fast)).then_with(cpt)
+        });
+        let fast_cpt = path_order[0].0;
+        path_order.retain(|&(cpt, id)| id == fast || cpt <= fast_cpt * 3.0);
 
         for &i in priority_idx.iter() {
             // The first path in spill order with budget left; a packet that
             // fits nowhere bursts past the fast path's budget.
-            let slot = path_order.iter().find_map(|&(_, p)| {
-                let at = budget.binary_search_by_key(&p, |&(id, _)| id).ok()?;
-                (budget[at].1 > 0).then_some(at)
-            });
-            if let Some(at) = slot {
-                budget[at].1 -= 1;
-                out[i].path = budget[at].0;
+            let slot = path_order.iter().find(|&&(_, p)| budget[p.index()] > 0);
+            if let Some(&(_, p)) = slot {
+                budget[p.index()] -= 1;
+                out[i].path = p;
             }
         }
 
@@ -257,20 +247,16 @@ impl Scheduler for ConvergeScheduler {
                 // A path whose computed share is zero while its offset is
                 // negative has been squeezed out: disable it (paper: "If the
                 // number of packets becomes zero, the sender disables the
-                // path").
-                for p in usable.iter() {
-                    let share_zero = counts
-                        .iter()
-                        .find(|&&(id, _)| id == p.id)
-                        .is_some_and(|&(_, c)| c == 0);
-                    if share_zero && self.share.offset(p.id) < 0 && usable.len() > 1 {
-                        let newly = !self.share.is_disabled(p.id);
-                        self.share.mark_disabled(p.id, self.last_feedback_fcd);
+                // path"). `counts` lists the split's paths in usable order.
+                for &(path, count) in counts.iter() {
+                    if count == 0 && self.share.offset(path) < 0 && usable.len() > 1 {
+                        let newly = !self.share.is_disabled(path);
+                        self.share.mark_disabled(path, self.last_feedback_fcd);
                         if newly {
                             self.trace.emit(
                                 now,
                                 TraceEvent::PathDisabled {
-                                    path: p.id,
+                                    path,
                                     fcd_us: self.last_feedback_fcd.as_micros(),
                                 },
                             );

@@ -587,8 +587,11 @@ fn split_and_interleave_match_the_allocating_reference() {
                 want,
                 "seed {seed} step {step}"
             );
-            let sorted: Vec<(PathId, usize)> = caps.iter().map(|(&p, &c)| (p, c)).collect();
-            share.split_into(n, &paths, &sorted, &mut counts);
+            let mut indexed = vec![usize::MAX; 1 + n_paths];
+            for (&p, &c) in &caps {
+                indexed[p.index()] = c;
+            }
+            share.split_into(n, &paths, &indexed, &mut counts);
             assert_eq!(counts, want, "seed {seed} step {step}");
             interleave_into(&counts, &mut remaining, &mut seq);
             assert_eq!(seq, ref_interleave(&counts), "seed {seed} step {step}");

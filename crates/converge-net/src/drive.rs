@@ -195,7 +195,9 @@ impl DriveTrace {
     /// by path ID; path IDs must form a contiguous `0..n`. Blank lines and
     /// `#` comments are skipped; errors carry 1-based line numbers.
     pub fn parse_jsonl(text: &str) -> Result<Vec<DriveTrace>, DriveParseError> {
-        let mut per_path: Vec<(u8, Vec<DriveSample>, SimTime)> = Vec::new();
+        // Samples and the last sample's instant, indexed by path id; an id
+        // no row names stays `None`.
+        let mut per_path: Vec<Option<(Vec<DriveSample>, SimTime)>> = Vec::new();
         let mut any = false;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -222,31 +224,27 @@ impl DriveTrace {
                 loss_pct: parse_loss_pct(loss, lineno)?,
             };
             any = true;
-            let slot = match per_path.iter_mut().find(|(id, ..)| *id == path) {
-                Some(slot) => slot,
-                None => {
-                    per_path.push((path, Vec::new(), SimTime::ZERO));
-                    per_path.last_mut().expect("just pushed")
-                }
-            };
-            if !slot.1.is_empty() && sample.at <= slot.2 {
+            let idx = usize::from(path);
+            if idx >= per_path.len() {
+                per_path.resize_with(idx + 1, || None);
+            }
+            let (samples, last) = per_path[idx].get_or_insert_with(|| (Vec::new(), SimTime::ZERO));
+            if !samples.is_empty() && sample.at <= *last {
                 return Err(DriveParseError::NonMonotoneTime(lineno));
             }
-            slot.2 = sample.at;
-            slot.1.push(sample);
+            *last = sample.at;
+            samples.push(sample);
         }
         if !any {
             return Err(DriveParseError::Empty);
         }
-        per_path.sort_by_key(|(id, ..)| *id);
-        for (i, (id, ..)) in per_path.iter().enumerate() {
-            if *id as usize != i {
-                return Err(DriveParseError::MissingPath(i as u8));
-            }
-        }
         per_path
             .into_iter()
-            .map(|(_, samples, _)| DriveTrace::new(samples))
+            .enumerate()
+            .map(|(i, slot)| {
+                let (samples, _) = slot.ok_or(DriveParseError::MissingPath(i as u8))?;
+                DriveTrace::new(samples)
+            })
             .collect()
     }
 }

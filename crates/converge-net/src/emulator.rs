@@ -54,6 +54,7 @@ struct InFlight<P> {
 
 /// A multipath emulator between two endpoints.
 pub struct NetworkEmulator<P> {
+    /// Indexed by path id.
     paths: Vec<Path>,
     queue: EventQueue<InFlight<P>>,
 }
@@ -62,13 +63,9 @@ impl<P> NetworkEmulator<P> {
     /// Creates an emulator over the given paths.
     ///
     /// # Panics
-    /// Panics if paths have duplicate IDs.
+    /// Panics unless path `i` has id `i` (see [`PathId::assert_indexed`]).
     pub fn new(paths: Vec<Path>) -> Self {
-        for (i, a) in paths.iter().enumerate() {
-            for b in &paths[i + 1..] {
-                assert!(a.id() != b.id(), "duplicate path id {}", a.id());
-            }
-        }
+        PathId::assert_indexed(paths.iter().map(Path::id));
         NetworkEmulator {
             paths,
             queue: EventQueue::new(),
@@ -87,12 +84,12 @@ impl<P> NetworkEmulator<P> {
 
     /// Borrows a path by ID.
     pub fn path(&self, id: PathId) -> Option<&Path> {
-        self.paths.iter().find(|p| p.id() == id)
+        self.paths.get(id.index())
     }
 
     /// Mutably borrows a path by ID.
     pub fn path_mut(&mut self, id: PathId) -> Option<&mut Path> {
-        self.paths.iter_mut().find(|p| p.id() == id)
+        self.paths.get_mut(id.index())
     }
 
     /// Sends `payload` of `bytes` over `path` in `direction` at `now`.
@@ -112,7 +109,7 @@ impl<P> NetworkEmulator<P> {
     where
         P: Clone,
     {
-        let Some(p) = self.paths.iter_mut().find(|p| p.id() == path) else {
+        let Some(p) = self.path_mut(path) else {
             panic!("send on unknown {path}");
         };
         let offer = p.offer(direction, now, bytes);
@@ -297,12 +294,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate path id")]
+    #[should_panic(expected = "path0 listed at index 1: path ids must run 0..n in order")]
     fn duplicate_ids_rejected() {
         let cfg = LinkConfig::default();
         let _ = NetworkEmulator::<()>::new(vec![
             Path::symmetric(PathId(0), cfg.clone()),
             Path::symmetric(PathId(0), cfg),
+        ]);
+    }
+
+    /// Distinct ids are not enough: path `i` must have id `i`, because the
+    /// emulator finds a path by indexing with its id.
+    #[test]
+    #[should_panic(expected = "path2 listed at index 1: path ids must run 0..n in order")]
+    fn a_gap_in_the_ids_is_rejected() {
+        let cfg = LinkConfig::default();
+        let _ = NetworkEmulator::<()>::new(vec![
+            Path::symmetric(PathId(0), cfg.clone()),
+            Path::symmetric(PathId(2), cfg),
         ]);
     }
 

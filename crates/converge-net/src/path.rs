@@ -8,11 +8,31 @@ use crate::link::{Link, LinkConfig, LinkStats, Offer, Transmit};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a network path within a session (matches the path ID field
-/// of the paper's RTP/RTCP multipath header extensions).
+/// of the paper's RTP/RTCP multipath header extensions). A session's paths
+/// are `PathId(0)..PathId(n − 1)`, so an id is also the index of its path's
+/// state in every per-path table.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct PathId(pub u8);
+
+impl PathId {
+    /// The index of this path's entry in a per-path table.
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+
+    /// Panics, naming the first id out of place, unless `ids` run
+    /// `PathId(0), PathId(1), …` in order.
+    pub fn assert_indexed(ids: impl IntoIterator<Item = PathId>) {
+        for (i, id) in ids.into_iter().enumerate() {
+            assert!(
+                id.index() == i,
+                "{id} listed at index {i}: path ids must run 0..n in order"
+            );
+        }
+    }
+}
 
 impl std::fmt::Display for PathId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

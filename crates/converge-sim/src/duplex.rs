@@ -7,7 +7,7 @@
 //! session runs a full sender+receiver at each endpoint over the same
 //! emulated paths and reports one [`CallReport`] per direction.
 
-use converge_net::{LinkConfig, Path, PathId};
+use converge_net::{Path, PathId};
 use converge_trace::TraceHandle;
 
 use crate::flow::run_call;
@@ -34,17 +34,7 @@ impl DuplexSession {
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let cfg = LinkConfig {
-                    rate: spec.rate.clone(),
-                    propagation: spec.propagation,
-                    queue_capacity_bytes: spec.queue_bytes,
-                    loss: spec.loss.clone(),
-                    jitter: spec.jitter,
-                    discipline: spec.discipline.clone(),
-                    seed: seed.wrapping_add(i as u64 * 7919),
-                    impairment: spec.forward_impairment,
-                    drive: spec.drive.clone(),
-                };
+                let cfg = spec.forward_link(seed.wrapping_add(i as u64 * 7919));
                 let mut rev = cfg.clone();
                 rev.seed = cfg.seed.wrapping_add(0xB1D1);
                 rev.impairment = spec.reverse_impairment;

@@ -79,7 +79,7 @@ use converge_net::{
 use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
 use converge_video::{FrameType, PacketKind};
 
-use crate::flow::{Flow, Net, Tick};
+use crate::flow::{capture_format, Flow, Net, Tick};
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::payload::{NetPayload, SimRtp};
 use crate::pool;
@@ -479,6 +479,7 @@ struct Member {
 /// shard's event queue.
 struct MemberNet<'a> {
     queue: &'a mut EventQueue<FleetEvent>,
+    /// Indexed by path id.
     paths: &'a mut [Path],
     member: MemberId,
 }
@@ -506,8 +507,7 @@ impl Net for MemberNet<'_> {
         let member = self.member;
         let p = self
             .paths
-            .iter_mut()
-            .find(|p| p.id() == path)
+            .get_mut(path.index())
             .unwrap_or_else(|| panic!("send on unknown {path}"));
         let offer = p.offer(direction, now, size);
         match offer.fate {
@@ -795,8 +795,7 @@ fn build_conference(
     timers: &mut EventQueue<TimerEvent>,
 ) -> ConferenceState {
     let n_members = cfg.members_of(conf as usize);
-    let format = converge_video::VideoFormat::HD720;
-    let frame_interval = SimDuration::from_micros(1_000_000 / format.fps as u64);
+    let format = capture_format();
     let mut sfu = SfuNode::new(SfuConfig::for_bottleneck(
         cfg.bottleneck_ingress_bps,
         n_members.saturating_sub(1),
@@ -813,7 +812,7 @@ fn build_conference(
         let sender = ConferenceSender::new_sized(
             STREAMS,
             &path_ids,
-            SCHEDULER.build(frame_interval),
+            SCHEDULER.build(format.frame_interval()),
             FEC.build(),
             ControllerConfig::default(),
             MAX_ENCODING_RATE_BPS,

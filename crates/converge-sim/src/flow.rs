@@ -18,6 +18,7 @@ use converge_net::{
 };
 use converge_rtp::RtcpPacket;
 use converge_trace::{TraceEvent, TraceHandle};
+use converge_video::{EncoderConfig, StreamId, VideoFormat};
 
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::pacer::{Pacer, PacerConfig};
@@ -70,6 +71,13 @@ pub(crate) enum Tick {
     TransportRtcp,
     /// Sender SR/SDES round.
     SenderRtcp,
+}
+
+/// The format every camera captures in: the encoder's own
+/// ([`EncoderConfig::paper_default`]), which the receiver's frame rate, the
+/// metrics and the scheduler's batch interval are derived from.
+pub(crate) fn capture_format() -> VideoFormat {
+    EncoderConfig::paper_default(StreamId(0)).format
 }
 
 fn opposite(direction: Direction) -> Direction {
@@ -139,12 +147,11 @@ impl Flow {
         direction: Direction,
         trace: TraceHandle,
     ) -> Self {
-        let format = converge_video::VideoFormat::HD720;
-        let frame_interval = SimDuration::from_micros(1_000_000 / format.fps as u64);
+        let format = capture_format();
         let mut sender = ConferenceSender::new(
             cfg.streams,
             paths,
-            cfg.scheduler.build(frame_interval),
+            cfg.scheduler.build(format.frame_interval()),
             cfg.fec.build(),
             cfg.controller,
             cfg.max_encoding_rate_bps,

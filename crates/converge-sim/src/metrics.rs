@@ -91,10 +91,10 @@ pub struct MetricsCollector {
     streams: u8,
 
     bins: Vec<SecondBin>,
-    /// Per-path accounts, sorted by `PathId`. Every packet event lands
-    /// here as a linear probe over a handful of paths plus integer adds;
-    /// the report's maps are built once, in [`MetricsCollector::finish`].
-    paths: Vec<(PathId, PathAccount)>,
+    /// Per-path accounts, indexed by path id. Every packet event lands
+    /// here as an index plus integer adds; the report's maps are built
+    /// once, in [`MetricsCollector::finish`].
+    paths: Vec<PathAccount>,
 
     frames_encoded: u64,
     height_sum: u64,
@@ -113,8 +113,9 @@ pub struct MetricsCollector {
     qp_sum: u64,
     qp_count: u64,
 
-    /// Last decode instant per stream, for freeze detection.
-    last_decode: BTreeMap<StreamId, SimTime>,
+    /// Last decode instant per stream, indexed by stream id, for freeze
+    /// detection.
+    last_decode: Vec<Option<SimTime>>,
     freeze_total: SimDuration,
     freeze_events: u64,
     /// Gap beyond which the video is considered frozen.
@@ -154,11 +155,11 @@ impl MetricsCollector {
             e2e_us: Vec::new(),
             qp_sum: 0,
             qp_count: 0,
-            last_decode: BTreeMap::new(),
+            last_decode: vec![None; usize::from(streams)],
             freeze_total: SimDuration::ZERO,
             freeze_events: 0,
             freeze_threshold: SimDuration::from_millis(200),
-            expected_frame_interval: SimDuration::from_micros(1_000_000 / format.fps.max(1) as u64),
+            expected_frame_interval: format.frame_interval(),
         }
     }
 
@@ -179,17 +180,15 @@ impl MetricsCollector {
         &mut self.bins[idx]
     }
 
-    /// The account for `path`, inserted (sorted) on first use.
+    /// The account for `path`. The collector is not told the path list, so
+    /// the table grows to the highest id it is handed; every caller bumps
+    /// a counter of the account it gets.
     fn path_mut(&mut self, path: PathId) -> &mut PathAccount {
-        let idx = match self.paths.iter().position(|(p, _)| *p == path) {
-            Some(idx) => idx,
-            None => {
-                let at = self.paths.partition_point(|(p, _)| *p < path);
-                self.paths.insert(at, (path, PathAccount::default()));
-                at
-            }
-        };
-        &mut self.paths[idx].1
+        let idx = path.index();
+        if idx >= self.paths.len() {
+            self.paths.resize_with(idx + 1, PathAccount::default);
+        }
+        &mut self.paths[idx]
     }
 
     /// Records an encoded frame at `at`.
@@ -271,7 +270,7 @@ impl MetricsCollector {
             bin.e2e_count += 1;
         }
         // Freeze detection: a decode gap beyond the threshold is a stall.
-        if let Some(prev) = self.last_decode.insert(stream, at) {
+        if let Some(prev) = self.last_decode[usize::from(stream.0)].replace(at) {
             let gap = at.saturating_since(prev);
             if gap > self.freeze_threshold {
                 self.freeze_total += gap - self.expected_frame_interval;
@@ -348,8 +347,15 @@ impl MetricsCollector {
         let psnr_db = effective_psnr(self.format, per_stream_rate, freeze_fraction);
         let mut paths = BTreeMap::new();
         let mut path_series = BTreeMap::new();
-        for (path, account) in self.paths {
-            paths.insert(path, account.counters);
+        for (i, account) in self.paths.into_iter().enumerate() {
+            let c = account.counters;
+            // Only the paths some event touched: the table also holds the
+            // ids below the highest one that saw none.
+            if c.packets_sent + c.packets_received + c.packets_lost == 0 {
+                continue;
+            }
+            let path = PathId(i as u8);
+            paths.insert(path, c);
             if !account.series.is_empty() {
                 path_series.insert(path, account.series);
             }
@@ -577,7 +583,12 @@ mod tests {
 
     #[test]
     fn freezes_tracked_per_stream() {
-        let mut m = collector();
+        let mut m = MetricsCollector::new(
+            SimDuration::from_secs(10),
+            VideoFormat::HD720,
+            10_000_000,
+            2,
+        );
         // Stream 0 steady, stream 1 gapped: only one freeze.
         for i in 0..30u64 {
             m.on_frame_decoded(StreamId(0), t(i * 33), d(100));

@@ -50,12 +50,9 @@ struct PathQueue {
 /// Per-path token-bucket pacer.
 pub struct Pacer {
     config: PacerConfig,
-    /// Per-path queues, sorted by `PathId`. A session paces a handful of
-    /// paths at most, and the event loop hits this on every packet; a
-    /// sorted vec beats a tree map at that size while keeping the same
-    /// key-ordered iteration (release order across paths is part of the
-    /// traced behaviour).
-    paths: Vec<(PathId, PathQueue)>,
+    /// Per-path queues, indexed by path id, so they iterate in id order
+    /// (release order across paths is part of the traced behaviour).
+    paths: Vec<PathQueue>,
     /// Running total of queued packets so `len`/`is_empty` are O(1) in the
     /// event loop's idle check.
     queued: usize,
@@ -71,17 +68,14 @@ impl Pacer {
         }
     }
 
-    /// Returns the queue for `path`, inserting an empty one (sorted) if new.
+    /// Returns the queue for `path`. The pacer is not told the path list,
+    /// so the table grows to the highest id it is handed.
     fn path_queue(&mut self, path: PathId) -> &mut PathQueue {
-        let idx = match self.paths.iter().position(|(p, _)| *p == path) {
-            Some(idx) => idx,
-            None => {
-                let at = self.paths.partition_point(|(p, _)| *p < path);
-                self.paths.insert(at, (path, PathQueue::default()));
-                at
-            }
-        };
-        &mut self.paths[idx].1
+        let idx = path.index();
+        if idx >= self.paths.len() {
+            self.paths.resize_with(idx + 1, PathQueue::default);
+        }
+        &mut self.paths[idx]
     }
 
     /// Updates a path's pacing rate (from GCC).
@@ -127,8 +121,8 @@ impl Pacer {
         }
         self.paths
             .iter()
-            .filter(|(_, q)| !q.queue.is_empty())
-            .map(|(_, q)| q.busy_until)
+            .filter(|q| !q.queue.is_empty())
+            .map(|q| q.busy_until)
             .min()
     }
 
@@ -139,7 +133,7 @@ impl Pacer {
         if self.queued == 0 {
             return;
         }
-        for (_, q) in self.paths.iter_mut() {
+        for q in self.paths.iter_mut() {
             while let Some(front) = q.queue.front() {
                 let overdue =
                     now.saturating_since(front.enqueued_at) >= self.config.max_queue_delay;

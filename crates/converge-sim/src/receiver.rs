@@ -138,6 +138,8 @@ struct StreamRx {
     fec_assisted: BTreeSet<u64>,
     /// Whether the decode chain broke and a keyframe is needed.
     keyframe_needed: bool,
+    /// When the stream last requested a keyframe (see [`PLI_COOLDOWN`]).
+    last_pli: Option<SimTime>,
     /// Packet- and frame-buffer event scratch, reused across packets.
     pb_events: Vec<PacketBufferEvent>,
     fb_events: Vec<FrameBufferEvent>,
@@ -157,19 +159,17 @@ struct PendingFec {
 
 /// The conference receiver.
 pub struct ConferenceReceiver {
-    streams: BTreeMap<StreamId, StreamRx>,
-    /// Per-path transport state, sorted by `PathId`. A handful of paths
-    /// at most: a sorted Vec beats a tree map for the per-packet lookup
-    /// while keeping the iteration order RTCP emission depends on.
-    paths: Vec<(PathId, PathRxState)>,
+    /// Per-stream state, indexed by stream id.
+    streams: Vec<StreamRx>,
+    /// Per-path transport state, indexed by path id, so RTCP goes out in
+    /// path order.
+    paths: Vec<PathRxState>,
     pending_fec: Vec<PendingFec>,
     /// Set when the last recovery pass inserted recovered packets into
     /// `recent`: those inserts can complete further (overlapping) groups,
     /// so the next pass must evaluate every group, not just the ones the
     /// triggering packet belongs to.
     fec_full_sweep: bool,
-    /// When each stream last requested a keyframe (see [`PLI_COOLDOWN`]).
-    last_pli: BTreeMap<StreamId, SimTime>,
     /// PLIs issued.
     pli_count: u64,
     /// One recovery pass's rebuilt packets and one round's NACK list:
@@ -197,36 +197,27 @@ impl ConferenceReceiver {
         recent_slots: usize,
     ) -> Self {
         assert!(recent_slots.is_power_of_two());
+        PathId::assert_indexed(paths.iter().copied());
         let streams = (0..n_streams)
-            .map(|i| {
-                (
-                    StreamId(i),
-                    StreamRx {
-                        packet_buffer: PacketBuffer::new(768),
-                        frame_buffer: FrameBuffer::new(12),
-                        monitor: QoeMonitor::new(i as u32, fps, fast_path),
-                        gaps: GapTracker::default(),
-                        recent: vec![EMPTY_SLOT; recent_slots].into_boxed_slice(),
-                        last_fcd: SimDuration::ZERO,
-                        fec_assisted: BTreeSet::new(),
-                        keyframe_needed: false,
-                        pb_events: Vec::new(),
-                        fb_events: Vec::new(),
-                    },
-                )
+            .map(|i| StreamRx {
+                packet_buffer: PacketBuffer::new(768),
+                frame_buffer: FrameBuffer::new(12),
+                monitor: QoeMonitor::new(i as u32, fps, fast_path),
+                gaps: GapTracker::default(),
+                recent: vec![EMPTY_SLOT; recent_slots].into_boxed_slice(),
+                last_fcd: SimDuration::ZERO,
+                fec_assisted: BTreeSet::new(),
+                keyframe_needed: false,
+                last_pli: None,
+                pb_events: Vec::new(),
+                fb_events: Vec::new(),
             })
             .collect();
         ConferenceReceiver {
             streams,
-            paths: {
-                let mut v: Vec<(PathId, PathRxState)> =
-                    paths.iter().map(|&p| (p, PathRxState::default())).collect();
-                v.sort_by_key(|(p, _)| *p);
-                v
-            },
+            paths: paths.iter().map(|_| PathRxState::default()).collect(),
             pending_fec: Vec::new(),
             fec_full_sweep: false,
-            last_pli: BTreeMap::new(),
             pli_count: 0,
             fec_recovered: Vec::new(),
             nack_list: Vec::new(),
@@ -240,21 +231,14 @@ impl ConferenceReceiver {
 
     /// Installs a trace handle on every stream's QoE monitor.
     pub fn set_trace(&mut self, trace: converge_trace::TraceHandle) {
-        for rx in self.streams.values_mut() {
+        for rx in &mut self.streams {
             rx.monitor.set_trace(trace.clone());
-        }
-    }
-
-    /// Updates which path the QoE monitors treat as the fast reference.
-    pub fn set_fast_path(&mut self, path: PathId) {
-        for rx in self.streams.values_mut() {
-            rx.monitor.set_fast_path(path);
         }
     }
 
     /// Handles the sender's SDES frame-rate advertisement.
     pub fn on_sdes_frame_rate(&mut self, fps: u32) {
-        for rx in self.streams.values_mut() {
+        for rx in &mut self.streams {
             rx.monitor.set_frame_rate(fps);
         }
     }
@@ -278,15 +262,7 @@ impl ConferenceReceiver {
             sent_at,
         } = rtp;
         // Per-path transport accounting (all RTP kinds count).
-        let idx = match self.paths.iter().position(|(p, _)| *p == path) {
-            Some(i) => i,
-            None => {
-                let at = self.paths.partition_point(|(p, _)| *p < path);
-                self.paths.insert(at, (path, PathRxState::default()));
-                at
-            }
-        };
-        let path_state = &mut self.paths[idx].1;
+        let path_state = &mut self.paths[path.index()];
         path_state.pending_feedback.push((transport_seq, now));
         path_state.received_in_interval += 1;
         path_state.update_jitter(sent_at, now);
@@ -329,7 +305,7 @@ impl ConferenceReceiver {
         packet: VideoPacket,
         events: &mut Vec<ReceiverEvent>,
     ) {
-        let Some(rx) = self.streams.get_mut(&packet.stream) else {
+        let Some(rx) = self.streams.get_mut(usize::from(packet.stream.0)) else {
             return;
         };
 
@@ -455,7 +431,7 @@ impl ConferenceReceiver {
                     return true;
                 }
             }
-            let Some(rx) = streams.get(&group.stream) else {
+            let Some(rx) = streams.get(usize::from(group.stream.0)) else {
                 return false;
             };
             // Only the 0 / 1 / many distinction matters, so stop counting
@@ -490,7 +466,7 @@ impl ConferenceReceiver {
         self.fec_full_sweep = !recovered.is_empty();
         for (stream, packet) in recovered.drain(..) {
             events.push(ReceiverEvent::FecRecovered);
-            if let Some(rx) = self.streams.get_mut(&stream) {
+            if let Some(rx) = self.streams.get_mut(usize::from(stream.0)) {
                 rx.fec_assisted.insert(packet.frame_id);
                 // A recovered packet no longer needs NACKing.
                 rx.gaps.fill(packet.sequence);
@@ -545,8 +521,8 @@ impl ConferenceReceiver {
         include_transport: bool,
         out: &mut Vec<(PathId, RtcpPacket)>,
     ) {
-        for (path, st) in self.paths.iter_mut() {
-            let path = *path;
+        for (i, st) in self.paths.iter_mut().enumerate() {
+            let path = PathId(i as u8);
             if !include_transport {
                 break;
             }
@@ -614,9 +590,10 @@ impl ConferenceReceiver {
 
         // Control messages travel on the first path (small packets; the
         // emulated reverse directions are uncongested).
-        let control_path = self.paths.first().expect("at least one path").0;
+        let control_path = PathId(0);
 
-        for (&stream, rx) in self.streams.iter_mut() {
+        for (i, rx) in self.streams.iter_mut().enumerate() {
+            let stream = StreamId(i as u8);
             // NACKs: gaps older than the reordering delay, max 3 attempts.
             let to_nack = &mut self.nack_list;
             to_nack.clear();
@@ -634,12 +611,11 @@ impl ConferenceReceiver {
 
             // PLI with cooldown.
             if rx.keyframe_needed {
-                let due = self
+                let due = rx
                     .last_pli
-                    .get(&stream)
-                    .is_none_or(|&t| now.saturating_since(t) >= PLI_COOLDOWN);
+                    .is_none_or(|t| now.saturating_since(t) >= PLI_COOLDOWN);
                 if due {
-                    self.last_pli.insert(stream, now);
+                    rx.last_pli = Some(now);
                     self.pli_count += 1;
                     out.push((
                         control_path,
@@ -1005,7 +981,7 @@ mod tests {
             );
             assert!(evs.contains(&ReceiverEvent::FecRecovered));
         }
-        let assisted = |r: &ConferenceReceiver| r.streams[&StreamId(0)].fec_assisted.len();
+        let assisted = |r: &ConferenceReceiver| r.streams[0].fec_assisted.len();
         assert_eq!(
             assisted(&r),
             8,

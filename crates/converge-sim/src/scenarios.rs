@@ -86,7 +86,10 @@ impl SchedulerKind {
             }
             SchedulerKind::SinglePath(p) => Box::new(SinglePathScheduler::new(PathId(p))),
             SchedulerKind::ConnectionMigration(p) => Box::new(ConnectionMigration::new(PathId(p))),
-            SchedulerKind::Srtt => Box::new(SrttScheduler::new(1250, frame_interval)),
+            SchedulerKind::Srtt => Box::new(SrttScheduler::new(
+                ConvergeSchedulerConfig::default().max_packet_bytes,
+                frame_interval,
+            )),
             SchedulerKind::MTput => Box::new(MTputScheduler::new()),
             SchedulerKind::MRtp => Box::new(MRtpScheduler::new()),
         }
@@ -214,9 +217,9 @@ impl PathSpec {
         self
     }
 
-    /// Builds the emulated path.
-    pub fn build(&self, id: PathId, seed: u64) -> Path {
-        let fwd = LinkConfig {
+    /// The forward (media) link of this path, seeded with `seed`.
+    pub(crate) fn forward_link(&self, seed: u64) -> LinkConfig {
+        LinkConfig {
             rate: self.rate.clone(),
             propagation: self.propagation,
             queue_capacity_bytes: self.queue_bytes,
@@ -226,7 +229,12 @@ impl PathSpec {
             seed,
             impairment: self.forward_impairment,
             drive: self.drive.clone(),
-        };
+        }
+    }
+
+    /// Builds the emulated path.
+    pub fn build(&self, id: PathId, seed: u64) -> Path {
+        let fwd = self.forward_link(seed);
         // Mirror Path::symmetric (uncongested feedback queue, independent
         // seed) while letting each direction carry its own impairment.
         let mut rev = fwd.clone();

@@ -131,9 +131,9 @@ struct FrameScratch {
     /// Retransmissions + the frame's packets, in scheduling order.
     batch: Vec<Schedulable>,
     /// This frame's media per destination path and whether any of it is
-    /// keyframe data, sorted by `PathId` (FEC is generated in path order).
+    /// keyframe data, indexed by path id (FEC is generated in path order).
     /// Entries persist across ticks; a path the frame did not use is empty.
-    media_by_path: Vec<(PathId, Vec<VideoPacket>, bool)>,
+    media_by_path: Vec<(Vec<VideoPacket>, bool)>,
     /// FEC packets awaiting scheduling: (meta, protected group, origin).
     fec_batch: Vec<(Schedulable, Vec<VideoPacket>, PathId)>,
     fec_sched: Vec<Schedulable>,
@@ -154,20 +154,24 @@ pub enum RateCoupling {
     Lia,
 }
 
+/// One path's sending state.
+struct PathTx {
+    /// The path's congestion controller (uncoupled by default); the
+    /// algorithm behind it (GCC / NADA / mp-BBR) is the controller's
+    /// business, not the sender's.
+    cc: PathController,
+    /// Transport sequence counter and sent-packet log for feedback
+    /// matching.
+    ring: FeedbackRing,
+}
+
 /// The conference sender.
 pub struct ConferenceSender {
     streams: Vec<StreamPipeline>,
-    /// One congestion controller per path (uncoupled by default); the
-    /// algorithm behind each (GCC / NADA / mp-BBR) is the controller's
-    /// business, not the sender's.
-    cc: BTreeMap<PathId, PathController>,
+    /// Per-path state, indexed by path id.
+    paths: Vec<PathTx>,
     scheduler: Box<dyn Scheduler>,
     fec: Box<dyn FecPolicy>,
-    /// Per-path transport sequence counter and sent-packet log for
-    /// feedback matching, sorted by `PathId`; only ever point-looked-up,
-    /// and a linear scan over a handful of paths is cheaper than a tree
-    /// walk on the per-packet path.
-    tx: Vec<(PathId, FeedbackRing)>,
     /// Retransmissions waiting for their stream's next frame tick.
     rtx_queue: Vec<VideoPacket>,
     /// Next probe sequence.
@@ -189,14 +193,12 @@ pub struct ConferenceSender {
     monitor: ConnectionMonitor,
     /// Congestion-controller coupling mode.
     coupling: RateCoupling,
-    /// Ring capacity for a path first seen on a packet, not at construction.
-    sizing: SenderSizing,
     scratch: FrameScratch,
     /// One transport-feedback report's matched timings and one NACK's
-    /// losses per path (sorted by path): working buffers of `on_rtcp`,
-    /// kept so handling feedback allocates nothing.
+    /// losses per path (indexed by path id): working buffers of
+    /// `on_rtcp`, kept so handling feedback allocates nothing.
     timings: Vec<PacketTiming>,
-    nacked_per_path: Vec<(PathId, usize)>,
+    nacked_per_path: Vec<usize>,
 }
 
 impl ConferenceSender {
@@ -232,19 +234,16 @@ impl ConferenceSender {
         max_encoding_rate_bps: u64,
         sizing: SenderSizing,
     ) -> Self {
+        PathId::assert_indexed(paths.iter().copied());
         // The rings first — per path, then per stream — before any of the
         // session's small long-lived state and not on the first packet:
         // glibc serves them from the brk heap once an earlier session has
         // freed its own, and a small buffer allocated ahead of them splits
         // the hole they would have reused (`peak_rss_mb` moves with it).
-        let tx = {
-            let mut v: Vec<(PathId, FeedbackRing)> = paths
-                .iter()
-                .map(|&p| (p, FeedbackRing::new(sizing.tx_slots)))
-                .collect();
-            v.sort_by_key(|(p, _)| *p);
-            v
-        };
+        let rings: Vec<FeedbackRing> = paths
+            .iter()
+            .map(|_| FeedbackRing::new(sizing.tx_slots))
+            .collect();
         let histories: Vec<MediaHistory> = (0..n_streams)
             .map(|_| MediaHistory::new(sizing.media_slots))
             .collect();
@@ -260,23 +259,31 @@ impl ConferenceSender {
                 }
             })
             .collect();
-        let cc = paths.iter().map(|&p| (p, controller.build(p))).collect();
+        let path_state = paths
+            .iter()
+            .zip(rings)
+            .map(|(&p, ring)| PathTx {
+                cc: controller.build(p),
+                ring,
+            })
+            .collect();
         ConferenceSender {
             streams,
-            cc,
+            paths: path_state,
             scheduler,
             fec,
-            tx,
             rtx_queue: Vec::new(),
             next_probe_seq: 0,
             outstanding_probes: BTreeMap::new(),
             fec_overhead_ewma: 0.0,
             monitor: ConnectionMonitor::new(paths),
             coupling: RateCoupling::Uncoupled,
-            sizing,
-            scratch: FrameScratch::default(),
+            scratch: FrameScratch {
+                media_by_path: vec![(Vec::new(), false); paths.len()],
+                ..FrameScratch::default()
+            },
             timings: Vec::new(),
-            nacked_per_path: Vec::new(),
+            nacked_per_path: vec![0; paths.len()],
         }
     }
 
@@ -292,8 +299,8 @@ impl ConferenceSender {
     /// scale persists until the next call; under [`RateCoupling::Lia`] the
     /// per-tick LIA share computation overwrites it.
     pub fn set_increase_scale_all(&mut self, scale: f64) {
-        for ctl in self.cc.values_mut() {
-            ctl.set_increase_scale(scale);
+        for p in &mut self.paths {
+            p.cc.set_increase_scale(scale);
         }
     }
 
@@ -303,8 +310,8 @@ impl ConferenceSender {
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.scheduler.set_trace(trace.clone());
         self.fec.set_trace(trace.clone());
-        for ctl in self.cc.values_mut() {
-            ctl.set_trace(trace.clone());
+        for p in &mut self.paths {
+            p.cc.set_trace(trace.clone());
         }
         self.monitor.set_trace(trace);
     }
@@ -336,12 +343,15 @@ impl ConferenceSender {
     /// [`ConferenceSender::path_metrics`], replacing the contents of `out`.
     pub fn path_metrics_into(&self, out: &mut Vec<PathMetrics>) {
         out.clear();
-        out.extend(self.cc.iter().map(|(&id, ctl)| PathMetrics {
-            id,
-            rate_bps: ctl.target_rate_bps(),
-            srtt: ctl.srtt().unwrap_or(SimDuration::from_millis(100)),
-            loss: ctl.fraction_lost(),
-            enabled: self.monitor.state(id) != Some(PathState::Down),
+        out.extend(self.paths.iter().enumerate().map(|(i, p)| {
+            let id = PathId(i as u8);
+            PathMetrics {
+                id,
+                rate_bps: p.cc.target_rate_bps(),
+                srtt: p.cc.srtt().unwrap_or(SimDuration::from_millis(100)),
+                loss: p.cc.fraction_lost(),
+                enabled: self.monitor.state(id) != Some(PathState::Down),
+            }
         }));
     }
 
@@ -401,19 +411,19 @@ impl ConferenceSender {
         // Disabled paths carry no media, so their rate estimates decay: a
         // re-enabled path then re-enters with a conservative share and
         // ramps with real feedback instead of bursting at a stale rate.
-        for (&path, ctl) in self.cc.iter_mut() {
-            if self.scheduler.is_disabled(path) {
-                ctl.cap_estimate(500_000.0);
+        for (i, p) in self.paths.iter_mut().enumerate() {
+            if self.scheduler.is_disabled(PathId(i as u8)) {
+                p.cc.cap_estimate(500_000.0);
             }
         }
         // Coupled mode: dampen each controller's growth by its share of
         // the aggregate estimate, so the sum increases like a single flow.
         if self.coupling == RateCoupling::Lia {
-            let total: f64 = self.cc.values().map(|c| c.estimate_bps()).sum();
+            let total: f64 = self.paths.iter().map(|p| p.cc.estimate_bps()).sum();
             if total > 0.0 {
-                for ctl in self.cc.values_mut() {
-                    let share = ctl.estimate_bps() / total;
-                    ctl.set_increase_scale(share);
+                for p in &mut self.paths {
+                    let share = p.cc.estimate_bps() / total;
+                    p.cc.set_increase_scale(share);
                 }
             }
         }
@@ -421,9 +431,7 @@ impl ConferenceSender {
         // its stale rate estimate so recovery starts conservatively.
         for ev in self.monitor.poll(now) {
             if ev.state == PathState::Down {
-                if let Some(ctl) = self.cc.get_mut(&ev.path) {
-                    ctl.cap_estimate(500_000.0);
-                }
+                self.paths[ev.path.index()].cc.cap_estimate(500_000.0);
             }
         }
         self.path_metrics_into(&mut scratch.metrics);
@@ -495,7 +503,7 @@ impl ConferenceSender {
         out.reserve(batch.len() + 8);
         // Per-path media groups for FEC generation.
         let media_by_path = &mut scratch.media_by_path;
-        for (_, media, is_key) in media_by_path.iter_mut() {
+        for (media, is_key) in media_by_path.iter_mut() {
             media.clear();
             *is_key = false;
         }
@@ -514,15 +522,7 @@ impl ConferenceSender {
                     .remember(sched.packet.sequence, path);
             }
             if sched.packet.kind.is_media() {
-                let idx = match media_by_path.iter().position(|(p, ..)| *p == path) {
-                    Some(idx) => idx,
-                    None => {
-                        let at = media_by_path.partition_point(|(p, ..)| *p < path);
-                        media_by_path.insert(at, (path, Vec::new(), false));
-                        at
-                    }
-                };
-                let (_, media, is_key) = &mut media_by_path[idx];
+                let (media, is_key) = &mut media_by_path[path.index()];
                 media.push(sched.packet);
                 *is_key |= sched.packet.frame_type == FrameType::Key;
             }
@@ -532,17 +532,16 @@ impl ConferenceSender {
         // FEC per destination path (path-specific protection, §4.3).
         let fec_batch = &mut scratch.fec_batch;
         fec_batch.clear();
-        for (path, media, is_key) in media_by_path.iter() {
+        // `metrics` is the per-path snapshot, indexed by path id like
+        // `media_by_path`.
+        for ((media, is_key), m) in media_by_path.iter().zip(metrics) {
             if media.is_empty() {
                 continue;
             }
-            let path = *path;
-            let loss = metrics
-                .iter()
-                .find(|m| m.id == path)
-                .map(|m| m.loss)
-                .unwrap_or(0.0);
-            let n_fec = self.fec.repair_count(now, path, media.len(), loss, *is_key);
+            let path = m.id;
+            let n_fec = self
+                .fec
+                .repair_count(now, path, media.len(), m.loss, *is_key);
             self.fec.on_batch_sent(path, media.len(), n_fec);
             if n_fec == 0 {
                 continue;
@@ -633,16 +632,7 @@ impl ConferenceSender {
         kind: RtpKind,
         class: PacketClass,
     ) -> OutboundPacket {
-        let idx = match self.tx.iter().position(|(p, _)| *p == path) {
-            Some(i) => i,
-            None => {
-                let at = self.tx.partition_point(|(p, _)| *p < path);
-                self.tx
-                    .insert(at, (path, FeedbackRing::new(self.sizing.tx_slots)));
-                at
-            }
-        };
-        let transport_seq = self.tx[idx].1.send(now, kind.wire_size());
+        let transport_seq = self.paths[path.index()].ring.send(now, kind.wire_size());
         OutboundPacket {
             payload: NetPayload::Rtp(SimRtp {
                 kind,
@@ -661,10 +651,11 @@ impl ConferenceSender {
         // Any feedback on a path proves it alive in both directions.
         self.monitor.on_activity(now, PathId(rtcp.path_id()));
         match rtcp {
+            // Path ids read out of RTCP fields are looked up, not trusted:
+            // one that names no path is ignored.
             RtcpPacket::ReceiverReport(rr) => {
-                let path = PathId(rr.path_id);
                 let protection = self.fec_overhead_ewma;
-                if let Some(ctl) = self.cc.get_mut(&path) {
+                if let Some(PathTx { cc: ctl, .. }) = self.paths.get_mut(usize::from(rr.path_id)) {
                     for blk in &rr.blocks {
                         ctl.on_loss_report_protected(blk.fraction_lost as f64 / 256.0, protection);
                         // RTT from last_sr/dlsr, both in simulation micros
@@ -684,31 +675,28 @@ impl ConferenceSender {
                 0
             }
             RtcpPacket::TransportFeedback(tf) => {
-                let path = PathId(tf.path_id);
-                let Some((_, tx)) = self.tx.iter_mut().find(|(p, _)| *p == path) else {
+                let Some(PathTx { cc, ring }) = self.paths.get_mut(usize::from(tf.path_id)) else {
                     return 0;
                 };
                 let timings = &mut self.timings;
                 timings.clear();
                 timings.extend(tf.arrivals.iter().filter_map(|&(seq, arrival_us)| {
-                    let (send_time, size) = tx.take(seq)?;
+                    let (send_time, size) = ring.take(seq)?;
                     Some(PacketTiming {
                         send_time,
                         arrival_time: SimTime::from_micros(arrival_us),
                         size,
                     })
                 }));
-                if let Some(ctl) = self.cc.get_mut(&path) {
-                    if !timings.is_empty() {
-                        ctl.on_transport_feedback(now, timings);
-                    }
+                if !timings.is_empty() {
+                    cc.on_transport_feedback(now, timings);
                 }
                 0
             }
             RtcpPacket::Nack(nack) => {
                 let stream = StreamId((nack.ssrc & 0xFF) as u8);
                 let mut queued = 0;
-                self.nacked_per_path.clear();
+                self.nacked_per_path.fill(0);
                 for &seq in &nack.lost {
                     // NACK wire carries u16; our media sequences are u64 —
                     // the session uses low 16 bits of the true sequence, so
@@ -718,15 +706,13 @@ impl ConferenceSender {
                         queued += 1;
                         // Attribute the loss to the path the packet was
                         // actually sent on (drives β of the FEC policy).
-                        let per_path = &mut self.nacked_per_path;
-                        match per_path.binary_search_by_key(&sent_path, |&(p, _)| p) {
-                            Ok(at) => per_path[at].1 += 1,
-                            Err(at) => per_path.insert(at, (sent_path, 1)),
-                        }
+                        self.nacked_per_path[sent_path.index()] += 1;
                     }
                 }
-                for &(path, n) in &self.nacked_per_path {
-                    self.fec.on_nack(path, n);
+                for (i, &n) in self.nacked_per_path.iter().enumerate() {
+                    if n > 0 {
+                        self.fec.on_nack(PathId(i as u8), n);
+                    }
                 }
                 queued
             }
@@ -753,9 +739,7 @@ impl ConferenceSender {
         };
         let rtt = now.saturating_since(sent_at);
         self.monitor.on_activity(now, path);
-        if let Some(ctl) = self.cc.get_mut(&path) {
-            ctl.on_rtt_sample(rtt);
-        }
+        self.paths[path.index()].cc.on_rtt_sample(rtt);
         // Fast path = lowest-srtt enabled path.
         let metrics = self.path_metrics();
         let rtt_fast = metrics
@@ -776,7 +760,7 @@ impl ConferenceSender {
     /// rate), one tuple per path.
     pub fn periodic_rtcp(&self, now: SimTime) -> Vec<(PathId, RtcpPacket)> {
         let mut out = Vec::new();
-        for &path in self.cc.keys() {
+        for path in (0..self.paths.len()).map(|i| PathId(i as u8)) {
             out.push((
                 path,
                 RtcpPacket::SenderReport(converge_rtp::SenderReport {
@@ -789,9 +773,9 @@ impl ConferenceSender {
                 }),
             ));
         }
-        if let Some((&first, _)) = self.cc.iter().next() {
+        if !self.paths.is_empty() {
             out.push((
-                first,
+                PathId(0),
                 RtcpPacket::Sdes(converge_rtp::Sdes {
                     ssrc: 0,
                     cname: "converge-sender".into(),
@@ -810,7 +794,7 @@ mod tests {
 
     use super::*;
     use crate::scenarios::{FecKind, SchedulerKind};
-    use converge_rtp::{Nack, ReceiverReport, ReportBlock};
+    use converge_rtp::{Nack, ReceiverReport, ReportBlock, TransportFeedback};
 
     /// Everything on path 0; drops whole batches while the test says so
     /// (WebRTC-CM's re-connection blackout, scripted).
@@ -954,6 +938,59 @@ mod tests {
                 sender.on_frame_tick_into(now + SimDuration::from_millis(50), 0, &mut out);
                 assert_eq!(sender.frame_path_metrics(), &sender.path_metrics()[..]);
             }
+        }
+    }
+
+    /// Path ids read out of RTCP fields are looked up, not trusted: a
+    /// receiver report, a transport-feedback report and a NACK that name
+    /// path 7 of a two-path call are ignored, and the call goes on exactly
+    /// as its twin's does.
+    #[test]
+    fn rtcp_naming_an_unknown_path_changes_nothing() {
+        let (mut told, now, _) = settled_lossy_sender(1);
+        let (mut twin, _, _) = settled_lossy_sender(1);
+        let block = ReportBlock {
+            ssrc: 0,
+            fraction_lost: 200,
+            cumulative_lost: 9,
+            ext_highest_seq: 0,
+            ext_highest_mp_seq: 0,
+            jitter: 0,
+            last_sr: 1,
+            delay_since_last_sr: 0,
+        };
+        let at = now.as_micros();
+        for rtcp in [
+            RtcpPacket::ReceiverReport(ReceiverReport {
+                path_id: 7,
+                ssrc: 0,
+                blocks: vec![block],
+            }),
+            RtcpPacket::TransportFeedback(TransportFeedback {
+                path_id: 7,
+                ssrc: 0,
+                arrivals: vec![(0, at), (1, at + 500)],
+            }),
+            RtcpPacket::Nack(Nack {
+                path_id: 7,
+                ssrc: 0,
+                lost: vec![60_000],
+            }),
+        ] {
+            assert_eq!(told.on_rtcp(now, &rtcp), 0, "{rtcp:?}");
+        }
+        let sent = |sender: &mut ConferenceSender, now| {
+            let mut out = Vec::new();
+            sender.on_frame_tick_into(now, 0, &mut out);
+            let packets: Vec<_> = out
+                .into_iter()
+                .map(|p| (p.path, p.class, p.payload))
+                .collect();
+            (packets, sender.path_metrics(), encoder_targets(sender))
+        };
+        for frame in 1..=5 {
+            let now = now + SimDuration::from_micros(frame * FRAME_US);
+            assert_eq!(sent(&mut told, now), sent(&mut twin, now), "frame {frame}");
         }
     }
 

@@ -164,8 +164,20 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// the media slots (256 KiB a stream). It was 627 646 until the GCC tuning
 /// became constants: each path's boxed controller stopped carrying copies
 /// of the trendline (56 B), AIMD (40 B) and loss-based (40 B) settings,
-/// −136 B a path, −272 over two.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 627_374;
+/// −136 B a path, −272 over two. It was 627 374 until per-path and
+/// per-stream state became tables indexed by id (−7 112):
+///
+/// - the receiver's stream tree map, −5 912: a 5 920-byte B-tree leaf and
+///   the 544-byte-a-stream `Vec` it was collected from, against one
+///   552-byte entry a stream (which now holds the stream's last PLI);
+/// - the sender's controller tree map and path-tagged ring list, −944: a
+///   992-byte leaf and two collection `Vec`s against one 128-byte entry a
+///   path;
+/// - the small tables that lost their ids, −256: per-path media groups
+///   −64, the metrics' decode map −96, metrics accounts, pacer queues and
+///   the scheduler's budget −32 each, receiver path state −16; and +16
+///   for the NACK attribution table, now built with the sender.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 620_262;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -177,8 +189,13 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 627_374;
 /// they leave (−11 682: the first second sends 79 FEC packets, each owning
 /// its protected list, instead of 108; no buffer changed size); and
 /// 1 259 004 until the GCC tuning became constants (−136 B a path, as
-/// above).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 1_258_732;
+/// above); and 1 258 732 until the tables indexed by id (−7 288): as
+/// above, but the stream map −5 896 on three streams, the decode map −64,
+/// the NACK table −48 (the first second NACKs, and the old list grew to
+/// four entries), and two things the clean second never allocates: the
+/// tree map of PLI instants −112 and the late/early tally of the three
+/// monitors that judged a frame, −16 each.
+const LOSSY_CONSTRUCTION_BYTES: u64 = 1_251_444;
 
 #[test]
 fn construction_bytes_stay_within_budget() {

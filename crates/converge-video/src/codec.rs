@@ -126,7 +126,7 @@ impl VideoEncoder {
 
     /// Interval between captured frames.
     pub fn frame_interval(&self) -> SimDuration {
-        SimDuration::from_micros(1_000_000 / self.config.fps() as u64)
+        self.config.format.frame_interval()
     }
 
     /// The resolution currently being encoded.

@@ -9,6 +9,8 @@
 //! sub-Mbps stream degrades toward QP ≈ 50+ / PSNR ≈ 28 dB — the dynamic
 //! range Figures 10, 14, and 15 of the paper span.
 
+use converge_net::SimDuration;
+
 /// Video geometry used by the quality model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct VideoFormat {
@@ -27,6 +29,11 @@ impl VideoFormat {
         height: 720,
         fps: 30,
     };
+
+    /// Time between two captured frames.
+    pub fn frame_interval(&self) -> SimDuration {
+        SimDuration::from_micros(1_000_000 / self.fps.max(1) as u64)
+    }
 
     /// Pixels per second of this format.
     pub fn pixel_rate(&self) -> f64 {
