@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the commands the README and DESIGN name, the
-# repo benchmark's smoke run with its five report digests pinned,
+# API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned,
 # unit/integration
 # tests, the allocation budgets, the fleet's exact work counts and the
 # stability matrix's tier-1 slice by name, one short run each of the
@@ -16,7 +16,7 @@
 # compared, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
-# Gates, in order (15): readme-examples, benchmark-smoke, tests,
+# Gates, in order (16): readme-examples, docs, benchmark-smoke, tests,
 # alloc-budget, work-counts, stability, hot-lines, repair-timeline,
 # sweep-smoke, traced-fig11, chaos, shootout, drive, fleet, bench-compare.
 #
@@ -81,6 +81,13 @@ readme_examples() {
     fi
 }
 gate readme-examples readme_examples
+
+# The API docs build with rustdoc's warnings denied, so a deleted or renamed
+# item cannot leave a stale or private intra-doc link behind.
+docs() {
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+}
+gate docs docs
 
 # The repo benchmark, every workload once: both of its packages must still
 # build against this tree (bench-layers pins sim/net internals), its

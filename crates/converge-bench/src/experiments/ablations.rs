@@ -78,7 +78,7 @@ fn fec_table() -> Table {
     table
 }
 
-/// Declares ablation C: [`fec_table`] over every seed.
+/// Declares ablation C: `fec_table` over every seed.
 pub fn spec_fec(scale: Scale) -> ExperimentSpec {
     fec_table().spec(scale.seeds(), scale.duration())
 }

@@ -42,7 +42,7 @@ fn table() -> Table {
     table
 }
 
-/// Declares the Fig. 3 / Table 1 sweep: [`table`] over every seed of the
+/// Declares the Fig. 3 / Table 1 sweep: `table` over every seed of the
 /// scale.
 pub fn spec(scale: Scale) -> ExperimentSpec {
     table().spec(scale.seeds(), scale.duration())

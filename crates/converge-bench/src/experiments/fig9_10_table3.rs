@@ -82,7 +82,7 @@ fn fig10_table() -> Table {
     table
 }
 
-/// Declares Fig. 10: [`fig10_table`] over all seeds.
+/// Declares Fig. 10: `fig10_table` over all seeds.
 pub fn spec_fig10(scale: Scale) -> ExperimentSpec {
     fig10_table().spec(scale.seeds(), scale.duration())
 }

@@ -91,7 +91,7 @@ const REGISTRY: [Row; 25] = [
     ("drive", &[], "drive replay: 4-8 path fixtures x scheduler x controller", drive::spec),
 ];
 
-/// The [`REGISTRY`] rows as [`ExperimentDef`]s.
+/// The `REGISTRY` rows as [`ExperimentDef`]s.
 pub fn registry() -> Vec<ExperimentDef> {
     let def = |&(id, aliases, desc, spec)| ExperimentDef {
         id,

@@ -67,7 +67,7 @@ fn fig17_table() -> Table {
     table
 }
 
-/// Declares Fig. 17: [`fig17_table`] over every seed.
+/// Declares Fig. 17: `fig17_table` over every seed.
 pub fn spec_fig17(scale: Scale) -> ExperimentSpec {
     fig17_table().spec(scale.seeds(), scale.duration())
 }

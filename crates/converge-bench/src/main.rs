@@ -5,8 +5,8 @@
 //! [--check-invariants]`
 //!
 //! The `fleet` target is special: it is not a figure regenerator and runs
-//! the sharded fleet engine directly (see [`experiments::fleet`]) with its
-//! own flags — `--sessions`, `--conference-size`, `--shards`,
+//! the sharded fleet engine directly (see
+//! [`converge_bench::experiments::fleet`]) with its own flags — `--sessions`, `--conference-size`, `--shards`,
 //! `--bottleneck-mbps`, `--duration-s`, `--seed`, `--grid`. It cannot be
 //! combined with other targets and is excluded from `all`.
 //!

@@ -105,7 +105,7 @@ impl ScenarioSpec {
             }
             ScenarioSpec::AqmTuned { codel } => {
                 let discipline = if codel {
-                    QueueDiscipline::codel_default()
+                    QueueDiscipline::Codel
                 } else {
                     QueueDiscipline::DropTail
                 };

@@ -10,16 +10,14 @@ use converge_net::PathId;
 
 use crate::metrics::PathMetrics;
 
-/// How the fast path is chosen — Algorithm 1 uses completion time; the
-/// alternatives exist for the ablation study of the design choice.
+/// How the fast path is chosen — Algorithm 1 uses completion time; minRTT
+/// exists for the ablation study of the design choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FastPathMetric {
     /// Algorithm 1: minimize `N·k/rate + rtt/2`.
     CompletionTime,
     /// The minRTT criterion of MPTCP/MPQUIC schedulers.
     MinRtt,
-    /// Highest loss-discounted rate (throughput-first).
-    MaxGoodput,
 }
 
 /// Selects the fast path under the given metric.
@@ -29,16 +27,12 @@ pub fn select_fast_path_by(
     n_packets: usize,
     max_packet_bytes: usize,
 ) -> Option<PathId> {
-    let usable = paths.iter().filter(|p| p.enabled);
     match metric {
         FastPathMetric::CompletionTime => select_fast_path(paths, n_packets, max_packet_bytes),
-        FastPathMetric::MinRtt => usable.min_by_key(|p| p.srtt).map(|p| p.id),
-        FastPathMetric::MaxGoodput => usable
-            .max_by(|a, b| {
-                a.goodput_bps()
-                    .partial_cmp(&b.goodput_bps())
-                    .expect("finite")
-            })
+        FastPathMetric::MinRtt => paths
+            .iter()
+            .filter(|p| p.enabled)
+            .min_by_key(|p| p.srtt)
             .map(|p| p.id),
     }
 }
@@ -157,10 +151,6 @@ mod tests {
             select_fast_path_by(FastPathMetric::MinRtt, &paths, 50, 1250),
             Some(PathId(1))
         );
-        assert_eq!(
-            select_fast_path_by(FastPathMetric::MaxGoodput, &paths, 50, 1250),
-            Some(PathId(0))
-        );
         // Completion time prefers the fat path for large batches...
         assert_eq!(
             select_fast_path_by(FastPathMetric::CompletionTime, &paths, 100, 1250),
@@ -178,11 +168,7 @@ mod tests {
         let mut a = pm(0, 100, 1, 0.0);
         a.enabled = false;
         let b = pm(1, 1, 500, 0.0);
-        for m in [
-            FastPathMetric::CompletionTime,
-            FastPathMetric::MinRtt,
-            FastPathMetric::MaxGoodput,
-        ] {
+        for m in [FastPathMetric::CompletionTime, FastPathMetric::MinRtt] {
             assert_eq!(select_fast_path_by(m, &[a, b], 10, 1250), Some(PathId(1)));
         }
     }

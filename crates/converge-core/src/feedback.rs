@@ -17,6 +17,10 @@ use converge_net::{PathId, SimDuration, SimTime};
 use converge_rtp::QoeFeedback;
 use converge_trace::{TraceEvent, TraceHandle};
 
+/// Least time between two feedback messages of one monitor, so one
+/// congestion event does not spray feedback every frame.
+const FEEDBACK_COOLDOWN: SimDuration = SimDuration::from_millis(50);
+
 /// One packet's arrival in one word: `time_us << 8 | path`. Exact, since a
 /// `PathId` is a byte and simulated times stay below 2^56 µs.
 #[derive(Debug, Clone, Copy)]
@@ -70,9 +74,8 @@ pub struct QoeMonitor {
     last_fcd: SimDuration,
     /// Pending feedback to emit.
     pending: Vec<QoeFeedback>,
-    /// Cooldown so one congestion event does not spray feedback every frame.
+    /// When the last feedback left, for `FEEDBACK_COOLDOWN`.
     last_feedback_at: Option<SimTime>,
-    cooldown: SimDuration,
     trace: TraceHandle,
 }
 
@@ -90,7 +93,6 @@ impl QoeMonitor {
             last_fcd: SimDuration::ZERO,
             pending: Vec::new(),
             last_feedback_at: None,
-            cooldown: SimDuration::from_millis(50),
             trace: TraceHandle::disabled(),
         }
     }
@@ -194,7 +196,7 @@ impl QoeMonitor {
         }
         // QoE is deteriorating. Rate-limit feedback.
         if let Some(last) = self.last_feedback_at {
-            if now.saturating_since(last) < self.cooldown {
+            if now.saturating_since(last) < FEEDBACK_COOLDOWN {
                 return;
             }
         }

@@ -31,7 +31,7 @@ mod test_rng;
 pub use fastpath::{completion_time, select_fast_path, select_fast_path_by, FastPathMetric};
 pub use fec_controller::{ConvergeFec, FecPolicy, WebRtcTableFec};
 pub use feedback::{PathShare, QoeMonitor};
-pub use metrics::{aggregate_rate_bps, PathMetrics};
+pub use metrics::PathMetrics;
 pub use priority::{classify, PacketClass};
 pub use scheduler::{
     Assignment, ConnectionMigration, ConvergeScheduler, ConvergeSchedulerConfig, MRtpScheduler,

@@ -38,12 +38,6 @@ impl PathMetrics {
     }
 }
 
-/// Sum of sending rates over enabled paths (the aggregate rate
-/// `Σ S_i` the encoder is driven by, §4.1).
-pub fn aggregate_rate_bps(paths: &[PathMetrics]) -> u64 {
-    paths.iter().filter(|p| p.enabled).map(|p| p.rate_bps).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,16 +50,6 @@ mod tests {
             loss: 0.0,
             enabled,
         }
-    }
-
-    #[test]
-    fn aggregate_skips_disabled() {
-        let paths = [
-            pm(0, 5_000_000, true),
-            pm(1, 3_000_000, false),
-            pm(2, 2_000_000, true),
-        ];
-        assert_eq!(aggregate_rate_bps(&paths), 7_000_000);
     }
 
     #[test]

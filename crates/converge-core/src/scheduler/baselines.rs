@@ -12,7 +12,7 @@
 use converge_net::{PathId, SimDuration, SimTime};
 
 use crate::metrics::PathMetrics;
-use crate::scheduler::{interleave_into, Assignment, Schedulable, Scheduler};
+use crate::scheduler::{interleave_into, Assignment, Schedulable, Scheduler, MAX_PACKET_BYTES};
 
 /// Standard single-path WebRTC: everything on one configured path.
 #[derive(Debug)]
@@ -149,8 +149,6 @@ impl Scheduler for ConnectionMigration {
 /// the next — the default scheduler of MPTCP and MPQUIC.
 #[derive(Debug)]
 pub struct SrttScheduler {
-    /// Max packet size for budget computation.
-    max_packet_bytes: usize,
     /// Batch interval for budget computation.
     batch_interval: SimDuration,
     /// The batch's paths in RTT order with what is left of their budgets;
@@ -160,9 +158,8 @@ pub struct SrttScheduler {
 
 impl SrttScheduler {
     /// Creates a minRTT scheduler.
-    pub fn new(max_packet_bytes: usize, batch_interval: SimDuration) -> Self {
+    pub fn new(batch_interval: SimDuration) -> Self {
         SrttScheduler {
-            max_packet_bytes,
             batch_interval,
             budgets: Vec::new(),
         }
@@ -182,7 +179,7 @@ impl Scheduler for SrttScheduler {
         out: &mut Vec<Assignment>,
     ) {
         let any_enabled = paths.iter().any(|p| p.enabled);
-        let (interval, k) = (self.batch_interval, self.max_packet_bytes);
+        let (interval, k) = (self.batch_interval, MAX_PACKET_BYTES);
         let budgets = &mut self.budgets;
         budgets.clear();
         budgets.extend(paths.iter().filter(|p| p.enabled || !any_enabled).map(|p| {
@@ -378,7 +375,7 @@ mod tests {
 
     #[test]
     fn srtt_prefers_low_rtt_until_budget_exhausts() {
-        let mut s = SrttScheduler::new(1250, SimDuration::from_millis(33));
+        let mut s = SrttScheduler::new(SimDuration::from_millis(33));
         // P2 has lower RTT but tiny rate (≈1 pkt/batch); spillover to P1.
         let out = s.assign_batch(
             SimTime::ZERO,

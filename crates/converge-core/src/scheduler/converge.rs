@@ -20,13 +20,16 @@ use converge_trace::{TraceEvent, TraceHandle};
 
 use crate::feedback::PathShare;
 use crate::metrics::PathMetrics;
-use crate::scheduler::{interleave_into, p_max, Assignment, Schedulable, Scheduler};
+use crate::scheduler::{
+    interleave_into, p_max, Assignment, Schedulable, Scheduler, MAX_PACKET_BYTES,
+};
+
+/// Minimum interval between probes of a disabled path.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(200);
 
 /// Configuration of the Converge scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvergeSchedulerConfig {
-    /// Maximum RTP packet size `k` used by Algorithm 1 and `P_max`.
-    pub max_packet_bytes: usize,
     /// Batch interval (one frame interval) for `P_max` computation.
     pub batch_interval: SimDuration,
     /// Whether QoE feedback adjusts shares (Eq. 2). Disabled for the
@@ -36,22 +39,18 @@ pub struct ConvergeSchedulerConfig {
     /// Disabled for the video-awareness ablation: every packet is then
     /// treated as plain media and split by Eq. 1 alone.
     pub use_priority: bool,
-    /// Fast-path selection metric (Algorithm 1 by default; alternatives
-    /// for the design-choice ablation).
+    /// Fast-path selection metric (Algorithm 1 by default; minRTT for the
+    /// design-choice ablation).
     pub fast_path_metric: crate::fastpath::FastPathMetric,
-    /// Minimum interval between probes of a disabled path.
-    pub probe_interval: SimDuration,
 }
 
 impl Default for ConvergeSchedulerConfig {
     fn default() -> Self {
         ConvergeSchedulerConfig {
-            max_packet_bytes: 1250,
             batch_interval: SimDuration::from_micros(33_333),
             use_feedback: true,
             use_priority: true,
             fast_path_metric: crate::fastpath::FastPathMetric::CompletionTime,
-            probe_interval: SimDuration::from_millis(200),
         }
     }
 }
@@ -152,7 +151,7 @@ impl Scheduler for ConvergeScheduler {
             remaining,
             seq,
         } = &mut self.scratch;
-        let (n, k) = (packets.len(), self.config.max_packet_bytes);
+        let (n, k) = (packets.len(), MAX_PACKET_BYTES);
         // Paths usable this batch: enabled at the transport level and not
         // disabled by feedback.
         usable.clear();
@@ -304,7 +303,7 @@ impl Scheduler for ConvergeScheduler {
             return false;
         }
         let due = match self.last_probe.get(&path) {
-            Some(&last) => now.saturating_since(last) >= self.config.probe_interval,
+            Some(&last) => now.saturating_since(last) >= PROBE_INTERVAL,
             None => true,
         };
         if due {

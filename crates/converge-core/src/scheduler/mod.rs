@@ -113,6 +113,12 @@ pub trait Scheduler: std::fmt::Debug + Send {
     }
 }
 
+/// Maximum RTP packet size `k`, bytes, headers included: Algorithm 1's
+/// completion time `N·k/rate + rtt/2` and [`p_max`] count a batch in
+/// packets of this size. (The packetizer's MTU, 1200 B, bounds the
+/// payload alone.)
+pub(crate) const MAX_PACKET_BYTES: usize = 1250;
+
 /// Shared helper: maximum packets allowed on a path per batch interval,
 /// derived from the path's sending rate (`P_max`, §4.1). A 25 % headroom
 /// keeps short bursts schedulable.

@@ -4,43 +4,31 @@
 //! control behaves very differently under AQM (the GCC literature the
 //! paper builds on studies exactly this interplay). [`Codel`] implements
 //! the controlled-delay algorithm: when packets have been sitting longer
-//! than `target` for at least `interval`, drop, and keep dropping at an
-//! increasing rate (`interval / sqrt(count)`) until sojourn falls below
+//! than `TARGET` for at least `INTERVAL`, drop, and keep dropping at an
+//! increasing rate (`INTERVAL / sqrt(count)`) until sojourn falls below
 //! target.
 
 use crate::time::{SimDuration, SimTime};
+
+/// Acceptable standing sojourn time (RFC 8289's default).
+const TARGET: SimDuration = SimDuration::from_millis(5);
+/// Window over which sojourn must exceed the target before dropping
+/// (RFC 8289's default).
+const INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// Queue discipline of a link's bottleneck queue.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum QueueDiscipline {
     /// Plain drop-tail: accept until the byte limit, then drop arrivals.
     DropTail,
-    /// CoDel (controlled delay) on top of the byte limit.
-    Codel {
-        /// Acceptable standing sojourn time (CoDel default: 5 ms).
-        target: SimDuration,
-        /// Window over which sojourn must exceed target before dropping
-        /// (CoDel default: 100 ms).
-        interval: SimDuration,
-    },
-}
-
-impl QueueDiscipline {
-    /// The standard CoDel parameterization (5 ms / 100 ms).
-    pub fn codel_default() -> Self {
-        QueueDiscipline::Codel {
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-        }
-    }
+    /// CoDel (controlled delay, 5 ms / 100 ms) on top of the byte limit.
+    Codel,
 }
 
 /// CoDel drop-decision state, consulted by the link at each enqueue with
 /// the sojourn time the arriving packet is about to experience.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Codel {
-    target: SimDuration,
-    interval: SimDuration,
     /// Start of the current above-target episode.
     first_above_time: Option<SimTime>,
     /// Whether we are in the dropping state.
@@ -52,22 +40,10 @@ pub struct Codel {
 }
 
 impl Codel {
-    /// Creates a CoDel instance.
-    pub fn new(target: SimDuration, interval: SimDuration) -> Self {
-        Codel {
-            target,
-            interval,
-            first_above_time: None,
-            dropping: false,
-            count: 0,
-            drop_next: SimTime::ZERO,
-        }
-    }
-
-    /// Control-law spacing: `interval / sqrt(count)`.
+    /// Control-law spacing: `INTERVAL / sqrt(count)`.
     fn control_law(&self, from: SimTime) -> SimTime {
         let spacing = SimDuration::from_micros(
-            (self.interval.as_micros() as f64 / (self.count.max(1) as f64).sqrt()) as u64,
+            (INTERVAL.as_micros() as f64 / (self.count.max(1) as f64).sqrt()) as u64,
         );
         from + spacing
     }
@@ -76,13 +52,13 @@ impl Codel {
     /// would be `sojourn`. Returns `true` to drop.
     pub fn should_drop(&mut self, now: SimTime, sojourn: SimDuration) -> bool {
         // Track how long sojourn has continuously exceeded target.
-        let ok_to_drop = if sojourn < self.target {
+        let ok_to_drop = if sojourn < TARGET {
             self.first_above_time = None;
             false
         } else {
             match self.first_above_time {
                 None => {
-                    self.first_above_time = Some(now + self.interval);
+                    self.first_above_time = Some(now + INTERVAL);
                     false
                 }
                 Some(at) => now >= at,
@@ -125,7 +101,7 @@ mod tests {
     use super::*;
 
     fn codel() -> Codel {
-        Codel::new(SimDuration::from_millis(5), SimDuration::from_millis(100))
+        Codel::default()
     }
 
     fn t(ms: u64) -> SimTime {

@@ -77,11 +77,6 @@ impl<P> NetworkEmulator<P> {
         self.paths.len()
     }
 
-    /// IDs of all configured paths.
-    pub fn path_ids(&self) -> Vec<PathId> {
-        self.paths.iter().map(|p| p.id()).collect()
-    }
-
     /// Borrows a path by ID.
     pub fn path(&self, id: PathId) -> Option<&Path> {
         self.paths.get(id.index())

@@ -238,9 +238,7 @@ impl Link {
         let stages = match config.discipline {
             QueueDiscipline::DropTail if quiet => Stages::Quiet,
             QueueDiscipline::DropTail => Stages::DropTail,
-            QueueDiscipline::Codel { target, interval } => {
-                Stages::Codel(Codel::new(target, interval))
-            }
+            QueueDiscipline::Codel => Stages::Codel(Codel::default()),
         };
         Link {
             config,
@@ -722,7 +720,7 @@ mod tests {
             (drops, delay)
         };
         let (dt_drops, dt_delay) = run(QueueDiscipline::DropTail);
-        let (codel_drops, codel_delay) = run(QueueDiscipline::codel_default());
+        let (codel_drops, codel_delay) = run(QueueDiscipline::Codel);
         assert!(
             codel_drops > dt_drops,
             "CoDel must shed load before the byte limit"
@@ -1001,7 +999,7 @@ mod tests {
             let rng = SmallRng::seed_from_u64(config.seed);
             let codel = match config.discipline {
                 QueueDiscipline::DropTail => None,
-                QueueDiscipline::Codel { target, interval } => Some(Codel::new(target, interval)),
+                QueueDiscipline::Codel => Some(Codel::default()),
             };
             RefLink {
                 config,

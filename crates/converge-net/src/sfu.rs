@@ -20,6 +20,9 @@ use crate::path::PathId;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::RateTrace;
 
+/// One-way latency through the node itself (switching fabric).
+const FORWARD_DELAY: SimDuration = SimDuration::from_micros(200);
+
 /// A member's index within one SFU conference.
 pub type MemberId = u16;
 
@@ -49,19 +52,18 @@ pub struct ForwardPacket {
     pub keyframe: bool,
 }
 
-/// Static configuration of one SFU node.
+/// Static configuration of one SFU node, worked out from the bottleneck
+/// rate and the fan-out by [`SfuConfig::for_bottleneck`].
 #[derive(Debug, Clone)]
 pub struct SfuConfig {
     /// Shared ingress (fan-in) bottleneck rate, bits per second.
-    pub ingress_rate_bps: u64,
+    ingress_rate_bps: u64,
     /// Shared egress (fan-out) bottleneck rate, bits per second.
-    pub egress_rate_bps: u64,
+    egress_rate_bps: u64,
     /// Ingress queue capacity in bytes.
-    pub ingress_queue_bytes: usize,
+    ingress_queue_bytes: usize,
     /// Egress queue capacity in bytes.
-    pub egress_queue_bytes: usize,
-    /// One-way latency through the node itself (switching fabric).
-    pub forward_delay: SimDuration,
+    egress_queue_bytes: usize,
 }
 
 impl SfuConfig {
@@ -75,7 +77,6 @@ impl SfuConfig {
             egress_rate_bps,
             ingress_queue_bytes: queue_for(ingress_rate_bps),
             egress_queue_bytes: queue_for(egress_rate_bps),
-            forward_delay: SimDuration::from_micros(200),
         }
     }
 }
@@ -135,7 +136,7 @@ impl SfuNode {
         let quiet_link = |rate_bps: u64, queue_bytes: usize| {
             Link::new(LinkConfig {
                 rate: RateTrace::constant(rate_bps),
-                propagation: config.forward_delay,
+                propagation: FORWARD_DELAY,
                 queue_capacity_bytes: queue_bytes,
                 loss: LossModel::None,
                 jitter: SimDuration::ZERO,
@@ -237,21 +238,20 @@ mod tests {
     #[test]
     fn shared_ingress_serializes_members_behind_each_other() {
         // 10 Mbps ingress: two 1250 B packets offered at t=0 finish at
-        // 1 ms and 2 ms (+forward delay), regardless of which member sent
-        // them — that is what makes the bottleneck shared.
+        // 1 ms and 2 ms (+ the 200 µs forward delay), regardless of which
+        // member sent them — that is what makes the bottleneck shared.
         let mut sfu = SfuNode::new(SfuConfig {
             ingress_rate_bps: 10_000_000,
             egress_rate_bps: 30_000_000,
             ingress_queue_bytes: 1_000_000,
             egress_queue_bytes: 1_000_000,
-            forward_delay: SimDuration::ZERO,
         });
         let a = sfu.register_member(&[PathId(0)]);
         let b = sfu.register_member(&[PathId(0)]);
         let first = sfu.offer_ingress(a, SimTime::ZERO, 1250);
         let second = sfu.offer_ingress(b, SimTime::ZERO, 1250);
-        assert_eq!(first, Transmit::Delivered(SimTime::from_millis(1)));
-        assert_eq!(second, Transmit::Delivered(SimTime::from_millis(2)));
+        assert_eq!(first, Transmit::Delivered(SimTime::from_micros(1_200)));
+        assert_eq!(second, Transmit::Delivered(SimTime::from_micros(2_200)));
         assert_eq!(sfu.member_uplink(a), (1, 1250));
         assert_eq!(sfu.member_uplink(b), (1, 1250));
     }
@@ -263,7 +263,6 @@ mod tests {
             egress_rate_bps: 3_000_000,
             ingress_queue_bytes: 2_500,
             egress_queue_bytes: 1_000_000,
-            forward_delay: SimDuration::ZERO,
         });
         let m = sfu.register_member(&[PathId(0)]);
         assert!(matches!(

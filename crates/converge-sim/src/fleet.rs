@@ -15,7 +15,7 @@
 //! state, so a shard runs them one at a time through those two queues,
 //! cleared in between and reused (multiplexing several into one queue
 //! measured slower and larger, never different); shards are the workers of
-//! the one [`pool`](crate::pool).
+//! the one [`pool`].
 //!
 //! ## Topology
 //!
@@ -77,15 +77,16 @@ use converge_net::{
     SfuStats, SimDuration, SimTime, TimerWheelStats, Transmit,
 };
 use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
-use converge_video::{FrameType, PacketKind};
+use converge_video::{FrameType, PacketKind, CAPTURE_FORMAT};
 
-use crate::flow::{capture_format, Flow, Net, Tick};
+use crate::flow::{Flow, Net, Tick};
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::payload::{NetPayload, SimRtp};
 use crate::pool;
 use crate::receiver::ConferenceReceiver;
 use crate::scenarios::{FecKind, PathSpec, SchedulerKind};
 use crate::sender::{ConferenceSender, SenderSizing};
+use crate::session::{RTCP_INTERVAL, TRANSPORT_RTCP_INTERVAL};
 
 /// Receiver `recent` ring size for fleet members (4 KiB a stream): a hit
 /// must equal the full sequence its slot was written for, so the small
@@ -795,7 +796,6 @@ fn build_conference(
     timers: &mut EventQueue<TimerEvent>,
 ) -> ConferenceState {
     let n_members = cfg.members_of(conf as usize);
-    let format = capture_format();
     let mut sfu = SfuNode::new(SfuConfig::for_bottleneck(
         cfg.bottleneck_ingress_bps,
         n_members.saturating_sub(1),
@@ -812,7 +812,7 @@ fn build_conference(
         let sender = ConferenceSender::new_sized(
             STREAMS,
             &path_ids,
-            SCHEDULER.build(format.frame_interval()),
+            SCHEDULER.build(CAPTURE_FORMAT.frame_interval()),
             FEC.build(),
             ControllerConfig::default(),
             MAX_ENCODING_RATE_BPS,
@@ -821,7 +821,7 @@ fn build_conference(
         let receiver = ConferenceReceiver::new_sized(
             STREAMS,
             &path_ids,
-            format.fps,
+            CAPTURE_FORMAT.fps,
             path_ids[0],
             FLEET_RECENT_SLOTS,
         );
@@ -841,10 +841,10 @@ fn build_conference(
             Direction::Forward,
             sender,
             receiver,
-            MetricsCollector::new(cfg.duration, format, MAX_ENCODING_RATE_BPS, STREAMS),
+            MetricsCollector::new(cfg.duration, CAPTURE_FORMAT, MAX_ENCODING_RATE_BPS, STREAMS),
             trace,
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(250),
+            RTCP_INTERVAL,
+            TRANSPORT_RTCP_INTERVAL,
         );
 
         // Stagger every member's timers so frames across the fleet do not

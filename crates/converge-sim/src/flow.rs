@@ -18,7 +18,7 @@ use converge_net::{
 };
 use converge_rtp::RtcpPacket;
 use converge_trace::{TraceEvent, TraceHandle};
-use converge_video::{EncoderConfig, StreamId, VideoFormat};
+use converge_video::CAPTURE_FORMAT;
 
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::pacer::{Pacer, PacerConfig};
@@ -73,13 +73,6 @@ pub(crate) enum Tick {
     SenderRtcp,
 }
 
-/// The format every camera captures in: the encoder's own
-/// ([`EncoderConfig::paper_default`]), which the receiver's frame rate, the
-/// metrics and the scheduler's batch interval are derived from.
-pub(crate) fn capture_format() -> VideoFormat {
-    EncoderConfig::paper_default(StreamId(0)).format
-}
-
 fn opposite(direction: Direction) -> Direction {
     match direction {
         Direction::Forward => Direction::Reverse,
@@ -127,7 +120,7 @@ impl Flow {
             frame_interval: sender.frame_interval(),
             sender,
             receiver,
-            pacer: Pacer::new(PacerConfig::default()),
+            pacer: Pacer::new(PacerConfig),
             metrics,
             sr_seen: BTreeMap::new(),
             trace,
@@ -147,11 +140,10 @@ impl Flow {
         direction: Direction,
         trace: TraceHandle,
     ) -> Self {
-        let format = capture_format();
         let mut sender = ConferenceSender::new(
             cfg.streams,
             paths,
-            cfg.scheduler.build(format.frame_interval()),
+            cfg.scheduler.build(CAPTURE_FORMAT.frame_interval()),
             cfg.fec.build(),
             cfg.controller,
             cfg.max_encoding_rate_bps,
@@ -162,8 +154,13 @@ impl Flow {
         Flow::new(
             direction,
             sender,
-            ConferenceReceiver::new(cfg.streams, paths, format.fps, paths[0]),
-            MetricsCollector::new(cfg.duration, format, cfg.max_encoding_rate_bps, cfg.streams),
+            ConferenceReceiver::new(cfg.streams, paths, CAPTURE_FORMAT.fps, paths[0]),
+            MetricsCollector::new(
+                cfg.duration,
+                CAPTURE_FORMAT,
+                cfg.max_encoding_rate_bps,
+                cfg.streams,
+            ),
             trace,
             cfg.rtcp_interval,
             cfg.transport_rtcp_interval,

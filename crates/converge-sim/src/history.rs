@@ -317,7 +317,7 @@ mod tests {
             let which = (seed % 2) as usize;
             let slots = [1usize << 16, 1 << 11][which];
             let mut rng = SmallRng::seed_from_u64(0x415_7047 + seed);
-            let mut packetizer = Packetizer::new(PacketizerConfig::default());
+            let mut packetizer = Packetizer::new(PacketizerConfig);
             let mut history = MediaHistory::new(slots);
             let mut reference = RefMediaRing(vec![None; slots].into_boxed_slice());
             let mut packets = Vec::new();
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn frame_records_are_pruned_a_full_ring_behind() {
-        let mut packetizer = Packetizer::new(PacketizerConfig::default());
+        let mut packetizer = Packetizer::new(PacketizerConfig);
         let mut history = MediaHistory::new(1 << 11);
         let mut packets = Vec::new();
         for frame_id in 0..5_000u64 {

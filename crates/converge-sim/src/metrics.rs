@@ -5,6 +5,9 @@ use std::collections::BTreeMap;
 use converge_net::{PathId, SimDuration, SimTime};
 use converge_video::{effective_psnr, qp_for_bitrate, StreamId, VideoFormat};
 
+/// Decode gap beyond which the video is considered frozen.
+const FREEZE_THRESHOLD: SimDuration = SimDuration::from_millis(200);
+
 /// Per-second time-series bin for the figure-style plots (Figs. 9/11/16).
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct SecondBin {
@@ -84,7 +87,6 @@ struct PathAccount {
 /// The collector the simulation feeds while running.
 #[derive(Debug)]
 pub struct MetricsCollector {
-    start: SimTime,
     duration: SimDuration,
     format: VideoFormat,
     max_encoding_rate_bps: u64,
@@ -118,8 +120,6 @@ pub struct MetricsCollector {
     last_decode: Vec<Option<SimTime>>,
     freeze_total: SimDuration,
     freeze_events: u64,
-    /// Gap beyond which the video is considered frozen.
-    freeze_threshold: SimDuration,
     /// Per-second decoded frame counts for min-FPS style stats.
     expected_frame_interval: SimDuration,
 }
@@ -134,7 +134,6 @@ impl MetricsCollector {
     ) -> Self {
         let secs = (duration.as_secs_f64().ceil() as usize).max(1);
         MetricsCollector {
-            start: SimTime::ZERO,
             duration,
             format,
             max_encoding_rate_bps,
@@ -158,7 +157,6 @@ impl MetricsCollector {
             last_decode: vec![None; usize::from(streams)],
             freeze_total: SimDuration::ZERO,
             freeze_events: 0,
-            freeze_threshold: SimDuration::from_millis(200),
             expected_frame_interval: format.frame_interval(),
         }
     }
@@ -169,7 +167,7 @@ impl MetricsCollector {
     /// `as_secs_f64()` wherever the float is exact (below 2^53 µs), and
     /// beyond that both clamp to the last bin.
     fn second(&self, at: SimTime) -> usize {
-        let sec = at.saturating_since(self.start).as_micros() / 1_000_000;
+        let sec = at.as_micros() / 1_000_000;
         usize::try_from(sec)
             .unwrap_or(usize::MAX)
             .min(self.bins.len().saturating_sub(1))
@@ -272,7 +270,7 @@ impl MetricsCollector {
         // Freeze detection: a decode gap beyond the threshold is a stall.
         if let Some(prev) = self.last_decode[usize::from(stream.0)].replace(at) {
             let gap = at.saturating_since(prev);
-            if gap > self.freeze_threshold {
+            if gap > FREEZE_THRESHOLD {
                 self.freeze_total += gap - self.expected_frame_interval;
                 self.freeze_events += 1;
                 return Some(gap);

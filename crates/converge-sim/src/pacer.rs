@@ -12,27 +12,18 @@ use converge_net::{PathId, SimDuration, SimTime};
 
 use crate::sender::OutboundPacket;
 
-/// Pacing configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PacerConfig {
-    /// Multiplier over the path's target rate (WebRTC uses 2.5).
-    pub pacing_factor: f64,
-    /// Floor for the pacing rate so a starved path still drains.
-    pub min_rate_bps: f64,
-    /// Cap on how long a packet may wait before being force-flushed
-    /// (matches WebRTC's queue-time limit).
-    pub max_queue_delay: SimDuration,
-}
+/// Multiplier over the path's target rate (WebRTC uses 2.5).
+const PACING_FACTOR: f64 = 2.5;
+/// Floor for the pacing rate so a starved path still drains.
+const MIN_RATE_BPS: f64 = 300_000.0;
+/// Cap on how long a packet may wait before being force-flushed (matches
+/// WebRTC's queue-time limit).
+const MAX_QUEUE_DELAY: SimDuration = SimDuration::from_millis(250);
 
-impl Default for PacerConfig {
-    fn default() -> Self {
-        PacerConfig {
-            pacing_factor: 2.5,
-            min_rate_bps: 300_000.0,
-            max_queue_delay: SimDuration::from_millis(250),
-        }
-    }
-}
+/// Nothing to set: kept only because `benchmark/layers/src/mirror.rs`
+/// calls `Pacer::new(PacerConfig::default())` (ROADMAP item 5).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PacerConfig;
 
 struct Queued {
     packet: OutboundPacket,
@@ -49,7 +40,6 @@ struct PathQueue {
 
 /// Per-path token-bucket pacer.
 pub struct Pacer {
-    config: PacerConfig,
     /// Per-path queues, indexed by path id, so they iterate in id order
     /// (release order across paths is part of the traced behaviour).
     paths: Vec<PathQueue>,
@@ -60,9 +50,8 @@ pub struct Pacer {
 
 impl Pacer {
     /// Creates a pacer.
-    pub fn new(config: PacerConfig) -> Self {
+    pub fn new(_: PacerConfig) -> Self {
         Pacer {
-            config,
             paths: Vec::new(),
             queued: 0,
         }
@@ -80,10 +69,7 @@ impl Pacer {
 
     /// Updates a path's pacing rate (from GCC).
     pub fn set_rate(&mut self, path: PathId, target_bps: f64) {
-        let factor = self.config.pacing_factor;
-        let floor = self.config.min_rate_bps;
-        let q = self.path_queue(path);
-        q.rate_bps = (target_bps * factor).max(floor);
+        self.path_queue(path).rate_bps = (target_bps * PACING_FACTOR).max(MIN_RATE_BPS);
     }
 
     /// Queues packets for paced transmission.
@@ -135,15 +121,14 @@ impl Pacer {
         }
         for q in self.paths.iter_mut() {
             while let Some(front) = q.queue.front() {
-                let overdue =
-                    now.saturating_since(front.enqueued_at) >= self.config.max_queue_delay;
+                let overdue = now.saturating_since(front.enqueued_at) >= MAX_QUEUE_DELAY;
                 if q.busy_until > now && !overdue {
                     break;
                 }
                 let item = q.queue.pop_front().expect("front exists");
                 self.queued -= 1;
                 let bytes = item.packet.payload.wire_size();
-                let rate = q.rate_bps.max(self.config.min_rate_bps);
+                let rate = q.rate_bps.max(MIN_RATE_BPS);
                 let serialize = SimDuration::from_micros((bytes as f64 * 8.0 / rate * 1e6) as u64);
                 // The budget clock advances from its own virtual position
                 // (or the packet's enqueue time if the path went idle), not
@@ -212,7 +197,7 @@ mod tests {
 
     #[test]
     fn spreads_burst_over_time() {
-        let mut p = Pacer::new(PacerConfig::default());
+        let mut p = Pacer::new(PacerConfig);
         // 1 Mbps target → 2.5 Mbps pacing; 10 × 1250 B = 100 kbit → 40 ms.
         p.set_rate(P0, 1_000_000.0);
         p.enqueue(SimTime::ZERO, (0..10).map(|_| pkt(P0, 1250)).collect());
@@ -230,7 +215,7 @@ mod tests {
 
     #[test]
     fn paths_paced_independently() {
-        let mut p = Pacer::new(PacerConfig::default());
+        let mut p = Pacer::new(PacerConfig);
         p.set_rate(P0, 10_000_000.0);
         p.set_rate(P1, 1_000_000.0);
         p.enqueue(
@@ -249,7 +234,7 @@ mod tests {
 
     #[test]
     fn overdue_packets_force_flush() {
-        let mut p = Pacer::new(PacerConfig::default());
+        let mut p = Pacer::new(PacerConfig);
         p.set_rate(P0, 300_000.0); // very slow pacing
         p.enqueue(SimTime::ZERO, (0..50).map(|_| pkt(P0, 1250)).collect());
         // After the max queue delay everything still queued is flushed.
@@ -259,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_pacer_reports_nothing() {
-        let mut p = Pacer::new(PacerConfig::default());
+        let mut p = Pacer::new(PacerConfig);
         assert!(p.is_empty());
         assert_eq!(p.next_release(), None);
         assert!(p.poll(SimTime::from_secs(1)).is_empty());
@@ -267,7 +252,7 @@ mod tests {
 
     #[test]
     fn unknown_path_uses_min_rate() {
-        let mut p = Pacer::new(PacerConfig::default());
+        let mut p = Pacer::new(PacerConfig);
         // No set_rate call: pacing falls back to the floor, not zero.
         p.enqueue(SimTime::ZERO, vec![pkt(P0, 1250), pkt(P0, 1250)]);
         assert_eq!(p.poll(SimTime::ZERO).len(), 1);
@@ -284,8 +269,8 @@ mod tests {
         let (mut several_at_once, mut force_flushed) = (0usize, 0usize);
         for n_paths in 1..=8u8 {
             let mut rng = SmallRng::seed_from_u64(0xFACE + n_paths as u64);
-            let mut polled = Pacer::new(PacerConfig::default());
-            let mut released = Pacer::new(PacerConfig::default());
+            let mut polled = Pacer::new(PacerConfig);
+            let mut released = Pacer::new(PacerConfig);
             let mut now = SimTime::ZERO;
             let mut numbered = 0u64;
             let mut out = Vec::new();

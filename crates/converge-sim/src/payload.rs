@@ -7,7 +7,7 @@
 
 use converge_net::{PathId, SimTime};
 use converge_rtp::RtcpPacket;
-use converge_video::{StreamId, VideoPacket};
+use converge_video::{StreamId, VideoPacket, MTU};
 
 /// What a simulated RTP packet carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +46,7 @@ impl RtpKind {
             }
             // Probes duplicate a full-size packet from the fast path
             // (paper section 4.2), so they measure realistic serialization.
-            RtpKind::Probe { .. } => HEADER + 1200,
+            RtpKind::Probe { .. } => HEADER + MTU,
         }
     }
 
@@ -137,6 +137,27 @@ mod tests {
     #[test]
     fn probe_is_full_size() {
         assert_eq!(RtpKind::Probe { probe_seq: 1 }.wire_size(), 24 + 1200);
+    }
+
+    #[test]
+    fn probe_is_as_large_as_the_largest_media_packet() {
+        use converge_video::{EncodedFrame, Packetizer, PacketizerConfig};
+        let frame = EncodedFrame {
+            stream: StreamId(0),
+            frame_id: 0,
+            gop_id: 0,
+            frame_type: FrameType::Key,
+            size: 10_000,
+            qp: 20,
+            height: 720,
+            capture_time: SimTime::ZERO,
+        };
+        let largest = Packetizer::new(PacketizerConfig)
+            .packetize(&frame)
+            .into_iter()
+            .map(|p| RtpKind::Media(p).wire_size())
+            .max();
+        assert_eq!(Some(RtpKind::Probe { probe_seq: 1 }.wire_size()), largest);
     }
 
     #[test]

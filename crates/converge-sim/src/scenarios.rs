@@ -86,10 +86,7 @@ impl SchedulerKind {
             }
             SchedulerKind::SinglePath(p) => Box::new(SinglePathScheduler::new(PathId(p))),
             SchedulerKind::ConnectionMigration(p) => Box::new(ConnectionMigration::new(PathId(p))),
-            SchedulerKind::Srtt => Box::new(SrttScheduler::new(
-                ConvergeSchedulerConfig::default().max_packet_bytes,
-                frame_interval,
-            )),
+            SchedulerKind::Srtt => Box::new(SrttScheduler::new(frame_interval)),
             SchedulerKind::MTput => Box::new(MTputScheduler::new()),
             SchedulerKind::MRtp => Box::new(MRtpScheduler::new()),
         }

@@ -14,6 +14,7 @@ use converge_signal::{ConnectionMonitor, PathState};
 use converge_trace::TraceHandle;
 use converge_video::{
     EncoderConfig, FrameType, Packetizer, PacketizerConfig, StreamId, VideoEncoder, VideoPacket,
+    CAPTURE_FORMAT,
 };
 
 use crate::history::{FeedbackRing, MediaHistory};
@@ -249,14 +250,13 @@ impl ConferenceSender {
             .collect();
         let streams = (0..n_streams)
             .zip(histories)
-            .map(|(i, history)| {
-                let mut cfg = EncoderConfig::paper_default(StreamId(i));
-                cfg.max_bitrate_bps = max_encoding_rate_bps;
-                StreamPipeline {
-                    encoder: VideoEncoder::new(cfg),
-                    packetizer: Packetizer::new(PacketizerConfig::default()),
-                    history,
-                }
+            .map(|(i, history)| StreamPipeline {
+                encoder: VideoEncoder::new(EncoderConfig {
+                    stream: StreamId(i),
+                    max_bitrate_bps: max_encoding_rate_bps,
+                }),
+                packetizer: Packetizer::new(PacketizerConfig),
+                history,
             })
             .collect();
         let path_state = paths
@@ -328,7 +328,7 @@ impl ConferenceSender {
 
     /// Advertised frame rate (for the SDES message).
     pub fn frame_rate(&self) -> u32 {
-        self.streams[0].encoder.config().format.fps
+        CAPTURE_FORMAT.fps
     }
 
     /// Current per-path metrics snapshot from the congestion controllers;
@@ -361,11 +361,6 @@ impl ConferenceSender {
     /// [`ConferenceSender::path_metrics`] — without recomputing it.
     pub fn frame_path_metrics(&self) -> &[PathMetrics] {
         &self.scratch.metrics
-    }
-
-    /// Connection-monitor state for a path (tests/telemetry).
-    pub fn path_state(&self, path: PathId) -> Option<PathState> {
-        self.monitor.state(path)
     }
 
     /// The scheduler in use (for tests).
@@ -795,6 +790,7 @@ mod tests {
     use super::*;
     use crate::scenarios::{FecKind, SchedulerKind};
     use converge_rtp::{Nack, ReceiverReport, ReportBlock, TransportFeedback};
+    use converge_video::codec::MIN_BITRATE_BPS;
 
     /// Everything on path 0; drops whole batches while the test says so
     /// (WebRTC-CM's re-connection blackout, scripted).
@@ -1100,11 +1096,6 @@ mod tests {
         bytes as u64 * 8_000_000 / FRAME_US
     }
 
-    /// The lowest target the encoder accepts.
-    fn floor_bps(sender: &ConferenceSender) -> u64 {
-        sender.streams[0].encoder.config().min_bitrate_bps
-    }
-
     /// Repair rides inside the rate: the tick that carries R bytes of its
     /// own stream's retransmissions encodes at its target less R × 8 / the
     /// frame interval.
@@ -1121,7 +1112,7 @@ mod tests {
         assert!(rtx > 0);
         let target = encoder_targets(&quiet)[0];
         assert!(
-            target > floor_bps(&quiet) + debit_bps(rtx),
+            target > MIN_BITRATE_BPS + debit_bps(rtx),
             "{target} bps is too close to the floor"
         );
         assert_eq!(encoder_targets(&nacked)[0], target - debit_bps(rtx));
@@ -1149,7 +1140,7 @@ mod tests {
         let (paid, unpaid) = (encoder_targets(&nacked), encoder_targets(&quiet));
         assert_eq!(paid[..2], unpaid[..2]);
         assert!(
-            unpaid[2] > floor_bps(&quiet) + debit_bps(rtx),
+            unpaid[2] > MIN_BITRATE_BPS + debit_bps(rtx),
             "{unpaid:?} is too close to the floor"
         );
         assert_eq!(paid[2], unpaid[2] - debit_bps(rtx));
@@ -1192,7 +1183,7 @@ mod tests {
             debit_bps(rtx) > share,
             "{rtx} bytes do not outweigh {share} bps"
         );
-        assert_eq!(encoder_targets(&nacked)[0], floor_bps(&nacked));
+        assert_eq!(encoder_targets(&nacked)[0], MIN_BITRATE_BPS);
 
         round_at(&mut quiet, now);
         round_at(&mut nacked, now);

@@ -4,10 +4,18 @@
 use converge_cc::{ControllerConfig, ControllerKind};
 use converge_net::{Direction, ImpairmentConfig, SimDuration};
 use converge_trace::{InvariantSink, TraceHandle, Violation};
+use converge_video::PAPER_MAX_BITRATE_BPS;
 
 use crate::flow::run_call;
 use crate::metrics::CallReport;
 use crate::scenarios::{FecKind, ScenarioConfig, SchedulerKind};
+
+/// The receiver's fast RTCP interval (QoE feedback, NACK, PLI).
+pub(crate) const RTCP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// The receiver's transport feedback / receiver report interval (drives
+/// congestion control): the paper's GCC is paced by RTCP reports, slower
+/// than the QoE loop.
+pub(crate) const TRANSPORT_RTCP_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
 /// Configuration of one simulated call.
 #[derive(Debug, Clone)]
@@ -26,8 +34,7 @@ pub struct SessionConfig {
     pub max_encoding_rate_bps: u64,
     /// Fast RTCP interval at the receiver (QoE feedback, NACK, PLI).
     pub rtcp_interval: SimDuration,
-    /// Transport feedback / receiver report interval (drives GCC). The
-    /// paper's GCC is paced by RTCP reports, slower than the QoE loop.
+    /// Transport feedback / receiver report interval (drives GCC).
     pub transport_rtcp_interval: SimDuration,
     /// Master seed.
     pub seed: u64,
@@ -57,10 +64,6 @@ pub enum ConfigError {
     NoStreams,
     /// `duration` was zero.
     ZeroDuration,
-    /// `max_encoding_rate_bps` was zero.
-    ZeroEncodingRate,
-    /// An RTCP interval was zero (the session loop would spin).
-    ZeroRtcpInterval,
     /// An `impair` call named a path index the scenario does not have.
     ImpairmentPathOutOfRange,
 }
@@ -72,8 +75,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyScenario => "scenario has no paths",
             ConfigError::NoStreams => "streams must be at least 1",
             ConfigError::ZeroDuration => "duration must be positive",
-            ConfigError::ZeroEncodingRate => "max encoding rate must be positive",
-            ConfigError::ZeroRtcpInterval => "RTCP intervals must be positive",
             ConfigError::ImpairmentPathOutOfRange => {
                 "impair names a path index outside the scenario"
             }
@@ -87,8 +88,9 @@ impl std::error::Error for ConfigError {}
 /// Typed builder for [`SessionConfig`]; validates at [`build`].
 ///
 /// Defaults match the paper's standard setup: Converge scheduler and FEC,
-/// one stream, 3-minute call, 10 Mbps encoder cap, 100 ms QoE feedback,
-/// 250 ms transport feedback, uncoupled congestion control, tracing off.
+/// one stream, 3-minute call, uncoupled congestion control, tracing off.
+/// The 10 Mbps encoder cap and the 100 ms QoE / 250 ms transport feedback
+/// cadences are not settable.
 ///
 /// [`build`]: SessionConfigBuilder::build
 #[derive(Debug, Clone)]
@@ -98,9 +100,6 @@ pub struct SessionConfigBuilder {
     fec: FecKind,
     streams: u8,
     duration: SimDuration,
-    max_encoding_rate_bps: u64,
-    rtcp_interval: SimDuration,
-    transport_rtcp_interval: SimDuration,
     seed: u64,
     coupled_cc: bool,
     controller: ControllerConfig,
@@ -117,9 +116,6 @@ impl Default for SessionConfigBuilder {
             fec: FecKind::Converge,
             streams: 1,
             duration: SimDuration::from_secs(180),
-            max_encoding_rate_bps: 10_000_000,
-            rtcp_interval: SimDuration::from_millis(100),
-            transport_rtcp_interval: SimDuration::from_millis(250),
             seed: 0,
             coupled_cc: false,
             controller: ControllerConfig::default(),
@@ -158,24 +154,6 @@ impl SessionConfigBuilder {
     /// Call duration.
     pub fn duration(mut self, duration: SimDuration) -> Self {
         self.duration = duration;
-        self
-    }
-
-    /// Maximum encoding rate per stream, bits per second.
-    pub fn max_encoding_rate_bps(mut self, rate: u64) -> Self {
-        self.max_encoding_rate_bps = rate;
-        self
-    }
-
-    /// Fast RTCP interval at the receiver (QoE feedback, NACK, PLI).
-    pub fn rtcp_interval(mut self, interval: SimDuration) -> Self {
-        self.rtcp_interval = interval;
-        self
-    }
-
-    /// Transport feedback / receiver report interval (drives GCC).
-    pub fn transport_rtcp_interval(mut self, interval: SimDuration) -> Self {
-        self.transport_rtcp_interval = interval;
         self
     }
 
@@ -245,23 +223,15 @@ impl SessionConfigBuilder {
         if self.duration == SimDuration::ZERO {
             return Err(ConfigError::ZeroDuration);
         }
-        if self.max_encoding_rate_bps == 0 {
-            return Err(ConfigError::ZeroEncodingRate);
-        }
-        if self.rtcp_interval == SimDuration::ZERO
-            || self.transport_rtcp_interval == SimDuration::ZERO
-        {
-            return Err(ConfigError::ZeroRtcpInterval);
-        }
         Ok(SessionConfig {
             scenario,
             scheduler: self.scheduler,
             fec: self.fec,
             streams: self.streams,
             duration: self.duration,
-            max_encoding_rate_bps: self.max_encoding_rate_bps,
-            rtcp_interval: self.rtcp_interval,
-            transport_rtcp_interval: self.transport_rtcp_interval,
+            max_encoding_rate_bps: PAPER_MAX_BITRATE_BPS,
+            rtcp_interval: RTCP_INTERVAL,
+            transport_rtcp_interval: TRANSPORT_RTCP_INTERVAL,
             seed: self.seed,
             coupled_cc: self.coupled_cc,
             controller: self.controller,
@@ -517,21 +487,6 @@ mod tests {
         assert_eq!(
             base().duration(SimDuration::ZERO).build().unwrap_err(),
             ConfigError::ZeroDuration
-        );
-        assert_eq!(
-            base().max_encoding_rate_bps(0).build().unwrap_err(),
-            ConfigError::ZeroEncodingRate
-        );
-        assert_eq!(
-            base().rtcp_interval(SimDuration::ZERO).build().unwrap_err(),
-            ConfigError::ZeroRtcpInterval
-        );
-        assert_eq!(
-            base()
-                .transport_rtcp_interval(SimDuration::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroRtcpInterval
         );
         // Errors display something human-readable.
         assert!(!ConfigError::NoStreams.to_string().is_empty());

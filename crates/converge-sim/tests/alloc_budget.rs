@@ -177,7 +177,20 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 ///   −64, the metrics' decode map −96, metrics accounts, pacer queues and
 ///   the scheduler's budget −32 each, receiver path state −16; and +16
 ///   for the NACK attribution table, now built with the sender.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 620_262;
+///
+/// It was 620 262 until the media pipeline's settings became constants
+/// (−224), each a copy the structures no longer carry:
+///
+/// - a link, 552 → 520 B (CoDel's target and interval left the link's
+///   stage state, which shrank 32 B with the enum's layout), −128 over
+///   the two paths' four links;
+/// - the encoder, 152 → 104 B (its config keeps the stream and the rate
+///   cap: 64 → 16 B), −48 a stream;
+/// - the packetizer, 48 → 24 B (MTU, PPS and SPS sizes), −24 a stream;
+/// - the boxed Converge scheduler, 376 → 360 B (`k` and the probe
+///   interval), −16;
+/// - the QoE monitor, 176 → 168 B (its feedback cooldown), −8 a stream.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 620_038;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -194,8 +207,10 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 620_262;
 /// the NACK table −48 (the first second NACKs, and the old list grew to
 /// four entries), and two things the clean second never allocates: the
 /// tree map of PLI instants −112 and the late/early tally of the three
-/// monitors that judged a frame, −16 each.
-const LOSSY_CONSTRUCTION_BYTES: u64 = 1_251_444;
+/// monitors that judged a frame, −16 each; and 1 251 444 until the
+/// pipeline constants (−384: as above, three streams' encoders, packetizers
+/// and monitors −240, the four links −128, the scheduler −16).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 1_251_060;
 
 #[test]
 fn construction_bytes_stay_within_budget() {

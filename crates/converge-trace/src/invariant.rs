@@ -27,8 +27,8 @@
 //!    path (GCC clamps to exactly that, NADA and mp-BBR to
 //!    `[150 kbps, RATE_CEILING_BPS]`).
 //!
-//! To add an invariant: extend [`State`] with whatever bookkeeping the
-//! rule needs, add the check in [`check_record`], and give the rule a
+//! To add an invariant: extend `State` with whatever bookkeeping the
+//! rule needs, add the check in `check_record`, and give the rule a
 //! stable `rule` label — violations are reported as data, so new rules
 //! need no changes anywhere else.
 

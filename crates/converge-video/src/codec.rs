@@ -16,50 +16,46 @@ use rand::{Rng, SeedableRng};
 use crate::quality::{best_resolution_for, qp_for_bitrate, VideoFormat};
 use crate::types::{EncodedFrame, FrameType, StreamId};
 
-/// Encoder configuration for one camera stream.
+/// The format every camera captures in (the paper's evaluation setup,
+/// 1280×720 at 30 fps). The receiver's frame rate, the metrics and the
+/// scheduler's batch interval are derived from it.
+pub const CAPTURE_FORMAT: VideoFormat = VideoFormat::HD720;
+/// Maximum encoding rate the paper's calls allow a stream, bps.
+pub const PAPER_MAX_BITRATE_BPS: u64 = 10_000_000;
+/// Minimum rate the encoder can produce sensible video at, bps.
+pub const MIN_BITRATE_BPS: u64 = 150_000;
+/// Frames between keyframes (GOP length). WebRTC conferencing sends
+/// keyframes mostly on request (PLI) plus a slow periodic refresh; a
+/// ~10.6 s refresh keeps keyframe bursts rare, as in the real system.
+const GOP_LENGTH: u32 = 317;
+/// Keyframe size as a multiple of the average frame size.
+const KEYFRAME_RATIO: f64 = 4.0;
+/// Mean seconds between scene changes. A scene change makes delta frames
+/// momentarily large — the bursts that stress schedulers in real
+/// conference content.
+const SCENE_CHANGE_MEAN_SECS: f64 = 12.0;
+/// Seed of stream 0's per-frame size jitter; stream `s` uses this plus `s`.
+const JITTER_SEED: u64 = 0xC0DEC;
+
+/// What differs between two camera streams' encoders. Everything else is
+/// the consts above; the encoder always downscales when the target rate is
+/// too low for the capture format (WebRTC's quality scaler; the paper
+/// notes Converge "adjusting the video resolution to match the lower
+/// throughput").
 #[derive(Debug, Clone)]
 pub struct EncoderConfig {
-    /// Stream identity.
+    /// Stream identity; it also picks the stream's jitter seed.
     pub stream: StreamId,
-    /// Capture format (geometry + fps).
-    pub format: VideoFormat,
-    /// Frames between keyframes (GOP length). WebRTC conferencing sends
-    /// keyframes mostly on request (PLI) plus a slow periodic refresh; a
-    /// 10 s refresh keeps keyframe bursts rare, as in the real system.
-    pub gop_length: u32,
-    /// Keyframe size as a multiple of the average frame size.
-    pub keyframe_ratio: f64,
-    /// Mean seconds between scene changes (0 disables them). A scene
-    /// change makes delta frames momentarily large — the bursts that
-    /// stress schedulers in real conference content.
-    pub scene_change_mean_secs: f64,
-    /// Maximum encoding rate the application allows (10 Mbps in the paper).
+    /// Maximum encoding rate the application allows.
     pub max_bitrate_bps: u64,
-    /// Minimum rate the encoder can produce sensible video at.
-    pub min_bitrate_bps: u64,
-    /// Whether the encoder downscales resolution when the target rate is
-    /// too low for the capture format (WebRTC's quality scaler; the paper
-    /// notes Converge "adjusting the video resolution to match the lower
-    /// throughput").
-    pub adaptive_resolution: bool,
-    /// Seed for per-frame size jitter.
-    pub seed: u64,
 }
 
 impl EncoderConfig {
-    /// The paper's evaluation setup: 1280×720@30, 10 Mbps cap; keyframes
-    /// from a slow (~10.6 s) refresh plus PLI requests.
+    /// The paper's evaluation setup: a 10 Mbps cap.
     pub fn paper_default(stream: StreamId) -> Self {
         EncoderConfig {
             stream,
-            format: VideoFormat::HD720,
-            gop_length: 317,
-            keyframe_ratio: 4.0,
-            scene_change_mean_secs: 12.0,
-            max_bitrate_bps: 10_000_000,
-            min_bitrate_bps: 150_000,
-            adaptive_resolution: true,
-            seed: 0xC0DEC + stream.0 as u64,
+            max_bitrate_bps: PAPER_MAX_BITRATE_BPS,
         }
     }
 }
@@ -85,9 +81,8 @@ pub struct VideoEncoder {
 impl VideoEncoder {
     /// Creates an encoder; the first frame is always a keyframe.
     pub fn new(config: EncoderConfig) -> Self {
-        let seed = config.seed;
+        let seed = JITTER_SEED + config.stream.0 as u64;
         let target = config.max_bitrate_bps;
-        let current_format = config.format;
         VideoEncoder {
             config,
             rng: SmallRng::seed_from_u64(seed),
@@ -96,7 +91,7 @@ impl VideoEncoder {
             frames_into_gop: 0,
             force_keyframe: true,
             target_bitrate_bps: target,
-            current_format,
+            current_format: CAPTURE_FORMAT,
             rung_stable_frames: 0,
             scene_burst_frames: 0,
         }
@@ -110,8 +105,7 @@ impl VideoEncoder {
     /// Sets the encoding rate (from the congestion controller), clamped to
     /// the configured range.
     pub fn set_target_bitrate(&mut self, bps: u64) {
-        self.target_bitrate_bps =
-            bps.clamp(self.config.min_bitrate_bps, self.config.max_bitrate_bps);
+        self.target_bitrate_bps = bps.clamp(MIN_BITRATE_BPS, self.config.max_bitrate_bps);
     }
 
     /// The rate the encoder is currently encoding at.
@@ -126,7 +120,7 @@ impl VideoEncoder {
 
     /// Interval between captured frames.
     pub fn frame_interval(&self) -> SimDuration {
-        self.config.format.frame_interval()
+        CAPTURE_FORMAT.frame_interval()
     }
 
     /// The resolution currently being encoded.
@@ -138,13 +132,10 @@ impl VideoEncoder {
     /// with 30-frame (~1 s) hysteresis so rate flutter does not thrash the
     /// encoder. A switch forces a keyframe, as real encoders must.
     fn adapt_resolution(&mut self) {
-        if !self.config.adaptive_resolution {
-            return;
-        }
         let mut want = best_resolution_for(self.target_bitrate_bps as f64);
         // Never exceed the capture format.
-        if want.height > self.config.format.height {
-            want = self.config.format;
+        if want.height > CAPTURE_FORMAT.height {
+            want = CAPTURE_FORMAT;
         }
         if want.height == self.current_format.height {
             self.rung_stable_frames = 0;
@@ -162,7 +153,7 @@ impl VideoEncoder {
             self.current_format = VideoFormat {
                 width: want.width,
                 height: want.height,
-                fps: self.config.format.fps,
+                fps: CAPTURE_FORMAT.fps,
             };
             self.rung_stable_frames = 0;
             self.force_keyframe = true;
@@ -173,15 +164,13 @@ impl VideoEncoder {
     pub fn encode(&mut self, now: SimTime) -> EncodedFrame {
         self.adapt_resolution();
         // Scene changes arrive as a Bernoulli-per-frame process with the
-        // configured mean spacing; each spikes the next few delta frames
-        // (the encoder cannot predict across the cut).
-        if self.config.scene_change_mean_secs > 0.0 {
-            let p = 1.0 / (self.config.scene_change_mean_secs * self.config.fps() as f64);
-            if self.rng.gen_bool(p.clamp(0.0, 0.5)) {
-                self.scene_burst_frames = 6;
-            }
+        // mean spacing above; each spikes the next few delta frames (the
+        // encoder cannot predict across the cut).
+        let p = 1.0 / (SCENE_CHANGE_MEAN_SECS * CAPTURE_FORMAT.fps as f64);
+        if self.rng.gen_bool(p.clamp(0.0, 0.5)) {
+            self.scene_burst_frames = 6;
         }
-        let is_key = self.force_keyframe || self.frames_into_gop >= self.config.gop_length;
+        let is_key = self.force_keyframe || self.frames_into_gop >= GOP_LENGTH;
         if is_key {
             self.force_keyframe = false;
             self.frames_into_gop = 0;
@@ -212,17 +201,17 @@ impl VideoEncoder {
     }
 
     /// Size for one frame: the per-frame bit budget at the current target
-    /// rate, redistributed so keyframes take `keyframe_ratio`× the delta
+    /// rate, redistributed so keyframes take `KEYFRAME_RATIO`× the delta
     /// share, plus ±20 % scene-activity jitter.
     fn frame_size(&mut self, is_key: bool) -> usize {
-        let fps = self.config.fps() as f64;
-        let gop = self.config.gop_length.max(1) as f64;
+        let fps = CAPTURE_FORMAT.fps as f64;
+        let gop = GOP_LENGTH as f64;
         let avg_bytes = self.target_bitrate_bps as f64 / 8.0 / fps;
         // One key + (gop-1) deltas must average to avg:
         //   ratio*d + (gop-1)*d = gop*avg  =>  d = gop*avg / (ratio + gop - 1)
-        let delta_bytes = gop * avg_bytes / (self.config.keyframe_ratio + gop - 1.0);
+        let delta_bytes = gop * avg_bytes / (KEYFRAME_RATIO + gop - 1.0);
         let base = if is_key {
-            delta_bytes * self.config.keyframe_ratio
+            delta_bytes * KEYFRAME_RATIO
         } else {
             delta_bytes
         };
@@ -234,12 +223,6 @@ impl VideoEncoder {
             1.0
         };
         (base * jitter * burst).max(64.0) as usize
-    }
-}
-
-impl EncoderConfig {
-    fn fps(&self) -> u32 {
-        self.format.fps.max(1)
     }
 }
 
@@ -269,7 +252,7 @@ mod tests {
     #[test]
     fn keyframes_appear_every_gop() {
         let mut e = encoder();
-        let gop = e.config().gop_length as u64;
+        let gop = GOP_LENGTH as u64;
         let frames = encode_n(&mut e, (gop * 3 + 1) as usize);
         let key_ids: Vec<u64> = frames
             .iter()
@@ -282,7 +265,7 @@ mod tests {
     #[test]
     fn gop_id_increments_at_keyframes() {
         let mut e = encoder();
-        let gop = e.config().gop_length as usize;
+        let gop = GOP_LENGTH as usize;
         let frames = encode_n(&mut e, gop * 2 + 1);
         assert_eq!(frames[0].gop_id, 0);
         assert_eq!(frames[gop - 1].gop_id, 0);
@@ -293,7 +276,7 @@ mod tests {
     #[test]
     fn keyframes_are_larger() {
         let mut e = encoder();
-        let gop = e.config().gop_length as usize;
+        let gop = GOP_LENGTH as usize;
         let frames = encode_n(&mut e, gop * 2);
         let keys: Vec<f64> = frames
             .iter()
@@ -330,7 +313,7 @@ mod tests {
     fn rate_clamped_to_config() {
         let mut e = encoder();
         e.set_target_bitrate(100);
-        assert_eq!(e.target_bitrate(), e.config().min_bitrate_bps);
+        assert_eq!(e.target_bitrate(), MIN_BITRATE_BPS);
         e.set_target_bitrate(u64::MAX);
         assert_eq!(e.target_bitrate(), e.config().max_bitrate_bps);
     }
@@ -386,10 +369,8 @@ mod tests {
 
     #[test]
     fn scene_changes_spike_delta_sizes() {
-        let mut cfg = EncoderConfig::paper_default(StreamId(0));
-        cfg.scene_change_mean_secs = 2.0; // frequent, for the test
-        let mut e = VideoEncoder::new(cfg);
-        let frames = encode_n(&mut e, 600); // 20 s
+        let mut e = encoder();
+        let frames = encode_n(&mut e, 3_600); // 120 s, ten scene changes on average
         let deltas: Vec<usize> = frames
             .iter()
             .filter(|f| f.frame_type == FrameType::Delta)
@@ -398,22 +379,6 @@ mod tests {
         let mean = deltas.iter().sum::<usize>() as f64 / deltas.len() as f64;
         let spikes = deltas.iter().filter(|&&s| s as f64 > mean * 1.5).count();
         assert!(spikes > 10, "expected scene-change spikes, saw {spikes}");
-    }
-
-    #[test]
-    fn scene_changes_can_be_disabled() {
-        let mut cfg = EncoderConfig::paper_default(StreamId(0));
-        cfg.scene_change_mean_secs = 0.0;
-        let mut e = VideoEncoder::new(cfg);
-        let frames = encode_n(&mut e, 300);
-        let deltas: Vec<usize> = frames
-            .iter()
-            .filter(|f| f.frame_type == FrameType::Delta)
-            .map(|f| f.size)
-            .collect();
-        let mean = deltas.iter().sum::<usize>() as f64 / deltas.len() as f64;
-        // Only the ±20% jitter remains.
-        assert!(deltas.iter().all(|&s| (s as f64) < mean * 1.4));
     }
 
     #[test]
@@ -440,16 +405,6 @@ mod tests {
         e.set_target_bitrate(8_000_000);
         encode_n(&mut e, 90); // upswitch hysteresis is slower (45 frames)
         assert_eq!(e.current_format().height, 720);
-    }
-
-    #[test]
-    fn adaptation_can_be_disabled() {
-        let mut cfg = EncoderConfig::paper_default(StreamId(0));
-        cfg.adaptive_resolution = false;
-        let mut e = VideoEncoder::new(cfg);
-        e.set_target_bitrate(200_000);
-        let frames = encode_n(&mut e, 60);
-        assert!(frames.iter().all(|f| f.height == 720));
     }
 
     #[test]

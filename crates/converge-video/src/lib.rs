@@ -25,9 +25,9 @@ pub mod packetize;
 pub mod quality;
 pub mod types;
 
-pub use codec::{EncoderConfig, VideoEncoder};
+pub use codec::{EncoderConfig, VideoEncoder, CAPTURE_FORMAT, PAPER_MAX_BITRATE_BPS};
 pub use frame_buffer::{DropReason, FrameBuffer, FrameBufferEvent};
 pub use packet_buffer::{PacketBuffer, PacketBufferEvent};
-pub use packetize::{PacketizedFrame, Packetizer, PacketizerConfig};
+pub use packetize::{PacketizedFrame, Packetizer, PacketizerConfig, MTU};
 pub use quality::{effective_psnr, psnr_for_bitrate, qp_for_bitrate, VideoFormat};
 pub use types::{CompleteFrame, EncodedFrame, FrameType, PacketKind, StreamId, VideoPacket};

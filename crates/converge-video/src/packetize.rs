@@ -8,38 +8,30 @@
 
 use crate::types::{EncodedFrame, PacketKind, VideoPacket};
 
-/// Packetizer configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PacketizerConfig {
-    /// Maximum payload bytes per media packet ("k" in Algorithm 1).
-    pub mtu: usize,
-    /// Size of a PPS control packet, bytes.
-    pub pps_size: usize,
-    /// Size of an SPS control packet, bytes.
-    pub sps_size: usize,
-}
+/// Maximum payload bytes per media packet. This bounds the payload only;
+/// Algorithm 1's `k` is the schedulers' 1250-byte bound on a whole packet,
+/// headers included (`MAX_PACKET_BYTES` in converge-core).
+pub const MTU: usize = 1200;
+/// Size of a PPS control packet, bytes.
+const PPS_SIZE: usize = 64;
+/// Size of an SPS control packet, bytes.
+const SPS_SIZE: usize = 96;
 
-impl Default for PacketizerConfig {
-    fn default() -> Self {
-        PacketizerConfig {
-            mtu: 1200,
-            pps_size: 64,
-            sps_size: 96,
-        }
-    }
-}
+/// Nothing to set: kept only because `benchmark/layers/src/kernels.rs`
+/// calls `Packetizer::new(PacketizerConfig::default())` (ROADMAP item 5).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PacketizerConfig;
 
-/// A packetized frame's place in its stream's sequence space. Together
-/// with the packetizer's configuration it determines every packet the
-/// frame was split into, so a sender that keeps one of these per frame
-/// need not keep the packets.
+/// A packetized frame's place in its stream's sequence space. It
+/// determines every packet the frame was split into, so a sender that
+/// keeps one of these per frame need not keep the packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketizedFrame {
     /// The frame as the encoder emitted it.
     pub frame: EncodedFrame,
     /// Sequence number of the frame's first packet.
     pub first_sequence: u64,
-    /// Packets the frame was split into: [SPS], PPS, media.
+    /// Packets the frame was split into: \[SPS\], PPS, media.
     pub packet_count: u32,
     /// Whether the frame opened a GOP and so leads with an SPS packet.
     pub has_sps: bool,
@@ -48,24 +40,17 @@ pub struct PacketizedFrame {
 /// Stateful packetizer for one stream (owns the sequence counter).
 #[derive(Debug)]
 pub struct Packetizer {
-    config: PacketizerConfig,
     next_sequence: u64,
     last_sps_gop: Option<u64>,
 }
 
 impl Packetizer {
     /// Creates a packetizer.
-    pub fn new(config: PacketizerConfig) -> Self {
+    pub fn new(_: PacketizerConfig) -> Self {
         Packetizer {
-            config,
             next_sequence: 0,
             last_sps_gop: None,
         }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> PacketizerConfig {
-        self.config
     }
 
     /// Next sequence number to be assigned.
@@ -92,7 +77,7 @@ impl Packetizer {
     ) -> PacketizedFrame {
         let has_sps = self.last_sps_gop != Some(frame.gop_id);
         self.last_sps_gop = Some(frame.gop_id);
-        let media = frame.size.div_ceil(self.config.mtu).max(1) as u16;
+        let media = frame.size.div_ceil(MTU).max(1) as u16;
         let packetized = PacketizedFrame {
             frame: *frame,
             first_sequence: self.next_sequence,
@@ -121,12 +106,12 @@ impl Packetizer {
                 let count = (packetized.packet_count - control) as u16;
                 // Every media packet but the last is a full MTU; a frame
                 // of zero bytes still sends one byte.
-                let sent_before = index as usize * self.config.mtu;
-                let size = frame.size.saturating_sub(sent_before).min(self.config.mtu);
+                let sent_before = index as usize * MTU;
+                let size = frame.size.saturating_sub(sent_before).min(MTU);
                 (PacketKind::Media { index, count }, size.max(1))
             }
-            None if packetized.has_sps && n == 0 => (PacketKind::Sps, self.config.sps_size),
-            None => (PacketKind::Pps, self.config.pps_size),
+            None if packetized.has_sps && n == 0 => (PacketKind::Sps, SPS_SIZE),
+            None => (PacketKind::Pps, PPS_SIZE),
         };
         VideoPacket {
             stream: frame.stream,
@@ -162,7 +147,7 @@ mod tests {
 
     #[test]
     fn splits_frame_at_mtu() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         let pkts = p.packetize(&frame(0, 0, FrameType::Key, 3000));
         // SPS + PPS + ceil(3000/1200)=3 media.
         assert_eq!(pkts.len(), 5);
@@ -174,7 +159,7 @@ mod tests {
 
     #[test]
     fn sps_only_on_new_gop() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         let a = p.packetize(&frame(0, 0, FrameType::Key, 1000));
         let b = p.packetize(&frame(1, 0, FrameType::Delta, 1000));
         let c = p.packetize(&frame(2, 1, FrameType::Key, 1000));
@@ -186,7 +171,7 @@ mod tests {
 
     #[test]
     fn every_frame_has_exactly_one_pps() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         for id in 0..10 {
             let pkts = p.packetize(&frame(id, 0, FrameType::Delta, 2500));
             let pps = pkts.iter().filter(|p| p.kind == PacketKind::Pps).count();
@@ -196,7 +181,7 @@ mod tests {
 
     #[test]
     fn sequences_are_contiguous_across_frames() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         let mut all = Vec::new();
         for id in 0..5 {
             all.extend(p.packetize(&frame(id, 0, FrameType::Delta, 2000)));
@@ -209,7 +194,7 @@ mod tests {
 
     #[test]
     fn media_indices_cover_count() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         let pkts = p.packetize(&frame(0, 0, FrameType::Key, 5000));
         let mut indices = Vec::new();
         for pkt in &pkts {
@@ -223,7 +208,7 @@ mod tests {
 
     #[test]
     fn tiny_frame_still_one_media_packet() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         let pkts = p.packetize(&frame(0, 0, FrameType::Delta, 1));
         let media: Vec<_> = pkts.iter().filter(|p| p.kind.is_media()).collect();
         assert_eq!(media.len(), 1);
@@ -232,7 +217,7 @@ mod tests {
 
     #[test]
     fn metadata_propagates() {
-        let mut p = Packetizer::new(PacketizerConfig::default());
+        let mut p = Packetizer::new(PacketizerConfig);
         let f = frame(7, 3, FrameType::Key, 100);
         for pkt in p.packetize(&f) {
             assert_eq!(pkt.frame_id, 7);
@@ -246,7 +231,6 @@ mod tests {
     /// The split as it stood before `packet_at`: a running `remaining`
     /// byte count and a pushing closure.
     fn reference_packetize(
-        config: PacketizerConfig,
         frame: &EncodedFrame,
         first_sequence: u64,
         has_sps: bool,
@@ -267,13 +251,13 @@ mod tests {
             seq += 1;
         };
         if has_sps {
-            push(PacketKind::Sps, config.sps_size);
+            push(PacketKind::Sps, SPS_SIZE);
         }
-        push(PacketKind::Pps, config.pps_size);
-        let count = frame.size.div_ceil(config.mtu).max(1) as u16;
+        push(PacketKind::Pps, PPS_SIZE);
+        let count = frame.size.div_ceil(MTU).max(1) as u16;
         let mut remaining = frame.size;
         for index in 0..count {
-            let size = remaining.min(config.mtu).max(1);
+            let size = remaining.clamp(1, MTU);
             remaining = remaining.saturating_sub(size);
             push(PacketKind::Media { index, count }, size);
         }
@@ -284,8 +268,7 @@ mod tests {
     fn every_packet_rebuilds_from_its_frame_record() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x9ac4e7);
-        let config = PacketizerConfig::default();
-        let mut p = Packetizer::new(config);
+        let mut p = Packetizer::new(PacketizerConfig);
         let mut out = Vec::new();
         let mut gop_id = 0;
         for frame_id in 0..10_000u64 {
@@ -295,8 +278,8 @@ mod tests {
             let size = match rng.gen_range(0..8) {
                 0 => 0,
                 1 => 1,
-                2 => config.mtu * rng.gen_range(1..6usize),
-                3 => config.mtu * rng.gen_range(1..6usize) + 1,
+                2 => MTU * rng.gen_range(1..6usize),
+                3 => MTU * rng.gen_range(1..6usize) + 1,
                 _ => rng.gen_range(2..40_000),
             };
             let ft = if new_gop || frame_id == 0 {
@@ -315,7 +298,7 @@ mod tests {
             assert_eq!(p.next_sequence(), first_sequence + out.len() as u64);
             assert_eq!(
                 out,
-                reference_packetize(config, &f, first_sequence, packetized.has_sps)
+                reference_packetize(&f, first_sequence, packetized.has_sps)
             );
             for (n, sent) in out.iter().enumerate() {
                 assert_eq!(p.packet_at(&packetized, n as u32), *sent);

@@ -879,7 +879,7 @@ proptest! {
             .collect();
         let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
             Box::new(ConvergeScheduler::new(ConvergeSchedulerConfig::default())),
-            Box::new(SrttScheduler::new(1250, SimDuration::from_micros(33_333))),
+            Box::new(SrttScheduler::new(SimDuration::from_micros(33_333))),
             Box::new(MTputScheduler::new()),
             Box::new(MRtpScheduler::new()),
         ];

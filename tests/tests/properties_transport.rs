@@ -138,7 +138,7 @@ proptest! {
         use converge_sim::{Pacer, PacerConfig};
         use converge_video::{FrameType, PacketKind, StreamId, VideoPacket};
 
-        let mut pacer = Pacer::new(PacerConfig::default());
+        let mut pacer = Pacer::new(PacerConfig);
         pacer.set_rate(PathId(0), rate as f64);
         let n = sizes.len();
         let packets: Vec<OutboundPacket> = sizes

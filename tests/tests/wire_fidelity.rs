@@ -13,7 +13,7 @@ use converge_video::{EncoderConfig, Packetizer, PacketizerConfig, StreamId, Vide
 #[test]
 fn full_encoder_output_survives_the_wire() {
     let mut encoder = VideoEncoder::new(EncoderConfig::paper_default(StreamId(1)));
-    let mut packetizer = Packetizer::new(PacketizerConfig::default());
+    let mut packetizer = Packetizer::new(PacketizerConfig);
     let mut scheduler = ConvergeScheduler::new(ConvergeSchedulerConfig::default());
     let paths = [
         PathMetrics::new(PathId(0), 10_000_000, SimDuration::from_millis(40), 0.01),
