@@ -318,6 +318,9 @@ impl RtcpPacket {
                 }))
             }
             pt::RR => {
+                if buf.len() < 8 {
+                    return Err(ParseError::Truncated);
+                }
                 let path_id = buf.get_u32() as u8;
                 let ssrc = buf.get_u32();
                 let mut blocks = Vec::with_capacity(count as usize);
@@ -769,6 +772,107 @@ mod tests {
         .serialize();
         let short = wire.slice(0..wire.len() - 1);
         assert_eq!(RtcpPacket::parse(short), Err(ParseError::Truncated));
+    }
+
+    /// A receiver report too short for its path and SSRC words.
+    #[test]
+    fn parse_rejects_a_short_receiver_report() {
+        for wire in [
+            vec![0x80, pt::RR, 0, 0],
+            vec![0x80, pt::RR, 0, 1, 0, 0, 0, 0],
+        ] {
+            assert_eq!(
+                RtcpPacket::parse(Bytes::from(wire.clone())),
+                Err(ParseError::Truncated),
+                "{wire:?}"
+            );
+        }
+    }
+
+    /// Every strict prefix of one packet of each RTCP type, and of an RTP
+    /// packet with the multipath extension, is an error and never a panic.
+    #[test]
+    fn every_strict_prefix_is_rejected() {
+        use crate::{MultipathExtension, PayloadType, RtpPacket};
+        let block = ReportBlock {
+            ssrc: 0xAAAA,
+            fraction_lost: 25,
+            cumulative_lost: 1000,
+            ext_highest_seq: 70_000,
+            ext_highest_mp_seq: 35_000,
+            jitter: 99,
+            last_sr: 7,
+            delay_since_last_sr: 11,
+        };
+        let rtcp = [
+            RtcpPacket::SenderReport(SenderReport {
+                path_id: 1,
+                ssrc: 0x1111,
+                ntp_micros: 123_456_789,
+                rtp_timestamp: 90_000,
+                packet_count: 42,
+                octet_count: 61_234,
+            }),
+            RtcpPacket::ReceiverReport(ReceiverReport {
+                path_id: 2,
+                ssrc: 0x2222,
+                blocks: vec![block; 2],
+            }),
+            RtcpPacket::Sdes(Sdes {
+                ssrc: 0x3333,
+                cname: "camera0@converge".into(),
+                frame_rate: Some(30),
+            }),
+            RtcpPacket::Nack(Nack {
+                path_id: 1,
+                ssrc: 0x4444,
+                lost: vec![100, 101, 102, 116, 300],
+            }),
+            RtcpPacket::TransportFeedback(TransportFeedback {
+                path_id: 1,
+                ssrc: 0x6666,
+                arrivals: vec![(1, 1_000), (2, 2_500)],
+            }),
+            RtcpPacket::Pli(Pli {
+                path_id: 3,
+                ssrc: 0x5555,
+            }),
+            RtcpPacket::QoeFeedback(QoeFeedback {
+                path_id: 2,
+                ssrc: 0x7777,
+                alpha: -5,
+                fcd_micros: 45_000,
+            }),
+        ];
+        for p in &rtcp {
+            let wire = p.serialize();
+            assert_eq!(RtcpPacket::parse(wire.clone()).as_ref(), Ok(p));
+            for cut in 0..wire.len() {
+                let got = RtcpPacket::parse(wire.slice(0..cut));
+                assert!(got.is_err(), "{p:?} cut at {cut}: {got:?}");
+            }
+        }
+        // Without a payload every byte of the packet is header or
+        // extension, so every strict prefix is short of one of them.
+        let rtp = RtpPacket {
+            marker: true,
+            payload_type: PayloadType::Video,
+            sequence: 0xBEEF,
+            timestamp: 0x1234_5678,
+            ssrc: 0xCAFE_BABE,
+            extension: Some(MultipathExtension {
+                path_id: 2,
+                mp_sequence: 41,
+                mp_transport_sequence: 1007,
+            }),
+            payload: Bytes::new(),
+        };
+        let wire = rtp.serialize();
+        assert_eq!(RtpPacket::parse(wire.clone()), Ok(rtp));
+        for cut in 0..wire.len() {
+            let got = RtpPacket::parse(wire.slice(0..cut));
+            assert!(got.is_err(), "RTP cut at {cut}: {got:?}");
+        }
     }
 
     #[test]

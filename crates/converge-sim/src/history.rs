@@ -6,45 +6,47 @@
 //! - [`MediaHistory`], per stream: what a NACK needs to retransmit a media
 //!   packet and to attribute its loss to a path. A sent packet is a pure
 //!   function of its frame ([`Packetizer::packet_at`]), so the ring keeps
-//!   four bytes per sequence — which generation of the slot it is and the
-//!   path it took — and the packet itself is rebuilt from a per-frame
-//!   record when a NACK asks for it.
+//!   one byte per sequence — the path it took — and the packet itself is
+//!   rebuilt from a 24-byte per-frame record when a NACK asks for it.
 //! - [`FeedbackRing`], per path: send time and size of each transport
-//!   sequence, for matching transport feedback into packet timings, in
-//!   eight bytes a sequence.
+//!   sequence, for matching transport feedback into packet timings, in six
+//!   bytes a sequence.
 //!
-//! Each slot stores the sequence bits above the ring index, so a hit is
-//! confirmed against the full sequence, never assumed from the index.
+//! Both rings are written in strictly increasing sequence order, so which
+//! sequence a slot holds follows from the newest one written: a slot
+//! stores no sequence bits, and a hit is a range check against the newest,
+//! never assumed from the index alone.
 
 use std::collections::VecDeque;
 
 use converge_net::{PathId, SimTime};
-use converge_video::{PacketizedFrame, Packetizer, VideoPacket};
-
-/// An unused [`MediaHistory`] slot.
-const NO_MEDIA: u32 = u32::MAX;
+use converge_video::{EncodedFrame, FrameType, PacketizedFrame, Packetizer, StreamId, VideoPacket};
 
 /// One stream's retransmission history: the newest `slots` media
 /// sequences the stream sent, each with the path it travelled.
 ///
-/// Slot `i` holds `(sequence >> log2(slots)) << 8 | path` for the newest
-/// remembered sequence whose low bits are `i`; `frames` holds the record
-/// of every frame that still has a sequence inside that window, oldest
-/// first. A lookup answers exactly what a ring of whole packets would —
-/// the packet, if it is among the newest `slots` sequences — except that
-/// a slot which outlived the window because the sequences that would have
-/// overwritten it were never remembered (WebRTC-CM drops whole batches
-/// during a blackout) answers `None` instead of a packet `slots` or more
-/// sequences older than the one asked for.
+/// Slot `i` holds the path of the newest remembered sequence whose low
+/// bits are `i`; `frames` holds the record of every frame that still has a
+/// sequence inside that window, oldest first. Sequences are remembered in
+/// increasing order and every packet of a begun frame is remembered, so
+/// the sequence a NACK's 16 bits name is the newest one below `next` with
+/// those bits, and it is in the ring iff it lies inside the window and
+/// inside a frame record. A lookup answers exactly what a ring of whole
+/// packets would — the packet, if it is among the newest `slots`
+/// sequences — except that a sequence WebRTC-CM consumed without sending
+/// (it drops whole batches during a blackout, and a dropped batch begins
+/// no frame) answers `None` instead of a packet `slots` or more sequences
+/// older than the one asked for.
 #[derive(Debug)]
 pub(crate) struct MediaHistory {
-    slots: Box<[u32]>,
-    /// `log2(slots.len())`.
-    shift: u32,
-    frames: VecDeque<PacketizedFrame>,
+    paths: Box<[PathId]>,
+    frames: VecDeque<FrameRecord>,
     /// One past the newest remembered sequence (0 before the first).
     next: u64,
 }
+
+// The point of the slot is its size: the path id alone.
+const _: () = assert!(std::mem::size_of::<PathId>() == 1);
 
 impl MediaHistory {
     /// A history of the newest `slots` sequences.
@@ -59,42 +61,49 @@ impl MediaHistory {
             "media history of {slots} slots"
         );
         MediaHistory {
-            slots: vec![NO_MEDIA; slots].into_boxed_slice(),
-            shift: slots.trailing_zeros(),
+            paths: vec![PathId(0); slots].into_boxed_slice(),
             frames: VecDeque::new(),
             next: 0,
         }
     }
 
     /// Starts remembering the packets of `frame`; the caller follows with
-    /// one [`MediaHistory::remember`] per packet it actually sends. Frames
+    /// one [`MediaHistory::remember`] per packet of it, in order. Frames
     /// arrive in sequence order.
+    ///
+    /// # Panics
+    /// Panics past any of the bounds in [`FrameRecord`]'s docs.
     pub(crate) fn begin_frame(&mut self, frame: PacketizedFrame) {
         debug_assert!(self.next <= frame.first_sequence);
+        debug_assert!(
+            self.frames.back().is_none_or(|f| f.end() == self.next),
+            "every packet of the previous frame must be remembered"
+        );
+        let record = FrameRecord::new(&frame);
         // A frame whose last sequence is a full ring behind the newest one
         // can never be looked up again.
-        let window = self.slots.len() as u64;
-        while self.frames.front().is_some_and(|oldest| {
-            oldest.first_sequence + u64::from(oldest.packet_count) + window <= self.next
-        }) {
+        let window = self.paths.len() as u64;
+        while self
+            .frames
+            .front()
+            .is_some_and(|oldest| oldest.end() + window <= self.next)
+        {
             self.frames.pop_front();
         }
-        self.frames.push_back(frame);
+        self.frames.push_back(record);
     }
 
-    /// Remembers that `sequence`, a packet of the frame last begun, went
-    /// out on `path`.
+    /// Remembers that `sequence`, the next packet of the frame last begun,
+    /// went out on `path`.
     pub(crate) fn remember(&mut self, sequence: u64, path: PathId) {
-        debug_assert!(self.frames.back().is_some_and(|f| {
-            (f.first_sequence..f.first_sequence + u64::from(f.packet_count)).contains(&sequence)
-        }));
-        let generation = sequence >> self.shift;
-        assert!(
-            generation < u64::from(NO_MEDIA >> 8),
-            "media sequence {sequence} outgrew the history's 24-bit generation"
+        debug_assert!(
+            self.frames
+                .back()
+                .is_some_and(|f| sequence == f.first().max(self.next) && sequence < f.end()),
+            "sequence {sequence} is not the next packet of the frame last begun"
         );
-        let mask = self.slots.len() - 1;
-        self.slots[sequence as usize & mask] = (generation as u32) << 8 | u32::from(path.0);
+        let mask = self.paths.len() - 1;
+        self.paths[sequence as usize & mask] = path;
         self.next = sequence + 1;
     }
 
@@ -105,93 +114,192 @@ impl MediaHistory {
         packetizer: &Packetizer,
         seq16: u16,
     ) -> Option<(VideoPacket, PathId)> {
-        let window = self.slots.len();
-        let index = seq16 as usize & (window - 1);
-        let slot = self.slots[index];
-        if slot == NO_MEDIA {
+        let newest = self.next.checked_sub(1)?;
+        // The newest sequence up to `newest` that ends in `seq16`; any
+        // older one is 65 536 or more behind, outside every ring.
+        let behind = u64::from((newest as u16).wrapping_sub(seq16));
+        if behind >= self.paths.len() as u64 {
             return None;
         }
-        let sequence = u64::from(slot >> 8) << self.shift | index as u64;
-        // Rings smaller than 2^16 alias several 16-bit suffixes per slot,
-        // and a slot can outlive the window (see the type's docs).
-        if sequence & 0xFFFF != u64::from(seq16) || sequence + (window as u64) < self.next {
-            return None;
-        }
-        let after = self
-            .frames
-            .partition_point(|f| f.first_sequence <= sequence);
+        let sequence = newest.checked_sub(behind)?;
+        let after = self.frames.partition_point(|f| f.first() <= sequence);
         let frame = self.frames.get(after.checked_sub(1)?)?;
-        let n = u32::try_from(sequence - frame.first_sequence).ok()?;
-        if n >= frame.packet_count {
+        // Past the frame's end, `sequence` belongs to a dropped batch.
+        if sequence >= frame.end() {
             return None;
         }
         #[cfg(test)]
-        lookback::note(self.next - 1 - sequence);
-        Some((packetizer.packet_at(frame, n), PathId(slot as u8)))
+        lookback::note_media(behind);
+        let n = (sequence - frame.first()) as u32;
+        let mask = self.paths.len() - 1;
+        Some((
+            packetizer.packet_at(&frame.packetized(), n),
+            self.paths[sequence as usize & mask],
+        ))
     }
 }
 
-/// How far behind the newest sequence NACK look-ups reach: a test-only
-/// tally, so the horizon the rings must cover is measured, not guessed.
+/// What [`Packetizer::packet_at`] reads of a [`PacketizedFrame`], in 24
+/// bytes instead of 56: the encoder's QP and frame height are dropped and
+/// every other field is narrowed. Narrowing bounds what a record can hold
+/// — sequences, frame and GOP ids below 2^32, frames under 4 GiB, capture
+/// times below 2^32 µs (71.6 minutes of simulated time, the bound
+/// [`FeedbackRing`] already puts on every call) and 65 535 packets a frame
+/// — and [`FrameRecord::new`] panics past any of them rather than store a
+/// truncated value.
+#[derive(Debug, Clone, Copy)]
+struct FrameRecord {
+    first_sequence: u32,
+    frame_id: u32,
+    gop_id: u32,
+    size: u32,
+    capture_us: u32,
+    packet_count: u16,
+    stream: u8,
+    /// [`FrameRecord::KEY`] | [`FrameRecord::SPS`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<FrameRecord>() <= 24);
+
+/// `value` as a `T`, or a panic naming the record field and its bound.
+fn narrow<T: TryFrom<u64>>(value: u64, field: &str, bound: &str) -> T {
+    T::try_from(value)
+        .unwrap_or_else(|_| panic!("{field} {value} is past the frame record's {bound}"))
+}
+
+impl FrameRecord {
+    /// The frame is a keyframe.
+    const KEY: u8 = 1;
+    /// The frame leads with an SPS packet.
+    const SPS: u8 = 2;
+
+    fn new(p: &PacketizedFrame) -> Self {
+        let frame = &p.frame;
+        let mut flags = 0;
+        if frame.frame_type == FrameType::Key {
+            flags |= Self::KEY;
+        }
+        if p.has_sps {
+            flags |= Self::SPS;
+        }
+        FrameRecord {
+            first_sequence: narrow(p.first_sequence, "media sequence", "32 bits"),
+            frame_id: narrow(frame.frame_id, "frame id", "32 bits"),
+            gop_id: narrow(frame.gop_id, "GOP id", "32 bits"),
+            size: narrow(frame.size as u64, "frame size", "32 bits"),
+            capture_us: narrow(
+                frame.capture_time.as_micros(),
+                "capture time (µs)",
+                "32-bit microsecond clock (71.6 min)",
+            ),
+            packet_count: narrow(u64::from(p.packet_count), "packet count", "65 535"),
+            stream: frame.stream.0,
+            flags,
+        }
+    }
+
+    /// The frame's first sequence.
+    fn first(&self) -> u64 {
+        u64::from(self.first_sequence)
+    }
+
+    /// One past the frame's last sequence.
+    fn end(&self) -> u64 {
+        self.first() + u64::from(self.packet_count)
+    }
+
+    /// The record widened back into what [`Packetizer::packet_at`] takes.
+    fn packetized(&self) -> PacketizedFrame {
+        PacketizedFrame {
+            frame: EncodedFrame {
+                stream: StreamId(self.stream),
+                frame_id: u64::from(self.frame_id),
+                gop_id: u64::from(self.gop_id),
+                frame_type: if self.flags & Self::KEY != 0 {
+                    FrameType::Key
+                } else {
+                    FrameType::Delta
+                },
+                size: self.size as usize,
+                // `packet_at` reads neither.
+                qp: 0,
+                height: 0,
+                capture_time: SimTime::from_micros(u64::from(self.capture_us)),
+            },
+            first_sequence: self.first(),
+            packet_count: u32::from(self.packet_count),
+            has_sps: self.flags & Self::SPS != 0,
+        }
+    }
+}
+
+/// How far behind the newest sequence look-ups reach: a test-only tally,
+/// so the horizon the rings must cover is measured, not guessed.
 #[cfg(test)]
 pub(crate) mod lookback {
     use std::cell::Cell;
 
     thread_local! {
-        static FARTHEST: Cell<u64> = const { Cell::new(0) };
+        static MEDIA: Cell<u64> = const { Cell::new(0) };
+        static FEEDBACK: Cell<u64> = const { Cell::new(0) };
     }
 
-    pub(super) fn note(behind: u64) {
-        FARTHEST.with(|f| f.set(f.get().max(behind)));
+    pub(super) fn note_media(behind: u64) {
+        MEDIA.with(|f| f.set(f.get().max(behind)));
     }
 
-    /// The farthest hit on this thread since the last call, in sequences
-    /// behind the stream's newest.
-    pub(crate) fn take() -> u64 {
-        FARTHEST.with(|f| f.replace(0))
+    pub(super) fn note_feedback(behind: u64) {
+        FEEDBACK.with(|f| f.set(f.get().max(behind)));
+    }
+
+    /// The farthest NACK hit and the farthest transport-feedback hit on
+    /// this thread since the last call, in sequences behind the newest of
+    /// the stream and of the path.
+    pub(crate) fn take() -> (u64, u64) {
+        (
+            MEDIA.with(|f| f.replace(0)),
+            FEEDBACK.with(|f| f.replace(0)),
+        )
     }
 }
 
 /// One sent transport sequence awaiting feedback.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
 struct SentSlot {
     /// Send time in microseconds of simulated time.
     send_us: u32,
-    /// `transport_seq >> log2(slots)`; [`SentSlot::EMPTY`]'s is `u16::MAX`.
-    generation: u16,
-    /// Wire size in bytes.
+    /// Wire size in bytes; 0 marks a slot never written or already taken.
     size: u16,
 }
 
-// The point of the slot is its size: one word, a quarter of the tuple it
-// replaced.
-const _: () = assert!(std::mem::size_of::<SentSlot>() == 8);
+// The point of the slot is its size: three quarters of the word it
+// replaced, and no sequence bits.
+const _: () = assert!(std::mem::size_of::<SentSlot>() == 6);
 
 impl SentSlot {
     const EMPTY: SentSlot = SentSlot {
         send_us: 0,
-        generation: u16::MAX,
         size: 0,
     };
 }
 
 /// One path's sent transport sequences, for matching transport feedback:
 /// slot `transport_seq % slots` holds the send time and wire size of the
-/// newest sequence with that residue. The stored generation confirms a
-/// hit, and a match is taken out of the slot so duplicated feedback cannot
-/// yield a timing twice.
+/// newest sequence with that residue. Sequences are handed out
+/// consecutively, so that slot holds `transport_seq` iff it is one of the
+/// newest `slots` sent; a match is taken out of the slot (its size set to
+/// 0) so duplicated feedback cannot yield a timing twice.
 ///
-/// A slot is one 8-byte word, which bounds what a ring can record: send
-/// times below 2^32 µs (71.6 minutes of simulated time), packets of at
-/// most 65 535 bytes, and `(2^16 − 1) × slots` transport sequences per
-/// path (the top generation marks an empty slot): 2^30 − 2^14 with the
-/// default 16 384 slots. [`FeedbackRing::send`] panics past any of them
-/// rather than record a truncated value.
+/// A slot is six bytes, which bounds what a ring can record: send times
+/// below 2^32 µs (71.6 minutes of simulated time) and packets of 1 to
+/// 65 535 bytes (no RTP packet is empty on the wire, and size 0 marks an
+/// empty slot). [`FeedbackRing::send`] panics past any of them rather than
+/// record a truncated value.
 #[derive(Debug)]
 pub(crate) struct FeedbackRing {
     slots: Box<[SentSlot]>,
-    /// `log2(slots.len())`.
-    shift: u32,
     next_transport_seq: u64,
     /// Highest transport sequence acknowledged so far, for unwrapping the
     /// 16-bit sequence numbers feedback carries on the wire.
@@ -207,7 +315,6 @@ impl FeedbackRing {
         assert!(slots.is_power_of_two(), "feedback ring of {slots} slots");
         FeedbackRing {
             slots: vec![SentSlot::EMPTY; slots].into_boxed_slice(),
-            shift: slots.trailing_zeros(),
             next_transport_seq: 0,
             highest_acked: 0,
         }
@@ -219,12 +326,6 @@ impl FeedbackRing {
     /// # Panics
     /// Panics past any of the bounds in the type's docs.
     pub(crate) fn send(&mut self, send_time: SimTime, size: usize) -> u64 {
-        let transport_seq = self.next_transport_seq;
-        let generation = transport_seq >> self.shift;
-        assert!(
-            generation < u64::from(SentSlot::EMPTY.generation),
-            "transport sequence {transport_seq} outgrew the ring's 16-bit generation"
-        );
         let send_us = u32::try_from(send_time.as_micros()).unwrap_or_else(|_| {
             panic!(
                 "send time {} µs is past the ring's 32-bit microsecond clock (71.6 min)",
@@ -233,29 +334,31 @@ impl FeedbackRing {
         });
         let size = u16::try_from(size)
             .unwrap_or_else(|_| panic!("a packet of {size} bytes is past the ring's 65 535"));
+        assert!(size > 0, "a packet of 0 bytes: size 0 marks an empty slot");
+        let transport_seq = self.next_transport_seq;
         self.next_transport_seq += 1;
         let mask = self.slots.len() - 1;
-        self.slots[transport_seq as usize & mask] = SentSlot {
-            send_us,
-            generation: generation as u16,
-            size,
-        };
+        self.slots[transport_seq as usize & mask] = SentSlot { send_us, size };
         transport_seq
     }
 
     /// Feedback arrived for the packet whose transport sequence ends in
-    /// `seq16`: takes out its send time and size, if it is still the
-    /// newest sequence in its slot and no earlier feedback matched it.
+    /// `seq16`: takes out its send time and size, if it is still one of
+    /// the newest `slots` sent and no earlier feedback matched it.
     pub(crate) fn take(&mut self, seq16: u16) -> Option<(SimTime, usize)> {
         let transport_seq = unwrap_seq16(seq16, self.highest_acked);
         self.highest_acked = self.highest_acked.max(transport_seq);
-        let mask = self.slots.len() - 1;
-        let slot = &mut self.slots[transport_seq as usize & mask];
-        if slot.generation == SentSlot::EMPTY.generation
-            || u64::from(slot.generation) != transport_seq >> self.shift
-        {
+        let sent = self.next_transport_seq;
+        if transport_seq >= sent || sent - transport_seq > self.slots.len() as u64 {
             return None;
         }
+        let mask = self.slots.len() - 1;
+        let slot = &mut self.slots[transport_seq as usize & mask];
+        if slot.size == 0 {
+            return None;
+        }
+        #[cfg(test)]
+        lookback::note_feedback(sent - 1 - transport_seq);
         let hit = (
             SimTime::from_micros(u64::from(slot.send_us)),
             usize::from(slot.size),
@@ -283,7 +386,7 @@ fn unwrap_seq16(seq16: u16, reference: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use converge_video::{EncodedFrame, FrameType, PacketizerConfig, StreamId};
+    use converge_video::PacketizerConfig;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     use super::*;
@@ -526,13 +629,12 @@ mod tests {
         }
     }
 
-    /// A slot is one word, so each field has a bound: at the bound the
+    /// A slot is six bytes, so each field has a bound: at the bound the
     /// ring answers exactly, past it `send` panics naming the bound and
     /// records nothing, so nothing is ever truncated.
     #[test]
     fn feedback_ring_panics_past_what_a_slot_can_hold() {
-        let slots = 1 << 14;
-        let mut ring = FeedbackRing::new(slots);
+        let mut ring = FeedbackRing::new(1 << 14);
         let last_us = SimTime::from_micros(u64::from(u32::MAX));
         assert_eq!(ring.send(last_us, 65_535), 0);
         assert_eq!(ring.take(0), Some((last_us, 65_535)));
@@ -546,34 +648,74 @@ mod tests {
             ring.send(last_us, 65_536);
         });
         assert!(message.contains("65 535"), "{message}");
+        // Size 0 marks an empty slot, so no packet may have it.
+        let message = panic_message(|| {
+            ring.send(last_us, 0);
+        });
+        assert!(message.contains("size 0 marks an empty slot"), "{message}");
         assert_eq!(
             ring.send(last_us, 1_200),
             1,
             "a refused send takes no sequence"
         );
+    }
 
-        // The default ring's sequence bound: 2^30 less the empty generation.
-        let bound = u64::from(u16::MAX) << slots.trailing_zeros();
-        assert_eq!(bound, (1 << 30) - (1 << 14));
-        ring.next_transport_seq = bound - 1;
-        assert_eq!(ring.send(last_us, 1_200), bound - 1);
-        let message = panic_message(|| {
-            ring.send(last_us, 1_200);
-        });
-        assert!(message.contains("16-bit generation"), "{message}");
+    /// Each narrowed field of a frame record has a bound: at the bound the
+    /// record widens back to the frame exactly (but for the QP and height
+    /// it drops), past it building the record panics naming the bound.
+    #[test]
+    fn frame_record_panics_past_what_it_can_hold() {
+        let last = u64::from(u32::MAX);
+        let at_bounds = PacketizedFrame {
+            frame: EncodedFrame {
+                stream: StreamId(255),
+                frame_id: last,
+                gop_id: last,
+                frame_type: FrameType::Key,
+                size: last as usize,
+                qp: 0,
+                height: 0,
+                capture_time: SimTime::from_micros(last),
+            },
+            first_sequence: last,
+            packet_count: u32::from(u16::MAX),
+            has_sps: true,
+        };
+        assert_eq!(FrameRecord::new(&at_bounds).packetized(), at_bounds);
+
+        let past = |f: fn(&mut PacketizedFrame)| {
+            let mut p = at_bounds;
+            f(&mut p);
+            panic_message(|| {
+                FrameRecord::new(&p);
+            })
+        };
+        let message = past(|p| p.frame.capture_time = SimTime::from_micros(1 << 32));
+        assert!(message.contains("32-bit microsecond clock"), "{message}");
+        let message = past(|p| p.first_sequence = 1 << 32);
+        assert!(message.contains("media sequence"), "{message}");
+        let message = past(|p| p.frame.frame_id = 1 << 32);
+        assert!(message.contains("frame id"), "{message}");
+        let message = past(|p| p.frame.gop_id = 1 << 32);
+        assert!(message.contains("GOP id"), "{message}");
+        let message = past(|p| p.frame.size = 1 << 32);
+        assert!(message.contains("frame size"), "{message}");
+        let message = past(|p| p.packet_count = 1 << 16);
+        assert!(message.contains("65 535"), "{message}");
     }
 
     /// Not a check but a measurement: the farthest NACK hit, in sequences
-    /// behind the stream's newest, on each cell of the benchmark's
-    /// `call-npath` workload at its default seed (DESIGN §6c's look-back
-    /// table). Minutes in a debug build:
+    /// behind the stream's newest, and the farthest transport-feedback
+    /// hit, in sequences behind the path's newest, on each cell of the
+    /// benchmark's `call-npath` workload at its default seed (DESIGN §6c's
+    /// look-back table). Minutes in a debug build:
     /// `cargo test --release -p converge-sim --lib nack_lookback -- --ignored --nocapture`
     #[test]
     #[ignore = "prints a table; run it in a release build when the table is wanted"]
     fn nack_lookback_per_npath_cell() {
         use crate::{
-            ControllerKind, DriveFixture, FecKind, ScenarioConfig, SchedulerKind,
-            Session, SessionConfig,
+            ControllerKind, DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session,
+            SessionConfig,
         };
         use converge_net::SimDuration;
 
@@ -596,13 +738,7 @@ mod tests {
             180,
             11,
         );
-        call(
-            "constant8".into(),
-            ScenarioConfig::constant8(),
-            3,
-            90,
-            11,
-        );
+        call("constant8".into(), ScenarioConfig::constant8(), 3, 90, 11);
         for seed in [11, 12] {
             for fixture in DriveFixture::ALL {
                 let label = format!("drive-{}/seed{seed}", fixture.id());
@@ -630,9 +766,9 @@ mod tests {
         lookback::take();
         for (label, cfg) in cells {
             let report = Session::new(cfg).run();
+            let (nack, feedback) = lookback::take();
             println!(
-                "{label:<34} farthest NACK hit {:>6} behind, {} retransmissions",
-                lookback::take(),
+                "{label:<34} farthest NACK hit {nack:>6} behind, {} retransmissions; farthest feedback hit {feedback:>5} behind",
                 report.retransmissions,
             );
         }

@@ -62,12 +62,13 @@ pub struct OutboundPacket {
 }
 
 /// Default slots in a path's transport-feedback ring (a power of two so
-/// the index is a mask): 8 bytes each — send time, size and the sequence
-/// bits above the index — so 128 KiB per path. A slot is probed when the
-/// feedback report naming it arrives: one feedback interval plus a round
-/// trip after the packet left, which at a path's packet rate is hundreds
-/// of sequences, not thousands. A probe beyond the ring misses (the stored
-/// bits no longer match) and the controller goes without that timing.
+/// the index is a mask): 6 bytes each — send time and size; which
+/// sequence a slot holds follows from the newest one sent — so 96 KiB per
+/// path. A slot is probed when the feedback report naming it arrives: one
+/// feedback interval plus a round trip after the packet left, or later
+/// when the path stalls; DESIGN §6c tabulates the farthest hit per
+/// benchmark cell, at most 3 709 sequences. A probe beyond the ring
+/// misses and the controller goes without that timing.
 const SENT_SLOTS: usize = 1 << 14;
 
 /// Ring capacities for one sender's packet histories.
@@ -77,17 +78,17 @@ const SENT_SLOTS: usize = 1 << 14;
 /// at most 30 gaps per NACK round, oldest first, out of a backlog without
 /// a bound, so after a burst of reordering or loss the sequences it names
 /// trail the newest by however far the backlog has fallen behind. DESIGN
-/// §6c tabulates the farthest hit per benchmark cell: 300 on the mildest
-/// drive replay, 3 567 on eight constant paths, 8 373 on eight
-/// carrier traces. A NACK beyond the horizon is not answered, and the
+/// §6c tabulates the farthest hit per benchmark cell: 257 on the mildest
+/// drive replay, 334 on eight constant paths, 7 663 on eight carrier
+/// traces. A NACK beyond the horizon is not answered, and the
 /// frame waits for its keyframe instead.
 ///
 /// The default keeps all a 16-bit NACK can name: 65 536 sequences per
-/// stream at 4 bytes each (256 KiB), plus a 56-byte record for every
-/// frame among them, added as frames are sent (a packet is rebuilt from
-/// its frame's record, not stored) — where a ring of whole packets took
-/// 3.5 MiB per stream, written at construction. The feedback rings add
-/// 128 KiB per path. [`SenderSizing::fleet`] is what thousands of
+/// stream at one byte each, the path it took (64 KiB), plus a 24-byte
+/// record for every frame among them, added as frames are sent (a packet
+/// is rebuilt from its frame's record, not stored) — where a ring of whole
+/// packets took 3.5 MiB per stream, written at construction. The feedback
+/// rings add 96 KiB per path. [`SenderSizing::fleet`] is what thousands of
 /// sessions in one process can afford instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SenderSizing {
@@ -109,7 +110,7 @@ impl Default for SenderSizing {
 
 impl SenderSizing {
     /// Compact rings for fleet-scale runs: 512 transport sequences per
-    /// path (4 KiB) and 2 048 media sequences per stream (8 KiB plus the
+    /// path (3 KiB) and 2 048 media sequences per stream (2 KiB plus the
     /// frame records, about 2 s of 30 fps video). Short of the farthest
     /// look-back a single call shows on eight paths, so a fleet member
     /// that falls that far behind loses the retransmission.

@@ -15,10 +15,12 @@
 //! A third budget covers what a session costs to build: the bytes the
 //! first simulated second of either cell asks the allocator for, which is
 //! dominated by the sender's and the receiver's history rings (a sweep of
-//! a few hundred short calls pays it per cell). `alloc_sites --peak`
-//! names the sites that hold the most live bytes at a call's peak.
+//! a few hundred short calls pays it per cell). Two more pin the peak live
+//! heap of a 20 s call of either cell: the most bytes held at once, which
+//! is what `peak_rss_mb` measures in pages. `alloc_sites --peak` names the
+//! sites that hold them.
 //!
-//! The counter is per thread: the call loop is single-threaded, and the
+//! The counters are per thread: the call loop is single-threaded, and the
 //! test harness's own threads allocate whenever they like.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,31 +36,47 @@ thread_local! {
     // touch it at any point of a thread's life without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Signed: a block this thread frees may have come from another one.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// One allocator call asking for `bytes`.
-fn count_one(bytes: usize) {
+/// One allocator call asking for `bytes`, which changes this thread's
+/// live bytes by `delta`.
+fn count_one(bytes: usize, delta: i64) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    change_live(delta);
 }
 
-/// Allocator calls and bytes asked for on this thread so far.
-fn allocations_so_far() -> (u64, u64) {
-    (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
+fn change_live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// What one call made: allocator calls, bytes asked for, and the most
+/// bytes live at once above what was live when it started.
+struct Counts {
+    calls: u64,
+    bytes: u64,
+    peak: u64,
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
+        count_one(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        change_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one(new_size);
+        count_one(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -97,9 +115,9 @@ const CLEAN_BUDGET: u64 = 263;
 /// its list, against 1 707 FEC packets instead of 1 777.
 const LOSSY_BUDGET: u64 = 2_770;
 
-/// Allocator calls one two-path Converge call of `secs` makes at `loss_pct`
-/// loss on both paths, and the bytes they ask for.
-fn allocations(loss_pct: f64, streams: u8, secs: u64) -> (u64, u64) {
+/// What one two-path Converge call of `secs` at `loss_pct` loss on both
+/// paths asks of the allocator.
+fn allocations(loss_pct: f64, streams: u8, secs: u64) -> Counts {
     let cfg = SessionConfig::paper_default(
         ScenarioConfig::fec_tradeoff(loss_pct),
         SchedulerKind::Converge,
@@ -109,17 +127,23 @@ fn allocations(loss_pct: f64, streams: u8, secs: u64) -> (u64, u64) {
         11,
     );
     let session = Session::new(cfg);
-    let before = allocations_so_far();
+    let (calls, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
     let report = session.run();
-    let after = allocations_so_far();
+    let counts = Counts {
+        calls: ALLOCATIONS.with(Cell::get) - calls,
+        bytes: BYTES.with(Cell::get) - bytes,
+        peak: (PEAK.with(Cell::get) - live) as u64,
+    };
     assert!(report.frames_decoded > 0, "the call must carry video");
-    (after.0 - before.0, after.1 - before.1)
+    counts
 }
 
 /// Asserts that seconds [10, 20) of the cell repeat exactly and stay within
 /// `budget`.
 fn assert_window_within(budget: u64, loss_pct: f64, streams: u8) {
-    let run = |secs| allocations(loss_pct, streams, secs).0;
+    let run = |secs| allocations(loss_pct, streams, secs).calls;
     let (ten, twenty) = (run(10), run(20));
     assert_eq!(
         (ten, twenty),
@@ -190,7 +214,19 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// - the boxed Converge scheduler, 376 → 360 B (`k` and the probe
 ///   interval), −16;
 /// - the QoE monitor, 176 → 168 B (its feedback cooldown), −8 a stream.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 620_038;
+///
+/// It was 620 038 until the sender's rings stopped storing what send order
+/// already says (−264 344):
+///
+/// - the media slot, 4 → 1 B (the path id, no generation): −196 608
+///   (65 536 × 3 B, one stream);
+/// - the feedback slot, 8 → 6 B (no generation): −65 536 (16 384 × 2 B,
+///   two paths);
+/// - the frame record, 56 → 24 B: −1 920 (the log grows to 32 records in
+///   the first second, asking for 4 + 8 + 16 + 32 of them);
+/// - the report's E2E samples, converted in place instead of copied: −280
+///   (35 samples × 8 B).
+const CLEAN_CONSTRUCTION_BYTES: u64 = 355_694;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -209,8 +245,12 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 620_038;
 /// tree map of PLI instants −112 and the late/early tally of the three
 /// monitors that judged a frame, −16 each; and 1 251 444 until the
 /// pipeline constants (−384: as above, three streams' encoders, packetizers
-/// and monitors −240, the four links −128, the scheduler −16).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 1_251_060;
+/// and monitors −240, the four links −128, the scheduler −16); and
+/// 1 251 060 until the rings stopped storing what send order says
+/// (−661 728): media slots −589 824 (three streams), feedback slots
+/// −65 536, frame records −5 760 (three logs) and the E2E samples' copy
+/// −608 (76 samples).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 589_332;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -218,10 +258,10 @@ fn construction_bytes_stay_within_budget() {
         (CLEAN_CONSTRUCTION_BYTES, 0.0, 1),
         (LOSSY_CONSTRUCTION_BYTES, 5.0, 3),
     ] {
-        let (_, bytes) = allocations(loss_pct, streams, 1);
+        let bytes = allocations(loss_pct, streams, 1).bytes;
         assert_eq!(
             bytes,
-            allocations(loss_pct, streams, 1).1,
+            allocations(loss_pct, streams, 1).bytes,
             "the byte count must repeat exactly"
         );
         println!("{streams}-stream call at {loss_pct} % loss: second [0, 1) asked for {bytes} bytes, budget {budget}");
@@ -230,4 +270,44 @@ fn construction_bytes_stay_within_budget() {
             "{streams}-stream call at {loss_pct} % loss: second [0, 1) asked for {bytes} bytes, budget {budget}"
         );
     }
+}
+
+/// The most bytes a 20 s clean one-stream call holds at once, above what
+/// was live before it ran: the exact reading of the commit that last
+/// lowered it, to be ratcheted like the budgets above. Unlike the
+/// construction bytes, it sees what a call accumulates (the frame log, the
+/// metrics' samples) and what it frees along the way. It read 796 082
+/// while the sender's rings still stored what send order already says: a
+/// 4-byte media slot, an 8-byte feedback slot, a 56-byte frame record, and
+/// a copy of the E2E samples made by the report.
+const CLEAN_PEAK_BYTES: u64 = 500_353;
+
+/// The same for the 20 s lossy three-stream call; 1 608 388 before the
+/// same change.
+const LOSSY_PEAK_BYTES: u64 = 847_202;
+
+/// Asserts that the 20 s call of the cell peaks at the same live bytes
+/// twice and within `budget`.
+fn assert_peak_within(budget: u64, loss_pct: f64, streams: u8) {
+    let peak = allocations(loss_pct, streams, 20).peak;
+    assert_eq!(
+        peak,
+        allocations(loss_pct, streams, 20).peak,
+        "the peak must repeat exactly"
+    );
+    println!("{streams}-stream 20 s call at {loss_pct} % loss: peak live heap {peak} bytes, budget {budget}");
+    assert!(
+        peak <= budget,
+        "{streams}-stream 20 s call at {loss_pct} % loss: peak live heap {peak} bytes, budget {budget}"
+    );
+}
+
+#[test]
+fn clean_peak_heap_stays_within_budget() {
+    assert_peak_within(CLEAN_PEAK_BYTES, 0.0, 1);
+}
+
+#[test]
+fn lossy_peak_heap_stays_within_budget() {
+    assert_peak_within(LOSSY_PEAK_BYTES, 5.0, 3);
 }
