@@ -131,18 +131,19 @@ tests_by_name() {
     grep -q "^test result: ok. $want passed" <<<"$out"
 }
 
-# The five deterministic allocation budgets (two steady-state call counts,
-# one construction byte count, two peak live heaps), then one short run of
-# the peak-heap attribution, which must print a row
-# ("  192.0  2  converge_sim::...").
+# The six deterministic allocation budgets (two steady-state call counts,
+# one construction byte count, two peak live heaps, the bytes a finished
+# call's report holds), then one short run of the peak-heap attribution,
+# which must print a row ("  192.0  2  converge_sim::...").
 alloc_budget() {
     local out
-    tests_by_name 5 -p converge-sim --test alloc_budget -- --exact \
+    tests_by_name 6 -p converge-sim --test alloc_budget -- --exact \
         steady_state_allocation_count_stays_within_budget \
         lossy_steady_state_allocation_count_stays_within_budget \
         construction_bytes_stay_within_budget \
         clean_peak_heap_stays_within_budget \
-        lossy_peak_heap_stays_within_budget
+        lossy_peak_heap_stays_within_budget \
+        report_bytes_stay_within_budget
     out=$(cargo run --release -p converge-sim --example alloc_sites -- --peak --to 2 clean)
     echo "$out"
     grep -Eq '^ *[0-9.]+ +[0-9]+  converge_' <<<"$out"

@@ -6,7 +6,6 @@ use converge_sim::SchedulerKind;
 
 use super::table::Table;
 use crate::runner::{Cell, Scale, ScenarioSpec};
-use crate::stats::quantile;
 use crate::sweep::ExperimentSpec;
 
 /// The full system roster of Fig. 14 (single-path, CM, multipath variants,
@@ -52,12 +51,12 @@ pub fn spec_fig14(scale: Scale) -> ExperimentSpec {
 pub fn spec_fig14c(scale: Scale) -> ExperimentSpec {
     let table = Table::new("# Fig. 14c — E2E latency CDF (driving, 1 stream)")
         .label("# columns: system", 0)
-        .num("p10", 0, 0, |r| quantile(&r.e2e_samples_ms, 0.10))
-        .num("p25", 0, 0, |r| quantile(&r.e2e_samples_ms, 0.25))
-        .num("p50", 0, 0, |r| quantile(&r.e2e_samples_ms, 0.50))
-        .num("p75", 0, 0, |r| quantile(&r.e2e_samples_ms, 0.75))
-        .num("p90", 0, 0, |r| quantile(&r.e2e_samples_ms, 0.90))
-        .num("p99 (ms)", 0, 0, |r| quantile(&r.e2e_samples_ms, 0.99));
+        .num("p10", 0, 0, |r| r.e2e_samples_ms.quantile_ms(0.10))
+        .num("p25", 0, 0, |r| r.e2e_samples_ms.quantile_ms(0.25))
+        .num("p50", 0, 0, |r| r.e2e_samples_ms.quantile_ms(0.50))
+        .num("p75", 0, 0, |r| r.e2e_samples_ms.quantile_ms(0.75))
+        .num("p90", 0, 0, |r| r.e2e_samples_ms.quantile_ms(0.90))
+        .num("p99 (ms)", 0, 0, |r| r.e2e_samples_ms.quantile_ms(0.99));
     with_roster(table).spec(&[42], scale.duration())
 }
 

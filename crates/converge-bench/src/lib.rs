@@ -26,5 +26,4 @@ pub mod stats;
 pub mod sweep;
 
 pub use runner::{mean_std, metric, pm, Cell, Job, Scale, ScenarioSpec};
-pub use stats::{cdf, quantile, quantiles};
 pub use sweep::{render, run_sweep, CellCache, ExperimentSpec, SweepStats};

@@ -1,6 +1,6 @@
 //! Small statistics helpers for experiment reporting: seed aggregation
-//! (mean ± std), metric extraction, and quantile/CDF tables for the
-//! distribution-style figures (e.g. the paper's E2E and PSNR CDFs).
+//! (mean ± std) and metric extraction. Fig. 14c's E2E quantiles are read
+//! off the report's own samples (`E2eSamples::quantile_ms`).
 
 use converge_sim::CallReport;
 
@@ -29,53 +29,6 @@ pub fn metric(reports: &[CallReport], f: impl Fn(&CallReport) -> f64) -> Vec<f64
     reports.iter().map(f).collect()
 }
 
-/// A quantile of `values` using the nearest-rank method on a sorted copy.
-/// `q` is in `[0, 1]`. Returns 0.0 for an empty slice.
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
-/// Several quantiles at once (sorts a single copy).
-pub fn quantiles(values: &[f64], qs: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return vec![0.0; qs.len()];
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    qs.iter()
-        .map(|q| {
-            let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-            sorted[idx]
-        })
-        .collect()
-}
-
-/// An empirical CDF as `(value, cumulative_fraction)` points, decimated to
-/// at most `max_points` rows for plotting.
-pub fn cdf(values: &[f64], max_points: usize) -> Vec<(f64, f64)> {
-    if values.is_empty() || max_points == 0 {
-        return Vec::new();
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    let n = sorted.len();
-    let step = (n / max_points).max(1);
-    let mut out = Vec::with_capacity(n.div_ceil(step) + 1);
-    for (i, &v) in sorted.iter().enumerate().step_by(step) {
-        out.push((v, (i + 1) as f64 / n as f64));
-    }
-    if out.last().map(|&(_, f)| f) != Some(1.0) {
-        out.push((sorted[n - 1], 1.0));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,49 +47,41 @@ mod tests {
         assert_eq!(pm(&[1.0, 3.0], 1), "2.0 ± 1.4");
     }
 
+    /// The E2E samples of a call that decoded one frame per value of
+    /// `ms`, in the given order: what Fig. 14c's quantiles read.
+    fn e2e_samples(ms: &[u64]) -> converge_sim::E2eSamples {
+        use converge_net::{SimDuration, SimTime};
+        use converge_video::{StreamId, VideoFormat};
+        let mut m = converge_sim::MetricsCollector::new(
+            SimDuration::from_secs(10),
+            VideoFormat::HD720,
+            10_000_000,
+            1,
+        );
+        for (i, &e2e) in ms.iter().enumerate() {
+            m.on_frame_decoded(
+                StreamId(0),
+                SimTime::from_millis(i as u64),
+                SimDuration::from_millis(e2e),
+            );
+        }
+        m.finish().e2e_samples_ms
+    }
+
     #[test]
     fn quantile_of_known_series() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&v, 1.0), 100.0);
-        assert!((quantile(&v, 0.5) - 50.0).abs() <= 1.0);
-        assert!((quantile(&v, 0.95) - 95.0).abs() <= 1.0);
+        let v = e2e_samples(&(1..=100).collect::<Vec<u64>>());
+        assert_eq!(v.quantile_ms(0.0), 1.0);
+        assert_eq!(v.quantile_ms(1.0), 100.0);
+        assert!((v.quantile_ms(0.5) - 50.0).abs() <= 1.0);
+        assert!((v.quantile_ms(0.95) - 95.0).abs() <= 1.0);
     }
 
     #[test]
     fn quantile_handles_edge_cases() {
-        assert_eq!(quantile(&[], 0.5), 0.0);
-        assert_eq!(quantile(&[7.0], 0.99), 7.0);
-        assert_eq!(quantile(&[3.0, 1.0], -1.0), 1.0); // clamped
-        assert_eq!(quantile(&[3.0, 1.0], 2.0), 3.0);
-    }
-
-    #[test]
-    fn quantiles_matches_individual_calls() {
-        let v: Vec<f64> = (0..50).map(|i| (i * 7 % 50) as f64).collect();
-        let qs = [0.1, 0.5, 0.9];
-        let batch = quantiles(&v, &qs);
-        for (q, b) in qs.iter().zip(&batch) {
-            assert_eq!(*b, quantile(&v, *q));
-        }
-    }
-
-    #[test]
-    fn cdf_monotone_and_terminated() {
-        let v: Vec<f64> = (0..1000).map(|i| (i % 37) as f64).collect();
-        let table = cdf(&v, 50);
-        assert!(table.len() <= 52);
-        for w in table.windows(2) {
-            assert!(w[0].0 <= w[1].0, "values sorted");
-            assert!(w[0].1 <= w[1].1, "fractions monotone");
-        }
-        assert_eq!(table.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn cdf_empty_and_tiny() {
-        assert!(cdf(&[], 10).is_empty());
-        let t = cdf(&[5.0], 10);
-        assert_eq!(t, vec![(5.0, 1.0)]);
+        assert_eq!(e2e_samples(&[]).quantile_ms(0.5), 0.0);
+        assert_eq!(e2e_samples(&[7]).quantile_ms(0.99), 7.0);
+        assert_eq!(e2e_samples(&[3, 1]).quantile_ms(-1.0), 1.0); // clamped
+        assert_eq!(e2e_samples(&[3, 1]).quantile_ms(2.0), 3.0);
     }
 }

@@ -130,7 +130,13 @@ impl RateTrace {
                     return Err(TraceParseError::NonUniformStep(w[1].1));
                 }
             }
-            SimDuration::from_secs_f64(dt)
+            // A positive step under half a microsecond rounds to zero, which
+            // is no step at all.
+            let step = SimDuration::from_secs_f64(dt);
+            if step == SimDuration::ZERO {
+                return Err(TraceParseError::NonUniformStep(times[1].1));
+            }
+            step
         } else {
             SimDuration::from_secs(1)
         };
@@ -398,6 +404,65 @@ mod tests {
             RateTrace::from_csv("# gen\n0.0,5\n0.5,5\n1.0,5\n1.7,5\n"),
             Err(TraceParseError::NonUniformStep(5))
         );
+    }
+
+    /// Hostile inputs to the trace readers return `Err` or a well-formed
+    /// trace and never panic: a step that rounds to zero microseconds, and
+    /// for both drive readers NaN, infinities, 1e30, negative values and path
+    /// ids past the last path.
+    #[test]
+    fn hostile_inputs_are_err_or_ok_never_a_panic() {
+        use crate::drive::{DriveParseError as D, DriveTrace};
+
+        // Positive steps that round to 0 µs used to reach `RateTrace::new`'s
+        // "trace step must be positive" assert.
+        for text in ["0,1\n1e-9,1\n", "0,1\n4e-7,1\n"] {
+            assert_eq!(
+                RateTrace::from_csv(text),
+                Err(TraceParseError::NonUniformStep(2)),
+                "{text:?}"
+            );
+        }
+        // Six tenths of a microsecond rounds up to a step of 1 µs.
+        let t = RateTrace::from_csv("0,1\n6e-7,2\n").unwrap();
+        assert_eq!((t.step().as_micros(), t.rates()), (1, &[1, 2][..]));
+
+        let far = SimTime::from_micros(u64::MAX);
+        for (csv, want) in [
+            ("NaN,5,40,0\n", Err(D::BadValue(1))),
+            ("inf,5,40,0\n", Err(D::BadValue(1))),
+            ("-1,5,40,0\n", Err(D::BadValue(1))),
+            ("0,NaN,40,0\n", Err(D::BadLine(1))),
+            ("0,1e30,40,0\n", Err(D::BadLine(1))),
+            ("0,-5,40,0\n", Err(D::BadLine(1))),
+            ("0,5,-inf,0\n", Err(D::BadValue(1))),
+            ("0,5,40,-1\n", Err(D::BadValue(1))),
+            ("0,5,40,1e30\n", Err(D::BadValue(1))),
+            // Past the clock's range a value saturates instead of wrapping.
+            ("1e30,5,1e30,0\n", Ok((far, SimDuration::from_micros(u64::MAX)))),
+        ] {
+            let got = DriveTrace::from_csv(csv).map(|t| (t.start(), t.owd_at(far)));
+            assert_eq!(got, want, "{csv:?}");
+        }
+
+        let row = |path: &str, t: &str, rate: &str| {
+            format!("{{\"t\":{t},\"path\":{path},\"rate_bps\":{rate},\"owd_ms\":1,\"loss_pct\":0}}\n")
+        };
+        for (jsonl, want) in [
+            (row("0", "NaN", "1"), Err(D::BadValue(1))),
+            (row("0", "inf", "1"), Err(D::BadValue(1))),
+            (row("0", "-1", "1"), Err(D::BadValue(1))),
+            (row("0", "0", "1e30"), Err(D::BadLine(1))),
+            (row("0", "0", "-1"), Err(D::BadLine(1))),
+            (row("256", "0", "1"), Err(D::BadLine(1))),
+            (row("-1", "0", "1"), Err(D::BadLine(1))),
+            (row("255", "0", "1"), Err(D::MissingPath(0))),
+            (row("0", "1e30", "1"), Ok(vec![far])),
+        ] {
+            let got = DriveTrace::parse_jsonl(&jsonl)
+                .map(|traces| traces.iter().map(DriveTrace::start).collect::<Vec<_>>());
+            assert_eq!(got, want, "{jsonl:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use fleet::{
     FleetConferenceReport, FleetConfig, FleetEngine, FleetReport, FleetSessionReport,
     FleetWorkCounts, ShardStats,
 };
-pub use metrics::{CallReport, MetricsCollector, PathCounters, SecondBin};
+pub use metrics::{CallReport, E2eSamples, MetricsCollector, PathCounters, SecondBin};
 pub use pacer::{Pacer, PacerConfig};
 pub use payload::{NetPayload, RtpKind, SimRtp};
 pub use receiver::ConferenceReceiver;

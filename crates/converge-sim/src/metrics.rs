@@ -111,7 +111,8 @@ pub struct MetricsCollector {
     fec_packets_received: u64,
     fec_packets_used: u64,
 
-    e2e_us: Vec<u64>,
+    /// Per-frame E2E latencies, whole µs, in decode order.
+    e2e_us: Vec<u32>,
     qp_sum: u64,
     qp_count: u64,
 
@@ -250,9 +251,13 @@ impl MetricsCollector {
         self.fec_packets_used += 1;
     }
 
-    /// Records a frame decoded at `at` that was captured at `captured`.
+    /// Records a frame decoded at `at` after an end-to-end latency of `e2e`.
     /// Returns the decode gap when this frame ended a freeze (the gap
     /// since the stream's previous decode exceeded the threshold).
+    ///
+    /// # Panics
+    /// Panics if `e2e` is 2^32 µs (71.6 minutes) or more: the report keeps
+    /// its samples as 32-bit microseconds ([`E2eSamples`]).
     pub fn on_frame_decoded(
         &mut self,
         stream: StreamId,
@@ -260,7 +265,13 @@ impl MetricsCollector {
         e2e: SimDuration,
     ) -> Option<SimDuration> {
         self.frames_decoded += 1;
-        self.e2e_us.push(e2e.as_micros());
+        let e2e_us = u32::try_from(e2e.as_micros()).unwrap_or_else(|_| {
+            panic!(
+                "E2E latency {} µs is past the report's 32-bit microsecond samples (71.6 min)",
+                e2e.as_micros()
+            )
+        });
+        self.e2e_us.push(e2e_us);
         {
             let bin = self.bin_mut(at);
             bin.frames_decoded += 1;
@@ -322,18 +333,12 @@ impl MetricsCollector {
         let fps = self.frames_decoded as f64 / secs;
         let mut e2e = self.e2e_us;
         e2e.sort_unstable();
-        let pct = |p: f64| -> f64 {
-            if e2e.is_empty() {
-                return 0.0;
-            }
-            let idx = ((e2e.len() - 1) as f64 * p).round() as usize;
-            e2e[idx] as f64 / 1_000.0
-        };
         let e2e_mean_ms = if e2e.is_empty() {
             0.0
         } else {
-            e2e.iter().sum::<u64>() as f64 / e2e.len() as f64 / 1_000.0
+            e2e.iter().map(|&us| u64::from(us)).sum::<u64>() as f64 / e2e.len() as f64 / 1_000.0
         };
+        let e2e_samples = E2eSamples::from_sorted_us(&e2e);
         let avg_qp = if self.qp_count > 0 {
             self.qp_sum as f64 / self.qp_count as f64
         } else {
@@ -366,11 +371,9 @@ impl MetricsCollector {
             throughput_bps,
             fps,
             e2e_mean_ms,
-            e2e_p50_ms: pct(0.50),
-            e2e_p95_ms: pct(0.95),
-            // In place: `u64` and `f64` share a layout, so this reuses the
-            // sorted samples' buffer instead of copying it.
-            e2e_samples_ms: e2e.into_iter().map(|us| us as f64 / 1_000.0).collect(),
+            e2e_p50_ms: e2e_samples.quantile_ms(0.50),
+            e2e_p95_ms: e2e_samples.quantile_ms(0.95),
+            e2e_samples_ms: e2e_samples,
             freeze_total_ms: self.freeze_total.as_micros() as f64 / 1_000.0,
             freeze_events: self.freeze_events,
             frames_encoded: self.frames_encoded,
@@ -397,6 +400,108 @@ impl MetricsCollector {
     }
 }
 
+/// A call's per-frame E2E latencies, ascending, in whole microseconds.
+///
+/// A report keeps one sample per decoded frame for as long as it lives (a
+/// sweep's memo cache holds hundreds of reports), so the samples are kept
+/// as what they are: ascending integers, most of them close to the one
+/// before. The buffer holds the difference between each sample and the one
+/// before it (the first from zero) as unsigned LEB128 — seven bits a byte,
+/// low bits first, the top bit set on every byte but a number's last — in
+/// one allocation of exactly the encoded length. A sample costs one byte
+/// when it is within 127 µs of the one before, and about 1.2 bytes on the
+/// sweep's calls, against eight as an `f64`.
+///
+/// Samples are below 2^32 µs (71.6 minutes);
+/// [`MetricsCollector::on_frame_decoded`] panics past that bound.
+///
+/// `Debug` prints the list of milliseconds, exactly as the `Vec<f64>` of
+/// `us as f64 / 1000.0` this type replaces printed them: a report's
+/// `Debug` text is what its digests hash.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+pub struct E2eSamples {
+    /// Number of samples.
+    len: usize,
+    /// The samples' LEB128 deltas, back to back.
+    deltas: Box<[u8]>,
+}
+
+impl E2eSamples {
+    /// Encodes `sorted_us`, ascending whole microseconds: counts the bytes
+    /// first, then writes them into a buffer of exactly that size.
+    fn from_sorted_us(sorted_us: &[u32]) -> Self {
+        let deltas = || {
+            sorted_us
+                .iter()
+                .scan(0, |prev, &us| Some(us - std::mem::replace(prev, us)))
+        };
+        // A delta's LEB128 length: one byte per started seven bits, one for 0.
+        let size = deltas()
+            .map(|d| (u32::BITS - (d | 1).leading_zeros()).div_ceil(7) as usize)
+            .sum();
+        let mut bytes = Vec::with_capacity(size);
+        for mut d in deltas() {
+            while d >= 0x80 {
+                bytes.push(d as u8 | 0x80);
+                d >>= 7;
+            }
+            bytes.push(d as u8);
+        }
+        debug_assert_eq!(bytes.len(), size);
+        E2eSamples {
+            len: sorted_us.len(),
+            deltas: bytes.into_boxed_slice(),
+        }
+    }
+
+    /// Number of samples (one per decoded frame).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the call decoded no frame.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The samples in ascending order, milliseconds.
+    pub fn iter_ms(&self) -> impl Iterator<Item = f64> + '_ {
+        let mut bytes = self.deltas.iter();
+        let mut us = 0u32;
+        std::iter::from_fn(move || {
+            let (mut delta, mut shift) = (0u32, 0);
+            loop {
+                let byte = *bytes.next()?;
+                delta |= u32::from(byte & 0x7f) << shift;
+                if byte < 0x80 {
+                    break;
+                }
+                shift += 7;
+            }
+            us += delta;
+            Some(f64::from(us) / 1_000.0)
+        })
+    }
+
+    /// The nearest-rank quantile `q` (clamped to `[0, 1]`) in milliseconds:
+    /// the sample at index `round((len − 1) · q)`, 0.0 when there is none.
+    /// [`CallReport::e2e_p50_ms`] and [`CallReport::e2e_p95_ms`] are its
+    /// `0.5` and `0.95`.
+    pub fn quantile_ms(&self, q: f64) -> f64 {
+        if self.len == 0 {
+            return 0.0;
+        }
+        let idx = ((self.len - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        self.iter_ms().nth(idx).expect("the index is below the sample count")
+    }
+}
+
+impl std::fmt::Debug for E2eSamples {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter_ms()).finish()
+    }
+}
+
 /// The final report of one simulated call.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CallReport {
@@ -417,8 +522,11 @@ pub struct CallReport {
     pub e2e_p50_ms: f64,
     /// 95th-percentile E2E, ms.
     pub e2e_p95_ms: f64,
-    /// Every per-frame E2E sample (ms), for CDFs (Fig. 14c).
-    pub e2e_samples_ms: Vec<f64>,
+    /// Every per-frame E2E sample, ascending, for CDFs (Fig. 14c): read
+    /// them in milliseconds with [`E2eSamples::iter_ms`] or
+    /// [`E2eSamples::quantile_ms`]. Stored as whole-microsecond deltas, it
+    /// prints (`{:?}`) as the list of milliseconds it holds.
+    pub e2e_samples_ms: E2eSamples,
     /// Total stall time, ms.
     pub freeze_total_ms: f64,
     /// Number of distinct stalls.
@@ -608,6 +716,80 @@ mod tests {
         assert!((r.e2e_p50_ms - 51.0).abs() <= 1.0, "{}", r.e2e_p50_ms);
         assert!((r.e2e_p95_ms - 95.0).abs() <= 1.0);
         assert!((r.e2e_mean_ms - 50.5).abs() <= 0.1);
+    }
+
+    /// Ascending µs lists: none, one, all equal, a delta at each edge of a
+    /// LEB128 length and the largest, and 5 000 seeded samples.
+    fn sample_lists() -> Vec<Vec<u32>> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut edges = vec![1_000u32];
+        for delta in [0, 127, 128, 16_383, 16_384, 0, 2_097_151, 2_097_152] {
+            edges.push(edges.last().unwrap() + delta);
+        }
+        let mut rng = SmallRng::seed_from_u64(34);
+        let mut random: Vec<u32> = (0..5_000)
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(0..2_000_000),
+                _ => rng.gen_range(20_000..200_000),
+            })
+            .collect();
+        random.sort_unstable();
+        vec![
+            vec![],
+            vec![40_000],
+            vec![33_333; 50],
+            edges,
+            vec![0, u32::MAX],
+            vec![u32::MAX],
+            random,
+        ]
+    }
+
+    #[test]
+    fn e2e_samples_read_as_the_vector_they_replace() {
+        for sorted_us in sample_lists() {
+            // What the report kept before: milliseconds as `f64`, ascending.
+            let vector: Vec<f64> = sorted_us.iter().map(|&us| us as f64 / 1_000.0).collect();
+            let nearest_rank = |q: f64| {
+                if vector.is_empty() {
+                    return 0.0;
+                }
+                vector[((vector.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
+            };
+            // Decoded in descending order: the collector sorts.
+            let mut m = collector();
+            for (i, &us) in sorted_us.iter().rev().enumerate() {
+                m.on_frame_decoded(StreamId(0), t(i as u64), SimDuration::from_micros(us.into()));
+            }
+            let r = m.finish();
+            let samples = &r.e2e_samples_ms;
+            let n = vector.len();
+            assert_eq!(format!("{samples:?}"), format!("{vector:?}"), "{n} samples");
+            assert_eq!(format!("{samples:#?}"), format!("{vector:#?}"), "{n} samples");
+            assert_eq!((samples.len(), samples.is_empty()), (n, n == 0));
+            assert_eq!(samples.iter_ms().count(), n);
+            for q in [-1.0, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0, 2.0] {
+                assert_eq!(samples.quantile_ms(q), nearest_rank(q), "{n} samples, q {q}");
+            }
+            assert_eq!(r.e2e_p50_ms, samples.quantile_ms(0.5), "{n} samples");
+            assert_eq!(r.e2e_p95_ms, samples.quantile_ms(0.95), "{n} samples");
+        }
+    }
+
+    #[test]
+    fn e2e_samples_take_exactly_their_encoded_bytes() {
+        // Deltas 0, 127, 128, 16 383 and 16 384: 1 + 1 + 2 + 2 + 3 bytes.
+        let edges = E2eSamples::from_sorted_us(&[0, 127, 255, 16_638, 33_022]);
+        assert_eq!(edges.deltas.len(), 9);
+        assert_eq!(E2eSamples::from_sorted_us(&[0, u32::MAX]).deltas.len(), 6);
+        assert_eq!(E2eSamples::from_sorted_us(&[]).deltas.len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit microsecond samples (71.6 min)")]
+    fn e2e_sample_past_the_bound_panics() {
+        let mut m = collector();
+        m.on_frame_decoded(StreamId(0), t(0), SimDuration::from_micros(1 << 32));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! a few hundred short calls pays it per cell). Two more pin the peak live
 //! heap of a 20 s call of either cell: the most bytes held at once, which
 //! is what `peak_rss_mb` measures in pages. `alloc_sites --peak` names the
-//! sites that hold them.
+//! sites that hold them. A sixth pins what the lossy call's report still
+//! holds once the call is over: what a sweep's memo cache keeps per cell.
 //!
 //! The counters are per thread: the call loop is single-threaded, and the
 //! test harness's own threads allocate whenever they like.
@@ -56,12 +57,14 @@ fn change_live(delta: i64) {
     });
 }
 
-/// What one call made: allocator calls, bytes asked for, and the most
-/// bytes live at once above what was live when it started.
+/// What one call made: allocator calls, bytes asked for, the most bytes
+/// live at once above what was live when it started, and the bytes still
+/// live once it has returned its report (what the report holds).
 struct Counts {
     calls: u64,
     bytes: u64,
     peak: u64,
+    kept: u64,
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -118,6 +121,7 @@ const LOSSY_BUDGET: u64 = 2_770;
 /// What one two-path Converge call of `secs` at `loss_pct` loss on both
 /// paths asks of the allocator.
 fn allocations(loss_pct: f64, streams: u8, secs: u64) -> Counts {
+    let before = LIVE.with(Cell::get);
     let cfg = SessionConfig::paper_default(
         ScenarioConfig::fec_tradeoff(loss_pct),
         SchedulerKind::Converge,
@@ -135,6 +139,7 @@ fn allocations(loss_pct: f64, streams: u8, secs: u64) -> Counts {
         calls: ALLOCATIONS.with(Cell::get) - calls,
         bytes: BYTES.with(Cell::get) - bytes,
         peak: (PEAK.with(Cell::get) - live) as u64,
+        kept: (LIVE.with(Cell::get) - before) as u64,
     };
     assert!(report.frames_decoded > 0, "the call must carry video");
     counts
@@ -226,7 +231,15 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 ///   the first second, asking for 4 + 8 + 16 + 32 of them);
 /// - the report's E2E samples, converted in place instead of copied: −280
 ///   (35 samples × 8 B).
-const CLEAN_CONSTRUCTION_BYTES: u64 = 355_694;
+///
+/// It was 355 694 until the report kept its E2E samples as LEB128 deltas
+/// (−190; the second decodes 29 frames):
+///
+/// - the collector records a sample as a `u32`, not a `u64`: its buffer
+///   grows through 4, 8, 16 and 32 slots of 4 B instead of 8, −240;
+/// - the report's samples are one exactly sized buffer of 50 bytes, +50
+///   (they reused the collector's buffer before).
+const CLEAN_CONSTRUCTION_BYTES: u64 = 355_504;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -249,8 +262,10 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 355_694;
 /// 1 251 060 until the rings stopped storing what send order says
 /// (−661 728): media slots −589 824 (three streams), feedback slots
 /// −65 536, frame records −5 760 (three logs) and the E2E samples' copy
-/// −608 (76 samples).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 589_332;
+/// −608 (76 samples); and 589 332 until the samples became LEB128 deltas
+/// (−875, 66 samples): the `u32` buffer's growth to 128 slots −1 008, the
+/// report's 133-byte buffer +133.
+const LOSSY_CONSTRUCTION_BYTES: u64 = 588_457;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -279,12 +294,15 @@ fn construction_bytes_stay_within_budget() {
 /// metrics' samples) and what it frees along the way. It read 796 082
 /// while the sender's rings still stored what send order already says: a
 /// 4-byte media slot, an 8-byte feedback slot, a 56-byte frame record, and
-/// a copy of the E2E samples made by the report.
-const CLEAN_PEAK_BYTES: u64 = 500_353;
+/// a copy of the E2E samples made by the report. It read 500 353 while
+/// the collector recorded its E2E samples as `u64`s: at the peak their
+/// buffer holds 1 024 slots, −4 096 at 4 B a slot.
+const CLEAN_PEAK_BYTES: u64 = 496_257;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
-/// same change.
-const LOSSY_PEAK_BYTES: u64 = 847_202;
+/// sender's rings stopped storing what send order says, and 847 202 before
+/// the `u32` samples (2 048 slots at the peak, −8 192).
+const LOSSY_PEAK_BYTES: u64 = 839_010;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.
@@ -310,4 +328,30 @@ fn clean_peak_heap_stays_within_budget() {
 #[test]
 fn lossy_peak_heap_stays_within_budget() {
     assert_peak_within(LOSSY_PEAK_BYTES, 5.0, 3);
+}
+
+/// The bytes the report of the 20 s lossy three-stream call still holds
+/// once its `Session` is gone (the config, the flows and the collector are
+/// freed; what is left is the `CallReport`): the exact reading of the commit
+/// that last lowered it, to be ratcheted like the budgets above. A sweep's
+/// memo cache keeps one report per cell for the whole run, so this is what
+/// a cell costs after it has run. It read 18 648 while the report kept its
+/// E2E samples as a `Vec<f64>` of milliseconds: the collector's buffer,
+/// 2 048 slots of 8 B for 1 769 samples. They are now 2 310 bytes of
+/// LEB128 deltas (−14 074).
+const LOSSY_REPORT_BYTES: u64 = 4_574;
+
+#[test]
+fn report_bytes_stay_within_budget() {
+    let kept = allocations(5.0, 3, 20).kept;
+    assert_eq!(
+        kept,
+        allocations(5.0, 3, 20).kept,
+        "the report's bytes must repeat exactly"
+    );
+    println!("3-stream 20 s call at 5 % loss: its report holds {kept} bytes, budget {LOSSY_REPORT_BYTES}");
+    assert!(
+        kept <= LOSSY_REPORT_BYTES,
+        "3-stream 20 s call at 5 % loss: its report holds {kept} bytes, budget {LOSSY_REPORT_BYTES}"
+    );
 }
