@@ -288,15 +288,24 @@ gate drive drive
 # stdout fold must carry the QoE-fairness quantiles, and the same cell on
 # one shard and on three (50 conferences, so the shards' shares are
 # uneven) must print the same bytes. The simulator keeps one timer
-# structure: the timer wheel may be named only where it is defined,
-# re-exported and used as the contract test's reference.
+# structure, the EventQueue: `TimerWheel` is only the benchmark's name for
+# it, so it may be named only where it is defined and re-exported (the
+# contract test that held the queue against the old wheel went with the
+# wheel; event.rs's model test checks the queue), timer.rs declares that
+# one wrapper and nothing else, and `TimerWheelStats` is named nowhere.
 fleet() {
-    local wheel
-    wheel=$(grep -rlw TimerWheel crates tests --include='*.rs' \
-        | grep -vx -e crates/converge-net/src/timer.rs -e crates/converge-net/src/lib.rs \
-            -e crates/converge-net/tests/timer_queue_contract.rs || true)
+    local wheel decls
+    wheel=$({ grep -rlw TimerWheel crates tests --include='*.rs' \
+        | grep -vx -e crates/converge-net/src/timer.rs -e crates/converge-net/src/lib.rs
+        grep -rlw TimerWheelStats crates tests examples --include='*.rs'; } || true)
     if [ -n "$wheel" ]; then
-        echo "fleet: TimerWheel named outside converge-net's timer.rs, lib.rs and contract test:" $wheel >&2
+        echo "fleet: TimerWheel named outside converge-net's timer.rs and lib.rs, or TimerWheelStats named:" $wheel >&2
+        return 1
+    fi
+    decls=$(grep -E '^\s*(pub(\([a-z]+\))? )?(struct|enum|union|trait|type) ' \
+        crates/converge-net/src/timer.rs)
+    if [ "$decls" != 'pub struct TimerWheel<T>(EventQueue<T>);' ]; then
+        echo "fleet: timer.rs must declare only TimerWheel<T>(EventQueue<T>), found:" "$decls" >&2
         return 1
     fi
     experiments fleet --quick --sessions 200 --conference-size 4 --shards 2 \

@@ -183,6 +183,7 @@ mod tests {
         let mut peak = 0usize;
         let mut now = 0u64;
         let mut ops = 0u64;
+        let mut past_due = 0u64;
         let mut schedule =
             |q: &mut EventQueue<u64>, model: &mut BTreeMap<_, _>, peak: &mut usize, at: SimTime| {
                 q.schedule(at, inserted);
@@ -199,8 +200,11 @@ mod tests {
                         0 => SimTime::MAX,
                         // Ties with whatever else fires "now".
                         1..=8 => SimTime::from_micros(now),
+                        // Before the last pop_due instant: due at once.
+                        9..=12 => SimTime::from_micros(now.saturating_sub(roll >> 52)),
                         _ => SimTime::from_micros(now + (roll >> 16) % 50_000),
                     };
+                    past_due += u64::from(at.as_micros() < now);
                     schedule(&mut q, &mut model, &mut peak, at);
                 }
                 48..=67 => {
@@ -246,7 +250,10 @@ mod tests {
             assert_eq!(q.pop(), Some((at, e)));
         }
         assert_eq!(q.pop(), None);
-        assert!(ops >= 100_000 && peak >= 2_500, "{ops} ops, peak {peak}");
+        assert!(
+            ops >= 100_000 && peak >= 2_500 && past_due >= 1_000,
+            "{ops} ops, peak {peak}, {past_due} past due"
+        );
     }
 
     #[test]

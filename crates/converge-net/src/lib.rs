@@ -20,10 +20,7 @@
 //!   flap schedules, reordering, duplication, feedback loss and delay.
 //! - [`path`]: bidirectional path with a stable [`path::PathId`].
 //! - [`emulator`]: multipath emulator holding payloads in flight.
-//! - [`timer`]: hierarchical timer wheel. Unused by the simulator since the
-//!   fleet's ticks moved to an [`event::EventQueue`] (PR 22); kept as the
-//!   reference of `tests/timer_queue_contract.rs` and for the benchmark's
-//!   `timer.insert_pop_ns.*` kernels until those go (ROADMAP item 5).
+//! - [`timer`]: `TimerWheel`, the benchmark's name for an [`event::EventQueue`].
 //! - [`sfu`]: selective-forwarding-unit bottleneck node (fan-in/fan-out
 //!   over a shared link pair, per-member downlink selection).
 //!
@@ -58,5 +55,5 @@ pub use loss::{LossModel, LossProcess};
 pub use path::{Direction, Path, PathId};
 pub use sfu::{ForwardPacket, MemberId, SfuConfig, SfuNode, SfuStats};
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerWheel, TimerWheelStats};
+pub use timer::TimerWheel;
 pub use trace::{Carrier, RateTrace, Scenario};

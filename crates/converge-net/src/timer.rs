@@ -1,116 +1,24 @@
-//! Hierarchical timer wheel for periodic session ticks.
-//!
-//! A fleet of thousands of sessions schedules the same few periodic timers
-//! (frame capture, RTCP cadences, pacer polls) over and over. Keeping those
-//! in the main binary-heap event queue makes every insert `O(log n)` in the
-//! *total* number of pending timers; a [`TimerWheel`] makes insert and
-//! cancel-free expiry `O(1)` amortized, and — crucially for the fleet — an
-//! idle stretch costs one occupancy-bitmap probe per 256 ticks instead of
-//! per-timer work, so sessions with nothing due cost zero work.
-//!
-//! The wheel has two levels of 256 slots. Level 0 covers the next
-//! ~262 ms at ~1 ms granularity (one 1024 µs tick per slot); level 1 covers
-//! the next ~67 s at ~262 ms per slot, cascading into level 0 as the cursor
-//! crosses window boundaries. Timers beyond the level-1 horizon sit in an
-//! overflow list that is reswept at each cascade.
-//!
-//! Determinism: every entry carries an insertion sequence number, and each
-//! drain batch is sorted by `(fire time, insertion order)` before it is
-//! handed back — the same total order a FIFO-tie-breaking event queue would
-//! produce, independent of slot layout or cascade timing.
+//! `TimerWheel`, the name bench-layers' `timer.insert_pop_ns.*` kernels
+//! call for an [`EventQueue`]; it goes with them (ROADMAP item 5).
 
-use crate::time::SimTime;
+use crate::{event::EventQueue, time::SimTime};
 
-/// log2 of the tick granularity in microseconds (1024 µs ≈ 1 ms).
-const TICK_SHIFT: u32 = 10;
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 8;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-
-#[derive(Debug)]
-struct Entry<T> {
-    at: SimTime,
-    seq: u64,
-    item: T,
-}
-
-/// Cheap load counters a wheel keeps about itself (LinkStats-style).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimerWheelStats {
-    /// Timers currently pending.
-    pub pending: u64,
-    /// The most timers ever pending at once (survives [`TimerWheel::clear`]).
-    pub high_water: u64,
-    /// Level-1 → level-0 cascade operations performed.
-    pub cascades: u64,
-    /// Timers that ever landed in the overflow list (beyond the ~67 s
-    /// level-1 horizon).
-    pub overflowed: u64,
-}
-
-/// A two-level hierarchical timer wheel with deterministic drain order.
+/// An [`EventQueue`] that drains every timer due at once.
 ///
 /// # Examples
 ///
 /// ```
-/// use converge_net::time::SimTime;
-/// use converge_net::timer::TimerWheel;
+/// use converge_net::{time::SimTime, timer::TimerWheel};
 ///
 /// let mut wheel = TimerWheel::new();
 /// wheel.schedule(SimTime::from_millis(40), "rtcp");
 /// wheel.schedule(SimTime::from_millis(33), "frame");
 /// let mut due = Vec::new();
 /// wheel.pop_due_into(SimTime::from_millis(50), &mut due);
-/// assert_eq!(due, vec![(SimTime::from_millis(33), "frame"),
-///                      (SimTime::from_millis(40), "rtcp")]);
+/// assert_eq!(due, [(SimTime::from_millis(33), "frame"), (SimTime::from_millis(40), "rtcp")]);
 /// ```
 #[derive(Debug)]
-pub struct TimerWheel<T> {
-    l0: Vec<Vec<Entry<T>>>,
-    l0_occ: [u64; 4],
-    l1: Vec<Vec<Entry<T>>>,
-    l1_occ: [u64; 4],
-    overflow: Vec<Entry<T>>,
-    /// Absolute tick (micros >> TICK_SHIFT) the cursor has advanced to.
-    cursor: u64,
-    next_seq: u64,
-    len: usize,
-    stats: TimerWheelStats,
-    /// Reusable drain scratch, kept to avoid per-call allocation.
-    scratch: Vec<Entry<T>>,
-}
-
-fn set_bit(occ: &mut [u64; 4], i: usize) {
-    occ[i >> 6] |= 1u64 << (i & 63);
-}
-
-fn clear_bit(occ: &mut [u64; 4], i: usize) {
-    occ[i >> 6] &= !(1u64 << (i & 63));
-}
-
-fn test_bit(occ: &[u64; 4], i: usize) -> bool {
-    occ[i >> 6] & (1u64 << (i & 63)) != 0
-}
-
-/// First occupied slot index `>= from`, if any.
-fn next_occupied(occ: &[u64; 4], from: usize) -> Option<usize> {
-    if from >= SLOTS {
-        return None;
-    }
-    let mut word = from >> 6;
-    let mut bits = occ[word] & (!0u64 << (from & 63));
-    loop {
-        if bits != 0 {
-            return Some((word << 6) + bits.trailing_zeros() as usize);
-        }
-        word += 1;
-        if word == 4 {
-            return None;
-        }
-        bits = occ[word];
-    }
-}
+pub struct TimerWheel<T>(EventQueue<T>);
 
 impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
@@ -119,362 +27,18 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    /// Creates an empty wheel positioned at time zero.
+    /// Creates an empty wheel.
     pub fn new() -> Self {
-        TimerWheel {
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l0_occ: [0; 4],
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l1_occ: [0; 4],
-            overflow: Vec::new(),
-            cursor: 0,
-            next_seq: 0,
-            len: 0,
-            stats: TimerWheelStats::default(),
-            scratch: Vec::new(),
-        }
+        TimerWheel(EventQueue::new())
     }
 
-    /// Schedules `item` to fire at `at`. Times at or before the cursor fire
-    /// on the next drain.
+    /// Schedules `item` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, item: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.place(Entry { at, seq, item });
-        self.len += 1;
-        self.stats.pending = self.len as u64;
-        self.stats.high_water = self.stats.high_water.max(self.len as u64);
+        self.0.schedule(at, item);
     }
 
-    fn place(&mut self, entry: Entry<T>) {
-        let tick = entry.at.as_micros() >> TICK_SHIFT;
-        if tick <= self.cursor {
-            // Overdue (or due this tick): park in the cursor slot so the
-            // next drain picks it up.
-            let idx = (self.cursor & SLOT_MASK) as usize;
-            self.l0[idx].push(entry);
-            set_bit(&mut self.l0_occ, idx);
-        } else if tick >> SLOT_BITS == self.cursor >> SLOT_BITS {
-            let idx = (tick & SLOT_MASK) as usize;
-            self.l0[idx].push(entry);
-            set_bit(&mut self.l0_occ, idx);
-        } else if (tick >> SLOT_BITS) - (self.cursor >> SLOT_BITS) < SLOTS as u64 {
-            let idx = ((tick >> SLOT_BITS) & SLOT_MASK) as usize;
-            self.l1[idx].push(entry);
-            set_bit(&mut self.l1_occ, idx);
-        } else {
-            self.stats.overflowed += 1;
-            self.overflow.push(entry);
-        }
-    }
-
-    /// The earliest pending fire time, if any timers are pending.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        // Level 0 holds strictly earlier deadlines than level 1 (same
-        // window vs. later windows), so the first occupied L0 slot wins.
-        if let Some(idx) = next_occupied(&self.l0_occ, (self.cursor & SLOT_MASK) as usize) {
-            return self.l0[idx].iter().map(|e| e.at).min();
-        }
-        // Level 1: probe windows in cascade order (the wrap means slot
-        // indexes are not time-ordered on their own).
-        let base = self.cursor >> SLOT_BITS;
-        for off in 1..SLOTS as u64 {
-            let idx = ((base + off) & SLOT_MASK) as usize;
-            if test_bit(&self.l1_occ, idx) {
-                return self.l1[idx].iter().map(|e| e.at).min();
-            }
-        }
-        self.overflow.iter().map(|e| e.at).min()
-    }
-
-    /// Appends every timer due at or before `now` to `out`, ordered by
-    /// `(fire time, insertion order)`, and advances the cursor to `now`.
+    /// Appends every timer due by `now` to `out`, in `(at, insertion)` order.
     pub fn pop_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
-        let now_tick = now.as_micros() >> TICK_SHIFT;
-        if now_tick < self.cursor {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        loop {
-            let window_end = self.cursor | SLOT_MASK;
-            let stop_tick = now_tick.min(window_end);
-            let mut from = (self.cursor & SLOT_MASK) as usize;
-            let stop_idx = (stop_tick & SLOT_MASK) as usize;
-            while let Some(idx) = next_occupied(&self.l0_occ, from) {
-                if idx > stop_idx {
-                    break;
-                }
-                let slot_tick = (self.cursor & !SLOT_MASK) | idx as u64;
-                let slot = &mut self.l0[idx];
-                if slot_tick < now_tick {
-                    // Entirely in the past: take the whole slot.
-                    self.len -= slot.len();
-                    scratch.append(slot);
-                    clear_bit(&mut self.l0_occ, idx);
-                } else {
-                    // The boundary tick may straddle `now`: filter by time.
-                    let mut j = 0;
-                    while j < slot.len() {
-                        if slot[j].at <= now {
-                            scratch.push(slot.swap_remove(j));
-                            self.len -= 1;
-                        } else {
-                            j += 1;
-                        }
-                    }
-                    if slot.is_empty() {
-                        clear_bit(&mut self.l0_occ, idx);
-                    }
-                }
-                from = idx + 1;
-            }
-            if now_tick > window_end {
-                self.cursor = window_end + 1;
-                self.cascade();
-            } else {
-                self.cursor = now_tick;
-                break;
-            }
-        }
-        // One total order regardless of slot layout or cascade history.
-        scratch.sort_unstable_by_key(|e| (e.at, e.seq));
-        out.extend(scratch.drain(..).map(|e| (e.at, e.item)));
-        self.scratch = scratch;
-        self.stats.pending = self.len as u64;
-    }
-
-    /// Moves the level-1 slot for the window the cursor just entered down
-    /// into level 0, and pulls overflow entries that are now within the
-    /// level-1 horizon.
-    fn cascade(&mut self) {
-        self.stats.cascades += 1;
-        let idx = ((self.cursor >> SLOT_BITS) & SLOT_MASK) as usize;
-        if test_bit(&self.l1_occ, idx) {
-            let entries = std::mem::take(&mut self.l1[idx]);
-            clear_bit(&mut self.l1_occ, idx);
-            for entry in entries {
-                self.place(entry);
-            }
-        }
-        if !self.overflow.is_empty() {
-            let horizon = self.cursor >> SLOT_BITS;
-            let mut j = 0;
-            while j < self.overflow.len() {
-                let tick = self.overflow[j].at.as_micros() >> TICK_SHIFT;
-                if (tick >> SLOT_BITS) - horizon < SLOTS as u64 {
-                    let entry = self.overflow.swap_remove(j);
-                    self.place(entry);
-                } else {
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Load counters (pending, high-water, cascades, overflow).
-    pub fn stats(&self) -> TimerWheelStats {
-        self.stats
-    }
-
-    /// Drops all pending timers and rewinds the cursor to time zero so the
-    /// wheel can be reused for another run. High-water and cascade counters
-    /// survive; `pending` resets.
-    pub fn clear(&mut self) {
-        for (i, slot) in self.l0.iter_mut().enumerate() {
-            slot.clear();
-            clear_bit(&mut self.l0_occ, i);
-        }
-        for (i, slot) in self.l1.iter_mut().enumerate() {
-            slot.clear();
-            clear_bit(&mut self.l1_occ, i);
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.next_seq = 0;
-        self.len = 0;
-        self.stats.pending = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::time::SimDuration;
-
-    fn us(v: u64) -> SimTime {
-        SimTime::from_micros(v)
-    }
-
-    #[test]
-    fn fires_in_time_then_insertion_order() {
-        let mut w = TimerWheel::new();
-        w.schedule(us(5_000), "b");
-        w.schedule(us(1_000), "a");
-        w.schedule(us(5_000), "c");
-        let mut due = Vec::new();
-        w.pop_due_into(us(10_000), &mut due);
-        assert_eq!(
-            due,
-            vec![(us(1_000), "a"), (us(5_000), "b"), (us(5_000), "c")]
-        );
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn not_due_yet_stays() {
-        let mut w = TimerWheel::new();
-        w.schedule(us(2_100), 1);
-        let mut due = Vec::new();
-        w.pop_due_into(us(2_000), &mut due);
-        assert!(due.is_empty());
-        assert_eq!(w.len(), 1);
-        w.pop_due_into(us(2_100), &mut due);
-        assert_eq!(due, vec![(us(2_100), 1)]);
-    }
-
-    #[test]
-    fn same_tick_straddle_respects_exact_micros() {
-        // Two timers inside the same ~1 ms tick: only the earlier fires.
-        let mut w = TimerWheel::new();
-        w.schedule(us(2_050), "late");
-        w.schedule(us(2_010), "early");
-        let mut due = Vec::new();
-        w.pop_due_into(us(2_020), &mut due);
-        assert_eq!(due, vec![(us(2_010), "early")]);
-        w.pop_due_into(us(2_050), &mut due);
-        assert_eq!(due.last(), Some(&(us(2_050), "late")));
-    }
-
-    #[test]
-    fn overdue_schedule_fires_on_next_drain() {
-        let mut w = TimerWheel::new();
-        let mut due = Vec::new();
-        w.pop_due_into(us(500_000), &mut due);
-        w.schedule(us(100), "past");
-        w.pop_due_into(us(500_000), &mut due);
-        assert_eq!(due, vec![(us(100), "past")]);
-    }
-
-    #[test]
-    fn cascades_across_level_one() {
-        let mut w = TimerWheel::new();
-        // ~40 s out: beyond level 0 (262 ms) but inside level 1 (67 s).
-        w.schedule(SimTime::from_secs(40), "far");
-        w.schedule(us(10_000), "near");
-        assert_eq!(w.next_deadline(), Some(us(10_000)));
-        let mut due = Vec::new();
-        w.pop_due_into(SimTime::from_secs(1), &mut due);
-        assert_eq!(due, vec![(us(10_000), "near")]);
-        assert_eq!(w.next_deadline(), Some(SimTime::from_secs(40)));
-        w.pop_due_into(SimTime::from_secs(39), &mut due);
-        assert_eq!(due.len(), 1);
-        w.pop_due_into(SimTime::from_secs(41), &mut due);
-        assert_eq!(due.last(), Some(&(SimTime::from_secs(40), "far")));
-        assert!(w.stats().cascades > 0);
-    }
-
-    #[test]
-    fn overflow_beyond_level_one_horizon() {
-        let mut w = TimerWheel::new();
-        w.schedule(SimTime::from_secs(120), "way-out");
-        assert_eq!(w.stats().overflowed, 1);
-        assert_eq!(w.next_deadline(), Some(SimTime::from_secs(120)));
-        let mut due = Vec::new();
-        w.pop_due_into(SimTime::from_secs(119), &mut due);
-        assert!(due.is_empty());
-        w.pop_due_into(SimTime::from_secs(121), &mut due);
-        assert_eq!(due, vec![(SimTime::from_secs(120), "way-out")]);
-    }
-
-    #[test]
-    fn matches_naive_reference_over_dense_grid() {
-        // Deterministic pseudo-random workload vs. a sorted-Vec reference.
-        let mut w = TimerWheel::new();
-        let mut reference: Vec<(SimTime, u64, u32)> = Vec::new();
-        let mut state = 0x9E37_79B9u64;
-        let mut now = SimTime::ZERO;
-        let mut wheel_out = Vec::new();
-        for step in 0..2_000u32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(step as u64);
-            let delay = state % 900_000; // up to 0.9 s ahead
-            let at = now + SimDuration::from_micros(delay);
-            w.schedule(at, step);
-            // Schedule order (the FIFO tie-break key) is just `step` here.
-            reference.push((at, step as u64, step));
-            if step % 3 == 0 {
-                now += SimDuration::from_micros(state % 50_000);
-                wheel_out.clear();
-                w.pop_due_into(now, &mut wheel_out);
-                reference.sort_by_key(|&(at, s, _)| (at, s));
-                let mut expect = Vec::new();
-                let mut k = 0;
-                while k < reference.len() {
-                    if reference[k].0 <= now {
-                        let (at, _, v) = reference.remove(k);
-                        expect.push((at, v));
-                    } else {
-                        k += 1;
-                    }
-                }
-                assert_eq!(wheel_out, expect, "mismatch at step {step}");
-            }
-        }
-        assert_eq!(w.len(), reference.len());
-    }
-
-    #[test]
-    fn idle_jump_is_cheap_and_correct() {
-        let mut w = TimerWheel::new();
-        w.schedule(SimTime::from_secs(30), 1);
-        let mut due = Vec::new();
-        // One giant idle jump over ~29 s of empty slots.
-        w.pop_due_into(SimTime::from_secs(29), &mut due);
-        assert!(due.is_empty());
-        w.pop_due_into(SimTime::from_secs(31), &mut due);
-        assert_eq!(due, vec![(SimTime::from_secs(30), 1)]);
-    }
-
-    #[test]
-    fn clear_rewinds_for_reuse_but_keeps_high_water() {
-        let mut w = TimerWheel::new();
-        for i in 0..10u64 {
-            w.schedule(us(i * 1_000), i);
-        }
-        assert_eq!(w.stats().high_water, 10);
-        let mut due = Vec::new();
-        w.pop_due_into(us(100_000), &mut due);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.next_deadline(), None);
-        // Reuse from time zero.
-        w.schedule(us(5), 99);
-        due.clear();
-        w.pop_due_into(us(10), &mut due);
-        assert_eq!(due, vec![(us(5), 99)]);
-        assert_eq!(w.stats().high_water, 10);
-    }
-
-    #[test]
-    fn stats_track_pending() {
-        let mut w = TimerWheel::new();
-        w.schedule(us(1_000), ());
-        w.schedule(us(2_000), ());
-        assert_eq!(w.stats().pending, 2);
-        let mut due = Vec::new();
-        w.pop_due_into(us(1_500), &mut due);
-        assert_eq!(w.stats().pending, 1);
+        out.extend(std::iter::from_fn(|| self.0.pop_due(now)));
     }
 }

@@ -9,13 +9,12 @@
 //! keeps its own ticks in. Both loops keep time the same way: at each
 //! instant, the packets due and then the ticks due, one at a time. A
 //! conference has a few hundred ticks pending at most (some 40 live ones
-//! and the stale `PacerPoll`s `arm_pacer` leaves behind); the hierarchical
-//! wheel that stood here was built for thousands of sessions sharing it
-//! and measured slower (DESIGN §6d). Conferences share no
-//! state, so a shard runs them one at a time through those two queues,
-//! cleared in between and reused (multiplexing several into one queue
-//! measured slower and larger, never different); shards are the workers of
-//! the one [`pool`].
+//! and the stale `PacerPoll`s `arm_pacer` leaves behind), which a binary
+//! heap serves faster than the timer wheel it replaced (DESIGN §6d).
+//! Conferences share no state, so a shard runs them one at a time through
+//! those two queues, cleared in between and reused (multiplexing several
+//! into one queue measured slower and larger, never different); shards are
+//! the workers of the one [`pool`].
 //!
 //! ## Topology
 //!
@@ -74,7 +73,7 @@ use std::sync::Arc;
 use converge_cc::{ControllerConfig, SbdDetector};
 use converge_net::{
     event::EventQueue, Direction, ForwardPacket, MemberId, Path, PathId, SfuConfig, SfuNode,
-    SfuStats, SimDuration, SimTime, TimerWheelStats, Transmit,
+    SfuStats, SimDuration, SimTime, Transmit,
 };
 use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
 use converge_video::{FrameType, PacketKind, CAPTURE_FORMAT};
@@ -239,13 +238,20 @@ pub struct ShardStats {
     /// and feedback packets in flight. Fan-out copies are never queued
     /// (see the module doc), so they no longer count here.
     pub queue_high_water: usize,
-    /// Load of the timer queue, under the name and type the timer wheel's
-    /// counters had (`benchmark/layers` reads `high_water` and `cascades`):
-    /// `high_water` is the most ticks ever pending at once; a binary heap
-    /// has no cascades and no overflow list, so those two read 0.
-    pub wheel: TimerWheelStats,
+    /// Load of the timer queue, under the field name `benchmark/layers`
+    /// reads.
+    pub wheel: TimerStats,
     /// Conference batches this shard claimed from the pool.
     pub batches: u64,
+}
+
+/// Load counters of a shard's timer queue.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TimerStats {
+    /// The most ticks ever pending at once.
+    pub high_water: u64,
+    /// Always 0: a binary heap has no cascades.
+    pub cascades: u64,
 }
 
 /// Exact work counts of one conference: what its pass put through the
@@ -327,11 +333,9 @@ impl ShardCore {
     fn stats(&self) -> ShardStats {
         ShardStats {
             queue_high_water: self.queue.high_water(),
-            wheel: TimerWheelStats {
-                pending: self.timers.len() as u64,
+            wheel: TimerStats {
                 high_water: self.timers.high_water() as u64,
                 cascades: 0,
-                overflowed: 0,
             },
             batches: self.batches,
         }

@@ -34,7 +34,7 @@ pub use drives::DriveFixture;
 pub use duplex::DuplexSession;
 pub use fleet::{
     FleetConferenceReport, FleetConfig, FleetEngine, FleetReport, FleetSessionReport,
-    FleetWorkCounts, ShardStats,
+    FleetWorkCounts, ShardStats, TimerStats,
 };
 pub use metrics::{CallReport, E2eSamples, MetricsCollector, PathCounters, SecondBin};
 pub use pacer::{Pacer, PacerConfig};

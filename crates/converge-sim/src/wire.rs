@@ -79,18 +79,19 @@ pub fn encode_rtp(rtp: &SimRtp) -> Bytes {
 pub fn decode_rtp(wire: Bytes, sent_at: SimTime) -> Result<SimRtp, ParseError> {
     let pkt = RtpPacket::parse(wire)?;
     let ext = pkt.extension.ok_or(ParseError::BadExtension)?;
-    let mut body = pkt.payload.clone();
+    // Payload headers are stream-agnostic: the stream travels in the SSRC.
+    let stream = stream_for(pkt.ssrc);
+    let mut body = pkt.payload;
     let kind = match pkt.payload_type {
-        PayloadType::Video => RtpKind::Media(parse_video_payload(&mut body)?),
-        PayloadType::Retransmission => RtpKind::Retransmission(parse_video_payload(&mut body)?),
-        PayloadType::Fec => {
-            let (stream, protected) = parse_fec_payload(&mut body)?;
-            RtpKind::Fec {
-                stream,
-                protected,
-                origin_path: PathId(ext.path_id),
-            }
+        PayloadType::Video => RtpKind::Media(parse_video_payload(&mut body, stream)?),
+        PayloadType::Retransmission => {
+            RtpKind::Retransmission(parse_video_payload(&mut body, stream)?)
         }
+        PayloadType::Fec => RtpKind::Fec {
+            stream,
+            protected: parse_fec_payload(&mut body, stream)?,
+            origin_path: PathId(ext.path_id),
+        },
         PayloadType::Probe => {
             if body.len() < 8 {
                 return Err(ParseError::Truncated);
@@ -126,9 +127,12 @@ fn is_frame_end(p: &VideoPacket) -> bool {
     matches!(p.kind, PacketKind::Media { index, count } if index + 1 == count)
 }
 
-/// 28-byte metadata header + payload padding to the packet's modeled size.
+/// Bytes of one video payload header: the packet's metadata, its modeled
+/// size included (no padding stands in for the media bytes).
+const VIDEO_HEADER_LEN: usize = 38;
+
 fn video_payload(p: &VideoPacket) -> Bytes {
-    let mut b = BytesMut::with_capacity(28 + p.size.min(64));
+    let mut b = BytesMut::with_capacity(VIDEO_HEADER_LEN);
     b.put_u64(p.sequence);
     b.put_u64(p.frame_id);
     b.put_u32(p.gop_id as u32);
@@ -149,13 +153,10 @@ fn video_payload(p: &VideoPacket) -> Bytes {
     b.freeze()
 }
 
-fn parse_video_payload(body: &mut Bytes) -> Result<VideoPacket, ParseError> {
-    if body.len() < 38 {
+fn parse_video_payload(body: &mut Bytes, stream: StreamId) -> Result<VideoPacket, ParseError> {
+    if body.len() < VIDEO_HEADER_LEN {
         return Err(ParseError::Truncated);
     }
-    // The SSRC is not in the payload; the caller's stream mapping comes
-    // from the RTP header. We re-derive it there; for simplicity the
-    // payload header also implies stream 0 until remapped.
     let sequence = body.get_u64();
     let frame_id = body.get_u64();
     let gop_id = body.get_u32() as u64;
@@ -176,7 +177,7 @@ fn parse_video_payload(body: &mut Bytes) -> Result<VideoPacket, ParseError> {
         _ => return Err(ParseError::BadExtension),
     };
     Ok(VideoPacket {
-        stream: StreamId(0), // remapped from the RTP SSRC by decode_rtp
+        stream,
         sequence,
         frame_id,
         gop_id,
@@ -196,16 +197,21 @@ fn fec_payload(protected: &[VideoPacket]) -> Bytes {
     b.freeze()
 }
 
-fn parse_fec_payload(body: &mut Bytes) -> Result<(StreamId, Vec<VideoPacket>), ParseError> {
+fn parse_fec_payload(body: &mut Bytes, stream: StreamId) -> Result<Vec<VideoPacket>, ParseError> {
     if body.len() < 2 {
         return Err(ParseError::Truncated);
     }
     let n = body.get_u16() as usize;
+    // The count is off the wire: the bytes must be there before room for
+    // that many packets is reserved.
+    if body.len() < n * VIDEO_HEADER_LEN {
+        return Err(ParseError::Truncated);
+    }
     let mut protected = Vec::with_capacity(n);
     for _ in 0..n {
-        protected.push(parse_video_payload(body)?);
+        protected.push(parse_video_payload(body, stream)?);
     }
-    Ok((StreamId(0), protected))
+    Ok(protected)
 }
 
 fn probe_payload(probe_seq: u64) -> Bytes {
@@ -214,34 +220,13 @@ fn probe_payload(probe_seq: u64) -> Bytes {
     b.freeze()
 }
 
-/// Re-stamps the stream identity from the RTP header SSRC onto the decoded
-/// video metadata (payload headers are stream-agnostic).
-pub fn remap_stream(mut rtp: SimRtp, ssrc: u32) -> SimRtp {
-    let stream = stream_for(ssrc);
-    match &mut rtp.kind {
-        RtpKind::Media(p) | RtpKind::Retransmission(p) => p.stream = stream,
-        RtpKind::Fec {
-            stream: s,
-            protected,
-            ..
-        } => {
-            *s = stream;
-            for p in protected {
-                p.stream = stream;
-            }
-        }
-        RtpKind::Probe { .. } => {}
-    }
-    rtp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn vp(seq: u64, kind: PacketKind) -> VideoPacket {
+    fn vp(stream: StreamId, seq: u64, kind: PacketKind) -> VideoPacket {
         VideoPacket {
-            stream: StreamId(0),
+            stream,
             sequence: seq,
             frame_id: seq / 10,
             gop_id: seq / 300,
@@ -256,16 +241,37 @@ mod tests {
         }
     }
 
-    fn roundtrip(rtp: SimRtp) {
-        let wire = encode_rtp(&rtp);
-        let back = decode_rtp(wire, rtp.sent_at).expect("decode");
-        assert_eq!(back, rtp);
+    /// Round trips what `make` builds on streams 0, 1 and 2: the stream
+    /// travels in the SSRC, not in the payload headers.
+    fn roundtrip(make: impl Fn(StreamId) -> SimRtp) {
+        for stream in (0..3).map(StreamId) {
+            let rtp = make(stream);
+            let back = decode_rtp(encode_rtp(&rtp), rtp.sent_at).expect("decode");
+            assert_eq!(back, rtp, "on {stream:?}");
+        }
+    }
+
+    fn fec_of_three(stream: StreamId) -> SimRtp {
+        SimRtp {
+            kind: RtpKind::Fec {
+                stream,
+                protected: vec![
+                    vp(stream, 10, PacketKind::Media { index: 0, count: 3 }),
+                    vp(stream, 11, PacketKind::Media { index: 1, count: 3 }),
+                    vp(stream, 12, PacketKind::Media { index: 2, count: 3 }),
+                ],
+                origin_path: PathId(1),
+            },
+            path: PathId(1),
+            transport_seq: 77,
+            sent_at: SimTime::from_millis(5),
+        }
     }
 
     #[test]
     fn media_roundtrips() {
-        roundtrip(SimRtp {
-            kind: RtpKind::Media(vp(42, PacketKind::Media { index: 2, count: 7 })),
+        roundtrip(|s| SimRtp {
+            kind: RtpKind::Media(vp(s, 42, PacketKind::Media { index: 2, count: 7 })),
             path: PathId(1),
             transport_seq: 999,
             sent_at: SimTime::from_millis(123),
@@ -275,8 +281,8 @@ mod tests {
     #[test]
     fn control_packets_roundtrip() {
         for kind in [PacketKind::Pps, PacketKind::Sps] {
-            roundtrip(SimRtp {
-                kind: RtpKind::Media(vp(7, kind)),
+            roundtrip(|s| SimRtp {
+                kind: RtpKind::Media(vp(s, 7, kind)),
                 path: PathId(0),
                 transport_seq: 1,
                 sent_at: SimTime::ZERO,
@@ -286,8 +292,8 @@ mod tests {
 
     #[test]
     fn retransmission_roundtrips() {
-        roundtrip(SimRtp {
-            kind: RtpKind::Retransmission(vp(300, PacketKind::Media { index: 0, count: 1 })),
+        roundtrip(|s| SimRtp {
+            kind: RtpKind::Retransmission(vp(s, 300, PacketKind::Media { index: 0, count: 1 })),
             path: PathId(2),
             transport_seq: 12345,
             sent_at: SimTime::from_secs(9),
@@ -296,25 +302,12 @@ mod tests {
 
     #[test]
     fn fec_roundtrips() {
-        roundtrip(SimRtp {
-            kind: RtpKind::Fec {
-                stream: StreamId(0),
-                protected: vec![
-                    vp(10, PacketKind::Media { index: 0, count: 3 }),
-                    vp(11, PacketKind::Media { index: 1, count: 3 }),
-                    vp(12, PacketKind::Media { index: 2, count: 3 }),
-                ],
-                origin_path: PathId(1),
-            },
-            path: PathId(1),
-            transport_seq: 77,
-            sent_at: SimTime::from_millis(5),
-        });
+        roundtrip(fec_of_three);
     }
 
     #[test]
     fn probe_roundtrips() {
-        roundtrip(SimRtp {
+        roundtrip(|_| SimRtp {
             kind: RtpKind::Probe {
                 probe_seq: 0xDEAD_BEEF,
             },
@@ -324,28 +317,12 @@ mod tests {
         });
     }
 
+    /// The SSRC's stream reaches the FEC header and every packet it
+    /// protects.
     #[test]
     fn stream_remap_applies_to_all_members() {
-        let rtp = SimRtp {
-            kind: RtpKind::Fec {
-                stream: StreamId(0),
-                protected: vec![vp(1, PacketKind::Media { index: 0, count: 1 })],
-                origin_path: PathId(0),
-            },
-            path: PathId(0),
-            transport_seq: 0,
-            sent_at: SimTime::ZERO,
-        };
-        let remapped = remap_stream(rtp, ssrc_for(StreamId(2)));
-        if let RtpKind::Fec {
-            stream, protected, ..
-        } = &remapped.kind
-        {
-            assert_eq!(*stream, StreamId(2));
-            assert!(protected.iter().all(|p| p.stream == StreamId(2)));
-        } else {
-            panic!("not fec");
-        }
+        let rtp = fec_of_three(StreamId(2));
+        assert_eq!(decode_rtp(encode_rtp(&rtp), rtp.sent_at), Ok(rtp));
     }
 
     #[test]
@@ -353,7 +330,11 @@ mod tests {
         // Distinct flow sequence (0xAAAA) and transport sequence (0x3BBB)
         // so a swap or copy-paste of the two fields cannot go unnoticed.
         let rtp = SimRtp {
-            kind: RtpKind::Media(vp(0xAAAA, PacketKind::Media { index: 0, count: 1 })),
+            kind: RtpKind::Media(vp(
+                StreamId(0),
+                0xAAAA,
+                PacketKind::Media { index: 0, count: 1 },
+            )),
             path: PathId(1),
             transport_seq: 0x3BBB,
             sent_at: SimTime::from_millis(3),
@@ -371,7 +352,7 @@ mod tests {
     #[test]
     fn marker_set_on_last_media_packet() {
         let rtp = SimRtp {
-            kind: RtpKind::Media(vp(1, PacketKind::Media { index: 6, count: 7 })),
+            kind: RtpKind::Media(vp(StreamId(0), 1, PacketKind::Media { index: 6, count: 7 })),
             path: PathId(0),
             transport_seq: 0,
             sent_at: SimTime::ZERO,
@@ -380,19 +361,37 @@ mod tests {
         assert!(pkt.marker);
     }
 
+    /// Every strict prefix of every packet kind, and an FEC packet whose
+    /// count names 65 535 packets but carries one, decode to `Err`.
     #[test]
     fn truncated_wire_rejected() {
-        let rtp = SimRtp {
-            kind: RtpKind::Media(vp(1, PacketKind::Media { index: 0, count: 1 })),
-            path: PathId(0),
-            transport_seq: 0,
-            sent_at: SimTime::ZERO,
-        };
-        let wire = encode_rtp(&rtp);
-        for cut in 13..wire.len() - 1 {
+        let fec = fec_of_three(StreamId(1));
+        let packet = vp(StreamId(1), 1, PacketKind::Media { index: 0, count: 1 });
+        let others = [
+            RtpKind::Media(packet),
+            RtpKind::Retransmission(packet),
+            RtpKind::Probe { probe_seq: 9 },
+        ]
+        .map(|kind| SimRtp {
+            kind,
+            ..fec.clone()
+        });
+        let mut wires = Vec::new();
+        for rtp in others.iter().chain([&fec]) {
+            let wire = encode_rtp(rtp);
+            assert!(decode_rtp(wire.clone(), SimTime::ZERO).is_ok());
+            wires.extend((0..wire.len()).map(|cut| wire.slice(0..cut)));
+        }
+        let mut wire = encode_rtp(&fec).to_vec();
+        let count_at = wire.len() - 3 * VIDEO_HEADER_LEN - 2;
+        assert_eq!(wire[count_at..count_at + 2], [0, 3]);
+        wire.truncate(count_at + 2 + VIDEO_HEADER_LEN);
+        wire[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+        wires.push(Bytes::from(wire));
+        for wire in wires {
             assert!(
-                decode_rtp(wire.slice(0..cut), SimTime::ZERO).is_err(),
-                "cut at {cut} must fail"
+                decode_rtp(wire.clone(), SimTime::ZERO).is_err(),
+                "{wire:?} must fail"
             );
         }
     }

@@ -7,7 +7,7 @@ use converge_core::{
 };
 use converge_net::{PathId, SimDuration, SimTime};
 use converge_sim::payload::{RtpKind, SimRtp};
-use converge_sim::wire::{decode_rtp, encode_rtp, remap_stream};
+use converge_sim::wire::{decode_rtp, encode_rtp};
 use converge_video::{EncoderConfig, Packetizer, PacketizerConfig, StreamId, VideoEncoder};
 
 #[test]
@@ -50,8 +50,6 @@ fn full_encoder_output_survives_the_wire() {
             let wire = encode_rtp(&rtp);
             assert!(wire.len() >= 24, "headers present");
             let decoded = decode_rtp(wire, now).expect("decode");
-            // Stream identity travels in the SSRC; remap and compare.
-            let decoded = remap_stream(decoded, 0x5100_0001);
             assert_eq!(decoded, rtp, "packet {total} mismatched");
             total += 1;
         }
