@@ -150,10 +150,9 @@ alloc_budget() {
 }
 gate alloc-budget alloc_budget
 
-# The fleet's exact work counts (ticks and packets scheduled and popped,
-# pacer polls fired and idle) against tests/tests/fixtures/
-# fleet_work_counts.txt, on 1, 2 and 3 shards: "did this change remove
-# work" without a stopwatch.
+# The fleet's exact work counts (ticks and packets scheduled and popped)
+# against tests/tests/fixtures/fleet_work_counts.txt, on 1, 2 and 3
+# shards: "did this change remove work" without a stopwatch.
 gate work-counts tests_by_name 1 -p converge-integration --test fleet_determinism -- --exact \
     work_counts_match_checked_in_golden
 
@@ -293,8 +292,17 @@ gate drive drive
 # contract test that held the queue against the old wheel went with the
 # wheel; event.rs's model test checks the queue), timer.rs declares that
 # one wrapper and nothing else, and `TimerWheelStats` is named nowhere.
+# A fleet conference runs through the call loop (flow.rs `run_flows`),
+# whose tick queue holds only flow ticks: the second tick family it
+# replaced (`PacerPoll` ticks armed by `arm_pacer`, `TickKind`,
+# `TimerEvent`) is named nowhere under crates/ or tests/.
 fleet() {
-    local wheel decls
+    local wheel decls ticks
+    ticks=$(grep -rlwE 'PacerPoll|arm_pacer|TickKind|TimerEvent' crates tests || true)
+    if [ -n "$ticks" ]; then
+        echo "fleet: a second tick family is named under crates/ or tests/:" $ticks >&2
+        return 1
+    fi
     wheel=$({ grep -rlw TimerWheel crates tests --include='*.rs' \
         | grep -vx -e crates/converge-net/src/timer.rs -e crates/converge-net/src/lib.rs
         grep -rlw TimerWheelStats crates tests examples --include='*.rs'; } || true)

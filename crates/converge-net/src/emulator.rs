@@ -45,6 +45,7 @@ impl SendOutcome {
     }
 }
 
+#[derive(Clone)]
 struct InFlight<P> {
     path: PathId,
     direction: Direction,
@@ -108,38 +109,21 @@ impl<P> NetworkEmulator<P> {
             panic!("send on unknown {path}");
         };
         let offer = p.offer(direction, now, bytes);
-        match offer.fate {
-            Transmit::Delivered(at) => {
-                let copy = offer.duplicate.map(|copy_at| {
-                    (
-                        copy_at,
-                        InFlight {
-                            path,
-                            direction,
-                            sent_at: now,
-                            payload: payload.clone(),
-                        },
-                    )
-                });
-                // Schedule the original before the copy so the FIFO
-                // tie-break keeps the original first on equal times.
-                self.queue.schedule(
-                    at,
-                    InFlight {
-                        path,
-                        direction,
-                        sent_at: now,
-                        payload,
-                    },
-                );
-                if let Some((copy_at, dup)) = copy {
-                    self.queue.schedule(copy_at, dup);
-                }
-                (SendOutcome::Enqueued, None)
-            }
-            Transmit::QueueDrop => (SendOutcome::QueueDrop, Some(payload)),
-            Transmit::RandomLoss => (SendOutcome::RandomLoss, Some(payload)),
-            Transmit::Blackout => (SendOutcome::Blackout, Some(payload)),
+        let outcome = match offer.fate {
+            Transmit::Delivered(_) => SendOutcome::Enqueued,
+            Transmit::QueueDrop => SendOutcome::QueueDrop,
+            Transmit::RandomLoss => SendOutcome::RandomLoss,
+            Transmit::Blackout => SendOutcome::Blackout,
+        };
+        let sent = InFlight {
+            path,
+            direction,
+            sent_at: now,
+            payload,
+        };
+        match offer.schedule(&mut self.queue, sent) {
+            Ok(()) => (outcome, None),
+            Err(lost) => (outcome, Some(lost.payload)),
         }
     }
 

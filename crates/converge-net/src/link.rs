@@ -11,6 +11,7 @@ use rand::SeedableRng;
 
 use crate::aqm::{Codel, QueueDiscipline};
 use crate::drive::DriveTrace;
+use crate::event::EventQueue;
 use crate::impairment::ImpairmentConfig;
 use crate::loss::{LossModel, LossProcess};
 use crate::time::{SimDuration, SimTime};
@@ -87,6 +88,24 @@ pub struct Offer {
     pub fate: Transmit,
     /// Arrival time of the duplicate copy, when one was injected.
     pub duplicate: Option<SimTime>,
+}
+
+impl Offer {
+    /// Schedules `event` into `queue` at the packet's arrival, and a clone
+    /// of it at the duplicate's if the link injected one: the original
+    /// first, so the queue's FIFO tie-break keeps it ahead of its copy on
+    /// equal times. Hands `event` back if the link lost the packet.
+    pub fn schedule<E: Clone>(self, queue: &mut EventQueue<E>, event: E) -> Result<(), E> {
+        let Transmit::Delivered(at) = self.fate else {
+            return Err(event);
+        };
+        let copy = self.duplicate.map(|copy_at| (copy_at, event.clone()));
+        queue.schedule(at, event);
+        if let Some((copy_at, copy)) = copy {
+            queue.schedule(copy_at, copy);
+        }
+        Ok(())
+    }
 }
 
 /// Counters a link keeps about its own behaviour.

@@ -2,19 +2,17 @@
 //! behind SFU bottlenecks.
 //!
 //! [`Session`](crate::Session) runs one call on its own emulator. A fleet
-//! member is the same `Flow` — sender, receiver, pacer, metrics — but its
-//! events travel two of a shard's [`EventQueue`]s: uplink and feedback
-//! packets in flight in one (arena-backed so memory follows them); pacer,
-//! frame, RTCP and SBD ticks in the other, the structure `flow::run_call`
-//! keeps its own ticks in. Both loops keep time the same way: at each
-//! instant, the packets due and then the ticks due, one at a time. A
-//! conference has a few hundred ticks pending at most (some 40 live ones
-//! and the stale `PacerPoll`s `arm_pacer` leaves behind), which a binary
-//! heap serves faster than the timer wheel it replaced (DESIGN §6d).
-//! Conferences share no state, so a shard runs them one at a time through
-//! those two queues, cleared in between and reused (multiplexing several
-//! into one queue measured slower and larger, never different); shards are
-//! the workers of the one [`pool`].
+//! member is the same `Flow` — sender, receiver, pacer, metrics — run by
+//! the same loop, `flow::run_flows`; only the network behind the loop's
+//! seam differs. A conference's network is its members' private paths,
+//! one of a shard's two [`EventQueue`]s for the uplink and feedback
+//! packets in flight (arena-backed so memory follows them), the SFU with
+//! its viewers, and the SBD detector, whose interval closes as one more
+//! instant of that network. The other queue holds the members' frame and
+//! RTCP ticks, and nothing else. Conferences share no state, so a shard
+//! runs them one at a time through those two queues, cleared in between
+//! and reused (multiplexing several into one queue measured slower and
+//! larger, never different); shards are the workers of the one [`pool`].
 //!
 //! ## Topology
 //!
@@ -78,7 +76,7 @@ use converge_net::{
 use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
 use converge_video::{FrameType, PacketKind, CAPTURE_FORMAT};
 
-use crate::flow::{Flow, Net, Tick};
+use crate::flow::{run_flows, Flow, Net, Network, Tick};
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::payload::{NetPayload, SimRtp};
 use crate::pool;
@@ -193,7 +191,7 @@ fn member_paths(seed: u64) -> Vec<Path> {
 /// Events in a shard's queue, all of the one conference it is running.
 /// Keyed by `(time, seq)` in the queue itself; the payload names the member
 /// so processing can route straight to the owning state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum FleetEvent {
     /// A packet finished crossing one of a member's private paths.
     Deliver {
@@ -209,23 +207,6 @@ enum FleetEvent {
         path: PathId,
         rtp: SimRtp,
     },
-}
-
-/// Ticks in the shard's timer queue. `Copy` and 8 bytes: an idle member
-/// costs its pending ticks (one per stream and three RTCP rounds) and
-/// nothing else.
-#[derive(Debug, Clone, Copy)]
-enum TickKind {
-    /// One of the member flow's own ticks.
-    Flow(Tick),
-    PacerPoll,
-    Sbd,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TimerEvent {
-    member: MemberId,
-    kind: TickKind,
 }
 
 /// Occupancy counters of one shard's event machinery (satellite
@@ -255,10 +236,10 @@ pub struct TimerStats {
 }
 
 /// Exact work counts of one conference: what its pass put through the
-/// shard's two queues and how often a pacer wake-up found nothing to send.
-/// Plain integers off the loop itself, so they repeat exactly from run to
-/// run and sum in conference order to the same totals on any shard count
-/// ([`FleetReport::work_counts_text`]); never part of the fold.
+/// shard's two queues. Plain integers off the loop itself, so they repeat
+/// exactly from run to run and sum in conference order to the same totals
+/// on any shard count ([`FleetReport::work_counts_text`]); never part of
+/// the fold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetWorkCounts {
     /// Ticks scheduled (the timer queue's own count).
@@ -272,11 +253,6 @@ pub struct FleetWorkCounts {
     /// Packets popped and handled (scheduled less still queued): the rest
     /// were in flight at the end of the call.
     pub queue_popped: u64,
-    /// `PacerPoll` ticks fired.
-    pub pacer_polls: u64,
-    /// `PacerPoll`s after which the pacer held as many packets as before:
-    /// attempted less useful.
-    pub pacer_polls_idle: u64,
 }
 
 impl FleetWorkCounts {
@@ -286,20 +262,16 @@ impl FleetWorkCounts {
         self.timer_pending += other.timer_pending;
         self.queue_scheduled += other.queue_scheduled;
         self.queue_popped += other.queue_popped;
-        self.pacer_polls += other.pacer_polls;
-        self.pacer_polls_idle += other.pacer_polls_idle;
     }
 
     fn line(&self, label: &str) -> String {
         format!(
-            "{label}|timer_scheduled={}|timer_popped={}|timer_pending={}|queue_scheduled={}|queue_popped={}|pacer_polls={}|pacer_polls_idle={}\n",
+            "{label}|timer_scheduled={}|timer_popped={}|timer_pending={}|queue_scheduled={}|queue_popped={}\n",
             self.timer_scheduled,
             self.timer_popped,
             self.timer_pending,
             self.queue_scheduled,
             self.queue_popped,
-            self.pacer_polls,
-            self.pacer_polls_idle,
         )
     }
 }
@@ -311,8 +283,8 @@ impl FleetWorkCounts {
 struct ShardCore {
     /// Packets in flight.
     queue: EventQueue<FleetEvent>,
-    /// Pending ticks, in the structure `flow::run_call` keeps its own in.
-    timers: EventQueue<TimerEvent>,
+    /// Pending ticks, keyed by member: the queue `flow::run_flows` pops.
+    timers: EventQueue<(usize, Tick)>,
     batches: u64,
 }
 
@@ -467,16 +439,12 @@ impl ViewerState {
     }
 }
 
-/// One member: its uplink flow (member → SFU), the private access paths
-/// the flow travels, and its viewer-side state. The shard provides the
-/// event machinery.
+/// One member beside its uplink flow (member → SFU): the private access
+/// paths the flow travels, its traces and its viewer-side state.
 struct Member {
-    flow: Flow,
     paths: Vec<Path>,
     ring: Option<Arc<RingSink>>,
     checker: Option<Arc<InvariantSink>>,
-    /// Earliest armed pacer wake-up, to keep `PacerPoll`s deduplicated.
-    pacer_wakeup: Option<SimTime>,
     viewer: ViewerState,
 }
 
@@ -487,17 +455,6 @@ struct MemberNet<'a> {
     /// Indexed by path id.
     paths: &'a mut [Path],
     member: MemberId,
-}
-
-impl Member {
-    /// The member's flow alongside the seam it sends through.
-    fn wire<'a>(
-        &'a mut self,
-        queue: &'a mut EventQueue<FleetEvent>,
-        member: MemberId,
-    ) -> (&'a mut Flow, MemberNet<'a>) {
-        (&mut self.flow, MemberNet { queue, paths: &mut self.paths, member })
-    }
 }
 
 impl Net for MemberNet<'_> {
@@ -514,37 +471,28 @@ impl Net for MemberNet<'_> {
             .paths
             .get_mut(path.index())
             .unwrap_or_else(|| panic!("send on unknown {path}"));
-        let offer = p.offer(direction, now, size);
-        match offer.fate {
-            Transmit::Delivered(at) => {
-                // Original before the copy, mirroring the emulator's FIFO
-                // tie-break.
-                let dup = offer.duplicate.map(|copy_at| (copy_at, payload.clone()));
-                self.queue
-                    .schedule(at, FleetEvent::Deliver { member, path, direction, payload });
-                if let Some((copy_at, copy)) = dup {
-                    self.queue.schedule(
-                        copy_at,
-                        FleetEvent::Deliver { member, path, direction, payload: copy },
-                    );
-                }
-                false
-            }
-            _ => true,
-        }
+        p.offer(direction, now, size)
+            .schedule(self.queue, FleetEvent::Deliver { member, path, direction, payload })
+            .is_err()
     }
 }
 
-struct ConferenceState {
+/// One conference's network, the far side of `flow::run_flows`' seam: the
+/// members' private paths into the shard's packet queue, the SFU with its
+/// viewers, and the SBD detector on the ingress bottleneck.
+struct Conference<'q> {
+    queue: &'q mut EventQueue<FleetEvent>,
     members: Vec<Member>,
     sfu: SfuNode,
     sbd: SbdDetector,
+    /// When the SBD detector's current interval closes.
+    sbd_at: SimTime,
     sbd_groups: Vec<Vec<usize>>,
     sbd_changes: u64,
     /// Fan-out copies accepted by the egress link whose arrival fell at or
     /// after the end of the call: delivered by the link, seen by no viewer.
     fanout_in_flight: u64,
-    work: FleetWorkCounts,
+    end: SimTime,
     /// Conference-level trace (member 0's handle) for SBD group events.
     trace: TraceHandle,
 }
@@ -596,7 +544,7 @@ pub struct FleetConferenceReport {
     /// Fan-out copies still crossing the egress link when the call ended:
     /// `sfu.egress.delivered_pkts` less the sessions' `viewer_pkts`.
     pub fanout_in_flight: u64,
-    /// Exact event, tick and pacer-poll counts of the conference's pass.
+    /// Exact packet and tick counts of the conference's pass.
     pub work: FleetWorkCounts,
     /// Per-member session reports.
     pub sessions: Vec<FleetSessionReport>,
@@ -763,11 +711,13 @@ impl FleetEngine {
         let batch = cfg.batch_conferences.max(1);
 
         // Outcomes come back in batch order, so in conference-index order,
-        // whichever shard ran which batch.
+        // whichever shard ran which batch. A batch's conferences each run
+        // alone through the shard's two queues.
         let (batches, cores) =
             pool::run(n_conf.div_ceil(batch), cfg.shards, ShardCore::new, |core, b| {
-                let first = b * batch;
-                run_batch(core, &cfg, first, batch.min(n_conf - first))
+                core.batches += 1;
+                let confs = b * batch..((b + 1) * batch).min(n_conf);
+                confs.map(|conf| run_conference(core, &cfg, conf as u32)).collect::<Vec<_>>()
             });
 
         let mut conferences = Vec::with_capacity(n_conf);
@@ -793,12 +743,14 @@ impl FleetEngine {
     }
 }
 
-/// Builds one conference's state and schedules its initial timers.
-fn build_conference(
+/// Builds one conference's flows and network over the shard's packet
+/// queue, and schedules the flows' first ticks.
+fn build_conference<'q>(
     cfg: &FleetConfig,
     conf: u32,
-    timers: &mut EventQueue<TimerEvent>,
-) -> ConferenceState {
+    queue: &'q mut EventQueue<FleetEvent>,
+    timers: &mut EventQueue<(usize, Tick)>,
+) -> (Vec<Flow>, Conference<'q>) {
     let n_members = cfg.members_of(conf as usize);
     let mut sfu = SfuNode::new(SfuConfig::for_bottleneck(
         cfg.bottleneck_ingress_bps,
@@ -806,6 +758,7 @@ fn build_conference(
     ));
     let sampled = (conf as usize) < cfg.trace_conferences;
 
+    let mut flows = Vec::with_capacity(n_members);
     let mut members = Vec::with_capacity(n_members);
     for m in 0..n_members as MemberId {
         let seed = member_seed(cfg.seed, conf, m);
@@ -857,161 +810,88 @@ fn build_conference(
         let global = conf as u64 * cfg.conference_size as u64 + m as u64;
         let stagger = SimDuration::from_micros((global % 33) * 1_009);
         for (at, tick) in flow.first_ticks(stagger) {
-            timers.schedule(at, TimerEvent { member: m, kind: TickKind::Flow(tick) });
+            timers.schedule(at, (m as usize, tick));
         }
 
-        members.push(Member {
-            flow,
-            paths,
-            ring,
-            checker,
-            pacer_wakeup: None,
-            viewer: ViewerState::default(),
-        });
+        flows.push(flow);
+        members.push(Member { paths, ring, checker, viewer: ViewerState::default() });
     }
 
-    let sbd = SbdDetector::new(n_members);
-    timers.schedule(
-        SimTime::ZERO + SbdDetector::INTERVAL + SimDuration::from_micros((conf as u64 % 97) * 211),
-        TimerEvent { member: 0, kind: TickKind::Sbd },
-    );
-    let trace = members[0].flow.trace.clone();
-    ConferenceState {
+    let trace = flows[0].trace.clone();
+    let conference = Conference {
+        queue,
         members,
         sfu,
-        sbd,
+        sbd: SbdDetector::new(n_members),
+        sbd_at: SimTime::ZERO
+            + SbdDetector::INTERVAL
+            + SimDuration::from_micros((conf as u64 % 97) * 211),
         sbd_groups: Vec::new(),
         sbd_changes: 0,
         fanout_in_flight: 0,
-        work: FleetWorkCounts::default(),
+        end: SimTime::ZERO + cfg.duration,
         trace,
-    }
+    };
+    (flows, conference)
 }
 
-/// Runs conferences `[first, first + count)`, one claimed batch, each alone
-/// through the shard's two queues.
-fn run_batch(
-    core: &mut ShardCore,
-    cfg: &FleetConfig,
-    first: usize,
-    count: usize,
-) -> Vec<ConferenceOutcome> {
-    core.batches += 1;
-    (first..first + count).map(|conf| run_conference(core, cfg, conf as u32)).collect()
-}
-
-/// Runs one conference to the end of the call and finalizes its report.
+/// Runs one conference through the call loop to the end of the call and
+/// finalizes its report.
 fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
     core.reset();
     let ShardCore { queue, timers, .. } = core;
-    let mut cs = build_conference(cfg, conf, timers);
+    let (mut flows, mut conference) = build_conference(cfg, conf, queue, timers);
+    let end = conference.end;
+    let fired = run_flows(&mut flows, &mut conference, timers, end, true);
 
-    let end = SimTime::ZERO + cfg.duration;
-    let mut clock = SimTime::ZERO;
-    // Counted where a tick is handled, so that the timer ledger below
-    // compares three independent numbers.
-    let mut timer_popped = 0u64;
-    loop {
-        let now = match (queue.peek_time(), timers.peek_time()) {
-            (Some(q), Some(w)) => q.min(w),
-            (Some(q), None) => q,
-            (None, Some(w)) => w,
-            (None, None) => break,
-        };
-        let now = now.max(clock);
-        clock = now;
-        if now >= end {
-            break;
-        }
-        // Packets due now, then ticks due now, one at a time, as
-        // `flow::run_call` does. Every packet a handler sends arrives
-        // strictly after `now` (a link serializes a packet for at least
-        // 1 µs), and a tick armed at `now` sorts after every tick already
-        // due, so this visits what draining rounds of packets and due
-        // batches would.
-        while let Some((at, ev)) = queue.pop_due(now) {
-            process_event(queue, &mut cs, end, at, ev);
-        }
-        while let Some((at, te)) = timers.pop_due(now) {
-            timer_popped += 1;
-            process_timer(queue, timers, &mut cs, at, te);
-        }
-    }
-    cs.work.queue_scheduled = queue.scheduled();
-    cs.work.queue_popped = queue.scheduled() - queue.len() as u64;
-    cs.work.timer_scheduled = timers.scheduled();
-    cs.work.timer_popped = timer_popped;
-    cs.work.timer_pending = timers.len() as u64;
+    let queue = &conference.queue;
+    let work = FleetWorkCounts {
+        timer_scheduled: timers.scheduled(),
+        timer_popped: fired,
+        timer_pending: timers.len() as u64,
+        queue_scheduled: queue.scheduled(),
+        queue_popped: queue.scheduled() - queue.len() as u64,
+    };
     let breaches = if cfg.check_invariants {
-        let owed: Vec<TimersOwed> = cs
-            .members
-            .iter()
-            .map(|m| TimersOwed {
-                periodic: m.flow.first_ticks(SimDuration::ZERO).count(),
-                armed: m.pacer_wakeup,
-                pacer_waiting: !m.flow.pacer.is_empty(),
-            })
-            .collect();
-        let pending = std::iter::from_fn(|| timers.pop());
-        timer_conservation_breaches(&cs.work, &owed, pending)
+        let periodic: Vec<usize> =
+            flows.iter().map(|f| f.first_ticks(SimDuration::ZERO).count()).collect();
+        timer_conservation_breaches(&work, &periodic, std::iter::from_fn(|| timers.pop()))
     } else {
         0
     };
-    finalize_conference(conf, cs, breaches)
-}
-
-/// What one member must still hold in the timer queue when its call ends.
-struct TimersOwed {
-    /// Its periodic ticks: each re-arms itself once per firing, so as many
-    /// as `Flow::first_ticks` started.
-    periodic: usize,
-    /// `Member::pacer_wakeup`.
-    armed: Option<SimTime>,
-    /// Whether its pacer still holds packets.
-    pacer_waiting: bool,
+    finalize_conference(conf, flows, conference, work, breaches)
 }
 
 /// Timer conservation at the end of a conference, as a count of identities
-/// broken: every tick scheduled was popped or is still pending; each member
-/// holds exactly its periodic ticks; a pacer that holds packets has a
-/// wake-up armed, and the armed wake-up's `PacerPoll` is pending (a lost
-/// one would stall the member for good); the conference holds its one SBD
-/// tick. `PacerPoll`s other than the armed one are
-/// legal: `arm_pacer` arming an earlier wake-up leaves the later one to
-/// fire on an idle pacer (`FleetWorkCounts::pacer_polls_idle`).
+/// broken: every tick scheduled was popped or is still pending, and each
+/// member holds exactly its `periodic` ticks (each re-arms itself once per
+/// firing, so as many as `Flow::first_ticks` started) and nothing else.
 fn timer_conservation_breaches(
     work: &FleetWorkCounts,
-    owed: &[TimersOwed],
-    pending: impl Iterator<Item = (SimTime, TimerEvent)>,
+    periodic: &[usize],
+    pending: impl Iterator<Item = (SimTime, (usize, Tick))>,
 ) -> usize {
-    // Per member: periodic ticks pending, whether the armed poll is.
-    let mut held = vec![(0usize, false); owed.len()];
-    let mut sbd_ticks = 0;
-    for (at, TimerEvent { member, kind }) in pending {
-        let m = member as usize;
-        match kind {
-            TickKind::Flow(_) => held[m].0 += 1,
-            TickKind::PacerPoll => held[m].1 |= owed[m].armed == Some(at),
-            TickKind::Sbd => sbd_ticks += 1,
-        }
+    let mut held = vec![0usize; periodic.len()];
+    for (_, (member, _)) in pending {
+        held[member] += 1;
     }
-    let member_breaches = owed.iter().zip(&held).filter(|(o, &(periodic, armed_pending))| {
-        periodic != o.periodic
-            || (o.armed.is_some() && !armed_pending)
-            || (o.pacer_waiting && o.armed.is_none())
-    });
     (work.timer_scheduled != work.timer_popped + work.timer_pending) as usize
-        + (sbd_ticks != 1) as usize
-        + member_breaches.count()
+        + periodic.iter().zip(&held).filter(|(owed, held)| owed != held).count()
 }
 
-fn finalize_conference(conf: u32, c: ConferenceState, breaches: usize) -> ConferenceOutcome {
+fn finalize_conference(
+    conf: u32,
+    flows: Vec<Flow>,
+    c: Conference,
+    work: FleetWorkCounts,
+    breaches: usize,
+) -> ConferenceOutcome {
     let mut sessions = Vec::with_capacity(c.members.len());
     let mut traces = Vec::new();
     let mut violations = breaches;
     let sfu = c.sfu.stats();
-    for (m, member) in c.members.into_iter().enumerate() {
-        let report = member.flow.finish();
+    for (m, (flow, member)) in flows.into_iter().zip(c.members).enumerate() {
+        let report = flow.finish();
         sessions.push(FleetSessionReport {
             conf,
             member: m as u16,
@@ -1049,7 +929,7 @@ fn finalize_conference(conf: u32, c: ConferenceState, breaches: usize) -> Confer
                 .sum::<usize>() as u32,
             sbd_changes: c.sbd_changes,
             fanout_in_flight: c.fanout_in_flight,
-            work: c.work,
+            work,
             sessions,
         },
         traces,
@@ -1057,162 +937,146 @@ fn finalize_conference(conf: u32, c: ConferenceState, breaches: usize) -> Confer
     }
 }
 
-/// Re-arms the member's pacer wake-up if its next release is earlier than
-/// anything already armed.
-fn arm_pacer(
-    timers: &mut EventQueue<TimerEvent>,
-    m: &mut Member,
-    member: MemberId,
-    now: SimTime,
-) {
-    if let Some(r) = m.flow.pacer.next_release() {
-        let r = r.max(now);
-        if m.pacer_wakeup.is_none_or(|w| r < w) {
-            timers.schedule(r, TimerEvent { member, kind: TickKind::PacerPoll });
-            m.pacer_wakeup = Some(r);
+impl Network for Conference<'_> {
+    type Net<'a>
+        = MemberNet<'a>
+    where
+        Self: 'a;
+
+    /// The next packet arrival or the close of the SBD interval, which
+    /// belongs to the ingress bottleneck.
+    fn next_arrival(&self) -> Option<SimTime> {
+        Some(self.queue.peek_time().map_or(self.sbd_at, |at| at.min(self.sbd_at)))
+    }
+
+    /// Never: the SBD interval always runs.
+    fn idle(&self) -> bool {
+        false
+    }
+
+    /// The packets due, one at a time (every packet a handler sends
+    /// arrives strictly after `now`: a link serializes a packet for at
+    /// least 1 µs), then the SBD interval if it closes now.
+    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]) {
+        while let Some((at, ev)) = self.queue.pop_due(now) {
+            self.process_event(flows, at, ev);
         }
+        if self.sbd_at <= now {
+            self.close_sbd_interval(now, flows);
+            self.sbd_at = now + SbdDetector::INTERVAL;
+        }
+    }
+
+    fn net(&mut self, i: usize) -> MemberNet<'_> {
+        MemberNet { queue: self.queue, paths: &mut self.members[i].paths, member: i as MemberId }
     }
 }
 
-fn process_event(
-    queue: &mut EventQueue<FleetEvent>,
-    cs: &mut ConferenceState,
-    end: SimTime,
-    now: SimTime,
-    ev: FleetEvent,
-) {
-    let ConferenceState { members, sfu, sbd, fanout_in_flight, .. } = cs;
-    match ev {
-        FleetEvent::Deliver { member, path, direction, payload } => {
-            let m = &mut members[member as usize];
-            match (direction, payload) {
-                (Direction::Forward, NetPayload::Rtp(rtp)) => {
-                    // The uplink packet reached the conference edge: it
-                    // now contends for the shared ingress bottleneck.
-                    let size = rtp.kind.wire_size();
-                    match sfu.offer_ingress(member, now, size) {
-                        Transmit::Delivered(at) => {
-                            queue.schedule(at, FleetEvent::SfuIngress { member, path, rtp });
-                        }
-                        _ => {
-                            m.flow.metrics.on_packet_lost(path);
-                            sbd.on_loss(member as usize);
+impl Conference<'_> {
+    fn process_event(&mut self, flows: &mut [Flow], now: SimTime, ev: FleetEvent) {
+        let Conference { queue, members, sfu, sbd, fanout_in_flight, end, .. } = self;
+        match ev {
+            FleetEvent::Deliver { member, path, direction, payload } => {
+                let m = member as usize;
+                match (direction, payload) {
+                    (Direction::Forward, NetPayload::Rtp(rtp)) => {
+                        // The uplink packet reached the conference edge: it
+                        // now contends for the shared ingress bottleneck.
+                        let size = rtp.kind.wire_size();
+                        match sfu.offer_ingress(member, now, size) {
+                            Transmit::Delivered(at) => {
+                                queue.schedule(at, FleetEvent::SfuIngress { member, path, rtp });
+                            }
+                            _ => {
+                                flows[m].metrics.on_packet_lost(path);
+                                sbd.on_loss(m);
+                            }
                         }
                     }
-                }
-                // Control plane bypasses the media bottleneck (the SFU
-                // prioritizes its control queue); feedback and probe
-                // echoes come back over the member's private reverse paths.
-                (_, payload) => {
-                    let (flow, mut net) = m.wire(queue, member);
-                    flow.on_delivery(now, path, payload, &mut net);
+                    // Control plane bypasses the media bottleneck (the SFU
+                    // prioritizes its control queue); feedback and probe
+                    // echoes come back over the member's private reverse
+                    // paths.
+                    (_, payload) => {
+                        let mut net = MemberNet { queue, paths: &mut members[m].paths, member };
+                        flows[m].on_delivery(now, path, payload, &mut net);
+                    }
                 }
             }
-        }
-        FleetEvent::SfuIngress { member, path, rtp } => {
-            sbd.on_owd_sample(member as usize, rtp.sent_at, now);
-            // What the fan-out forwards: descriptors only, never payload
-            // bytes. Built first, since the member's receiver keeps the
-            // packet.
-            let fwd = rtp.kind.video_packet().map(|vp| {
-                let (index, count) = match vp.kind {
-                    PacketKind::Media { index, count } => (index, count),
-                    // Parameter sets are forwarded (they cost egress
-                    // bandwidth) but carry no frame slice.
-                    _ => (0, 0),
-                };
-                ForwardPacket {
-                    origin: member,
-                    stream: vp.stream.0,
-                    frame_id: vp.frame_id,
-                    index,
-                    count,
-                    size: vp.size as u32,
-                    sent_at: rtp.sent_at,
-                    keyframe: matches!(vp.frame_type, FrameType::Key),
-                }
-            });
-            let (flow, mut net) = members[member as usize].wire(queue, member);
-            flow.on_media(now, path, rtp, &mut net);
-            // Fan the media out to every other member over the shared
-            // egress bottleneck. A copy that will arrive before the call
-            // ends is applied to its viewer here (module doc, "A viewer is
-            // a sink").
-            if let Some(fwd) = fwd {
-                for (dest, m) in members.iter_mut().enumerate() {
-                    if dest == member as usize {
-                        continue;
+            FleetEvent::SfuIngress { member, path, rtp } => {
+                let m = member as usize;
+                sbd.on_owd_sample(m, rtp.sent_at, now);
+                // What the fan-out forwards: descriptors only, never payload
+                // bytes. Built first, since the member's receiver keeps the
+                // packet.
+                let fwd = rtp.kind.video_packet().map(|vp| {
+                    let (index, count) = match vp.kind {
+                        PacketKind::Media { index, count } => (index, count),
+                        // Parameter sets are forwarded (they cost egress
+                        // bandwidth) but carry no frame slice.
+                        _ => (0, 0),
+                    };
+                    ForwardPacket {
+                        origin: member,
+                        stream: vp.stream.0,
+                        frame_id: vp.frame_id,
+                        index,
+                        count,
+                        size: vp.size as u32,
+                        sent_at: rtp.sent_at,
+                        keyframe: matches!(vp.frame_type, FrameType::Key),
                     }
-                    if let Transmit::Delivered(at) = sfu.offer_egress(now, fwd.size as usize) {
-                        if at < end {
-                            m.viewer.on_forward(&fwd);
-                        } else {
-                            *fanout_in_flight += 1;
+                });
+                let mut net = MemberNet { queue, paths: &mut members[m].paths, member };
+                flows[m].on_media(now, path, rtp, &mut net);
+                // Fan the media out to every other member over the shared
+                // egress bottleneck. A copy that will arrive before the call
+                // ends is applied to its viewer here (module doc, "A viewer
+                // is a sink").
+                if let Some(fwd) = fwd {
+                    for (dest, viewer) in members.iter_mut().enumerate() {
+                        if dest == m {
+                            continue;
+                        }
+                        if let Transmit::Delivered(at) = sfu.offer_egress(now, fwd.size as usize) {
+                            if at < *end {
+                                viewer.viewer.on_forward(&fwd);
+                            } else {
+                                *fanout_in_flight += 1;
+                            }
                         }
                     }
                 }
             }
         }
     }
-}
 
-fn process_timer(
-    queue: &mut EventQueue<FleetEvent>,
-    timers: &mut EventQueue<TimerEvent>,
-    cs: &mut ConferenceState,
-    now: SimTime,
-    te: TimerEvent,
-) {
-    let TimerEvent { member, kind } = te;
-    match kind {
-        TickKind::Flow(tick) => {
-            let m = &mut cs.members[member as usize];
-            let (flow, mut net) = m.wire(queue, member);
-            let next = flow.on_tick(now, tick, &mut net);
-            timers.schedule(next, te);
-            if matches!(tick, Tick::Frame(_)) {
-                arm_pacer(timers, m, member, now);
-            }
+    /// Closes the SBD interval and, once warmed up, applies a changed
+    /// grouping to the members' controllers.
+    fn close_sbd_interval(&mut self, now: SimTime, flows: &mut [Flow]) {
+        let Conference { sbd, sbd_groups, sbd_changes, trace, .. } = self;
+        sbd.close_interval();
+        if sbd.intervals_closed() < SBD_WARMUP_INTERVALS {
+            return;
         }
-        TickKind::PacerPoll => {
-            let m = &mut cs.members[member as usize];
-            if m.pacer_wakeup == Some(now) {
-                m.pacer_wakeup = None;
-            }
-            let held = m.flow.pacer.len();
-            let (flow, mut net) = m.wire(queue, member);
-            flow.drain_pacer(now, &mut net);
-            cs.work.pacer_polls += 1;
-            cs.work.pacer_polls_idle += (m.flow.pacer.len() == held) as u64;
-            arm_pacer(timers, m, member, now);
+        let groups = sbd.groups();
+        if groups == *sbd_groups {
+            return;
         }
-        TickKind::Sbd => {
-            let ConferenceState { members, sbd, sbd_groups, sbd_changes, trace, .. } = cs;
-            sbd.close_interval();
-            if sbd.intervals_closed() >= SBD_WARMUP_INTERVALS {
-                let groups = sbd.groups();
-                if groups != *sbd_groups {
-                    let scales = sbd.increase_scales();
-                    for (i, m) in members.iter_mut().enumerate() {
-                        m.flow.sender.set_increase_scale_all(scales[i]);
-                    }
-                    let coupled: usize =
-                        groups.iter().filter(|g| g.len() > 1).map(|g| g.len()).sum();
-                    trace.emit(
-                        now,
-                        TraceEvent::SbdGroupsChanged {
-                            flows: members.len() as u32,
-                            groups: groups.len() as u32,
-                            coupled: coupled as u32,
-                        },
-                    );
-                    *sbd_groups = groups;
-                    *sbd_changes += 1;
-                }
-            }
-            let next = TimerEvent { member: 0, kind: TickKind::Sbd };
-            timers.schedule(now + SbdDetector::INTERVAL, next);
+        for (flow, scale) in flows.iter_mut().zip(sbd.increase_scales()) {
+            flow.sender.set_increase_scale_all(scale);
         }
+        let coupled: usize = groups.iter().filter(|g| g.len() > 1).map(|g| g.len()).sum();
+        trace.emit(
+            now,
+            TraceEvent::SbdGroupsChanged {
+                flows: flows.len() as u32,
+                groups: groups.len() as u32,
+                coupled: coupled as u32,
+            },
+        );
+        *sbd_groups = groups;
+        *sbd_changes += 1;
     }
 }
 
@@ -1488,56 +1352,37 @@ mod tests {
     }
 
     /// Each identity of the timer-conservation check, broken alone, is one
-    /// breach; a `PacerPoll` left behind by an earlier re-arm is none.
+    /// breach.
     #[test]
     fn timer_conservation_counts_each_broken_identity() {
         let at = SimTime::from_millis;
-        let tick = |member, kind| TimerEvent { member, kind };
-        let frame = TickKind::Flow(Tick::Frame(0));
-        let owed = || {
-            vec![
-                TimersOwed { periodic: 2, armed: Some(at(7)), pacer_waiting: true },
-                TimersOwed { periodic: 1, armed: None, pacer_waiting: false },
-            ]
-        };
+        let periodic = [2, 1];
         let pending = || {
             vec![
-                (at(5), tick(0, frame)),
-                (at(6), tick(0, TickKind::Flow(Tick::SenderRtcp))),
-                (at(7), tick(0, TickKind::PacerPoll)),
-                (at(9), tick(0, TickKind::PacerPoll)),
-                (at(5), tick(1, frame)),
-                (at(8), tick(0, TickKind::Sbd)),
+                (at(5), (0, Tick::Frame(0))),
+                (at(6), (0, Tick::SenderRtcp)),
+                (at(5), (1, Tick::Frame(0))),
             ]
         };
         let work = FleetWorkCounts {
             timer_scheduled: 100,
-            timer_popped: 94,
-            timer_pending: 6,
+            timer_popped: 97,
+            timer_pending: 3,
             ..Default::default()
         };
-        let check = |work: &FleetWorkCounts, owed: &[TimersOwed], pending: Vec<_>| {
-            timer_conservation_breaches(work, owed, pending.into_iter())
+        let check = |work: &FleetWorkCounts, pending: Vec<_>| {
+            timer_conservation_breaches(work, &periodic, pending.into_iter())
         };
-        assert_eq!(check(&work, &owed(), pending()), 0, "a stale poll at 9 ms is legal");
+        assert_eq!(check(&work, pending()), 0);
 
-        let miscounted = FleetWorkCounts { timer_popped: 93, ..work };
-        assert_eq!(check(&miscounted, &owed(), pending()), 1, "a tick vanished");
-        let mut undetected = pending();
-        undetected.remove(5);
-        assert_eq!(check(&work, &owed(), undetected), 1, "the SBD tick is not pending");
+        let miscounted = FleetWorkCounts { timer_popped: 96, ..work };
+        assert_eq!(check(&miscounted, pending()), 1, "a tick vanished");
         let mut lost = pending();
-        lost.remove(4);
-        assert_eq!(check(&work, &owed(), lost), 1, "member 1 lost its frame tick");
+        lost.remove(2);
+        assert_eq!(check(&work, lost), 1, "member 1 lost its frame tick");
         let mut doubled = pending();
-        doubled.push((at(6), tick(1, frame)));
-        assert_eq!(check(&work, &owed(), doubled), 1, "member 1 holds one too many");
-        let mut unwoken = pending();
-        unwoken.remove(2);
-        assert_eq!(check(&work, &owed(), unwoken), 1, "the armed poll is not pending");
-        let mut unarmed = owed();
-        unarmed[1].pacer_waiting = true;
-        assert_eq!(check(&work, &unarmed, pending()), 1, "packets wait, nothing armed");
+        doubled.push((at(6), (1, Tick::Frame(0))));
+        assert_eq!(check(&work, doubled), 1, "member 1 holds one too many");
     }
 
     #[test]

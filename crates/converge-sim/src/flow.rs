@@ -1,14 +1,14 @@
-//! One direction of media, and the one call loop that drives it.
+//! One direction of media, and the one event loop that drives it.
 //!
 //! A [`Flow`] is the closed loop of paper §4: the [`ConferenceSender`] at
 //! one end, the [`ConferenceReceiver`] at the other, the pacer between the
 //! sender and the wire, and the one [`MetricsCollector`] that describes
-//! that direction. [`Session`](crate::Session) is one flow,
-//! [`DuplexSession`](crate::DuplexSession) is two flows on one emulator
-//! (both through [`run_call`]), and every fleet member is a flow whose
-//! events the shard's packet queue and timer queue deliver. The handlers
-//! here are the only implementation of the pipeline; the three engines
-//! differ only in what sits behind the [`Net`] seam and in who keeps time.
+//! that direction. [`run_flows`] is the simulator's only event loop:
+//! [`Session`](crate::Session) runs one flow through it and
+//! [`DuplexSession`](crate::DuplexSession) two, over an emulator (both
+//! through [`run_call`]), and every fleet conference runs its members'
+//! flows through it over its own network. The handlers and the loop exist
+//! once; the engines differ only in what sits behind the [`Network`] seam.
 
 use std::collections::BTreeMap;
 
@@ -44,7 +44,7 @@ pub(crate) trait Net {
     ) -> bool;
 }
 
-impl Net for NetworkEmulator<NetPayload> {
+impl Net for &mut NetworkEmulator<NetPayload> {
     #[inline]
     fn send(
         &mut self,
@@ -54,7 +54,7 @@ impl Net for NetworkEmulator<NetPayload> {
         size: usize,
         payload: NetPayload,
     ) -> bool {
-        NetworkEmulator::send(self, path, direction, now, size, payload)
+        NetworkEmulator::send(*self, path, direction, now, size, payload)
             .0
             .is_lost()
     }
@@ -352,11 +352,64 @@ impl Flow {
     }
 }
 
-/// Index of the flow whose media travels in `direction` (see [`run_call`]).
-fn slot(direction: Direction) -> usize {
-    match direction {
-        Direction::Forward => 0,
-        Direction::Reverse => 1,
+/// Where [`run_flows`]' packets travel: all the loop asks of a network.
+pub(crate) trait Network {
+    /// What a flow sends through.
+    type Net<'a>: Net
+    where
+        Self: 'a;
+    /// The earliest instant at which the network has anything due.
+    fn next_arrival(&self) -> Option<SimTime>;
+    /// Whether nothing is pending but what a flow has yet to send.
+    fn idle(&self) -> bool;
+    /// Hands everything due at or before `now` to the flows.
+    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]);
+    /// The seam flow `i` sends through.
+    fn net(&mut self, i: usize) -> Self::Net<'_>;
+}
+
+/// A call's network: flow 0's media travels `Forward`, flow 1's (if any)
+/// `Reverse`.
+impl Network for NetworkEmulator<NetPayload> {
+    type Net<'a> = &'a mut Self;
+
+    fn next_arrival(&self) -> Option<SimTime> {
+        NetworkEmulator::next_arrival(self)
+    }
+
+    fn idle(&self) -> bool {
+        NetworkEmulator::idle(self)
+    }
+
+    /// One delivery at a time: handling one can only put arrivals strictly
+    /// after `now` into the emulator, so this visits what a drained batch
+    /// would.
+    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]) {
+        while let Some(delivery) = self.pop_due(now) {
+            // Media and SR/SDES travel with their flow, to its receiver;
+            // feedback and probe echoes travel against it, to its sender.
+            let with_flow = matches!(
+                &delivery.payload,
+                NetPayload::Rtp(_)
+                    | NetPayload::Rtcp(RtcpPacket::SenderReport(_) | RtcpPacket::Sdes(_))
+            );
+            let flow_direction = if with_flow {
+                delivery.direction
+            } else {
+                opposite(delivery.direction)
+            };
+            let slot = match flow_direction {
+                Direction::Forward => 0,
+                Direction::Reverse => 1,
+            };
+            if let Some(flow) = flows.get_mut(slot) {
+                flow.on_delivery(now, delivery.path, delivery.payload, &mut &mut *self);
+            }
+        }
+    }
+
+    fn net(&mut self, _: usize) -> &mut Self {
+        self
     }
 }
 
@@ -383,26 +436,46 @@ pub(crate) fn run_call<const N: usize>(
             timers.schedule(at, (i, tick));
         }
     }
-
     let end = SimTime::ZERO + cfg.duration;
-    let mut clock = SimTime::ZERO;
+    run_flows(&mut flows, &mut emu, &mut timers, end, cfg.idle_skip);
+    flows.map(Flow::finish)
+}
+
+/// The one event loop: runs `flows` over `net` until `end`, flow `i`'s
+/// ticks keyed `(i, tick)` in `timers`. At each instant every pacer
+/// releases what is due, then the network hands over what arrived, then
+/// the ticks due fire, one at a time. With `idle_skip`, an instant at
+/// which no pacer holds a packet and the network is idle jumps straight
+/// to the next tick. Returns the number of ticks fired.
+pub(crate) fn run_flows<N: Network>(
+    flows: &mut [Flow],
+    net: &mut N,
+    timers: &mut EventQueue<(usize, Tick)>,
+    end: SimTime,
+    idle_skip: bool,
+) -> u64 {
     // "Never" as a scalar, so the earliest source is a plain integer min.
     // `SimTime::MAX` itself (a stalled link's arrival) ends the call just
     // as no source at all does: both are at or past `end`.
     let micros = |t: Option<SimTime>| t.map_or(u64::MAX, SimTime::as_micros);
+    let mut clock = SimTime::ZERO;
+    // The pacers' earliest release. Only a frame tick fills a pacer, and
+    // a pacer's next release only moves earlier when it is filled, so one
+    // pass per instant (the drain) and a look after each tick keep it.
+    let mut paced = flows
+        .iter()
+        .map(|f| micros(f.pacer.next_release()))
+        .min()
+        .unwrap_or(u64::MAX);
+    let mut fired = 0;
 
     loop {
         // When no pacer holds a packet and nothing is in flight, the only
         // possible event source is a timer: jump straight there.
-        let idle = cfg.idle_skip && emu.idle() && flows.iter().all(|f| f.pacer.is_empty());
-        // Next event: earliest of timers, network deliveries, and the
-        // pacers' next release.
+        let idle = idle_skip && paced == u64::MAX && net.idle();
         let mut next = micros(timers.peek_time());
         if !idle {
-            next = next.min(micros(emu.next_arrival()));
-            for flow in flows.iter() {
-                next = next.min(micros(flow.pacer.next_release()));
-            }
+            next = next.min(micros(net.next_arrival())).min(paced);
         }
         // The pacer reports a stale (past) `busy_until` for a path that
         // went idle and was re-filled; clamp so simulated time never runs
@@ -410,44 +483,27 @@ pub(crate) fn run_call<const N: usize>(
         let now = SimTime::from_micros(next).max(clock);
         clock = now;
         if now >= end {
-            break;
+            return fired;
         }
 
         // Paced transmissions and network deliveries due now (idle pacers
-        // release nothing, an idle emulator delivers nothing). One at a
-        // time: handling a delivery can only put arrivals strictly after
-        // `now` into the emulator, so this visits what a drained batch
-        // would.
+        // release nothing, an idle network delivers nothing).
         if !idle {
-            for flow in flows.iter_mut() {
-                flow.drain_pacer(now, &mut emu);
+            paced = u64::MAX;
+            for (i, flow) in flows.iter_mut().enumerate() {
+                flow.drain_pacer(now, &mut net.net(i));
+                paced = paced.min(micros(flow.pacer.next_release()));
             }
-            while let Some(delivery) = emu.pop_due(now) {
-                // Media and SR/SDES travel with their flow, to its
-                // receiver; feedback and probe echoes travel against it,
-                // to its sender.
-                let with_flow = matches!(
-                    &delivery.payload,
-                    NetPayload::Rtp(_)
-                        | NetPayload::Rtcp(RtcpPacket::SenderReport(_) | RtcpPacket::Sdes(_))
-                );
-                let flow_direction = if with_flow {
-                    delivery.direction
-                } else {
-                    opposite(delivery.direction)
-                };
-                if let Some(flow) = flows.get_mut(slot(flow_direction)) {
-                    flow.on_delivery(now, delivery.path, delivery.payload, &mut emu);
-                }
-            }
+            net.deliver_due(now, flows);
         }
 
         // Timer events due now.
         while let Some((_, (i, tick))) = timers.pop_due(now) {
-            let next = flows[i].on_tick(now, tick, &mut emu);
+            let flow = &mut flows[i];
+            let next = flow.on_tick(now, tick, &mut net.net(i));
             timers.schedule(next, (i, tick));
+            paced = paced.min(micros(flow.pacer.next_release()));
+            fired += 1;
         }
     }
-
-    flows.map(Flow::finish)
 }

@@ -38,6 +38,15 @@ struct PathQueue {
     rate_bps: f64,
 }
 
+impl PathQueue {
+    /// The earliest instant at which [`Pacer::release`] hands over this
+    /// path's front packet: its budget or its force-flush deadline.
+    fn due(&self) -> Option<SimTime> {
+        let front = self.queue.front()?;
+        Some(self.busy_until.min(front.enqueued_at + MAX_QUEUE_DELAY))
+    }
+}
+
 /// Per-path token-bucket pacer.
 pub struct Pacer {
     /// Per-path queues, indexed by path id, so they iterate in id order
@@ -46,6 +55,11 @@ pub struct Pacer {
     /// Running total of queued packets so `len`/`is_empty` are O(1) in the
     /// event loop's idle check.
     queued: usize,
+    /// The earliest budget among non-empty paths, and the earliest
+    /// [`PathQueue::due`]: both answered in constant time, both refreshed
+    /// after every enqueue and every release (`SimTime::MAX` when empty).
+    next_budget: SimTime,
+    next_due: SimTime,
 }
 
 impl Pacer {
@@ -54,6 +68,8 @@ impl Pacer {
         Pacer {
             paths: Vec::new(),
             queued: 0,
+            next_budget: SimTime::MAX,
+            next_due: SimTime::MAX,
         }
     }
 
@@ -82,11 +98,17 @@ impl Pacer {
     pub fn enqueue_drain(&mut self, now: SimTime, packets: &mut Vec<OutboundPacket>) {
         for packet in packets.drain(..) {
             self.queued += 1;
-            let path = packet.path;
-            self.path_queue(path).queue.push_back(Queued {
+            let q = self.path_queue(packet.path);
+            q.queue.push_back(Queued {
                 packet,
                 enqueued_at: now,
             });
+            // Only a packet at the front moves the path's instants.
+            if q.queue.len() == 1 {
+                let (budget, due) = (q.busy_until, q.due().expect("just queued"));
+                self.next_budget = self.next_budget.min(budget);
+                self.next_due = self.next_due.min(due);
+            }
         }
     }
 
@@ -102,23 +124,19 @@ impl Pacer {
 
     /// The earliest instant at which another packet becomes sendable.
     pub fn next_release(&self) -> Option<SimTime> {
-        if self.queued == 0 {
-            return None;
-        }
-        self.paths
-            .iter()
-            .filter(|q| !q.queue.is_empty())
-            .map(|q| q.busy_until)
-            .min()
+        (self.queued != 0).then_some(self.next_budget)
     }
 
     /// Hands `send` every packet whose pacing budget allows transmission
     /// at `now`, with its wire size: paths in `PathId` order, FIFO within a
-    /// path.
+    /// path. Returns at once before the earliest instant at which any front
+    /// packet's budget or force-flush deadline comes due.
     pub fn release(&mut self, now: SimTime, mut send: impl FnMut(OutboundPacket, usize)) {
-        if self.queued == 0 {
+        if now < self.next_due {
             return;
         }
+        self.next_budget = SimTime::MAX;
+        self.next_due = SimTime::MAX;
         for q in self.paths.iter_mut() {
             while let Some(front) = q.queue.front() {
                 let overdue = now.saturating_since(front.enqueued_at) >= MAX_QUEUE_DELAY;
@@ -136,6 +154,10 @@ impl Pacer {
                 // slot already passed.
                 q.busy_until = q.busy_until.max(item.enqueued_at) + serialize;
                 send(item.packet, bytes);
+            }
+            if let Some(due) = q.due() {
+                self.next_budget = self.next_budget.min(q.busy_until);
+                self.next_due = self.next_due.min(due);
             }
         }
     }
@@ -257,6 +279,84 @@ mod tests {
         p.enqueue(SimTime::ZERO, vec![pkt(P0, 1250), pkt(P0, 1250)]);
         assert_eq!(p.poll(SimTime::ZERO).len(), 1);
         assert!(p.next_release().is_some());
+    }
+
+    /// The two cached queries against a scan of the queues, step by step:
+    /// `next_release` is the earliest budget among non-empty paths, and
+    /// `release` hands a packet over exactly when some front's budget has
+    /// come or its force-flush deadline has passed. Path 0 is held at the
+    /// 300 kbit/s floor under frame-sized bursts, so its backlog outlives
+    /// the 250 ms limit.
+    #[test]
+    fn cached_queries_match_a_scan_of_the_queues() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let scan_budget = |p: &Pacer| {
+            p.paths
+                .iter()
+                .filter(|q| !q.queue.is_empty())
+                .map(|q| q.busy_until)
+                .min()
+        };
+        let sendable = |q: &PathQueue, now: SimTime| {
+            q.queue.front().is_some_and(|f| {
+                q.busy_until <= now || now.saturating_since(f.enqueued_at) >= MAX_QUEUE_DELAY
+            })
+        };
+        let (mut releases, mut force_flushed, mut idle_calls) = (0usize, 0usize, 0usize);
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0x9ACE + seed);
+            let n_paths = 1 + (seed % 4) as u8;
+            let mut p = Pacer::new(PacerConfig);
+            let mut now = SimTime::ZERO;
+            let mut out = Vec::new();
+            for _ in 0..3_000 {
+                match rng.gen_range(0..10u32) {
+                    0..=2 => {
+                        for _ in 0..rng.gen_range(1..16) {
+                            let path = PathId(rng.gen_range(0..n_paths));
+                            out.push(pkt(path, rng.gen_range(100..1_300)));
+                        }
+                        p.enqueue_drain(now, &mut out);
+                    }
+                    3 => {
+                        let path = PathId(rng.gen_range(0..n_paths));
+                        let bps = if path == P0 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..4e6)
+                        };
+                        p.set_rate(path, bps);
+                    }
+                    _ => {
+                        now += SimDuration::from_micros(rng.gen_range(0..40_000));
+                        let expected = p.paths.iter().any(|q| sendable(q, now));
+                        let overdue_only: Vec<bool> = p
+                            .paths
+                            .iter()
+                            .map(|q| sendable(q, now) && q.busy_until > now)
+                            .collect();
+                        let mut released = Vec::new();
+                        p.release(now, |packet, _| released.push(packet.path));
+                        assert_eq!(!released.is_empty(), expected, "seed {seed} at {now}");
+                        releases += released.len();
+                        idle_calls += usize::from(!expected);
+                        force_flushed +=
+                            usize::from(released.iter().any(|path| overdue_only[path.index()]));
+                    }
+                }
+                assert_eq!(p.next_release(), scan_budget(&p), "seed {seed} at {now}");
+                assert_eq!(
+                    p.len(),
+                    p.paths.iter().map(|q| q.queue.len()).sum::<usize>()
+                );
+            }
+        }
+        assert!(releases > 100_000, "{releases} releases");
+        assert!(idle_calls > 10_000, "{idle_calls} calls with nothing due");
+        assert!(
+            force_flushed > 5_000,
+            "{force_flushed} force-flush releases"
+        );
     }
 
     /// The closure release and the `Vec`-taking wrappers are one body: twin
