@@ -2,8 +2,9 @@
 # Tier-1 gate: lint, build, the commands the README and DESIGN name, the
 # API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned,
 # unit/integration
-# tests, the allocation budgets, the fleet's exact work counts and the
-# stability matrix's tier-1 slice by name, one short run each of the
+# tests, the allocation budgets, the fleet's exact work counts, the
+# receiver's two reorder-path differential tests and the stability
+# matrix's tier-1 slice by name, one short run each of the
 # peak-heap attribution, the sampling profiler and the repair timeline (so
 # they cannot rot), a quick-scale
 # smoke run of the full
@@ -16,9 +17,10 @@
 # compared, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
-# Gates, in order (16): readme-examples, docs, benchmark-smoke, tests,
-# alloc-budget, work-counts, stability, hot-lines, repair-timeline,
-# sweep-smoke, traced-fig11, chaos, shootout, drive, fleet, bench-compare.
+# Gates, in order (17): readme-examples, docs, benchmark-smoke, tests,
+# alloc-budget, work-counts, reorder-path, stability, hot-lines,
+# repair-timeline, sweep-smoke, traced-fig11, chaos, shootout, drive, fleet,
+# bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -155,6 +157,19 @@ gate alloc-budget alloc_budget
 # shards: "did this change remove work" without a stopwatch.
 gate work-counts tests_by_name 1 -p converge-integration --test fleet_determinism -- --exact \
     work_counts_match_checked_in_golden
+
+# The receiver's reorder path keeps presence as bits and slots (the packet
+# buffer's assembly windows, the NACK gap tracker's one word per sequence);
+# two differential tests hold each against the design it replaced, on
+# hostile streams that reach every spill. By name, in their own crates, so
+# a rename cannot drop either.
+reorder_path() {
+    tests_by_name 1 -p converge-video --lib -- --exact \
+        packet_buffer::tests::buffer_matches_the_scanning_assembly
+    tests_by_name 1 -p converge-sim --lib -- --exact \
+        gaps::tests::flat_tracker_matches_the_tree_maps
+}
+gate reorder-path reorder_path
 
 # The control loop reads alike on every seed (EXPERIMENTS.md, "Stability
 # matrix"): the cells that used to be bistable, and the one-stream 10 %-loss

@@ -115,8 +115,13 @@ const CLEAN_BUDGET: u64 = 263;
 /// for its own retransmissions in the tick they leave and a gap was NACKed
 /// three times: the window now carries 13 176 media packets instead of
 /// 11 029 and 722 NACKed sequences instead of 470, each NACK packet owning
-/// its list, against 1 707 FEC packets instead of 1 777.
-const LOSSY_BUDGET: u64 = 2_770;
+/// its list, against 1 707 FEC packets instead of 1 777. It was 2 770
+/// until the receiver's reorder path kept presence as bits and slots
+/// (−24): a fresh packet-buffer assembly grows one vector of sizes where it
+/// grew a vector of (index, size) pairs and one of sequences (−27 measured
+/// with the old gap tracker), and the gap tracker's two deques grow in
+/// more steps than its one deque of gap records did (+3).
+const LOSSY_BUDGET: u64 = 2_746;
 
 /// What one two-path Converge call of `secs` at `loss_pct` loss on both
 /// paths asks of the allocator.
@@ -239,7 +244,18 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 ///   grows through 4, 8, 16 and 32 slots of 4 B instead of 8, −240;
 /// - the report's samples are one exactly sized buffer of 50 bytes, +50
 ///   (they reused the collector's buffer before).
-const CLEAN_CONSTRUCTION_BYTES: u64 = 355_504;
+///
+/// It was 355 504 until the receiver's reorder path kept presence as bits
+/// and slots (−1 352):
+///
+/// - the packet buffer, −1 160 (measured with the old gap tracker): a
+///   fresh assembly grows one vector of 8-byte sizes where it grew one of
+///   16-byte (index, size) pairs and one of 8-byte sequences; of that,
+///   +264 is the frame map's B-tree leaf, which holds eleven 112-byte
+///   assemblies instead of eleven 88-byte ones;
+/// - the gap tracker, −192: a byte per sequence and a 16-byte record per
+///   skip instead of a 24-byte record per open gap.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 354_152;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -264,8 +280,10 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 355_504;
 /// −65 536, frame records −5 760 (three logs) and the E2E samples' copy
 /// −608 (76 samples); and 589 332 until the samples became LEB128 deltas
 /// (−875, 66 samples): the `u32` buffer's growth to 128 slots −1 008, the
-/// report's 133-byte buffer +133.
-const LOSSY_CONSTRUCTION_BYTES: u64 = 588_457;
+/// report's 133-byte buffer +133; and 588 457 until the reorder path's
+/// bits and slots (−2 000): the packet buffer −2 072 (three streams'
+/// leaves +792 of it), the gap tracker +72.
+const LOSSY_CONSTRUCTION_BYTES: u64 = 586_457;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -296,13 +314,18 @@ fn construction_bytes_stay_within_budget() {
 /// 4-byte media slot, an 8-byte feedback slot, a 56-byte frame record, and
 /// a copy of the E2E samples made by the report. It read 500 353 while
 /// the collector recorded its E2E samples as `u64`s: at the peak their
-/// buffer holds 1 024 slots, −4 096 at 4 B a slot.
-const CLEAN_PEAK_BYTES: u64 = 496_257;
+/// buffer holds 1 024 slots, −4 096 at 4 B a slot. It read 496 257 until
+/// the receiver's reorder path kept presence as bits and slots: −5 104, of
+/// which the packet buffer's assemblies and their spare buffers −4 280
+/// (measured with the old gap tracker), the gap tracker −824.
+const CLEAN_PEAK_BYTES: u64 = 491_153;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
 /// sender's rings stopped storing what send order says, and 847 202 before
-/// the `u32` samples (2 048 slots at the peak, −8 192).
-const LOSSY_PEAK_BYTES: u64 = 839_010;
+/// the `u32` samples (2 048 slots at the peak, −8 192), and 839 010 before
+/// the reorder path's bits and slots (−7 440: the packet buffer −7 752,
+/// the gap tracker +312).
+const LOSSY_PEAK_BYTES: u64 = 831_570;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.

@@ -39,6 +39,52 @@ pub enum PacketBufferEvent {
     },
 }
 
+/// Sequences, and media indices, an assembly marks in its inline bit
+/// windows. A frame's sequences are contiguous from its PPS, so a frame of
+/// fewer than this many media packets never spills.
+const WINDOW: usize = 128;
+
+/// Presence bits over [`WINDOW`] consecutive values.
+#[derive(Debug, Default, Clone, Copy)]
+struct Bits([u64; WINDOW / 64]);
+
+impl Bits {
+    /// Sets bit `i`; `false` if it was set already.
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.0[i / 64], 1 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// The set bits, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest.wrapping_sub(1);
+                bit
+            })
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// What an assembly holds outside its windows: only a frame of more media
+/// packets than [`WINDOW`], or a packet no packetizer would send, puts
+/// anything here, so it is boxed and the common assembly stays small.
+#[derive(Debug, Default)]
+struct Spill {
+    /// Sequences held outside the window, ascending.
+    sequences: Vec<u64>,
+    /// Media indices held at or past [`WINDOW`], with sizes, ascending.
+    media: Vec<(u16, usize)>,
+}
+
 /// Assembly state of one frame.
 #[derive(Debug)]
 struct Assembly {
@@ -47,46 +93,70 @@ struct Assembly {
     frame_type: FrameType,
     capture_time: SimTime,
     first_arrival: SimTime,
-    /// Media packet indices received, with sizes, ascending by index: one
-    /// entry per distinct index, so its length is the count completion
-    /// compares. Packets mostly arrive in order, which is an append after
-    /// one compare; a reordered one is a binary search.
-    media: Vec<(u16, usize)>,
-    /// Sum of the sizes in `media`.
-    media_bytes: usize,
+    /// Sequence of bit 0 of `sequences`: the frame's PPS, as the first
+    /// packet that arrived places it.
+    first_sequence: u64,
+    /// Sequences held in `first_sequence..first_sequence + WINDOW`.
+    sequences: Bits,
+    /// Media indices held below [`WINDOW`].
+    media: Bits,
+    /// The size of each media index held below [`WINDOW`], by index; an
+    /// entry means something only while its bit is set.
+    sizes: Vec<usize>,
+    /// Everything held outside the two windows, once there is any.
+    spill: Option<Box<Spill>>,
+    /// Distinct media indices held: the count completion compares.
+    media_count: usize,
     /// Total media packets expected, learnt from any media packet.
     expected_media: Option<u16>,
     has_pps: bool,
-    /// Sequence numbers held (for duplicate detection), ascending.
-    sequences: Vec<u64>,
 }
 
 impl Assembly {
+    /// Where the first packet of a frame places its window: at the PPS,
+    /// one sequence before media index 0.
+    fn first_sequence(packet: &VideoPacket) -> u64 {
+        match packet.kind {
+            PacketKind::Media { index, .. } => packet.sequence.saturating_sub(1 + u64::from(index)),
+            _ => packet.sequence,
+        }
+    }
+
+    /// `sequence`'s bit, if it falls inside the window.
+    fn window_bit(&self, sequence: u64) -> Option<usize> {
+        sequence
+            .checked_sub(self.first_sequence)
+            .filter(|&bit| bit < WINDOW as u64)
+            .map(|bit| bit as usize)
+    }
+
     fn packet_count(&self) -> usize {
-        self.sequences.len()
+        self.sequences.len() + self.spill.as_ref().map_or(0, |s| s.sequences.len())
+    }
+
+    /// Sum of the sizes of the media indices held.
+    fn media_bytes(&self) -> usize {
+        let spilled: usize = self.spill.iter().flat_map(|s| &s.media).map(|m| m.1).sum();
+        spilled + self.media.iter().map(|i| self.sizes[i]).sum::<usize>()
     }
 
     fn is_complete(&self) -> bool {
         self.has_pps
             && self
                 .expected_media
-                .is_some_and(|n| self.media.len() == n as usize)
+                .is_some_and(|n| self.media_count == n as usize)
     }
 
     /// Holds `sequence` from now on; `false` if it was held already.
     fn hold_sequence(&mut self, sequence: u64) -> bool {
-        if self
-            .sequences
-            .last()
-            .is_none_or(|&newest| newest < sequence)
-        {
-            self.sequences.push(sequence);
-            return true;
+        if let Some(bit) = self.window_bit(sequence) {
+            return self.sequences.insert(bit);
         }
-        match self.sequences.binary_search(&sequence) {
+        let spilled = &mut self.spill.get_or_insert_default().sequences;
+        match spilled.binary_search(&sequence) {
             Ok(_) => false,
             Err(at) => {
-                self.sequences.insert(at, sequence);
+                spilled.insert(at, sequence);
                 true
             }
         }
@@ -95,30 +165,29 @@ impl Assembly {
     /// Records media packet `index` of `size` bytes; a second packet
     /// claiming an index replaces the first one's size.
     fn hold_media(&mut self, index: u16, size: usize) {
-        if self
-            .media
-            .last()
-            .is_none_or(|&(highest, _)| highest < index)
-        {
-            self.media.push((index, size));
-            self.media_bytes += size;
+        let i = usize::from(index);
+        if i < WINDOW {
+            if i >= self.sizes.len() {
+                self.sizes.resize(i + 1, 0);
+            }
+            self.media_count += usize::from(self.media.insert(i));
+            self.sizes[i] = size;
             return;
         }
-        match self.media.binary_search_by_key(&index, |&(i, _)| i) {
-            Ok(at) => {
-                self.media_bytes = self.media_bytes - self.media[at].1 + size;
-                self.media[at].1 = size;
-            }
+        let spilled = &mut self.spill.get_or_insert_default().media;
+        match spilled.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(at) => spilled[at].1 = size,
             Err(at) => {
-                self.media.insert(at, (index, size));
-                self.media_bytes += size;
+                spilled.insert(at, (index, size));
+                self.media_count += 1;
             }
         }
     }
 }
 
-/// The emptied `(media, sequences)` vectors of a finished [`Assembly`].
-type SpareVecs = (Vec<(u16, usize)>, Vec<u64>);
+/// The heap buffers of a finished [`Assembly`]: `sizes` as it was, and
+/// its spill, emptied, if it had one.
+type Spare = (Vec<usize>, Option<Box<Spill>>);
 
 /// Bounded per-frame packet reassembly buffer for one stream.
 #[derive(Debug)]
@@ -138,10 +207,10 @@ pub struct PacketBuffer {
     /// the set, which lets the common case (a packet of a brand-new frame)
     /// skip the set probe entirely.
     max_finished: Option<u64>,
-    /// Vectors of finished assemblies, handed to the next new frame so
-    /// steady-state assembly reuses their capacity instead of growing two
+    /// Buffers of finished assemblies, handed to the next new frame so
+    /// steady-state assembly reuses their capacity instead of growing
     /// fresh vectors per frame.
-    spare: Vec<SpareVecs>,
+    spare: Vec<Spare>,
 }
 
 impl PacketBuffer {
@@ -196,11 +265,13 @@ impl PacketBuffer {
         })
     }
 
-    /// Returns a finished assembly's vectors to the pool.
+    /// Returns a finished assembly's buffers to the pool.
     fn recycle(&mut self, mut assembly: Assembly) {
-        assembly.media.clear();
-        assembly.sequences.clear();
-        self.spare.push((assembly.media, assembly.sequences));
+        if let Some(spill) = &mut assembly.spill {
+            spill.sequences.clear();
+            spill.media.clear();
+        }
+        self.spare.push((assembly.sizes, assembly.spill));
     }
 
     /// Inserts one arriving packet; returns the events it produced.
@@ -234,18 +305,21 @@ impl PacketBuffer {
 
         let spare = &mut self.spare;
         let assembly = self.frames.entry(packet.frame_id).or_insert_with(|| {
-            let (media, sequences) = spare.pop().unwrap_or_default();
+            let (sizes, spill) = spare.pop().unwrap_or_default();
             Assembly {
                 stream: packet.stream,
                 gop_id: packet.gop_id,
                 frame_type: packet.frame_type,
                 capture_time: packet.capture_time,
                 first_arrival: now,
-                media,
-                media_bytes: 0,
+                first_sequence: Assembly::first_sequence(packet),
+                sequences: Bits::default(),
+                media: Bits::default(),
+                sizes,
+                spill,
+                media_count: 0,
                 expected_media: None,
                 has_pps: false,
-                sequences,
             }
         });
 
@@ -277,7 +351,7 @@ impl PacketBuffer {
                 frame_id,
                 gop_id: a.gop_id,
                 frame_type: a.frame_type,
-                size: a.media_bytes,
+                size: a.media_bytes(),
                 capture_time: a.capture_time,
                 first_arrival: a.first_arrival,
                 completed_at: now,
@@ -565,6 +639,9 @@ mod tests {
         }
     }
 
+    /// The emptied `(media, sequences)` vectors of a finished [`RefAssembly`].
+    type RefSpareVecs = (Vec<(u16, usize)>, Vec<u64>);
+
     struct RefPacketBuffer {
         capacity_packets: usize,
         frames: BTreeMap<u64, RefAssembly>,
@@ -572,7 +649,7 @@ mod tests {
         finished: std::collections::BTreeSet<u64>,
         finished_cap: usize,
         max_finished: Option<u64>,
-        spare: Vec<SpareVecs>,
+        spare: Vec<RefSpareVecs>,
     }
 
     impl RefPacketBuffer {
@@ -727,25 +804,42 @@ mod tests {
     /// Seeded packet streams — in order, reordered within and across
     /// frames, duplicated, with a second packet claiming a held index at
     /// another size, with indices and counts no packetizer would produce,
-    /// through buffers small enough to evict and with frames purged from
-    /// outside — into the buffer and into the buffer as it stood: the same
-    /// events, `len()` and `frames_pending()` after every packet.
+    /// with sequences before and far past a frame's window and frames of
+    /// more packets than the window holds, through buffers small enough
+    /// to evict and with frames purged from outside — into the buffer and
+    /// into the buffer as it stood: the same events, `len()` and
+    /// `frames_pending()` after every packet. Every spill branch runs.
     #[test]
     fn buffer_matches_the_scanning_assembly() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let (mut completed, mut duplicates, mut evicted) = (0u64, 0u64, 0u64);
+        // Sequences spilled below and past the window, duplicates found
+        // in the spill; media indices spilled, and replaced in the spill.
+        let (mut below, mut past, mut spilled_duplicates) = (0u64, 0u64, 0u64);
+        let (mut spilled_media, mut replaced_media) = (0u64, 0u64);
+        // Frames past the window that completed.
+        let mut spilled_completed = 0u64;
         for seed in 0..16u64 {
             let mut rng = SmallRng::seed_from_u64(0x9b0f + seed);
             let capacity = [6, 24, 96, 768][(seed % 4) as usize];
             let mut buffer = PacketBuffer::new(capacity);
             let mut reference = RefPacketBuffer::new(capacity);
             let mut stream: Vec<VideoPacket> = Vec::new();
-            let mut sequence = 0u64;
+            // High enough that a sequence from before a frame exists.
+            let mut sequence = 10_000u64;
             for frame_id in 0..600u64 {
-                let media = rng.gen_range(1..40u16);
+                // Every 30th frame is larger than the window, loses nothing
+                // and gets no packet that breaks its count, so it completes
+                // with sizes replaced in the spill.
+                let big = frame_id % 30 == 0;
+                let media = if big {
+                    rng.gen_range(100..300u16)
+                } else {
+                    rng.gen_range(1..40u16)
+                };
                 for mut p in frame_packets(frame_id, sequence, media) {
                     p.size = rng.gen_range(1..1_400);
-                    if rng.gen_bool(0.03) {
+                    if !big && rng.gen_bool(0.03) {
                         continue; // lost
                     }
                     stream.push(p);
@@ -762,7 +856,7 @@ mod tests {
                                 ..p
                             }),
                             // An index far beyond the frame's count.
-                            1 => stream.push(VideoPacket {
+                            1 if !big => stream.push(VideoPacket {
                                 sequence: p.sequence + 2_000_000,
                                 kind: PacketKind::Media {
                                     index: u16::MAX - index,
@@ -771,12 +865,18 @@ mod tests {
                                 ..p
                             }),
                             // A count that disagrees with the frame's.
-                            2 => stream.push(VideoPacket {
+                            2 if !big => stream.push(VideoPacket {
                                 sequence: p.sequence + 3_000_000,
                                 kind: PacketKind::Media {
                                     index,
                                     count: rng.gen(),
                                 },
+                                ..p
+                            }),
+                            // A sequence from before the frame.
+                            3 => stream.push(VideoPacket {
+                                sequence: p.sequence - 5_000,
+                                size: p.size + 3,
                                 ..p
                             }),
                             _ => {}
@@ -798,11 +898,46 @@ mod tests {
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for (i, p) in stream.iter().enumerate() {
                 let now = SimTime::from_micros(i as u64 * 100);
+                // The branches the packet takes, read off its assembly
+                // (or the one it opens) before it goes in.
+                let (spill, replaces) = match buffer.frames.get(&p.frame_id) {
+                    _ if p.kind == PacketKind::Sps || buffer.is_finished(p.frame_id) => {
+                        (None, false)
+                    }
+                    held => {
+                        let first =
+                            held.map_or_else(|| Assembly::first_sequence(p), |a| a.first_sequence);
+                        let spill = match p.sequence.checked_sub(first) {
+                            None => Some(&mut below),
+                            Some(bit) if bit >= WINDOW as u64 => Some(&mut past),
+                            Some(_) => None,
+                        };
+                        let replaces = match p.kind {
+                            PacketKind::Media { index, .. } if usize::from(index) >= WINDOW => held
+                                .and_then(|a| a.spill.as_ref())
+                                .is_some_and(|s| s.media.iter().any(|m| m.0 == index)),
+                            _ => false,
+                        };
+                        (spill, replaces)
+                    }
+                };
                 got.clear();
                 buffer.insert_into(now, p, &mut got);
                 want.clear();
                 reference.insert_into(now, p, &mut want);
                 assert_eq!(got, want, "seed {seed} packet {i}: {p:?}");
+                let duplicate = matches!(want.first(), Some(PacketBufferEvent::Duplicate { .. }));
+                if let Some(spill) = spill {
+                    *spill += 1;
+                    spilled_duplicates += u64::from(duplicate);
+                }
+                if let PacketKind::Media { index, .. } = p.kind {
+                    let held = !duplicate && !buffer.is_finished(p.frame_id);
+                    if held && usize::from(index) >= WINDOW {
+                        spilled_media += u64::from(!replaces);
+                        replaced_media += u64::from(replaces);
+                    }
+                }
                 if rng.gen_bool(0.01) {
                     let victim = p.frame_id.saturating_sub(rng.gen_range(0..3));
                     assert_eq!(buffer.purge_frame(victim), reference.purge_frame(victim));
@@ -811,7 +946,10 @@ mod tests {
                 assert_eq!(buffer.frames_pending(), reference.frames_pending());
                 for e in &want {
                     match e {
-                        PacketBufferEvent::FrameComplete(_) => completed += 1,
+                        PacketBufferEvent::FrameComplete(f) => {
+                            completed += 1;
+                            spilled_completed += u64::from(f.frame_id % 30 == 0);
+                        }
                         PacketBufferEvent::Duplicate { .. } => duplicates += 1,
                         PacketBufferEvent::FrameEvicted { .. } => evicted += 1,
                         PacketBufferEvent::StalePacket { .. } => {}
@@ -822,5 +960,18 @@ mod tests {
         assert!(completed > 2_000, "{completed} frames completed");
         assert!(duplicates > 500, "{duplicates} duplicates");
         assert!(evicted > 500, "{evicted} frames evicted");
+        assert!(
+            below > 1_000 && past > 1_000 && spilled_duplicates > 20,
+            "sequences spilled: {below} below the window, {past} past it, \
+             {spilled_duplicates} duplicates found there"
+        );
+        assert!(
+            spilled_media > 1_000 && replaced_media > 20,
+            "media indices spilled: {spilled_media}, {replaced_media} replaced there"
+        );
+        assert!(
+            spilled_completed > 20,
+            "{spilled_completed} frames past the window completed"
+        );
     }
 }
