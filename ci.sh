@@ -286,8 +286,18 @@ gate shootout shootout
 # Drive-replay gate: the committed 4/6/8-path drive fixtures through
 # scheduler x controller (1 seed at quick scale) with the invariant
 # checker armed — proves the time-varying drive links hold the
-# control-loop invariants across every topology width.
+# control-loop invariants across every topology width. A link follows one
+# trace, a `DriveTrace`: the uniform-step, rate-only trace it replaced
+# (`RateTrace`), that trace's CSV error (`TraceParseError`) and the
+# scenario builder that read its CSV (`from_traces`) are named nowhere
+# under crates/, tests/ or examples/.
 drive() {
+    local gone
+    gone=$(grep -rlwE 'RateTrace|TraceParseError|from_traces' crates tests examples || true)
+    if [ -n "$gone" ]; then
+        echo "drive: a second link trace is named under crates/, tests/ or examples/:" $gone >&2
+        return 1
+    fi
     experiments drive --quick --jobs 2 --check-invariants > results/smoke_drive.txt
     test -s results/smoke_drive.txt
     grep -q 'blackout-flap' results/smoke_drive.txt

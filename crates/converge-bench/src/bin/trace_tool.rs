@@ -1,16 +1,20 @@
-//! Bandwidth-trace utility: generate the synthetic scenario traces as CSV
-//! (for plotting or external replay) and summarize trace files.
+//! Link-trace utility: generate the synthetic scenario traces as CSV (for
+//! plotting or external replay) and summarize trace files.
 //!
 //! ```text
 //! trace-tool gen <stationary|walking|driving> <wifi|cella|cellb> <secs> <seed>
 //! trace-tool info <file.csv>
 //! ```
+//!
+//! Both speak `DriveTrace`'s CSV, one `t_s,rate_bps,owd_ms,loss_pct` row per
+//! sample. `gen` prints half-second steps, lossless and at zero delay.
 
-use converge_net::{trace, Carrier, RateTrace, Scenario, SimDuration, SimTime};
+use converge_net::{trace, Carrier, DriveTrace, Scenario, SimDuration, SimTime};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  trace-tool gen <stationary|walking|driving> <wifi|cella|cellb> <secs> <seed>\n  trace-tool info <file.csv>"
+        "usage:\n  trace-tool gen <stationary|walking|driving> <wifi|cella|cellb> <secs> <seed>\n  trace-tool info <file.csv>\n\
+         CSV rows: t_s,rate_bps,owd_ms,loss_pct (gen: 0.5 s steps, zero delay and loss)"
     );
     std::process::exit(2);
 }
@@ -36,7 +40,8 @@ fn main() {
             };
             let secs: u64 = args[3].parse().unwrap_or_else(|_| usage());
             let seed: u64 = args[4].parse().unwrap_or_else(|_| usage());
-            let t = trace::synthesize(scenario, carrier, SimDuration::from_secs(secs), seed);
+            let duration = SimDuration::from_secs(secs);
+            let t = trace::synthesize(scenario, carrier, SimDuration::ZERO, duration, seed);
             print!("{}", t.to_csv());
         }
         Some("info") => {
@@ -47,19 +52,19 @@ fn main() {
                 eprintln!("cannot read {}: {e}", args[1]);
                 std::process::exit(1);
             });
-            let t = RateTrace::from_csv(&text).unwrap_or_else(|e| {
+            let t = DriveTrace::from_csv(&text).unwrap_or_else(|e| {
                 eprintln!("cannot parse {}: {e}", args[1]);
                 std::process::exit(1);
             });
-            let rates = t.rates();
-            let min = rates.iter().min().copied().unwrap_or(0);
-            let max = rates.iter().max().copied().unwrap_or(0);
-            let below_10m = (0..t.span().as_secs_f64() as u64)
+            let rates = t.samples().iter().map(|s| s.rate_bps);
+            let min = rates.clone().min().unwrap_or(0);
+            let max = rates.max().unwrap_or(0);
+            let span = t.end() - t.start();
+            let below_10m = (0..=t.end().as_micros() / 1_000_000)
                 .filter(|&s| t.rate_at(SimTime::from_secs(s)) < 10_000_000)
                 .count();
-            println!("segments:   {}", rates.len());
-            println!("step:       {}", t.step());
-            println!("span:       {}", t.span());
+            println!("samples:    {}", t.samples().len());
+            println!("span:       {span}");
             println!("mean rate:  {:.2} Mbps", t.mean_rate() as f64 / 1e6);
             println!("min rate:   {:.2} Mbps", min as f64 / 1e6);
             println!("max rate:   {:.2} Mbps", max as f64 / 1e6);

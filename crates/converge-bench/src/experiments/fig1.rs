@@ -28,8 +28,8 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
             out.push_str("# columns: t_s carrierA_mbps carrierB_mbps fpsA fpsB e2eA_ms e2eB_ms\n");
             for (i, (ba, bb)) in ra.bins.iter().zip(&rb.bins).enumerate() {
                 let t = converge_net::SimTime::from_secs(i as u64);
-                let rate_a = scenario.paths[1].rate.rate_at(t) as f64 / 1e6;
-                let rate_b = scenario.paths[0].rate.rate_at(t) as f64 / 1e6;
+                let rate_a = scenario.paths[1].trace.rate_at(t) as f64 / 1e6;
+                let rate_b = scenario.paths[0].trace.rate_at(t) as f64 / 1e6;
                 out.push_str(&format!(
                     "{i} {rate_a:.2} {rate_b:.2} {} {} {:.0} {:.0}\n",
                     ba.frames_decoded,

@@ -63,8 +63,8 @@ pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
                 let t = converge_net::SimTime::from_secs(i as u64);
                 out.push_str(&format!(
                     "{i} {:.1} {:.1} {:.2} {:.2} {:.1} {:.1} {:.1} {:.1} {:.2} {:.2}\n",
-                    scenario.paths[0].rate.rate_at(t) as f64 / 1e6,
-                    scenario.paths[1].rate.rate_at(t) as f64 / 1e6,
+                    scenario.paths[0].trace.rate_at(t) as f64 / 1e6,
+                    scenario.paths[1].trace.rate_at(t) as f64 / 1e6,
                     b_fb.throughput_bps() / 1e6,
                     b_no.throughput_bps() / 1e6,
                     b_fb.ifd_ms().unwrap_or(0.0),

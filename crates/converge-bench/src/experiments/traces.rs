@@ -1,7 +1,7 @@
 //! Figs. 20–22 — the bandwidth dynamics of the three scenarios
 //! (stationary, walking, driving) as synthesized by the trace generator.
 
-use converge_net::{trace, Carrier, Scenario, SimTime};
+use converge_net::{trace, Carrier, Scenario, SimDuration, SimTime};
 
 use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
@@ -27,9 +27,12 @@ fn render_traces(scale: Scale) -> String {
     ] {
         out.push_str(&format!("## {fig}\n"));
         out.push_str("# columns: t_s wifi_mbps cellA_mbps cellB_mbps combined_cell_mbps\n");
-        let wifi = trace::synthesize(scenario, Carrier::Wifi, duration, 42);
-        let cell_a = trace::synthesize(scenario, Carrier::CellularA, duration, 42);
-        let cell_b = trace::synthesize(scenario, Carrier::CellularB, duration, 42);
+        // Rates only: the delay the traces carry is not plotted.
+        let synthesize =
+            |carrier| trace::synthesize(scenario, carrier, SimDuration::ZERO, duration, 42);
+        let wifi = synthesize(Carrier::Wifi);
+        let cell_a = synthesize(Carrier::CellularA);
+        let cell_b = synthesize(Carrier::CellularB);
         let secs = duration.as_secs_f64() as u64;
         let mut combined_below_10 = 0u64;
         for t in 0..secs {

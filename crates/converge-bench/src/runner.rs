@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use converge_net::{QueueDiscipline, RateTrace, SimDuration};
+use converge_net::{DriveTrace, QueueDiscipline, SimDuration};
 use converge_sim::{
     CallReport, ControllerKind, DriveFixture, FecKind, ImpairmentKind, ScenarioConfig,
     SchedulerKind, Session, SessionConfig,
@@ -111,8 +111,7 @@ impl ScenarioSpec {
                 };
                 let mut scenario = ScenarioConfig::fec_tradeoff(0.0);
                 for p in &mut scenario.paths {
-                    p.rate = RateTrace::constant(10_000_000);
-                    p.propagation = SimDuration::from_millis(40);
+                    p.trace = DriveTrace::constant(10_000_000, SimDuration::from_millis(40));
                     p.discipline = discipline.clone();
                 }
                 scenario

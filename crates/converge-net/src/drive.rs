@@ -1,12 +1,14 @@
-//! File-driven cellular drive replay.
+//! The link schedule: rate, delay and loss over time.
 //!
 //! The paper's headline experiments replay bandwidth/latency/loss captures
 //! recorded while driving through T-Mobile and Verizon coverage (its
 //! Figs. 20–22). A [`DriveTrace`] is the reproduction's container for such
-//! a capture: a sequence of non-uniformly spaced samples, each pinning the
-//! path's achievable **rate**, one-way **delay**, and random **loss** from
-//! that instant on. Unlike [`crate::trace::RateTrace`] — uniform-step,
-//! rate-only, wrapping past the end — a drive trace:
+//! a capture, and the one time-varying schedule a [`crate::link::Link`]
+//! follows: a sequence of samples, each pinning the path's achievable
+//! **rate**, one-way **delay**, and random **loss** from that instant on.
+//! A constant path is one sample ([`DriveTrace::constant`]), a stepped or
+//! synthesized one a sample per step ([`DriveTrace::uniform`],
+//! [`crate::trace::synthesize`]). A trace:
 //!
 //! - carries all three impairment axes per sample (LoLa observes that
 //!   multi-carrier paths diverge in rate *and* RTT *and* loss
@@ -22,6 +24,9 @@
 //! (`t_s,rate_bps,owd_ms,loss_pct` rows) and multi-path JSONL (one object
 //! per line with an optional `"path"` field), the format of the committed
 //! fixtures under `tests/tests/fixtures/drives/`.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -40,10 +45,11 @@ pub struct DriveSample {
 }
 
 /// A drive capture for one path: strictly time-ordered [`DriveSample`]s
-/// with hold semantics (see the module docs).
+/// with hold semantics (see the module docs). The samples are shared, so a
+/// clone (a path's spec and its two links each hold the trace) copies none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriveTrace {
-    samples: Vec<DriveSample>,
+    samples: Arc<[DriveSample]>,
 }
 
 impl DriveTrace {
@@ -62,7 +68,47 @@ impl DriveTrace {
                 return Err(DriveParseError::NonMonotoneTime(i + 1));
             }
         }
-        Ok(DriveTrace { samples })
+        Ok(DriveTrace {
+            samples: samples.into(),
+        })
+    }
+
+    /// A path that never changes: one lossless sample at `rate_bps` and
+    /// `owd`.
+    pub fn constant(rate_bps: u64, owd: SimDuration) -> Self {
+        let sample = DriveSample {
+            at: SimTime::ZERO,
+            rate_bps,
+            owd,
+            loss_pct: 0.0,
+        };
+        DriveTrace {
+            samples: Arc::new([sample]),
+        }
+    }
+
+    /// A lossless path at delay `owd` whose rate steps every `step`: the
+    /// `i`-th rate takes effect at `i × step`, and the last one holds.
+    ///
+    /// # Panics
+    /// Panics if `rates_bps` is empty or `step` is zero.
+    pub fn uniform(
+        step: SimDuration,
+        rates_bps: impl IntoIterator<Item = u64>,
+        owd: SimDuration,
+    ) -> Self {
+        assert!(step > SimDuration::ZERO, "trace step must be positive");
+        let samples: Arc<[DriveSample]> = (0u64..)
+            .zip(rates_bps)
+            .map(|(i, rate_bps)| DriveSample {
+                at: SimTime::ZERO + step * i,
+                rate_bps,
+                owd,
+                loss_pct: 0.0,
+            })
+            .collect();
+        assert!(!samples.is_empty(), "trace must have at least one segment");
+        DriveTrace { samples }
     }
 
     /// The samples, in time order.
@@ -80,11 +126,21 @@ impl DriveTrace {
         self.samples[self.samples.len() - 1].at
     }
 
-    /// The sample in effect at `at` under hold semantics: the last sample
-    /// with `sample.at <= at`, or the first sample before the trace starts.
+    /// The sample in effect at `at` under hold semantics — the last sample
+    /// with `sample.at <= at`, or the first sample before the trace starts —
+    /// and the stretch of time it covers: from zero for the first sample,
+    /// up to [`SimTime::MAX`] for the last.
+    pub fn hold_at(&self, at: SimTime) -> (Range<SimTime>, &DriveSample) {
+        let after = self.samples.partition_point(|s| s.at <= at);
+        let sample = &self.samples[after.saturating_sub(1)];
+        let start = if after == 0 { SimTime::ZERO } else { sample.at };
+        let end = self.samples.get(after).map_or(SimTime::MAX, |next| next.at);
+        (start..end, sample)
+    }
+
+    /// The sample in effect at `at` (see [`DriveTrace::hold_at`]).
     pub fn sample_at(&self, at: SimTime) -> &DriveSample {
-        let idx = self.samples.partition_point(|s| s.at <= at);
-        &self.samples[idx.saturating_sub(1)]
+        self.hold_at(at).1
     }
 
     /// Achievable rate at `at`, bits per second.
@@ -105,8 +161,8 @@ impl DriveTrace {
     /// Time until the next sample boundary after `at`, or `None` once `at`
     /// is in the final hold segment (the values never change again).
     pub fn until_next_change(&self, at: SimTime) -> Option<SimDuration> {
-        let idx = self.samples.partition_point(|s| s.at <= at);
-        self.samples.get(idx).map(|s| s.at.saturating_since(at))
+        let end = self.hold_at(at).0.end;
+        (end != SimTime::MAX).then(|| end.saturating_since(at))
     }
 
     /// Mean rate across samples (unweighted — a summary statistic for
@@ -119,7 +175,7 @@ impl DriveTrace {
     /// Serializes as `t_s,rate_bps,owd_ms,loss_pct` CSV rows.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("# t_s,rate_bps,owd_ms,loss_pct\n");
-        for s in &self.samples {
+        for s in self.samples.iter() {
             out.push_str(&format!(
                 "{:.6},{},{:.3},{}\n",
                 s.at.as_micros() as f64 / 1e6,
@@ -169,14 +225,16 @@ impl DriveTrace {
             return Err(DriveParseError::Empty);
         }
         // Loss range/monotonicity already validated with file line numbers.
-        Ok(DriveTrace { samples })
+        Ok(DriveTrace {
+            samples: samples.into(),
+        })
     }
 
     /// Serializes as the multi-path JSONL row format, tagging every row
     /// with `path`.
     pub fn to_jsonl(&self, path: u8) -> String {
         let mut out = String::new();
-        for s in &self.samples {
+        for s in self.samples.iter() {
             out.push_str(&format!(
                 "{{\"t\":{:.6},\"path\":{},\"rate_bps\":{},\"owd_ms\":{:.3},\"loss_pct\":{}}}\n",
                 s.at.as_micros() as f64 / 1e6,
@@ -487,6 +545,66 @@ mod tests {
             DriveTrace::parse_jsonl(&text),
             Err(DriveParseError::NonMonotoneTime(3))
         );
+    }
+
+    /// Seeded hostile bytes into both readers: every strict prefix of a
+    /// valid file, every single bit flip of one, and noise drawn from the
+    /// formats' own characters and from anywhere. Each input is `Ok` or
+    /// `Err`, never a panic, and each `Ok` writes back out to text that
+    /// reads in as the same traces.
+    #[test]
+    fn hostile_bytes_are_err_or_a_trace_that_round_trips() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let csv = |bytes: &[u8]| {
+            let text = String::from_utf8_lossy(bytes);
+            let parsed = DriveTrace::from_csv(&text);
+            if let Ok(t) = &parsed {
+                let back = DriveTrace::from_csv(&t.to_csv());
+                assert_eq!(back.as_ref(), Ok(t), "{text:?}");
+            }
+            parsed.is_ok()
+        };
+        let jsonl = |bytes: &[u8]| {
+            let text = String::from_utf8_lossy(bytes);
+            let parsed = DriveTrace::parse_jsonl(&text);
+            if let Ok(traces) = &parsed {
+                let out: String = (0u8..).zip(traces).map(|(p, t)| t.to_jsonl(p)).collect();
+                let back = DriveTrace::parse_jsonl(&out);
+                assert_eq!(back.as_ref(), Ok(traces), "{text:?}");
+            }
+            parsed.is_ok()
+        };
+        let valid_csv = format!("# a capture\n{}\n7.25,0,1.5,100\n", trace().to_csv());
+        let valid_jsonl = format!("{}{}", trace().to_jsonl(0), trace().to_jsonl(1));
+        let mut parsed = 0;
+        for (valid, read) in [
+            (valid_csv.as_bytes(), &csv as &dyn Fn(&[u8]) -> bool),
+            (valid_jsonl.as_bytes(), &jsonl),
+        ] {
+            assert!(read(valid));
+            for len in 0..valid.len() {
+                parsed += usize::from(read(&valid[..len]));
+            }
+            for bit in 0..valid.len() * 8 {
+                let mut flipped = valid.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                parsed += usize::from(read(&flipped));
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0xd21e);
+        let alphabet = b"0123456789.,-+e{}\":#\n tpathrate_bpsowd_msloss_pctNaNinf";
+        for case in 0..2_000u32 {
+            let len = rng.gen_range(0..120);
+            let noise: Vec<u8> = (0..len)
+                .map(|_| match case % 2 {
+                    0 => alphabet[rng.gen_range(0..alphabet.len())],
+                    _ => rng.gen(),
+                })
+                .collect();
+            parsed += usize::from(csv(&noise)) + usize::from(jsonl(&noise));
+        }
+        // Many mutants still read, so the round trip is exercised.
+        assert!(parsed > 500, "{parsed} inputs parsed");
     }
 
     #[test]

@@ -170,32 +170,28 @@ impl<P> NetworkEmulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::DriveTrace;
     use crate::link::LinkConfig;
     use crate::time::SimDuration;
-    use crate::trace::RateTrace;
 
     fn two_path_emu() -> NetworkEmulator<u32> {
         let fast = LinkConfig {
-            rate: RateTrace::constant(10_000_000),
-            propagation: SimDuration::from_millis(10),
+            trace: DriveTrace::constant(10_000_000, SimDuration::from_millis(10)),
             queue_capacity_bytes: 1_000_000,
             loss: crate::loss::LossModel::None,
             jitter: SimDuration::ZERO,
             discipline: crate::aqm::QueueDiscipline::DropTail,
             seed: 1,
             impairment: crate::impairment::ImpairmentConfig::default(),
-            drive: None,
         };
         let slow = LinkConfig {
-            rate: RateTrace::constant(1_000_000),
-            propagation: SimDuration::from_millis(50),
+            trace: DriveTrace::constant(1_000_000, SimDuration::from_millis(50)),
             queue_capacity_bytes: 1_000_000,
             loss: crate::loss::LossModel::None,
             jitter: SimDuration::ZERO,
             discipline: crate::aqm::QueueDiscipline::DropTail,
             seed: 2,
             impairment: crate::impairment::ImpairmentConfig::default(),
-            drive: None,
         };
         NetworkEmulator::new(vec![
             Path::symmetric(PathId(0), fast),
@@ -229,15 +225,13 @@ mod tests {
     #[test]
     fn lost_payload_returned_to_caller() {
         let cfg = LinkConfig {
-            rate: RateTrace::constant(1_000_000),
-            propagation: SimDuration::ZERO,
+            trace: DriveTrace::constant(1_000_000, SimDuration::ZERO),
             queue_capacity_bytes: 1_000,
             loss: crate::loss::LossModel::None,
             jitter: SimDuration::ZERO,
             discipline: crate::aqm::QueueDiscipline::DropTail,
             seed: 1,
             impairment: crate::impairment::ImpairmentConfig::default(),
-            drive: None,
         };
         let mut emu: NetworkEmulator<&str> =
             NetworkEmulator::new(vec![Path::symmetric(PathId(0), cfg)]);

@@ -7,15 +7,15 @@
 //!
 //! - [`time`]: fixed-point microsecond simulation clock.
 //! - [`event`]: deterministic FIFO-tie-breaking event queue.
-//! - [`trace`]: piecewise-constant bandwidth traces + synthetic generators
-//!   for the stationary / walking / driving scenarios of the paper's
-//!   Figs. 20-22.
-//! - [`drive`]: file-driven drive replay — non-uniform `t → (rate, OWD,
-//!   loss)` captures with hold semantics, CSV/JSONL codecs.
+//! - [`drive`]: the one link schedule — `t → (rate, OWD, loss)` samples
+//!   with hold semantics (a constant path is one sample, a capture as many
+//!   as it has rows), CSV/JSONL codecs.
+//! - [`trace`]: seeded synthetic traces for the stationary / walking /
+//!   driving scenarios of the paper's Figs. 20-22.
 //! - [`loss`]: Bernoulli and Gilbert-Elliott loss models.
 //! - [`aqm`]: queue disciplines — drop-tail and CoDel controlled delay.
-//! - [`link`]: one link direction — disciplined queue, trace-driven
-//!   bottleneck, propagation delay, jitter, loss stage.
+//! - [`link`]: one link direction — disciplined queue, bottleneck rate,
+//!   one-way delay and extra loss from one trace, jitter, loss stage.
 //! - [`impairment`]: composable per-direction fault injection — blackout /
 //!   flap schedules, reordering, duplication, feedback loss and delay.
 //! - [`path`]: bidirectional path with a stable [`path::PathId`].
@@ -56,4 +56,4 @@ pub use path::{Direction, Path, PathId};
 pub use sfu::{ForwardPacket, MemberId, SfuConfig, SfuNode, SfuStats};
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerWheel;
-pub use trace::{Carrier, RateTrace, Scenario};
+pub use trace::{Carrier, Scenario};

@@ -1,10 +1,11 @@
 //! A single emulated unidirectional link.
 //!
 //! The link models the path a packet takes through one network direction:
-//! a drop-tail queue ahead of a rate-shaped bottleneck (bandwidth from a
-//! [`RateTrace`]), followed by a fixed propagation delay and a stochastic
-//! loss stage. This mirrors the cellmulator-style setups the paper uses for
-//! its emulated experiments.
+//! a drop-tail queue ahead of a rate-shaped bottleneck, followed by a
+//! one-way delay and a stochastic loss stage. One [`DriveTrace`] sets the
+//! bottleneck's rate, the delay and an extra loss over time. This mirrors
+//! the cellmulator-style setups the paper uses for its emulated
+//! experiments.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -15,15 +16,14 @@ use crate::event::EventQueue;
 use crate::impairment::ImpairmentConfig;
 use crate::loss::{LossModel, LossProcess};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::RateTrace;
 
 /// Static configuration of one link direction.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
-    /// Bottleneck bandwidth over time.
-    pub rate: RateTrace,
-    /// One-way propagation delay added after the bottleneck.
-    pub propagation: SimDuration,
+    /// Bottleneck rate, one-way delay after the bottleneck and an extra
+    /// Bernoulli loss over time, read at the instant each packet is sent
+    /// (delay and loss) and serialized (rate).
+    pub trace: DriveTrace,
     /// Maximum bytes the bottleneck queue may hold (drop-tail beyond).
     pub queue_capacity_bytes: usize,
     /// Stochastic loss applied after the queue (models air-interface loss).
@@ -39,19 +39,12 @@ pub struct LinkConfig {
     pub impairment: ImpairmentConfig,
     /// Seed for this link's private RNG.
     pub seed: u64,
-    /// Replayed drive capture. When set it overrides `rate` (bottleneck
-    /// serialization), `propagation` (per-packet one-way delay from the
-    /// sample in effect at send time), and adds a time-varying Bernoulli
-    /// loss stage from the capture's `loss_pct` column. `None` leaves the
-    /// static/trace-driven behaviour untouched.
-    pub drive: Option<DriveTrace>,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
         LinkConfig {
-            rate: RateTrace::constant(10_000_000),
-            propagation: SimDuration::from_millis(25),
+            trace: DriveTrace::constant(10_000_000, SimDuration::from_millis(25)),
             // Roughly one bandwidth-delay product of a 10 Mbps / 100 ms path.
             queue_capacity_bytes: 125_000,
             loss: LossModel::None,
@@ -59,7 +52,6 @@ impl Default for LinkConfig {
             discipline: QueueDiscipline::DropTail,
             impairment: ImpairmentConfig::default(),
             seed: 0,
-            drive: None,
         }
     }
 }
@@ -130,17 +122,15 @@ pub struct LinkStats {
 }
 
 /// One stretch of time over which the link's trace holds still: every
-/// instant in `[start, end)` sees this rate and, under drive replay, this
-/// one-way delay and loss.
+/// instant in `[start, end)` sees this rate, one-way delay and loss.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     start: SimTime,
-    /// [`SimTime::MAX`] in a drive trace's final hold: it never ends.
+    /// [`SimTime::MAX`] in the trace's final hold: it never ends.
     end: SimTime,
     rate_bps: u64,
-    /// The drive sample's delay and loss in percent. A rate trace has
-    /// neither (the link's are static configuration) and leaves them zero.
     owd: SimDuration,
+    /// Loss in percent.
     loss_pct: f64,
 }
 
@@ -155,45 +145,23 @@ impl Segment {
     };
 
     /// The segment `at` falls in: `self` if it does, else looked up in
-    /// `config`'s trace and remembered in `self`.
-    fn at(&mut self, config: &LinkConfig, at: SimTime) -> Segment {
+    /// `trace` and remembered in `self`.
+    fn at(&mut self, trace: &DriveTrace, at: SimTime) -> Segment {
         if !(self.start <= at && at < self.end) {
-            *self = Segment::lookup(config, at);
+            *self = Segment::lookup(trace, at);
         }
         *self
     }
 
-    /// The segment of `config`'s trace that `at` falls in.
-    fn lookup(config: &LinkConfig, at: SimTime) -> Segment {
-        match &config.drive {
-            // Hold semantics: the first sample also covers everything
-            // before it, the last one everything after.
-            Some(drive) => {
-                let samples = drive.samples();
-                let after = samples.partition_point(|s| s.at <= at);
-                let sample = &samples[after.saturating_sub(1)];
-                Segment {
-                    start: if after == 0 { SimTime::ZERO } else { sample.at },
-                    end: samples.get(after).map_or(SimTime::MAX, |next| next.at),
-                    rate_bps: sample.rate_bps,
-                    owd: sample.owd,
-                    loss_pct: sample.loss_pct,
-                }
-            }
-            // Uniform steps, wrapping past the last.
-            None => {
-                let step = config.rate.step().as_micros();
-                let index = at.as_micros() / step;
-                let start = index * step;
-                let rates = config.rate.rates();
-                Segment {
-                    start: SimTime::from_micros(start),
-                    end: SimTime::from_micros(start.saturating_add(step)),
-                    rate_bps: rates[index as usize % rates.len()],
-                    owd: SimDuration::ZERO,
-                    loss_pct: 0.0,
-                }
-            }
+    /// The segment of `trace` that `at` falls in.
+    fn lookup(trace: &DriveTrace, at: SimTime) -> Segment {
+        let (span, sample) = trace.hold_at(at);
+        Segment {
+            start: span.start,
+            end: span.end,
+            rate_bps: sample.rate_bps,
+            owd: sample.owd,
+            loss_pct: sample.loss_pct,
         }
     }
 }
@@ -218,8 +186,8 @@ pub struct Link {
     in_flight: std::collections::VecDeque<(SimTime, usize)>,
     queued_bytes: usize,
     stats: LinkStats,
-    /// The trace segments the last packet was sent in (drive replay reads
-    /// its loss and delay there) and finished serializing in. Packets
+    /// The trace segments the last packet was sent in (its loss and delay
+    /// are read there) and finished serializing in. Packets
     /// arrive far more often than the trace changes and both instants only
     /// move forward, so nearly every lookup is a range check against
     /// these and a segment is searched for once; a queue's worth apart,
@@ -235,10 +203,10 @@ pub struct Link {
 /// direction, and its size is a gated construction cost).
 #[derive(Debug, Clone)]
 enum Stages {
-    /// Drop-tail with no loss, jitter, impairment or drive trace: the byte
-    /// limit is the only stage that can refuse a packet and none draws
-    /// from the RNG.
-    Quiet,
+    /// Drop-tail with no loss, jitter or impairment, and a trace whose
+    /// every sample is lossless at this one delay: the byte limit is the
+    /// only stage that can refuse a packet and none draws from the RNG.
+    Quiet(SimDuration),
     /// Every stage, behind a drop-tail queue.
     DropTail,
     /// Every stage, with CoDel deciding on top of the byte limit.
@@ -250,12 +218,14 @@ impl Link {
     pub fn new(config: LinkConfig) -> Self {
         let loss = LossProcess::new(config.loss.clone());
         let rng = SmallRng::seed_from_u64(config.seed);
-        let quiet = config.drive.is_none()
+        let samples = config.trace.samples();
+        let owd = samples[0].owd;
+        let quiet = samples.iter().all(|s| s.owd == owd && s.loss_pct == 0.0)
             && config.impairment.is_noop()
             && config.jitter == SimDuration::ZERO
             && matches!(config.loss, LossModel::None);
         let stages = match config.discipline {
-            QueueDiscipline::DropTail if quiet => Stages::Quiet,
+            QueueDiscipline::DropTail if quiet => Stages::Quiet(owd),
             QueueDiscipline::DropTail => Stages::DropTail,
             QueueDiscipline::Codel => Stages::Codel(Codel::default()),
         };
@@ -278,35 +248,10 @@ impl Link {
         &self.config
     }
 
-    /// Replaces the bandwidth trace (e.g. to switch scenarios mid-run).
-    pub fn set_rate(&mut self, rate: RateTrace) {
-        self.config.rate = rate;
-        self.sending = Segment::NONE;
-        self.serializing = Segment::NONE;
-    }
-
-    /// The instantaneous bottleneck rate at `now`, bits per second.
-    pub fn rate_at(&self, now: SimTime) -> u64 {
-        match &self.config.drive {
-            Some(drive) => drive.rate_at(now),
-            None => self.config.rate.rate_at(now),
-        }
-    }
-
-    /// One-way propagation delay.
-    pub fn propagation(&self) -> SimDuration {
-        self.config.propagation
-    }
-
     /// Bytes currently waiting in or being serialized by the bottleneck.
     pub fn backlog_bytes(&mut self, now: SimTime) -> usize {
         self.prune(now);
         self.queued_bytes
-    }
-
-    /// Queuing delay a newly arriving packet would currently experience.
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
     }
 
     /// Accumulated behaviour counters.
@@ -326,7 +271,7 @@ impl Link {
     /// Returns the fate of the packet plus any impairment-injected
     /// duplicate. Delivery time accounts for queuing behind previously
     /// accepted packets, serialization at the (possibly time-varying)
-    /// bottleneck rate, propagation delay, and the impairment stage
+    /// bottleneck rate, the one-way delay, and the impairment stage
     /// (reorder hold-back and fixed extra delay).
     ///
     /// Offers in non-decreasing `now` order are the caller's precondition;
@@ -338,26 +283,19 @@ impl Link {
         self.prune(now);
         // A quiet link (an SFU's two, offered every fan-out copy) has one
         // stage that can act, the byte limit; the others are not consulted.
-        if matches!(self.stages, Stages::Quiet) {
+        if let Stages::Quiet(owd) = self.stages {
             let fate = if self.queued_bytes + bytes > self.config.queue_capacity_bytes {
                 self.stats.queue_drops += 1;
                 Transmit::QueueDrop
             } else {
-                Transmit::Delivered(self.accept(now, bytes) + self.config.propagation)
+                Transmit::Delivered(self.accept(now, bytes) + owd)
             };
             return Offer { fate, duplicate: None };
         }
         let imp = self.config.impairment;
-        // Under drive replay the one-way delay tracks the sample in effect
-        // at send time (handover OWD spikes) and so does a loss stage;
-        // otherwise the delay is static and the stage absent.
-        let (drive_loss_pct, propagation) = match self.config.drive {
-            Some(_) => {
-                let sample = self.sending.at(&self.config, now);
-                (sample.loss_pct, sample.owd)
-            }
-            None => (0.0, self.config.propagation),
-        };
+        // The one-way delay and the trace's loss stage follow the sample in
+        // effect at send time (handover OWD spikes).
+        let sending = self.sending.at(&self.config.trace, now);
 
         // Blackout/flap windows: the radio is simply off. Checked before
         // the queue — a dark link accepts nothing.
@@ -414,10 +352,10 @@ impl Link {
             };
         }
 
-        // Drive-replay loss: a time-varying Bernoulli stage from the
+        // The trace's loss: a time-varying Bernoulli stage from the
         // capture's loss column. Guarded so loss-free segments make zero
         // RNG draws and leave the jitter/reorder streams untouched.
-        let p = (drive_loss_pct / 100.0).clamp(0.0, 1.0);
+        let p = (sending.loss_pct / 100.0).clamp(0.0, 1.0);
         if p > 0.0 && self.rng.gen_bool(p) {
             self.stats.random_losses += 1;
             return Offer {
@@ -445,7 +383,7 @@ impl Link {
             SimDuration::ZERO
         };
 
-        let deliver = finish + propagation + jitter + holdback + imp.delay;
+        let deliver = finish + sending.owd + jitter + holdback + imp.delay;
 
         // Impairment duplication stage: the copy trails the original.
         let duplicate = if imp.duplicate_prob > 0.0
@@ -482,31 +420,22 @@ impl Link {
     }
 
     /// Computes when `bytes` finish serializing if started at `start`,
-    /// walking trace segments as the rate changes. A rate trace wraps, so
-    /// a stalled link may recover and the walk gives up
-    /// ([`SimTime::MAX`]) only after a full lap of zero-rate segments; a
-    /// drive trace holds its last sample forever, so inside that hold a
-    /// zero rate is a stall for good and a positive one finishes there.
+    /// walking trace segments as the rate changes. The trace holds its
+    /// last sample forever, so inside that hold a zero rate is a stall for
+    /// good ([`SimTime::MAX`]) and a positive one finishes there.
     fn serialize_from(&mut self, start: SimTime, bytes: usize) -> SimTime {
         let mut remaining_bits = bytes as u128 * 8;
         let mut t = start;
-        let mut zero_segments = 0usize;
-        let lap = match self.config.drive {
-            Some(_) => usize::MAX,
-            None => self.config.rate.rates().len() + 1,
-        };
         while remaining_bits > 0 {
-            let segment = self.serializing.at(&self.config, t);
+            let segment = self.serializing.at(&self.config.trace, t);
             let forever = segment.end == SimTime::MAX;
             if segment.rate_bps == 0 {
-                zero_segments += 1;
-                if forever || zero_segments > lap {
+                if forever {
                     return SimTime::MAX;
                 }
                 t = segment.end;
                 continue;
             }
-            zero_segments = 0;
             // The rest fits in this segment if the bits the segment can
             // push, `rate × µs / 10⁶` rounded down, are no fewer than the
             // bits left: for whole numbers of bits that is this product
@@ -546,15 +475,13 @@ mod tests {
 
     fn link_cfg(rate_bps: u64, prop_ms: u64, queue: usize) -> LinkConfig {
         LinkConfig {
-            rate: RateTrace::constant(rate_bps),
-            propagation: SimDuration::from_millis(prop_ms),
+            trace: DriveTrace::constant(rate_bps, SimDuration::from_millis(prop_ms)),
             queue_capacity_bytes: queue,
             loss: LossModel::None,
             jitter: SimDuration::ZERO,
             discipline: QueueDiscipline::DropTail,
             seed: 1,
             impairment: ImpairmentConfig::default(),
-            drive: None,
         }
     }
 
@@ -575,11 +502,17 @@ mod tests {
 
     #[test]
     fn single_packet_delay_is_serialization_plus_propagation() {
-        // 1250 bytes at 10 Mbps = 1 ms serialization; +20 ms propagation.
-        let mut l = Link::new(link_cfg(10_000_000, 20, 100_000));
-        match l.transmit(SimTime::ZERO, 1250) {
-            Transmit::Delivered(at) => assert_eq!(at.as_millis(), 21),
-            other => panic!("unexpected {other:?}"),
+        for (rate_bps, prop_ms, at_us, bytes, want_us) in [
+            // 1250 bytes at 10 Mbps = 1 ms serialization; +20 ms propagation.
+            (10_000_000, 20, 0, 1250, 21_000),
+            // 9 600 bits at 2.5 Mbps = 3 840 µs, across the 1 s mark: a
+            // constant rate has no segment boundary there to drop half a
+            // bit at.
+            (2_500_000, 0, 999_999, 1200, 1_003_839),
+        ] {
+            let mut l = Link::new(link_cfg(rate_bps, prop_ms, 100_000));
+            let fate = l.transmit(SimTime::from_micros(at_us), bytes);
+            assert_eq!(fate, Transmit::Delivered(SimTime::from_micros(want_us)));
         }
     }
 
@@ -635,9 +568,12 @@ mod tests {
         // 1 Mbps for 1 s then 10 Mbps. A 250-byte packet sent at t=999.5ms:
         // 0.5ms at 1Mbps pushes 500 bits; remaining 1500 bits at 10 Mbps
         // takes 150 us. Finish = 1000ms + 150us = 1000.15 ms.
-        let trace = RateTrace::new(SimDuration::from_secs(1), vec![1_000_000, 10_000_000]);
         let mut cfg = link_cfg(0, 0, 1_000_000);
-        cfg.rate = trace;
+        cfg.trace = DriveTrace::uniform(
+            SimDuration::from_secs(1),
+            [1_000_000, 10_000_000],
+            SimDuration::ZERO,
+        );
         let mut l = Link::new(cfg);
         match l.transmit(SimTime::from_micros(999_500), 250) {
             Transmit::Delivered(at) => assert_eq!(at.as_micros(), 1_000_150),
@@ -647,22 +583,11 @@ mod tests {
 
     #[test]
     fn zero_rate_trace_stalls_forever() {
-        let mut cfg = link_cfg(0, 0, 1_000_000);
-        cfg.rate = RateTrace::constant(0);
-        let mut l = Link::new(cfg);
+        let mut l = Link::new(link_cfg(0, 0, 1_000_000));
         match l.transmit(SimTime::ZERO, 100) {
             Transmit::Delivered(at) => assert_eq!(at, SimTime::MAX),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn queue_delay_reflects_backlog() {
-        let mut l = Link::new(link_cfg(10_000_000, 0, 1_000_000));
-        assert_eq!(l.queue_delay(SimTime::ZERO), SimDuration::ZERO);
-        l.transmit(SimTime::ZERO, 12_500); // 10 ms of serialization
-        assert_eq!(l.queue_delay(SimTime::ZERO).as_millis(), 10);
-        assert_eq!(l.queue_delay(SimTime::from_millis(4)).as_millis(), 6);
     }
 
     #[test]
@@ -735,7 +660,7 @@ mod tests {
                 let _ = l.transmit(SimTime::from_millis(i), 1250);
             }
             let drops = l.stats().queue_drops;
-            let delay = l.queue_delay(SimTime::from_millis(20_000));
+            let delay = l.busy_until.saturating_since(SimTime::from_millis(20_000));
             (drops, delay)
         };
         let (dt_drops, dt_delay) = run(QueueDiscipline::DropTail);
@@ -885,19 +810,18 @@ mod tests {
         // 10 Mbps / 40 ms, then a 2 s coverage gap (rate 0, OWD inflated),
         // then recovery at 20 Mbps / 30 ms.
         let mut cfg = link_cfg(999, 999, 10_000_000);
-        cfg.drive = Some(drive(vec![
+        cfg.trace = drive(vec![
             (0, 10_000_000, 40, 0.0),
             (1_000, 0, 120, 0.0),
             (3_000, 20_000_000, 30, 0.0),
-        ]));
+        ]);
         let mut l = Link::new(cfg);
-        // 1250 B at 10 Mbps = 1 ms serialization, +40 ms drive OWD; the
-        // static `rate`/`propagation` fields (garbage here) are ignored.
+        // 1250 B at 10 Mbps = 1 ms serialization, +40 ms drive OWD.
         match l.transmit(SimTime::ZERO, 1250) {
             Transmit::Delivered(at) => assert_eq!(at.as_millis(), 41),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(l.rate_at(SimTime::from_millis(1_500)), 0);
+        assert_eq!(l.config().trace.rate_at(SimTime::from_millis(1_500)), 0);
         // A packet offered inside the gap serializes only once coverage
         // returns at t=3 s (finish 3 s + 500 us at 20 Mbps) and carries the
         // in-gap OWD of 120 ms from its send instant.
@@ -915,7 +839,7 @@ mod tests {
     #[test]
     fn drive_zero_rate_final_hold_stalls_forever() {
         let mut cfg = link_cfg(10_000_000, 10, 1_000_000);
-        cfg.drive = Some(drive(vec![(0, 5_000_000, 20, 0.0), (1_000, 0, 20, 0.0)]));
+        cfg.trace = drive(vec![(0, 5_000_000, 20, 0.0), (1_000, 0, 20, 0.0)]);
         let mut l = Link::new(cfg);
         match l.transmit(SimTime::from_secs(2), 100) {
             Transmit::Delivered(at) => assert_eq!(at, SimTime::MAX),
@@ -927,10 +851,10 @@ mod tests {
     fn drive_loss_column_drops_packets_only_in_lossy_segments() {
         // 50% loss for the first second, clean afterwards.
         let mut cfg = link_cfg(999, 999, 10_000_000);
-        cfg.drive = Some(drive(vec![
+        cfg.trace = drive(vec![
             (0, 100_000_000, 10, 50.0),
             (1_000, 100_000_000, 10, 0.0),
-        ]));
+        ]);
         let mut l = Link::new(cfg);
         let mut lost_early = 0u64;
         for i in 0..500u64 {
@@ -955,11 +879,11 @@ mod tests {
         let run = || {
             let mut cfg = link_cfg(999, 999, 50_000);
             cfg.jitter = SimDuration::from_millis(5);
-            cfg.drive = Some(drive(vec![
+            cfg.trace = drive(vec![
                 (0, 8_000_000, 30, 2.0),
                 (2_000, 500_000, 90, 8.0),
                 (4_000, 12_000_000, 25, 0.0),
-            ]));
+            ]);
             let mut l = Link::new(cfg);
             (0..2_000)
                 .map(|i| l.transmit(SimTime::from_micros(i * 3_000), 1200))
@@ -995,8 +919,8 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The link as it stood: four trace lookups per packet and one
-    /// serialization walk for rate traces, another for drive traces.
+    /// The link as it stood: three trace lookups per packet and a
+    /// serialization walk that asks the trace for each boundary.
     struct RefLink {
         config: LinkConfig,
         loss: LossProcess,
@@ -1030,11 +954,6 @@ mod tests {
                 queued_bytes: 0,
                 stats: LinkStats::default(),
             }
-        }
-
-        /// Replaces the bandwidth trace (e.g. to switch scenarios mid-run).
-        fn set_rate(&mut self, rate: RateTrace) {
-            self.config.rate = rate;
         }
 
         /// Accumulated behaviour counters.
@@ -1102,24 +1021,22 @@ mod tests {
                 };
             }
 
-            // Drive-replay loss: a time-varying Bernoulli stage from the
+            // The trace's loss: a time-varying Bernoulli stage from the
             // capture's loss column. Guarded so loss-free segments make zero
             // RNG draws and leave the jitter/reorder streams untouched.
-            if let Some(drive) = &self.config.drive {
-                let p = (drive.loss_at(now) / 100.0).clamp(0.0, 1.0);
-                if p > 0.0 && self.rng.gen_bool(p) {
-                    self.stats.random_losses += 1;
-                    return Offer {
-                        fate: Transmit::RandomLoss,
-                        duplicate: None,
-                    };
-                }
+            let p = (self.config.trace.loss_at(now) / 100.0).clamp(0.0, 1.0);
+            if p > 0.0 && self.rng.gen_bool(p) {
+                self.stats.random_losses += 1;
+                return Offer {
+                    fate: Transmit::RandomLoss,
+                    duplicate: None,
+                };
             }
 
             // Serialize through the bottleneck, honouring rate changes at trace
             // segment boundaries.
             let start = self.busy_until.max(now);
-            let finish = self.serialize_from(start, bytes);
+            let finish = Self::serialize_over(&self.config.trace, start, bytes);
             self.busy_until = finish;
             self.in_flight.push_back((finish, bytes));
             self.queued_bytes += bytes;
@@ -1144,13 +1061,9 @@ mod tests {
                 SimDuration::ZERO
             };
 
-            // Under drive replay the one-way delay tracks the sample in effect
-            // at send time (handover OWD spikes); otherwise it is static.
-            let propagation = match &self.config.drive {
-                Some(drive) => drive.owd_at(now),
-                None => self.config.propagation,
-            };
-            let deliver = finish + propagation + jitter + holdback + imp.delay;
+            // The one-way delay tracks the sample in effect at send time
+            // (handover OWD spikes).
+            let deliver = finish + self.config.trace.owd_at(now) + jitter + holdback + imp.delay;
 
             // Impairment duplication stage: the copy trails the original.
             let duplicate = if imp.duplicate_prob > 0.0
@@ -1176,47 +1089,12 @@ mod tests {
         }
 
         /// Computes when `bytes` finish serializing if started at `start`,
-        /// walking trace segments as the rate changes.
-        fn serialize_from(&self, start: SimTime, bytes: usize) -> SimTime {
-            if let Some(drive) = &self.config.drive {
-                return Self::serialize_over_drive(drive, start, bytes);
-            }
-            let mut remaining_bits = bytes as u128 * 8;
-            let mut t = start;
-            // Bound the walk: if the link is stalled (rate 0) for the entire
-            // trace, bail out with a far-future finish time.
-            let mut zero_segments = 0usize;
-            let max_zero = self.config.rate.rates().len() + 1;
-            while remaining_bits > 0 {
-                let rate = self.config.rate.rate_at(t);
-                let window = self.config.rate.until_next_change(t);
-                if rate == 0 {
-                    zero_segments += 1;
-                    if zero_segments > max_zero {
-                        return SimTime::MAX;
-                    }
-                    t += window;
-                    continue;
-                }
-                zero_segments = 0;
-                // Bits we can push within this trace segment.
-                let window_bits = rate as u128 * window.as_micros() as u128 / 1_000_000;
-                if window_bits >= remaining_bits {
-                    let us = (remaining_bits * 1_000_000).div_ceil(rate as u128);
-                    return t + SimDuration::from_micros(us as u64);
-                }
-                remaining_bits -= window_bits;
-                t += window;
-            }
-            t
-        }
-
-        /// The drive-replay serialization walk. Drive traces hold their last
-        /// sample forever instead of wrapping, so the walk visits finitely many
-        /// boundaries: inside the final hold segment a zero rate means the link
-        /// is stalled for good ([`SimTime::MAX`]) and a positive rate finishes
+        /// walking trace segments as the rate changes. The trace holds its
+        /// last sample forever, so the walk visits finitely many boundaries:
+        /// inside the final hold segment a zero rate means the link is
+        /// stalled for good ([`SimTime::MAX`]) and a positive rate finishes
         /// directly.
-        fn serialize_over_drive(drive: &DriveTrace, start: SimTime, bytes: usize) -> SimTime {
+        fn serialize_over(drive: &DriveTrace, start: SimTime, bytes: usize) -> SimTime {
             let mut remaining_bits = bytes as u128 * 8;
             let mut t = start;
             loop {
@@ -1259,10 +1137,18 @@ mod tests {
         }
     }
 
-    fn stepped_trace(rng: &mut SmallRng, zero_share: f64) -> RateTrace {
+    /// Uniform steps of seeded rates, a `zero_share` of them zero, all at
+    /// delay `owd`, for a little longer than `span`.
+    fn stepped_trace(
+        rng: &mut SmallRng,
+        zero_share: f64,
+        owd: SimDuration,
+        span: SimDuration,
+    ) -> DriveTrace {
         use rand::Rng;
         let step = SimDuration::from_micros(rng.gen_range(2_000..400_000));
-        let rates = (0..rng.gen_range(1..12))
+        let steps = span.as_micros() / step.as_micros() + rng.gen_range(1..12);
+        let rates: Vec<u64> = (0..steps)
             .map(|_| {
                 if rng.gen_bool(zero_share) {
                     0
@@ -1271,7 +1157,7 @@ mod tests {
                 }
             })
             .collect();
-        RateTrace::new(step, rates)
+        DriveTrace::uniform(step, rates, owd)
     }
 
     /// A drive with runs of zero-rate samples, a lossy stretch and a first
@@ -1304,13 +1190,14 @@ mod tests {
     }
 
     /// The same seeded packets into the link and into the link as it
-    /// stood: constant, stepped, partly-zero and all-zero rate traces
-    /// (wrapping many times), `set_rate` mid-run, and drive traces from
-    /// before their first sample to deep inside their final hold, at
-    /// loads from idle to a standing queue (so serialization starts
-    /// segments after `now`) and packet sizes that straddle several
-    /// short segments. Equal offers, stats and RNG draws, packet for
-    /// packet.
+    /// stood: constant, stepped, partly-zero and all-zero traces, and
+    /// drive traces, each from before its first sample to deep inside its
+    /// final hold, at loads from idle to a standing queue (so
+    /// serialization starts segments after `now`) and packet sizes that
+    /// straddle several short segments. The link walks the trace twice,
+    /// once for the instant each packet is sent and once for the instant
+    /// it finishes serializing; the reference looks each value up afresh.
+    /// Equal offers, stats and RNG draws, packet for packet.
     #[test]
     fn link_matches_the_per_packet_lookups_and_the_two_walks() {
         use rand::Rng;
@@ -1319,17 +1206,19 @@ mod tests {
         let mut quiet = 0u64;
         for seed in 0..48u64 {
             let mut rng = SmallRng::seed_from_u64(0x11f_c0de + seed);
-            let mut cfg = link_cfg(0, rng.gen_range(0..80), rng.gen_range(20_000..400_000));
+            // Mean gap between offers: from a saturated queue to idle.
+            let gap_us = [40u64, 400, 4_000, 40_000][(seed / 6 % 4) as usize];
+            let span = SimDuration::from_micros(4_000 * gap_us);
+            let owd = SimDuration::from_millis(rng.gen_range(0..80));
+            let mut cfg = link_cfg(0, 0, rng.gen_range(20_000..400_000));
             cfg.seed = seed;
-            cfg.rate = match seed % 6 {
-                0 => RateTrace::constant(rng.gen_range(1_000_000..20_000_000)),
-                1 => RateTrace::new(SimDuration::from_millis(50), vec![0, 0, 0]),
-                2 => stepped_trace(&mut rng, 0.4),
-                _ => stepped_trace(&mut rng, 0.0),
+            cfg.trace = match seed % 6 {
+                0 => DriveTrace::constant(rng.gen_range(1_000_000..20_000_000), owd),
+                1 => DriveTrace::uniform(SimDuration::from_millis(50), [0, 0, 0], owd),
+                2 => stepped_trace(&mut rng, 0.4, owd, span),
+                3 => stepped_trace(&mut rng, 0.0, owd, span),
+                _ => seeded_drive(&mut rng, seed % 12 == 5),
             };
-            if seed % 6 >= 4 {
-                cfg.drive = Some(seeded_drive(&mut rng, seed % 12 == 5));
-            }
             if seed % 3 == 0 {
                 cfg.loss = LossModel::bernoulli_percent(3.0);
                 cfg.jitter = SimDuration::from_millis(4);
@@ -1339,17 +1228,10 @@ mod tests {
             }
             let mut link = Link::new(cfg.clone());
             let mut reference = RefLink::new(cfg);
-            quiet += u64::from(matches!(link.stages, Stages::Quiet));
+            quiet += u64::from(matches!(link.stages, Stages::Quiet(_)));
             let mut now = SimTime::ZERO;
-            // Mean gap between offers: from a saturated queue to idle.
-            let gap_us = [40u64, 400, 4_000, 40_000][(seed / 6 % 4) as usize];
             for i in 0..4_000u32 {
                 now += SimDuration::from_micros(rng.gen_range(0..2 * gap_us));
-                if seed % 6 == 3 && i % 1_000 == 999 {
-                    let rate = stepped_trace(&mut rng, 0.2);
-                    link.set_rate(rate.clone());
-                    reference.set_rate(rate);
-                }
                 let bytes = if rng.gen_bool(0.05) {
                     rng.gen_range(1..60_000)
                 } else {
@@ -1365,7 +1247,7 @@ mod tests {
                         stalls += 1;
                         break; // nothing can follow a stall for good
                     }
-                    let segments = |t: SimTime| Segment::lookup(&link.config, t).start;
+                    let segments = |t: SimTime| Segment::lookup(&link.config.trace, t).start;
                     crossings += u64::from(segments(start) != segments(reference.busy_until));
                 }
             }

@@ -5,7 +5,7 @@
 //! the Converge scheduler makes decisions; each carries a stable [`PathId`].
 
 use crate::link::{Link, LinkConfig, LinkStats, Offer, Transmit};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Identifier of a network path within a session (matches the path ID field
 /// of the paper's RTP/RTCP multipath header extensions). A session's paths
@@ -109,12 +109,6 @@ impl Path {
         self.link_mut(dir).offer(now, bytes)
     }
 
-    /// Ground-truth round-trip propagation delay (no queuing), useful for
-    /// test assertions.
-    pub fn base_rtt(&self) -> SimDuration {
-        self.forward.propagation() + self.reverse.propagation()
-    }
-
     /// Stats for one direction.
     pub fn stats(&self, dir: Direction) -> LinkStats {
         self.link(dir).stats()
@@ -124,19 +118,18 @@ impl Path {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RateTrace;
+    use crate::drive::DriveTrace;
+    use crate::time::SimDuration;
 
     fn cfg(rate_bps: u64, prop_ms: u64) -> LinkConfig {
         LinkConfig {
-            rate: RateTrace::constant(rate_bps),
-            propagation: SimDuration::from_millis(prop_ms),
+            trace: DriveTrace::constant(rate_bps, SimDuration::from_millis(prop_ms)),
             queue_capacity_bytes: 1_000_000,
             loss: crate::loss::LossModel::None,
             jitter: SimDuration::ZERO,
             discipline: crate::aqm::QueueDiscipline::DropTail,
             seed: 9,
             impairment: crate::impairment::ImpairmentConfig::default(),
-            drive: None,
         }
     }
 
@@ -151,16 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn base_rtt_sums_propagation() {
-        let p = Path::new(PathId(1), cfg(1, 30), cfg(1, 20));
-        assert_eq!(p.base_rtt().as_millis(), 50);
-    }
-
-    #[test]
     fn symmetric_path_keeps_forward_rate() {
         let mut p = Path::symmetric(PathId(2), cfg(10_000_000, 5));
         assert_eq!(
-            p.link(Direction::Reverse).rate_at(SimTime::ZERO),
+            p.link(Direction::Reverse).config().trace.rate_at(SimTime::ZERO),
             10_000_000
         );
         // Different seeds on each direction keep loss draws independent.

@@ -13,12 +13,12 @@
 //! perturbs the seeded randomness of the access paths around it.
 
 use crate::aqm::QueueDiscipline;
+use crate::drive::DriveTrace;
 use crate::impairment::ImpairmentConfig;
 use crate::link::{Link, LinkConfig, LinkStats, Transmit};
 use crate::loss::LossModel;
 use crate::path::PathId;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::RateTrace;
 
 /// One-way latency through the node itself (switching fabric).
 const FORWARD_DELAY: SimDuration = SimDuration::from_micros(200);
@@ -135,15 +135,13 @@ impl SfuNode {
     pub fn new(config: SfuConfig) -> Self {
         let quiet_link = |rate_bps: u64, queue_bytes: usize| {
             Link::new(LinkConfig {
-                rate: RateTrace::constant(rate_bps),
-                propagation: FORWARD_DELAY,
+                trace: DriveTrace::constant(rate_bps, FORWARD_DELAY),
                 queue_capacity_bytes: queue_bytes,
                 loss: LossModel::None,
                 jitter: SimDuration::ZERO,
                 discipline: QueueDiscipline::DropTail,
                 impairment: ImpairmentConfig::default(),
                 seed: 0,
-                drive: None,
             })
         };
         SfuNode {

@@ -1,175 +1,18 @@
-//! Time-varying bandwidth traces.
+//! Synthetic link traces.
 //!
 //! The paper replays cellular bandwidth traces collected while stationary,
 //! walking, and driving (its Figs. 20–22). We do not have those captures, so
-//! this module provides (a) a piecewise-constant trace container with CSV
-//! load/save, and (b) seeded synthetic generators calibrated to the dynamics
-//! those figures describe: a stable high-rate WiFi-like trace, a mildly
-//! varying walking trace with short coverage dips, and a violently varying
-//! driving trace with deep coverage gaps.
+//! this module provides seeded synthetic generators calibrated to the
+//! dynamics those figures describe: a stable high-rate WiFi-like trace, a
+//! mildly varying walking trace with short coverage dips, and a violently
+//! varying driving trace with deep coverage gaps. Each is a
+//! [`DriveTrace`] of half-second steps.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::time::{SimDuration, SimTime};
-
-/// A piecewise-constant bandwidth trace: the rate at segment `i` holds from
-/// `i * step` until `(i + 1) * step`. After the last segment the trace wraps
-/// around, so any call duration can be simulated from a finite trace.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RateTrace {
-    /// Duration of each segment.
-    step: SimDuration,
-    /// Rate per segment, bits per second.
-    rates_bps: Vec<u64>,
-}
-
-impl RateTrace {
-    /// Builds a trace from explicit per-segment rates.
-    ///
-    /// # Panics
-    /// Panics if `rates_bps` is empty or `step` is zero.
-    pub fn new(step: SimDuration, rates_bps: Vec<u64>) -> Self {
-        assert!(
-            !rates_bps.is_empty(),
-            "trace must have at least one segment"
-        );
-        assert!(step > SimDuration::ZERO, "trace step must be positive");
-        RateTrace { step, rates_bps }
-    }
-
-    /// A trace with one constant rate.
-    pub fn constant(bits_per_sec: u64) -> Self {
-        RateTrace::new(SimDuration::from_secs(1), vec![bits_per_sec])
-    }
-
-    /// Segment duration.
-    pub fn step(&self) -> SimDuration {
-        self.step
-    }
-
-    /// Per-segment rates in bits per second.
-    pub fn rates(&self) -> &[u64] {
-        &self.rates_bps
-    }
-
-    /// Total duration before the trace wraps.
-    pub fn span(&self) -> SimDuration {
-        self.step * self.rates_bps.len() as u64
-    }
-
-    /// The rate in effect at `at`, wrapping past the end of the trace.
-    pub fn rate_at(&self, at: SimTime) -> u64 {
-        let idx = (at.as_micros() / self.step.as_micros()) as usize % self.rates_bps.len();
-        self.rates_bps[idx]
-    }
-
-    /// Simulation time remaining until the rate may next change.
-    pub fn until_next_change(&self, at: SimTime) -> SimDuration {
-        let step = self.step.as_micros();
-        let into = at.as_micros() % step;
-        SimDuration::from_micros(step - into)
-    }
-
-    /// Mean rate over one full trace span.
-    pub fn mean_rate(&self) -> u64 {
-        let sum: u128 = self.rates_bps.iter().map(|&r| r as u128).sum();
-        (sum / self.rates_bps.len() as u128) as u64
-    }
-
-    /// Serializes as `seconds,bits_per_sec` CSV lines.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for (i, r) in self.rates_bps.iter().enumerate() {
-            let t = self.step.as_secs_f64() * i as f64;
-            out.push_str(&format!("{t:.3},{r}\n"));
-        }
-        out
-    }
-
-    /// Parses the CSV produced by [`RateTrace::to_csv`]. Requires at least
-    /// two rows with a uniform time step (or one row, treated as constant).
-    pub fn from_csv(text: &str) -> Result<Self, TraceParseError> {
-        let mut times = Vec::new();
-        let mut rates = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (t, r) = line
-                .split_once(',')
-                .ok_or(TraceParseError::BadLine(lineno + 1))?;
-            let t: f64 = t
-                .trim()
-                .parse()
-                .map_err(|_| TraceParseError::BadLine(lineno + 1))?;
-            // `f64::parse` happily accepts "NaN"/"inf"; a timestamp that is
-            // not a finite non-negative number is a malformed row, reported
-            // with its 1-based line number like any other parse failure.
-            if !t.is_finite() || t < 0.0 {
-                return Err(TraceParseError::BadLine(lineno + 1));
-            }
-            let r: u64 = r
-                .trim()
-                .parse()
-                .map_err(|_| TraceParseError::BadLine(lineno + 1))?;
-            times.push((t, lineno + 1));
-            rates.push(r);
-        }
-        if rates.is_empty() {
-            return Err(TraceParseError::Empty);
-        }
-        let step = if times.len() >= 2 {
-            let dt = times[1].0 - times[0].0;
-            if dt <= 0.0 {
-                return Err(TraceParseError::NonUniformStep(times[1].1));
-            }
-            for w in times.windows(2) {
-                if ((w[1].0 - w[0].0) - dt).abs() > 1e-6 {
-                    return Err(TraceParseError::NonUniformStep(w[1].1));
-                }
-            }
-            // A positive step under half a microsecond rounds to zero, which
-            // is no step at all.
-            let step = SimDuration::from_secs_f64(dt);
-            if step == SimDuration::ZERO {
-                return Err(TraceParseError::NonUniformStep(times[1].1));
-            }
-            step
-        } else {
-            SimDuration::from_secs(1)
-        };
-        Ok(RateTrace::new(step, rates))
-    }
-}
-
-/// Errors from [`RateTrace::from_csv`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceParseError {
-    /// The file had no data rows.
-    Empty,
-    /// The row at this 1-based line was not `seconds,bits_per_sec` with a
-    /// finite non-negative timestamp.
-    BadLine(usize),
-    /// The row at this 1-based line broke the uniform time spacing
-    /// established by the first two rows.
-    NonUniformStep(usize),
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceParseError::Empty => write!(f, "trace file has no data rows"),
-            TraceParseError::BadLine(n) => write!(f, "malformed trace row at line {n}"),
-            TraceParseError::NonUniformStep(n) => {
-                write!(f, "trace row at line {n} is not uniformly spaced")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceParseError {}
+use crate::drive::DriveTrace;
+use crate::time::SimDuration;
 
 /// Mobility scenario of a synthetic trace, matching the paper's appendix D.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -198,13 +41,15 @@ pub enum Carrier {
 /// Traces are produced by a mean-reverting random walk (AR(1)) around a
 /// carrier-specific base rate, with scenario-dependent variance, plus
 /// randomly placed coverage gaps whose depth and frequency grow with
-/// mobility. The seed fully determines the trace.
+/// mobility. Every step is lossless at the path's one-way delay `owd`.
+/// The seed fully determines the trace.
 pub fn synthesize(
     scenario: Scenario,
     carrier: Carrier,
+    owd: SimDuration,
     duration: SimDuration,
     seed: u64,
-) -> RateTrace {
+) -> DriveTrace {
     let step = SimDuration::from_millis(500);
     let n = (duration.as_micros() / step.as_micros()).max(1) as usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ hash_params(scenario, carrier));
@@ -253,7 +98,7 @@ pub fn synthesize(
         rates.push((mbps * 1e6) as u64);
     }
 
-    RateTrace::new(step, rates)
+    DriveTrace::uniform(step, rates, owd)
 }
 
 fn hash_params(scenario: Scenario, carrier: Carrier) -> u64 {
@@ -291,141 +136,150 @@ fn poisson_like(rng: &mut SmallRng, mean: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::DriveParseError;
+    use crate::time::SimTime;
+
+    const OWD: SimDuration = SimDuration::from_millis(30);
 
     #[test]
     fn constant_trace_always_same_rate() {
-        let t = RateTrace::constant(10_000_000);
+        let t = DriveTrace::constant(10_000_000, OWD);
         assert_eq!(t.rate_at(SimTime::ZERO), 10_000_000);
         assert_eq!(t.rate_at(SimTime::from_secs(1000)), 10_000_000);
+        assert_eq!(t.owd_at(SimTime::from_secs(1000)), OWD);
         assert_eq!(t.mean_rate(), 10_000_000);
+        assert_eq!(t.until_next_change(SimTime::ZERO), None);
     }
 
+    /// A uniform trace indexes its steps and holds the last one past its
+    /// end: a link replaying a path capture does not loop back into it.
     #[test]
-    fn rate_at_indexes_segments_and_wraps() {
-        let t = RateTrace::new(SimDuration::from_secs(1), vec![1, 2, 3]);
+    fn uniform_steps_index_and_hold() {
+        let t = DriveTrace::uniform(SimDuration::from_secs(1), [1, 2, 3], OWD);
         assert_eq!(t.rate_at(SimTime::from_millis(0)), 1);
         assert_eq!(t.rate_at(SimTime::from_millis(999)), 1);
         assert_eq!(t.rate_at(SimTime::from_millis(1000)), 2);
         assert_eq!(t.rate_at(SimTime::from_millis(2500)), 3);
-        assert_eq!(t.rate_at(SimTime::from_millis(3000)), 1); // wrap
+        assert_eq!(t.rate_at(SimTime::from_millis(3000)), 3);
+        assert_eq!(t.rate_at(SimTime::from_secs(1_000_000)), 3);
+        assert!(t
+            .samples()
+            .iter()
+            .all(|s| s.owd == OWD && s.loss_pct == 0.0));
     }
 
     #[test]
     fn until_next_change_counts_down() {
-        let t = RateTrace::new(SimDuration::from_millis(500), vec![1, 2]);
-        assert_eq!(
-            t.until_next_change(SimTime::from_millis(100)).as_millis(),
-            400
-        );
-        assert_eq!(
-            t.until_next_change(SimTime::from_millis(500)).as_millis(),
-            500
-        );
+        let t = DriveTrace::uniform(SimDuration::from_millis(500), [1, 2, 3], OWD);
+        let until = |ms| {
+            t.until_next_change(SimTime::from_millis(ms))
+                .map(|d| d.as_millis())
+        };
+        assert_eq!(until(100), Some(400));
+        assert_eq!(until(500), Some(500));
+        // The last step never ends.
+        assert_eq!(until(1_000), None);
     }
 
     #[test]
     fn csv_roundtrip() {
-        let t = RateTrace::new(SimDuration::from_millis(500), vec![5_000_000, 7_000_000, 0]);
-        let csv = t.to_csv();
-        let back = RateTrace::from_csv(&csv).unwrap();
-        assert_eq!(t, back);
+        let t = DriveTrace::uniform(
+            SimDuration::from_millis(500),
+            [5_000_000, 7_000_000, 0],
+            OWD,
+        );
+        assert_eq!(DriveTrace::from_csv(&t.to_csv()), Ok(t));
+        // A synthesized trace is what `trace-tool gen` prints.
+        let t = synthesize(
+            Scenario::Driving,
+            Carrier::CellularA,
+            OWD,
+            SimDuration::from_secs(60),
+            1,
+        );
+        assert_eq!(DriveTrace::from_csv(&t.to_csv()), Ok(t));
     }
 
     #[test]
     fn csv_rejects_garbage() {
-        assert_eq!(RateTrace::from_csv(""), Err(TraceParseError::Empty));
+        assert_eq!(DriveTrace::from_csv(""), Err(DriveParseError::Empty));
         assert_eq!(
-            RateTrace::from_csv("a,b\n"),
-            Err(TraceParseError::BadLine(1))
+            DriveTrace::from_csv("a,b\n"),
+            Err(DriveParseError::BadLine(1))
         );
         assert_eq!(
-            RateTrace::from_csv("0.0,5\n1.0,5\n3.0,5\n"),
-            Err(TraceParseError::NonUniformStep(3))
+            DriveTrace::from_csv("0.0,5,1,0\n1.0,5,1,0\n1.0,5,1,0\n"),
+            Err(DriveParseError::NonMonotoneTime(3))
         );
     }
 
     #[test]
     fn csv_empty_variants() {
         // Whitespace and comments alone are still "no data rows".
-        assert_eq!(RateTrace::from_csv("\n\n"), Err(TraceParseError::Empty));
+        assert_eq!(DriveTrace::from_csv("\n\n"), Err(DriveParseError::Empty));
         assert_eq!(
-            RateTrace::from_csv("# only a header\n  \n"),
-            Err(TraceParseError::Empty)
+            DriveTrace::from_csv("# only a header\n  \n"),
+            Err(DriveParseError::Empty)
         );
     }
 
     #[test]
     fn csv_malformed_rows_report_their_file_line() {
         // The offending line number counts comments and blanks (1-based).
-        assert_eq!(
-            RateTrace::from_csv("# header\n0.0,100\nbogus\n"),
-            Err(TraceParseError::BadLine(3))
-        );
-        assert_eq!(
-            RateTrace::from_csv("0.0,100\n0.5,-3\n"),
-            Err(TraceParseError::BadLine(2))
-        );
-        assert_eq!(
-            RateTrace::from_csv("0.0,100\n0.5,1.5\n"),
-            Err(TraceParseError::BadLine(2))
-        );
-        assert_eq!(
-            RateTrace::from_csv("0.0,100,extra\n"),
-            Err(TraceParseError::BadLine(1))
-        );
+        for (csv, line) in [
+            ("# header\n0.0,100,1,0\nbogus\n", 3),
+            ("0.0,100,1,0\n0.5,-3,1,0\n", 2),
+            ("0.0,100,1,0\n0.5,1.5,1,0\n", 2),
+            ("0.0,100,1,0,extra\n", 1),
+        ] {
+            assert_eq!(
+                DriveTrace::from_csv(csv),
+                Err(DriveParseError::BadLine(line)),
+                "{csv:?}"
+            );
+        }
     }
 
     #[test]
     fn csv_rejects_nan_and_inf_timestamps() {
         // f64::parse accepts these spellings; the trace parser must not.
-        for bad in ["NaN,100\n", "inf,100\n", "-inf,100\n", "-1.0,100\n"] {
+        for bad in [
+            "NaN,100,1,0\n",
+            "inf,100,1,0\n",
+            "-inf,100,1,0\n",
+            "-1.0,100,1,0\n",
+        ] {
             assert_eq!(
-                RateTrace::from_csv(bad),
-                Err(TraceParseError::BadLine(1)),
+                DriveTrace::from_csv(bad),
+                Err(DriveParseError::BadValue(1)),
                 "{bad:?}"
             );
         }
         assert_eq!(
-            RateTrace::from_csv("0.0,100\nNaN,100\n"),
-            Err(TraceParseError::BadLine(2))
-        );
-    }
-
-    #[test]
-    fn csv_non_uniform_step_names_the_offending_row() {
-        // Backwards time shows up on the second row...
-        assert_eq!(
-            RateTrace::from_csv("1.0,5\n0.5,5\n"),
-            Err(TraceParseError::NonUniformStep(2))
-        );
-        // ...while a late spacing break names the row that broke it, even
-        // with comment lines shifting the file line numbers.
-        assert_eq!(
-            RateTrace::from_csv("# gen\n0.0,5\n0.5,5\n1.0,5\n1.7,5\n"),
-            Err(TraceParseError::NonUniformStep(5))
+            DriveTrace::from_csv("0.0,100,1,0\nNaN,100,1,0\n"),
+            Err(DriveParseError::BadValue(2))
         );
     }
 
     /// Hostile inputs to the trace readers return `Err` or a well-formed
-    /// trace and never panic: a step that rounds to zero microseconds, and
-    /// for both drive readers NaN, infinities, 1e30, negative values and path
+    /// trace and never panic: instants that round to the same microsecond,
+    /// and for both readers NaN, infinities, 1e30, negative values and path
     /// ids past the last path.
     #[test]
     fn hostile_inputs_are_err_or_ok_never_a_panic() {
-        use crate::drive::{DriveParseError as D, DriveTrace};
+        use crate::drive::DriveParseError as D;
 
-        // Positive steps that round to 0 µs used to reach `RateTrace::new`'s
-        // "trace step must be positive" assert.
-        for text in ["0,1\n1e-9,1\n", "0,1\n4e-7,1\n"] {
+        // Two instants under half a microsecond apart are one instant.
+        for text in ["0,1,0,0\n1e-9,1,0,0\n", "0,1,0,0\n4e-7,1,0,0\n"] {
             assert_eq!(
-                RateTrace::from_csv(text),
-                Err(TraceParseError::NonUniformStep(2)),
+                DriveTrace::from_csv(text),
+                Err(D::NonMonotoneTime(2)),
                 "{text:?}"
             );
         }
         // Six tenths of a microsecond rounds up to a step of 1 µs.
-        let t = RateTrace::from_csv("0,1\n6e-7,2\n").unwrap();
-        assert_eq!((t.step().as_micros(), t.rates()), (1, &[1, 2][..]));
+        let t = DriveTrace::from_csv("0,1,0,0\n6e-7,2,0,0\n").unwrap();
+        assert_eq!(t.end(), SimTime::from_micros(1));
 
         let far = SimTime::from_micros(u64::MAX);
         for (csv, want) in [
@@ -439,14 +293,19 @@ mod tests {
             ("0,5,40,-1\n", Err(D::BadValue(1))),
             ("0,5,40,1e30\n", Err(D::BadValue(1))),
             // Past the clock's range a value saturates instead of wrapping.
-            ("1e30,5,1e30,0\n", Ok((far, SimDuration::from_micros(u64::MAX)))),
+            (
+                "1e30,5,1e30,0\n",
+                Ok((far, SimDuration::from_micros(u64::MAX))),
+            ),
         ] {
             let got = DriveTrace::from_csv(csv).map(|t| (t.start(), t.owd_at(far)));
             assert_eq!(got, want, "{csv:?}");
         }
 
         let row = |path: &str, t: &str, rate: &str| {
-            format!("{{\"t\":{t},\"path\":{path},\"rate_bps\":{rate},\"owd_ms\":1,\"loss_pct\":0}}\n")
+            format!(
+                "{{\"t\":{t},\"path\":{path},\"rate_bps\":{rate},\"owd_ms\":1,\"loss_pct\":0}}\n"
+            )
         };
         for (jsonl, want) in [
             (row("0", "NaN", "1"), Err(D::BadValue(1))),
@@ -467,26 +326,33 @@ mod tests {
 
     #[test]
     fn csv_skips_comments_and_blank_lines() {
-        let t = RateTrace::from_csv("# header\n\n0.0,100\n0.5,200\n").unwrap();
-        assert_eq!(t.rates(), &[100, 200]);
-        assert_eq!(t.step().as_millis(), 500);
+        let t = DriveTrace::from_csv("# header\n\n0.0,100,1,0\n0.5,200,1,0\n").unwrap();
+        let rates: Vec<u64> = t.samples().iter().map(|s| s.rate_bps).collect();
+        assert_eq!(rates, [100, 200]);
+        assert_eq!(t.end(), SimTime::from_millis(500));
     }
 
     #[test]
     fn synthetic_traces_are_deterministic() {
-        let a = synthesize(
-            Scenario::Driving,
-            Carrier::CellularA,
-            SimDuration::from_secs(60),
-            1,
-        );
-        let b = synthesize(
-            Scenario::Driving,
-            Carrier::CellularA,
-            SimDuration::from_secs(60),
-            1,
-        );
-        assert_eq!(a, b);
+        let driving = |seed| {
+            synthesize(
+                Scenario::Driving,
+                Carrier::CellularA,
+                OWD,
+                SimDuration::from_secs(60),
+                seed,
+            )
+        };
+        let a = driving(1);
+        assert_eq!(a, driving(1));
+        // One lossless half-second step per half second of the call, each
+        // at the path's delay.
+        assert_eq!(a.samples().len(), 120);
+        assert_eq!(a.end(), SimTime::from_millis(59_500));
+        assert!(a
+            .samples()
+            .iter()
+            .all(|s| s.owd == OWD && s.loss_pct == 0.0));
     }
 
     #[test]
@@ -494,12 +360,14 @@ mod tests {
         let a = synthesize(
             Scenario::Driving,
             Carrier::CellularA,
+            OWD,
             SimDuration::from_secs(60),
             1,
         );
         let b = synthesize(
             Scenario::Driving,
             Carrier::CellularA,
+            OWD,
             SimDuration::from_secs(60),
             2,
         );
@@ -509,16 +377,16 @@ mod tests {
     #[test]
     fn driving_is_more_variable_than_stationary() {
         let dur = SimDuration::from_secs(180);
-        let stat = synthesize(Scenario::Stationary, Carrier::CellularA, dur, 3);
-        let driv = synthesize(Scenario::Driving, Carrier::CellularA, dur, 3);
-        let cv = |t: &RateTrace| {
+        let stat = synthesize(Scenario::Stationary, Carrier::CellularA, OWD, dur, 3);
+        let driv = synthesize(Scenario::Driving, Carrier::CellularA, OWD, dur, 3);
+        let cv = |t: &DriveTrace| {
             let mean = t.mean_rate() as f64;
             let var: f64 = t
-                .rates()
+                .samples()
                 .iter()
-                .map(|&r| (r as f64 - mean).powi(2))
+                .map(|s| (s.rate_bps as f64 - mean).powi(2))
                 .sum::<f64>()
-                / t.rates().len() as f64;
+                / t.samples().len() as f64;
             var.sqrt() / mean
         };
         assert!(
@@ -534,10 +402,11 @@ mod tests {
         let t = synthesize(
             Scenario::Driving,
             Carrier::CellularA,
+            OWD,
             SimDuration::from_secs(180),
             5,
         );
-        let min = *t.rates().iter().min().unwrap();
+        let min = t.samples().iter().map(|s| s.rate_bps).min().unwrap();
         assert!(min < 1_000_000, "expected sub-1Mbps gaps, min was {min}");
     }
 
@@ -546,6 +415,7 @@ mod tests {
         let t = synthesize(
             Scenario::Stationary,
             Carrier::Wifi,
+            OWD,
             SimDuration::from_secs(180),
             7,
         );
@@ -554,7 +424,19 @@ mod tests {
 
     #[test]
     fn trace_span() {
-        let t = RateTrace::new(SimDuration::from_millis(500), vec![0; 10]);
-        assert_eq!(t.span().as_secs_f64(), 5.0);
+        let t = DriveTrace::uniform(SimDuration::from_millis(500), [0; 10], OWD);
+        assert_eq!(
+            (t.start(), t.end()),
+            (SimTime::ZERO, SimTime::from_millis(4_500))
+        );
+        // A call shorter than one step still gets one.
+        let short = synthesize(
+            Scenario::Walking,
+            Carrier::Wifi,
+            OWD,
+            SimDuration::from_millis(100),
+            1,
+        );
+        assert_eq!(short.samples().len(), 1);
     }
 }

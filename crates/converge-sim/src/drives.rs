@@ -103,11 +103,9 @@ mod tests {
             );
             assert_eq!(scenario.name, format!("drive-{}", fixture.id()));
             for (i, path) in scenario.paths.iter().enumerate() {
-                let drive = path.drive.as_ref().unwrap_or_else(|| {
-                    panic!("{} path {i} must carry a drive", fixture.id())
-                });
                 // 60 s captures: the final hold segment starts at 60 s.
-                assert_eq!(drive.end(), SimTime::from_secs(60), "{}", fixture.id());
+                let end = path.trace.end();
+                assert_eq!(end, SimTime::from_secs(60), "{} path {i}", fixture.id());
             }
         }
     }
@@ -116,23 +114,23 @@ mod tests {
     fn fixtures_model_their_named_dynamics() {
         // Coverage gaps: WiFi (path 0) dies mid-drive and recovers.
         let gaps = DriveFixture::CoverageGaps.scenario();
-        let wifi = gaps.paths[0].drive.as_ref().unwrap();
+        let wifi = &gaps.paths[0].trace;
         assert!(wifi.rate_at(SimTime::from_secs(30)) < 1_000_000);
         assert!(wifi.rate_at(SimTime::from_secs(50)) > 20_000_000);
 
         // Handover: carrier A (path 0) hands off to carrier B (path 1).
         let handover = DriveFixture::Handover.scenario();
-        let a = handover.paths[0].drive.as_ref().unwrap();
-        let b = handover.paths[1].drive.as_ref().unwrap();
+        let a = &handover.paths[0].trace;
+        let b = &handover.paths[1].trace;
         assert!(a.rate_at(SimTime::from_secs(5)) > 10 * b.rate_at(SimTime::from_secs(5)));
         assert!(b.rate_at(SimTime::from_secs(55)) > 10 * a.rate_at(SimTime::from_secs(55)));
 
         // Blackout-flap: path 2 goes fully dark at 15-23 s, path 5 flaps.
         let bf = DriveFixture::BlackoutFlap.scenario();
-        let dark = bf.paths[2].drive.as_ref().unwrap();
+        let dark = &bf.paths[2].trace;
         assert_eq!(dark.rate_at(SimTime::from_secs(18)), 0);
         assert!(dark.rate_at(SimTime::from_secs(30)) > 10_000_000);
-        let flap = bf.paths[5].drive.as_ref().unwrap();
+        let flap = &bf.paths[5].trace;
         assert_eq!(flap.rate_at(SimTime::from_secs(25)), 0);
         assert!(flap.rate_at(SimTime::from_secs(29)) > 5_000_000);
     }

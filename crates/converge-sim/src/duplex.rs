@@ -68,7 +68,8 @@ mod tests {
     fn duplex_config(rate_bps: u64, secs: u64) -> SessionConfig {
         let mut scenario = ScenarioConfig::fec_tradeoff(0.0);
         for p in &mut scenario.paths {
-            p.rate = converge_net::RateTrace::constant(rate_bps);
+            let owd = converge_net::SimDuration::from_millis(50);
+            p.trace = converge_net::DriveTrace::constant(rate_bps, owd);
         }
         SessionConfig::builder()
             .scenario(scenario)

@@ -7,7 +7,7 @@ use converge_core::{
 };
 use converge_net::{
     trace, BlackoutSchedule, Carrier, DriveParseError, DriveTrace, ImpairmentConfig, LinkConfig,
-    LossModel, Path, PathId, QueueDiscipline, RateTrace, Scenario, SimDuration, SimTime,
+    LossModel, Path, PathId, QueueDiscipline, Scenario, SimDuration, SimTime,
 };
 
 /// Which scheduler to run.
@@ -131,10 +131,10 @@ impl FecKind {
 /// A path specification for scenario construction.
 #[derive(Debug, Clone)]
 pub struct PathSpec {
-    /// Forward bandwidth trace.
-    pub rate: RateTrace,
-    /// One-way propagation delay.
-    pub propagation: SimDuration,
+    /// Rate, one-way delay and extra loss over time, on both directions
+    /// (the two directions share one radio, so a coverage gap darkens the
+    /// feedback channel too).
+    pub trace: DriveTrace,
     /// Random loss model.
     pub loss: LossModel,
     /// Queue capacity in bytes.
@@ -152,11 +152,6 @@ pub struct PathSpec {
     /// default; setting it alone models a starved feedback channel while
     /// media flows clean.
     pub reverse_impairment: ImpairmentConfig,
-    /// Replayed drive capture. When set it overrides `rate`, `propagation`,
-    /// and `loss` on both directions (the two directions share one radio,
-    /// so a coverage gap darkens the feedback channel too). `None` for
-    /// every synthetic scenario.
-    pub drive: Option<DriveTrace>,
 }
 
 impl Default for PathSpec {
@@ -170,40 +165,30 @@ impl Default for PathSpec {
 impl PathSpec {
     /// A constant-rate path.
     pub fn constant(rate_bps: u64, one_way_ms: u64, loss_pct: f64) -> Self {
+        let owd = SimDuration::from_millis(one_way_ms);
         PathSpec {
-            rate: RateTrace::constant(rate_bps),
-            propagation: SimDuration::from_millis(one_way_ms),
             loss: if loss_pct > 0.0 {
                 LossModel::bernoulli_percent(loss_pct)
             } else {
                 LossModel::None
             },
+            ..PathSpec::from_drive(DriveTrace::constant(rate_bps, owd))
+        }
+    }
+
+    /// A drop-tail path with no random loss, jitter or impairment that
+    /// follows `trace`: a drive capture's rate, one-way delay and loss, or
+    /// a synthesized path's.
+    pub fn from_drive(trace: DriveTrace) -> Self {
+        PathSpec {
+            trace,
+            loss: LossModel::None,
             // ~1.5x BDP of a 25 Mbps / 100 ms path by default.
             queue_bytes: 300_000,
             jitter: SimDuration::ZERO,
             discipline: QueueDiscipline::DropTail,
             forward_impairment: ImpairmentConfig::default(),
             reverse_impairment: ImpairmentConfig::default(),
-            drive: None,
-        }
-    }
-
-    /// A path replaying a drive capture: rate, one-way delay, and loss all
-    /// follow the trace. The static fields are set from the capture's
-    /// initial sample so code that inspects them (e.g. `Path::base_rtt`)
-    /// sees sensible values.
-    pub fn from_drive(drive: DriveTrace) -> Self {
-        let first = drive.samples()[0];
-        PathSpec {
-            rate: RateTrace::constant(first.rate_bps),
-            propagation: first.owd,
-            loss: LossModel::None,
-            queue_bytes: 300_000,
-            jitter: SimDuration::ZERO,
-            discipline: QueueDiscipline::DropTail,
-            forward_impairment: ImpairmentConfig::default(),
-            reverse_impairment: ImpairmentConfig::default(),
-            drive: Some(drive),
         }
     }
 
@@ -217,15 +202,13 @@ impl PathSpec {
     /// The forward (media) link of this path, seeded with `seed`.
     pub(crate) fn forward_link(&self, seed: u64) -> LinkConfig {
         LinkConfig {
-            rate: self.rate.clone(),
-            propagation: self.propagation,
+            trace: self.trace.clone(),
             queue_capacity_bytes: self.queue_bytes,
             loss: self.loss.clone(),
             jitter: self.jitter,
             discipline: self.discipline.clone(),
             seed,
             impairment: self.forward_impairment,
-            drive: self.drive.clone(),
         }
     }
 
@@ -308,8 +291,13 @@ impl ScenarioConfig {
             name: "walking".into(),
             paths: vec![
                 PathSpec {
-                    rate: trace::synthesize(Scenario::Walking, Carrier::Wifi, duration, seed),
-                    propagation: SimDuration::from_millis(15),
+                    trace: trace::synthesize(
+                        Scenario::Walking,
+                        Carrier::Wifi,
+                        SimDuration::from_millis(15),
+                        duration,
+                        seed,
+                    ),
                     loss: LossModel::bursty_percent(0.2),
                     queue_bytes: 300_000,
                     jitter: SimDuration::from_millis(2),
@@ -317,8 +305,13 @@ impl ScenarioConfig {
                     ..Default::default()
                 },
                 PathSpec {
-                    rate: trace::synthesize(Scenario::Walking, Carrier::CellularA, duration, seed),
-                    propagation: SimDuration::from_millis(35),
+                    trace: trace::synthesize(
+                        Scenario::Walking,
+                        Carrier::CellularA,
+                        SimDuration::from_millis(35),
+                        duration,
+                        seed,
+                    ),
                     loss: LossModel::bursty_percent(0.4),
                     queue_bytes: 300_000,
                     jitter: SimDuration::from_millis(5),
@@ -335,8 +328,13 @@ impl ScenarioConfig {
             name: "driving".into(),
             paths: vec![
                 PathSpec {
-                    rate: trace::synthesize(Scenario::Driving, Carrier::CellularB, duration, seed),
-                    propagation: SimDuration::from_millis(40),
+                    trace: trace::synthesize(
+                        Scenario::Driving,
+                        Carrier::CellularB,
+                        SimDuration::from_millis(40),
+                        duration,
+                        seed,
+                    ),
                     loss: LossModel::bursty_percent(0.7),
                     queue_bytes: 250_000,
                     jitter: SimDuration::from_millis(8),
@@ -344,8 +342,13 @@ impl ScenarioConfig {
                     ..Default::default()
                 },
                 PathSpec {
-                    rate: trace::synthesize(Scenario::Driving, Carrier::CellularA, duration, seed),
-                    propagation: SimDuration::from_millis(35),
+                    trace: trace::synthesize(
+                        Scenario::Driving,
+                        Carrier::CellularA,
+                        SimDuration::from_millis(35),
+                        duration,
+                        seed,
+                    ),
                     loss: LossModel::bursty_percent(0.7),
                     queue_bytes: 250_000,
                     jitter: SimDuration::from_millis(8),
@@ -362,8 +365,13 @@ impl ScenarioConfig {
             name: "stationary".into(),
             paths: vec![
                 PathSpec {
-                    rate: trace::synthesize(Scenario::Stationary, Carrier::Wifi, duration, seed),
-                    propagation: SimDuration::from_millis(10),
+                    trace: trace::synthesize(
+                        Scenario::Stationary,
+                        Carrier::Wifi,
+                        SimDuration::from_millis(10),
+                        duration,
+                        seed,
+                    ),
                     loss: LossModel::bursty_percent(0.1),
                     queue_bytes: 400_000,
                     jitter: SimDuration::from_millis(1),
@@ -371,13 +379,13 @@ impl ScenarioConfig {
                     ..Default::default()
                 },
                 PathSpec {
-                    rate: trace::synthesize(
+                    trace: trace::synthesize(
                         Scenario::Stationary,
                         Carrier::CellularA,
+                        SimDuration::from_millis(30),
                         duration,
                         seed,
                     ),
-                    propagation: SimDuration::from_millis(30),
                     loss: LossModel::bursty_percent(0.3),
                     queue_bytes: 300_000,
                     jitter: SimDuration::from_millis(3),
@@ -408,26 +416,14 @@ impl ScenarioConfig {
                 }
             })
             .collect();
+        let owd = SimDuration::from_millis(25);
         ScenarioConfig {
             name: "feedback-benefit".into(),
             paths: vec![
+                PathSpec::from_drive(DriveTrace::constant(25_000_000, owd)),
                 PathSpec {
-                    rate: RateTrace::constant(25_000_000),
-                    propagation: SimDuration::from_millis(25),
-                    loss: LossModel::None,
-                    queue_bytes: 300_000,
-                    jitter: SimDuration::ZERO,
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-                PathSpec {
-                    rate: RateTrace::new(step, rates),
-                    propagation: SimDuration::from_millis(25),
                     loss: LossModel::bernoulli_percent(0.5),
-                    queue_bytes: 300_000,
-                    jitter: SimDuration::ZERO,
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
+                    ..PathSpec::from_drive(DriveTrace::uniform(step, rates, owd))
                 },
             ],
         }
@@ -470,31 +466,6 @@ impl ScenarioConfig {
         Self::lossless("constant-8", &paths)
     }
 
-    /// Builds a scenario replaying externally collected bandwidth traces
-    /// (CSV `seconds,bits_per_sec`, as produced by `trace-tool gen` or any
-    /// capture pipeline). One path per trace, with the given one-way
-    /// propagation delays.
-    pub fn from_traces(
-        traces: &[(&str, SimDuration)],
-    ) -> Result<Self, converge_net::trace::TraceParseError> {
-        let mut paths = Vec::with_capacity(traces.len());
-        for (csv, propagation) in traces {
-            paths.push(PathSpec {
-                rate: RateTrace::from_csv(csv)?,
-                propagation: *propagation,
-                loss: LossModel::None,
-                queue_bytes: 300_000,
-                jitter: SimDuration::ZERO,
-                discipline: QueueDiscipline::DropTail,
-                ..Default::default()
-            });
-        }
-        Ok(ScenarioConfig {
-            name: "trace-replay".into(),
-            paths,
-        })
-    }
-
     /// Builds a scenario from multi-path drive-replay JSONL (see
     /// [`DriveTrace::parse_jsonl`] for the row format): one path per path
     /// ID in the file, each replaying its rate/OWD/loss capture.
@@ -534,8 +505,13 @@ impl ScenarioConfig {
         );
         let cell = |scenario, carrier, one_way_ms: u64, jitter_ms: u64, loss: f64, salt: u64| {
             PathSpec {
-                rate: trace::synthesize(scenario, carrier, duration, seed.wrapping_add(salt)),
-                propagation: SimDuration::from_millis(one_way_ms),
+                trace: trace::synthesize(
+                    scenario,
+                    carrier,
+                    SimDuration::from_millis(one_way_ms),
+                    duration,
+                    seed.wrapping_add(salt),
+                ),
                 loss: LossModel::bursty_percent(loss),
                 queue_bytes: 250_000,
                 jitter: SimDuration::from_millis(jitter_ms),
@@ -543,8 +519,7 @@ impl ScenarioConfig {
             }
         };
         let sat = |rate_bps: u64, one_way_ms: u64, jitter_ms: u64| PathSpec {
-            rate: RateTrace::constant(rate_bps),
-            propagation: SimDuration::from_millis(one_way_ms),
+            trace: DriveTrace::constant(rate_bps, SimDuration::from_millis(one_way_ms)),
             loss: LossModel::bursty_percent(0.3),
             queue_bytes: 400_000,
             jitter: SimDuration::from_millis(jitter_ms),
@@ -717,7 +692,7 @@ mod tests {
     #[test]
     fn feedback_benefit_trace_shape() {
         let cfg = ScenarioConfig::feedback_benefit(SimDuration::from_secs(120), 3);
-        let p2 = &cfg.paths[1].rate;
+        let p2 = &cfg.paths[1].trace;
         // Before 30 s: full rate; during the dip: 0.5–2.5 Mbps.
         assert_eq!(p2.rate_at(SimTime::from_secs(10)), 25_000_000);
         let dip = p2.rate_at(SimTime::from_secs(60));
@@ -725,40 +700,18 @@ mod tests {
         assert_eq!(p2.rate_at(SimTime::from_secs(100)), 25_000_000);
     }
 
-    /// The dip path's trace covers the whole call and no more, however
-    /// short: a call under one half-second segment used to have none (and
-    /// panicked), and a partial last segment was dropped.
+    /// The dip path's trace has a half-second step for every started half
+    /// second of the call and no more, however short: a call under one
+    /// step used to have none (and panicked), and a partial last step was
+    /// dropped.
     #[test]
     fn feedback_benefit_trace_spans_the_call() {
-        for ms in [100, 499, 500, 1_200, 120_000] {
+        for (ms, steps) in [(100, 1), (499, 1), (500, 1), (1_200, 3), (120_000, 240)] {
             let call = SimDuration::from_millis(ms);
-            let trace = &ScenarioConfig::feedback_benefit(call, 3).paths[1].rate;
-            assert!(trace.span() >= call, "{ms} ms: {:?}", trace.span());
-            assert!(
-                trace.span() < call + trace.step(),
-                "{ms} ms: {:?}",
-                trace.span()
-            );
+            let trace = &ScenarioConfig::feedback_benefit(call, 3).paths[1].trace;
+            assert_eq!(trace.samples().len(), steps, "{ms} ms");
+            assert_eq!(trace.end(), SimTime::from_millis(500 * (steps as u64 - 1)));
         }
-    }
-
-    #[test]
-    fn from_traces_replays_csv() {
-        let csv1 = "0.0,10000000\n0.5,5000000\n1.0,10000000\n";
-        let csv2 = "0.0,8000000\n0.5,8000000\n1.0,2000000\n";
-        let cfg = ScenarioConfig::from_traces(&[
-            (csv1, SimDuration::from_millis(20)),
-            (csv2, SimDuration::from_millis(40)),
-        ])
-        .expect("valid traces");
-        assert_eq!(cfg.paths.len(), 2);
-        assert_eq!(
-            cfg.paths[0]
-                .rate
-                .rate_at(converge_net::SimTime::from_millis(600)),
-            5_000_000
-        );
-        assert!(ScenarioConfig::from_traces(&[("garbage", SimDuration::ZERO)]).is_err());
     }
 
     #[test]
@@ -810,15 +763,14 @@ mod tests {
 {\"t\":5.0,\"path\":0,\"rate_bps\":2000000,\"owd_ms\":60,\"loss_pct\":3}\n";
         let cfg = ScenarioConfig::from_drive_str(jsonl).expect("parses");
         assert_eq!(cfg.paths.len(), 2);
-        // Static fields mirror the initial sample; the drive is attached.
-        assert_eq!(cfg.paths[0].propagation.as_millis(), 20);
-        assert_eq!(cfg.paths[1].propagation.as_millis(), 80);
-        let drive = cfg.paths[0].drive.as_ref().expect("drive attached");
-        assert_eq!(drive.rate_at(SimTime::from_secs(6)), 2_000_000);
+        assert_eq!(cfg.paths[0].trace.owd_at(SimTime::ZERO).as_millis(), 20);
+        assert_eq!(cfg.paths[1].trace.owd_at(SimTime::ZERO).as_millis(), 80);
+        assert_eq!(cfg.paths[0].trace.rate_at(SimTime::from_secs(6)), 2_000_000);
         // The drive reaches the built links, both directions.
         let paths = cfg.build_paths(5);
-        assert!(paths[0].link(converge_net::Direction::Forward).config().drive.is_some());
-        assert!(paths[0].link(converge_net::Direction::Reverse).config().drive.is_some());
+        for dir in [converge_net::Direction::Forward, converge_net::Direction::Reverse] {
+            assert_eq!(paths[0].link(dir).config().trace, cfg.paths[0].trace);
+        }
     }
 
     #[test]
@@ -837,7 +789,8 @@ mod tests {
         // The mix is genuinely asymmetric: the satellite path's RTT dwarfs
         // the WiFi path's.
         let cfg = ScenarioConfig::multi_carrier(4, d, 3);
-        assert!(cfg.paths[3].propagation >= cfg.paths[0].propagation * 10);
+        let owd = |p: usize| cfg.paths[p].trace.owd_at(SimTime::ZERO);
+        assert!(owd(3) >= owd(0) * 10);
     }
 
     #[test]

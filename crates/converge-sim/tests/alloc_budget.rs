@@ -255,7 +255,13 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 ///   assemblies instead of eleven 88-byte ones;
 /// - the gap tracker, −192: a byte per sequence and a 16-byte record per
 ///   skip instead of a 24-byte record per open gap.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 354_152;
+///
+/// It was 354 152 until a link followed one trace (−224): a `LinkConfig`
+/// holds one shared `DriveTrace` (16 B) where it held a rate trace (32 B),
+/// a static delay (8 B) and an optional drive (24 B), −48 B a link, −192
+/// over the two paths' four links; and a link shares its path's samples
+/// where it copied the rate trace's one 8-byte rate, −32.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 353_928;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -282,8 +288,9 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 354_152;
 /// (−875, 66 samples): the `u32` buffer's growth to 128 slots −1 008, the
 /// report's 133-byte buffer +133; and 588 457 until the reorder path's
 /// bits and slots (−2 000): the packet buffer −2 072 (three streams'
-/// leaves +792 of it), the gap tracker +72.
-const LOSSY_CONSTRUCTION_BYTES: u64 = 586_457;
+/// leaves +792 of it), the gap tracker +72; and 586 457 until a link
+/// followed one trace (−224, as above).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 586_233;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -317,15 +324,19 @@ fn construction_bytes_stay_within_budget() {
 /// buffer holds 1 024 slots, −4 096 at 4 B a slot. It read 496 257 until
 /// the receiver's reorder path kept presence as bits and slots: −5 104, of
 /// which the packet buffer's assemblies and their spare buffers −4 280
-/// (measured with the old gap tracker), the gap tracker −824.
-const CLEAN_PEAK_BYTES: u64 = 491_153;
+/// (measured with the old gap tracker), the gap tracker −824. It read
+/// 491 153 until a link followed one trace: −224, the four links' smaller
+/// configs and the rate copies they no longer make (see the construction
+/// bytes above).
+const CLEAN_PEAK_BYTES: u64 = 490_929;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
 /// sender's rings stopped storing what send order says, and 847 202 before
 /// the `u32` samples (2 048 slots at the peak, −8 192), and 839 010 before
 /// the reorder path's bits and slots (−7 440: the packet buffer −7 752,
-/// the gap tracker +312).
-const LOSSY_PEAK_BYTES: u64 = 831_570;
+/// the gap tracker +312), and 831 570 before a link followed one trace
+/// (−224, as in the clean cell).
+const LOSSY_PEAK_BYTES: u64 = 831_346;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.

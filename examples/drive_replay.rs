@@ -26,11 +26,7 @@ fn main() {
         }
     };
 
-    let drives: Vec<_> = scenario
-        .paths
-        .iter()
-        .map(|p| p.drive.clone().expect("drive scenarios carry a drive"))
-        .collect();
+    let drives: Vec<_> = scenario.paths.iter().map(|p| &p.trace).collect();
     let duration = drives
         .iter()
         .map(|d| d.end() - SimTime::ZERO)

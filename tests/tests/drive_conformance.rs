@@ -58,8 +58,7 @@ fn on_disk_fixtures_match_their_embedded_twins() {
         let embedded = fixture.scenario();
         for (i, (a, b)) in from_file.paths.iter().zip(&embedded.paths).enumerate() {
             assert_eq!(
-                a.drive.as_ref().expect("file drive").samples(),
-                b.drive.as_ref().expect("embedded drive").samples(),
+                a.trace, b.trace,
                 "{file} path {i} diverges from the embedded fixture"
             );
         }

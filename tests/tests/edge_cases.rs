@@ -1,7 +1,7 @@
 //! Edge-case integration tests: degenerate configurations and unusual
 //! interleavings the main suites don't reach.
 
-use converge_net::{PathId, RateTrace, SimDuration};
+use converge_net::{PathId, SimDuration};
 use converge_sim::{FecKind, PathSpec, ScenarioConfig, SchedulerKind, Session, SessionConfig};
 
 fn scenario_with(paths: Vec<PathSpec>) -> ScenarioConfig {
@@ -97,10 +97,7 @@ fn very_short_call_terminates_cleanly() {
 fn zero_rate_path_does_not_wedge_the_session() {
     // One path's trace is stuck at zero the whole call; the session must
     // ride the other path.
-    let dead = PathSpec {
-        rate: RateTrace::constant(0),
-        ..PathSpec::constant(0, 50, 0.0)
-    };
+    let dead = PathSpec::constant(0, 50, 0.0);
     let cfg = converge_cfg(
         scenario_with(vec![PathSpec::constant(12_000_000, 25, 0.0), dead]),
         15,

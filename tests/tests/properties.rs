@@ -19,7 +19,7 @@ use converge_core::PathShare;
 use converge_net::event::EventQueue;
 use converge_net::{
     BlackoutSchedule, Direction, DriveParseError, DriveSample, DriveTrace, ImpairmentConfig,
-    Link, LinkConfig, LossModel, LossProcess, NetworkEmulator, Path, PathId, RateTrace,
+    Link, LinkConfig, LossModel, LossProcess, NetworkEmulator, Path, PathId,
     SendOutcome, SimDuration, SimTime, Transmit,
 };
 use converge_rtp::{fec, MultipathExtension, PayloadType, RtpPacket};
@@ -168,8 +168,7 @@ proptest! {
         gap_us in 0u64..5_000,
     ) {
         let mut link = Link::new(LinkConfig {
-            rate: RateTrace::constant(5_000_000),
-            propagation: SimDuration::from_millis(10),
+            trace: DriveTrace::constant(5_000_000, SimDuration::from_millis(10)),
             queue_capacity_bytes: usize::MAX / 2,
             loss: LossModel::None,
             jitter: SimDuration::ZERO,
@@ -199,7 +198,7 @@ proptest! {
 /// impairment's doing.
 fn impaired_emulator(seed: u64, impairment: ImpairmentConfig) -> NetworkEmulator<usize> {
     let cfg = LinkConfig {
-        rate: RateTrace::constant(100_000_000),
+        trace: DriveTrace::constant(100_000_000, SimDuration::from_millis(25)),
         queue_capacity_bytes: usize::MAX / 2,
         seed,
         impairment,
@@ -423,65 +422,27 @@ proptest! {
         rates in proptest::collection::vec(0u64..100_000_000, 1..50),
         at_us in 0u64..1_000_000_000,
     ) {
-        let t = RateTrace::new(SimDuration::from_millis(500), rates.clone());
+        let t = DriveTrace::uniform(SimDuration::from_millis(500), rates.clone(), SimDuration::ZERO);
         let r = t.rate_at(SimTime::from_micros(at_us));
         prop_assert!(rates.contains(&r));
     }
-
-    #[test]
-    fn trace_csv_roundtrips(
-        // Two or more rows: a single-row trace cannot encode its step in
-        // CSV (documented behaviour of `from_csv`).
-        rates in proptest::collection::vec(0u64..100_000_000, 2..50),
-        step_ms in 1u64..10_000,
-    ) {
-        let t = RateTrace::new(SimDuration::from_millis(step_ms), rates);
-        let back = RateTrace::from_csv(&t.to_csv()).expect("roundtrip");
-        prop_assert_eq!(t, back);
-    }
-}
-
-/// Promoted from `properties.proptest-regressions` (shrunk counterexample
-/// `rates = [0], step_ms = 1`): a single-row trace cannot encode its step
-/// in CSV, so `from_csv(to_csv(..))` comes back as a *constant* trace with
-/// the default 1 s step — not the original 1 ms trace. That shrink is why
-/// `trace_csv_roundtrips` above requires two or more rows; this test pins
-/// the documented single-row behaviour so it can't regress silently.
-#[test]
-fn regression_single_row_trace_csv_loses_its_step() {
-    let original = RateTrace::new(SimDuration::from_millis(1), vec![0]);
-    let back = RateTrace::from_csv(&original.to_csv()).expect("single row parses");
-    assert_ne!(back, original, "a 1 ms step cannot survive a 1-row CSV");
-    assert_eq!(back, RateTrace::constant(0));
 }
 
 /// Zero-rate segments are legal (a blackout expressed as bandwidth) and
 /// must be reported verbatim, not clamped or skipped.
 #[test]
 fn rate_trace_zero_rate_segments_are_reported_verbatim() {
-    let t = RateTrace::new(SimDuration::from_millis(500), vec![0, 5_000_000]);
+    let t = DriveTrace::uniform(
+        SimDuration::from_millis(500),
+        [0, 5_000_000],
+        SimDuration::ZERO,
+    );
     assert_eq!(t.rate_at(SimTime::ZERO), 0);
     assert_eq!(t.rate_at(SimTime::from_millis(499)), 0);
     assert_eq!(t.rate_at(SimTime::from_millis(500)), 5_000_000);
     assert_eq!(t.mean_rate(), 2_500_000);
-}
-
-/// `rate_at` wraps past the end of the trace: the schedule is periodic
-/// with period `span()`, even far beyond the first cycle.
-#[test]
-fn rate_trace_wraps_periodically_past_its_span() {
-    let t = RateTrace::new(SimDuration::from_millis(500), vec![1, 2, 3]);
-    let span = t.span();
-    assert_eq!(span, SimDuration::from_millis(1_500));
-    for probe_ms in [0u64, 250, 499, 500, 1_000, 1_499] {
-        let probe = SimTime::from_millis(probe_ms);
-        let wrapped = SimTime::from_micros(probe.as_micros() + 7 * span.as_micros());
-        assert_eq!(t.rate_at(probe), t.rate_at(wrapped), "t={probe_ms}ms");
-    }
-    // Far beyond any cycle boundary arithmetic could accidentally cover:
-    // a million full cycles later the first segment is in effect again.
-    let far = SimTime::from_micros(span.as_micros() * 1_000_000);
-    assert_eq!(t.rate_at(far), t.rate_at(SimTime::ZERO));
+    let back = DriveTrace::from_csv(&t.to_csv()).expect("roundtrip");
+    assert_eq!(back.samples()[0].rate_bps, 0);
 }
 
 // ---------- drive traces ----------
@@ -555,8 +516,7 @@ fn check_drive_holds_across_boundaries(rows: &[(u64, u64, u64, u64)]) {
             assert_eq!(t.sample_at(just_before), &samples[i - 1], "pre-boundary {i}");
         }
     }
-    // Past the end the last sample holds forever (no wrap, unlike
-    // `RateTrace`).
+    // Past the end the last sample holds forever: no wrap.
     let far = SimTime::from_micros(t.end().as_micros() + 86_400_000_000);
     assert_eq!(t.sample_at(far), samples.last().unwrap());
     assert_eq!(t.until_next_change(far), None);
