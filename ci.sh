@@ -320,12 +320,23 @@ gate drive drive
 # A fleet conference runs through the call loop (flow.rs `run_flows`),
 # whose tick queue holds only flow ticks: the second tick family it
 # replaced (`PacerPoll` ticks armed by `arm_pacer`, `TickKind`,
-# `TimerEvent`) is named nowhere under crates/ or tests/.
+# `TimerEvent`) is named nowhere under crates/ or tests/. Neither are the
+# run modes no run varied: the fleet's JSONL sampling (`trace_conferences`,
+# `sampled_traces`), the emulator's second send fate (`SendOutcome`, the
+# link's `Transmit` is the one) and the call loop's idle mode (the
+# builder's `.idle_skip(`; `SessionConfig::idle_skip` stays a field only
+# for the benchmark's mirror, under benchmark/).
 fleet() {
-    local wheel decls ticks
+    local wheel decls ticks knobs
     ticks=$(grep -rlwE 'PacerPoll|arm_pacer|TickKind|TimerEvent' crates tests || true)
     if [ -n "$ticks" ]; then
         echo "fleet: a second tick family is named under crates/ or tests/:" $ticks >&2
+        return 1
+    fi
+    knobs=$({ grep -rlwE 'trace_conferences|sampled_traces|SendOutcome' crates tests
+        grep -rlF '.idle_skip(' crates tests; } || true)
+    if [ -n "$knobs" ]; then
+        echo "fleet: a deleted run mode is named under crates/ or tests/:" $knobs >&2
         return 1
     fi
     wheel=$({ grep -rlw TimerWheel crates tests --include='*.rs' \

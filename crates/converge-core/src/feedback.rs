@@ -70,8 +70,6 @@ pub struct QoeMonitor {
     tally: Vec<(i32, i32)>,
     /// The path considered fast (reference for lateness).
     fast_path: PathId,
-    /// Most recent FCD observed.
-    last_fcd: SimDuration,
     /// Pending feedback to emit.
     pending: Vec<QoeFeedback>,
     /// When the last feedback left, for `FEEDBACK_COOLDOWN`.
@@ -90,7 +88,6 @@ impl QoeMonitor {
             frame_capacity: 0,
             tally: Vec::new(),
             fast_path,
-            last_fcd: SimDuration::ZERO,
             pending: Vec::new(),
             last_feedback_at: None,
             trace: TraceHandle::disabled(),
@@ -170,7 +167,6 @@ impl QoeMonitor {
         ifd: Option<SimDuration>,
         fcd: SimDuration,
     ) {
-        self.last_fcd = fcd;
         let Some((_, arrivals)) = self
             .gathering
             .binary_search_by_key(&frame_id, |(id, _)| *id)
@@ -271,11 +267,6 @@ impl QoeMonitor {
     pub fn take_feedback(&mut self) -> Vec<QoeFeedback> {
         std::mem::take(&mut self.pending)
     }
-
-    /// The most recent frame construction delay.
-    pub fn last_fcd(&self) -> SimDuration {
-        self.last_fcd
-    }
 }
 
 /// Sender-side reaction to QoE feedback: per-path packet-share offsets
@@ -319,18 +310,13 @@ impl PathShare {
         self.disabled.contains_key(&path)
     }
 
-    /// The FCD recorded when `path` was disabled, if it currently is.
-    pub fn disabled_fcd(&self, path: PathId) -> Option<SimDuration> {
-        self.disabled.get(&path).map(|s| s.fcd)
-    }
-
     /// Applies one feedback message (Eq. 2): adjusts the offset by α. The
     /// caller decides whether the resulting share bottomed out and, if so,
     /// calls [`PathShare::mark_disabled`] with the feedback's FCD.
     ///
     /// Offsets are clamped to a sane band: an unbounded accumulation would
     /// let a long streak of positive feedback drown the Eq. 1 baseline.
-    pub fn apply_feedback(&mut self, path: PathId, alpha: i32, _fcd: SimDuration) {
+    pub fn apply_feedback(&mut self, path: PathId, alpha: i32) {
         let off = self.offsets.entry(path).or_insert(0);
         *off = (*off + alpha as i64).clamp(-256, 64);
     }
@@ -349,26 +335,26 @@ impl PathShare {
         self.disabled.insert(path, DisabledState { fcd });
     }
 
-    /// Eq. 3 re-enable check: `(rtt_fast − rtt_i)/2 ≤ FCD`. `rtt_i` comes
-    /// from probe packets duplicated onto the disabled path.
+    /// Eq. 3 re-enable check: `|rtt_fast − rtt_i|/2 ≤ max(FCD, 5 ms)`.
+    /// `rtt_i` comes from probe packets duplicated onto the disabled path.
+    /// Returns the margin and the threshold it passed, in µs, if the path
+    /// is re-enabled; `None` if it stays disabled or never was.
     pub fn try_reenable(
         &mut self,
         path: PathId,
         rtt_fast: SimDuration,
         rtt_path: SimDuration,
-    ) -> bool {
-        let Some(state) = self.disabled.get(&path) else {
-            return false;
-        };
-        let gap_half = rtt_fast.as_micros().abs_diff(rtt_path.as_micros()) / 2;
-        if SimDuration::from_micros(gap_half) <= state.fcd.max(SimDuration::from_millis(5)) {
-            self.disabled.remove(&path);
-            // Fresh start: clear the negative offset that killed the path.
-            self.offsets.insert(path, 0);
-            true
-        } else {
-            false
+    ) -> Option<(u64, u64)> {
+        let state = self.disabled.get(&path)?;
+        let margin = rtt_fast.as_micros().abs_diff(rtt_path.as_micros()) / 2;
+        let threshold = state.fcd.max(SimDuration::from_millis(5)).as_micros();
+        if margin > threshold {
+            return None;
         }
+        self.disabled.remove(&path);
+        // Fresh start: clear the negative offset that killed the path.
+        self.offsets.insert(path, 0);
+        Some((margin, threshold))
     }
 
     /// Computes the per-path media packet counts for a batch of `n` packets
@@ -752,7 +738,7 @@ mod tests {
         // Paper's example continued: feedback α = −5 for P2 → 35 on P1,
         // 5 on P2.
         let mut s = PathShare::new();
-        s.apply_feedback(P2, -5, d(20));
+        s.apply_feedback(P2, -5);
         let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &no_caps());
         assert_eq!(counts, vec![(P1, 35), (P2, 5)]);
     }
@@ -772,7 +758,7 @@ mod tests {
     #[test]
     fn split_always_sums_to_n() {
         let mut s = PathShare::new();
-        s.apply_feedback(P2, -3, d(10));
+        s.apply_feedback(P2, -3);
         for n in [0usize, 1, 7, 40, 100] {
             let counts = s.split(n, &[pm(P1, 7), pm(P2, 3)], &no_caps());
             assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), n, "n={n}");
@@ -782,7 +768,7 @@ mod tests {
     #[test]
     fn negative_offset_can_zero_a_path() {
         let mut s = PathShare::new();
-        s.apply_feedback(P2, -100, d(10));
+        s.apply_feedback(P2, -100);
         let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &no_caps());
         let p2 = counts.iter().find(|(p, _)| *p == P2).unwrap().1;
         assert_eq!(p2, 0);
@@ -800,13 +786,13 @@ mod tests {
     #[test]
     fn reenable_follows_eq3() {
         let mut s = PathShare::new();
-        s.apply_feedback(P2, -20, d(10));
+        s.apply_feedback(P2, -20);
         s.mark_disabled(P2, d(10));
         // RTT gap too large: (200−60)/2 = 70 ms > FCD 10 ms → stay disabled.
-        assert!(!s.try_reenable(P2, d(60), d(200)));
+        assert_eq!(s.try_reenable(P2, d(60), d(200)), None);
         assert!(s.is_disabled(P2));
         // Path recovered: (70−60)/2 = 5 ms ≤ 10 ms → re-enable, offset reset.
-        assert!(s.try_reenable(P2, d(60), d(70)));
+        assert_eq!(s.try_reenable(P2, d(60), d(70)), Some((5_000, 10_000)));
         assert!(!s.is_disabled(P2));
         assert_eq!(s.offset(P2), 0);
     }
@@ -814,20 +800,20 @@ mod tests {
     #[test]
     fn reenable_noop_when_not_disabled() {
         let mut s = PathShare::new();
-        assert!(!s.try_reenable(P1, d(50), d(50)));
+        assert_eq!(s.try_reenable(P1, d(50), d(50)), None);
     }
 
     #[test]
     fn offsets_decay_toward_zero() {
         let mut s = PathShare::new();
-        s.apply_feedback(P2, -40, d(10));
+        s.apply_feedback(P2, -40);
         assert_eq!(s.offset(P2), -40);
         for _ in 0..200 {
             s.decay_offsets();
         }
         assert_eq!(s.offset(P2), 0, "offset must fully decay");
         // Positive offsets decay symmetrically.
-        s.apply_feedback(P1, 30, d(10));
+        s.apply_feedback(P1, 30);
         let before = s.offset(P1);
         s.decay_offsets();
         assert!(s.offset(P1) < before && s.offset(P1) > 0);
@@ -837,12 +823,12 @@ mod tests {
     fn offsets_clamped_to_band() {
         let mut s = PathShare::new();
         for _ in 0..100 {
-            s.apply_feedback(P2, -100, d(10));
+            s.apply_feedback(P2, -100);
         }
         assert_eq!(s.offset(P2), -256, "negative clamp");
         let mut s = PathShare::new();
         for _ in 0..100 {
-            s.apply_feedback(P2, 50, d(10));
+            s.apply_feedback(P2, 50);
         }
         assert_eq!(s.offset(P2), 64, "positive clamp");
     }

@@ -114,12 +114,6 @@ impl ConvergeScheduler {
     pub fn share(&self) -> &PathShare {
         &self.share
     }
-
-    /// Attempts Eq. 3 re-enablement using fresh RTT measurements (fed by
-    /// the sender when probe responses arrive).
-    pub fn try_reenable(&mut self, path: PathId, rtt_fast: SimDuration, rtt_path: SimDuration) {
-        self.share.try_reenable(path, rtt_fast, rtt_path);
-    }
 }
 
 impl Scheduler for ConvergeScheduler {
@@ -287,7 +281,7 @@ impl Scheduler for ConvergeScheduler {
                 return;
             }
         }
-        self.share.apply_feedback(path, fb.alpha, fcd);
+        self.share.apply_feedback(path, fb.alpha);
         self.trace.emit(
             now,
             TraceEvent::AlphaAdjusted {
@@ -325,18 +319,13 @@ impl Scheduler for ConvergeScheduler {
         rtt_fast: SimDuration,
         rtt_path: SimDuration,
     ) {
-        let threshold = self
-            .share
-            .disabled_fcd(path)
-            .map(|fcd| fcd.max(SimDuration::from_millis(5)));
-        if self.share.try_reenable(path, rtt_fast, rtt_path) {
-            let margin = rtt_fast.as_micros().abs_diff(rtt_path.as_micros()) / 2;
+        if let Some((margin_us, threshold_us)) = self.share.try_reenable(path, rtt_fast, rtt_path) {
             self.trace.emit(
                 now,
                 TraceEvent::PathReenabled {
                     path,
-                    margin_us: margin,
-                    threshold_us: threshold.map(|t| t.as_micros()).unwrap_or(0),
+                    margin_us,
+                    threshold_us,
                 },
             );
         }
@@ -347,7 +336,9 @@ impl Scheduler for ConvergeScheduler {
 mod tests {
     use super::*;
     use crate::priority::PacketClass;
+    use converge_trace::RingSink;
     use converge_video::{FrameType, PacketKind, StreamId, VideoPacket};
+    use std::sync::Arc;
 
     const P1: PathId = PathId(1);
     const P2: PathId = PathId(2);
@@ -507,12 +498,25 @@ mod tests {
             &[pm(P1, 15, 50), pm(P2, 5, 50)],
         );
         assert!(s.share().is_disabled(P2));
-        s.try_reenable(
+        let ring = Arc::new(RingSink::new(16));
+        s.set_trace(TraceHandle::new(ring.clone()));
+        s.on_probe_rtt(
+            SimTime::ZERO,
             P2,
             SimDuration::from_millis(50),
             SimDuration::from_millis(55),
         );
         assert!(!s.share().is_disabled(P2));
+        // Eq. 3 as tested: |50 − 55| ms / 2 against the disabling FCD.
+        let reenabled: Vec<TraceEvent> = ring.drain().into_iter().map(|r| r.event).collect();
+        assert_eq!(
+            reenabled,
+            [TraceEvent::PathReenabled {
+                path: P2,
+                margin_us: 2_500,
+                threshold_us: 10_000,
+            }]
+        );
         let out = s.assign_batch(
             SimTime::ZERO,
             &batch(0, 40),

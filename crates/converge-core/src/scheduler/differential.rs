@@ -251,7 +251,7 @@ impl RefConverge {
                 return;
             }
         }
-        self.share.apply_feedback(path, fb.alpha, fcd);
+        self.share.apply_feedback(path, fb.alpha);
     }
 
     fn probe_paths(&mut self, now: SimTime, paths: &[PathMetrics]) -> Vec<PathId> {
@@ -532,7 +532,7 @@ fn converge_scheduler_matches_the_allocating_reference() {
                     SimDuration::from_millis(20 + rng.below(60)),
                 );
                 new.on_probe_rtt(now, path, fast, slow);
-                reenabled += usize::from(old.share.try_reenable(path, fast, slow));
+                reenabled += usize::from(old.share.try_reenable(path, fast, slow).is_some());
             }
             for p in &paths {
                 assert_eq!(new.share().offset(p.id), old.share.offset(p.id));
@@ -559,7 +559,6 @@ fn split_and_interleave_match_the_allocating_reference() {
                 0 => share.apply_feedback(
                     PathId(1 + rng.below(n_paths as u64) as u8),
                     rng.below(80) as i32 - 60,
-                    SimDuration::from_millis(10),
                 ),
                 1 => share.mark_disabled(
                     PathId(1 + rng.below(n_paths as u64) as u8),

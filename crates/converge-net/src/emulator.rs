@@ -25,26 +25,6 @@ pub struct Delivery<P> {
     pub payload: P,
 }
 
-/// Fate of a send as reported to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Accepted; a later [`NetworkEmulator::pop_due`] will deliver it.
-    Enqueued,
-    /// Dropped by the drop-tail queue.
-    QueueDrop,
-    /// Lost stochastically in flight.
-    RandomLoss,
-    /// Dropped because the link was inside an impairment blackout window.
-    Blackout,
-}
-
-impl SendOutcome {
-    /// Whether the packet was lost (either way).
-    pub fn is_lost(self) -> bool {
-        !matches!(self, SendOutcome::Enqueued)
-    }
-}
-
 #[derive(Clone)]
 struct InFlight<P> {
     path: PathId,
@@ -88,12 +68,14 @@ impl<P> NetworkEmulator<P> {
         self.paths.get_mut(id.index())
     }
 
-    /// Sends `payload` of `bytes` over `path` in `direction` at `now`.
+    /// Sends `payload` of `bytes` over `path` in `direction` at `now`,
+    /// returning the link's fate for it; a [`Transmit::Delivered`] payload
+    /// comes out of a later [`NetworkEmulator::pop_due`].
     ///
-    /// On loss the payload is returned to the caller inside the outcome so
-    /// tests can assert on what was lost. If the link's impairment stage
-    /// duplicates the packet, a clone of the payload is scheduled for the
-    /// copy's (later) arrival time.
+    /// On loss the payload is handed back beside the fate so tests can
+    /// assert on what was lost. If the link's impairment stage duplicates
+    /// the packet, a clone of the payload is scheduled for the copy's
+    /// (later) arrival time.
     pub fn send(
         &mut self,
         path: PathId,
@@ -101,7 +83,7 @@ impl<P> NetworkEmulator<P> {
         now: SimTime,
         bytes: usize,
         payload: P,
-    ) -> (SendOutcome, Option<P>)
+    ) -> (Transmit, Option<P>)
     where
         P: Clone,
     {
@@ -109,12 +91,6 @@ impl<P> NetworkEmulator<P> {
             panic!("send on unknown {path}");
         };
         let offer = p.offer(direction, now, bytes);
-        let outcome = match offer.fate {
-            Transmit::Delivered(_) => SendOutcome::Enqueued,
-            Transmit::QueueDrop => SendOutcome::QueueDrop,
-            Transmit::RandomLoss => SendOutcome::RandomLoss,
-            Transmit::Blackout => SendOutcome::Blackout,
-        };
         let sent = InFlight {
             path,
             direction,
@@ -122,8 +98,8 @@ impl<P> NetworkEmulator<P> {
             payload,
         };
         match offer.schedule(&mut self.queue, sent) {
-            Ok(()) => (outcome, None),
-            Err(lost) => (outcome, Some(lost.payload)),
+            Ok(()) => (offer.fate, None),
+            Err(lost) => (offer.fate, Some(lost.payload)),
         }
     }
 
@@ -243,7 +219,7 @@ mod tests {
             1_000,
             "dropped",
         );
-        assert_eq!(outcome, SendOutcome::QueueDrop);
+        assert_eq!(outcome, Transmit::QueueDrop);
         assert_eq!(returned, Some("dropped"));
         assert!(outcome.is_lost());
     }
@@ -309,12 +285,12 @@ mod tests {
             NetworkEmulator::new(vec![Path::new(PathId(0), cfg, LinkConfig::default())]);
         let (outcome, returned) =
             emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 100, "dark");
-        assert_eq!(outcome, SendOutcome::Blackout);
+        assert_eq!(outcome, Transmit::Blackout);
         assert_eq!(returned, Some("dark"));
         assert!(outcome.is_lost());
         // The reverse direction is unimpaired and still flows.
         let (rev, _) = emu.send(PathId(0), Direction::Reverse, SimTime::ZERO, 100, "fb");
-        assert_eq!(rev, SendOutcome::Enqueued);
+        assert!(!rev.is_lost());
     }
 
     #[test]
@@ -327,7 +303,7 @@ mod tests {
         let mut emu: NetworkEmulator<u32> =
             NetworkEmulator::new(vec![Path::new(PathId(0), cfg, LinkConfig::default())]);
         let (outcome, _) = emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 100, 7);
-        assert_eq!(outcome, SendOutcome::Enqueued);
+        assert!(!outcome.is_lost());
         let all = emu.poll(SimTime::from_secs(1));
         assert_eq!(all.len(), 2, "copy must arrive as a second delivery");
         assert_eq!(all[0].payload, 7);

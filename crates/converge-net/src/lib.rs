@@ -48,7 +48,7 @@ pub mod trace;
 pub use aqm::{Codel, QueueDiscipline};
 pub use arena::{Arena, SlotKey};
 pub use drive::{DriveParseError, DriveSample, DriveTrace};
-pub use emulator::{Delivery, NetworkEmulator, SendOutcome};
+pub use emulator::{Delivery, NetworkEmulator};
 pub use impairment::{BlackoutSchedule, ImpairmentConfig};
 pub use link::{Link, LinkConfig, LinkStats, Offer, Transmit};
 pub use loss::{LossModel, LossProcess};

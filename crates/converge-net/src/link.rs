@@ -71,6 +71,13 @@ pub enum Transmit {
     Blackout,
 }
 
+impl Transmit {
+    /// Whether the link lost the packet (any way but delivery).
+    pub fn is_lost(self) -> bool {
+        !matches!(self, Transmit::Delivered(_))
+    }
+}
+
 /// Full outcome of offering one packet through the impairment stage: the
 /// primary fate plus the arrival time of a duplicated copy, if the
 /// impairment stage produced one.

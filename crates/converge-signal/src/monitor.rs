@@ -12,18 +12,13 @@
 use std::collections::BTreeMap;
 
 use converge_net::{PathId, SimDuration, SimTime};
-use converge_trace::{LinkState, TraceEvent, TraceHandle};
+use converge_trace::{TraceEvent, TraceHandle};
 
-/// Liveness state of one path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathState {
-    /// Connectivity confirmed recently.
-    Up,
-    /// Nothing heard for a while; candidate for failure.
-    Suspect,
-    /// Declared dead; WebRTC CM would tear down / re-establish here.
-    Down,
-}
+/// Liveness state of one path: `Up` (connectivity confirmed recently),
+/// `Suspect` (nothing heard for a while) or `Down` (declared dead; WebRTC
+/// CM would tear down / re-establish here). The trace's link state, so
+/// the monitor's transitions are traced as they are.
+pub use converge_trace::LinkState as PathState;
 
 /// A state-change event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +41,6 @@ const DOWN_AFTER: SimDuration = SimDuration::from_secs(5);
 pub struct ConnectionMonitor {
     paths: BTreeMap<PathId, PathRecord>,
     trace: TraceHandle,
-}
-
-fn link_state(state: PathState) -> LinkState {
-    match state {
-        PathState::Up => LinkState::Up,
-        PathState::Suspect => LinkState::Suspect,
-        PathState::Down => LinkState::Down,
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -115,7 +102,7 @@ impl ConnectionMonitor {
                 now,
                 TraceEvent::MonitorEdge {
                     path,
-                    state: LinkState::Up,
+                    state: PathState::Up,
                 },
             );
             return Some(PathEvent {
@@ -149,13 +136,8 @@ impl ConnectionMonitor {
             );
             if degrade {
                 rec.state = next;
-                self.trace.emit(
-                    now,
-                    TraceEvent::MonitorEdge {
-                        path,
-                        state: link_state(next),
-                    },
-                );
+                self.trace
+                    .emit(now, TraceEvent::MonitorEdge { path, state: next });
                 events.push(PathEvent {
                     path,
                     state: next,

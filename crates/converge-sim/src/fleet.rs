@@ -73,7 +73,7 @@ use converge_net::{
     event::EventQueue, Direction, ForwardPacket, MemberId, Path, PathId, SfuConfig, SfuNode,
     SfuStats, SimDuration, SimTime, Transmit,
 };
-use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
+use converge_trace::{InvariantSink, TraceEvent, TraceHandle};
 use converge_video::{FrameType, PacketKind, CAPTURE_FORMAT};
 
 use crate::flow::{run_flows, Flow, Net, Network, Tick};
@@ -81,9 +81,8 @@ use crate::metrics::{CallReport, MetricsCollector};
 use crate::payload::{NetPayload, SimRtp};
 use crate::pool;
 use crate::receiver::ConferenceReceiver;
-use crate::scenarios::{FecKind, PathSpec, SchedulerKind};
+use crate::scenarios::{FecKind, PathSpec, ScenarioConfig, SchedulerKind};
 use crate::sender::{ConferenceSender, SenderSizing};
-use crate::session::{RTCP_INTERVAL, TRANSPORT_RTCP_INTERVAL};
 
 /// Receiver `recent` ring size for fleet members (4 KiB a stream): a hit
 /// must equal the full sequence its slot was written for, so the small
@@ -124,8 +123,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Shared ingress bottleneck rate per conference, bps.
     pub bottleneck_ingress_bps: u64,
-    /// Capture structured traces (RingSink) for the first N conferences.
-    pub trace_conferences: usize,
     /// Arm an [`InvariantSink`] on every member and count violations.
     pub check_invariants: bool,
 }
@@ -142,7 +139,6 @@ impl FleetConfig {
             duration: SimDuration::from_secs(20),
             seed: 1,
             bottleneck_ingress_bps: 8_000_000,
-            trace_conferences: 0,
             check_invariants: false,
         }
     }
@@ -175,17 +171,19 @@ fn member_seed(master: u64, conf: u32, member: MemberId) -> u64 {
     splitmix64(master ^ splitmix64(((conf as u64) << 16) | member as u64))
 }
 
-/// The default member access network: a WiFi-like and a cellular-like
-/// path, both constant-rate with light random loss. Constant rates keep
+/// Every member's access network: a WiFi-like and a cellular-like path,
+/// both constant-rate with light random loss. Constant rates keep
 /// per-packet cost minimal at fleet scale; variation comes from cross-
-/// member contention at the shared bottleneck.
-fn member_paths(seed: u64) -> Vec<Path> {
-    let wifi = PathSpec::constant(6_000_000, 15, 0.1);
-    let cell = PathSpec::constant(4_000_000, 35, 0.2);
-    vec![
-        wifi.build(PathId(0), seed),
-        cell.build(PathId(1), seed.wrapping_add(7919)),
-    ]
+/// member contention at the shared bottleneck. Each member builds its own
+/// links from it with its own seed.
+fn access_network() -> ScenarioConfig {
+    ScenarioConfig {
+        name: "fleet-access".into(),
+        paths: vec![
+            PathSpec::constant(6_000_000, 15, 0.1),
+            PathSpec::constant(4_000_000, 35, 0.2),
+        ],
+    }
 }
 
 /// Events in a shard's queue, all of the one conference it is running.
@@ -440,10 +438,9 @@ impl ViewerState {
 }
 
 /// One member beside its uplink flow (member → SFU): the private access
-/// paths the flow travels, its traces and its viewer-side state.
+/// paths the flow travels, its invariant checker and its viewer-side state.
 struct Member {
     paths: Vec<Path>,
-    ring: Option<Arc<RingSink>>,
     checker: Option<Arc<InvariantSink>>,
     viewer: ViewerState,
 }
@@ -570,8 +567,6 @@ pub struct FleetReport {
     pub shard_stats: Vec<ShardStats>,
     /// Invariant violations across all armed members.
     pub violations: usize,
-    /// Sampled `(label, jsonl)` timelines for traced conferences.
-    pub sampled_traces: Vec<(String, String)>,
 }
 
 /// Nearest-rank-with-interpolation quantile of a sorted slice.
@@ -685,7 +680,6 @@ impl FleetReport {
 /// One conference's finished outcome as produced by a shard.
 struct ConferenceOutcome {
     report: FleetConferenceReport,
-    traces: Vec<(String, String)>,
     violations: usize,
 }
 
@@ -709,6 +703,7 @@ impl FleetEngine {
         assert!(cfg.sessions > 0, "a fleet needs at least one session");
         let n_conf = cfg.conference_count();
         let batch = cfg.batch_conferences.max(1);
+        let access = access_network();
 
         // Outcomes come back in batch order, so in conference-index order,
         // whichever shard ran which batch. A batch's conferences each run
@@ -717,15 +712,15 @@ impl FleetEngine {
             pool::run(n_conf.div_ceil(batch), cfg.shards, ShardCore::new, |core, b| {
                 core.batches += 1;
                 let confs = b * batch..((b + 1) * batch).min(n_conf);
-                confs.map(|conf| run_conference(core, &cfg, conf as u32)).collect::<Vec<_>>()
+                confs
+                    .map(|conf| run_conference(core, &cfg, &access, conf as u32))
+                    .collect::<Vec<_>>()
             });
 
         let mut conferences = Vec::with_capacity(n_conf);
-        let mut sampled_traces = Vec::new();
         let mut violations = 0;
         for o in batches.into_iter().flatten() {
             conferences.push(o.report);
-            sampled_traces.extend(o.traces);
             violations += o.violations;
         }
 
@@ -738,15 +733,16 @@ impl FleetEngine {
             conferences,
             shard_stats: cores.iter().map(ShardCore::stats).collect(),
             violations,
-            sampled_traces,
         }
     }
 }
 
 /// Builds one conference's flows and network over the shard's packet
-/// queue, and schedules the flows' first ticks.
+/// queue, each member's paths from `access`, and schedules the flows'
+/// first ticks.
 fn build_conference<'q>(
     cfg: &FleetConfig,
+    access: &ScenarioConfig,
     conf: u32,
     queue: &'q mut EventQueue<FleetEvent>,
     timers: &mut EventQueue<(usize, Tick)>,
@@ -756,13 +752,11 @@ fn build_conference<'q>(
         cfg.bottleneck_ingress_bps,
         n_members.saturating_sub(1),
     ));
-    let sampled = (conf as usize) < cfg.trace_conferences;
 
     let mut flows = Vec::with_capacity(n_members);
     let mut members = Vec::with_capacity(n_members);
     for m in 0..n_members as MemberId {
-        let seed = member_seed(cfg.seed, conf, m);
-        let paths = member_paths(seed);
+        let paths = access.build_paths(member_seed(cfg.seed, conf, m));
         let path_ids: Vec<PathId> = paths.iter().map(|p| p.id()).collect();
         sfu.register_member(&path_ids);
 
@@ -783,16 +777,10 @@ fn build_conference<'q>(
             FLEET_RECENT_SLOTS,
         );
 
-        let ring = sampled.then(|| Arc::new(RingSink::new(4096)));
-        let inner = match &ring {
-            Some(r) => TraceHandle::new(r.clone() as Arc<dyn converge_trace::TraceSink>),
+        let checker = cfg.check_invariants.then(|| Arc::new(InvariantSink::new()));
+        let trace = match &checker {
+            Some(checker) => TraceHandle::new(checker.clone()),
             None => TraceHandle::disabled(),
-        };
-        let (trace, checker) = if cfg.check_invariants {
-            let checker = Arc::new(InvariantSink::wrapping(&inner));
-            (TraceHandle::new(checker.clone()), Some(checker))
-        } else {
-            (inner, None)
         };
         let flow = Flow::new(
             Direction::Forward,
@@ -800,8 +788,6 @@ fn build_conference<'q>(
             receiver,
             MetricsCollector::new(cfg.duration, CAPTURE_FORMAT, MAX_ENCODING_RATE_BPS, STREAMS),
             trace,
-            RTCP_INTERVAL,
-            TRANSPORT_RTCP_INTERVAL,
         );
 
         // Stagger every member's timers so frames across the fleet do not
@@ -814,7 +800,7 @@ fn build_conference<'q>(
         }
 
         flows.push(flow);
-        members.push(Member { paths, ring, checker, viewer: ViewerState::default() });
+        members.push(Member { paths, checker, viewer: ViewerState::default() });
     }
 
     let trace = flows[0].trace.clone();
@@ -837,12 +823,17 @@ fn build_conference<'q>(
 
 /// Runs one conference through the call loop to the end of the call and
 /// finalizes its report.
-fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
+fn run_conference(
+    core: &mut ShardCore,
+    cfg: &FleetConfig,
+    access: &ScenarioConfig,
+    conf: u32,
+) -> ConferenceOutcome {
     core.reset();
     let ShardCore { queue, timers, .. } = core;
-    let (mut flows, mut conference) = build_conference(cfg, conf, queue, timers);
+    let (mut flows, mut conference) = build_conference(cfg, access, conf, queue, timers);
     let end = conference.end;
-    let fired = run_flows(&mut flows, &mut conference, timers, end, true);
+    let fired = run_flows(&mut flows, &mut conference, timers, end);
 
     let queue = &conference.queue;
     let work = FleetWorkCounts {
@@ -887,7 +878,6 @@ fn finalize_conference(
     breaches: usize,
 ) -> ConferenceOutcome {
     let mut sessions = Vec::with_capacity(c.members.len());
-    let mut traces = Vec::new();
     let mut violations = breaches;
     let sfu = c.sfu.stats();
     for (m, (flow, member)) in flows.into_iter().zip(c.members).enumerate() {
@@ -907,11 +897,6 @@ fn finalize_conference(
             viewer_bytes: member.viewer.bytes,
             viewer_frames: member.viewer.frames_complete,
         });
-        if let Some(ring) = member.ring {
-            let label = format!("fleet/c{conf}/m{m}");
-            let doc = jsonl::render(&label, &ring.drain());
-            traces.push((label, doc));
-        }
         if let Some(checker) = member.checker {
             violations += checker.take_violations().len();
         }
@@ -932,7 +917,6 @@ fn finalize_conference(
             work,
             sessions,
         },
-        traces,
         violations,
     }
 }
@@ -947,11 +931,6 @@ impl Network for Conference<'_> {
     /// belongs to the ingress bottleneck.
     fn next_arrival(&self) -> Option<SimTime> {
         Some(self.queue.peek_time().map_or(self.sbd_at, |at| at.min(self.sbd_at)))
-    }
-
-    /// Never: the SBD interval always runs.
-    fn idle(&self) -> bool {
-        false
     }
 
     /// The packets due, one at a time (every packet a handler sends
@@ -1083,6 +1062,7 @@ impl Conference<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use converge_trace::RingSink;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::collections::BTreeMap;
 
@@ -1290,7 +1270,6 @@ mod tests {
         let mut cfg = FleetConfig::new(9, 3);
         cfg.duration = SimDuration::from_secs(6);
         cfg.batch_conferences = 1;
-        cfg.trace_conferences = 1;
         cfg.seed = 42;
         cfg
     }
@@ -1320,7 +1299,6 @@ mod tests {
             cfg.shards = shards;
             let sharded = FleetEngine::new(cfg).run();
             assert_eq!(base.fold_text(), sharded.fold_text(), "shards={shards}");
-            assert_eq!(base.sampled_traces, sharded.sampled_traces, "shards={shards}");
         }
     }
 
@@ -1331,7 +1309,6 @@ mod tests {
         let a = FleetEngine::new(cfg.clone()).run();
         let b = FleetEngine::new(cfg).run();
         assert_eq!(a.fold_text(), b.fold_text());
-        assert_eq!(a.sampled_traces, b.sampled_traces);
     }
 
     #[test]
@@ -1391,25 +1368,30 @@ mod tests {
         // ramp past it they share a standing queue, which SBD should
         // group. Once the controllers have backed off the queue drains and
         // the group dissolves again, so the end-of-call grouping says
-        // nothing: look for the group in the conference's timeline.
+        // nothing: look for the group in the conference's SBD events.
         let mut cfg = FleetConfig::new(3, 3);
         cfg.duration = SimDuration::from_secs(12);
         cfg.bottleneck_ingress_bps = 3_000_000;
         cfg.seed = 7;
-        cfg.trace_conferences = 1;
-        let report = FleetEngine::new(cfg).run();
-        let (_, timeline) = &report.sampled_traces[0];
-        let most_coupled = timeline
-            .lines()
-            .filter(|l| l.contains("\"event\":\"sbd_groups_changed\""))
-            .filter_map(|l| l.rsplit_once("\"coupled\":")?.1.trim_end_matches('}').parse::<u32>().ok())
+        let (mut queue, mut timers) = (EventQueue::new(), EventQueue::new());
+        let (mut flows, mut c) =
+            build_conference(&cfg, &access_network(), 0, &mut queue, &mut timers);
+        let ring = Arc::new(RingSink::new(4096));
+        c.trace = TraceHandle::new(ring.clone());
+        let end = c.end;
+        run_flows(&mut flows, &mut c, &mut timers, end);
+        let most_coupled = ring
+            .drain()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::SbdGroupsChanged { coupled, .. } => Some(coupled),
+                _ => None,
+            })
             .max();
-        let c = &report.conferences[0];
         assert!(
             most_coupled >= Some(2),
-            "expected a coupled group during the call, got {most_coupled:?}; at the end groups={} coupled={} changes={}",
+            "expected a coupled group during the call, got {most_coupled:?}; at the end groups={:?} changes={}",
             c.sbd_groups,
-            c.sbd_coupled,
             c.sbd_changes
         );
     }

@@ -18,7 +18,7 @@ use converge_net::{
 };
 use converge_rtp::RtcpPacket;
 use converge_trace::{TraceEvent, TraceHandle};
-use converge_video::CAPTURE_FORMAT;
+use converge_video::{CAPTURE_FORMAT, PAPER_MAX_BITRATE_BPS};
 
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::pacer::{Pacer, PacerConfig};
@@ -27,6 +27,12 @@ use crate::receiver::{ConferenceReceiver, ReceiverEvent};
 use crate::sender::{ConferenceSender, OutboundPacket, RateCoupling};
 use crate::session::SessionConfig;
 
+/// The receiver's fast RTCP cadence (QoE feedback, NACK, PLI).
+pub(crate) const RTCP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// The receiver's transport feedback / receiver report cadence (drives
+/// congestion control): the paper's GCC is paced by RTCP reports, slower
+/// than the QoE loop.
+pub(crate) const TRANSPORT_RTCP_INTERVAL: SimDuration = SimDuration::from_millis(250);
 /// Sender SR/SDES cadence.
 const SENDER_RTCP_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
@@ -93,8 +99,6 @@ pub(crate) struct Flow {
     /// Direction the media travels; feedback travels the opposite way.
     direction: Direction,
     frame_interval: SimDuration,
-    rtcp_interval: SimDuration,
-    transport_rtcp_interval: SimDuration,
     /// One frame's outbound packets, one packet's receiver events and one
     /// round's receiver RTCP: reused, so none allocates in the steady state.
     frame_out: Vec<OutboundPacket>,
@@ -103,16 +107,13 @@ pub(crate) struct Flow {
 }
 
 impl Flow {
-    /// Wires `sender` to `receiver` (installing `trace` on both) with the
-    /// receiver's fast and transport RTCP intervals.
+    /// Wires `sender` to `receiver`, installing `trace` on both.
     pub(crate) fn new(
         direction: Direction,
         mut sender: ConferenceSender,
         mut receiver: ConferenceReceiver,
         metrics: MetricsCollector,
         trace: TraceHandle,
-        rtcp_interval: SimDuration,
-        transport_rtcp_interval: SimDuration,
     ) -> Self {
         sender.set_trace(trace.clone());
         receiver.set_trace(trace.clone());
@@ -125,8 +126,6 @@ impl Flow {
             sr_seen: BTreeMap::new(),
             trace,
             direction,
-            rtcp_interval,
-            transport_rtcp_interval,
             frame_out: Vec::new(),
             rx_events: Vec::new(),
             rtcp_out: Vec::new(),
@@ -146,7 +145,7 @@ impl Flow {
             cfg.scheduler.build(CAPTURE_FORMAT.frame_interval()),
             cfg.fec.build(),
             cfg.controller,
-            cfg.max_encoding_rate_bps,
+            PAPER_MAX_BITRATE_BPS,
         );
         if cfg.coupled_cc {
             sender.set_coupling(RateCoupling::Lia);
@@ -158,12 +157,10 @@ impl Flow {
             MetricsCollector::new(
                 cfg.duration,
                 CAPTURE_FORMAT,
-                cfg.max_encoding_rate_bps,
+                PAPER_MAX_BITRATE_BPS,
                 cfg.streams,
             ),
             trace,
-            cfg.rtcp_interval,
-            cfg.transport_rtcp_interval,
         )
     }
 
@@ -331,9 +328,9 @@ impl Flow {
                     net.send(path, opposite(self.direction), now, size, payload);
                 }
                 now + if transport {
-                    self.transport_rtcp_interval
+                    TRANSPORT_RTCP_INTERVAL
                 } else {
-                    self.rtcp_interval
+                    RTCP_INTERVAL
                 }
             }
             Tick::SenderRtcp => {
@@ -360,8 +357,6 @@ pub(crate) trait Network {
         Self: 'a;
     /// The earliest instant at which the network has anything due.
     fn next_arrival(&self) -> Option<SimTime>;
-    /// Whether nothing is pending but what a flow has yet to send.
-    fn idle(&self) -> bool;
     /// Hands everything due at or before `now` to the flows.
     fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]);
     /// The seam flow `i` sends through.
@@ -375,10 +370,6 @@ impl Network for NetworkEmulator<NetPayload> {
 
     fn next_arrival(&self) -> Option<SimTime> {
         NetworkEmulator::next_arrival(self)
-    }
-
-    fn idle(&self) -> bool {
-        NetworkEmulator::idle(self)
     }
 
     /// One delivery at a time: handling one can only put arrivals strictly
@@ -437,22 +428,19 @@ pub(crate) fn run_call<const N: usize>(
         }
     }
     let end = SimTime::ZERO + cfg.duration;
-    run_flows(&mut flows, &mut emu, &mut timers, end, cfg.idle_skip);
+    run_flows(&mut flows, &mut emu, &mut timers, end);
     flows.map(Flow::finish)
 }
 
 /// The one event loop: runs `flows` over `net` until `end`, flow `i`'s
 /// ticks keyed `(i, tick)` in `timers`. At each instant every pacer
 /// releases what is due, then the network hands over what arrived, then
-/// the ticks due fire, one at a time. With `idle_skip`, an instant at
-/// which no pacer holds a packet and the network is idle jumps straight
-/// to the next tick. Returns the number of ticks fired.
+/// the ticks due fire, one at a time. Returns the number of ticks fired.
 pub(crate) fn run_flows<N: Network>(
     flows: &mut [Flow],
     net: &mut N,
     timers: &mut EventQueue<(usize, Tick)>,
     end: SimTime,
-    idle_skip: bool,
 ) -> u64 {
     // "Never" as a scalar, so the earliest source is a plain integer min.
     // `SimTime::MAX` itself (a stalled link's arrival) ends the call just
@@ -470,13 +458,9 @@ pub(crate) fn run_flows<N: Network>(
     let mut fired = 0;
 
     loop {
-        // When no pacer holds a packet and nothing is in flight, the only
-        // possible event source is a timer: jump straight there.
-        let idle = idle_skip && paced == u64::MAX && net.idle();
-        let mut next = micros(timers.peek_time());
-        if !idle {
-            next = next.min(micros(net.next_arrival())).min(paced);
-        }
+        let next = micros(timers.peek_time())
+            .min(micros(net.next_arrival()))
+            .min(paced);
         // The pacer reports a stale (past) `busy_until` for a path that
         // went idle and was re-filled; clamp so simulated time never runs
         // backwards.
@@ -486,16 +470,13 @@ pub(crate) fn run_flows<N: Network>(
             return fired;
         }
 
-        // Paced transmissions and network deliveries due now (idle pacers
-        // release nothing, an idle network delivers nothing).
-        if !idle {
-            paced = u64::MAX;
-            for (i, flow) in flows.iter_mut().enumerate() {
-                flow.drain_pacer(now, &mut net.net(i));
-                paced = paced.min(micros(flow.pacer.next_release()));
-            }
-            net.deliver_due(now, flows);
+        // Paced transmissions and network deliveries due now.
+        paced = u64::MAX;
+        for (i, flow) in flows.iter_mut().enumerate() {
+            flow.drain_pacer(now, &mut net.net(i));
+            paced = paced.min(micros(flow.pacer.next_release()));
         }
+        net.deliver_due(now, flows);
 
         // Timer events due now.
         while let Some((_, (i, tick))) = timers.pop_due(now) {

@@ -6,9 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use converge_core::QoeMonitor;
 use converge_net::{PathId, SimDuration, SimTime};
-use converge_rtp::{
-    Nack, Pli, QoeFeedback, ReceiverReport, ReportBlock, RtcpPacket, TransportFeedback,
-};
+use converge_rtp::{Nack, Pli, ReceiverReport, ReportBlock, RtcpPacket, TransportFeedback};
 use converge_video::{
     FrameBuffer, FrameBufferEvent, PacketBuffer, PacketBufferEvent, PacketKind, StreamId,
     VideoPacket,
@@ -630,13 +628,7 @@ impl ConferenceReceiver {
 
             // QoE feedback from the monitor.
             for fb in rx.monitor.take_feedback() {
-                out.push((
-                    control_path,
-                    RtcpPacket::QoeFeedback(QoeFeedback {
-                        ssrc: stream.0 as u32,
-                        ..fb
-                    }),
-                ));
+                out.push((control_path, RtcpPacket::QoeFeedback(fb)));
             }
         }
     }

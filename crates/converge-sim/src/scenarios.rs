@@ -740,7 +740,7 @@ mod tests {
 
     #[test]
     fn path_spec_impairments_reach_the_links() {
-        use converge_net::{Direction, SendOutcome};
+        use converge_net::{Direction, Transmit};
         let spec = PathSpec::constant(10_000_000, 10, 0.0).impaired_both(
             ImpairmentConfig::blackout(BlackoutSchedule::single(
                 SimTime::ZERO,
@@ -751,8 +751,8 @@ mod tests {
             converge_net::NetworkEmulator::new(vec![spec.build(PathId(0), 1)]);
         let (fwd, _) = emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 100, 0);
         let (rev, _) = emu.send(PathId(0), Direction::Reverse, SimTime::ZERO, 100, 0);
-        assert_eq!(fwd, SendOutcome::Blackout);
-        assert_eq!(rev, SendOutcome::Blackout);
+        assert_eq!(fwd, Transmit::Blackout);
+        assert_eq!(rev, Transmit::Blackout);
     }
 
     #[test]

@@ -6,16 +6,9 @@ use converge_net::{Direction, ImpairmentConfig, SimDuration};
 use converge_trace::{InvariantSink, TraceHandle, Violation};
 use converge_video::PAPER_MAX_BITRATE_BPS;
 
-use crate::flow::run_call;
+use crate::flow::{run_call, RTCP_INTERVAL, TRANSPORT_RTCP_INTERVAL};
 use crate::metrics::CallReport;
 use crate::scenarios::{FecKind, ScenarioConfig, SchedulerKind};
-
-/// The receiver's fast RTCP interval (QoE feedback, NACK, PLI).
-pub(crate) const RTCP_INTERVAL: SimDuration = SimDuration::from_millis(100);
-/// The receiver's transport feedback / receiver report interval (drives
-/// congestion control): the paper's GCC is paced by RTCP reports, slower
-/// than the QoE loop.
-pub(crate) const TRANSPORT_RTCP_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
 /// Configuration of one simulated call.
 #[derive(Debug, Clone)]
@@ -30,11 +23,17 @@ pub struct SessionConfig {
     pub streams: u8,
     /// Call duration (the paper uses 3-minute calls).
     pub duration: SimDuration,
-    /// Maximum encoding rate per stream (10 Mbps in the paper).
+    /// Always `PAPER_MAX_BITRATE_BPS`, the per-stream encoder cap; no
+    /// call reads it. Kept only because `benchmark/layers/src/mirror.rs`
+    /// reads it (ROADMAP item 5).
     pub max_encoding_rate_bps: u64,
-    /// Fast RTCP interval at the receiver (QoE feedback, NACK, PLI).
+    /// Always the receiver's 100 ms fast RTCP cadence; no call reads it.
+    /// Kept only because `benchmark/layers/src/mirror.rs` reads it
+    /// (ROADMAP item 5).
     pub rtcp_interval: SimDuration,
-    /// Transport feedback / receiver report interval (drives GCC).
+    /// Always the receiver's 250 ms transport feedback cadence; no call
+    /// reads it. Kept only because `benchmark/layers/src/mirror.rs` reads
+    /// it (ROADMAP item 5).
     pub transport_rtcp_interval: SimDuration,
     /// Master seed.
     pub seed: u64,
@@ -45,11 +44,9 @@ pub struct SessionConfig {
     pub controller: ControllerConfig,
     /// Structured-event sink; disabled by default (zero overhead).
     pub trace: TraceHandle,
-    /// Fast-path the idle loop: when nothing is queued in the pacer and
-    /// nothing is in flight, jump the clock straight to the next timer
-    /// without polling either. Equivalence-preserving (an idle pacer and
-    /// emulator deliver nothing); the knob exists so the proptest harness
-    /// can run both ways and assert identical traces.
+    /// Always `true`; no call reads it (the call loop has no idle mode).
+    /// Kept only because `benchmark/layers/src/mirror.rs` reads it
+    /// (ROADMAP item 5).
     pub idle_skip: bool,
 }
 
@@ -105,7 +102,6 @@ pub struct SessionConfigBuilder {
     controller: ControllerConfig,
     trace: TraceHandle,
     impairments: Vec<(u8, Direction, ImpairmentConfig)>,
-    idle_skip: bool,
 }
 
 impl Default for SessionConfigBuilder {
@@ -121,7 +117,6 @@ impl Default for SessionConfigBuilder {
             controller: ControllerConfig::default(),
             trace: TraceHandle::disabled(),
             impairments: Vec::new(),
-            idle_skip: true,
         }
     }
 }
@@ -182,15 +177,6 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Enables or disables the idle fast path (on by default). Disabling
-    /// it forces the event loop to poll the pacer and emulator on every
-    /// iteration; the equivalence proptest runs both settings and asserts
-    /// the traces are byte-identical.
-    pub fn idle_skip(mut self, enabled: bool) -> Self {
-        self.idle_skip = enabled;
-        self
-    }
-
     /// Overrides one direction of one scenario path with a fault-injection
     /// config (applied on top of whatever the scenario already specifies).
     /// May be called repeatedly; the path index is validated at [`build`].
@@ -236,7 +222,7 @@ impl SessionConfigBuilder {
             coupled_cc: self.coupled_cc,
             controller: self.controller,
             trace: self.trace,
-            idle_skip: self.idle_skip,
+            idle_skip: true,
         })
     }
 }

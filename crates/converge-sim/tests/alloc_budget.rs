@@ -261,7 +261,10 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// a static delay (8 B) and an optional drive (24 B), −48 B a link, −192
 /// over the two paths' four links; and a link shares its path's samples
 /// where it copied the rate trace's one 8-byte rate, −32.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 353_928;
+///
+/// It was 353 928 until the QoE monitor dropped the last FCD it kept and
+/// nothing read (−8): one 8-byte `SimDuration` in each stream's monitor.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 353_920;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -289,8 +292,9 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 353_928;
 /// report's 133-byte buffer +133; and 588 457 until the reorder path's
 /// bits and slots (−2 000): the packet buffer −2 072 (three streams'
 /// leaves +792 of it), the gap tracker +72; and 586 457 until a link
-/// followed one trace (−224, as above).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 586_233;
+/// followed one trace (−224, as above); and 586 233 until the monitors'
+/// unread last FCD went (−24, three streams).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 586_209;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -327,16 +331,18 @@ fn construction_bytes_stay_within_budget() {
 /// (measured with the old gap tracker), the gap tracker −824. It read
 /// 491 153 until a link followed one trace: −224, the four links' smaller
 /// configs and the rate copies they no longer make (see the construction
-/// bytes above).
-const CLEAN_PEAK_BYTES: u64 = 490_929;
+/// bytes above). It read 490 929 until the QoE monitor's unread last FCD
+/// went: −8.
+const CLEAN_PEAK_BYTES: u64 = 490_921;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
 /// sender's rings stopped storing what send order says, and 847 202 before
 /// the `u32` samples (2 048 slots at the peak, −8 192), and 839 010 before
 /// the reorder path's bits and slots (−7 440: the packet buffer −7 752,
 /// the gap tracker +312), and 831 570 before a link followed one trace
-/// (−224, as in the clean cell).
-const LOSSY_PEAK_BYTES: u64 = 831_346;
+/// (−224, as in the clean cell), and 831 346 before the monitors' unread
+/// last FCD went (−24).
+const LOSSY_PEAK_BYTES: u64 = 831_322;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.

@@ -135,7 +135,8 @@ impl CcPhase {
     }
 }
 
-/// Connection-monitor link state, mirroring `converge-signal`.
+/// Connection-monitor link state; `converge-signal` re-exports it as
+/// `PathState`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
     /// Recent activity.

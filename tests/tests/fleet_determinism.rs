@@ -1,6 +1,6 @@
-//! Fleet-engine determinism gates: the aggregate fold and the sampled
-//! per-member JSONL timelines must be byte-identical for any shard
-//! count, any batch size, and across repeated runs at a fixed seed.
+//! Fleet-engine determinism gates: the aggregate fold and the exact work
+//! counts must be byte-identical for any shard count, any batch size, and
+//! across repeated runs at a fixed seed.
 //! These are the cross-crate versions of the unit gates inside
 //! `converge-sim::fleet` — run at a slightly larger scale and through
 //! the public API only.
@@ -23,50 +23,45 @@ use converge_sim::FleetConfig;
 use converge_sim::FleetEngine;
 
 /// A fleet that is small enough for CI but still spans multiple
-/// conferences per batch, a 1-member tail conference, and several
-/// sampled timelines.
+/// conferences per batch and a 1-member tail conference.
 fn fleet_cfg(shards: usize, batch: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(13, 3);
     cfg.shards = shards;
     cfg.batch_conferences = batch;
     cfg.duration = SimDuration::from_secs(4);
     cfg.seed = 2024;
-    cfg.trace_conferences = 2;
     cfg
 }
 
-fn fold_and_traces(shards: usize, batch: usize) -> (String, Vec<(String, String)>) {
+/// The fold and the work counts of one run of [`fleet_cfg`].
+fn fold_and_work(shards: usize, batch: usize) -> (String, String) {
     let report = FleetEngine::new(fleet_cfg(shards, batch)).run();
-    (report.fold_text(), report.sampled_traces)
+    (report.fold_text(), report.work_counts_text())
 }
 
 #[test]
 fn fold_and_timelines_are_shard_count_invariant() {
-    let (base_fold, base_traces) = fold_and_traces(1, 2);
-    assert!(!base_traces.is_empty(), "sampled timelines must exist");
+    let base = fold_and_work(1, 2);
     for shards in [2, 4] {
-        let (fold, traces) = fold_and_traces(shards, 2);
-        assert_eq!(base_fold, fold, "fold diverged at {shards} shards");
-        assert_eq!(base_traces, traces, "timelines diverged at {shards} shards");
+        let (fold, work) = fold_and_work(shards, 2);
+        assert_eq!(base.0, fold, "fold diverged at {shards} shards");
+        assert_eq!(base.1, work, "work counts diverged at {shards} shards");
     }
 }
 
 #[test]
 fn fold_and_timelines_are_batch_size_invariant() {
-    let (base_fold, base_traces) = fold_and_traces(2, 1);
+    let base = fold_and_work(2, 1);
     for batch in [3, 64] {
-        let (fold, traces) = fold_and_traces(2, batch);
-        assert_eq!(base_fold, fold, "fold diverged at batch {batch}");
-        assert_eq!(base_traces, traces, "timelines diverged at batch {batch}");
+        let (fold, work) = fold_and_work(2, batch);
+        assert_eq!(base.0, fold, "fold diverged at batch {batch}");
+        assert_eq!(base.1, work, "work counts diverged at batch {batch}");
     }
 }
 
 #[test]
 fn repeated_runs_are_byte_identical() {
-    let (a_fold, a_traces) = fold_and_traces(3, 2);
-    let (b_fold, b_traces) = fold_and_traces(3, 2);
-    assert_eq!(a_fold, b_fold);
-    assert_eq!(a_traces, b_traces);
+    assert_eq!(fold_and_work(3, 2), fold_and_work(3, 2));
 }
 
 #[test]
@@ -127,7 +122,6 @@ fn fold_matches_checked_in_golden() {
     let mut rendered = String::new();
     for (name, mut cfg) in golden_fleets() {
         cfg.check_invariants = true;
-        cfg.trace_conferences = 0;
         let report = FleetEngine::new(cfg).run();
         assert_eq!(report.violations, 0, "{name}: control-loop invariants violated");
         rendered.push_str(&format!("# {name}\n{}", report.fold_text()));
