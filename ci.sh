@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, the commands the README and DESIGN name, the
 # API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned,
-# unit/integration
-# tests, the allocation budgets, the fleet's exact work counts, the
+# unit/integration tests, the property tests by count, the allocation
+# budgets, the fleet's exact work counts, the
 # receiver's two reorder-path differential tests and the stability
 # matrix's tier-1 slice by name, one short run each of the
 # peak-heap attribution, the sampling profiler and the repair timeline (so
@@ -17,8 +17,8 @@
 # compared, and the perf gate: the repo benchmark compared with its
 # committed baseline.
 #
-# Gates, in order (17): readme-examples, docs, benchmark-smoke, tests,
-# alloc-budget, work-counts, reorder-path, stability, hot-lines,
+# Gates, in order (18): readme-examples, docs, benchmark-smoke, tests,
+# properties, alloc-budget, work-counts, reorder-path, stability, hot-lines,
 # repair-timeline, sweep-smoke, traced-fig11, chaos, shootout, drive, fleet,
 # bench-compare.
 #
@@ -132,6 +132,23 @@ tests_by_name() {
     echo "$out"
     grep -q "^test result: ok. $want passed" <<<"$out"
 }
+
+# The property tests (tests/tests/properties.rs): each property is one
+# #[test] through one seeded driver, its fixed cases then its drawn ones.
+# All 30 must run (28 properties, the zero-rate trace test and the frame
+# buffer's regression), so a property cannot silently drop out again, as
+# 21 did behind an offline `proptest!` stand-in that expanded to nothing;
+# and `proptest` is named nowhere under crates/, tests/ or examples/.
+properties() {
+    local named
+    named=$(grep -rl proptest crates tests examples || true)
+    if [ -n "$named" ]; then
+        echo "properties: proptest is named under crates/, tests/ or examples/:" $named >&2
+        return 1
+    fi
+    tests_by_name 30 -p converge-integration --test properties
+}
+gate properties properties
 
 # The six deterministic allocation budgets (two steady-state call counts,
 # one construction byte count, two peak live heaps, the bytes a finished

@@ -46,10 +46,6 @@ pub struct ForwardPacket {
     pub count: u16,
     /// Wire size in bytes (what the egress bottleneck serializes).
     pub size: u32,
-    /// When the origin captured/sent the packet (end-to-end latency base).
-    pub sent_at: SimTime,
-    /// Whether the frame is a keyframe.
-    pub keyframe: bool,
 }
 
 /// Static configuration of one SFU node, worked out from the bottleneck

@@ -109,15 +109,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Builds a duration from fractional seconds, rounding to the nearest
-    /// microsecond. Negative or non-finite inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if !s.is_finite() || s <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((s * 1e6).round().min(u64::MAX as f64) as u64)
-    }
-
     /// Whole microseconds in this duration.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -131,18 +122,6 @@ impl SimDuration {
     /// Seconds as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Duration needed to serialize `bytes` at `bits_per_sec`, rounded up.
-    ///
-    /// A zero rate yields [`SimDuration::MAX`]: the link is stalled.
-    pub fn for_bytes_at_rate(bytes: usize, bits_per_sec: u64) -> Self {
-        if bits_per_sec == 0 {
-            return SimDuration::MAX;
-        }
-        let bits = bytes as u128 * 8;
-        let us = (bits * 1_000_000).div_ceil(bits_per_sec as u128);
-        SimDuration(us.min(u64::MAX as u128) as u64)
     }
 
     /// Saturating subtraction.
@@ -277,35 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn serialization_delay_rounds_up() {
-        // 1500 bytes at 12 Mbps = 1 ms exactly.
-        assert_eq!(
-            SimDuration::for_bytes_at_rate(1500, 12_000_000).as_micros(),
-            1_000
-        );
-        // 1 byte at 1 Gbps = 8 ns, rounds up to 1 us.
-        assert_eq!(
-            SimDuration::for_bytes_at_rate(1, 1_000_000_000).as_micros(),
-            1
-        );
-    }
-
-    #[test]
-    fn zero_rate_stalls() {
-        assert_eq!(SimDuration::for_bytes_at_rate(100, 0), SimDuration::MAX);
-    }
-
-    #[test]
     fn mul_div_avoids_overflow() {
         let d = SimDuration::from_secs(1_000_000);
         assert_eq!(d.mul_div(7, 8).as_micros(), 875_000_000_000);
-    }
-
-    #[test]
-    fn from_secs_f64_clamps_bad_input() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(0.001).as_micros(), 1_000);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! changes *how many* repair packets are generated and *where* they travel
 //! (§4.3); this module provides the codec itself plus group assembly.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 /// A group of media packets protected together, identified by the media
 /// sequence numbers of its members.
@@ -105,22 +105,6 @@ pub fn recover(group: &FecGroup, received: &[(u16, Bytes)]) -> Option<(u16, Byte
     }
     payload.truncate(length);
     Some((missing_seq, Bytes::from(payload)))
-}
-
-/// Convenience: builds `(seq, payload)` pairs from equally sized dummy
-/// payloads — used by schedulers that only care about packet counts.
-pub fn dummy_payloads(seqs: &[u16], size: usize) -> Vec<(u16, Bytes)> {
-    seqs.iter()
-        .map(|&s| {
-            let mut b = BytesMut::zeroed(size);
-            // Make each payload distinct so XOR tests are meaningful.
-            if size >= 2 {
-                b[0] = (s >> 8) as u8;
-                b[1] = s as u8;
-            }
-            (s, b.freeze())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -258,13 +242,5 @@ mod tests {
             assert_eq!(seq, pkts[missing].0);
             assert_eq!(payload, pkts[missing].1, "round {round} payload mismatch");
         }
-    }
-
-    #[test]
-    fn dummy_payloads_distinct() {
-        let d = dummy_payloads(&[1, 2, 3], 10);
-        assert_eq!(d.len(), 3);
-        assert_ne!(d[0].1, d[1].1);
-        assert!(d.iter().all(|(_, p)| p.len() == 10));
     }
 }

@@ -74,7 +74,7 @@ use converge_net::{
     SfuStats, SimDuration, SimTime, Transmit,
 };
 use converge_trace::{InvariantSink, TraceEvent, TraceHandle};
-use converge_video::{FrameType, PacketKind, CAPTURE_FORMAT};
+use converge_video::{PacketKind, CAPTURE_FORMAT};
 
 use crate::flow::{run_flows, Flow, Net, Network, Tick};
 use crate::metrics::{CallReport, MetricsCollector};
@@ -1002,8 +1002,6 @@ impl Conference<'_> {
                         index,
                         count,
                         size: vp.size as u32,
-                        sent_at: rtp.sent_at,
-                        keyframe: matches!(vp.frame_type, FrameType::Key),
                     }
                 });
                 let mut net = MemberNet { queue, paths: &mut members[m].paths, member };
@@ -1110,8 +1108,6 @@ mod tests {
             index,
             count,
             size: 1_200,
-            sent_at: SimTime::ZERO,
-            keyframe: false,
         }
     }
 

@@ -487,18 +487,9 @@ impl ConferenceReceiver {
     /// feedback from the monitors. Returns `(path, packet)` pairs — each
     /// path's reports travel back over that same path. `sr_info` maps path
     /// → (last SR send-time ms, SR arrival instant) for RTT computation.
-    pub fn poll_rtcp(
-        &mut self,
-        now: SimTime,
-        sr_info: &BTreeMap<PathId, (u64, SimTime)>,
-    ) -> Vec<(PathId, RtcpPacket)> {
-        self.poll_rtcp_with(now, sr_info, true)
-    }
-
-    /// Like [`ConferenceReceiver::poll_rtcp`], but transport feedback and
-    /// receiver reports (which drive GCC) are only included when
-    /// `include_transport` is set. The paper's GCC runs off RTCP-paced
-    /// reports, which are slower than the QoE/NACK feedback loop.
+    /// Transport feedback and receiver reports (which drive GCC) are only
+    /// included when `include_transport` is set. The paper's GCC runs off
+    /// RTCP-paced reports, which are slower than the QoE/NACK feedback loop.
     pub fn poll_rtcp_with(
         &mut self,
         now: SimTime,
@@ -728,10 +719,10 @@ mod tests {
             &rtp(1, RtpKind::Media(vp(5, 1, PacketKind::Pps))),
         );
         // Too early: no NACK yet.
-        let rtcp = r.poll_rtcp(SimTime::from_millis(20), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(20), &BTreeMap::new(), true);
         assert!(!rtcp.iter().any(|(_, p)| matches!(p, RtcpPacket::Nack(_))));
         // After the reordering delay: NACK for 1..=4.
-        let rtcp = r.poll_rtcp(SimTime::from_millis(100), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(100), &BTreeMap::new(), true);
         let nack = rtcp
             .iter()
             .find_map(|(_, p)| match p {
@@ -759,18 +750,18 @@ mod tests {
                 .count()
         };
         assert_eq!(
-            count_nacks(&r.poll_rtcp(SimTime::from_millis(100), &BTreeMap::new())),
+            count_nacks(&r.poll_rtcp_with(SimTime::from_millis(100), &BTreeMap::new(), true)),
             1
         );
         for ms in [200, 300] {
             assert_eq!(
-                count_nacks(&r.poll_rtcp(SimTime::from_millis(ms), &BTreeMap::new())),
+                count_nacks(&r.poll_rtcp_with(SimTime::from_millis(ms), &BTreeMap::new(), true)),
                 1
             );
         }
         // Fourth attempt: given up.
         assert_eq!(
-            count_nacks(&r.poll_rtcp(SimTime::from_millis(400), &BTreeMap::new())),
+            count_nacks(&r.poll_rtcp_with(SimTime::from_millis(400), &BTreeMap::new(), true)),
             0
         );
     }
@@ -794,7 +785,7 @@ mod tests {
                 RtpKind::Retransmission(vp(1, 0, PacketKind::Media { index: 0, count: 2 })),
             ),
         );
-        let rtcp = r.poll_rtcp(SimTime::from_millis(100), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(100), &BTreeMap::new(), true);
         assert!(!rtcp.iter().any(|(_, p)| matches!(p, RtcpPacket::Nack(_))));
     }
 
@@ -1009,7 +1000,7 @@ mod tests {
             &rtp(9, RtpKind::Probe { probe_seq: 1 }),
         );
         // First poll establishes the interval; loss shows in the second.
-        let rtcp = r.poll_rtcp(SimTime::from_millis(100), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(100), &BTreeMap::new(), true);
         let rr = rtcp
             .iter()
             .find_map(|(p, pkt)| match pkt {
@@ -1028,7 +1019,7 @@ mod tests {
             SimTime::from_millis(120),
             &rtp(19, RtpKind::Probe { probe_seq: 3 }),
         );
-        let rtcp = r.poll_rtcp(SimTime::from_millis(200), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(200), &BTreeMap::new(), true);
         let rr = rtcp
             .iter()
             .find_map(|(p, pkt)| match pkt {
@@ -1047,7 +1038,7 @@ mod tests {
             SimTime::from_millis(7),
             &rtp(42, RtpKind::Probe { probe_seq: 0 }),
         );
-        let rtcp = r.poll_rtcp(SimTime::from_millis(50), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(50), &BTreeMap::new(), true);
         let tf = rtcp
             .iter()
             .find_map(|(_, p)| match p {
@@ -1057,7 +1048,7 @@ mod tests {
             .expect("tf");
         assert_eq!(tf.arrivals, vec![(42, 7_000)]);
         // Drained: next poll has no transport feedback.
-        let rtcp = r.poll_rtcp(SimTime::from_millis(100), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(100), &BTreeMap::new(), true);
         assert!(!rtcp
             .iter()
             .any(|(_, p)| matches!(p, RtcpPacket::TransportFeedback(_))));
@@ -1073,7 +1064,7 @@ mod tests {
         m.frame_type = FrameType::Delta;
         r.on_rtp(SimTime::from_millis(1), &rtp(1, RtpKind::Media(pps)));
         r.on_rtp(SimTime::from_millis(2), &rtp(2, RtpKind::Media(m)));
-        let rtcp = r.poll_rtcp(SimTime::from_millis(10), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(10), &BTreeMap::new(), true);
         assert!(rtcp.iter().any(|(_, p)| matches!(p, RtcpPacket::Pli(_))));
         assert_eq!(r.pli_count(), 1);
     }
@@ -1093,7 +1084,7 @@ mod tests {
                 },
             );
         }
-        let rtcp = r.poll_rtcp(SimTime::from_secs(2), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_secs(2), &BTreeMap::new(), true);
         let rr0 = rtcp
             .iter()
             .find_map(|(p, pkt)| match pkt {
@@ -1120,7 +1111,7 @@ mod tests {
                 },
             );
         }
-        let rtcp = r.poll_rtcp(SimTime::from_secs(2), &BTreeMap::new());
+        let rtcp = r.poll_rtcp_with(SimTime::from_secs(2), &BTreeMap::new(), true);
         let rr1 = rtcp
             .iter()
             .find_map(|(p, pkt)| match pkt {
@@ -1145,7 +1136,7 @@ mod tests {
         );
         let mut sr_info = BTreeMap::new();
         sr_info.insert(P0, (1_000u64, SimTime::from_millis(1_040)));
-        let rtcp = r.poll_rtcp(SimTime::from_millis(1_100), &sr_info);
+        let rtcp = r.poll_rtcp_with(SimTime::from_millis(1_100), &sr_info, true);
         let rr = rtcp
             .iter()
             .find_map(|(p, pkt)| match pkt {
