@@ -1,132 +1,75 @@
 //! The `fleet` experiment: QoE fairness at fleet scale.
 //!
 //! Unlike the figure regenerators, the fleet experiment does not decompose
-//! into `Cell × seed` sweep jobs: one invocation *is* one run of the
-//! sharded [`FleetEngine`], which puts its conferences on the worker pool
-//! itself. The `experiments` binary special-cases the `fleet` target onto
-//! [`run_fleet`].
+//! into `Cell × seed` sweep jobs: like [`super::traces`] it declares none,
+//! and its fold runs the [`FleetEngine`] at a fixed shape — conferences of
+//! 4 behind 8 Mbit/s ingress bottlenecks, seed 1, one shard — then a small
+//! sessions × conference-size × bottleneck grid. `Scale::Quick` runs 200
+//! sessions for 5 s, `Scale::Full` 1 000 for 20 s. The invariant checker
+//! is armed on every member, and a violation fails the fold.
 //!
 //! The report's fold section comes verbatim from
 //! [`converge_sim::FleetReport::fold_text`] and nothing in it reads a
-//! clock, so stdout is byte-identical for any `--shards` value and from
-//! run to run. The engine's speed is the repo benchmark's `fleet-sfu`
-//! workload (`benchmark/`).
+//! clock, so it is byte-identical from run to run. The engine's speed is
+//! the repo benchmark's `fleet-sfu` workload (`benchmark/`).
 
 use std::fmt::Write as _;
 
 use converge_net::SimDuration;
-use converge_sim::{FleetConfig, FleetEngine};
+use converge_sim::{FleetConfig, FleetEngine, FleetReport};
 
-/// CLI-level options of one fleet invocation.
-#[derive(Debug, Clone)]
-pub struct FleetOpts {
-    /// Total concurrent sessions.
-    pub sessions: usize,
-    /// Members per conference.
-    pub conference_size: usize,
-    /// Worker shards (0 = one per available core).
-    pub shards: usize,
-    /// Shared ingress bottleneck per conference, Mbps.
-    pub bottleneck_mbps: f64,
-    /// Call duration in seconds (0 = the 20 s default; `--quick` uses 5 s).
-    pub duration_s: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Arm invariant checking on every member.
-    pub check_invariants: bool,
-    /// Shrink the run for smoke testing.
-    pub quick: bool,
-    /// Also sweep a small sessions × conference-size × bottleneck grid.
-    pub grid: bool,
-}
+use crate::runner::Scale;
+use crate::sweep::ExperimentSpec;
 
-impl Default for FleetOpts {
-    fn default() -> Self {
-        FleetOpts {
-            sessions: 1000,
-            conference_size: 4,
-            shards: 0,
-            bottleneck_mbps: 8.0,
-            duration_s: 0,
-            seed: 1,
-            check_invariants: false,
-            quick: false,
-            grid: false,
-        }
+/// Declares the fleet experiment as a zero-job experiment: the engine puts
+/// nothing on the sweep's pool, the fold does all the work.
+pub fn spec(scale: Scale) -> ExperimentSpec {
+    ExperimentSpec {
+        jobs: Vec::new(),
+        fold: Box::new(move |_reports| report(scale)),
     }
 }
 
-/// The outcome of one fleet invocation: the deterministic stdout report
-/// and the invariant violation count.
-#[derive(Debug)]
-pub struct FleetRunOutput {
-    /// Printable report (fold + fairness summary); shard-count invariant.
-    pub report: String,
-    /// Invariant violations (0 unless `--check-invariants` found some).
-    pub violations: usize,
+/// One checked run of `sessions` members in conferences of `size` for
+/// `secs` seconds behind `mbps` Mbit/s bottlenecks.
+fn run(sessions: usize, size: usize, mbps: f64, secs: u64) -> FleetReport {
+    let mut cfg = FleetConfig::new(sessions, size);
+    cfg.bottleneck_ingress_bps = (mbps * 1e6) as u64;
+    cfg.duration = SimDuration::from_secs(secs);
+    cfg.check_invariants = true;
+    let fleet = FleetEngine::new(cfg).run();
+    assert_eq!(fleet.violations, 0, "fleet: control-loop invariants violated");
+    fleet
 }
 
-fn build_config(opts: &FleetOpts) -> FleetConfig {
-    let mut cfg = FleetConfig::new(opts.sessions, opts.conference_size);
-    cfg.shards = if opts.shards == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        opts.shards
+fn report(scale: Scale) -> String {
+    let (sessions, secs) = match scale {
+        Scale::Quick => (200, 5),
+        Scale::Full => (1000, 20),
     };
-    cfg.seed = opts.seed;
-    cfg.bottleneck_ingress_bps = (opts.bottleneck_mbps * 1e6) as u64;
-    cfg.duration = match (opts.duration_s, opts.quick) {
-        (0, true) => SimDuration::from_secs(5),
-        (0, false) => SimDuration::from_secs(20),
-        (s, _) => SimDuration::from_secs(s),
-    };
-    cfg.check_invariants = opts.check_invariants;
-    cfg
-}
-
-/// Runs the fleet experiment and renders its report.
-pub fn run_fleet(opts: &FleetOpts) -> FleetRunOutput {
-    let fleet = FleetEngine::new(build_config(opts)).run();
-
-    let mut report = String::new();
+    let fleet = run(sessions, 4, 8.0, secs);
+    let mut out = String::new();
     let _ = writeln!(
-        report,
+        out,
         "# fleet: {} sessions x {}s through {} SFU conference(s)",
         fleet.sessions,
         fleet.duration.as_secs_f64(),
         fleet.conferences.len()
     );
-    report.push_str(&fleet.fold_text());
-    if opts.grid {
-        report.push_str(&run_grid(opts));
-    }
+    out.push_str(&fleet.fold_text());
 
-    FleetRunOutput {
-        report,
-        violations: fleet.violations,
-    }
-}
-
-/// A small sessions × conference-size × bottleneck grid at reduced scale:
-/// each cell reports median QoE, showing how fairness moves with
-/// conference shape and bottleneck pressure.
-fn run_grid(opts: &FleetOpts) -> String {
-    let base_sessions = (opts.sessions / 4).max(8);
-    let mut out = String::from("grid|sessions|size|bottleneck_mbps|qoe_p50\n");
-    for &sessions in &[base_sessions / 2, base_sessions] {
-        for &size in &[2usize, opts.conference_size.max(3)] {
-            for &mbps in &[opts.bottleneck_mbps / 2.0, opts.bottleneck_mbps] {
-                let mut cell = opts.clone();
-                cell.sessions = sessions;
-                cell.conference_size = size;
-                cell.bottleneck_mbps = mbps;
-                let fleet = FleetEngine::new(build_config(&cell)).run();
+    // Each grid cell reports median QoE, showing how fairness moves with
+    // conference shape and bottleneck pressure.
+    out.push_str("grid|sessions|size|bottleneck_mbps|qoe_p50\n");
+    for cell_sessions in [sessions / 8, sessions / 4] {
+        for size in [2, 4] {
+            for mbps in [4.0, 8.0] {
+                let fleet = run(cell_sessions, size, mbps, secs);
                 let _ = writeln!(
                     out,
-                    "cell|{}|{}|{:.1}|{:.6}",
+                    "cell|{}|{}|{mbps:.1}|{:.6}",
                     fleet.sessions,
                     fleet.conference_size,
-                    mbps,
                     fleet.qoe_quantiles()[2]
                 );
             }
@@ -137,65 +80,36 @@ fn run_grid(opts: &FleetOpts) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::OnceLock;
 
-    fn tiny() -> FleetOpts {
-        FleetOpts {
-            sessions: 8,
-            conference_size: 4,
-            shards: 2,
-            duration_s: 3,
-            quick: true,
-            ..FleetOpts::default()
+    use super::*;
+    use crate::sweep::{render, CellCache};
+
+    /// The quick report, rendered once for the tests that read it.
+    fn quick_report() -> &'static str {
+        static REPORT: OnceLock<String> = OnceLock::new();
+        REPORT.get_or_init(|| render(spec(Scale::Quick), CellCache::global()))
+    }
+
+    #[test]
+    fn fleet_declares_no_jobs() {
+        for scale in [Scale::Quick, Scale::Full] {
+            assert!(spec(scale).jobs.is_empty(), "{scale:?}");
         }
     }
 
     #[test]
-    fn fleet_json_carries_the_ratchet_metric() {
-        let out = run_fleet(&tiny());
-        assert!(out
-            .report
-            .starts_with("# fleet: 8 sessions x 3s through 2 SFU conference(s)\n"));
-        assert!(out.report.contains("\ntotal|decoded="), "{}", out.report);
-        assert!(out.report.contains("\nqoe|p5="), "{}", out.report);
-        assert_eq!(out.violations, 0);
+    fn quick_report_carries_the_fold_and_the_grid() {
+        let report = quick_report();
+        assert!(report.starts_with("# fleet: 200 sessions x 5s through 50 SFU conference(s)\n"));
+        assert!(report.contains("\ntotal|decoded="), "{report}");
+        assert!(report.contains("\nqoe|p5="), "{report}");
+        assert!(report.contains("\ngrid|sessions|size|bottleneck_mbps|qoe_p50\n"), "{report}");
+        assert_eq!(report.matches("\ncell|").count(), 8, "{report}");
     }
 
     #[test]
-    fn fleet_report_is_shard_invariant() {
-        let mut one = tiny();
-        one.shards = 1;
-        let a = run_fleet(&one);
-        let b = run_fleet(&tiny());
-        assert_eq!(a.report, b.report);
-    }
-
-    #[test]
-    fn grid_report_is_shard_and_run_invariant() {
-        let grid = |shards| {
-            let opts = FleetOpts {
-                shards,
-                grid: true,
-                ..tiny()
-            };
-            run_fleet(&opts).report
-        };
-        let one = grid(1);
-        assert!(
-            one.contains("\ngrid|sessions|size|bottleneck_mbps|qoe_p50\n"),
-            "{one}"
-        );
-        assert_eq!(one.matches("\ncell|").count(), 8);
-        let two = grid(2);
-        assert_eq!(one, two, "1 shard vs 2");
-        assert_eq!(two, grid(2), "two consecutive runs");
-    }
-
-    #[test]
-    fn invariants_armed_run_stays_clean() {
-        let mut opts = tiny();
-        opts.check_invariants = true;
-        let out = run_fleet(&opts);
-        assert_eq!(out.violations, 0);
+    fn quick_report_is_run_invariant() {
+        assert_eq!(quick_report(), render(spec(Scale::Quick), CellCache::global()));
     }
 }

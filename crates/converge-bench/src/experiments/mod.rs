@@ -2,10 +2,10 @@
 //! exposes a `spec*` function; most declare a [`table::Table`] — rows and
 //! columns written once, from which the jobs and the fold that renders the
 //! printable report both follow — and the few that are not a table (zipped
-//! time series, improvement pairs, the job-less trace dump) write their
-//! jobs and fold by hand. The `experiments` binary hands the specs to the
-//! sweep engine ([`crate::sweep`]), which executes the union of all jobs
-//! on the worker pool with cross-experiment memoization;
+//! time series, improvement pairs, the job-less trace dump and fleet run)
+//! write their jobs and fold by hand. The `experiments` binary hands the
+//! specs to the sweep engine ([`crate::sweep`]), which executes the union
+//! of all jobs on the worker pool with cross-experiment memoization;
 //! [`crate::sweep::render`] runs one spec on the calling thread.
 
 pub mod ablations;
@@ -63,7 +63,7 @@ type Row = (&'static str, &'static [&'static str], &'static str, fn(Scale) -> Ex
 /// both come from the same cells, so one spec emits the combined report
 /// and `all` schedules it exactly once.
 #[rustfmt::skip]
-const REGISTRY: [Row; 25] = [
+const REGISTRY: [Row; 26] = [
     ("fig1", &[], "WebRTC degradation under cellular variation", fig1::spec),
     ("fig3", &["table1"], "FPS/freeze/FEC + drops/keyframes vs variants, 1-3 streams", fig3_table1::spec),
     ("fig9", &[], "walking/driving time series", fig9_10_table3::spec_fig9),
@@ -89,6 +89,7 @@ const REGISTRY: [Row; 25] = [
     ("chaos", &[], "fault-injection matrix: scheduler x impairment x seed", chaos::spec),
     ("shootout", &[], "controller shootout: GCC vs NADA vs mp-BBR", shootout::spec),
     ("drive", &[], "drive replay: 4-8 path fixtures x scheduler x controller", drive::spec),
+    ("fleet", &[], "fleet engine: sessions in SFU conferences of 4, plus a shape grid", fleet::spec),
 ];
 
 /// The `REGISTRY` rows as [`ExperimentDef`]s.

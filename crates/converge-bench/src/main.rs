@@ -4,12 +4,6 @@
 //! Usage: `experiments <id>|all [--quick] [--jobs N] [--trace DIR]
 //! [--check-invariants]`
 //!
-//! The `fleet` target is special: it is not a figure regenerator and runs
-//! the sharded fleet engine directly (see
-//! [`converge_bench::experiments::fleet`]) with its own flags — `--sessions`, `--conference-size`, `--shards`,
-//! `--bottleneck-mbps`, `--duration-s`, `--seed`, `--grid`. It cannot be
-//! combined with other targets and is excluded from `all`.
-//!
 //! Reports go to stdout in registry order and are byte-identical for any
 //! `--jobs` value; progress, timing, and the sweep summary go to stderr.
 //! With `--trace DIR`, every unique job additionally writes its structured
@@ -21,7 +15,6 @@
 //! the control-loop invariant rules after the sweep; any violation is
 //! printed and the process exits non-zero — this is the CI chaos gate.
 
-use converge_bench::experiments::fleet::{run_fleet, FleetOpts};
 use converge_bench::experiments::registry;
 use converge_bench::{run_sweep, CellCache, Job, Scale};
 
@@ -30,29 +23,7 @@ struct Cli {
     jobs: usize,
     trace: Option<String>,
     check_invariants: bool,
-    fleet: FleetOpts,
-    fleet_flags_seen: bool,
     targets: Vec<String>,
-}
-
-/// Parses a fleet-only flag's value into the right [`FleetOpts`] field.
-fn parse_fleet_flag(cli: &mut Cli, flag: &str, value: &str) -> Result<bool, String> {
-    fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-        value
-            .parse()
-            .map_err(|_| format!("bad {flag} value {value:?}"))
-    }
-    match flag {
-        "--sessions" => cli.fleet.sessions = parsed(flag, value)?,
-        "--conference-size" => cli.fleet.conference_size = parsed(flag, value)?,
-        "--shards" => cli.fleet.shards = parsed(flag, value)?,
-        "--bottleneck-mbps" => cli.fleet.bottleneck_mbps = parsed(flag, value)?,
-        "--duration-s" => cli.fleet.duration_s = parsed(flag, value)?,
-        "--seed" => cli.fleet.seed = parsed(flag, value)?,
-        _ => return Ok(false),
-    }
-    cli.fleet_flags_seen = true;
-    Ok(true)
 }
 
 /// Parses the arguments after the program name.
@@ -64,8 +35,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             .unwrap_or(1),
         trace: None,
         check_invariants: false,
-        fleet: FleetOpts::default(),
-        fleet_flags_seen: false,
         targets: Vec::new(),
     };
     let mut it = args.into_iter();
@@ -83,37 +52,14 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             cli.trace = Some(it.next().ok_or("--trace needs a directory")?);
         } else if arg == "--check-invariants" {
             cli.check_invariants = true;
-        } else if arg == "--grid" {
-            cli.fleet.grid = true;
-            cli.fleet_flags_seen = true;
-        } else if let Some((flag, value)) = arg.split_once('=').filter(|(f, _)| f.starts_with("--"))
-        {
-            if !parse_fleet_flag(&mut cli, flag, value)? {
-                return Err(format!("unknown flag {arg:?}"));
-            }
         } else if arg.starts_with("--") {
-            let Some(value) = it.next() else {
-                return Err(format!("unknown flag {arg:?}"));
-            };
-            if !parse_fleet_flag(&mut cli, &arg, &value)? {
-                return Err(format!("unknown flag {arg:?}"));
-            }
+            return Err(format!("unknown flag {arg:?}"));
         } else {
             cli.targets.push(arg);
         }
     }
     if cli.jobs == 0 {
         return Err("--jobs must be at least 1".into());
-    }
-    if cli.fleet.sessions == 0 {
-        return Err("--sessions must be at least 1".into());
-    }
-    if cli.fleet.conference_size < 2 {
-        return Err("--conference-size must be at least 2".into());
-    }
-    // Not `<= 0.0`: NaN compares false either way.
-    if !(cli.fleet.bottleneck_mbps.is_finite() && cli.fleet.bottleneck_mbps > 0.0) {
-        return Err("--bottleneck-mbps must be a positive, finite rate".into());
     }
     Ok(cli)
 }
@@ -126,19 +72,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    if cli.targets.iter().any(|t| t == "fleet") {
-        if cli.targets.len() > 1 {
-            eprintln!("error: `fleet` cannot be combined with other targets");
-            std::process::exit(2);
-        }
-        run_fleet_target(&cli);
-        return;
-    }
-    if cli.fleet_flags_seen {
-        eprintln!("error: --sessions/--conference-size/--shards/--bottleneck-mbps/--duration-s/--seed/--grid only apply to the `fleet` target");
-        std::process::exit(2);
-    }
 
     let registry = registry();
     if cli.targets.is_empty() || cli.targets.iter().any(|t| t == "list") {
@@ -153,10 +86,6 @@ fn main() {
             };
             eprintln!("  {:<12} {}{alias}", def.id, def.desc);
         }
-        eprintln!(
-            "  {:<12} fleet-scale engine: N sessions through SFU bottlenecks (own flags; excluded from `all`)",
-            "fleet"
-        );
         return;
     }
 
@@ -220,32 +149,6 @@ fn main() {
         let total = check_invariants(&trace_jobs);
         if total > 0 {
             eprintln!("error: {total} invariant violation(s) across the sweep");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs the `fleet` target: one sharded fleet-engine run (plus an optional
-/// reduced-scale grid), deterministic report on stdout, non-zero exit on
-/// invariant violations when `--check-invariants` is armed.
-fn run_fleet_target(cli: &Cli) {
-    let mut opts = cli.fleet.clone();
-    opts.quick = matches!(cli.scale, Scale::Quick);
-    opts.check_invariants = cli.check_invariants;
-    if cli.fleet.shards == 0 {
-        // `--jobs` caps auto shard selection so CI can pin parallelism
-        // with the flag it already uses for the sweep engine.
-        opts.shards = cli.jobs;
-    }
-    eprintln!(
-        ">> fleet: {} session(s), conference size {}, {} shard(s)",
-        opts.sessions, opts.conference_size, opts.shards
-    );
-    let out = run_fleet(&opts);
-    println!("{}", out.report);
-    if cli.check_invariants {
-        eprintln!("   invariants checked on every member: {} violation(s)", out.violations);
-        if out.violations > 0 {
             std::process::exit(1);
         }
     }
@@ -316,26 +219,4 @@ fn write_traces(dir: &str, jobs: &[Job]) -> Result<(), String> {
     }
     eprintln!("   {written} trace timeline(s) written to {dir}/");
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_cli;
-
-    fn parse(args: &[&str]) -> Result<(), String> {
-        parse_cli(args.iter().map(|a| a.to_string())).map(|_| ())
-    }
-
-    /// A bottleneck of no rate decodes nothing; the CLI refuses it as it
-    /// refuses a conference of one.
-    #[test]
-    fn bottleneck_must_be_a_positive_finite_rate() {
-        for bad in ["0", "-3", "NaN", "inf"] {
-            let err = parse(&["fleet", "--bottleneck-mbps", bad]).unwrap_err();
-            assert!(err.contains("--bottleneck-mbps"), "{bad}: {err}");
-            let joined = format!("--bottleneck-mbps={bad}");
-            assert!(parse(&["fleet", &joined]).is_err(), "{joined}");
-        }
-        assert_eq!(parse(&["fleet", "--bottleneck-mbps", "0.5"]), Ok(()));
-    }
 }

@@ -37,10 +37,6 @@ pub trait FecPolicy: std::fmt::Debug + Send {
     /// Notifies the policy that `nacked` packets on `path` needed
     /// retransmission despite protection (drives β for Converge).
     fn on_nack(&mut self, _path: PathId, _nacked: usize) {}
-
-    /// Notifies the policy of the media/FEC counts actually sent in the
-    /// last batch on `path` (β denominator bookkeeping).
-    fn on_batch_sent(&mut self, _path: PathId, _media: usize, _fec: usize) {}
 }
 
 /// Converge's path-specific, NACK-adaptive FEC controller.
@@ -57,7 +53,7 @@ struct PathFecState {
     beta: f64,
     /// NACKs observed since the last β update.
     pending_nacks: usize,
-    /// Media/FEC counts of the last sent batch.
+    /// Media/FEC counts of the last batch `repair_count` protected.
     last_media: usize,
     last_fec: usize,
 }
@@ -118,6 +114,8 @@ impl FecPolicy for ConvergeFec {
         // nonzero batch yields at least one repair packet.
         let fec = (l * media_count as f64 * s.beta).ceil() as usize;
         let fec = fec.min(media_count);
+        s.last_media = media_count;
+        s.last_fec = fec;
         if self.trace.is_enabled() {
             let beta_milli = (self.beta(path) * 1000.0).round() as u32;
             let key = (beta_milli, fec as u32);
@@ -138,12 +136,6 @@ impl FecPolicy for ConvergeFec {
 
     fn on_nack(&mut self, path: PathId, nacked: usize) {
         self.state.entry(path).or_default().pending_nacks += nacked;
-    }
-
-    fn on_batch_sent(&mut self, path: PathId, media: usize, fec: usize) {
-        let s = self.state.entry(path).or_default();
-        s.last_media = media;
-        s.last_fec = fec;
     }
 }
 
@@ -258,7 +250,7 @@ mod tests {
     #[test]
     fn nacks_raise_beta_then_decay() {
         let mut f = ConvergeFec::new();
-        f.on_batch_sent(P0, 20, 2);
+        assert_eq!(f.repair_count(SimTime::ZERO, P0, 20, 0.1, false), 2);
         f.on_nack(P0, 6);
         // β = 1 + 6/(20-2) = 1.333…; FEC = 0.1 * 30 * 1.333 = 4.
         let fec = f.repair_count(SimTime::ZERO, P0, 30, 0.10, false);
@@ -272,7 +264,7 @@ mod tests {
     #[test]
     fn beta_isolated_per_path() {
         let mut f = ConvergeFec::new();
-        f.on_batch_sent(P0, 10, 1);
+        assert_eq!(f.repair_count(SimTime::ZERO, P0, 20, 0.1, false), 2);
         f.on_nack(P0, 3);
         f.repair_count(SimTime::ZERO, P0, 10, 0.1, false);
         assert!(f.beta(P0) > 1.0);

@@ -220,8 +220,6 @@ pub struct ShardStats {
     /// Load of the timer queue, under the field name `benchmark/layers`
     /// reads.
     pub wheel: TimerStats,
-    /// Conference batches this shard claimed from the pool.
-    pub batches: u64,
 }
 
 /// Load counters of a shard's timer queue.
@@ -283,7 +281,6 @@ struct ShardCore {
     queue: EventQueue<FleetEvent>,
     /// Pending ticks, keyed by member: the queue `flow::run_flows` pops.
     timers: EventQueue<(usize, Tick)>,
-    batches: u64,
 }
 
 impl ShardCore {
@@ -291,7 +288,6 @@ impl ShardCore {
         ShardCore {
             queue: EventQueue::new(),
             timers: EventQueue::new(),
-            batches: 0,
         }
     }
 
@@ -307,7 +303,6 @@ impl ShardCore {
                 high_water: self.timers.high_water() as u64,
                 cascades: 0,
             },
-            batches: self.batches,
         }
     }
 }
@@ -710,7 +705,6 @@ impl FleetEngine {
         // alone through the shard's two queues.
         let (batches, cores) =
             pool::run(n_conf.div_ceil(batch), cfg.shards, ShardCore::new, |core, b| {
-                core.batches += 1;
                 let confs = b * batch..((b + 1) * batch).min(n_conf);
                 confs
                     .map(|conf| run_conference(core, &cfg, &access, conf as u32))
@@ -1399,7 +1393,6 @@ mod tests {
         let st = &report.shard_stats[0];
         assert!(st.queue_high_water > 0);
         assert!(st.wheel.high_water > 0);
-        assert_eq!(st.batches, 3);
     }
 
     /// Conferences never share a queue, so a shard's high-water marks are
@@ -1412,12 +1405,11 @@ mod tests {
             cfg.duration = SimDuration::from_secs(3);
             cfg.batch_conferences = batch;
             let st = FleetEngine::new(cfg).run().shard_stats[0];
-            ((st.queue_high_water, st.wheel.high_water), st.batches)
+            (st.queue_high_water, st.wheel.high_water)
         };
-        let (alone, batches) = marks(1);
-        assert_eq!(batches, 5);
-        assert_eq!((alone, 2), marks(3));
-        assert_eq!((alone, 1), marks(5), "all five conferences in one claim");
+        let alone = marks(1);
+        assert_eq!(alone, marks(3));
+        assert_eq!(alone, marks(5), "all five conferences in one claim");
     }
 
     #[test]

@@ -364,11 +364,6 @@ impl ConferenceSender {
         &self.scratch.metrics
     }
 
-    /// The scheduler in use (for tests).
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.scheduler.as_ref()
-    }
-
     /// Captures and sends one frame on stream `stream_idx` at `now`.
     pub fn on_frame_tick(&mut self, now: SimTime, stream_idx: usize) -> FrameTickResult {
         let mut packets = Vec::new();
@@ -538,7 +533,6 @@ impl ConferenceSender {
             let n_fec = self
                 .fec
                 .repair_count(now, path, media.len(), m.loss, *is_key);
-            self.fec.on_batch_sent(path, media.len(), n_fec);
             if n_fec == 0 {
                 continue;
             }

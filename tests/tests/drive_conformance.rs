@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use converge_integration::assert_matches_golden;
 use converge_net::SimDuration;
 use converge_sim::{
     DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
@@ -110,47 +111,7 @@ fn render_drive_golden() -> String {
 
 #[test]
 fn drive_golden_matches_checked_in_fixture() {
-    let rendered = render_drive_golden();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("drive_golden.jsonl");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");
-        std::fs::write(&path, &rendered).expect("write fixture");
-        eprintln!("drive golden regenerated at {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    if rendered != expected {
-        let diverged = rendered
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| {
-                let got = rendered.lines().nth(i).unwrap_or("<eof>");
-                let want = expected.lines().nth(i).unwrap_or("<eof>");
-                format!("first divergence at line {}:\n  got:  {got}\n  want: {want}", i + 1)
-            })
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    rendered.lines().count(),
-                    expected.lines().count()
-                )
-            });
-        panic!(
-            "drive golden drifted from {} — {diverged}\n\
-             If the change is intentional, regenerate with UPDATE_GOLDEN=1 \
-             and review the fixture diff.",
-            path.display()
-        );
-    }
+    assert_matches_golden("drive_golden.jsonl", &render_drive_golden());
 }
 
 /// Back-to-back renders agree byte-for-byte, so a golden mismatch always

@@ -18,6 +18,7 @@
 //!
 //! then review the fixture diff like any other code change.
 
+use converge_integration::assert_matches_golden;
 use converge_net::SimDuration;
 use converge_sim::FleetConfig;
 use converge_sim::FleetEngine;
@@ -159,38 +160,4 @@ fn work_counts_match_checked_in_golden() {
         rendered.push_str(&format!("# {name}\n{text}"));
     }
     assert_matches_golden("fleet_work_counts.txt", &rendered);
-}
-
-/// Compares `rendered` with `fixtures/<file>` line by line, or rewrites the
-/// fixture under `UPDATE_GOLDEN=1`.
-fn assert_matches_golden(file: &str, rendered: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join(file);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, rendered).expect("write fixture");
-        eprintln!("golden fixture regenerated at {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    if let Some((i, (got, want))) = rendered
-        .lines()
-        .zip(expected.lines())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-    {
-        panic!(
-            "{file} drifted from {} at line {}:\n  got:  {got}\n  want: {want}\n\
-             If the change is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff.",
-            path.display(),
-            i + 1
-        );
-    }
-    assert_eq!(rendered.lines().count(), expected.lines().count(), "line counts differ");
 }

@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use converge_integration::assert_matches_golden;
 use converge_net::SimDuration;
 use converge_sim::{
     ControllerKind, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
@@ -55,55 +56,9 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("golden_trace.jsonl")
-}
-
 #[test]
 fn golden_trace_matches_checked_in_fixture() {
-    let rendered = render_golden();
-    let path = fixture_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");
-        std::fs::write(&path, &rendered).expect("write fixture");
-        eprintln!("golden fixture regenerated at {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    if rendered != expected {
-        // A full-string assert_eq! would dump both multi-hundred-line
-        // documents; point at the first divergent line instead.
-        let diverged = rendered
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| {
-                let got = rendered.lines().nth(i).unwrap_or("<eof>");
-                let want = expected.lines().nth(i).unwrap_or("<eof>");
-                format!("first divergence at line {}:\n  got:  {got}\n  want: {want}", i + 1)
-            })
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    rendered.lines().count(),
-                    expected.lines().count()
-                )
-            });
-        panic!(
-            "golden trace drifted from {} — {diverged}\n\
-             If the change is intentional, regenerate with UPDATE_GOLDEN=1 \
-             and review the fixture diff.",
-            path.display()
-        );
-    }
+    assert_matches_golden("golden_trace.jsonl", &render_golden());
 }
 
 /// The non-default controllers have no fixture; a digest of 5 s of the
