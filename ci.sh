@@ -11,11 +11,14 @@
 # experiment sweep (the fleet experiment included) on 2 workers and on 1
 # with the outputs compared and their md5 checked against the committed
 # one (exercises the worker pool and the memo cache, pins every printed
-# number), a traced experiment run with JSONL timeline validation, the
-# chaos, controller-shootout and drive-replay matrices with the invariant
-# checker armed, the fleet experiment's quick report (invariants armed on
-# every member) with its deleted flags refused, and the perf gate: the
-# repo benchmark compared with its committed baseline.
+# number, and its stderr must report every executed job invariant-clean),
+# a traced experiment run with JSONL timeline validation, the chaos,
+# controller-shootout and drive-replay matrices (the invariant checker is
+# armed on every sweep job, so a violation fails them through the exit
+# status; the removed replay flag is refused and its code named nowhere),
+# the fleet experiment's quick report (invariants armed on every member)
+# with its deleted flags refused, and the perf gate: the repo benchmark
+# compared with its committed baseline.
 #
 # Gates, in order (18): readme-examples, docs, benchmark-smoke, tests,
 # properties, alloc-budget, work-counts, reorder-path, stability, hot-lines,
@@ -228,11 +231,14 @@ gate repair-timeline repair_timeline
 # spawn): stdout must not depend on the pool size, and its md5 is pinned in
 # tests/tests/fixtures/experiments_quick.md5 — a refactor of converge-bench
 # must leave it alone, a behaviour change shows as one reviewed line
-# (UPDATE_GOLDEN=1 ./ci.sh rewrites it, like the other goldens).
+# (UPDATE_GOLDEN=1 ./ci.sh rewrites it, like the other goldens). Every job
+# the sweep executes runs with the invariant checker armed, and stderr
+# must say so for all 204 of them.
 sweep_smoke() {
     local md5 pinned=tests/tests/fixtures/experiments_quick.md5
-    experiments all --quick --jobs 2 > results/smoke_all.txt
+    experiments all --quick --jobs 2 > results/smoke_all.txt 2> results/smoke_all.err
     test -s results/smoke_all.txt
+    grep -qx '   invariants checked on 204 job(s): 0 violation(s)' results/smoke_all.err
     experiments all --quick --jobs 1 > results/smoke_all_1job.txt
     cmp results/smoke_all.txt results/smoke_all_1job.txt
     md5=$(md5sum < results/smoke_all.txt | cut -d' ' -f1)
@@ -266,24 +272,40 @@ traced_fig11() {
 }
 gate traced-fig11 traced_fig11
 
-# Chaos gate: the fault-injection matrix (scheduler x impairment x seed)
-# with every timeline replayed through the control-loop invariant rules;
-# --check-invariants exits non-zero on any violation.
+# Chaos gate: the fault-injection matrix (scheduler x impairment x seed).
+# Every sweep job runs with the control-loop invariant checker armed as an
+# online tee, and the binary exits 1 on any violation. That is the only
+# checker: the capture-then-replay flag it replaced exits 2 as an unknown
+# flag, and the replay and the run modes around it (`check_records`,
+# `run_uncached`, `run_traced`, `is_clean`) are named nowhere under
+# crates/, tests/ or examples/.
 chaos() {
-    experiments chaos --quick --jobs 2 --check-invariants > results/smoke_chaos.txt
+    local gone status=0
+    gone=$(grep -rlwE 'check_records|run_uncached|run_traced|is_clean' crates tests examples || true)
+    if [ -n "$gone" ]; then
+        echo "chaos: a second invariant path is named under crates/, tests/ or examples/:" $gone >&2
+        return 1
+    fi
+    experiments chaos --quick --jobs 2 > results/smoke_chaos.txt
     test -s results/smoke_chaos.txt
     grep -q 'Chaos matrix' results/smoke_chaos.txt
+    experiments chaos --quick --check-invariants > /dev/null 2> results/smoke_chaos_flag.txt || status=$?
+    if [ "$status" != 2 ] || ! grep -qF 'unknown flag "--check-invariants"' results/smoke_chaos_flag.txt; then
+        echo "chaos: --check-invariants exits $status, not 2 as an unknown flag" >&2
+        return 1
+    fi
 }
 gate chaos chaos
 
 # Controller-shootout gate: 1 seed x 3 controllers (GCC, NADA, mp-BBR)
-# through the full scheduler/FEC loop with the invariant checker armed —
+# through the full scheduler/FEC loop, the invariant checker armed as on
+# every sweep job —
 # proves the non-default controllers hold the control-loop invariants,
 # and that all three trace through the one cc_* event family.
 shootout() {
     local algorithm
     rm -rf results/traces_shootout
-    experiments shootout --quick --jobs 2 --check-invariants \
+    experiments shootout --quick --jobs 2 \
         --trace results/traces_shootout > results/smoke_shootout.txt
     test -s results/smoke_shootout.txt
     grep -q 'mp-BBR' results/smoke_shootout.txt
@@ -301,8 +323,8 @@ shootout() {
 gate shootout shootout
 
 # Drive-replay gate: the committed 4/6/8-path drive fixtures through
-# scheduler x controller (1 seed at quick scale) with the invariant
-# checker armed — proves the time-varying drive links hold the
+# scheduler x controller (1 seed at quick scale), the invariant checker
+# armed as on every sweep job — proves the time-varying drive links hold the
 # control-loop invariants across every topology width. A link follows one
 # trace, a `DriveTrace`: the uniform-step, rate-only trace it replaced
 # (`RateTrace`), that trace's CSV error (`TraceParseError`) and the
@@ -315,7 +337,7 @@ drive() {
         echo "drive: a second link trace is named under crates/, tests/ or examples/:" $gone >&2
         return 1
     fi
-    experiments drive --quick --jobs 2 --check-invariants > results/smoke_drive.txt
+    experiments drive --quick --jobs 2 > results/smoke_drive.txt
     test -s results/smoke_drive.txt
     grep -q 'blackout-flap' results/smoke_drive.txt
     grep -q 'coverage-gaps' results/smoke_drive.txt

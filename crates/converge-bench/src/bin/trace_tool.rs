@@ -1,20 +1,23 @@
-//! Link-trace utility: generate the synthetic scenario traces as CSV (for
-//! plotting or external replay) and summarize trace files.
+//! Link-trace utility: generate the synthetic scenario traces as a drive
+//! file (for plotting or replay) and summarize drive files.
 //!
 //! ```text
 //! trace-tool gen <stationary|walking|driving> <wifi|cella|cellb> <secs> <seed>
-//! trace-tool info <file.csv>
+//! trace-tool info <file.jsonl>
 //! ```
 //!
-//! Both speak `DriveTrace`'s CSV, one `t_s,rate_bps,owd_ms,loss_pct` row per
-//! sample. `gen` prints half-second steps, lossless and at zero delay.
+//! Both speak `DriveTrace`'s JSONL, one
+//! `{"t":…,"path":…,"rate_bps":…,"owd_ms":…,"loss_pct":…}` row per sample.
+//! `gen` prints path 0's half-second steps, lossless and at zero delay, so
+//! its output replays directly (`examples/drive_replay.rs`,
+//! `ScenarioConfig::from_drive_file`); `info` prints one summary per path.
 
 use converge_net::{trace, Carrier, DriveTrace, Scenario, SimDuration, SimTime};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  trace-tool gen <stationary|walking|driving> <wifi|cella|cellb> <secs> <seed>\n  trace-tool info <file.csv>\n\
-         CSV rows: t_s,rate_bps,owd_ms,loss_pct (gen: 0.5 s steps, zero delay and loss)"
+        "usage:\n  trace-tool gen <stationary|walking|driving> <wifi|cella|cellb> <secs> <seed>\n  trace-tool info <file.jsonl>\n\
+         drive JSONL rows: {{\"t\",\"path\",\"rate_bps\",\"owd_ms\",\"loss_pct\"}} (gen: path 0, 0.5 s steps, zero delay and loss)"
     );
     std::process::exit(2);
 }
@@ -42,7 +45,7 @@ fn main() {
             let seed: u64 = args[4].parse().unwrap_or_else(|_| usage());
             let duration = SimDuration::from_secs(secs);
             let t = trace::synthesize(scenario, carrier, SimDuration::ZERO, duration, seed);
-            print!("{}", t.to_csv());
+            print!("{}", t.to_jsonl(0));
         }
         Some("info") => {
             if args.len() != 2 {
@@ -52,23 +55,26 @@ fn main() {
                 eprintln!("cannot read {}: {e}", args[1]);
                 std::process::exit(1);
             });
-            let t = DriveTrace::from_csv(&text).unwrap_or_else(|e| {
+            let paths = DriveTrace::parse_jsonl(&text).unwrap_or_else(|e| {
                 eprintln!("cannot parse {}: {e}", args[1]);
                 std::process::exit(1);
             });
-            let rates = t.samples().iter().map(|s| s.rate_bps);
-            let min = rates.clone().min().unwrap_or(0);
-            let max = rates.max().unwrap_or(0);
-            let span = t.end() - t.start();
-            let below_10m = (0..=t.end().as_micros() / 1_000_000)
-                .filter(|&s| t.rate_at(SimTime::from_secs(s)) < 10_000_000)
-                .count();
-            println!("samples:    {}", t.samples().len());
-            println!("span:       {span}");
-            println!("mean rate:  {:.2} Mbps", t.mean_rate() as f64 / 1e6);
-            println!("min rate:   {:.2} Mbps", min as f64 / 1e6);
-            println!("max rate:   {:.2} Mbps", max as f64 / 1e6);
-            println!("sec <10Mbps: {below_10m}");
+            for (path, t) in paths.iter().enumerate() {
+                let rates = t.samples().iter().map(|s| s.rate_bps);
+                let min = rates.clone().min().unwrap_or(0);
+                let max = rates.max().unwrap_or(0);
+                let span = t.end() - t.start();
+                let below_10m = (0..=t.end().as_micros() / 1_000_000)
+                    .filter(|&s| t.rate_at(SimTime::from_secs(s)) < 10_000_000)
+                    .count();
+                println!("path {path}:");
+                println!("  samples:    {}", t.samples().len());
+                println!("  span:       {span}");
+                println!("  mean rate:  {:.2} Mbps", t.mean_rate() as f64 / 1e6);
+                println!("  min rate:   {:.2} Mbps", min as f64 / 1e6);
+                println!("  max rate:   {:.2} Mbps", max as f64 / 1e6);
+                println!("  sec <10Mbps: {below_10m}");
+            }
         }
         _ => usage(),
     }

@@ -3,9 +3,9 @@
 //! adversarial counterpart to §5's claims, checking that the control loop
 //! *survives* (calls complete, finite freeze ratios, no invariant
 //! violations) under carrier blackouts, handover flaps, reordering,
-//! duplication, and feedback starvation. Run with `--check-invariants` to
-//! replay every timeline through the [`converge_trace::InvariantSink`]
-//! rules and fail on any violation.
+//! duplication, and feedback starvation. Like every sweep job, each call
+//! runs with the [`converge_trace::InvariantSink`] rules armed, and the
+//! `experiments` binary exits 1 on any violation.
 
 use converge_sim::{FecKind, ImpairmentKind, SchedulerKind};
 
@@ -95,8 +95,8 @@ mod tests {
             converge_net::SimDuration::from_secs(20),
             11,
         );
-        let (report, _records, violations) = job.run_checked();
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(report.frames_decoded > 0);
+        let run = job.run(false);
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
+        assert!(run.report.frames_decoded > 0);
     }
 }

@@ -141,13 +141,14 @@ mod tests {
                 SimDuration::from_secs(12),
                 11,
             );
-            let (report, _records, violations) = job.run_checked();
+            let run = job.run(false);
+            let violations = &run.violations;
             assert!(violations.is_empty(), "{}: {violations:?}", controller.id());
             assert!(
-                report.frames_decoded > 100,
+                run.report.frames_decoded > 100,
                 "{}: {} frames",
                 controller.id(),
-                report.frames_decoded
+                run.report.frames_decoded
             );
         }
     }
@@ -162,7 +163,8 @@ mod tests {
                 SimDuration::from_secs(12),
                 11,
             );
-            let (report, _records, violations) = job.run_checked();
+            let run = job.run(false);
+            let (report, violations) = (&run.report, &run.violations);
             assert!(violations.is_empty(), "{}: {violations:?}", fixture.id());
             assert_eq!(report.paths.len(), fixture.path_count(), "{}", fixture.id());
             let active = report.paths.values().filter(|p| p.bytes_sent > 0).count();

@@ -138,8 +138,9 @@ mod tests {
     }
 
     /// Scenario builders take the call's duration, so a short one must
-    /// build too: every distinct job of the registry, cut to 100 ms, runs.
-    /// (Fig. 11's and Table 4's rate trace had no segment under 500 ms.)
+    /// build too: every distinct job of the registry, cut to 100 ms, runs,
+    /// and runs clean under the invariant checker. (Fig. 11's and Table
+    /// 4's rate trace had no segment under 500 ms.)
     #[test]
     fn every_registry_job_runs_at_100_ms() {
         use crate::runner::Job;
@@ -153,8 +154,14 @@ mod tests {
         }
         assert!(jobs.len() > 50, "{} jobs", jobs.len());
         for job in jobs {
-            let report = job.run_uncached();
-            assert!(report.frames_encoded > 0, "{}", job.fingerprint());
+            let run = job.run(false);
+            assert!(run.report.frames_encoded > 0, "{}", job.fingerprint());
+            assert!(
+                run.violations.is_empty(),
+                "{}: {:?}",
+                job.fingerprint(),
+                run.violations
+            );
         }
     }
 }

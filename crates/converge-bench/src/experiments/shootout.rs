@@ -63,16 +63,19 @@ mod tests {
                 SimDuration::from_secs(10),
                 11,
             );
-            let (report, records, violations) = job.run_checked();
+            let run = job.run(true);
+            let violations = &run.violations;
             assert!(violations.is_empty(), "{}: {violations:?}", controller.id());
             assert!(
-                report.frames_decoded > 100,
+                run.report.frames_decoded > 100,
                 "{}: {} frames",
                 controller.id(),
-                report.frames_decoded
+                run.report.frames_decoded
             );
-            let has_cc_rate = records
+            let has_cc_rate = run
+                .trace
                 .iter()
+                .flatten()
                 .any(|rec| rec.event.name() == "cc_rate_changed");
             assert!(has_cc_rate, "{} must emit cc_rate_changed", controller.id());
         }

@@ -1,19 +1,20 @@
 //! The `experiments` binary: regenerates the paper's tables and figures by
 //! handing every selected experiment to the sweep engine.
 //!
-//! Usage: `experiments <id>|all [--quick] [--jobs N] [--trace DIR]
-//! [--check-invariants]`
+//! Usage: `experiments <id>|all [--quick] [--jobs N] [--trace DIR]`
 //!
 //! Reports go to stdout in registry order and are byte-identical for any
 //! `--jobs` value; progress, timing, and the sweep summary go to stderr.
-//! With `--trace DIR`, every unique job additionally writes its structured
-//! event timeline as `DIR/<fingerprint>.jsonl` plus a human-readable
-//! per-path summary as `DIR/<fingerprint>.timeline.txt`. Each timeline is
-//! captured inside the job's own single-threaded simulation, so the JSONL
-//! bytes are identical for any `--jobs` value too. With
-//! `--check-invariants`, every unique job's timeline is replayed through
-//! the control-loop invariant rules after the sweep; any violation is
-//! printed and the process exits non-zero — this is the CI chaos gate.
+//! Every job runs with the control-loop invariant checker armed: after the
+//! reports, stderr reads `invariants checked on N job(s): K violation(s)`
+//! plus one `VIOLATION <fingerprint>: …` line per violation, and the
+//! process exits 1 when `K > 0` — this is what the CI chaos, shootout and
+//! drive gates rely on. With `--trace DIR`, every unique job additionally
+//! writes its structured event timeline as `DIR/<fingerprint>.jsonl` plus
+//! a human-readable per-path summary as `DIR/<fingerprint>.timeline.txt`.
+//! Each timeline is captured inside the job's own single-threaded
+//! simulation, so the JSONL bytes are identical for any `--jobs` value
+//! too.
 
 use converge_bench::experiments::registry;
 use converge_bench::{run_sweep, CellCache, Job, Scale};
@@ -22,7 +23,6 @@ struct Cli {
     scale: Scale,
     jobs: usize,
     trace: Option<String>,
-    check_invariants: bool,
     targets: Vec<String>,
 }
 
@@ -34,7 +34,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             .map(|n| n.get())
             .unwrap_or(1),
         trace: None,
-        check_invariants: false,
         targets: Vec::new(),
     };
     let mut it = args.into_iter();
@@ -50,8 +49,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             cli.trace = Some(v.to_string());
         } else if arg == "--trace" {
             cli.trace = Some(it.next().ok_or("--trace needs a directory")?);
-        } else if arg == "--check-invariants" {
-            cli.check_invariants = true;
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag {arg:?}"));
         } else {
@@ -76,7 +73,7 @@ fn main() {
     let registry = registry();
     if cli.targets.is_empty() || cli.targets.iter().any(|t| t == "list") {
         eprintln!(
-            "usage: experiments <id>|all [--quick] [--jobs N] [--trace DIR] [--check-invariants]\n\navailable experiments:"
+            "usage: experiments <id>|all [--quick] [--jobs N] [--trace DIR]\n\navailable experiments:"
         );
         for def in &registry {
             let alias = if def.aliases.is_empty() {
@@ -114,11 +111,10 @@ fn main() {
         .map(|def| (def.id.to_string(), (def.spec)(scale)))
         .collect();
 
-    // Trace capture must be armed before the first simulation executes
-    // (the invariant gate replays captured timelines too); remember the
-    // unique jobs (declaration order) so their timelines can be fetched
-    // back out of the cache after the sweep.
-    let trace_jobs: Vec<Job> = if cli.trace.is_some() || cli.check_invariants {
+    // Trace capture must be armed before the first simulation executes;
+    // remember the unique jobs (declaration order) so their timelines can
+    // be fetched back out of the cache after the sweep.
+    let trace_jobs: Vec<Job> = if cli.trace.is_some() {
         CellCache::global().set_trace_capture(true);
         let mut seen = std::collections::HashSet::new();
         specs
@@ -137,6 +133,10 @@ fn main() {
         println!("{output}");
     }
     eprintln!("   {}", stats.summary());
+    eprintln!("   {}", stats.invariant_summary());
+    for (job, v) in &stats.violations {
+        eprintln!("   VIOLATION {}: {v}", job.fingerprint());
+    }
 
     if let Some(dir) = &cli.trace {
         if let Err(e) = write_traces(dir, &trace_jobs) {
@@ -144,41 +144,9 @@ fn main() {
             std::process::exit(1);
         }
     }
-
-    if cli.check_invariants {
-        let total = check_invariants(&trace_jobs);
-        if total > 0 {
-            eprintln!("error: {total} invariant violation(s) across the sweep");
-            std::process::exit(1);
-        }
+    if !stats.violations.is_empty() {
+        std::process::exit(1);
     }
-}
-
-/// Replays every unique job's captured timeline through the control-loop
-/// invariant rules; prints each violation and returns the total count.
-fn check_invariants(jobs: &[Job]) -> usize {
-    use converge_trace::invariant::check_records;
-    let mut total = 0usize;
-    for job in jobs {
-        let run = CellCache::global().get_or_run(job);
-        let Some(records) = &run.trace else {
-            eprintln!(
-                "   warning: no timeline to check for {}",
-                job.fingerprint()
-            );
-            continue;
-        };
-        let violations = check_records(records);
-        for v in &violations {
-            eprintln!("   VIOLATION {}: {v}", job.fingerprint());
-        }
-        total += violations.len();
-    }
-    eprintln!(
-        "   invariants checked on {} timeline(s): {total} violation(s)",
-        jobs.len()
-    );
-    total
 }
 
 /// Filesystem-safe rendering of a job fingerprint.

@@ -5,19 +5,21 @@
 //! (scenario × scheduler × FEC × streams × CC coupling); a [`Job`] pins it
 //! to a concrete duration and seed. Because the simulator is a pure
 //! function of its configuration and seed, equal jobs produce identical
-//! [`CallReport`]s — which is what lets the sweep engine
-//! ([`crate::sweep`]) fingerprint, dedup, and memoize them.
+//! [`CallReport`](converge_sim::CallReport)s — which is what lets the
+//! sweep engine ([`crate::sweep`]) fingerprint, dedup, and memoize them.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use converge_net::{DriveTrace, QueueDiscipline, SimDuration};
 use converge_sim::{
-    CallReport, ControllerKind, DriveFixture, FecKind, ImpairmentKind, ScenarioConfig,
-    SchedulerKind, Session, SessionConfig,
+    ControllerKind, DriveFixture, FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session,
+    SessionConfig,
 };
-use converge_trace::{InvariantSink, RingSink, TraceHandle, TraceRecord, Violation};
+use converge_trace::{RingSink, TraceHandle};
 
 pub use crate::stats::{mean_std, metric, pm};
+use crate::sweep::CachedRun;
 
 /// Declarative scenario selector: a canonical, hashable description of the
 /// network setup. Replaces the old `fn(SimDuration, u64) -> ScenarioConfig`
@@ -240,30 +242,25 @@ impl Job {
             .expect("job parameters form a valid session config")
     }
 
-    /// Runs the simulation for this job, bypassing the memo cache.
-    pub fn run_uncached(&self) -> CallReport {
-        Session::new(self.config(TraceHandle::disabled())).run()
-    }
-
-    /// Runs the simulation for this job with trace capture on, returning
-    /// the report plus the full event timeline. The session itself is
-    /// single-threaded and fully seeded, so the timeline is a pure
-    /// function of the job — identical no matter how many sweep workers
-    /// run around it.
-    pub fn run_traced(&self) -> (CallReport, Vec<TraceRecord>) {
-        let sink = Arc::new(RingSink::new(TRACE_RING_CAPACITY));
-        let report = Session::new(self.config(TraceHandle::new(sink.clone()))).run();
-        (report, sink.drain())
-    }
-
-    /// Runs the job with trace capture *and* the control-loop invariant
-    /// checker armed as a tee: the timeline is identical to
-    /// [`Job::run_traced`], plus any invariant violations observed.
-    pub fn run_checked(&self) -> (CallReport, Vec<TraceRecord>, Vec<Violation>) {
-        let sink = Arc::new(RingSink::new(TRACE_RING_CAPACITY));
-        let checker = Arc::new(InvariantSink::wrapping(&TraceHandle::new(sink.clone())));
-        let report = Session::new(self.config(TraceHandle::new(checker.clone()))).run();
-        (report, sink.drain(), checker.take_violations())
+    /// Runs the simulation for this job, bypassing the memo cache, with
+    /// the control-loop invariant checker armed (`Session::run_checked`)
+    /// and, when `capture` is set, the full event timeline kept in a
+    /// ring. The session is single-threaded and fully seeded, so the
+    /// timeline is a pure function of the job — identical no matter how
+    /// many sweep workers run around it.
+    pub fn run(&self, capture: bool) -> CachedRun {
+        let started = Instant::now();
+        let ring = capture.then(|| Arc::new(RingSink::new(TRACE_RING_CAPACITY)));
+        let trace = ring
+            .clone()
+            .map_or_else(TraceHandle::disabled, |ring| TraceHandle::new(ring));
+        let (report, violations) = Session::new(self.config(trace)).run_checked();
+        CachedRun {
+            report,
+            exec_s: started.elapsed().as_secs_f64(),
+            trace: ring.map(|ring| ring.drain()),
+            violations,
+        }
     }
 }
 
@@ -340,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced_report_and_is_monotone() {
-        let cell = Cell::new(
-            ScenarioSpec::fec_tradeoff_pct(2.0),
-            SchedulerKind::Converge,
-            FecKind::Converge,
-            1,
-        );
-        let job = Job::new(cell, SimDuration::from_secs(5), 1);
-        let (report, records) = job.run_traced();
-        let plain = job.run_uncached();
-        assert_eq!(report.frames_decoded, plain.frames_decoded);
-        assert_eq!(report.nacks_sent, plain.nacks_sent);
-        assert!(!records.is_empty());
-        assert!(
-            records.windows(2).all(|w| w[0].at <= w[1].at),
-            "timeline must be monotone"
-        );
-    }
-
-    #[test]
     fn scenario_specs_build_and_fingerprint() {
         let d = SimDuration::from_secs(10);
         for spec in [
@@ -401,8 +378,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checked_run_matches_traced_and_is_clean() {
+    /// The job both run-path tests drive: a 10 s call on the `Flap` cell.
+    fn flap_job() -> Job {
         let cell = Cell::new(
             ScenarioSpec::Chaos {
                 kind: ImpairmentKind::Flap,
@@ -411,12 +388,40 @@ mod tests {
             FecKind::Converge,
             1,
         );
-        let job = Job::new(cell, SimDuration::from_secs(10), 11);
-        let (report, records, violations) = job.run_checked();
-        assert!(violations.is_empty(), "{violations:?}");
-        let (plain_report, plain_records) = job.run_traced();
-        assert_eq!(report.frames_decoded, plain_report.frames_decoded);
-        assert_eq!(records, plain_records, "checker tee must not alter the timeline");
+        Job::new(cell, SimDuration::from_secs(10), 11)
+    }
+
+    /// Capture on or off, the report is the same, and the captured
+    /// timeline is non-empty and monotone.
+    #[test]
+    fn traced_run_matches_untraced_report_and_is_monotone() {
+        let job = flap_job();
+        let captured = job.run(true);
+        let uncaptured = job.run(false);
+        assert_eq!(
+            format!("{:?}", captured.report),
+            format!("{:?}", uncaptured.report)
+        );
+        let records = captured.trace.expect("capture was on");
+        assert!(!records.is_empty());
+        assert!(
+            records.windows(2).all(|w| w[0].at <= w[1].at),
+            "timeline must be monotone"
+        );
+        assert!(uncaptured.trace.is_none());
+    }
+
+    /// The armed checker does not perturb the run: the report is the
+    /// plain session's, and the checker is silent with capture on or off.
+    #[test]
+    fn checked_run_matches_traced_and_is_clean() {
+        let job = flap_job();
+        let plain = Session::new(job.config(TraceHandle::disabled())).run();
+        for capture in [true, false] {
+            let run = job.run(capture);
+            assert_eq!(format!("{:?}", run.report), format!("{plain:?}"));
+            assert!(run.violations.is_empty(), "{:?}", run.violations);
+        }
     }
 
     #[test]

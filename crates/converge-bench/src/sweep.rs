@@ -11,7 +11,10 @@
 //!
 //! The [`CellCache`] memoizes `Job → CallReport` for the whole process:
 //! any cell shared between experiments (fig3/table1, the ablations, the
-//! FEC-tradeoff family) is simulated exactly once.
+//! FEC-tradeoff family) is simulated exactly once. Every job it executes
+//! runs with the control-loop invariant checker armed ([`Job::run`]), and
+//! [`run_sweep`] hands the violations back in [`SweepStats`]; it never
+//! panics on one, the caller decides.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -19,12 +22,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use converge_sim::{pool, CallReport};
-use converge_trace::TraceRecord;
+use converge_trace::{TraceRecord, Violation};
 
 use crate::runner::{Job, Scale};
 
-/// One memoized simulation: the report plus its execution cost and, when
-/// the cache ran with trace capture on, the structured event timeline.
+/// One memoized simulation ([`Job::run`]): the report, its execution
+/// cost, the invariant violations the armed checker saw and, when the
+/// cache ran with trace capture on, the structured event timeline.
 #[derive(Debug)]
 pub struct CachedRun {
     /// The simulation's final report.
@@ -34,6 +38,8 @@ pub struct CachedRun {
     /// The captured trace timeline, `None` unless the job was executed
     /// with [`CellCache::set_trace_capture`] enabled.
     pub trace: Option<Vec<TraceRecord>>,
+    /// Control-loop invariant violations, in the order they occurred.
+    pub violations: Vec<Violation>,
 }
 
 /// A concurrent memo cache of `Job → CallReport`, keyed by the canonical
@@ -94,18 +100,7 @@ impl CellCache {
         let run = entry
             .get_or_init(|| {
                 executed_here = true;
-                let started = Instant::now();
-                let (report, trace) = if self.trace_capture() {
-                    let (report, records) = job.run_traced();
-                    (report, Some(records))
-                } else {
-                    (job.run_uncached(), None)
-                };
-                Arc::new(CachedRun {
-                    report,
-                    exec_s: started.elapsed().as_secs_f64(),
-                    trace,
-                })
+                Arc::new(job.run(self.trace_capture()))
             })
             .clone();
         if executed_here {
@@ -173,6 +168,9 @@ pub struct SweepStats {
     pub sim_s: f64,
     /// Per-job execution wall times (one entry per executed job).
     pub job_times_s: Vec<f64>,
+    /// Every invariant violation of the executed jobs, in declaration
+    /// order: each job ran with the checker armed.
+    pub violations: Vec<(Job, Violation)>,
 }
 
 impl SweepStats {
@@ -195,6 +193,15 @@ impl SweepStats {
             self.workers,
             self.wall_s,
             self.sim_s_per_wall_s()
+        )
+    }
+
+    /// The invariant checker's one-line verdict for stderr.
+    pub fn invariant_summary(&self) -> String {
+        format!(
+            "invariants checked on {} job(s): {} violation(s)",
+            self.executed,
+            self.violations.len()
         )
     }
 }
@@ -232,6 +239,7 @@ pub fn run_sweep(
     // first fold to reach a job this sweep executed accounts for it.
     let mut outputs = Vec::with_capacity(experiments.len());
     let mut job_times_s = Vec::with_capacity(pending.len());
+    let mut violations = Vec::new();
     let mut total_jobs = 0usize;
     let mut executed_sim_s = 0.0f64;
     for (id, spec) in experiments {
@@ -244,6 +252,7 @@ pub fn run_sweep(
                 if unpaid.remove(job) {
                     job_times_s.push(run.exec_s);
                     executed_sim_s += job.sim_seconds();
+                    violations.extend(run.violations.iter().map(|v| (*job, v.clone())));
                 }
                 run.report.clone()
             })
@@ -260,6 +269,7 @@ pub fn run_sweep(
         cache_hits: total_jobs - job_times_s.len(),
         sim_s: executed_sim_s,
         job_times_s,
+        violations,
     };
     (outputs, stats)
 }
@@ -327,6 +337,14 @@ mod tests {
         assert_eq!(serial_stats.executed, 4);
         assert_eq!(parallel_stats.executed, 4);
         assert_eq!(parallel_stats.cache_hits, 0);
+        // Every executed job ran with the checker armed, and none broke a rule.
+        for stats in [&serial_stats, &parallel_stats] {
+            assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+            assert_eq!(
+                stats.invariant_summary(),
+                "invariants checked on 4 job(s): 0 violation(s)"
+            );
+        }
     }
 
     #[test]

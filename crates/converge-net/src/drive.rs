@@ -20,10 +20,9 @@
 //!   after the last sample the final values hold forever (a capture that
 //!   ends healthy stays healthy — it does not wrap back into its gaps).
 //!
-//! Two serializations are supported: single-path CSV
-//! (`t_s,rate_bps,owd_ms,loss_pct` rows) and multi-path JSONL (one object
-//! per line with an optional `"path"` field), the format of the committed
-//! fixtures under `tests/tests/fixtures/drives/`.
+//! One serialization is supported: multi-path JSONL (one object per line
+//! with an optional `"path"` field), the format of the committed fixtures
+//! under `tests/tests/fixtures/drives/` and of `trace_tool gen`'s output.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -170,64 +169,6 @@ impl DriveTrace {
     pub fn mean_rate(&self) -> u64 {
         let sum: u128 = self.samples.iter().map(|s| s.rate_bps as u128).sum();
         (sum / self.samples.len() as u128) as u64
-    }
-
-    /// Serializes as `t_s,rate_bps,owd_ms,loss_pct` CSV rows.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("# t_s,rate_bps,owd_ms,loss_pct\n");
-        for s in self.samples.iter() {
-            out.push_str(&format!(
-                "{:.6},{},{:.3},{}\n",
-                s.at.as_micros() as f64 / 1e6,
-                s.rate_bps,
-                s.owd.as_micros() as f64 / 1e3,
-                s.loss_pct
-            ));
-        }
-        out
-    }
-
-    /// Parses the CSV produced by [`DriveTrace::to_csv`]. Blank lines and
-    /// `#` comments are skipped; errors carry 1-based line numbers.
-    pub fn from_csv(text: &str) -> Result<Self, DriveParseError> {
-        let mut samples = Vec::new();
-        let mut last: Option<(SimTime, usize)> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let lineno = lineno + 1;
-            let mut fields = line.split(',');
-            let mut next = || fields.next().map(str::trim);
-            let (Some(t), Some(rate), Some(owd), Some(loss)) = (next(), next(), next(), next())
-            else {
-                return Err(DriveParseError::BadLine(lineno));
-            };
-            if next().is_some() {
-                return Err(DriveParseError::BadLine(lineno));
-            }
-            let sample = DriveSample {
-                at: parse_time_secs(t, lineno)?,
-                rate_bps: rate.parse().map_err(|_| DriveParseError::BadLine(lineno))?,
-                owd: parse_duration_ms(owd, lineno)?,
-                loss_pct: parse_loss_pct(loss, lineno)?,
-            };
-            if let Some((prev, _)) = last {
-                if sample.at <= prev {
-                    return Err(DriveParseError::NonMonotoneTime(lineno));
-                }
-            }
-            last = Some((sample.at, lineno));
-            samples.push(sample);
-        }
-        if samples.is_empty() {
-            return Err(DriveParseError::Empty);
-        }
-        // Loss range/monotonicity already validated with file line numbers.
-        Ok(DriveTrace {
-            samples: samples.into(),
-        })
     }
 
     /// Serializes as the multi-path JSONL row format, tagging every row
@@ -463,39 +404,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn csv_roundtrip() {
-        let t = trace();
-        assert_eq!(DriveTrace::from_csv(&t.to_csv()), Ok(t));
-    }
-
+    /// The reader's errors carry 1-based file line numbers that count
+    /// comments and blank lines. (The name dates from the CSV reader these
+    /// cases first ran through.)
     #[test]
     fn csv_errors_carry_line_numbers() {
-        assert_eq!(DriveTrace::from_csv(""), Err(DriveParseError::Empty));
-        assert_eq!(
-            DriveTrace::from_csv("# header only\n\n"),
-            Err(DriveParseError::Empty)
-        );
-        assert_eq!(
-            DriveTrace::from_csv("0.0,5,40,0\nnot-a-row\n"),
-            Err(DriveParseError::BadLine(2))
-        );
-        assert_eq!(
-            DriveTrace::from_csv("0.0,5,40,0\n1.0,5,40\n"),
-            Err(DriveParseError::BadLine(2))
-        );
-        assert_eq!(
-            DriveTrace::from_csv("# c\n0.0,5,40,0\n1.0,5,NaN,0\n"),
-            Err(DriveParseError::BadValue(3))
-        );
-        assert_eq!(
-            DriveTrace::from_csv("0.0,5,40,0\n1.0,5,40,inf\n"),
-            Err(DriveParseError::BadValue(2))
-        );
-        assert_eq!(
-            DriveTrace::from_csv("0.0,5,40,0\n2.0,5,40,0\n1.0,5,40,0\n"),
-            Err(DriveParseError::NonMonotoneTime(3))
-        );
+        let row = |t: &str, rate: &str, owd: &str, loss: &str| {
+            format!("{{\"t\":{t},\"rate_bps\":{rate},\"owd_ms\":{owd},\"loss_pct\":{loss}}}\n")
+        };
+        let ok = row("0.0", "5", "40", "0");
+        for (text, want) in [
+            (String::new(), DriveParseError::Empty),
+            ("# header only\n\n".into(), DriveParseError::Empty),
+            (format!("{ok}not-a-row\n"), DriveParseError::BadLine(2)),
+            (
+                format!("{ok}{{\"t\":1.0,\"rate_bps\":5,\"owd_ms\":40}}\n"),
+                DriveParseError::BadLine(2),
+            ),
+            (
+                format!("# c\n{ok}{}", row("1.0", "5", "NaN", "0")),
+                DriveParseError::BadValue(3),
+            ),
+            (
+                format!("{ok}{}", row("1.0", "5", "40", "inf")),
+                DriveParseError::BadValue(2),
+            ),
+            (
+                format!(
+                    "{ok}{}{}",
+                    row("2.0", "5", "40", "0"),
+                    row("1.0", "5", "40", "0")
+                ),
+                DriveParseError::NonMonotoneTime(3),
+            ),
+        ] {
+            assert_eq!(DriveTrace::parse_jsonl(&text), Err(want), "{text:?}");
+        }
     }
 
     #[test]
@@ -519,7 +463,9 @@ mod tests {
 
     #[test]
     fn jsonl_rejects_gaps_in_path_ids_and_bad_rows() {
-        let row = |p: u8| format!("{{\"t\":0.0,\"path\":{p},\"rate_bps\":1,\"owd_ms\":1,\"loss_pct\":0}}\n");
+        let row = |p: u8| {
+            format!("{{\"t\":0.0,\"path\":{p},\"rate_bps\":1,\"owd_ms\":1,\"loss_pct\":0}}\n")
+        };
         let text = format!("{}{}", row(0), row(2));
         assert_eq!(
             DriveTrace::parse_jsonl(&text),
@@ -547,23 +493,14 @@ mod tests {
         );
     }
 
-    /// Seeded hostile bytes into both readers: every strict prefix of a
+    /// Seeded hostile bytes into the reader: every strict prefix of a
     /// valid file, every single bit flip of one, and noise drawn from the
-    /// formats' own characters and from anywhere. Each input is `Ok` or
+    /// format's own characters and from anywhere. Each input is `Ok` or
     /// `Err`, never a panic, and each `Ok` writes back out to text that
     /// reads in as the same traces.
     #[test]
     fn hostile_bytes_are_err_or_a_trace_that_round_trips() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let csv = |bytes: &[u8]| {
-            let text = String::from_utf8_lossy(bytes);
-            let parsed = DriveTrace::from_csv(&text);
-            if let Ok(t) = &parsed {
-                let back = DriveTrace::from_csv(&t.to_csv());
-                assert_eq!(back.as_ref(), Ok(t), "{text:?}");
-            }
-            parsed.is_ok()
-        };
         let jsonl = |bytes: &[u8]| {
             let text = String::from_utf8_lossy(bytes);
             let parsed = DriveTrace::parse_jsonl(&text);
@@ -574,22 +511,21 @@ mod tests {
             }
             parsed.is_ok()
         };
-        let valid_csv = format!("# a capture\n{}\n7.25,0,1.5,100\n", trace().to_csv());
-        let valid_jsonl = format!("{}{}", trace().to_jsonl(0), trace().to_jsonl(1));
+        let valid = format!(
+            "# a capture\n{}\n{}{{\"t\":7.25,\"path\":1,\"rate_bps\":0,\"owd_ms\":1.5,\"loss_pct\":100}}\n",
+            trace().to_jsonl(0),
+            trace().to_jsonl(1)
+        );
+        let valid = valid.as_bytes();
         let mut parsed = 0;
-        for (valid, read) in [
-            (valid_csv.as_bytes(), &csv as &dyn Fn(&[u8]) -> bool),
-            (valid_jsonl.as_bytes(), &jsonl),
-        ] {
-            assert!(read(valid));
-            for len in 0..valid.len() {
-                parsed += usize::from(read(&valid[..len]));
-            }
-            for bit in 0..valid.len() * 8 {
-                let mut flipped = valid.to_vec();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                parsed += usize::from(read(&flipped));
-            }
+        assert!(jsonl(valid));
+        for len in 0..valid.len() {
+            parsed += usize::from(jsonl(&valid[..len]));
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            parsed += usize::from(jsonl(&flipped));
         }
         let mut rng = SmallRng::seed_from_u64(0xd21e);
         let alphabet = b"0123456789.,-+e{}\":#\n tpathrate_bpsowd_msloss_pctNaNinf";
@@ -601,7 +537,7 @@ mod tests {
                     _ => rng.gen(),
                 })
                 .collect();
-            parsed += usize::from(csv(&noise)) + usize::from(jsonl(&noise));
+            parsed += usize::from(jsonl(&noise));
         }
         // Many mutants still read, so the round trip is exercised.
         assert!(parsed > 500, "{parsed} inputs parsed");

@@ -9,7 +9,7 @@
 //! - [`event`]: deterministic FIFO-tie-breaking event queue.
 //! - [`drive`]: the one link schedule — `t → (rate, OWD, loss)` samples
 //!   with hold semantics (a constant path is one sample, a capture as many
-//!   as it has rows), CSV/JSONL codecs.
+//!   as it has rows), its JSONL codec.
 //! - [`trace`]: seeded synthetic traces for the stationary / walking /
 //!   driving scenarios of the paper's Figs. 20-22.
 //! - [`loss`]: Bernoulli and Gilbert-Elliott loss models.

@@ -182,13 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
+    fn jsonl_roundtrip() {
         let t = DriveTrace::uniform(
             SimDuration::from_millis(500),
             [5_000_000, 7_000_000, 0],
             OWD,
         );
-        assert_eq!(DriveTrace::from_csv(&t.to_csv()), Ok(t));
+        assert_eq!(DriveTrace::parse_jsonl(&t.to_jsonl(0)), Ok(vec![t]));
         // A synthesized trace is what `trace-tool gen` prints.
         let t = synthesize(
             Scenario::Driving,
@@ -197,18 +197,29 @@ mod tests {
             SimDuration::from_secs(60),
             1,
         );
-        assert_eq!(DriveTrace::from_csv(&t.to_csv()), Ok(t));
+        assert_eq!(DriveTrace::parse_jsonl(&t.to_jsonl(0)), Ok(vec![t]));
     }
+
+    /// One single-path JSONL drive row.
+    fn row(t: &str, rate: &str, owd: &str, loss: &str) -> String {
+        format!("{{\"t\":{t},\"rate_bps\":{rate},\"owd_ms\":{owd},\"loss_pct\":{loss}}}\n")
+    }
+
+    // The `csv_` tests below are named for the CSV reader their cases
+    // first ran through; the drive format is JSONL now, and the cases
+    // exercise the same row validation through `DriveTrace::parse_jsonl`.
 
     #[test]
     fn csv_rejects_garbage() {
-        assert_eq!(DriveTrace::from_csv(""), Err(DriveParseError::Empty));
+        assert_eq!(DriveTrace::parse_jsonl(""), Err(DriveParseError::Empty));
         assert_eq!(
-            DriveTrace::from_csv("a,b\n"),
+            DriveTrace::parse_jsonl("a,b\n"),
             Err(DriveParseError::BadLine(1))
         );
+        let text =
+            row("0.0", "5", "1", "0") + &row("1.0", "5", "1", "0") + &row("1.0", "5", "1", "0");
         assert_eq!(
-            DriveTrace::from_csv("0.0,5,1,0\n1.0,5,1,0\n1.0,5,1,0\n"),
+            DriveTrace::parse_jsonl(&text),
             Err(DriveParseError::NonMonotoneTime(3))
         );
     }
@@ -216,9 +227,9 @@ mod tests {
     #[test]
     fn csv_empty_variants() {
         // Whitespace and comments alone are still "no data rows".
-        assert_eq!(DriveTrace::from_csv("\n\n"), Err(DriveParseError::Empty));
+        assert_eq!(DriveTrace::parse_jsonl("\n\n"), Err(DriveParseError::Empty));
         assert_eq!(
-            DriveTrace::from_csv("# only a header\n  \n"),
+            DriveTrace::parse_jsonl("# only a header\n  \n"),
             Err(DriveParseError::Empty)
         );
     }
@@ -226,16 +237,17 @@ mod tests {
     #[test]
     fn csv_malformed_rows_report_their_file_line() {
         // The offending line number counts comments and blanks (1-based).
-        for (csv, line) in [
-            ("# header\n0.0,100,1,0\nbogus\n", 3),
-            ("0.0,100,1,0\n0.5,-3,1,0\n", 2),
-            ("0.0,100,1,0\n0.5,1.5,1,0\n", 2),
-            ("0.0,100,1,0,extra\n", 1),
+        let ok = row("0.0", "100", "1", "0");
+        for (text, line) in [
+            (format!("# header\n{ok}bogus\n"), 3),
+            (format!("{ok}{}", row("0.5", "-3", "1", "0")), 2),
+            (format!("{ok}{}", row("0.5", "1.5", "1", "0")), 2),
+            ("{\"t\":0.0,\"rate_bps\":100,\"owd_ms\":1}\n".into(), 1),
         ] {
             assert_eq!(
-                DriveTrace::from_csv(csv),
+                DriveTrace::parse_jsonl(&text),
                 Err(DriveParseError::BadLine(line)),
-                "{csv:?}"
+                "{text:?}"
             );
         }
     }
@@ -243,93 +255,88 @@ mod tests {
     #[test]
     fn csv_rejects_nan_and_inf_timestamps() {
         // f64::parse accepts these spellings; the trace parser must not.
-        for bad in [
-            "NaN,100,1,0\n",
-            "inf,100,1,0\n",
-            "-inf,100,1,0\n",
-            "-1.0,100,1,0\n",
-        ] {
+        for bad in ["NaN", "inf", "-inf", "-1.0"] {
             assert_eq!(
-                DriveTrace::from_csv(bad),
+                DriveTrace::parse_jsonl(&row(bad, "100", "1", "0")),
                 Err(DriveParseError::BadValue(1)),
                 "{bad:?}"
             );
         }
+        let text = row("0.0", "100", "1", "0") + &row("NaN", "100", "1", "0");
         assert_eq!(
-            DriveTrace::from_csv("0.0,100,1,0\nNaN,100,1,0\n"),
+            DriveTrace::parse_jsonl(&text),
             Err(DriveParseError::BadValue(2))
         );
     }
 
-    /// Hostile inputs to the trace readers return `Err` or a well-formed
+    #[test]
+    fn csv_skips_comments_and_blank_lines() {
+        let text = format!(
+            "# header\n\n{}{}",
+            row("0.0", "100", "1", "0"),
+            row("0.5", "200", "1", "0")
+        );
+        let [t]: [DriveTrace; 1] = DriveTrace::parse_jsonl(&text).unwrap().try_into().unwrap();
+        let rates: Vec<u64> = t.samples().iter().map(|s| s.rate_bps).collect();
+        assert_eq!(rates, [100, 200]);
+        assert_eq!(t.end(), SimTime::from_millis(500));
+    }
+
+    /// Hostile inputs to the trace reader return `Err` or a well-formed
     /// trace and never panic: instants that round to the same microsecond,
-    /// and for both readers NaN, infinities, 1e30, negative values and path
-    /// ids past the last path.
+    /// NaN, infinities, 1e30, negative values and path ids past the last
+    /// path.
     #[test]
     fn hostile_inputs_are_err_or_ok_never_a_panic() {
         use crate::drive::DriveParseError as D;
 
+        let row = |path: &str, t: &str, rate: &str, owd: &str, loss: &str| {
+            format!(
+                "{{\"t\":{t},\"path\":{path},\"rate_bps\":{rate},\"owd_ms\":{owd},\"loss_pct\":{loss}}}\n"
+            )
+        };
+        let at = |t: &str| row("0", t, "1", "0", "0");
         // Two instants under half a microsecond apart are one instant.
-        for text in ["0,1,0,0\n1e-9,1,0,0\n", "0,1,0,0\n4e-7,1,0,0\n"] {
+        for second in ["1e-9", "4e-7"] {
+            let text = at("0") + &at(second);
             assert_eq!(
-                DriveTrace::from_csv(text),
+                DriveTrace::parse_jsonl(&text),
                 Err(D::NonMonotoneTime(2)),
                 "{text:?}"
             );
         }
         // Six tenths of a microsecond rounds up to a step of 1 µs.
-        let t = DriveTrace::from_csv("0,1,0,0\n6e-7,2,0,0\n").unwrap();
-        assert_eq!(t.end(), SimTime::from_micros(1));
+        let t = DriveTrace::parse_jsonl(&(at("0") + &at("6e-7"))).unwrap();
+        assert_eq!(t[0].end(), SimTime::from_micros(1));
 
         let far = SimTime::from_micros(u64::MAX);
-        for (csv, want) in [
-            ("NaN,5,40,0\n", Err(D::BadValue(1))),
-            ("inf,5,40,0\n", Err(D::BadValue(1))),
-            ("-1,5,40,0\n", Err(D::BadValue(1))),
-            ("0,NaN,40,0\n", Err(D::BadLine(1))),
-            ("0,1e30,40,0\n", Err(D::BadLine(1))),
-            ("0,-5,40,0\n", Err(D::BadLine(1))),
-            ("0,5,-inf,0\n", Err(D::BadValue(1))),
-            ("0,5,40,-1\n", Err(D::BadValue(1))),
-            ("0,5,40,1e30\n", Err(D::BadValue(1))),
+        for (jsonl, want) in [
+            (row("0", "NaN", "1", "1", "0"), Err(D::BadValue(1))),
+            (row("0", "inf", "1", "1", "0"), Err(D::BadValue(1))),
+            (row("0", "-1", "1", "1", "0"), Err(D::BadValue(1))),
+            (row("0", "0", "NaN", "1", "0"), Err(D::BadLine(1))),
+            (row("0", "0", "1e30", "1", "0"), Err(D::BadLine(1))),
+            (row("0", "0", "-1", "1", "0"), Err(D::BadLine(1))),
+            (row("0", "0", "1", "-inf", "0"), Err(D::BadValue(1))),
+            (row("0", "0", "1", "1", "-1"), Err(D::BadValue(1))),
+            (row("0", "0", "1", "1", "1e30"), Err(D::BadValue(1))),
+            (row("256", "0", "1", "1", "0"), Err(D::BadLine(1))),
+            (row("-1", "0", "1", "1", "0"), Err(D::BadLine(1))),
+            (row("255", "0", "1", "1", "0"), Err(D::MissingPath(0))),
             // Past the clock's range a value saturates instead of wrapping.
             (
-                "1e30,5,1e30,0\n",
-                Ok((far, SimDuration::from_micros(u64::MAX))),
+                row("0", "1e30", "1", "1e30", "0"),
+                Ok(vec![(far, SimDuration::from_micros(u64::MAX))]),
             ),
         ] {
-            let got = DriveTrace::from_csv(csv).map(|t| (t.start(), t.owd_at(far)));
-            assert_eq!(got, want, "{csv:?}");
-        }
-
-        let row = |path: &str, t: &str, rate: &str| {
-            format!(
-                "{{\"t\":{t},\"path\":{path},\"rate_bps\":{rate},\"owd_ms\":1,\"loss_pct\":0}}\n"
-            )
-        };
-        for (jsonl, want) in [
-            (row("0", "NaN", "1"), Err(D::BadValue(1))),
-            (row("0", "inf", "1"), Err(D::BadValue(1))),
-            (row("0", "-1", "1"), Err(D::BadValue(1))),
-            (row("0", "0", "1e30"), Err(D::BadLine(1))),
-            (row("0", "0", "-1"), Err(D::BadLine(1))),
-            (row("256", "0", "1"), Err(D::BadLine(1))),
-            (row("-1", "0", "1"), Err(D::BadLine(1))),
-            (row("255", "0", "1"), Err(D::MissingPath(0))),
-            (row("0", "1e30", "1"), Ok(vec![far])),
-        ] {
-            let got = DriveTrace::parse_jsonl(&jsonl)
-                .map(|traces| traces.iter().map(DriveTrace::start).collect::<Vec<_>>());
+            let got = DriveTrace::parse_jsonl(&jsonl).map(|traces| {
+                traces
+                    .iter()
+                    .map(|t| (t.start(), t.owd_at(far)))
+                    .collect::<Vec<_>>()
+            });
             assert_eq!(got, want, "{jsonl:?}");
         }
-    }
-
-    #[test]
-    fn csv_skips_comments_and_blank_lines() {
-        let t = DriveTrace::from_csv("# header\n\n0.0,100,1,0\n0.5,200,1,0\n").unwrap();
-        let rates: Vec<u64> = t.samples().iter().map(|s| s.rate_bps).collect();
-        assert_eq!(rates, [100, 200]);
-        assert_eq!(t.end(), SimTime::from_millis(500));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! [`InvariantSink`] is a [`TraceSink`] tee: it checks every record against
 //! the machine-verifiable invariants of the paper's control loop, then
 //! forwards the record unchanged to an optional inner sink. Arm it around
-//! any existing trace pipeline and a run doubles as a correctness oracle —
-//! chaos scenarios in particular assert [`InvariantSink::is_clean`] after
-//! the call ends.
+//! any existing trace pipeline and a run doubles as a correctness oracle.
+//! It is the only checker: `Session::run_checked` arms it around a call,
+//! the fleet around every member, and the bench's sweep engine runs every
+//! job it executes through `run_checked`, so each experiment is checked
+//! as it runs.
 //!
 //! Checked invariants (paper references in parentheses):
 //!
@@ -106,11 +108,6 @@ impl InvariantSink {
     /// Takes all observed violations, leaving the sink clean.
     pub fn take_violations(&self) -> Vec<Violation> {
         std::mem::take(&mut self.state.lock().expect("invariant lock").violations)
-    }
-
-    /// Whether no invariant has been violated.
-    pub fn is_clean(&self) -> bool {
-        self.state.lock().expect("invariant lock").violations.is_empty()
     }
 }
 
@@ -225,17 +222,6 @@ fn check_record(record: &TraceRecord, state: &mut State) {
     }
 }
 
-/// Replays an already-captured record slice through the rules, for
-/// offline checking of stored timelines (e.g. the bench runner's traced
-/// mode or a parsed JSONL file).
-pub fn check_records(records: &[TraceRecord]) -> Vec<Violation> {
-    let mut state = State::default();
-    for record in records {
-        check_record(record, &mut state);
-    }
-    state.violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +253,6 @@ mod tests {
                 rate_bps: 1_000_000,
             },
         ));
-        assert!(sink.is_clean());
         assert!(sink.violations().is_empty());
     }
 
@@ -311,6 +296,8 @@ mod tests {
         let v = sink.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-traffic-on-disabled-path");
+        // Violations render readably for CI logs.
+        assert!(v[0].to_string().contains("no-traffic-on-disabled-path"));
     }
 
     #[test]
@@ -339,7 +326,7 @@ mod tests {
                 offset: 0,
             },
         ));
-        assert!(sink.is_clean());
+        assert!(sink.violations().is_empty());
 
         sink.record(rec(
             4,
@@ -352,7 +339,7 @@ mod tests {
         let v = sink.take_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "eq3-reenable-margin");
-        assert!(sink.is_clean());
+        assert!(sink.violations().is_empty());
     }
 
     #[test]
@@ -376,7 +363,7 @@ mod tests {
                 repair: 4,
             },
         ));
-        assert!(sink.is_clean());
+        assert!(sink.violations().is_empty());
         sink.record(rec(
             2,
             TraceEvent::FecUpdated {
@@ -451,7 +438,7 @@ mod tests {
         let sink = InvariantSink::wrapping(&handle);
         sink.record(rec(7, TraceEvent::FastPathSwitched { path: PathId(0) }));
         assert_eq!(ring.drain().len(), 1);
-        assert!(sink.is_clean());
+        assert!(sink.violations().is_empty());
     }
 
     #[test]
@@ -460,35 +447,5 @@ mod tests {
         sink.record(rec(10, TraceEvent::FastPathSwitched { path: PathId(0) }));
         sink.record(rec(5, TraceEvent::FastPathSwitched { path: PathId(0) }));
         assert_eq!(sink.violations().len(), 1);
-    }
-
-    #[test]
-    fn offline_replay_matches_online() {
-        let records = vec![
-            rec(
-                1,
-                TraceEvent::PathDisabled {
-                    path: PathId(1),
-                    fcd_us: 5_000,
-                },
-            ),
-            rec(
-                2,
-                TraceEvent::SplitDecision {
-                    path: PathId(1),
-                    packets: 2,
-                    offset: 0,
-                },
-            ),
-        ];
-        let offline = check_records(&records);
-        let sink = InvariantSink::new();
-        for r in &records {
-            sink.record(*r);
-        }
-        assert_eq!(offline, sink.violations());
-        assert_eq!(offline.len(), 1);
-        // Violations render readably for CI logs.
-        assert!(offline[0].to_string().contains("no-traffic-on-disabled-path"));
     }
 }

@@ -214,12 +214,67 @@ fn valid_wire_inputs() -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// No byte string panics a wire parser: noise, and every strict prefix,
-/// single bit flip and byte overwrite of a valid input. Every input goes
-/// through all four parsers, so each also sees the others' formats.
+/// The length and count fields of a valid wire input, as `(offset, bits)`:
+/// a big-endian field of 8, 16 or 32 bits at `offset`, or the low 4 or 5
+/// bits of byte `offset`. Every RTCP kind has its header's length word;
+/// the RR, SDES, NACK and transport-feedback packets their header count,
+/// SDES its CNAME item's length and transport feedback its arrival count.
+/// RTP has its CSRC count and its header extension's length word, and an
+/// FEC packet its protected count after the 12-byte header and 12-byte
+/// extension. The SDP offer has none.
+fn length_fields(wire: &[u8]) -> Vec<(usize, u32)> {
+    let bytes = Bytes::from(wire.to_vec());
+    if let Ok(rtcp) = RtcpPacket::parse(bytes.clone()) {
+        let mut fields = vec![(2, 16)];
+        match rtcp {
+            RtcpPacket::ReceiverReport(_) | RtcpPacket::Nack(_) => fields.push((0, 5)),
+            RtcpPacket::Sdes(_) => fields.extend([(0, 5), (9, 8)]),
+            RtcpPacket::TransportFeedback(_) => fields.extend([(0, 5), (12, 32)]),
+            _ => {}
+        }
+        return fields;
+    }
+    match decode_rtp(bytes, SimTime::ZERO).map(|rtp| rtp.kind) {
+        Ok(RtpKind::Fec { .. }) => vec![(0, 4), (14, 16), (24, 16)],
+        Ok(_) => vec![(0, 4), (14, 16)],
+        Err(_) => Vec::new(),
+    }
+}
+
+/// `wire` with the field at `(at, bits)` (see [`length_fields`]) set to
+/// 0, 1, its true value − 1, its true value + 1 and its type's maximum.
+fn length_field_mutants(wire: &[u8], at: usize, bits: u32) -> [Vec<u8>; 5] {
+    let max = u32::MAX >> (32 - bits);
+    let width = bits.div_ceil(8) as usize;
+    let old = wire[at..at + width]
+        .iter()
+        .fold(0u32, |v, &b| (v << 8) | u32::from(b));
+    let truth = old & max;
+    [0, 1, truth.saturating_sub(1), (truth + 1).min(max), max].map(|value| {
+        let mut wire = wire.to_vec();
+        let new = ((old & !max) | value).to_be_bytes();
+        wire[at..at + width].copy_from_slice(&new[4 - width..]);
+        wire
+    })
+}
+
+/// No byte string panics a wire parser, and whatever one accepts
+/// re-serializes: noise, and every strict prefix, single bit flip and byte
+/// overwrite of a valid input, and each length or count field of one set
+/// to 0, 1, its true value ± 1 and its maximum. Every input goes through
+/// all four parsers, so each also sees the others' formats.
 #[test]
 fn wire_parsers_never_panic() {
     let valid = valid_wire_inputs();
+    let fields: Vec<(&Vec<u8>, (usize, u32))> = valid
+        .iter()
+        .flat_map(|wire| length_fields(wire).into_iter().map(move |f| (wire, f)))
+        .collect();
+    // 2 + 3 RTP fields, 7 RTCP length words and 6 RTCP counts.
+    assert_eq!(fields.len(), 18);
+    let lengths = fields
+        .iter()
+        .flat_map(|&(wire, (at, bits))| length_field_mutants(wire, at, bits));
     let prefixes = valid
         .iter()
         .flat_map(|b| (0..b.len()).map(|cut| b[..cut].to_vec()));
@@ -241,11 +296,17 @@ fn wire_parsers_never_panic() {
         }
         b
     };
-    check(prefixes.chain(flips), CASES, draw, |data| {
+    check(lengths.chain(prefixes).chain(flips), CASES, draw, |data| {
         let wire = Bytes::from(data.clone());
-        let _ = RtpPacket::parse(wire.clone());
-        let _ = decode_rtp(wire.clone(), SimTime::ZERO);
-        let _ = RtcpPacket::parse(wire);
+        if let Ok(p) = RtpPacket::parse(wire.clone()) {
+            p.serialize();
+        }
+        if let Ok(rtp) = decode_rtp(wire.clone(), SimTime::ZERO) {
+            encode_rtp(&rtp);
+        }
+        if let Ok(p) = RtcpPacket::parse(wire) {
+            p.serialize();
+        }
         let _ = SessionDescription::parse(&String::from_utf8_lossy(data));
     });
 }
@@ -531,14 +592,14 @@ fn rate_trace_zero_rate_segments_are_reported_verbatim() {
     assert_eq!(t.rate_at(SimTime::from_millis(499)), 0);
     assert_eq!(t.rate_at(SimTime::from_millis(500)), 5_000_000);
     assert_eq!(t.mean_rate(), 2_500_000);
-    let back = DriveTrace::from_csv(&t.to_csv()).expect("roundtrip");
-    assert_eq!(back.samples()[0].rate_bps, 0);
+    let back = DriveTrace::parse_jsonl(&t.to_jsonl(0)).expect("roundtrip");
+    assert_eq!(back[0].samples()[0].rate_bps, 0);
 }
 
 /// The row sets every drive property checks first. A row is
 /// `(gap_ms, rate_bps, owd_ms, loss_milli_pct)`: times strictly increase
-/// via positive gaps, and milli-units survive the CSV/JSONL decimal
-/// formatting exactly, so the round-trip properties can demand equality
+/// via positive gaps, and milli-units survive the JSONL decimal
+/// formatting exactly, so the round-trip property can demand equality
 /// rather than tolerance.
 const DRIVE_ROWS: [&[(u64, u64, u64, u64)]; 4] = [
     // Single row: degenerate trace, zero loss.
@@ -593,12 +654,22 @@ fn drive_from_milli(rows: &[(u64, u64, u64, u64)]) -> DriveTrace {
     DriveTrace::new(samples).expect("milli-unit rows are valid")
 }
 
+/// One document holding several traces, trace `i` written at path `i`,
+/// reads back as those traces in path order. (The name dates from the
+/// single-path CSV format this round trip used to cover.) Fixed cases:
+/// the first `n` row sets, for each `n`.
 #[test]
 fn drive_csv_roundtrips() {
-    let fixed = DRIVE_ROWS.map(<[_]>::to_vec);
-    check(fixed, CASES, draw_drive_rows, |rows| {
-        let t = drive_from_milli(rows);
-        assert_eq!(DriveTrace::from_csv(&t.to_csv()).expect("csv roundtrip"), t);
+    let fixed =
+        (1..=DRIVE_ROWS.len()).map(|n| DRIVE_ROWS[..n].iter().map(|rows| rows.to_vec()).collect());
+    let draw = |r: &mut SmallRng| vec_of(r, 1..4, draw_drive_rows);
+    check(fixed, CASES, draw, |sets: &Vec<Vec<_>>| {
+        let traces: Vec<DriveTrace> = sets.iter().map(|rows| drive_from_milli(rows)).collect();
+        let text: String = (0u8..).zip(&traces).map(|(p, t)| t.to_jsonl(p)).collect();
+        assert_eq!(
+            DriveTrace::parse_jsonl(&text).expect("multi-path roundtrip"),
+            traces
+        );
     });
 }
 
