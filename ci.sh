@@ -12,7 +12,8 @@
 # with the outputs compared and their md5 checked against the committed
 # one (exercises the worker pool and the memo cache, pins every printed
 # number, and its stderr must report every executed job invariant-clean),
-# a traced experiment run with JSONL timeline validation, the chaos,
+# a traced experiment run with JSONL timeline validation (plus the whole
+# quick registry traced, and an uncreatable trace dir refused up front), the chaos,
 # controller-shootout and drive-replay matrices (the invariant checker is
 # armed on every sweep job, so a violation fails them through the exit
 # status; the removed replay flag is refused and its code named nowhere),
@@ -252,8 +253,22 @@ sweep_smoke() {
 gate sweep-smoke sweep_smoke
 
 # Traced run: fig11 writes one JSONL timeline per job; validate schema,
-# field presence, and monotone timestamps.
+# field presence, and monotone timestamps. The whole quick registry traced
+# on 2 workers prints the pinned stdout and writes exactly one timeline and
+# one summary per executed job (204), each on the worker that ran the job.
+# A trace directory that cannot be created fails the run before any job
+# does: exit 1, nothing on stdout. The trace directory is fixed when the
+# memo cache is built (`CellCache::tracing`): the process-wide capture
+# switch it replaced and the binary's retain-then-write post-pass
+# (`set_trace_capture`, `trace_capture`, `write_traces`, `trace_jobs`) are
+# named nowhere under crates/.
 traced_fig11() {
+    local gone status=0
+    gone=$(grep -rlwE 'set_trace_capture|trace_capture|write_traces|trace_jobs' crates || true)
+    if [ -n "$gone" ]; then
+        echo "traced-fig11: a second place a timeline goes is named under crates/:" $gone >&2
+        return 1
+    fi
     rm -rf results/traces
     experiments fig11 --quick --jobs 2 --trace results/traces > results/smoke_fig11.txt
     ls results/traces/*.jsonl > /dev/null
@@ -269,6 +284,20 @@ traced_fig11() {
         '
         test -s "${f%.jsonl}.timeline.txt"
     done
+    rm -rf results/traces_all
+    experiments all --quick --jobs 2 --trace results/traces_all > results/smoke_all_traced.txt
+    test "$(md5sum < results/smoke_all_traced.txt | cut -d' ' -f1)" \
+        = "$(cat tests/tests/fixtures/experiments_quick.md5)"
+    test "$(find results/traces_all -name '*.jsonl' | wc -l)" = 204
+    test "$(find results/traces_all -name '*.timeline.txt' | wc -l)" = 204
+    : > results/not_a_dir
+    experiments fig11 --quick --trace results/not_a_dir/traces \
+        > results/smoke_bad_trace.txt 2> results/smoke_bad_trace.err || status=$?
+    if [ "$status" != 1 ] || [ -s results/smoke_bad_trace.txt ]; then
+        echo "traced-fig11: an uncreatable --trace dir exits $status with $(wc -c < results/smoke_bad_trace.txt) stdout bytes, not 1 with none" >&2
+        return 1
+    fi
+    grep -q '^error: creating results/not_a_dir/traces: ' results/smoke_bad_trace.err
 }
 gate traced-fig11 traced_fig11
 

@@ -141,7 +141,7 @@ mod tests {
                 SimDuration::from_secs(12),
                 11,
             );
-            let run = job.run(false);
+            let (run, _) = job.run(false);
             let violations = &run.violations;
             assert!(violations.is_empty(), "{}: {violations:?}", controller.id());
             assert!(
@@ -163,7 +163,7 @@ mod tests {
                 SimDuration::from_secs(12),
                 11,
             );
-            let run = job.run(false);
+            let (run, _) = job.run(false);
             let (report, violations) = (&run.report, &run.violations);
             assert!(violations.is_empty(), "{}: {violations:?}", fixture.id());
             assert_eq!(report.paths.len(), fixture.path_count(), "{}", fixture.id());
@@ -188,26 +188,9 @@ mod tests {
                 })
             })
             .collect();
-        let render_traces = |workers: usize| -> Vec<String> {
-            let cache = crate::sweep::CellCache::new();
-            cache.set_trace_capture(true);
-            let spec = ExperimentSpec {
-                jobs: jobs.clone(),
-                fold: Box::new(|_| String::new()),
-            };
-            crate::sweep::run_sweep(vec![("drive".into(), spec)], Scale::Quick, workers, &cache);
-            jobs.iter()
-                .map(|job| {
-                    let run = cache.get_or_run(job);
-                    let records = run.trace.as_ref().expect("capture armed");
-                    assert!(!records.is_empty(), "{}", job.fingerprint());
-                    converge_trace::jsonl::render(&job.fingerprint(), records)
-                })
-                .collect()
-        };
         assert_eq!(
-            render_traces(1),
-            render_traces(4),
+            crate::sweep::tests::traced_files(&jobs, 1),
+            crate::sweep::tests::traced_files(&jobs, 4),
             "drive timelines must not depend on --jobs"
         );
     }

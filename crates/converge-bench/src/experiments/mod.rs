@@ -154,7 +154,7 @@ mod tests {
         }
         assert!(jobs.len() > 50, "{} jobs", jobs.len());
         for job in jobs {
-            let run = job.run(false);
+            let (run, _) = job.run(false);
             assert!(run.report.frames_encoded > 0, "{}", job.fingerprint());
             assert!(
                 run.violations.is_empty(),

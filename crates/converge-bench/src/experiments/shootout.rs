@@ -63,7 +63,7 @@ mod tests {
                 SimDuration::from_secs(10),
                 11,
             );
-            let run = job.run(true);
+            let (run, records) = job.run(true);
             let violations = &run.violations;
             assert!(violations.is_empty(), "{}: {violations:?}", controller.id());
             assert!(
@@ -72,8 +72,7 @@ mod tests {
                 controller.id(),
                 run.report.frames_decoded
             );
-            let has_cc_rate = run
-                .trace
+            let has_cc_rate = records
                 .iter()
                 .flatten()
                 .any(|rec| rec.event.name() == "cc_rate_changed");
@@ -95,31 +94,9 @@ mod tests {
                 )
             })
             .collect();
-        let render_traces = |workers: usize| -> Vec<String> {
-            let cache = crate::sweep::CellCache::new();
-            cache.set_trace_capture(true);
-            let spec = ExperimentSpec {
-                jobs: jobs.clone(),
-                fold: Box::new(|_| String::new()),
-            };
-            crate::sweep::run_sweep(
-                vec![("shootout".into(), spec)],
-                Scale::Quick,
-                workers,
-                &cache,
-            );
-            jobs.iter()
-                .map(|job| {
-                    let run = cache.get_or_run(job);
-                    let records = run.trace.as_ref().expect("capture armed");
-                    assert!(!records.is_empty(), "{}", job.fingerprint());
-                    converge_trace::jsonl::render(&job.fingerprint(), records)
-                })
-                .collect()
-        };
         assert_eq!(
-            render_traces(1),
-            render_traces(4),
+            crate::sweep::tests::traced_files(&jobs, 1),
+            crate::sweep::tests::traced_files(&jobs, 4),
             "per-controller timelines must not depend on --jobs"
         );
     }

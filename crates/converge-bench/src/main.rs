@@ -9,15 +9,16 @@
 //! reports, stderr reads `invariants checked on N job(s): K violation(s)`
 //! plus one `VIOLATION <fingerprint>: …` line per violation, and the
 //! process exits 1 when `K > 0` — this is what the CI chaos, shootout and
-//! drive gates rely on. With `--trace DIR`, every unique job additionally
+//! drive gates rely on. With `--trace DIR`, the directory is created
+//! before any job runs (exit 1 if it cannot be), and every unique job
 //! writes its structured event timeline as `DIR/<fingerprint>.jsonl` plus
-//! a human-readable per-path summary as `DIR/<fingerprint>.timeline.txt`.
-//! Each timeline is captured inside the job's own single-threaded
-//! simulation, so the JSONL bytes are identical for any `--jobs` value
-//! too.
+//! a human-readable per-path summary as `DIR/<fingerprint>.timeline.txt`,
+//! on the worker that ran it ([`CellCache::tracing`]). Each timeline is
+//! captured inside the job's own single-threaded simulation, so the
+//! JSONL bytes are identical for any `--jobs` value too.
 
 use converge_bench::experiments::registry;
-use converge_bench::{run_sweep, CellCache, Job, Scale};
+use converge_bench::{run_sweep, CellCache, Scale};
 
 struct Cli {
     scale: Scale,
@@ -100,6 +101,16 @@ fn main() {
         .filter(|def| run_all || cli.targets.iter().any(|t| def.matches(t)))
         .collect();
 
+    let cache = match &cli.trace {
+        Some(dir) => {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                eprintln!("error: creating {dir}: {e}");
+                std::process::exit(1);
+            }
+            CellCache::tracing(dir)
+        }
+        None => CellCache::new(),
+    };
     let scale = cli.scale;
     eprintln!(
         ">> sweeping {} experiment(s) at {scale:?} scale on {} worker(s)",
@@ -111,22 +122,7 @@ fn main() {
         .map(|def| (def.id.to_string(), (def.spec)(scale)))
         .collect();
 
-    // Trace capture must be armed before the first simulation executes;
-    // remember the unique jobs (declaration order) so their timelines can
-    // be fetched back out of the cache after the sweep.
-    let trace_jobs: Vec<Job> = if cli.trace.is_some() {
-        CellCache::global().set_trace_capture(true);
-        let mut seen = std::collections::HashSet::new();
-        specs
-            .iter()
-            .flat_map(|(_, spec)| spec.jobs.iter().copied())
-            .filter(|job| seen.insert(*job))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let (outputs, stats) = run_sweep(specs, scale, cli.jobs, CellCache::global());
+    let (outputs, stats) = run_sweep(specs, scale, cli.jobs, &cache);
 
     for ((id, output), def) in outputs.iter().zip(&selected) {
         eprintln!(">> {id}: {}", def.desc);
@@ -139,52 +135,9 @@ fn main() {
     }
 
     if let Some(dir) = &cli.trace {
-        if let Err(e) = write_traces(dir, &trace_jobs) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        eprintln!("   {} trace timeline(s) written to {dir}/", stats.executed);
     }
     if !stats.violations.is_empty() {
         std::process::exit(1);
     }
-}
-
-/// Filesystem-safe rendering of a job fingerprint.
-fn sanitize(fingerprint: &str) -> String {
-    fingerprint
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '.' || c == '-' || c == '_' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
-/// Writes one JSONL timeline plus one per-path summary per unique job.
-fn write_traces(dir: &str, jobs: &[Job]) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-    let mut written = 0usize;
-    for job in jobs {
-        let run = CellCache::global().get_or_run(job);
-        let Some(records) = &run.trace else {
-            // Memoized before capture was armed (cannot happen in this
-            // binary's flow, but the cache API allows it).
-            eprintln!("   warning: no trace captured for {}", job.fingerprint());
-            continue;
-        };
-        let fingerprint = job.fingerprint();
-        let stem = sanitize(&fingerprint);
-        let jsonl_path = format!("{dir}/{stem}.jsonl");
-        std::fs::write(&jsonl_path, converge_trace::jsonl::render(&fingerprint, records))
-            .map_err(|e| format!("writing {jsonl_path}: {e}"))?;
-        let summary_path = format!("{dir}/{stem}.timeline.txt");
-        std::fs::write(&summary_path, converge_trace::timeline::summarize(records))
-            .map_err(|e| format!("writing {summary_path}: {e}"))?;
-        written += 1;
-    }
-    eprintln!("   {written} trace timeline(s) written to {dir}/");
-    Ok(())
 }

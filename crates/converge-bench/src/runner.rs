@@ -16,7 +16,7 @@ use converge_sim::{
     ControllerKind, DriveFixture, FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session,
     SessionConfig,
 };
-use converge_trace::{RingSink, TraceHandle};
+use converge_trace::{RingSink, TraceHandle, TraceRecord};
 
 pub use crate::stats::{mean_std, metric, pm};
 use crate::sweep::CachedRun;
@@ -244,23 +244,23 @@ impl Job {
 
     /// Runs the simulation for this job, bypassing the memo cache, with
     /// the control-loop invariant checker armed (`Session::run_checked`)
-    /// and, when `capture` is set, the full event timeline kept in a
-    /// ring. The session is single-threaded and fully seeded, so the
-    /// timeline is a pure function of the job — identical no matter how
-    /// many sweep workers run around it.
-    pub fn run(&self, capture: bool) -> CachedRun {
+    /// and, when `capture` is set, the full event timeline kept in a ring
+    /// and handed back beside the run. The session is single-threaded and
+    /// fully seeded, so the timeline is a pure function of the job —
+    /// identical no matter how many sweep workers run around it.
+    pub fn run(&self, capture: bool) -> (CachedRun, Option<Vec<TraceRecord>>) {
         let started = Instant::now();
         let ring = capture.then(|| Arc::new(RingSink::new(TRACE_RING_CAPACITY)));
         let trace = ring
             .clone()
             .map_or_else(TraceHandle::disabled, |ring| TraceHandle::new(ring));
         let (report, violations) = Session::new(self.config(trace)).run_checked();
-        CachedRun {
+        let run = CachedRun {
             report,
             exec_s: started.elapsed().as_secs_f64(),
-            trace: ring.map(|ring| ring.drain()),
             violations,
-        }
+        };
+        (run, ring.map(|ring| ring.drain()))
     }
 }
 
@@ -396,19 +396,19 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_report_and_is_monotone() {
         let job = flap_job();
-        let captured = job.run(true);
-        let uncaptured = job.run(false);
+        let (captured, records) = job.run(true);
+        let (uncaptured, none) = job.run(false);
         assert_eq!(
             format!("{:?}", captured.report),
             format!("{:?}", uncaptured.report)
         );
-        let records = captured.trace.expect("capture was on");
+        let records = records.expect("capture was on");
         assert!(!records.is_empty());
         assert!(
             records.windows(2).all(|w| w[0].at <= w[1].at),
             "timeline must be monotone"
         );
-        assert!(uncaptured.trace.is_none());
+        assert!(none.is_none());
     }
 
     /// The armed checker does not perturb the run: the report is the
@@ -418,9 +418,10 @@ mod tests {
         let job = flap_job();
         let plain = Session::new(job.config(TraceHandle::disabled())).run();
         for capture in [true, false] {
-            let run = job.run(capture);
+            let (run, records) = job.run(capture);
             assert_eq!(format!("{:?}", run.report), format!("{plain:?}"));
             assert!(run.violations.is_empty(), "{:?}", run.violations);
+            assert_eq!(records.is_some(), capture);
         }
     }
 

@@ -2,8 +2,9 @@
 //! factories for schedulers and FEC policies.
 
 use converge_core::{
-    ConnectionMigration, ConvergeFec, ConvergeScheduler, ConvergeSchedulerConfig, FecPolicy,
-    MRtpScheduler, MTputScheduler, Scheduler, SinglePathScheduler, SrttScheduler, WebRtcTableFec,
+    ConnectionMigration, ConvergeFec, ConvergeScheduler, ConvergeSchedulerConfig, FastPathMetric,
+    FecPolicy, MRtpScheduler, MTputScheduler, Scheduler, SinglePathScheduler, SrttScheduler,
+    WebRtcTableFec,
 };
 use converge_net::{
     trace, BlackoutSchedule, Carrier, DriveParseError, DriveTrace, ImpairmentConfig, LinkConfig,
@@ -53,36 +54,20 @@ impl SchedulerKind {
     /// Builds the scheduler.
     pub fn build(&self, frame_interval: SimDuration) -> Box<dyn Scheduler> {
         match *self {
-            SchedulerKind::Converge => {
-                let cfg = ConvergeSchedulerConfig {
+            SchedulerKind::Converge
+            | SchedulerKind::ConvergeNoFeedback
+            | SchedulerKind::ConvergeNoPriority
+            | SchedulerKind::ConvergeMinRttFast => {
+                Box::new(ConvergeScheduler::new(ConvergeSchedulerConfig {
                     batch_interval: frame_interval,
-                    ..Default::default()
-                };
-                Box::new(ConvergeScheduler::new(cfg))
-            }
-            SchedulerKind::ConvergeNoFeedback => {
-                let cfg = ConvergeSchedulerConfig {
-                    batch_interval: frame_interval,
-                    use_feedback: false,
-                    ..Default::default()
-                };
-                Box::new(ConvergeScheduler::new(cfg))
-            }
-            SchedulerKind::ConvergeNoPriority => {
-                let cfg = ConvergeSchedulerConfig {
-                    batch_interval: frame_interval,
-                    use_priority: false,
-                    ..Default::default()
-                };
-                Box::new(ConvergeScheduler::new(cfg))
-            }
-            SchedulerKind::ConvergeMinRttFast => {
-                let cfg = ConvergeSchedulerConfig {
-                    batch_interval: frame_interval,
-                    fast_path_metric: converge_core::FastPathMetric::MinRtt,
-                    ..Default::default()
-                };
-                Box::new(ConvergeScheduler::new(cfg))
+                    use_feedback: *self != SchedulerKind::ConvergeNoFeedback,
+                    use_priority: *self != SchedulerKind::ConvergeNoPriority,
+                    fast_path_metric: if *self == SchedulerKind::ConvergeMinRttFast {
+                        FastPathMetric::MinRtt
+                    } else {
+                        FastPathMetric::CompletionTime
+                    },
+                }))
             }
             SchedulerKind::SinglePath(p) => Box::new(SinglePathScheduler::new(PathId(p))),
             SchedulerKind::ConnectionMigration(p) => Box::new(ConnectionMigration::new(PathId(p))),
@@ -192,6 +177,30 @@ impl PathSpec {
         }
     }
 
+    /// A drop-tail path following a synthesized `carrier` capture of
+    /// `scenario` (`trace::synthesize`) `one_way_ms` away, with bursty
+    /// random loss, up to `jitter_ms` of per-packet jitter and a
+    /// `queue_bytes` queue.
+    #[allow(clippy::too_many_arguments)]
+    pub fn synthesized(
+        scenario: Scenario,
+        carrier: Carrier,
+        one_way_ms: u64,
+        jitter_ms: u64,
+        loss_pct: f64,
+        queue_bytes: usize,
+        duration: SimDuration,
+        seed: u64,
+    ) -> Self {
+        let owd = SimDuration::from_millis(one_way_ms);
+        PathSpec {
+            loss: LossModel::bursty_percent(loss_pct),
+            queue_bytes,
+            jitter: SimDuration::from_millis(jitter_ms),
+            ..PathSpec::from_drive(trace::synthesize(scenario, carrier, owd, duration, seed))
+        }
+    }
+
     /// Applies the same impairment to both directions.
     pub fn impaired_both(mut self, impairment: ImpairmentConfig) -> Self {
         self.forward_impairment = impairment;
@@ -285,115 +294,61 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
+    /// A preset of synthesized paths of one `scenario`, one per
+    /// `(carrier, one-way ms, jitter ms, bursty loss %, queue bytes)` row,
+    /// all seeded with `seed`.
+    fn synthesized(
+        name: &str,
+        scenario: Scenario,
+        rows: &[(Carrier, u64, u64, f64, usize)],
+        duration: SimDuration,
+        seed: u64,
+    ) -> Self {
+        ScenarioConfig {
+            name: name.into(),
+            paths: rows
+                .iter()
+                .map(|&(carrier, owd_ms, jitter_ms, loss_pct, queue_bytes)| {
+                    PathSpec::synthesized(
+                        scenario,
+                        carrier,
+                        owd_ms,
+                        jitter_ms,
+                        loss_pct,
+                        queue_bytes,
+                        duration,
+                        seed,
+                    )
+                })
+                .collect(),
+        }
+    }
+
     /// The walking scenario of §6.1: WiFi + "T-Mobile"-like cellular.
     pub fn walking(duration: SimDuration, seed: u64) -> Self {
-        ScenarioConfig {
-            name: "walking".into(),
-            paths: vec![
-                PathSpec {
-                    trace: trace::synthesize(
-                        Scenario::Walking,
-                        Carrier::Wifi,
-                        SimDuration::from_millis(15),
-                        duration,
-                        seed,
-                    ),
-                    loss: LossModel::bursty_percent(0.2),
-                    queue_bytes: 300_000,
-                    jitter: SimDuration::from_millis(2),
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-                PathSpec {
-                    trace: trace::synthesize(
-                        Scenario::Walking,
-                        Carrier::CellularA,
-                        SimDuration::from_millis(35),
-                        duration,
-                        seed,
-                    ),
-                    loss: LossModel::bursty_percent(0.4),
-                    queue_bytes: 300_000,
-                    jitter: SimDuration::from_millis(5),
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-            ],
-        }
+        let rows = [
+            (Carrier::Wifi, 15, 2, 0.2, 300_000),
+            (Carrier::CellularA, 35, 5, 0.4, 300_000),
+        ];
+        Self::synthesized("walking", Scenario::Walking, &rows, duration, seed)
     }
 
     /// The driving scenario of §6.1: "Verizon" + "T-Mobile" cellular.
     pub fn driving(duration: SimDuration, seed: u64) -> Self {
-        ScenarioConfig {
-            name: "driving".into(),
-            paths: vec![
-                PathSpec {
-                    trace: trace::synthesize(
-                        Scenario::Driving,
-                        Carrier::CellularB,
-                        SimDuration::from_millis(40),
-                        duration,
-                        seed,
-                    ),
-                    loss: LossModel::bursty_percent(0.7),
-                    queue_bytes: 250_000,
-                    jitter: SimDuration::from_millis(8),
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-                PathSpec {
-                    trace: trace::synthesize(
-                        Scenario::Driving,
-                        Carrier::CellularA,
-                        SimDuration::from_millis(35),
-                        duration,
-                        seed,
-                    ),
-                    loss: LossModel::bursty_percent(0.7),
-                    queue_bytes: 250_000,
-                    jitter: SimDuration::from_millis(8),
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-            ],
-        }
+        let rows = [
+            (Carrier::CellularB, 40, 8, 0.7, 250_000),
+            (Carrier::CellularA, 35, 8, 0.7, 250_000),
+        ];
+        Self::synthesized("driving", Scenario::Driving, &rows, duration, seed)
     }
 
     /// The stationary scenario of Appendix A: WiFi + cellular, both stable.
     pub fn stationary(duration: SimDuration, seed: u64) -> Self {
-        ScenarioConfig {
-            name: "stationary".into(),
-            paths: vec![
-                PathSpec {
-                    trace: trace::synthesize(
-                        Scenario::Stationary,
-                        Carrier::Wifi,
-                        SimDuration::from_millis(10),
-                        duration,
-                        seed,
-                    ),
-                    loss: LossModel::bursty_percent(0.1),
-                    queue_bytes: 400_000,
-                    jitter: SimDuration::from_millis(1),
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-                PathSpec {
-                    trace: trace::synthesize(
-                        Scenario::Stationary,
-                        Carrier::CellularA,
-                        SimDuration::from_millis(30),
-                        duration,
-                        seed,
-                    ),
-                    loss: LossModel::bursty_percent(0.3),
-                    queue_bytes: 300_000,
-                    jitter: SimDuration::from_millis(3),
-                    discipline: QueueDiscipline::DropTail,
-                    ..Default::default()
-                },
-            ],
-        }
+        let rows = [
+            (Carrier::Wifi, 10, 1, 0.1, 400_000),
+            (Carrier::CellularA, 30, 3, 0.3, 300_000),
+        ];
+        Self::synthesized("stationary", Scenario::Stationary, &rows, duration, seed)
     }
 
     /// The feedback-benefit scenario of Fig. 11: path 1 steady at ~25 Mbps,
@@ -503,20 +458,11 @@ impl ScenarioConfig {
             (4..=8).contains(&n_paths),
             "multi_carrier supports 4-8 paths, got {n_paths}"
         );
-        let cell = |scenario, carrier, one_way_ms: u64, jitter_ms: u64, loss: f64, salt: u64| {
-            PathSpec {
-                trace: trace::synthesize(
-                    scenario,
-                    carrier,
-                    SimDuration::from_millis(one_way_ms),
-                    duration,
-                    seed.wrapping_add(salt),
-                ),
-                loss: LossModel::bursty_percent(loss),
-                queue_bytes: 250_000,
-                jitter: SimDuration::from_millis(jitter_ms),
-                ..Default::default()
-            }
+        let cell = |scenario, carrier, one_way_ms, jitter_ms, loss_pct, salt: u64| {
+            let seed = seed.wrapping_add(salt);
+            PathSpec::synthesized(
+                scenario, carrier, one_way_ms, jitter_ms, loss_pct, 250_000, duration, seed,
+            )
         };
         let sat = |rate_bps: u64, one_way_ms: u64, jitter_ms: u64| PathSpec {
             trace: DriveTrace::constant(rate_bps, SimDuration::from_millis(one_way_ms)),
