@@ -38,7 +38,10 @@ fn run(sessions: usize, size: usize, mbps: f64, secs: u64) -> FleetReport {
     cfg.duration = SimDuration::from_secs(secs);
     cfg.check_invariants = true;
     let fleet = FleetEngine::new(cfg).run();
-    assert_eq!(fleet.violations, 0, "fleet: control-loop invariants violated");
+    assert_eq!(
+        fleet.violations, 0,
+        "fleet: control-loop invariants violated"
+    );
     fleet
 }
 
@@ -104,12 +107,18 @@ mod tests {
         assert!(report.starts_with("# fleet: 200 sessions x 5s through 50 SFU conference(s)\n"));
         assert!(report.contains("\ntotal|decoded="), "{report}");
         assert!(report.contains("\nqoe|p5="), "{report}");
-        assert!(report.contains("\ngrid|sessions|size|bottleneck_mbps|qoe_p50\n"), "{report}");
+        assert!(
+            report.contains("\ngrid|sessions|size|bottleneck_mbps|qoe_p50\n"),
+            "{report}"
+        );
         assert_eq!(report.matches("\ncell|").count(), 8, "{report}");
     }
 
     #[test]
     fn quick_report_is_run_invariant() {
-        assert_eq!(quick_report(), render(spec(Scale::Quick), CellCache::global()));
+        assert_eq!(
+            quick_report(),
+            render(spec(Scale::Quick), CellCache::global())
+        );
     }
 }

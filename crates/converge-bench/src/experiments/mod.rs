@@ -57,7 +57,12 @@ fn gate_seeds(scale: Scale) -> &'static [u64] {
 }
 
 /// One [`REGISTRY`] row: `(id, aliases, desc, spec)`.
-type Row = (&'static str, &'static [&'static str], &'static str, fn(Scale) -> ExperimentSpec);
+type Row = (
+    &'static str,
+    &'static [&'static str],
+    &'static str,
+    fn(Scale) -> ExperimentSpec,
+);
 
 /// Every experiment, in report order. `fig3` carries the `table1` alias —
 /// both come from the same cells, so one spec emits the combined report

@@ -327,8 +327,9 @@ mod tests {
             let t0 = start_ms + b * batch_ms;
             let batch: Vec<PacketTiming> = (0..pkts)
                 .map(|i| {
-                    let send =
-                        SimTime::from_micros(t0 * 1_000 + i as u64 * batch_ms * 1_000 / pkts as u64);
+                    let send = SimTime::from_micros(
+                        t0 * 1_000 + i as u64 * batch_ms * 1_000 / pkts as u64,
+                    );
                     PacketTiming {
                         send_time: send,
                         arrival_time: send + SimDuration::from_millis(30),
@@ -381,7 +382,10 @@ mod tests {
         );
         let max = *probe_targets.iter().max().unwrap() as f64;
         let min = *probe_targets.iter().min().unwrap() as f64;
-        assert!(max / min > 1.3, "probe/drain spread too small: {min}..{max}");
+        assert!(
+            max / min > 1.3,
+            "probe/drain spread too small: {min}..{max}"
+        );
     }
 
     #[test]

@@ -145,8 +145,9 @@ impl CongestionController for NadaController {
 
         let x_curr = self.congestion_signal_ms();
         let delta_ms = match self.last_update {
-            Some(prev) => (now.saturating_since(prev).as_micros() as f64 / 1_000.0)
-                .clamp(10.0, 1_000.0),
+            Some(prev) => {
+                (now.saturating_since(prev).as_micros() as f64 / 1_000.0).clamp(10.0, 1_000.0)
+            }
             None => 100.0,
         };
         self.last_update = Some(now);
@@ -290,7 +291,10 @@ mod tests {
         feedback_at_rate(&mut ctl, 1_000, 2_000, 2_000_000.0, 0);
         assert_eq!(ctl.phase(), CcPhase::Gradual);
         let after = ctl.target_rate_bps();
-        assert!(after > before, "PI must grow below reference: {before} -> {after}");
+        assert!(
+            after > before,
+            "PI must grow below reference: {before} -> {after}"
+        );
     }
 
     #[test]

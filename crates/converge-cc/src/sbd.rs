@@ -333,13 +333,11 @@ mod tests {
             for k in 0..35u64 {
                 let sent = t + SimDuration::from_millis(k * 10);
                 for &f in shared {
-                    let arrival =
-                        sent + SimDuration::from_micros(20_000 + standing_queue_us(k));
+                    let arrival = sent + SimDuration::from_micros(20_000 + standing_queue_us(k));
                     detector.on_owd_sample(f, sent, arrival);
                 }
                 for &f in flat {
-                    let arrival = sent
-                        + SimDuration::from_micros(30_000 + (k % 2) * 100);
+                    let arrival = sent + SimDuration::from_micros(30_000 + (k % 2) * 100);
                     detector.on_owd_sample(f, sent, arrival);
                 }
             }
@@ -387,8 +385,7 @@ mod tests {
             for k in 0..35u64 {
                 let sent = t + SimDuration::from_millis(k * 10);
                 for f in 0..2 {
-                    let arrival =
-                        sent + SimDuration::from_micros(20_000 + standing_queue_us(k));
+                    let arrival = sent + SimDuration::from_micros(20_000 + standing_queue_us(k));
                     d.on_owd_sample(f, sent, arrival);
                 }
             }

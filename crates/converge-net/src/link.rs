@@ -297,7 +297,10 @@ impl Link {
             } else {
                 Transmit::Delivered(self.accept(now, bytes) + owd)
             };
-            return Offer { fate, duplicate: None };
+            return Offer {
+                fate,
+                duplicate: None,
+            };
         }
         let imp = self.config.impairment;
         // The one-way delay and the trace's loss stage follow the sample in
@@ -758,7 +761,10 @@ mod tests {
                 panic!("no-loss link must deliver");
             };
             if let Some(copy) = offer.duplicate {
-                assert!(copy >= primary, "copy {copy} must not beat original {primary}");
+                assert!(
+                    copy >= primary,
+                    "copy {copy} must not beat original {primary}"
+                );
                 assert!(copy <= primary + SimDuration::from_millis(5));
                 dups += 1;
             }
@@ -803,7 +809,10 @@ mod tests {
                 .map(|i| l.transmit(SimTime::from_micros(i * 200), 1200))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(ImpairmentConfig::default()), run(ImpairmentConfig::default()));
+        assert_eq!(
+            run(ImpairmentConfig::default()),
+            run(ImpairmentConfig::default())
+        );
         // And a no-op schedule outside the horizon changes nothing either.
         let past = ImpairmentConfig::blackout(crate::impairment::BlackoutSchedule::single(
             SimTime::MAX,

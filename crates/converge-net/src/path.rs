@@ -147,7 +147,10 @@ mod tests {
     fn symmetric_path_keeps_forward_rate() {
         let mut p = Path::symmetric(PathId(2), cfg(10_000_000, 5));
         assert_eq!(
-            p.link(Direction::Reverse).config().trace.rate_at(SimTime::ZERO),
+            p.link(Direction::Reverse)
+                .config()
+                .trace
+                .rate_at(SimTime::ZERO),
             10_000_000
         );
         // Different seeds on each direction keep loss draws independent.

@@ -156,7 +156,10 @@ impl SfuNode {
     /// # Panics
     /// Panics if `candidates` is empty.
     pub fn register_member(&mut self, candidates: &[PathId]) -> MemberId {
-        assert!(!candidates.is_empty(), "a member needs at least one downlink");
+        assert!(
+            !candidates.is_empty(),
+            "a member needs at least one downlink"
+        );
         let id = MemberId::try_from(self.members.len()).expect("too many SFU members");
         let downlink = candidates[id as usize % candidates.len()];
         self.members.push(Member {
@@ -267,7 +270,10 @@ mod tests {
             sfu.offer_ingress(m, SimTime::ZERO, 1250),
             Transmit::Delivered(_)
         ));
-        assert_eq!(sfu.offer_ingress(m, SimTime::ZERO, 1250), Transmit::QueueDrop);
+        assert_eq!(
+            sfu.offer_ingress(m, SimTime::ZERO, 1250),
+            Transmit::QueueDrop
+        );
         assert_eq!(sfu.stats().ingress.queue_drops, 1);
         // Drops do not count toward the member's accepted uplink.
         assert_eq!(sfu.member_uplink(m), (2, 2500));

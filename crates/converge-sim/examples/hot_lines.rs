@@ -41,8 +41,8 @@
 
 use converge_net::SimDuration;
 use converge_sim::{
-    ControllerKind, FecKind, FleetConfig, FleetEngine, ScenarioConfig, SchedulerKind,
-    Session, SessionConfig,
+    ControllerKind, FecKind, FleetConfig, FleetEngine, ScenarioConfig, SchedulerKind, Session,
+    SessionConfig,
 };
 
 const CELLS: &str = "clean1 clean3 loss5 constant8 carrier8 fleet fleet8";

@@ -79,8 +79,8 @@ impl DriveFixture {
 
     /// Builds the replay scenario for this fixture.
     pub fn scenario(&self) -> ScenarioConfig {
-        let mut scenario = ScenarioConfig::from_drive_str(self.jsonl())
-            .expect("committed drive fixtures parse");
+        let mut scenario =
+            ScenarioConfig::from_drive_str(self.jsonl()).expect("committed drive fixtures parse");
         scenario.name = format!("drive-{}", self.id());
         scenario
     }

@@ -464,7 +464,15 @@ impl Net for MemberNet<'_> {
             .get_mut(path.index())
             .unwrap_or_else(|| panic!("send on unknown {path}"));
         p.offer(direction, now, size)
-            .schedule(self.queue, FleetEvent::Deliver { member, path, direction, payload })
+            .schedule(
+                self.queue,
+                FleetEvent::Deliver {
+                    member,
+                    path,
+                    direction,
+                    payload,
+                },
+            )
             .is_err()
     }
 }
@@ -703,13 +711,17 @@ impl FleetEngine {
         // Outcomes come back in batch order, so in conference-index order,
         // whichever shard ran which batch. A batch's conferences each run
         // alone through the shard's two queues.
-        let (batches, cores) =
-            pool::run(n_conf.div_ceil(batch), cfg.shards, ShardCore::new, |core, b| {
+        let (batches, cores) = pool::run(
+            n_conf.div_ceil(batch),
+            cfg.shards,
+            ShardCore::new,
+            |core, b| {
                 let confs = b * batch..((b + 1) * batch).min(n_conf);
                 confs
                     .map(|conf| run_conference(core, &cfg, &access, conf as u32))
                     .collect::<Vec<_>>()
-            });
+            },
+        );
 
         let mut conferences = Vec::with_capacity(n_conf);
         let mut violations = 0;
@@ -794,7 +806,11 @@ fn build_conference<'q>(
         }
 
         flows.push(flow);
-        members.push(Member { paths, checker, viewer: ViewerState::default() });
+        members.push(Member {
+            paths,
+            checker,
+            viewer: ViewerState::default(),
+        });
     }
 
     let trace = flows[0].trace.clone();
@@ -838,8 +854,10 @@ fn run_conference(
         queue_popped: queue.scheduled() - queue.len() as u64,
     };
     let breaches = if cfg.check_invariants {
-        let periodic: Vec<usize> =
-            flows.iter().map(|f| f.first_ticks(SimDuration::ZERO).count()).collect();
+        let periodic: Vec<usize> = flows
+            .iter()
+            .map(|f| f.first_ticks(SimDuration::ZERO).count())
+            .collect();
         timer_conservation_breaches(&work, &periodic, std::iter::from_fn(|| timers.pop()))
     } else {
         0
@@ -861,7 +879,11 @@ fn timer_conservation_breaches(
         held[member] += 1;
     }
     (work.timer_scheduled != work.timer_popped + work.timer_pending) as usize
-        + periodic.iter().zip(&held).filter(|(owed, held)| owed != held).count()
+        + periodic
+            .iter()
+            .zip(&held)
+            .filter(|(owed, held)| owed != held)
+            .count()
 }
 
 fn finalize_conference(
@@ -924,7 +946,11 @@ impl Network for Conference<'_> {
     /// The next packet arrival or the close of the SBD interval, which
     /// belongs to the ingress bottleneck.
     fn next_arrival(&self) -> Option<SimTime> {
-        Some(self.queue.peek_time().map_or(self.sbd_at, |at| at.min(self.sbd_at)))
+        Some(
+            self.queue
+                .peek_time()
+                .map_or(self.sbd_at, |at| at.min(self.sbd_at)),
+        )
     }
 
     /// The packets due, one at a time (every packet a handler sends
@@ -941,15 +967,32 @@ impl Network for Conference<'_> {
     }
 
     fn net(&mut self, i: usize) -> MemberNet<'_> {
-        MemberNet { queue: self.queue, paths: &mut self.members[i].paths, member: i as MemberId }
+        MemberNet {
+            queue: self.queue,
+            paths: &mut self.members[i].paths,
+            member: i as MemberId,
+        }
     }
 }
 
 impl Conference<'_> {
     fn process_event(&mut self, flows: &mut [Flow], now: SimTime, ev: FleetEvent) {
-        let Conference { queue, members, sfu, sbd, fanout_in_flight, end, .. } = self;
+        let Conference {
+            queue,
+            members,
+            sfu,
+            sbd,
+            fanout_in_flight,
+            end,
+            ..
+        } = self;
         match ev {
-            FleetEvent::Deliver { member, path, direction, payload } => {
+            FleetEvent::Deliver {
+                member,
+                path,
+                direction,
+                payload,
+            } => {
                 let m = member as usize;
                 match (direction, payload) {
                     (Direction::Forward, NetPayload::Rtp(rtp)) => {
@@ -971,7 +1014,11 @@ impl Conference<'_> {
                     // echoes come back over the member's private reverse
                     // paths.
                     (_, payload) => {
-                        let mut net = MemberNet { queue, paths: &mut members[m].paths, member };
+                        let mut net = MemberNet {
+                            queue,
+                            paths: &mut members[m].paths,
+                            member,
+                        };
                         flows[m].on_delivery(now, path, payload, &mut net);
                     }
                 }
@@ -998,7 +1045,11 @@ impl Conference<'_> {
                         size: vp.size as u32,
                     }
                 });
-                let mut net = MemberNet { queue, paths: &mut members[m].paths, member };
+                let mut net = MemberNet {
+                    queue,
+                    paths: &mut members[m].paths,
+                    member,
+                };
                 flows[m].on_media(now, path, rtp, &mut net);
                 // Fan the media out to every other member over the shared
                 // egress bottleneck. A copy that will arrive before the call
@@ -1025,7 +1076,13 @@ impl Conference<'_> {
     /// Closes the SBD interval and, once warmed up, applies a changed
     /// grouping to the members' controllers.
     fn close_sbd_interval(&mut self, now: SimTime, flows: &mut [Flow]) {
-        let Conference { sbd, sbd_groups, sbd_changes, trace, .. } = self;
+        let Conference {
+            sbd,
+            sbd_groups,
+            sbd_changes,
+            trace,
+            ..
+        } = self;
         sbd.close_interval();
         if sbd.intervals_closed() < SBD_WARMUP_INTERVALS {
             return;
@@ -1119,10 +1176,17 @@ mod tests {
         }
         assert_eq!(v.frames_complete, 4);
         v.on_forward(&fwd(1, 7, 150, 200));
-        assert_eq!(v.frames_complete, 5, "the late packet completes the keyframe");
+        assert_eq!(
+            v.frames_complete, 5,
+            "the late packet completes the keyframe"
+        );
         v.on_forward(&fwd(1, 7, 150, 200));
         v.on_forward(&fwd(1, 7, 3, 200));
-        assert_eq!((v.pkts, v.frames_complete), (207, 5), "a finished frame counts once");
+        assert_eq!(
+            (v.pkts, v.frames_complete),
+            (207, 5),
+            "a finished frame counts once"
+        );
     }
 
     #[test]
@@ -1198,7 +1262,12 @@ mod tests {
                     tree.on_forward(&p);
                     assert_eq!(
                         (new.pkts, new.bytes, new.frames_complete, new.newest_frame),
-                        (tree.pkts, tree.bytes, tree.frames_complete, tree.newest_frame),
+                        (
+                            tree.pkts,
+                            tree.bytes,
+                            tree.frames_complete,
+                            tree.newest_frame
+                        ),
                         "seed {seed} step {step}: {p:?}"
                     );
                     assert_eq!(new.asm.len(), tree.asm.len(), "seed {seed} step {step}");
@@ -1207,7 +1276,10 @@ mod tests {
                     long_completed += (new.frames_complete > before.1 && count > 128) as u64;
                 }
             }
-            assert!(tree.asm.keys().all(|k| new.asm.contains_key(k)), "seed {seed}");
+            assert!(
+                tree.asm.keys().all(|k| new.asm.contains_key(k)),
+                "seed {seed}"
+            );
         }
         assert!(
             pruned > 100 && completed > 5_000 && long_completed > 100,
@@ -1229,7 +1301,12 @@ mod tests {
                 "c{}: fan-out copies",
                 c.conf
             );
-            assert_eq!(sfu.ingress.delivered_pkts, sum(|s| s.uplink_pkts), "c{}: uplink", c.conf);
+            assert_eq!(
+                sfu.ingress.delivered_pkts,
+                sum(|s| s.uplink_pkts),
+                "c{}: uplink",
+                c.conf
+            );
             assert_eq!(
                 sum(|s| s.viewer_pkts),
                 sfu.egress.delivered_pkts - c.fanout_in_flight,
@@ -1342,7 +1419,10 @@ mod tests {
         };
         assert_eq!(check(&work, pending()), 0);
 
-        let miscounted = FleetWorkCounts { timer_popped: 96, ..work };
+        let miscounted = FleetWorkCounts {
+            timer_popped: 96,
+            ..work
+        };
         assert_eq!(check(&miscounted, pending()), 1, "a tick vanished");
         let mut lost = pending();
         lost.remove(2);

@@ -492,7 +492,9 @@ impl E2eSamples {
             return 0.0;
         }
         let idx = ((self.len - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        self.iter_ms().nth(idx).expect("the index is below the sample count")
+        self.iter_ms()
+            .nth(idx)
+            .expect("the index is below the sample count")
     }
 }
 
@@ -759,17 +761,29 @@ mod tests {
             // Decoded in descending order: the collector sorts.
             let mut m = collector();
             for (i, &us) in sorted_us.iter().rev().enumerate() {
-                m.on_frame_decoded(StreamId(0), t(i as u64), SimDuration::from_micros(us.into()));
+                m.on_frame_decoded(
+                    StreamId(0),
+                    t(i as u64),
+                    SimDuration::from_micros(us.into()),
+                );
             }
             let r = m.finish();
             let samples = &r.e2e_samples_ms;
             let n = vector.len();
             assert_eq!(format!("{samples:?}"), format!("{vector:?}"), "{n} samples");
-            assert_eq!(format!("{samples:#?}"), format!("{vector:#?}"), "{n} samples");
+            assert_eq!(
+                format!("{samples:#?}"),
+                format!("{vector:#?}"),
+                "{n} samples"
+            );
             assert_eq!((samples.len(), samples.is_empty()), (n, n == 0));
             assert_eq!(samples.iter_ms().count(), n);
             for q in [-1.0, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0, 2.0] {
-                assert_eq!(samples.quantile_ms(q), nearest_rank(q), "{n} samples, q {q}");
+                assert_eq!(
+                    samples.quantile_ms(q),
+                    nearest_rank(q),
+                    "{n} samples, q {q}"
+                );
             }
             assert_eq!(r.e2e_p50_ms, samples.quantile_ms(0.5), "{n} samples");
             assert_eq!(r.e2e_p95_ms, samples.quantile_ms(0.95), "{n} samples");

@@ -417,7 +417,16 @@ impl ScenarioConfig {
     /// Eight lossless paths of 3–8 Mbit/s, 20–70 ms away (the benchmark's
     /// `constant8`): the heaviest per-path load when run under three streams.
     pub fn constant8() -> Self {
-        let paths = [(8, 20), (5, 35), (6, 50), (4, 30), (7, 60), (3, 45), (5, 25), (4, 70)];
+        let paths = [
+            (8, 20),
+            (5, 35),
+            (6, 50),
+            (4, 30),
+            (7, 60),
+            (3, 45),
+            (5, 25),
+            (4, 70),
+        ];
         Self::lossless("constant-8", &paths)
     }
 
@@ -509,13 +518,13 @@ impl ScenarioConfig {
             )),
             // 1 s dark out of every 4 s from 5 s on — repeated
             // disable/re-enable churn.
-            ImpairmentKind::Flap => victim.impaired_both(ImpairmentConfig::blackout(
-                BlackoutSchedule::flapping(
+            ImpairmentKind::Flap => {
+                victim.impaired_both(ImpairmentConfig::blackout(BlackoutSchedule::flapping(
                     SimTime::from_secs(5),
                     SimDuration::from_secs(1),
                     SimDuration::from_secs(4),
-                ),
-            )),
+                )))
+            }
             // A quarter of media packets held back up to 40 ms — far past
             // the jitter the receiver buffers were tuned for.
             ImpairmentKind::Reorder => PathSpec {
@@ -536,10 +545,7 @@ impl ScenarioConfig {
             // Media clean, feedback direction losing 30% with +30 ms —
             // the control loop must degrade gracefully on stale RTCP.
             ImpairmentKind::FeedbackLoss => PathSpec {
-                reverse_impairment: ImpairmentConfig::degraded(
-                    0.30,
-                    SimDuration::from_millis(30),
-                ),
+                reverse_impairment: ImpairmentConfig::degraded(0.30, SimDuration::from_millis(30)),
                 ..victim
             },
         };
@@ -687,12 +693,10 @@ mod tests {
     #[test]
     fn path_spec_impairments_reach_the_links() {
         use converge_net::{Direction, Transmit};
-        let spec = PathSpec::constant(10_000_000, 10, 0.0).impaired_both(
-            ImpairmentConfig::blackout(BlackoutSchedule::single(
-                SimTime::ZERO,
-                SimDuration::from_secs(1),
-            )),
-        );
+        let spec =
+            PathSpec::constant(10_000_000, 10, 0.0).impaired_both(ImpairmentConfig::blackout(
+                BlackoutSchedule::single(SimTime::ZERO, SimDuration::from_secs(1)),
+            ));
         let mut emu: converge_net::NetworkEmulator<u8> =
             converge_net::NetworkEmulator::new(vec![spec.build(PathId(0), 1)]);
         let (fwd, _) = emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 100, 0);
@@ -714,7 +718,10 @@ mod tests {
         assert_eq!(cfg.paths[0].trace.rate_at(SimTime::from_secs(6)), 2_000_000);
         // The drive reaches the built links, both directions.
         let paths = cfg.build_paths(5);
-        for dir in [converge_net::Direction::Forward, converge_net::Direction::Reverse] {
+        for dir in [
+            converge_net::Direction::Forward,
+            converge_net::Direction::Reverse,
+        ] {
             assert_eq!(paths[0].link(dir).config().trace, cfg.paths[0].trace);
         }
     }

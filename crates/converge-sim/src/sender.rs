@@ -1077,7 +1077,14 @@ mod tests {
 
     fn nack_all(sender: &mut ConferenceSender, now: SimTime, ssrc: u32, sent: &[u64]) -> usize {
         let lost = sent.iter().map(|s| (s & 0xFFFF) as u16).collect();
-        sender.on_rtcp(now, &RtcpPacket::Nack(Nack { path_id: 0, ssrc, lost }))
+        sender.on_rtcp(
+            now,
+            &RtcpPacket::Nack(Nack {
+                path_id: 0,
+                ssrc,
+                lost,
+            }),
+        )
     }
 
     fn encoder_targets(sender: &ConferenceSender) -> Vec<u64> {
@@ -1248,10 +1255,19 @@ mod tests {
             let on_wire: Vec<u32> = out
                 .iter()
                 .filter_map(|p| match &p.payload {
-                    NetPayload::Rtp(rtp @ SimRtp { kind: RtpKind::Media(m), .. }) => {
+                    NetPayload::Rtp(
+                        rtp @ SimRtp {
+                            kind: RtpKind::Media(m),
+                            ..
+                        },
+                    ) => {
                         assert_eq!(m.capture_time, now);
                         let wire = crate::wire::encode_rtp(rtp);
-                        Some(converge_rtp::RtpPacket::parse(wire).expect("parse").timestamp)
+                        Some(
+                            converge_rtp::RtpPacket::parse(wire)
+                                .expect("parse")
+                                .timestamp,
+                        )
                     }
                     _ => None,
                 })

@@ -513,13 +513,8 @@ mod tests {
         };
         let plain = Session::new(base().build().expect("valid")).run();
         let sink = Arc::new(converge_trace::RingSink::new(1 << 20));
-        let traced = Session::new(
-            base()
-                .trace(TraceHandle::new(sink))
-                .build()
-                .expect("valid"),
-        )
-        .run();
+        let traced =
+            Session::new(base().trace(TraceHandle::new(sink)).build().expect("valid")).run();
         assert_eq!(plain.frames_decoded, traced.frames_decoded);
         assert_eq!(plain.throughput_bps, traced.throughput_bps);
         assert_eq!(plain.nacks_sent, traced.nacks_sent);

@@ -102,7 +102,11 @@ impl InvariantSink {
 
     /// Violations observed so far (cloned).
     pub fn violations(&self) -> Vec<Violation> {
-        self.state.lock().expect("invariant lock").violations.clone()
+        self.state
+            .lock()
+            .expect("invariant lock")
+            .violations
+            .clone()
     }
 
     /// Takes all observed violations, leaving the sink clean.

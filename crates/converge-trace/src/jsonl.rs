@@ -44,13 +44,19 @@ pub fn record_line(record: &TraceRecord) -> String {
             path,
             packets,
             offset,
-        } => format!("\"path\":{},\"packets\":{},\"offset\":{}", path.0, packets, offset),
+        } => format!(
+            "\"path\":{},\"packets\":{},\"offset\":{}",
+            path.0, packets, offset
+        ),
         TraceEvent::FastPathSwitched { path } => format!("\"path\":{}", path.0),
         TraceEvent::AlphaAdjusted {
             path,
             alpha,
             offset,
-        } => format!("\"path\":{},\"alpha\":{},\"offset\":{}", path.0, alpha, offset),
+        } => format!(
+            "\"path\":{},\"alpha\":{},\"offset\":{}",
+            path.0, alpha, offset
+        ),
         TraceEvent::PathDisabled { path, fcd_us } => {
             format!("\"path\":{},\"fcd_us\":{}", path.0, fcd_us)
         }
@@ -98,7 +104,10 @@ pub fn record_line(record: &TraceRecord) -> String {
             path,
             alpha,
             fcd_us,
-        } => format!("\"path\":{},\"alpha\":{},\"fcd_us\":{}", path.0, alpha, fcd_us),
+        } => format!(
+            "\"path\":{},\"alpha\":{},\"fcd_us\":{}",
+            path.0, alpha, fcd_us
+        ),
         TraceEvent::NackSent { path, packets } => {
             format!("\"path\":{},\"packets\":{}", path.0, packets)
         }

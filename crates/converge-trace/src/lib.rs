@@ -458,10 +458,7 @@ mod tests {
     fn disabled_handle_drops_everything() {
         let handle = TraceHandle::disabled();
         assert!(!handle.is_enabled());
-        handle.emit(
-            SimTime::ZERO,
-            TraceEvent::FrameFrozen { gap_us: 1 },
-        );
+        handle.emit(SimTime::ZERO, TraceEvent::FrameFrozen { gap_us: 1 });
     }
 
     #[test]

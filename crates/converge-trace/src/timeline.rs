@@ -184,7 +184,10 @@ mod tests {
         ];
         let s = summarize(&records);
         assert!(s.contains("path1:"), "{s}");
-        assert!(s.contains("1 interval(s), 60.0s total: [30.0s..90.0s]"), "{s}");
+        assert!(
+            s.contains("1 interval(s), 60.0s total: [30.0s..90.0s]"),
+            "{s}"
+        );
         assert!(s.contains("reenable: 1 probe pass(es)"), "{s}");
     }
 
@@ -261,6 +264,9 @@ mod tests {
             "{s}"
         );
         // The repeated 1.4 β is deduplicated.
-        assert!(s.contains("beta: 2 change(s), peak 1.400, final 1.400"), "{s}");
+        assert!(
+            s.contains("beta: 2 change(s), peak 1.400, final 1.400"),
+            "{s}"
+        );
     }
 }

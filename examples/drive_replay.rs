@@ -12,9 +12,7 @@
 //! hard 8 s blackout and one flapping path.
 
 use converge_net::{PathId, SimTime};
-use converge_sim::{
-    DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
-};
+use converge_sim::{DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,8 +76,7 @@ fn main() {
         for (p, drive) in drives.iter().enumerate() {
             let cap = drive.rate_at(SimTime::from_secs(t as u64)) as f64 / 1e6;
             let series = r.path_series.get(&PathId(p as u8)).unwrap_or(&empty);
-            let sent =
-                series.iter().skip(t).take(10).sum::<u64>() as f64 * 8.0 / 10.0 / 1e6;
+            let sent = series.iter().skip(t).take(10).sum::<u64>() as f64 * 8.0 / 10.0 / 1e6;
             row.push_str(&format!(" {cap:>5.1}{sent:>7.2}"));
         }
         println!("{t:>5}s{row}");

@@ -24,12 +24,18 @@ pub fn assert_matches_golden(file: &str, rendered: &str) {
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it", path.display())
+        panic!(
+            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
     });
     if rendered == expected {
         return;
     }
-    let (mut got, mut want) = (rendered.split_inclusive('\n'), expected.split_inclusive('\n'));
+    let (mut got, mut want) = (
+        rendered.split_inclusive('\n'),
+        expected.split_inclusive('\n'),
+    );
     let (line, got, want) = (1..)
         .map(|i| (i, got.next(), want.next()))
         .find(|(_, a, b)| a != b)

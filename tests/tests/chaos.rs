@@ -42,8 +42,7 @@ fn chaos_cfg(scheduler: SchedulerKind, kind: ImpairmentKind, seed: u64) -> Sessi
 fn run_matrix_row(scheduler: SchedulerKind) {
     for kind in ImpairmentKind::ALL {
         for seed in SEEDS {
-            let (report, violations) =
-                Session::new(chaos_cfg(scheduler, kind, seed)).run_checked();
+            let (report, violations) = Session::new(chaos_cfg(scheduler, kind, seed)).run_checked();
             assert!(
                 violations.is_empty(),
                 "{scheduler:?}/{}/seed {seed}: {violations:?}",

@@ -14,9 +14,7 @@ use std::sync::Arc;
 
 use converge_integration::assert_matches_golden;
 use converge_net::SimDuration;
-use converge_sim::{
-    DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
-};
+use converge_sim::{DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig};
 use converge_trace::{jsonl, RingSink, TraceHandle};
 
 fn fixture_file(name: &str) -> std::path::PathBuf {
@@ -104,7 +102,10 @@ fn render_drive_golden() -> String {
         .build()
         .expect("golden drive config is valid");
     let report = Session::new(cfg).run();
-    assert!(report.frames_decoded > 0, "golden drive run must decode frames");
+    assert!(
+        report.frames_decoded > 0,
+        "golden drive run must decode frames"
+    );
     assert_eq!(ring.dropped(), 0, "ring must hold the whole timeline");
     jsonl::render("drive-golden", &ring.drain())
 }

@@ -85,12 +85,19 @@ fn invariant_checker_stays_clean_at_integration_scale() {
     // flight when the call ends, and what the ingress link delivered is
     // what the members' uplinks were credited with.
     for c in &report.conferences {
-        let sum = |f: fn(&converge_sim::FleetSessionReport) -> u64| {
-            c.sessions.iter().map(f).sum::<u64>()
-        };
+        let sum =
+            |f: fn(&converge_sim::FleetSessionReport) -> u64| c.sessions.iter().map(f).sum::<u64>();
         let sfu = &c.sfu;
-        assert_eq!(sfu.fanout_pkts, sfu.egress.delivered_pkts + sfu.egress.queue_drops);
-        assert_eq!(sfu.ingress.delivered_pkts, sum(|s| s.uplink_pkts), "c{}", c.conf);
+        assert_eq!(
+            sfu.fanout_pkts,
+            sfu.egress.delivered_pkts + sfu.egress.queue_drops
+        );
+        assert_eq!(
+            sfu.ingress.delivered_pkts,
+            sum(|s| s.uplink_pkts),
+            "c{}",
+            c.conf
+        );
         assert_eq!(
             sum(|s| s.viewer_pkts),
             sfu.egress.delivered_pkts - c.fanout_in_flight,
@@ -124,7 +131,10 @@ fn fold_matches_checked_in_golden() {
     for (name, mut cfg) in golden_fleets() {
         cfg.check_invariants = true;
         let report = FleetEngine::new(cfg).run();
-        assert_eq!(report.violations, 0, "{name}: control-loop invariants violated");
+        assert_eq!(
+            report.violations, 0,
+            "{name}: control-loop invariants violated"
+        );
         rendered.push_str(&format!("# {name}\n{}", report.fold_text()));
     }
     assert_matches_golden("fleet_fold_golden.txt", &rendered);
@@ -155,7 +165,11 @@ fn work_counts_match_checked_in_golden() {
         }
         let text = report.work_counts_text();
         for shards in [2, 3] {
-            assert_eq!(text, run(shards).work_counts_text(), "{name}: {shards} shards");
+            assert_eq!(
+                text,
+                run(shards).work_counts_text(),
+                "{name}: {shards} shards"
+            );
         }
         rendered.push_str(&format!("# {name}\n{text}"));
     }

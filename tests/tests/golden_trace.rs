@@ -72,8 +72,16 @@ fn nada_and_mpbbr_timelines_match_pinned_digests() {
         (ControllerKind::MpBbr, 0xd0d7_ea29_f748_9abf_u64),
     ] {
         let rendered = render(kind, 5);
-        assert!(rendered.contains("\"event\":\"cc_state_changed\""), "{}", kind.id());
-        assert!(rendered.contains("\"event\":\"cc_rate_changed\""), "{}", kind.id());
+        assert!(
+            rendered.contains("\"event\":\"cc_state_changed\""),
+            "{}",
+            kind.id()
+        );
+        assert!(
+            rendered.contains("\"event\":\"cc_rate_changed\""),
+            "{}",
+            kind.id()
+        );
         let got = fnv1a(&rendered);
         assert!(
             got == digest,

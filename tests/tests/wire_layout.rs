@@ -75,7 +75,11 @@ fn rtcp_rr_layout_fig19() {
     // addition — Extended Highest Mp-Sequence Received.
     assert_eq!(&wire[12..16], &[0x33, 0x33, 0x44, 0x44]);
     assert_eq!(wire[16], 0x80, "fraction lost");
-    assert_eq!(&wire[17..20], &[0x00, 0x0A, 0x0B], "cumulative lost (24-bit)");
+    assert_eq!(
+        &wire[17..20],
+        &[0x00, 0x0A, 0x0B],
+        "cumulative lost (24-bit)"
+    );
     assert_eq!(&wire[20..24], &[0x55, 0x55, 0x66, 0x66], "ext highest seq");
     assert_eq!(
         &wire[24..28],
