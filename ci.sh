@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint, build, the commands the README and DESIGN name, the
+# Tier-1 gate: lint, build, rustfmt's layout, the commands the README and DESIGN name, the
 # API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned,
 # unit/integration tests, the property tests by count, the allocation
 # budgets, the fleet's exact work counts, the
@@ -21,7 +21,7 @@
 # with its deleted flags refused, and the perf gate: the repo benchmark
 # compared with its committed baseline.
 #
-# Gates, in order (18): readme-examples, docs, benchmark-smoke, tests,
+# Gates, in order (19): fmt, readme-examples, docs, benchmark-smoke, tests,
 # properties, alloc-budget, work-counts, reorder-path, stability, hot-lines,
 # repair-timeline, sweep-smoke, traced-fig11, chaos, shootout, drive, fleet,
 # bench-compare.
@@ -58,6 +58,10 @@ experiments() {
 cargo clippy -q --all-targets -- -D warnings
 cargo build --release
 mkdir -p results
+
+# The workspace is laid out as rustfmt lays it out, so a format-only diff
+# never rides along with a behaviour change.
+gate fmt cargo fmt --all -- --check
 
 # declared KIND NAME: some crate manifest declares an [[example]] or [[bin]]
 # (KIND) of that name.
@@ -139,7 +143,7 @@ tests_by_name() {
 
 # The property tests (tests/tests/properties.rs): each property is one
 # #[test] through one seeded driver, its fixed cases then its drawn ones.
-# All 30 must run (28 properties, the zero-rate trace test and the frame
+# All 31 must run (29 properties, the zero-rate trace test and the frame
 # buffer's regression), so a property cannot silently drop out again, as
 # 21 did behind an offline `proptest!` stand-in that expanded to nothing;
 # and `proptest` is named nowhere under crates/, tests/ or examples/.
@@ -150,23 +154,25 @@ properties() {
         echo "properties: proptest is named under crates/, tests/ or examples/:" $named >&2
         return 1
     fi
-    tests_by_name 30 -p converge-integration --test properties
+    tests_by_name 31 -p converge-integration --test properties
 }
 gate properties properties
 
-# The six deterministic allocation budgets (two steady-state call counts,
-# one construction byte count, two peak live heaps, the bytes a finished
-# call's report holds), then one short run of the peak-heap attribution,
+# The seven deterministic allocation budgets (two steady-state call counts,
+# one construction byte count, two peak live heaps of a call, the bytes a
+# finished call's report holds, the peak live heap of a fleet in
+# conferences of 8), then one short run of the peak-heap attribution,
 # which must print a row ("  192.0  2  converge_sim::...").
 alloc_budget() {
     local out
-    tests_by_name 6 -p converge-sim --test alloc_budget -- --exact \
+    tests_by_name 7 -p converge-sim --test alloc_budget -- --exact \
         steady_state_allocation_count_stays_within_budget \
         lossy_steady_state_allocation_count_stays_within_budget \
         construction_bytes_stay_within_budget \
         clean_peak_heap_stays_within_budget \
         lossy_peak_heap_stays_within_budget \
-        report_bytes_stay_within_budget
+        report_bytes_stay_within_budget \
+        fleet8_peak_heap_stays_within_budget
     out=$(cargo run --release -p converge-sim --example alloc_sites -- --peak --to 2 clean)
     echo "$out"
     grep -Eq '^ *[0-9.]+ +[0-9]+  converge_' <<<"$out"

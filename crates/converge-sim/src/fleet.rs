@@ -64,8 +64,6 @@
 //! increase step scaled by `1/group_size` (coupled growth), emitting
 //! [`TraceEvent::SbdGroupsChanged`] when the grouping flips.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use converge_cc::{ControllerConfig, SbdDetector};
@@ -76,7 +74,7 @@ use converge_net::{
 use converge_trace::{InvariantSink, TraceEvent, TraceHandle};
 use converge_video::{PacketKind, CAPTURE_FORMAT};
 
-use crate::flow::{run_flows, Flow, Net, Network, Tick};
+use crate::flow::{run_flows, Flow, Net, Network, Scratch, Tick};
 use crate::metrics::{CallReport, MetricsCollector};
 use crate::payload::{NetPayload, SimRtp};
 use crate::pool;
@@ -275,12 +273,15 @@ impl FleetWorkCounts {
 /// One shard's reusable event machinery: the pool's per-worker state. A
 /// shard runs many conferences back to back; `reset` clears both queues
 /// but keeps their allocations and high-water marks, so arenas are paid
-/// for once per shard, not once per conference.
+/// for once per shard, not once per conference. So are the call loop's
+/// working buffers, which every member of every conference the shard runs
+/// borrows in turn.
 struct ShardCore {
     /// Packets in flight.
     queue: EventQueue<FleetEvent>,
     /// Pending ticks, keyed by member: the queue `flow::run_flows` pops.
     timers: EventQueue<(usize, Tick)>,
+    scratch: Scratch,
 }
 
 impl ShardCore {
@@ -288,6 +289,7 @@ impl ShardCore {
         ShardCore {
             queue: EventQueue::new(),
             timers: EventQueue::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -312,82 +314,220 @@ impl ShardCore {
 /// inside one RTT (~3 frames).
 const VIEWER_PRUNE_FRAMES: u64 = 30;
 
-/// Hasher for the assembly map's `(origin, stream, frame)` keys: one
-/// rotate-xor-multiply per field. The keys are the simulation's own
-/// counters, never outside input, so there is nothing for the default
-/// SipHash to defend against; it measured 2.6 % slower on `fleet-sfu`
-/// (DESIGN §6d).
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
+/// Bits of a packed [`AsmKey`] below the frame id: the origin member's 16,
+/// then the stream's 8.
+const KEY_FRAME_SHIFT: u32 = 24;
 
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
+/// A viewer assembly key, `(origin, stream, frame)` packed into one word:
+/// the frame id in the top 40 bits (2^40 frames is over a thousand years
+/// of 30 fps video), then the origin, then the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct AsmKey(u64);
+
+impl AsmKey {
+    /// # Panics
+    /// Panics if `frame` needs more than 40 bits.
+    fn new(origin: MemberId, stream: u8, frame: u64) -> Self {
+        assert!(
+            frame >> (64 - KEY_FRAME_SHIFT) == 0,
+            "frame {frame} is past the 40 bits of a viewer assembly key"
+        );
+        AsmKey(frame << KEY_FRAME_SHIFT | u64::from(origin) << 8 | u64::from(stream))
     }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn finish(&self) -> u64 {
-        self.0
+
+    fn frame(self) -> u64 {
+        self.0 >> KEY_FRAME_SHIFT
     }
 }
 
 /// One frame in assembly at a viewer: which of its packets have arrived.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Assembly {
-    /// Received-index bits for indices below 128.
+    key: AsmKey,
+    /// Received-index bits for indices below 128. The rest, for a frame of
+    /// more packets than that, are in [`AssemblyTable::tails`].
     head: [u64; 2],
-    /// The same from index 128 up. Empty, and so unallocated, unless the
-    /// frame has more than 128 packets (a keyframe at about four times
-    /// the default encoder cap).
-    tail: Box<[u64]>,
-    /// Packets in the frame, as announced by the first one seen (never 0:
-    /// a descriptor with `index >= count` opens no assembly).
+    /// Packets in the frame, as announced by the first one seen. Never 0
+    /// in a held entry (a descriptor with `index >= count` opens no
+    /// assembly), so 0 marks an empty slot.
     count: u16,
     /// Distinct indices received, counted up to `count`: the frame is
     /// complete, and has been counted, once the two are equal.
     received: u16,
 }
 
+// The point of the slot is its size: the key, the head bits and the two
+// counts, with the rare tail bitmap out of line.
+const _: () = assert!(std::mem::size_of::<Assembly>() == 32);
+
 impl Assembly {
-    fn new(count: u16) -> Self {
-        let tail_words = (count as usize).saturating_sub(128).div_ceil(64);
-        Assembly {
-            head: [0; 2],
-            tail: vec![0; tail_words].into(),
-            count,
-            received: 0,
+    const EMPTY: Assembly = Assembly {
+        key: AsmKey(0),
+        head: [0; 2],
+        count: 0,
+        received: 0,
+    };
+
+    /// Tail bitmap words of a frame of `count` packets: one bit per index
+    /// from 128 up, rounded up to whole words.
+    fn tail_words(count: u16) -> usize {
+        (count as usize).saturating_sub(128).div_ceil(64)
+    }
+}
+
+/// Slots a viewer's table starts with (11 KiB). The prune rule holds a
+/// viewer to about 257 frames in assembly while its newest frame advances
+/// (270 at most in the `fleet-sfu` benchmark's conferences, a load of
+/// 0.77), under the 308 at which the table would grow.
+const ASM_SLOTS: usize = 352;
+
+/// The viewer's frames in assembly: a map from [`AsmKey`] to
+/// [`Assembly`], open-addressed with linear probing in one slice of slots
+/// that grows only past a load of 7/8. Only `mark`, `len` and
+/// `retain_frames_from` are needed, none of which shows an order.
+#[derive(Debug)]
+struct AssemblyTable {
+    slots: Box<[Assembly]>,
+    len: usize,
+    /// Index bits from 128 up of each held frame of more packets than
+    /// that, by key: out of line, since only a keyframe at about four
+    /// times the encoder cap has any.
+    tails: Vec<(AsmKey, Box<[u64]>)>,
+}
+
+impl Default for AssemblyTable {
+    fn default() -> Self {
+        AssemblyTable {
+            slots: vec![Assembly::EMPTY; ASM_SLOTS].into_boxed_slice(),
+            len: 0,
+            tails: Vec::new(),
+        }
+    }
+}
+
+impl AssemblyTable {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The slot `key`'s probe starts from: the high bits of a
+    /// multiplicative hash, scaled to the table.
+    fn home(&self, key: AsmKey) -> usize {
+        let hash = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        ((hash as u128 * self.slots.len() as u128) >> 64) as usize
+    }
+
+    fn next(&self, at: usize) -> usize {
+        if at + 1 == self.slots.len() {
+            0
+        } else {
+            at + 1
         }
     }
 
-    /// Records `index`; `true` if that completed the frame. A duplicate,
-    /// a packet of a finished frame and an index the bitmap has no bit for
-    /// (a later packet announcing a larger `count` than the first) change
-    /// nothing.
-    fn mark(&mut self, index: u16) -> bool {
+    /// The slot holding `key`, opened for a frame of `count` packets if
+    /// there was none.
+    fn entry(&mut self, key: AsmKey, count: u16) -> usize {
+        let mut at = self.home(key);
+        loop {
+            let slot = &self.slots[at];
+            if slot.count == 0 {
+                break;
+            }
+            if slot.key == key {
+                return at;
+            }
+            at = self.next(at);
+        }
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+            return self.entry(key, count);
+        }
+        self.slots[at] = Assembly {
+            key,
+            count,
+            ..Assembly::EMPTY
+        };
+        self.len += 1;
+        if count > 128 {
+            let words = Assembly::tail_words(count);
+            self.tails.push((key, vec![0; words].into_boxed_slice()));
+        }
+        at
+    }
+
+    fn grow(&mut self) {
+        let grown = vec![Assembly::EMPTY; self.slots.len() * 2].into_boxed_slice();
+        let held = std::mem::replace(&mut self.slots, grown);
+        for &slot in held.iter().filter(|s| s.count != 0) {
+            self.place(slot);
+        }
+    }
+
+    /// Puts `slot` at the first empty slot from its home.
+    fn place(&mut self, slot: Assembly) {
+        let mut at = self.home(slot.key);
+        while self.slots[at].count != 0 {
+            at = self.next(at);
+        }
+        self.slots[at] = slot;
+    }
+
+    /// Records packet `index` of a frame of `count` (opening its entry if
+    /// needed); `true` if that completed the frame. A duplicate, a packet
+    /// of a finished frame and an index the bitmap has no bit for (a later
+    /// packet announcing a larger `count` than the first) change nothing.
+    fn mark(&mut self, key: AsmKey, count: u16, index: u16) -> bool {
+        let at = self.entry(key, count);
+        let AssemblyTable { slots, tails, .. } = self;
+        let entry = &mut slots[at];
         let word = index as usize / 64;
-        let slot = match word {
-            0 | 1 => &mut self.head[word],
-            _ => match self.tail.get_mut(word - 2) {
-                Some(slot) => slot,
-                None => return false,
-            },
+        let bits = match word {
+            0 | 1 => &mut entry.head[word],
+            _ => {
+                let tail = tails.iter_mut().find(|(k, _)| *k == key);
+                match tail.and_then(|(_, bits)| bits.get_mut(word - 2)) {
+                    Some(bits) => bits,
+                    None => return false,
+                }
+            }
         };
         let bit = 1u64 << (index % 64);
-        if self.received >= self.count || *slot & bit != 0 {
+        if entry.received >= entry.count || *bits & bit != 0 {
             return false;
         }
-        *slot |= bit;
-        self.received += 1;
-        self.received >= self.count
+        *bits |= bit;
+        entry.received += 1;
+        entry.received >= entry.count
+    }
+
+    /// Drops every frame older than `horizon` in one pass that leaves no
+    /// tombstone. The pass starts after an empty slot, so it meets each
+    /// probe run from its start; once a run has lost an entry, every kept
+    /// entry after the gap is put back at the first empty slot from its
+    /// home. That slot is at or before the one it came from, and every
+    /// slot between is already settled. A run that lost nothing is left as
+    /// it is.
+    fn retain_frames_from(&mut self, horizon: u64) {
+        let empty = self.slots.iter().position(|s| s.count == 0);
+        let mut at = empty.expect("a table never fills past 7/8");
+        // Whether the run being walked has lost an entry yet.
+        let mut gap = false;
+        for _ in 0..self.slots.len() {
+            at = self.next(at);
+            let slot = self.slots[at];
+            if slot.count == 0 {
+                gap = false;
+            } else if slot.key.frame() < horizon {
+                self.slots[at] = Assembly::EMPTY;
+                self.len -= 1;
+                gap = true;
+            } else if gap {
+                self.slots[at] = Assembly::EMPTY;
+                self.place(slot);
+            }
+        }
+        self.tails.retain(|(key, _)| key.frame() >= horizon);
     }
 }
 
@@ -400,9 +540,7 @@ struct ViewerState {
     pkts: u64,
     bytes: u64,
     frames_complete: u64,
-    /// (origin, stream, frame) → the frame's assembly. Only `entry`,
-    /// `len` and `retain` are used, none of which shows the map's order.
-    asm: HashMap<(MemberId, u8, u64), Assembly, BuildHasherDefault<KeyHasher>>,
+    asm: AssemblyTable,
     newest_frame: u64,
 }
 
@@ -415,18 +553,15 @@ impl ViewerState {
         if fwd.index >= fwd.count {
             return;
         }
-        let entry = self
-            .asm
-            .entry((fwd.origin, fwd.stream, fwd.frame_id))
-            .or_insert_with(|| Assembly::new(fwd.count));
-        if entry.mark(fwd.index) {
+        let key = AsmKey::new(fwd.origin, fwd.stream, fwd.frame_id);
+        if self.asm.mark(key, fwd.count, fwd.index) {
             self.frames_complete += 1;
         }
         if fwd.frame_id > self.newest_frame {
             self.newest_frame = fwd.frame_id;
             if self.asm.len() > 256 {
                 let horizon = self.newest_frame.saturating_sub(VIEWER_PRUNE_FRAMES);
-                self.asm.retain(|&(_, _, frame), _| frame >= horizon);
+                self.asm.retain_frames_from(horizon);
             }
         }
     }
@@ -840,10 +975,14 @@ fn run_conference(
     conf: u32,
 ) -> ConferenceOutcome {
     core.reset();
-    let ShardCore { queue, timers, .. } = core;
+    let ShardCore {
+        queue,
+        timers,
+        scratch,
+    } = core;
     let (mut flows, mut conference) = build_conference(cfg, access, conf, queue, timers);
     let end = conference.end;
-    let fired = run_flows(&mut flows, &mut conference, timers, end);
+    let fired = run_flows(&mut flows, &mut conference, timers, end, scratch);
 
     let queue = &conference.queue;
     let work = FleetWorkCounts {
@@ -956,9 +1095,9 @@ impl Network for Conference<'_> {
     /// The packets due, one at a time (every packet a handler sends
     /// arrives strictly after `now`: a link serializes a packet for at
     /// least 1 µs), then the SBD interval if it closes now.
-    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]) {
+    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow], scratch: &mut Scratch) {
         while let Some((at, ev)) = self.queue.pop_due(now) {
-            self.process_event(flows, at, ev);
+            self.process_event(flows, at, ev, scratch);
         }
         if self.sbd_at <= now {
             self.close_sbd_interval(now, flows);
@@ -976,7 +1115,13 @@ impl Network for Conference<'_> {
 }
 
 impl Conference<'_> {
-    fn process_event(&mut self, flows: &mut [Flow], now: SimTime, ev: FleetEvent) {
+    fn process_event(
+        &mut self,
+        flows: &mut [Flow],
+        now: SimTime,
+        ev: FleetEvent,
+        scratch: &mut Scratch,
+    ) {
         let Conference {
             queue,
             members,
@@ -1019,7 +1164,7 @@ impl Conference<'_> {
                             paths: &mut members[m].paths,
                             member,
                         };
-                        flows[m].on_delivery(now, path, payload, &mut net);
+                        flows[m].on_delivery(now, path, payload, &mut net, scratch);
                     }
                 }
             }
@@ -1050,7 +1195,7 @@ impl Conference<'_> {
                     paths: &mut members[m].paths,
                     member,
                 };
-                flows[m].on_media(now, path, rtp, &mut net);
+                flows[m].on_media(now, path, rtp, &mut net, scratch);
                 // Fan the media out to every other member over the shared
                 // egress bottleneck. A copy that will arrive before the call
                 // ends is applied to its viewer here (module doc, "A viewer
@@ -1113,17 +1258,19 @@ mod tests {
     use super::*;
     use converge_trace::RingSink;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    /// The assembly as it was before the hash map: the same per-packet
-    /// steps over a `BTreeMap`, kept as the reference the map's `entry`,
-    /// `len` and `retain` are compared with.
+    /// The viewer's assembly as a specification: a `BTreeMap` from
+    /// `(origin, stream, frame)` to the frame's announced count and the
+    /// set of indices received, put through the same per-packet steps, so
+    /// the table's `entry`, `len` and pruning are compared with a plain
+    /// map's.
     #[derive(Default)]
     struct TreeViewerState {
         pkts: u64,
         bytes: u64,
         frames_complete: u64,
-        asm: BTreeMap<(MemberId, u8, u64), Assembly>,
+        asm: BTreeMap<(MemberId, u8, u64), (u16, BTreeSet<u16>)>,
         newest_frame: u64,
     }
 
@@ -1134,11 +1281,18 @@ mod tests {
             if fwd.index >= fwd.count {
                 return;
             }
-            let entry = self
+            let (count, received) = self
                 .asm
                 .entry((fwd.origin, fwd.stream, fwd.frame_id))
-                .or_insert_with(|| Assembly::new(fwd.count));
-            if entry.mark(fwd.index) {
+                .or_insert_with(|| (fwd.count, BTreeSet::new()));
+            // A frame has a bit for every index below 128 and, past that,
+            // for whole words of 64 up to its announced count.
+            let bits = 128 + Assembly::tail_words(*count) * 64;
+            if received.len() < *count as usize
+                && (fwd.index as usize) < bits
+                && received.insert(fwd.index)
+                && received.len() == *count as usize
+            {
                 self.frames_complete += 1;
             }
             if fwd.frame_id > self.newest_frame {
@@ -1196,7 +1350,7 @@ mod tests {
         v.on_forward(&fwd(0, 1, 5, 5));
         v.on_forward(&fwd(0, 1, 300, 2));
         assert_eq!((v.pkts, v.bytes, v.frames_complete), (3, 3_600, 0));
-        assert!(v.asm.is_empty(), "no frame slice, no assembly entry");
+        assert_eq!(v.asm.len(), 0, "no frame slice, no assembly entry");
         // A later packet announcing a longer frame than the first did has
         // no bit to set and cannot complete it.
         v.on_forward(&fwd(0, 2, 0, 2));
@@ -1206,26 +1360,67 @@ mod tests {
         assert_eq!(v.frames_complete, 1);
     }
 
-    /// The hash-map assembly against the tree it replaced, packet by
+    /// Every frame a viewer holds: packed key → (announced count, distinct
+    /// indices received).
+    type Held = BTreeMap<u64, (u16, u16)>;
+
+    impl AssemblyTable {
+        fn held(&self) -> Held {
+            let held = self.slots.iter().filter(|s| s.count != 0);
+            held.map(|s| (s.key.0, (s.count, s.received))).collect()
+        }
+    }
+
+    impl TreeViewerState {
+        fn held(&self) -> Held {
+            let held = self
+                .asm
+                .iter()
+                .map(|(&(origin, stream, frame), (count, received))| {
+                    let key = AsmKey::new(origin, stream, frame).0;
+                    (key, (*count, received.len() as u16))
+                });
+            held.collect()
+        }
+    }
+
+    /// The packed assembly table against the map specification, packet by
     /// packet, over scripts made of what a viewer can be sent: interleaved
     /// origins and frames, duplicates, packets far behind the newest frame
     /// (behind the prune horizon, so their entry is re-created), whole
     /// frames sent again after being pruned, parameter sets, indices past
-    /// `count` and past 128, long keyframes, and jumps of the frame counter
-    /// (each of which makes hundreds of entries stale at once).
+    /// `count` and past 128, long keyframes, jumps of the frame counter
+    /// (each of which makes hundreds of entries stale at once), and a stall
+    /// of the newest frame under old frames' packets, which fills the table
+    /// past its starting slots.
     #[test]
     fn viewer_assembly_matches_the_btreemap_reference() {
         let (mut pruned, mut completed, mut long_completed) = (0u64, 0u64, 0u64);
+        let (mut pruned_at_bound, mut grown) = (0u64, 0u64);
         for seed in 0..8u64 {
             let mut rng = SmallRng::seed_from_u64(0xf1ee7 + seed);
             let origins = 2 + (seed % 7) as MemberId;
             let mut head = vec![400u64; origins as usize];
             let (mut new, mut tree) = (ViewerState::default(), TreeViewerState::default());
             for step in 0..20_000u32 {
-                let origin = rng.gen_range(0..origins);
+                // A stretch where only the leading origin sends, one new
+                // frame a packet: a prune at every 257th entry.
+                let leading = (15_000..18_000).contains(&step);
+                let origin = match leading {
+                    true => (0..origins)
+                        .max_by_key(|&o| head[o as usize])
+                        .expect("origins"),
+                    false => rng.gen_range(0..origins),
+                };
                 let newest = &mut head[origin as usize];
                 let roll = rng.gen_range(0..1000u32);
+                let stalled = (10_000..10_400).contains(&step);
                 let frame_id = match roll {
+                    _ if stalled => *newest - rng.gen_range(0..400),
+                    _ if leading => {
+                        *newest += 1;
+                        *newest
+                    }
                     0..=1 => {
                         *newest += rng.gen_range(300..5_000);
                         *newest
@@ -1272,18 +1467,24 @@ mod tests {
                     );
                     assert_eq!(new.asm.len(), tree.asm.len(), "seed {seed} step {step}");
                     pruned += (new.asm.len() < before.0) as u64;
+                    pruned_at_bound += (new.asm.len() < before.0 && before.0 == 256) as u64;
                     completed += new.frames_complete - before.1;
                     long_completed += (new.frames_complete > before.1 && count > 128) as u64;
                 }
+                if step % 1_000 == 999 {
+                    assert_eq!(new.asm.held(), tree.held(), "seed {seed} step {step}");
+                }
             }
-            assert!(
-                tree.asm.keys().all(|k| new.asm.contains_key(k)),
-                "seed {seed}"
-            );
+            assert_eq!(new.asm.held(), tree.held(), "seed {seed}");
+            grown += (new.asm.slots.len() > ASM_SLOTS) as u64;
         }
         assert!(
             pruned > 100 && completed > 5_000 && long_completed > 100,
             "{pruned} prunes, {completed} frames completed, {long_completed} of them long"
+        );
+        assert!(
+            pruned_at_bound > 100 && grown == 8,
+            "{pruned_at_bound} prunes at the 257th entry, {grown} of 8 tables grown"
         );
     }
 
@@ -1449,7 +1650,13 @@ mod tests {
         let ring = Arc::new(RingSink::new(4096));
         c.trace = TraceHandle::new(ring.clone());
         let end = c.end;
-        run_flows(&mut flows, &mut c, &mut timers, end);
+        run_flows(
+            &mut flows,
+            &mut c,
+            &mut timers,
+            end,
+            &mut Scratch::default(),
+        );
         let most_coupled = ring
             .drain()
             .into_iter()

@@ -24,7 +24,7 @@ use crate::metrics::{CallReport, MetricsCollector};
 use crate::pacer::{Pacer, PacerConfig};
 use crate::payload::{NetPayload, RtpKind, SimRtp};
 use crate::receiver::{ConferenceReceiver, ReceiverEvent};
-use crate::sender::{ConferenceSender, OutboundPacket, RateCoupling};
+use crate::sender::{ConferenceSender, FrameScratch, OutboundPacket, RateCoupling};
 use crate::session::SessionConfig;
 
 /// The receiver's fast RTCP cadence (QoE feedback, NACK, PLI).
@@ -86,6 +86,20 @@ fn opposite(direction: Direction) -> Direction {
     }
 }
 
+/// The working buffers of one frame tick, one packet's receiver events and
+/// one round's receiver RTCP. Nothing in them outlives the handler that
+/// fills them and a loop runs one handler at a time, so one set, lent to
+/// whichever flow is running, serves every flow of a call and every member
+/// of every conference a fleet shard runs. Reused, so none allocates in
+/// the steady state.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    frame: FrameScratch,
+    frame_out: Vec<OutboundPacket>,
+    rx_events: Vec<ReceiverEvent>,
+    rtcp_out: Vec<(PathId, RtcpPacket)>,
+}
+
 /// One direction of media between two endpoints.
 pub(crate) struct Flow {
     pub(crate) sender: ConferenceSender,
@@ -99,11 +113,6 @@ pub(crate) struct Flow {
     /// Direction the media travels; feedback travels the opposite way.
     direction: Direction,
     frame_interval: SimDuration,
-    /// One frame's outbound packets, one packet's receiver events and one
-    /// round's receiver RTCP: reused, so none allocates in the steady state.
-    frame_out: Vec<OutboundPacket>,
-    rx_events: Vec<ReceiverEvent>,
-    rtcp_out: Vec<(PathId, RtcpPacket)>,
 }
 
 impl Flow {
@@ -126,9 +135,6 @@ impl Flow {
             sr_seen: BTreeMap::new(),
             trace,
             direction,
-            frame_out: Vec::new(),
-            rx_events: Vec::new(),
-            rtcp_out: Vec::new(),
         }
     }
 
@@ -213,9 +219,10 @@ impl Flow {
         path: PathId,
         payload: NetPayload,
         net: &mut impl Net,
+        scratch: &mut Scratch,
     ) {
         match payload {
-            NetPayload::Rtp(rtp) => self.on_media(now, path, rtp, net),
+            NetPayload::Rtp(rtp) => self.on_media(now, path, rtp, net, scratch),
             NetPayload::Rtcp(RtcpPacket::SenderReport(sr)) => {
                 self.sr_seen
                     .insert(PathId(sr.path_id), (sr.ntp_micros / 1_000, now));
@@ -246,7 +253,14 @@ impl Flow {
     }
 
     /// An RTP packet reached the receiver, which keeps what it needs of it.
-    pub(crate) fn on_media(&mut self, now: SimTime, path: PathId, rtp: SimRtp, net: &mut impl Net) {
+    pub(crate) fn on_media(
+        &mut self,
+        now: SimTime,
+        path: PathId,
+        rtp: SimRtp,
+        net: &mut impl Net,
+        scratch: &mut Scratch,
+    ) {
         // Probe packets are echoed straight back.
         if let RtpKind::Probe { probe_seq } = rtp.kind {
             let echo = NetPayload::ProbeEcho {
@@ -261,12 +275,11 @@ impl Flow {
             _ => 0,
         };
         self.metrics.on_packet_received(now, path, media_payload);
-        let mut events = std::mem::take(&mut self.rx_events);
-        self.receiver.on_rtp_into(now, rtp, &mut events);
+        let events = &mut scratch.rx_events;
+        self.receiver.on_rtp_into(now, rtp, events);
         for ev in events.drain(..) {
             self.record_receiver_event(now, ev);
         }
-        self.rx_events = events;
     }
 
     fn record_receiver_event(&mut self, now: SimTime, ev: ReceiverEvent) {
@@ -304,25 +317,36 @@ impl Flow {
     }
 
     /// Runs one timer event; returns when the same tick fires next.
-    pub(crate) fn on_tick(&mut self, now: SimTime, tick: Tick, net: &mut impl Net) -> SimTime {
+    pub(crate) fn on_tick(
+        &mut self,
+        now: SimTime,
+        tick: Tick,
+        net: &mut impl Net,
+        scratch: &mut Scratch,
+    ) -> SimTime {
         match tick {
             Tick::Frame(stream) => {
-                let frame =
+                let Scratch {
+                    frame, frame_out, ..
+                } = scratch;
+                let encoded =
                     self.sender
-                        .on_frame_tick_into(now, stream as usize, &mut self.frame_out);
-                self.metrics.on_frame_encoded(now, frame.qp, frame.height);
+                        .on_frame_tick_into(now, stream as usize, frame, frame_out);
+                self.metrics
+                    .on_frame_encoded(now, encoded.qp, encoded.height);
                 // Keep the pacer's budgets in sync with congestion control.
-                for m in self.sender.frame_path_metrics() {
+                for m in frame.path_metrics() {
                     self.pacer.set_rate(m.id, m.rate_bps as f64);
                 }
-                self.pacer.enqueue_drain(now, &mut self.frame_out);
+                self.pacer.enqueue_drain(now, frame_out);
                 now + self.frame_interval
             }
             Tick::ReceiverRtcp | Tick::TransportRtcp => {
                 let transport = tick == Tick::TransportRtcp;
+                let rtcp_out = &mut scratch.rtcp_out;
                 self.receiver
-                    .poll_rtcp_into(now, &self.sr_seen, transport, &mut self.rtcp_out);
-                for (path, rtcp) in self.rtcp_out.drain(..) {
+                    .poll_rtcp_into(now, &self.sr_seen, transport, rtcp_out);
+                for (path, rtcp) in rtcp_out.drain(..) {
                     let payload = NetPayload::Rtcp(rtcp);
                     let size = payload.wire_size();
                     net.send(path, opposite(self.direction), now, size, payload);
@@ -357,8 +381,9 @@ pub(crate) trait Network {
         Self: 'a;
     /// The earliest instant at which the network has anything due.
     fn next_arrival(&self) -> Option<SimTime>;
-    /// Hands everything due at or before `now` to the flows.
-    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]);
+    /// Hands everything due at or before `now` to the flows, lending them
+    /// the loop's `scratch`.
+    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow], scratch: &mut Scratch);
     /// The seam flow `i` sends through.
     fn net(&mut self, i: usize) -> Self::Net<'_>;
 }
@@ -375,7 +400,7 @@ impl Network for NetworkEmulator<NetPayload> {
     /// One delivery at a time: handling one can only put arrivals strictly
     /// after `now` into the emulator, so this visits what a drained batch
     /// would.
-    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow]) {
+    fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow], scratch: &mut Scratch) {
         while let Some(delivery) = self.pop_due(now) {
             // Media and SR/SDES travel with their flow, to its receiver;
             // feedback and probe echoes travel against it, to its sender.
@@ -394,7 +419,8 @@ impl Network for NetworkEmulator<NetPayload> {
                 Direction::Reverse => 1,
             };
             if let Some(flow) = flows.get_mut(slot) {
-                flow.on_delivery(now, delivery.path, delivery.payload, &mut &mut *self);
+                let (path, payload) = (delivery.path, delivery.payload);
+                flow.on_delivery(now, path, payload, &mut &mut *self, scratch);
             }
         }
     }
@@ -421,6 +447,15 @@ pub(crate) fn run_call<const N: usize>(
         Flow::for_session(cfg, &path_ids, direction, trace)
     });
 
+    // Sized for the call's paths right after its flows are built: over a
+    // long sweep the order of small allocations moves `peak_rss_mb` (why
+    // `ConferenceSender::new_sized` allocates its rings first), and
+    // sizing it at the first frame tick read 0.1 MiB higher on
+    // `sweep-quick`.
+    let mut scratch = Scratch {
+        frame: FrameScratch::for_paths(path_ids.len()),
+        ..Scratch::default()
+    };
     let mut timers: EventQueue<(usize, Tick)> = EventQueue::new();
     for (i, flow) in flows.iter().enumerate() {
         for (at, tick) in flow.first_ticks(SimDuration::from_millis(16 * i as u64)) {
@@ -428,19 +463,21 @@ pub(crate) fn run_call<const N: usize>(
         }
     }
     let end = SimTime::ZERO + cfg.duration;
-    run_flows(&mut flows, &mut emu, &mut timers, end);
+    run_flows(&mut flows, &mut emu, &mut timers, end, &mut scratch);
     flows.map(Flow::finish)
 }
 
 /// The one event loop: runs `flows` over `net` until `end`, flow `i`'s
-/// ticks keyed `(i, tick)` in `timers`. At each instant every pacer
-/// releases what is due, then the network hands over what arrived, then
-/// the ticks due fire, one at a time. Returns the number of ticks fired.
+/// ticks keyed `(i, tick)` in `timers`, lending every handler `scratch`.
+/// At each instant every pacer releases what is due, then the network
+/// hands over what arrived, then the ticks due fire, one at a time.
+/// Returns the number of ticks fired.
 pub(crate) fn run_flows<N: Network>(
     flows: &mut [Flow],
     net: &mut N,
     timers: &mut EventQueue<(usize, Tick)>,
     end: SimTime,
+    scratch: &mut Scratch,
 ) -> u64 {
     // "Never" as a scalar, so the earliest source is a plain integer min.
     // `SimTime::MAX` itself (a stalled link's arrival) ends the call just
@@ -476,12 +513,12 @@ pub(crate) fn run_flows<N: Network>(
             flow.drain_pacer(now, &mut net.net(i));
             paced = paced.min(micros(flow.pacer.next_release()));
         }
-        net.deliver_due(now, flows);
+        net.deliver_due(now, flows, scratch);
 
         // Timer events due now.
         while let Some((_, (i, tick))) = timers.pop_due(now) {
             let flow = &mut flows[i];
-            let next = flow.on_tick(now, tick, &mut net.net(i));
+            let next = flow.on_tick(now, tick, &mut net.net(i), scratch);
             timers.schedule(next, (i, tick));
             paced = paced.min(micros(flow.pacer.next_release()));
             fired += 1;

@@ -123,9 +123,11 @@ impl SenderSizing {
 }
 
 /// One frame tick's working buffers, kept across ticks so the steady
-/// state reuses their capacity instead of allocating per frame.
+/// state reuses their capacity instead of allocating per frame. Nothing in
+/// them outlives a tick, so the call loop keeps one for all its senders
+/// (`flow::Scratch`) and lends it to whichever ticks.
 #[derive(Default)]
-struct FrameScratch {
+pub(crate) struct FrameScratch {
     /// The path snapshot the tick schedules against.
     metrics: Vec<PathMetrics>,
     /// The frame's packets as the packetizer made them.
@@ -134,13 +136,32 @@ struct FrameScratch {
     batch: Vec<Schedulable>,
     /// This frame's media per destination path and whether any of it is
     /// keyframe data, indexed by path id (FEC is generated in path order).
-    /// Entries persist across ticks; a path the frame did not use is empty.
+    /// Entries persist across ticks, at least one per path of the sender
+    /// ticking; a path the frame did not use is empty.
     media_by_path: Vec<(Vec<VideoPacket>, bool)>,
     /// FEC packets awaiting scheduling: (meta, protected group, origin).
     fec_batch: Vec<(Schedulable, Vec<VideoPacket>, PathId)>,
     fec_sched: Vec<Schedulable>,
     /// The scheduler's answer for the media batch, then for the FEC batch.
     assignments: Vec<Assignment>,
+}
+
+impl FrameScratch {
+    /// Buffers with the per-path table already sized for `paths` paths.
+    pub(crate) fn for_paths(paths: usize) -> Self {
+        FrameScratch {
+            media_by_path: vec![(Vec::new(), false); paths],
+            ..FrameScratch::default()
+        }
+    }
+
+    /// The path snapshot the latest frame tick scheduled against. Nothing
+    /// between that snapshot and the end of the tick feeds the controllers
+    /// or the monitor, so right after a tick it equals the sender's
+    /// [`ConferenceSender::path_metrics`], without recomputing it.
+    pub(crate) fn path_metrics(&self) -> &[PathMetrics] {
+        &self.metrics
+    }
 }
 
 /// How per-path congestion controllers interact (paper section 4.1: "We
@@ -195,7 +216,6 @@ pub struct ConferenceSender {
     monitor: ConnectionMonitor,
     /// Congestion-controller coupling mode.
     coupling: RateCoupling,
-    scratch: FrameScratch,
     /// One transport-feedback report's matched timings and one NACK's
     /// losses per path (indexed by path id): working buffers of
     /// `on_rtcp`, kept so handling feedback allocates nothing.
@@ -279,10 +299,6 @@ impl ConferenceSender {
             fec_overhead_ewma: 0.0,
             monitor: ConnectionMonitor::new(paths),
             coupling: RateCoupling::Uncoupled,
-            scratch: FrameScratch {
-                media_by_path: vec![(Vec::new(), false); paths.len()],
-                ..FrameScratch::default()
-            },
             timings: Vec::new(),
             nacked_per_path: vec![0; paths.len()],
         }
@@ -356,18 +372,14 @@ impl ConferenceSender {
         }));
     }
 
-    /// The path snapshot the latest frame tick scheduled against. Nothing
-    /// between that snapshot and the end of the tick feeds the controllers
-    /// or the monitor, so right after a tick it equals
-    /// [`ConferenceSender::path_metrics`] — without recomputing it.
-    pub fn frame_path_metrics(&self) -> &[PathMetrics] {
-        &self.scratch.metrics
-    }
-
-    /// Captures and sends one frame on stream `stream_idx` at `now`.
+    /// Captures and sends one frame on stream `stream_idx` at `now`, with
+    /// working buffers of its own (the call loop lends one set to all its
+    /// senders instead).
     pub fn on_frame_tick(&mut self, now: SimTime, stream_idx: usize) -> FrameTickResult {
         let mut packets = Vec::new();
-        let EncodedFrame { qp, height } = self.on_frame_tick_into(now, stream_idx, &mut packets);
+        let mut scratch = FrameScratch::default();
+        let EncodedFrame { qp, height } =
+            self.on_frame_tick_into(now, stream_idx, &mut scratch, &mut packets);
         FrameTickResult {
             packets,
             qp,
@@ -375,24 +387,11 @@ impl ConferenceSender {
         }
     }
 
-    /// [`ConferenceSender::on_frame_tick`], appending the packets to
-    /// transmit to `out` so the call loop can reuse one buffer across
-    /// frames.
-    pub fn on_frame_tick_into(
-        &mut self,
-        now: SimTime,
-        stream_idx: usize,
-        out: &mut Vec<OutboundPacket>,
-    ) -> EncodedFrame {
-        // The scratch moves out for the tick so its buffers can be walked
-        // while `self` hands out sequence numbers.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let encoded = self.frame_tick(now, stream_idx, &mut scratch, out);
-        self.scratch = scratch;
-        encoded
-    }
-
-    fn frame_tick(
+    /// [`ConferenceSender::on_frame_tick`] in `scratch`'s buffers,
+    /// appending the packets to transmit to `out`, so the call loop reuses
+    /// one set of buffers across frames and senders. Afterwards
+    /// `scratch.path_metrics()` is the snapshot the tick scheduled against.
+    pub(crate) fn on_frame_tick_into(
         &mut self,
         now: SimTime,
         stream_idx: usize,
@@ -494,6 +493,10 @@ impl ConferenceSender {
         out.reserve(batch.len() + 8);
         // Per-path media groups for FEC generation.
         let media_by_path = &mut scratch.media_by_path;
+        if media_by_path.len() < self.paths.len() {
+            media_by_path.reserve_exact(self.paths.len() - media_by_path.len());
+            media_by_path.resize_with(self.paths.len(), Default::default);
+        }
         for (media, is_key) in media_by_path.iter_mut() {
             media.clear();
             *is_key = false;
@@ -834,7 +837,7 @@ mod tests {
         let mut tick = |sender: &mut ConferenceSender, now: &mut SimTime| -> Vec<u64> {
             *now += SimDuration::from_micros(33_333);
             out.clear();
-            sender.on_frame_tick_into(*now, 0, &mut out);
+            sender.on_frame_tick_into(*now, 0, &mut FrameScratch::default(), &mut out);
             out.iter()
                 .filter_map(|p| match &p.payload {
                     NetPayload::Rtp(SimRtp {
@@ -906,7 +909,7 @@ mod tests {
                 10_000_000,
             );
             sender.set_coupling(coupling);
-            let mut out = Vec::new();
+            let (mut scratch, mut out) = (FrameScratch::default(), Vec::new());
             for i in 0..60u64 {
                 let now = SimTime::from_millis(33 * i);
                 // Loss and RTT reports between ticks move the controllers.
@@ -926,8 +929,9 @@ mod tests {
                 });
                 sender.on_rtcp(now + SimDuration::from_millis(40 + i % 5), &report);
                 out.clear();
-                sender.on_frame_tick_into(now + SimDuration::from_millis(50), 0, &mut out);
-                assert_eq!(sender.frame_path_metrics(), &sender.path_metrics()[..]);
+                let now = now + SimDuration::from_millis(50);
+                sender.on_frame_tick_into(now, 0, &mut scratch, &mut out);
+                assert_eq!(scratch.path_metrics(), &sender.path_metrics()[..]);
             }
         }
     }
@@ -972,7 +976,7 @@ mod tests {
         }
         let sent = |sender: &mut ConferenceSender, now| {
             let mut out = Vec::new();
-            sender.on_frame_tick_into(now, 0, &mut out);
+            sender.on_frame_tick_into(now, 0, &mut FrameScratch::default(), &mut out);
             let packets: Vec<_> = out
                 .into_iter()
                 .map(|p| (p.path, p.class, p.payload))
@@ -1035,7 +1039,7 @@ mod tests {
     /// pacer.
     fn tick(sender: &mut ConferenceSender, now: SimTime, stream: usize) -> (Vec<u64>, [usize; 3]) {
         let mut out = Vec::new();
-        sender.on_frame_tick_into(now, stream, &mut out);
+        sender.on_frame_tick_into(now, stream, &mut FrameScratch::default(), &mut out);
         let (mut sent, mut bytes) = (Vec::new(), [0; 3]);
         for p in &out {
             let NetPayload::Rtp(rtp) = &p.payload else {
@@ -1251,7 +1255,7 @@ mod tests {
         let mut out = Vec::new();
         for now in [33_333, 7_000_000, 3_600_000_123].map(SimTime::from_micros) {
             out.clear();
-            sender.on_frame_tick_into(now, 0, &mut out);
+            sender.on_frame_tick_into(now, 0, &mut FrameScratch::default(), &mut out);
             let on_wire: Vec<u32> = out
                 .iter()
                 .filter_map(|p| match &p.payload {

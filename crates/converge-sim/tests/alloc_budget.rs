@@ -20,15 +20,20 @@
 //! is what `peak_rss_mb` measures in pages. `alloc_sites --peak` names the
 //! sites that hold them. A sixth pins what the lossy call's report still
 //! holds once the call is over: what a sweep's memo cache keeps per cell.
+//! A seventh pins the peak live heap of a one-shard fleet in conferences
+//! of 8: what one conference holds, which is what a second shard adds.
 //!
-//! The counters are per thread: the call loop is single-threaded, and the
-//! test harness's own threads allocate whenever they like.
+//! The counters are per thread: the call loop and a one-shard fleet are
+//! single-threaded, and the test harness's own threads allocate whenever
+//! they like.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use converge_net::SimDuration;
-use converge_sim::{FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig};
+use converge_sim::{
+    FecKind, FleetConfig, FleetEngine, ScenarioConfig, SchedulerKind, Session, SessionConfig,
+};
 
 struct CountingAlloc;
 
@@ -94,13 +99,17 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// pooled, the same window made 16 509 calls; at `18016e0`, while
 /// `RtcpPacket::wire_len` still serialised every RTCP packet to measure it,
 /// 9 071; at `7c5ef18`, before the schedulers and the QoE monitor kept
-/// their working buffers, 8 166. What is left is one `Vec` per RTCP packet
-/// that owns a list (262), and one growth step of the sender's frame log:
-/// its `VecDeque` of per-frame records doubles from 512 to 1 024 entries at
-/// the stream's 513th frame, 17.1 s into the call. (The log is not
-/// reserved up front: it holds the frames of the newest 65 536 sequences,
-/// thousands on a long call and a few dozen on a short one.)
-const CLEAN_BUDGET: u64 = 263;
+/// their working buffers, 8 166; until the packet buffer kept its finished
+/// frame ids as a bit window, 263: the `BTreeSet` it replaced allocated a
+/// B-tree node every few frames it remembered (−47; a 20 s call finishes
+/// about 600 frames, under the 1 024 it keeps, so the set only grew). What
+/// is left is one `Vec` per RTCP packet that owns a list, and one growth
+/// step of the sender's frame log: its `VecDeque` of per-frame records
+/// doubles from 512 to 1 024 entries at the stream's 513th frame, 17.1 s
+/// into the call. (The log is not reserved up front: it holds the frames
+/// of the newest 65 536 sequences, thousands on a long call and a few
+/// dozen on a short one.)
+const CLEAN_BUDGET: u64 = 216;
 
 /// The same for the lossy cell. At `7c5ef18` the window made 29 432 calls;
 /// what is left is mostly the `protected` list each FEC packet is built
@@ -120,8 +129,10 @@ const CLEAN_BUDGET: u64 = 263;
 /// (−24): a fresh packet-buffer assembly grows one vector of sizes where it
 /// grew a vector of (index, size) pairs and one of sequences (−27 measured
 /// with the old gap tracker), and the gap tracker's two deques grow in
-/// more steps than its one deque of gap records did (+3).
-const LOSSY_BUDGET: u64 = 2_746;
+/// more steps than its one deque of gap records did (+3). It was 2 746
+/// until the finished frame ids became a bit window (−143, three streams'
+/// B-tree nodes, as in the clean cell).
+const LOSSY_BUDGET: u64 = 2_603;
 
 /// What one two-path Converge call of `secs` at `loss_pct` loss on both
 /// paths asks of the allocator.
@@ -264,7 +275,11 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 ///
 /// It was 353 928 until the QoE monitor dropped the last FCD it kept and
 /// nothing read (−8): one 8-byte `SimDuration` in each stream's monitor.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 353_920;
+///
+/// It was 353 920 until the packet buffer kept its finished frame ids as
+/// a bit window (−560): the first second's 30 ids take one 64-byte block
+/// of 16-byte words where the `BTreeSet` grew B-tree nodes.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 353_360;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -293,8 +308,10 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 353_920;
 /// bits and slots (−2 000): the packet buffer −2 072 (three streams'
 /// leaves +792 of it), the gap tracker +72; and 586 457 until a link
 /// followed one trace (−224, as above); and 586 233 until the monitors'
-/// unread last FCD went (−24, three streams).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 586_209;
+/// unread last FCD went (−24, three streams); and 586 209 until the
+/// finished frame ids became a bit window (−1 680, three streams, as
+/// above).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 584_529;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -332,8 +349,10 @@ fn construction_bytes_stay_within_budget() {
 /// 491 153 until a link followed one trace: −224, the four links' smaller
 /// configs and the rate copies they no longer make (see the construction
 /// bytes above). It read 490 929 until the QoE monitor's unread last FCD
-/// went: −8.
-const CLEAN_PEAK_BYTES: u64 = 490_921;
+/// went: −8. It read 490 921 until the packet buffer kept its finished
+/// frame ids as a bit window: −10 848, about 600 ids in the B-tree nodes
+/// of a `BTreeSet` against ten 16-byte words.
+const CLEAN_PEAK_BYTES: u64 = 480_073;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
 /// sender's rings stopped storing what send order says, and 847 202 before
@@ -341,8 +360,9 @@ const CLEAN_PEAK_BYTES: u64 = 490_921;
 /// the reorder path's bits and slots (−7 440: the packet buffer −7 752,
 /// the gap tracker +312), and 831 570 before a link followed one trace
 /// (−224, as in the clean cell), and 831 346 before the monitors' unread
-/// last FCD went (−24).
-const LOSSY_PEAK_BYTES: u64 = 831_322;
+/// last FCD went (−24), and 831 322 before the finished frame ids became a
+/// bit window (−33 472, three streams, as in the clean cell).
+const LOSSY_PEAK_BYTES: u64 = 797_850;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.
@@ -368,6 +388,39 @@ fn clean_peak_heap_stays_within_budget() {
 #[test]
 fn lossy_peak_heap_stays_within_budget() {
     assert_peak_within(LOSSY_PEAK_BYTES, 5.0, 3);
+}
+
+/// The most bytes a fleet of 128 sessions in conferences of 8 holds at
+/// once over 10 s, seed 11, on one shard (which runs on the calling
+/// thread): the peak of its largest conference, the exact reading of the
+/// commit that last lowered it, to be ratcheted like the budgets above.
+/// It is the `alloc_sites -- --peak --to 10 fleet8` cell, whose table
+/// names the sites. It read 1 111 419 while every viewer kept its frames in
+/// assembly in a hash map of 512 slots of 56 B (228.1 KiB over 8
+/// viewers), every member owned a frame tick's working buffers (109.4 KiB
+/// over 8), and every receiver kept its finished frame ids in a
+/// `BTreeSet` (43.6 KiB). It reads 830 942 since each viewer's frames are
+/// in a table of 352 packed 32-byte slots (88.0 KiB over 8 viewers), one
+/// set of working buffers serves the whole shard, and a receiver's finished
+/// ids are a bit window.
+const FLEET8_PEAK_BYTES: u64 = 830_942;
+
+#[test]
+fn fleet8_peak_heap_stays_within_budget() {
+    let mut config = FleetConfig::new(128, 8);
+    config.duration = SimDuration::from_secs(10);
+    config.seed = 11;
+    assert_eq!(config.shards, 1, "one shard runs on the calling thread");
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    let report = FleetEngine::new(config).run();
+    let peak = (PEAK.with(Cell::get) - live) as u64;
+    assert_eq!(report.conferences.len(), 16);
+    println!("fleet of 128 x 10 s in conferences of 8: peak live heap {peak} bytes, budget {FLEET8_PEAK_BYTES}");
+    assert!(
+        peak <= FLEET8_PEAK_BYTES,
+        "fleet of 128 x 10 s in conferences of 8: peak live heap {peak} bytes, budget {FLEET8_PEAK_BYTES}"
+    );
 }
 
 /// The bytes the report of the 20 s lossy three-stream call still holds

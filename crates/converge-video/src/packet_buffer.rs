@@ -7,7 +7,7 @@
 //! arriving packets"). The time from a frame's first packet arrival until
 //! its last is the Frame Construction Delay (FCD).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use converge_net::SimTime;
 
@@ -185,6 +185,82 @@ impl Assembly {
     }
 }
 
+/// Finished frame ids a buffer remembers: later packets of those frames
+/// are stale.
+const FINISHED_CAP: usize = 1024;
+
+/// The [`FINISHED_CAP`] largest frame ids ever finished, as presence bits
+/// over ids: one `(id / 64, bits)` word per 64 ids, ascending, and only
+/// the words with a bit set. Frame ids are dense, so that is about 17
+/// words (272 B); a gap in the ids costs nothing but the words it leaves
+/// out, so the set is exact whatever the ids.
+#[derive(Debug, Default)]
+struct FinishedWindow {
+    words: VecDeque<(u64, u64)>,
+    /// Bits set across `words`, at most [`FINISHED_CAP`].
+    len: usize,
+}
+
+impl FinishedWindow {
+    fn contains(&self, id: u64) -> bool {
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        // Most packets belong to a frame newer than any finished one.
+        let (Some(&(front, _)), Some(&(back, _))) = (self.words.front(), self.words.back()) else {
+            return false;
+        };
+        if word < front || word > back {
+            return false;
+        }
+        // Where the word sits when no word between it and the front is
+        // missing: the dense case, found without a search.
+        let bits = match self.words.get((word - front) as usize) {
+            Some(&(w, bits)) if w == word => bits,
+            _ => match self.words.binary_search_by_key(&word, |&(w, _)| w) {
+                Ok(at) => self.words[at].1,
+                Err(_) => 0,
+            },
+        };
+        bits & bit != 0
+    }
+
+    /// Adds `id`, then forgets the smallest id held if that makes one
+    /// more than [`FINISHED_CAP`] (which is `id` itself when it is below
+    /// every id held).
+    fn insert(&mut self, id: u64) {
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        let at = match self.words.back() {
+            Some(&(last, _)) if last == word => self.words.len() - 1,
+            Some(&(last, _)) if last > word => {
+                match self.words.binary_search_by_key(&word, |&(w, _)| w) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        self.words.insert(at, (word, 0));
+                        at
+                    }
+                }
+            }
+            _ => {
+                self.words.push_back((word, 0));
+                self.words.len() - 1
+            }
+        };
+        let bits = &mut self.words[at].1;
+        if *bits & bit != 0 {
+            return;
+        }
+        *bits |= bit;
+        self.len += 1;
+        if self.len > FINISHED_CAP {
+            let front = &mut self.words[0].1;
+            *front &= *front - 1;
+            self.len -= 1;
+            if *front == 0 {
+                self.words.pop_front();
+            }
+        }
+    }
+}
+
 /// The heap buffers of a finished [`Assembly`]: `sizes` as it was, and
 /// its spill, emptied, if it had one.
 type Spare = (Vec<usize>, Option<Box<Spill>>);
@@ -196,17 +272,11 @@ pub struct PacketBuffer {
     capacity_packets: usize,
     frames: BTreeMap<u64, Assembly>,
     total_packets: usize,
-    /// Frames already completed or evicted; late packets for them are stale.
-    /// We track the highest such frame id per category (frames complete in
-    /// order of eviction/completion, not necessarily frame order, so keep a
-    /// small recent-set).
-    finished: std::collections::BTreeSet<u64>,
-    /// Cap on the `finished` memory.
-    finished_cap: usize,
-    /// Highest frame id ever marked finished: any id above it cannot be in
-    /// the set, which lets the common case (a packet of a brand-new frame)
-    /// skip the set probe entirely.
-    max_finished: Option<u64>,
+    /// Frames already completed or evicted, the newest [`FINISHED_CAP`] of
+    /// them (frames finish in completion or eviction order, not frame
+    /// order, so it is a set, not a high-water mark); late packets for
+    /// them are stale.
+    finished: FinishedWindow,
     /// Buffers of finished assemblies, handed to the next new frame so
     /// steady-state assembly reuses their capacity instead of growing
     /// fresh vectors per frame.
@@ -220,9 +290,7 @@ impl PacketBuffer {
             capacity_packets: capacity_packets.max(1),
             frames: BTreeMap::new(),
             total_packets: 0,
-            finished: std::collections::BTreeSet::new(),
-            finished_cap: 1024,
-            max_finished: None,
+            finished: FinishedWindow::default(),
             spare: Vec::new(),
         }
     }
@@ -244,10 +312,7 @@ impl PacketBuffer {
 
     /// Whether `frame_id` has already completed or been evicted.
     pub fn is_finished(&self, frame_id: u64) -> bool {
-        match self.max_finished {
-            Some(max) if frame_id <= max => self.finished.contains(&frame_id),
-            _ => false,
-        }
+        self.finished.contains(frame_id)
     }
 
     /// Drops all partial packets of `frame_id` (used by the frame buffer
@@ -257,7 +322,7 @@ impl PacketBuffer {
         let assembly = self.frames.remove(&frame_id)?;
         let packets_dropped = assembly.packet_count();
         self.total_packets -= packets_dropped;
-        self.remember_finished(frame_id);
+        self.finished.insert(frame_id);
         self.recycle(assembly);
         Some(PacketBufferEvent::FrameEvicted {
             frame_id,
@@ -345,7 +410,7 @@ impl PacketBuffer {
         if complete {
             let a = self.frames.remove(&frame_id).expect("assembly exists");
             self.total_packets -= a.packet_count();
-            self.remember_finished(frame_id);
+            self.finished.insert(frame_id);
             events.push(PacketBufferEvent::FrameComplete(CompleteFrame {
                 stream: a.stream,
                 frame_id,
@@ -377,15 +442,6 @@ impl PacketBuffer {
             } else {
                 break;
             }
-        }
-    }
-
-    fn remember_finished(&mut self, frame_id: u64) {
-        self.max_finished = Some(self.max_finished.map_or(frame_id, |m| m.max(frame_id)));
-        self.finished.insert(frame_id);
-        while self.finished.len() > self.finished_cap {
-            let oldest = *self.finished.iter().next().expect("non-empty");
-            self.finished.remove(&oldest);
         }
     }
 }

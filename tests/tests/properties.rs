@@ -829,6 +829,57 @@ fn packet_buffer_never_exceeds_capacity() {
     });
 }
 
+/// Input: frame ids, finished in this order. Out of order, repeated, with
+/// jumps past the 1 024 ids a buffer remembers and steps back below them.
+/// Model: a `BTreeSet` of every id finished, capped at 1 024 by dropping
+/// its smallest, which is what a buffer must call finished.
+#[test]
+fn packet_buffer_remembers_the_1024_newest_finished_frames() {
+    const CAP: usize = 1024;
+    let dense: Vec<u64> = (0..2_100).collect();
+    let falling: Vec<u64> = (0..2_100).rev().collect();
+    let gapped: Vec<u64> = (0..1_500).chain(2_600..2_700).chain(900..1_000).collect();
+    let draw = |r: &mut SmallRng| {
+        let mut id = r.gen_range(0..5_000u64);
+        vec_of(r, 1..3_000, |r| {
+            match r.gen_range(0..32) {
+                0 => id += r.gen_range(CAP as u64..100_000),
+                1..=6 => return id.saturating_sub(r.gen_range(0..2_000)),
+                _ => id += r.gen_range(1..3),
+            }
+            id
+        })
+    };
+    check([dense, falling, gapped], CASES / 4, draw, |ids| {
+        let mut buf = PacketBuffer::new(16);
+        let mut model = BTreeSet::new();
+        for (i, &id) in ids.iter().enumerate() {
+            // A one-slice frame: its PPS, then its only media packet. A
+            // frame still remembered as finished takes neither.
+            let mut pps = media(2 * i as u64, id, 0, 0, 64);
+            pps.kind = PacketKind::Pps;
+            let slice = media(2 * i as u64 + 1, id, 0, 1, 1200);
+            for p in [pps, slice] {
+                buf.insert(SimTime::from_micros(i as u64), &p);
+            }
+            model.insert(id);
+            if model.len() > CAP {
+                model.pop_first();
+            }
+            let (low, high) = (model.first().copied(), model.last().copied());
+            let (low, high) = (low.expect("one id"), high.expect("one id"));
+            let probes = [id, id + 1, low, low.saturating_sub(1), high, high + 1];
+            for probe in probes.into_iter().chain(ids.get(i / 2).copied()) {
+                assert_eq!(
+                    buf.is_finished(probe),
+                    model.contains(&probe),
+                    "frame {probe} after step {i}"
+                );
+            }
+        }
+    });
+}
+
 /// Feeds frames `0..arrival_order.len()` (frame 0 the keyframe) to a
 /// frame buffer in `arrival_order`; returns the decoded frame ids.
 fn decode_order(arrival_order: &[u64]) -> Vec<u64> {
