@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, build, rustfmt's layout, the commands the README and DESIGN name, the
-# API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned,
-# unit/integration tests, the property tests by count, the allocation
+# API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned
+# and its lock untouched, unit/integration tests, the property tests by count
+# and the tests their index of the paper's mechanisms names, the allocation
 # budgets, the fleet's exact work counts, the
 # receiver's two reorder-path differential tests and the stability
 # matrix's tier-1 slice by name, one short run each of the
@@ -104,7 +105,8 @@ gate docs docs
 # mirror of the call loop must stay Debug-identical to Session::run, and
 # each workload's report_digest must equal the one pinned in
 # tests/tests/fixtures/benchmark_smoke_digests.txt — "same bytes on every
-# workload" as a gate (UPDATE_GOLDEN=1 ./ci.sh rewrites it).
+# workload" as a gate (UPDATE_GOLDEN=1 ./ci.sh rewrites it). Building
+# the benchmark must leave its committed lock as it is.
 benchmark_smoke() {
     local w digest digests="" pinned=tests/tests/fixtures/benchmark_smoke_digests.txt
     local results=benchmark/results/smoke workloads=(call-clean call-impaired call-npath fleet-sfu sweep-quick)
@@ -112,6 +114,15 @@ benchmark_smoke() {
         rm -f "$results/$w.json"
     done
     bash benchmark/run.sh --smoke
+    # run.sh builds without --locked: a change to the benchmark's
+    # dependency graph would rewrite its lock on every run. Such a change
+    # belongs in a [benchmark] change, with the lock committed beside it.
+    if ! git diff --quiet -- benchmark/Cargo.lock; then
+        echo "benchmark-smoke: building the benchmark rewrote benchmark/Cargo.lock;" \
+            "a change to its dependency graph belongs in a [benchmark] change" >&2
+        git diff --stat -- benchmark/Cargo.lock >&2
+        return 1
+    fi
     for w in "${workloads[@]}"; do
         digest=$(grep -o '"report_digest": "[0-9a-f]*"' "$results/$w.json" | cut -d'"' -f4)
         digests+="$w $digest"$'\n'
@@ -143,18 +154,32 @@ tests_by_name() {
 
 # The property tests (tests/tests/properties.rs): each property is one
 # #[test] through one seeded driver, its fixed cases then its drawn ones.
-# All 31 must run (29 properties, the zero-rate trace test and the frame
-# buffer's regression), so a property cannot silently drop out again, as
-# 21 did behind an offline `proptest!` stand-in that expanded to nothing;
-# and `proptest` is named nowhere under crates/, tests/ or examples/.
+# All 28 must run (25 properties, the zero-rate trace test, the frame
+# buffer's regression and the driver's own test), so a property cannot
+# silently drop out again, as 21 did behind an offline `proptest!`
+# stand-in that expanded to nothing; and `proptest` is named nowhere under
+# crates/, tests/ or examples/. Every test the module doc's table of the
+# paper's §4 mechanisms names (`converge_core::…` unit tests,
+# `properties::…` tests) runs by its exact name, so a row cannot name a
+# test that does not exist.
+# table_tests PREFIX: the tests the properties table names as PREFIX::NAME,
+# each once, without the prefix.
+table_tests() {
+    grep '^//! |' tests/tests/properties.rs | grep -oE "\`$1::[a-z0-9_:]+\`" \
+        | tr -d '`' | sed "s/^$1:://" | sort -u
+}
 properties() {
-    local named
+    local named core props
     named=$(grep -rl proptest crates tests examples || true)
     if [ -n "$named" ]; then
         echo "properties: proptest is named under crates/, tests/ or examples/:" $named >&2
         return 1
     fi
-    tests_by_name 31 -p converge-integration --test properties
+    tests_by_name 28 -p converge-integration --test properties
+    core=($(table_tests converge_core))
+    props=($(table_tests properties))
+    tests_by_name ${#core[@]} -p converge-core --lib -- --exact "${core[@]}"
+    tests_by_name ${#props[@]} -p converge-integration --test properties -- --exact "${props[@]}"
 }
 gate properties properties
 

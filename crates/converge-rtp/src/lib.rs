@@ -12,12 +12,9 @@
 //! - [`fec`]: the XOR repair codec (ULPFEC-style single-loss recovery) that
 //!   both WebRTC's table-driven FEC and Converge's path-specific FEC
 //!   controller generate packets with.
-//! - [`srtp`]: SRTP-style packet protection with path-aware nonces and
-//!   per-path replay windows (the paper's multipath RTP/SRTP extension).
 //!
 //! All formats serialize to real wire bytes and parse back; the simulator
-//! exchanges the typed forms, while serialization is exercised by tests and
-//! the signalling layer.
+//! exchanges the typed forms, while serialization is exercised by tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,7 +23,6 @@ pub mod extension;
 pub mod fec;
 pub mod packet;
 pub mod rtcp;
-pub mod srtp;
 
 pub use extension::MultipathExtension;
 pub use fec::FecGroup;
@@ -35,4 +31,3 @@ pub use rtcp::{
     Nack, Pli, QoeFeedback, ReceiverReport, ReportBlock, RtcpPacket, Sdes, SenderReport,
     TransportFeedback,
 };
-pub use srtp::{SrtpContext, SrtpError};

@@ -287,40 +287,6 @@ fn three_streams_triple_the_frame_flow() {
 }
 
 #[test]
-fn signalling_negotiation_feeds_session_setup() {
-    use converge_signal::SessionDescription;
-    // Multipath peer meets multipath peer: run Converge on the agreed path
-    // set. Legacy peer: fall back to single path.
-    let offer = SessionDescription::offer("alice", 7, 1, &[0, 1]);
-    let answer_mp = SessionDescription::offer("bob", 8, 1, &[0, 1]);
-    let answer_legacy = SessionDescription::offer("carol", 9, 1, &[]);
-
-    let agreed = offer.negotiated_paths(&answer_mp);
-    assert_eq!(agreed, vec![0, 1]);
-    let r = run(
-        clean_scenario(),
-        SchedulerKind::Converge,
-        FecKind::Converge,
-        1,
-        10,
-        13,
-    );
-    assert!(r.frames_decoded > 200);
-
-    let agreed = offer.negotiated_paths(&answer_legacy);
-    assert!(agreed.is_empty());
-    let r = run(
-        clean_scenario(),
-        SchedulerKind::SinglePath(0),
-        FecKind::WebRtcTable,
-        1,
-        10,
-        13,
-    );
-    assert!(r.frames_decoded > 200);
-}
-
-#[test]
 fn wire_formats_round_trip_session_traffic() {
     // Everything the session exchanges must serialize and parse on the real
     // wire formats (the sim exchanges typed forms for speed; the formats

@@ -6,7 +6,31 @@
 //! and a `draw` function; `check` runs the fixed cases, then the drawn
 //! ones, each from a `SmallRng` with its own seed. Every run draws the
 //! same cases, so a failure reproduces on re-run, and its message names
-//! the property, the case index, the seed and the input.
+//! the property, the case index, the seed and the input (cut to
+//! [`MAX_RENDERED`] chars).
+//!
+//! # The paper's §4 mechanisms and the tests that pin them
+//!
+//! One row per mechanism: its formula, the code, and the tests that check
+//! the code against the formula, each a fixed example (one hand-worked
+//! input) or a drawn property (this file's `check` over drawn inputs).
+//! `converge_core::…` names a unit test of that crate, `properties::…` a
+//! test in this file. `ci.sh`'s `properties` gate runs every test named
+//! here by its exact name, so a row cannot name a test that does not exist.
+//!
+//! | Mechanism | Formula | Code (`converge-core/src/`) | Fixed example | Drawn property |
+//! |---|---|---|---|---|
+//! | Table 2 priority order | retransmission > keyframe > SPS > PPS > FEC | `priority.rs`, `PacketClass::priority` | `converge_core::priority::tests::table2_ordering` | gap |
+//! | Algorithm 1 fast path | `cpt_i = N·k/rate_i + rtt_i/2` | `fastpath.rs`, `completion_time` | `converge_core::fastpath::tests::completion_time_formula` | gap |
+//! | Eq. 1 split | `P_i = round(N·rate_i / Σ rate_j)` | `feedback.rs`, `PathShare::split` | `converge_core::feedback::tests::split_matches_eq1_example` | `properties::split_always_covers_exactly_n` checks `Σ P_i = N` only |
+//! | Eq. 2 α offset | `P_i += offset_i`, `offset_i += α` per feedback | `feedback.rs`, `PathShare::apply_feedback` | `converge_core::feedback::tests::split_applies_alpha_offset` | `properties::split_always_covers_exactly_n` draws α but checks `Σ P_i = N` only |
+//! | Eq. 3 re-enable margin | re-enable when `abs(rtt_fast − rtt_i)/2 ≤ max(FCD, 5 ms)` | `feedback.rs`, `PathShare::try_reenable` | `converge_core::feedback::tests::reenable_follows_eq3` | gap |
+//! | §4.3 repair count | `FEC_i = l_i·P_i·β` | `fec_controller.rs`, `ConvergeFec::repair_count` | `converge_core::fec_controller::tests::converge_fec_proportional_to_loss` | gap |
+//! | §4.3 β | `β = 1 + NACK_i/(P_i − FEC_i)` | `fec_controller.rs`, `ConvergeFec::on_nack` | `converge_core::fec_controller::tests::nacks_raise_beta_then_decay` | gap |
+//!
+//! Gaps: no drawn property checks Table 2, Algorithm 1, Eq. 3 or either
+//! §4.3 formula, and the one drawn split property checks conservation,
+//! not the per-path counts of Eq. 1 and Eq. 2.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -25,9 +49,9 @@ use converge_net::{
 };
 use converge_rtp::{
     fec, MultipathExtension, Nack, PayloadType, Pli, QoeFeedback, ReceiverReport, ReportBlock,
-    RtcpPacket, RtpPacket, Sdes, SenderReport, SrtpContext, SrtpError, TransportFeedback,
+    RtcpPacket, RtpPacket, Sdes, SenderReport, TransportFeedback,
 };
-use converge_signal::{ConnectionMonitor, PathState, SessionDescription};
+use converge_signal::{ConnectionMonitor, PathState};
 use converge_sim::payload::{RtpKind, SimRtp};
 use converge_sim::wire::{decode_rtp, encode_rtp};
 use converge_video::{
@@ -39,6 +63,10 @@ use converge_video::{
 
 /// Drawn cases per property, after its fixed ones.
 const CASES: u64 = 256;
+
+/// The most chars of a failing input's `Debug` form a failure message
+/// carries, so a failure on a large input stays one short line.
+const MAX_RENDERED: usize = 512;
 
 /// Checks `property` on every `fixed` input, then on `cases` inputs made
 /// by `draw`, case `i` from a `SmallRng` seeded with the property's base
@@ -53,21 +81,61 @@ fn check<T: Debug>(
 ) {
     let thread = std::thread::current();
     let name = thread.name().unwrap_or("property");
-    let holds = |input: &T| catch_unwind(AssertUnwindSafe(|| property(input))).is_ok();
+    let assert_holds = |case: String, input: &T| {
+        let holds = catch_unwind(AssertUnwindSafe(|| property(input))).is_ok();
+        assert!(holds, "`{name}` failed on {case}: {}", render(input));
+    };
     for (i, input) in fixed.into_iter().enumerate() {
-        let case = format!("fixed case {i}");
-        assert!(holds(&input), "`{name}` failed on {case}: {input:?}");
+        assert_holds(format!("fixed case {i}"), &input);
     }
-    // FNV-1a of the name: each property draws its own sequence.
-    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    });
+    let base = base_seed(name);
     for i in 0..cases {
         let seed = base.wrapping_add(i);
         let input = draw(&mut SmallRng::seed_from_u64(seed));
-        let case = format!("drawn case {i} (seed {seed:#x})");
-        assert!(holds(&input), "`{name}` failed on {case}: {input:?}");
+        assert_holds(format!("drawn case {i} (seed {seed:#x})"), &input);
     }
+}
+
+/// FNV-1a of the property's name: each property draws its own sequence.
+fn base_seed(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// `input`'s `Debug` form, cut after [`MAX_RENDERED`] chars and then
+/// followed by its full length.
+fn render(input: &impl Debug) -> String {
+    let full = format!("{input:?}");
+    let chars = full.chars().count();
+    if chars <= MAX_RENDERED {
+        return full;
+    }
+    let cut: String = full.chars().take(MAX_RENDERED).collect();
+    format!("{cut}… ({chars} chars in full)")
+}
+
+/// A failure on a 2 100-element input names the property, the case and
+/// its seed in a message under 1 KiB.
+#[test]
+fn check_cuts_a_large_failing_input() {
+    let name = "check_cuts_a_large_failing_input";
+    let failure = catch_unwind(|| {
+        check(
+            [],
+            1,
+            |_| (0..2_100u64).collect::<Vec<_>>(),
+            |ids| assert!(ids.len() < 2_100),
+        )
+    });
+    let message = *failure
+        .expect_err("the property fails")
+        .downcast::<String>()
+        .expect("a formatted message");
+    let case = format!("drawn case 0 (seed {:#x})", base_seed(name));
+    assert!(message.starts_with(&format!("`{name}` failed on {case}: [0, 1, 2,")));
+    assert!(message.ends_with(" chars in full)"), "{message}");
+    assert!(message.len() < 1_024, "{} bytes", message.len());
 }
 
 /// A vector of `len` elements made by `element`.
@@ -130,7 +198,7 @@ fn rtp_roundtrips_any_fields() {
 
 /// One valid wire input of each kind: RTP media and FEC repair packets
 /// with the multipath extension, a packet of each of the seven RTCP
-/// kinds, and an SDP offer.
+/// kinds.
 fn valid_wire_inputs() -> Vec<Vec<u8>> {
     let media = media(70_123, 9, 3, 7, 1_200);
     let fec = RtpKind::Fec {
@@ -204,14 +272,7 @@ fn valid_wire_inputs() -> Vec<Vec<u8>> {
         assert_eq!(RtcpPacket::parse(wire.clone()), Ok(p));
         wire
     });
-    let offer = SessionDescription::offer("alice", 42, 2, &[0, 1]).serialize();
-    SessionDescription::parse(&offer).expect("valid SDP");
-    let sdp = Bytes::from(offer.into_bytes());
-    rtp.into_iter()
-        .chain(rtcp)
-        .chain([sdp])
-        .map(|b| b.to_vec())
-        .collect()
+    rtp.into_iter().chain(rtcp).map(|b| b.to_vec()).collect()
 }
 
 /// The length and count fields of a valid wire input, as `(offset, bits)`:
@@ -221,7 +282,7 @@ fn valid_wire_inputs() -> Vec<Vec<u8>> {
 /// SDES its CNAME item's length and transport feedback its arrival count.
 /// RTP has its CSRC count and its header extension's length word, and an
 /// FEC packet its protected count after the 12-byte header and 12-byte
-/// extension. The SDP offer has none.
+/// extension.
 fn length_fields(wire: &[u8]) -> Vec<(usize, u32)> {
     let bytes = Bytes::from(wire.to_vec());
     if let Ok(rtcp) = RtcpPacket::parse(bytes.clone()) {
@@ -262,7 +323,7 @@ fn length_field_mutants(wire: &[u8], at: usize, bits: u32) -> [Vec<u8>; 5] {
 /// re-serializes: noise, and every strict prefix, single bit flip and byte
 /// overwrite of a valid input, and each length or count field of one set
 /// to 0, 1, its true value ± 1 and its maximum. Every input goes through
-/// all four parsers, so each also sees the others' formats.
+/// all three parsers, so each also sees the others' formats.
 #[test]
 fn wire_parsers_never_panic() {
     let valid = valid_wire_inputs();
@@ -307,7 +368,6 @@ fn wire_parsers_never_panic() {
         if let Ok(p) = RtcpPacket::parse(wire) {
             p.serialize();
         }
-        let _ = SessionDescription::parse(&String::from_utf8_lossy(data));
     });
 }
 
@@ -1002,81 +1062,6 @@ fn schedulers_assign_every_packet_to_a_known_path() {
                 assert!(a.path == PathId(0) || a.path == PathId(1));
             }
         }
-    });
-}
-
-// ---------- SRTP ----------
-
-#[test]
-fn srtp_roundtrips_any_payload() {
-    let draw = |r: &mut SmallRng| {
-        let (key, ssrc, seq) = (r.gen::<u64>(), r.gen::<u32>(), r.gen_range(0u64..1_000_000));
-        (key, ssrc, seq, r.gen::<u8>(), bytes(r, 0..1500))
-    };
-    check([], CASES, draw, |&(key, ssrc, seq, path, ref payload)| {
-        let tx = SrtpContext::new(key);
-        let mut rx = SrtpContext::new(key);
-        let wire = tx.protect(ssrc, seq, path, payload);
-        let plain = rx.unprotect(ssrc, seq, path, &wire).expect("roundtrip");
-        assert_eq!(&plain[..], &payload[..]);
-    });
-}
-
-/// `byte` picks the wire byte modulo the wire's length.
-#[test]
-fn srtp_rejects_any_single_bit_flip() {
-    let draw = |r: &mut SmallRng| {
-        let (key, seq, payload) = (r.gen::<u64>(), r.gen_range(0u64..10_000), bytes(r, 1..200));
-        (key, seq, payload, r.gen::<usize>(), r.gen_range(0u8..8))
-    };
-    check([], CASES, draw, |&(key, seq, ref payload, byte, bit)| {
-        let tx = SrtpContext::new(key);
-        let mut rx = SrtpContext::new(key);
-        let mut bad = tx.protect(1, seq, 0, payload).to_vec();
-        let at = byte % bad.len();
-        bad[at] ^= 1 << bit;
-        let result = rx.unprotect(1, seq, 0, &bad);
-        assert_eq!(result, Err(SrtpError::AuthenticationFailed));
-    });
-}
-
-#[test]
-fn srtp_replay_always_detected_in_window() {
-    let draw = |r: &mut SmallRng| (r.gen::<u64>(), vec_of(r, 2..40, |r| r.gen_range(0u64..60)));
-    check([], CASES, draw, |&(key, ref seqs)| {
-        let tx = SrtpContext::new(key);
-        let mut rx = SrtpContext::new(key);
-        let mut seen = BTreeSet::new();
-        for &seq in seqs {
-            let wire = tx.protect(1, seq, 0, b"payload");
-            let result = rx.unprotect(1, seq, 0, &wire);
-            // All sequences are within 60 of each other, inside the 64-wide
-            // window, so acceptance is exactly first-time-seen.
-            if seen.insert(seq) {
-                assert!(result.is_ok(), "fresh seq {seq} rejected");
-            } else {
-                assert_eq!(result, Err(SrtpError::Replayed));
-            }
-        }
-    });
-}
-
-#[test]
-fn srtp_keystreams_differ_across_nonce_fields() {
-    let draw = |r: &mut SmallRng| {
-        let (key, seq) = (r.gen::<u64>(), r.gen_range(0u64..1_000_000));
-        (key, seq, r.gen_range(0u8..254))
-    };
-    check([], CASES, draw, |&(key, seq, path)| {
-        let tx = SrtpContext::new(key);
-        let payload = [0u8; 64];
-        let a = tx.protect(1, seq, path, &payload);
-        let b = tx.protect(1, seq + 1, path, &payload);
-        let c = tx.protect(1, seq, path + 1, &payload);
-        let d = tx.protect(2, seq, path, &payload);
-        assert_ne!(&a, &b, "sequence must alter the keystream");
-        assert_ne!(&a, &c, "path must alter the keystream");
-        assert_ne!(&a, &d, "ssrc must alter the keystream");
     });
 }
 
