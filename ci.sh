@@ -183,21 +183,22 @@ properties() {
 }
 gate properties properties
 
-# The seven deterministic allocation budgets (two steady-state call counts,
+# The eight deterministic allocation budgets (two steady-state call counts,
 # one construction byte count, two peak live heaps of a call, the bytes a
 # finished call's report holds, the peak live heap of a fleet in
-# conferences of 8), then one short run of the peak-heap attribution,
+# conferences of 8, the peak live heap of the eight-path constant8 call), then one short run of the peak-heap attribution,
 # which must print a row ("  192.0  2  converge_sim::...").
 alloc_budget() {
     local out
-    tests_by_name 7 -p converge-sim --test alloc_budget -- --exact \
+    tests_by_name 8 -p converge-sim --test alloc_budget -- --exact \
         steady_state_allocation_count_stays_within_budget \
         lossy_steady_state_allocation_count_stays_within_budget \
         construction_bytes_stay_within_budget \
         clean_peak_heap_stays_within_budget \
         lossy_peak_heap_stays_within_budget \
         report_bytes_stay_within_budget \
-        fleet8_peak_heap_stays_within_budget
+        fleet8_peak_heap_stays_within_budget \
+        constant8_peak_heap_stays_within_budget
     out=$(cargo run --release -p converge-sim --example alloc_sites -- --peak --to 2 clean)
     echo "$out"
     grep -Eq '^ *[0-9.]+ +[0-9]+  converge_' <<<"$out"

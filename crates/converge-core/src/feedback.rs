@@ -21,53 +21,51 @@ use converge_trace::{TraceEvent, TraceHandle};
 /// congestion event does not spray feedback every frame.
 const FEEDBACK_COOLDOWN: SimDuration = SimDuration::from_millis(50);
 
-/// One packet's arrival in one word: `time_us << 8 | path`. Exact, since a
-/// `PathId` is a byte and simulated times stay below 2^56 µs.
+/// Frames a monitor gathers at once; a packet of another frame forgets the
+/// oldest.
+const MAX_GATHERING: usize = 64;
+
+/// A frame still being gathered.
 #[derive(Debug, Clone, Copy)]
-struct Arrival(u64);
-
-// One word, where the `(PathId, SimTime)` tuple took two.
-const _: () = assert!(std::mem::size_of::<Arrival>() == 8);
-
-impl Arrival {
-    fn new(path: PathId, at: SimTime) -> Self {
-        let at_us = at.as_micros();
-        assert!(at_us < 1 << 56, "arrival at {at_us} µs is past 2^56 µs");
-        Arrival(at_us << 8 | u64::from(path.0))
-    }
-
-    fn path(self) -> PathId {
-        PathId(self.0 as u8)
-    }
-
-    fn at_us(self) -> u64 {
-        self.0 >> 8
-    }
+struct Gathering {
+    frame_id: u64,
+    /// When the frame's latest fast-path packet arrived, if one has.
+    last_fast: Option<SimTime>,
 }
 
-/// One frame's arrivals: path and arrival time of every packet.
-type FrameArrivals = Vec<Arrival>;
+/// One non-fast path's packets of one gathering frame, split by the
+/// frame's latest fast-path arrival so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Packets that arrived at or before it: early, for good.
+    before: u32,
+    /// Packets that arrived after it: late, unless another fast-path
+    /// packet of the frame arrives.
+    after: u32,
+}
 
 /// Receiver-side QoE monitor for one stream.
+///
+/// A packet is late when it arrived strictly after its frame's last
+/// fast-path packet. The monitor keeps counts, not arrivals: `on_packet`
+/// sees `now` never decrease and the fast path never changes, so a
+/// fast-path arrival is at or after every packet of its frame seen before
+/// it, and turns each path's `after` count into `before`.
 #[derive(Debug)]
 pub struct QoeMonitor {
     ssrc: u32,
     /// Expected IFD = 1 / advertised frame rate.
     expected_ifd: SimDuration,
-    /// Arrival records for frames still being gathered, sorted by frame
-    /// id. A key-sorted deque beats an ordered map here: the hot path is
-    /// "append packet to the newest frame", which is a back() check, and
-    /// the set never exceeds 64 entries.
-    gathering: VecDeque<(u64, FrameArrivals)>,
-    /// Emptied records of frames that entered the buffer or aged out,
-    /// reused by the next frames: never more than were gathering at once.
-    spare: Vec<FrameArrivals>,
-    /// The longest record seen; a record made when `spare` is empty starts
-    /// at this capacity instead of doubling its way up.
-    frame_capacity: usize,
-    /// Late and early packets per non-fast path of the frame being judged,
-    /// indexed by path id.
-    tally: Vec<(i32, i32)>,
+    /// Frames still being gathered, sorted by frame id. A key-sorted deque
+    /// beats an ordered map here: the hot path is "count a packet of the
+    /// newest frame", which is a back() check, and the set never exceeds
+    /// [`MAX_GATHERING`] entries.
+    gathering: VecDeque<Gathering>,
+    /// `width` tallies per gathering frame, in `gathering`'s order, the
+    /// `i`-th of a frame's for path `i` (the fast path's stays zero).
+    tallies: Vec<Tally>,
+    /// One more than the highest non-fast path id seen.
+    width: usize,
     /// The path considered fast (reference for lateness).
     fast_path: PathId,
     /// Pending feedback to emit.
@@ -84,9 +82,8 @@ impl QoeMonitor {
             ssrc,
             expected_ifd: SimDuration::from_micros(1_000_000 / fps.max(1) as u64),
             gathering: VecDeque::new(),
-            spare: Vec::new(),
-            frame_capacity: 0,
-            tally: Vec::new(),
+            tallies: Vec::new(),
+            width: 0,
             fast_path,
             pending: Vec::new(),
             last_feedback_at: None,
@@ -110,50 +107,81 @@ impl QoeMonitor {
         self.expected_ifd
     }
 
-    /// An empty arrival record for a frame first seen now.
-    fn fresh_record(&mut self) -> FrameArrivals {
-        self.spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.frame_capacity))
+    /// Gives every gathering frame `width` tallies, keeping its counts.
+    fn widen(&mut self, width: usize) {
+        let old = std::mem::replace(
+            &mut self.tallies,
+            Vec::with_capacity(self.gathering.len() * width),
+        );
+        for i in 0..self.gathering.len() {
+            self.tallies
+                .extend_from_slice(&old[i * self.width..(i + 1) * self.width]);
+            let len = self.tallies.len();
+            self.tallies
+                .resize(len + width - self.width, Tally::default());
+        }
+        self.width = width;
     }
 
-    /// Takes back the record of a frame that is no longer gathering.
-    fn recycle(&mut self, mut arrivals: FrameArrivals) {
-        self.frame_capacity = self.frame_capacity.max(arrivals.len());
-        arrivals.clear();
-        self.spare.push(arrivals);
+    /// The tallies of the `idx`-th gathering frame.
+    fn tally_range(&self, idx: usize) -> std::ops::Range<usize> {
+        idx * self.width..(idx + 1) * self.width
     }
 
     /// Records a media/control packet arrival for `frame_id` via `path`.
+    /// `now` never decreases from one call to the next.
     pub fn on_packet(&mut self, now: SimTime, path: PathId, frame_id: u64) {
+        if path != self.fast_path && path.index() >= self.width {
+            self.widen(path.index() + 1);
+        }
         // Fast path: the packet belongs to the newest frame in flight.
-        let idx = match self.gathering.back() {
-            Some((id, _)) if *id == frame_id => self.gathering.len() - 1,
-            Some((id, _)) if *id > frame_id => {
+        let found = match self.gathering.back() {
+            Some(g) if g.frame_id == frame_id => Ok(self.gathering.len() - 1),
+            Some(g) if g.frame_id > frame_id => {
                 // Out-of-order arrival for an older frame: insert sorted.
-                match self
-                    .gathering
-                    .binary_search_by_key(&frame_id, |(id, _)| *id)
-                {
-                    Ok(idx) => idx,
-                    Err(idx) => {
-                        let record = self.fresh_record();
-                        self.gathering.insert(idx, (frame_id, record));
-                        idx
-                    }
-                }
+                self.gathering
+                    .binary_search_by_key(&frame_id, |g| g.frame_id)
             }
-            _ => {
-                let record = self.fresh_record();
-                self.gathering.push_back((frame_id, record));
-                self.gathering.len() - 1
+            _ => Err(self.gathering.len()),
+        };
+        let idx = match found {
+            Ok(idx) => idx,
+            Err(mut idx) => {
+                // Bound memory: a 65th frame forgets the oldest, which is
+                // the new one itself if it is older than every frame held.
+                if self.gathering.len() == MAX_GATHERING {
+                    if idx == 0 {
+                        return;
+                    }
+                    self.gathering.pop_front();
+                    self.tallies.drain(..self.width);
+                    idx -= 1;
+                }
+                let fresh = Gathering {
+                    frame_id,
+                    last_fast: None,
+                };
+                self.gathering.insert(idx, fresh);
+                let at = idx * self.width;
+                let fresh = std::iter::repeat_n(Tally::default(), self.width);
+                self.tallies.splice(at..at, fresh);
+                idx
             }
         };
-        self.gathering[idx].1.push(Arrival::new(path, now));
-        // Bound memory: forget very old frames.
-        while self.gathering.len() > 64 {
-            if let Some((_, arrivals)) = self.gathering.pop_front() {
-                self.recycle(arrivals);
+        let range = self.tally_range(idx);
+        let frame = &mut self.gathering[idx];
+        if path == self.fast_path {
+            debug_assert!(frame.last_fast.is_none_or(|fast| fast <= now));
+            frame.last_fast = Some(now);
+            for tally in &mut self.tallies[range] {
+                tally.before += std::mem::take(&mut tally.after);
+            }
+        } else {
+            let tally = &mut self.tallies[range.start + path.index()];
+            if frame.last_fast.is_some_and(|fast| now <= fast) {
+                tally.before += 1;
+            } else {
+                tally.after += 1;
             }
         }
     }
@@ -167,23 +195,22 @@ impl QoeMonitor {
         ifd: Option<SimDuration>,
         fcd: SimDuration,
     ) {
-        let Some((_, arrivals)) = self
+        let Ok(idx) = self
             .gathering
-            .binary_search_by_key(&frame_id, |(id, _)| *id)
-            .ok()
-            .and_then(|idx| self.gathering.remove(idx))
+            .binary_search_by_key(&frame_id, |g| g.frame_id)
         else {
             return;
         };
         if let Some(ifd) = ifd {
-            self.judge(now, &arrivals, ifd, fcd);
+            self.judge(now, idx, ifd, fcd);
         }
-        self.recycle(arrivals);
+        self.gathering.remove(idx);
+        self.tallies.drain(self.tally_range(idx));
     }
 
-    /// Emits feedback for a frame that entered with interframe delay `ifd`,
-    /// if that delay shows QoE deteriorating.
-    fn judge(&mut self, now: SimTime, arrivals: &[Arrival], ifd: SimDuration, fcd: SimDuration) {
+    /// Emits feedback for the `idx`-th gathering frame, which entered with
+    /// interframe delay `ifd`, if that delay shows QoE deteriorating.
+    fn judge(&mut self, now: SimTime, idx: usize, ifd: SimDuration, fcd: SimDuration) {
         // Fire only on a clear violation: scheduling jitter makes IFD
         // fluctuate a few percent around the expectation every frame, and
         // reacting to that noise oscillates the sender's shares.
@@ -196,53 +223,31 @@ impl QoeMonitor {
                 return;
             }
         }
-
-        // Reference: last arrival on the fast path for this frame.
-        let reference = arrivals
-            .iter()
-            .filter(|a| a.path() == self.fast_path)
-            .map(|a| a.at_us())
-            .max();
-        let Some(reference) = reference else {
+        // Lateness is measured against the frame's last fast-path packet.
+        if self.gathering[idx].last_fast.is_none() {
             return; // no fast-path packets in this frame: no baseline
-        };
-
-        // Count late/early packets per non-fast path; a path with no
-        // packets in the frame keeps (0, 0) and is never picked below.
-        let len = arrivals.iter().map(|a| a.path().index() + 1).max();
-        self.tally.clear();
-        self.tally.resize(len.unwrap_or(0), (0, 0));
-        for &arrival in arrivals {
-            let (path, at) = (arrival.path(), arrival.at_us());
-            if path == self.fast_path {
-                continue;
-            }
-            let (late, early) = &mut self.tally[path.index()];
-            if at > reference {
-                *late += 1;
-            } else {
-                *early += 1;
-            }
         }
 
         // Worst offender: the path with the most late packets → negative α.
         // No late packets anywhere, yet IFD is high: some slow path
         // finished entirely before the fast path, so it has headroom —
-        // positive α for the earliest-finishing one. (Ties go to the
-        // highest path id, as `max_by_key` over the tally in id order does.)
-        let tally = || {
-            let ids = self.tally.iter().enumerate();
-            ids.map(|(i, &counts)| (PathId(i as u8), counts))
+        // positive α for the earliest-finishing one. A path with no
+        // packets in the frame (the fast path among them) counts (0, 0)
+        // and is never picked. (Ties go to the highest path id, as
+        // `max_by_key` over the tallies in id order does.)
+        let tallies = || {
+            let ids = self.tallies[self.tally_range(idx)].iter().enumerate();
+            ids.map(|(i, t)| (PathId(i as u8), t.after as i32, t.before as i32))
         };
-        let worst_late = tally()
-            .filter(|&(_, (late, _))| late > 0)
-            .max_by_key(|&(_, (late, _))| late)
-            .map(|(path, (late, _))| (path, -late));
+        let worst_late = tallies()
+            .filter(|&(_, late, _)| late > 0)
+            .max_by_key(|&(_, late, _)| late)
+            .map(|(path, late, _)| (path, -late));
         let most_early = || {
-            tally()
-                .filter(|&(_, (_, early))| early > 0)
-                .max_by_key(|&(_, (_, early))| early)
-                .map(|(path, (_, early))| (path, early))
+            tallies()
+                .filter(|&(_, _, early)| early > 0)
+                .max_by_key(|&(_, _, early)| early)
+                .map(|(path, _, early)| (path, early))
         };
         if let Some((path, alpha)) = worst_late.or_else(most_early) {
             self.pending.push(QoeFeedback {
@@ -484,23 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn arrival_word_round_trips_every_path_and_its_time_range() {
-        let last_us = (1u64 << 56) - 1;
-        for (path, at_us) in [
-            (0u8, 0u64),
-            (255, 0),
-            (0, last_us),
-            (255, last_us),
-            (7, 33_333),
-        ] {
-            let a = Arrival::new(PathId(path), SimTime::from_micros(at_us));
-            assert_eq!((a.path(), a.at_us()), (PathId(path), at_us));
-        }
-        let past = std::panic::catch_unwind(|| Arrival::new(P1, SimTime::from_micros(1 << 56)));
-        assert!(past.is_err(), "a time past 2^56 µs must not be truncated");
-    }
-
-    #[test]
     fn no_feedback_when_ifd_ok() {
         let mut m = monitor();
         m.on_packet(t(0), P1, 0);
@@ -571,8 +559,9 @@ mod tests {
         assert_eq!(m.expected_ifd().as_micros(), 41_666);
     }
 
-    /// The monitor as it stood before records were recycled: a fresh
-    /// vector per frame, tree maps for the late/early tally.
+    /// The monitor as it stood before it kept tallies: every arrival of a
+    /// frame in a fresh vector, judged against the frame's last fast-path
+    /// arrival in tree maps.
     #[derive(Default)]
     struct RefMonitor {
         gathering: BTreeMap<u64, Vec<(PathId, SimTime)>>,
@@ -652,66 +641,113 @@ mod tests {
         }
     }
 
+    /// One drawn script of 4 000 packets of seed `seed`, fed to the
+    /// monitor and to the reference: mostly the newest frames, sometimes
+    /// one far behind (out of order, or never completing so the 64-frame
+    /// bound evicts it), on paths `paths`, at instants `instant(step,
+    /// draw)` that never decrease. Three frames in four enter the buffer
+    /// at a drawn IFD. The feedback must be the reference's after every
+    /// packet, and the monitor must hold `width` tallies for exactly the
+    /// frames the reference is gathering. Returns the feedback messages
+    /// emitted, the most frames gathered at once, and the non-fast packets
+    /// that arrived at the same instant as their frame's last fast-path
+    /// packet so far.
+    fn matches_reference(
+        seed: u64,
+        paths: std::ops::Range<u8>,
+        mut instant: impl FnMut(u64, &mut dyn FnMut(u64) -> u64) -> SimTime,
+    ) -> (usize, usize, usize) {
+        let mut rng = crate::test_rng::Rng(seed);
+        let mut below = move |n: u64| rng.below(n);
+        let mut new = monitor();
+        let mut old = RefMonitor::default();
+        let mut last_fast: BTreeMap<u64, SimTime> = BTreeMap::new();
+        let (mut emitted, mut most_held, mut ties) = (0, 0, 0);
+        let mut previous = SimTime::ZERO;
+        for step in 0..4_000u64 {
+            let now = instant(step, &mut below);
+            assert!(now >= previous, "instants never decrease");
+            previous = now;
+            let newest = step / 6;
+            let frame = match below(10) {
+                0 => newest.saturating_sub(below(80)),
+                _ => newest.saturating_sub(below(3)),
+            };
+            let path = PathId(paths.start + below(u64::from(paths.end - paths.start)) as u8);
+            if path == P1 {
+                last_fast.insert(frame, now);
+            } else {
+                ties += usize::from(last_fast.get(&frame) == Some(&now));
+            }
+            new.on_packet(now, path, frame);
+            old.on_packet(now, path, frame);
+            if below(3) == 0 && frame % 4 != 3 {
+                let ifd = [None, Some(d(30)), Some(d(60)), Some(d(90))][below(4) as usize];
+                let fcd = SimDuration::from_micros(below(40_000));
+                new.on_frame_entered(now, frame, ifd, fcd);
+                old.on_frame_entered(now, frame, ifd, fcd);
+            }
+            let feedback = new.take_feedback();
+            emitted += feedback.len();
+            assert_eq!(
+                feedback,
+                std::mem::take(&mut old.pending),
+                "seed {seed} step {step}"
+            );
+            let held: Vec<u64> = new.gathering.iter().map(|g| g.frame_id).collect();
+            assert!(
+                held.iter().eq(old.gathering.keys()),
+                "seed {seed} step {step}"
+            );
+            assert_eq!(new.tallies.len(), held.len() * new.width);
+            most_held = most_held.max(held.len());
+        }
+        (emitted, most_held, ties)
+    }
+
     /// Frames that arrive out of order, frames that never complete (so the
-    /// 64-frame bound evicts them) and ties between paths: the recycled
-    /// records must emit exactly the feedback fresh ones did, and must
-    /// actually be recycled.
+    /// 64-frame bound evicts them) and ties between paths, at distinct
+    /// instants: the tallies must emit exactly the feedback the arrival
+    /// lists did.
     #[test]
     fn recycled_records_emit_the_same_feedback() {
         for seed in 0..8u64 {
-            let mut rng = crate::test_rng::Rng(seed);
-            let mut below = move |n: u64| rng.below(n);
-            let mut new = monitor();
-            let mut old = RefMonitor::default();
-            let (mut emitted, mut most_held) = (0, 0);
-            for step in 0..4_000u64 {
-                let now = SimTime::from_micros(step * 7_000 + below(5_000));
-                // Mostly the newest frames, sometimes one far behind.
-                let newest = step / 6;
-                let frame = match below(10) {
-                    0 => newest.saturating_sub(below(80)),
-                    _ => newest.saturating_sub(below(3)),
-                };
-                let path = PathId(1 + below(4) as u8);
-                new.on_packet(now, path, frame);
-                old.on_packet(now, path, frame);
-                // Three frames in four enter the buffer; the rest linger
-                // until the bound forgets them.
-                if below(3) == 0 && frame % 4 != 3 {
-                    let ifd = [None, Some(d(30)), Some(d(60)), Some(d(90))][below(4) as usize];
-                    let fcd = SimDuration::from_micros(below(40_000));
-                    new.on_frame_entered(now, frame, ifd, fcd);
-                    old.on_frame_entered(now, frame, ifd, fcd);
-                }
-                let feedback = new.take_feedback();
-                emitted += feedback.len();
-                assert_eq!(
-                    feedback,
-                    std::mem::take(&mut old.pending),
-                    "seed {seed} step {step}"
-                );
-                let held: Vec<u64> = new.gathering.iter().map(|(id, _)| *id).collect();
-                assert!(
-                    held.iter().eq(old.gathering.keys()),
-                    "seed {seed} step {step}"
-                );
-                most_held = most_held.max(held.len());
-                assert!(new.spare.iter().all(Vec::is_empty));
-                assert!(
-                    new.spare.len() + held.len() <= 65,
-                    "the pool is bounded by what gathered"
-                );
-            }
+            let (emitted, most_held, _) = matches_reference(seed, 1..5, |step, below| {
+                SimTime::from_micros(step * 7_000 + below(5_000))
+            });
             assert!(
                 emitted > 20,
                 "seed {seed}: only {emitted} feedback messages"
             );
             assert_eq!(most_held, 64, "the bound must have been reached");
-            assert!(
-                !new.spare.is_empty(),
-                "entered frames must have been recycled"
-            );
         }
+    }
+
+    /// Two packets in three arrive at the same instant as the one before,
+    /// on the fast path and on four others (path 0 among them, below the
+    /// fast path's id): a packet at the same instant as its frame's last
+    /// fast-path packet is early, one strictly after it late.
+    #[test]
+    fn equal_instants_are_judged_by_the_last_fast_arrival() {
+        let mut ties = 0;
+        for seed in 100..108u64 {
+            let mut now = 0;
+            let (emitted, _, seed_ties) = matches_reference(seed, 0..5, |_, below| {
+                if below(3) == 0 {
+                    now += 1 + below(20_000);
+                }
+                SimTime::from_micros(now)
+            });
+            assert!(
+                emitted > 20,
+                "seed {seed}: only {emitted} feedback messages"
+            );
+            ties += seed_ties;
+        }
+        assert!(
+            ties > 1_000,
+            "only {ties} packets tied with a fast-path arrival"
+        );
     }
 
     // ---- PathShare ----

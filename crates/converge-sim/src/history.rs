@@ -1,18 +1,21 @@
 //! What the sender remembers about the packets it sent.
 //!
-//! Two histories, both rings indexed by the low bits of a sequence number
-//! so that remembering a packet is one indexed store:
+//! Two histories, both indexed by the low bits of a sequence number so
+//! that remembering a packet is one indexed store:
 //!
 //! - [`MediaHistory`], per stream: what a NACK needs to retransmit a media
 //!   packet and to attribute its loss to a path. A sent packet is a pure
 //!   function of its frame ([`Packetizer::packet_at`]), so the ring keeps
-//!   one byte per sequence — the path it took — and the packet itself is
+//!   only the path each sequence took, packed into the fewest bits the
+//!   sender's path count needs (1, 2, 4 or 8), and the packet itself is
 //!   rebuilt from a 24-byte per-frame record when a NACK asks for it.
 //! - [`FeedbackRing`], per path: send time and size of each transport
 //!   sequence, for matching transport feedback into packet timings, in six
-//!   bytes a sequence.
+//!   bytes a sequence. A dense ring holds the newest [`DENSE_SLOTS`]; an
+//!   older sequence stays, in a sorted spill, only while it is untaken and
+//!   inside the horizon.
 //!
-//! Both rings are written in strictly increasing sequence order, so which
+//! Both are written in strictly increasing sequence order, so which
 //! sequence a slot holds follows from the newest one written: a slot
 //! stores no sequence bits, and a hit is a range check against the newest,
 //! never assumed from the index alone.
@@ -37,34 +40,66 @@ use converge_video::{EncodedFrame, FrameType, PacketizedFrame, Packetizer, Strea
 /// (it drops whole batches during a blackout, and a dropped batch begins
 /// no frame) answers `None` instead of a packet `slots` or more sequences
 /// older than the one asked for.
+///
+/// A slot is `1 << width_log2` bits, the fewest of 1, 2, 4 or 8 that hold
+/// every path id of the sender: 8 KiB for 65 536 sequences on two paths,
+/// 32 KiB on eight.
 #[derive(Debug)]
 pub(crate) struct MediaHistory {
-    paths: Box<[PathId]>,
+    /// The slots, packed low bits first.
+    paths: Box<[u8]>,
+    /// `slots − 1`: a sequence's slot is its low bits.
+    mask: u64,
+    /// log2 of a slot's width in bits, 0 to 3.
+    width_log2: u32,
     frames: VecDeque<FrameRecord>,
     /// One past the newest remembered sequence (0 before the first).
     next: u64,
 }
 
-// The point of the slot is its size: the path id alone.
+// A path id is a byte, the widest slot.
 const _: () = assert!(std::mem::size_of::<PathId>() == 1);
 
 impl MediaHistory {
-    /// A history of the newest `slots` sequences.
+    /// A history of the newest `slots` sequences sent over `paths` paths.
     ///
     /// # Panics
     /// Panics unless `slots` is a power of two no larger than 65 536 (a
     /// NACK names a sequence by its low 16 bits, so a larger ring could
-    /// not be addressed).
-    pub(crate) fn new(slots: usize) -> Self {
+    /// not be addressed), or unless `paths` is 1 to 256.
+    pub(crate) fn new(slots: usize, paths: usize) -> Self {
         assert!(
             slots.is_power_of_two() && slots <= 1 << 16,
             "media history of {slots} slots"
         );
+        assert!(
+            (1..=256).contains(&paths),
+            "media history over {paths} paths"
+        );
+        // Bits in the largest path id, at least one, rounded up to 1, 2, 4
+        // or 8 so a slot never straddles a byte.
+        let bits = (usize::BITS - (paths - 1).leading_zeros()).max(1);
+        let width_log2 = bits.next_power_of_two().trailing_zeros();
         MediaHistory {
-            paths: vec![PathId(0); slots].into_boxed_slice(),
+            paths: vec![0; (slots << width_log2).div_ceil(8)].into_boxed_slice(),
+            mask: slots as u64 - 1,
+            width_log2,
             frames: VecDeque::new(),
             next: 0,
         }
+    }
+
+    /// Sequences the history holds.
+    fn slots(&self) -> u64 {
+        self.mask + 1
+    }
+
+    /// The byte holding `sequence`'s slot, the slot's shift within it, and
+    /// the mask of a slot's bits.
+    fn slot_of(&self, sequence: u64) -> (usize, u32, u8) {
+        let bit = ((sequence & self.mask) as usize) << self.width_log2;
+        let field = (1u16 << (1 << self.width_log2)) - 1;
+        (bit / 8, (bit % 8) as u32, field as u8)
     }
 
     /// Starts remembering the packets of `frame`; the caller follows with
@@ -82,7 +117,7 @@ impl MediaHistory {
         let record = FrameRecord::new(&frame);
         // A frame whose last sequence is a full ring behind the newest one
         // can never be looked up again.
-        let window = self.paths.len() as u64;
+        let window = self.slots();
         while self
             .frames
             .front()
@@ -95,6 +130,10 @@ impl MediaHistory {
 
     /// Remembers that `sequence`, the next packet of the frame last begun,
     /// went out on `path`.
+    ///
+    /// # Panics
+    /// Panics if `path`'s id does not fit a slot: a path the history was
+    /// not built for.
     pub(crate) fn remember(&mut self, sequence: u64, path: PathId) {
         debug_assert!(
             self.frames
@@ -102,8 +141,14 @@ impl MediaHistory {
                 .is_some_and(|f| sequence == f.first().max(self.next) && sequence < f.end()),
             "sequence {sequence} is not the next packet of the frame last begun"
         );
-        let mask = self.paths.len() - 1;
-        self.paths[sequence as usize & mask] = path;
+        let (byte, shift, field) = self.slot_of(sequence);
+        assert!(
+            path.0 <= field,
+            "path {} is past the history's slot",
+            path.0
+        );
+        let slot = &mut self.paths[byte];
+        *slot = *slot & !(field << shift) | path.0 << shift;
         self.next = sequence + 1;
     }
 
@@ -118,7 +163,7 @@ impl MediaHistory {
         // The newest sequence up to `newest` that ends in `seq16`; any
         // older one is 65 536 or more behind, outside every ring.
         let behind = u64::from((newest as u16).wrapping_sub(seq16));
-        if behind >= self.paths.len() as u64 {
+        if behind >= self.slots() {
             return None;
         }
         let sequence = newest.checked_sub(behind)?;
@@ -131,10 +176,10 @@ impl MediaHistory {
         #[cfg(test)]
         lookback::note_media(behind);
         let n = (sequence - frame.first()) as u32;
-        let mask = self.paths.len() - 1;
+        let (byte, shift, field) = self.slot_of(sequence);
         Some((
             packetizer.packet_at(&frame.packetized(), n),
-            self.paths[sequence as usize & mask],
+            PathId(self.paths[byte] >> shift & field),
         ))
     }
 }
@@ -234,33 +279,72 @@ impl FrameRecord {
     }
 }
 
-/// How far behind the newest sequence look-ups reach: a test-only tally,
-/// so the horizon the rings must cover is measured, not guessed.
+/// How far behind the newest sequence look-ups reach, and how much of the
+/// feedback rings' spill they use: a test-only tally, so the horizon the
+/// rings must cover and the dense window's size are measured, not guessed.
 #[cfg(test)]
 pub(crate) mod lookback {
     use std::cell::Cell;
 
+    /// What the look-ups on one thread reached since the last
+    /// [`take`].
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Reach {
+        /// The farthest NACK hit, in sequences behind the stream's newest.
+        pub(crate) media: u64,
+        /// The farthest transport-feedback hit, in sequences behind the
+        /// path's newest.
+        pub(crate) feedback: u64,
+        /// Untaken sequences the feedback rings moved from the dense
+        /// window to the spill.
+        pub(crate) spill_pushes: u64,
+        /// Transport-feedback hits answered from the spill.
+        pub(crate) spill_hits: u64,
+        /// The most entries one ring's spill held at once.
+        pub(crate) longest_spill: u64,
+    }
+
     thread_local! {
-        static MEDIA: Cell<u64> = const { Cell::new(0) };
-        static FEEDBACK: Cell<u64> = const { Cell::new(0) };
+        static REACH: Cell<Reach> = const {
+            Cell::new(Reach {
+                media: 0,
+                feedback: 0,
+                spill_pushes: 0,
+                spill_hits: 0,
+                longest_spill: 0,
+            })
+        };
+    }
+
+    fn note(f: impl FnOnce(&mut Reach)) {
+        REACH.with(|r| {
+            let mut reach = r.get();
+            f(&mut reach);
+            r.set(reach);
+        });
     }
 
     pub(super) fn note_media(behind: u64) {
-        MEDIA.with(|f| f.set(f.get().max(behind)));
+        note(|r| r.media = r.media.max(behind));
     }
 
-    pub(super) fn note_feedback(behind: u64) {
-        FEEDBACK.with(|f| f.set(f.get().max(behind)));
+    pub(super) fn note_feedback(behind: u64, from_spill: bool) {
+        note(|r| {
+            r.feedback = r.feedback.max(behind);
+            r.spill_hits += u64::from(from_spill);
+        });
     }
 
-    /// The farthest NACK hit and the farthest transport-feedback hit on
-    /// this thread since the last call, in sequences behind the newest of
-    /// the stream and of the path.
-    pub(crate) fn take() -> (u64, u64) {
-        (
-            MEDIA.with(|f| f.replace(0)),
-            FEEDBACK.with(|f| f.replace(0)),
-        )
+    pub(super) fn note_spill_push(len: usize) {
+        note(|r| {
+            r.spill_pushes += 1;
+            r.longest_spill = r.longest_spill.max(len as u64);
+        });
+    }
+
+    /// What this thread's look-ups reached since the last call.
+    pub(crate) fn take() -> Reach {
+        REACH.with(|r| r.replace(Reach::default()))
     }
 }
 
@@ -285,12 +369,45 @@ impl SentSlot {
     };
 }
 
+/// A sequence that left the dense window untaken: its low 32 bits, which
+/// name it exactly since the spill spans less than the horizon, and its
+/// slot.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct Spilled {
+    seq: u32,
+    slot: SentSlot,
+}
+
+const _: () = assert!(std::mem::size_of::<Spilled>() == 10);
+
+/// Slots in a feedback ring's dense window (a power of two so the index is
+/// a mask), or the whole horizon if that is shorter. DESIGN §6c's reach
+/// table has the spill columns: on `symmetric3`, `constant8`, the
+/// `drive-handover` and `drive-blackout-flap` replays and every lossy,
+/// blackout and feedback-loss cell of `call-impaired`, the farthest
+/// feedback hit is at most 922 sequences back, so every hit is dense and
+/// what spills is only sequences no report will ever name (the packet or
+/// its report was lost). Only `drive-coverage-gaps` and the
+/// `multi-carrier` cells reach further (up to 3 709 back): 28 to 1 091 of
+/// a call's hits come from the spill. The window costs 6 KiB a path,
+/// where the 16 384-slot horizon took 96 KiB.
+const DENSE_SLOTS: usize = 1 << 10;
+
 /// One path's sent transport sequences, for matching transport feedback:
-/// slot `transport_seq % slots` holds the send time and wire size of the
-/// newest sequence with that residue. Sequences are handed out
-/// consecutively, so that slot holds `transport_seq` iff it is one of the
-/// newest `slots` sent; a match is taken out of the slot (its size set to
-/// 0) so duplicated feedback cannot yield a timing twice.
+/// the send time and wire size of each of the newest `horizon` sequences
+/// that no feedback has matched yet. A match is taken out, so duplicated
+/// feedback cannot yield a timing twice.
+///
+/// Two tiers, answering exactly as one `horizon`-slot ring would. Slot
+/// `transport_seq % dense` of the dense ring holds the newest sequence
+/// with that residue: sequences are handed out consecutively, so the slot
+/// holds `transport_seq` iff it is one of the newest `dense` sent. When a
+/// send overwrites a slot still untaken and still inside the horizon, the
+/// old entry moves to the back of `spill`, which therefore stays in
+/// ascending sequence order; an entry leaves the spill when it is taken or
+/// falls `horizon` behind. Nothing acknowledged, the spill holds
+/// `horizon − dense` entries.
 ///
 /// A slot is six bytes, which bounds what a ring can record: send times
 /// below 2^32 µs (71.6 minutes of simulated time) and packets of 1 to
@@ -299,7 +416,12 @@ impl SentSlot {
 /// record a truncated value.
 #[derive(Debug)]
 pub(crate) struct FeedbackRing {
-    slots: Box<[SentSlot]>,
+    dense: Box<[SentSlot]>,
+    /// Untaken sequences older than the dense window but inside the
+    /// horizon, ascending.
+    spill: VecDeque<Spilled>,
+    /// How many of the newest sequences a match may reach back.
+    horizon: u64,
     next_transport_seq: u64,
     /// Highest transport sequence acknowledged so far, for unwrapping the
     /// 16-bit sequence numbers feedback carries on the wire.
@@ -307,14 +429,20 @@ pub(crate) struct FeedbackRing {
 }
 
 impl FeedbackRing {
-    /// A ring of `slots` sequences.
+    /// A ring matching the newest `horizon` sequences.
     ///
     /// # Panics
-    /// Panics unless `slots` is a power of two.
-    pub(crate) fn new(slots: usize) -> Self {
-        assert!(slots.is_power_of_two(), "feedback ring of {slots} slots");
+    /// Panics unless `horizon` is a power of two no larger than 65 536 (a
+    /// report names a sequence by its low 16 bits).
+    pub(crate) fn new(horizon: usize) -> Self {
+        assert!(
+            horizon.is_power_of_two() && horizon <= 1 << 16,
+            "feedback ring of {horizon} slots"
+        );
         FeedbackRing {
-            slots: vec![SentSlot::EMPTY; slots].into_boxed_slice(),
+            dense: vec![SentSlot::EMPTY; horizon.min(DENSE_SLOTS)].into_boxed_slice(),
+            spill: VecDeque::new(),
+            horizon: horizon as u64,
             next_transport_seq: 0,
             highest_acked: 0,
         }
@@ -337,34 +465,67 @@ impl FeedbackRing {
         assert!(size > 0, "a packet of 0 bytes: size 0 marks an empty slot");
         let transport_seq = self.next_transport_seq;
         self.next_transport_seq += 1;
-        let mask = self.slots.len() - 1;
-        self.slots[transport_seq as usize & mask] = SentSlot { send_us, size };
+        let dense = self.dense.len() as u64;
+        let slot = &mut self.dense[(transport_seq & (dense - 1)) as usize];
+        // The slot's sequence leaves the dense window; until it is
+        // `horizon` behind, feedback may still name it.
+        if slot.size != 0 && dense < self.horizon {
+            self.spill.push_back(Spilled {
+                seq: (transport_seq - dense) as u32,
+                slot: *slot,
+            });
+            #[cfg(test)]
+            lookback::note_spill_push(self.spill.len());
+        }
+        *slot = SentSlot { send_us, size };
+        while self
+            .spill
+            .front()
+            .is_some_and(|oldest| self.widen(oldest.seq) + self.horizon < self.next_transport_seq)
+        {
+            self.spill.pop_front();
+        }
         transport_seq
+    }
+
+    /// The sequence below the next one to send whose low 32 bits are `low`.
+    fn widen(&self, low: u32) -> u64 {
+        let next = self.next_transport_seq;
+        next - u64::from((next as u32).wrapping_sub(low))
     }
 
     /// Feedback arrived for the packet whose transport sequence ends in
     /// `seq16`: takes out its send time and size, if it is still one of
-    /// the newest `slots` sent and no earlier feedback matched it.
+    /// the newest `horizon` sent and no earlier feedback matched it.
     pub(crate) fn take(&mut self, seq16: u16) -> Option<(SimTime, usize)> {
         let transport_seq = unwrap_seq16(seq16, self.highest_acked);
         self.highest_acked = self.highest_acked.max(transport_seq);
         let sent = self.next_transport_seq;
-        if transport_seq >= sent || sent - transport_seq > self.slots.len() as u64 {
+        if transport_seq >= sent {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let slot = &mut self.slots[transport_seq as usize & mask];
-        if slot.size == 0 {
-            return None;
-        }
+        let dense = self.dense.len() as u64;
+        let from_spill = sent - transport_seq > dense;
+        let slot = if from_spill {
+            // Everything in the spill is inside the horizon.
+            let at = self
+                .spill
+                .binary_search_by_key(&transport_seq, |e| self.widen(e.seq))
+                .ok()?;
+            self.spill.remove(at)?.slot
+        } else {
+            let slot = &mut self.dense[(transport_seq & (dense - 1)) as usize];
+            if slot.size == 0 {
+                return None;
+            }
+            std::mem::replace(slot, SentSlot::EMPTY)
+        };
         #[cfg(test)]
-        lookback::note_feedback(sent - 1 - transport_seq);
-        let hit = (
+        lookback::note_feedback(sent - 1 - transport_seq, from_spill);
+        Some((
             SimTime::from_micros(u64::from(slot.send_us)),
             usize::from(slot.size),
-        );
-        *slot = SentSlot::EMPTY;
-        Some(hit)
+        ))
     }
 }
 
@@ -407,9 +568,9 @@ mod tests {
         }
     }
 
-    /// 4 000 frames per seed — keyframes with SPS, one-packet and zero-byte
-    /// frames, one frame in ten dropped whole after it took its sequences —
-    /// each followed by NACKs for recent, just-pruned, dropped, aliased and
+    /// 4 000 frames per seed over 1 to 256 paths — keyframes with SPS,
+    /// one-packet and zero-byte frames, one frame in ten dropped whole
+    /// after it took its sequences — each followed by NACKs for recent, just-pruned, dropped, aliased and
     /// arbitrary suffixes. Every answer equals the packet ring's, except
     /// where that ring answers with a packet a full ring or more behind
     /// the newest: there the history must answer `None`.
@@ -419,9 +580,11 @@ mod tests {
         for seed in 0..8u64 {
             let which = (seed % 2) as usize;
             let slots = [1usize << 16, 1 << 11][which];
+            // Every slot width: 1, 2, 4 and 8 bits, each at both sizes.
+            let paths = [2usize, 1, 3, 4, 8, 5, 256, 17][seed as usize];
             let mut rng = SmallRng::seed_from_u64(0x415_7047 + seed);
             let mut packetizer = Packetizer::new(PacketizerConfig);
-            let mut history = MediaHistory::new(slots);
+            let mut history = MediaHistory::new(slots, paths);
             let mut reference = RefMediaRing(vec![None; slots].into_boxed_slice());
             let mut packets = Vec::new();
             let mut dropped: Vec<u64> = Vec::new();
@@ -456,7 +619,7 @@ mod tests {
                 } else {
                     history.begin_frame(packetized);
                     for p in &packets {
-                        let path = PathId(rng.gen_range(0..8));
+                        let path = PathId(rng.gen_range(0..paths) as u8);
                         history.remember(p.sequence, path);
                         reference.remember(p, path);
                     }
@@ -499,7 +662,7 @@ mod tests {
     #[test]
     fn frame_records_are_pruned_a_full_ring_behind() {
         let mut packetizer = Packetizer::new(PacketizerConfig);
-        let mut history = MediaHistory::new(1 << 11);
+        let mut history = MediaHistory::new(1 << 11, 1);
         let mut packets = Vec::new();
         for frame_id in 0..5_000u64 {
             let frame = EncodedFrame {
@@ -560,10 +723,16 @@ mod tests {
     }
 
     /// Bursts of sends, then feedback for most of them in order, some of
-    /// it duplicated, some for sequences overwritten since or never sent.
+    /// it duplicated, some for sequences overwritten since or never sent,
+    /// and now and then none for a while, so the reports that follow lag
+    /// past the dense window (and, on the 512-slot horizon, past the
+    /// horizon), over more than one 16-bit wrap. At the 16 384-slot
+    /// horizon, lost and lagged feedback must reach the spill, across a
+    /// wrap too, and the spill must never outgrow `horizon − dense`.
     #[test]
     fn feedback_ring_matches_the_tuple_ring() {
         let mut hits = 0u64;
+        let (mut spill_hits, mut wrapped_lag_hits) = (0u64, 0u64);
         for seed in 0..8u64 {
             let slots = if seed % 2 == 0 { 1usize << 14 } else { 1 << 9 };
             let mut rng = SmallRng::seed_from_u64(0xfeed_bac4 + seed);
@@ -573,21 +742,40 @@ mod tests {
                 sent: vec![None; slots].into_boxed_slice(),
                 highest_acked: 0,
             };
+            let dense = ring.dense.len();
+            assert_eq!(dense, slots.min(DENSE_SLOTS));
+            lookback::take();
             // Next sequence feedback has not reported yet.
             let mut reported = 0u64;
+            // Steps left before feedback resumes.
+            let mut stalled = 0;
             for step in 0..4_000u64 {
                 let now = SimTime::from_micros(step * 5_000);
                 for _ in 0..rng.gen_range(0..48) {
                     let size = rng.gen_range(40..1_500);
                     assert_eq!(ring.send(now, size), reference.send(now, size));
                 }
+                assert!(ring.spill.len() <= slots - dense, "seed {seed} step {step}");
                 let sent = reference.next_transport_seq;
-                // Sometimes feedback lags until the ring has lapped it.
+                // Sometimes feedback lags until the ring has lapped it;
+                // now and then for 40 to 400 steps, ~1 000 to ~10 000
+                // sequences.
+                if stalled > 0 {
+                    stalled -= 1;
+                    continue;
+                }
                 if rng.gen_bool(0.02) {
+                    stalled = if rng.gen_bool(0.25) {
+                        rng.gen_range(40..400)
+                    } else {
+                        1
+                    };
                     continue;
                 }
                 while reported < sent {
                     let seq16 = (reported & 0xFFFF) as u16;
+                    let behind = sent - reported;
+                    let wrapped = reported >> 16 != (sent - 1) >> 16;
                     reported += 1;
                     if rng.gen_bool(0.05) {
                         continue; // lost on the way to the receiver
@@ -595,6 +783,9 @@ mod tests {
                     let want = reference.take(seq16);
                     assert_eq!(ring.take(seq16), want, "seed {seed} step {step}");
                     hits += u64::from(want.is_some());
+                    if want.is_some() && behind > dense as u64 && wrapped {
+                        wrapped_lag_hits += 1;
+                    }
                     if rng.gen_bool(0.1) {
                         assert_eq!(ring.take(seq16), None, "a hit is taken out");
                         assert_eq!(reference.take(seq16), None);
@@ -615,8 +806,21 @@ mod tests {
                 );
             }
             assert!(reference.next_transport_seq > 65_535 + slots as u64);
+            let reach = lookback::take();
+            if slots > DENSE_SLOTS {
+                assert!(reach.spill_pushes > 1_000, "seed {seed}: {reach:?}");
+                spill_hits += reach.spill_hits;
+            } else {
+                assert_eq!(
+                    (reach.spill_pushes, reach.spill_hits),
+                    (0, 0),
+                    "a ring no longer than the dense window never spills"
+                );
+            }
         }
         assert!(hits > 100_000, "{hits}");
+        assert!(spill_hits > 1_000, "{spill_hits}");
+        assert!(wrapped_lag_hits > 0, "no lagged hit crossed a wrap");
     }
 
     /// The message `f` panics with.
@@ -705,17 +909,20 @@ mod tests {
     }
 
     /// Not a check but a measurement: the farthest NACK hit, in sequences
-    /// behind the stream's newest, and the farthest transport-feedback
-    /// hit, in sequences behind the path's newest, on each cell of the
-    /// benchmark's `call-npath` workload at its default seed (DESIGN §6c's
-    /// look-back table). Minutes in a debug build:
+    /// behind the stream's newest, the farthest transport-feedback hit, in
+    /// sequences behind the path's newest, and the feedback rings' spill
+    /// pushes, spill hits and longest spill, on each cell of the
+    /// benchmark's `call-npath` workload and on the `call-impaired` cells
+    /// where feedback goes missing (5 % and 10 % loss, blackout, feedback
+    /// loss), at seeds 11 and 12 (DESIGN §6c's look-back table). Minutes
+    /// in a debug build:
     /// `cargo test --release -p converge-sim --lib nack_lookback -- --ignored --nocapture`
     #[test]
     #[ignore = "prints a table; run it in a release build when the table is wanted"]
     fn nack_lookback_per_npath_cell() {
         use crate::{
-            ControllerKind, DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session,
-            SessionConfig,
+            ControllerKind, DriveFixture, FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind,
+            Session, SessionConfig,
         };
         use converge_net::SimDuration;
 
@@ -745,6 +952,39 @@ mod tests {
                 call(label, fixture.scenario(), 1, 60, seed);
             }
         }
+        // `call-impaired`'s cells where feedback goes missing: a blackout,
+        // lost feedback packets, random loss.
+        let mut chaos = |kind: ImpairmentKind, streams, seed| {
+            call(
+                format!("chaos-{}/seed{seed}", kind.id()),
+                ScenarioConfig::chaos(kind),
+                streams,
+                180,
+                seed,
+            );
+        };
+        chaos(ImpairmentKind::Blackout, 3, 11);
+        chaos(ImpairmentKind::FeedbackLoss, 1, 11);
+        chaos(ImpairmentKind::FeedbackLoss, 1, 12);
+        for seed in [11, 12] {
+            for (loss, fec, streams) in [
+                (5.0, FecKind::Converge, 3),
+                (5.0, FecKind::WebRtcTable, 3),
+                (10.0, FecKind::Converge, 1),
+                (10.0, FecKind::WebRtcTable, 3),
+            ] {
+                let label = format!("loss{loss}/{fec:?}/seed{seed}");
+                let cfg = SessionConfig::paper_default(
+                    ScenarioConfig::fec_tradeoff(loss),
+                    SchedulerKind::Converge,
+                    fec,
+                    streams,
+                    SimDuration::from_secs(180),
+                    seed,
+                );
+                cells.push((label, cfg));
+            }
+        }
         let d = SimDuration::from_secs(90);
         for seed in [11, 12] {
             let carriers = std::iter::once((4, ControllerKind::Gcc))
@@ -766,10 +1006,15 @@ mod tests {
         lookback::take();
         for (label, cfg) in cells {
             let report = Session::new(cfg).run();
-            let (nack, feedback) = lookback::take();
+            let reach = lookback::take();
             println!(
-                "{label:<34} farthest NACK hit {nack:>6} behind, {} retransmissions; farthest feedback hit {feedback:>5} behind",
+                "{label:<34} farthest NACK hit {:>6} behind, {} retransmissions; farthest feedback hit {:>5} behind; spill: {} pushes, {} hits, longest {}",
+                reach.media,
                 report.retransmissions,
+                reach.feedback,
+                reach.spill_pushes,
+                reach.spill_hits,
+                reach.longest_spill,
             );
         }
     }

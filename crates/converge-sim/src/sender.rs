@@ -61,14 +61,16 @@ pub struct OutboundPacket {
     pub class: PacketClass,
 }
 
-/// Default slots in a path's transport-feedback ring (a power of two so
-/// the index is a mask): 6 bytes each — send time and size; which
-/// sequence a slot holds follows from the newest one sent — so 96 KiB per
-/// path. A slot is probed when the feedback report naming it arrives: one
-/// feedback interval plus a round trip after the packet left, or later
-/// when the path stalls; DESIGN §6c tabulates the farthest hit per
-/// benchmark cell, at most 3 709 sequences. A probe beyond the ring
-/// misses and the controller goes without that timing.
+/// Default horizon of a path's transport-feedback ring, in sequences (a
+/// power of two): a report may match any of the newest 16 384 sent. A
+/// sequence is looked up when the report naming it arrives: one feedback
+/// interval plus a round trip after the packet left, or later when the
+/// path stalls; DESIGN §6c tabulates the farthest hit per benchmark cell,
+/// at most 3 709 sequences. A lookup beyond the horizon misses and the
+/// controller goes without that timing. The ring stores 6 bytes a sequence
+/// (send time and size) for the newest 1 024 and 10 bytes for each older
+/// one still unmatched: 6 KiB a path plus what loss leaves behind, which is
+/// 150 KiB more (15 360 entries) if nothing is ever acknowledged.
 const SENT_SLOTS: usize = 1 << 14;
 
 /// Ring capacities for one sender's packet histories.
@@ -84,18 +86,23 @@ const SENT_SLOTS: usize = 1 << 14;
 /// frame waits for its keyframe instead.
 ///
 /// The default keeps all a 16-bit NACK can name: 65 536 sequences per
-/// stream at one byte each, the path it took (64 KiB), plus a 24-byte
-/// record for every frame among them, added as frames are sent (a packet
-/// is rebuilt from its frame's record, not stored) — where a ring of whole
-/// packets took 3.5 MiB per stream, written at construction. The feedback
-/// rings add 96 KiB per path. [`SenderSizing::fleet`] is what thousands of
-/// sessions in one process can afford instead.
+/// stream, each the path it took in the fewest of 1, 2, 4 or 8 bits that
+/// hold every path id (8 KiB a stream on two paths, 32 KiB on eight), plus
+/// a 24-byte record for every frame among them, added as frames are sent
+/// (a packet is rebuilt from its frame's record, not stored) — where a
+/// ring of whole packets took 3.5 MiB per stream, written at construction.
+/// The feedback rings add 6 KiB per path and 10 bytes for each sequence
+/// that leaves a ring's newest 1 024 unmatched (a lost packet, a lost
+/// report) until it falls out of the horizon. [`SenderSizing::fleet`] is
+/// what thousands of sessions in one process can afford instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SenderSizing {
-    /// Per-path transport-feedback ring slots (power of two).
-    pub tx_slots: usize,
-    /// Per-stream retransmission-history slots (power of two, at most
+    /// Per-path transport-feedback horizon: how many of the newest
+    /// transport sequences a report may match (power of two, at most
     /// 65 536).
+    pub tx_slots: usize,
+    /// Per-stream retransmission horizon: how many of the newest media
+    /// sequences a NACK may name (power of two, at most 65 536).
     pub media_slots: usize,
 }
 
@@ -110,7 +117,8 @@ impl Default for SenderSizing {
 
 impl SenderSizing {
     /// Compact rings for fleet-scale runs: 512 transport sequences per
-    /// path (3 KiB) and 2 048 media sequences per stream (2 KiB plus the
+    /// path (3 KiB, all dense, so nothing spills) and 2 048 media
+    /// sequences per stream (256 bytes to 2 KiB by path count, plus the
     /// frame records, about 2 s of 30 fps video). Short of the farthest
     /// look-back a single call shows on eight paths, so a fleet member
     /// that falls that far behind loses the retransmission.
@@ -267,7 +275,7 @@ impl ConferenceSender {
             .map(|_| FeedbackRing::new(sizing.tx_slots))
             .collect();
         let histories: Vec<MediaHistory> = (0..n_streams)
-            .map(|_| MediaHistory::new(sizing.media_slots))
+            .map(|_| MediaHistory::new(sizing.media_slots, paths.len()))
             .collect();
         let streams = (0..n_streams)
             .zip(histories)

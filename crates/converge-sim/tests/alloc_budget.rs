@@ -21,7 +21,9 @@
 //! sites that hold them. A sixth pins what the lossy call's report still
 //! holds once the call is over: what a sweep's memo cache keeps per cell.
 //! A seventh pins the peak live heap of a one-shard fleet in conferences
-//! of 8: what one conference holds, which is what a second shard adds.
+//! of 8: what one conference holds, which is what a second shard adds. An
+//! eighth pins the peak live heap of three streams over eight constant
+//! paths, the cell behind the `call-npath` workload's peak.
 //!
 //! The counters are per thread: the call loop and a one-shard fleet are
 //! single-threaded, and the test harness's own threads allocate whenever
@@ -131,15 +133,24 @@ const CLEAN_BUDGET: u64 = 216;
 /// with the old gap tracker), and the gap tracker's two deques grow in
 /// more steps than its one deque of gap records did (+3). It was 2 746
 /// until the finished frame ids became a bit window (−143, three streams'
-/// B-tree nodes, as in the clean cell).
-const LOSSY_BUDGET: u64 = 2_603;
+/// B-tree nodes, as in the clean cell). It was 2 603 until the QoE
+/// monitors kept tallies instead of arrivals (−188): a recycled arrival
+/// list grew whenever a frame brought more packets than the list it
+/// reused had room for; a tally is counted in place. (The feedback rings'
+/// spills grow in the window too, a few doubling steps.)
+const LOSSY_BUDGET: u64 = 2_415;
 
 /// What one two-path Converge call of `secs` at `loss_pct` loss on both
 /// paths asks of the allocator.
 fn allocations(loss_pct: f64, streams: u8, secs: u64) -> Counts {
+    call_allocations(ScenarioConfig::fec_tradeoff(loss_pct), streams, secs)
+}
+
+/// What one Converge call of `secs` over `scenario` asks of the allocator.
+fn call_allocations(scenario: ScenarioConfig, streams: u8, secs: u64) -> Counts {
     let before = LIVE.with(Cell::get);
     let cfg = SessionConfig::paper_default(
-        ScenarioConfig::fec_tradeoff(loss_pct),
+        scenario,
         SchedulerKind::Converge,
         FecKind::Converge,
         streams,
@@ -279,7 +290,18 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// It was 353 920 until the packet buffer kept its finished frame ids as
 /// a bit window (−560): the first second's 30 ids take one 64-byte block
 /// of 16-byte words where the `BTreeSet` grew B-tree nodes.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 353_360;
+///
+/// It was 353 360 until a call kept only what a lookup can still reach
+/// (−242 312):
+///
+/// - the feedback rings, 16 384 → 1 024 dense slots of 6 B (the rest of
+///   the horizon is a spill of unmatched sequences, empty in a clean
+///   first second): −184 320 (2 × 15 360 × 6 B);
+/// - the media slots, 8 → 1 bit a sequence on two paths: −57 344
+///   (65 536 × 7/8 B);
+/// - the QoE monitor, tallies instead of arrival lists, less the larger
+///   ring and history structs: −648.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 111_048;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -310,8 +332,11 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 353_360;
 /// followed one trace (−224, as above); and 586 233 until the monitors'
 /// unread last FCD went (−24, three streams); and 586 209 until the
 /// finished frame ids became a bit window (−1 680, three streams, as
-/// above).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 584_529;
+/// above); and 584 529 until a call kept only what a lookup can reach
+/// (−358 280): feedback rings −184 320 and media slots −172 032 (three
+/// streams) as above, and the three QoE monitors' tallies less the larger
+/// structs −1 928.
+const LOSSY_CONSTRUCTION_BYTES: u64 = 226_249;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -351,8 +376,12 @@ fn construction_bytes_stay_within_budget() {
 /// bytes above). It read 490 929 until the QoE monitor's unread last FCD
 /// went: −8. It read 490 921 until the packet buffer kept its finished
 /// frame ids as a bit window: −10 848, about 600 ids in the B-tree nodes
-/// of a `BTreeSet` against ten 16-byte words.
-const CLEAN_PEAK_BYTES: u64 = 480_073;
+/// of a `BTreeSet` against ten 16-byte words. It read 480 073 until a call
+/// kept only what a lookup can reach: −243 992, of which the feedback
+/// rings' dense slots −184 320, the one-bit media slots −57 344 and the
+/// QoE monitor's tallies (with the larger structs) −2 328; no sequence
+/// spills on this call.
+const CLEAN_PEAK_BYTES: u64 = 236_081;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
 /// sender's rings stopped storing what send order says, and 847 202 before
@@ -361,8 +390,14 @@ const CLEAN_PEAK_BYTES: u64 = 480_073;
 /// the gap tracker +312), and 831 570 before a link followed one trace
 /// (−224, as in the clean cell), and 831 346 before the monitors' unread
 /// last FCD went (−24), and 831 322 before the finished frame ids became a
-/// bit window (−33 472, three streams, as in the clean cell).
-const LOSSY_PEAK_BYTES: u64 = 797_850;
+/// bit window (−33 472, three streams, as in the clean cell), and 797 850
+/// before a call kept only what a lookup can reach (−369 360, `alloc_sites
+/// -- --peak --to 20 loss5`): the feedback rings' dense slots −184 320, the
+/// one-bit media slots −172 032, the three QoE monitors −37.8 KiB
+/// (45.4 KiB of arrival lists, their pool and the tally buffer against
+/// 7.6 KiB of tallies), and +25.0 KiB for what the two rings' spills hold
+/// at the peak: the sequences 5 % loss leaves unmatched, 10 bytes each.
+const LOSSY_PEAK_BYTES: u64 = 428_490;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.
@@ -390,6 +425,37 @@ fn lossy_peak_heap_stays_within_budget() {
     assert_peak_within(LOSSY_PEAK_BYTES, 5.0, 3);
 }
 
+/// The most bytes the `alloc_sites` `constant8` cell holds at once over
+/// 90 s: three streams over eight constant paths, seed 11, the cell that
+/// sets the `call-npath` workload's peak (`alloc_sites -- --peak --to 90
+/// constant8` names the sites, and reads 2 314 B more: it also counts
+/// what building the session allocates). The exact reading of the commit
+/// that last lowered it, to be ratcheted like the budgets above. It read
+/// 2 214 769 while every path kept a 16 384-slot feedback ring (768 KiB
+/// over eight paths), every QoE monitor kept each arrival of up to 64
+/// frames and a pool of emptied arrival lists (190 KiB over three
+/// streams), and each stream's media history kept one byte per sequence
+/// (192 KiB). The rings now keep 1 024 dense slots (48 KiB) and a spill
+/// of the sequences whose feedback is still out (12.5 KiB at the peak),
+/// the monitors keep tallies (16.5 KiB), and a sequence's path takes
+/// 4 bits (96 KiB).
+const CONSTANT8_PEAK_BYTES: u64 = 1_214_505;
+
+#[test]
+fn constant8_peak_heap_stays_within_budget() {
+    let peak = |_| call_allocations(ScenarioConfig::constant8(), 3, 90).peak;
+    let peak = [peak(()), peak(())];
+    assert_eq!(peak[0], peak[1], "the peak must repeat exactly");
+    let peak = peak[0];
+    println!(
+        "constant8, 3 streams x 90 s: peak live heap {peak} bytes, budget {CONSTANT8_PEAK_BYTES}"
+    );
+    assert!(
+        peak <= CONSTANT8_PEAK_BYTES,
+        "constant8, 3 streams x 90 s: peak live heap {peak} bytes, budget {CONSTANT8_PEAK_BYTES}"
+    );
+}
+
 /// The most bytes a fleet of 128 sessions in conferences of 8 holds at
 /// once over 10 s, seed 11, on one shard (which runs on the calling
 /// thread): the peak of its largest conference, the exact reading of the
@@ -402,8 +468,12 @@ fn lossy_peak_heap_stays_within_budget() {
 /// `BTreeSet` (43.6 KiB). It reads 830 942 since each viewer's frames are
 /// in a table of 352 packed 32-byte slots (88.0 KiB over 8 viewers), one
 /// set of working buffers serves the whole shard, and a receiver's finished
-/// ids are a bit window.
-const FLEET8_PEAK_BYTES: u64 = 830_942;
+/// ids are a bit window. It read 830 942 until the QoE monitors kept
+/// tallies (44.0 + 25.3 KiB of arrival lists and their pools against
+/// 20.0 KiB of tallies) and a member's 2 048 media slots took one bit each
+/// on its one uplink path (16 → 2 KiB over 8): −64 504. The fleet's
+/// 512-slot feedback rings are all dense, as before.
+const FLEET8_PEAK_BYTES: u64 = 766_438;
 
 #[test]
 fn fleet8_peak_heap_stays_within_budget() {
