@@ -65,8 +65,8 @@ fn change_live(delta: i64) {
 }
 
 /// What one call made: allocator calls, bytes asked for, the most bytes
-/// live at once above what was live when it started, and the bytes still
-/// live once it has returned its report (what the report holds).
+/// live at once above what was live when it started, and the bytes its
+/// report holds (what dropping the report frees).
 struct Counts {
     calls: u64,
     bytes: u64,
@@ -148,7 +148,6 @@ fn allocations(loss_pct: f64, streams: u8, secs: u64) -> Counts {
 
 /// What one Converge call of `secs` over `scenario` asks of the allocator.
 fn call_allocations(scenario: ScenarioConfig, streams: u8, secs: u64) -> Counts {
-    let before = LIVE.with(Cell::get);
     let cfg = SessionConfig::paper_default(
         scenario,
         SchedulerKind::Converge,
@@ -162,14 +161,25 @@ fn call_allocations(scenario: ScenarioConfig, streams: u8, secs: u64) -> Counts 
     let live = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(live));
     let report = session.run();
-    let counts = Counts {
-        calls: ALLOCATIONS.with(Cell::get) - calls,
-        bytes: BYTES.with(Cell::get) - bytes,
-        peak: (PEAK.with(Cell::get) - live) as u64,
-        kept: (LIVE.with(Cell::get) - before) as u64,
-    };
+    let (calls, bytes, peak) = (
+        ALLOCATIONS.with(Cell::get) - calls,
+        BYTES.with(Cell::get) - bytes,
+        (PEAK.with(Cell::get) - live) as u64,
+    );
     assert!(report.frames_decoded > 0, "the call must carry video");
-    counts
+    // What the report holds is what dropping it frees, on this thread: a
+    // difference of live bytes since before the call would also count
+    // whatever the thread allocated once for itself meanwhile (the test
+    // harness's threads and its main thread differ there).
+    let live = LIVE.with(Cell::get);
+    drop(report);
+    let kept = (live - LIVE.with(Cell::get)) as u64;
+    Counts {
+        calls,
+        bytes,
+        peak,
+        kept,
+    }
 }
 
 /// Asserts that seconds [10, 20) of the cell repeat exactly and stay within
@@ -493,15 +503,21 @@ fn fleet8_peak_heap_stays_within_budget() {
     );
 }
 
-/// The bytes the report of the 20 s lossy three-stream call still holds
-/// once its `Session` is gone (the config, the flows and the collector are
-/// freed; what is left is the `CallReport`): the exact reading of the commit
-/// that last lowered it, to be ratcheted like the budgets above. A sweep's
-/// memo cache keeps one report per cell for the whole run, so this is what
-/// a cell costs after it has run. It read 18 648 while the report kept its
-/// E2E samples as a `Vec<f64>` of milliseconds: the collector's buffer,
-/// 2 048 slots of 8 B for 1 769 samples. They are now 2 310 bytes of
-/// LEB128 deltas (−14 074).
+/// The bytes the report of the 20 s lossy three-stream call holds: what
+/// dropping the `CallReport` frees, on the thread that made it. The exact
+/// reading of the commit that last lowered it, to be ratcheted like the
+/// budgets above. A sweep's memo cache keeps one report per cell for the
+/// whole run, so this is what a cell costs after it has run. It read
+/// 18 648 while the report kept its E2E samples as a `Vec<f64>` of
+/// milliseconds: the collector's buffer, 2 048 slots of 8 B for 1 769
+/// samples. They are now 2 310 bytes of LEB128 deltas (−14 074).
+///
+/// The 4 574 B are: E2E samples 2 310; `bins` 1 280 (20 seconds × 64 B);
+/// `path_series` 608 (two paths × 20 × 8 B, and a 288 B B-tree leaf);
+/// `paths` 376 (one B-tree leaf of counters). Until it was measured as
+/// what `drop` frees, this read the thread's live bytes gained over the
+/// whole call, which also counted whatever else the thread allocated or
+/// freed meanwhile: 3 966 in a run of the whole file, 4 574 alone.
 const LOSSY_REPORT_BYTES: u64 = 4_574;
 
 #[test]

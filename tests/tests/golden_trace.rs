@@ -18,14 +18,15 @@ use std::sync::Arc;
 use converge_integration::assert_matches_golden;
 use converge_net::SimDuration;
 use converge_sim::{
-    ControllerKind, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
+    CallReport, ControllerKind, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
 };
 use converge_trace::{jsonl, RingSink, TraceHandle};
 
-/// Renders a pinned session: `secs` of the FEC trade-off scenario (2%
+/// Runs a pinned session: `secs` of the FEC trade-off scenario (2%
 /// bursty loss, so the FEC controller, NACKs, and the loss process all
-/// contribute events) under Converge scheduling, seed 7.
-fn render(controller: ControllerKind, secs: u64) -> String {
+/// contribute events) under Converge scheduling, seed 7. Returns its
+/// report and its rendered timeline.
+fn run_pinned(controller: ControllerKind, secs: u64) -> (CallReport, String) {
     let ring = Arc::new(RingSink::new(1 << 20));
     let cfg = SessionConfig::builder()
         .scenario(ScenarioConfig::fec_tradeoff(2.0))
@@ -41,7 +42,13 @@ fn render(controller: ControllerKind, secs: u64) -> String {
     let report = Session::new(cfg).run();
     assert!(report.frames_decoded > 0, "golden run must decode frames");
     assert_eq!(ring.dropped(), 0, "ring must hold the whole timeline");
-    jsonl::render("golden", &ring.drain())
+    let rendered = jsonl::render("golden", &ring.drain());
+    (report, rendered)
+}
+
+/// The rendered timeline of the pinned session.
+fn render(controller: ControllerKind, secs: u64) -> String {
+    run_pinned(controller, secs).1
 }
 
 /// The golden session: 3 s under the default controller (GCC).
@@ -49,7 +56,7 @@ fn render_golden() -> String {
     render(ControllerKind::Gcc, 3)
 }
 
-/// 64-bit FNV-1a of a rendered timeline.
+/// 64-bit FNV-1a of a rendered timeline or report.
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -98,4 +105,46 @@ fn nada_and_mpbbr_timelines_match_pinned_digests() {
 #[test]
 fn golden_render_is_self_consistent() {
     assert_eq!(render_golden(), render_golden());
+}
+
+/// A report's `Debug` text is what the benchmark's `report_digest`s and the
+/// sweep's printed tables are made of, so it is pinned here too: the golden
+/// 3 s session, and 20 s of three streams at 5 % loss (seed 11), whose
+/// report holds every per-second bin, two paths' byte series and an E2E
+/// sample per decoded frame. A change to how a report stores them must leave both digests
+/// alone; a drift prints the new digest.
+#[test]
+fn report_debug_text_matches_pinned_digests() {
+    let lossy = SessionConfig::paper_default(
+        ScenarioConfig::fec_tradeoff(5.0),
+        SchedulerKind::Converge,
+        FecKind::Converge,
+        3,
+        SimDuration::from_secs(20),
+        11,
+    );
+    for (name, report, digest) in [
+        (
+            "golden 3 s session",
+            run_pinned(ControllerKind::Gcc, 3).0,
+            0x7361_b57a_4682_8656_u64,
+        ),
+        (
+            "3-stream 20 s call at 5 % loss",
+            Session::new(lossy).run(),
+            0x9e79_4278_e2f3_6838_u64,
+        ),
+    ] {
+        assert!(
+            report.paths.len() == 2 && report.path_series.len() == 2,
+            "{name}"
+        );
+        let text = format!("{report:?}");
+        let got = fnv1a(&text);
+        assert!(
+            got == digest,
+            "{name}: report text drifted: digest {got:#018x}, pinned {digest:#018x} ({} bytes)",
+            text.len()
+        );
+    }
 }
