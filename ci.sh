@@ -186,10 +186,19 @@ gate properties properties
 # The eight deterministic allocation budgets (two steady-state call counts,
 # one construction byte count, two peak live heaps of a call, the bytes a
 # finished call's report holds, the peak live heap of a fleet in
-# conferences of 8, the peak live heap of the eight-path constant8 call), then one short run of the peak-heap attribution,
-# which must print a row ("  192.0  2  converge_sim::...").
+# conferences of 8, the peak live heap of the eight-path constant8 call);
+# then the report's bytes once more, alone on the parallel harness and on
+# one thread, which must print the same count: it is what dropping the
+# report frees, so it cannot depend on what else ran on the thread (read as
+# live bytes gained over the call, it printed 4 574 and 3 966 there, in
+# release); then one short run of the peak-heap attribution, which must
+# print a row ("  192.0  2  converge_sim::...").
+report_bytes() {
+    cargo test -q --release -p converge-sim --test alloc_budget -- --exact \
+        report_bytes_stay_within_budget --nocapture "$@" | grep -o 'its report holds [0-9]* bytes'
+}
 alloc_budget() {
-    local out
+    local out parallel serial
     tests_by_name 8 -p converge-sim --test alloc_budget -- --exact \
         steady_state_allocation_count_stays_within_budget \
         lossy_steady_state_allocation_count_stays_within_budget \
@@ -199,6 +208,10 @@ alloc_budget() {
         report_bytes_stay_within_budget \
         fleet8_peak_heap_stays_within_budget \
         constant8_peak_heap_stays_within_budget
+    parallel=$(report_bytes)
+    serial=$(report_bytes --test-threads 1)
+    echo "report bytes: $parallel (parallel harness), $serial (one thread)"
+    [ "$parallel" = "$serial" ]
     out=$(cargo run --release -p converge-sim --example alloc_sites -- --peak --to 2 clean)
     echo "$out"
     grep -Eq '^ *[0-9.]+ +[0-9]+  converge_' <<<"$out"

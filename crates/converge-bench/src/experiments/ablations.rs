@@ -111,10 +111,7 @@ pub fn spec_coupling(scale: Scale) -> ExperimentSpec {
         // Ramp speed: delivered rate over the first 8 seconds, where the
         // dampened growth of coupled subflows shows.
         .num("ramp_8s_mbps", 14, 2, |r| {
-            let ramp_bits: u64 = r.bins[..8.min(r.bins.len())]
-                .iter()
-                .map(|b| b.media_bits)
-                .sum();
+            let ramp_bits: u64 = r.bins.iter().take(8).map(|b| b.media_bits).sum();
             ramp_bits as f64 / 8.0 / 1e6
         })
         .num("tput_mbps", 12, 2, |r| r.throughput_bps / 1e6)
@@ -167,7 +164,7 @@ mod tests {
         let coupled = run(true);
         // Early-call throughput (ramp speed) must not favour coupling.
         let early = |r: &converge_sim::CallReport| -> u64 {
-            r.bins[..8].iter().map(|b| b.media_bits).sum()
+            r.bins.iter().take(8).map(|b| b.media_bits).sum()
         };
         assert!(
             early(&coupled) <= early(&uncoupled),

@@ -26,7 +26,7 @@ pub fn spec(scale: Scale) -> ExperimentSpec {
             let mut out = String::new();
             out.push_str("# Fig. 1 — WebRTC degrades under cellular bandwidth variation\n");
             out.push_str("# columns: t_s carrierA_mbps carrierB_mbps fpsA fpsB e2eA_ms e2eB_ms\n");
-            for (i, (ba, bb)) in ra.bins.iter().zip(&rb.bins).enumerate() {
+            for (i, (ba, bb)) in ra.bins.iter().zip(rb.bins.iter()).enumerate() {
                 let t = converge_net::SimTime::from_secs(i as u64);
                 let rate_a = scenario.paths[1].trace.rate_at(t) as f64 / 1e6;
                 let rate_b = scenario.paths[0].trace.rate_at(t) as f64 / 1e6;

@@ -50,16 +50,13 @@ pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
             out.push_str(
                 "# columns: t_s path1_mbps path2_mbps tput_fb tput_nofb ifd_fb ifd_nofb fcd_fb fcd_nofb\n",
             );
-            let empty = Vec::new();
-            let sent_p1 = with_fb
-                .path_series
-                .get(&converge_net::PathId(0))
-                .unwrap_or(&empty);
-            let sent_p2 = with_fb
-                .path_series
-                .get(&converge_net::PathId(1))
-                .unwrap_or(&empty);
-            for (i, (b_fb, b_no)) in with_fb.bins.iter().zip(&without_fb.bins).enumerate() {
+            // One value per second, read in step with the bins below.
+            let sent = |path| {
+                let series = with_fb.path_series.get(converge_net::PathId(path));
+                series.into_iter().flatten()
+            };
+            let (mut sent_p1, mut sent_p2) = (sent(0), sent(1));
+            for (i, (b_fb, b_no)) in with_fb.bins.iter().zip(without_fb.bins.iter()).enumerate() {
                 let t = converge_net::SimTime::from_secs(i as u64);
                 out.push_str(&format!(
                     "{i} {:.1} {:.1} {:.2} {:.2} {:.1} {:.1} {:.1} {:.1} {:.2} {:.2}\n",
@@ -71,8 +68,8 @@ pub fn spec_fig11(scale: Scale) -> ExperimentSpec {
                     b_no.ifd_ms().unwrap_or(0.0),
                     b_fb.fcd_ms().unwrap_or(0.0),
                     b_no.fcd_ms().unwrap_or(0.0),
-                    sent_p1.get(i).copied().unwrap_or(0) as f64 * 8.0 / 1e6,
-                    sent_p2.get(i).copied().unwrap_or(0) as f64 * 8.0 / 1e6,
+                    sent_p1.next().unwrap_or(0) as f64 * 8.0 / 1e6,
+                    sent_p2.next().unwrap_or(0) as f64 * 8.0 / 1e6,
                 ));
             }
             out.push_str("# paper shape: without feedback, IFD exceeds the 33 ms target and FCD\n");

@@ -36,7 +36,9 @@ pub use fleet::{
     FleetConferenceReport, FleetConfig, FleetEngine, FleetReport, FleetSessionReport,
     FleetWorkCounts, ShardStats, TimerStats,
 };
-pub use metrics::{CallReport, E2eSamples, MetricsCollector, PathCounters, SecondBin};
+pub use metrics::{
+    CallReport, E2eSamples, MetricsCollector, PathCounters, PathSeries, SecondBin, SecondBins,
+};
 pub use pacer::{Pacer, PacerConfig};
 pub use payload::{NetPayload, RtpKind, SimRtp};
 pub use receiver::ConferenceReceiver;

@@ -36,6 +36,42 @@ pub struct SecondBin {
 }
 
 impl SecondBin {
+    /// The bin's 11 fields in declaration order, widened: what
+    /// [`SecondBins`] stores.
+    fn fields(&self) -> [u64; 11] {
+        [
+            self.media_bits,
+            u64::from(self.frames_decoded),
+            self.e2e_sum_us,
+            u64::from(self.e2e_count),
+            self.ifd_sum_us,
+            u64::from(self.ifd_count),
+            self.fcd_sum_us,
+            u64::from(self.fcd_count),
+            u64::from(self.frames_dropped),
+            self.height_sum,
+            u64::from(self.encoded_count),
+        ]
+    }
+
+    /// The bin whose [`SecondBin::fields`] are `f`. Every narrowed field
+    /// was a `u32` when it was written, so the casts are exact.
+    fn from_fields(f: [u64; 11]) -> Self {
+        SecondBin {
+            media_bits: f[0],
+            frames_decoded: f[1] as u32,
+            e2e_sum_us: f[2],
+            e2e_count: f[3] as u32,
+            ifd_sum_us: f[4],
+            ifd_count: f[5] as u32,
+            fcd_sum_us: f[6],
+            fcd_count: f[7] as u32,
+            frames_dropped: f[8] as u32,
+            height_sum: f[9],
+            encoded_count: f[10] as u32,
+        }
+    }
+
     /// Delivered media throughput this second, bits per second.
     pub fn throughput_bps(&self) -> f64 {
         self.media_bits as f64
@@ -326,9 +362,24 @@ impl MetricsCollector {
     }
 
     /// Produces the final report.
-    pub fn finish(self) -> CallReport {
+    pub fn finish(mut self) -> CallReport {
         let secs = self.duration.as_secs_f64();
         let media_bits: u64 = self.bins.iter().map(|b| b.media_bits).sum();
+        // The per-second series are packed first, and each frees what it was
+        // packed from before the next allocation: the call's heap, still
+        // live around the collector, never holds both forms of one.
+        // Account `i` is path `i`'s (ids are `u8`s).
+        let ids = || (0..=u8::MAX).map(PathId);
+        let path_series = PathSeries::pack(|| {
+            ids()
+                .zip(&self.paths)
+                .filter(|(_, account)| !account.series.is_empty())
+                .map(|(path, account)| (path, account.series.as_slice()))
+        });
+        for account in &mut self.paths {
+            account.series = Vec::new();
+        }
+        let bins = SecondBins::pack(&std::mem::take(&mut self.bins));
         let throughput_bps = media_bits as f64 / secs;
         let fps = self.frames_decoded as f64 / secs;
         let mut e2e = self.e2e_us;
@@ -348,19 +399,16 @@ impl MetricsCollector {
         // PSNR from delivered per-stream rate and freeze fraction.
         let per_stream_rate = throughput_bps / self.streams.max(1) as f64;
         let psnr_db = effective_psnr(self.format, per_stream_rate, freeze_fraction);
+        // Inserted one by one: collecting into a map would first collect a
+        // `Vec` of the pairs to sort.
         let mut paths = BTreeMap::new();
-        let mut path_series = BTreeMap::new();
-        for (i, account) in self.paths.into_iter().enumerate() {
+        for (path, account) in ids().zip(&self.paths) {
             let c = account.counters;
             // Only the paths some event touched: the table also holds the
-            // ids below the highest one that saw none.
-            if c.packets_sent + c.packets_received + c.packets_lost == 0 {
-                continue;
-            }
-            let path = PathId(i as u8);
-            paths.insert(path, c);
-            if !account.series.is_empty() {
-                path_series.insert(path, account.series);
+            // ids below the highest one that saw none. A path with a series
+            // has sent a packet, so it is here too.
+            if c.packets_sent + c.packets_received + c.packets_lost > 0 {
+                paths.insert(path, c);
             }
         }
 
@@ -395,22 +443,62 @@ impl MetricsCollector {
             psnr_db,
             paths,
             path_series,
-            bins: self.bins,
+            bins,
+        }
+    }
+}
+
+/// Unsigned LEB128, the one codec of a finished report's packed series
+/// ([`E2eSamples`], [`SecondBins`], [`PathSeries`]): seven bits a byte, low
+/// bits first, the top bit set on every byte but a number's last. A report
+/// lives as long as a sweep's memo cache (hundreds of them), and most of
+/// what it keeps is small counts in wide fields.
+mod leb128 {
+    /// The encoded length of `v`: one byte per started seven bits, one for 0.
+    fn len(v: u64) -> usize {
+        (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+    }
+
+    /// Encodes the numbers `values()` yields, back to back, into one
+    /// allocation of exactly their encoded length: it counts the bytes on a
+    /// first pass and writes them on a second.
+    pub(super) fn pack<I: Iterator<Item = u64>>(values: impl Fn() -> I) -> Box<[u8]> {
+        let size = values().map(len).sum();
+        let mut bytes = Vec::with_capacity(size);
+        for mut v in values() {
+            while v >= 0x80 {
+                bytes.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            bytes.push(v as u8);
+        }
+        debug_assert_eq!(bytes.len(), size);
+        bytes.into_boxed_slice()
+    }
+
+    /// Reads the next number off `bytes`; `None` once they are used up.
+    pub(super) fn read(bytes: &mut std::slice::Iter<'_, u8>) -> Option<u64> {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let byte = *bytes.next()?;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Some(v);
+            }
+            shift += 7;
         }
     }
 }
 
 /// A call's per-frame E2E latencies, ascending, in whole microseconds.
 ///
-/// A report keeps one sample per decoded frame for as long as it lives (a
-/// sweep's memo cache holds hundreds of reports), so the samples are kept
-/// as what they are: ascending integers, most of them close to the one
-/// before. The buffer holds the difference between each sample and the one
-/// before it (the first from zero) as unsigned LEB128 — seven bits a byte,
-/// low bits first, the top bit set on every byte but a number's last — in
-/// one allocation of exactly the encoded length. A sample costs one byte
-/// when it is within 127 µs of the one before, and about 1.2 bytes on the
-/// sweep's calls, against eight as an `f64`.
+/// A report keeps one sample per decoded frame for as long as it lives, so
+/// the samples are kept as what they are: ascending integers, most of them
+/// close to the one before. The buffer holds the difference between each
+/// sample and the one before it (the first from zero) in the report's
+/// LEB128 codec, in one allocation of exactly the encoded length. A sample
+/// costs one byte when it is within 127 µs of the one before, and about
+/// 1.2 bytes on the sweep's calls, against eight as an `f64`.
 ///
 /// Samples are below 2^32 µs (71.6 minutes);
 /// [`MetricsCollector::on_frame_decoded`] panics past that bound.
@@ -427,30 +515,15 @@ pub struct E2eSamples {
 }
 
 impl E2eSamples {
-    /// Encodes `sorted_us`, ascending whole microseconds: counts the bytes
-    /// first, then writes them into a buffer of exactly that size.
+    /// Encodes `sorted_us`, ascending whole microseconds.
     fn from_sorted_us(sorted_us: &[u32]) -> Self {
-        let deltas = || {
-            sorted_us
-                .iter()
-                .scan(0, |prev, &us| Some(us - std::mem::replace(prev, us)))
-        };
-        // A delta's LEB128 length: one byte per started seven bits, one for 0.
-        let size = deltas()
-            .map(|d| (u32::BITS - (d | 1).leading_zeros()).div_ceil(7) as usize)
-            .sum();
-        let mut bytes = Vec::with_capacity(size);
-        for mut d in deltas() {
-            while d >= 0x80 {
-                bytes.push(d as u8 | 0x80);
-                d >>= 7;
-            }
-            bytes.push(d as u8);
-        }
-        debug_assert_eq!(bytes.len(), size);
         E2eSamples {
             len: sorted_us.len(),
-            deltas: bytes.into_boxed_slice(),
+            deltas: leb128::pack(|| {
+                sorted_us.iter().scan(0, |prev, &us| {
+                    Some(u64::from(us - std::mem::replace(prev, us)))
+                })
+            }),
         }
     }
 
@@ -469,16 +542,8 @@ impl E2eSamples {
         let mut bytes = self.deltas.iter();
         let mut us = 0u32;
         std::iter::from_fn(move || {
-            let (mut delta, mut shift) = (0u32, 0);
-            loop {
-                let byte = *bytes.next()?;
-                delta |= u32::from(byte & 0x7f) << shift;
-                if byte < 0x80 {
-                    break;
-                }
-                shift += 7;
-            }
-            us += delta;
+            // A delta of two `u32` samples fits a `u32`.
+            us += leb128::read(&mut bytes)? as u32;
             Some(f64::from(us) / 1_000.0)
         })
     }
@@ -501,6 +566,151 @@ impl E2eSamples {
 impl std::fmt::Debug for E2eSamples {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter_ms()).finish()
+    }
+}
+
+/// A call's per-second bins ([`SecondBin`]), packed: each bin's 11 fields in
+/// declaration order in the report's LEB128 codec, bin after bin, in one
+/// allocation of exactly the encoded length. The counts are small (a
+/// second's frames, its IFD samples, …), so a bin takes about 23 bytes on
+/// the quick sweep's calls against 64 as a struct.
+///
+/// [`SecondBins::iter`] decodes the bins in order; `Debug` prints exactly
+/// what the `Vec<SecondBin>` this type replaces printed, because a report's
+/// `Debug` text is what its digests hash.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+pub struct SecondBins {
+    /// Number of bins (the call's seconds, at least one).
+    len: usize,
+    /// Every bin's fields, back to back.
+    bytes: Box<[u8]>,
+}
+
+impl SecondBins {
+    fn pack(bins: &[SecondBin]) -> Self {
+        SecondBins {
+            len: bins.len(),
+            bytes: leb128::pack(|| bins.iter().flat_map(SecondBin::fields)),
+        }
+    }
+
+    /// Number of bins: one per second of the call.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there is no bin.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bins in time order, second 0 first.
+    pub fn iter(&self) -> impl Iterator<Item = SecondBin> + '_ {
+        let mut bytes = self.bytes.iter();
+        std::iter::from_fn(move || {
+            let mut fields = [0; 11];
+            for field in &mut fields {
+                *field = leb128::read(&mut bytes)?;
+            }
+            Some(SecondBin::from_fields(fields))
+        })
+    }
+}
+
+impl std::fmt::Debug for SecondBins {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Each path's bytes sent per second, packed: for every path with a
+/// series, in ascending id order, its id, its series' length and the
+/// series, all in the report's LEB128 codec, in one allocation of exactly
+/// the encoded length. A path's per-second byte count takes about 3 bytes
+/// on the quick sweep's calls against 8 as a `u64`.
+///
+/// `Debug` prints exactly what the `BTreeMap<PathId, Vec<u64>>` this type
+/// replaces printed, because a report's `Debug` text is what its digests
+/// hash.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+pub struct PathSeries {
+    bytes: Box<[u8]>,
+}
+
+/// One path's values inside a [`PathSeries`], decoded as they are read.
+#[derive(Clone)]
+struct SeriesValues<'a> {
+    bytes: std::slice::Iter<'a, u8>,
+    left: usize,
+}
+
+impl Iterator for SeriesValues<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        self.left = self.left.checked_sub(1)?;
+        leb128::read(&mut self.bytes)
+    }
+}
+
+impl std::fmt::Debug for SeriesValues<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+impl PathSeries {
+    /// Packs the `(path, series)` pairs `series()` yields, ids ascending.
+    fn pack<'a, I>(series: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (PathId, &'a [u64])>,
+    {
+        let bytes = leb128::pack(|| {
+            series().flat_map(|(path, values)| {
+                [u64::from(path.0), values.len() as u64]
+                    .into_iter()
+                    .chain(values.iter().copied())
+            })
+        });
+        PathSeries { bytes }
+    }
+
+    /// Every path's id and values, ids ascending.
+    fn entries(&self) -> impl Iterator<Item = (PathId, SeriesValues<'_>)> {
+        let mut bytes = self.bytes.iter();
+        std::iter::from_fn(move || {
+            let path = PathId(leb128::read(&mut bytes)? as u8);
+            let left = leb128::read(&mut bytes)? as usize;
+            let values = SeriesValues {
+                bytes: bytes.clone(),
+                left,
+            };
+            // Step past this path's values: each ends on a byte below 0x80.
+            bytes.by_ref().filter(|&&b| b < 0x80).take(left).count();
+            Some((path, values))
+        })
+    }
+
+    /// The paths that sent a non-empty packet, ascending.
+    pub fn paths(&self) -> impl Iterator<Item = PathId> + '_ {
+        self.entries().map(|(path, _)| path)
+    }
+
+    /// Whether `path` has a series.
+    pub fn contains(&self, path: PathId) -> bool {
+        self.paths().any(|p| p == path)
+    }
+
+    /// The bytes `path` sent in each second of the call, second 0 first;
+    /// `None` when it never sent a non-empty packet.
+    pub fn get(&self, path: PathId) -> Option<impl Iterator<Item = u64> + '_> {
+        self.entries().find(|(p, _)| *p == path).map(|(_, v)| v)
+    }
+}
+
+impl std::fmt::Debug for PathSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.entries()).finish()
     }
 }
 
@@ -563,10 +773,13 @@ pub struct CallReport {
     /// Per-path counters.
     pub paths: BTreeMap<PathId, PathCounters>,
     /// Bytes sent per second per path (per-path rate series, e.g. the
-    /// paper's Fig. 11 share-shift visual).
-    pub path_series: BTreeMap<PathId, Vec<u64>>,
-    /// Per-second time series.
-    pub bins: Vec<SecondBin>,
+    /// paper's Fig. 11 share-shift visual), for every path that sent a
+    /// non-empty packet: read one with [`PathSeries::get`]. Stored packed,
+    /// it prints (`{:?}`) as the map of `Vec<u64>`s it holds.
+    pub path_series: PathSeries,
+    /// Per-second time series: read them with [`SecondBins::iter`]. Stored
+    /// packed, it prints (`{:?}`) as the `Vec<SecondBin>` it holds.
+    pub bins: SecondBins,
 }
 
 impl CallReport {
@@ -845,12 +1058,12 @@ mod tests {
         m.on_packet_received(t(1500), PathId(0), 2000);
         m.on_ifd(t(1500), d(40));
         m.on_fcd(t(2500), d(15));
-        let r = m.finish();
-        assert_eq!(r.bins[0].media_bits, 8000);
-        assert_eq!(r.bins[1].media_bits, 16000);
-        assert_eq!(r.bins[1].ifd_ms(), Some(40.0));
-        assert_eq!(r.bins[2].fcd_ms(), Some(15.0));
-        assert_eq!(r.bins[0].ifd_ms(), None);
+        let bins: Vec<SecondBin> = m.finish().bins.iter().collect();
+        assert_eq!(bins[0].media_bits, 8000);
+        assert_eq!(bins[1].media_bits, 16000);
+        assert_eq!(bins[1].ifd_ms(), Some(40.0));
+        assert_eq!(bins[2].fcd_ms(), Some(15.0));
+        assert_eq!(bins[0].ifd_ms(), None);
     }
 
     #[test]
@@ -1004,7 +1217,7 @@ mod tests {
                 format!("{:?}", reference.paths),
                 "seed {seed}"
             );
-            assert_eq!(r.path_series, reference.path_series, "seed {seed}");
+            assert_eq!(unpack(&r.path_series), reference.path_series, "seed {seed}");
             let media_bits: Vec<u64> = r.bins.iter().map(|b| b.media_bits).collect();
             assert_eq!(media_bits, reference.media_bits, "seed {seed}");
             assert_eq!(r.fec_packets_sent, reference.fec_sent, "seed {seed}");
@@ -1020,8 +1233,8 @@ mod tests {
         m.on_packet_sent(t(1_000), PathId(1), 10, false, false);
         let r = m.finish();
         assert_eq!(r.paths[&PathId(0)].packets_sent, 1);
-        assert!(!r.path_series.contains_key(&PathId(0)));
-        assert_eq!(r.path_series[&PathId(1)][1], 10);
+        assert!(!r.path_series.contains(PathId(0)));
+        assert_eq!(r.path_series.get(PathId(1)).unwrap().nth(1), Some(10));
     }
 
     #[test]
@@ -1030,6 +1243,149 @@ mod tests {
         // Event after nominal duration must not panic.
         m.on_packet_received(t(20_000), PathId(0), 42);
         let r = m.finish();
-        assert_eq!(r.bins.last().unwrap().media_bits, 42 * 8);
+        assert_eq!(r.bins.iter().last().unwrap().media_bits, 42 * 8);
+    }
+
+    /// The map a [`PathSeries`] holds, unpacked.
+    fn unpack(series: &PathSeries) -> BTreeMap<PathId, Vec<u64>> {
+        series
+            .paths()
+            .map(|path| (path, series.get(path).unwrap().collect()))
+            .collect()
+    }
+
+    /// A seeded draw of at most `max`: an edge of a LEB128 length, the
+    /// largest, or a uniform draw of a random bit width.
+    fn draw(rng: &mut rand::rngs::SmallRng, max: u64) -> u64 {
+        use rand::Rng;
+        const EDGES: [u64; 5] = [0, 127, 128, u32::MAX as u64, u64::MAX];
+        match rng.gen_range(0..3u32) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())].min(max),
+            1 => max,
+            _ => {
+                let width = rng.gen_range(0..64u32);
+                rng.gen_range(0..=max >> width)
+            }
+        }
+    }
+
+    #[test]
+    fn codec_round_trips_every_length() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(50);
+        let mut values: Vec<u64> = vec![0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX)];
+        values.extend([1 << 32, 1 << 63, u64::MAX]);
+        values.extend((0..2_000).map(|_| draw(&mut rng, u64::MAX)));
+        let bytes = leb128::pack(|| values.iter().copied());
+        let mut read = bytes.iter();
+        let decoded: Vec<u64> = std::iter::from_fn(|| leb128::read(&mut read)).collect();
+        assert_eq!(decoded, values);
+        // One byte per started seven bits: 0 and 1 take one, 2^64 − 1 ten.
+        let one = |v: u64| leb128::pack(|| std::iter::once(v)).len();
+        let lengths = [0, 127, 128, u64::from(u32::MAX), 1 << 63, u64::MAX].map(one);
+        assert_eq!(lengths, [1, 1, 2, 5, 10, 10]);
+        assert!(leb128::pack(std::iter::empty).is_empty());
+    }
+
+    #[test]
+    fn e2e_samples_round_trip_through_the_codec() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(51);
+        for case in 0..200 {
+            let n = match case {
+                0 => 0,
+                1 => 1,
+                _ => rng.gen_range(2..300),
+            };
+            let max = u64::from(u32::MAX);
+            let mut us: Vec<u32> = (0..n).map(|_| draw(&mut rng, max) as u32).collect();
+            us.sort_unstable();
+            let samples = E2eSamples::from_sorted_us(&us);
+            let ms: Vec<f64> = us.iter().map(|&us| f64::from(us) / 1_000.0).collect();
+            assert_eq!(samples.iter_ms().collect::<Vec<_>>(), ms, "case {case}");
+            assert_eq!(format!("{samples:?}"), format!("{ms:?}"), "case {case}");
+            assert_eq!(samples.len(), n, "case {case}");
+        }
+    }
+
+    /// The largest value of each of [`SecondBin::fields`]: the media bits
+    /// and the four sums are `u64`, the six counts `u32`.
+    fn field_max() -> [u64; 11] {
+        let mut max = [u64::from(u32::MAX); 11];
+        for wide in [0, 2, 4, 6, 9] {
+            max[wide] = u64::MAX;
+        }
+        max
+    }
+
+    /// A seeded bin: every field an edge or a draw of its own width.
+    fn random_bin(rng: &mut rand::rngs::SmallRng) -> SecondBin {
+        SecondBin::from_fields(field_max().map(|max| draw(rng, max)))
+    }
+
+    #[test]
+    fn packed_bins_read_as_the_vector_they_replace() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(52);
+        for case in 0..200 {
+            let n = match case {
+                0 => 0,
+                1 => 1,
+                _ => rng.gen_range(2..200),
+            };
+            let bins: Vec<SecondBin> = (0..n).map(|_| random_bin(&mut rng)).collect();
+            let packed = SecondBins::pack(&bins);
+            assert_eq!(
+                (packed.len(), packed.is_empty()),
+                (n, n == 0),
+                "case {case}"
+            );
+            let fields: Vec<_> = packed.iter().map(|b| b.fields()).collect();
+            let expected: Vec<_> = bins.iter().map(SecondBin::fields).collect();
+            assert_eq!(fields, expected, "case {case}");
+            assert_eq!(format!("{packed:?}"), format!("{bins:?}"), "case {case}");
+            assert_eq!(format!("{packed:#?}"), format!("{bins:#?}"), "case {case}");
+        }
+        // An empty second takes one byte a field; one with every field at
+        // its largest 10 bytes for each `u64` and 5 for each `u32`: 80.
+        let full = SecondBin::from_fields(field_max());
+        assert_eq!(SecondBins::pack(&[SecondBin::default()]).bytes.len(), 11);
+        assert_eq!(SecondBins::pack(&[full]).bytes.len(), 80);
+    }
+
+    #[test]
+    fn packed_path_series_read_as_the_map_it_replaces() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(53);
+        for case in 0..200 {
+            // Some of ids 0–9, each with a series of 0, 1 or more seconds;
+            // the ids left out are paths with no series.
+            let mut map = BTreeMap::new();
+            for id in 0..10u8 {
+                if case > 0 && rng.gen_bool(0.5) {
+                    let len = match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.gen_range(2..200),
+                    };
+                    let series: Vec<u64> = (0..len).map(|_| draw(&mut rng, u64::MAX)).collect();
+                    map.insert(PathId(id), series);
+                }
+            }
+            let packed = PathSeries::pack(|| map.iter().map(|(&p, s)| (p, s.as_slice())));
+            assert_eq!(unpack(&packed), map, "case {case}");
+            for id in 0..12u8 {
+                let path = PathId(id);
+                assert_eq!(
+                    packed.contains(path),
+                    map.contains_key(&path),
+                    "case {case}"
+                );
+                let got = packed.get(path).map(|s| s.collect::<Vec<_>>());
+                assert_eq!(got.as_ref(), map.get(&path), "case {case}, {path:?}");
+            }
+            assert_eq!(format!("{packed:?}"), format!("{map:?}"), "case {case}");
+            assert_eq!(format!("{packed:#?}"), format!("{map:#?}"), "case {case}");
+        }
     }
 }

@@ -311,7 +311,13 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 ///   (65 536 × 7/8 B);
 /// - the QoE monitor, tallies instead of arrival lists, less the larger
 ///   ring and history structs: −648.
-const CLEAN_CONSTRUCTION_BYTES: u64 = 111_048;
+///
+/// It was 111 048 until the report packed its per-second series (−255):
+/// the path series' 288-byte B-tree leaf went, the packed series take
+/// 10 bytes (two paths' one second, with their ids and lengths) and the
+/// one packed bin 23 (the collector's bins and series were moved into
+/// the report before, and are freed now).
+const CLEAN_CONSTRUCTION_BYTES: u64 = 110_793;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -345,8 +351,9 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 111_048;
 /// above); and 584 529 until a call kept only what a lookup can reach
 /// (−358 280): feedback rings −184 320 and media slots −172 032 (three
 /// streams) as above, and the three QoE monitors' tallies less the larger
-/// structs −1 928.
-const LOSSY_CONSTRUCTION_BYTES: u64 = 226_249;
+/// structs −1 928; and 226 249 until the report packed its per-second
+/// series (−254: the leaf −288, the packed series +10 and bin +24).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 225_995;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -512,13 +519,18 @@ fn fleet8_peak_heap_stays_within_budget() {
 /// milliseconds: the collector's buffer, 2 048 slots of 8 B for 1 769
 /// samples. They are now 2 310 bytes of LEB128 deltas (−14 074).
 ///
-/// The 4 574 B are: E2E samples 2 310; `bins` 1 280 (20 seconds × 64 B);
-/// `path_series` 608 (two paths × 20 × 8 B, and a 288 B B-tree leaf);
-/// `paths` 376 (one B-tree leaf of counters). Until it was measured as
-/// what `drop` frees, this read the thread's live bytes gained over the
-/// whole call, which also counted whatever else the thread allocated or
-/// freed meanwhile: 3 966 in a run of the whole file, 4 574 alone.
-const LOSSY_REPORT_BYTES: u64 = 4_574;
+/// Until it was measured as what `drop` frees, this read the thread's live
+/// bytes gained over the whole call, which also counted whatever else the
+/// thread allocated or freed meanwhile: 3 966 in a run of the whole file,
+/// 4 574 alone. The 4 574 B were: E2E samples 2 310; `bins` 1 280 (20
+/// seconds × 64 B); `path_series` 608 (two paths × 20 × 8 B, and a
+/// 288-byte B-tree leaf); `paths` 376 (one B-tree leaf of counters).
+///
+/// Since the report packs its per-second series (−1 274), the 3 300 B are:
+/// E2E samples 2 310; `bins` 490 (the 20 bins' 220 fields as LEB128,
+/// −790); `path_series` 124 (each path's id, length and 20 byte counts as
+/// LEB128, −484); `paths` 376.
+const LOSSY_REPORT_BYTES: u64 = 3_300;
 
 #[test]
 fn report_bytes_stay_within_budget() {

@@ -69,14 +69,13 @@ fn main() {
         .map(|p| format!(" {:>5}{:>7}", format!("cap{p}"), format!("sent{p}")))
         .collect();
     println!("{:>6}{header}", "t");
-    let empty = Vec::new();
     let secs = duration.as_secs_f64() as usize;
     for t in (0..secs).step_by(10) {
         let mut row = String::new();
         for (p, drive) in drives.iter().enumerate() {
             let cap = drive.rate_at(SimTime::from_secs(t as u64)) as f64 / 1e6;
-            let series = r.path_series.get(&PathId(p as u8)).unwrap_or(&empty);
-            let sent = series.iter().skip(t).take(10).sum::<u64>() as f64 * 8.0 / 10.0 / 1e6;
+            let series = r.path_series.get(PathId(p as u8)).into_iter().flatten();
+            let sent = series.skip(t).take(10).sum::<u64>() as f64 * 8.0 / 10.0 / 1e6;
             row.push_str(&format!(" {cap:>5.1}{sent:>7.2}"));
         }
         println!("{t:>5}s{row}");

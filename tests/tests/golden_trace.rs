@@ -136,7 +136,7 @@ fn report_debug_text_matches_pinned_digests() {
         ),
     ] {
         assert!(
-            report.paths.len() == 2 && report.path_series.len() == 2,
+            report.paths.len() == 2 && report.path_series.paths().count() == 2,
             "{name}"
         );
         let text = format!("{report:?}");

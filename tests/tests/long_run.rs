@@ -64,12 +64,17 @@ fn no_degradation_after_transport_sequence_wrap() {
 
     // The last quarter of the call performs like the second quarter.
     let quarter = report.bins.len() / 4;
-    let q2: u64 = report.bins[quarter..2 * quarter]
+    let q2: u64 = report
+        .bins
         .iter()
+        .skip(quarter)
+        .take(quarter)
         .map(|b| b.media_bits)
         .sum();
-    let q4: u64 = report.bins[3 * quarter..]
+    let q4: u64 = report
+        .bins
         .iter()
+        .skip(3 * quarter)
         .map(|b| b.media_bits)
         .sum();
     assert!(
