@@ -365,11 +365,11 @@ impl MetricsCollector {
     pub fn finish(mut self) -> CallReport {
         let secs = self.duration.as_secs_f64();
         let media_bits: u64 = self.bins.iter().map(|b| b.media_bits).sum();
+        // Account `i` is path `i`'s (ids are `u8`s).
+        let ids = || (0..=u8::MAX).map(PathId);
         // The per-second series are packed first, and each frees what it was
         // packed from before the next allocation: the call's heap, still
         // live around the collector, never holds both forms of one.
-        // Account `i` is path `i`'s (ids are `u8`s).
-        let ids = || (0..=u8::MAX).map(PathId);
         let path_series = PathSeries::pack(|| {
             ids()
                 .zip(&self.paths)
@@ -580,13 +580,14 @@ impl std::fmt::Debug for E2eSamples {
 /// `Debug` text is what its digests hash.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct SecondBins {
-    /// Number of bins (the call's seconds, at least one).
+    /// Number of bins (a call has one a second, and at least one).
     len: usize,
     /// Every bin's fields, back to back.
     bytes: Box<[u8]>,
 }
 
 impl SecondBins {
+    /// Packs `bins`, in order.
     fn pack(bins: &[SecondBin]) -> Self {
         SecondBins {
             len: bins.len(),
