@@ -935,7 +935,8 @@ mod tests {
     }
 
     /// Ascending µs lists: none, one, all equal, a delta at each edge of a
-    /// LEB128 length and the largest, and 5 000 seeded samples.
+    /// LEB128 length and the largest, 5 000 seeded samples, and 50 lists of
+    /// seeded edge-heavy draws.
     fn sample_lists() -> Vec<Vec<u32>> {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut edges = vec![1_000u32];
@@ -950,7 +951,7 @@ mod tests {
             })
             .collect();
         random.sort_unstable();
-        vec![
+        let mut lists = vec![
             vec![],
             vec![40_000],
             vec![33_333; 50],
@@ -958,7 +959,18 @@ mod tests {
             vec![0, u32::MAX],
             vec![u32::MAX],
             random,
-        ]
+        ];
+        // Lists of the report codec's seeded draws: LEB128 length edges
+        // and uniform draws of random widths, up to 2^32 − 1.
+        let mut rng = SmallRng::seed_from_u64(51);
+        for _ in 0..50 {
+            let n = rng.gen_range(2..300);
+            let max = u64::from(u32::MAX);
+            let mut list: Vec<u32> = (0..n).map(|_| draw(&mut rng, max) as u32).collect();
+            list.sort_unstable();
+            lists.push(list);
+        }
+        lists
     }
 
     #[test]
@@ -1288,40 +1300,23 @@ mod tests {
         assert!(leb128::pack(std::iter::empty).is_empty());
     }
 
-    #[test]
-    fn e2e_samples_round_trip_through_the_codec() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(51);
-        for case in 0..200 {
-            let n = match case {
-                0 => 0,
-                1 => 1,
-                _ => rng.gen_range(2..300),
-            };
-            let max = u64::from(u32::MAX);
-            let mut us: Vec<u32> = (0..n).map(|_| draw(&mut rng, max) as u32).collect();
-            us.sort_unstable();
-            let samples = E2eSamples::from_sorted_us(&us);
-            let ms: Vec<f64> = us.iter().map(|&us| f64::from(us) / 1_000.0).collect();
-            assert_eq!(samples.iter_ms().collect::<Vec<_>>(), ms, "case {case}");
-            assert_eq!(format!("{samples:?}"), format!("{ms:?}"), "case {case}");
-            assert_eq!(samples.len(), n, "case {case}");
+    /// A bin built field by field (not through [`SecondBin::from_fields`],
+    /// which the packing uses): each field is `value(its largest value)`.
+    fn bin_of(mut value: impl FnMut(u64) -> u64) -> SecondBin {
+        let (wide, narrow) = (u64::MAX, u64::from(u32::MAX));
+        SecondBin {
+            media_bits: value(wide),
+            frames_decoded: value(narrow) as u32,
+            e2e_sum_us: value(wide),
+            e2e_count: value(narrow) as u32,
+            ifd_sum_us: value(wide),
+            ifd_count: value(narrow) as u32,
+            fcd_sum_us: value(wide),
+            fcd_count: value(narrow) as u32,
+            frames_dropped: value(narrow) as u32,
+            height_sum: value(wide),
+            encoded_count: value(narrow) as u32,
         }
-    }
-
-    /// The largest value of each of [`SecondBin::fields`]: the media bits
-    /// and the four sums are `u64`, the six counts `u32`.
-    fn field_max() -> [u64; 11] {
-        let mut max = [u64::from(u32::MAX); 11];
-        for wide in [0, 2, 4, 6, 9] {
-            max[wide] = u64::MAX;
-        }
-        max
-    }
-
-    /// A seeded bin: every field an edge or a draw of its own width.
-    fn random_bin(rng: &mut rand::rngs::SmallRng) -> SecondBin {
-        SecondBin::from_fields(field_max().map(|max| draw(rng, max)))
     }
 
     #[test]
@@ -1334,24 +1329,20 @@ mod tests {
                 1 => 1,
                 _ => rng.gen_range(2..200),
             };
-            let bins: Vec<SecondBin> = (0..n).map(|_| random_bin(&mut rng)).collect();
+            let bins: Vec<SecondBin> = (0..n).map(|_| bin_of(|max| draw(&mut rng, max))).collect();
             let packed = SecondBins::pack(&bins);
             assert_eq!(
                 (packed.len(), packed.is_empty()),
                 (n, n == 0),
                 "case {case}"
             );
-            let fields: Vec<_> = packed.iter().map(|b| b.fields()).collect();
-            let expected: Vec<_> = bins.iter().map(SecondBin::fields).collect();
-            assert_eq!(fields, expected, "case {case}");
             assert_eq!(format!("{packed:?}"), format!("{bins:?}"), "case {case}");
             assert_eq!(format!("{packed:#?}"), format!("{bins:#?}"), "case {case}");
         }
         // An empty second takes one byte a field; one with every field at
         // its largest 10 bytes for each `u64` and 5 for each `u32`: 80.
-        let full = SecondBin::from_fields(field_max());
         assert_eq!(SecondBins::pack(&[SecondBin::default()]).bytes.len(), 11);
-        assert_eq!(SecondBins::pack(&[full]).bytes.len(), 80);
+        assert_eq!(SecondBins::pack(&[bin_of(|max| max)]).bytes.len(), 80);
     }
 
     #[test]
