@@ -183,10 +183,12 @@ properties() {
 }
 gate properties properties
 
-# The eight deterministic allocation budgets (two steady-state call counts,
-# one construction byte count, two peak live heaps of a call, the bytes a
-# finished call's report holds, the peak live heap of a fleet in
-# conferences of 8, the peak live heap of the eight-path constant8 call);
+# The nine deterministic allocation budgets (two steady-state call counts,
+# one construction byte count, two peak live heaps of a 20 s call, the
+# bytes a finished call's report holds, the peak live heap of a fleet in
+# conferences of 8, the peak live heap of the eight-path constant8 call,
+# the peak live heap of the 180 s lossy call that the sender's frame logs
+# dominate);
 # then the report's bytes once more, alone on the parallel harness and on
 # one thread, which must print the same count: it is what dropping the
 # report frees, so it cannot depend on what else ran on the thread (read as
@@ -199,7 +201,7 @@ report_bytes() {
 }
 alloc_budget() {
     local out parallel serial
-    tests_by_name 8 -p converge-sim --test alloc_budget -- --exact \
+    tests_by_name 9 -p converge-sim --test alloc_budget -- --exact \
         steady_state_allocation_count_stays_within_budget \
         lossy_steady_state_allocation_count_stays_within_budget \
         construction_bytes_stay_within_budget \
@@ -207,7 +209,8 @@ alloc_budget() {
         lossy_peak_heap_stays_within_budget \
         report_bytes_stay_within_budget \
         fleet8_peak_heap_stays_within_budget \
-        constant8_peak_heap_stays_within_budget
+        constant8_peak_heap_stays_within_budget \
+        long_lossy_peak_heap_stays_within_budget
     parallel=$(report_bytes)
     serial=$(report_bytes --test-threads 1)
     echo "report bytes: $parallel (parallel harness), $serial (one thread)"

@@ -138,7 +138,8 @@ mod tests {
     #[test]
     fn no_fec_needs_more_retransmissions() {
         let (table, scale) = (fec_table(), Scale::Quick);
-        let reports = CellCache::global().reports(&table.jobs(scale.seeds(), scale.duration()));
+        let runs = CellCache::global().runs(&table.jobs(scale.seeds(), scale.duration()));
+        let reports = crate::sweep::reports_of(&runs);
         let none_rtx = table.value(&reports, &["none"], "rtx");
         let conv_rtx = table.value(&reports, &["converge"], "rtx");
         assert!(

@@ -41,7 +41,7 @@ fn duration(scale: Scale) -> converge_net::SimDuration {
 }
 
 /// Formats each path's share of total sent bytes as `p0/p1/…` percents.
-fn utilization_split(reports: &[converge_sim::CallReport]) -> String {
+fn utilization_split(reports: &[&converge_sim::CallReport]) -> String {
     let paths = reports
         .iter()
         .map(|r| r.paths.len())

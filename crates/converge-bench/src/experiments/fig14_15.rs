@@ -87,7 +87,8 @@ mod tests {
     fn converge_has_best_psnr_of_multipath_systems() {
         let seeds: Vec<u64> = (1..=12).collect();
         let table = fig15_table();
-        let reports = CellCache::global().reports(&table.jobs(&seeds, Scale::Quick.duration()));
+        let runs = CellCache::global().runs(&table.jobs(&seeds, Scale::Quick.duration()));
+        let reports = crate::sweep::reports_of(&runs);
         let conv = table.value(&reports, &["Converge"], "psnr_db");
         for system in ["M-RTP", "M-TPUT", "SRTT"] {
             let other = table.value(&reports, &[system], "psnr_db");

@@ -56,7 +56,8 @@ mod tests {
     #[test]
     fn converge_beats_naive_multipath_on_fps() {
         let (table, scale) = (table(), Scale::Quick);
-        let reports = CellCache::global().reports(&table.jobs(scale.seeds(), scale.duration()));
+        let runs = CellCache::global().runs(&table.jobs(scale.seeds(), scale.duration()));
+        let reports = crate::sweep::reports_of(&runs);
         let value = |system, head| table.value(&reports, &[system, "1"], head);
         let (conv_fps, mrtp_fps) = (value("Converge", "norm_fps"), value("M-RTP", "norm_fps"));
         assert!(

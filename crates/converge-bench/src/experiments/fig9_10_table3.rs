@@ -114,7 +114,7 @@ pub fn spec_table3(scale: Scale) -> ExperimentSpec {
     let mut jobs = walking.jobs(scale.seeds(), scale.duration());
     let seam = jobs.len();
     jobs.extend(driving.jobs(scale.seeds(), scale.duration()));
-    let fold = move |reports: &[CallReport]| {
+    let fold = move |reports: &[&CallReport]| {
         let (walking, driving) = (
             walking.render(&reports[..seam]),
             driving.render(&reports[seam..]),
@@ -140,7 +140,8 @@ mod tests {
     #[test]
     fn converge_outperforms_single_path_in_walking_throughput() {
         let (table, scale) = (fig10_table(), Scale::Quick);
-        let reports = CellCache::global().reports(&table.jobs(scale.seeds(), scale.duration()));
+        let runs = CellCache::global().runs(&table.jobs(scale.seeds(), scale.duration()));
+        let reports = crate::sweep::reports_of(&runs);
         let c = table.value(&reports, &["walking", "Converge"], "norm_tput");
         let s = table.value(&reports, &["walking", "WebRTC-p1"], "norm_tput");
         assert!(
@@ -152,7 +153,8 @@ mod tests {
     #[test]
     fn converge_fec_utilization_beats_table() {
         let (table, scale) = (table3_part("driving", ScenarioSpec::Driving), Scale::Quick);
-        let reports = CellCache::global().reports(&table.jobs(scale.seeds(), scale.duration()));
+        let runs = CellCache::global().runs(&table.jobs(scale.seeds(), scale.duration()));
+        let reports = crate::sweep::reports_of(&runs);
         let c_ovh = table.value(&reports, &["1", "Converge"], "fec_ovh_%");
         let s_ovh = table.value(&reports, &["1", "WebRTC-p0"], "fec_ovh_%");
         assert!(

@@ -103,7 +103,8 @@ mod tests {
         // quick-scale runs.
         let duration = converge_net::SimDuration::from_secs(60);
         let table = fig17_table();
-        let reports = crate::sweep::CellCache::global().reports(&table.jobs(&[42], duration));
+        let runs = crate::sweep::CellCache::global().runs(&table.jobs(&[42], duration));
+        let reports = crate::sweep::reports_of(&runs);
         let conv = table.value(&reports, &["3", "Converge"], "norm_tput");
         let cellular = table.value(&reports, &["3", "WebRTC-T"], "norm_tput");
         assert!(

@@ -142,12 +142,12 @@ impl Table {
     /// The experiment: [`Table::jobs`] plus [`Table::render`] as the fold.
     pub fn spec(self, seeds: &[u64], duration: SimDuration) -> ExperimentSpec {
         let jobs = self.jobs(seeds, duration);
-        let fold = Box::new(move |reports: &[CallReport]| self.render(reports));
+        let fold = Box::new(move |reports: &[&CallReport]| self.render(reports));
         ExperimentSpec { jobs, fold }
     }
 
     /// The printable report over the reports of [`Table::jobs`], in order.
-    pub fn render(&self, reports: &[CallReport]) -> String {
+    pub fn render(&self, reports: &[&CallReport]) -> String {
         let heads = self.values.iter().map(|col| col.head.to_string());
         let mut out = format!("{}\n", self.title);
         out.push_str(&self.line(self.labels.iter().map(|col| col.0), heads));
@@ -163,7 +163,7 @@ impl Table {
 
     /// The mean the row labelled `labels` prints under `head`, over the
     /// same ordered reports [`Table::render`] takes.
-    pub fn value(&self, reports: &[CallReport], labels: &[&str], head: &str) -> f64 {
+    pub fn value(&self, reports: &[&CallReport], labels: &[&str], head: &str) -> f64 {
         let row = self.rows.iter().position(|row| row.labels == labels);
         let row = row.unwrap_or_else(|| panic!("{}: no row {labels:?}", self.title));
         let col = self.values.iter().find(|col| col.head == head);
@@ -172,7 +172,10 @@ impl Table {
     }
 
     /// The reports split by row: as many per row as seeds were declared.
-    fn per_row<'a>(&self, reports: &'a [CallReport]) -> std::slice::ChunksExact<'a, CallReport> {
+    fn per_row<'a, 'r>(
+        &self,
+        reports: &'a [&'r CallReport],
+    ) -> std::slice::ChunksExact<'a, &'r CallReport> {
         reports.chunks_exact(reports.len() / self.rows.len())
     }
 
@@ -194,11 +197,11 @@ impl Table {
 }
 
 impl ValueColumn {
-    fn mean(&self, reports: &[CallReport]) -> f64 {
+    fn mean(&self, reports: &[&CallReport]) -> f64 {
         mean_std(&metric(reports, self.metric)).0
     }
 
-    fn text(&self, reports: &[CallReport]) -> String {
+    fn text(&self, reports: &[&CallReport]) -> String {
         match self.spread {
             true => pm(&metric(reports, self.metric), self.decimals),
             false => format!("{:.d$}", self.mean(reports), d = self.decimals),
@@ -210,8 +213,9 @@ impl ValueColumn {
 mod tests {
     use super::*;
     use crate::runner::ScenarioSpec;
-    use crate::sweep::CellCache;
+    use crate::sweep::{reports_of, CachedRun, CellCache};
     use converge_sim::{FecKind, SchedulerKind};
+    use std::sync::Arc;
 
     const FIVE_S: SimDuration = SimDuration::from_secs(5);
 
@@ -240,8 +244,8 @@ mod tests {
     }
 
     /// One 5-second call per row of [`two_rows`], from a private cache.
-    fn two_calls() -> Vec<CallReport> {
-        CellCache::new().reports(&two_rows().jobs(&[7], FIVE_S))
+    fn two_calls() -> Vec<Arc<CachedRun>> {
+        CellCache::new().runs(&two_rows().jobs(&[7], FIVE_S))
     }
 
     #[test]
@@ -256,7 +260,8 @@ mod tests {
 
     #[test]
     fn header_and_rows_share_widths_and_a_gap_is_one_blank_line() {
-        let calls = two_calls();
+        let runs = two_calls();
+        let calls = reports_of(&runs);
         let row = |net: &str, loss: u32, r: &CallReport| {
             let fps = pm(&[r.fps], 1);
             format!("{net:<8} {loss:>6} {fps:>12} {:>8}", r.frames_decoded)
@@ -264,9 +269,9 @@ mod tests {
         let want = [
             "# title".to_string(),
             format!("{:<8} {:>6} {:>12} {:>8}", "net", "loss%", "fps", "frames"),
-            row("clean", 0, &calls[0]),
+            row("clean", 0, calls[0]),
             String::new(),
-            row("lossy", 3, &calls[1]),
+            row("lossy", 3, calls[1]),
             "# note".to_string(),
         ];
         assert_eq!(two_rows().render(&calls), want.join("\n") + "\n");
@@ -280,7 +285,8 @@ mod tests {
     #[test]
     fn mean_prints_pm_num_the_bare_mean_and_value_returns_both() {
         // The same two calls read as two seeds of one row.
-        let calls = two_calls();
+        let runs = two_calls();
+        let calls = reports_of(&runs);
         let mut table = columns();
         table.row(&[&"both", &"-"], cell(0.0));
         let fps = [calls[0].fps, calls[1].fps];

@@ -25,8 +25,8 @@ pub fn pm(values: &[f64], decimals: usize) -> String {
 }
 
 /// Extracts a metric from each report.
-pub fn metric(reports: &[CallReport], f: impl Fn(&CallReport) -> f64) -> Vec<f64> {
-    reports.iter().map(f).collect()
+pub fn metric(reports: &[&CallReport], f: impl Fn(&CallReport) -> f64) -> Vec<f64> {
+    reports.iter().map(|&r| f(r)).collect()
 }
 
 #[cfg(test)]

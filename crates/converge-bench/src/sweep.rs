@@ -114,12 +114,11 @@ impl CellCache {
         run
     }
 
-    /// The reports of `jobs`, in order, each simulated on the calling
-    /// thread unless already memoized.
-    pub fn reports(&self, jobs: &[Job]) -> Vec<CallReport> {
-        jobs.iter()
-            .map(|job| self.get_or_run(job).report.clone())
-            .collect()
+    /// The memoized runs of `jobs`, in order, each simulated on the calling
+    /// thread unless already memoized; [`reports_of`] lends their reports
+    /// to a fold.
+    pub fn runs(&self, jobs: &[Job]) -> Vec<Arc<CachedRun>> {
+        jobs.iter().map(|job| self.get_or_run(job)).collect()
     }
 
     /// Simulations actually executed through this cache. What a sweep
@@ -153,9 +152,15 @@ fn write_timeline(dir: &Path, job: &Job, records: &[TraceRecord]) -> std::io::Re
     std::fs::write(dir.join(format!("{stem}.timeline.txt")), summary)
 }
 
-/// The rendering half of an experiment: consumes its jobs' reports, in
-/// declaration order, and produces the printable report text.
-pub type FoldFn = Box<dyn FnOnce(&[CallReport]) -> String>;
+/// The reports of `runs`, in order, borrowed where the cache keeps them.
+pub fn reports_of(runs: &[Arc<CachedRun>]) -> Vec<&CallReport> {
+    runs.iter().map(|run| &run.report).collect()
+}
+
+/// The rendering half of an experiment: reads its jobs' reports, in
+/// declaration order, where the memo cache keeps them, and produces the
+/// printable report text.
+pub type FoldFn = Box<dyn FnOnce(&[&CallReport]) -> String>;
 
 /// A declarative experiment: the jobs it needs plus the fold that renders
 /// them. The engine owns execution.
@@ -169,7 +174,8 @@ pub struct ExperimentSpec {
 /// Executes a spec's jobs serially through `cache` and folds the report —
 /// [`run_sweep`] for one experiment on the calling thread.
 pub fn render(spec: ExperimentSpec, cache: &CellCache) -> String {
-    (spec.fold)(&cache.reports(&spec.jobs))
+    let runs = cache.runs(&spec.jobs);
+    (spec.fold)(&reports_of(&runs))
 }
 
 /// Whole-sweep accounting; [`SweepStats::summary`] is its stderr line.
@@ -267,7 +273,7 @@ pub fn run_sweep(
     let mut executed_sim_s = 0.0f64;
     for (id, spec) in experiments {
         total_jobs += spec.jobs.len();
-        let reports: Vec<CallReport> = spec
+        let runs: Vec<Arc<CachedRun>> = spec
             .jobs
             .iter()
             .map(|job| {
@@ -277,10 +283,10 @@ pub fn run_sweep(
                     executed_sim_s += job.sim_seconds();
                     violations.extend(run.violations.iter().map(|v| (*job, v.clone())));
                 }
-                run.report.clone()
+                run
             })
             .collect();
-        outputs.push((id, (spec.fold)(&reports)));
+        outputs.push((id, (spec.fold)(&reports_of(&runs))));
     }
 
     let stats = SweepStats {

@@ -8,7 +8,12 @@
 //!   function of its frame ([`Packetizer::packet_at`]), so the ring keeps
 //!   only the path each sequence took, packed into the fewest bits the
 //!   sender's path count needs (1, 2, 4 or 8), and the packet itself is
-//!   rebuilt from a 24-byte per-frame record when a NACK asks for it.
+//!   rebuilt from the stream's frame log when a NACK asks for it. The log
+//!   keeps a frame as six LEB128 fields against the frame before it, about
+//!   seven bytes, in groups of up to [`GROUP_FRAMES`]: a group's first
+//!   frame is a checkpoint, written against a zero frame at the group's
+//!   first sequence, so a lookup binary-searches the groups by their first
+//!   sequence and decodes one group.
 //! - [`FeedbackRing`], per path: send time and size of each transport
 //!   sequence, for matching transport feedback into packet timings, in six
 //!   bytes a sequence. A dense ring holds the newest [`DENSE_SLOTS`]; an
@@ -22,19 +27,21 @@
 
 use std::collections::VecDeque;
 
-use converge_net::{PathId, SimTime};
+use converge_net::{PathId, SimDuration, SimTime};
 use converge_video::{EncodedFrame, FrameType, PacketizedFrame, Packetizer, StreamId, VideoPacket};
+
+use crate::leb128;
 
 /// One stream's retransmission history: the newest `slots` media
 /// sequences the stream sent, each with the path it travelled.
 ///
 /// Slot `i` holds the path of the newest remembered sequence whose low
-/// bits are `i`; `frames` holds the record of every frame that still has a
-/// sequence inside that window, oldest first. Sequences are remembered in
+/// bits are `i`; `groups` holds every frame that still has a sequence
+/// inside that window, oldest first. Sequences are remembered in
 /// increasing order and every packet of a begun frame is remembered, so
 /// the sequence a NACK's 16 bits name is the newest one below `next` with
 /// those bits, and it is in the ring iff it lies inside the window and
-/// inside a frame record. A lookup answers exactly what a ring of whole
+/// inside a logged frame. A lookup answers exactly what a ring of whole
 /// packets would — the packet, if it is among the newest `slots`
 /// sequences — except that a sequence WebRTC-CM consumed without sending
 /// (it drops whole batches during a blackout, and a dropped batch begins
@@ -43,7 +50,8 @@ use converge_video::{EncodedFrame, FrameType, PacketizedFrame, Packetizer, Strea
 ///
 /// A slot is `1 << width_log2` bits, the fewest of 1, 2, 4 or 8 that hold
 /// every path id of the sender: 8 KiB for 65 536 sequences on two paths,
-/// 32 KiB on eight.
+/// 32 KiB on eight. The frame log takes a 128-byte [`FrameGroup`] for
+/// every 15 or 16 frames of a call's usual stream: 8 to 9 bytes a frame.
 #[derive(Debug)]
 pub(crate) struct MediaHistory {
     /// The slots, packed low bits first.
@@ -52,7 +60,16 @@ pub(crate) struct MediaHistory {
     mask: u64,
     /// log2 of a slot's width in bits, 0 to 3.
     width_log2: u32,
-    frames: VecDeque<FrameRecord>,
+    /// The frame log, oldest group first. A group leaves once the group
+    /// after it begins a full ring behind the newest sequence, so a group
+    /// may keep a few frames no lookup can reach: `lookup` answers `None`
+    /// for anything `slots` or more behind before it reads the log.
+    groups: VecDeque<FrameGroup>,
+    /// The frame last begun: the next frame's record is written against
+    /// it, and every frame of the log is of its stream.
+    last: PacketizedFrame,
+    /// The encoder's frame interval, µs: the capture step a record assumes.
+    interval_us: u64,
     /// One past the newest remembered sequence (0 before the first).
     next: u64,
 }
@@ -61,13 +78,14 @@ pub(crate) struct MediaHistory {
 const _: () = assert!(std::mem::size_of::<PathId>() == 1);
 
 impl MediaHistory {
-    /// A history of the newest `slots` sequences sent over `paths` paths.
+    /// A history of the newest `slots` sequences sent over `paths` paths,
+    /// by an encoder that captures a frame every `interval`.
     ///
     /// # Panics
     /// Panics unless `slots` is a power of two no larger than 65 536 (a
     /// NACK names a sequence by its low 16 bits, so a larger ring could
     /// not be addressed), or unless `paths` is 1 to 256.
-    pub(crate) fn new(slots: usize, paths: usize) -> Self {
+    pub(crate) fn new(slots: usize, paths: usize, interval: SimDuration) -> Self {
         assert!(
             slots.is_power_of_two() && slots <= 1 << 16,
             "media history of {slots} slots"
@@ -84,7 +102,9 @@ impl MediaHistory {
             paths: vec![0; (slots << width_log2).div_ceil(8)].into_boxed_slice(),
             mask: slots as u64 - 1,
             width_log2,
-            frames: VecDeque::new(),
+            groups: VecDeque::new(),
+            last: origin(StreamId(0), 0),
+            interval_us: interval.as_micros(),
             next: 0,
         }
     }
@@ -104,28 +124,64 @@ impl MediaHistory {
 
     /// Starts remembering the packets of `frame`; the caller follows with
     /// one [`MediaHistory::remember`] per packet of it, in order. Frames
-    /// arrive in sequence order.
+    /// arrive in sequence order, all of one stream.
     ///
     /// # Panics
-    /// Panics past any of the bounds in [`FrameRecord`]'s docs.
+    /// Panics if the frame's first sequence is 2^32 or more (a group keeps
+    /// its first sequence in 32 bits), or if the frame is of another stream
+    /// than the frames before it.
     pub(crate) fn begin_frame(&mut self, frame: PacketizedFrame) {
         debug_assert!(self.next <= frame.first_sequence);
         debug_assert!(
-            self.frames.back().is_none_or(|f| f.end() == self.next),
+            self.groups.is_empty() || end(&self.last) == self.next,
             "every packet of the previous frame must be remembered"
         );
-        let record = FrameRecord::new(&frame);
-        // A frame whose last sequence is a full ring behind the newest one
-        // can never be looked up again.
+        assert!(
+            self.groups.is_empty() || frame.frame.stream == self.last.frame.stream,
+            "a frame of stream {} in the history of stream {}",
+            frame.frame.stream.0,
+            self.last.frame.stream.0
+        );
+        let first_sequence = u32::try_from(frame.first_sequence).unwrap_or_else(|_| {
+            panic!(
+                "media sequence {} is past the frame log's 32 bits",
+                frame.first_sequence
+            )
+        });
+        // A group whose successor begins a full ring behind the newest
+        // sequence holds nothing a lookup can reach.
         let window = self.slots();
         while self
-            .frames
-            .front()
-            .is_some_and(|oldest| oldest.end() + window <= self.next)
+            .groups
+            .get(1)
+            .is_some_and(|next| u64::from(next.first_sequence) + window <= self.next)
         {
-            self.frames.pop_front();
+            self.groups.pop_front();
         }
-        self.frames.push_back(record);
+        let mut fields = record(&frame, &self.last, self.interval_us);
+        let len: usize = fields.iter().copied().map(leb128::len).sum();
+        let group = match self.groups.back_mut() {
+            Some(g) if g.frames < GROUP_FRAMES && usize::from(g.used) + len <= GROUP_BYTES => g,
+            // The frame opens a group: its record is written against the
+            // group's origin, so it holds the frame's absolute fields.
+            _ => {
+                self.groups.push_back(FrameGroup {
+                    first_sequence,
+                    frames: 0,
+                    used: 0,
+                    records: [0; GROUP_BYTES],
+                });
+                let origin = origin(frame.frame.stream, frame.first_sequence);
+                fields = record(&frame, &origin, self.interval_us);
+                self.groups.back_mut().expect("just pushed")
+            }
+        };
+        for field in fields {
+            let used = usize::from(group.used);
+            group.used += leb128::write(field, &mut group.records[used..]) as u8;
+        }
+        group.frames += 1;
+        self.last = frame;
     }
 
     /// Remembers that `sequence`, the next packet of the frame last begun,
@@ -136,9 +192,9 @@ impl MediaHistory {
     /// not built for.
     pub(crate) fn remember(&mut self, sequence: u64, path: PathId) {
         debug_assert!(
-            self.frames
-                .back()
-                .is_some_and(|f| sequence == f.first().max(self.next) && sequence < f.end()),
+            !self.groups.is_empty()
+                && sequence == self.last.first_sequence.max(self.next)
+                && sequence < end(&self.last),
             "sequence {sequence} is not the next packet of the frame last begun"
         );
         let (byte, shift, field) = self.slot_of(sequence);
@@ -167,116 +223,172 @@ impl MediaHistory {
             return None;
         }
         let sequence = newest.checked_sub(behind)?;
-        let after = self.frames.partition_point(|f| f.first() <= sequence);
-        let frame = self.frames.get(after.checked_sub(1)?)?;
-        // Past the frame's end, `sequence` belongs to a dropped batch.
-        if sequence >= frame.end() {
-            return None;
-        }
+        let after = self
+            .groups
+            .partition_point(|g| u64::from(g.first_sequence) <= sequence);
+        let group = self.groups.get(after.checked_sub(1)?)?;
+        // The first frame of the group that ends past `sequence`; if it
+        // begins past it too, or no frame does, `sequence` belongs to a
+        // dropped batch.
+        let frame = group
+            .frames(self.last.frame.stream, self.interval_us)
+            .find(|f| sequence < end(f))
+            .filter(|f| f.first_sequence <= sequence)?;
         #[cfg(test)]
         lookback::note_media(behind);
-        let n = (sequence - frame.first()) as u32;
+        let n = (sequence - frame.first_sequence) as u32;
         let (byte, shift, field) = self.slot_of(sequence);
         Some((
-            packetizer.packet_at(&frame.packetized(), n),
+            packetizer.packet_at(&frame, n),
             PathId(self.paths[byte] >> shift & field),
         ))
     }
 }
 
-/// What [`Packetizer::packet_at`] reads of a [`PacketizedFrame`], in 24
-/// bytes instead of 56: the encoder's QP and frame height are dropped and
-/// every other field is narrowed. Narrowing bounds what a record can hold
-/// — sequences, frame and GOP ids below 2^32, frames under 4 GiB, capture
-/// times below 2^32 µs (71.6 minutes of simulated time, the bound
-/// [`FeedbackRing`] already puts on every call) and 65 535 packets a frame
-/// — and [`FrameRecord::new`] panics past any of them rather than store a
-/// truncated value.
+/// Frames a group holds at most, and so the records a lookup decodes.
+const GROUP_FRAMES: u8 = 16;
+
+/// Record bytes a group holds: with its six-byte header a group is 128
+/// bytes. Sixteen usual records take about 115 (the checkpoint ten to
+/// twelve, the rest about seven each); a group whose next record does not
+/// fit closes early, with fewer frames.
+const GROUP_BYTES: usize = 122;
+
+/// The longest record: six fields of up to ten bytes. A group's first
+/// record always fits.
+const _: () = assert!(6 * 10 <= GROUP_BYTES);
+const _: () = assert!(std::mem::size_of::<FrameGroup>() == 128);
+
+/// Up to [`GROUP_FRAMES`] consecutive frames of the log, each a record of
+/// six LEB128 fields ([`record`]) against the frame before it, the first
+/// against the group's [`origin`].
 #[derive(Debug, Clone, Copy)]
-struct FrameRecord {
+struct FrameGroup {
+    /// The first sequence of the group's first frame.
     first_sequence: u32,
-    frame_id: u32,
-    gop_id: u32,
-    size: u32,
-    capture_us: u32,
-    packet_count: u16,
-    stream: u8,
-    /// [`FrameRecord::KEY`] | [`FrameRecord::SPS`].
-    flags: u8,
+    /// Frames recorded.
+    frames: u8,
+    /// Bytes of `records` written.
+    used: u8,
+    records: [u8; GROUP_BYTES],
 }
 
-const _: () = assert!(std::mem::size_of::<FrameRecord>() <= 24);
-
-/// `value` as a `T`, or a panic naming the record field and its bound.
-fn narrow<T: TryFrom<u64>>(value: u64, field: &str, bound: &str) -> T {
-    T::try_from(value)
-        .unwrap_or_else(|_| panic!("{field} {value} is past the frame record's {bound}"))
+impl FrameGroup {
+    /// The group's frames, oldest first, decoded as they are read.
+    fn frames(
+        &self,
+        stream: StreamId,
+        interval_us: u64,
+    ) -> impl Iterator<Item = PacketizedFrame> + '_ {
+        let mut bytes = self.records[..usize::from(self.used)].iter();
+        let mut prev = origin(stream, u64::from(self.first_sequence));
+        std::iter::from_fn(move || {
+            prev = read_record(&prev, &mut bytes, interval_us)?;
+            Some(prev)
+        })
+    }
 }
 
-impl FrameRecord {
-    /// The frame is a keyframe.
-    const KEY: u8 = 1;
-    /// The frame leads with an SPS packet.
-    const SPS: u8 = 2;
+/// The record flag of a keyframe, in the packet-count field's low bits.
+const KEY: u64 = 1;
+/// The record flag of a frame that leads with an SPS packet.
+const SPS: u64 = 2;
 
-    fn new(p: &PacketizedFrame) -> Self {
-        let frame = &p.frame;
-        let mut flags = 0;
-        if frame.frame_type == FrameType::Key {
-            flags |= Self::KEY;
-        }
-        if p.has_sps {
-            flags |= Self::SPS;
-        }
-        FrameRecord {
-            first_sequence: narrow(p.first_sequence, "media sequence", "32 bits"),
-            frame_id: narrow(frame.frame_id, "frame id", "32 bits"),
-            gop_id: narrow(frame.gop_id, "GOP id", "32 bits"),
-            size: narrow(frame.size as u64, "frame size", "32 bits"),
-            capture_us: narrow(
-                frame.capture_time.as_micros(),
-                "capture time (µs)",
-                "32-bit microsecond clock (71.6 min)",
-            ),
-            packet_count: narrow(u64::from(p.packet_count), "packet count", "65 535"),
-            stream: frame.stream.0,
-            flags,
-        }
+/// A group's first record is written against this: a zero frame of
+/// `stream` that ends where the group begins, so the record holds the
+/// frame's absolute fields (its capture time less one interval).
+fn origin(stream: StreamId, first_sequence: u64) -> PacketizedFrame {
+    PacketizedFrame {
+        frame: EncodedFrame {
+            stream,
+            frame_id: 0,
+            gop_id: 0,
+            frame_type: FrameType::Delta,
+            size: 0,
+            qp: 0,
+            height: 0,
+            capture_time: SimTime::ZERO,
+        },
+        first_sequence,
+        packet_count: 0,
+        has_sps: false,
     }
+}
 
-    /// The frame's first sequence.
-    fn first(&self) -> u64 {
-        u64::from(self.first_sequence)
+/// One past the frame's last sequence.
+fn end(frame: &PacketizedFrame) -> u64 {
+    frame.first_sequence + u64::from(frame.packet_count)
+}
+
+/// `frame`'s record against `prev`, the frame before it in the log: the
+/// sequences skipped since `prev` ended (those of dropped batches), the
+/// frame-id and GOP-id steps, how far the capture time is from one
+/// `interval_us` after `prev`'s (zig-zag), the size, and the packet count
+/// with the [`KEY`] and [`SPS`] flags in its low two bits. Every step
+/// wraps, so any frame is recorded exactly; a usual one costs a byte a
+/// field and two or three for the size. The encoder's QP and frame height
+/// are not recorded: [`Packetizer::packet_at`] reads neither.
+fn record(frame: &PacketizedFrame, prev: &PacketizedFrame, interval_us: u64) -> [u64; 6] {
+    let (f, p) = (&frame.frame, &prev.frame);
+    let capture = f
+        .capture_time
+        .as_micros()
+        .wrapping_sub(p.capture_time.as_micros())
+        .wrapping_sub(interval_us);
+    let mut flags = 0;
+    if f.frame_type == FrameType::Key {
+        flags |= KEY;
     }
-
-    /// One past the frame's last sequence.
-    fn end(&self) -> u64 {
-        self.first() + u64::from(self.packet_count)
+    if frame.has_sps {
+        flags |= SPS;
     }
+    [
+        frame.first_sequence.wrapping_sub(end(prev)),
+        f.frame_id.wrapping_sub(p.frame_id),
+        f.gop_id.wrapping_sub(p.gop_id),
+        leb128::zigzag(capture as i64),
+        f.size as u64,
+        u64::from(frame.packet_count) << 2 | flags,
+    ]
+}
 
-    /// The record widened back into what [`Packetizer::packet_at`] takes.
-    fn packetized(&self) -> PacketizedFrame {
-        PacketizedFrame {
-            frame: EncodedFrame {
-                stream: StreamId(self.stream),
-                frame_id: u64::from(self.frame_id),
-                gop_id: u64::from(self.gop_id),
-                frame_type: if self.flags & Self::KEY != 0 {
-                    FrameType::Key
-                } else {
-                    FrameType::Delta
-                },
-                size: self.size as usize,
-                // `packet_at` reads neither.
-                qp: 0,
-                height: 0,
-                capture_time: SimTime::from_micros(u64::from(self.capture_us)),
+/// The frame whose [`record`] against `prev` is next in `bytes`; `None`
+/// once they are used up.
+fn read_record(
+    prev: &PacketizedFrame,
+    bytes: &mut std::slice::Iter<'_, u8>,
+    interval_us: u64,
+) -> Option<PacketizedFrame> {
+    let mut fields = [0; 6];
+    for field in &mut fields {
+        *field = leb128::read(bytes)?;
+    }
+    let [skipped, frame_step, gop_step, capture, size, count] = fields;
+    let p = &prev.frame;
+    let capture_us = p
+        .capture_time
+        .as_micros()
+        .wrapping_add(interval_us)
+        .wrapping_add(leb128::unzigzag(capture) as u64);
+    Some(PacketizedFrame {
+        frame: EncodedFrame {
+            stream: p.stream,
+            frame_id: p.frame_id.wrapping_add(frame_step),
+            gop_id: p.gop_id.wrapping_add(gop_step),
+            frame_type: if count & KEY != 0 {
+                FrameType::Key
+            } else {
+                FrameType::Delta
             },
-            first_sequence: self.first(),
-            packet_count: u32::from(self.packet_count),
-            has_sps: self.flags & Self::SPS != 0,
-        }
-    }
+            size: size as usize,
+            qp: 0,
+            height: 0,
+            capture_time: SimTime::from_micros(capture_us),
+        },
+        first_sequence: end(prev).wrapping_add(skipped),
+        packet_count: (count >> 2) as u32,
+        has_sps: count & SPS != 0,
+    })
 }
 
 /// How far behind the newest sequence look-ups reach, and how much of the
@@ -547,36 +659,57 @@ fn unwrap_seq16(seq16: u16, reference: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use converge_video::PacketizerConfig;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     use super::*;
 
-    /// The media history as it stood: a ring of whole packets, confirmed
-    /// by the stored packet's low 16 bits.
-    struct RefMediaRing(Box<[Option<(VideoPacket, PathId)>]>);
+    /// What a media history must answer: the packet and path of each of
+    /// the newest `slots` sequences remembered, keyed by sequence. A NACK's
+    /// 16 bits name at most one of them, since they span fewer than 65 536
+    /// sequences.
+    struct Spec {
+        slots: u64,
+        sent: BTreeMap<u64, (VideoPacket, PathId)>,
+    }
 
-    impl RefMediaRing {
+    impl Spec {
         fn remember(&mut self, p: &VideoPacket, path: PathId) {
-            let mask = self.0.len() - 1;
-            self.0[p.sequence as usize & mask] = Some((*p, path));
+            self.sent.insert(p.sequence, (*p, path));
+            while self
+                .sent
+                .first_key_value()
+                .is_some_and(|(&oldest, _)| oldest + self.slots <= p.sequence)
+            {
+                self.sent.pop_first();
+            }
         }
 
         fn lookup(&self, seq16: u16) -> Option<(VideoPacket, PathId)> {
-            let (p, path) = self.0[seq16 as usize & (self.0.len() - 1)]?;
-            ((p.sequence & 0xFFFF) as u16 == seq16).then_some((p, path))
+            let (&oldest, _) = self.sent.first_key_value()?;
+            let sequence = oldest + u64::from(seq16.wrapping_sub(oldest as u16));
+            self.sent.get(&sequence).copied()
         }
     }
 
-    /// 4 000 frames per seed over 1 to 256 paths — keyframes with SPS,
-    /// one-packet and zero-byte frames, one frame in ten dropped whole
-    /// after it took its sequences — each followed by NACKs for recent, just-pruned, dropped, aliased and
-    /// arbitrary suffixes. Every answer equals the packet ring's, except
-    /// where that ring answers with a packet a full ring or more behind
-    /// the newest: there the history must answer `None`.
+    /// The encoder's frame interval at 30 fps, as the sender passes it.
+    const INTERVAL: SimDuration = SimDuration::from_micros(33_333);
+
+    /// 4 000 frames per seed over 1 to 256 paths, on a 65 536- and a
+    /// 2 048-slot ring: keyframes with SPS, one-packet and zero-byte
+    /// frames, frames of more than 127 packets, capture times on the
+    /// interval, off it by a few microseconds or by whole skipped frames,
+    /// and one frame in ten dropped whole after it took its sequences (a
+    /// CM-dropped batch: a gap no frame begins). Each frame is followed by
+    /// NACKs for recent, just-evicted, dropped, aliased and arbitrary
+    /// suffixes, and every answer must equal the specification's. The
+    /// script crosses two 16-bit wraps and evicts whole groups on both
+    /// rings.
     #[test]
     fn media_history_matches_the_packet_ring() {
-        let (mut hits, mut stale) = ([0u64; 2], [0u64; 2]);
+        let mut hits = [0u64; 2];
         for seed in 0..8u64 {
             let which = (seed % 2) as usize;
             let slots = [1usize << 16, 1 << 11][which];
@@ -584,18 +717,28 @@ mod tests {
             let paths = [2usize, 1, 3, 4, 8, 5, 256, 17][seed as usize];
             let mut rng = SmallRng::seed_from_u64(0x415_7047 + seed);
             let mut packetizer = Packetizer::new(PacketizerConfig);
-            let mut history = MediaHistory::new(slots, paths);
-            let mut reference = RefMediaRing(vec![None; slots].into_boxed_slice());
+            let mut history = MediaHistory::new(slots, paths, INTERVAL);
+            let mut spec = Spec {
+                slots: slots as u64,
+                sent: BTreeMap::new(),
+            };
             let mut packets = Vec::new();
             let mut dropped: Vec<u64> = Vec::new();
             // One past the newest remembered sequence.
             let mut next = 0u64;
-            let mut gop_id = 0;
+            let (mut gop_id, mut capture_us) = (0, 0u64);
+            let mut long_frames = 0;
             for frame_id in 0..4_000u64 {
                 let key = frame_id == 0 || rng.gen_bool(0.04);
                 gop_id += u64::from(key && frame_id > 0);
+                capture_us += match rng.gen_range(0..8) {
+                    0 => INTERVAL.as_micros() - rng.gen_range(0..500),
+                    1 => INTERVAL.as_micros() + rng.gen_range(0..500),
+                    2 => INTERVAL.as_micros() * rng.gen_range(2..5),
+                    _ => INTERVAL.as_micros(),
+                };
                 let frame = EncodedFrame {
-                    stream: StreamId(0),
+                    stream: StreamId(3),
                     frame_id,
                     gop_id,
                     frame_type: if key {
@@ -603,25 +746,27 @@ mod tests {
                     } else {
                         FrameType::Delta
                     },
-                    size: match rng.gen_range(0..8) {
+                    size: match rng.gen_range(0..16) {
                         0 => 0,
-                        1 => rng.gen_range(1..1_200),
+                        1 | 2 => rng.gen_range(1..1_200),
+                        3 => rng.gen_range(152_400..400_000),
                         _ => rng.gen_range(1_200..120_000),
                     },
                     qp: rng.gen_range(10..50),
                     height: 720,
-                    capture_time: SimTime::from_micros(frame_id * 33_333),
+                    capture_time: SimTime::from_micros(capture_us),
                 };
                 packets.clear();
                 let packetized = packetizer.packetize_into(&frame, &mut packets);
                 if rng.gen_bool(0.1) {
                     dropped.extend(packets.iter().map(|p| p.sequence));
                 } else {
+                    long_frames += u32::from(packetized.packet_count > 127);
                     history.begin_frame(packetized);
                     for p in &packets {
                         let path = PathId(rng.gen_range(0..paths) as u8);
                         history.remember(p.sequence, path);
-                        reference.remember(p, path);
+                        spec.remember(p, path);
                     }
                     next = packetizer.next_sequence();
                 }
@@ -640,30 +785,38 @@ mod tests {
                         _ => rng.gen(),
                     };
                     let seq16 = (sequence & 0xFFFF) as u16;
-                    let got = history.lookup(&packetizer, seq16);
-                    match reference.lookup(seq16) {
-                        Some((p, _)) if p.sequence + window < next => {
-                            assert_eq!(got, None, "seed {seed} frame {frame_id} seq16 {seq16}");
-                            stale[which] += 1;
-                        }
-                        want => {
-                            assert_eq!(got, want, "seed {seed} frame {frame_id} seq16 {seq16}");
-                            hits[which] += u64::from(want.is_some());
-                        }
-                    }
+                    let want = spec.lookup(seq16);
+                    assert_eq!(
+                        history.lookup(&packetizer, seq16),
+                        want,
+                        "seed {seed} frame {frame_id} seq16 {seq16}"
+                    );
+                    hits[which] += u64::from(want.is_some());
                 }
             }
             assert!(next > 131_071, "the script must cross two 16-bit wraps");
+            assert!(long_frames > 100, "seed {seed}: {long_frames} long frames");
+            let oldest = history.groups.front().expect("frames were logged");
+            assert!(
+                u64::from(oldest.first_sequence) + 2 * slots as u64 > next,
+                "seed {seed}: whole groups must have left"
+            );
         }
         assert!(hits.iter().all(|&n| n > 1_000), "{hits:?}");
-        assert!(stale.iter().all(|&n| n > 0), "{stale:?}");
     }
 
+    /// Six packets a frame, one frame per interval: every group fills to
+    /// [`GROUP_FRAMES`] frames, 96 sequences, and the log never holds more
+    /// groups than the window's 2 048 sequences can touch, though a group
+    /// leaves only once its successor begins a full ring behind.
     #[test]
     fn frame_records_are_pruned_a_full_ring_behind() {
         let mut packetizer = Packetizer::new(PacketizerConfig);
-        let mut history = MediaHistory::new(1 << 11, 1);
+        // The window spans 21 1/3 groups, so it touches at most 23.
+        const BOUND: usize = 2_048 / (6 * 16) + 2;
+        let mut history = MediaHistory::new(1 << 11, 1, INTERVAL);
         let mut packets = Vec::new();
+        let mut most = 0;
         for frame_id in 0..5_000u64 {
             let frame = EncodedFrame {
                 stream: StreamId(0),
@@ -673,21 +826,28 @@ mod tests {
                 size: 6_000,
                 qp: 30,
                 height: 720,
-                capture_time: SimTime::ZERO,
+                capture_time: SimTime::from_micros(frame_id * INTERVAL.as_micros()),
             };
             packets.clear();
             history.begin_frame(packetizer.packetize_into(&frame, &mut packets));
             for p in &packets {
                 history.remember(p.sequence, PathId(0));
             }
-            // Six packets a frame: the window's 2 048 sequences span 342
-            // frames, and pruning trails by the frame being begun.
+            let groups = history.groups.len();
+            most = most.max(groups);
+            assert!(groups <= BOUND, "frame {frame_id}: {groups}");
+            let (full, open) = (groups - 1, &history.groups[groups - 1]);
             assert!(
-                history.frames.len() <= 2_048 / 6 + 3,
-                "{}",
-                history.frames.len()
+                history
+                    .groups
+                    .iter()
+                    .take(full)
+                    .all(|g| g.frames == GROUP_FRAMES),
+                "frame {frame_id}"
             );
+            assert_eq!(u64::from(open.frames), frame_id % 16 + 1);
         }
+        assert_eq!(most, BOUND, "the bound is reached");
     }
 
     /// The feedback ring as it stood: the full sequence, send time and
@@ -864,48 +1024,83 @@ mod tests {
         );
     }
 
-    /// Each narrowed field of a frame record has a bound: at the bound the
-    /// record widens back to the frame exactly (but for the QP and height
-    /// it drops), past it building the record panics naming the bound.
+    /// Every field of a frame is recorded exactly, at the extremes of its
+    /// type and when it steps backwards, except the first sequence, which a
+    /// group keeps in 32 bits: past that bound, and for a frame of another
+    /// stream, `begin_frame` panics naming it rather than log a wrong frame.
     #[test]
     fn frame_record_panics_past_what_it_can_hold() {
         let last = u64::from(u32::MAX);
         let at_bounds = PacketizedFrame {
             frame: EncodedFrame {
                 stream: StreamId(255),
-                frame_id: last,
-                gop_id: last,
+                frame_id: u64::MAX,
+                gop_id: u64::MAX,
                 frame_type: FrameType::Key,
-                size: last as usize,
+                size: usize::MAX,
                 qp: 0,
                 height: 0,
-                capture_time: SimTime::from_micros(last),
+                capture_time: SimTime::from_micros(u64::MAX),
             },
-            first_sequence: last,
-            packet_count: u32::from(u16::MAX),
+            first_sequence: last - 3,
+            packet_count: 3,
             has_sps: true,
         };
-        assert_eq!(FrameRecord::new(&at_bounds).packetized(), at_bounds);
-
-        let past = |f: fn(&mut PacketizedFrame)| {
-            let mut p = at_bounds;
-            f(&mut p);
-            panic_message(|| {
-                FrameRecord::new(&p);
-            })
+        // Every step backwards or wrapping: ids past the largest to 0, the
+        // capture clock back to its start, a frame as large as it can be.
+        let backwards = PacketizedFrame {
+            frame: EncodedFrame {
+                frame_id: 0,
+                gop_id: 7,
+                frame_type: FrameType::Delta,
+                size: 0,
+                capture_time: SimTime::ZERO,
+                ..at_bounds.frame
+            },
+            first_sequence: last,
+            packet_count: u32::MAX,
+            has_sps: false,
         };
-        let message = past(|p| p.frame.capture_time = SimTime::from_micros(1 << 32));
-        assert!(message.contains("32-bit microsecond clock"), "{message}");
-        let message = past(|p| p.first_sequence = 1 << 32);
-        assert!(message.contains("media sequence"), "{message}");
-        let message = past(|p| p.frame.frame_id = 1 << 32);
-        assert!(message.contains("frame id"), "{message}");
-        let message = past(|p| p.frame.gop_id = 1 << 32);
-        assert!(message.contains("GOP id"), "{message}");
-        let message = past(|p| p.frame.size = 1 << 32);
-        assert!(message.contains("frame size"), "{message}");
-        let message = past(|p| p.packet_count = 1 << 16);
-        assert!(message.contains("65 535"), "{message}");
+        let origin = origin(StreamId(255), at_bounds.first_sequence);
+        for (frame, prev) in [(at_bounds, origin), (backwards, at_bounds)] {
+            let bytes = leb128::pack(|| record(&frame, &prev, 33_333).into_iter());
+            assert!(bytes.len() <= GROUP_BYTES, "{}", bytes.len());
+            let read = read_record(&prev, &mut bytes.iter(), 33_333);
+            assert_eq!(read, Some(frame));
+        }
+
+        let past = PacketizedFrame {
+            first_sequence: 1 << 32,
+            ..at_bounds
+        };
+        let message = panic_message(|| MediaHistory::new(1 << 11, 1, INTERVAL).begin_frame(past));
+        assert!(message.contains("32 bits"), "{message}");
+
+        let mut history = MediaHistory::new(1 << 11, 1, INTERVAL);
+        let first = PacketizedFrame {
+            first_sequence: 0,
+            ..backwards
+        };
+        let first = PacketizedFrame {
+            packet_count: 2,
+            ..first
+        };
+        history.begin_frame(first);
+        history.remember(0, PathId(0));
+        history.remember(1, PathId(0));
+        let other = PacketizedFrame {
+            frame: EncodedFrame {
+                stream: StreamId(0),
+                ..first.frame
+            },
+            first_sequence: 2,
+            ..first
+        };
+        let message = panic_message(|| history.begin_frame(other));
+        assert!(
+            message.contains("stream 0 in the history of stream 255"),
+            "{message}"
+        );
     }
 
     /// Not a check but a measurement: the farthest NACK hit, in sequences

@@ -16,6 +16,7 @@ pub mod fleet;
 mod flow;
 mod gaps;
 mod history;
+mod leb128;
 pub mod metrics;
 pub mod pacer;
 pub mod payload;

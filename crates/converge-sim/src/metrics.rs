@@ -5,6 +5,8 @@ use std::collections::BTreeMap;
 use converge_net::{PathId, SimDuration, SimTime};
 use converge_video::{effective_psnr, qp_for_bitrate, StreamId, VideoFormat};
 
+use crate::leb128;
+
 /// Decode gap beyond which the video is considered frozen.
 const FREEZE_THRESHOLD: SimDuration = SimDuration::from_millis(200);
 
@@ -444,48 +446,6 @@ impl MetricsCollector {
             paths,
             path_series,
             bins,
-        }
-    }
-}
-
-/// Unsigned LEB128, the one codec of a finished report's packed series
-/// ([`E2eSamples`], [`SecondBins`], [`PathSeries`]): seven bits a byte, low
-/// bits first, the top bit set on every byte but a number's last. A report
-/// lives as long as a sweep's memo cache (hundreds of them), and most of
-/// what it keeps is small counts in wide fields.
-mod leb128 {
-    /// The encoded length of `v`: one byte per started seven bits, one for 0.
-    fn len(v: u64) -> usize {
-        (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
-    }
-
-    /// Encodes the numbers `values()` yields, back to back, into one
-    /// allocation of exactly their encoded length: it counts the bytes on a
-    /// first pass and writes them on a second.
-    pub(super) fn pack<I: Iterator<Item = u64>>(values: impl Fn() -> I) -> Box<[u8]> {
-        let size = values().map(len).sum();
-        let mut bytes = Vec::with_capacity(size);
-        for mut v in values() {
-            while v >= 0x80 {
-                bytes.push(v as u8 | 0x80);
-                v >>= 7;
-            }
-            bytes.push(v as u8);
-        }
-        debug_assert_eq!(bytes.len(), size);
-        bytes.into_boxed_slice()
-    }
-
-    /// Reads the next number off `bytes`; `None` once they are used up.
-    pub(super) fn read(bytes: &mut std::slice::Iter<'_, u8>) -> Option<u64> {
-        let (mut v, mut shift) = (0u64, 0);
-        loop {
-            let byte = *bytes.next()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte < 0x80 {
-                return Some(v);
-            }
-            shift += 7;
         }
     }
 }
@@ -1298,6 +1258,13 @@ mod tests {
         let lengths = [0, 127, 128, u64::from(u32::MAX), 1 << 63, u64::MAX].map(one);
         assert_eq!(lengths, [1, 1, 2, 5, 10, 10]);
         assert!(leb128::pack(std::iter::empty).is_empty());
+        // The frame log's signed fields: small magnitudes stay small either
+        // side of zero, and every value folds back.
+        let folded = [0, -1, 1, -2, 63, -64, 64].map(leb128::zigzag);
+        assert_eq!(folded, [0, 1, 2, 3, 126, 127, 128]);
+        for v in values.iter().map(|&v| v as i64).chain([i64::MIN, i64::MAX]) {
+            assert_eq!(leb128::unzigzag(leb128::zigzag(v)), v);
+        }
     }
 
     /// A bin built field by field (not through [`SecondBin::from_fields`],

@@ -102,13 +102,50 @@ const FEC_PENALTY: SimDuration = SimDuration::from_millis(10);
 /// a mask).
 const RECENT_SLOTS: usize = 1 << 12;
 
-/// A `recent` slot no media packet has written: no sequence is `u64::MAX`,
-/// so an empty slot never matches, sequence 0 included.
-const EMPTY_SLOT: u64 = u64::MAX;
+/// A [`RecentRing`] slot no media packet has written: no sequence has this
+/// tag, so an empty slot never matches, sequence 0 included.
+const EMPTY_TAG: u32 = u32::MAX;
 
-// A slot is one word: the sequence it holds, where a whole
-// `Option<VideoPacket>` took 48 bytes.
-const _: () = assert!(std::mem::size_of_val(&EMPTY_SLOT) == 8);
+/// Recently received media sequences for FEC recovery: a ring indexed by a
+/// sequence's low bits, each slot holding the tag (the bits above them) of
+/// the newest sequence received with those low bits, or [`EMPTY_TAG`]. A
+/// hit is the stored tag equal to the one asked for. Slot and tag together
+/// are the whole sequence, so a slot holds in four bytes what it held as a
+/// `u64` (and as a 48-byte `Option<VideoPacket>` before that).
+///
+/// A tag below [`EMPTY_TAG`] bounds the sequences a ring can hold: below
+/// `u32::MAX × slots` (1.76 × 10^13 at 4 096 slots).
+/// [`RecentRing::insert`] panics past it rather than store a truncated tag.
+struct RecentRing(Box<[u32]>);
+
+impl RecentRing {
+    /// An empty ring of `slots`, a power of two.
+    fn new(slots: usize) -> Self {
+        assert!(slots.is_power_of_two(), "a recent ring of {slots} slots");
+        RecentRing(vec![EMPTY_TAG; slots].into_boxed_slice())
+    }
+
+    /// Remembers that `sequence` arrived (or was recovered).
+    ///
+    /// # Panics
+    /// Panics past the bound in the type's docs.
+    fn insert(&mut self, sequence: u64) {
+        let slots = self.0.len();
+        let tag = sequence >> slots.trailing_zeros();
+        assert!(
+            tag < u64::from(EMPTY_TAG),
+            "media sequence {sequence} is past the recent ring's 32-bit tag (u32::MAX × {slots} slots)"
+        );
+        self.0[sequence as usize & (slots - 1)] = tag as u32;
+    }
+
+    /// Whether `sequence` is the newest arrival in its slot.
+    fn holds(&self, sequence: u64) -> bool {
+        let slots = self.0.len();
+        let tag = self.0[sequence as usize & (slots - 1)];
+        tag != EMPTY_TAG && u64::from(tag) == sequence >> slots.trailing_zeros()
+    }
+}
 
 /// Per-stream receive pipeline.
 struct StreamRx {
@@ -117,16 +154,14 @@ struct StreamRx {
     monitor: QoeMonitor,
     /// Media sequences missing and still worth a NACK.
     gaps: GapTracker,
-    /// Recently received media sequences for FEC recovery: a ring indexed
-    /// by `sequence % RECENT_SLOTS`, each slot holding the newest sequence
-    /// received in its residue class, or [`EMPTY_SLOT`]. A hit is the
-    /// stored sequence equal to the one asked for; recovery rebuilds a
-    /// missing packet from its group's `protected` list, so the ring need
-    /// not keep packets. Touched on every media arrival; one indexed store
-    /// replaces a hash insert plus FIFO eviction with the same
-    /// ~4 096-sequence retention horizon, far beyond the frame-scale
-    /// window FEC groups actually span.
-    recent: Box<[u64]>,
+    /// Recently received media sequences for FEC recovery, the newest of
+    /// each residue modulo [`RECENT_SLOTS`]; recovery rebuilds a missing
+    /// packet from its group's `protected` list, so the ring need not keep
+    /// packets. Touched on every media arrival; one indexed store replaces
+    /// a hash insert plus FIFO eviction with the same ~4 096-sequence
+    /// retention horizon, far beyond the frame-scale window FEC groups
+    /// actually span.
+    recent: RecentRing,
     /// FCD of the last completed frame (paired with the frame-buffer IFD).
     last_fcd: SimDuration,
     /// Frames a FEC-recovered packet went into and that may still decode
@@ -184,9 +219,10 @@ impl ConferenceReceiver {
     }
 
     /// Creates a receiver with an explicit per-stream `recent` ring size
-    /// (a power of two). Fleet runs shrink the ring: a slot holds the full
-    /// sequence it was written for and a hit must equal it, so a smaller
-    /// ring only shortens the FEC-recovery horizon, never corrupts it.
+    /// (a power of two). Fleet runs shrink the ring: a slot and its tag name
+    /// the full sequence it was written for and a hit must equal it, so a
+    /// smaller ring only shortens the FEC-recovery horizon, never corrupts
+    /// it.
     pub fn new_sized(
         n_streams: u8,
         paths: &[PathId],
@@ -194,7 +230,6 @@ impl ConferenceReceiver {
         fast_path: PathId,
         recent_slots: usize,
     ) -> Self {
-        assert!(recent_slots.is_power_of_two());
         PathId::assert_indexed(paths.iter().copied());
         let streams = (0..n_streams)
             .map(|i| StreamRx {
@@ -202,7 +237,7 @@ impl ConferenceReceiver {
                 frame_buffer: FrameBuffer::new(12),
                 monitor: QoeMonitor::new(i as u32, fps, fast_path),
                 gaps: GapTracker::default(),
-                recent: vec![EMPTY_SLOT; recent_slots].into_boxed_slice(),
+                recent: RecentRing::new(recent_slots),
                 last_fcd: SimDuration::ZERO,
                 fec_assisted: BTreeSet::new(),
                 keyframe_needed: false,
@@ -311,8 +346,7 @@ impl ConferenceReceiver {
         rx.gaps.on_arrival(now, packet.sequence);
 
         // Remember for FEC recovery.
-        let mask = rx.recent.len() - 1;
-        rx.recent[packet.sequence as usize & mask] = packet.sequence;
+        rx.recent.insert(packet.sequence);
 
         rx.monitor.on_packet(now, path, packet.frame_id);
         if packet.kind == PacketKind::Sps {
@@ -437,7 +471,7 @@ impl ConferenceReceiver {
             let mut only_missing: Option<&VideoPacket> = None;
             let mut misses = 0usize;
             for p in &group.protected {
-                if rx.recent[p.sequence as usize & (rx.recent.len() - 1)] != p.sequence {
+                if !rx.recent.holds(p.sequence) {
                     misses += 1;
                     if misses > 1 {
                         break;
@@ -468,8 +502,7 @@ impl ConferenceReceiver {
                 rx.fec_assisted.insert(packet.frame_id);
                 // A recovered packet no longer needs NACKing.
                 rx.gaps.fill(packet.sequence);
-                let mask = rx.recent.len() - 1;
-                rx.recent[packet.sequence as usize & mask] = packet.sequence;
+                rx.recent.insert(packet.sequence);
                 if packet.kind == PacketKind::Sps {
                     rx.frame_buffer.sps_received(packet.gop_id);
                 } else {
@@ -868,10 +901,14 @@ mod tests {
             .contains(&ReceiverEvent::FecRecovered)
     }
 
-    /// A `recent` slot is the bare sequence: sequence 0 of a fresh stream
-    /// is found once it arrived, an empty slot never matches (not even
-    /// sequence 0), and a slot overwritten by a newer sequence of the same
-    /// residue counts as missing in a FEC group.
+    /// A `recent` slot and its tag are the whole sequence: sequence 0 of a
+    /// fresh stream is found once it arrived, an empty slot never matches
+    /// (not even sequence 0), a slot overwritten by a newer sequence of the
+    /// same residue counts as missing in a FEC group, and so does any
+    /// sequence that differs from the one a slot holds only in its tag
+    /// bits. At the tag's bound the ring still answers exactly; past it an
+    /// insert panics naming the bound, and a lookup misses, even on an
+    /// empty slot.
     #[test]
     fn recent_ring_matches_only_the_sequence_it_holds() {
         let frame0 = frame0_packets();
@@ -895,6 +932,26 @@ mod tests {
             &[pps, m0, later],
             &[pps, m0]
         ));
+
+        let mut ring = RecentRing::new(4);
+        ring.insert(m0.sequence);
+        assert!(ring.holds(m0.sequence));
+        for bit in 2..64 {
+            assert!(!ring.holds(m0.sequence ^ 1 << bit), "tag bit {bit}");
+        }
+        // The last sequence a tag can name (tag u32::MAX − 1, slot 3); the
+        // next has the empty slot's tag.
+        let last = (u64::from(u32::MAX) << 2) - 1;
+        ring.insert(last);
+        assert!(ring.holds(last) && !ring.holds(last - 4));
+        assert!(!ring.holds(last + 1), "slot 0 is empty");
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ring.insert(last + 1)))
+            .expect_err("past the tag's bound");
+        let message = past.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.contains("32-bit tag (u32::MAX × 4 slots)"),
+            "{message}"
+        );
     }
 
     #[test]

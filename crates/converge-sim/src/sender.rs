@@ -275,7 +275,13 @@ impl ConferenceSender {
             .map(|_| FeedbackRing::new(sizing.tx_slots))
             .collect();
         let histories: Vec<MediaHistory> = (0..n_streams)
-            .map(|_| MediaHistory::new(sizing.media_slots, paths.len()))
+            .map(|_| {
+                MediaHistory::new(
+                    sizing.media_slots,
+                    paths.len(),
+                    CAPTURE_FORMAT.frame_interval(),
+                )
+            })
             .collect();
         let streams = (0..n_streams)
             .zip(histories)

@@ -23,7 +23,10 @@
 //! A seventh pins the peak live heap of a one-shard fleet in conferences
 //! of 8: what one conference holds, which is what a second shard adds. An
 //! eighth pins the peak live heap of three streams over eight constant
-//! paths, the cell behind the `call-npath` workload's peak.
+//! paths, the cell behind the `call-npath` workload's peak, and a ninth
+//! that of the lossy call over 180 s, the length of the `call-impaired`
+//! workload's cells: what a long call accumulates (the sender's frame
+//! logs most of all).
 //!
 //! The counters are per thread: the call loop and a one-shard fleet are
 //! single-threaded, and the test harness's own threads allocate whenever
@@ -106,11 +109,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// B-tree node every few frames it remembered (−47; a 20 s call finishes
 /// about 600 frames, under the 1 024 it keeps, so the set only grew). What
 /// is left is one `Vec` per RTCP packet that owns a list, and one growth
-/// step of the sender's frame log: its `VecDeque` of per-frame records
-/// doubles from 512 to 1 024 entries at the stream's 513th frame, 17.1 s
-/// into the call. (The log is not reserved up front: it holds the frames
-/// of the newest 65 536 sequences, thousands on a long call and a few
-/// dozen on a short one.)
+/// step of the sender's frame log: its `VecDeque` of 128-byte groups of
+/// up to 16 frames doubles from 32 to 64 groups when the 33rd opens, about
+/// 17 s into the call (as the deque of 24-byte per-frame records it
+/// replaced doubled from 512 to 1 024 at the 513th frame, 17.1 s). The
+/// log is not reserved up front: it holds the frames of the newest 65 536
+/// sequences, thousands on a long call and a few dozen on a short one.
 const CLEAN_BUDGET: u64 = 216;
 
 /// The same for the lossy cell. At `7c5ef18` the window made 29 432 calls;
@@ -317,7 +321,19 @@ fn lossy_steady_state_allocation_count_stays_within_budget() {
 /// 10 bytes (two paths' one second, with their ids and lengths) and the
 /// one packed bin 23 (the collector's bins and series were moved into
 /// the report before, and are freed now).
-const CLEAN_CONSTRUCTION_BYTES: u64 = 110_793;
+///
+/// It was 110 793 until the frame log was delta-packed and the receiver's
+/// `recent` slot became a 32-bit tag (−17 184):
+///
+/// - the receiver's `recent` ring, 8 → 4 B a slot: −16 384 (4 096 slots);
+/// - the frame log, −928: the first second's 30 frames take two 128-byte
+///   groups of a deque of 4 (512 B) where the deque of 24-byte records
+///   grew through 4, 8, 16 and 32 of them (1 440 B);
+/// - the media history, 72 → 136 B (it keeps the frame last begun, 56 B,
+///   to write the next one's deltas against, and the frame interval),
+///   asked for twice, in the list of histories and in the stream's
+///   pipeline: +128.
+const CLEAN_CONSTRUCTION_BYTES: u64 = 93_609;
 
 /// The same for the lossy three-stream call; 12 775 968 at `64417ed`,
 /// 2 039 080 until the first second's retransmissions were paid for out of
@@ -352,8 +368,10 @@ const CLEAN_CONSTRUCTION_BYTES: u64 = 110_793;
 /// (−358 280): feedback rings −184 320 and media slots −172 032 (three
 /// streams) as above, and the three QoE monitors' tallies less the larger
 /// structs −1 928; and 226 249 until the report packed its per-second
-/// series (−254: the leaf −288, the packed series +10 and bin +24).
-const LOSSY_CONSTRUCTION_BYTES: u64 = 225_995;
+/// series (−254: the leaf −288, the packed series +10 and bin +24); and
+/// 225 995 until the delta-packed frame log and the 32-bit `recent` tag
+/// (−51 552: three streams of −16 384 and −800, as above).
+const LOSSY_CONSTRUCTION_BYTES: u64 = 174_443;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
@@ -397,8 +415,12 @@ fn construction_bytes_stay_within_budget() {
 /// kept only what a lookup can reach: −243 992, of which the feedback
 /// rings' dense slots −184 320, the one-bit media slots −57 344 and the
 /// QoE monitor's tallies (with the larger structs) −2 328; no sequence
-/// spills on this call.
-const CLEAN_PEAK_BYTES: u64 = 236_081;
+/// spills on this call. It read 236 081 until the frame log was
+/// delta-packed and the `recent` slot became a 32-bit tag: −32 704, of
+/// which `recent` −16 384 and the frame log −16 320 (by 20 s its
+/// some 40 groups sit in a deque of 64, 8 KiB, where about 600 records
+/// sat in one of 1 024, 24 KiB; the history itself is 64 B larger).
+const CLEAN_PEAK_BYTES: u64 = 203_377;
 
 /// The same for the 20 s lossy three-stream call; 1 608 388 before the
 /// sender's rings stopped storing what send order says, and 847 202 before
@@ -413,8 +435,11 @@ const CLEAN_PEAK_BYTES: u64 = 236_081;
 /// one-bit media slots −172 032, the three QoE monitors −37.8 KiB
 /// (45.4 KiB of arrival lists, their pool and the tally buffer against
 /// 7.6 KiB of tallies), and +25.0 KiB for what the two rings' spills hold
-/// at the peak: the sequences 5 % loss leaves unmatched, 10 bytes each.
-const LOSSY_PEAK_BYTES: u64 = 428_490;
+/// at the peak: the sequences 5 % loss leaves unmatched, 10 bytes each;
+/// and 428 490 before the delta-packed frame log and the 32-bit `recent`
+/// tag (−98 112: three streams of −16 384 and −16 320, as in the clean
+/// cell).
+const LOSSY_PEAK_BYTES: u64 = 330_378;
 
 /// Asserts that the 20 s call of the cell peaks at the same live bytes
 /// twice and within `budget`.
@@ -455,8 +480,13 @@ fn lossy_peak_heap_stays_within_budget() {
 /// (192 KiB). The rings now keep 1 024 dense slots (48 KiB) and a spill
 /// of the sequences whose feedback is still out (12.5 KiB at the peak),
 /// the monitors keep tallies (16.5 KiB), and a sequence's path takes
-/// 4 bits (96 KiB).
-const CONSTANT8_PEAK_BYTES: u64 = 1_214_505;
+/// 4 bits (96 KiB). It read 1 214 505 until the frame log was
+/// delta-packed and the `recent` slot became a 32-bit tag (−245 568):
+/// each stream's 2 700 frames take 186 groups in a deque of 256 (32 KiB)
+/// where their records took a deque of 4 096 (96 KiB), −196 416
+/// over three streams with their 64-byte larger histories; the three
+/// `recent` rings −49 152.
+const CONSTANT8_PEAK_BYTES: u64 = 968_937;
 
 #[test]
 fn constant8_peak_heap_stays_within_budget() {
@@ -470,6 +500,36 @@ fn constant8_peak_heap_stays_within_budget() {
     assert!(
         peak <= CONSTANT8_PEAK_BYTES,
         "constant8, 3 streams x 90 s: peak live heap {peak} bytes, budget {CONSTANT8_PEAK_BYTES}"
+    );
+}
+
+/// The most bytes the 5 %-loss three-stream call holds at once over 180 s,
+/// the length of the `call-impaired` workload's cells, above what was live
+/// before it ran: the exact reading of the commit that last lowered it, to
+/// be ratcheted like the budgets above (`alloc_sites -- --peak --to 180
+/// loss5` names the sites, and reads 608 B more: it also counts building
+/// the session). It read 1 129 773 while each stream's frame log was a
+/// deque of 24-byte records, one per frame of the newest 65 536 sequences
+/// (some 4 500 by the end of the call) in a deque of 8 192: 576 KiB over
+/// three streams. Each log is now a deque of 128-byte groups of up to 16
+/// frames, 15.5 on average, 8.3 B a frame: some 290 groups in a deque of
+/// 512, 192 KiB over three (−393 024 with the histories' 64 more bytes);
+/// and the three `recent` rings take 4 B a slot where they took 8
+/// (−49 152).
+const LONG_LOSSY_PEAK_BYTES: u64 = 687_597;
+
+#[test]
+fn long_lossy_peak_heap_stays_within_budget() {
+    let peak = |_| allocations(5.0, 3, 180).peak;
+    let peak = [peak(()), peak(())];
+    assert_eq!(peak[0], peak[1], "the peak must repeat exactly");
+    let peak = peak[0];
+    println!(
+        "3-stream 180 s call at 5 % loss: peak live heap {peak} bytes, budget {LONG_LOSSY_PEAK_BYTES}"
+    );
+    assert!(
+        peak <= LONG_LOSSY_PEAK_BYTES,
+        "3-stream 180 s call at 5 % loss: peak live heap {peak} bytes, budget {LONG_LOSSY_PEAK_BYTES}"
     );
 }
 
@@ -489,8 +549,13 @@ fn constant8_peak_heap_stays_within_budget() {
 /// tallies (44.0 + 25.3 KiB of arrival lists and their pools against
 /// 20.0 KiB of tallies) and a member's 2 048 media slots took one bit each
 /// on its one uplink path (16 → 2 KiB over 8): −64 504. The fleet's
-/// 512-slot feedback rings are all dense, as before.
-const FLEET8_PEAK_BYTES: u64 = 766_438;
+/// 512-slot feedback rings are all dense, as before. It read 766 438
+/// until the frame log was delta-packed and the `recent` slot became a
+/// 32-bit tag (−81 408): a member's 300 frames take a deque of 32 groups
+/// (4 KiB) where its records took one of 512 (12 KiB), −65 024 over 8
+/// members with their 64-byte larger histories; the 512-slot `recent`
+/// rings, 2 KiB less each, −16 384.
+const FLEET8_PEAK_BYTES: u64 = 685_030;
 
 #[test]
 fn fleet8_peak_heap_stays_within_budget() {
