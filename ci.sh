@@ -90,6 +90,32 @@ readme_examples() {
         echo "readme-examples: no such target: ${missing[*]}" >&2
         return 1
     fi
+    catalogue_cells
+}
+
+# Every cell a README.md or DESIGN.md command hands alloc_sites, hot_lines
+# or repair_timeline (`--example TOOL -- [flags] CELL` or `` `TOOL [flags]
+# CELL` ``, also across a line break) is a name of the cell catalogue that
+# the tool's own usage line lists: run without arguments, a tool prints
+# `cells: ...` and exits 2.
+catalogue_cells() {
+    local tool cell names unknown=()
+    declare -A usage
+    for tool in alloc_sites hot_lines repair_timeline; do
+        names=$( { cargo run -q --release -p converge-sim --example "$tool" 2>&1 >/dev/null || true; } \
+            | sed -n 's/^cells: //p')
+        [ -n "$names" ] || { echo "readme-examples: $tool printed no cells: line" >&2; return 1; }
+        usage[$tool]=" $names "
+    done
+    while read -r tool cell; do
+        [[ "${usage[$tool]}" == *" $cell "* ]] || unknown+=("$tool $cell")
+    done < <(cat README.md DESIGN.md | tr '\n' ' ' \
+        | grep -oE -- '(--example |`)(alloc_sites|hot_lines|repair_timeline)( --)?( +(--[a-z]+|[0-9]+))* +[a-z][a-z0-9-]*' \
+        | sed -E 's/^(--example |`)//' | awk '{ print $1, $NF }' | sort -u)
+    if [ ${#unknown[@]} -gt 0 ]; then
+        echo "readme-examples: not a catalogue cell: ${unknown[*]}" >&2
+        return 1
+    fi
 }
 gate readme-examples readme_examples
 

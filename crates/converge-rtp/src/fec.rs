@@ -6,6 +6,8 @@
 //! changes *how many* repair packets are generated and *where* they travel
 //! (§4.3); this module provides the codec itself plus group assembly.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
 /// A group of media packets protected together, identified by the media
@@ -29,28 +31,18 @@ pub fn xor_into(acc: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Encodes repair packets over groups of media packets.
-///
-/// `encode_groups(packets, n_repair)` splits `packets` into `n_repair`
-/// contiguous groups (sizes as equal as possible) and produces one repair
-/// per group — the strategy WebRTC's "random"/bursty mask tables reduce to
-/// for single-loss protection.
-pub fn encode_groups(packets: &[(u16, Bytes)], n_repair: usize) -> Vec<FecGroup> {
-    if packets.is_empty() || n_repair == 0 {
-        return Vec::new();
-    }
-    let n_repair = n_repair.min(packets.len());
-    let base = packets.len() / n_repair;
-    let extra = packets.len() % n_repair;
-    let mut groups = Vec::with_capacity(n_repair);
-    let mut idx = 0;
-    for g in 0..n_repair {
-        let size = base + usize::from(g < extra);
-        let members = &packets[idx..idx + size];
-        idx += size;
-        groups.push(encode_one(members));
-    }
-    groups
+/// The groups `len` media packets are protected in by `n_repair` repair
+/// packets, one repair each: `min(n_repair, len)` contiguous index ranges
+/// that cover `0..len` in order, with sizes as equal as possible (the
+/// larger first) — the strategy WebRTC's "random"/bursty mask tables
+/// reduce to for single-loss protection.
+pub fn group_ranges(len: usize, n_repair: usize) -> impl Iterator<Item = Range<usize>> {
+    let groups = n_repair.min(len);
+    let (base, extra) = (len / groups.max(1), len % groups.max(1));
+    (0..groups).map(move |g| {
+        let start = g * base + g.min(extra);
+        start..start + base + usize::from(g < extra)
+    })
 }
 
 /// Encodes a single repair packet protecting all of `members`.
@@ -180,29 +172,20 @@ mod tests {
     }
 
     #[test]
-    fn encode_groups_splits_evenly() {
-        let pkts = media(10);
-        let groups = encode_groups(&pkts, 3);
-        assert_eq!(groups.len(), 3);
-        let sizes: Vec<usize> = groups.iter().map(|g| g.protected.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-        // Every packet protected exactly once.
-        let mut all: Vec<u16> = groups.iter().flat_map(|g| g.protected.clone()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<u16>>());
+    fn group_ranges_split_evenly() {
+        let groups: Vec<_> = group_ranges(10, 3).collect();
+        assert_eq!(groups, vec![0..4, 4..7, 7..10]);
     }
 
     #[test]
-    fn encode_groups_caps_repair_count() {
-        let pkts = media(2);
-        let groups = encode_groups(&pkts, 10);
-        assert_eq!(groups.len(), 2);
+    fn group_ranges_cap_the_repair_count() {
+        assert_eq!(group_ranges(2, 10).collect::<Vec<_>>(), vec![0..1, 1..2]);
     }
 
     #[test]
-    fn encode_groups_empty_inputs() {
-        assert!(encode_groups(&[], 3).is_empty());
-        assert!(encode_groups(&media(3), 0).is_empty());
+    fn group_ranges_of_empty_inputs_are_empty() {
+        assert_eq!(group_ranges(0, 3).count(), 0);
+        assert_eq!(group_ranges(3, 0).count(), 0);
     }
 
     #[test]

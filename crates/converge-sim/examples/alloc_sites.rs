@@ -23,13 +23,9 @@
 //! cargo run --release -p converge-sim --example alloc_sites -- --peak --to 90 constant8
 //! ```
 //!
-//! Cells: `clean` and `loss5` are the two cells `tests/alloc_budget.rs`
-//! ratchets; the rest are the benchmark's other shapes (`clean3`,
-//! `loss10-table`, `reorder`, `symmetric3`, `constant8` — three streams
-//! over eight constant paths —, `carrier8`, and `fleet8`: 128 sessions in
-//! SFU conferences of 8 on the calling thread). Totals are exact; window
-//! rows are samples × N. The release profile keeps line tables, so
-//! inlined frames resolve.
+//! A cell is any of the catalogue's (`converge_sim::cells`), at seed 11.
+//! Totals are exact; window rows are samples × N. The release profile
+//! keeps line tables, so inlined frames resolve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -37,10 +33,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 use converge_net::SimDuration;
-use converge_sim::{
-    FecKind, FleetConfig, FleetEngine, ImpairmentKind, ScenarioConfig, SchedulerKind, Session,
-    SessionConfig,
-};
+use converge_sim::cells;
 
 struct SamplingAlloc;
 
@@ -153,12 +146,14 @@ fn record_site(bytes: usize) {
     });
 }
 
-/// The three innermost `converge_*` frames of a rendered backtrace.
+/// The three innermost `converge_*` frames of a rendered backtrace, less
+/// the tool's own and the catalogue's that built and ran the cell.
 fn site_key(backtrace: &str) -> String {
+    let harness = |name: &str| name.contains("alloc_sites") || name.contains("converge_sim::cells");
     let frames: Vec<&str> = backtrace
         .lines()
         .filter_map(|line| line.trim_start().split_once(": ").map(|(_, name)| name))
-        .filter(|name| name.contains("converge_") && !name.contains("alloc_sites"))
+        .filter(|name| name.contains("converge_") && !harness(name))
         .take(3)
         .collect();
     if frames.is_empty() {
@@ -193,80 +188,18 @@ unsafe impl GlobalAlloc for SamplingAlloc {
 #[global_allocator]
 static ALLOCATOR: SamplingAlloc = SamplingAlloc;
 
-const CELLS: &str = "clean clean3 loss5 loss10-table reorder symmetric3 constant8 carrier8 fleet8";
-
-/// One cell, built and ready to run.
-enum Run {
-    Call(Session),
-    Fleet(FleetEngine),
-}
-
-impl Run {
-    fn go(self) {
-        match self {
-            Run::Call(session) => {
-                let report = session.run();
-                assert!(report.frames_decoded > 0, "the call must carry video");
-            }
-            Run::Fleet(engine) => {
-                let report = engine.run();
-                assert!(!report.conferences.is_empty(), "the fleet must run");
-            }
-        }
-    }
-}
-
-/// The cell `name`, `secs` simulated seconds long; `None` for an unknown
-/// name.
-fn cell(name: &str, secs: u64) -> Option<Run> {
-    use SchedulerKind::Converge;
-    let duration = SimDuration::from_secs(secs);
-    let (scenario, fec, streams) = match name {
-        "clean" => (ScenarioConfig::fec_tradeoff(0.0), FecKind::Converge, 1),
-        "clean3" => (ScenarioConfig::fec_tradeoff(0.0), FecKind::Converge, 3),
-        "loss5" => (ScenarioConfig::fec_tradeoff(5.0), FecKind::Converge, 3),
-        "loss10-table" => (ScenarioConfig::fec_tradeoff(10.0), FecKind::WebRtcTable, 3),
-        "reorder" => (
-            ScenarioConfig::chaos(ImpairmentKind::Reorder),
-            FecKind::Converge,
-            1,
-        ),
-        "symmetric3" => (ScenarioConfig::symmetric3(), FecKind::Converge, 1),
-        "constant8" => (ScenarioConfig::constant8(), FecKind::Converge, 3),
-        // A fixed synthesis horizon, so the short and the long run see the
-        // same network.
-        "carrier8" => (
-            ScenarioConfig::multi_carrier(8, SimDuration::from_secs(90), 11),
-            FecKind::Converge,
-            1,
-        ),
-        "fleet8" => {
-            // One shard: the pool runs it on the calling thread, where the
-            // counters are.
-            let mut config = FleetConfig::new(128, 8);
-            config.duration = duration;
-            config.seed = 11;
-            return Some(Run::Fleet(FleetEngine::new(config)));
-        }
-        _ => return None,
-    };
-    let cfg = SessionConfig::paper_default(scenario, Converge, fec, streams, duration, 11);
-    Some(Run::Call(Session::new(cfg)))
-}
-
 /// Runs `name` for `secs` simulated seconds under `pass`, counting from a
 /// reset — before building the cell if `count_build`, after it if not;
 /// returns the exact calls and bytes and the recorded sites.
 fn measure(name: &str, secs: u64, pass: Pass, count_build: bool) -> (u64, u64, Sites) {
-    let built = if count_build { None } else { cell(name, secs) };
+    let build = || cells::cell(name, SimDuration::from_secs(secs), 11).expect("a checked name");
+    let built = (!count_build).then(build);
     SITES.with(|s| s.borrow_mut().clear());
     CALLS.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
     PASS.with(|p| p.set(pass));
-    built
-        .or_else(|| cell(name, secs))
-        .expect("cell name was checked")
-        .go();
+    let fps = built.unwrap_or_else(build).run().fps();
+    assert!(fps > 0.0, "the cell must carry video");
     PASS.with(|p| p.set(Pass::Count));
     (
         CALLS.with(Cell::get),
@@ -348,7 +281,8 @@ fn peak(name: &str, to: u64) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: alloc_sites [--every N] [--from S] [--to S] <cell>\n       alloc_sites --peak [--to S] <cell>\ncells: {CELLS}"
+        "usage: alloc_sites [--every N] [--from S] [--to S] <cell>\n       alloc_sites --peak [--to S] <cell>\ncells: {}",
+        cells::names(true)
     );
     std::process::exit(2);
 }
@@ -374,7 +308,7 @@ fn main() {
         }
     }
     let Some(name) = name else { usage() };
-    if !CELLS.split(' ').any(|c| c == name) || to == 0 {
+    if cells::find(&name).is_none() || to == 0 {
         usage();
     }
     if peak_mode {

@@ -18,16 +18,12 @@
 //! cargo run --release -p converge-sim --example hot_lines -- carrier8 60
 //! ```
 //!
-//! `hot_lines <cell> <reps> [rows]` runs one named cell `reps` times and
-//! prints the top `rows` (default 20) source lines, functions and source
-//! files by share of samples — the per-file table is the one to read when
-//! a layer's cost is spread over many lines and none stands out. The
-//! cells are the benchmark's shapes: `clean1` (clean, one stream, SinglePath +
-//! WebRtcTable), `clean3` (clean, three streams, Converge), `loss5`
-//! (`fec_tradeoff(5.0)`, three streams), `constant8` (`constant-8`),
-//! `carrier8` (`multi-carrier-8/gcc`), `fleet` (128 sessions in
-//! conferences of 4) and `fleet8` (the same 128 in conferences of 8, seven
-//! fan-out copies per packet).
+//! `hot_lines <cell> <reps> [rows]` runs one cell of the catalogue
+//! (`converge_sim::cells`, seed 11) `reps` times, each for the length the
+//! catalogue records for it, and prints the top `rows` (default 20) source
+//! lines, functions and source files by share of samples — the per-file
+//! table is the one to read when a layer's cost is spread over many lines
+//! and none stands out.
 //!
 //! The timer ticks at the kernel's HZ — 4 ms on the box this was written
 //! on, whatever interval is asked for — so 1 000 samples need at least
@@ -39,80 +35,7 @@
 //! `PATH` the raw module-relative addresses are printed instead; without
 //! `nm`, samples outside the executable stay one row.
 
-use converge_net::SimDuration;
-use converge_sim::{
-    ControllerKind, FecKind, FleetConfig, FleetEngine, ScenarioConfig, SchedulerKind, Session,
-    SessionConfig,
-};
-
-const CELLS: &str = "clean1 clean3 loss5 constant8 carrier8 fleet fleet8";
-
-/// Runs the named cell once; `false` for an unknown name.
-fn run_cell(name: &str) -> bool {
-    let call = |scenario, scheduler, fec, streams, secs| {
-        let cfg = SessionConfig::paper_default(
-            scenario,
-            scheduler,
-            fec,
-            streams,
-            SimDuration::from_secs(secs),
-            11,
-        );
-        let report = Session::new(cfg).run();
-        assert!(report.frames_decoded > 0, "the call must carry video");
-    };
-    match name {
-        "clean1" => call(
-            ScenarioConfig::fec_tradeoff(0.0),
-            SchedulerKind::SinglePath(0),
-            FecKind::WebRtcTable,
-            1,
-            180,
-        ),
-        "clean3" => call(
-            ScenarioConfig::fec_tradeoff(0.0),
-            SchedulerKind::Converge,
-            FecKind::Converge,
-            3,
-            180,
-        ),
-        "loss5" => call(
-            ScenarioConfig::fec_tradeoff(5.0),
-            SchedulerKind::Converge,
-            FecKind::Converge,
-            3,
-            180,
-        ),
-        "constant8" => call(
-            ScenarioConfig::constant8(),
-            SchedulerKind::Converge,
-            FecKind::Converge,
-            3,
-            90,
-        ),
-        "carrier8" => {
-            let d = SimDuration::from_secs(90);
-            let cfg = SessionConfig::builder()
-                .scenario(ScenarioConfig::multi_carrier(8, d, 11))
-                .duration(d)
-                .seed(11)
-                .controller(ControllerKind::Gcc)
-                .build()
-                .expect("multi-carrier cell is a valid config");
-            let report = Session::new(cfg).run();
-            assert!(report.frames_decoded > 0, "the call must carry video");
-        }
-        "fleet" | "fleet8" => {
-            let mut config = FleetConfig::new(128, if name == "fleet" { 4 } else { 8 });
-            config.duration = SimDuration::from_secs(10);
-            config.seed = 11;
-            let report = FleetEngine::new(config).run();
-            assert!(!report.conferences.is_empty(), "the fleet must run");
-        }
-        _ => return false,
-    }
-    true
-}
+use converge_sim::cells;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -441,35 +364,41 @@ mod sampler {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let positive = |text: &String| text.parse::<u32>().ok().filter(|n| *n > 0);
+    let positive = |text: &str| text.parse::<u32>().ok().filter(|n| *n > 0);
     let parsed = match args.as_slice() {
-        [cell, reps] => positive(reps).map(|reps| (cell.as_str(), reps, 20)),
-        [cell, reps, rows] => positive(reps)
-            .zip(positive(rows))
-            .map(|(reps, rows)| (cell.as_str(), reps, rows as usize)),
+        [name, reps] => Some((name, reps, "20")),
+        [name, reps, rows] => Some((name, reps, rows.as_str())),
         _ => None,
     };
+    let parsed = parsed.and_then(|(name, reps, rows)| {
+        Some((
+            cells::find(name)?,
+            positive(reps)?,
+            positive(rows)? as usize,
+        ))
+    });
     let Some((cell, reps, rows)) = parsed else {
-        eprintln!("usage: hot_lines <cell> <reps> [rows]\ncells: {CELLS}");
+        eprintln!(
+            "usage: hot_lines <cell> <reps> [rows]\ncells: {}",
+            cells::names(true)
+        );
         std::process::exit(2);
     };
-    if !CELLS.split(' ').any(|c| c == cell) {
-        eprintln!("error: unknown cell {cell:?}\ncells: {CELLS}");
-        std::process::exit(2);
-    }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
+        use converge_net::SimDuration;
         let (rips, dropped) = sampler::sample(|| {
             for _ in 0..reps {
-                assert!(run_cell(cell), "cell name was checked");
+                let fps = cell.cell(SimDuration::from_secs(cell.secs), 11).run().fps();
+                assert!(fps > 0.0, "the cell must carry video");
             }
         });
-        sampler::report(cell, reps, rows, rips, dropped);
+        sampler::report(cell.name, reps, rows, rips, dropped);
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
     {
-        let _ = (reps, rows, run_cell);
+        let _ = (reps, rows, cell);
         println!("unsupported: hot_lines samples with SIGPROF on Linux x86_64 only");
     }
 }

@@ -13,38 +13,20 @@
 //! cargo run --release -p converge-sim --example repair_timeline -- loss10 60 7
 //! ```
 //!
-//! `repair_timeline <cell> [seconds, default 30] [seed, default 11]`. Cells:
-//! `symmetric3` (three clean 6 Mbit/s paths, one stream — the
-//! `three_paths_all_carry_load` topology), `constant8` (eight clean
-//! constant paths, three streams), `loss10` (`fec_tradeoff(10.0)`, three
-//! streams), `reorder3` (`chaos(Reorder)`, three streams), `carrier8`
-//! (`multi_carrier(8)`, one stream). A self-inflicted collapse reads as:
-//! rates cross the links' capacity, `nack` and `rtx` pin at their per-round
-//! ceilings a few seconds later, `dec` falls to 0 — on paths whose totals
-//! show loss no link was configured with.
+//! `repair_timeline <cell> [seconds, default 30] [seed, default 11]`, where
+//! the cell is any call of the catalogue (`converge_sim::cells`), e.g.
+//! `symmetric3`, the `three_paths_all_carry_load` topology. A self-inflicted
+//! collapse reads as: rates cross the links' capacity, `nack` and `rtx` pin
+//! at their per-round ceilings a few seconds later, `dec` falls to 0 — on
+//! paths whose totals show loss no link was configured with.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use converge_net::{PathId, SimDuration};
-use converge_sim::{
-    FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
-};
+use converge_sim::cells::{self, Cell};
+use converge_sim::Session;
 use converge_trace::{RingSink, TraceEvent, TraceHandle};
-
-const CELLS: &str = "symmetric3 constant8 loss10 reorder3 carrier8";
-
-/// The named cell's scenario and stream count.
-fn cell(name: &str, duration: SimDuration, seed: u64) -> Option<(ScenarioConfig, u8)> {
-    Some(match name {
-        "symmetric3" => (ScenarioConfig::symmetric3(), 1),
-        "constant8" => (ScenarioConfig::constant8(), 3),
-        "loss10" => (ScenarioConfig::fec_tradeoff(10.0), 3),
-        "reorder3" => (ScenarioConfig::chaos(ImpairmentKind::Reorder), 3),
-        "carrier8" => (ScenarioConfig::multi_carrier(8, duration, seed), 1),
-        _ => return None,
-    })
-}
 
 /// One path's second.
 #[derive(Default, Clone, Copy)]
@@ -57,7 +39,10 @@ struct PathSecond {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: repair_timeline <cell> [seconds] [seed]\ncells: {CELLS}");
+    eprintln!(
+        "usage: repair_timeline <cell> [seconds] [seed]\ncells: {}",
+        cells::names(false)
+    );
     std::process::exit(2);
 }
 
@@ -70,22 +55,17 @@ fn main() {
     };
     let (secs, seed) = (number(1, 30), number(2, 11));
     let duration = SimDuration::from_secs(secs);
-    let Some((scenario, streams)) = args.first().and_then(|name| cell(name, duration, seed)) else {
+    let cell = args
+        .first()
+        .and_then(|name| cells::cell(name, duration, seed));
+    let Some(Cell::Call(mut config)) = cell else {
         usage()
     };
-    let paths: Vec<PathId> = (0..scenario.paths.len() as u8).map(PathId).collect();
+    let streams = config.streams;
+    let paths: Vec<PathId> = (0..config.scenario.paths.len() as u8).map(PathId).collect();
 
     let ring = Arc::new(RingSink::new(1 << 22));
-    let config = SessionConfig::builder()
-        .scenario(scenario)
-        .scheduler(SchedulerKind::Converge)
-        .fec(FecKind::Converge)
-        .streams(streams)
-        .duration(duration)
-        .seed(seed)
-        .trace(TraceHandle::new(ring.clone()))
-        .build()
-        .expect("the cell is a valid config");
+    config.trace = TraceHandle::new(ring.clone());
     let report = Session::new(config).run();
 
     // Fold the timeline: per (second, path) sums, per second frame counts,

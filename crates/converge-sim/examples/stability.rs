@@ -15,15 +15,12 @@
 //! cargo run --release -p converge-sim --example stability -- 30      # 30 s calls
 //! ```
 //!
-//! The cells are the ones `benchmark/README.md` "Seeds" had to stay out of
-//! (`chaos(Reorder)`, `chaos(FeedbackLoss)` and `fec_tradeoff(10.0)` under
-//! three streams, `fec_tradeoff(2.0)` under two), `fec_tradeoff(10.0)` under
-//! one, the `symmetric3` and `constant8` topologies of `call-npath`, and
-//! 32-session fleets in conferences of 4 and of 8 (`converge_sim::stability`
-//! holds them). The output is a function of the code alone;
-//! `tests/tests/stability.rs` pins a slice of it.
+//! The cells are `converge_sim::stability::MATRIX`'s. The output is a
+//! function of the code alone; `tests/tests/stability.rs` pins a slice of it.
 
-use converge_sim::stability::{call, call_cells, fleet_fps, spread};
+use converge_net::SimDuration;
+use converge_sim::cells::{self, Outcome};
+use converge_sim::stability::{spread, MATRIX};
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=12;
 
@@ -56,30 +53,26 @@ fn main() {
         SEEDS.start(),
         SEEDS.end()
     );
-    for (label, scenario, streams) in call_cells() {
+    for (label, name) in MATRIX {
+        let cell = cells::find(name).expect("the matrix names catalogue cells");
+        let secs = if cell.is_fleet() { cell.secs } else { secs };
         let (mut media, mut rtx, mut fec, mut sent, mut lost) = (0u64, 0u64, 0u64, 0u64, 0u64);
         let fps: Vec<f64> = SEEDS
             .map(|seed| {
-                let report = call(&scenario, streams, secs, seed);
-                media += report.media_packets_sent;
-                rtx += report.retransmissions;
-                fec += report.fec_packets_sent;
-                sent += report.paths.values().map(|p| p.packets_sent).sum::<u64>();
-                lost += report.paths.values().map(|p| p.packets_lost).sum::<u64>();
-                report.fps_per_stream()
+                let outcome = cell.cell(SimDuration::from_secs(secs), seed).run();
+                if let Outcome::Call(report) = &outcome {
+                    media += report.media_packets_sent;
+                    rtx += report.retransmissions;
+                    fec += report.fec_packets_sent;
+                    sent += report.paths.values().map(|p| p.packets_sent).sum::<u64>();
+                    lost += report.paths.values().map(|p| p.packets_lost).sum::<u64>();
+                }
+                outcome.fps()
             })
             .collect();
         let pct = |n: u64, of: u64| 100.0 * n as f64 / of.max(1) as f64;
-        let shares = format!(
-            "  rtx {:.1} % fec {:.1} % lost {:.2} %",
-            pct(rtx, media),
-            pct(fec, media),
-            pct(lost, sent)
-        );
-        row(label, &fps, &shares);
-    }
-    for size in [4, 8] {
-        let fps: Vec<f64> = SEEDS.map(|seed| fleet_fps(size, seed)).collect();
-        row(&format!("fleet 32 x{size}"), &fps, "");
+        let (rtx, fec, lost) = (pct(rtx, media), pct(fec, media), pct(lost, sent));
+        let shares = format!("  rtx {rtx:.1} % fec {fec:.1} % lost {lost:.2} %");
+        row(label, &fps, if cell.is_fleet() { "" } else { &shares });
     }
 }

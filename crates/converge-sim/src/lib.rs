@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cells;
 pub mod drives;
 pub mod duplex;
 pub mod fleet;

@@ -136,10 +136,6 @@ pub struct MetricsCollector {
     /// once, in [`MetricsCollector::finish`].
     paths: Vec<PathAccount>,
 
-    frames_encoded: u64,
-    height_sum: u64,
-    frames_decoded: u64,
-    frames_dropped: u64,
     keyframe_requests: u64,
     nacks_sent: u64,
     retransmissions: u64,
@@ -152,7 +148,6 @@ pub struct MetricsCollector {
     /// Per-frame E2E latencies, whole µs, in decode order.
     e2e_us: Vec<u32>,
     qp_sum: u64,
-    qp_count: u64,
 
     /// Last decode instant per stream, indexed by stream id, for freeze
     /// detection.
@@ -179,10 +174,6 @@ impl MetricsCollector {
             streams,
             bins: vec![SecondBin::default(); secs],
             paths: Vec::new(),
-            frames_encoded: 0,
-            height_sum: 0,
-            frames_decoded: 0,
-            frames_dropped: 0,
             keyframe_requests: 0,
             nacks_sent: 0,
             retransmissions: 0,
@@ -192,7 +183,6 @@ impl MetricsCollector {
             fec_packets_used: 0,
             e2e_us: Vec::new(),
             qp_sum: 0,
-            qp_count: 0,
             last_decode: vec![None; usize::from(streams)],
             freeze_total: SimDuration::ZERO,
             freeze_events: 0,
@@ -230,10 +220,7 @@ impl MetricsCollector {
 
     /// Records an encoded frame at `at`.
     pub fn on_frame_encoded(&mut self, at: SimTime, qp: u8, height: u32) {
-        self.frames_encoded += 1;
-        self.height_sum += height as u64;
         self.qp_sum += qp as u64;
-        self.qp_count += 1;
         let bin = self.bin_mut(at);
         bin.height_sum += height as u64;
         bin.encoded_count += 1;
@@ -302,7 +289,6 @@ impl MetricsCollector {
         at: SimTime,
         e2e: SimDuration,
     ) -> Option<SimDuration> {
-        self.frames_decoded += 1;
         let e2e_us = u32::try_from(e2e.as_micros()).unwrap_or_else(|_| {
             panic!(
                 "E2E latency {} µs is past the report's 32-bit microsecond samples (71.6 min)",
@@ -330,7 +316,6 @@ impl MetricsCollector {
 
     /// Records a dropped (never decoded) frame.
     pub fn on_frame_dropped(&mut self, at: SimTime) {
-        self.frames_dropped += 1;
         self.bin_mut(at).frames_dropped += 1;
     }
 
@@ -366,7 +351,14 @@ impl MetricsCollector {
     /// Produces the final report.
     pub fn finish(mut self) -> CallReport {
         let secs = self.duration.as_secs_f64();
-        let media_bits: u64 = self.bins.iter().map(|b| b.media_bits).sum();
+        // Every frame event lands in a bin (late ones in the last), so the
+        // call's totals are the bins' sums.
+        let total = |field: fn(&SecondBin) -> u64| self.bins.iter().map(field).sum::<u64>();
+        let media_bits = total(|b| b.media_bits);
+        let frames_encoded = total(|b| u64::from(b.encoded_count));
+        let height_sum = total(|b| b.height_sum);
+        let frames_decoded = total(|b| u64::from(b.frames_decoded));
+        let frames_dropped = total(|b| u64::from(b.frames_dropped));
         // Account `i` is path `i`'s (ids are `u8`s).
         let ids = || (0..=u8::MAX).map(PathId);
         // The per-second series are packed first, and each frees what it was
@@ -383,7 +375,7 @@ impl MetricsCollector {
         }
         let bins = SecondBins::pack(&std::mem::take(&mut self.bins));
         let throughput_bps = media_bits as f64 / secs;
-        let fps = self.frames_decoded as f64 / secs;
+        let fps = frames_decoded as f64 / secs;
         let mut e2e = self.e2e_us;
         e2e.sort_unstable();
         let e2e_mean_ms = if e2e.is_empty() {
@@ -392,8 +384,8 @@ impl MetricsCollector {
             e2e.iter().map(|&us| u64::from(us)).sum::<u64>() as f64 / e2e.len() as f64 / 1_000.0
         };
         let e2e_samples = E2eSamples::from_sorted_us(&e2e);
-        let avg_qp = if self.qp_count > 0 {
-            self.qp_sum as f64 / self.qp_count as f64
+        let avg_qp = if frames_encoded > 0 {
+            self.qp_sum as f64 / frames_encoded as f64
         } else {
             qp_for_bitrate(self.format, 0.0) as f64
         };
@@ -426,14 +418,14 @@ impl MetricsCollector {
             e2e_samples_ms: e2e_samples,
             freeze_total_ms: self.freeze_total.as_micros() as f64 / 1_000.0,
             freeze_events: self.freeze_events,
-            frames_encoded: self.frames_encoded,
-            avg_encoded_height: if self.frames_encoded > 0 {
-                self.height_sum as f64 / self.frames_encoded as f64
+            frames_encoded,
+            avg_encoded_height: if frames_encoded > 0 {
+                height_sum as f64 / frames_encoded as f64
             } else {
                 0.0
             },
-            frames_decoded: self.frames_decoded,
-            frames_dropped: self.frames_dropped,
+            frames_decoded,
+            frames_dropped,
             keyframe_requests: self.keyframe_requests,
             nacks_sent: self.nacks_sent,
             retransmissions: self.retransmissions,

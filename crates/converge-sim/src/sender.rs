@@ -88,9 +88,10 @@ const SENT_SLOTS: usize = 1 << 14;
 /// The default keeps all a 16-bit NACK can name: 65 536 sequences per
 /// stream, each the path it took in the fewest of 1, 2, 4 or 8 bits that
 /// hold every path id (8 KiB a stream on two paths, 32 KiB on eight), plus
-/// a 24-byte record for every frame among them, added as frames are sent
-/// (a packet is rebuilt from its frame's record, not stored) — where a
-/// ring of whole packets took 3.5 MiB per stream, written at construction.
+/// a log of every frame among them, added as frames are sent: 128-byte
+/// groups of up to 16 frames as LEB128 deltas, about 8 bytes a frame (a
+/// packet is rebuilt from its frame's record, not stored) — where a ring
+/// of whole packets took 3.5 MiB per stream, written at construction.
 /// The feedback rings add 6 KiB per path and 10 bytes for each sequence
 /// that leaves a ring's newest 1 024 unmatched (a lost packet, a lost
 /// report) until it falls out of the horizon. [`SenderSizing::fleet`] is
@@ -119,9 +120,9 @@ impl SenderSizing {
     /// Compact rings for fleet-scale runs: 512 transport sequences per
     /// path (3 KiB, all dense, so nothing spills) and 2 048 media
     /// sequences per stream (256 bytes to 2 KiB by path count, plus the
-    /// frame records, about 2 s of 30 fps video). Short of the farthest
-    /// look-back a single call shows on eight paths, so a fleet member
-    /// that falls that far behind loses the retransmission.
+    /// frame log's 128-byte groups, about 2 s of 30 fps video). Short of
+    /// the farthest look-back a single call shows on eight paths, so a
+    /// fleet member that falls that far behind loses the retransmission.
     pub fn fleet() -> Self {
         SenderSizing {
             tx_slots: 1 << 9,
@@ -553,17 +554,8 @@ impl ConferenceSender {
             if n_fec == 0 {
                 continue;
             }
-            // Split this path's media into n_fec contiguous groups.
-            let base = media.len() / n_fec;
-            let extra = media.len() % n_fec;
-            let mut idx = 0;
-            for g in 0..n_fec {
-                let size = base + usize::from(g < extra);
-                if size == 0 {
-                    continue;
-                }
-                let protected: Vec<VideoPacket> = media[idx..idx + size].to_vec();
-                idx += size;
+            for group in converge_rtp::fec::group_ranges(media.len(), n_fec) {
+                let protected: Vec<VideoPacket> = media[group].to_vec();
                 // FEC packets are scheduled too (priority level 5).
                 let rep = protected
                     .iter()

@@ -1,44 +1,38 @@
-//! Deterministic allocation budgets for the steady-state call loop.
+//! Deterministic allocation budgets, read off catalogue cells
+//! (`converge_sim::cells`) at seed 11.
 //!
 //! The simulation is seed-deterministic, so the number of allocator calls
 //! it makes is byte-stable on every machine: unlike wall-clock time it can
-//! be ratcheted exactly, with zero noise margin. Each budget covers
-//! simulated seconds [10, 20) of one call, measured as the difference
-//! between a 20 s and a 10 s run of the same seed (the first ten seconds
-//! of the long call are the short call; construction and `finish` allocate
-//! the same number of times in both). Two cells: a clean two-path
-//! one-stream call, and a 5 %-loss three-stream call whose FEC, NACK and
-//! retransmission paths the clean one never touches.
-//! `cargo run --release -p converge-sim --example alloc_sites -- clean`
-//! (or `loss5`) names the call sites behind either count.
+//! be ratcheted exactly, with zero noise margin. Each budget is the exact
+//! reading of the commit that last lowered it:
 //!
-//! A third budget covers what a session costs to build: the bytes the
-//! first simulated second of either cell asks the allocator for, which is
-//! dominated by the sender's and the receiver's history rings (a sweep of
-//! a few hundred short calls pays it per cell). Two more pin the peak live
-//! heap of a 20 s call of either cell: the most bytes held at once, which
-//! is what `peak_rss_mb` measures in pages. `alloc_sites --peak` names the
-//! sites that hold them. A sixth pins what the lossy call's report still
-//! holds once the call is over: what a sweep's memo cache keeps per cell.
-//! A seventh pins the peak live heap of a one-shard fleet in conferences
-//! of 8: what one conference holds, which is what a second shard adds. An
-//! eighth pins the peak live heap of three streams over eight constant
-//! paths, the cell behind the `call-npath` workload's peak, and a ninth
-//! that of the lossy call over 180 s, the length of the `call-impaired`
-//! workload's cells: what a long call accumulates (the sender's frame
-//! logs most of all).
+//! - the allocator calls of simulated seconds [10, 20) of `clean` (two
+//!   clean paths, one stream) and of `loss5` (5 % loss, three streams: the
+//!   FEC, NACK and retransmission paths the clean call never touches),
+//!   measured as the difference between a 20 s and a 10 s run (the first
+//!   ten seconds of the long call are the short call; construction and
+//!   `finish` allocate the same number of times in both);
+//! - the bytes the first second of either asks for: what a session costs
+//!   to build, mostly the history rings (a sweep pays it per cell);
+//! - the peak live heap of 20 s of either, which `peak_rss_mb` measures in
+//!   pages; of `constant8` over 90 s, the cell behind the `call-npath`
+//!   workload's peak; of `loss5` over 180 s, the length of the
+//!   `call-impaired` workload's cells, what a long call accumulates (the
+//!   sender's frame logs most of all); and of `fleet8` over 10 s, one
+//!   conference's peak, which is what a second shard adds;
+//! - the bytes the 20 s `loss5` report holds once the call is over: what a
+//!   sweep's memo cache keeps per cell.
 //!
-//! The counters are per thread: the call loop and a one-shard fleet are
-//! single-threaded, and the test harness's own threads allocate whenever
-//! they like.
+//! `cargo run --release -p converge-sim --example alloc_sites -- clean` (or
+//! `-- --peak --to 20 loss5`) names the sites behind a count. The counters
+//! are per thread: the call loop and a one-shard fleet are single-threaded,
+//! and the test harness's own threads allocate whenever they like.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use converge_net::SimDuration;
-use converge_sim::{
-    FecKind, FleetConfig, FleetEngine, ScenarioConfig, SchedulerKind, Session, SessionConfig,
-};
+use converge_sim::cells;
 
 struct CountingAlloc;
 
@@ -67,9 +61,9 @@ fn change_live(delta: i64) {
     });
 }
 
-/// What one call made: allocator calls, bytes asked for, the most bytes
-/// live at once above what was live when it started, and the bytes its
-/// report holds (what dropping the report frees).
+/// What one run of a cell made: allocator calls, bytes asked for, the most
+/// bytes live at once above what was live when it started, and the bytes
+/// its report holds (what dropping the report frees).
 struct Counts {
     calls: u64,
     bytes: u64,
@@ -144,39 +138,24 @@ const CLEAN_BUDGET: u64 = 216;
 /// spills grow in the window too, a few doubling steps.)
 const LOSSY_BUDGET: u64 = 2_415;
 
-/// What one two-path Converge call of `secs` at `loss_pct` loss on both
-/// paths asks of the allocator.
-fn allocations(loss_pct: f64, streams: u8, secs: u64) -> Counts {
-    call_allocations(ScenarioConfig::fec_tradeoff(loss_pct), streams, secs)
-}
-
-/// What one Converge call of `secs` over `scenario` asks of the allocator.
-fn call_allocations(scenario: ScenarioConfig, streams: u8, secs: u64) -> Counts {
-    let cfg = SessionConfig::paper_default(
-        scenario,
-        SchedulerKind::Converge,
-        FecKind::Converge,
-        streams,
-        SimDuration::from_secs(secs),
-        11,
-    );
-    let session = Session::new(cfg);
+/// What the catalogue cell `name` asks of the allocator over `secs`, at
+/// seed 11. Building the cell's config is not counted.
+fn counts(name: &str, secs: u64) -> Counts {
+    let cell = cells::cell(name, SimDuration::from_secs(secs), 11).expect("a catalogue cell");
     let (calls, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let live = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(live));
-    let report = session.run();
+    let outcome = cell.run();
     let (calls, bytes, peak) = (
         ALLOCATIONS.with(Cell::get) - calls,
         BYTES.with(Cell::get) - bytes,
         (PEAK.with(Cell::get) - live) as u64,
     );
-    assert!(report.frames_decoded > 0, "the call must carry video");
-    // What the report holds is what dropping it frees, on this thread: a
-    // difference of live bytes since before the call would also count
-    // whatever the thread allocated once for itself meanwhile (the test
-    // harness's threads and its main thread differ there).
+    assert!(outcome.fps() > 0.0, "{name} must carry video");
+    // What the report holds is what dropping it frees, on this thread
+    // (`LOSSY_REPORT_BYTES` says why).
     let live = LIVE.with(Cell::get);
-    drop(report);
+    drop(outcome);
     let kept = (live - LIVE.with(Cell::get)) as u64;
     Counts {
         calls,
@@ -186,32 +165,31 @@ fn call_allocations(scenario: ScenarioConfig, streams: u8, secs: u64) -> Counts 
     }
 }
 
+/// Asserts that `reading` repeats exactly and stays within `budget`, and
+/// prints it: "`what` <reading> `unit`, budget <budget>".
+fn assert_within(budget: u64, what: &str, unit: &str, reading: impl Fn() -> u64) {
+    let value = reading();
+    assert_eq!(value, reading(), "{what} must repeat exactly");
+    println!("{what} {value} {unit}, budget {budget}");
+    assert!(value <= budget, "{what} {value} {unit}, budget {budget}");
+}
+
 /// Asserts that seconds [10, 20) of the cell repeat exactly and stay within
 /// `budget`.
-fn assert_window_within(budget: u64, loss_pct: f64, streams: u8) {
-    let run = |secs| allocations(loss_pct, streams, secs).calls;
-    let (ten, twenty) = (run(10), run(20));
-    assert_eq!(
-        (ten, twenty),
-        (run(10), run(20)),
-        "the allocation count must repeat exactly"
-    );
-    let window = twenty - ten;
-    println!("seconds [10, 20) made {window} allocator calls, budget {budget}");
-    assert!(
-        window <= budget,
-        "seconds [10, 20) made {window} allocator calls, budget {budget}"
-    );
+fn assert_window_within(budget: u64, name: &str) {
+    let window = || counts(name, 20).calls - counts(name, 10).calls;
+    let what = format!("{name}: seconds [10, 20) made");
+    assert_within(budget, &what, "allocator calls", window);
 }
 
 #[test]
 fn steady_state_allocation_count_stays_within_budget() {
-    assert_window_within(CLEAN_BUDGET, 0.0, 1);
+    assert_window_within(CLEAN_BUDGET, "clean");
 }
 
 #[test]
 fn lossy_steady_state_allocation_count_stays_within_budget() {
-    assert_window_within(LOSSY_BUDGET, 5.0, 3);
+    assert_window_within(LOSSY_BUDGET, "loss5");
 }
 
 /// Bytes the first simulated second of the clean one-stream call may ask
@@ -375,21 +353,12 @@ const LOSSY_CONSTRUCTION_BYTES: u64 = 174_443;
 
 #[test]
 fn construction_bytes_stay_within_budget() {
-    for (budget, loss_pct, streams) in [
-        (CLEAN_CONSTRUCTION_BYTES, 0.0, 1),
-        (LOSSY_CONSTRUCTION_BYTES, 5.0, 3),
+    for (budget, name) in [
+        (CLEAN_CONSTRUCTION_BYTES, "clean"),
+        (LOSSY_CONSTRUCTION_BYTES, "loss5"),
     ] {
-        let bytes = allocations(loss_pct, streams, 1).bytes;
-        assert_eq!(
-            bytes,
-            allocations(loss_pct, streams, 1).bytes,
-            "the byte count must repeat exactly"
-        );
-        println!("{streams}-stream call at {loss_pct} % loss: second [0, 1) asked for {bytes} bytes, budget {budget}");
-        assert!(
-            bytes <= budget,
-            "{streams}-stream call at {loss_pct} % loss: second [0, 1) asked for {bytes} bytes, budget {budget}"
-        );
+        let what = format!("{name}: second [0, 1) asked for");
+        assert_within(budget, &what, "bytes", || counts(name, 1).bytes);
     }
 }
 
@@ -441,30 +410,21 @@ const CLEAN_PEAK_BYTES: u64 = 203_377;
 /// cell).
 const LOSSY_PEAK_BYTES: u64 = 330_378;
 
-/// Asserts that the 20 s call of the cell peaks at the same live bytes
-/// twice and within `budget`.
-fn assert_peak_within(budget: u64, loss_pct: f64, streams: u8) {
-    let peak = allocations(loss_pct, streams, 20).peak;
-    assert_eq!(
-        peak,
-        allocations(loss_pct, streams, 20).peak,
-        "the peak must repeat exactly"
-    );
-    println!("{streams}-stream 20 s call at {loss_pct} % loss: peak live heap {peak} bytes, budget {budget}");
-    assert!(
-        peak <= budget,
-        "{streams}-stream 20 s call at {loss_pct} % loss: peak live heap {peak} bytes, budget {budget}"
-    );
+/// Asserts that `secs` of the cell peak at the same live bytes twice and
+/// within `budget`.
+fn assert_peak_within(budget: u64, name: &str, secs: u64) {
+    let what = format!("{name} x {secs} s: peak live heap");
+    assert_within(budget, &what, "bytes", || counts(name, secs).peak);
 }
 
 #[test]
 fn clean_peak_heap_stays_within_budget() {
-    assert_peak_within(CLEAN_PEAK_BYTES, 0.0, 1);
+    assert_peak_within(CLEAN_PEAK_BYTES, "clean", 20);
 }
 
 #[test]
 fn lossy_peak_heap_stays_within_budget() {
-    assert_peak_within(LOSSY_PEAK_BYTES, 5.0, 3);
+    assert_peak_within(LOSSY_PEAK_BYTES, "loss5", 20);
 }
 
 /// The most bytes the `alloc_sites` `constant8` cell holds at once over
@@ -490,17 +450,7 @@ const CONSTANT8_PEAK_BYTES: u64 = 968_937;
 
 #[test]
 fn constant8_peak_heap_stays_within_budget() {
-    let peak = |_| call_allocations(ScenarioConfig::constant8(), 3, 90).peak;
-    let peak = [peak(()), peak(())];
-    assert_eq!(peak[0], peak[1], "the peak must repeat exactly");
-    let peak = peak[0];
-    println!(
-        "constant8, 3 streams x 90 s: peak live heap {peak} bytes, budget {CONSTANT8_PEAK_BYTES}"
-    );
-    assert!(
-        peak <= CONSTANT8_PEAK_BYTES,
-        "constant8, 3 streams x 90 s: peak live heap {peak} bytes, budget {CONSTANT8_PEAK_BYTES}"
-    );
+    assert_peak_within(CONSTANT8_PEAK_BYTES, "constant8", 90);
 }
 
 /// The most bytes the 5 %-loss three-stream call holds at once over 180 s,
@@ -520,17 +470,7 @@ const LONG_LOSSY_PEAK_BYTES: u64 = 687_597;
 
 #[test]
 fn long_lossy_peak_heap_stays_within_budget() {
-    let peak = |_| allocations(5.0, 3, 180).peak;
-    let peak = [peak(()), peak(())];
-    assert_eq!(peak[0], peak[1], "the peak must repeat exactly");
-    let peak = peak[0];
-    println!(
-        "3-stream 180 s call at 5 % loss: peak live heap {peak} bytes, budget {LONG_LOSSY_PEAK_BYTES}"
-    );
-    assert!(
-        peak <= LONG_LOSSY_PEAK_BYTES,
-        "3-stream 180 s call at 5 % loss: peak live heap {peak} bytes, budget {LONG_LOSSY_PEAK_BYTES}"
-    );
+    assert_peak_within(LONG_LOSSY_PEAK_BYTES, "loss5", 180);
 }
 
 /// The most bytes a fleet of 128 sessions in conferences of 8 holds at
@@ -554,25 +494,15 @@ fn long_lossy_peak_heap_stays_within_budget() {
 /// 32-bit tag (−81 408): a member's 300 frames take a deque of 32 groups
 /// (4 KiB) where its records took one of 512 (12 KiB), −65 024 over 8
 /// members with their 64-byte larger histories; the 512-slot `recent`
-/// rings, 2 KiB less each, −16 384.
-const FLEET8_PEAK_BYTES: u64 = 685_030;
+/// rings, 2 KiB less each, −16 384. It read 685 030 until the metrics
+/// collector stopped keeping five call totals beside the per-second bins
+/// that count the same events (−320: 40 B in each of the 8 members' flows,
+/// which a conference keeps on the heap).
+const FLEET8_PEAK_BYTES: u64 = 684_710;
 
 #[test]
 fn fleet8_peak_heap_stays_within_budget() {
-    let mut config = FleetConfig::new(128, 8);
-    config.duration = SimDuration::from_secs(10);
-    config.seed = 11;
-    assert_eq!(config.shards, 1, "one shard runs on the calling thread");
-    let live = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(live));
-    let report = FleetEngine::new(config).run();
-    let peak = (PEAK.with(Cell::get) - live) as u64;
-    assert_eq!(report.conferences.len(), 16);
-    println!("fleet of 128 x 10 s in conferences of 8: peak live heap {peak} bytes, budget {FLEET8_PEAK_BYTES}");
-    assert!(
-        peak <= FLEET8_PEAK_BYTES,
-        "fleet of 128 x 10 s in conferences of 8: peak live heap {peak} bytes, budget {FLEET8_PEAK_BYTES}"
-    );
+    assert_peak_within(FLEET8_PEAK_BYTES, "fleet8", 10);
 }
 
 /// The bytes the report of the 20 s lossy three-stream call holds: what
@@ -599,15 +529,8 @@ const LOSSY_REPORT_BYTES: u64 = 3_300;
 
 #[test]
 fn report_bytes_stay_within_budget() {
-    let kept = allocations(5.0, 3, 20).kept;
-    assert_eq!(
-        kept,
-        allocations(5.0, 3, 20).kept,
-        "the report's bytes must repeat exactly"
-    );
-    println!("3-stream 20 s call at 5 % loss: its report holds {kept} bytes, budget {LOSSY_REPORT_BYTES}");
-    assert!(
-        kept <= LOSSY_REPORT_BYTES,
-        "3-stream 20 s call at 5 % loss: its report holds {kept} bytes, budget {LOSSY_REPORT_BYTES}"
-    );
+    let what = "loss5 x 20 s: its report holds";
+    assert_within(LOSSY_REPORT_BYTES, what, "bytes", || {
+        counts("loss5", 20).kept
+    });
 }

@@ -126,19 +126,6 @@ pub fn record_line(record: &TraceRecord) -> String {
     format!("{{\"at_us\":{at},\"event\":\"{name}\",{payload}}}")
 }
 
-/// A whole timeline document: header plus one line per record, newline
-/// terminated.
-pub fn render(job: &str, records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 80);
-    out.push_str(&header_line(job));
-    out.push('\n');
-    for record in records {
-        out.push_str(&record_line(record));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,26 +154,6 @@ mod tests {
             record_line(&rec),
             "{\"at_us\":1500000,\"event\":\"path_reenabled\",\"path\":1,\"margin_us\":2500,\"threshold_us\":5000}"
         );
-    }
-
-    #[test]
-    fn render_is_newline_terminated_and_ordered() {
-        let records = vec![
-            TraceRecord {
-                at: SimTime::from_micros(1),
-                event: TraceEvent::FastPathSwitched { path: PathId(0) },
-            },
-            TraceRecord {
-                at: SimTime::from_micros(2),
-                event: TraceEvent::FrameFrozen { gap_us: 300_000 },
-            },
-        ];
-        let doc = render("job", &records);
-        let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(doc.ends_with('\n'));
-        assert!(lines[1].contains("\"at_us\":1"));
-        assert!(lines[2].contains("frame_frozen"));
     }
 
     #[test]

@@ -8,6 +8,17 @@ pub fn clean_scenario() -> converge_sim::ScenarioConfig {
     converge_sim::ScenarioConfig::fec_tradeoff(0.0)
 }
 
+/// A whole JSONL timeline document, as a traced sweep writes it: the
+/// header, then one line per record, each newline terminated.
+pub fn render_timeline(job: &str, records: &[converge_trace::TraceRecord]) -> String {
+    let mut out = converge_trace::jsonl::header_line(job) + "\n";
+    for record in records {
+        out.push_str(&converge_trace::jsonl::record_line(record));
+        out.push('\n');
+    }
+    out
+}
+
 /// Compares `rendered` with `tests/fixtures/<file>` byte for byte, or
 /// rewrites the fixture when `UPDATE_GOLDEN` is set. A mismatch names the
 /// first line that differs, its terminator included, so a lost final

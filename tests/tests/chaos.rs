@@ -11,11 +11,12 @@
 
 use std::sync::Arc;
 
+use converge_integration::render_timeline;
 use converge_net::{Direction, ImpairmentConfig, SimDuration};
 use converge_sim::{
     FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
 };
-use converge_trace::{jsonl, RingSink, TraceHandle};
+use converge_trace::{RingSink, TraceHandle};
 
 /// Seeds of the matrix; three per cell so a fault that only bites under a
 /// particular RNG stream still gets caught.
@@ -108,7 +109,7 @@ fn chaos_cell_timeline_is_byte_deterministic() {
         let records = ring.drain();
         assert!(!records.is_empty(), "a chaos run must emit trace events");
         (
-            jsonl::render("chaos-determinism", &records),
+            render_timeline("chaos-determinism", &records),
             report.frames_decoded,
             report.freeze_total_ms,
         )

@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
-use converge_integration::assert_matches_golden;
+use converge_integration::{assert_matches_golden, render_timeline};
 use converge_net::SimDuration;
 use converge_sim::{DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig};
-use converge_trace::{jsonl, RingSink, TraceHandle};
+use converge_trace::{RingSink, TraceHandle};
 
 fn fixture_file(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -107,7 +107,7 @@ fn render_drive_golden() -> String {
         "golden drive run must decode frames"
     );
     assert_eq!(ring.dropped(), 0, "ring must hold the whole timeline");
-    jsonl::render("drive-golden", &ring.drain())
+    render_timeline("drive-golden", &ring.drain())
 }
 
 #[test]

@@ -15,12 +15,12 @@
 
 use std::sync::Arc;
 
-use converge_integration::assert_matches_golden;
+use converge_integration::{assert_matches_golden, render_timeline};
 use converge_net::SimDuration;
 use converge_sim::{
     CallReport, ControllerKind, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
 };
-use converge_trace::{jsonl, RingSink, TraceHandle};
+use converge_trace::{RingSink, TraceHandle};
 
 /// Runs a pinned session: `secs` of the FEC trade-off scenario (2%
 /// bursty loss, so the FEC controller, NACKs, and the loss process all
@@ -42,7 +42,7 @@ fn run_pinned(controller: ControllerKind, secs: u64) -> (CallReport, String) {
     let report = Session::new(cfg).run();
     assert!(report.frames_decoded > 0, "golden run must decode frames");
     assert_eq!(ring.dropped(), 0, "ring must hold the whole timeline");
-    let rendered = jsonl::render("golden", &ring.drain());
+    let rendered = render_timeline("golden", &ring.drain());
     (report, rendered)
 }
 

@@ -398,18 +398,19 @@ fn fec_recovers_any_single_loss() {
     });
 }
 
+/// The groups the sender protects a path's media in cover every packet
+/// once, in order, and their sizes differ by at most one, larger first.
 #[test]
 fn fec_groups_partition_packets() {
     let draw = |r: &mut SmallRng| (r.gen_range(1usize..60), r.gen_range(1usize..12));
     check([], CASES, draw, |&(n, repair)| {
-        let packets: Vec<(u16, Bytes)> = (0..n as u16)
-            .map(|s| (s, Bytes::from(vec![s as u8; 100])))
-            .collect();
-        let groups = fec::encode_groups(&packets, repair);
-        let mut covered: Vec<u16> = groups.iter().flat_map(|g| g.protected.clone()).collect();
-        covered.sort_unstable();
-        assert_eq!(covered, (0..n as u16).collect::<Vec<_>>());
+        let groups: Vec<_> = fec::group_ranges(n, repair).collect();
         assert_eq!(groups.len(), repair.min(n));
+        let covered: Vec<usize> = groups.iter().cloned().flatten().collect();
+        assert_eq!(covered, (0..n).collect::<Vec<_>>());
+        let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+        assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
+        assert!(sizes[0] - sizes[sizes.len() - 1] <= 1, "{sizes:?}");
     });
 }
 

@@ -1,6 +1,6 @@
 //! The control loop reads alike on every seed: a tier-1 slice of
 //! `cargo run --release -p converge-sim --example stability` (EXPERIMENTS.md,
-//! "Stability matrix"), over the cells of `converge_sim::stability`.
+//! "Stability matrix"), over `converge_sim::stability::MATRIX`'s cells.
 //!
 //! Until retransmissions were paid for out of the congestion-controlled
 //! rate (DESIGN §4, "Repair rides inside the rate") these cells were
@@ -14,18 +14,17 @@
 //! unoptimised; every bound below sits just under the readings of that
 //! design and fails on the one before it.
 
-use converge_sim::stability::{call, call_cells, fleet_fps, spread};
-use converge_sim::ScenarioConfig;
+use converge_net::SimDuration;
+use converge_sim::cells::{self, Outcome};
+use converge_sim::stability::{spread, MATRIX};
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=6;
 
-fn cell(label: &str) -> (ScenarioConfig, u8) {
-    let cells = call_cells();
-    let (_, scenario, streams) = cells
-        .into_iter()
-        .find(|(l, ..)| *l == label)
-        .unwrap_or_else(|| panic!("the stability matrix has no cell {label}"));
-    (scenario, streams)
+/// Runs the matrix cell labelled `label` for `secs` at `seed`.
+fn run(label: &str, secs: u64, seed: u64) -> Outcome {
+    let (_, name) = MATRIX.iter().find(|(l, _)| *l == label).expect("a label");
+    let cell = cells::cell(name, SimDuration::from_secs(secs), seed);
+    cell.expect("the matrix names catalogue cells").run()
 }
 
 /// Every seed at or above `floor` fps, and no two seeds a mode apart.
@@ -38,35 +37,32 @@ fn assert_stable(cell: &str, fps: &[f64], floor: f64) {
     assert!(!bimodal, "{cell} is bimodal: {fps:.1?}");
 }
 
-fn seeded_fps(label: &str) -> Vec<f64> {
-    let (scenario, streams) = cell(label);
-    SEEDS
-        .map(|seed| call(&scenario, streams, 60, seed).fps_per_stream())
-        .collect()
+fn seeded_fps(label: &str, secs: u64) -> Vec<f64> {
+    SEEDS.map(|seed| run(label, secs, seed).fps()).collect()
 }
 
 #[test]
 fn reordering_under_three_streams_holds_the_frame_rate_on_every_seed() {
     let cell = "chaos(Reorder) x3";
-    assert_stable(cell, &seeded_fps(cell), 29.0);
+    assert_stable(cell, &seeded_fps(cell, 60), 29.0);
 }
 
 #[test]
 fn feedback_loss_under_three_streams_holds_the_frame_rate_on_every_seed() {
     let cell = "chaos(FeedbackLoss) x3";
-    assert_stable(cell, &seeded_fps(cell), 29.0);
+    assert_stable(cell, &seeded_fps(cell, 60), 29.0);
 }
 
 #[test]
 fn ten_percent_loss_under_three_streams_does_not_collapse_on_any_seed() {
     let cell = "fec_tradeoff(10.0) x3";
-    assert_stable(cell, &seeded_fps(cell), 27.0);
+    assert_stable(cell, &seeded_fps(cell, 60), 27.0);
 }
 
 #[test]
 fn two_percent_loss_under_two_streams_holds_the_frame_rate_on_every_seed() {
     let cell = "fec_tradeoff(2.0) x2";
-    assert_stable(cell, &seeded_fps(cell), 29.0);
+    assert_stable(cell, &seeded_fps(cell, 60), 29.0);
 }
 
 /// A single stream at 10 % loss spread over 18–24 fps while a gap was
@@ -76,7 +72,7 @@ fn two_percent_loss_under_two_streams_holds_the_frame_rate_on_every_seed() {
 #[test]
 fn ten_percent_loss_under_one_stream_stays_above_its_measured_floor() {
     let cell = "fec_tradeoff(10.0) x1";
-    assert_stable(cell, &seeded_fps(cell), 25.5);
+    assert_stable(cell, &seeded_fps(cell, 60), 25.5);
 }
 
 /// On links configured with zero loss every lost packet is the sender's
@@ -90,8 +86,9 @@ fn lossless_topologies_do_not_congest_themselves() {
     for (label, rtx_ceiling, lost_ceiling) in
         [("symmetric3 x1", 10.0, 1.0), ("constant8 x3", 10.0, 1.5)]
     {
-        let (scenario, streams) = cell(label);
-        let r = call(&scenario, streams, 90, 11);
+        let Outcome::Call(r) = run(label, 90, 11) else {
+            panic!("{label} is a call");
+        };
         let sent: u64 = r.paths.values().map(|p| p.packets_sent).sum();
         let lost: u64 = r.paths.values().map(|p| p.packets_lost).sum();
         let pct = |n: u64, of: u64| 100.0 * n as f64 / of as f64;
@@ -122,7 +119,7 @@ fn lossless_topologies_do_not_congest_themselves() {
 #[test]
 fn fleet_members_decode_video_at_both_conference_sizes() {
     for (size, floor) in [(4, 26.0), (8, 24.0)] {
-        let fps: Vec<f64> = SEEDS.map(|seed| fleet_fps(size, seed)).collect();
-        assert_stable(&format!("fleet 32 x{size}"), &fps, floor);
+        let label = format!("fleet 32 x{size}");
+        assert_stable(&label, &seeded_fps(&label, 10), floor);
     }
 }
