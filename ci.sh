@@ -91,6 +91,7 @@ readme_examples() {
         return 1
     fi
     catalogue_cells
+    experiment_ids
 }
 
 # Every cell a README.md or DESIGN.md command hands alloc_sites, hot_lines
@@ -114,6 +115,34 @@ catalogue_cells() {
         | sed -E 's/^(--example |`)//' | awk '{ print $1, $NF }' | sort -u)
     if [ ${#unknown[@]} -gt 0 ]; then
         echo "readme-examples: not a catalogue cell: ${unknown[*]}" >&2
+        return 1
+    fi
+}
+# Every experiment id README.md or DESIGN.md passes to the experiments
+# binary (`--bin experiments -- ARGS` up to a comment, pipe or backtick, or
+# `` `experiments ARGS` ``, also across a line break) is one the binary's
+# own `list` prints — an id or an alias — or `all` or `list`. Flags, their
+# values and `<placeholders>` are skipped.
+experiment_ids() {
+    local arg ids known unknown=() skip=0
+    ids=$(experiments list 2>&1 | { grep -oE '^  [a-z0-9-]+|\(also: [a-z0-9, -]+' || true; } \
+        | sed 's/^(also://' | tr ',\n' '  ')
+    [ -n "$ids" ] || { echo "readme-examples: experiments list printed no ids" >&2; return 1; }
+    known=" all list $ids "
+    for arg in $( { grep -ohE -- '--bin experiments -- [^#`|>&;)]*' README.md DESIGN.md \
+        | sed 's/^--bin experiments -- //'
+        cat README.md DESIGN.md | tr '\n' ' ' | grep -oE '`experiments [^`]*`' \
+            | sed -E 's/^`experiments //; s/`$//'; } ); do
+        if [ "$skip" -eq 1 ]; then
+            skip=0
+        elif [ "$arg" = --jobs ] || [ "$arg" = --trace ]; then
+            skip=1
+        elif [[ "$arg" != --* && "$arg" != "<"* && "$known" != *" $arg "* ]]; then
+            unknown+=("$arg")
+        fi
+    done
+    if [ ${#unknown[@]} -gt 0 ]; then
+        echo "readme-examples: not an experiment id: ${unknown[*]}" >&2
         return 1
     fi
 }
@@ -432,9 +461,11 @@ gate shootout shootout
 # trace, a `DriveTrace`: the uniform-step, rate-only trace it replaced
 # (`RateTrace`), that trace's CSV error (`TraceParseError`) and the
 # scenario builder that read its CSV (`from_traces`) are named nowhere
-# under crates/, tests/ or examples/.
+# under crates/, tests/ or examples/. `drive_replay` handed a malformed
+# file prints the parser's line-numbered error and exits 1; it does not
+# panic.
 drive() {
-    local gone
+    local gone status=0 garbage=results/smoke_garbage_drive.jsonl
     gone=$(grep -rlwE 'RateTrace|TraceParseError|from_traces' crates tests examples || true)
     if [ -n "$gone" ]; then
         echo "drive: a second link trace is named under crates/, tests/ or examples/:" $gone >&2
@@ -445,6 +476,16 @@ drive() {
     grep -q 'blackout-flap' results/smoke_drive.txt
     grep -q 'coverage-gaps' results/smoke_drive.txt
     grep -q 'handover' results/smoke_drive.txt
+    printf 'not a drive row\n' > "$garbage"
+    cargo run -q --release -p converge-sim --example drive_replay "$garbage" \
+        > /dev/null 2> results/smoke_drive_replay.err || status=$?
+    if [ "$status" -ne 1 ] || grep -q panicked results/smoke_drive_replay.err \
+        || ! grep -qx "drive_replay: $garbage: parsing drive file: malformed drive row at line 1" \
+            results/smoke_drive_replay.err; then
+        echo "drive: drive_replay on a malformed file exited $status:" >&2
+        cat results/smoke_drive_replay.err >&2
+        return 1
+    fi
 }
 gate drive drive
 

@@ -363,30 +363,13 @@ impl PathShare {
     }
 
     /// Computes the per-path media packet counts for a batch of `n` packets
-    /// (Eq. 1 proportional split, then Eq. 2 offsets, then the `P_max` cap).
+    /// (Eq. 1 proportional split, then Eq. 2 offsets, then the `P_max` cap),
+    /// replacing the contents of `counts`.
     ///
-    /// `paths` must carry current GCC rates. Returns `(path, count)` pairs
+    /// `paths` must carry current GCC rates; `caps` is indexed by path id
+    /// (a path past its end is uncapped). Leaves `(path, count)` pairs
     /// covering exactly `n` packets across enabled paths. If every path is
     /// disabled, the offsets are ignored and the split is proportional.
-    pub fn split(
-        &mut self,
-        n: usize,
-        paths: &[crate::metrics::PathMetrics],
-        p_max: &BTreeMap<PathId, usize>,
-    ) -> Vec<(PathId, usize)> {
-        // Keys ascend, so each one extends the table.
-        let mut caps = Vec::new();
-        for (&path, &cap) in p_max {
-            caps.resize(path.index(), usize::MAX);
-            caps.push(cap);
-        }
-        let mut counts = Vec::new();
-        self.split_into(n, paths, &caps, &mut counts);
-        counts
-    }
-
-    /// [`PathShare::split`] with the caps as a slice indexed by path id (a
-    /// path past its end is uncapped), replacing the contents of `counts`.
     pub fn split_into(
         &mut self,
         n: usize,
@@ -756,8 +739,16 @@ mod tests {
         PathMetrics::new(id, rate_mbps * 1_000_000, d(50), 0.0)
     }
 
-    fn no_caps() -> BTreeMap<PathId, usize> {
-        BTreeMap::new()
+    /// [`PathShare::split_into`] into a fresh vector.
+    fn split(
+        s: &mut PathShare,
+        n: usize,
+        paths: &[PathMetrics],
+        caps: &[usize],
+    ) -> Vec<(PathId, usize)> {
+        let mut counts = Vec::new();
+        s.split_into(n, paths, caps, &mut counts);
+        counts
     }
 
     #[test]
@@ -765,7 +756,7 @@ mod tests {
         // Paper's example: rate1=15 Mbps, rate2=5 Mbps, 40 packets →
         // 30 on P1, 10 on P2.
         let mut s = PathShare::new();
-        let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &no_caps());
+        let counts = split(&mut s, 40, &[pm(P1, 15), pm(P2, 5)], &[]);
         assert_eq!(counts, vec![(P1, 30), (P2, 10)]);
     }
 
@@ -775,17 +766,15 @@ mod tests {
         // 5 on P2.
         let mut s = PathShare::new();
         s.apply_feedback(P2, -5);
-        let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &no_caps());
+        let counts = split(&mut s, 40, &[pm(P1, 15), pm(P2, 5)], &[]);
         assert_eq!(counts, vec![(P1, 35), (P2, 5)]);
     }
 
     #[test]
     fn split_respects_pmax() {
         let mut s = PathShare::new();
-        let mut caps = BTreeMap::new();
-        caps.insert(P1, 25);
-        caps.insert(P2, 100);
-        let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &caps);
+        let caps = [usize::MAX, 25, 100];
+        let counts = split(&mut s, 40, &[pm(P1, 15), pm(P2, 5)], &caps);
         assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), 40);
         let p1 = counts.iter().find(|(p, _)| *p == P1).unwrap().1;
         assert!(p1 <= 25);
@@ -796,7 +785,7 @@ mod tests {
         let mut s = PathShare::new();
         s.apply_feedback(P2, -3);
         for n in [0usize, 1, 7, 40, 100] {
-            let counts = s.split(n, &[pm(P1, 7), pm(P2, 3)], &no_caps());
+            let counts = split(&mut s, n, &[pm(P1, 7), pm(P2, 3)], &[]);
             assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), n, "n={n}");
         }
     }
@@ -805,7 +794,7 @@ mod tests {
     fn negative_offset_can_zero_a_path() {
         let mut s = PathShare::new();
         s.apply_feedback(P2, -100);
-        let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &no_caps());
+        let counts = split(&mut s, 40, &[pm(P1, 15), pm(P2, 5)], &[]);
         let p2 = counts.iter().find(|(p, _)| *p == P2).unwrap().1;
         assert_eq!(p2, 0);
     }
@@ -814,7 +803,7 @@ mod tests {
     fn disabled_path_excluded_from_split() {
         let mut s = PathShare::new();
         s.mark_disabled(P2, d(10));
-        let counts = s.split(40, &[pm(P1, 15), pm(P2, 5)], &no_caps());
+        let counts = split(&mut s, 40, &[pm(P1, 15), pm(P2, 5)], &[]);
         assert_eq!(counts, vec![(P1, 40)]);
         assert!(s.is_disabled(P2));
     }
@@ -874,7 +863,7 @@ mod tests {
         let mut s = PathShare::new();
         s.mark_disabled(P1, d(10));
         s.mark_disabled(P2, d(10));
-        let counts = s.split(20, &[pm(P1, 10), pm(P2, 10)], &no_caps());
+        let counts = split(&mut s, 20, &[pm(P1, 10), pm(P2, 10)], &[]);
         assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), 20);
         assert_eq!(counts.len(), 2);
     }

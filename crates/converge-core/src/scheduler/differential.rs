@@ -580,11 +580,6 @@ fn split_and_interleave_match_the_allocating_reference() {
             }
             let n = [0, 1, 7, 40, 100][rng.below(5) as usize];
             let want = ref_split(&share, n, &paths, &caps);
-            assert_eq!(
-                share.split(n, &paths, &caps),
-                want,
-                "seed {seed} step {step}"
-            );
             let mut indexed = vec![usize::MAX; 1 + n_paths];
             for (&p, &c) in &caps {
                 indexed[p.index()] = c;
@@ -593,7 +588,6 @@ fn split_and_interleave_match_the_allocating_reference() {
             assert_eq!(counts, want, "seed {seed} step {step}");
             interleave_into(&counts, &mut remaining, &mut seq);
             assert_eq!(seq, ref_interleave(&counts), "seed {seed} step {step}");
-            assert_eq!(interleave(&counts), seq);
         }
     }
 }

@@ -128,17 +128,10 @@ pub fn p_max(rate_bps: u64, batch_interval: SimDuration, max_packet_bytes: usize
 }
 
 /// Shared helper: weighted round-robin expansion of `(path, count)` pairs
-/// into an interleaved assignment sequence. Interleaving (rather than block
-/// assignment) matches how byte schedulers drain queues in practice and
-/// exercises reordering at the receiver.
-pub fn interleave(counts: &[(PathId, usize)]) -> Vec<PathId> {
-    let mut out = Vec::new();
-    interleave_into(counts, &mut Vec::new(), &mut out);
-    out
-}
-
-/// [`interleave`], replacing the contents of `out`; `remaining` is working
-/// space the caller keeps between calls.
+/// into an interleaved assignment sequence, replacing the contents of
+/// `out`; `remaining` is working space the caller keeps between calls.
+/// Interleaving (rather than block assignment) matches how byte schedulers
+/// drain queues in practice and exercises reordering at the receiver.
 pub fn interleave_into(
     counts: &[(PathId, usize)],
     remaining: &mut Vec<usize>,
@@ -171,6 +164,12 @@ pub fn interleave_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn interleave(counts: &[(PathId, usize)]) -> Vec<PathId> {
+        let mut out = Vec::new();
+        interleave_into(counts, &mut Vec::new(), &mut out);
+        out
+    }
 
     #[test]
     fn p_max_scales_with_rate_and_interval() {

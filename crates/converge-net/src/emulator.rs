@@ -122,13 +122,6 @@ impl<P> NetworkEmulator<P> {
         })
     }
 
-    /// Every delivery due at or before `now`, in arrival order.
-    pub fn poll(&mut self, now: SimTime) -> Vec<Delivery<P>> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
     /// Appends every delivery due at or before `now` to `out`, in arrival
     /// order.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) {
@@ -149,6 +142,13 @@ mod tests {
     use crate::drive::DriveTrace;
     use crate::link::LinkConfig;
     use crate::time::SimDuration;
+
+    /// Every delivery due at or before `now`, in arrival order.
+    fn due<P>(emu: &mut NetworkEmulator<P>, now: SimTime) -> Vec<Delivery<P>> {
+        let mut out = Vec::new();
+        emu.poll_into(now, &mut out);
+        out
+    }
 
     fn two_path_emu() -> NetworkEmulator<u32> {
         let fast = LinkConfig {
@@ -181,7 +181,7 @@ mod tests {
         // Slow path first chronologically, but fast path arrives earlier.
         emu.send(PathId(1), Direction::Forward, SimTime::ZERO, 1250, 11);
         emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 1250, 22);
-        let all = emu.poll(SimTime::from_secs(1));
+        let all = due(&mut emu, SimTime::from_secs(1));
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].payload, 22); // fast: 1ms + 10ms = 11ms
         assert_eq!(all[1].payload, 11); // slow: 10ms + 50ms = 60ms
@@ -193,8 +193,8 @@ mod tests {
     fn poll_only_returns_due_deliveries() {
         let mut emu = two_path_emu();
         emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 1250, 1);
-        assert!(emu.poll(SimTime::from_millis(5)).is_empty());
-        assert_eq!(emu.poll(SimTime::from_millis(11)).len(), 1);
+        assert!(due(&mut emu, SimTime::from_millis(5)).is_empty());
+        assert_eq!(due(&mut emu, SimTime::from_millis(11)).len(), 1);
         assert!(emu.idle());
     }
 
@@ -228,7 +228,7 @@ mod tests {
     fn reverse_direction_flows_independently() {
         let mut emu = two_path_emu();
         emu.send(PathId(0), Direction::Reverse, SimTime::ZERO, 100, 9);
-        let all = emu.poll(SimTime::from_secs(1));
+        let all = due(&mut emu, SimTime::from_secs(1));
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].direction, Direction::Reverse);
         assert_eq!(all[0].sent_at, SimTime::ZERO);
@@ -304,7 +304,7 @@ mod tests {
             NetworkEmulator::new(vec![Path::new(PathId(0), cfg, LinkConfig::default())]);
         let (outcome, _) = emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 100, 7);
         assert!(!outcome.is_lost());
-        let all = emu.poll(SimTime::from_secs(1));
+        let all = due(&mut emu, SimTime::from_secs(1));
         assert_eq!(all.len(), 2, "copy must arrive as a second delivery");
         assert_eq!(all[0].payload, 7);
         assert_eq!(all[1].payload, 7);

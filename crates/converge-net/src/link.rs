@@ -175,7 +175,7 @@ impl Segment {
 
 /// One unidirectional emulated link.
 ///
-/// Packets are offered with [`Link::transmit`], which immediately returns the
+/// Packets are offered with [`Link::offer`], which immediately returns the
 /// packet's fate and (if delivered) its arrival time at the far end. The link
 /// tracks the virtual finish time of its bottleneck serializer, so back-to-
 /// back packets queue behind each other; queue occupancy is derived from the
@@ -264,13 +264,6 @@ impl Link {
     /// Accumulated behaviour counters.
     pub fn stats(&self) -> LinkStats {
         self.stats
-    }
-
-    /// Offers one packet of `bytes` to the link at time `now`, returning
-    /// just the primary fate. Equivalent to [`Link::offer`] with any
-    /// injected duplicate discarded.
-    pub fn transmit(&mut self, now: SimTime, bytes: usize) -> Transmit {
-        self.offer(now, bytes).fate
     }
 
     /// Offers one packet of `bytes` to the link at time `now`.
@@ -521,7 +514,7 @@ mod tests {
             (2_500_000, 0, 999_999, 1200, 1_003_839),
         ] {
             let mut l = Link::new(link_cfg(rate_bps, prop_ms, 100_000));
-            let fate = l.transmit(SimTime::from_micros(at_us), bytes);
+            let fate = l.offer(SimTime::from_micros(at_us), bytes).fate;
             assert_eq!(fate, Transmit::Delivered(SimTime::from_micros(want_us)));
         }
     }
@@ -529,8 +522,8 @@ mod tests {
     #[test]
     fn back_to_back_packets_queue() {
         let mut l = Link::new(link_cfg(10_000_000, 0, 1_000_000));
-        let a = l.transmit(SimTime::ZERO, 1250);
-        let b = l.transmit(SimTime::ZERO, 1250);
+        let a = l.offer(SimTime::ZERO, 1250).fate;
+        let b = l.offer(SimTime::ZERO, 1250).fate;
         assert_eq!(a, Transmit::Delivered(SimTime::from_millis(1)));
         assert_eq!(b, Transmit::Delivered(SimTime::from_millis(2)));
     }
@@ -538,7 +531,7 @@ mod tests {
     #[test]
     fn queue_drains_over_time() {
         let mut l = Link::new(link_cfg(10_000_000, 0, 1_000_000));
-        l.transmit(SimTime::ZERO, 1250);
+        l.offer(SimTime::ZERO, 1250);
         assert_eq!(l.backlog_bytes(SimTime::ZERO), 1250);
         assert_eq!(l.backlog_bytes(SimTime::from_millis(1)), 0);
     }
@@ -547,14 +540,14 @@ mod tests {
     fn drop_tail_when_queue_full() {
         let mut l = Link::new(link_cfg(1_000_000, 0, 2_500));
         assert!(matches!(
-            l.transmit(SimTime::ZERO, 1250),
+            l.offer(SimTime::ZERO, 1250).fate,
             Transmit::Delivered(_)
         ));
         assert!(matches!(
-            l.transmit(SimTime::ZERO, 1250),
+            l.offer(SimTime::ZERO, 1250).fate,
             Transmit::Delivered(_)
         ));
-        assert_eq!(l.transmit(SimTime::ZERO, 1250), Transmit::QueueDrop);
+        assert_eq!(l.offer(SimTime::ZERO, 1250).fate, Transmit::QueueDrop);
         assert_eq!(l.stats().queue_drops, 1);
     }
 
@@ -565,7 +558,7 @@ mod tests {
         let mut l = Link::new(cfg);
         let mut lost = 0;
         for i in 0..1000 {
-            if l.transmit(SimTime::from_millis(i), 100) == Transmit::RandomLoss {
+            if l.offer(SimTime::from_millis(i), 100).fate == Transmit::RandomLoss {
                 lost += 1;
             }
         }
@@ -585,7 +578,7 @@ mod tests {
             SimDuration::ZERO,
         );
         let mut l = Link::new(cfg);
-        match l.transmit(SimTime::from_micros(999_500), 250) {
+        match l.offer(SimTime::from_micros(999_500), 250).fate {
             Transmit::Delivered(at) => assert_eq!(at.as_micros(), 1_000_150),
             other => panic!("unexpected {other:?}"),
         }
@@ -594,7 +587,7 @@ mod tests {
     #[test]
     fn zero_rate_trace_stalls_forever() {
         let mut l = Link::new(link_cfg(0, 0, 1_000_000));
-        match l.transmit(SimTime::ZERO, 100) {
+        match l.offer(SimTime::ZERO, 100).fate {
             Transmit::Delivered(at) => assert_eq!(at, SimTime::MAX),
             other => panic!("unexpected {other:?}"),
         }
@@ -603,8 +596,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut l = Link::new(link_cfg(10_000_000, 0, 1_000_000));
-        l.transmit(SimTime::ZERO, 100);
-        l.transmit(SimTime::ZERO, 200);
+        l.offer(SimTime::ZERO, 100);
+        l.offer(SimTime::ZERO, 200);
         let s = l.stats();
         assert_eq!(s.delivered_pkts, 2);
         assert_eq!(s.delivered_bytes, 300);
@@ -618,7 +611,7 @@ mod tests {
         let mut extras = Vec::new();
         for i in 0..200u64 {
             let now = SimTime::from_millis(i * 10);
-            if let Transmit::Delivered(at) = l.transmit(now, 100) {
+            if let Transmit::Delivered(at) = l.offer(now, 100).fate {
                 // serialization is ~8 us at 100 Mbps; extra over prop is jitter.
                 extras.push(
                     at.saturating_since(now + SimDuration::from_millis(10))
@@ -645,7 +638,7 @@ mod tests {
         let mut l = Link::new(cfg);
         let mut times = Vec::new();
         for i in 0..100u64 {
-            if let Transmit::Delivered(at) = l.transmit(SimTime::from_millis(i * 5), 100) {
+            if let Transmit::Delivered(at) = l.offer(SimTime::from_millis(i * 5), 100).fate {
                 times.push(at);
             }
         }
@@ -667,7 +660,7 @@ mod tests {
             // control law (interval/sqrt(count)) needs time to escalate to
             // a large overload, so the horizon must be generous.
             for i in 0..20_000u64 {
-                let _ = l.transmit(SimTime::from_millis(i), 1250);
+                let _ = l.offer(SimTime::from_millis(i), 1250);
             }
             let drops = l.stats().queue_drops;
             let delay = l.busy_until.saturating_since(SimTime::from_millis(20_000));
@@ -696,7 +689,7 @@ mod tests {
             cfg.loss = LossModel::bernoulli_percent(10.0);
             let mut l = Link::new(cfg);
             (0..500)
-                .map(|i| l.transmit(SimTime::from_micros(i * 200), 1200))
+                .map(|i| l.offer(SimTime::from_micros(i * 200), 1200).fate)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -806,7 +799,7 @@ mod tests {
             cfg.impairment = imp;
             let mut l = Link::new(cfg);
             (0..500)
-                .map(|i| l.transmit(SimTime::from_micros(i * 200), 1200))
+                .map(|i| l.offer(SimTime::from_micros(i * 200), 1200).fate)
                 .collect::<Vec<_>>()
         };
         assert_eq!(
@@ -833,7 +826,7 @@ mod tests {
         ]);
         let mut l = Link::new(cfg);
         // 1250 B at 10 Mbps = 1 ms serialization, +40 ms drive OWD.
-        match l.transmit(SimTime::ZERO, 1250) {
+        match l.offer(SimTime::ZERO, 1250).fate {
             Transmit::Delivered(at) => assert_eq!(at.as_millis(), 41),
             other => panic!("unexpected {other:?}"),
         }
@@ -841,12 +834,12 @@ mod tests {
         // A packet offered inside the gap serializes only once coverage
         // returns at t=3 s (finish 3 s + 500 us at 20 Mbps) and carries the
         // in-gap OWD of 120 ms from its send instant.
-        match l.transmit(SimTime::from_millis(2_000), 1250) {
+        match l.offer(SimTime::from_millis(2_000), 1250).fate {
             Transmit::Delivered(at) => assert_eq!(at.as_micros(), 3_000_500 + 120_000),
             other => panic!("unexpected {other:?}"),
         }
         // After the gap the link is NOT wedged: recovery rate and OWD apply.
-        match l.transmit(SimTime::from_millis(4_000), 1250) {
+        match l.offer(SimTime::from_millis(4_000), 1250).fate {
             Transmit::Delivered(at) => assert_eq!(at.as_micros(), 4_000_500 + 30_000),
             other => panic!("unexpected {other:?}"),
         }
@@ -857,7 +850,7 @@ mod tests {
         let mut cfg = link_cfg(10_000_000, 10, 1_000_000);
         cfg.trace = drive(vec![(0, 5_000_000, 20, 0.0), (1_000, 0, 20, 0.0)]);
         let mut l = Link::new(cfg);
-        match l.transmit(SimTime::from_secs(2), 100) {
+        match l.offer(SimTime::from_secs(2), 100).fate {
             Transmit::Delivered(at) => assert_eq!(at, SimTime::MAX),
             other => panic!("unexpected {other:?}"),
         }
@@ -874,7 +867,7 @@ mod tests {
         let mut l = Link::new(cfg);
         let mut lost_early = 0u64;
         for i in 0..500u64 {
-            if l.transmit(SimTime::from_micros(i * 2_000), 100) == Transmit::RandomLoss {
+            if l.offer(SimTime::from_micros(i * 2_000), 100).fate == Transmit::RandomLoss {
                 lost_early += 1;
             }
         }
@@ -882,7 +875,7 @@ mod tests {
         let mut lost_late = 0u64;
         for i in 0..500u64 {
             let now = SimTime::from_millis(1_000) + SimDuration::from_micros(i * 2_000);
-            if l.transmit(now, 100) == Transmit::RandomLoss {
+            if l.offer(now, 100).fate == Transmit::RandomLoss {
                 lost_late += 1;
             }
         }
@@ -902,7 +895,7 @@ mod tests {
             ]);
             let mut l = Link::new(cfg);
             (0..2_000)
-                .map(|i| l.transmit(SimTime::from_micros(i * 3_000), 1200))
+                .map(|i| l.offer(SimTime::from_micros(i * 3_000), 1200).fate)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());

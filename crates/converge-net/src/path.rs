@@ -4,7 +4,7 @@
 //! (receiver→sender, used for RTCP feedback). Paths are the unit over which
 //! the Converge scheduler makes decisions; each carries a stable [`PathId`].
 
-use crate::link::{Link, LinkConfig, LinkStats, Offer, Transmit};
+use crate::link::{Link, LinkConfig, LinkStats, Offer};
 use crate::time::SimTime;
 
 /// Identifier of a network path within a session (matches the path ID field
@@ -98,11 +98,6 @@ impl Path {
         }
     }
 
-    /// Offers a packet to one direction of the path.
-    pub fn transmit(&mut self, dir: Direction, now: SimTime, bytes: usize) -> Transmit {
-        self.link_mut(dir).transmit(now, bytes)
-    }
-
     /// Offers a packet to one direction of the path, including any
     /// impairment-injected duplicate.
     pub fn offer(&mut self, dir: Direction, now: SimTime, bytes: usize) -> Offer {
@@ -119,6 +114,7 @@ impl Path {
 mod tests {
     use super::*;
     use crate::drive::DriveTrace;
+    use crate::link::Transmit;
     use crate::time::SimDuration;
 
     fn cfg(rate_bps: u64, prop_ms: u64) -> LinkConfig {
@@ -136,8 +132,8 @@ mod tests {
     #[test]
     fn directions_are_independent() {
         let mut p = Path::new(PathId(0), cfg(10_000_000, 10), cfg(1_000_000, 10));
-        let f = p.transmit(Direction::Forward, SimTime::ZERO, 1250);
-        let r = p.transmit(Direction::Reverse, SimTime::ZERO, 1250);
+        let f = p.offer(Direction::Forward, SimTime::ZERO, 1250).fate;
+        let r = p.offer(Direction::Reverse, SimTime::ZERO, 1250).fate;
         // Forward: 1 ms serialize + 10 ms prop; reverse: 10 ms serialize + 10 ms prop.
         assert_eq!(f, Transmit::Delivered(SimTime::from_millis(11)));
         assert_eq!(r, Transmit::Delivered(SimTime::from_millis(20)));

@@ -1559,43 +1559,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fold_is_identical_across_shard_counts() {
-        let base = FleetEngine::new(small_cfg()).run();
-        for shards in [2, 3] {
-            let mut cfg = small_cfg();
-            cfg.shards = shards;
-            let sharded = FleetEngine::new(cfg).run();
-            assert_eq!(base.fold_text(), sharded.fold_text(), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn repeated_runs_are_identical() {
-        let mut cfg = small_cfg();
-        cfg.shards = 2;
-        let a = FleetEngine::new(cfg.clone()).run();
-        let b = FleetEngine::new(cfg).run();
-        assert_eq!(a.fold_text(), b.fold_text());
-    }
-
-    #[test]
-    fn batch_size_does_not_change_the_fold() {
-        let base = FleetEngine::new(small_cfg()).run();
-        let mut cfg = small_cfg();
-        cfg.batch_conferences = 8;
-        let batched = FleetEngine::new(cfg).run();
-        assert_eq!(base.fold_text(), batched.fold_text());
-    }
-
-    #[test]
-    fn invariants_hold_across_the_fleet() {
-        let mut cfg = small_cfg();
-        cfg.check_invariants = true;
-        let report = FleetEngine::new(cfg).run();
-        assert_eq!(report.violations, 0);
-    }
-
     /// Each identity of the timer-conservation check, broken alone, is one
     /// breach.
     #[test]

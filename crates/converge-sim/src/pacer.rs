@@ -162,13 +162,6 @@ impl Pacer {
         }
     }
 
-    /// Every packet [`Pacer::release`] hands over at `now`.
-    pub fn poll(&mut self, now: SimTime) -> Vec<OutboundPacket> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
     /// Appends every packet [`Pacer::release`] hands over at `now` to `out`.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<OutboundPacket>) {
         self.release(now, |packet, _| out.push(packet));
@@ -217,21 +210,28 @@ mod tests {
     const P0: PathId = PathId(0);
     const P1: PathId = PathId(1);
 
+    /// Every packet [`Pacer::release`] hands over at `now`.
+    fn due(p: &mut Pacer, now: SimTime) -> Vec<OutboundPacket> {
+        let mut out = Vec::new();
+        p.poll_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn spreads_burst_over_time() {
         let mut p = Pacer::new(PacerConfig);
         // 1 Mbps target → 2.5 Mbps pacing; 10 × 1250 B = 100 kbit → 40 ms.
         p.set_rate(P0, 1_000_000.0);
         p.enqueue(SimTime::ZERO, (0..10).map(|_| pkt(P0, 1250)).collect());
-        let first = p.poll(SimTime::ZERO);
+        let first = due(&mut p, SimTime::ZERO);
         assert_eq!(first.len(), 1, "only the first packet goes immediately");
         assert!(!p.is_empty());
         // After 4 ms (one packet's pacing slot) another releases.
         let next = p.next_release().expect("pending");
         assert_eq!(next.as_millis(), 4);
-        assert_eq!(p.poll(next).len(), 1);
+        assert_eq!(due(&mut p, next).len(), 1);
         // All released within ~40 ms.
-        assert_eq!(p.poll(SimTime::from_millis(41)).len(), 8);
+        assert_eq!(due(&mut p, SimTime::from_millis(41)).len(), 8);
         assert!(p.is_empty());
     }
 
@@ -244,12 +244,12 @@ mod tests {
             SimTime::ZERO,
             vec![pkt(P0, 1250), pkt(P0, 1250), pkt(P1, 1250), pkt(P1, 1250)],
         );
-        let now = p.poll(SimTime::ZERO);
+        let now = due(&mut p, SimTime::ZERO);
         // One from each path immediately.
         assert_eq!(now.len(), 2);
         // Fast path's second packet releases at 0.4 ms, slow at 4 ms.
         let t = SimTime::from_micros(500);
-        let released = p.poll(t);
+        let released = due(&mut p, t);
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].path, P0);
     }
@@ -260,7 +260,7 @@ mod tests {
         p.set_rate(P0, 300_000.0); // very slow pacing
         p.enqueue(SimTime::ZERO, (0..50).map(|_| pkt(P0, 1250)).collect());
         // After the max queue delay everything still queued is flushed.
-        let released = p.poll(SimTime::from_millis(260));
+        let released = due(&mut p, SimTime::from_millis(260));
         assert_eq!(released.len(), 50, "force flush on queue-time limit");
     }
 
@@ -269,7 +269,7 @@ mod tests {
         let mut p = Pacer::new(PacerConfig);
         assert!(p.is_empty());
         assert_eq!(p.next_release(), None);
-        assert!(p.poll(SimTime::from_secs(1)).is_empty());
+        assert!(due(&mut p, SimTime::from_secs(1)).is_empty());
     }
 
     #[test]
@@ -277,7 +277,7 @@ mod tests {
         let mut p = Pacer::new(PacerConfig);
         // No set_rate call: pacing falls back to the floor, not zero.
         p.enqueue(SimTime::ZERO, vec![pkt(P0, 1250), pkt(P0, 1250)]);
-        assert_eq!(p.poll(SimTime::ZERO).len(), 1);
+        assert_eq!(due(&mut p, SimTime::ZERO).len(), 1);
         assert!(p.next_release().is_some());
     }
 
@@ -437,11 +437,12 @@ mod tests {
             }
             // Everything left is flushed by the queue-time limit.
             let end = now + SimDuration::from_secs(1);
-            let rest = polled.poll(end);
+            out.clear();
+            polled.poll_into(end, &mut out);
             let mut via_closure = Vec::new();
             released.release(end, |packet, _| via_closure.push(packet));
             assert_eq!(
-                rest.iter().map(id).collect::<Vec<_>>(),
+                out.iter().map(id).collect::<Vec<_>>(),
                 via_closure.iter().map(id).collect::<Vec<_>>()
             );
             assert!(polled.is_empty() && released.is_empty());

@@ -203,8 +203,6 @@ pub struct ConferenceReceiver {
     /// so the next pass must evaluate every group, not just the ones the
     /// triggering packet belongs to.
     fec_full_sweep: bool,
-    /// PLIs issued.
-    pli_count: u64,
     /// One recovery pass's rebuilt packets and one round's NACK list:
     /// working buffers, kept so neither allocates per packet or per round.
     fec_recovered: Vec<(StreamId, VideoPacket)>,
@@ -251,15 +249,9 @@ impl ConferenceReceiver {
             paths: paths.iter().map(|_| PathRxState::default()).collect(),
             pending_fec: Vec::new(),
             fec_full_sweep: false,
-            pli_count: 0,
             fec_recovered: Vec::new(),
             nack_list: Vec::new(),
         }
-    }
-
-    /// Total PLIs issued.
-    pub fn pli_count(&self) -> u64 {
-        self.pli_count
     }
 
     /// Installs a trace handle on every stream's QoE monitor.
@@ -638,7 +630,6 @@ impl ConferenceReceiver {
                     .is_none_or(|t| now.saturating_since(t) >= PLI_COOLDOWN);
                 if due {
                     rx.last_pli = Some(now);
-                    self.pli_count += 1;
                     out.push((
                         control_path,
                         RtcpPacket::Pli(Pli {
@@ -1122,8 +1113,8 @@ mod tests {
         r.on_rtp(SimTime::from_millis(1), &rtp(1, RtpKind::Media(pps)));
         r.on_rtp(SimTime::from_millis(2), &rtp(2, RtpKind::Media(m)));
         let rtcp = r.poll_rtcp_with(SimTime::from_millis(10), &BTreeMap::new(), true);
-        assert!(rtcp.iter().any(|(_, p)| matches!(p, RtcpPacket::Pli(_))));
-        assert_eq!(r.pli_count(), 1);
+        let plis = rtcp.iter().filter(|(_, p)| matches!(p, RtcpPacket::Pli(_)));
+        assert_eq!(plis.count(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! deterministic multipath emulator, run as a discrete-event loop.
 
 use converge_cc::{ControllerConfig, ControllerKind};
-use converge_net::{Direction, ImpairmentConfig, SimDuration};
+use converge_net::SimDuration;
 use converge_trace::{InvariantSink, TraceHandle, Violation};
 use converge_video::PAPER_MAX_BITRATE_BPS;
 
@@ -61,8 +61,6 @@ pub enum ConfigError {
     NoStreams,
     /// `duration` was zero.
     ZeroDuration,
-    /// An `impair` call named a path index the scenario does not have.
-    ImpairmentPathOutOfRange,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -72,9 +70,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyScenario => "scenario has no paths",
             ConfigError::NoStreams => "streams must be at least 1",
             ConfigError::ZeroDuration => "duration must be positive",
-            ConfigError::ImpairmentPathOutOfRange => {
-                "impair names a path index outside the scenario"
-            }
         };
         f.write_str(msg)
     }
@@ -101,7 +96,6 @@ pub struct SessionConfigBuilder {
     coupled_cc: bool,
     controller: ControllerConfig,
     trace: TraceHandle,
-    impairments: Vec<(u8, Direction, ImpairmentConfig)>,
 }
 
 impl Default for SessionConfigBuilder {
@@ -116,7 +110,6 @@ impl Default for SessionConfigBuilder {
             coupled_cc: false,
             controller: ControllerConfig::default(),
             trace: TraceHandle::disabled(),
-            impairments: Vec::new(),
         }
     }
 }
@@ -177,31 +170,11 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Overrides one direction of one scenario path with a fault-injection
-    /// config (applied on top of whatever the scenario already specifies).
-    /// May be called repeatedly; the path index is validated at [`build`].
-    ///
-    /// [`build`]: SessionConfigBuilder::build
-    pub fn impair(mut self, path: u8, direction: Direction, impairment: ImpairmentConfig) -> Self {
-        self.impairments.push((path, direction, impairment));
-        self
-    }
-
     /// Validates and produces the config.
     pub fn build(self) -> Result<SessionConfig, ConfigError> {
-        let mut scenario = self.scenario.ok_or(ConfigError::MissingScenario)?;
+        let scenario = self.scenario.ok_or(ConfigError::MissingScenario)?;
         if scenario.paths.is_empty() {
             return Err(ConfigError::EmptyScenario);
-        }
-        for (path, direction, impairment) in self.impairments {
-            let spec = scenario
-                .paths
-                .get_mut(path as usize)
-                .ok_or(ConfigError::ImpairmentPathOutOfRange)?;
-            match direction {
-                Direction::Forward => spec.forward_impairment = impairment,
-                Direction::Reverse => spec.reverse_impairment = impairment,
-            }
         }
         if self.streams == 0 {
             return Err(ConfigError::NoStreams);
@@ -294,7 +267,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use converge_net::{PathId, SimTime};
+    use converge_net::PathId;
 
     fn quick_config(scheduler: SchedulerKind, fec: FecKind) -> SessionConfig {
         SessionConfig::paper_default(
@@ -518,34 +491,6 @@ mod tests {
         assert_eq!(plain.frames_decoded, traced.frames_decoded);
         assert_eq!(plain.throughput_bps, traced.throughput_bps);
         assert_eq!(plain.nacks_sent, traced.nacks_sent);
-    }
-
-    #[test]
-    fn builder_impair_overrides_scenario_paths() {
-        use converge_net::{BlackoutSchedule, ImpairmentConfig};
-        let imp = ImpairmentConfig::degraded(0.2, SimDuration::from_millis(10));
-        let built = SessionConfig::builder()
-            .scenario(ScenarioConfig::fec_tradeoff(0.0))
-            .impair(1, Direction::Reverse, imp)
-            .build()
-            .expect("valid");
-        assert!(built.scenario.paths[0].reverse_impairment.is_noop());
-        assert_eq!(built.scenario.paths[1].reverse_impairment, imp);
-        assert!(built.scenario.paths[1].forward_impairment.is_noop());
-
-        let err = SessionConfig::builder()
-            .scenario(ScenarioConfig::fec_tradeoff(0.0))
-            .impair(
-                7,
-                Direction::Forward,
-                ImpairmentConfig::blackout(BlackoutSchedule::single(
-                    SimTime::ZERO,
-                    SimDuration::from_secs(1),
-                )),
-            )
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ImpairmentPathOutOfRange);
     }
 
     #[test]

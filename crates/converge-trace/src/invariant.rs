@@ -100,15 +100,6 @@ impl InvariantSink {
         }
     }
 
-    /// Violations observed so far (cloned).
-    pub fn violations(&self) -> Vec<Violation> {
-        self.state
-            .lock()
-            .expect("invariant lock")
-            .violations
-            .clone()
-    }
-
     /// Takes all observed violations, leaving the sink clean.
     pub fn take_violations(&self) -> Vec<Violation> {
         std::mem::take(&mut self.state.lock().expect("invariant lock").violations)
@@ -128,9 +119,7 @@ impl TraceSink for InvariantSink {
             check_record(&record, &mut state);
         }
         if let Some(inner) = &self.inner {
-            if inner.enabled() {
-                inner.record(record);
-            }
+            inner.record(record);
         }
     }
 }
@@ -257,7 +246,7 @@ mod tests {
                 rate_bps: 1_000_000,
             },
         ));
-        assert!(sink.violations().is_empty());
+        assert!(sink.take_violations().is_empty());
     }
 
     #[test]
@@ -265,7 +254,7 @@ mod tests {
         let sink = InvariantSink::new();
         sink.record(rec(10, TraceEvent::FastPathSwitched { path: PathId(0) }));
         sink.record(rec(5, TraceEvent::FastPathSwitched { path: PathId(1) }));
-        let v = sink.violations();
+        let v = sink.take_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "monotone-time");
     }
@@ -297,7 +286,7 @@ mod tests {
                 offset: 0,
             },
         ));
-        let v = sink.violations();
+        let v = sink.take_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-traffic-on-disabled-path");
         // Violations render readably for CI logs.
@@ -330,7 +319,7 @@ mod tests {
                 offset: 0,
             },
         ));
-        assert!(sink.violations().is_empty());
+        assert!(sink.take_violations().is_empty());
 
         sink.record(rec(
             4,
@@ -343,7 +332,7 @@ mod tests {
         let v = sink.take_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "eq3-reenable-margin");
-        assert!(sink.violations().is_empty());
+        assert!(sink.take_violations().is_empty());
     }
 
     #[test]
@@ -367,7 +356,7 @@ mod tests {
                 repair: 4,
             },
         ));
-        assert!(sink.violations().is_empty());
+        assert!(sink.take_violations().is_empty());
         sink.record(rec(
             2,
             TraceEvent::FecUpdated {
@@ -386,7 +375,7 @@ mod tests {
                 repair: 0,
             },
         ));
-        let rules: Vec<_> = sink.violations().iter().map(|v| v.rule).collect();
+        let rules: Vec<_> = sink.take_violations().iter().map(|v| v.rule).collect();
         assert_eq!(
             rules,
             vec!["fec-repair-within-batch", "fec-beta-floor", "fec-beta-cap"]
@@ -429,7 +418,7 @@ mod tests {
                 rate_bps: RATE_CEILING_BPS,
             },
         ));
-        let v = sink.violations();
+        let v = sink.take_violations();
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|v| v.rule == "cc-rate-clamp"));
         assert!(v[0].detail.contains("gcc"), "{}", v[0].detail);
@@ -442,7 +431,7 @@ mod tests {
         let sink = InvariantSink::wrapping(&handle);
         sink.record(rec(7, TraceEvent::FastPathSwitched { path: PathId(0) }));
         assert_eq!(ring.drain().len(), 1);
-        assert!(sink.violations().is_empty());
+        assert!(sink.take_violations().is_empty());
     }
 
     #[test]
@@ -450,6 +439,6 @@ mod tests {
         let sink = InvariantSink::wrapping(&TraceHandle::disabled());
         sink.record(rec(10, TraceEvent::FastPathSwitched { path: PathId(0) }));
         sink.record(rec(5, TraceEvent::FastPathSwitched { path: PathId(0) }));
-        assert_eq!(sink.violations().len(), 1);
+        assert_eq!(sink.take_violations().len(), 1);
     }
 }

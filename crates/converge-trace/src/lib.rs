@@ -331,24 +331,6 @@ pub struct TraceRecord {
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
     /// Accepts one record.
     fn record(&self, record: TraceRecord);
-
-    /// Whether records are observed at all. Handles skip event
-    /// construction entirely when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The no-op sink: drops everything and reports itself disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _record: TraceRecord) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 #[derive(Debug, Default)]
@@ -429,16 +411,14 @@ impl TraceHandle {
     /// Whether emitted events are observed. Hot paths with non-trivial
     /// event construction should check this first.
     pub fn is_enabled(&self) -> bool {
-        self.sink.as_ref().is_some_and(|s| s.enabled())
+        self.sink.is_some()
     }
 
     /// Emits one event at `at`. No-op (and allocation-free) when the
     /// handle is disabled.
     pub fn emit(&self, at: SimTime, event: TraceEvent) {
         if let Some(sink) = &self.sink {
-            if sink.enabled() {
-                sink.record(TraceRecord { at, event });
-            }
+            sink.record(TraceRecord { at, event });
         }
     }
 }
@@ -459,12 +439,6 @@ mod tests {
         let handle = TraceHandle::disabled();
         assert!(!handle.is_enabled());
         handle.emit(SimTime::ZERO, TraceEvent::FrameFrozen { gap_us: 1 });
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        let handle = TraceHandle::new(Arc::new(NullSink));
-        assert!(!handle.is_enabled());
     }
 
     #[test]

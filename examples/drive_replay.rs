@@ -17,7 +17,10 @@ use converge_sim::{DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scenario = match args.first() {
-        Some(path) => ScenarioConfig::from_drive_file(path).expect("valid drive file"),
+        Some(path) => ScenarioConfig::from_drive_file(path).unwrap_or_else(|e| {
+            eprintln!("drive_replay: {path}: {e}");
+            std::process::exit(1);
+        }),
         None => {
             println!("(no drive file given; replaying the committed blackout_flap fixture)");
             DriveFixture::BlackoutFlap.scenario()

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use converge_integration::render_timeline;
-use converge_net::{Direction, ImpairmentConfig, SimDuration};
+use converge_net::{ImpairmentConfig, SimDuration};
 use converge_sim::{
     FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session, SessionConfig,
 };
@@ -124,23 +124,21 @@ fn chaos_cell_timeline_is_byte_deterministic() {
     assert_ne!(a, c, "distinct seeds must not collapse to one trajectory");
 }
 
-/// Asymmetric impairment through the session builder: a degraded reverse
+/// Asymmetric impairment set on the scenario's path: a degraded reverse
 /// (feedback) channel on the cellular path only. The invariants must hold
 /// even when RTCP feedback is starved in one direction.
 #[test]
-fn builder_reverse_feedback_impairment_runs_clean() {
+fn reverse_feedback_impairment_runs_clean() {
+    let mut scenario = ScenarioConfig::chaos(ImpairmentKind::Reorder);
+    scenario.paths[1].reverse_impairment =
+        ImpairmentConfig::degraded(0.4, SimDuration::from_millis(40));
     let cfg = SessionConfig::builder()
-        .scenario(ScenarioConfig::chaos(ImpairmentKind::Reorder))
+        .scenario(scenario)
         .scheduler(SchedulerKind::Converge)
         .fec(FecKind::Converge)
         .streams(1)
         .duration(SimDuration::from_secs(12))
         .seed(11)
-        .impair(
-            1,
-            Direction::Reverse,
-            ImpairmentConfig::degraded(0.4, SimDuration::from_millis(40)),
-        )
         .build()
         .expect("valid config");
     let (report, violations) = Session::new(cfg).run_checked();

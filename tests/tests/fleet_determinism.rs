@@ -1,9 +1,18 @@
 //! Fleet-engine determinism gates: the aggregate fold and the exact work
 //! counts must be byte-identical for any shard count, any batch size, and
-//! across repeated runs at a fixed seed.
-//! These are the cross-crate versions of the unit gates inside
-//! `converge-sim::fleet` — run at a slightly larger scale and through
-//! the public API only.
+//! across repeated runs at a fixed seed, and the invariant checker must
+//! stay clean. They run through the public API only, and they are the
+//! only copies: `converge-sim::fleet`'s unit tests keep none of these
+//! gates. Each covers one former unit test at a larger scale, and the
+//! three determinism gates compare the work counts beside the fold:
+//!
+//! - `fold_is_identical_across_shard_counts` by
+//!   `fold_and_timelines_are_shard_count_invariant`;
+//! - `batch_size_does_not_change_the_fold` by
+//!   `fold_and_timelines_are_batch_size_invariant`;
+//! - `repeated_runs_are_identical` by `repeated_runs_are_byte_identical`;
+//! - `invariants_hold_across_the_fleet` by
+//!   `invariant_checker_stays_clean_at_integration_scale`.
 //!
 //! The fold itself is pinned too: `fixtures/fleet_fold_golden.txt` holds
 //! `fold_text()` of three small fleets, byte for byte, and

@@ -22,7 +22,7 @@
 //! |---|---|---|---|---|
 //! | Table 2 priority order | retransmission > keyframe > SPS > PPS > FEC | `priority.rs`, `PacketClass::priority` | `converge_core::priority::tests::table2_ordering` | gap |
 //! | Algorithm 1 fast path | `cpt_i = N·k/rate_i + rtt_i/2` | `fastpath.rs`, `completion_time` | `converge_core::fastpath::tests::completion_time_formula` | gap |
-//! | Eq. 1 split | `P_i = round(N·rate_i / Σ rate_j)` | `feedback.rs`, `PathShare::split` | `converge_core::feedback::tests::split_matches_eq1_example` | `properties::split_always_covers_exactly_n` checks `Σ P_i = N` only |
+//! | Eq. 1 split | `P_i = round(N·rate_i / Σ rate_j)` | `feedback.rs`, `PathShare::split_into` | `converge_core::feedback::tests::split_matches_eq1_example` | `properties::split_always_covers_exactly_n` checks every `P_i` of a fresh share against the formula |
 //! | Eq. 2 α offset | `P_i += offset_i`, `offset_i += α` per feedback | `feedback.rs`, `PathShare::apply_feedback` | `converge_core::feedback::tests::split_applies_alpha_offset` | `properties::split_always_covers_exactly_n` draws α but checks `Σ P_i = N` only |
 //! | Eq. 3 re-enable margin | re-enable when `abs(rtt_fast − rtt_i)/2 ≤ max(FCD, 5 ms)` | `feedback.rs`, `PathShare::try_reenable` | `converge_core::feedback::tests::reenable_follows_eq3` | gap |
 //! | §4.3 repair count | `FEC_i = l_i·P_i·β` | `fec_controller.rs`, `ConvergeFec::repair_count` | `converge_core::fec_controller::tests::converge_fec_proportional_to_loss` | gap |
@@ -30,7 +30,7 @@
 //!
 //! Gaps: no drawn property checks Table 2, Algorithm 1, Eq. 3 or either
 //! §4.3 formula, and the one drawn split property checks conservation,
-//! not the per-path counts of Eq. 1 and Eq. 2.
+//! not the per-path counts, once Eq. 2's offsets apply.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -472,7 +472,7 @@ fn link_deliveries_are_fifo() {
         let mut last_delivery = SimTime::ZERO;
         for (i, &size) in sizes.iter().enumerate() {
             let now = SimTime::from_micros(i as u64 * gap_us);
-            match link.transmit(now, size) {
+            match link.offer(now, size).fate {
                 Transmit::Delivered(at) => {
                     assert!(at >= last_delivery, "reordered delivery");
                     assert!(at >= now, "delivery before send");
@@ -503,7 +503,8 @@ fn send_all(emu: &mut NetworkEmulator<usize>, n: usize) -> Vec<usize> {
         let (outcome, _) = emu.send(PathId(0), Direction::Forward, at, 500, i);
         assert!(!outcome.is_lost(), "send {i}");
     }
-    let delivered = emu.poll(SimTime::from_secs(3_600));
+    let mut delivered = Vec::new();
+    emu.poll_into(SimTime::from_secs(3_600), &mut delivered);
     delivered.into_iter().map(|d| d.payload).collect()
 }
 
@@ -573,7 +574,7 @@ fn blackout_window_delivers_exactly_nothing() {
             assert_eq!(outcome, Transmit::Blackout, "send {i}");
             assert_eq!(returned, Some(i), "payload handed back");
         }
-        assert!(emu.poll(SimTime::from_secs(3_600)).is_empty());
+        assert!(emu.pop_due(SimTime::from_secs(3_600)).is_none());
         assert!(emu.idle());
     });
 }
@@ -810,25 +811,66 @@ fn drive_holds_across_boundaries() {
 
 // ---------- path share (Eq. 1 + Eq. 2) ----------
 
+/// Eq. 1 on uncapped paths with no offsets: `round(N·rate_i / Σ rate_j)`
+/// each (halves away from zero), then a rounding deficit goes entirely to
+/// the fastest path and an excess is taken one packet at a time from the
+/// slowest paths, ties ordered by path index. `N = 0` is one
+/// `(first path, 0)` entry.
+fn eq1_split(n: usize, rates: &[u64]) -> Vec<(PathId, usize)> {
+    if n == 0 {
+        return vec![(PathId(0), 0)];
+    }
+    let total: u128 = rates.iter().map(|&r| u128::from(r)).sum();
+    let mut counts: Vec<usize> = rates
+        .iter()
+        .map(|&r| ((2 * n as u128 * u128::from(r) + total) / (2 * total)) as usize)
+        .collect();
+    let mut fastest_first: Vec<usize> = (0..rates.len()).collect();
+    fastest_first.sort_by_key(|&i| std::cmp::Reverse(rates[i]));
+    let assigned: usize = counts.iter().sum();
+    counts[fastest_first[0]] += n.saturating_sub(assigned);
+    let mut excess = assigned.saturating_sub(n);
+    while excess > 0 {
+        for &i in fastest_first.iter().rev() {
+            if excess > 0 && counts[i] > 0 {
+                counts[i] -= 1;
+                excess -= 1;
+            }
+        }
+    }
+    (0u8..).map(PathId).zip(counts).collect()
+}
+
+/// A fresh share splits by Eq. 1 exactly; after drawn α offsets (Eq. 2)
+/// the split still covers exactly `N`.
 #[test]
 fn split_always_covers_exactly_n() {
     use converge_core::PathMetrics;
+    // The paper's 15:5 example, a half-way tie, an empty batch.
+    let fixed = [
+        (40, vec![15_000_000, 5_000_000], vec![]),
+        (3, vec![1_000_000, 1_000_000], vec![]),
+        (0, vec![2_000_000, 7_000_000, 1_000_000], vec![-5]),
+    ];
     let draw = |r: &mut SmallRng| {
         let n = r.gen_range(0usize..200);
         let rates = vec_of(r, 1..5, |r| r.gen_range(1u64..50_000_000));
         (n, rates, vec_of(r, 0..10, |r| r.gen_range(-40i32..40)))
     };
-    check([], CASES, draw, |&(n, ref rates, ref alphas)| {
+    check(fixed, CASES, draw, |&(n, ref rates, ref alphas)| {
         let rtt = SimDuration::from_millis(50);
         let paths: Vec<PathMetrics> = (0u8..)
             .zip(rates)
             .map(|(i, &rate)| PathMetrics::new(PathId(i), rate, rtt, 0.0))
             .collect();
         let mut share = PathShare::new();
+        let mut counts = Vec::new();
+        share.split_into(n, &paths, &[], &mut counts);
+        assert_eq!(counts, eq1_split(n, rates), "Eq. 1");
         for (i, &a) in alphas.iter().enumerate() {
             share.apply_feedback(PathId((i % rates.len()) as u8), a);
         }
-        let counts = share.split(n, &paths, &BTreeMap::new());
+        share.split_into(n, &paths, &[], &mut counts);
         assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), n);
     });
 }
@@ -1138,7 +1180,7 @@ fn pacer_conserves_packets() {
         let mut released = Vec::new();
         let mut now = SimTime::ZERO;
         for _ in 0..(n * 4 + 8) {
-            released.extend(pacer.poll(now));
+            pacer.poll_into(now, &mut released);
             if pacer.is_empty() {
                 break;
             }
