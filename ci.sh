@@ -90,8 +90,29 @@ readme_examples() {
         echo "readme-examples: no such target: ${missing[*]}" >&2
         return 1
     fi
+    declared_examples
     catalogue_cells
     experiment_ids
+}
+
+# Every top-level examples/*.rs is the `path` of an [[example]] that some
+# crate manifest declares: cargo builds no other file there, so one left
+# behind after its entry is deleted would never compile again.
+declared_examples() {
+    local file paths orphans=()
+    paths=$(awk '
+        /^\[/ { inside = ($0 == "[[example]]") }
+        inside && match($0, /^path = "[^"]*"$/) {
+            dir = FILENAME; sub(/[^\/]*$/, "", dir)
+            print dir substr($0, 9, RLENGTH - 9)
+        }' crates/*/Cargo.toml | xargs -r realpath -m --relative-to=.)
+    for file in examples/*.rs; do
+        grep -qxF "$file" <<<"$paths" || orphans+=("$file")
+    done
+    if [ ${#orphans[@]} -gt 0 ]; then
+        echo "readme-examples: no [[example]] declares: ${orphans[*]}" >&2
+        return 1
+    fi
 }
 
 # Every cell a README.md or DESIGN.md command hands alloc_sites, hot_lines
@@ -209,7 +230,7 @@ tests_by_name() {
 
 # The property tests (tests/tests/properties.rs): each property is one
 # #[test] through one seeded driver, its fixed cases then its drawn ones.
-# All 28 must run (25 properties, the zero-rate trace test, the frame
+# All 29 must run (26 properties, the zero-rate trace test, the frame
 # buffer's regression and the driver's own test), so a property cannot
 # silently drop out again, as 21 did behind an offline `proptest!`
 # stand-in that expanded to nothing; and `proptest` is named nowhere under
@@ -230,7 +251,7 @@ properties() {
         echo "properties: proptest is named under crates/, tests/ or examples/:" $named >&2
         return 1
     fi
-    tests_by_name 28 -p converge-integration --test properties
+    tests_by_name 29 -p converge-integration --test properties
     core=($(table_tests converge_core))
     props=($(table_tests properties))
     tests_by_name ${#core[@]} -p converge-core --lib -- --exact "${core[@]}"
@@ -462,10 +483,23 @@ gate shootout shootout
 # (`RateTrace`), that trace's CSV error (`TraceParseError`) and the
 # scenario builder that read its CSV (`from_traces`) are named nowhere
 # under crates/, tests/ or examples/. `drive_replay` handed a malformed
-# file prints the parser's line-numbered error and exits 1; it does not
-# panic.
+# file prints the parser's line-numbered error and exits 1, and handed a
+# well-formed drive that spans 0 s (one row at t = 0) prints the session
+# builder's error and exits 1; it panics on neither.
+# replay_fails FILE LINE: drive_replay on FILE exits 1 without a panic,
+# and one of its stderr lines is exactly LINE.
+replay_fails() {
+    local status=0 err=results/smoke_drive_replay.err
+    cargo run -q --release -p converge-sim --example drive_replay "$1" \
+        > /dev/null 2> "$err" || status=$?
+    if [ "$status" -ne 1 ] || grep -q panicked "$err" || ! grep -qx "$2" "$err"; then
+        echo "drive: drive_replay on $1 exited $status:" >&2
+        cat "$err" >&2
+        return 1
+    fi
+}
 drive() {
-    local gone status=0 garbage=results/smoke_garbage_drive.jsonl
+    local gone garbage=results/smoke_garbage_drive.jsonl instant=results/smoke_instant_drive.jsonl
     gone=$(grep -rlwE 'RateTrace|TraceParseError|from_traces' crates tests examples || true)
     if [ -n "$gone" ]; then
         echo "drive: a second link trace is named under crates/, tests/ or examples/:" $gone >&2
@@ -477,15 +511,9 @@ drive() {
     grep -q 'coverage-gaps' results/smoke_drive.txt
     grep -q 'handover' results/smoke_drive.txt
     printf 'not a drive row\n' > "$garbage"
-    cargo run -q --release -p converge-sim --example drive_replay "$garbage" \
-        > /dev/null 2> results/smoke_drive_replay.err || status=$?
-    if [ "$status" -ne 1 ] || grep -q panicked results/smoke_drive_replay.err \
-        || ! grep -qx "drive_replay: $garbage: parsing drive file: malformed drive row at line 1" \
-            results/smoke_drive_replay.err; then
-        echo "drive: drive_replay on a malformed file exited $status:" >&2
-        cat results/smoke_drive_replay.err >&2
-        return 1
-    fi
+    replay_fails "$garbage" "drive_replay: $garbage: parsing drive file: malformed drive row at line 1"
+    printf '{"t":0,"path":0,"rate_bps":5000000,"owd_ms":20,"loss_pct":0}\n' > "$instant"
+    replay_fails "$instant" "drive_replay: $instant: duration must be positive"
 }
 gate drive drive
 

@@ -170,8 +170,8 @@ mod tests {
             impairment: crate::impairment::ImpairmentConfig::default(),
         };
         NetworkEmulator::new(vec![
-            Path::symmetric(PathId(0), fast),
-            Path::symmetric(PathId(1), slow),
+            Path::new(PathId(0), fast.clone(), fast),
+            Path::new(PathId(1), slow.clone(), slow),
         ])
     }
 
@@ -210,7 +210,7 @@ mod tests {
             impairment: crate::impairment::ImpairmentConfig::default(),
         };
         let mut emu: NetworkEmulator<&str> =
-            NetworkEmulator::new(vec![Path::symmetric(PathId(0), cfg)]);
+            NetworkEmulator::new(vec![Path::new(PathId(0), cfg, LinkConfig::default())]);
         emu.send(PathId(0), Direction::Forward, SimTime::ZERO, 1_000, "kept");
         let (outcome, returned) = emu.send(
             PathId(0),
@@ -245,11 +245,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "path0 listed at index 1: path ids must run 0..n in order")]
     fn duplicate_ids_rejected() {
-        let cfg = LinkConfig::default();
-        let _ = NetworkEmulator::<()>::new(vec![
-            Path::symmetric(PathId(0), cfg.clone()),
-            Path::symmetric(PathId(0), cfg),
-        ]);
+        let path = |id| Path::new(PathId(id), LinkConfig::default(), LinkConfig::default());
+        let _ = NetworkEmulator::<()>::new(vec![path(0), path(0)]);
     }
 
     /// Distinct ids are not enough: path `i` must have id `i`, because the
@@ -257,11 +254,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "path2 listed at index 1: path ids must run 0..n in order")]
     fn a_gap_in_the_ids_is_rejected() {
-        let cfg = LinkConfig::default();
-        let _ = NetworkEmulator::<()>::new(vec![
-            Path::symmetric(PathId(0), cfg.clone()),
-            Path::symmetric(PathId(2), cfg),
-        ]);
+        let path = |id| Path::new(PathId(id), LinkConfig::default(), LinkConfig::default());
+        let _ = NetworkEmulator::<()>::new(vec![path(0), path(2)]);
     }
 
     #[test]
@@ -320,30 +314,28 @@ mod tests {
         use crate::impairment::ImpairmentConfig;
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let build = || {
-            let link = |seed, impairment| LinkConfig {
-                seed,
-                impairment,
-                ..LinkConfig::default()
+            let path = |id, seed, impairment| {
+                let link = LinkConfig {
+                    seed,
+                    impairment,
+                    ..LinkConfig::default()
+                };
+                Path::new(PathId(id), link.clone(), link)
             };
             NetworkEmulator::<u32>::new(vec![
                 // Half the packets twice, the copy up to 2 ms behind.
-                Path::symmetric(
-                    PathId(0),
-                    link(
-                        1,
-                        ImpairmentConfig::duplication(0.5, SimDuration::from_millis(2)),
-                    ),
+                path(
+                    0,
+                    1,
+                    ImpairmentConfig::duplication(0.5, SimDuration::from_millis(2)),
                 ),
                 // Every packet twice at the same instant: a FIFO tie
                 // between the original and its copy.
-                Path::symmetric(
-                    PathId(1),
-                    link(2, ImpairmentConfig::duplication(1.0, SimDuration::ZERO)),
-                ),
+                path(1, 2, ImpairmentConfig::duplication(1.0, SimDuration::ZERO)),
                 // Two identical clean paths: same-size packets sent at one
                 // instant tie across paths.
-                Path::symmetric(PathId(2), link(3, ImpairmentConfig::default())),
-                Path::symmetric(PathId(3), link(3, ImpairmentConfig::default())),
+                path(2, 3, ImpairmentConfig::default()),
+                path(3, 3, ImpairmentConfig::default()),
             ])
         };
         let (mut batched, mut single) = (build(), build());

@@ -924,7 +924,6 @@ fn build_conference<'q>(
             None => TraceHandle::disabled(),
         };
         let flow = Flow::new(
-            Direction::Forward,
             sender,
             receiver,
             MetricsCollector::new(cfg.duration, CAPTURE_FORMAT, MAX_ENCODING_RATE_BPS, STREAMS),

@@ -1,12 +1,12 @@
-//! One direction of media, and the one event loop that drives it.
+//! One flow of media, and the one event loop that drives it.
 //!
 //! A [`Flow`] is the closed loop of paper §4: the [`ConferenceSender`] at
 //! one end, the [`ConferenceReceiver`] at the other, the pacer between the
 //! sender and the wire, and the one [`MetricsCollector`] that describes
-//! that direction. [`run_flows`] is the simulator's only event loop:
-//! [`Session`](crate::Session) runs one flow through it and
-//! [`DuplexSession`](crate::DuplexSession) two, over an emulator (both
-//! through [`run_call`]), and every fleet conference runs its members'
+//! the call. Its media travels `Forward` and its feedback `Reverse`.
+//! [`run_flows`] is the simulator's only event loop: a
+//! [`Session`](crate::Session) runs its one flow through it over an
+//! emulator ([`run_call`]), and every fleet conference runs its members'
 //! flows through it over its own network. The handlers and the loop exist
 //! once; the engines differ only in what sits behind the [`Network`] seam.
 
@@ -79,18 +79,11 @@ pub(crate) enum Tick {
     SenderRtcp,
 }
 
-fn opposite(direction: Direction) -> Direction {
-    match direction {
-        Direction::Forward => Direction::Reverse,
-        Direction::Reverse => Direction::Forward,
-    }
-}
-
 /// The working buffers of one frame tick, one packet's receiver events and
 /// one round's receiver RTCP. Nothing in them outlives the handler that
 /// fills them and a loop runs one handler at a time, so one set, lent to
-/// whichever flow is running, serves every flow of a call and every member
-/// of every conference a fleet shard runs. Reused, so none allocates in
+/// whichever flow is running, serves a call's flow and every member of
+/// every conference a fleet shard runs. Reused, so none allocates in
 /// the steady state.
 #[derive(Default)]
 pub(crate) struct Scratch {
@@ -100,7 +93,7 @@ pub(crate) struct Scratch {
     rtcp_out: Vec<(PathId, RtcpPacket)>,
 }
 
-/// One direction of media between two endpoints.
+/// Media from one sender to one receiver, and its feedback.
 pub(crate) struct Flow {
     pub(crate) sender: ConferenceSender,
     receiver: ConferenceReceiver,
@@ -110,15 +103,12 @@ pub(crate) struct Flow {
     /// SR arrival).
     sr_seen: BTreeMap<PathId, (u64, SimTime)>,
     pub(crate) trace: TraceHandle,
-    /// Direction the media travels; feedback travels the opposite way.
-    direction: Direction,
     frame_interval: SimDuration,
 }
 
 impl Flow {
     /// Wires `sender` to `receiver`, installing `trace` on both.
     pub(crate) fn new(
-        direction: Direction,
         mut sender: ConferenceSender,
         mut receiver: ConferenceReceiver,
         metrics: MetricsCollector,
@@ -134,40 +124,7 @@ impl Flow {
             metrics,
             sr_seen: BTreeMap::new(),
             trace,
-            direction,
         }
-    }
-
-    /// The flow a [`SessionConfig`] describes, over `paths`.
-    fn for_session(
-        cfg: &SessionConfig,
-        paths: &[PathId],
-        direction: Direction,
-        trace: TraceHandle,
-    ) -> Self {
-        let mut sender = ConferenceSender::new(
-            cfg.streams,
-            paths,
-            cfg.scheduler.build(CAPTURE_FORMAT.frame_interval()),
-            cfg.fec.build(),
-            cfg.controller,
-            PAPER_MAX_BITRATE_BPS,
-        );
-        if cfg.coupled_cc {
-            sender.set_coupling(RateCoupling::Lia);
-        }
-        Flow::new(
-            direction,
-            sender,
-            ConferenceReceiver::new(cfg.streams, paths, CAPTURE_FORMAT.fps, paths[0]),
-            MetricsCollector::new(
-                cfg.duration,
-                CAPTURE_FORMAT,
-                PAPER_MAX_BITRATE_BPS,
-                cfg.streams,
-            ),
-            trace,
-        )
     }
 
     /// The flow's first timer fires, `offset` after the start of the call:
@@ -190,7 +147,6 @@ impl Flow {
             pacer,
             metrics,
             trace,
-            direction,
             ..
         } = self;
         pacer.release(now, |out, size| {
@@ -204,7 +160,7 @@ impl Flow {
                 metrics.on_retransmission();
                 trace.emit(now, TraceEvent::Retransmitted { path: out.path });
             }
-            if net.send(out.path, *direction, now, size, out.payload) {
+            if net.send(out.path, Direction::Forward, now, size, out.payload) {
                 metrics.on_packet_lost(out.path);
             }
         });
@@ -267,7 +223,7 @@ impl Flow {
                 probe_seq,
                 probe_sent_at: rtp.sent_at,
             };
-            net.send(path, opposite(self.direction), now, echo.wire_size(), echo);
+            net.send(path, Direction::Reverse, now, echo.wire_size(), echo);
         }
         let media_payload = match &rtp.kind {
             RtpKind::Media(p) if p.kind.is_media() => p.size,
@@ -349,7 +305,7 @@ impl Flow {
                 for (path, rtcp) in rtcp_out.drain(..) {
                     let payload = NetPayload::Rtcp(rtcp);
                     let size = payload.wire_size();
-                    net.send(path, opposite(self.direction), now, size, payload);
+                    net.send(path, Direction::Reverse, now, size, payload);
                 }
                 now + if transport {
                     TRANSPORT_RTCP_INTERVAL
@@ -360,14 +316,14 @@ impl Flow {
             Tick::SenderRtcp => {
                 for (path, rtcp) in self.sender.periodic_rtcp(now) {
                     let payload = NetPayload::Rtcp(rtcp);
-                    net.send(path, self.direction, now, payload.wire_size(), payload);
+                    net.send(path, Direction::Forward, now, payload.wire_size(), payload);
                 }
                 now + SENDER_RTCP_INTERVAL
             }
         }
     }
 
-    /// Folds the collected metrics into the direction's report.
+    /// Folds the collected metrics into the call's report.
     pub(crate) fn finish(self) -> CallReport {
         self.metrics.finish()
     }
@@ -388,8 +344,7 @@ pub(crate) trait Network {
     fn net(&mut self, i: usize) -> Self::Net<'_>;
 }
 
-/// A call's network: flow 0's media travels `Forward`, flow 1's (if any)
-/// `Reverse`.
+/// A call's network: every delivery belongs to the call's one flow.
 impl Network for NetworkEmulator<NetPayload> {
     type Net<'a> = &'a mut Self;
 
@@ -401,27 +356,12 @@ impl Network for NetworkEmulator<NetPayload> {
     /// after `now` into the emulator, so this visits what a drained batch
     /// would.
     fn deliver_due(&mut self, now: SimTime, flows: &mut [Flow], scratch: &mut Scratch) {
+        let [flow] = flows else {
+            unreachable!("a call runs one flow")
+        };
         while let Some(delivery) = self.pop_due(now) {
-            // Media and SR/SDES travel with their flow, to its receiver;
-            // feedback and probe echoes travel against it, to its sender.
-            let with_flow = matches!(
-                &delivery.payload,
-                NetPayload::Rtp(_)
-                    | NetPayload::Rtcp(RtcpPacket::SenderReport(_) | RtcpPacket::Sdes(_))
-            );
-            let flow_direction = if with_flow {
-                delivery.direction
-            } else {
-                opposite(delivery.direction)
-            };
-            let slot = match flow_direction {
-                Direction::Forward => 0,
-                Direction::Reverse => 1,
-            };
-            if let Some(flow) = flows.get_mut(slot) {
-                let (path, payload) = (delivery.path, delivery.payload);
-                flow.on_delivery(now, path, payload, &mut &mut *self, scratch);
-            }
+            let (path, payload) = (delivery.path, delivery.payload);
+            flow.on_delivery(now, path, payload, &mut &mut *self, scratch);
         }
     }
 
@@ -430,24 +370,35 @@ impl Network for NetworkEmulator<NetPayload> {
     }
 }
 
-/// Runs `N` flows over one emulator built from `paths` to the end of the
-/// call described by `cfg`: flow 0 sends `Forward`, flow 1 (if any) sends
-/// `Reverse` and starts 16 ms later so the two directions' frames don't
-/// collide. Returns one report per flow.
-pub(crate) fn run_call<const N: usize>(
-    cfg: &SessionConfig,
-    paths: Vec<Path>,
-    traces: [TraceHandle; N],
-) -> [CallReport; N] {
+/// Runs the call `cfg` describes, over one emulator built from `paths`,
+/// to its end: one flow, traced to `trace`. Returns the flow's report.
+pub(crate) fn run_call(cfg: &SessionConfig, paths: Vec<Path>, trace: TraceHandle) -> CallReport {
     let path_ids: Vec<PathId> = paths.iter().map(|p| p.id()).collect();
     let mut emu: NetworkEmulator<NetPayload> = NetworkEmulator::new(paths);
-    let mut directions = [Direction::Forward, Direction::Reverse].into_iter();
-    let mut flows = traces.map(|trace| {
-        let direction = directions.next().expect("a path has two directions");
-        Flow::for_session(cfg, &path_ids, direction, trace)
-    });
+    let mut sender = ConferenceSender::new(
+        cfg.streams,
+        &path_ids,
+        cfg.scheduler.build(CAPTURE_FORMAT.frame_interval()),
+        cfg.fec.build(),
+        cfg.controller,
+        PAPER_MAX_BITRATE_BPS,
+    );
+    if cfg.coupled_cc {
+        sender.set_coupling(RateCoupling::Lia);
+    }
+    let mut flow = Flow::new(
+        sender,
+        ConferenceReceiver::new(cfg.streams, &path_ids, CAPTURE_FORMAT.fps, path_ids[0]),
+        MetricsCollector::new(
+            cfg.duration,
+            CAPTURE_FORMAT,
+            PAPER_MAX_BITRATE_BPS,
+            cfg.streams,
+        ),
+        trace,
+    );
 
-    // Sized for the call's paths right after its flows are built: over a
+    // Sized for the call's paths right after its flow is built: over a
     // long sweep the order of small allocations moves `peak_rss_mb` (why
     // `ConferenceSender::new_sized` allocates its rings first), and
     // sizing it at the first frame tick read 0.1 MiB higher on
@@ -457,14 +408,13 @@ pub(crate) fn run_call<const N: usize>(
         ..Scratch::default()
     };
     let mut timers: EventQueue<(usize, Tick)> = EventQueue::new();
-    for (i, flow) in flows.iter().enumerate() {
-        for (at, tick) in flow.first_ticks(SimDuration::from_millis(16 * i as u64)) {
-            timers.schedule(at, (i, tick));
-        }
+    for (at, tick) in flow.first_ticks(SimDuration::ZERO) {
+        timers.schedule(at, (0, tick));
     }
     let end = SimTime::ZERO + cfg.duration;
-    run_flows(&mut flows, &mut emu, &mut timers, end, &mut scratch);
-    flows.map(Flow::finish)
+    let flows = std::slice::from_mut(&mut flow);
+    run_flows(flows, &mut emu, &mut timers, end, &mut scratch);
+    flow.finish()
 }
 
 /// The one event loop: runs `flows` over `net` until `end`, flow `i`'s

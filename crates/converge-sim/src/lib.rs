@@ -12,7 +12,6 @@
 
 pub mod cells;
 pub mod drives;
-pub mod duplex;
 pub mod fleet;
 mod flow;
 mod gaps;
@@ -33,7 +32,6 @@ pub use converge_cc::{
     CongestionController, ControllerConfig, ControllerKind, MpBbrController, NadaController,
 };
 pub use drives::DriveFixture;
-pub use duplex::DuplexSession;
 pub use fleet::{
     FleetConferenceReport, FleetConfig, FleetEngine, FleetReport, FleetSessionReport,
     FleetWorkCounts, ShardStats, TimerStats,

@@ -259,8 +259,7 @@ impl Session {
     pub fn run(self) -> CallReport {
         let cfg = self.config;
         let paths = cfg.scenario.build_paths(cfg.seed);
-        let [report] = run_call(&cfg, paths, [cfg.trace.clone()]);
-        report
+        run_call(&cfg, paths, cfg.trace.clone())
     }
 }
 

@@ -14,13 +14,17 @@
 use converge_net::{PathId, SimTime};
 use converge_sim::{DriveFixture, FecKind, ScenarioConfig, SchedulerKind, Session, SessionConfig};
 
+/// Prints `drive_replay: SOURCE: ERROR` and exits 1.
+fn fail(source: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("drive_replay: {source}: {e}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let source = args.first().map_or("blackout_flap", String::as_str);
     let scenario = match args.first() {
-        Some(path) => ScenarioConfig::from_drive_file(path).unwrap_or_else(|e| {
-            eprintln!("drive_replay: {path}: {e}");
-            std::process::exit(1);
-        }),
+        Some(path) => ScenarioConfig::from_drive_file(path).unwrap_or_else(|e| fail(path, e)),
         None => {
             println!("(no drive file given; replaying the committed blackout_flap fixture)");
             DriveFixture::BlackoutFlap.scenario()
@@ -53,7 +57,7 @@ fn main() {
         .duration(duration)
         .seed(42)
         .build()
-        .expect("valid session config");
+        .unwrap_or_else(|e| fail(source, e));
     let r = Session::new(config).run();
 
     println!();

@@ -21,16 +21,16 @@
 //! | Mechanism | Formula | Code (`converge-core/src/`) | Fixed example | Drawn property |
 //! |---|---|---|---|---|
 //! | Table 2 priority order | retransmission > keyframe > SPS > PPS > FEC | `priority.rs`, `PacketClass::priority` | `converge_core::priority::tests::table2_ordering` | gap |
-//! | Algorithm 1 fast path | `cpt_i = N·k/rate_i + rtt_i/2` | `fastpath.rs`, `completion_time` | `converge_core::fastpath::tests::completion_time_formula` | gap |
+//! | Algorithm 1 fast path | `cpt_i = N·k/rate_i + rtt_i/2` | `fastpath.rs`, `completion_time` | `converge_core::fastpath::tests::completion_time_formula` | `properties::select_fast_path_minimizes_completion_time` checks the chosen path's `cpt`, with the goodput `rate_i·(1 − loss_i)` for `rate_i`, against the least of the usable paths |
 //! | Eq. 1 split | `P_i = round(N·rate_i / Σ rate_j)` | `feedback.rs`, `PathShare::split_into` | `converge_core::feedback::tests::split_matches_eq1_example` | `properties::split_always_covers_exactly_n` checks every `P_i` of a fresh share against the formula |
 //! | Eq. 2 α offset | `P_i += offset_i`, `offset_i += α` per feedback | `feedback.rs`, `PathShare::apply_feedback` | `converge_core::feedback::tests::split_applies_alpha_offset` | `properties::split_always_covers_exactly_n` draws α but checks `Σ P_i = N` only |
 //! | Eq. 3 re-enable margin | re-enable when `abs(rtt_fast − rtt_i)/2 ≤ max(FCD, 5 ms)` | `feedback.rs`, `PathShare::try_reenable` | `converge_core::feedback::tests::reenable_follows_eq3` | gap |
 //! | §4.3 repair count | `FEC_i = l_i·P_i·β` | `fec_controller.rs`, `ConvergeFec::repair_count` | `converge_core::fec_controller::tests::converge_fec_proportional_to_loss` | gap |
 //! | §4.3 β | `β = 1 + NACK_i/(P_i − FEC_i)` | `fec_controller.rs`, `ConvergeFec::on_nack` | `converge_core::fec_controller::tests::nacks_raise_beta_then_decay` | gap |
 //!
-//! Gaps: no drawn property checks Table 2, Algorithm 1, Eq. 3 or either
-//! §4.3 formula, and the one drawn split property checks conservation,
-//! not the per-path counts, once Eq. 2's offsets apply.
+//! Gaps: no drawn property checks Table 2, Eq. 3 or either §4.3 formula,
+//! and the one drawn split property checks conservation, not the per-path
+//! counts, once Eq. 2's offsets apply.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -492,7 +492,7 @@ fn link_deliveries_are_fifo() {
 fn impaired_emulator(seed: u64, impairment: ImpairmentConfig) -> NetworkEmulator<usize> {
     let mut cfg = deep_link(100_000_000, 25);
     (cfg.seed, cfg.impairment) = (seed, impairment);
-    NetworkEmulator::new(vec![Path::symmetric(PathId(0), cfg)])
+    NetworkEmulator::new(vec![Path::new(PathId(0), cfg.clone(), cfg)])
 }
 
 /// Sends payloads `0..n`, one a millisecond, asserting the link takes
@@ -806,6 +806,80 @@ fn drive_holds_across_boundaries() {
         let far = SimTime::from_micros(t.end().as_micros() + 86_400_000_000);
         assert_eq!(t.sample_at(far), samples.last().unwrap());
         assert_eq!(t.until_next_change(far), None);
+    });
+}
+
+// ---------- fast path (Algorithm 1) ----------
+
+/// Algorithm 1, line 9: of the usable paths (enabled, with positive
+/// goodput), the fast path has the least completion time
+/// `N·k·8 / (rate·(1 − loss)) + srtt/2`, and there is none when no path is
+/// usable. Input: `N` and the paths.
+#[test]
+fn select_fast_path_minimizes_completion_time() {
+    use converge_core::{select_fast_path, PathMetrics};
+    const K: usize = 1_250;
+    let path = |id, rate_bps, srtt_ms, loss, enabled| PathMetrics {
+        id: PathId(id),
+        rate_bps,
+        srtt: SimDuration::from_millis(srtt_ms),
+        loss,
+        enabled,
+    };
+    // No usable path (zero rate, total loss, disabled); a fat lossy path
+    // that wins on its rate and loses on its goodput; an empty batch.
+    let fixed = [
+        (
+            40,
+            vec![
+                path(0, 0, 20, 0.0, true),
+                path(1, 10_000_000, 20, 1.0, true),
+                path(2, 10_000_000, 20, 0.0, false),
+            ],
+        ),
+        (
+            100,
+            vec![
+                path(0, 20_000_000, 30, 0.6, true),
+                path(1, 10_000_000, 30, 0.0, true),
+            ],
+        ),
+        (0, vec![path(0, 5_000_000, 80, 0.2, true)]),
+    ];
+    let draw = |r: &mut SmallRng| {
+        let n = r.gen_range(0usize..=200);
+        let paths = vec_of(r, 1..9, |r| {
+            let rate_bps = r.gen_range(0..=30_000_000);
+            (
+                rate_bps,
+                r.gen_range(1..=400),
+                r.gen_range(0.0..=1.0),
+                r.gen(),
+            )
+        });
+        let paths = (0u8..)
+            .zip(paths)
+            .map(|(id, (rate, srtt, loss, enabled))| path(id, rate, srtt, loss, enabled))
+            .collect::<Vec<_>>();
+        (n, paths)
+    };
+    check(fixed, CASES, draw, |(n, paths)| {
+        let cpt = |p: &PathMetrics| {
+            let goodput = p.rate_bps as f64 * (1.0 - p.loss);
+            let usable = p.enabled && goodput > 0.0;
+            usable.then(|| (n * K * 8) as f64 / goodput + p.srtt.as_secs_f64() / 2.0)
+        };
+        let least = paths.iter().filter_map(cpt).min_by(f64::total_cmp);
+        let chosen = select_fast_path(paths, *n, K);
+        match (chosen, least) {
+            (None, None) => {}
+            (Some(id), Some(least)) => {
+                let got = paths.iter().find(|p| p.id == id).and_then(cpt);
+                let got = got.unwrap_or_else(|| panic!("chose unusable {id}"));
+                assert!((got - least).abs() <= 1e-9 * least, "cpt {got} > {least}");
+            }
+            _ => panic!("chose {chosen:?}, least cpt {least:?}"),
+        }
     });
 }
 
