@@ -522,12 +522,25 @@ pub(crate) mod tests {
         assert_eq!(names, expected);
     }
 
+    /// 64-bit FNV-1a of `text`.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// Whichever worker runs a job writes its files, so two jobs that
     /// shared a stem would race on one file: every registry job, at both
-    /// scales, has a stem of its own.
+    /// scales, has a stem of its own. The fingerprint text itself is
+    /// pinned too: the benchmark orders `sweep-quick`'s jobs by it and
+    /// `--trace` names its files by it, so a change to a cell's identity
+    /// shows here first.
     #[test]
     fn registry_jobs_have_distinct_stems() {
-        for scale in [Scale::Quick, Scale::Full] {
+        for (scale, pinned) in [
+            (Scale::Quick, 0x2e91_2dc1_e7ed_24d4),
+            (Scale::Full, 0xbd99_00f5_412d_0d04),
+        ] {
             let jobs: HashSet<Job> = crate::experiments::registry()
                 .iter()
                 .flat_map(|def| (def.spec)(scale).jobs)
@@ -535,6 +548,10 @@ pub(crate) mod tests {
             let stems: HashSet<String> = jobs.iter().map(|j| sanitize(&j.fingerprint())).collect();
             assert!(jobs.len() > 100, "{scale:?}: {} jobs", jobs.len());
             assert_eq!(stems.len(), jobs.len(), "{scale:?}: stems collide");
+            let mut fingerprints: Vec<String> = jobs.iter().map(Job::fingerprint).collect();
+            fingerprints.sort();
+            let digest = fnv1a(&fingerprints.join("\n"));
+            assert_eq!(digest, pinned, "{scale:?}: fingerprints {digest:#018x}");
         }
     }
 
