@@ -343,12 +343,18 @@ hot_lines() {
 gate hot-lines hot_lines
 
 # The per-second, per-path repair table that located the three-path
-# collapse: one short cell must exit 0 and close with its totals line.
+# collapse: one short cell must exit 0 and close with its totals line. A
+# seconds argument no SimDuration can hold must exit 2 with the usage's
+# `cells:` line at once, not wrap into a short call and loop for ever.
 repair_timeline() {
-    local out
+    local out status=0
     out=$(cargo run --release -p converge-sim --example repair_timeline -- symmetric3 20)
     echo "$out"
-    grep -q '^totals: .* sent/received/lost p0 ' <<<"$out"
+    grep -q '^totals: .* sent/received/lost p0 ' <<<"$out" || return 1
+    out=$(timeout 10 cargo run -q --release -p converge-sim --example repair_timeline -- \
+        clean 18446744073710 2>&1) || status=$?
+    echo "$out"
+    [ "$status" -eq 2 ] && grep -q '^cells: ' <<<"$out"
 }
 gate repair-timeline repair_timeline
 

@@ -3,10 +3,11 @@
 //! fast-path selection metric of Algorithm 1 vs simpler criteria, and FEC
 //! policy variants including no protection at all.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{FecKind, SchedulerKind};
 
 use super::table::Table;
-use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
 
 /// Converge on one camera stream: the cell every ablation turns one knob of.

@@ -7,10 +7,11 @@
 //! runs with the [`converge_trace::InvariantSink`] rules armed, and the
 //! `experiments` binary exits 1 on any violation.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{FecKind, ImpairmentKind, SchedulerKind};
 
 use super::table::Table;
-use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
 
 /// The multipath schedulers of the matrix (single-path baselines are

@@ -5,11 +5,12 @@
 //! their character (a scheduler that keeps load on a path through its
 //! coverage gap shows up directly in the utilization column).
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{ControllerKind, DriveFixture, FecKind, SchedulerKind};
 
 use super::gate_seeds;
 use super::table::Table;
-use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
 
 /// The scheduler axis: Converge vs the two strongest multipath baselines.

@@ -2,10 +2,11 @@
 //! path-specific controller vs WebRTC's static table on two 15 Mbps /
 //! 100 ms paths, loss swept 0–10 %.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{FecKind, SchedulerKind};
 
 use super::table::Table;
-use crate::runner::{Cell, Job, Scale, ScenarioSpec};
+use crate::runner::{Job, Scale};
 use crate::sweep::ExperimentSpec;
 
 fn pair_cell(loss_pct: f64, fec: FecKind) -> Cell {

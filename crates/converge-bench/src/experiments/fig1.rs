@@ -1,9 +1,10 @@
 //! Fig. 1 — motivation: single-path WebRTC FPS and E2E latency collapse
 //! under driving-grade cellular bandwidth variation.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{ScenarioConfig, SchedulerKind};
 
-use crate::runner::{Cell, Job, Scale, ScenarioSpec};
+use crate::runner::{Job, Scale};
 use crate::sweep::ExperimentSpec;
 
 /// Declares the two single-path calls (one per carrier) of Fig. 1. Not a

@@ -3,10 +3,11 @@
 //! scenario (path 1 steady at 25 Mbps; path 2 collapses to 0.5–2.5 Mbps
 //! between 30 s and 90 s).
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{FecKind, ScenarioConfig, SchedulerKind};
 
 use super::table::Table;
-use crate::runner::{Cell, Job, Scale, ScenarioSpec};
+use crate::runner::{Job, Scale};
 use crate::sweep::ExperimentSpec;
 
 /// The ablation needs the 30–90 s dip window, so quick scale keeps a

@@ -2,10 +2,11 @@
 //! scenario: QoE bars (throughput/FPS/stall/QP), FEC overhead and
 //! utilization, the E2E latency CDF, and the PSNR CDF.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::SchedulerKind;
 
 use super::table::Table;
-use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
 
 /// The full system roster of Fig. 14 (single-path, CM, multipath variants,

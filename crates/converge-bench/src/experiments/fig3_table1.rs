@@ -4,10 +4,11 @@
 //! keyframe requests (Table 1). Both come from the same runs, so one spec
 //! emits the combined report.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::SchedulerKind;
 
 use super::table::Table;
-use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
 
 /// The systems Fig. 3 compares.

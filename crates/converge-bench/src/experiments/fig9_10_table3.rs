@@ -2,10 +2,11 @@
 //! and Table 3 (E2E latency / FEC overhead / FEC utilization for 1–3
 //! cameras) — Converge vs single-path WebRTC in the wild.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{CallReport, SchedulerKind};
 
 use super::table::Table;
-use crate::runner::{Cell, Job, Scale, ScenarioSpec};
+use crate::runner::{Job, Scale};
 use crate::sweep::ExperimentSpec;
 
 const SCENARIOS: [(&str, ScenarioSpec); 2] = [

@@ -3,11 +3,12 @@
 //! same calls through the full Converge scheduler/FEC loop, and the fold
 //! compares the QoE each controller's rate dynamics produce.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::{ControllerKind, FecKind, SchedulerKind};
 
 use super::gate_seeds;
 use super::table::Table;
-use crate::runner::{Cell, Scale, ScenarioSpec};
+use crate::runner::Scale;
 use crate::sweep::ExperimentSpec;
 
 fn scenarios() -> [(&'static str, ScenarioSpec); 2] {

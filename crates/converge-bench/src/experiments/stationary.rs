@@ -1,10 +1,11 @@
 //! Figs. 16–17 and Table 6 — the stationary (appendix A) evaluation:
 //! Converge vs single-path WebRTC on stable WiFi + cellular.
 
+use converge_sim::cells::{Cell, ScenarioSpec};
 use converge_sim::SchedulerKind;
 
 use super::table::Table;
-use crate::runner::{Cell, Job, Scale, ScenarioSpec};
+use crate::runner::{Job, Scale};
 use crate::sweep::ExperimentSpec;
 
 const SYSTEMS: [(&str, SchedulerKind); 3] = [

@@ -14,9 +14,10 @@
 use std::fmt::Display;
 
 use converge_net::SimDuration;
+use converge_sim::cells::Cell;
 use converge_sim::CallReport;
 
-use crate::runner::{mean_std, metric, pm, Cell, Job};
+use crate::runner::{mean_std, metric, pm, Job};
 use crate::sweep::ExperimentSpec;
 
 /// One reading of one call, e.g. `|r| r.normalized_fps()`.
@@ -212,8 +213,8 @@ impl ValueColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ScenarioSpec;
     use crate::sweep::{reports_of, CachedRun, CellCache};
+    use converge_sim::cells::ScenarioSpec;
     use converge_sim::{FecKind, SchedulerKind};
     use std::sync::Arc;
 

@@ -25,5 +25,5 @@ pub mod runner;
 pub mod stats;
 pub mod sweep;
 
-pub use runner::{mean_std, metric, pm, Cell, Job, Scale, ScenarioSpec};
+pub use runner::{mean_std, metric, pm, Job, Scale};
 pub use sweep::{render, run_sweep, CellCache, ExperimentSpec, SweepStats};

@@ -1,186 +1,22 @@
-//! Shared experiment machinery: declarative experiment cells and the jobs
-//! the sweep engine executes.
+//! Shared experiment machinery: the jobs the sweep engine executes.
 //!
-//! A [`Cell`] is a fully declarative description of one experiment point
-//! (scenario × scheduler × FEC × streams × CC coupling); a [`Job`] pins it
-//! to a concrete duration and seed. Because the simulator is a pure
-//! function of its configuration and seed, equal jobs produce identical
+//! A [`Job`] pins a declarative [`Cell`] (scenario × scheduler × FEC ×
+//! streams × CC coupling × controller, from [`converge_sim::cells`]) to a
+//! concrete duration and seed. Because the simulator is a pure function of
+//! its configuration and seed, equal jobs produce identical
 //! [`CallReport`](converge_sim::CallReport)s — which is what lets the
 //! sweep engine ([`crate::sweep`]) fingerprint, dedup, and memoize them.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use converge_net::{DriveTrace, QueueDiscipline, SimDuration};
-use converge_sim::{
-    ControllerKind, DriveFixture, FecKind, ImpairmentKind, ScenarioConfig, SchedulerKind, Session,
-    SessionConfig,
-};
+use converge_net::SimDuration;
+use converge_sim::cells::Cell;
+use converge_sim::Session;
 use converge_trace::{RingSink, TraceHandle, TraceRecord};
 
 pub use crate::stats::{mean_std, metric, pm};
 use crate::sweep::CachedRun;
-
-/// Declarative scenario selector: a canonical, hashable description of the
-/// network setup. Replaces the old `fn(SimDuration, u64) -> ScenarioConfig`
-/// pointer so cells can be fingerprinted and memoized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScenarioSpec {
-    /// §6.1 walking: WiFi + "T-Mobile"-like cellular.
-    Walking,
-    /// §6.1 driving: two cellular carriers.
-    Driving,
-    /// Appendix A stationary: stable WiFi + cellular.
-    Stationary,
-    /// Fig. 11 path-collapse scenario (path 2 dips between 30 s and 90 s).
-    FeedbackBenefit,
-    /// Figs. 12/13 and Table 5: two 15 Mbps / 100 ms RTT paths with random
-    /// loss, stored in milli-percent so the cell stays hashable
-    /// (`3_000` = 3 % loss).
-    FecTradeoff {
-        /// Loss rate in thousandths of a percent.
-        loss_milli_pct: u32,
-    },
-    /// The AQM ablation's network: two constant 10 Mbps / 40 ms paths
-    /// under either drop-tail or CoDel.
-    AqmTuned {
-        /// Run CoDel instead of drop-tail at the bottleneck.
-        codel: bool,
-    },
-    /// The fault-injection matrix: a clean reference path plus a path
-    /// carrying one named impairment.
-    Chaos {
-        /// Which fault path 1 carries.
-        kind: ImpairmentKind,
-    },
-    /// Replays a committed multi-path drive fixture (4–8 paths of
-    /// rate/OWD/loss captures). The fixture enum keeps the cell hashable;
-    /// the capture itself is embedded at compile time.
-    Drive {
-        /// Which committed fixture to replay.
-        fixture: DriveFixture,
-    },
-    /// The 4–8 path mixed WiFi/cellular/satellite topology
-    /// ([`ScenarioConfig::multi_carrier`]).
-    MultiCarrier {
-        /// Path count, 4–8.
-        paths: u8,
-    },
-}
-
-impl ScenarioSpec {
-    /// `FecTradeoff` from a percent loss rate (e.g. `3.0` for 3 %).
-    pub fn fec_tradeoff_pct(loss_pct: f64) -> Self {
-        ScenarioSpec::FecTradeoff {
-            loss_milli_pct: (loss_pct * 1_000.0).round() as u32,
-        }
-    }
-
-    /// Canonical identifier used in job fingerprints.
-    pub fn id(self) -> String {
-        match self {
-            ScenarioSpec::Walking => "walking".into(),
-            ScenarioSpec::Driving => "driving".into(),
-            ScenarioSpec::Stationary => "stationary".into(),
-            ScenarioSpec::FeedbackBenefit => "feedback-benefit".into(),
-            ScenarioSpec::FecTradeoff { loss_milli_pct } => {
-                format!("fec-tradeoff-{loss_milli_pct}mpct")
-            }
-            ScenarioSpec::AqmTuned { codel } => {
-                format!("aqm-{}", if codel { "codel" } else { "drop-tail" })
-            }
-            ScenarioSpec::Chaos { kind } => format!("chaos-{}", kind.id()),
-            ScenarioSpec::Drive { fixture } => format!("drive-{}", fixture.id()),
-            ScenarioSpec::MultiCarrier { paths } => format!("multi-carrier-{paths}"),
-        }
-    }
-
-    /// Builds the concrete scenario for a `(duration, seed)`.
-    pub fn build(self, duration: SimDuration, seed: u64) -> ScenarioConfig {
-        match self {
-            ScenarioSpec::Walking => ScenarioConfig::walking(duration, seed),
-            ScenarioSpec::Driving => ScenarioConfig::driving(duration, seed),
-            ScenarioSpec::Stationary => ScenarioConfig::stationary(duration, seed),
-            ScenarioSpec::FeedbackBenefit => ScenarioConfig::feedback_benefit(duration, seed),
-            ScenarioSpec::FecTradeoff { loss_milli_pct } => {
-                ScenarioConfig::fec_tradeoff(loss_milli_pct as f64 / 1_000.0)
-            }
-            ScenarioSpec::AqmTuned { codel } => {
-                let discipline = if codel {
-                    QueueDiscipline::Codel
-                } else {
-                    QueueDiscipline::DropTail
-                };
-                let mut scenario = ScenarioConfig::fec_tradeoff(0.0);
-                for p in &mut scenario.paths {
-                    p.trace = DriveTrace::constant(10_000_000, SimDuration::from_millis(40));
-                    p.discipline = discipline.clone();
-                }
-                scenario
-            }
-            ScenarioSpec::Chaos { kind } => ScenarioConfig::chaos(kind),
-            ScenarioSpec::Drive { fixture } => fixture.scenario(),
-            ScenarioSpec::MultiCarrier { paths } => {
-                ScenarioConfig::multi_carrier(paths as usize, duration, seed)
-            }
-        }
-    }
-}
-
-/// One experiment cell: a scenario × system × stream-count combination
-/// (plus the CC-coupling knob of the coupling ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Cell {
-    /// Network scenario.
-    pub scenario: ScenarioSpec,
-    /// Scheduler under test.
-    pub scheduler: SchedulerKind,
-    /// FEC policy under test.
-    pub fec: FecKind,
-    /// Camera streams.
-    pub streams: u8,
-    /// LIA-style coupled congestion control (the coupling ablation);
-    /// `false` everywhere else, matching the paper.
-    pub coupled_cc: bool,
-    /// Per-path congestion-control algorithm (GCC everywhere except the
-    /// controller shootout).
-    pub controller: ControllerKind,
-}
-
-impl Cell {
-    /// A cell with the paper's default (uncoupled GCC) congestion control.
-    pub fn new(
-        scenario: ScenarioSpec,
-        scheduler: SchedulerKind,
-        fec: FecKind,
-        streams: u8,
-    ) -> Self {
-        Cell {
-            scenario,
-            scheduler,
-            fec,
-            streams,
-            coupled_cc: false,
-            controller: ControllerKind::Gcc,
-        }
-    }
-
-    /// One of the paper's systems: Converge runs its own FEC controller,
-    /// every baseline scheduler WebRTC's static table.
-    pub fn system(scenario: ScenarioSpec, scheduler: SchedulerKind, streams: u8) -> Self {
-        let fec = match scheduler {
-            SchedulerKind::Converge => FecKind::Converge,
-            _ => FecKind::WebRtcTable,
-        };
-        Cell::new(scenario, scheduler, fec, streams)
-    }
-
-    /// The same cell under a different congestion controller.
-    pub fn with_controller(mut self, controller: ControllerKind) -> Self {
-        self.controller = controller;
-        self
-    }
-}
 
 /// A unit of sweep work: one [`Cell`] at a concrete duration and seed.
 /// The `Job` value itself is the canonical cell fingerprint the memo cache
@@ -226,22 +62,6 @@ impl Job {
         self.duration.as_secs_f64()
     }
 
-    /// The session config this job describes, with the given trace handle.
-    fn config(&self, trace: TraceHandle) -> SessionConfig {
-        SessionConfig::builder()
-            .scenario(self.cell.scenario.build(self.duration, self.seed))
-            .scheduler(self.cell.scheduler)
-            .fec(self.cell.fec)
-            .streams(self.cell.streams)
-            .duration(self.duration)
-            .seed(self.seed)
-            .coupled_cc(self.cell.coupled_cc)
-            .controller(self.cell.controller)
-            .trace(trace)
-            .build()
-            .expect("job parameters form a valid session config")
-    }
-
     /// Runs the simulation for this job, bypassing the memo cache, with
     /// the control-loop invariant checker armed (`Session::run_checked`)
     /// and, when `capture` is set, the full event timeline kept in a ring
@@ -254,7 +74,9 @@ impl Job {
         let trace = ring
             .clone()
             .map_or_else(TraceHandle::disabled, |ring| TraceHandle::new(ring));
-        let (report, violations) = Session::new(self.config(trace)).run_checked();
+        let mut config = self.cell.config(self.duration, self.seed);
+        config.trace = trace;
+        let (report, violations) = Session::new(config).run_checked();
         let run = CachedRun {
             report,
             exec_s: started.elapsed().as_secs_f64(),
@@ -300,6 +122,8 @@ impl Scale {
 mod tests {
     use super::*;
     use crate::sweep::CellCache;
+    use converge_sim::cells::{self, Outcome, ScenarioSpec, Shape};
+    use converge_sim::{ControllerKind, FecKind, ImpairmentKind, SchedulerKind};
 
     fn clean_job(seed: u64) -> Job {
         let cell = Cell::new(
@@ -334,48 +158,6 @@ mod tests {
         );
         assert!(decoded.iter().all(|&frames| frames > 0), "{decoded:?}");
         assert_eq!(cache.executed(), 2);
-    }
-
-    #[test]
-    fn scenario_specs_build_and_fingerprint() {
-        let d = SimDuration::from_secs(10);
-        for spec in [
-            ScenarioSpec::Walking,
-            ScenarioSpec::Driving,
-            ScenarioSpec::Stationary,
-            ScenarioSpec::FeedbackBenefit,
-            ScenarioSpec::fec_tradeoff_pct(3.0),
-            ScenarioSpec::AqmTuned { codel: true },
-            ScenarioSpec::Chaos {
-                kind: ImpairmentKind::Blackout,
-            },
-        ] {
-            let scenario = spec.build(d, 1);
-            assert_eq!(scenario.paths.len(), 2, "{}", spec.id());
-            assert!(!spec.id().is_empty());
-        }
-        // Milli-percent preserves the sweep's fractional loss rates exactly.
-        assert_eq!(
-            ScenarioSpec::fec_tradeoff_pct(3.0),
-            ScenarioSpec::FecTradeoff {
-                loss_milli_pct: 3_000
-            }
-        );
-    }
-
-    #[test]
-    fn wide_scenario_specs_build_their_full_topologies() {
-        let d = SimDuration::from_secs(10);
-        for fixture in DriveFixture::ALL {
-            let spec = ScenarioSpec::Drive { fixture };
-            assert_eq!(spec.build(d, 1).paths.len(), fixture.path_count());
-            assert_eq!(spec.id(), format!("drive-{}", fixture.id()));
-        }
-        for paths in 4..=8u8 {
-            let spec = ScenarioSpec::MultiCarrier { paths };
-            assert_eq!(spec.build(d, 1).paths.len(), paths as usize);
-            assert_eq!(spec.id(), format!("multi-carrier-{paths}"));
-        }
     }
 
     /// The job both run-path tests drive: a 10 s call on the `Flap` cell.
@@ -416,13 +198,30 @@ mod tests {
     #[test]
     fn checked_run_matches_traced_and_is_clean() {
         let job = flap_job();
-        let plain = Session::new(job.config(TraceHandle::disabled())).run();
+        let plain = Session::new(job.cell.config(job.duration, job.seed)).run();
         for capture in [true, false] {
             let (run, records) = job.run(capture);
             assert_eq!(format!("{:?}", run.report), format!("{plain:?}"));
             assert!(run.violations.is_empty(), "{:?}", run.violations);
             assert_eq!(records.is_some(), capture);
         }
+    }
+
+    /// Every call the catalogue names is a sweep job: memoized through
+    /// the cache, it reports what running the catalogue row reports.
+    #[test]
+    fn named_calls_are_sweep_jobs() {
+        let (d, cache) = (SimDuration::from_secs(1), CellCache::new());
+        for (name, _, shape) in &cells::CATALOGUE {
+            let Shape::Call(cell) = *shape else { continue };
+            let Outcome::Call(named) = shape.build(d, 11).run() else {
+                panic!("{name} is a call")
+            };
+            let run = cache.get_or_run(&Job::new(cell, d, 11));
+            assert_eq!(format!("{:?}", run.report), format!("{named:?}"), "{name}");
+        }
+        let calls = cells::names(false).split(' ').count();
+        assert_eq!(cache.executed() as usize, calls, "one job per named call");
     }
 
     #[test]

@@ -44,9 +44,10 @@ pub struct CachedRun {
 
 /// A concurrent memo cache of `Job → CallReport`, keyed by the canonical
 /// cell fingerprint (the [`Job`] value: scenario, scheduler, FEC, streams,
-/// coupling, duration, seed). The simulator is fully seeded, so equal jobs
-/// are interchangeable and each is executed at most once; concurrent
-/// requests for the same job block until the single execution finishes.
+/// coupling, controller, duration, seed). The simulator is fully seeded,
+/// so equal jobs are interchangeable and each is executed at most once;
+/// concurrent requests for the same job block until the single execution
+/// finishes.
 #[derive(Debug, Default)]
 pub struct CellCache {
     entries: Mutex<HashMap<Job, Arc<OnceLock<Arc<CachedRun>>>>>,
@@ -306,8 +307,8 @@ pub fn run_sweep(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::{Cell, ScenarioSpec};
     use converge_net::SimDuration;
+    use converge_sim::cells::{Cell, ScenarioSpec};
     use converge_sim::{FecKind, SchedulerKind};
 
     /// A fresh, empty directory under the system temp dir, unique within

@@ -192,7 +192,7 @@ static ALLOCATOR: SamplingAlloc = SamplingAlloc;
 /// reset — before building the cell if `count_build`, after it if not;
 /// returns the exact calls and bytes and the recorded sites.
 fn measure(name: &str, secs: u64, pass: Pass, count_build: bool) -> (u64, u64, Sites) {
-    let build = || cells::cell(name, SimDuration::from_secs(secs), 11).expect("a checked name");
+    let build = || cells::build(name, SimDuration::from_secs(secs), 11).expect("a checked name");
     let built = (!count_build).then(build);
     SITES.with(|s| s.borrow_mut().clear());
     CALLS.with(|c| c.set(0));
@@ -292,28 +292,28 @@ fn main() {
     let mut peak_mode = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut number = |flag: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        let mut number = |flag: &str, parse: fn(&str) -> Option<u64>| -> u64 {
+            args.next().and_then(|v| parse(&v)).unwrap_or_else(|| {
                 eprintln!("error: {flag} takes a number");
                 usage()
             })
         };
         match arg.as_str() {
-            "--every" => every = number("--every").max(1),
-            "--from" => from = number("--from"),
-            "--to" => to = number("--to"),
+            "--every" => every = number("--every", |v| v.parse().ok()).max(1),
+            "--from" => from = number("--from", cells::secs),
+            "--to" => to = number("--to", cells::secs),
             "--peak" => peak_mode = true,
             _ if name.is_none() && !arg.starts_with('-') => name = Some(arg),
             _ => usage(),
         }
     }
     let Some(name) = name else { usage() };
-    if cells::find(&name).is_none() || to == 0 {
+    if cells::find(&name).is_none() {
         usage();
     }
     if peak_mode {
         peak(&name, to);
-    } else if from == 0 || to <= from {
+    } else if to <= from {
         usage();
     } else {
         window(&name, every, from, to);

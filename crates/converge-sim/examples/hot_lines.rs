@@ -377,7 +377,7 @@ fn main() {
             positive(rows)? as usize,
         ))
     });
-    let Some((cell, reps, rows)) = parsed else {
+    let Some((&(name, secs, shape), reps, rows)) = parsed else {
         eprintln!(
             "usage: hot_lines <cell> <reps> [rows]\ncells: {}",
             cells::names(true)
@@ -390,15 +390,15 @@ fn main() {
         use converge_net::SimDuration;
         let (rips, dropped) = sampler::sample(|| {
             for _ in 0..reps {
-                let fps = cell.cell(SimDuration::from_secs(cell.secs), 11).run().fps();
+                let fps = shape.build(SimDuration::from_secs(secs), 11).run().fps();
                 assert!(fps > 0.0, "the cell must carry video");
             }
         });
-        sampler::report(cell.name, reps, rows, rips, dropped);
+        sampler::report(name, reps, rows, rips, dropped);
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
     {
-        let _ = (reps, rows, cell);
+        let _ = (reps, rows, name, secs, shape);
         println!("unsupported: hot_lines samples with SIGPROF on Linux x86_64 only");
     }
 }

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use converge_net::{PathId, SimDuration};
-use converge_sim::cells::{self, Cell};
+use converge_sim::cells::{self, Built};
 use converge_sim::Session;
 use converge_trace::{RingSink, TraceEvent, TraceHandle};
 
@@ -48,17 +48,18 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let number = |at: usize, default: u64| match args.get(at).map(|a| a.parse::<u64>()) {
-        None => default,
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => usage(),
+    let secs = args.get(1).map_or(Some(30), |a| cells::secs(a));
+    let seed = args
+        .get(2)
+        .map_or(Some(11), |a| a.parse().ok().filter(|&n| n > 0));
+    let (Some(secs), Some(seed)) = (secs, seed) else {
+        usage()
     };
-    let (secs, seed) = (number(1, 30), number(2, 11));
     let duration = SimDuration::from_secs(secs);
     let cell = args
         .first()
-        .and_then(|name| cells::cell(name, duration, seed));
-    let Some(Cell::Call(mut config)) = cell else {
+        .and_then(|name| cells::build(name, duration, seed));
+    let Some(Built::Call(mut config)) = cell else {
         usage()
     };
     let streams = config.streams;

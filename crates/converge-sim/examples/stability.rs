@@ -40,13 +40,12 @@ fn row(label: &str, fps: &[f64], shares: &str) {
 }
 
 fn main() {
-    let secs = match std::env::args().nth(1).map(|a| a.parse::<u64>()) {
-        None => 120,
-        Some(Ok(secs)) if secs > 0 => secs,
-        Some(_) => {
-            eprintln!("usage: stability [call seconds, default 120]");
-            std::process::exit(2);
-        }
+    let secs = std::env::args()
+        .nth(1)
+        .map_or(Some(120), |a| cells::secs(&a));
+    let Some(secs) = secs else {
+        eprintln!("usage: stability [call seconds, default 120]");
+        std::process::exit(2);
     };
     println!(
         "fps per stream, seeds {}-{}; calls {secs} s, fleets 10 s",
@@ -54,12 +53,12 @@ fn main() {
         SEEDS.end()
     );
     for (label, name) in MATRIX {
-        let cell = cells::find(name).expect("the matrix names catalogue cells");
-        let secs = if cell.is_fleet() { cell.secs } else { secs };
+        let &(_, fleet_secs, shape) = cells::find(name).expect("the matrix names catalogue cells");
+        let secs = if shape.is_fleet() { fleet_secs } else { secs };
         let (mut media, mut rtx, mut fec, mut sent, mut lost) = (0u64, 0u64, 0u64, 0u64, 0u64);
         let fps: Vec<f64> = SEEDS
             .map(|seed| {
-                let outcome = cell.cell(SimDuration::from_secs(secs), seed).run();
+                let outcome = shape.build(SimDuration::from_secs(secs), seed).run();
                 if let Outcome::Call(report) = &outcome {
                     media += report.media_packets_sent;
                     rtx += report.retransmissions;
@@ -73,6 +72,6 @@ fn main() {
         let pct = |n: u64, of: u64| 100.0 * n as f64 / of.max(1) as f64;
         let (rtx, fec, lost) = (pct(rtx, media), pct(fec, media), pct(lost, sent));
         let shares = format!("  rtx {rtx:.1} % fec {fec:.1} % lost {lost:.2} %");
-        row(label, &fps, if cell.is_fleet() { "" } else { &shares });
+        row(label, &fps, if shape.is_fleet() { "" } else { &shares });
     }
 }

@@ -141,7 +141,7 @@ const LOSSY_BUDGET: u64 = 2_415;
 /// What the catalogue cell `name` asks of the allocator over `secs`, at
 /// seed 11. Building the cell's config is not counted.
 fn counts(name: &str, secs: u64) -> Counts {
-    let cell = cells::cell(name, SimDuration::from_secs(secs), 11).expect("a catalogue cell");
+    let cell = cells::build(name, SimDuration::from_secs(secs), 11).expect("a catalogue cell");
     let (calls, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let live = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(live));

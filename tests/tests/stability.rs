@@ -23,7 +23,7 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=6;
 /// Runs the matrix cell labelled `label` for `secs` at `seed`.
 fn run(label: &str, secs: u64, seed: u64) -> Outcome {
     let (_, name) = MATRIX.iter().find(|(l, _)| *l == label).expect("a label");
-    let cell = cells::cell(name, SimDuration::from_secs(secs), seed);
+    let cell = cells::build(name, SimDuration::from_secs(secs), seed);
     cell.expect("the matrix names catalogue cells").run()
 }
 
