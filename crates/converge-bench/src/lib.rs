@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod explain;
 pub mod runner;
 pub mod stats;
 pub mod sweep;

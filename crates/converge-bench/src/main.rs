@@ -18,6 +18,7 @@
 //! JSONL bytes are identical for any `--jobs` value too.
 
 use converge_bench::experiments::registry;
+use converge_bench::explain;
 use converge_bench::{run_sweep, CellCache, Scale};
 
 struct Cli {
@@ -71,6 +72,9 @@ fn main() {
         }
     };
 
+    if cli.targets.first().is_some_and(|t| t == "explain") {
+        explain_call(&cli.targets[1..]);
+    }
     let registry = registry();
     if cli.targets.is_empty() || cli.targets.iter().any(|t| t == "list") {
         eprintln!(
@@ -140,4 +144,20 @@ fn main() {
     if !stats.violations.is_empty() {
         std::process::exit(1);
     }
+}
+
+/// `experiments explain <cell> [seconds] [seed]`: prints the call's
+/// explanation, then exits as a sweep would (1 on a violation, which goes
+/// to stderr); usage, exit 2, for arguments that name no call.
+fn explain_call(args: &[String]) -> ! {
+    let Some((name, job)) = explain::parse(args) else {
+        eprintln!("{}", explain::usage());
+        std::process::exit(2);
+    };
+    let traced = explain::run(&job);
+    print!("{}", explain::render(name, &job, &traced));
+    for v in &traced.violations {
+        eprintln!("VIOLATION {}: {v}", job.fingerprint());
+    }
+    std::process::exit(i32::from(!traced.violations.is_empty()));
 }

@@ -250,11 +250,11 @@ impl Shape {
 /// `hot_lines` runs it: two- and three-path calls 180 s (the benchmark's
 /// call length), the 8-path ones 90 s, fleets 10 s.
 #[rustfmt::skip]
-pub static CATALOGUE: [(&str, u64, Shape); 18] = {
+pub static CATALOGUE: [(&str, u64, Shape); 20] = {
     use FecKind::{Converge as Fec, WebRtcTable as Table};
     use ImpairmentKind::{FeedbackLoss, Reorder};
-    use ScenarioSpec::{Carrier8, Chaos, Constant8, FecTradeoff, Symmetric3};
-    use SchedulerKind::{Converge, SinglePath};
+    use ScenarioSpec::{Carrier8, Chaos, Constant8, FecTradeoff, FeedbackBenefit, Symmetric3};
+    use SchedulerKind::{Converge, ConvergeNoFeedback, SinglePath};
     use Shape::{Call, Fleet};
     const fn loss(pct: u32) -> ScenarioSpec { FecTradeoff { loss_milli_pct: pct * 1_000 } }
     [
@@ -272,6 +272,8 @@ pub static CATALOGUE: [(&str, u64, Shape); 18] = {
         ("symmetric3", 180, Call(Cell::new(Symmetric3, Converge, Fec, 1))),
         ("constant8", 90, Call(Cell::new(Constant8, Converge, Fec, 3))),
         ("carrier8", 90, Call(Cell::new(Carrier8, Converge, Fec, 1))),
+        ("fig11", 180, Call(Cell::new(FeedbackBenefit, Converge, Fec, 1))),
+        ("fig11-nofb", 180, Call(Cell::new(FeedbackBenefit, ConvergeNoFeedback, Fec, 1))),
         ("fleet", 10, Fleet(128, 4)),
         ("fleet8", 10, Fleet(128, 8)),
         ("fleet32x4", 10, Fleet(32, 4)),
