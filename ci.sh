@@ -6,15 +6,14 @@
 # budgets, the fleet's exact work counts, the
 # receiver's two reorder-path differential tests and the stability
 # matrix's tier-1 slice by name, one short run each of the
-# peak-heap attribution, the sampling profiler and the repair timeline (so
-# they cannot rot), a quick-scale
-# smoke run of the full
+# peak-heap attribution, the sampling profiler and `experiments explain` (so
+# they cannot rot; the removed trace directory option is refused), a
+# quick-scale smoke run of the full
 # experiment sweep (the fleet experiment included) on 2 workers and on 1
 # with the outputs compared and their md5 checked against the committed
 # one (exercises the worker pool and the memo cache, pins every printed
 # number, and its stderr must report every executed job invariant-clean),
-# a traced experiment run with JSONL timeline validation (plus the whole
-# quick registry traced, and an uncreatable trace dir refused up front), the chaos,
+# the chaos,
 # controller-shootout and drive-replay matrices (the invariant checker is
 # armed on every sweep job, so a violation fails them through the exit
 # status; the removed replay flag is refused and its code named nowhere),
@@ -22,10 +21,9 @@
 # with its deleted flags refused, and the perf gate: the repo benchmark
 # compared with its committed baseline.
 #
-# Gates, in order (19): fmt, readme-examples, docs, benchmark-smoke, tests,
+# Gates, in order (18): fmt, readme-examples, docs, benchmark-smoke, tests,
 # properties, alloc-budget, work-counts, reorder-path, stability, hot-lines,
-# repair-timeline, sweep-smoke, traced-fig11, chaos, shootout, drive, fleet,
-# bench-compare.
+# explain, sweep-smoke, chaos, shootout, drive, fleet, bench-compare.
 #
 # Lint and build stop the script (nothing after them can run without a
 # build). Every step after that is a gate: a failing gate is recorded and
@@ -115,25 +113,30 @@ declared_examples() {
     fi
 }
 
-# Every cell a README.md or DESIGN.md command hands alloc_sites, hot_lines
-# or repair_timeline (`--example TOOL -- [flags] CELL` or `` `TOOL [flags]
-# CELL` ``, also across a line break) is a name of the cell catalogue that
-# the tool's own usage line lists: run without arguments, a tool prints
-# `cells: ...` and exits 2.
+# Every cell a README.md or DESIGN.md command hands alloc_sites or
+# hot_lines (`--example TOOL -- [flags] CELL` or `` `TOOL [flags] CELL` ``)
+# or `experiments explain` (`--bin experiments -- explain CELL` or
+# `` `experiments explain CELL` ``), also across a line break, is a name of
+# the cell catalogue that the tool's own usage line lists: run without
+# arguments, a tool prints `cells: ...` and exits 2.
 catalogue_cells() {
     local tool cell names unknown=()
     declare -A usage
-    for tool in alloc_sites hot_lines repair_timeline; do
-        names=$( { cargo run -q --release -p converge-sim --example "$tool" 2>&1 >/dev/null || true; } \
-            | sed -n 's/^cells: //p')
+    for tool in alloc_sites hot_lines explain; do
+        if [ "$tool" = explain ]; then
+            names=$( { experiments explain 2>&1 >/dev/null || true; } | sed -n 's/^cells: //p')
+        else
+            names=$( { cargo run -q --release -p converge-sim --example "$tool" 2>&1 >/dev/null || true; } \
+                | sed -n 's/^cells: //p')
+        fi
         [ -n "$names" ] || { echo "readme-examples: $tool printed no cells: line" >&2; return 1; }
         usage[$tool]=" $names "
     done
     while read -r tool cell; do
         [[ "${usage[$tool]}" == *" $cell "* ]] || unknown+=("$tool $cell")
     done < <(cat README.md DESIGN.md | tr '\n' ' ' \
-        | grep -oE -- '(--example |`)(alloc_sites|hot_lines|repair_timeline)( --)?( +(--[a-z]+|[0-9]+))* +[a-z][a-z0-9-]*' \
-        | sed -E 's/^(--example |`)//' | awk '{ print $1, $NF }' | sort -u)
+        | grep -oE -- '(--example |`)(alloc_sites|hot_lines)( --)?( +(--[a-z]+|[0-9]+))* +[a-z][a-z0-9-]*|(--bin experiments -- |`experiments )explain +[a-z][a-z0-9-]*' \
+        | sed -E 's/^(--example |--bin experiments -- |`(experiments )?)//' | awk '{ print $1, $NF }' | sort -u)
     if [ ${#unknown[@]} -gt 0 ]; then
         echo "readme-examples: not a catalogue cell: ${unknown[*]}" >&2
         return 1
@@ -143,25 +146,31 @@ catalogue_cells() {
 # binary (`--bin experiments -- ARGS` up to a comment, pipe or backtick, or
 # `` `experiments ARGS` ``, also across a line break) is one the binary's
 # own `list` prints — an id or an alias — or `all` or `list`. Flags, their
-# values and `<placeholders>` are skipped.
+# values and `<placeholders>` are skipped, and so is an `explain` command
+# (catalogue_cells checks its cell).
 experiment_ids() {
-    local arg ids known unknown=() skip=0
+    local line arg ids known unknown=() skip
     ids=$(experiments list 2>&1 | { grep -oE '^  [a-z0-9-]+|\(also: [a-z0-9, -]+' || true; } \
         | sed 's/^(also://' | tr ',\n' '  ')
     [ -n "$ids" ] || { echo "readme-examples: experiments list printed no ids" >&2; return 1; }
     known=" all list $ids "
-    for arg in $( { grep -ohE -- '--bin experiments -- [^#`|>&;)]*' README.md DESIGN.md \
+    while read -r line; do
+        skip=0
+        for arg in $line; do
+            if [ "$arg" = explain ]; then
+                break
+            elif [ "$skip" -eq 1 ]; then
+                skip=0
+            elif [ "$arg" = --jobs ]; then
+                skip=1
+            elif [[ "$arg" != --* && "$arg" != "<"* && "$known" != *" $arg "* ]]; then
+                unknown+=("$arg")
+            fi
+        done
+    done < <(grep -ohE -- '--bin experiments -- [^#`|>&;)]*' README.md DESIGN.md \
         | sed 's/^--bin experiments -- //'
         cat README.md DESIGN.md | tr '\n' ' ' | grep -oE '`experiments [^`]*`' \
-            | sed -E 's/^`experiments //; s/`$//'; } ); do
-        if [ "$skip" -eq 1 ]; then
-            skip=0
-        elif [ "$arg" = --jobs ] || [ "$arg" = --trace ]; then
-            skip=1
-        elif [[ "$arg" != --* && "$arg" != "<"* && "$known" != *" $arg "* ]]; then
-            unknown+=("$arg")
-        fi
-    done
+            | sed -E 's/^`experiments //; s/`$//')
     if [ ${#unknown[@]} -gt 0 ]; then
         echo "readme-examples: not an experiment id: ${unknown[*]}" >&2
         return 1
@@ -342,21 +351,39 @@ hot_lines() {
 }
 gate hot-lines hot_lines
 
-# The per-second, per-path repair table that located the three-path
-# collapse: one short cell must exit 0 and close with its totals line. A
-# seconds argument no SimDuration can hold must exit 2 with the usage's
-# `cells:` line at once, not wrap into a short call and loop for ever.
-repair_timeline() {
-    local out status=0
-    out=$(cargo run --release -p converge-sim --example repair_timeline -- symmetric3 20)
+# One way to look inside a call: `experiments explain CELL` runs one call of
+# the cell catalogue again with its timeline kept and prints the per-second,
+# per-path repair table (the one that located the three-path collapse),
+# closed by its totals line, then the per-path timeline summary. A seconds
+# argument no SimDuration can hold must exit 2 with the usage's `cells:`
+# line at once, not wrap into a short call and loop for ever. It replaced
+# the `repair_timeline` example and the sweep's trace directory: the option
+# is an unknown flag, and the tracing cache, its writer and the test helper
+# that read its files are named nowhere under crates/, nor are the capture
+# switch and the write-after-sweep pass that came before them.
+explain() {
+    local gone out status=0
+    gone=$(grep -rlwE 'CellCache::tracing|trace_dir|write_timeline|traced_files|set_trace_capture|trace_capture|write_traces|trace_jobs' crates || true)
+    if [ -n "$gone" ]; then
+        echo "explain: a second place a timeline goes is named under crates/:" $gone >&2
+        return 1
+    fi
+    out=$(experiments explain symmetric3 20)
     echo "$out"
-    grep -q '^totals: .* sent/received/lost p0 ' <<<"$out" || return 1
-    out=$(timeout 10 cargo run -q --release -p converge-sim --example repair_timeline -- \
-        clean 18446744073710 2>&1) || status=$?
+    grep -A1 '^totals: .* sent/received/lost p0 ' <<<"$out" | tail -1 \
+        | grep -q '^# per-path timeline summary ('
+    out=$(timeout 10 cargo run -q --release -p converge-bench --bin experiments -- \
+        explain clean 18446744073710 2>&1) || status=$?
     echo "$out"
-    [ "$status" -eq 2 ] && grep -q '^cells: ' <<<"$out"
+    [ "$status" -eq 2 ] && grep -q '^cells: ' <<<"$out" || return 1
+    status=0
+    experiments fig11 --quick --trace x > /dev/null 2> results/smoke_trace_flag.err || status=$?
+    if [ "$status" != 2 ] || ! grep -qF 'unknown flag "--trace"' results/smoke_trace_flag.err; then
+        echo "explain: --trace exits $status, not 2 as an unknown flag" >&2
+        return 1
+    fi
 }
-gate repair-timeline repair_timeline
+gate explain explain
 
 # The whole registry on 2 pool workers and on 1 (the caller's thread, no
 # spawn): stdout must not depend on the pool size, and its md5 is pinned in
@@ -381,55 +408,6 @@ sweep_smoke() {
     fi
 }
 gate sweep-smoke sweep_smoke
-
-# Traced run: fig11 writes one JSONL timeline per job; validate schema,
-# field presence, and monotone timestamps. The whole quick registry traced
-# on 2 workers prints the pinned stdout and writes exactly one timeline and
-# one summary per executed job (204), each on the worker that ran the job.
-# A trace directory that cannot be created fails the run before any job
-# does: exit 1, nothing on stdout. The trace directory is fixed when the
-# memo cache is built (`CellCache::tracing`): the process-wide capture
-# switch it replaced and the binary's retain-then-write post-pass
-# (`set_trace_capture`, `trace_capture`, `write_traces`, `trace_jobs`) are
-# named nowhere under crates/.
-traced_fig11() {
-    local gone status=0
-    gone=$(grep -rlwE 'set_trace_capture|trace_capture|write_traces|trace_jobs' crates || true)
-    if [ -n "$gone" ]; then
-        echo "traced-fig11: a second place a timeline goes is named under crates/:" $gone >&2
-        return 1
-    fi
-    rm -rf results/traces
-    experiments fig11 --quick --jobs 2 --trace results/traces > results/smoke_fig11.txt
-    ls results/traces/*.jsonl > /dev/null
-    for f in results/traces/*.jsonl; do
-        head -1 "$f" | grep -q '"schema":"converge-trace/v1"'
-        head -1 "$f" | grep -q '"job":"'
-        # Every record line carries at_us + event, and at_us never decreases.
-        tail -n +2 "$f" | awk '
-            !/"at_us":[0-9]+/ || !/"event":"[a-z_]+"/ { print "bad record: " $0; exit 1 }
-            { at = $0; sub(/.*"at_us":/, "", at); sub(/[,}].*/, "", at) }
-            at + 0 < prev + 0 { print "timestamp regression at " NR ": " at " < " prev; exit 1 }
-            { prev = at }
-        '
-        test -s "${f%.jsonl}.timeline.txt"
-    done
-    rm -rf results/traces_all
-    experiments all --quick --jobs 2 --trace results/traces_all > results/smoke_all_traced.txt
-    test "$(md5sum < results/smoke_all_traced.txt | cut -d' ' -f1)" \
-        = "$(cat tests/tests/fixtures/experiments_quick.md5)"
-    test "$(find results/traces_all -name '*.jsonl' | wc -l)" = 204
-    test "$(find results/traces_all -name '*.timeline.txt' | wc -l)" = 204
-    : > results/not_a_dir
-    experiments fig11 --quick --trace results/not_a_dir/traces \
-        > results/smoke_bad_trace.txt 2> results/smoke_bad_trace.err || status=$?
-    if [ "$status" != 1 ] || [ -s results/smoke_bad_trace.txt ]; then
-        echo "traced-fig11: an uncreatable --trace dir exits $status with $(wc -c < results/smoke_bad_trace.txt) stdout bytes, not 1 with none" >&2
-        return 1
-    fi
-    grep -q '^error: creating results/not_a_dir/traces: ' results/smoke_bad_trace.err
-}
-gate traced-fig11 traced_fig11
 
 # Chaos gate: the fault-injection matrix (scheduler x impairment x seed).
 # Every sweep job runs with the control-loop invariant checker armed as an
@@ -459,25 +437,17 @@ gate chaos chaos
 # Controller-shootout gate: 1 seed x 3 controllers (GCC, NADA, mp-BBR)
 # through the full scheduler/FEC loop, the invariant checker armed as on
 # every sweep job —
-# proves the non-default controllers hold the control-loop invariants,
-# and that all three trace through the one cc_* event family.
+# proves the non-default controllers hold the control-loop invariants;
+# the test it runs by name proves all three trace through the one cc_*
+# event family (a `cc_rate_changed` tagged with each algorithm, no `gcc_*`
+# event) on a traced run of each.
 shootout() {
-    local algorithm
-    rm -rf results/traces_shootout
-    experiments shootout --quick --jobs 2 \
-        --trace results/traces_shootout > results/smoke_shootout.txt
+    experiments shootout --quick --jobs 2 > results/smoke_shootout.txt
     test -s results/smoke_shootout.txt
     grep -q 'mp-BBR' results/smoke_shootout.txt
     grep -q 'NADA' results/smoke_shootout.txt
-    for algorithm in gcc nada mp-bbr; do
-        grep -qh "\"event\":\"cc_rate_changed\".*\"algorithm\":\"$algorithm\"" \
-            results/traces_shootout/*.jsonl
-    done
-    # Not `! grep`: `set -e` ignores a negated command's status.
-    if grep -qh '"event":"gcc_' results/traces_shootout/*.jsonl; then
-        echo "shootout: a gcc_* event outside the cc_* family" >&2
-        return 1
-    fi
+    tests_by_name 1 -p converge-bench --lib -- --exact \
+        experiments::shootout::tests::every_controller_runs_clean_through_the_full_loop
 }
 gate shootout shootout
 
@@ -491,7 +461,9 @@ gate shootout shootout
 # under crates/, tests/ or examples/. `drive_replay` handed a malformed
 # file prints the parser's line-numbered error and exits 1, and handed a
 # well-formed drive that spans 0 s (one row at t = 0) prints the session
-# builder's error and exits 1; it panics on neither.
+# builder's error and exits 1; it panics on neither. `trace_tool gen`
+# writes a drive that `trace_tool info` reads (exit 0), and seconds no
+# SimDuration holds print its usage and exit 2 instead of wrapping.
 # replay_fails FILE LINE: drive_replay on FILE exits 1 without a panic,
 # and one of its stderr lines is exactly LINE.
 replay_fails() {
@@ -505,7 +477,8 @@ replay_fails() {
     fi
 }
 drive() {
-    local gone garbage=results/smoke_garbage_drive.jsonl instant=results/smoke_instant_drive.jsonl
+    local gone status garbage=results/smoke_garbage_drive.jsonl instant=results/smoke_instant_drive.jsonl
+    local walk=results/smoke_walking_drive.jsonl
     gone=$(grep -rlwE 'RateTrace|TraceParseError|from_traces' crates tests examples || true)
     if [ -n "$gone" ]; then
         echo "drive: a second link trace is named under crates/, tests/ or examples/:" $gone >&2
@@ -520,6 +493,15 @@ drive() {
     replay_fails "$garbage" "drive_replay: $garbage: parsing drive file: malformed drive row at line 1"
     printf '{"t":0,"path":0,"rate_bps":5000000,"owd_ms":20,"loss_pct":0}\n' > "$instant"
     replay_fails "$instant" "drive_replay: $instant: duration must be positive"
+    cargo run -q --release -p converge-bench --bin trace_tool -- gen walking wifi 60 1 > "$walk"
+    cargo run -q --release -p converge-bench --bin trace_tool -- info "$walk" | grep -q '^  samples:    120$'
+    status=0
+    timeout 10 cargo run -q --release -p converge-bench --bin trace_tool -- \
+        gen walking wifi 18446744073710 1 > /dev/null 2> results/smoke_trace_tool.err || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q '^usage:' results/smoke_trace_tool.err; then
+        echo "drive: trace_tool gen with 18446744073710 s exits $status, not 2 with its usage" >&2
+        return 1
+    fi
 }
 gate drive drive
 

@@ -11,8 +11,11 @@
 //! `gen` prints path 0's half-second steps, lossless and at zero delay, so
 //! its output replays directly (`examples/drive_replay.rs`,
 //! `ScenarioConfig::from_drive_file`); `info` prints one summary per path.
+//! `gen`'s seconds go through `cells::secs`: 0, or a value no
+//! `SimDuration` holds, prints the usage and exits 2.
 
 use converge_net::{trace, Carrier, DriveTrace, Scenario, SimDuration, SimTime};
+use converge_sim::cells;
 
 fn usage() -> ! {
     eprintln!(
@@ -41,7 +44,7 @@ fn main() {
                 "cellb" => Carrier::CellularB,
                 _ => usage(),
             };
-            let secs: u64 = args[3].parse().unwrap_or_else(|_| usage());
+            let secs = cells::secs(&args[3]).unwrap_or_else(|| usage());
             let seed: u64 = args[4].parse().unwrap_or_else(|_| usage());
             let duration = SimDuration::from_secs(secs);
             let t = trace::synthesize(scenario, carrier, SimDuration::ZERO, duration, seed);

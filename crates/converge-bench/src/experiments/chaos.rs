@@ -96,7 +96,7 @@ mod tests {
             converge_net::SimDuration::from_secs(20),
             11,
         );
-        let (run, _) = job.run(false);
+        let run = job.run();
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(run.report.frames_decoded > 0);
     }

@@ -142,7 +142,7 @@ mod tests {
                 SimDuration::from_secs(12),
                 11,
             );
-            let (run, _) = job.run(false);
+            let run = job.run();
             let violations = &run.violations;
             assert!(violations.is_empty(), "{}: {violations:?}", controller.id());
             assert!(
@@ -164,36 +164,13 @@ mod tests {
                 SimDuration::from_secs(12),
                 11,
             );
-            let (run, _) = job.run(false);
+            let run = job.run();
             let (report, violations) = (&run.report, &run.violations);
             assert!(violations.is_empty(), "{}: {violations:?}", fixture.id());
             assert_eq!(report.paths.len(), fixture.path_count(), "{}", fixture.id());
             let active = report.paths.values().filter(|p| p.bytes_sent > 0).count();
             assert!(active > 1, "{}: {active} active paths", fixture.id());
         }
-    }
-
-    /// The determinism satellite: per-(fixture, controller) timelines are
-    /// byte-identical whether the sweep ran on 1 worker or 4.
-    #[test]
-    fn drive_traces_are_byte_identical_across_worker_counts() {
-        let jobs: Vec<Job> = DriveFixture::ALL
-            .iter()
-            .flat_map(|&fixture| {
-                ControllerKind::ALL.iter().map(move |&controller| {
-                    Job::new(
-                        drive_cell(fixture, SchedulerKind::Converge, controller),
-                        SimDuration::from_secs(5),
-                        42,
-                    )
-                })
-            })
-            .collect();
-        assert_eq!(
-            crate::sweep::tests::traced_files(&jobs, 1),
-            crate::sweep::tests::traced_files(&jobs, 4),
-            "drive timelines must not depend on --jobs"
-        );
     }
 
     #[test]

@@ -159,7 +159,7 @@ mod tests {
         }
         assert!(jobs.len() > 50, "{} jobs", jobs.len());
         for job in jobs {
-            let (run, _) = job.run(false);
+            let run = job.run();
             assert!(run.report.frames_encoded > 0, "{}", job.fingerprint());
             assert!(
                 run.violations.is_empty(),

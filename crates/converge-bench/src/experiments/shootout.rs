@@ -52,10 +52,12 @@ mod tests {
     use super::*;
     use crate::runner::Job;
     use converge_net::SimDuration;
+    use converge_trace::TraceEvent;
 
     /// Acceptance gate: every controller drives the full scheduler/FEC
-    /// loop with a clean invariant checker and leaves its rate events in
-    /// the timeline.
+    /// loop with a clean invariant checker and leaves its rate events,
+    /// tagged with its own algorithm, in the timeline: every controller
+    /// traces through the one `cc_*` event family.
     #[test]
     fn every_controller_runs_clean_through_the_full_loop() {
         for controller in ControllerKind::ALL {
@@ -64,42 +66,25 @@ mod tests {
                 SimDuration::from_secs(10),
                 11,
             );
-            let (run, records) = job.run(true);
-            let violations = &run.violations;
+            let traced = crate::explain::run(&job);
+            let violations = &traced.violations;
             assert!(violations.is_empty(), "{}: {violations:?}", controller.id());
             assert!(
-                run.report.frames_decoded > 100,
+                traced.report.frames_decoded > 100,
                 "{}: {} frames",
                 controller.id(),
-                run.report.frames_decoded
+                traced.report.frames_decoded
             );
-            let has_cc_rate = records
-                .iter()
-                .flatten()
-                .any(|rec| rec.event.name() == "cc_rate_changed");
+            let events = traced.records.iter().map(|rec| rec.event);
+            let has_cc_rate = events.clone().any(|event| {
+                matches!(event, TraceEvent::CcRateChanged { algorithm, .. } if algorithm == controller)
+            });
             assert!(has_cc_rate, "{} must emit cc_rate_changed", controller.id());
+            let gcc = events
+                .map(|event| event.name())
+                .find(|name| name.starts_with("gcc_"));
+            assert!(gcc.is_none(), "an event outside the cc_* family: {gcc:?}");
         }
-    }
-
-    /// The determinism satellite: for each controller, the captured JSONL
-    /// timeline is byte-identical whether the sweep ran on 1 worker or 4.
-    #[test]
-    fn per_controller_traces_are_byte_identical_across_worker_counts() {
-        let jobs: Vec<Job> = ControllerKind::ALL
-            .iter()
-            .map(|&controller| {
-                Job::new(
-                    shootout_cell(ScenarioSpec::fec_tradeoff_pct(2.0), controller),
-                    SimDuration::from_secs(5),
-                    42,
-                )
-            })
-            .collect();
-        assert_eq!(
-            crate::sweep::tests::traced_files(&jobs, 1),
-            crate::sweep::tests::traced_files(&jobs, 4),
-            "per-controller timelines must not depend on --jobs"
-        );
     }
 
     #[test]

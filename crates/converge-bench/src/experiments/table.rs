@@ -17,7 +17,8 @@ use converge_net::SimDuration;
 use converge_sim::cells::Cell;
 use converge_sim::CallReport;
 
-use crate::runner::{mean_std, metric, pm, Job};
+use crate::runner::Job;
+use crate::stats::{mean_std, metric, pm};
 use crate::sweep::ExperimentSpec;
 
 /// One reading of one call, e.g. `|r| r.normalized_fps()`.

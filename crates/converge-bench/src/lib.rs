@@ -26,5 +26,6 @@ pub mod runner;
 pub mod stats;
 pub mod sweep;
 
-pub use runner::{mean_std, metric, pm, Job, Scale};
+pub use runner::{Job, Scale};
+pub use stats::{mean_std, metric, pm};
 pub use sweep::{render, run_sweep, CellCache, ExperimentSpec, SweepStats};

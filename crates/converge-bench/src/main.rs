@@ -1,7 +1,8 @@
 //! The `experiments` binary: regenerates the paper's tables and figures by
 //! handing every selected experiment to the sweep engine.
 //!
-//! Usage: `experiments <id>|all [--quick] [--jobs N] [--trace DIR]`
+//! Usage: `experiments <id>|all [--quick] [--jobs N]`, or
+//! `experiments explain <cell> [seconds] [seed]`.
 //!
 //! Reports go to stdout in registry order and are byte-identical for any
 //! `--jobs` value; progress, timing, and the sweep summary go to stderr.
@@ -9,13 +10,9 @@
 //! reports, stderr reads `invariants checked on N job(s): K violation(s)`
 //! plus one `VIOLATION <fingerprint>: …` line per violation, and the
 //! process exits 1 when `K > 0` — this is what the CI chaos, shootout and
-//! drive gates rely on. With `--trace DIR`, the directory is created
-//! before any job runs (exit 1 if it cannot be), and every unique job
-//! writes its structured event timeline as `DIR/<fingerprint>.jsonl` plus
-//! a human-readable per-path summary as `DIR/<fingerprint>.timeline.txt`,
-//! on the worker that ran it ([`CellCache::tracing`]). Each timeline is
-//! captured inside the job's own single-threaded simulation, so the
-//! JSONL bytes are identical for any `--jobs` value too.
+//! drive gates rely on. `explain` runs one call of the cell catalogue
+//! again with its timeline kept and prints what happened inside it
+//! (`converge_bench::explain`).
 
 use converge_bench::experiments::registry;
 use converge_bench::explain;
@@ -24,7 +21,6 @@ use converge_bench::{run_sweep, CellCache, Scale};
 struct Cli {
     scale: Scale,
     jobs: usize,
-    trace: Option<String>,
     targets: Vec<String>,
 }
 
@@ -35,7 +31,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         jobs: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        trace: None,
         targets: Vec::new(),
     };
     let mut it = args.into_iter();
@@ -47,10 +42,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         } else if arg == "--jobs" {
             let v = it.next().ok_or("--jobs needs a value")?;
             cli.jobs = v.parse().map_err(|_| format!("bad --jobs value {v:?}"))?;
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            cli.trace = Some(v.to_string());
-        } else if arg == "--trace" {
-            cli.trace = Some(it.next().ok_or("--trace needs a directory")?);
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag {arg:?}"));
         } else {
@@ -78,7 +69,7 @@ fn main() {
     let registry = registry();
     if cli.targets.is_empty() || cli.targets.iter().any(|t| t == "list") {
         eprintln!(
-            "usage: experiments <id>|all [--quick] [--jobs N] [--trace DIR]\n\navailable experiments:"
+            "usage: experiments <id>|all [--quick] [--jobs N]\n       experiments explain <cell> [seconds] [seed]\n\navailable experiments:"
         );
         for def in &registry {
             let alias = if def.aliases.is_empty() {
@@ -105,16 +96,7 @@ fn main() {
         .filter(|def| run_all || cli.targets.iter().any(|t| def.matches(t)))
         .collect();
 
-    let cache = match &cli.trace {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: creating {dir}: {e}");
-                std::process::exit(1);
-            }
-            CellCache::tracing(dir)
-        }
-        None => CellCache::new(),
-    };
+    let cache = CellCache::new();
     let scale = cli.scale;
     eprintln!(
         ">> sweeping {} experiment(s) at {scale:?} scale on {} worker(s)",
@@ -136,10 +118,6 @@ fn main() {
     eprintln!("   {}", stats.invariant_summary());
     for (job, v) in &stats.violations {
         eprintln!("   VIOLATION {}: {v}", job.fingerprint());
-    }
-
-    if let Some(dir) = &cli.trace {
-        eprintln!("   {} trace timeline(s) written to {dir}/", stats.executed);
     }
     if !stats.violations.is_empty() {
         std::process::exit(1);

@@ -7,15 +7,12 @@
 //! [`CallReport`](converge_sim::CallReport)s — which is what lets the
 //! sweep engine ([`crate::sweep`]) fingerprint, dedup, and memoize them.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use converge_net::SimDuration;
 use converge_sim::cells::Cell;
 use converge_sim::Session;
-use converge_trace::{RingSink, TraceHandle, TraceRecord};
 
-pub use crate::stats::{mean_std, metric, pm};
 use crate::sweep::CachedRun;
 
 /// A unit of sweep work: one [`Cell`] at a concrete duration and seed.
@@ -63,32 +60,20 @@ impl Job {
     }
 
     /// Runs the simulation for this job, bypassing the memo cache, with
-    /// the control-loop invariant checker armed (`Session::run_checked`)
-    /// and, when `capture` is set, the full event timeline kept in a ring
-    /// and handed back beside the run. The session is single-threaded and
-    /// fully seeded, so the timeline is a pure function of the job —
-    /// identical no matter how many sweep workers run around it.
-    pub fn run(&self, capture: bool) -> (CachedRun, Option<Vec<TraceRecord>>) {
+    /// the control-loop invariant checker armed (`Session::run_checked`):
+    /// what the cache does with a job it has not run. `explain`'s
+    /// [`run`](crate::explain::run) is the one run that keeps the timeline.
+    pub fn run(&self) -> CachedRun {
         let started = Instant::now();
-        let ring = capture.then(|| Arc::new(RingSink::new(TRACE_RING_CAPACITY)));
-        let trace = ring
-            .clone()
-            .map_or_else(TraceHandle::disabled, |ring| TraceHandle::new(ring));
-        let mut config = self.cell.config(self.duration, self.seed);
-        config.trace = trace;
+        let config = self.cell.config(self.duration, self.seed);
         let (report, violations) = Session::new(config).run_checked();
-        let run = CachedRun {
+        CachedRun {
             report,
             exec_s: started.elapsed().as_secs_f64(),
             violations,
-        };
-        (run, ring.map(|ring| ring.drain()))
+        }
     }
 }
-
-/// Ring capacity for captured timelines: large enough that a 180 s call
-/// never wraps (a full-scale job emits well under a million events).
-const TRACE_RING_CAPACITY: usize = 1 << 21;
 
 /// Experiment scale: full reproduces the paper's 3-minute calls; quick is
 /// for smoke runs and CI.
@@ -173,37 +158,39 @@ mod tests {
         Job::new(cell, SimDuration::from_secs(10), 11)
     }
 
-    /// Capture on or off, the report is the same, and the captured
+    /// A traced run reports what the cache's run reports, and its
     /// timeline is non-empty and monotone.
     #[test]
     fn traced_run_matches_untraced_report_and_is_monotone() {
         let job = flap_job();
-        let (captured, records) = job.run(true);
-        let (uncaptured, none) = job.run(false);
+        let traced = crate::explain::run(&job);
         assert_eq!(
-            format!("{:?}", captured.report),
-            format!("{:?}", uncaptured.report)
+            format!("{:?}", traced.report),
+            format!("{:?}", job.run().report)
         );
-        let records = records.expect("capture was on");
+        let records = &traced.records;
         assert!(!records.is_empty());
         assert!(
             records.windows(2).all(|w| w[0].at <= w[1].at),
             "timeline must be monotone"
         );
-        assert!(none.is_none());
+        assert_eq!(traced.evicted, 0);
     }
 
     /// The armed checker does not perturb the run: the report is the
-    /// plain session's, and the checker is silent with capture on or off.
+    /// plain session's, and the checker is silent on the cache's run and
+    /// on the traced one.
     #[test]
     fn checked_run_matches_traced_and_is_clean() {
         let job = flap_job();
         let plain = Session::new(job.cell.config(job.duration, job.seed)).run();
-        for capture in [true, false] {
-            let (run, records) = job.run(capture);
-            assert_eq!(format!("{:?}", run.report), format!("{plain:?}"));
-            assert!(run.violations.is_empty(), "{:?}", run.violations);
-            assert_eq!(records.is_some(), capture);
+        let (run, traced) = (job.run(), crate::explain::run(&job));
+        for (report, violations) in [
+            (&run.report, &run.violations),
+            (&traced.report, &traced.violations),
+        ] {
+            assert_eq!(format!("{report:?}"), format!("{plain:?}"));
+            assert!(violations.is_empty(), "{violations:?}");
         }
     }
 

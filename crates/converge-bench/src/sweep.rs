@@ -14,19 +14,17 @@
 //! FEC-tradeoff family) is simulated exactly once. Every job it executes
 //! runs with the control-loop invariant checker armed ([`Job::run`]), and
 //! [`run_sweep`] hands the violations back in [`SweepStats`]; it never
-//! panics on one, the caller decides. A [`CellCache::tracing`] cache also
-//! writes each job's event timeline on the worker that ran the job.
+//! panics on one, the caller decides. No run of the cache keeps a
+//! timeline: `experiments explain` runs a job again when one is wanted
+//! ([`crate::explain`]).
 
 use std::collections::{HashMap, HashSet};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use converge_sim::{pool, CallReport};
-use converge_trace::{jsonl, timeline, TraceRecord, Violation};
+use converge_trace::Violation;
 
 use crate::runner::{Job, Scale};
 
@@ -52,25 +50,12 @@ pub struct CachedRun {
 pub struct CellCache {
     entries: Mutex<HashMap<Job, Arc<OnceLock<Arc<CachedRun>>>>>,
     executed: AtomicU64,
-    /// Where every executed job writes its timeline; `None` captures none.
-    trace_dir: Option<PathBuf>,
 }
 
 impl CellCache {
     /// An empty cache.
     pub fn new() -> Self {
         CellCache::default()
-    }
-
-    /// An empty cache that captures the timeline of every job it executes
-    /// and writes it into `dir` (which must exist) on the worker that ran
-    /// the job, as `<stem>.jsonl` plus a per-path `<stem>.timeline.txt`.
-    /// A cache hit writes nothing; a failed write panics.
-    pub fn tracing(dir: impl Into<PathBuf>) -> Self {
-        CellCache {
-            trace_dir: Some(dir.into()),
-            ..CellCache::default()
-        }
     }
 
     /// A process-wide plain cache for tests that share cells.
@@ -99,14 +84,7 @@ impl CellCache {
         let run = entry
             .get_or_init(|| {
                 executed_here = true;
-                // The timeline is written here and dropped: no memoized run holds one.
-                let (run, records) = job.run(self.trace_dir.is_some());
-                if let (Some(dir), Some(records)) = (&self.trace_dir, records) {
-                    write_timeline(dir, job, &records).unwrap_or_else(|e| {
-                        panic!("writing {} into {}: {e}", job.fingerprint(), dir.display())
-                    });
-                }
-                Arc::new(run)
+                Arc::new(job.run())
             })
             .clone();
         if executed_here {
@@ -127,30 +105,6 @@ impl CellCache {
     pub fn executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
     }
-}
-
-/// Filesystem-safe rendering of a job fingerprint: its timeline files' stem.
-fn sanitize(fingerprint: &str) -> String {
-    let safe = |c: char| c.is_ascii_alphanumeric() || "._-".contains(c);
-    fingerprint
-        .chars()
-        .map(|c| if safe(c) { c } else { '-' })
-        .collect()
-}
-
-/// Writes one job's timeline into `dir`: the JSONL document, streamed a
-/// line at a time, then its per-path summary.
-fn write_timeline(dir: &Path, job: &Job, records: &[TraceRecord]) -> std::io::Result<()> {
-    let fingerprint = job.fingerprint();
-    let stem = sanitize(&fingerprint);
-    let mut out = BufWriter::new(File::create(dir.join(format!("{stem}.jsonl")))?);
-    writeln!(out, "{}", jsonl::header_line(&fingerprint))?;
-    for record in records {
-        writeln!(out, "{}", jsonl::record_line(record))?;
-    }
-    out.flush()?;
-    let summary = timeline::summarize(records);
-    std::fs::write(dir.join(format!("{stem}.timeline.txt")), summary)
 }
 
 /// The reports of `runs`, in order, borrowed where the cache keeps them.
@@ -305,65 +259,11 @@ pub fn run_sweep(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use converge_net::SimDuration;
     use converge_sim::cells::{Cell, ScenarioSpec};
     use converge_sim::{FecKind, SchedulerKind};
-
-    /// A fresh, empty directory under the system temp dir, unique within
-    /// this test process.
-    fn scratch_dir() -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "converge-bench-traces-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("creating a scratch dir");
-        dir
-    }
-
-    /// Every file in `dir` as `(name, bytes)`, sorted by name.
-    fn read_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-            .expect("reading the trace dir")
-            .map(|entry| {
-                let path = entry.expect("a dir entry").path();
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                (name, std::fs::read(&path).expect("reading a trace file"))
-            })
-            .collect();
-        files.sort();
-        files
-    }
-
-    /// Sweeps `jobs` through a tracing cache on `workers` threads and
-    /// returns the files it wrote, sorted by name: one JSONL timeline and
-    /// one summary per job, every timeline non-empty.
-    pub(crate) fn traced_files(jobs: &[Job], workers: usize) -> Vec<(String, Vec<u8>)> {
-        let dir = scratch_dir();
-        let spec = ExperimentSpec {
-            jobs: jobs.to_vec(),
-            fold: Box::new(|_| String::new()),
-        };
-        run_sweep(
-            vec![("traced".into(), spec)],
-            Scale::Quick,
-            workers,
-            &CellCache::tracing(&dir),
-        );
-        let files = read_files(&dir);
-        std::fs::remove_dir_all(&dir).expect("removing the scratch dir");
-        assert_eq!(files.len(), 2 * jobs.len(), "one file pair per job");
-        for (name, bytes) in &files {
-            if name.ends_with(".jsonl") {
-                assert!(bytes.iter().filter(|&&b| b == b'\n').count() > 1, "{name}");
-            }
-        }
-        files
-    }
 
     fn tiny_cell(loss_pct: f64) -> Cell {
         Cell::new(
@@ -459,6 +359,8 @@ pub(crate) mod tests {
         assert_eq!(stats.executed, 4, "the duplicate experiment costs nothing");
         assert_eq!(stats.cache_hits, 4);
         assert_eq!(cache.executed(), 4);
+        cache.get_or_run(&tiny_spec().jobs[0]);
+        assert_eq!(cache.executed(), 4, "a hit runs nothing");
     }
 
     #[test]
@@ -475,54 +377,6 @@ pub(crate) mod tests {
         assert_eq!(cache.executed(), 4, "the sweep simulated nothing new");
     }
 
-    /// The JSONL timeline of every job is byte-identical whether the
-    /// sweep ran on 1 worker or 4, because each timeline is captured
-    /// inside its own single-threaded, fully seeded simulation.
-    #[test]
-    fn captured_traces_are_byte_identical_across_worker_counts() {
-        let jobs = tiny_spec().jobs;
-        assert_eq!(
-            traced_files(&jobs, 1),
-            traced_files(&jobs, 4),
-            "timelines must not depend on --jobs"
-        );
-    }
-
-    /// A plain cache has nowhere to write a timeline; a tracing cache
-    /// writes exactly one file pair per job it executes, and none for a
-    /// cache hit.
-    #[test]
-    fn trace_capture_is_off_by_default() {
-        let plain = CellCache::new();
-        assert!(plain.trace_dir.is_none());
-        let (_, stats) = run_sweep(vec![("tiny".into(), tiny_spec())], Scale::Quick, 2, &plain);
-        assert_eq!(stats.executed, 4);
-
-        let dir = scratch_dir();
-        let cache = CellCache::tracing(&dir);
-        let jobs = tiny_spec().jobs;
-        let (_, stats) = run_sweep(
-            vec![("a".into(), tiny_spec()), ("b".into(), tiny_spec())],
-            Scale::Quick,
-            2,
-            &cache,
-        );
-        assert_eq!((stats.executed, stats.cache_hits), (4, 4));
-        cache.get_or_run(&jobs[0]);
-        assert_eq!(cache.executed(), 4, "a hit runs nothing");
-        let names: Vec<String> = read_files(&dir).into_iter().map(|(name, _)| name).collect();
-        std::fs::remove_dir_all(&dir).expect("removing the scratch dir");
-        let mut expected: Vec<String> = jobs
-            .iter()
-            .flat_map(|job| {
-                let stem = sanitize(&job.fingerprint());
-                [format!("{stem}.jsonl"), format!("{stem}.timeline.txt")]
-            })
-            .collect();
-        expected.sort();
-        assert_eq!(names, expected);
-    }
-
     /// 64-bit FNV-1a of `text`.
     fn fnv1a(text: &str) -> u64 {
         text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -530,12 +384,10 @@ pub(crate) mod tests {
         })
     }
 
-    /// Whichever worker runs a job writes its files, so two jobs that
-    /// shared a stem would race on one file: every registry job, at both
-    /// scales, has a stem of its own. The fingerprint text itself is
-    /// pinned too: the benchmark orders `sweep-quick`'s jobs by it and
-    /// `--trace` names its files by it, so a change to a cell's identity
-    /// shows here first.
+    /// Every registry job, at both scales, has a fingerprint of its own:
+    /// a `VIOLATION` line names its job by it. The fingerprint text itself
+    /// is pinned too: the benchmark orders `sweep-quick`'s jobs by it, so a
+    /// change to a cell's identity shows here first.
     #[test]
     fn registry_jobs_have_distinct_stems() {
         for (scale, pinned) in [
@@ -546,11 +398,15 @@ pub(crate) mod tests {
                 .iter()
                 .flat_map(|def| (def.spec)(scale).jobs)
                 .collect();
-            let stems: HashSet<String> = jobs.iter().map(|j| sanitize(&j.fingerprint())).collect();
             assert!(jobs.len() > 100, "{scale:?}: {} jobs", jobs.len());
-            assert_eq!(stems.len(), jobs.len(), "{scale:?}: stems collide");
             let mut fingerprints: Vec<String> = jobs.iter().map(Job::fingerprint).collect();
             fingerprints.sort();
+            fingerprints.dedup();
+            assert_eq!(
+                fingerprints.len(),
+                jobs.len(),
+                "{scale:?}: fingerprints collide"
+            );
             let digest = fnv1a(&fingerprints.join("\n"));
             assert_eq!(digest, pinned, "{scale:?}: fingerprints {digest:#018x}");
         }

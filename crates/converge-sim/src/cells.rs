@@ -1,8 +1,9 @@
 //! One cell language: the declarative [`Cell`] every experiment, sweep job
 //! and named diagnostic cell is written in, and the catalogue of named
-//! cells that the diagnostics (`alloc_sites`, `hot_lines`,
-//! `repair_timeline`), the allocation budgets (`tests/alloc_budget.rs`)
-//! and the stability matrix ([`crate::stability`]) run by name.
+//! cells that the diagnostics (`alloc_sites`, `hot_lines`, converge-bench's
+//! `experiments explain`), the allocation budgets
+//! (`tests/alloc_budget.rs`) and the stability matrix
+//! ([`crate::stability`]) run by name.
 //!
 //! A [`Cell`] is scenario × scheduler × FEC × streams × CC coupling ×
 //! controller, every field hashable, so a sweep can fingerprint and
@@ -10,9 +11,10 @@
 //! [`SessionConfig`], for a `(duration, seed)`.
 //!
 //! The catalogue's shapes are those of the paper's §6 evaluation — two
-//! 15 Mbit/s paths at 0–10 % loss (Figs. 12–13), the chaos impairments —
-//! plus the 3- and 8-path topologies and the SFU fleets beyond its 2–3
-//! paths. A name is one shape, a call [`Cell`] or a fleet; names that
+//! 15 Mbit/s paths at 0–10 % loss (Figs. 12–13), the Fig. 11 feedback
+//! ablation with and without its QoE feedback (`fig11`, `fig11-nofb`), the
+//! chaos impairments — plus the 3- and 8-path topologies and the SFU
+//! fleets beyond its 2–3 paths. A name is one shape, a call [`Cell`] or a fleet; names that
 //! differ in one setting stay distinct (`clean` is a Converge call,
 //! `clean1` the single-path WebRTC baseline).
 

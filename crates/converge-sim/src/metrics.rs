@@ -154,7 +154,8 @@ pub struct MetricsCollector {
     last_decode: Vec<Option<SimTime>>,
     freeze_total: SimDuration,
     freeze_events: u64,
-    /// Per-second decoded frame counts for min-FPS style stats.
+    /// The format's frame interval: a freeze is charged the decode gap
+    /// net of it, the time a frame would have taken anyway.
     expected_frame_interval: SimDuration,
 }
 
