@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint, build, rustfmt's layout, the commands the README and DESIGN name, the
+# Tier-1 gate: lint, build, rustfmt's layout, the commands and repo paths the README and
+# DESIGN name (every `DESIGN §` citation resolving, DESIGN at 700 lines or fewer), the
 # API docs with rustdoc's warnings denied, the repo benchmark's smoke run with its five report digests pinned
 # and its lock untouched, unit/integration tests, the property tests by count
 # and the tests their index of the paper's mechanisms names, the allocation
@@ -88,9 +89,65 @@ readme_examples() {
         echo "readme-examples: no such target: ${missing[*]}" >&2
         return 1
     fi
+    doc_paths
+    design_citations
+    design_length
     declared_examples
     catalogue_cells
     experiment_ids
+}
+
+# Every repo path README.md or DESIGN.md names under tests/tests/fixtures/,
+# results/pairs/, benchmark/results/ or crates/ (a `.rs` file, also when
+# written from its crate, `converge-sim/src/flow.rs`) exists; a glob must
+# match a file, and under benchmark/results/ a run output that .gitignore
+# lists (what `benchmark/run.sh` writes) counts as named correctly. Every
+# `CHANGES.md PR N` a DESIGN row cites for its readings is an entry there.
+doc_paths() {
+    local path pr missing=()
+    while read -r path; do
+        compgen -G "$path" > /dev/null && continue
+        [[ "$path" == benchmark/results/* ]] && git check-ignore -q "$path" && continue
+        missing+=("$path")
+    done < <(grep -ohE '(tests/tests/fixtures|results/pairs|benchmark/results)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]|(crates/)?converge-[a-z]+/[A-Za-z0-9_/-]+\.rs' \
+        README.md DESIGN.md | sed -E 's|^converge-|crates/converge-|' | sort -u)
+    while read -r pr; do
+        grep -qE "^PR $pr[: ]" CHANGES.md || missing+=("CHANGES.md PR $pr")
+    done < <(tr '\n' ' ' < DESIGN.md | grep -oE 'CHANGES\.md +PRs? [0-9]+' | grep -oE '[0-9]+$' | sort -u)
+    if [ ${#missing[@]} -gt 0 ]; then
+        echo "readme-examples: named but not in the tree: ${missing[*]}" >&2
+        return 1
+    fi
+}
+
+# Every `DESIGN §N` or `DESIGN §N.M` cited in README.md, EXPERIMENTS.md,
+# ROADMAP.md, this script, crates/, tests/, examples/ or .claude/skills/,
+# also across a line break inside a comment, is a DESIGN.md heading
+# (`## N.` or `### N.M`). CHANGES.md is a log: each of its citations names
+# the DESIGN of its own commit.
+design_citations() {
+    local headings cite dangling=()
+    headings=" $(grep -oE '^#{2,3} [0-9]+(\.[0-9]+)?' DESIGN.md | sed -E 's/^#+ //' | tr '\n' ' ') "
+    while read -r cite; do
+        [[ "$headings" == *" $cite "* ]] || dangling+=("§$cite")
+    done < <({ cat README.md EXPERIMENTS.md ROADMAP.md ci.sh
+        find crates tests examples .claude/skills -type f \( -name '*.rs' -o -name '*.md' \) -exec cat {} +; } \
+        | sed -E 's@^[[:space:]]*(//[/!]?|#+)[[:space:]]?@@' | tr '\n' ' ' \
+        | grep -oE 'DESIGN(\.md)? +§ *[0-9]+[a-z]?(\.[0-9]+)?' | sed -E 's/.*§ *//' | sort -u)
+    if [ ${#dangling[@]} -gt 0 ]; then
+        echo "readme-examples: DESIGN has no section ${dangling[*]}" >&2
+        return 1
+    fi
+}
+
+# DESIGN.md describes the tree at head in 700 lines or fewer.
+design_length() {
+    local lines
+    lines=$(wc -l < DESIGN.md)
+    if [ "$lines" -gt 700 ]; then
+        echo "readme-examples: DESIGN.md is $lines lines, more than 700" >&2
+        return 1
+    fi
 }
 
 # Every top-level examples/*.rs is the `path` of an [[example]] that some
@@ -340,7 +397,7 @@ gate stability tests_by_name 7 -p converge-integration --test stability -- --exa
     lossless_topologies_do_not_congest_themselves \
     fleet_members_decode_video_at_both_conference_sizes
 
-# The sampling profiler (DESIGN §6c's tables come from it): one short cell
+# The sampling profiler (DESIGN §8.2's tables come from it): one short cell
 # must exit 0 and print either a table row ("  8.7%      112  file:line")
 # or, off Linux x86_64, its "unsupported" line.
 hot_lines() {

@@ -25,7 +25,9 @@
 //!
 //! A cell is any of the catalogue's (`converge_sim::cells`), at seed 11.
 //! Totals are exact; window rows are samples × N. The release profile
-//! keeps line tables, so inlined frames resolve.
+//! keeps line tables, so inlined frames resolve. A row's key can be
+//! renamed by LLVM merging call sites, so rows are not source-stable: a
+//! refactor far from an allocation can move its bytes to another row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;

@@ -494,7 +494,7 @@ struct Spilled {
 const _: () = assert!(std::mem::size_of::<Spilled>() == 10);
 
 /// Slots in a feedback ring's dense window (a power of two so the index is
-/// a mask), or the whole horizon if that is shorter. DESIGN §6c's reach
+/// a mask), or the whole horizon if that is shorter. DESIGN §4.7's reach
 /// table has the spill columns: on `symmetric3`, `constant8`, the
 /// `drive-handover` and `drive-blackout-flap` replays and every lossy,
 /// blackout and feedback-loss cell of `call-impaired`, the farthest
@@ -1109,7 +1109,7 @@ mod tests {
     /// pushes, spill hits and longest spill, on each cell of the
     /// benchmark's `call-npath` workload and on the `call-impaired` cells
     /// where feedback goes missing (5 % and 10 % loss, blackout, feedback
-    /// loss), at seeds 11 and 12 (DESIGN §6c's look-back table). Minutes
+    /// loss), at seeds 11 and 12 (DESIGN §4.7's look-back table). Minutes
     /// in a debug build:
     /// `cargo test --release -p converge-sim --lib nack_lookback -- --ignored --nocapture`
     #[test]

@@ -65,7 +65,7 @@ pub struct OutboundPacket {
 /// power of two): a report may match any of the newest 16 384 sent. A
 /// sequence is looked up when the report naming it arrives: one feedback
 /// interval plus a round trip after the packet left, or later when the
-/// path stalls; DESIGN §6c tabulates the farthest hit per benchmark cell,
+/// path stalls; DESIGN §4.7 tabulates the farthest hit per benchmark cell,
 /// at most 3 709 sequences. A lookup beyond the horizon misses and the
 /// controller goes without that timing. The ring stores 6 bytes a sequence
 /// (send time and size) for the newest 1 024 and 10 bytes for each older
@@ -80,7 +80,7 @@ const SENT_SLOTS: usize = 1 << 14;
 /// at most 30 gaps per NACK round, oldest first, out of a backlog without
 /// a bound, so after a burst of reordering or loss the sequences it names
 /// trail the newest by however far the backlog has fallen behind. DESIGN
-/// §6c tabulates the farthest hit per benchmark cell: 257 on the mildest
+/// §4.7 tabulates the farthest hit per benchmark cell: 257 on the mildest
 /// drive replay, 334 on eight constant paths, 7 663 on eight carrier
 /// traces. A NACK beyond the horizon is not answered, and the
 /// frame waits for its keyframe instead.

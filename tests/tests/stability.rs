@@ -3,12 +3,12 @@
 //! "Stability matrix"), over `converge_sim::stability::MATRIX`'s cells.
 //!
 //! Until retransmissions were paid for out of the congestion-controlled
-//! rate (DESIGN §4, "Repair rides inside the rate") these cells were
+//! rate (DESIGN §4.1, "Repair rides inside the rate") these cells were
 //! bistable by seed — 30 fps, or a collapse into the call's own repair
 //! traffic at 6–16 fps — lossless topologies lost a quarter of their
 //! packets to their own queues, and fleet members decoded under 2 fps.
 //! Since each stream pays for its own retransmissions in the tick they
-//! leave and a gap is NACKed three times (DESIGN §4.4), the one-stream
+//! leave and a gap is NACKed three times (DESIGN §4.1), the one-stream
 //! 10 %-loss cell is no longer one wide mode either. Shorter calls and
 //! fewer seeds than the example, so the whole file stays under a minute
 //! unoptimised; every bound below sits just under the readings of that
